@@ -1,18 +1,17 @@
 //! Experiment drivers shared by the figure-regeneration binaries and the
 //! integration tests.
 
+use crate::search::{cached_kernel_schedule, models_for};
 use p2pmpi_core::prelude::*;
 use p2pmpi_grid5000::scenario::{coallocation_sweep, paper_demand_steps, SweepRow};
 use p2pmpi_grid5000::sites::{scale_factor_for_cores, scaled_table1};
 use p2pmpi_grid5000::testbed::{grid5000_testbed, topology_from_specs};
-use p2pmpi_mpi::model::CollectiveBackend;
+use p2pmpi_mpi::model::{rank_hosts, CollectiveBackend, PlacementCost};
 use p2pmpi_mpi::placement::Placement;
 use p2pmpi_mpi::runtime::MpiRuntime;
 use p2pmpi_nas::classes::Class;
-use p2pmpi_nas::ep::{ep_kernel, ep_model, EpConfig};
-use p2pmpi_nas::ft::{ft_model, FtConfig};
-use p2pmpi_nas::is::{is_kernel, is_model, IsConfig};
-use p2pmpi_simgrid::memory::MemoryContentionModel;
+use p2pmpi_nas::ep::{ep_kernel, EpConfig};
+use p2pmpi_nas::is::{is_kernel, IsConfig};
 use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::time::SimDuration;
 use p2pmpi_simgrid::topology::{HostId, Topology};
@@ -30,7 +29,7 @@ pub fn fig2_fig3_sweep(strategy: StrategyKind, seed: u64, noise_sigma: f64) -> V
 }
 
 /// Which NAS kernel a Figure 4 run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fig4Kernel {
     /// Embarrassingly Parallel (Figure 4, left).
     Ep,
@@ -162,6 +161,23 @@ pub fn run_kernel_once(
 
 /// Runs (or models) the kernel once over an explicit placement; `strategy`
 /// only labels the resulting point (the placement already encodes it).
+///
+/// Under [`CollectiveBackend::Modeled`] this is the **production** costing
+/// of every placed job — the day sweep, the shard coordinator, the Figure 4
+/// modeled points: the shape's schedule comes from
+/// [`cached_kernel_schedule`] (compiled once per process, see its contract)
+/// and [`PlacementCost::cost_of`] evaluates it on the placement, over the
+/// same `search::models_for` cost models the placement search optimises against —
+/// so a searched objective and a charged makespan are one code path.  The
+/// **oracle** is a fresh `ModelComm` replay of `ep_model`/`is_model`/
+/// `ft_model`: `tests/modeled_costing.rs` pins this function to it bit for
+/// bit, and `ModelComm` itself is pinned to the executed runtime by
+/// `model_agreement`.
+///
+/// # Panics
+///
+/// Panics on an invalid or replicated placement (modeled), and for
+/// [`Fig4Kernel::Ft`] under the executed backend, which has no FT kernel.
 pub fn run_kernel_on_placement(
     kernel: Fig4Kernel,
     strategy: StrategyKind,
@@ -169,14 +185,17 @@ pub fn run_kernel_on_placement(
     topology: &Arc<Topology>,
     settings: &Fig4Settings,
 ) -> Fig4Point {
-    let mut runtime = MpiRuntime::new(topology.clone()).with_backend(settings.backend);
-    if let Some(alpha) = settings.contention_alpha {
-        runtime = runtime.with_contention(MemoryContentionModel::with_alpha(alpha));
-    }
-
+    let (network, compute) = models_for(topology, settings);
     let (makespan, verified) = match (settings.backend, kernel) {
+        (CollectiveBackend::Modeled, _) => {
+            let hosts = rank_hosts(placement);
+            let schedule = cached_kernel_schedule(kernel, settings, placement.processes);
+            let makespan = PlacementCost::cost_of(&schedule, &hosts, &network, &compute);
+            (makespan, true)
+        }
         (CollectiveBackend::Executed, Fig4Kernel::Ep) => {
             let config = EpConfig::sampled(settings.class, settings.ep_sample_divisor);
+            let runtime = MpiRuntime::with_models(network, compute);
             let result = runtime.run(placement, move |comm| ep_kernel(comm, &config));
             let ok = result.all_ranks_completed()
                 && result.result_of(0).map(|r| r.verify()).unwrap_or(false);
@@ -184,28 +203,14 @@ pub fn run_kernel_on_placement(
         }
         (CollectiveBackend::Executed, Fig4Kernel::Is) => {
             let config = IsConfig::sampled(settings.class, settings.is_sample_divisor);
+            let runtime = MpiRuntime::with_models(network, compute);
             let result = runtime.run(placement, move |comm| is_kernel(comm, &config));
             let ok = result.all_ranks_completed()
                 && result.result_of(0).map(|r| r.verified).unwrap_or(false);
             (result.makespan, ok)
         }
-        (CollectiveBackend::Modeled, Fig4Kernel::Ep) => {
-            let config = EpConfig::sampled(settings.class, settings.ep_sample_divisor);
-            let mut model = runtime.model_comm(placement);
-            (ep_model(&mut model, &config), true)
-        }
-        (CollectiveBackend::Modeled, Fig4Kernel::Is) => {
-            let config = IsConfig::sampled(settings.class, settings.is_sample_divisor);
-            let mut model = runtime.model_comm(placement);
-            (is_model(&mut model, &config), true)
-        }
         (CollectiveBackend::Executed, Fig4Kernel::Ft) => {
             panic!("FT is model-only (no executed kernel); run it with --modeled")
-        }
-        (CollectiveBackend::Modeled, Fig4Kernel::Ft) => {
-            let config = FtConfig::new(settings.class);
-            let mut model = runtime.model_comm(placement);
-            (ft_model(&mut model, &config), true)
         }
     };
 

@@ -55,8 +55,9 @@
 use crate::experiments::{synthetic_placement, Fig4Kernel, Fig4Point, Fig4Settings};
 use p2pmpi_core::strategy::StrategyKind;
 use p2pmpi_grid5000::capacity::{host_capacities, IdleSlotIndex};
-use p2pmpi_mpi::model::{CompiledSchedule, Move, PlacementCost};
+use p2pmpi_mpi::model::{rank_hosts, CompiledSchedule, Move, PlacementCost};
 use p2pmpi_mpi::placement::Placement;
+use p2pmpi_nas::classes::Class;
 use p2pmpi_nas::ep::{ep_schedule, EpConfig};
 use p2pmpi_nas::ft::{ft_schedule, FtConfig};
 use p2pmpi_nas::is::{is_schedule, IsConfig};
@@ -68,7 +69,8 @@ use p2pmpi_simgrid::time::SimDuration;
 use p2pmpi_simgrid::topology::{HostId, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Knobs of one placement search.
 #[derive(Debug, Clone, Copy)]
@@ -231,6 +233,8 @@ impl SearchReport {
 
 /// Compiles the kernel's collective program for `n` ranks (the `p2pmpi-nas`
 /// schedule hooks), honouring the settings' class and sample divisors.
+/// Always compiles; everything in this crate that costs or searches a
+/// placement goes through [`cached_kernel_schedule`] instead.
 pub fn kernel_schedule(kernel: Fig4Kernel, settings: &Fig4Settings, n: u32) -> CompiledSchedule {
     match kernel {
         Fig4Kernel::Ep => ep_schedule(
@@ -245,9 +249,67 @@ pub fn kernel_schedule(kernel: Fig4Kernel, settings: &Fig4Settings, n: u32) -> C
     }
 }
 
-/// The cost models a search shares with `run_kernel_on_placement`, so the
-/// searched objective and the reported Figure 4 points agree exactly.
-fn models_for(topology: &Arc<Topology>, settings: &Fig4Settings) -> (NetworkModel, ComputeModel) {
+/// Everything [`kernel_schedule`] reads: two calls with equal keys compile
+/// equal schedules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ScheduleKey {
+    kernel: Fig4Kernel,
+    class: Class,
+    ep_sample_divisor: u64,
+    is_sample_divisor: u64,
+    ranks: u32,
+}
+
+/// [`kernel_schedule`] through a process-wide compile-once cache: a compiled
+/// schedule is placement-independent, so every job, search chain and pooled
+/// evaluator of one shape shares one `Arc`.
+///
+/// **Contract.**  The key is everything the compile reads — kernel, class,
+/// both sample divisors, rank count — so a hit is always the schedule a
+/// fresh compile would produce.  The lock covers the map lookup and the
+/// insert only, never a compile or an evaluation; two threads meeting a
+/// fresh shape may both compile it, the first insert wins and both return
+/// that entry.  Entries are never evicted: the cache holds one schedule per
+/// distinct (kernel, settings, rank count) the process ever costs, each
+/// O(ranks) bytes per tree collective
+/// ([`CompiledSchedule::heap_bytes`]) — six shapes for a day sweep (EP@8–128,
+/// IS@8/32: 57 KB together); the largest the benchmark and CI build,
+/// IS@1024, is 715 KB (a `--ranks` sweep adds one entry per point: IS@4096
+/// is 2.9 MB).
+pub fn cached_kernel_schedule(
+    kernel: Fig4Kernel,
+    settings: &Fig4Settings,
+    n: u32,
+) -> Arc<CompiledSchedule> {
+    static CACHE: OnceLock<Mutex<HashMap<ScheduleKey, Arc<CompiledSchedule>>>> = OnceLock::new();
+    const POISON: &str = "nothing panics while holding the schedule cache lock";
+    let cache = CACHE.get_or_init(Default::default);
+    let key = ScheduleKey {
+        kernel,
+        class: settings.class,
+        ep_sample_divisor: settings.ep_sample_divisor,
+        is_sample_divisor: settings.is_sample_divisor,
+        ranks: n,
+    };
+    if let Some(hit) = cache.lock().expect(POISON).get(&key) {
+        return hit.clone();
+    }
+    let compiled = Arc::new(kernel_schedule(kernel, settings, n));
+    cache
+        .lock()
+        .expect(POISON)
+        .entry(key)
+        .or_insert(compiled)
+        .clone()
+}
+
+/// The cost models every modeled costing shares — `run_kernel_on_placement`,
+/// the search chains and the online search context — so the searched
+/// objective and the charged makespan agree exactly.
+pub(crate) fn models_for(
+    topology: &Arc<Topology>,
+    settings: &Fig4Settings,
+) -> (NetworkModel, ComputeModel) {
     let network = NetworkModel::new(topology.clone());
     let compute = match settings.contention_alpha {
         Some(alpha) => ComputeModel::with_contention(
@@ -259,14 +321,12 @@ fn models_for(topology: &Arc<Topology>, settings: &Fig4Settings) -> (NetworkMode
     (network, compute)
 }
 
-/// Host of each rank of a placement, indexed by rank (`perf_report` uses
-/// this too when it rebuilds an evaluator from a synthetic placement).
+/// Host of each rank of a placement, indexed by rank
+/// ([`p2pmpi_mpi::model::rank_hosts`] under the name `perf_report` and the
+/// repo benchmark call when they rebuild an evaluator from a synthetic
+/// placement).
 pub fn placement_rank_hosts(placement: &Placement) -> Vec<HostId> {
-    let mut hosts = vec![HostId(0); placement.processes as usize];
-    for p in &placement.procs {
-        hosts[p.rank as usize] = p.host;
-    }
-    hosts
+    rank_hosts(placement)
 }
 
 fn hosts_to_placement(hosts: &[HostId]) -> Placement {
@@ -505,7 +565,7 @@ pub fn search_placement(
     params: &SearchParams,
 ) -> SearchReport {
     assert!(params.chains >= 1, "need at least one chain");
-    let schedule = Arc::new(kernel_schedule(kernel, settings, n));
+    let schedule = cached_kernel_schedule(kernel, settings, n);
     let concentrate_hosts = seed_hosts(topology, SeedKind::Concentrate, n);
     let spread_hosts = seed_hosts(topology, SeedKind::Spread, n);
 
@@ -624,8 +684,8 @@ pub struct OnlineSearchStats {
     /// Warm cache hits: the kernel shape was pooled and `rebase` resynced
     /// it.
     pub warm_rebases: u64,
-    /// Cold builds: first sighting of a kernel shape (schedule compile +
-    /// full evaluator construction).
+    /// Cold builds: first sighting of a kernel shape (full evaluator
+    /// construction; the schedule comes from [`cached_kernel_schedule`]).
     pub cold_builds: u64,
     /// Annealing moves evaluated across all arrivals.
     pub moves_evaluated: u64,
@@ -663,7 +723,7 @@ pub struct SearchContext {
     speed_order: Vec<HostId>,
     /// Test/benchmark knob: drop the pool before every `prepare`, forcing
     /// the cold path — the control arm of the warm == cold exactness pins
-    /// and the ≥5× prepare-speedup gate.
+    /// and `perf_report`'s prepare-speedup gate.
     pub cold: bool,
     /// The last plan annealed per shape: the next arrival of that shape
     /// seeds from it, repaired for the new occupancy (see
@@ -771,10 +831,11 @@ impl SearchContext {
 
     /// Phase 1 of one arrival: sync a pool entry for the kernel shape with
     /// the grid's current free capacities — a warm [`PlacementCost::rebase`]
-    /// when the shape was pooled before, a cold schedule compile + evaluator
-    /// build otherwise.  Returns the pool index, or `None` when the free
-    /// cores cannot hold the job.  This phase is what the warm-vs-cold ≥5×
-    /// gate times: the annealing walk after it is common to both paths.
+    /// when the shape was pooled before, a cold evaluator build (over the
+    /// process-wide cached schedule) otherwise.  Returns the pool index, or
+    /// `None` when the free cores cannot hold the job.  This phase is what
+    /// `perf_report`'s warm-vs-cold gate times: the annealing walk after it
+    /// is common to both paths.
     pub fn prepare(&mut self, kernel: Fig4Kernel, n: u32, caps: &[u32]) -> Option<usize> {
         let seed = self.seed_for(kernel, n, caps)?;
         if self.cold {
@@ -796,7 +857,7 @@ impl SearchContext {
             self.stats.warm_rebases += 1;
             Some(i)
         } else {
-            let schedule = Arc::new(kernel_schedule(kernel, &self.settings, n));
+            let schedule = cached_kernel_schedule(kernel, &self.settings, n);
             let (network, compute) = models_for(&self.topology, &self.settings);
             let cost = PlacementCost::new(schedule, seed, caps.to_vec(), network, compute);
             let free: Vec<u32> = caps

@@ -65,16 +65,49 @@
 //! Three interpreters consume them:
 //!
 //! * [`ModelComm`] executes the primitives immediately on per-rank scalar
-//!   clocks (the Figure 4 modeled backend);
+//!   clocks — the **oracle**;
 //! * [`ScheduleBuilder`] records them into a [`CompiledSchedule`], a flat,
 //!   placement-independent representation of the whole kernel;
-//! * [`PlacementCost`] evaluates a compiled schedule against a *mutable*
-//!   host assignment, incrementally.
+//! * [`PlacementCost`] evaluates a compiled schedule on a host assignment —
+//!   the **production** evaluator, in two forms over one full-pass routine:
+//!   [`PlacementCost::cost_of`] costs one fixed assignment (every placed
+//!   job of a sweep, every modeled Figure 4 point), and a `PlacementCost`
+//!   *value* re-costs a *mutable* assignment incrementally (the placement
+//!   search).
 //!
 //! Because all three share the default-method schedules, "the model", "the
-//! recorded schedule" and "the delta evaluator" cannot drift apart: the
-//! property tests pin `PlacementCost` to a fresh [`ModelComm`] replay
+//! recorded schedule" and "the evaluator" cannot drift apart: the property
+//! tests pin `PlacementCost` to a fresh [`ModelComm`] replay
 //! (`CompiledSchedule::drive`) per-rank-exactly.
+//!
+//! ## Oracle and production
+//!
+//! `ModelComm` is the reference: it is the interpreter pinned to the
+//! *executed* runtime (`tests/model_agreement.rs`), it costs every message
+//! through one `NetworkModel::transfer_time` call, and nothing is cached.
+//! That makes it easy to trust and slow — 300–380 µs for one IS@32 job,
+//! O(ranks²) transfer computations per ring.  It therefore runs only where
+//! a second opinion is wanted: [`PlacementCost::oracle_cost`], the property
+//! tests, `is_search_soak`, the facade's `modeled_costing` test, and the
+//! benchmark's replay check.
+//!
+//! Everything that *charges* a makespan goes through the evaluator's full
+//! pass instead: tree messages through a `(byte size, link class)` memo,
+//! rings through pooled transfer tables and a branchless u64 wavefront
+//! (~2 ns per receive).  The same pass fills the delta caches of a
+//! searching `PlacementCost`, so the objective a search optimises and the
+//! makespan a sweep charges are one code path, not two that agree.
+//! `cost_of` keeps none of the search's state — no per-segment clocks, no
+//! journal, no per-host resident lists, nothing sized by the topology's
+//! host count beyond one zeroed counter per host — so small jobs gain too:
+//! measured on the day mix's shapes, EP@8–128 costs 0.4–3 µs where the
+//! `ModelComm` replay took 0.9–30 µs, IS@8 5 µs against 20, IS@32 ~40 µs
+//! against ~300.
+//!
+//! A compiled schedule is placement-independent, so callers compile each
+//! kernel shape once and share it (`p2pmpi_bench::search::
+//! cached_kernel_schedule` is the process-wide cache; its contract is
+//! documented there).
 //!
 //! # The delta-evaluation contract
 //!
@@ -88,11 +121,14 @@
 //! phase, a run of tree messages, one ring collective), `PlacementCost`
 //! keeps the per-rank clocks at the segment boundary; per tree message, the
 //! (`in_src`, `in_dst`, `out_dst`) clock triple of its last evaluation; and
-//! a memo of LogGP transfer times keyed by (link class, byte count) — link
+//! a memo of LogGP transfer times keyed by (byte count, link class) — link
 //! class meaning same-host / directed site pair, the only thing the
-//! transfer cost depends on.  Ring segments keep no per-step clocks at all:
+//! transfer cost depends on; the schedule interns its handful of distinct
+//! message sizes at compile time, so the memo is a dense table and a lookup
+//! is one indexed load.  Ring segments keep no per-step clocks at all:
 //! they share *pooled transfer tables*, one per distinct `Uniform`/`PerSrc`
-//! byte structure among the schedule's rings.  A `Uniform` ring (same byte
+//! byte structure among the schedule's rings (pooled at compile time, in
+//! the schedule).  A `Uniform` ring (same byte
 //! count on every edge) collapses to one loopback scalar plus a
 //! *site×site* matrix (`site[src_site · sites + dst_site]`) keyed by static
 //! topology data only — O(sites²) bytes and **move-invariant**.  A
@@ -116,7 +152,8 @@
 //! host-independent and `Uniform` tables are site-keyed, so neither ever
 //! changes.  A ring segment is then re-run as a two-row integer
 //! *wavefront* over the tables — `C[d] = max(C'[d], C'[src] + t) + o` per
-//! step, pure u64 nanosecond arithmetic, no float math and no hashing — and
+//! step, pure u64 nanosecond arithmetic, no float math and no hashing, over
+//! a per-rank host/site view and co-location list derived once per pass — and
 //! only the exit clocks that differ from the segment boundary are journaled
 //! and carried forward as the dirty frontier.  Every cache mutation is
 //! journaled, so [`PlacementCost::undo`] restores the pre-move state
@@ -191,9 +228,11 @@
 //! [`CollectiveBackend`] selects between the two execution styles;
 //! [`crate::runtime::MpiRuntime::with_backend`] records the choice on the
 //! runtime and [`crate::runtime::MpiRuntime::model_comm`] builds a
-//! [`ModelComm`] sharing the runtime's network and compute models, so the
-//! experiment layer can flip a whole sweep from executed to modeled without
-//! touching the cost parameters.
+//! [`ModelComm`] sharing the runtime's network and compute models, so a
+//! modeled replay and an executed run of one job are costed from identical
+//! parameters.  The experiment layer (`p2pmpi_bench::experiments::
+//! run_kernel_on_placement`) costs `Modeled` jobs with
+//! [`PlacementCost::cost_of`] over cost models built the same way.
 
 use crate::error::Rank;
 use crate::placement::{Placement, ProcSpec};
@@ -202,7 +241,7 @@ use p2pmpi_simgrid::compute::ComputeModel;
 use p2pmpi_simgrid::memory::MemoryIntensity;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
-use p2pmpi_simgrid::topology::HostId;
+use p2pmpi_simgrid::topology::{HostId, Topology};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -388,6 +427,30 @@ pub trait CollectiveProgram {
     }
 }
 
+/// Host of every rank of a placement the analytical evaluators accept,
+/// indexed by rank — the input of [`PlacementCost::cost_of`] and the first
+/// step of [`ModelComm::new`].
+///
+/// # Panics
+///
+/// Panics if the placement is invalid or uses replication (replicas only
+/// matter under failure injection, which the analytical model does not
+/// simulate).
+pub fn rank_hosts(placement: &Placement) -> Vec<HostId> {
+    placement
+        .validate()
+        .expect("cannot model an invalid placement");
+    assert_eq!(
+        placement.replication, 1,
+        "the analytical model supports unreplicated placements only"
+    );
+    let mut hosts = vec![HostId(0); placement.processes as usize];
+    for spec in &placement.procs {
+        hosts[spec.rank as usize] = spec.host;
+    }
+    hosts
+}
+
 /// Analytical stand-in for a whole communicator: one virtual clock per rank,
 /// advanced by the same schedules and cost rules as the executed collectives.
 ///
@@ -417,18 +480,8 @@ impl ModelComm {
     /// matter under failure injection, which the analytical model does not
     /// simulate).
     pub fn new(placement: &Placement, network: NetworkModel, compute: ComputeModel) -> ModelComm {
-        placement
-            .validate()
-            .expect("cannot model an invalid placement");
-        assert_eq!(
-            placement.replication, 1,
-            "the analytical model supports unreplicated placements only"
-        );
-        let n = placement.processes as usize;
-        let mut hosts = vec![HostId(0); n];
-        for spec in &placement.procs {
-            hosts[spec.rank as usize] = spec.host;
-        }
+        let hosts = rank_hosts(placement);
+        let n = hosts.len();
         let residents_per_host = placement.residents_per_host();
         let residents = hosts
             .iter()
@@ -558,7 +611,9 @@ impl CollectiveProgram for ModelComm {
 struct MsgRec {
     src: u32,
     dst: u32,
-    bytes: u64,
+    /// Index of the message's byte count in [`CompiledSchedule::msg_sizes`]
+    /// — the row key of the evaluator's transfer memo.
+    size: u32,
 }
 
 /// Byte counts of one ring collective, compressed by structure: NAS
@@ -598,8 +653,9 @@ enum Segment {
         msgs: Box<[MsgRec]>,
         by_rank: Box<[Box<[u32]>]>,
     },
-    /// One full ring exchange (n−1 steps).
-    Ring { bytes: RingBytes },
+    /// One full ring exchange (n−1 steps); `shape` indexes
+    /// [`CompiledSchedule::ring_shapes`].
+    Ring { shape: u32 },
     /// A uniform clock advance.
     Advance { d: SimDuration },
 }
@@ -611,6 +667,13 @@ enum Segment {
 pub struct CompiledSchedule {
     size: u32,
     segments: Vec<Segment>,
+    /// The distinct byte counts of the schedule's tree messages (a handful
+    /// per kernel: EP has two, IS three).
+    msg_sizes: Vec<u64>,
+    /// The distinct byte structures of the schedule's rings.  Segments with
+    /// equal structure share one entry — and thereby one pooled transfer
+    /// table in every evaluator (see [`PlacementCost`]).
+    ring_shapes: Vec<RingBytes>,
 }
 
 impl CompiledSchedule {
@@ -641,6 +704,38 @@ impl CompiledSchedule {
             .sum()
     }
 
+    /// Heap bytes the schedule holds — what one entry of a schedule cache
+    /// costs (the tree messages and their per-rank index dominate).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let segments: usize = self
+            .segments
+            .iter()
+            .map(|s| match s {
+                Segment::Compute { ops, .. } => ops.len() * size_of::<f64>(),
+                Segment::Msgs { msgs, by_rank } => {
+                    msgs.len() * size_of::<MsgRec>()
+                        + by_rank.len() * size_of::<Box<[u32]>>()
+                        + by_rank.iter().map(|r| r.len()).sum::<usize>() * size_of::<u32>()
+                }
+                Segment::Ring { .. } | Segment::Advance { .. } => 0,
+            })
+            .sum();
+        let rings: usize = self
+            .ring_shapes
+            .iter()
+            .map(|r| match r {
+                RingBytes::Uniform(_) => 0,
+                RingBytes::PerSrc(b) | RingBytes::PerPair(b) => b.len() * size_of::<u64>(),
+            })
+            .sum();
+        self.segments.capacity() * size_of::<Segment>()
+            + self.ring_shapes.capacity() * size_of::<RingBytes>()
+            + self.msg_sizes.capacity() * size_of::<u64>()
+            + segments
+            + rings
+    }
+
     /// Replays the recorded primitive sequence on any other interpreter —
     /// driving a fresh [`ModelComm`] with this is exactly a full model
     /// replay of the original program (the oracle of the delta evaluator).
@@ -654,10 +749,11 @@ impl CompiledSchedule {
                 }
                 Segment::Msgs { msgs, .. } => {
                     for m in msgs.iter() {
-                        p.message(m.src, m.dst, m.bytes);
+                        p.message(m.src, m.dst, self.msg_sizes[m.size as usize]);
                     }
                 }
-                Segment::Ring { bytes } => {
+                Segment::Ring { shape } => {
+                    let bytes = &self.ring_shapes[*shape as usize];
                     p.ring_exchange(|s, d| bytes.get(n, s as usize, d as usize));
                 }
                 Segment::Advance { d } => p.advance(*d),
@@ -678,6 +774,10 @@ pub struct ScheduleBuilder {
     /// Pending tree messages of the segment being built (adjacent trees
     /// merge into one segment).
     open_msgs: Vec<MsgRec>,
+    msg_sizes: Vec<u64>,
+    /// Index of each byte count in `msg_sizes`.
+    size_index: HashMap<u64, u32>,
+    ring_shapes: Vec<RingBytes>,
 }
 
 impl ScheduleBuilder {
@@ -688,6 +788,9 @@ impl ScheduleBuilder {
             size,
             segments: Vec::new(),
             open_msgs: Vec::new(),
+            msg_sizes: Vec::new(),
+            size_index: HashMap::new(),
+            ring_shapes: Vec::new(),
         }
     }
 
@@ -714,6 +817,8 @@ impl ScheduleBuilder {
         CompiledSchedule {
             size: self.size,
             segments: self.segments,
+            msg_sizes: self.msg_sizes,
+            ring_shapes: self.ring_shapes,
         }
     }
 }
@@ -735,7 +840,16 @@ impl CollectiveProgram for ScheduleBuilder {
     }
 
     fn message(&mut self, src: Rank, dst: Rank, bytes: u64) {
-        self.open_msgs.push(MsgRec { src, dst, bytes });
+        // A tree sends one byte count down every edge, so the previous
+        // message almost always answers the lookup.
+        let size = match self.open_msgs.last() {
+            Some(m) if self.msg_sizes[m.size as usize] == bytes => m.size,
+            _ => *self.size_index.entry(bytes).or_insert_with(|| {
+                self.msg_sizes.push(bytes);
+                (self.msg_sizes.len() - 1) as u32
+            }),
+        };
+        self.open_msgs.push(MsgRec { src, dst, size });
     }
 
     fn ring_exchange<F: FnMut(Rank, Rank) -> u64>(&mut self, mut bytes: F) {
@@ -774,7 +888,16 @@ impl CollectiveProgram for ScheduleBuilder {
         } else {
             RingBytes::PerPair(matrix.into_boxed_slice())
         };
-        self.segments.push(Segment::Ring { bytes });
+        let shape = match self.ring_shapes.iter().position(|s| *s == bytes) {
+            Some(i) => i,
+            None => {
+                self.ring_shapes.push(bytes);
+                self.ring_shapes.len() - 1
+            }
+        };
+        self.segments.push(Segment::Ring {
+            shape: shape as u32,
+        });
     }
 }
 
@@ -843,15 +966,10 @@ enum SegCache {
         msgs: Vec<MsgCache>,
         queued_epoch: Vec<u32>,
     },
-    Ring {
-        /// Index of the segment's pooled [`RingTable`], or `None` for a
-        /// `PerPair` ring, whose wavefront falls back to the transfer memo.
-        table: Option<u32>,
-    },
 }
 
 /// Pooled transfer table of the ring wavefront: one per distinct
-/// `Uniform`/`PerSrc` byte structure among the schedule's ring segments.
+/// `Uniform`/`PerSrc` entry of [`CompiledSchedule::ring_shapes`].
 /// Entries are `NetworkModel::transfer_time` values in nanoseconds — the
 /// transfer cost depends only on same-host-ness / the directed site pair
 /// and the byte count.
@@ -859,7 +977,7 @@ enum RingTable {
     /// A `Uniform` ring sends the same byte count on every edge, so the
     /// whole table collapses to one scalar plus a site×site matrix — both
     /// keyed by static topology data only.  **No move ever invalidates a
-    /// `Uniform` table**: `refresh_ring_rows` skips it and the undo journal
+    /// `Uniform` table**: `retarget_ring_rows` skips it and the undo journal
     /// never records a row for it.
     Uniform {
         /// Same-host transfer (host-independent loopback cost).
@@ -913,6 +1031,462 @@ struct PendingMove {
     old_clock_mean: f64,
 }
 
+/// Transfer-memo cell that has not been costed yet.
+const UNCOSTED: u64 = u64::MAX;
+
+/// Where a recording [`EvalCore::full_pass`] writes the delta caches.
+struct Recording<'a> {
+    caches: &'a mut [SegCache],
+    boundary: &'a mut [Vec<SimTime>],
+}
+
+/// The move-independent half of the evaluator: everything one *full* pass
+/// over a schedule reads — the tree-message transfer memo, the pooled ring
+/// tables, the rings' per-rank host/site view and the wavefront scratch —
+/// and nothing a move needs.  [`PlacementCost`] embeds one and layers the delta
+/// caches, the journal and the per-host bookkeeping on top;
+/// [`PlacementCost::cost_of`] builds one, runs [`EvalCore::full_pass`] once
+/// and drops it.  Everything here is sized by ranks and sites, never by the
+/// topology's host count.
+struct EvalCore {
+    overhead: SimDuration,
+    site_count: usize,
+    /// Link classes per memo row: same-host, then every directed site pair.
+    classes: usize,
+    /// Memoized LogGP transfer nanoseconds of tree messages,
+    /// `tree_memo[size · classes + class]` with `size` a
+    /// [`CompiledSchedule::msg_sizes`] index: the transfer cost depends
+    /// only on same-host-ness / the site pair and the byte count, so a
+    /// handful of cells covers any schedule — and a lookup is one indexed
+    /// load, no hashing.  Topology-keyed, so it survives every move.
+    tree_memo: Vec<u64>,
+    /// Two representative hosts per site, for building transfer-table rows
+    /// (the second repeats the first at single-host sites, whose distinct-
+    /// host intra-site entries are unreachable).  Empty when the schedule
+    /// has no table ring.
+    site_rep: Vec<[HostId; 2]>,
+    /// Pooled ring transfer tables, parallel to the schedule's
+    /// `ring_shapes` (`None` for a `PerPair` shape, whose wavefront costs
+    /// every receive through the network model).
+    ring_tables: Vec<Option<RingTable>>,
+    // --- the rings' per-rank view of the host assignment, refreshed once
+    // per pass (empty when the schedule has no ring) ---
+    host_of: Vec<u32>,
+    site_of: Vec<u32>,
+    /// Same-host `(step, dst, src)` ring pairs, ascending: the loopback
+    /// receives the table wavefront patches after each step.
+    colo: Vec<(u32, u32, u32)>,
+    /// Scratch of the colo construction: `(host, rank)` sorted by host.
+    by_host: Vec<(u32, u32)>,
+    // --- wavefront scratch ---
+    /// Ring wavefront rows (per-rank clocks in nanoseconds).
+    wf_prev: Vec<u64>,
+    wf_cur: Vec<u64>,
+    /// Per-rank row expansion of a `Uniform` site×site table, rebuilt from
+    /// `site_of` at the start of each wavefront over one — scratch, never
+    /// journaled — so the hot loop keeps the sequential `PerSrc` row shape.
+    uniform_rows: Vec<u64>,
+}
+
+impl EvalCore {
+    /// Sizes the memo and scratch for `schedule` and builds its pooled ring
+    /// tables for the assignment `hosts`.
+    fn new(schedule: &CompiledSchedule, hosts: &[HostId], network: &NetworkModel) -> EvalCore {
+        let n = hosts.len();
+        let site_count = network.topology().site_count();
+        let classes = 1 + site_count * site_count;
+        let ring_n = if schedule.ring_shapes.is_empty() {
+            0
+        } else {
+            n
+        };
+        let mut core = EvalCore {
+            overhead: network.params().per_message_overhead,
+            site_count,
+            classes,
+            tree_memo: vec![UNCOSTED; schedule.msg_sizes.len() * classes],
+            site_rep: Vec::new(),
+            ring_tables: Vec::new(),
+            host_of: vec![0; ring_n],
+            site_of: vec![0; ring_n],
+            colo: Vec::new(),
+            by_host: Vec::new(),
+            wf_prev: vec![0; ring_n],
+            wf_cur: vec![0; ring_n],
+            uniform_rows: Vec::new(),
+        };
+        core.build_ring_tables(schedule, hosts, network);
+        core
+    }
+
+    /// Builds one pooled transfer table per `Uniform`/`PerSrc` ring shape.
+    fn build_ring_tables(
+        &mut self,
+        schedule: &CompiledSchedule,
+        hosts: &[HostId],
+        network: &NetworkModel,
+    ) {
+        let shapes = &schedule.ring_shapes;
+        if shapes.iter().any(|s| !matches!(s, RingBytes::PerPair(_))) {
+            let topology = network.topology();
+            self.site_rep = vec![[HostId(0); 2]; self.site_count];
+            let mut reps_seen = vec![0u8; self.site_count];
+            for h in topology.hosts() {
+                let s = h.site.0;
+                match reps_seen[s] {
+                    0 => {
+                        self.site_rep[s] = [h.id, h.id];
+                        reps_seen[s] = 1;
+                    }
+                    1 => {
+                        self.site_rep[s][1] = h.id;
+                        reps_seen[s] = 2;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let s_count = self.site_count;
+        let tables = shapes
+            .iter()
+            .map(|shape| match shape {
+                RingBytes::PerPair(_) => None,
+                // Uniform rings send the same byte count on every edge, so
+                // the table is a site×site matrix keyed by static topology
+                // data only — fully move-invariant, no journaling ever.
+                // The diagonal wants the distinct-host intra-site cost;
+                // same-host pairs are patched by the colo list, so a
+                // single-host site's loopback entry is unreachable (but
+                // harmless).
+                RingBytes::Uniform(b) => {
+                    let mut site = vec![0u64; s_count * s_count].into_boxed_slice();
+                    for (sa, row) in site.chunks_exact_mut(s_count).enumerate() {
+                        self.site_row(network, self.site_rep[sa][0], *b, row);
+                    }
+                    let rep = self.site_rep[0][0];
+                    let tsame = network.transfer_time(rep, rep, *b).as_nanos();
+                    Some(RingTable::Uniform { tsame, site })
+                }
+                RingBytes::PerSrc(bytes) => {
+                    let tsame = hosts
+                        .iter()
+                        .zip(bytes.iter())
+                        .map(|(&h, &b)| network.transfer_time(h, h, b).as_nanos())
+                        .collect();
+                    let mut tsite = vec![0u64; hosts.len() * s_count].into_boxed_slice();
+                    for ((row, &h), &b) in
+                        tsite.chunks_exact_mut(s_count).zip(hosts).zip(bytes.iter())
+                    {
+                        self.site_row(network, h, b, row);
+                    }
+                    Some(RingTable::PerSrc { tsame, tsite })
+                }
+            })
+            .collect();
+        self.ring_tables = tables;
+    }
+
+    /// Fills `row[s]` with the transfer time of `bytes` from `src` to a
+    /// *distinct* host at site `s`.
+    fn site_row(&self, network: &NetworkModel, src: HostId, bytes: u64, row: &mut [u64]) {
+        for (slot, rep) in row.iter_mut().zip(&self.site_rep) {
+            let dst = if rep[0] != src { rep[0] } else { rep[1] };
+            *slot = network.transfer_time(src, dst, bytes).as_nanos();
+        }
+    }
+
+    /// Rewrites `rank`'s `tsite` row in every pooled `PerSrc` table for its
+    /// new host — needed only when the rank changed *site*: `Uniform` tables
+    /// are move-invariant and `tsame` is host-independent (loopback).  The
+    /// old rows go to `journal` when the caller can undo.  Returns the
+    /// number of cells rewritten.
+    fn retarget_ring_rows(
+        &mut self,
+        schedule: &CompiledSchedule,
+        network: &NetworkModel,
+        rank: usize,
+        new_host: HostId,
+        mut journal: Option<&mut Vec<UndoEntry>>,
+    ) -> usize {
+        let s_count = self.site_count;
+        let mut tables = std::mem::take(&mut self.ring_tables);
+        let mut ops = 0;
+        for (ti, (table, shape)) in tables.iter_mut().zip(&schedule.ring_shapes).enumerate() {
+            let (Some(RingTable::PerSrc { tsite, .. }), RingBytes::PerSrc(bytes)) = (table, shape)
+            else {
+                continue;
+            };
+            let row = &mut tsite[rank * s_count..][..s_count];
+            if let Some(journal) = journal.as_deref_mut() {
+                journal.push(UndoEntry::RingRow {
+                    table: ti as u32,
+                    rank: rank as u32,
+                    old: row.to_vec().into_boxed_slice(),
+                });
+            }
+            self.site_row(network, new_host, bytes[rank], row);
+            ops += s_count;
+        }
+        self.ring_tables = tables;
+        ops
+    }
+
+    /// Re-derives what the ring wavefronts read of `hosts`: host index and
+    /// site of every rank, plus — when a table ring will read it — the
+    /// list of same-host ring pairs.  `residents` (ranks per host id)
+    /// short-cuts the common all-hosts-distinct case.  A schedule without
+    /// rings has no view to refresh.
+    fn refresh_ring_view(&mut self, hosts: &[HostId], residents: &[u32], topology: &Topology) {
+        if self.ring_tables.is_empty() {
+            return;
+        }
+        let n = hosts.len();
+        let mut stacked = false;
+        for (r, &h) in hosts.iter().enumerate() {
+            self.host_of[r] = h.0 as u32;
+            self.site_of[r] = topology.host(h).site.0 as u32;
+            stacked |= residents[h.0] > 1;
+        }
+        self.colo.clear();
+        if !stacked || self.ring_tables.iter().all(Option::is_none) {
+            return;
+        }
+        // Same-host (src, dst) pairs are rare — at most cores per host — so
+        // the wavefront's hot loop costs every receive through the site row
+        // unconditionally and patches the loopback pairs afterwards, keyed
+        // by their ring-step distance.  Sorting by host finds the
+        // co-located runs.
+        self.by_host.clear();
+        self.by_host
+            .extend((0..n as u32).map(|r| (self.host_of[r as usize], r)));
+        self.by_host.sort_unstable();
+        for run in self.by_host.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, a) in run {
+                for &(_, b) in run {
+                    if a != b {
+                        let step = (b as usize + n - a as usize) % n;
+                        self.colo.push((step as u32, b, a));
+                    }
+                }
+            }
+        }
+        self.colo.sort_unstable();
+    }
+
+    /// LogGP transfer time of a tree message of byte-size index `size`
+    /// from host `src` to host `dst`, through the `(size, class)` memo.
+    #[inline]
+    fn tree_transfer(
+        &mut self,
+        network: &NetworkModel,
+        sizes: &[u64],
+        src: HostId,
+        dst: HostId,
+        size: u32,
+    ) -> SimDuration {
+        // Link class of the pair: the transfer cost depends only on
+        // same-host-ness and the (directed) site pair.
+        let class = if src == dst {
+            0
+        } else {
+            let topology = network.topology();
+            1 + topology.host(src).site.0 * self.site_count + topology.host(dst).site.0
+        };
+        let cell = &mut self.tree_memo[size as usize * self.classes + class];
+        if *cell == UNCOSTED {
+            *cell = network
+                .transfer_time(src, dst, sizes[size as usize])
+                .as_nanos();
+        }
+        SimDuration::from_nanos(*cell)
+    }
+
+    /// One full evaluation of `schedule` on `hosts`: `clocks` (all zero on
+    /// entry) holds the final per-rank clocks on return.  This is the one
+    /// code path behind every full costing — [`PlacementCost::new`] and
+    /// [`PlacementCost::rebase`] run it with a [`Recording`] to fill the
+    /// delta caches, [`PlacementCost::cost_of`] runs it bare.
+    #[allow(clippy::too_many_arguments)]
+    fn full_pass(
+        &mut self,
+        schedule: &CompiledSchedule,
+        hosts: &[HostId],
+        residents: &[u32],
+        network: &NetworkModel,
+        compute: &ComputeModel,
+        clocks: &mut [SimTime],
+        mut record: Option<Recording<'_>>,
+    ) {
+        self.refresh_ring_view(hosts, residents, network.topology());
+        for (seg, segment) in schedule.segments.iter().enumerate() {
+            match segment {
+                Segment::Compute { intensity, ops } => {
+                    for ((c, &h), &ops) in clocks.iter_mut().zip(hosts).zip(ops.iter()) {
+                        *c += compute.compute_time(h, ops, *intensity, residents[h.0] as usize);
+                    }
+                }
+                Segment::Msgs { msgs, .. } => {
+                    let mut cache = match &mut record {
+                        Some(rec) => match &mut rec.caches[seg] {
+                            SegCache::Msgs { msgs, .. } => Some(msgs),
+                            SegCache::Plain => unreachable!("segment/cache shape mismatch"),
+                        },
+                        None => None,
+                    };
+                    for (k, &m) in msgs.iter().enumerate() {
+                        let (s, d) = (m.src as usize, m.dst as usize);
+                        let in_src = clocks[s];
+                        let in_dst = clocks[d];
+                        let out_src = in_src + self.overhead;
+                        let t = self.tree_transfer(
+                            network,
+                            &schedule.msg_sizes,
+                            hosts[s],
+                            hosts[d],
+                            m.size,
+                        );
+                        let out_dst = in_dst.max(out_src + t);
+                        clocks[s] = out_src;
+                        clocks[d] = out_dst;
+                        if let Some(cache) = &mut cache {
+                            cache[k] = MsgCache {
+                                in_src,
+                                in_dst,
+                                out_dst,
+                            };
+                        }
+                    }
+                }
+                Segment::Ring { shape } => {
+                    if clocks.len() > 1 {
+                        for (slot, c) in self.wf_prev.iter_mut().zip(clocks.iter()) {
+                            *slot = c.as_nanos();
+                        }
+                        self.ring_wavefront(schedule, network, *shape);
+                        for (c, &ns) in clocks.iter_mut().zip(&self.wf_prev) {
+                            *c = SimTime::from_nanos(ns);
+                        }
+                    }
+                }
+                Segment::Advance { d } => {
+                    for c in clocks.iter_mut() {
+                        *c += *d;
+                    }
+                }
+            }
+            if let Some(rec) = &mut record {
+                rec.boundary[seg].copy_from_slice(clocks);
+            }
+        }
+    }
+
+    /// Runs one ring segment's full wavefront under the current view.
+    /// `wf_prev` holds the per-rank entry clocks in nanoseconds on entry and
+    /// the exit clocks on return.  The per-step recurrence —
+    /// `C[d] = max(P[d], P[src] + t) + o` with `src = d − step (mod n)` — is
+    /// exactly [`ModelComm`]'s ring rule (stamp all sends against pre-step
+    /// clocks, then take each receive's max) rewritten over u64
+    /// nanoseconds, which is exact because `SimTime` *is* a saturating u64
+    /// nanosecond counter.
+    fn ring_wavefront(&mut self, schedule: &CompiledSchedule, network: &NetworkModel, shape: u32) {
+        let n = self.host_of.len();
+        debug_assert_eq!(n, schedule.size() as usize);
+        let mut prev = std::mem::take(&mut self.wf_prev);
+        let mut cur = std::mem::take(&mut self.wf_cur);
+        let o = self.overhead.as_nanos();
+        match &self.ring_tables[shape as usize] {
+            Some(t) => {
+                let mut urows = std::mem::take(&mut self.uniform_rows);
+                let (colo, site_of) = (&self.colo, &self.site_of);
+                let s_count = self.site_count;
+                let mut pi = 0usize;
+                // Per-src site rows for the hot loop: a `PerSrc` table
+                // holds them directly; a `Uniform` table is expanded from
+                // `site_of` into scratch once per wavefront (O(ranks·sites),
+                // dwarfed by the O(ranks²) recurrence) so the inner loops
+                // keep the sequential row iteration — a per-receive
+                // `site[ss·s + sd]` gather here measured ~2× slower on the
+                // ring-dominated IS schedule.
+                let rows: &[u64] = match t {
+                    RingTable::Uniform { site, .. } => {
+                        urows.clear();
+                        urows.reserve(n * s_count);
+                        for &s in &site_of[..n] {
+                            urows.extend_from_slice(&site[s as usize * s_count..][..s_count]);
+                        }
+                        &urows
+                    }
+                    RingTable::PerSrc { tsite, .. } => tsite,
+                };
+                // The wrap in `src = d − step (mod n)` splits each step into
+                // two linear runs, so the whole row is zipped slices: no
+                // index arithmetic, no bounds checks, no per-cell branch.
+                for step in 1..n {
+                    // d in step..n pairs with src = d − step.
+                    for ((((c, &pd), &ps), &sd), row) in cur[step..]
+                        .iter_mut()
+                        .zip(&prev[step..])
+                        .zip(&prev[..n - step])
+                        .zip(&site_of[step..])
+                        .zip(rows.chunks_exact(s_count))
+                    {
+                        *c = pd
+                            .max(ps.saturating_add(row[sd as usize]))
+                            .saturating_add(o);
+                    }
+                    // d in 0..step wraps to src = d + n − step.
+                    for ((((c, &pd), &ps), &sd), row) in cur[..step]
+                        .iter_mut()
+                        .zip(&prev[..step])
+                        .zip(&prev[n - step..])
+                        .zip(&site_of[..step])
+                        .zip(rows[(n - step) * s_count..].chunks_exact(s_count))
+                    {
+                        *c = pd
+                            .max(ps.saturating_add(row[sd as usize]))
+                            .saturating_add(o);
+                    }
+                    while pi < colo.len() && colo[pi].0 as usize == step {
+                        let (_, d, src) = colo[pi];
+                        let ts = match t {
+                            RingTable::Uniform { tsame, .. } => *tsame,
+                            RingTable::PerSrc { tsame, .. } => tsame[src as usize],
+                        };
+                        cur[d as usize] = prev[d as usize]
+                            .max(prev[src as usize].saturating_add(ts))
+                            .saturating_add(o);
+                        pi += 1;
+                    }
+                    std::mem::swap(&mut prev, &mut cur);
+                }
+                self.uniform_rows = urows;
+            }
+            None => {
+                // PerPair fallback: per-receive byte counts, costed straight
+                // through the network model.
+                let bytes = &schedule.ring_shapes[shape as usize];
+                let host_of = &self.host_of;
+                for step in 1..n {
+                    for d in 0..n {
+                        let src = if d >= step { d - step } else { d + n - step };
+                        let tt = network
+                            .transfer_time(
+                                HostId(host_of[src] as usize),
+                                HostId(host_of[d] as usize),
+                                bytes.get(n, src, d),
+                            )
+                            .as_nanos();
+                        cur[d] = prev[d].max(prev[src].saturating_add(tt)).saturating_add(o);
+                    }
+                    std::mem::swap(&mut prev, &mut cur);
+                }
+            }
+        }
+        self.wf_prev = prev;
+        self.wf_cur = cur;
+    }
+}
+
 /// Incremental evaluator of one compiled schedule over a mutable host
 /// assignment — the hot path of the placement search.  See the module docs
 /// for the delta-evaluation contract (what is cached, what a move
@@ -921,12 +1495,16 @@ struct PendingMove {
 /// The evaluation protocol is `apply` → (`commit` | `undo`): `apply`
 /// performs the move *and* returns the new modeled makespan; `commit` keeps
 /// it (O(1)); `undo` restores every cache and the host assignment exactly.
+/// A caller that only wants one placement's makespan — no moves — uses
+/// [`PlacementCost::cost_of`], the same full pass without any of the move
+/// state.
 pub struct PlacementCost {
     schedule: Arc<CompiledSchedule>,
     network: NetworkModel,
     compute: ComputeModel,
-    overhead: SimDuration,
-    site_count: usize,
+    /// Transfer memo, ring tables, per-rank view and wavefront scratch (the
+    /// part shared with [`PlacementCost::cost_of`]).
+    core: EvalCore,
     /// Host of each rank.
     hosts: Vec<HostId>,
     /// Resident ranks per host id (drives the memory-contention model).
@@ -943,23 +1521,6 @@ pub struct PlacementCost {
     makespan: SimDuration,
     /// Mean final clock in seconds (see [`PlacementCost::mean_clock_secs`]).
     clock_mean: f64,
-    /// Memoized LogGP transfer times keyed by (link class, bytes): the
-    /// transfer cost depends only on same-host-ness / the site pair, so a
-    /// handful of entries covers any schedule.
-    edge_cache: HashMap<(u32, u64), SimDuration>,
-    // --- ring tables (see the module docs) ---
-    /// Site index of each host id (static topology data, hot in the ring
-    /// wavefront).
-    host_site: Vec<u32>,
-    /// Two representative hosts per site, for building transfer-table rows
-    /// (the second repeats the first at single-host sites, whose distinct-
-    /// host intra-site entries are unreachable).
-    site_rep: Vec<[HostId; 2]>,
-    /// Pooled ring transfer tables, shared by every ring segment with the
-    /// same byte structure.
-    ring_tables: Vec<RingTable>,
-    /// The byte structure each pooled table was built for.
-    ring_table_keys: Vec<RingBytes>,
     // --- delta scratch ---
     dirty_flag: Vec<bool>,
     dirty_val: Vec<SimTime>,
@@ -968,16 +1529,6 @@ pub struct PlacementCost {
     epoch: u32,
     worklist: BinaryHeap<Reverse<u32>>,
     cand: Vec<u32>,
-    /// Ring wavefront rows (per-rank clocks in nanoseconds).
-    wf_prev: Vec<u64>,
-    wf_cur: Vec<u64>,
-    /// Per-rank host index / site of one wavefront run.
-    host_of: Vec<u32>,
-    site_of: Vec<u32>,
-    /// Per-rank row expansion of a `Uniform` site×site table, rebuilt from
-    /// `site_of` at the start of each wavefront over one — scratch, never
-    /// journaled — so the hot loop keeps the sequential `PerSrc` row shape.
-    uniform_rows: Vec<u64>,
     moved: Vec<u32>,
     /// Old host of each moved rank (parallel to `moved`).
     moved_old_host: Vec<HostId>,
@@ -1037,37 +1588,16 @@ impl PlacementCost {
                     ],
                     queued_epoch: vec![0; msgs.len()],
                 },
-                Segment::Ring { .. } => SegCache::Ring { table: None },
                 _ => SegCache::Plain,
             })
             .collect();
         let boundary = vec![vec![SimTime::ZERO; n]; schedule.segments.len()];
-        let overhead = network.params().per_message_overhead;
-        let topology = network.topology();
-        let site_count = topology.site_count();
-        let host_site: Vec<u32> = topology.hosts().iter().map(|h| h.site.0 as u32).collect();
-        let mut site_rep = vec![[HostId(0); 2]; site_count];
-        let mut reps_seen = vec![0u8; site_count];
-        for h in topology.hosts() {
-            let s = h.site.0;
-            match reps_seen[s] {
-                0 => {
-                    site_rep[s] = [h.id, h.id];
-                    reps_seen[s] = 1;
-                }
-                1 => {
-                    site_rep[s][1] = h.id;
-                    reps_seen[s] = 2;
-                }
-                _ => {}
-            }
-        }
+        let core = EvalCore::new(&schedule, &hosts, &network);
         let mut cost = PlacementCost {
             schedule,
             network,
             compute,
-            overhead,
-            site_count,
+            core,
             hosts,
             residents,
             capacity,
@@ -1077,11 +1607,6 @@ impl PlacementCost {
             caches,
             makespan: SimDuration::ZERO,
             clock_mean: 0.0,
-            edge_cache: HashMap::new(),
-            host_site,
-            site_rep,
-            ring_tables: Vec::new(),
-            ring_table_keys: Vec::new(),
             dirty_flag: vec![false; n],
             dirty_val: vec![SimTime::ZERO; n],
             dirty_list: Vec::new(),
@@ -1089,11 +1614,6 @@ impl PlacementCost {
             epoch: 0,
             worklist: BinaryHeap::new(),
             cand: Vec::new(),
-            wf_prev: vec![0; n],
-            wf_cur: vec![0; n],
-            host_of: vec![0; n],
-            site_of: vec![0; n],
-            uniform_rows: Vec::new(),
             moved: Vec::new(),
             moved_old_host: Vec::new(),
             compute_affected: Vec::new(),
@@ -1101,9 +1621,48 @@ impl PlacementCost {
             pending: None,
             last_delta_ops: 0,
         };
-        cost.build_ring_tables();
         cost.rebuild();
         cost
+    }
+
+    /// The modeled makespan of `schedule` on the assignment `hosts[rank]` —
+    /// the cost-only entry point: one full pass of the same evaluator
+    /// [`PlacementCost::new`] fills its caches with, without the caches, the
+    /// journal or any per-host move bookkeeping.  Equal to a fresh
+    /// [`ModelComm`] replay of the schedule bit for bit.
+    ///
+    /// Unlike [`PlacementCost::new`] there is no capacity notion here: like
+    /// [`ModelComm`], any assignment is costed, including one that stacks
+    /// more ranks on a host than it has cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hosts` does not match the schedule's rank count or names
+    /// a host outside the topology.
+    pub fn cost_of(
+        schedule: &CompiledSchedule,
+        hosts: &[HostId],
+        network: &NetworkModel,
+        compute: &ComputeModel,
+    ) -> SimDuration {
+        assert_eq!(hosts.len(), schedule.size() as usize, "one host per rank");
+        // The one host-sized allocation: a zeroed resident counter.
+        let mut residents = vec![0u32; network.topology().host_count()];
+        for h in hosts {
+            residents[h.0] += 1;
+        }
+        let mut clocks = vec![SimTime::ZERO; hosts.len()];
+        EvalCore::new(schedule, hosts, network).full_pass(
+            schedule,
+            hosts,
+            &residents,
+            network,
+            compute,
+            &mut clocks,
+            None,
+        );
+        let last = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
+        last.saturating_since(SimTime::ZERO)
     }
 
     /// The modeled makespan of the current host assignment.
@@ -1300,10 +1859,11 @@ impl PlacementCost {
                     }
                 }
                 UndoEntry::RingRow { table, rank, old } => {
-                    let s = self.site_count;
-                    let RingTable::PerSrc { tsite, .. } = &mut self.ring_tables[table as usize]
+                    let s = self.core.site_count;
+                    let Some(RingTable::PerSrc { tsite, .. }) =
+                        &mut self.core.ring_tables[table as usize]
                     else {
-                        unreachable!("Uniform ring tables are never journaled")
+                        unreachable!("only PerSrc ring tables are ever journaled")
                     };
                     tsite[rank as usize * s..][..s].copy_from_slice(&old);
                 }
@@ -1356,8 +1916,8 @@ impl PlacementCost {
     /// occupy/release events happened, so the diff against the cached
     /// assignment is usually empty — the O(hosts) capacity-resync early
     /// return — and otherwise small enough that a segment re-run over the
-    /// warm caches (no schedule compile, no allocations, no ring-table
-    /// build) is the cheapest way to absorb it.
+    /// warm caches (no allocations, no ring-table build) is the cheapest
+    /// way to absorb it.
     ///
     /// Capacity changes alone dirty no clocks — the memory-contention model
     /// keys on `residents`, which counts only this schedule's own ranks —
@@ -1413,11 +1973,13 @@ impl PlacementCost {
         // microsecond of break-even below that.  Adopt the assignment and
         // rebuild in place: the caches end bit-identical to a fresh
         // [`PlacementCost::new`] either way, and the rebuild skips what
-        // actually dominates a cold arrival — the schedule compile, the
-        // allocations and the ring-table build.  The zero-diff early
-        // return above is the warm fast path the steady-state regime
-        // lives on.
-        self.resync_ring_rows(new_hosts);
+        // actually dominates a cold arrival — the allocations and the
+        // ring-table build.  The zero-diff early return above is the warm
+        // fast path the steady-state regime lives on.
+        // Ring rows first, while the old assignment is still readable.
+        for (r, &new) in new_hosts.iter().enumerate() {
+            self.retarget_rank(r, self.hosts[r], new, false);
+        }
         self.hosts.copy_from_slice(new_hosts);
         self.residents.iter_mut().for_each(|r| *r = 0);
         self.ranks_on_host.iter_mut().for_each(Vec::clear);
@@ -1443,29 +2005,6 @@ impl PlacementCost {
     }
 
     // -- internals ---------------------------------------------------------
-
-    /// Link class of a host pair: the transfer cost depends only on
-    /// same-host-ness and the (directed) site pair.
-    #[inline]
-    fn edge_class(&self, a: HostId, b: HostId) -> u32 {
-        if a == b {
-            return 0;
-        }
-        let topo = self.network.topology();
-        let sa = topo.host(a).site.0;
-        let sb = topo.host(b).site.0;
-        1 + (sa * self.site_count + sb) as u32
-    }
-
-    #[inline]
-    fn transfer(&mut self, a: HostId, b: HostId, bytes: u64) -> SimDuration {
-        let key = (self.edge_class(a, b), bytes);
-        let network = &self.network;
-        *self
-            .edge_cache
-            .entry(key)
-            .or_insert_with(|| network.transfer_time(a, b, bytes))
-    }
 
     #[inline]
     fn compute_cost(&self, rank: usize, ops: f64, intensity: MemoryIntensity) -> SimDuration {
@@ -1493,67 +2032,22 @@ impl PlacementCost {
         }
     }
 
-    /// Full replay filling every cache (construction only; moves maintain
-    /// the caches incrementally).
+    /// Full replay filling every cache (construction and wholesale rebase;
+    /// moves maintain the caches incrementally).
     fn rebuild(&mut self) {
-        let schedule = self.schedule.clone();
-        let n = schedule.size() as usize;
-        let mut clocks = vec![SimTime::ZERO; n];
-        for (seg, segment) in schedule.segments.iter().enumerate() {
-            match segment {
-                Segment::Compute { intensity, ops } => {
-                    for (r, c) in clocks.iter_mut().enumerate() {
-                        let h = self.hosts[r];
-                        *c += self.compute.compute_time(
-                            h,
-                            ops[r],
-                            *intensity,
-                            self.residents[h.0] as usize,
-                        );
-                    }
-                }
-                Segment::Msgs { msgs, .. } => {
-                    for (k, m) in msgs.iter().enumerate() {
-                        let (s, d) = (m.src as usize, m.dst as usize);
-                        let in_src = clocks[s];
-                        let in_dst = clocks[d];
-                        let out_src = in_src + self.overhead;
-                        let t = self.transfer(self.hosts[s], self.hosts[d], m.bytes);
-                        let out_dst = in_dst.max(out_src + t);
-                        clocks[s] = out_src;
-                        clocks[d] = out_dst;
-                        if let SegCache::Msgs { msgs: cache, .. } = &mut self.caches[seg] {
-                            cache[k] = MsgCache {
-                                in_src,
-                                in_dst,
-                                out_dst,
-                            };
-                        }
-                    }
-                }
-                Segment::Ring { bytes } => {
-                    if n > 1 {
-                        let SegCache::Ring { table } = &self.caches[seg] else {
-                            unreachable!("segment/cache shape mismatch")
-                        };
-                        let table = *table;
-                        for (slot, c) in self.wf_prev.iter_mut().zip(&clocks) {
-                            *slot = c.as_nanos();
-                        }
-                        self.ring_wavefront(bytes, table);
-                        for (c, &ns) in clocks.iter_mut().zip(&self.wf_prev) {
-                            *c = SimTime::from_nanos(ns);
-                        }
-                    }
-                }
-                Segment::Advance { d } => {
-                    for c in &mut clocks {
-                        *c += *d;
-                    }
-                }
-            }
-            self.boundary[seg].copy_from_slice(&clocks);
-        }
+        let mut clocks = vec![SimTime::ZERO; self.hosts.len()];
+        self.core.full_pass(
+            &self.schedule,
+            &self.hosts,
+            &self.residents,
+            &self.network,
+            &self.compute,
+            &mut clocks,
+            Some(Recording {
+                caches: &mut self.caches,
+                boundary: &mut self.boundary,
+            }),
+        );
         let (max, sum) = max_and_sum(&clocks);
         self.makespan = max.saturating_since(SimTime::ZERO);
         self.clock_mean = sum / clocks.len().max(1) as f64;
@@ -1567,7 +2061,12 @@ impl PlacementCost {
         let old_hosts = std::mem::take(&mut self.moved_old_host);
         let affected = std::mem::take(&mut self.compute_affected);
         debug_assert!(self.dirty_list.is_empty());
-        let mut delta_ops = self.refresh_ring_rows(&moved, &old_hosts);
+        let mut delta_ops = 0;
+        for (&r, &old) in moved.iter().zip(&old_hosts) {
+            delta_ops += self.retarget_rank(r as usize, old, self.hosts[r as usize], true);
+        }
+        self.core
+            .refresh_ring_view(&self.hosts, &self.residents, self.network.topology());
 
         for (seg, segment) in schedule.segments.iter().enumerate() {
             match segment {
@@ -1577,8 +2076,8 @@ impl PlacementCost {
                 Segment::Msgs { msgs, by_rank } => {
                     delta_ops += self.delta_msgs(seg, msgs, by_rank, &moved);
                 }
-                Segment::Ring { bytes } => {
-                    delta_ops += self.delta_ring(seg, bytes, &moved);
+                Segment::Ring { shape } => {
+                    delta_ops += self.delta_ring(seg, *shape);
                 }
                 Segment::Advance { d } => {
                     delta_ops += self.delta_advance(seg, *d);
@@ -1764,8 +2263,14 @@ impl PlacementCost {
             } else {
                 old.in_dst
             };
-            let out_src = in_src + self.overhead;
-            let t = self.transfer(self.hosts[s], self.hosts[d], m.bytes);
+            let out_src = in_src + self.core.overhead;
+            let t = self.core.tree_transfer(
+                &self.network,
+                &self.schedule.msg_sizes,
+                self.hosts[s],
+                self.hosts[d],
+                m.size,
+            );
             let out_dst = in_dst.max(out_src + t);
             if in_src != old.in_src || in_dst != old.in_dst || out_dst != old.out_dst {
                 self.journal.push(UndoEntry::Msg {
@@ -1805,15 +2310,11 @@ impl PlacementCost {
     /// so the delta pass re-runs all n−1 steps — but over the pooled
     /// integer tables, which is what makes it several times cheaper than a
     /// replay (see the module docs).
-    fn delta_ring(&mut self, seg: usize, bytes: &RingBytes, _moved: &[u32]) -> usize {
+    fn delta_ring(&mut self, seg: usize, shape: u32) -> usize {
         let n = self.hosts.len();
         if n <= 1 {
             return 0;
         }
-        let SegCache::Ring { table } = &self.caches[seg] else {
-            unreachable!("segment/cache shape mismatch")
-        };
-        let table = *table;
         // Entry row: the committed segment entry with dirty overrides.
         for r in 0..n {
             let c = if self.dirty_flag[r] {
@@ -1821,9 +2322,10 @@ impl PlacementCost {
             } else {
                 self.entry_clock(seg, r)
             };
-            self.wf_prev[r] = c.as_nanos();
+            self.core.wf_prev[r] = c.as_nanos();
         }
-        self.ring_wavefront(bytes, table);
+        self.core
+            .ring_wavefront(&self.schedule, &self.network, shape);
         // Flip the frontier: exactly the ranks whose exit clock changed are
         // dirty entering the next segment.
         let mut list = std::mem::take(&mut self.dirty_list);
@@ -1833,7 +2335,7 @@ impl PlacementCost {
         list.clear();
         self.dirty_list = list;
         for d in 0..n {
-            let new = SimTime::from_nanos(self.wf_prev[d]);
+            let new = SimTime::from_nanos(self.core.wf_prev[d]);
             let old = self.boundary[seg][d];
             if new != old {
                 self.journal.push(UndoEntry::Boundary {
@@ -1848,284 +2350,19 @@ impl PlacementCost {
         (n - 1) * n
     }
 
-    /// Builds the pooled ring transfer tables and points each ring
-    /// segment's cache at its table (construction only).
-    fn build_ring_tables(&mut self) {
-        let schedule = self.schedule.clone();
-        let n = self.hosts.len();
-        let mut tables: Vec<RingTable> = Vec::new();
-        let mut keys: Vec<RingBytes> = Vec::new();
-        for (seg, segment) in schedule.segments.iter().enumerate() {
-            let Segment::Ring { bytes } = segment else {
-                continue;
-            };
-            let idx = if matches!(bytes, RingBytes::PerPair(_)) {
-                None
-            } else if let Some(i) = keys.iter().position(|k| k == bytes) {
-                Some(i as u32)
-            } else if let RingBytes::Uniform(b) = bytes {
-                // Uniform rings send the same byte count on every edge, so
-                // the table is a site×site matrix keyed by static topology
-                // data only — fully move-invariant, no journaling ever.
-                let b = *b;
-                let s_count = self.site_count;
-                let mut site = vec![0u64; s_count * s_count].into_boxed_slice();
-                for sa in 0..s_count {
-                    let src = self.site_rep[sa][0];
-                    for sb in 0..s_count {
-                        let rep = self.site_rep[sb];
-                        // The diagonal wants the distinct-host intra-site
-                        // cost; same-host pairs are patched by the colo
-                        // list, so a single-host site's loopback entry here
-                        // is unreachable (but harmless).
-                        let dst = if rep[0] != src { rep[0] } else { rep[1] };
-                        site[sa * s_count + sb] = self.transfer(src, dst, b).as_nanos();
-                    }
-                }
-                let rep = self.site_rep[0][0];
-                let tsame = self.transfer(rep, rep, b).as_nanos();
-                keys.push(bytes.clone());
-                tables.push(RingTable::Uniform { tsame, site });
-                Some((tables.len() - 1) as u32)
-            } else {
-                let mut tsame = vec![0u64; n].into_boxed_slice();
-                let mut tsite = vec![0u64; n * self.site_count].into_boxed_slice();
-                for src in 0..n {
-                    // For PerSrc the byte count is destination-independent;
-                    // the dst argument is arbitrary.
-                    let b = bytes.get(n, src, 0);
-                    let h = self.hosts[src];
-                    tsame[src] = self.transfer(h, h, b).as_nanos();
-                    let row = &mut tsite[src * self.site_count..][..self.site_count];
-                    for (s, slot) in row.iter_mut().enumerate() {
-                        let rep = self.site_rep[s];
-                        let dst = if rep[0] != h { rep[0] } else { rep[1] };
-                        *slot = self.transfer(h, dst, b).as_nanos();
-                    }
-                }
-                keys.push(bytes.clone());
-                tables.push(RingTable::PerSrc { tsame, tsite });
-                Some((tables.len() - 1) as u32)
-            };
-            self.caches[seg] = SegCache::Ring { table: idx };
-        }
-        self.ring_tables = tables;
-        self.ring_table_keys = keys;
-    }
-
-    /// Rewrites the `tsite` row of every moved rank whose site changed, in
-    /// every pooled `PerSrc` table, journaling the old rows.  `Uniform`
-    /// tables are move-invariant and skipped entirely; `tsame` never
-    /// changes (loopback cost is host-independent) and a same-site move
-    /// keeps the rank's site-pair classes, so most moves touch nothing.
-    fn refresh_ring_rows(&mut self, moved: &[u32], old_hosts: &[HostId]) -> usize {
-        if self.ring_tables.is_empty() {
+    /// Rewrites the pooled `PerSrc` ring rows of a rank going from `old` to
+    /// `new` — if its *site* changes: a same-site move keeps the rank's
+    /// site-pair classes, so most moves touch nothing.  The old rows are
+    /// journaled when the move can be undone (a rebase clears the journal
+    /// anyway).  Returns the number of cells rewritten.
+    fn retarget_rank(&mut self, rank: usize, old: HostId, new: HostId, undoable: bool) -> usize {
+        let topology = self.network.topology();
+        if topology.host(old).site == topology.host(new).site {
             return 0;
         }
-        let mut ops = 0usize;
-        let mut tables = std::mem::take(&mut self.ring_tables);
-        let keys = std::mem::take(&mut self.ring_table_keys);
-        let n = self.hosts.len();
-        let s_count = self.site_count;
-        for (&r, &old_h) in moved.iter().zip(old_hosts) {
-            let new_h = self.hosts[r as usize];
-            if self.host_site[old_h.0] == self.host_site[new_h.0] {
-                continue;
-            }
-            for (ti, (table, key)) in tables.iter_mut().zip(&keys).enumerate() {
-                let RingTable::PerSrc { tsite, .. } = table else {
-                    continue;
-                };
-                let b = key.get(n, r as usize, 0);
-                let row = &mut tsite[r as usize * s_count..][..s_count];
-                self.journal.push(UndoEntry::RingRow {
-                    table: ti as u32,
-                    rank: r,
-                    old: row.to_vec().into_boxed_slice(),
-                });
-                for (s, slot) in row.iter_mut().enumerate() {
-                    let rep = self.site_rep[s];
-                    let dst = if rep[0] != new_h { rep[0] } else { rep[1] };
-                    *slot = self.transfer(new_h, dst, b).as_nanos();
-                }
-                ops += s_count;
-            }
-        }
-        self.ring_tables = tables;
-        self.ring_table_keys = keys;
-        ops
-    }
-
-    /// The wholesale-rebase counterpart of [`Self::refresh_ring_rows`]:
-    /// rewrites the `tsite` row of every rank whose site changes between
-    /// the current assignment and `new_hosts`, without journaling (the
-    /// rebase clears the undo journal anyway).  Must run *before* the new
-    /// hosts are adopted, while the old assignment is still readable.
-    fn resync_ring_rows(&mut self, new_hosts: &[HostId]) {
-        if self.ring_tables.is_empty() {
-            return;
-        }
-        let mut tables = std::mem::take(&mut self.ring_tables);
-        let keys = std::mem::take(&mut self.ring_table_keys);
-        let n = self.hosts.len();
-        let s_count = self.site_count;
-        for r in 0..n {
-            let (old_h, new_h) = (self.hosts[r], new_hosts[r]);
-            if self.host_site[old_h.0] == self.host_site[new_h.0] {
-                continue;
-            }
-            for (table, key) in tables.iter_mut().zip(&keys) {
-                let RingTable::PerSrc { tsite, .. } = table else {
-                    continue;
-                };
-                let b = key.get(n, r, 0);
-                let row = &mut tsite[r * s_count..][..s_count];
-                for (s, slot) in row.iter_mut().enumerate() {
-                    let rep = self.site_rep[s];
-                    let dst = if rep[0] != new_h { rep[0] } else { rep[1] };
-                    *slot = self.transfer(new_h, dst, b).as_nanos();
-                }
-            }
-        }
-        self.ring_tables = tables;
-        self.ring_table_keys = keys;
-    }
-
-    /// Runs one ring segment's full wavefront.  `wf_prev` holds the
-    /// per-rank entry clocks in nanoseconds on entry and the exit clocks on
-    /// return.  The per-step recurrence — `C[d] = max(P[d], P[src] + t) + o`
-    /// with `src = d − step (mod n)` — is exactly [`ModelComm`]'s ring rule
-    /// (stamp all sends against pre-step clocks, then take each receive's
-    /// max) rewritten over u64 nanoseconds, which is exact because
-    /// `SimTime` *is* a saturating u64 nanosecond counter.
-    fn ring_wavefront(&mut self, bytes: &RingBytes, table: Option<u32>) {
-        let n = self.hosts.len();
-        let mut prev = std::mem::take(&mut self.wf_prev);
-        let mut cur = std::mem::take(&mut self.wf_cur);
-        let mut host_of = std::mem::take(&mut self.host_of);
-        let mut site_of = std::mem::take(&mut self.site_of);
-        for (r, &h) in self.hosts.iter().enumerate() {
-            host_of[r] = h.0 as u32;
-            site_of[r] = self.host_site[h.0];
-        }
-        let o = self.overhead.as_nanos();
-        match table {
-            Some(ti) => {
-                let mut urows = std::mem::take(&mut self.uniform_rows);
-                let t = &self.ring_tables[ti as usize];
-                let s_count = self.site_count;
-                // Same-host (src, dst) pairs are rare — at most cores per
-                // host — so the hot loop below costs every receive through
-                // the site row unconditionally and the loopback pairs are
-                // patched afterwards, keyed by their ring-step distance.
-                // Sorting by host finds the co-located runs.
-                let mut by_host: Vec<(u32, u32)> =
-                    (0..n as u32).map(|r| (host_of[r as usize], r)).collect();
-                by_host.sort_unstable();
-                let mut colo: Vec<(u32, u32, u32)> = Vec::new();
-                let mut i = 0;
-                while i < n {
-                    let mut j = i + 1;
-                    while j < n && by_host[j].0 == by_host[i].0 {
-                        j += 1;
-                    }
-                    for &(_, a) in &by_host[i..j] {
-                        for &(_, b) in &by_host[i..j] {
-                            if a != b {
-                                let step = (b as usize + n - a as usize) % n;
-                                colo.push((step as u32, b, a));
-                            }
-                        }
-                    }
-                    i = j;
-                }
-                colo.sort_unstable();
-                let mut pi = 0usize;
-                // Per-src site rows for the hot loop: a `PerSrc` table
-                // holds them directly; a `Uniform` table is expanded from
-                // `site_of` into scratch once per wavefront (O(ranks·sites),
-                // dwarfed by the O(ranks²) recurrence) so the inner loops
-                // keep the sequential row iteration — a per-receive
-                // `site[ss·s + sd]` gather here measured ~2× slower on the
-                // ring-dominated IS schedule.
-                let rows: &[u64] = match t {
-                    RingTable::Uniform { site, .. } => {
-                        urows.clear();
-                        urows.reserve(n * s_count);
-                        for &s in &site_of[..n] {
-                            urows.extend_from_slice(&site[s as usize * s_count..][..s_count]);
-                        }
-                        &urows
-                    }
-                    RingTable::PerSrc { tsite, .. } => tsite,
-                };
-                // The wrap in `src = d − step (mod n)` splits each step into
-                // two linear runs, so the whole row is zipped slices: no
-                // index arithmetic, no bounds checks, no per-cell branch.
-                for step in 1..n {
-                    // d in step..n pairs with src = d − step.
-                    for ((((c, &pd), &ps), &sd), row) in cur[step..]
-                        .iter_mut()
-                        .zip(&prev[step..])
-                        .zip(&prev[..n - step])
-                        .zip(&site_of[step..])
-                        .zip(rows.chunks_exact(s_count))
-                    {
-                        *c = pd
-                            .max(ps.saturating_add(row[sd as usize]))
-                            .saturating_add(o);
-                    }
-                    // d in 0..step wraps to src = d + n − step.
-                    for ((((c, &pd), &ps), &sd), row) in cur[..step]
-                        .iter_mut()
-                        .zip(&prev[..step])
-                        .zip(&prev[n - step..])
-                        .zip(&site_of[..step])
-                        .zip(rows[(n - step) * s_count..].chunks_exact(s_count))
-                    {
-                        *c = pd
-                            .max(ps.saturating_add(row[sd as usize]))
-                            .saturating_add(o);
-                    }
-                    while pi < colo.len() && colo[pi].0 as usize == step {
-                        let (_, d, src) = colo[pi];
-                        let ts = match t {
-                            RingTable::Uniform { tsame, .. } => *tsame,
-                            RingTable::PerSrc { tsame, .. } => tsame[src as usize],
-                        };
-                        cur[d as usize] = prev[d as usize]
-                            .max(prev[src as usize].saturating_add(ts))
-                            .saturating_add(o);
-                        pi += 1;
-                    }
-                    std::mem::swap(&mut prev, &mut cur);
-                }
-                self.uniform_rows = urows;
-            }
-            None => {
-                // PerPair fallback: per-receive byte counts, costed through
-                // the (class, bytes) transfer memo.
-                for step in 1..n {
-                    for d in 0..n {
-                        let src = if d >= step { d - step } else { d + n - step };
-                        let b = bytes.get(n, src, d);
-                        let tt = self
-                            .transfer(
-                                HostId(host_of[src] as usize),
-                                HostId(host_of[d] as usize),
-                                b,
-                            )
-                            .as_nanos();
-                        cur[d] = prev[d].max(prev[src].saturating_add(tt)).saturating_add(o);
-                    }
-                    std::mem::swap(&mut prev, &mut cur);
-                }
-            }
-        }
-        self.wf_prev = prev;
-        self.wf_cur = cur;
-        self.host_of = host_of;
-        self.site_of = site_of;
+        let journal = undoable.then_some(&mut self.journal);
+        self.core
+            .retarget_ring_rows(&self.schedule, &self.network, rank, new, journal)
     }
 
     /// Bytes of ring-cache state the evaluator holds: the pooled transfer
@@ -2133,9 +2370,11 @@ impl PlacementCost {
     /// the O(steps · ranks²) per-(step, rank) clock rows of the previous
     /// design (reported and bounded by `perf_report`'s `is_search` gate).
     pub fn ring_cache_bytes(&self) -> usize {
-        let tables: usize = self
+        let core = &self.core;
+        let tables: usize = core
             .ring_tables
             .iter()
+            .flatten()
             .map(|t| match t {
                 RingTable::Uniform { site, .. } => (site.len() + 1) * std::mem::size_of::<u64>(),
                 RingTable::PerSrc { tsame, tsite } => {
@@ -2144,9 +2383,11 @@ impl PlacementCost {
             })
             .sum();
         tables
-            + (self.wf_prev.len() + self.wf_cur.len() + self.uniform_rows.len())
+            + (core.wf_prev.len() + core.wf_cur.len() + core.uniform_rows.len())
                 * std::mem::size_of::<u64>()
-            + (self.host_of.len() + self.site_of.len()) * std::mem::size_of::<u32>()
+            + (core.host_of.len() + core.site_of.len()) * std::mem::size_of::<u32>()
+            + core.by_host.len() * std::mem::size_of::<(u32, u32)>()
+            + core.colo.len() * std::mem::size_of::<(u32, u32, u32)>()
     }
 
     /// Byte accounting of the `Uniform` specialisation: `(tables,
@@ -2160,11 +2401,11 @@ impl PlacementCost {
         let mut tables = 0usize;
         let mut bytes = 0usize;
         let mut per_src = 0usize;
-        for t in &self.ring_tables {
+        for t in self.core.ring_tables.iter().flatten() {
             if let RingTable::Uniform { site, .. } = t {
                 tables += 1;
                 bytes += (site.len() + 1) * word;
-                per_src += (n + n * self.site_count) * word;
+                per_src += (n + n * self.core.site_count) * word;
             }
         }
         (tables, bytes, per_src)
@@ -2373,6 +2614,66 @@ mod tests {
     }
 
     #[test]
+    fn schedule_interns_message_sizes_and_pools_ring_shapes() {
+        let mut b = ScheduleBuilder::new(8);
+        for _ in 0..3 {
+            b.allreduce(64);
+            b.alltoall(128);
+            b.alltoallv(|src, _| src as u64 * 16);
+        }
+        b.bcast(0, 64);
+        b.gather(0, |r| 8 + r as u64 % 2);
+        let schedule = b.finish();
+        assert_eq!(schedule.msg_sizes, [64, 9, 8]);
+        assert_eq!(schedule.ring_shapes.len(), 2);
+        // Three allreduce runs, the bcast + gather run, six rings.
+        assert_eq!(schedule.segment_count(), 10);
+        // Dominated by the tree messages: 3·14 + 7 + 7 records plus their
+        // per-rank index.
+        let msgs = 56 * std::mem::size_of::<MsgRec>();
+        assert!(schedule.heap_bytes() > msgs && schedule.heap_bytes() < 8 * msgs);
+    }
+
+    #[test]
+    fn cost_of_equals_a_model_comm_replay() {
+        let t = topology();
+        let host = |i: usize| t.hosts()[i].id;
+        let mut b = ScheduleBuilder::new(6);
+        record_program(&mut b);
+        // A PerPair ring too: the wavefront's table-less fallback.
+        b.alltoallv(|src, dst| (src as u64 * 7 + dst as u64) % 13 * 8);
+        let schedule = b.finish();
+        let network = NetworkModel::new(t.clone());
+        let compute = ComputeModel::new(t.clone());
+        let assignments = [
+            // One rank per host, both sites.
+            (1..7).map(host).collect::<Vec<_>>(),
+            // Pairs sharing a host, the pairs not adjacent in rank order.
+            vec![host(0), host(5), host(0), host(1), host(5), host(1)],
+            // Six ranks on one two-core host: `PlacementCost::new` would
+            // refuse this assignment, the cost-only entry has no capacity
+            // notion — exactly like `ModelComm`.
+            vec![host(4); 6],
+        ];
+        for hosts in assignments {
+            let mut replay = model_for(&Placement::one_per_host(&hosts), &t);
+            schedule.drive(&mut replay);
+            assert_eq!(
+                PlacementCost::cost_of(&schedule, &hosts, &network, &compute),
+                replay.makespan(),
+                "{hosts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rank_hosts_indexes_by_rank() {
+        let mut p = Placement::one_per_host(&[HostId(3), HostId(1), HostId(2)]);
+        p.procs.reverse();
+        assert_eq!(rank_hosts(&p), [HostId(3), HostId(1), HostId(2)]);
+    }
+
+    #[test]
     fn placement_cost_matches_the_oracle_at_rest_and_after_moves() {
         let t = topology();
         let hosts: Vec<_> = t.hosts().iter().take(6).map(|h| h.id).collect();
@@ -2490,7 +2791,7 @@ mod tests {
             .segments
             .iter()
             .filter_map(|s| match s {
-                Segment::Ring { bytes } => Some(bytes),
+                Segment::Ring { shape } => Some(&schedule.ring_shapes[*shape as usize]),
                 _ => None,
             })
             .collect();

@@ -187,37 +187,44 @@ impl Placement {
 
     /// Number of distinct hosts used.
     pub fn hosts_used(&self) -> usize {
-        self.residents_per_host().len()
+        let mut hosts: Vec<HostId> = self.procs.iter().map(|p| p.host).collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        hosts.len()
     }
 
-    /// Checks structural invariants.
+    /// Checks structural invariants: every `(rank, replica)` instance appears
+    /// exactly once, and no two replicas of a rank share a host.
+    ///
+    /// One pass over an instance-indexed host table, then a pairwise check
+    /// among each rank's `replication` copies — O(ranks · replication²); this
+    /// runs on every placed job of a day sweep.
     pub fn validate(&self) -> Result<(), PlacementError> {
-        let expected = self.processes as usize * self.replication as usize;
+        let replication = self.replication as usize;
+        let expected = self.processes as usize * replication;
         if self.procs.len() != expected {
             return Err(PlacementError::IncompleteInstances);
         }
-        let mut seen = vec![false; expected];
+        let mut host_of: Vec<Option<HostId>> = vec![None; expected];
         for p in &self.procs {
             if p.rank >= self.processes || p.replica >= self.replication {
                 return Err(PlacementError::IncompleteInstances);
             }
-            let idx = self.instance_index(p.rank, p.replica);
-            if seen[idx] {
+            let slot = &mut host_of[self.instance_index(p.rank, p.replica)];
+            if slot.is_some() {
                 return Err(PlacementError::IncompleteInstances);
             }
-            seen[idx] = true;
+            *slot = Some(p.host);
         }
-        for rank in 0..self.processes {
-            let mut hosts: Vec<HostId> = self
-                .procs
-                .iter()
-                .filter(|p| p.rank == rank)
-                .map(|p| p.host)
-                .collect();
-            hosts.sort_unstable();
-            hosts.dedup();
-            if hosts.len() != self.replication as usize {
-                return Err(PlacementError::ReplicasShareHost { rank });
+        if replication > 1 {
+            for (rank, copies) in host_of.chunks_exact(replication).enumerate() {
+                let shared = copies
+                    .iter()
+                    .enumerate()
+                    .any(|(i, h)| copies[..i].contains(h));
+                if shared {
+                    return Err(PlacementError::ReplicasShareHost { rank: rank as Rank });
+                }
             }
         }
         Ok(())
@@ -298,6 +305,59 @@ mod tests {
         let mut q = Placement::co_located(2, HostId(0));
         q.procs[1].rank = 0;
         assert_eq!(q.validate(), Err(PlacementError::IncompleteInstances));
+    }
+
+    #[test]
+    fn validation_catches_out_of_range_instances() {
+        let mut p = Placement::co_located(3, HostId(0));
+        p.procs[2].rank = 3;
+        assert_eq!(p.validate(), Err(PlacementError::IncompleteInstances));
+        let mut q = Placement::co_located(3, HostId(0));
+        q.procs[0].replica = 1;
+        assert_eq!(q.validate(), Err(PlacementError::IncompleteInstances));
+        // One instance too many is a length mismatch, not a duplicate.
+        let mut r = Placement::co_located(2, HostId(0));
+        r.procs.push(r.procs[0]);
+        assert_eq!(r.validate(), Err(PlacementError::IncompleteInstances));
+    }
+
+    #[test]
+    fn validation_reports_the_first_rank_whose_replicas_collide() {
+        let hosts = [HostId(0), HostId(1), HostId(2), HostId(3)];
+        let mut p = Placement::replicated_round_robin(4, 3, &hosts);
+        assert!(p.validate().is_ok());
+        // Rank 2's third copy joins its first; rank 3's second joins its
+        // first.  The lowest colliding rank is the one reported.
+        let idx = |p: &Placement, rank, replica| {
+            p.procs
+                .iter()
+                .position(|s| s.rank == rank && s.replica == replica)
+                .unwrap()
+        };
+        let (a, b) = (idx(&p, 3, 1), idx(&p, 2, 2));
+        p.procs[a].host = p.host_of(3, 0).unwrap();
+        p.procs[b].host = p.host_of(2, 0).unwrap();
+        assert_eq!(
+            p.validate(),
+            Err(PlacementError::ReplicasShareHost { rank: 2 })
+        );
+        // The order of `procs` is irrelevant.
+        p.procs.reverse();
+        assert_eq!(
+            p.validate(),
+            Err(PlacementError::ReplicasShareHost { rank: 2 })
+        );
+        // A missing instance wins over a collision.
+        p.procs[0].rank = 9;
+        assert_eq!(p.validate(), Err(PlacementError::IncompleteInstances));
+    }
+
+    #[test]
+    fn hosts_used_counts_distinct_hosts() {
+        let p = Placement::round_robin(7, &[HostId(5), HostId(2), HostId(9)]);
+        assert_eq!(p.hosts_used(), 3);
+        assert_eq!(p.hosts_used(), p.residents_per_host().len());
+        assert_eq!(Placement::co_located(0, HostId(0)).hosts_used(), 0);
     }
 
     #[test]
