@@ -604,11 +604,11 @@ pub fn search_placement(
 
     // The fixed baselines are part of the reduction whether or not a chain
     // started from them, so the result can never lose to either.
+    // Costed by the evaluator's full pass — bit-equal to a `ModelComm`
+    // replay, and to the `initial` of a chain seeded there.
     let baseline_cost = |hosts: &[HostId]| -> SimDuration {
         let (network, compute) = models_for(topology, settings);
-        let mut m = p2pmpi_mpi::model::ModelComm::new(&hosts_to_placement(hosts), network, compute);
-        schedule.drive(&mut m);
-        m.makespan()
+        PlacementCost::cost_of(&schedule, hosts, &network, &compute)
     };
     let concentrate = outcomes
         .iter()
@@ -1079,5 +1079,36 @@ mod tests {
         assert!(report.best <= report.concentrate.min(report.spread));
         assert!(report.spread > SimDuration::ZERO);
         assert!(report.concentrate > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn is128_report_is_pinned() {
+        // The benchmark's smoke shape of `search_is1024`: one chain from
+        // the speed-greedy seed, so both fixed baselines are costed on
+        // their own and enter the winner reduction.  Values captured
+        // before the baselines moved from a `ModelComm` replay to
+        // `PlacementCost::cost_of`.
+        let topology = topology_from_specs(&scaled_table1(1));
+        let settings = Fig4Settings::default().modeled();
+        let report = search_placement(
+            &topology,
+            Fig4Kernel::Is,
+            128,
+            &settings,
+            &SearchParams {
+                moves: 20,
+                chains: 1,
+                seed: 2008,
+            },
+        );
+        assert_eq!(
+            (
+                report.concentrate.as_nanos(),
+                report.spread.as_nanos(),
+                report.baseline().as_nanos(),
+                report.best.as_nanos(),
+            ),
+            (446_798_289, 9_740_286_009, 446_798_289, 398_087_399)
+        );
     }
 }

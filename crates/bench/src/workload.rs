@@ -749,9 +749,10 @@ pub struct DaySweepConfig {
     /// Period of the submitter's supernode cache refresh (how quickly
     /// flapped peers re-enter the booking order after step 5 dropped them).
     pub cache_refresh: SimDuration,
-    /// Whether `rs_send` may skip arming timeouts whose reply is already
-    /// scheduled to win the race (the alive-peer fast path; outcome-
-    /// invariant, pinned by `tests/day_sweep.rs`).  On by default;
+    /// Whether `rs_send` may decide at send an exchange whose reply is bound
+    /// to beat the timeout — no timeout armed, no delivery event of its own,
+    /// one event per round (outcome-invariant, pinned by
+    /// `tests/day_sweep.rs`).  On by default;
     /// [`DaySweepConfig::dead_peer_day`] turns it off so the timeout-heavy
     /// benchmark keeps measuring the armed machinery it exists for.
     pub rs_timeout_fast_path: bool,
@@ -819,8 +820,8 @@ impl DaySweepConfig {
             churn: Some(DeadPeerChurn::default()),
             cache_refresh: SimDuration::from_secs(120),
             // This scenario exists to park timeout events on the timeline
-            // (the skewed population the ladder queue is for), so the
-            // alive-peer fast path is off: every reservation arms.
+            // (the skewed population the ladder queue is for), so no
+            // exchange is decided at send: every reservation arms.
             rs_timeout_fast_path: false,
             ..Self::new(strategy)
         }
@@ -893,7 +894,9 @@ pub struct DaySweepResult {
     pub timeouts: u64,
     /// Mean hold duration charged per successful job (seconds).
     pub mean_hold_secs: f64,
-    /// Events delivered on the overlay timeline.
+    /// Messages delivered on the overlay timeline — messages delivered, not
+    /// heap pops: an event that delivers a whole round's decided replies
+    /// counts once per reply (`Overlay::events_processed`).
     pub events_processed: u64,
     /// The virtual clock when the trace ended.
     pub virtual_end: SimTime,

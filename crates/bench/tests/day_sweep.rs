@@ -124,41 +124,63 @@ fn heap_calendar_and_ladder_timelines_agree_on_the_sweep_outcome() {
 
 #[test]
 fn alive_peer_fast_path_is_outcome_invariant() {
-    // The warm-brokering fast path (skip arming a timeout whose reply is
-    // already scheduled to win the race) is a scheduling-cost optimisation,
-    // never a semantic one: with it on or off, the standard day trace and
-    // the churn-heavy dead-peer trace must produce bit-identical outcomes —
-    // same submissions, same refusals, same observed timeouts, same
-    // utilisation samples, same delivered-event count (skipped timeouts
-    // were never delivered on the armed path either).
-    let run = |fast_path: bool, churny: bool| {
-        let mut cfg = if churny {
-            let mut cfg = DaySweepConfig::dead_peer_day(StrategyKind::Concentrate).compress(24.0);
-            cfg.profile = cfg.profile.scaled(0.05);
-            cfg
-        } else {
-            reduced(StrategyKind::Concentrate)
+    // The warm-brokering fast path (a request decided at send gets no
+    // timeout and no delivery event of its own; its round resolves it) is
+    // a scheduling-cost optimisation, never a semantic one: with it on or
+    // off, the standard day under both strategies, the churn-heavy
+    // dead-peer trace and a day whose Sophia round trips pass `rs_timeout`
+    // (rounds mixing decided and armed requests) must produce bit-identical
+    // outcomes — same submissions, same refusals, same observed timeouts,
+    // same utilisation samples, same delivered-message count.
+    #[derive(Clone, Copy, Debug)]
+    enum Day {
+        Concentrate,
+        Spread,
+        Churny,
+        SlowSophia,
+    }
+    let run = |fast_path: bool, day: Day| {
+        let mut cfg = match day {
+            Day::Concentrate => reduced(StrategyKind::Concentrate),
+            Day::Spread => reduced(StrategyKind::Spread),
+            Day::Churny => {
+                let mut cfg =
+                    DaySweepConfig::dead_peer_day(StrategyKind::Concentrate).compress(24.0);
+                cfg.profile = cfg.profile.scaled(0.05);
+                cfg
+            }
+            Day::SlowSophia => {
+                // 200x on Sophia's 17 ms puts its round trips at ~3.4 s:
+                // those requests arm and lose, the rest of the round is
+                // decided at send.  Large spread jobs reach Sophia.
+                let mut cfg = reduced(StrategyKind::Spread);
+                cfg.mix.ranks = vec![32, 256, 300];
+                cfg.faults = vec![FaultSpec::SlowLinks {
+                    site: "sophia".to_string(),
+                    at: SimDuration::from_secs(150),
+                    duration: SimDuration::from_secs(3300),
+                    latency_factor: 200.0,
+                }];
+                cfg
+            }
         };
         cfg.rs_timeout_fast_path = fast_path;
         run_day_sweep(&cfg)
     };
-    for churny in [false, true] {
-        let armed = run(false, churny);
-        let fast = run(true, churny);
-        assert_identical(
-            &armed,
-            &fast,
-            if churny {
-                "fast path vs armed under churn"
-            } else {
-                "fast path vs armed on the standard day"
-            },
-        );
+    for day in [Day::Concentrate, Day::Spread, Day::Churny, Day::SlowSophia] {
+        let armed = run(false, day);
+        let fast = run(true, day);
+        assert_identical(&armed, &fast, &format!("fast path vs armed on {day:?}"));
+        match day {
+            // The fast path genuinely observes timeouts under churn: dead
+            // peers still arm (the machinery is kept where it is
+            // load-bearing) ...
+            Day::Churny => assert!(fast.timeouts > 100, "{}", fast.timeouts),
+            // ... and slow replies genuinely lose their races.
+            Day::SlowSophia => assert!(fast.leaked_grants > 0, "no reply lost its race"),
+            Day::Concentrate | Day::Spread => {}
+        }
     }
-    // And the fast path genuinely observes timeouts under churn: dead
-    // peers still arm (the machinery is kept where it is load-bearing).
-    let fast_churny = run(true, true);
-    assert!(fast_churny.timeouts > 100, "{}", fast_churny.timeouts);
 }
 
 #[test]

@@ -9,19 +9,27 @@
 //!    ascending latency and books hosts from the front, overbooking to
 //!    anticipate unavailable hosts.
 //! 3. **RS–RS brokering** — the local RS sends reservation requests carrying
-//!    a unique hash key.  Each outbound request arms a timeout event on the
-//!    overlay timeline; the simulated reply cancels it
-//!    (`Overlay::rs_send` / `Overlay::rs_collect_into`).
+//!    a unique hash key (`Overlay::rs_send`).  An exchange with an alive
+//!    peer whose reply is bound to beat `rs_timeout` is decided at send;
+//!    any other request arms a timeout event on the overlay timeline that
+//!    the simulated reply, if there is one, races.
 //! 4. Remote RSs accept (OK + their `P`) or refuse (NOK).
-//! 5. **RS–MPD response** — answers are gathered into `rlist`; peers whose
-//!    armed timeout fired (they never answered) are marked dead and dropped
-//!    from the cache.  The virtual clock genuinely waits those timeouts
-//!    out — dead-peer stalls are observable on the timeline.
+//! 5. **RS–MPD response** — `Overlay::rs_collect_into` runs the timeline
+//!    until the round's last message is in (one event delivers the decided
+//!    replies at the latest of their arrival instants) and the answers are
+//!    gathered into `rlist`; peers whose armed timeout fired (they never
+//!    answered) are marked dead and dropped from the cache.  The virtual
+//!    clock genuinely waits those timeouts out — dead-peer stalls are
+//!    observable on the timeline.
 //! 6. **Allocation** — `slist` is the first `min(|rlist|, n × r)` hosts;
 //!    surplus reservations are cancelled; feasibility is checked; the chosen
 //!    strategy distributes processes; ranks are assigned.
-//! 7. Remote MPDs verify the key.
-//! 8. Remote MPDs launch the processes.
+//! 7. Remote MPDs verify the key — when the start request *arrives*, against
+//!    the remote's state at that instant (`Overlay::start_send`).
+//! 8. Remote MPDs launch the processes; the replies that beat the deadline
+//!    reach the submitter through one event at the latest of their arrival
+//!    instants, the others are observed as timeouts
+//!    (`Overlay::start_collect_into`).
 
 use crate::allocation::{AllocatedHost, Allocation};
 use crate::capacity::host_capacity;
@@ -156,8 +164,10 @@ impl BrokeringStats {
 
 /// Reusable buffers for the per-job hot path.  Booking lists, brokering
 /// outcomes, `rlist`, capacities and per-host counts live here and are
-/// cleared — never freed — between jobs, so a warm allocator submits jobs
-/// without heap traffic beyond the returned [`Allocation`] itself.
+/// cleared — never freed — between jobs.  What a warm allocator still
+/// allocates per job is the result itself: the rank lists `assign_ranks`
+/// builds, which move into the returned [`Allocation`], and its host
+/// vector.
 #[derive(Debug, Default)]
 struct AllocScratch {
     booked: Vec<PeerId>,
@@ -298,13 +308,15 @@ impl CoAllocator {
         }
         stats.booked = booked.len();
 
-        // Steps 3–5 — RS brokering, fully event-driven: every outbound
-        // request arms a timeout event on the overlay timeline and the
-        // simulated reply races it (`Overlay::rs_send`).  Requests go out
-        // concurrently; `rs_collect_into` runs the timeline until the whole
-        // round has resolved and hands the outcomes back in send order, so
-        // the virtual clock genuinely waits out dead peers' timeouts while
-        // the phase's reported duration stays the slowest exchange.
+        // Steps 3–5 — RS brokering on the overlay timeline.  Requests go
+        // out concurrently (`Overlay::rs_send`): an exchange whose reply is
+        // bound to beat the timeout is decided at send, any other arms a
+        // timeout event that the simulated reply races.  `rs_collect_into`
+        // runs the timeline until the whole round has resolved — the
+        // decided replies through one event at the latest of their arrival
+        // instants — and hands the outcomes back in send order, so the
+        // virtual clock genuinely waits out dead peers' timeouts while the
+        // phase's reported duration stays the slowest exchange.
         rlist.clear();
         for &peer in booked.iter() {
             overlay.rs_send(submitter, peer, key, total);
@@ -385,9 +397,11 @@ impl CoAllocator {
         // Steps 7–8 — start requests, event-driven like the brokering
         // round: the whole batch goes out at once, each request's start
         // decision is made when its arrival event fires (so crashes and
-        // recoveries mid-start interleave honestly with the timeline), and
-        // `start_collect_into` runs the timeline until every reply or
-        // deadline has resolved, returning outcomes in send order.
+        // recoveries mid-start interleave honestly with the timeline), the
+        // in-time replies come back through one event at the latest of
+        // their arrival instants, and `start_collect_into` runs the
+        // timeline until every reply or deadline has resolved, returning
+        // outcomes in send order.
         let mut start_elapsed = SimDuration::ZERO;
         for host_ranks in &assignment {
             let (peer, _) = slist[host_ranks.slist_index];
@@ -396,7 +410,9 @@ impl CoAllocator {
         overlay.start_collect_into(start_outcomes);
         let mut hosts = Vec::with_capacity(assignment.len());
         let mut failed: Option<(PeerId, StartReply)> = None;
-        for (host_ranks, &(peer, reply, elapsed)) in assignment.iter().zip(start_outcomes.iter()) {
+        for (host_ranks, &(peer, reply, elapsed)) in
+            assignment.into_iter().zip(start_outcomes.iter())
+        {
             let (_, owner_p) = slist[host_ranks.slist_index];
             start_elapsed = start_elapsed.max(elapsed);
             if reply != StartReply::Started {
@@ -409,7 +425,7 @@ impl CoAllocator {
                 peer,
                 host: overlay.host_of(peer),
                 capacity: host_capacity(owner_p, n),
-                ranks: host_ranks.ranks.clone(),
+                ranks: host_ranks.ranks,
             });
         }
         stats.elapsed += start_elapsed;

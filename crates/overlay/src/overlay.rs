@@ -35,11 +35,12 @@
 //!
 //! # The timeout-event contract
 //!
-//! [`Overlay::rs_send`] puts one outbound reservation request on the
-//! timeline as up to *two* scheduled events: an armed timeout at
-//! `now + rs_timeout`, and — when the remote peer is alive — the reply's
-//! delivery at `now + rtt`.  Whichever fires first resolves the request and
-//! cancels its counterpart; [`RsOutcome::Timeout`] is therefore an observed
+//! Unless the exchange is decided at send (see the decided-exchange
+//! contract below), [`Overlay::rs_send`] puts one outbound reservation
+//! request on the timeline as up to *two* scheduled events: an armed
+//! timeout at `now + rs_timeout`, and — when the remote peer is alive — the
+//! reply's delivery at `now + rtt`.  Whichever fires first resolves the
+//! request and cancels its counterpart; [`RsOutcome::Timeout`] is therefore an observed
 //! timeline event, not an analytically charged constant.  The race needs no
 //! guard: event keys are generation-stamped, so the loser's cancel of an
 //! already-fired (or already-cancelled) counterpart is a harmless stale-key
@@ -67,14 +68,23 @@
 //! (or recovers) while the request is in flight interleaves honestly with
 //! it.  An alive remote's reply races the submitter's deadline at
 //! `sent + rs_timeout`; a remote that is dead at arrival leaves only the
-//! deadline timeout to fire.  When the remote actually started the ranks
-//! but the reply would arrive past the deadline (degraded links), the
-//! submitter has already given up: the started reservation is counted as a
-//! leaked grant and an eager release reclaims it, since the expiry sweep
-//! never touches `Running` reservations.  [`Overlay::mpd_start`] survives as
-//! the inline one-request wrapper (send, run the timeline until resolution,
-//! return the outcome); batch rounds go through
-//! [`Overlay::start_collect_into`], which drains outcomes in send order.
+//! deadline timeout to fire.  A reply that beats its deadline is recorded
+//! on the request with the instant it reaches the submitter, and the
+//! round's last arrival schedules *one* event at the latest such instant
+//! (see the decided-exchange contract below); that event hands every
+//! recorded reply to the submitter with its own elapsed time.  When the
+//! remote actually started the ranks but the reply would arrive past the
+//! deadline (degraded links), the submitter has already given up: the
+//! started reservation is counted as a leaked grant and an eager release
+//! reclaims it, since the expiry sweep never touches `Running`
+//! reservations.  On links so extreme that the request itself cannot
+//! arrive before the deadline, the timeout is armed at send and the late
+//! arrival only settles the remote side (it carries its own copy of the
+//! request; the submitter's bookkeeping is long recycled by then).
+//! [`Overlay::mpd_start`] survives as the inline one-request wrapper (send,
+//! run the timeline until resolution, return the outcome); batch rounds go
+//! through [`Overlay::start_collect_into`], which drains outcomes in send
+//! order.
 //!
 //! # Fault injection
 //!
@@ -93,27 +103,59 @@
 //! participant's gatekeeper slot is freed, with [`Overlay::jobs_killed`]
 //! counting the casualties.
 //!
-//! **The alive-peer fast path.**  When the remote peer is alive and its
-//! reply is scheduled *strictly before* the timeout window (`rtt <
-//! rs_timeout` — the warm common case), the timeout event can never win the
-//! race: it would be armed only to be cancelled by the reply, its tombstone
-//! carried by the queue until firing time.  [`Overlay::rs_send`] therefore
-//! skips arming it entirely.  This is outcome-invariant — the skipped event
-//! never fires on the armed path either, and removing one never-delivered
-//! ticket cannot reorder the survivors' FIFO ties — and it halves the
-//! scheduling work of the warm brokering path (`perf_report` records the
-//! reclaimed time per warm job; `crates/bench/tests/day_sweep.rs` pins
-//! bit-identical sweep outcomes fast-path on vs off, churn included).
-//! Dead peers and slow replies (`rtt >= rs_timeout`) always arm — the
-//! timeout machinery is *kept* under churn, where it is load-bearing.
-//! [`Overlay::set_rs_timeout_fast_path`] disables the fast path for
-//! benchmarks that measure the armed machinery itself (the
-//! `timeout_timeline` sections of `perf_report`).
+//! # The decided-exchange contract
+//!
+//! **What is decided at send.**  When the remote peer is alive and its
+//! reply would reach the submitter *strictly before* the timeout window
+//! (`rtt < rs_timeout` — the warm common case), nothing about the exchange
+//! is left open once [`Overlay::rs_send`] returns: the remote RS has
+//! answered (its grant or refusal mutated remote state immediately, as on
+//! the armed path), the arrival instant `now + rtt` is known, and the
+//! timeout can never win the race — armed, it would only be cancelled by
+//! the reply, its tombstone carried by the queue until firing time.  Such a
+//! request is *decided*: it arms no timeout and gets no delivery event of
+//! its own.
+//!
+//! **What one event per round delivers.**  When the round is collected
+//! ([`Overlay::rs_collect_into`]), the overlay schedules a single event at
+//! the round's latest decided arrival instant (or resolves the decided
+//! requests on the spot when the caller already ran the clock past it).
+//! Its dispatch hands every decided request its precomputed
+//! `RsOutcome::Reply { reply, elapsed: rtt }`, traces each reply stamped
+//! with its *own* arrival instant, and adds the deliveries that rode it to
+//! the engine's delivered count — [`Overlay::events_processed`] counts
+//! *messages delivered*, not heap pops.  The start round works the same
+//! way from the other end: the decision is still made by each request's
+//! arrival event, but the replies that beat their deadline share one
+//! delivery event at the latest of their arrival instants.
+//!
+//! **Why order and clock are unchanged.**  Delivering a decided reply
+//! touches nothing but the submitter's own pending-request slot, which
+//! nobody reads before the round is collected; so every *other* event —
+//! completions, churn, heartbeats, link degradations, the armed requests
+//! of the same round — fires at its own instant in the same
+//! `(time, schedule-order)` order as if each reply had its own event, and
+//! sees the same state.  The round is over when its last message is in,
+//! and the round event sits exactly there, so the clock ends where it
+//! ended.  `crates/bench/tests/day_sweep.rs` pins bit-identical sweep
+//! outcomes — `events_processed` included — with decided exchanges on vs
+//! off, under both strategies, under churn and on degraded links, and
+//! `tests/modeled_costing.rs` pins the absolute numbers.
+//!
+//! **What still gets its own events.**  Dead peers (only the timeout is on
+//! the timeline, and it fires), slow replies (`rtt >= rs_timeout`: timeout
+//! armed first, then the reply; the timeout machinery is *kept* where it
+//! is load-bearing), start requests whose remote is dead at arrival or
+//! whose reply cannot beat the deadline, and — with
+//! [`Overlay::set_rs_timeout_fast_path`]`(false)` — every RS request: that
+//! is the reference the equivalence tests compare against, and what the
+//! `timeout_timeline` sections of `perf_report` measure.
 //!
 //! The pending-request bookkeeping lives in a reusable scratch vector on the
-//! overlay: a steady-state brokering loop (send × booked, then
-//! [`Overlay::rs_collect_into`]) allocates nothing once the high-water mark
-//! is reached.
+//! overlay and every RS keeps its (at most `J`) reservations in a small
+//! vector of plain data: a steady-state brokering loop (send × booked, then
+//! [`Overlay::rs_collect_into`]) allocates nothing once the high-water marks
+//! are reached.
 //!
 //! The co-allocation procedure itself lives in the `p2pmpi-core` crate and
 //! drives this type.
@@ -219,7 +261,12 @@ enum OverlayEvent {
     },
     /// An in-flight RS reply reaches the submitter; cancels the armed
     /// timeout of the same request (index into the pending-request scratch).
+    /// Only requests that were *not* decided at send get one.
     RsReply(u32),
+    /// The latest decided reply of the current brokering round reaches the
+    /// submitter: every decided request of the round is resolved with its
+    /// precomputed outcome (see the decided-exchange contract).
+    RsRoundReplies,
     /// An armed reservation timeout fires: the peer never answered within
     /// `rs_timeout`; cancels the pending reply delivery, if any.
     RsTimeout(u32),
@@ -230,8 +277,19 @@ enum OverlayEvent {
     /// pending-start scratch); the start decision is made here, at arrival
     /// time, so mid-flight crashes interleave honestly.
     StartArrive(u32),
-    /// The remote MPD's start reply reaches the submitter.
-    StartReplyDelivery(u32),
+    /// A start request the submitter gave up on before it could even
+    /// arrive (extreme links: the deadline was armed at send) reaches the
+    /// remote MPD.  It carries the request itself — the pending-start slot
+    /// is recycled by then — and only settles the remote side.
+    StartArriveAbandoned {
+        from: PeerId,
+        to: PeerId,
+        key: ReservationKey,
+        ranks: u32,
+    },
+    /// The latest in-time start reply of the current start round reaches
+    /// the submitter: every recorded reply of the round is delivered.
+    StartRoundReplies,
     /// The submitter gives up on a start request at its deadline.
     StartTimeout(u32),
     /// The supernode crashes: its volatile registry is lost and refreshes
@@ -244,10 +302,11 @@ enum OverlayEvent {
     LinkDegrade { site: SiteId, factor: f64 },
 }
 
-/// One in-flight RS→RS reservation request: the two scheduled events racing
-/// to resolve it, and the outcome once one of them fired.  Slots live in a
-/// reusable scratch vector on [`Overlay`] and are recycled wholesale by
-/// [`Overlay::rs_collect_into`].
+/// One in-flight RS→RS reservation request: either decided at send (no
+/// event of its own; the round's one delivery event resolves it) or the two
+/// scheduled events racing to resolve it, and the outcome once resolved.
+/// Slots live in a reusable scratch vector on [`Overlay`] and are recycled
+/// wholesale by [`Overlay::rs_collect_into`].
 #[derive(Debug)]
 struct RsPending {
     from: PeerId,
@@ -260,13 +319,16 @@ struct RsPending {
     reply: Option<ReservationReply>,
     /// Round-trip time of the exchange (meaningful when `reply` is some).
     rtt: SimDuration,
-    /// The armed timeout event (`None` on the alive-peer fast path, where
-    /// the reply is scheduled strictly before the timeout window and the
-    /// race is already decided).
+    /// The instant the reply reaches the submitter, for a request decided
+    /// at send (`None` for every request that races on the timeline).
+    decided_arrival: Option<SimTime>,
+    /// The armed timeout event (`None` for a decided request: its reply
+    /// arrives strictly before the timeout window).
     timeout_key: Option<EventKey>,
-    /// The scheduled reply delivery, when the peer was alive.
+    /// The scheduled reply delivery of an alive peer's undecided request.
     reply_key: Option<EventKey>,
-    /// Filled by whichever event fires first.
+    /// Filled by the round's delivery event or by whichever of the two
+    /// racing events fires first.
     outcome: Option<RsOutcome>,
 }
 
@@ -285,12 +347,13 @@ struct StartPending {
     sent_at: SimTime,
     /// The submitter gives up at `sent_at + rs_timeout`.
     deadline: SimTime,
-    /// The remote MPD's decision, made when the arrival event fired
-    /// (`None` until then, and forever if the remote was dead at arrival).
-    decision: Option<StartReply>,
-    /// Filled by whichever of the reply delivery / deadline fires first.
-    /// Unlike the RS race there is nothing to cancel: the arrival handler
-    /// schedules exactly one resolver event per request.
+    /// The remote MPD's reply and the instant it reaches the submitter,
+    /// recorded when the arrival event fired — only for a reply that beats
+    /// the deadline (`None` until then, and forever otherwise).
+    reply: Option<(StartReply, SimTime)>,
+    /// Filled by the round's delivery event or by the deadline.  Unlike
+    /// the RS race there is nothing to cancel: each request is resolved by
+    /// exactly one of the two.
     outcome: Option<(StartReply, SimDuration)>,
 }
 
@@ -302,7 +365,8 @@ pub struct Overlay {
     supernode: Supernode,
     supernode_host: HostId,
     nodes: Vec<MpdNode>,
-    host_to_peer: HashMap<HostId, PeerId>,
+    /// The peer on each host, indexed by the topology's dense host ids.
+    host_to_peer: Vec<Option<PeerId>>,
     sim: TypedEngine<OverlayEvent>,
     rng: StdRng,
     tracer: Tracer,
@@ -322,17 +386,28 @@ pub struct Overlay {
     /// cleared, never shrunk, by [`Overlay::rs_collect_into`], so a
     /// steady-state brokering loop performs no per-request allocation.
     rs_pending: Vec<RsPending>,
-    /// How many `rs_pending` slots still await their reply/timeout event.
+    /// How many `rs_pending` slots still await their resolution.
     rs_inflight: usize,
-    /// Skip arming timeouts whose reply is already scheduled to win the
-    /// race (see the module docs; benchmarks of the armed machinery turn
-    /// this off).
+    /// Treat exchanges whose reply is bound to beat the timeout as decided
+    /// at send (see the module docs; the equivalence tests and benchmarks
+    /// of the armed machinery turn this off).
     rs_timeout_fast_path: bool,
+    /// RS request + reply round trip between two *distinct* hosts, by
+    /// `(source site, destination site)`: the transfer model sees hosts
+    /// only through their sites there.  Filled on first use, forgotten
+    /// whenever a site latency factor changes.
+    rs_site_rtt: Vec<Option<SimDuration>>,
     /// In-flight (and resolved-but-undrained) MPD start requests; same
     /// scratch discipline as `rs_pending`.
     start_pending: Vec<StartPending>,
-    /// How many `start_pending` slots still await their resolver event.
+    /// How many `start_pending` slots still await their resolution.
     start_inflight: usize,
+    /// How many start requests of the round are still on their way to the
+    /// remote MPD (abandoned ones excluded): the arrival that brings this
+    /// to zero schedules the round's delivery event.
+    start_arrivals_pending: usize,
+    /// The pending delivery event of the start round, if one is scheduled.
+    start_round_event: Option<EventKey>,
     /// Whether the supernode is up (fault injection; degraded-mode
     /// brokering while down).
     supernode_up: bool,
@@ -382,10 +457,11 @@ impl Overlay {
         params: OverlayParams,
         queue_kind: QueueKind,
     ) -> Self {
-        let host_to_peer = nodes
-            .iter()
-            .map(|n| (n.descriptor.host, n.descriptor.id))
-            .collect();
+        let mut host_to_peer = vec![None; topology.host_count()];
+        for n in &nodes {
+            host_to_peer[n.descriptor.host.0] = Some(n.descriptor.id);
+        }
+        let sites = topology.site_count();
         Overlay {
             topology,
             network,
@@ -406,8 +482,11 @@ impl Overlay {
             rs_pending: Vec::new(),
             rs_inflight: 0,
             rs_timeout_fast_path: true,
+            rs_site_rtt: vec![None; sites * sites],
             start_pending: Vec::new(),
             start_inflight: 0,
+            start_arrivals_pending: 0,
+            start_round_event: None,
             supernode_up: true,
             leaked_grants: 0,
             leaked_outstanding: 0,
@@ -457,7 +536,10 @@ impl Overlay {
         self.sim.queue_kind()
     }
 
-    /// Number of timeline events delivered so far.
+    /// Number of timeline messages delivered so far.  This counts
+    /// *messages delivered, not heap pops*: the one event that resolves a
+    /// round's decided exchanges counts once per reply it delivers, so the
+    /// figure is the same whether or not exchanges are decided at send.
     pub fn events_processed(&self) -> u64 {
         self.sim.processed()
     }
@@ -503,7 +585,7 @@ impl Overlay {
 
     /// The peer whose MPD runs on `host`, if any.
     pub fn peer_on_host(&self, host: HostId) -> Option<PeerId> {
-        self.host_to_peer.get(&host).copied()
+        self.host_to_peer.get(host.0).copied().flatten()
     }
 
     /// The host a peer runs on.
@@ -529,15 +611,15 @@ impl Overlay {
     /// before it — churn, heartbeat rounds, cache refreshes, reservation
     /// sweeps, job completions — fires in `(time, schedule-order)` order,
     /// and the clock ends at `deadline` (or later only if an event fired
-    /// exactly there).  Returns the number of events delivered.
+    /// exactly there).  Returns the number of messages delivered on the
+    /// way (the growth of [`Overlay::events_processed`]).
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut delivered = 0;
+        let before = self.sim.processed();
         while let Some(ev) = self.sim.pop_due(deadline) {
             self.dispatch(ev.payload);
-            delivered += 1;
         }
         self.sim.advance_clock_to(deadline);
-        delivered
+        self.sim.processed() - before
     }
 
     /// Advances the virtual clock by `d`, delivering any scheduled events
@@ -650,6 +732,11 @@ impl Overlay {
                         format!("{from} -> {to}: {reply:?}")
                     });
             }
+            OverlayEvent::RsRoundReplies => {
+                // The pop counted one delivery; the other replies rode it.
+                let delivered = self.deliver_decided_rs_replies();
+                self.sim.count_delivered(delivered - 1);
+            }
             OverlayEvent::RsTimeout(idx) => {
                 let slot = &mut self.rs_pending[idx as usize];
                 debug_assert!(slot.outcome.is_none(), "RS request resolved twice");
@@ -684,13 +771,23 @@ impl Overlay {
                 }
             }
             OverlayEvent::StartArrive(idx) => self.start_arrive(idx),
-            OverlayEvent::StartReplyDelivery(idx) => {
-                let now = self.sim.now();
-                let slot = &mut self.start_pending[idx as usize];
-                debug_assert!(slot.outcome.is_none(), "start request resolved twice");
-                let reply = slot.decision.expect("reply delivery without a decision");
-                slot.outcome = Some((reply, now.saturating_since(slot.sent_at)));
-                self.start_inflight -= 1;
+            OverlayEvent::StartArriveAbandoned {
+                from,
+                to,
+                key,
+                ranks,
+            } => {
+                // The submitter timed out long ago: ranks started now are
+                // abandoned on arrival and reclaimed as a leaked grant.
+                if self.remote_start(to, key, ranks) == Some(StartReply::Started) {
+                    self.release_leaked_grant(from, to, key);
+                }
+            }
+            OverlayEvent::StartRoundReplies => {
+                self.start_round_event = None;
+                // The pop counted one delivery; the other replies rode it.
+                let delivered = self.deliver_start_replies();
+                self.sim.count_delivered(delivered - 1);
             }
             OverlayEvent::StartTimeout(idx) => {
                 let slot = &mut self.start_pending[idx as usize];
@@ -728,60 +825,134 @@ impl Overlay {
             .schedule_in(delay, OverlayEvent::GrantRelease { to, key });
     }
 
+    /// Resolves every decided request of the current brokering round with
+    /// the outcome computed at send, tracing each reply at its own arrival
+    /// instant.  Returns how many replies were delivered.
+    fn deliver_decided_rs_replies(&mut self) -> u64 {
+        let mut delivered = 0;
+        for slot in &mut self.rs_pending {
+            let Some(arrival) = slot.decided_arrival else {
+                continue;
+            };
+            debug_assert!(slot.outcome.is_none(), "RS request resolved twice");
+            let reply = slot.reply.expect("a decided request has its reply");
+            slot.outcome = Some(RsOutcome::Reply {
+                reply,
+                elapsed: slot.rtt,
+            });
+            delivered += 1;
+            let (from, to) = (slot.from, slot.to);
+            self.tracer.record(arrival, TraceCategory::Reservation, || {
+                format!("{from} -> {to}: {reply:?}")
+            });
+        }
+        self.rs_inflight -= delivered;
+        delivered as u64
+    }
+
+    /// The remote MPD's side of a start request, against its state *now*:
+    /// verify the key (step 7) and start the ranks (step 8).  `None` when
+    /// the MPD is dead — nobody answers.
+    fn remote_start(&mut self, to: PeerId, key: ReservationKey, ranks: u32) -> Option<StartReply> {
+        let node = &mut self.nodes[to.0];
+        if !node.is_alive() {
+            return None;
+        }
+        // An unknown key fails the start like any other refusal.
+        let decision = match node.rs.start(key, ranks, &node.config) {
+            Ok(()) => StartReply::Started,
+            Err(_) => StartReply::KeyMismatch,
+        };
+        if decision == StartReply::Started {
+            self.tracer
+                .record(self.sim.now(), TraceCategory::Runtime, || {
+                    format!("{to} started {ranks} process(es)")
+                });
+        }
+        Some(decision)
+    }
+
     /// Delivers a start request at the remote MPD: the decision happens
-    /// here, against the remote's state *now*, and exactly one resolver
-    /// event (reply delivery or deadline timeout) is scheduled.
+    /// here, against the remote's state *now*.  A reply that beats the
+    /// deadline is recorded for the round's delivery event; otherwise the
+    /// deadline timeout is armed.  The round's last arrival puts the
+    /// delivery event on the timeline.
     fn start_arrive(&mut self, idx: u32) {
         let now = self.sim.now();
         let slot = &self.start_pending[idx as usize];
         let (from, to, key, ranks, deadline) =
             (slot.from, slot.to, slot.key, slot.ranks, slot.deadline);
-        let gave_up = slot.outcome.is_some();
-        if !self.nodes[to.0].is_alive() {
-            // Nobody answers.  If the submitter has not already given up
-            // (pre-armed timeout on extreme links), arm its deadline now.
-            if !gave_up {
+        let reply = self.remote_start(to, key, ranks).map(|decision| {
+            let src = self.nodes[from.0].descriptor.host;
+            let dst = self.nodes[to.0].descriptor.host;
+            (decision, now + self.network.transfer_time(dst, src, 64))
+        });
+        match reply {
+            Some((_, reply_at)) if reply_at < deadline => {
+                self.start_pending[idx as usize].reply = reply;
+            }
+            // Nobody answers, or the reply cannot beat the deadline: the
+            // submitter will observe a timeout.  A start that actually
+            // happened is abandoned — the expiry sweep never touches
+            // `Running`, so it is reclaimed as a leaked grant.
+            late => {
                 self.sim
                     .schedule_at(deadline, OverlayEvent::StartTimeout(idx));
+                if matches!(late, Some((StartReply::Started, _))) {
+                    self.release_leaked_grant(from, to, key);
+                }
             }
+        }
+        self.start_arrivals_pending -= 1;
+        if self.start_arrivals_pending == 0 {
+            self.schedule_start_round_replies();
+        }
+    }
+
+    /// Every start request of the round has reached its remote MPD, so
+    /// every in-time reply is recorded: one event at the latest of their
+    /// arrival instants delivers them all (on the spot when that instant is
+    /// not ahead of the clock — the round's last arrival got no in-time
+    /// reply of its own).
+    fn schedule_start_round_replies(&mut self) {
+        let latest = self
+            .start_pending
+            .iter()
+            .filter(|slot| slot.outcome.is_none())
+            .filter_map(|slot| slot.reply.map(|(_, at)| at))
+            .max();
+        let Some(latest) = latest else {
             return;
-        }
-        // The remote MPD is alive: verify the key and start the ranks.
-        let node = &mut self.nodes[to.0];
-        let decision = if !node.rs.verify_key(key) {
-            StartReply::KeyMismatch
-        } else {
-            match node.rs.start(key, ranks, &node.config) {
-                Ok(()) => StartReply::Started,
-                Err(_) => StartReply::KeyMismatch,
-            }
         };
-        if decision == StartReply::Started {
-            self.tracer.record(now, TraceCategory::Runtime, || {
-                format!("{to} started {ranks} process(es)")
-            });
+        // A round extended after its arrivals had drained once: the new
+        // latest instant covers the replies the stale event waited for.
+        if let Some(stale) = self.start_round_event.take() {
+            self.sim.cancel(stale);
         }
-        let src = self.nodes[from.0].descriptor.host;
-        let dst = self.nodes[to.0].descriptor.host;
-        let reply_at = now + self.network.transfer_time(dst, src, 64);
-        if !gave_up && reply_at < deadline {
-            let slot = &mut self.start_pending[idx as usize];
-            slot.decision = Some(decision);
-            self.sim
-                .schedule_at(reply_at, OverlayEvent::StartReplyDelivery(idx));
+        if latest > self.sim.now() {
+            let event = self
+                .sim
+                .schedule_at(latest, OverlayEvent::StartRoundReplies);
+            self.start_round_event = Some(event);
         } else {
-            // The reply cannot beat the deadline (or the submitter already
-            // gave up): the submitter will observe a timeout.  A start that
-            // actually happened is abandoned — the expiry sweep never
-            // touches `Running`, so it is reclaimed as a leaked grant.
-            if !gave_up {
-                self.sim
-                    .schedule_at(deadline, OverlayEvent::StartTimeout(idx));
-            }
-            if decision == StartReply::Started {
-                self.release_leaked_grant(from, to, key);
+            let delivered = self.deliver_start_replies();
+            self.sim.count_delivered(delivered);
+        }
+    }
+
+    /// Hands every recorded, undelivered start reply of the round to the
+    /// submitter, each with the elapsed time of its own arrival instant.
+    /// Returns how many replies were delivered.
+    fn deliver_start_replies(&mut self) -> u64 {
+        let mut delivered = 0;
+        for slot in &mut self.start_pending {
+            if let (Some((reply, at)), None) = (slot.reply, slot.outcome) {
+                slot.outcome = Some((reply, at.saturating_since(slot.sent_at)));
+                delivered += 1;
             }
         }
+        self.start_inflight -= delivered;
+        delivered as u64
     }
 
     /// Schedules a churn schedule onto the timeline (events must not be in
@@ -1180,43 +1351,56 @@ impl Overlay {
     // RS brokering and start requests
     // ------------------------------------------------------------------
 
-    /// Sends an RS→RS reservation request from `from` to `to` onto the
-    /// timeline (steps 3–4): an armed timeout event at `now + rs_timeout`
-    /// races the reply's delivery at `now + rtt` (never scheduled when the
-    /// peer is dead).  See the module docs for the timeout-event contract.
+    /// Sends an RS→RS reservation request from `from` to `to` (steps 3–4).
+    /// The remote RS decides now.  If it is alive and its reply is bound to
+    /// beat the timeout, the exchange is *decided*: nothing is scheduled,
+    /// and the round's one delivery event resolves it at collection.
+    /// Otherwise an armed timeout event at `now + rs_timeout` races the
+    /// reply's delivery at `now + rtt` (never scheduled when the peer is
+    /// dead).  See the module docs for both contracts.
     ///
     /// This is the single hottest call of a job-submission sweep (once per
-    /// booked host per job), so it is allocation-free in steady state: the
+    /// booked host per job).  It allocates nothing in steady state: the
     /// request borrows the requester's address, the remote RS reads its
-    /// owner's config in place, the pending-request slot reuses the scratch
-    /// vector recycled by [`Overlay::rs_collect_into`], and both scheduled
-    /// events recycle event-store slots.
+    /// owner's config in place and pushes plain data into a reservation
+    /// table that keeps its capacity, the round trip comes from a per-site
+    /// table, and the pending-request slot reuses the scratch vector
+    /// recycled by [`Overlay::rs_collect_into`].  A decided request touches
+    /// the event queue not at all; an undecided one recycles event-store
+    /// slots.
     pub fn rs_send(&mut self, from: PeerId, to: PeerId, key: ReservationKey, total_processes: u32) {
         let idx = u32::try_from(self.rs_pending.len()).expect("too many in-flight RS requests");
-        let (reply, rtt, reply_key, timeout_key) = if self.nodes[to.0].is_alive() {
-            let src = self.nodes[from.0].descriptor.host;
-            let dst = self.nodes[to.0].descriptor.host;
-            let rtt = self
-                .network
-                .transfer_time(src, dst, self.params.rs_message_bytes)
-                + self
-                    .network
-                    .transfer_time(dst, src, self.params.rs_message_bytes);
-            // Alive-peer fast path: a reply scheduled strictly before the
-            // timeout window has already won the race, so the timeout is
-            // not armed at all (see the module docs).  When it *is* armed
-            // (slow link, or the fast path disabled), it is armed before
-            // the reply so the FIFO tie-break delivers the timeout first
-            // at the degenerate `rtt == rs_timeout` instant — the
-            // submitter gives up at its deadline.
-            let timeout_key = if self.rs_timeout_fast_path && rtt < self.params.rs_timeout {
-                None
-            } else {
-                Some(
-                    self.sim
-                        .schedule_in(self.params.rs_timeout, OverlayEvent::RsTimeout(idx)),
-                )
-            };
+        let mut slot = RsPending {
+            from,
+            to,
+            key,
+            reply: None,
+            rtt: self.params.rs_timeout,
+            decided_arrival: None,
+            timeout_key: None,
+            reply_key: None,
+            outcome: None,
+        };
+        // A dead peer never answers: only its timeout goes on the timeline,
+        // and it will fire.
+        let rtt = self.nodes[to.0]
+            .is_alive()
+            .then(|| self.rs_round_trip(from, to));
+        // A reply strictly inside the timeout window has already won the
+        // race (see the module docs).  When the timeout *is* armed (dead
+        // peer, slow link, or decided exchanges disabled), it is armed
+        // before the reply so the FIFO tie-break delivers the timeout first
+        // at the degenerate `rtt == rs_timeout` instant — the submitter
+        // gives up at its deadline.
+        let decided =
+            self.rs_timeout_fast_path && rtt.is_some_and(|rtt| rtt < self.params.rs_timeout);
+        if !decided {
+            slot.timeout_key = Some(
+                self.sim
+                    .schedule_in(self.params.rs_timeout, OverlayEvent::RsTimeout(idx)),
+            );
+        }
+        if let Some(rtt) = rtt {
             let now = self.sim.now();
             let reply = if from.0 == to.0 {
                 // A submitter reserving its own host: every piece (address,
@@ -1239,30 +1423,50 @@ impl Overlay {
                 };
                 to_node.rs.handle_request(&req, &to_node.config, now)
             };
-            let reply_key = self.sim.schedule_in(rtt, OverlayEvent::RsReply(idx));
-            (Some(reply), rtt, Some(reply_key), timeout_key)
-        } else {
-            // A dead peer never answers: only the timeout is on the
-            // timeline, and it will fire.
-            let timeout_key = self
-                .sim
-                .schedule_in(self.params.rs_timeout, OverlayEvent::RsTimeout(idx));
-            (None, self.params.rs_timeout, None, Some(timeout_key))
-        };
-        self.rs_pending.push(RsPending {
-            from,
-            to,
-            key,
-            reply,
-            rtt,
-            timeout_key,
-            reply_key,
-            outcome: None,
-        });
+            slot.reply = Some(reply);
+            slot.rtt = rtt;
+            if decided {
+                slot.decided_arrival = Some(now + rtt);
+            } else {
+                slot.reply_key = Some(self.sim.schedule_in(rtt, OverlayEvent::RsReply(idx)));
+            }
+        }
+        self.rs_pending.push(slot);
         self.rs_inflight += 1;
     }
 
-    /// Number of sent RS requests whose reply/timeout has not fired yet.
+    /// Round trip of an RS request and its reply between two peers: the
+    /// two one-way transfers of the cost model.  Between distinct hosts the
+    /// model depends on the hosts only through their sites, so the sum is
+    /// computed once per site pair and reused until a latency factor
+    /// changes ([`Overlay::set_site_latency_factor`] forgets the table).
+    fn rs_round_trip(&mut self, from: PeerId, to: PeerId) -> SimDuration {
+        let src = self.nodes[from.0].descriptor.host;
+        let dst = self.nodes[to.0].descriptor.host;
+        let bytes = self.params.rs_message_bytes;
+        let both_ways = |network: &NetworkModel| {
+            network.transfer_time(src, dst, bytes) + network.transfer_time(dst, src, bytes)
+        };
+        if src == dst {
+            return both_ways(&self.network);
+        }
+        let cell = self.topology.host(src).site.0 * self.topology.site_count()
+            + self.topology.host(dst).site.0;
+        match self.rs_site_rtt[cell] {
+            Some(rtt) => {
+                debug_assert_eq!(rtt, both_ways(&self.network), "stale per-site round trip");
+                rtt
+            }
+            None => {
+                let rtt = both_ways(&self.network);
+                self.rs_site_rtt[cell] = Some(rtt);
+                rtt
+            }
+        }
+    }
+
+    /// Number of sent RS requests not resolved yet.  Decided requests stay
+    /// in flight until their round is collected.
     pub fn rs_inflight(&self) -> usize {
         self.rs_inflight
     }
@@ -1272,12 +1476,33 @@ impl Overlay {
     /// churn, ...) are delivered normally — a brokering round does not get
     /// a private clock.
     fn run_until_rs_resolved(&mut self) {
+        self.schedule_rs_round_replies();
         while self.rs_inflight > 0 {
             let ev = self
                 .sim
                 .pop_due(SimTime::MAX)
                 .expect("in-flight RS requests imply pending events");
             self.dispatch(ev.payload);
+        }
+    }
+
+    /// Puts the round's decided exchanges on the timeline as one delivery
+    /// event at the latest of their arrival instants — or resolves them on
+    /// the spot when the caller already ran the clock that far.
+    fn schedule_rs_round_replies(&mut self) {
+        let latest = self
+            .rs_pending
+            .iter()
+            .filter_map(|slot| slot.decided_arrival)
+            .max();
+        let Some(latest) = latest else {
+            return;
+        };
+        if latest > self.sim.now() {
+            self.sim.schedule_at(latest, OverlayEvent::RsRoundReplies);
+        } else {
+            let delivered = self.deliver_decided_rs_replies();
+            self.sim.count_delivered(delivered);
         }
     }
 
@@ -1301,15 +1526,16 @@ impl Overlay {
         self.rs_pending.capacity()
     }
 
-    /// Enables or disables the alive-peer timeout fast path (default on;
-    /// outcome-invariant either way — see the module docs).  Benchmarks of
-    /// the armed timeout machinery itself turn it off so every reservation
-    /// still parks its timeout event on the timeline.
+    /// Enables or disables deciding exchanges at send (default on;
+    /// outcome-invariant either way — see the module docs).  Off, every
+    /// reservation request parks its own timeout and reply events on the
+    /// timeline: the reference the equivalence tests compare against, and
+    /// what benchmarks of the armed timeout machinery measure.
     pub fn set_rs_timeout_fast_path(&mut self, enabled: bool) {
         self.rs_timeout_fast_path = enabled;
     }
 
-    /// Whether the alive-peer timeout fast path is enabled.
+    /// Whether exchanges are decided at send.
     pub fn rs_timeout_fast_path(&self) -> bool {
         self.rs_timeout_fast_path
     }
@@ -1378,9 +1604,20 @@ impl Overlay {
         if now + outbound >= deadline {
             self.sim
                 .schedule_at(deadline, OverlayEvent::StartTimeout(idx));
+            self.sim.schedule_in(
+                outbound,
+                OverlayEvent::StartArriveAbandoned {
+                    from,
+                    to,
+                    key,
+                    ranks,
+                },
+            );
+        } else {
+            self.sim
+                .schedule_in(outbound, OverlayEvent::StartArrive(idx));
+            self.start_arrivals_pending += 1;
         }
-        self.sim
-            .schedule_in(outbound, OverlayEvent::StartArrive(idx));
         self.start_pending.push(StartPending {
             from,
             to,
@@ -1388,13 +1625,13 @@ impl Overlay {
             ranks,
             sent_at: now,
             deadline,
-            decision: None,
+            reply: None,
             outcome: None,
         });
         self.start_inflight += 1;
     }
 
-    /// Number of sent start requests whose resolver has not fired yet.
+    /// Number of sent start requests not resolved yet.
     pub fn start_inflight(&self) -> usize {
         self.start_inflight
     }
@@ -1535,6 +1772,7 @@ impl Overlay {
     /// on the timeline keep the cost computed when they were scheduled.
     pub fn set_site_latency_factor(&mut self, site: SiteId, factor: f64) {
         self.network.set_site_latency_factor(site, factor);
+        self.rs_site_rtt.fill(None);
         self.prober
             .network_mut()
             .set_site_latency_factor(site, factor);
@@ -1609,6 +1847,7 @@ mod tests {
     use crate::config::OwnerConfig;
     use p2pmpi_simgrid::noise::NoiseModel;
     use p2pmpi_simgrid::topology::{NodeSpec, TopologyBuilder};
+    use proptest::prelude::*;
 
     fn small_topology() -> Arc<Topology> {
         let mut b = TopologyBuilder::new();
@@ -2179,5 +2418,579 @@ mod tests {
             .peer_on_host(topo.host_by_name("l-0").unwrap().id)
             .unwrap();
         assert_eq!(o.node(local).capacity_per_app(), 2);
+    }
+
+    // -- decided exchanges: one event per round ----------------------------
+
+    /// Round trip of an RS request and its reply under the current cost
+    /// model, computed the long way.
+    fn rs_rtt(o: &Overlay, from: PeerId, to: PeerId) -> SimDuration {
+        let (src, dst) = (o.host_of(from), o.host_of(to));
+        let bytes = o.params().rs_message_bytes;
+        o.network().transfer_time(src, dst, bytes) + o.network().transfer_time(dst, src, bytes)
+    }
+
+    /// A start request's trip to the remote MPD plus its reply's way back.
+    fn start_trip(o: &Overlay, from: PeerId, to: PeerId) -> SimDuration {
+        let (src, dst) = (o.host_of(from), o.host_of(to));
+        o.network()
+            .transfer_time(src, dst, o.params().start_message_bytes)
+            + o.network().transfer_time(dst, src, 64)
+    }
+
+    fn reservation_trace(o: &Overlay) -> Vec<(SimTime, String)> {
+        let mut records: Vec<_> = o
+            .tracer()
+            .events_in(TraceCategory::Reservation)
+            .into_iter()
+            .map(|e| (e.time, e.message))
+            .collect();
+        records.sort();
+        records
+    }
+
+    #[test]
+    fn events_inside_a_round_fire_at_their_own_instants() {
+        let topo = small_topology();
+        let mut o = overlay();
+        o.boot_all();
+        let ids = o.peer_ids();
+        let submitter = ids[0];
+        let ranks = vec![RankAssignment {
+            rank: 0,
+            replica: 0,
+        }];
+        // A job already running on ids[1] ...
+        let old = o.generate_key();
+        assert!(matches!(
+            o.rs_request(submitter, ids[1], old, 1),
+            RsOutcome::Reply { reply, .. } if reply.is_ok()
+        ));
+        assert_eq!(
+            o.mpd_start(submitter, ids[1], old, &ranks, "old").0,
+            StartReply::Started
+        );
+        // ... completes 2 ms into the next round; ids[4] crashes at 3 ms
+        // and the remote site's links slow tenfold at 4 ms — all three
+        // between the send instant and the round's latest reply (~10 ms).
+        let t0 = o.now();
+        let ms = SimDuration::from_millis;
+        o.schedule_completion(t0 + ms(2), old, vec![ids[1]]);
+        let mut churn = ChurnSchedule::new();
+        churn.crash(ids[4], t0 + ms(3));
+        o.schedule_churn(churn.finish());
+        let remote_site = topo.site_by_name("remote").unwrap().id;
+        o.schedule_link_degradation(remote_site, t0 + ms(4), SimDuration::from_secs(1), 10.0);
+
+        let targets = [ids[2], ids[3], ids[4], ids[5]];
+        let expected: Vec<SimDuration> = targets
+            .iter()
+            .map(|&to| rs_rtt(&o, submitter, to))
+            .collect();
+        assert!(expected[0] < ms(1) && expected[1] > ms(10), "{expected:?}");
+        let key = o.generate_key();
+        for &to in &targets {
+            o.rs_send(submitter, to, key, 1);
+        }
+        // Decided at send: nothing of the round is on the timeline yet.
+        assert_eq!(o.rs_inflight(), 4);
+        let mut outcomes = Vec::new();
+        o.rs_collect_into(&mut outcomes);
+
+        // The outcomes are the ones computed at send: the crashed peer's
+        // reply was already in flight, and replies sent before the
+        // degradation keep their nominal round trip.
+        for ((&to, &rtt), &(peer, outcome)) in targets.iter().zip(&expected).zip(&outcomes) {
+            assert_eq!(peer, to);
+            assert_eq!(
+                outcome,
+                RsOutcome::Reply {
+                    reply: ReservationReply::Ok {
+                        capacity_p: o.node(to).capacity_per_app()
+                    },
+                    elapsed: rtt
+                }
+            );
+        }
+        assert_eq!(
+            o.now(),
+            t0 + expected[1],
+            "the round ends with its last reply"
+        );
+        // Each interleaved event fired at its own instant, in order.
+        let runtime = o.tracer().events_in(TraceCategory::Runtime);
+        let completion = runtime.last().unwrap();
+        assert!(completion.message.contains("job completed"), "{completion}");
+        assert_eq!(completion.time, t0 + ms(2));
+        let faults = o.tracer().events_in(TraceCategory::Fault);
+        assert_eq!(faults.len(), 2);
+        assert!(faults[0].message.contains("crashed"), "{}", faults[0]);
+        assert_eq!(faults[0].time, t0 + ms(3));
+        assert!(
+            faults[1].message.contains("latency factor"),
+            "{}",
+            faults[1]
+        );
+        assert_eq!(faults[1].time, t0 + ms(4));
+        assert_eq!(o.node(ids[1]).rs.running_processes(), 0);
+        assert!(!o.node(ids[4]).is_alive());
+        // ... and the degradation governs the exchanges sent after it.
+        assert!(rs_rtt(&o, submitter, ids[3]) > expected[1] * 9);
+        let next = o.generate_key();
+        match o.rs_request(submitter, ids[5], next, 1) {
+            RsOutcome::Reply { elapsed, .. } => assert_eq!(elapsed, rs_rtt(&o, submitter, ids[5])),
+            RsOutcome::Timeout { .. } => panic!("100 ms is well inside the 2 s window"),
+        }
+    }
+
+    #[test]
+    fn a_round_collected_after_its_replies_arrived_resolves_on_the_spot() {
+        let run = |fast_path: bool| {
+            let mut o = overlay();
+            o.boot_all();
+            o.set_rs_timeout_fast_path(fast_path);
+            let ids = o.peer_ids();
+            let key = o.generate_key();
+            for &to in &ids[1..] {
+                o.rs_send(ids[0], to, key, 1);
+            }
+            // The caller runs the clock past every reply before collecting.
+            let delivered = o.run_until(SimTime::from_secs(1));
+            assert_eq!(o.rs_inflight(), if fast_path { 5 } else { 0 });
+            assert_eq!(delivered, if fast_path { 0 } else { 5 });
+            let mut outcomes = Vec::new();
+            o.rs_collect_into(&mut outcomes);
+            assert_eq!(o.rs_inflight(), 0);
+            (
+                outcomes,
+                o.now(),
+                o.events_processed(),
+                reservation_trace(&o),
+            )
+        };
+        let (decided, reference) = (run(true), run(false));
+        assert_eq!(decided, reference);
+        assert_eq!(decided.0.len(), 5);
+        assert_eq!(
+            decided.1,
+            SimTime::from_secs(1),
+            "collecting moved no clock"
+        );
+    }
+
+    #[test]
+    fn every_decided_reply_is_traced_once_at_its_own_arrival() {
+        let mut o = overlay();
+        o.boot_all();
+        let ids = o.peer_ids();
+        // ids[3] answers NOK: it is busy with another application.
+        let other = o.generate_key();
+        assert!(matches!(
+            o.rs_request(ids[1], ids[3], other, 1),
+            RsOutcome::Reply { reply, .. } if reply.is_ok()
+        ));
+        o.tracer().clear();
+        let t0 = o.now();
+        let key = o.generate_key();
+        // The submitter's own host, two local peers, three remote ones.
+        for &to in &ids {
+            o.rs_send(ids[0], to, key, 1);
+        }
+        let mut outcomes = Vec::new();
+        o.rs_collect_into(&mut outcomes);
+        let mut expected: Vec<(SimTime, String)> = outcomes
+            .iter()
+            .map(|&(to, outcome)| match outcome {
+                RsOutcome::Reply { reply, elapsed } => {
+                    assert_eq!(elapsed, rs_rtt(&o, ids[0], to));
+                    (t0 + elapsed, format!("{} -> {to}: {reply:?}", ids[0]))
+                }
+                RsOutcome::Timeout { .. } => panic!("every peer is alive"),
+            })
+            .collect();
+        expected.sort();
+        assert_eq!(reservation_trace(&o), expected);
+        // Three distinct arrival instants (loopback, LAN, WAN), one event.
+        let mut instants: Vec<SimTime> = expected.iter().map(|&(t, _)| t).collect();
+        instants.dedup();
+        assert_eq!(instants.len(), 3);
+        assert_eq!(
+            expected.iter().filter(|(_, m)| m.contains("Nok")).count(),
+            1
+        );
+    }
+
+    #[test]
+    fn per_site_round_trips_follow_the_latency_factors() {
+        let topo = small_topology();
+        let mut o = overlay();
+        o.boot_all();
+        let ids = o.peer_ids();
+        let remote_site = topo.site_by_name("remote").unwrap().id;
+        let exchange = |o: &mut Overlay, to: PeerId| {
+            let key = o.generate_key();
+            let expected = rs_rtt(o, ids[0], to);
+            match o.rs_request(ids[0], to, key, 1) {
+                RsOutcome::Reply { elapsed, .. } => assert_eq!(elapsed, expected),
+                RsOutcome::Timeout { .. } => panic!("unexpected timeout"),
+            }
+            o.rs_cancel(ids[0], to, key);
+            expected
+        };
+        // Hosts of one site share the round trip; the submitter's own host
+        // is loopback, not its site's LAN.
+        let nominal = exchange(&mut o, ids[3]);
+        assert_eq!(exchange(&mut o, ids[4]), nominal);
+        assert!(exchange(&mut o, ids[0]) < exchange(&mut o, ids[1]));
+        // A factor change is never served from the table, in either
+        // direction.
+        o.set_site_latency_factor(remote_site, 7.0);
+        let slowed = exchange(&mut o, ids[5]);
+        assert!(slowed > nominal * 6, "{slowed} vs {nominal}");
+        o.set_site_latency_factor(remote_site, 1.0);
+        assert_eq!(exchange(&mut o, ids[4]), nominal);
+    }
+
+    // -- the start round ----------------------------------------------------
+
+    /// Grants `key` on every peer of `targets` at nominal latency.
+    fn grant_all(o: &mut Overlay, from: PeerId, targets: &[PeerId], key: ReservationKey) {
+        for &to in targets {
+            o.rs_send(from, to, key, 1);
+        }
+        let mut outcomes = Vec::new();
+        o.rs_collect_into(&mut outcomes);
+        assert!(outcomes
+            .iter()
+            .all(|(_, o)| matches!(o, RsOutcome::Reply { reply, .. } if reply.is_ok())));
+    }
+
+    #[test]
+    fn a_start_round_delivers_each_reply_with_its_own_elapsed() {
+        let mut o = overlay();
+        o.boot_all();
+        let ids = o.peer_ids();
+        let from = ids[0];
+        let key = o.generate_key();
+        let targets = [ids[3], ids[1], ids[4], ids[5]];
+        grant_all(&mut o, from, &targets, key);
+        // ids[4] crashes 1 ms after the requests leave, before the ~5 ms
+        // cross-site arrival: its arrival finds a dead MPD.
+        let t0 = o.now();
+        let mut churn = ChurnSchedule::new();
+        churn.crash(ids[4], t0 + SimDuration::from_millis(1));
+        o.schedule_churn(churn.finish());
+        let events_before = o.events_processed();
+        for &to in &targets {
+            o.start_send(from, to, key, 2);
+        }
+        assert_eq!(o.start_inflight(), 4);
+        let mut outcomes = Vec::new();
+        o.start_collect_into(&mut outcomes);
+        assert_eq!(o.start_inflight(), 0);
+        let elapsed_of = |to: PeerId| start_trip(&o, from, to);
+        assert_eq!(
+            outcomes,
+            vec![
+                (ids[3], StartReply::Started, elapsed_of(ids[3])),
+                (ids[1], StartReply::Started, elapsed_of(ids[1])),
+                (ids[4], StartReply::Timeout, o.params().rs_timeout),
+                (ids[5], StartReply::Started, elapsed_of(ids[5])),
+            ]
+        );
+        assert!(elapsed_of(ids[1]) < elapsed_of(ids[3]));
+        assert_eq!(o.now(), t0 + o.params().rs_timeout);
+        assert_eq!(o.node(ids[4]).rs.running_processes(), 0, "never started");
+        assert_eq!(o.node(ids[5]).rs.running_processes(), 2);
+        // Messages delivered: the crash, four arrivals, three replies and
+        // one deadline — the replies rode one event.
+        assert_eq!(o.events_processed() - events_before, 1 + 4 + 3 + 1);
+        assert_eq!(o.events_pending(), 0);
+    }
+
+    #[test]
+    fn mpd_start_elapsed_is_the_request_plus_the_reply_transfer() {
+        let mut o = overlay();
+        o.boot_all();
+        let ids = o.peer_ids();
+        let (from, to) = (ids[0], ids[4]);
+        let key = o.generate_key();
+        grant_all(&mut o, from, &[to], key);
+        let ranks = vec![RankAssignment {
+            rank: 0,
+            replica: 0,
+        }];
+        let t0 = o.now();
+        let expected = start_trip(&o, from, to);
+        assert_eq!(
+            o.mpd_start(from, to, key, &ranks, "prog"),
+            (StartReply::Started, expected)
+        );
+        assert_eq!(o.now(), t0 + expected);
+    }
+
+    #[test]
+    fn a_start_reply_slower_than_its_deadline_leaks_and_is_released() {
+        let topo = small_topology();
+        let mut o = overlay();
+        o.boot_all();
+        let ids = o.peer_ids();
+        let (from, slow, near) = (ids[0], ids[3], ids[1]);
+        let key = o.generate_key();
+        grant_all(&mut o, from, &[near, slow], key);
+        // 300x on the remote site: the request arrives after ~1.5 s, inside
+        // the 2 s deadline, but the reply would land at ~3 s.
+        let remote_site = topo.site_by_name("remote").unwrap().id;
+        o.set_site_latency_factor(remote_site, 300.0);
+        let t0 = o.now();
+        o.start_send(from, near, key, 1);
+        o.start_send(from, slow, key, 1);
+        let mut outcomes = Vec::new();
+        o.start_collect_into(&mut outcomes);
+        assert_eq!(outcomes[0].1, StartReply::Started);
+        assert!(outcomes[0].2 < SimDuration::from_millis(1));
+        assert_eq!(
+            (outcomes[1].1, outcomes[1].2),
+            (StartReply::Timeout, o.params().rs_timeout)
+        );
+        assert_eq!(o.now(), t0 + o.params().rs_timeout);
+        // The remote did start the ranks; the submitter gave up on them.
+        assert_eq!(o.node(slow).rs.running_processes(), 1);
+        assert_eq!((o.leaked_grants(), o.leaked_grant_hwm()), (1, 1));
+        o.advance(SimDuration::from_secs(2));
+        assert_eq!(o.node(slow).rs.active_applications(), 0, "released eagerly");
+        assert_eq!(o.node(near).rs.running_processes(), 1);
+    }
+
+    #[test]
+    fn a_start_request_that_cannot_arrive_in_time_is_given_up_at_the_deadline() {
+        let topo = small_topology();
+        let mut o = overlay();
+        o.boot_all();
+        let ids = o.peer_ids();
+        let (from, far, near) = (ids[0], ids[3], ids[1]);
+        let key = o.generate_key();
+        grant_all(&mut o, from, &[far, near], key);
+        // 1000x: the one-way trip alone takes ~5 s, past the 2 s deadline,
+        // which is therefore armed at send.
+        let remote_site = topo.site_by_name("remote").unwrap().id;
+        o.set_site_latency_factor(remote_site, 1000.0);
+        let t0 = o.now();
+        o.start_send(from, far, key, 1);
+        o.start_send(from, near, key, 1);
+        let mut outcomes = Vec::new();
+        o.start_collect_into(&mut outcomes);
+        assert_eq!(
+            (outcomes[0].1, outcomes[0].2),
+            (StartReply::Timeout, o.params().rs_timeout)
+        );
+        assert_eq!(outcomes[1].1, StartReply::Started);
+        // The round ends at the deadline, not at the late arrival.
+        assert_eq!(o.now(), t0 + o.params().rs_timeout);
+        assert_eq!(o.node(far).rs.running_processes(), 0);
+        assert_eq!(o.events_pending(), 1, "the request is still on its way");
+        // Another round recycles the submitter's bookkeeping meanwhile.
+        let key2 = o.generate_key();
+        grant_all(&mut o, from, &[ids[2]], key2);
+        o.start_send(from, ids[2], key2, 1);
+        o.start_collect_into(&mut outcomes);
+        assert_eq!(outcomes[0].1, StartReply::Started);
+        // The late arrival settles the remote side only: the ranks start,
+        // nobody waits for them, the grant is released one trip later.
+        o.advance(SimDuration::from_secs(4));
+        assert_eq!(o.node(far).rs.running_processes(), 1);
+        assert_eq!(o.leaked_grants(), 1);
+        o.advance(SimDuration::from_secs(6));
+        assert_eq!(o.node(far).rs.active_applications(), 0);
+        assert_eq!(o.node(ids[2]).rs.running_processes(), 1, "untouched");
+    }
+
+    #[test]
+    fn a_start_round_extended_after_its_arrivals_drained_still_resolves() {
+        let mut o = overlay();
+        o.boot_all();
+        let ids = o.peer_ids();
+        let from = ids[0];
+        let key = o.generate_key();
+        grant_all(&mut o, from, &[ids[3], ids[4]], key);
+        let t0 = o.now();
+        o.start_send(from, ids[3], key, 1);
+        // Past the arrival (~5 ms), short of the reply (~10 ms): the
+        // delivery event of the round so far is pending.
+        o.advance(SimDuration::from_millis(7));
+        o.start_send(from, ids[4], key, 1);
+        let mut outcomes = Vec::new();
+        o.start_collect_into(&mut outcomes);
+        let trip = outcomes[0].2;
+        assert_eq!(
+            outcomes,
+            vec![
+                (ids[3], StartReply::Started, trip),
+                (ids[4], StartReply::Started, trip)
+            ]
+        );
+        assert_eq!(o.now(), t0 + SimDuration::from_millis(7) + trip);
+        assert_eq!(o.events_pending(), 0);
+    }
+
+    // -- decided on vs off, over random rounds -------------------------------
+
+    /// Three sites around a 50 ms `rs_timeout`: `near` answers in ~10 ms
+    /// (decided), `far` in ~60 ms (armed, and the reply loses).
+    fn three_site_overlay(j: u32, fast_path: bool) -> Overlay {
+        let mut b = TopologyBuilder::new();
+        let sites = [b.add_site("local"), b.add_site("near"), b.add_site("far")];
+        for (&site, prefix) in sites.iter().zip(["l", "n", "f"]) {
+            b.add_cluster(
+                site,
+                prefix,
+                "cpu",
+                3,
+                NodeSpec {
+                    cores: 2,
+                    ..NodeSpec::default()
+                },
+            );
+        }
+        b.set_rtt(sites[0], sites[1], SimDuration::from_millis(10));
+        b.set_rtt(sites[0], sites[2], SimDuration::from_millis(60));
+        b.set_rtt(sites[1], sites[2], SimDuration::from_millis(60));
+        let mut o = OverlayBuilder::new(Arc::new(b.build()))
+            .seed(11)
+            .noise(NoiseModel::disabled())
+            .overlay_params(OverlayParams {
+                rs_timeout: SimDuration::from_millis(50),
+                ..OverlayParams::default()
+            })
+            .peer_per_host(|h| OwnerConfig::new(j, h.cores as u32))
+            .build();
+        o.boot_all();
+        o.set_rs_timeout_fast_path(fast_path);
+        o
+    }
+
+    /// Plays the scenario drawn from `scenario` and logs everything a
+    /// submitter or an observer can see.
+    fn play_rounds(o: &mut Overlay, scenario: u64) -> Vec<String> {
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(scenario);
+        let us = SimDuration::from_micros;
+        let ids = o.peer_ids();
+        let submitter = ids[0];
+        let near = o.topology().site_by_name("near").unwrap().id;
+        // Standing adversity: dead peers and owners that deny the submitter.
+        let address = o.node(submitter).descriptor.address.clone();
+        for &p in &ids[1..] {
+            match rng.gen_range(0..6) {
+                0 => o.kill_peer(p),
+                1 => {
+                    o.node_mut(p).config.deny(address.clone());
+                }
+                _ => {}
+            }
+        }
+        let mut log = Vec::new();
+        let mut outcomes = Vec::new();
+        let mut starts = Vec::new();
+        for round in 0..4 {
+            // Crashes, recoveries and a link degradation come due while
+            // the round is in flight.
+            let t0 = o.now();
+            let mut churn = ChurnSchedule::new();
+            for _ in 0..rng.gen_range(0..3) {
+                let peer = ids[rng.gen_range(1..ids.len())];
+                let at = t0 + us(rng.gen_range(1..70_000));
+                if rng.gen() {
+                    churn.crash(peer, at);
+                } else {
+                    churn.recover(peer, at);
+                }
+            }
+            o.schedule_churn(churn.finish());
+            if rng.gen_range(0..3) == 0 {
+                let factor = [1.5, 3.0, 8.0][rng.gen_range(0..3usize)];
+                let at = t0 + us(rng.gen_range(1..20_000));
+                o.schedule_link_degradation(near, at, us(30_000), factor);
+            }
+            // The round: any peers, the submitter and duplicates included.
+            let key = o.generate_key();
+            for _ in 0..rng.gen_range(1..ids.len() + 3) {
+                let to = ids[rng.gen_range(0..ids.len())];
+                o.rs_send(submitter, to, key, 4);
+            }
+            o.rs_collect_into(&mut outcomes);
+            log.push(format!(
+                "round {round} rs {outcomes:?} now={} events={}",
+                o.now(),
+                o.events_processed()
+            ));
+            // Grants are started, cancelled, or left pending (busy peers
+            // for the rounds to come).
+            for &(peer, outcome) in &outcomes {
+                if matches!(outcome, RsOutcome::Reply { reply, .. } if reply.is_ok()) {
+                    match rng.gen_range(0..3) {
+                        0 => o.start_send(submitter, peer, key, rng.gen_range(1..4)),
+                        1 => {
+                            o.rs_cancel(submitter, peer, key);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            o.start_collect_into(&mut starts);
+            log.push(format!(
+                "round {round} start {starts:?} now={} events={}",
+                o.now(),
+                o.events_processed()
+            ));
+            // Some started jobs complete inside a later round.
+            let running: Vec<PeerId> = starts
+                .iter()
+                .filter(|s| s.1 == StartReply::Started)
+                .map(|s| s.0)
+                .collect();
+            if !running.is_empty() && rng.gen() {
+                let at = o.now() + us(rng.gen_range(1..40_000));
+                o.schedule_completion(at, key, running);
+            }
+        }
+        o.advance(SimDuration::from_secs(1));
+        log.push(format!(
+            "end now={} events={} pending={} leaked={} hwm={}",
+            o.now(),
+            o.events_processed(),
+            o.events_pending(),
+            o.leaked_grants(),
+            o.leaked_grant_hwm()
+        ));
+        for &p in &ids {
+            let rs = &o.node(p).rs;
+            log.push(format!(
+                "{p} {:?} active={} running={}",
+                rs.counters(),
+                rs.active_applications(),
+                rs.running_processes()
+            ));
+        }
+        log.extend(
+            reservation_trace(o)
+                .into_iter()
+                .map(|(t, m)| format!("{t} {m}")),
+        );
+        log
+    }
+
+    proptest! {
+        /// Deciding exchanges at send changes no outcome, no clock, no
+        /// delivered-message count, no RS counter and no trace record.
+        #[test]
+        fn decided_rounds_match_the_per_request_reference(
+            j in 1u32..4,
+            scenario in any::<u64>(),
+        ) {
+            let decided = play_rounds(&mut three_site_overlay(j, true), scenario);
+            let reference = play_rounds(&mut three_site_overlay(j, false), scenario);
+            prop_assert_eq!(decided, reference, "J={} scenario={}", j, scenario);
+        }
     }
 }

@@ -11,8 +11,8 @@
 
 use crate::config::OwnerConfig;
 use crate::messages::{RefusalReason, ReservationKey, ReservationReply, ReservationRequest};
+use crate::peer::PeerId;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Lifecycle of a reservation held by an RS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,13 +23,15 @@ pub enum ReservationStatus {
     Running,
 }
 
-/// One reservation held by an RS.
-#[derive(Debug, Clone)]
+/// One reservation held by an RS.  Plain data: granting, cancelling and
+/// completing one moves a few words and touches no allocator.
+#[derive(Debug, Clone, Copy)]
 pub struct Reservation {
     /// The submitter's unique key for this co-allocation round.
     pub key: ReservationKey,
-    /// The requesting peer's address (for diagnostics).
-    pub requester_address: String,
+    /// The requesting peer (for diagnostics; its address is one lookup
+    /// away in the overlay's node table).
+    pub requester: PeerId,
     /// When the reservation was granted.
     pub granted_at: SimTime,
     /// Current status.
@@ -51,9 +53,14 @@ pub enum StartError {
 }
 
 /// Per-peer reservation service.
+///
+/// The owner's `J` bounds how many reservations an RS ever holds (one, in
+/// the paper's experiments), so they live in a vector scanned linearly: a
+/// lookup compares a handful of keys, and the vector keeps its capacity
+/// across grant/cancel cycles.  Their order carries no meaning.
 #[derive(Debug, Default)]
 pub struct ReservationService {
-    reservations: HashMap<ReservationKey, Reservation>,
+    reservations: Vec<Reservation>,
     granted_total: u64,
     refused_total: u64,
     cancelled_total: u64,
@@ -65,9 +72,13 @@ impl ReservationService {
         Self::default()
     }
 
+    fn position(&self, key: ReservationKey) -> Option<usize> {
+        self.reservations.iter().position(|r| r.key == key)
+    }
+
     /// Handles an incoming reservation request (step 4 of the procedure).
-    /// The requester address is copied only on the grant path, where the RS
-    /// stores it in the held [`Reservation`]; refusals allocate nothing.
+    /// The requester's address is only read, against the owner's deny
+    /// list; the held [`Reservation`] records the requesting peer's id.
     pub fn handle_request(
         &mut self,
         req: &ReservationRequest<'_>,
@@ -78,7 +89,7 @@ impl ReservationService {
             self.refused_total += 1;
             return ReservationReply::Nok(RefusalReason::RequesterDenied);
         }
-        if self.reservations.contains_key(&req.key) {
+        if self.position(req.key).is_some() {
             self.refused_total += 1;
             return ReservationReply::Nok(RefusalReason::DuplicateKey);
         }
@@ -86,16 +97,13 @@ impl ReservationService {
             self.refused_total += 1;
             return ReservationReply::Nok(RefusalReason::TooManyApplications);
         }
-        self.reservations.insert(
-            req.key,
-            Reservation {
-                key: req.key,
-                requester_address: req.requester_address.to_string(),
-                granted_at: now,
-                status: ReservationStatus::Pending,
-                processes: 0,
-            },
-        );
+        self.reservations.push(Reservation {
+            key: req.key,
+            requester: req.requester,
+            granted_at: now,
+            status: ReservationStatus::Pending,
+            processes: 0,
+        });
         self.granted_total += 1;
         ReservationReply::Ok {
             capacity_p: config.max_procs_per_app,
@@ -106,7 +114,7 @@ impl ReservationService {
     /// (step 7: "the remote MPD verifies that the unique key matches the one
     /// its RS holds").
     pub fn verify_key(&self, key: ReservationKey) -> bool {
-        self.reservations.contains_key(&key)
+        self.position(key).is_some()
     }
 
     /// Marks a pending reservation as running `processes` processes.
@@ -118,7 +126,8 @@ impl ReservationService {
     ) -> Result<(), StartError> {
         let r = self
             .reservations
-            .get_mut(&key)
+            .iter_mut()
+            .find(|r| r.key == key)
             .ok_or(StartError::UnknownKey)?;
         if r.status == ReservationStatus::Running {
             return Err(StartError::AlreadyRunning);
@@ -134,18 +143,21 @@ impl ReservationService {
     /// Cancels a reservation (step 6: reservations for hosts in `rlist` but
     /// not in `slist`, or hosts assigned zero processes, are cancelled).
     pub fn cancel(&mut self, key: ReservationKey) -> bool {
-        let removed = self.reservations.remove(&key).is_some();
-        if removed {
-            self.cancelled_total += 1;
+        match self.position(key) {
+            Some(i) => {
+                self.reservations.swap_remove(i);
+                self.cancelled_total += 1;
+                true
+            }
+            None => false,
         }
-        removed
     }
 
     /// Marks a running application as finished, freeing the slot.
     pub fn complete(&mut self, key: ReservationKey) -> bool {
-        match self.reservations.get(&key) {
-            Some(r) if r.status == ReservationStatus::Running => {
-                self.reservations.remove(&key);
+        match self.position(key) {
+            Some(i) if self.reservations[i].status == ReservationStatus::Running => {
+                self.reservations.swap_remove(i);
                 true
             }
             _ => false,
@@ -156,7 +168,7 @@ impl ReservationService {
     /// dropped.  Running applications are never expired.
     pub fn expire_pending(&mut self, now: SimTime, ttl: SimDuration) -> usize {
         let before = self.reservations.len();
-        self.reservations.retain(|_, r| {
+        self.reservations.retain(|r| {
             r.status == ReservationStatus::Running || now.saturating_since(r.granted_at) <= ttl
         });
         let dropped = before - self.reservations.len();
@@ -174,7 +186,7 @@ impl ReservationService {
     /// applications.
     pub fn running_processes(&self) -> u32 {
         self.reservations
-            .values()
+            .iter()
             .filter(|r| r.status == ReservationStatus::Running)
             .map(|r| r.processes)
             .sum()
@@ -182,7 +194,7 @@ impl ReservationService {
 
     /// Looks up a held reservation.
     pub fn reservation(&self, key: ReservationKey) -> Option<&Reservation> {
-        self.reservations.get(&key)
+        self.reservations.iter().find(|r| r.key == key)
     }
 
     /// Lifetime counters: (granted, refused, cancelled).
@@ -194,7 +206,6 @@ impl ReservationService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peer::PeerId;
 
     fn request(key: u64, addr: &str) -> ReservationRequest<'_> {
         ReservationRequest {
@@ -312,5 +323,51 @@ mod tests {
         assert_eq!(dropped, 1);
         assert!(rs.reservation(ReservationKey(1)).is_none());
         assert!(rs.reservation(ReservationKey(2)).is_some());
+    }
+
+    #[test]
+    fn a_table_of_three_keeps_its_books_through_cancel_expiry_and_completion() {
+        let mut rs = ReservationService::new();
+        let config = OwnerConfig::new(3, 4);
+        let (a, b, c) = (ReservationKey(1), ReservationKey(2), ReservationKey(3));
+        for (key, at) in [(a, 0), (b, 10), (c, 20)] {
+            assert!(rs
+                .handle_request(&request(key.0, "x"), &config, SimTime::from_secs(at))
+                .is_ok());
+        }
+        assert_eq!(
+            rs.handle_request(&request(4, "x"), &config, SimTime::from_secs(30)),
+            ReservationReply::Nok(RefusalReason::TooManyApplications)
+        );
+        assert_eq!(rs.reservation(b).unwrap().requester, PeerId(0));
+        // Cancelling the middle key leaves its neighbours findable.
+        assert!(rs.cancel(b));
+        assert!(!rs.verify_key(b));
+        assert!(rs.verify_key(a) && rs.verify_key(c));
+        assert_eq!(rs.active_applications(), 2);
+        // The freed slot is granted again; running processes sum over the
+        // table.
+        assert!(rs
+            .handle_request(&request(b.0, "x"), &config, SimTime::from_secs(40))
+            .is_ok());
+        rs.start(a, 3, &config).unwrap();
+        rs.start(b, 1, &config).unwrap();
+        assert_eq!(rs.running_processes(), 4);
+        // `complete` only frees a running application ...
+        assert!(!rs.complete(c), "still pending");
+        assert!(rs.complete(a));
+        assert!(!rs.complete(a), "already gone");
+        assert_eq!(rs.running_processes(), 1);
+        // ... and the expiry sweep only drops stale *pending* ones: `b`
+        // is older than the TTL by then too, but it is running.
+        let dropped = rs.expire_pending(SimTime::from_secs(200), SimDuration::from_secs(60));
+        assert_eq!(dropped, 1);
+        assert!(rs.reservation(c).is_none());
+        assert_eq!(
+            rs.reservation(b).unwrap().status,
+            ReservationStatus::Running
+        );
+        assert_eq!(rs.active_applications(), 1);
+        assert_eq!(rs.counters(), (4, 1, 2));
     }
 }

@@ -306,9 +306,20 @@ impl<E> TypedEngine<E> {
         self.now
     }
 
-    /// Number of events delivered so far.
+    /// Number of deliveries so far: one per event popped by
+    /// [`TypedEngine::pop_due`], plus whatever the owner reported through
+    /// [`TypedEngine::count_delivered`].
     pub fn processed(&self) -> u64 {
         self.processed
+    }
+
+    /// Adds `n` deliveries that took no pop of their own to
+    /// [`TypedEngine::processed`]: an owner that lets one scheduled event
+    /// stand for several simulated messages (a round's replies riding the
+    /// event of the latest one) reports the rest here, so the figure keeps
+    /// counting messages delivered, whatever the batching.
+    pub fn count_delivered(&mut self, n: u64) {
+        self.processed += n;
     }
 
     /// Number of events still pending.
@@ -637,6 +648,11 @@ mod tests {
         assert_eq!(sim.now(), deadline);
         assert_eq!(sim.pending(), 2);
         assert_eq!(sim.processed(), 4);
+        // Deliveries that rode a popped event count without moving the
+        // clock or the queue.
+        sim.count_delivered(3);
+        assert_eq!(sim.processed(), 7);
+        assert_eq!((sim.now(), sim.pending()), (deadline, 2));
         // A later deadline picks up the rest; idle time passes afterwards.
         while let Some(ev) = sim.pop_due(SimTime::from_secs(60)) {
             seen.push(ev.payload);

@@ -6,14 +6,16 @@
 //! must agree bit for bit on every placement the co-allocator can produce.
 //!
 //! The second half pins the CI-scale day (the paper day at 5% of its arrival
-//! rates, compressed 24×) under both strategies and under dead-peer churn to
-//! the statistics the sweep produced before the evaluator swap: any change
-//! that moves a hold, a placement or an event shows up here as one failed
-//! assert.
+//! rates, compressed 24×) under both fixed strategies, under dead-peer churn
+//! and under the searched strategy, and the CI-scale 4-shard week, to the
+//! statistics the sweeps produced before the evaluator swap and before the
+//! decided-exchange round events: any change that moves a hold, a placement
+//! or a delivered message shows up here as one failed assert.
 
 use p2p_mpi::prelude::*;
 use p2pmpi_bench::experiments::{run_kernel_on_placement, Fig4Kernel, Fig4Settings};
-use p2pmpi_bench::workload::{run_day_sweep, DaySweepConfig};
+use p2pmpi_bench::shard::{run_shard_sweep, ShardSweepConfig};
+use p2pmpi_bench::workload::{run_day_sweep, DayProfile, DaySweepConfig, DaySweepResult};
 use p2pmpi_mpi::model::ModelComm;
 use p2pmpi_mpi::placement::Placement;
 use p2pmpi_nas::ft::{ft_model, FtConfig};
@@ -281,17 +283,23 @@ struct DayGolden {
     core_seconds_bits: u64,
 }
 
+impl DayGolden {
+    fn of(r: &DaySweepResult) -> Self {
+        DayGolden {
+            succeeded: r.succeeded,
+            failed: r.failed,
+            events_processed: r.events_processed,
+            mean_hold_bits: r.mean_hold_secs.to_bits(),
+            core_seconds_bits: r.core_seconds.iter().sum::<f64>().to_bits(),
+        }
+    }
+}
+
 fn ci_day(mut cfg: DaySweepConfig) -> DayGolden {
     cfg.profile = cfg.profile.scaled(0.05);
     let r = run_day_sweep(&cfg.compress(24.0));
     assert_eq!(r.submitted, 1134);
-    DayGolden {
-        succeeded: r.succeeded,
-        failed: r.failed,
-        events_processed: r.events_processed,
-        mean_hold_bits: r.mean_hold_secs.to_bits(),
-        core_seconds_bits: r.core_seconds.iter().sum::<f64>().to_bits(),
-    }
+    DayGolden::of(&r)
 }
 
 // Captured at commit 9275963 (PR 11), where every hold was a `ModelComm`
@@ -326,6 +334,50 @@ fn ci_day_goldens() {
             events_processed: 128_337,
             mean_hold_bits: 0x4022_1218_5568_8a5f,
             core_seconds_bits: 0x4105_5048_3aa5_0dbc,
+        }
+    );
+}
+
+// Captured at commit f124865 (PR 12), before brokering rounds resolved their
+// decided exchanges with one event; seed 2008.  The searched day plans,
+// books and pins every arrival's annealed placement; the week is the
+// `week_sweep --shards 4` smoke shape (`perf_report`'s CI-scale
+// `sustained_throughput` input), whose cross-shard jobs are brokered at
+// barriers on the coordinator.
+#[test]
+fn ci_searched_day_and_sharded_week_goldens() {
+    assert_eq!(
+        ci_day(DaySweepConfig::new(StrategyKind::Searched)),
+        DayGolden {
+            succeeded: 1134,
+            failed: 0,
+            events_processed: 137_842,
+            mean_hold_bits: 0x4018_714b_c784_f125,
+            core_seconds_bits: 0x4106_35fb_8066_bd5a,
+        }
+    );
+    let mut base = DaySweepConfig::new(StrategyKind::Spread);
+    base.profile = DayProfile::week();
+    base = base.compress(168.0);
+    base.profile = base.profile.scaled(0.02);
+    let week = run_shard_sweep(&ShardSweepConfig::new(base, 4));
+    assert_eq!(
+        (
+            week.merged.submitted,
+            week.cross_submitted,
+            week.cross_succeeded,
+            week.barriers
+        ),
+        (3052, 160, 12, 160)
+    );
+    assert_eq!(
+        DayGolden::of(&week.merged),
+        DayGolden {
+            succeeded: 1761,
+            failed: 1291,
+            events_processed: 334_401,
+            mean_hold_bits: 0x4019_4784_a6af_74b0,
+            core_seconds_bits: 0x4116_342e_1d79_860a,
         }
     );
 }
