@@ -45,11 +45,12 @@
 //!    (`DaySweepResult::steady_state_alloc_free`).
 //! 8. **placement_search** — the model-driven placement search
 //!    (`p2pmpi_bench::search` over `p2pmpi_mpi::model::PlacementCost`).
-//!    Four gates, all **exit non-zero** when violated: (a) delta evaluation
-//!    must be at least [`PLACEMENT_DELTA_SPEEDUP_MIN`]× cheaper per move
-//!    than a full model replay at 256 ranks (EP — the kernel whose `max()`
-//!    absorption makes delta evaluation pay; IS ring frontiers propagate
-//!    more broadly and are documented, not gated); (b) on every standard
+//!    Four gates, all **exit non-zero** when violated: (a) a move (one
+//!    full evaluator pass) must be at least
+//!    [`PLACEMENT_DELTA_SPEEDUP_MIN`]× cheaper than a full `ModelComm`
+//!    replay at 256 ranks of EP — the tree-only kernel, where the pass does
+//!    as many clock updates as the replay and wins on the memoized integer
+//!    transfer costs alone; (b) on every standard
 //!    scaled-Table-1 grid case the searched placement must be **no worse**
 //!    than best-of(concentrate, spread); (c) on the heterogeneity-skewed
 //!    `skewed_table1` grid it must be more than
@@ -58,18 +59,19 @@
 //!    [`PLACEMENT_SEARCH_WALL_BUDGET_S`] seconds of wall time (full runs
 //!    only; `--test` runs (a)–(c) at reduced scale).
 //! 9. **is_search** — the ring-dominated IS schedule at 1024 ranks through
-//!    the same evaluator: delta evaluation must be at least
+//!    the same evaluator: a move must be at least
 //!    [`IS_SEARCH_DELTA_SPEEDUP_MIN`]× cheaper than a full replay (the
-//!    pooled integer transfer tables versus per-receive float costing),
+//!    pooled integer transfer tables versus per-receive float costing, and
+//!    eight of the ten iterations fast-forwarded),
 //!    the ring caches must stay under [`IS_SEARCH_RING_CACHE_BYTES_MAX`]
-//!    (O(ranks·sites) tables, not the O(steps·ranks²) rows they replaced),
+//!    (O(ranks·sites) tables),
 //!    the searched placement must not lose to best-of(concentrate,
 //!    spread), and the at-scale search must finish within
 //!    [`IS_SEARCH_WALL_BUDGET_S`] (full runs; `--test` runs the relative
 //!    gates at IS@128).  The section also pins the `Uniform` ring
 //!    specialisation: IS's uniform sample alltoall must stay on the
 //!    move-invariant site×site table form and save at least
-//!    [`IS_SEARCH_UNIFORM_SAVINGS_MIN`]× over the journaled `PerSrc`
+//!    [`IS_SEARCH_UNIFORM_SAVINGS_MIN`]× over the per-rank `PerSrc`
 //!    layout it would otherwise occupy.  All **exit non-zero** when
 //!    violated.
 //! 10. **scenario_matrix** — the fault-injection scenario matrix
@@ -114,14 +116,13 @@
 //!     shapes) the warm per-arrival prepare must be at least
 //!     [`ONLINE_WARM_PREPARE_SPEEDUP_MIN`]× cheaper than the cold
 //!     per-arrival build with bit-identical warm/cold plans, the warm and
-//!     cold searched *days* must produce bit-identical outcomes (the
-//!     rebase exactness contract of `p2pmpi_mpi::model` under the bursty
-//!     day's wholesale-heavy churn), and the searched compressed day's
+//!     cold searched *days* must produce bit-identical outcomes (a
+//!     rebased evaluator equals a fresh build, under the bursty day's
+//!     churn), and the searched compressed day's
 //!     mean job makespan must beat the best fixed strategy by at least
 //!     [`ONLINE_DAY_IMPROVEMENT_MIN`].  The day's own amortized prepare
-//!     numbers are reported as diagnostics (the bursty day displaces most
-//!     ranks on most arrivals, capping the warm prepare at the rebuild
-//!     cost — see [`ONLINE_WARM_PREPARE_SPEEDUP_MIN`]).  Full runs
+//!     numbers are reported as diagnostics (see
+//!     [`ONLINE_WARM_PREPARE_SPEEDUP_MIN`]).  Full runs
 //!     additionally hold the searched day inside
 //!     [`ONLINE_DAY_WALL_BUDGET_S`] of wall time.
 //!
@@ -133,7 +134,7 @@
 //! reduced scale, the scenario matrix (10) and the sustained
 //! sharded-throughput section (12) at its CI-smoke scale, with the same
 //! *relative* gates (ladder-vs-calendar on the skewed trace, sweep default
-//! within noise of the best, allocation-free steady state, delta-vs-replay
+//! within noise of the best, allocation-free steady state, move-vs-replay
 //! speedups, ring cache ceiling and Uniform savings, search quality, the
 //! warm-prepare speedup and warm==cold exactness, the searched-day
 //! improvement, every scenario verdict, the architecture-aware shard
@@ -933,12 +934,13 @@ fn previous_block(prior: Option<&str>, section: &str, keys: &[&str]) -> String {
 // placement_search
 // ---------------------------------------------------------------------------
 
-/// Required per-move speedup of delta evaluation over a full model replay
-/// (EP at 256 ranks; observed ~10–13×).  EP is the gated kernel because its
-/// `max()`-absorbing trees keep the affected set small; IS's ring frontiers
-/// propagate more broadly and its ratio is closer to 1 — reported in the
-/// docs, not gated.
-const PLACEMENT_DELTA_SPEEDUP_MIN: f64 = 5.0;
+/// Required per-move speedup of the evaluator over a full `ModelComm`
+/// replay at EP@256.  A move is one full pass: on a tree-only schedule it
+/// does the same 1 276 clock updates as the replay, minus the float
+/// transfer math (memoized integer costs) and the stats accounting —
+/// measured 4.1–4.6× (7.1 µs against 32.8 µs), so the floor sits under
+/// what one pass can deliver on a tree-only schedule.
+const PLACEMENT_DELTA_SPEEDUP_MIN: f64 = 3.0;
 
 /// Required improvement of the searched placement over
 /// best-of(concentrate, spread) on the heterogeneity-skewed grid
@@ -972,7 +974,7 @@ struct PlacementSearchSection {
     budget: Option<(f64, SearchReport)>,
 }
 
-/// Ring-cache byte accounting returned by [`measure_delta_vs_replay`]:
+/// Ring-cache byte accounting returned by [`measure_move_vs_replay`]:
 /// the total the evaluator holds plus the `Uniform` specialisation's share
 /// and the `PerSrc` bytes those tables would otherwise occupy.
 struct RingCacheStats {
@@ -982,11 +984,11 @@ struct RingCacheStats {
     uniform_per_src_bytes: usize,
 }
 
-/// Times delta evaluation (apply + commit of a random move mix) against a
+/// Times a move (apply + commit of a random move mix) against a
 /// full `ModelComm` replay of the same schedule at `ranks` ranks of
-/// `kernel`.  Returns `(delta_ns, replay_ns, avg_delta_ops, schedule_ops,
+/// `kernel`.  Returns `(move_ns, replay_ns, avg_ops_per_move, schedule_ops,
 /// ring_cache_stats)`.
-fn measure_delta_vs_replay(
+fn measure_move_vs_replay(
     kernel: Fig4Kernel,
     ranks: u32,
     moves: usize,
@@ -1023,23 +1025,23 @@ fn measure_delta_vs_replay(
             }
         })
         .collect();
-    // Warm the caches and branch predictors.
+    // Warm the transfer memo and branch predictors.
     for mv in mix.iter().take(moves / 10) {
         if cost.apply(*mv).is_ok() {
             cost.undo();
         }
     }
     let mut applied = 0usize;
-    let mut delta_ops = 0usize;
+    let mut pass_ops = 0usize;
     let start = Instant::now();
     for mv in &mix {
         if cost.apply(*mv).is_ok() {
             applied += 1;
-            delta_ops += cost.last_delta_ops();
+            pass_ops += cost.last_delta_ops();
             cost.commit();
         }
     }
-    let delta_ns = ns_per_iter(start.elapsed().as_nanos(), applied);
+    let move_ns = ns_per_iter(start.elapsed().as_nanos(), applied);
     let start = Instant::now();
     for _ in 0..replays {
         black_box(cost.oracle_cost());
@@ -1047,9 +1049,9 @@ fn measure_delta_vs_replay(
     let replay_ns = ns_per_iter(start.elapsed().as_nanos(), replays);
     let (uniform_tables, uniform_bytes, uniform_per_src_bytes) = cost.uniform_ring_summary();
     (
-        delta_ns,
+        move_ns,
         replay_ns,
-        delta_ops as f64 / applied.max(1) as f64,
+        pass_ops as f64 / applied.max(1) as f64,
         schedule_ops,
         RingCacheStats {
             bytes: cost.ring_cache_bytes(),
@@ -1062,13 +1064,13 @@ fn measure_delta_vs_replay(
 
 fn measure_placement_search(test_mode: bool) -> PlacementSearchSection {
     let settings = Fig4Settings::default().modeled();
-    // The ≥5x gate is defined at 256 ranks in both modes (only the number
+    // The speedup gate is defined at 256 ranks in both modes (only the number
     // of timed moves shrinks under --test).
     let delta_ranks = 256;
-    eprintln!("measuring placement-search delta evaluation vs full replay (EP@{delta_ranks})...");
+    eprintln!("measuring a placement-search move vs a full replay (EP@{delta_ranks})...");
     let (timed_moves, replays) = if test_mode { (600, 60) } else { (2_000, 200) };
     let (delta_ns_per_move, replay_ns, avg_delta_ops, schedule_ops, _) =
-        measure_delta_vs_replay(Fig4Kernel::Ep, delta_ranks, timed_moves, replays);
+        measure_move_vs_replay(Fig4Kernel::Ep, delta_ranks, timed_moves, replays);
 
     let standard_cases: &[(Fig4Kernel, u32, u64, u32)] = if test_mode {
         &[(Fig4Kernel::Ep, 64, 800, 2), (Fig4Kernel::Is, 16, 300, 2)]
@@ -1163,7 +1165,7 @@ fn check_placement_search_gates(p: &PlacementSearchSection) -> bool {
     let mut drifted = false;
     if p.delta_speedup < PLACEMENT_DELTA_SPEEDUP_MIN {
         eprintln!(
-            "FAIL: delta evaluation ({:.0} ns/move) is only {:.1}x cheaper than a full replay \
+            "FAIL: a move ({:.0} ns) is only {:.1}x cheaper than a full replay \
              ({:.0} ns) at EP@{} — the gate requires {PLACEMENT_DELTA_SPEEDUP_MIN}x",
             p.delta_ns_per_move, p.delta_speedup, p.replay_ns, p.delta_ranks
         );
@@ -1209,25 +1211,24 @@ fn check_placement_search_gates(p: &PlacementSearchSection) -> bool {
 // is_search
 // ---------------------------------------------------------------------------
 
-/// Required per-move speedup of delta evaluation over a full `ModelComm`
-/// replay on the *ring-dominated* IS schedule at 1024 ranks.  A move still
-/// re-runs every ring's O(ranks²) wavefront, so this is a constant-factor
-/// gate, not an asymptotic one: the pooled integer transfer tables must
-/// keep beating the replay's per-receive float `transfer_time` + stats
-/// accounting by a healthy margin (observed well above the 5× floor).
+/// Required per-move speedup of the evaluator over a full `ModelComm`
+/// replay on the *ring-dominated* IS schedule at 1024 ranks.  A move runs
+/// the O(ranks²) wavefront of every ring of the first two iterations and
+/// fast-forwards the other eight, over pooled integer transfer tables
+/// where the replay pays a per-receive float `transfer_time` + stats
+/// accounting (observed ≈ 80×, far above the 5× floor).
 const IS_SEARCH_DELTA_SPEEDUP_MIN: f64 = 5.0;
 
-/// Ceiling on [`PlacementCost::ring_cache_bytes`] at IS@1024.  The pooled
-/// tables are O(ranks · sites); the per-(step, rank) rows they replaced
-/// were O(steps · ranks²) ≈ 168 MB at this shape.
+/// Ceiling on [`PlacementCost::ring_cache_bytes`] at IS@1024: the pooled
+/// tables are O(ranks · sites).
 const IS_SEARCH_RING_CACHE_BYTES_MAX: usize = 1 << 20;
 
 /// Floor on the compression of the move-invariant `Uniform` site×site ring
-/// tables versus the journaled `PerSrc` layout they would otherwise occupy
+/// tables versus the per-rank `PerSrc` layout they would otherwise occupy
 /// (a `tsame` entry plus a site row per rank).  IS's sample alltoall is
 /// uniform, so at least one pooled table must hold the form — losing it
-/// (or its compression) regresses both the bytes and the no-journaling
-/// move fast path the specialisation buys.
+/// (or its compression) regresses both the bytes and the rows a
+/// site-changing move re-derives.
 const IS_SEARCH_UNIFORM_SAVINGS_MIN: f64 = 8.0;
 
 /// Wall budget of the full-scale IS search shape (1024 ranks, 400 moves,
@@ -1266,9 +1267,9 @@ fn measure_is_search(test_mode: bool) -> IsSearchSection {
     } else {
         (1024, 30, 8)
     };
-    eprintln!("measuring IS delta evaluation vs full replay (IS@{ranks})...");
+    eprintln!("measuring an IS move vs a full replay (IS@{ranks})...");
     let (delta_ns_per_move, replay_ns, avg_delta_ops, schedule_ops, ring) =
-        measure_delta_vs_replay(Fig4Kernel::Is, ranks, timed_moves, replays);
+        measure_move_vs_replay(Fig4Kernel::Is, ranks, timed_moves, replays);
 
     let (search_moves, search_chains) = if test_mode { (120, 2) } else { (400, 2) };
     eprintln!("measuring IS search at scale (IS@{ranks}, {search_moves} moves x {search_chains} chains)...");
@@ -1313,7 +1314,7 @@ fn check_is_search_gates(s: &IsSearchSection) -> bool {
     let mut drifted = false;
     if s.delta_speedup < IS_SEARCH_DELTA_SPEEDUP_MIN {
         eprintln!(
-            "FAIL: IS@{} delta evaluation ({:.0} ns/move) is only {:.1}x cheaper than a full \
+            "FAIL: IS@{} move ({:.0} ns) is only {:.1}x cheaper than a full \
              replay ({:.0} ns) — the gate requires {IS_SEARCH_DELTA_SPEEDUP_MIN}x",
             s.ranks, s.delta_ns_per_move, s.delta_speedup, s.replay_ns
         );
@@ -1368,24 +1369,20 @@ fn check_is_search_gates(s: &IsSearchSection) -> bool {
 /// [`PlacementCost::rebase`] resync of the pooled kernel shape plus the
 /// Fenwick free-slot resync) over the cold one (a full evaluator build;
 /// the compiled schedule comes from the process-wide cache on both arms,
-/// so a cold arrival pays no compile — measured 4.2×, 6.3 µs against
-/// 26 µs), measured in the steady-state regime the pool targets: light
-/// host-granular occupancy churn between consecutive
-/// arrivals of the day-mix shapes, where the repaired seed
-/// (`SearchContext::seed_for`) displaces only the ranks whose hosts
-/// changed hands and the rebase stays on the delta path.  The annealing
-/// walk after prepare is common to both paths, so the gate isolates
-/// exactly what the cross-job cache pool saves per arrival.
+/// so a cold arrival pays no compile), measured under light
+/// host-granular occupancy churn between consecutive arrivals of the
+/// day-mix shapes.  The annealing walk after prepare is common to both
+/// paths, so the gate isolates exactly what the pool saves per arrival.
 ///
-/// The compressed paper day is the adversarial regime, not the gated
-/// one: its arrival-weighted contention is extreme (bursts dominate the
-/// arrival count, hosts are all-or-nothing under one-app-per-MPD, and
-/// every plan chases the same fastest hosts), so most arrivals displace
-/// most ranks and the wholesale rebase fallback caps the warm prepare at
-/// the rebuild cost — under 3x cheaper than the cold build.  The day's
-/// amortized prepare numbers are therefore reported as diagnostics in
-/// the `day` block but held only to the bit-exactness gate, not to this
-/// floor.
+/// Both arms repair the seed and cost it with the same full pass; the warm
+/// one skips the allocations, the ring-table build and the Fenwick build
+/// and measures 1.4–1.8× (6–8 µs against 9–11 µs).  This floor is **not
+/// met**: the section fails and `--test` exits non-zero on it until the
+/// pool is deleted, gate included (ROADMAP item 5).
+///
+/// The compressed paper day's amortized prepare numbers are reported as
+/// diagnostics in the `day` block and held only to the bit-exactness gate,
+/// not to this floor: prepare is under 2% of an arrival there.
 const ONLINE_WARM_PREPARE_SPEEDUP_MIN: f64 = 3.0;
 
 /// Hosts toggled busy<->free between consecutive arrivals of the
@@ -1624,14 +1621,14 @@ fn check_online_placement_gates(o: &OnlinePlacementSection) -> bool {
     if !o.bench.plans_equal {
         eprintln!(
             "FAIL: the warm (rebased) and cold (fresh-build) steady-state searches diverged — \
-             the rebase exactness contract of p2pmpi_mpi::model is broken"
+             PlacementCost::rebase no longer equals a fresh build"
         );
         drifted = true;
     }
     if !o.warm_equals_cold {
         eprintln!(
             "FAIL: the warm (rebased) searched day diverged from the cold fresh-build replay — \
-             the rebase exactness contract of p2pmpi_mpi::model is broken"
+             PlacementCost::rebase no longer equals a fresh build"
         );
         drifted = true;
     }
@@ -1710,7 +1707,7 @@ fn main() {
         );
         let ps = measure_placement_search(true);
         eprintln!(
-            "placement_search (reduced): delta {:.0} ns/move vs replay {:.0} ns ({:.1}x), \
+            "placement_search (reduced): move {:.0} ns vs replay {:.0} ns ({:.1}x), \
              skewed improvement {:.1}%",
             ps.delta_ns_per_move,
             ps.replay_ns,
@@ -1729,7 +1726,7 @@ fn main() {
         }
         let is_search = measure_is_search(true);
         eprintln!(
-            "is_search (reduced, IS@{}): delta {:.0} ns/move vs replay {:.0} ns ({:.1}x), \
+            "is_search (reduced, IS@{}): move {:.0} ns vs replay {:.0} ns ({:.1}x), \
              ring caches {} bytes ({} Uniform tables: {} bytes vs {} PerSrc-equivalent), \
              search {:.1}s wall",
             is_search.ranks,
@@ -2298,7 +2295,7 @@ fn main() {
     "previous": {sustained_prev}
   }},
   "placement_search": {{
-    "description": "model-driven placement search (p2pmpi_bench::search annealing over p2pmpi_mpi::model::PlacementCost): delta evaluation re-costs a move in O(affected ranks) against cached per-segment clocks instead of a full model replay; gates (all fail non-zero): delta >= {PLACEMENT_DELTA_SPEEDUP_MIN}x cheaper per move than the ModelComm replay at EP@256, searched never worse than best-of(concentrate, spread) on the standard grids, > {PLACEMENT_SKEWED_IMPROVEMENT_MIN} better on the skewed grid, and the EP@1024 10k-move 4-chain search within {PLACEMENT_SEARCH_WALL_BUDGET_S}s wall",
+    "description": "model-driven placement search (p2pmpi_bench::search annealing over p2pmpi_mpi::model::PlacementCost): a move is costed by one full evaluator pass over memoized integer transfer costs (repeated blocks fast-forwarded; EP has none) instead of a ModelComm replay; gates (all fail non-zero): a move >= {PLACEMENT_DELTA_SPEEDUP_MIN}x cheaper than the ModelComm replay at EP@256, searched never worse than best-of(concentrate, spread) on the standard grids, > {PLACEMENT_SKEWED_IMPROVEMENT_MIN} better on the skewed grid, and the EP@1024 10k-move 4-chain search within {PLACEMENT_SEARCH_WALL_BUDGET_S}s wall",
     "delta_vs_full_replay": {{
       "kernel": "Ep",
       "ranks": {ps_delta_ranks},
@@ -2335,7 +2332,7 @@ fn main() {
     "previous": {placement_prev}
   }},
   "is_search": {{
-    "description": "the ring-dominated IS schedule at 1024 ranks through the same incremental evaluator: the compact pooled transfer tables (p2pmpi_mpi::model, O(ranks x sites) bytes vs the O(steps x ranks^2) rows they replaced) must keep a delta move >= {IS_SEARCH_DELTA_SPEEDUP_MIN}x cheaper than a full ModelComm replay, hold the ring caches under ring_cache_bytes_max, never lose to best-of(concentrate, spread), and finish the at-scale search inside search_budget_s wall (full runs) — all fail non-zero",
+    "description": "the ring-dominated IS schedule at 1024 ranks through the same evaluator: the compact pooled transfer tables (p2pmpi_mpi::model, O(ranks x sites) bytes) and the fast-forward of lockstep iterations must keep a move >= {IS_SEARCH_DELTA_SPEEDUP_MIN}x cheaper than a full ModelComm replay, hold the ring caches under ring_cache_bytes_max, never lose to best-of(concentrate, spread), and finish the at-scale search inside search_budget_s wall (full runs) — all fail non-zero",
     "kernel": "Is",
     "ranks": {is_ranks},
     "schedule_ops": {is_schedule_ops},
@@ -2347,7 +2344,7 @@ fn main() {
     "ring_cache_bytes": {is_ring_bytes},
     "ring_cache_bytes_max": {IS_SEARCH_RING_CACHE_BYTES_MAX},
     "uniform_rings": {{
-      "description": "the move-invariant Uniform specialisation (p2pmpi_mpi::model::RingTable::Uniform): a uniform ring's transfer table is a site x site matrix keyed by static topology data only — never journaled by a move — versus the per-rank tsame + site-row PerSrc layout it would otherwise occupy; the savings floor fails non-zero",
+      "description": "the move-invariant Uniform specialisation (p2pmpi_mpi::model::RingTable::Uniform): a uniform ring's transfer table is a site x site matrix keyed by static topology data only — untouched by any move — versus the per-rank tsame + site-row PerSrc layout it would otherwise occupy; the savings floor fails non-zero",
       "uniform_ring_tables": {is_uniform_tables},
       "uniform_ring_bytes": {is_uniform_bytes},
       "per_src_equivalent_bytes": {is_uniform_per_src},
@@ -2367,9 +2364,9 @@ fn main() {
     "previous": {is_search_prev}
   }},
   "online_placement": {{
-    "description": "the day sweep's searched booking strategy (StrategyKind::Searched through SweepCore): every arrival re-runs the annealing search over the grid's current free cores, reusing one pooled warm PlacementCost + Fenwick free-slot index per kernel shape via rebase instead of rebuilding (p2pmpi_bench::search::SearchContext; warm-reuse contract in p2pmpi_mpi::model); gates (all fail non-zero): the warm per-arrival prepare >= {ONLINE_WARM_PREPARE_SPEEDUP_MIN}x cheaper than the cold one in the steady-state churn benchmark with bit-identical warm/cold plans, the warm and cold searched days bit-identical, the searched day's mean job makespan >= required_improvement better than the best fixed strategy, and (full runs) the searched day inside day_wall_budget_s",
+    "description": "the day sweep's searched booking strategy (StrategyKind::Searched through SweepCore): every arrival re-runs the annealing search over the grid's current free cores, reusing one pooled PlacementCost + Fenwick free-slot index per kernel shape, resynced by PlacementCost::rebase (one pass, no allocation, no ring-table build) where a cold arrival builds both (p2pmpi_bench::search::SearchContext); gates (all fail non-zero): the warm per-arrival prepare >= {ONLINE_WARM_PREPARE_SPEEDUP_MIN}x cheaper than the cold one in the steady-state churn benchmark with bit-identical warm/cold plans, the warm and cold searched days bit-identical, the searched day's mean job makespan >= required_improvement better than the best fixed strategy, and (full runs) the searched day inside day_wall_budget_s",
     "prepare": {{
-      "description": "per-arrival phase 1 in the steady-state regime the pool targets: {ONLINE_BENCH_CHURN_HOSTS} whole hosts change hands between consecutive arrivals of the day-mix shapes ({ONLINE_BENCH_BUSY_HOSTS} busy at start), so the repaired seed displaces only a handful of ranks and the warm PlacementCost::rebase stays on the delta path; warm = rebase + free-slot resync of the pooled shape, cold = the same arrival sequence with the pool dropped every time, paying a full evaluator build over the process-wide cached schedule; the annealing walk after prepare is common to both paths and the two must produce bit-identical plans",
+      "description": "per-arrival phase 1 in the steady-state regime the pool targets: {ONLINE_BENCH_CHURN_HOSTS} whole hosts change hands between consecutive arrivals of the day-mix shapes ({ONLINE_BENCH_BUSY_HOSTS} busy at start), so the repaired seed displaces only a handful of ranks; warm = PlacementCost::rebase + free-slot resync of the pooled shape, cold = the same arrival sequence with the pool dropped every time, paying a full evaluator build over the process-wide cached schedule; the annealing walk after prepare is common to both paths and the two must produce bit-identical plans",
       "steady_state_arrivals": {op_bench_arrivals},
       "churn_hosts_per_arrival": {ONLINE_BENCH_CHURN_HOSTS},
       "warm_prepare_us": {op_warm_us:.1},
@@ -2401,7 +2398,7 @@ fn main() {
         "amortized_search_us_per_arrival": {op_amortized_us:.1}
       }},
       "amortized_prepare": {{
-        "description": "day-amortized prepare diagnostics (not gated on the speedup floor — the bursty day's arrival-weighted contention displaces most ranks on most arrivals, so the wholesale rebase fallback caps the warm prepare at the rebuild cost; see the prepare block for the gated steady-state regime): warm = the searched day's prepare nanos per searching arrival, cold = the same day replayed with the pool disabled",
+        "description": "day-amortized prepare diagnostics (not gated on the speedup floor — prepare is under 2% of an arrival there; see the prepare block for the gated steady-state regime): warm = the searched day's prepare nanos per searching arrival, cold = the same day replayed with the pool disabled",
         "warm_prepare_us": {op_day_warm_us:.1},
         "cold_prepare_us": {op_day_cold_us:.1},
         "cold_prepare_wall_ms": {op_cold_prepare_ms:.1},
@@ -2461,10 +2458,10 @@ fn main() {
     // The relative queue gates (ladder-vs-calendar on the skewed trace, the
     // sweep default within noise of the best, allocation-free brokering) …
     drifted |= check_queue_gates(&q);
-    // … the placement-search gates (delta speedup, search quality, the
+    // … the placement-search gates (move speedup, search quality, the
     // skewed-grid margin, the wall budget) …
     drifted |= check_placement_search_gates(&ps);
-    // … the IS-at-scale gates (ring-delta speedup, the ring-cache memory
+    // … the IS-at-scale gates (ring-move speedup, the ring-cache memory
     // ceiling, the Uniform savings floor, search quality and wall budget
     // at 1024 ranks) …
     drifted |= check_is_search_gates(&is_search);

@@ -12,16 +12,17 @@
 //! scaled just large enough (`--skewed` swaps in the heterogeneity-skewed
 //! grid of `p2pmpi_grid5000::sites::skewed_table1`, where fixed strategies
 //! are provably poor).  The search itself lives in `p2pmpi_bench::search`;
-//! its hot path is the incremental evaluator of `p2pmpi_mpi::model`, which
-//! re-costs a candidate move against cached per-segment state instead of a
-//! full model replay — `perf_report`'s `placement_search` and `is_search`
-//! sections gate that speedup and the search quality.
+//! its hot path is the evaluator of `p2pmpi_mpi::model`, which costs a
+//! candidate move with one integer pass over the compiled schedule instead
+//! of a full model replay — `perf_report`'s `placement_search` and
+//! `is_search` sections gate that speedup and the search quality.
 //!
 //! Ring kernels (IS, FT): the evaluator's ring state is pooled transfer
 //! tables of O(ranks · sites) bytes (see the `p2pmpi_mpi::model` memory
-//! note), so alltoall-heavy searches run at 1024+ ranks; a move still
-//! replays each ring's wavefront, so their per-move cost is higher than
-//! EP's — budget moves accordingly (`SearchParams::default_for`).
+//! note), so alltoall-heavy searches run at 1024+ ranks; a move runs each
+//! ring's wavefront for the first two iterations and fast-forwards the
+//! rest, so their per-move cost is still higher than EP's — budget moves
+//! accordingly (`SearchParams::default_for`).
 
 use p2pmpi_bench::cliargs as util;
 use p2pmpi_bench::experiments::{Fig4Kernel, Fig4Settings};

@@ -4,11 +4,12 @@
 //! The paper compares exactly two fixed allocation strategies — concentrate
 //! and spread — because on the physical testbed each Figure 4 point was an
 //! expensive real run.  The analytical backend (`p2pmpi_mpi::model`) makes a
-//! point cost milliseconds, and its incremental evaluator
-//! ([`PlacementCost`]) makes a candidate *move* cost microseconds, which
-//! turns the model from a validator into an optimizer: anneal over host
-//! assignments and return a placement at least as good as either fixed
-//! strategy (and usually better wherever the grid is heterogeneous).
+//! point cost milliseconds, and its evaluator ([`PlacementCost`]) costs a
+//! candidate *move* with one integer pass over the compiled schedule —
+//! microseconds at the day mix's shapes — which turns the model from a
+//! validator into an optimizer: anneal over host assignments and return a
+//! placement at least as good as either fixed strategy (and usually better
+//! wherever the grid is heterogeneous).
 //!
 //! # Moves and feasibility
 //!
@@ -94,10 +95,10 @@ impl Default for SearchParams {
 }
 
 impl SearchParams {
-    /// Per-kernel default move budget.  EP's delta moves are near-free
-    /// (frontier absorption kills most of the schedule), so it can afford
-    /// the full 4 000-move budget; IS and FT rings re-run an O(n²)
-    /// wavefront per ring segment per move, so their defaults trade moves
+    /// Per-kernel default move budget.  An EP move is one O(n) pass over
+    /// three tree segments, so it can afford the full 4 000-move budget; an
+    /// IS or FT move runs an O(n²) wavefront per ring of its first two
+    /// iterations (the rest fast-forward), so their defaults trade moves
     /// for wall-clock — the skewed-grid improvement saturates well before
     /// 1 500 moves on the communication-bound kernels, whose landscape is
     /// dominated by the site-count term rather than per-host speed.
@@ -273,9 +274,9 @@ struct ScheduleKey {
 /// distinct (kernel, settings, rank count) the process ever costs, each
 /// O(ranks) bytes per tree collective
 /// ([`CompiledSchedule::heap_bytes`]) — six shapes for a day sweep (EP@8–128,
-/// IS@8/32: 57 KB together); the largest the benchmark and CI build,
-/// IS@1024, is 715 KB (a `--ranks` sweep adds one entry per point: IS@4096
-/// is 2.9 MB).
+/// IS@8/32: 31 KB together); the largest the benchmark and CI build,
+/// IS@1024, is 354 KB (a `--ranks` sweep adds one entry per point: IS@4096
+/// is 1.4 MB).
 pub fn cached_kernel_schedule(
     kernel: Fig4Kernel,
     settings: &Fig4Settings,
@@ -439,11 +440,10 @@ struct AnnealOutcome {
 
 /// The annealing walk proper, over an evaluator and idle-slot index the
 /// caller prepared (freshly built by [`run_chain`], or rebased warm by a
-/// [`SearchContext`]).  Leaves `cost` at the last *accepted* assignment —
-/// exactly the state a warm context wants cached, since the next arrival's
-/// rebase diffs against it.  Deterministic per `chain_seed` for a given
-/// starting state, which is what makes warm == cold bit-exactness follow
-/// from [`PlacementCost::rebase`]'s exactness.
+/// [`SearchContext`]).  Leaves `cost` at the last *accepted* assignment.
+/// Deterministic per `chain_seed` for a given starting state, which is what
+/// makes warm == cold bit-exactness follow from
+/// [`PlacementCost::rebase`]'s exactness.
 fn anneal(
     cost: &mut PlacementCost,
     idle: &mut IdleSlotIndex,
@@ -707,12 +707,11 @@ struct ShapeEntry {
 /// `SweepCore::submit`: a pool of warm [`PlacementCost`] evaluators keyed
 /// by kernel shape — (kernel, rank count), the same pooling idea as the
 /// evaluator's ring tables — each rebased per arrival instead of rebuilt
-/// (see the warm-reuse contract in `p2pmpi_mpi::model`).  The day mix
-/// repeats a handful of shapes (ranks 8–128), so after the first sighting
-/// of each shape every arrival runs warm — and seeds from the shape's
-/// previous annealed plan repaired for the new occupancy
-/// ([`Self::seed_for`]), so the rebase diff is the handful of displaced
-/// ranks rather than a wholesale reshuffle.
+/// ([`PlacementCost::rebase`]: one pass, no allocation, no ring-table
+/// build).  The day mix repeats a handful of shapes (ranks 8–128), so after
+/// the first sighting of each shape every arrival runs warm — and seeds
+/// from the shape's previous annealed plan repaired for the new occupancy
+/// ([`Self::seed_for`]).
 pub struct SearchContext {
     topology: Arc<Topology>,
     settings: Fig4Settings,
@@ -781,11 +780,10 @@ impl SearchContext {
     /// has a free slot stays put (first keeper wins a contended slot), the
     /// displaced ones take the fastest remaining free cores.  Falls back
     /// to [`Self::seed_hosts_capped`] on a shape's first sighting.  The
-    /// repair is what keeps the warm [`PlacementCost::rebase`] diff small:
-    /// between two arrivals of a shape only the cores that changed hands
-    /// displace ranks, so the warm prepare stays on the delta path instead
-    /// of degenerating into a full recompute.  `None` when the free cores
-    /// cannot hold `n` ranks (the same condition as the capped seed).
+    /// repair starts each walk from what the last one learned: between two
+    /// arrivals of a shape only the cores that changed hands displace
+    /// ranks.  `None` when the free cores cannot hold `n` ranks (the same
+    /// condition as the capped seed).
     fn seed_for(&self, kernel: Fig4Kernel, n: u32, caps: &[u32]) -> Option<Vec<HostId>> {
         let Some((_, _, prev)) = self
             .last_plan
@@ -890,14 +888,9 @@ impl SearchContext {
             self.params.moves,
             chain_seed,
         );
-        // Park the pooled evaluator on the best placement: the walk ends
-        // at its last *accepted* state, typically dozens of ranks from
-        // the best, and the next arrival of this shape seeds from the
-        // best — without the re-park that drift alone would push every
-        // warm rebase onto the wholesale path.  The idle index is left
-        // stale: `prepare` fully resyncs it from the arrival's capacities
-        // before the next walk, and it is the only path into a walk.
-        entry.cost.rehome(&a.best_hosts);
+        // The pooled evaluator and idle index stay wherever the walk
+        // ended: `prepare` rebases both onto the next arrival's seed and
+        // capacities before the next walk, and it is the only path into one.
         self.stats.moves_evaluated += a.evaluated;
         let (kernel, ranks) = (entry.kernel, entry.ranks);
         match self

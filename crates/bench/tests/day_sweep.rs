@@ -285,8 +285,8 @@ fn searched_day_sweep_is_bit_identical_across_queues_and_warm_vs_cold() {
     // or from whether the evaluator pool ran warm.  So (a) the three queue
     // kinds must agree bit-for-bit, exactly like the fixed strategies, and
     // (b) forcing every arrival down the cold rebuild path (`search_cold`)
-    // must reproduce the warm run's outcomes — the day-scale face of the
-    // `PlacementCost::rebase` exactness contract.
+    // must reproduce the warm run's outcomes — the day-scale face of
+    // `PlacementCost::rebase` equalling a fresh build.
     let run = |kind: QueueKind, cold: bool| {
         let mut cfg = DaySweepConfig::new(StrategyKind::Searched).compress(24.0);
         cfg.profile = cfg.profile.scaled(0.01);

@@ -13,7 +13,7 @@ use p2pmpi_simgrid::topology::{HostId, Topology};
 
 /// Slot capacity of every host, in host-id order — the core count, which is
 /// both the owner preference `P` of the paper's experiments and the bound
-/// the incremental evaluator (`p2pmpi_mpi::model::PlacementCost`) enforces
+/// the placement evaluator (`p2pmpi_mpi::model::PlacementCost`) enforces
 /// on migrates.
 pub fn host_capacities(topology: &Topology) -> Vec<u32> {
     topology.hosts().iter().map(|h| h.cores as u32).collect()

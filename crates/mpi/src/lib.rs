@@ -23,8 +23,8 @@
 //! * [`model`] — LogGP-style analytical prediction of the collectives'
 //!   virtual-time cost, for sweeps past the thread-per-rank scale
 //!   ([`model::CollectiveBackend`] selects executed vs modeled), plus the
-//!   incremental placement evaluator ([`model::PlacementCost`]) the
-//!   placement search runs on.
+//!   placement evaluator ([`model::PlacementCost`]) the placement search
+//!   runs on.
 //!
 //! ## Example
 //!

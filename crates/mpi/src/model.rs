@@ -1,5 +1,5 @@
 //! LogGP-style analytical cost model of the collective operations — and the
-//! incremental (delta) placement evaluator built on top of it.
+//! placement evaluator built on top of it.
 //!
 //! The executed runtime ([`crate::runtime::MpiRuntime::run`]) spawns one OS
 //! thread per rank and lets the virtual-time cost of a collective *emerge*
@@ -72,7 +72,7 @@
 //!   the **production** evaluator, in two forms over one full-pass routine:
 //!   [`PlacementCost::cost_of`] costs one fixed assignment (every placed
 //!   job of a sweep, every modeled Figure 4 point), and a `PlacementCost`
-//!   *value* re-costs a *mutable* assignment incrementally (the placement
+//!   *value* re-costs a *mutable* assignment move by move (the placement
 //!   search).
 //!
 //! Because all three share the default-method schedules, "the model", "the
@@ -94,121 +94,116 @@
 //! Everything that *charges* a makespan goes through the evaluator's full
 //! pass instead: tree messages through a `(byte size, link class)` memo,
 //! rings through pooled transfer tables and a branchless u64 wavefront
-//! (~2 ns per receive).  The same pass fills the delta caches of a
-//! searching `PlacementCost`, so the objective a search optimises and the
-//! makespan a sweep charges are one code path, not two that agree.
-//! `cost_of` keeps none of the search's state — no per-segment clocks, no
-//! journal, no per-host resident lists, nothing sized by the topology's
-//! host count beyond one zeroed counter per host — so small jobs gain too:
-//! measured on the day mix's shapes, EP@8–128 costs 0.4–3 µs where the
-//! `ModelComm` replay took 0.9–30 µs, IS@8 5 µs against 20, IS@32 ~40 µs
-//! against ~300.
+//! (~2 ns per receive), repeated blocks fast-forwarded (see the fast-forward
+//! contract below).  The same pass costs every move of a searching
+//! `PlacementCost`, so the objective a search optimises and the makespan a
+//! sweep charges are one code path, not two that agree.  `cost_of` keeps
+//! none of the search's state — no capacities, no second clock vector,
+//! nothing sized by the topology's host count beyond one zeroed counter per
+//! host — so small jobs gain too: measured on the day mix's shapes,
+//! EP@8–128 costs 0.4–3 µs where the `ModelComm` replay takes 0.9–30 µs,
+//! IS@8 ~3 µs against 20, IS@32 ~10 µs against ~300 (two of IS's ten
+//! iterations stepped, eight fast-forwarded).
 //!
 //! A compiled schedule is placement-independent, so callers compile each
 //! kernel shape once and share it (`p2pmpi_bench::search::
 //! cached_kernel_schedule` is the process-wide cache; its contract is
 //! documented there).
 //!
-//! # The delta-evaluation contract
+//! # The move contract
 //!
-//! [`PlacementCost`] exists to make *placement search* cheap: simulated
-//! annealing proposes a move (swap two ranks' hosts, or migrate one rank to
-//! an idle slot), asks for the new modeled makespan, and keeps or reverts
-//! it.  A full model replay costs O(schedule) per proposal; the delta
-//! evaluator costs O(affected ranks).
+//! [`PlacementCost`] exists for *placement search*: simulated annealing
+//! proposes a move (swap two ranks' hosts, or migrate one rank to an idle
+//! slot), asks for the new modeled makespan, and keeps or reverts it.
 //!
-//! **What is cached.**  Per segment of the compiled schedule (a compute
-//! phase, a run of tree messages, one ring collective), `PlacementCost`
-//! keeps the per-rank clocks at the segment boundary; per tree message, the
-//! (`in_src`, `in_dst`, `out_dst`) clock triple of its last evaluation; and
-//! a memo of LogGP transfer times keyed by (byte count, link class) — link
-//! class meaning same-host / directed site pair, the only thing the
-//! transfer cost depends on; the schedule interns its handful of distinct
-//! message sizes at compile time, so the memo is a dense table and a lookup
-//! is one indexed load.  Ring segments keep no per-step clocks at all:
-//! they share *pooled transfer tables*, one per distinct `Uniform`/`PerSrc`
-//! byte structure among the schedule's rings (pooled at compile time, in
-//! the schedule).  A `Uniform` ring (same byte
-//! count on every edge) collapses to one loopback scalar plus a
-//! *site×site* matrix (`site[src_site · sites + dst_site]`) keyed by static
-//! topology data only — O(sites²) bytes and **move-invariant**.  A
-//! `PerSrc` ring keeps each source rank's transfer nanoseconds to a
-//! co-resident (`tsame[src]`) and to a host at every destination site
-//! (`tsite[src · sites + site]`) — O(ranks · sites) bytes, independent of
-//! the step count.
+//! **`apply` is one full pass.**  It mutates the assignment — hosts,
+//! per-host resident counts, and the `PerSrc` ring rows of a rank that
+//! changed *site* — and runs [`PlacementCost::cost_of`]'s pass over the whole
+//! schedule into a second clock vector.  Nothing is cached per segment or
+//! per message: a move on the critical path dirties a whole allreduce and a
+//! ring must be re-run in full anyway, so incremental bookkeeping only pays
+//! from ~1 000 tree-only ranks up — above every shape the searched day and
+//! the benchmark run (ROADMAP item 5 has the measured crossover).
 //!
-//! **What a move invalidates.**  A move changes (a) the transfer cost of
-//! every message whose *endpoint rank* moved, and (b) the compute cost of
-//! every rank whose host or whose host's *resident count* changed (a swap
-//! preserves all resident counts; a migrate changes two hosts').  The delta
-//! pass walks the schedule visiting only operations whose inputs changed:
-//! a per-rank sorted index of tree messages seeds a worklist with the moved
-//! ranks' messages, and dirtiness propagates forward — a rank whose
-//! recomputed clock *re-matches* the cached trajectory leaves the dirty set
-//! immediately (the `max()` in the receive rule absorbs most perturbations),
-//! which is what bounds the affected set in practice.  A moved rank whose
-//! *site* changed additionally rewrites its `tsite` row in every pooled
-//! `PerSrc` table (journaled as `RingRow` entries); `tsame` is
-//! host-independent and `Uniform` tables are site-keyed, so neither ever
-//! changes.  A ring segment is then re-run as a two-row integer
-//! *wavefront* over the tables — `C[d] = max(C'[d], C'[src] + t) + o` per
-//! step, pure u64 nanosecond arithmetic, no float math and no hashing, over
-//! a per-rank host/site view and co-location list derived once per pass — and
-//! only the exit clocks that differ from the segment boundary are journaled
-//! and carried forward as the dirty frontier.  Every cache mutation is
-//! journaled, so [`PlacementCost::undo`] restores the pre-move state
-//! exactly and [`PlacementCost::commit`] is O(1).
+//! **What survives a move.**  The `(byte count, link class)` transfer memo
+//! of tree messages — link class meaning same-host / directed site pair,
+//! the only thing a transfer cost depends on; the schedule interns its
+//! handful of distinct message sizes at compile time, so the memo is a
+//! dense table and a lookup is one indexed load.  And the rings' *pooled
+//! transfer tables*, one per distinct `Uniform`/`PerSrc` byte structure
+//! among the schedule's rings (pooled at compile time, in the schedule).  A
+//! `Uniform` ring (same byte count on every edge) collapses to one loopback
+//! scalar plus a *site×site* matrix keyed by static topology data only —
+//! O(sites²) bytes and **move-invariant**.  A `PerSrc` ring keeps each
+//! source rank's transfer nanoseconds to a co-resident (`tsame[src]`,
+//! host-independent) and to a host at every destination site
+//! (`tsite[src · sites + site]`) — O(ranks · sites) bytes; a row is a pure
+//! function of the rank's host and byte count, so a site-changing move
+//! re-derives it and `undo` re-derives it back from the old host.
 //!
-//! **Exactness.**  Delta-after-move equals a from-scratch replay bit for
-//! bit, per rank — pinned by `crates/mpi/tests/placement_cost_prop.rs` over
-//! random schedules, placements and move sequences, with
-//! [`PlacementCost::oracle_clocks`] (a fresh `ModelComm` replay) as the
-//! oracle.  The wavefront is exact because `SimTime` is a plain u64
-//! nanosecond counter and the table entries are the very
-//! `NetworkModel::transfer_time` values the replay computes; a ring's cost
-//! is a max-plus product of n−1 banded matrices, so a single move perturbs
-//! O(n) of its edges and *every* exit clock can depend on them — which is
-//! why the wavefront re-derives all n−1 steps instead of chasing a sparse
-//! frontier, and why it wins: ~3 ns per receive against the replay's float
-//! transfer math and stats accounting.  A capacity-violating migrate is
-//! rejected without touching any state.
+//! **`undo` is a swap and a restore; `commit` is O(1).**
+//! [`PlacementCost::clocks`] always holds the final per-rank clocks of the
+//! current assignment; the vector `apply` displaced holds the previous
+//! assignment's, so `undo` swaps the two back and restores hosts, resident
+//! counts and ring rows.  A capacity-violating migrate is rejected without
+//! touching any state.  [`PlacementCost::rebase`] — the online searcher's
+//! resync of a pooled evaluator with a new arrival's seed placement and free
+//! capacities — adopts both and runs the same pass once (or none when the
+//! assignment did not change: capacities feed only `apply`'s feasibility
+//! check, never a clock).
 //!
-//! **Memory.**  The caches are O(schedule): trees cost three clocks per
-//! message; rings cost O(ranks · sites) for the pooled tables plus two
-//! O(ranks) scratch rows, shared across *all* ring segments with the same
-//! byte structure ([`PlacementCost::ring_cache_bytes`] reports the total).
-//! IS at 1024 ranks holds a few tables of ~64 KB — versus the ≈168 MB of
-//! per-(step, rank) clock rows this design replaced — so IS and other
-//! alltoall-heavy kernels stay searchable at 1024+ ranks.
+//! **Exactness.**  The clocks after any move sequence equal a from-scratch
+//! [`ModelComm`] replay bit for bit, per rank — pinned by
+//! `crates/mpi/tests/placement_cost_prop.rs` over random schedules,
+//! placements and move sequences, with [`PlacementCost::oracle_clocks`] as
+//! the oracle.  A ring is a two-row integer *wavefront* over the tables —
+//! `C[d] = max(C'[d], C'[src] + t) + o` per step, pure u64 nanosecond
+//! arithmetic over a per-rank host/site view and co-location list derived
+//! once per pass — exact because `SimTime` is a plain u64 nanosecond
+//! counter and the table entries are the very `NetworkModel::transfer_time`
+//! values the replay computes.
 //!
-//! # The cross-job warm-reuse contract
+//! **Memory.**  Two clock vectors, the memo, and for rings O(ranks · sites)
+//! of pooled tables plus O(ranks) scratch rows shared across *all* ring
+//! segments with the same byte structure
+//! ([`PlacementCost::ring_cache_bytes`] reports the total): IS at 1024 ranks
+//! holds a few tables of ~64 KB.
 //!
-//! An online placement searcher (the day sweep's `searched` strategy) keeps
-//! one warm `PlacementCost` per *kernel shape* — (program, rank count) —
-//! across arrivals, because the job mix repeats a handful of shapes and the
-//! grid state drifts by only a few occupy/release events between them.
-//! [`PlacementCost::rebase`] is the resync point, and its invalidation
-//! rules are deliberately narrow:
+//! # The fast-forward contract
 //!
-//! * **Host diffs** are replayed as one wholesale multi-rank move: every
-//!   rank whose host differs re-derives exactly what a migrate would
-//!   (messages touching it, compute on touched hosts, `PerSrc` ring rows on
-//!   site changes), through the same delta pass ordinary moves use.
-//! * **Capacity changes invalidate nothing.**  The compute model's
-//!   contention term keys on `residents` — ranks of *this* schedule — so
-//!   other jobs occupying or releasing slots shifts only where future moves
-//!   may go, never any cached clock.  The new capacities take effect
-//!   immediately for subsequent `apply` feasibility checks.
-//! * **Everything topology-keyed survives forever**: the (link class,
-//!   bytes) transfer memo, `Uniform` ring tables, site representatives.
+//! Iterative kernels repeat one block of segments — IS's ten iterations are
+//! `[allreduce, alltoall, alltoallv, compute]` ten times.
+//! [`ScheduleBuilder::finish`] finds the longest run of three or more
+//! back-to-back *equal* blocks structurally (equal segments intern to equal
+//! ids; nothing is trusted from the caller) and records it on the schedule.
+//! The pass remembers the clocks entering each repetition; when every rank
+//! enters repetition `k` exactly one constant `c` later than it entered
+//! repetition `k − 1`, the remaining repetitions are an addition: every
+//! clock gains `(reps − k) · c` and the pass jumps past the run.
 //!
-//! `rebase` has commit semantics (the undo journal is cleared; no move can
-//! be undone across it) and is exact: a rebased warm evaluator is
-//! bit-identical to a fresh [`PlacementCost::new`] over the same arguments,
-//! pinned by proptest over random occupy/release interleavings in
-//! `tests/placement_cost_prop.rs`.  That exactness is what lets the online
-//! search run warm by default and prove itself against a cold rebuild only
-//! in tests and `perf_report`.
+//! *Why that is exact.*  On a fixed assignment every primitive commutes
+//! with a uniform shift of all clocks, as long as no u64 nanosecond
+//! addition saturates: a compute phase and `advance` add a
+//! clock-independent term per rank; a message maps `(in_src, in_dst)` to
+//! `(in_src + o, max(in_dst, in_src + o + t))`; a ring step is
+//! `max(C'[d], C'[src] + t) + o`.  So a block maps entry clocks `x + c` to
+//! exit clocks `F(x) + c`, and equal blocks entered at `x, x + c` are
+//! entered at `x + 2c, x + 3c, …` by induction.  *The overflow guard:*
+//! clocks only grow and every intermediate (an arrival time) is bounded by
+//! a final clock, so the skip is taken only if `max(clocks) + (reps − k)·c`
+//! fits a u64 — otherwise, and whenever the ranks did not advance in
+//! lockstep, the pass keeps stepping and tries again at the next
+//! repetition.  The decision is made per pass from the clocks alone: no
+//! flag, no per-kernel annotation, and a body whose rank groups never
+//! couple (or couple late) simply never (or late) fires.
+//!
+//! *Where it fires.*  A block that starts or ends with a synchronizing
+//! collective reaches lockstep after one warm-up repetition: IS at 8, 32
+//! and 1024 ranks and FT at 256 skip from the third repetition on every
+//! pass measured, so IS costs two of its ten iterations
+//! ([`PlacementCost::last_delta_ops`] reads 0.20–0.21 × `op_count()`) and
+//! class-B FT two of its twenty.  EP has no repetition and is stepped in
+//! full.
 //!
 //! # Fidelity
 //!
@@ -242,8 +237,7 @@ use p2pmpi_simgrid::memory::MemoryIntensity;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
 use p2pmpi_simgrid::topology::{HostId, Topology};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -607,7 +601,7 @@ impl CollectiveProgram for ModelComm {
 // ---------------------------------------------------------------------------
 
 /// One tree message of a compiled schedule.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct MsgRec {
     src: u32,
     dst: u32,
@@ -638,21 +632,18 @@ impl RingBytes {
     }
 }
 
-/// One segment of a compiled schedule.
-#[derive(Debug, Clone)]
+/// One segment of a compiled schedule.  Equality is what detects repeated
+/// blocks (see [`CompiledSchedule::repeat`]): equal segments are the same
+/// function of the clocks on any one assignment.
+#[derive(Debug, Clone, PartialEq)]
 enum Segment {
     /// A compute phase: per-rank abstract operation counts.
     Compute {
         intensity: MemoryIntensity,
         ops: Box<[f64]>,
     },
-    /// A run of sequential tree messages (adjacent trees are merged);
-    /// `by_rank[r]` lists the indices of the messages touching rank `r`,
-    /// ascending — the worklist seed of the delta pass.
-    Msgs {
-        msgs: Box<[MsgRec]>,
-        by_rank: Box<[Box<[u32]>]>,
-    },
+    /// A run of sequential tree messages (adjacent trees are merged).
+    Msgs { msgs: Box<[MsgRec]> },
     /// One full ring exchange (n−1 steps); `shape` indexes
     /// [`CompiledSchedule::ring_shapes`].
     Ring { shape: u32 },
@@ -660,13 +651,52 @@ enum Segment {
     Advance { d: SimDuration },
 }
 
+impl Segment {
+    /// Clock updates one evaluation of the segment performs on `n` ranks —
+    /// the unit of [`CompiledSchedule::op_count`].
+    fn op_count(&self, n: usize) -> usize {
+        match self {
+            Segment::Compute { ops, .. } => ops.len(),
+            Segment::Msgs { msgs } => msgs.len(),
+            Segment::Ring { .. } => n.saturating_sub(1) * n,
+            Segment::Advance { .. } => n,
+        }
+    }
+}
+
+/// A run of back-to-back equal blocks of a schedule: segments
+/// `start + k · period .. start + (k + 1) · period` are equal for every
+/// repetition `k < reps`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Repeat {
+    start: usize,
+    period: usize,
+    reps: usize,
+}
+
+impl Repeat {
+    /// The first segment after the run.
+    fn end(&self) -> usize {
+        self.start + self.period * self.reps
+    }
+}
+
+/// Fewest back-to-back equal blocks worth recording: the fast-forward needs
+/// one repetition to reach lockstep and one to observe it.
+const MIN_REPEATS: usize = 3;
+
 /// A placement-independent, flat representation of a whole kernel's
-/// collective program, recorded by [`ScheduleBuilder`] and evaluated —
-/// incrementally — by [`PlacementCost`].
+/// collective program, recorded by [`ScheduleBuilder`] and evaluated by
+/// [`PlacementCost`].
 #[derive(Debug, Clone)]
 pub struct CompiledSchedule {
     size: u32,
     segments: Vec<Segment>,
+    /// The run of ≥ [`MIN_REPEATS`] equal blocks covering the most segments
+    /// (IS: its ten iterations; EP: none) — what the evaluator's pass may
+    /// fast-forward (see the module docs).  Found structurally by
+    /// [`ScheduleBuilder::finish`].
+    repeat: Option<Repeat>,
     /// The distinct byte counts of the schedule's tree messages (a handful
     /// per kernel: EP has two, IS three).
     msg_sizes: Vec<u64>,
@@ -688,24 +718,35 @@ impl CompiledSchedule {
         self.segments.len()
     }
 
+    /// The schedule's repeated block as `(start, period, reps)`: segments
+    /// `start + k · period .. start + (k + 1) · period` are equal for every
+    /// `k < reps` (at least three), and no other such run covers more
+    /// segments.  `None` when nothing repeats three times back to back.
+    /// Test-only surface: the `nas` kernels pin their detected run with it;
+    /// no production code reads it.
+    #[doc(hidden)]
+    pub fn repeated_block(&self) -> Option<(usize, usize, usize)> {
+        self.repeat.map(|r| (r.start, r.period, r.reps))
+    }
+
+    /// When `seg` is the first segment of a repetition of the repeated
+    /// block: the block and the repetitions still to run, this one included.
+    fn repeat_top(&self, seg: usize) -> Option<(Repeat, usize)> {
+        let rep = self.repeat?;
+        let into = seg.checked_sub(rep.start)?;
+        (seg < rep.end() && into % rep.period == 0).then(|| (rep, rep.reps - into / rep.period))
+    }
+
     /// The length of a full replay — per-rank compute terms, tree
     /// messages, per-step ring receives and advance terms (the same units
     /// [`PlacementCost::last_delta_ops`] counts), for reporting.
     pub fn op_count(&self) -> usize {
         let n = self.size as usize;
-        self.segments
-            .iter()
-            .map(|s| match s {
-                Segment::Compute { ops, .. } => ops.len(),
-                Segment::Msgs { msgs, .. } => msgs.len(),
-                Segment::Ring { .. } => n.saturating_sub(1) * n,
-                Segment::Advance { .. } => n,
-            })
-            .sum()
+        self.segments.iter().map(|s| s.op_count(n)).sum()
     }
 
     /// Heap bytes the schedule holds — what one entry of a schedule cache
-    /// costs (the tree messages and their per-rank index dominate).
+    /// costs (the tree messages dominate).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let segments: usize = self
@@ -713,11 +754,7 @@ impl CompiledSchedule {
             .iter()
             .map(|s| match s {
                 Segment::Compute { ops, .. } => ops.len() * size_of::<f64>(),
-                Segment::Msgs { msgs, by_rank } => {
-                    msgs.len() * size_of::<MsgRec>()
-                        + by_rank.len() * size_of::<Box<[u32]>>()
-                        + by_rank.iter().map(|r| r.len()).sum::<usize>() * size_of::<u32>()
-                }
+                Segment::Msgs { msgs } => msgs.len() * size_of::<MsgRec>(),
                 Segment::Ring { .. } | Segment::Advance { .. } => 0,
             })
             .sum();
@@ -738,7 +775,7 @@ impl CompiledSchedule {
 
     /// Replays the recorded primitive sequence on any other interpreter —
     /// driving a fresh [`ModelComm`] with this is exactly a full model
-    /// replay of the original program (the oracle of the delta evaluator).
+    /// replay of the original program (the oracle of the evaluator).
     pub fn drive<P: CollectiveProgram>(&self, p: &mut P) {
         assert_eq!(p.size(), self.size, "schedule compiled for another size");
         let n = self.size as usize;
@@ -747,7 +784,7 @@ impl CompiledSchedule {
                 Segment::Compute { intensity, ops } => {
                     p.compute(*intensity, |r| ops[r as usize]);
                 }
-                Segment::Msgs { msgs, .. } => {
+                Segment::Msgs { msgs } => {
                     for m in msgs.iter() {
                         p.message(m.src, m.dst, self.msg_sizes[m.size as usize]);
                     }
@@ -798,29 +835,60 @@ impl ScheduleBuilder {
         if self.open_msgs.is_empty() {
             return;
         }
-        let msgs: Box<[MsgRec]> = std::mem::take(&mut self.open_msgs).into_boxed_slice();
-        let mut by_rank: Vec<Vec<u32>> = vec![Vec::new(); self.size as usize];
-        for (k, m) in msgs.iter().enumerate() {
-            by_rank[m.src as usize].push(k as u32);
-            if m.dst != m.src {
-                by_rank[m.dst as usize].push(k as u32);
-            }
-        }
-        let by_rank: Box<[Box<[u32]>]> =
-            by_rank.into_iter().map(|v| v.into_boxed_slice()).collect();
-        self.segments.push(Segment::Msgs { msgs, by_rank });
+        let msgs = std::mem::take(&mut self.open_msgs).into_boxed_slice();
+        self.segments.push(Segment::Msgs { msgs });
     }
 
-    /// Finalises the recording.
+    /// Finalises the recording, detecting its repeated blocks.
     pub fn finish(mut self) -> CompiledSchedule {
         self.close_msgs();
         CompiledSchedule {
             size: self.size,
+            repeat: find_repeat(&self.segments),
             segments: self.segments,
             msg_sizes: self.msg_sizes,
             ring_shapes: self.ring_shapes,
         }
     }
+}
+
+/// The run of at least [`MIN_REPEATS`] back-to-back equal blocks covering
+/// the most segments; the shortest period, then the earliest start, break
+/// ties.  Segments are interned to ids first (equal segments, equal ids),
+/// so the scan compares integers.
+fn find_repeat(segments: &[Segment]) -> Option<Repeat> {
+    let mut distinct: Vec<&Segment> = Vec::new();
+    let ids: Vec<usize> = segments
+        .iter()
+        .map(|seg| {
+            distinct.iter().position(|d| *d == seg).unwrap_or_else(|| {
+                distinct.push(seg);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let mut best: Option<Repeat> = None;
+    for period in 1..=ids.len() / MIN_REPEATS {
+        // `run` counts the consecutive positions ending at `i` whose segment
+        // recurs one period later; a run of `r` is `r / period + 1` blocks.
+        let mut run = 0;
+        for i in 0..ids.len() - period {
+            run = if ids[i] == ids[i + period] {
+                run + 1
+            } else {
+                0
+            };
+            let reps = run / period + 1;
+            if reps >= MIN_REPEATS && best.is_none_or(|b| reps * period > b.reps * b.period) {
+                best = Some(Repeat {
+                    start: i + 1 - run,
+                    period,
+                    reps,
+                });
+            }
+        }
+    }
+    best
 }
 
 impl CollectiveProgram for ScheduleBuilder {
@@ -902,7 +970,7 @@ impl CollectiveProgram for ScheduleBuilder {
 }
 
 // ---------------------------------------------------------------------------
-// The incremental placement evaluator
+// The placement evaluator
 // ---------------------------------------------------------------------------
 
 /// A candidate move of the placement search.
@@ -951,23 +1019,6 @@ impl fmt::Display for MoveError {
 
 impl std::error::Error for MoveError {}
 
-/// Cached clock triple of one tree message.
-#[derive(Debug, Clone, Copy)]
-struct MsgCache {
-    in_src: SimTime,
-    in_dst: SimTime,
-    out_dst: SimTime,
-}
-
-/// Per-segment delta caches (shapes parallel [`Segment`]).
-enum SegCache {
-    Plain,
-    Msgs {
-        msgs: Vec<MsgCache>,
-        queued_epoch: Vec<u32>,
-    },
-}
-
 /// Pooled transfer table of the ring wavefront: one per distinct
 /// `Uniform`/`PerSrc` entry of [`CompiledSchedule::ring_shapes`].
 /// Entries are `NetworkModel::transfer_time` values in nanoseconds — the
@@ -977,8 +1028,7 @@ enum RingTable {
     /// A `Uniform` ring sends the same byte count on every edge, so the
     /// whole table collapses to one scalar plus a site×site matrix — both
     /// keyed by static topology data only.  **No move ever invalidates a
-    /// `Uniform` table**: `retarget_ring_rows` skips it and the undo journal
-    /// never records a row for it.
+    /// `Uniform` table**: `retarget_ring_rows` skips it.
     Uniform {
         /// Same-host transfer (host-independent loopback cost).
         tsame: u64,
@@ -1001,32 +1051,12 @@ enum RingTable {
     },
 }
 
-/// One journaled cache mutation (reverted in reverse order by `undo`).
-enum UndoEntry {
-    Boundary {
-        seg: u32,
-        rank: u32,
-        old: SimTime,
-    },
-    Msg {
-        seg: u32,
-        idx: u32,
-        old: MsgCache,
-    },
-    RingRow {
-        table: u32,
-        rank: u32,
-        old: Box<[u64]>,
-    },
-}
-
 /// The in-flight move awaiting `commit`/`undo`.
 struct PendingMove {
-    mv: Move,
-    /// The source host of a migrate (unused for swaps).
-    old_host: HostId,
-    /// True when the move changed nothing (same-host swap etc.).
-    noop: bool,
+    /// `(rank, host it left)` of every rank the move relocated: two for a
+    /// swap, one for a migrate, none for a move that changed nothing
+    /// (same-host swap etc.).
+    relocated: [Option<(Rank, HostId)>; 2],
     old_makespan: SimDuration,
     old_clock_mean: f64,
 }
@@ -1034,20 +1064,13 @@ struct PendingMove {
 /// Transfer-memo cell that has not been costed yet.
 const UNCOSTED: u64 = u64::MAX;
 
-/// Where a recording [`EvalCore::full_pass`] writes the delta caches.
-struct Recording<'a> {
-    caches: &'a mut [SegCache],
-    boundary: &'a mut [Vec<SimTime>],
-}
-
-/// The move-independent half of the evaluator: everything one *full* pass
-/// over a schedule reads — the tree-message transfer memo, the pooled ring
-/// tables, the rings' per-rank host/site view and the wavefront scratch —
-/// and nothing a move needs.  [`PlacementCost`] embeds one and layers the delta
-/// caches, the journal and the per-host bookkeeping on top;
-/// [`PlacementCost::cost_of`] builds one, runs [`EvalCore::full_pass`] once
-/// and drops it.  Everything here is sized by ranks and sites, never by the
-/// topology's host count.
+/// The pass half of the evaluator: everything one full pass over a schedule
+/// reads — the tree-message transfer memo, the pooled ring tables, the
+/// rings' per-rank host/site view and the scratch rows — and nothing a move
+/// needs.  [`PlacementCost`] embeds one and layers the clocks, the capacity
+/// bookkeeping and the in-flight move on top; [`PlacementCost::cost_of`]
+/// builds one, runs [`EvalCore::full_pass`] once and drops it.  Everything
+/// here is sized by ranks and sites, never by the topology's host count.
 struct EvalCore {
     overhead: SimDuration,
     site_count: usize,
@@ -1083,9 +1106,13 @@ struct EvalCore {
     wf_prev: Vec<u64>,
     wf_cur: Vec<u64>,
     /// Per-rank row expansion of a `Uniform` site×site table, rebuilt from
-    /// `site_of` at the start of each wavefront over one — scratch, never
-    /// journaled — so the hot loop keeps the sequential `PerSrc` row shape.
+    /// `site_of` at the start of each wavefront over one, so the hot loop
+    /// keeps the sequential `PerSrc` row shape.
     uniform_rows: Vec<u64>,
+    /// Per-rank clocks (nanoseconds) on entry to the repetition of the
+    /// schedule's repeated block the pass is in — what the next
+    /// repetition's entry is compared with (empty without a repeat).
+    rep_entry: Vec<u64>,
 }
 
 impl EvalCore {
@@ -1114,6 +1141,7 @@ impl EvalCore {
             wf_prev: vec![0; ring_n],
             wf_cur: vec![0; ring_n],
             uniform_rows: Vec::new(),
+            rep_entry: vec![0; if schedule.repeat.is_some() { n } else { 0 }],
         };
         core.build_ring_tables(schedule, hosts, network);
         core
@@ -1153,7 +1181,7 @@ impl EvalCore {
                 RingBytes::PerPair(_) => None,
                 // Uniform rings send the same byte count on every edge, so
                 // the table is a site×site matrix keyed by static topology
-                // data only — fully move-invariant, no journaling ever.
+                // data only — fully move-invariant.
                 // The diagonal wants the distinct-host intra-site cost;
                 // same-host pairs are patched by the colo list, so a
                 // single-host site's loopback entry is unreachable (but
@@ -1195,40 +1223,34 @@ impl EvalCore {
         }
     }
 
-    /// Rewrites `rank`'s `tsite` row in every pooled `PerSrc` table for its
-    /// new host — needed only when the rank changed *site*: `Uniform` tables
-    /// are move-invariant and `tsame` is host-independent (loopback).  The
-    /// old rows go to `journal` when the caller can undo.  Returns the
-    /// number of cells rewritten.
+    /// Re-derives `rank`'s `tsite` row in every pooled `PerSrc` table for
+    /// the host it now lives on, if that changed its *site*: a row is a pure
+    /// function of the host's site and the rank's byte count, `Uniform`
+    /// tables are move-invariant and `tsame` is host-independent (loopback),
+    /// so a same-site move touches nothing.
     fn retarget_ring_rows(
         &mut self,
         schedule: &CompiledSchedule,
         network: &NetworkModel,
         rank: usize,
+        old_host: HostId,
         new_host: HostId,
-        mut journal: Option<&mut Vec<UndoEntry>>,
-    ) -> usize {
+    ) {
+        let topology = network.topology();
+        if topology.host(old_host).site == topology.host(new_host).site {
+            return;
+        }
         let s_count = self.site_count;
         let mut tables = std::mem::take(&mut self.ring_tables);
-        let mut ops = 0;
-        for (ti, (table, shape)) in tables.iter_mut().zip(&schedule.ring_shapes).enumerate() {
-            let (Some(RingTable::PerSrc { tsite, .. }), RingBytes::PerSrc(bytes)) = (table, shape)
-            else {
-                continue;
-            };
-            let row = &mut tsite[rank * s_count..][..s_count];
-            if let Some(journal) = journal.as_deref_mut() {
-                journal.push(UndoEntry::RingRow {
-                    table: ti as u32,
-                    rank: rank as u32,
-                    old: row.to_vec().into_boxed_slice(),
-                });
+        for (table, shape) in tables.iter_mut().zip(&schedule.ring_shapes) {
+            if let (Some(RingTable::PerSrc { tsite, .. }), RingBytes::PerSrc(bytes)) =
+                (table, shape)
+            {
+                let row = &mut tsite[rank * s_count..][..s_count];
+                self.site_row(network, new_host, bytes[rank], row);
             }
-            self.site_row(network, new_host, bytes[rank], row);
-            ops += s_count;
         }
         self.ring_tables = tables;
-        ops
     }
 
     /// Re-derives what the ring wavefronts read of `hosts`: host index and
@@ -1303,10 +1325,11 @@ impl EvalCore {
 
     /// One full evaluation of `schedule` on `hosts`: `clocks` (all zero on
     /// entry) holds the final per-rank clocks on return.  This is the one
-    /// code path behind every full costing — [`PlacementCost::new`] and
-    /// [`PlacementCost::rebase`] run it with a [`Recording`] to fill the
-    /// delta caches, [`PlacementCost::cost_of`] runs it bare.
-    #[allow(clippy::too_many_arguments)]
+    /// code path behind every costing — [`PlacementCost::cost_of`] and every
+    /// [`PlacementCost::new`], [`PlacementCost::apply`] and
+    /// [`PlacementCost::rebase`].  Returns the clock updates evaluated, in
+    /// [`CompiledSchedule::op_count`] units: fast-forwarded repetitions are
+    /// not evaluated and not counted.
     fn full_pass(
         &mut self,
         schedule: &CompiledSchedule,
@@ -1315,29 +1338,32 @@ impl EvalCore {
         network: &NetworkModel,
         compute: &ComputeModel,
         clocks: &mut [SimTime],
-        mut record: Option<Recording<'_>>,
-    ) {
+    ) -> usize {
         self.refresh_ring_view(hosts, residents, network.topology());
-        for (seg, segment) in schedule.segments.iter().enumerate() {
+        let n = clocks.len();
+        let mut evaluated = 0;
+        let mut seg = 0;
+        while seg < schedule.segments.len() {
+            if let Some((rep, left)) = schedule.repeat_top(seg) {
+                if left < rep.reps && self.fast_forward(clocks, left) {
+                    seg = rep.end();
+                    continue;
+                }
+                for (slot, c) in self.rep_entry.iter_mut().zip(clocks.iter()) {
+                    *slot = c.as_nanos();
+                }
+            }
+            let segment = &schedule.segments[seg];
             match segment {
                 Segment::Compute { intensity, ops } => {
                     for ((c, &h), &ops) in clocks.iter_mut().zip(hosts).zip(ops.iter()) {
                         *c += compute.compute_time(h, ops, *intensity, residents[h.0] as usize);
                     }
                 }
-                Segment::Msgs { msgs, .. } => {
-                    let mut cache = match &mut record {
-                        Some(rec) => match &mut rec.caches[seg] {
-                            SegCache::Msgs { msgs, .. } => Some(msgs),
-                            SegCache::Plain => unreachable!("segment/cache shape mismatch"),
-                        },
-                        None => None,
-                    };
-                    for (k, &m) in msgs.iter().enumerate() {
+                Segment::Msgs { msgs } => {
+                    for &m in msgs.iter() {
                         let (s, d) = (m.src as usize, m.dst as usize);
-                        let in_src = clocks[s];
-                        let in_dst = clocks[d];
-                        let out_src = in_src + self.overhead;
+                        let out_src = clocks[s] + self.overhead;
                         let t = self.tree_transfer(
                             network,
                             &schedule.msg_sizes,
@@ -1345,20 +1371,12 @@ impl EvalCore {
                             hosts[d],
                             m.size,
                         );
-                        let out_dst = in_dst.max(out_src + t);
                         clocks[s] = out_src;
-                        clocks[d] = out_dst;
-                        if let Some(cache) = &mut cache {
-                            cache[k] = MsgCache {
-                                in_src,
-                                in_dst,
-                                out_dst,
-                            };
-                        }
+                        clocks[d] = clocks[d].max(out_src + t);
                     }
                 }
                 Segment::Ring { shape } => {
-                    if clocks.len() > 1 {
+                    if n > 1 {
                         for (slot, c) in self.wf_prev.iter_mut().zip(clocks.iter()) {
                             *slot = c.as_nanos();
                         }
@@ -1374,10 +1392,41 @@ impl EvalCore {
                     }
                 }
             }
-            if let Some(rec) = &mut record {
-                rec.boundary[seg].copy_from_slice(clocks);
-            }
+            evaluated += segment.op_count(n);
+            seg += 1;
         }
+        evaluated
+    }
+
+    /// The fast-forward test at the top of a repetition of the schedule's
+    /// repeated block with `left` repetitions (this one included) to go: if
+    /// every rank's clock is exactly one constant `c` past its
+    /// [`Self::rep_entry`] value — the previous repetition's entry — and the
+    /// shifted clocks fit a u64, adds `left · c` to every clock and returns
+    /// true; the caller then jumps past the run.  Exact by the shift
+    /// invariance of every primitive (see the fast-forward contract in the
+    /// module docs); on false nothing is touched and the caller steps on.
+    fn fast_forward(&self, clocks: &mut [SimTime], left: usize) -> bool {
+        // A schedule has at least one rank, and clocks never decrease: the
+        // differences are non-negative.
+        let c = clocks[0].as_nanos() - self.rep_entry[0];
+        let mut max = 0;
+        for (clock, &entry) in clocks.iter().zip(&self.rep_entry) {
+            if clock.as_nanos() - entry != c {
+                return false;
+            }
+            max = max.max(clock.as_nanos());
+        }
+        let Some(shift) = c.checked_mul(left as u64) else {
+            return false;
+        };
+        if max.checked_add(shift).is_none() {
+            return false;
+        }
+        for clock in clocks.iter_mut() {
+            *clock = SimTime::from_nanos(clock.as_nanos() + shift);
+        }
+        true
     }
 
     /// Runs one ring segment's full wavefront under the current view.
@@ -1487,14 +1536,13 @@ impl EvalCore {
     }
 }
 
-/// Incremental evaluator of one compiled schedule over a mutable host
-/// assignment — the hot path of the placement search.  See the module docs
-/// for the delta-evaluation contract (what is cached, what a move
-/// invalidates, the exactness guarantee).
+/// Evaluator of one compiled schedule over a mutable host assignment — the
+/// hot path of the placement search.  See the module docs for the move
+/// contract (what a move costs, what survives it, the exactness guarantee).
 ///
 /// The evaluation protocol is `apply` → (`commit` | `undo`): `apply`
 /// performs the move *and* returns the new modeled makespan; `commit` keeps
-/// it (O(1)); `undo` restores every cache and the host assignment exactly.
+/// it (O(1)); `undo` restores the clocks and the host assignment exactly.
 /// A caller that only wants one placement's makespan — no moves — uses
 /// [`PlacementCost::cost_of`], the same full pass without any of the move
 /// state.
@@ -1502,8 +1550,8 @@ pub struct PlacementCost {
     schedule: Arc<CompiledSchedule>,
     network: NetworkModel,
     compute: ComputeModel,
-    /// Transfer memo, ring tables, per-rank view and wavefront scratch (the
-    /// part shared with [`PlacementCost::cost_of`]).
+    /// Transfer memo, ring tables, per-rank view and scratch rows (the part
+    /// shared with [`PlacementCost::cost_of`]).
     core: EvalCore,
     /// Host of each rank.
     hosts: Vec<HostId>,
@@ -1511,38 +1559,25 @@ pub struct PlacementCost {
     residents: Vec<u32>,
     /// Slot capacity per host id.
     capacity: Vec<u32>,
-    /// Ranks currently resident on each host id.
-    ranks_on_host: Vec<Vec<u32>>,
-    /// Per-rank clocks at each segment boundary.
-    boundary: Vec<Vec<SimTime>>,
-    /// All-zero segment entry of the first segment.
-    entry: Vec<SimTime>,
-    caches: Vec<SegCache>,
+    /// Final per-rank clocks of the current assignment.
+    clocks: Vec<SimTime>,
+    /// The clocks the last pass displaced: the pre-move clocks while a move
+    /// is in flight (what `undo` swaps back), the next pass's target
+    /// otherwise.
+    prev_clocks: Vec<SimTime>,
     makespan: SimDuration,
     /// Mean final clock in seconds (see [`PlacementCost::mean_clock_secs`]).
     clock_mean: f64,
-    // --- delta scratch ---
-    dirty_flag: Vec<bool>,
-    dirty_val: Vec<SimTime>,
-    dirty_list: Vec<u32>,
-    visit_epoch: Vec<u32>,
-    epoch: u32,
-    worklist: BinaryHeap<Reverse<u32>>,
-    cand: Vec<u32>,
-    moved: Vec<u32>,
-    /// Old host of each moved rank (parallel to `moved`).
-    moved_old_host: Vec<HostId>,
-    compute_affected: Vec<u32>,
-    journal: Vec<UndoEntry>,
     pending: Option<PendingMove>,
-    /// Delta operations processed by the last `apply` (diagnostics).
+    /// Clock updates the last pass evaluated (see
+    /// [`PlacementCost::last_delta_ops`]).
     last_delta_ops: usize,
 }
 
 impl PlacementCost {
     /// Builds the evaluator: `hosts[rank]` is the initial assignment,
     /// `capacity[host]` the slot count of every host of the topology.
-    /// The construction performs one full replay to fill the caches.
+    /// The construction performs one full pass.
     ///
     /// # Panics
     ///
@@ -1561,37 +1596,9 @@ impl PlacementCost {
         let host_count = network.topology().host_count();
         assert_eq!(capacity.len(), host_count, "one capacity per host");
         let mut residents = vec![0u32; host_count];
-        let mut ranks_on_host: Vec<Vec<u32>> = vec![Vec::new(); host_count];
-        for (r, &h) in hosts.iter().enumerate() {
+        for h in &hosts {
             residents[h.0] += 1;
-            ranks_on_host[h.0].push(r as u32);
         }
-        for (h, (&used, &cap)) in residents.iter().zip(&capacity).enumerate() {
-            assert!(
-                used <= cap,
-                "initial placement puts {used} ranks on {} (capacity {cap})",
-                HostId(h)
-            );
-        }
-        let caches = schedule
-            .segments
-            .iter()
-            .map(|seg| match seg {
-                Segment::Msgs { msgs, .. } => SegCache::Msgs {
-                    msgs: vec![
-                        MsgCache {
-                            in_src: SimTime::ZERO,
-                            in_dst: SimTime::ZERO,
-                            out_dst: SimTime::ZERO,
-                        };
-                        msgs.len()
-                    ],
-                    queued_epoch: vec![0; msgs.len()],
-                },
-                _ => SegCache::Plain,
-            })
-            .collect();
-        let boundary = vec![vec![SimTime::ZERO; n]; schedule.segments.len()];
         let core = EvalCore::new(&schedule, &hosts, &network);
         let mut cost = PlacementCost {
             schedule,
@@ -1601,35 +1608,23 @@ impl PlacementCost {
             hosts,
             residents,
             capacity,
-            ranks_on_host,
-            boundary,
-            entry: vec![SimTime::ZERO; n],
-            caches,
+            clocks: vec![SimTime::ZERO; n],
+            prev_clocks: vec![SimTime::ZERO; n],
             makespan: SimDuration::ZERO,
             clock_mean: 0.0,
-            dirty_flag: vec![false; n],
-            dirty_val: vec![SimTime::ZERO; n],
-            dirty_list: Vec::new(),
-            visit_epoch: vec![0; n],
-            epoch: 0,
-            worklist: BinaryHeap::new(),
-            cand: Vec::new(),
-            moved: Vec::new(),
-            moved_old_host: Vec::new(),
-            compute_affected: Vec::new(),
-            journal: Vec::new(),
             pending: None,
             last_delta_ops: 0,
         };
-        cost.rebuild();
+        cost.assert_within_capacity("initial placement");
+        cost.pass();
         cost
     }
 
     /// The modeled makespan of `schedule` on the assignment `hosts[rank]` —
-    /// the cost-only entry point: one full pass of the same evaluator
-    /// [`PlacementCost::new`] fills its caches with, without the caches, the
-    /// journal or any per-host move bookkeeping.  Equal to a fresh
-    /// [`ModelComm`] replay of the schedule bit for bit.
+    /// the cost-only entry point: the one full pass that also costs every
+    /// move of a searching evaluator, without the capacities or the second
+    /// clock vector.  Equal to a fresh [`ModelComm`] replay of the schedule
+    /// bit for bit.
     ///
     /// Unlike [`PlacementCost::new`] there is no capacity notion here: like
     /// [`ModelComm`], any assignment is costed, including one that stacks
@@ -1659,7 +1654,6 @@ impl PlacementCost {
             network,
             compute,
             &mut clocks,
-            None,
         );
         let last = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
         last.saturating_since(SimTime::ZERO)
@@ -1675,8 +1669,8 @@ impl PlacementCost {
     /// usually leaves the maximum unchanged — so annealing drivers blend a
     /// small multiple of this into their acceptance energy to restore a
     /// gradient across those plateaus (best-placement tracking stays on the
-    /// pure makespan).  Maintained by the same O(ranks) scan as the
-    /// makespan, and restored exactly by `undo`.
+    /// pure makespan).  Taken by the same O(ranks) scan as the makespan,
+    /// and restored exactly by `undo`.
     pub fn mean_clock_secs(&self) -> f64 {
         self.clock_mean
     }
@@ -1688,7 +1682,7 @@ impl PlacementCost {
 
     /// The final per-rank clocks of the current assignment.
     pub fn clocks(&self) -> &[SimTime] {
-        self.boundary.last().unwrap_or(&self.entry)
+        &self.clocks
     }
 
     /// Ranks currently resident on `host`.
@@ -1701,8 +1695,13 @@ impl PlacementCost {
         self.capacity[host.0] - self.residents[host.0]
     }
 
-    /// Delta operations (messages, ring receives, compute terms) evaluated
-    /// by the last `apply` — the quantity the O(affected) claim is about.
+    /// Clock updates (messages, ring receives, compute and advance terms —
+    /// [`CompiledSchedule::op_count`] units) the last pass evaluated, whether
+    /// it ran for [`Self::new`], [`Self::apply`] or [`Self::rebase`]:
+    /// `op_count()` minus the repetitions the pass fast-forwarded, and 0
+    /// after an `apply` or `rebase` that changed no rank's host.  It counts a
+    /// whole pass, not a difference; the name is the one the benchmark's
+    /// `mpi.*_delta_ops_per_move` probes and `perf_report` call.
     pub fn last_delta_ops(&self) -> usize {
         self.last_delta_ops
     }
@@ -1726,8 +1725,8 @@ impl PlacementCost {
     }
 
     /// Full model replay of the current assignment on a fresh [`ModelComm`]
-    /// — the oracle the delta caches are verified against (and the baseline
-    /// of the ≥5× per-move speedup gate in `perf_report`).
+    /// — the oracle the evaluator is verified against (and the baseline of
+    /// the per-move speedup gates in `perf_report`).
     pub fn oracle_clocks(&self) -> Vec<SimTime> {
         let placement = self.to_placement();
         let mut m = ModelComm::new(&placement, self.network.clone(), self.compute.clone());
@@ -1743,8 +1742,8 @@ impl PlacementCost {
         m.makespan()
     }
 
-    /// Applies `mv` and returns the new modeled makespan, delta-evaluated.
-    /// The move stays in flight until [`PlacementCost::commit`] or
+    /// Applies `mv` and returns the new modeled makespan, costed by one full
+    /// pass.  The move stays in flight until [`PlacementCost::commit`] or
     /// [`PlacementCost::undo`].  A capacity-violating migrate returns an
     /// error and leaves every piece of state untouched.
     ///
@@ -1758,174 +1757,90 @@ impl PlacementCost {
             "commit or undo the previous move before applying another"
         );
         let n = self.hosts.len() as u32;
-        self.moved.clear();
-        self.moved_old_host.clear();
-        self.compute_affected.clear();
-        let mut noop = false;
-        let mut old_host = HostId(0);
-        match mv {
+        // `(rank, destination)` of every rank that changes host.
+        let targets = match mv {
             Move::Swap { a, b } => {
                 assert!(a < n && b < n, "swap ranks out of range");
                 let (ha, hb) = (self.hosts[a as usize], self.hosts[b as usize]);
-                if a == b || ha == hb {
-                    noop = true;
+                if ha == hb {
+                    [None, None]
                 } else {
-                    self.hosts[a as usize] = hb;
-                    self.hosts[b as usize] = ha;
-                    remove_rank(&mut self.ranks_on_host[ha.0], a);
-                    remove_rank(&mut self.ranks_on_host[hb.0], b);
-                    self.ranks_on_host[hb.0].push(a);
-                    self.ranks_on_host[ha.0].push(b);
-                    self.moved.extend([a, b]);
-                    self.moved_old_host.extend([ha, hb]);
-                    // A swap preserves every resident count: only the two
-                    // ranks' own compute costs can change.
-                    self.compute_affected.extend([a, b]);
+                    [Some((a, hb)), Some((b, ha))]
                 }
             }
             Move::Migrate { rank, to } => {
                 assert!(rank < n, "migrate rank out of range");
                 assert!(to.0 < self.capacity.len(), "migrate host out of range");
-                let from = self.hosts[rank as usize];
-                if from == to {
-                    noop = true;
+                if self.hosts[rank as usize] == to {
+                    [None, None]
                 } else if self.residents[to.0] >= self.capacity[to.0] {
                     return Err(MoveError::CapacityExceeded {
                         host: to,
                         capacity: self.capacity[to.0],
                     });
                 } else {
-                    self.hosts[rank as usize] = to;
-                    self.residents[from.0] -= 1;
-                    self.residents[to.0] += 1;
-                    remove_rank(&mut self.ranks_on_host[from.0], rank);
-                    self.ranks_on_host[to.0].push(rank);
-                    self.moved.push(rank);
-                    self.moved_old_host.push(from);
-                    old_host = from;
-                    // Resident counts changed on both hosts: every rank
-                    // still (or newly) living there re-costs its compute.
-                    self.compute_affected
-                        .extend_from_slice(&self.ranks_on_host[from.0]);
-                    self.compute_affected
-                        .extend_from_slice(&self.ranks_on_host[to.0]);
+                    [Some((rank, to)), None]
                 }
             }
-        }
-        let old_makespan = self.makespan;
-        let old_clock_mean = self.clock_mean;
+        };
+        let relocated =
+            targets.map(|t| t.map(|(rank, to)| (rank, self.relocate(rank as usize, to))));
         self.pending = Some(PendingMove {
-            mv,
-            old_host,
-            noop,
-            old_makespan,
-            old_clock_mean,
+            relocated,
+            old_makespan: self.makespan,
+            old_clock_mean: self.clock_mean,
         });
-        if !noop {
-            self.delta_eval();
+        if relocated[0].is_some() {
+            self.pass();
         } else {
             self.last_delta_ops = 0;
         }
         Ok(self.makespan)
     }
 
-    /// Keeps the in-flight move (O(1): the caches already describe it).
+    /// Keeps the in-flight move (O(1): the clocks already describe it).
     ///
     /// # Panics
     ///
     /// Panics if no move is in flight.
     pub fn commit(&mut self) {
         self.pending.take().expect("no move to commit");
-        self.journal.clear();
     }
 
-    /// Reverts the in-flight move: every journaled cache cell, the host
-    /// assignment and the resident bookkeeping return to their pre-`apply`
-    /// state exactly.
+    /// Reverts the in-flight move: the clocks, the host assignment, the
+    /// resident counts and the ring rows return to their pre-`apply` state
+    /// exactly.
     ///
     /// # Panics
     ///
     /// Panics if no move is in flight.
     pub fn undo(&mut self) {
         let p = self.pending.take().expect("no move to undo");
-        while let Some(u) = self.journal.pop() {
-            match u {
-                UndoEntry::Boundary { seg, rank, old } => {
-                    self.boundary[seg as usize][rank as usize] = old;
-                }
-                UndoEntry::Msg { seg, idx, old } => {
-                    if let SegCache::Msgs { msgs, .. } = &mut self.caches[seg as usize] {
-                        msgs[idx as usize] = old;
-                    }
-                }
-                UndoEntry::RingRow { table, rank, old } => {
-                    let s = self.core.site_count;
-                    let Some(RingTable::PerSrc { tsite, .. }) =
-                        &mut self.core.ring_tables[table as usize]
-                    else {
-                        unreachable!("only PerSrc ring tables are ever journaled")
-                    };
-                    tsite[rank as usize * s..][..s].copy_from_slice(&old);
-                }
-            }
+        if p.relocated[0].is_some() {
+            std::mem::swap(&mut self.clocks, &mut self.prev_clocks);
+        }
+        for (rank, from) in p.relocated.into_iter().flatten() {
+            self.relocate(rank as usize, from);
         }
         self.makespan = p.old_makespan;
         self.clock_mean = p.old_clock_mean;
-        if !p.noop {
-            match p.mv {
-                Move::Swap { a, b } => {
-                    let (ha, hb) = (self.hosts[a as usize], self.hosts[b as usize]);
-                    self.hosts[a as usize] = hb;
-                    self.hosts[b as usize] = ha;
-                    remove_rank(&mut self.ranks_on_host[ha.0], a);
-                    remove_rank(&mut self.ranks_on_host[hb.0], b);
-                    self.ranks_on_host[hb.0].push(a);
-                    self.ranks_on_host[ha.0].push(b);
-                }
-                Move::Migrate { rank, to } => {
-                    self.hosts[rank as usize] = p.old_host;
-                    self.residents[to.0] -= 1;
-                    self.residents[p.old_host.0] += 1;
-                    remove_rank(&mut self.ranks_on_host[to.0], rank);
-                    self.ranks_on_host[p.old_host.0].push(rank);
-                }
-            }
-        }
     }
 
-    /// Re-parks the evaluator on `new_hosts` under its *current*
-    /// capacities: [`Self::rebase`] with the capacity vector unchanged.
-    ///
-    /// The online searcher parks each pooled evaluator on the annealed
-    /// best placement after a walk — the walk itself ends wherever its
-    /// last accepted move left it, typically dozens of ranks away from
-    /// the best.  Without the re-park, the next arrival's rebase diff is
-    /// churn *plus* that annealing drift, which degenerates into the
-    /// wholesale path on every arrival; with it, the diff is the
-    /// occupancy churn alone.
-    pub fn rehome(&mut self, new_hosts: &[HostId]) -> SimDuration {
-        let caps = self.capacity.clone();
-        self.rebase(new_hosts, &caps)
-    }
-
-    /// Re-synchronizes a *warm* evaluator with the grid state of a new
+    /// Re-synchronizes a pooled evaluator with the grid state of a new
     /// arrival: adopts `new_hosts` as the rank assignment and
-    /// `new_capacity` as the per-host slot capacities.  This is the
-    /// cross-job half of the warm-reuse story (see the module docs):
-    /// between two arrivals of the same kernel shape only a handful of
-    /// occupy/release events happened, so the diff against the cached
-    /// assignment is usually empty — the O(hosts) capacity-resync early
-    /// return — and otherwise small enough that a segment re-run over the
-    /// warm caches (no allocations, no ring-table build) is the cheapest
-    /// way to absorb it.
+    /// `new_capacity` as the per-host slot capacities, then costs the
+    /// assignment with one full pass — or none when no rank changed host:
+    /// capacities feed only `apply`'s feasibility check (the compute
+    /// model's contention term keys on `residents`, this schedule's own
+    /// ranks), so a pure capacity resync is O(hosts).  What a rebased
+    /// evaluator saves over a fresh [`PlacementCost::new`] is the
+    /// allocations and the ring-table build.
     ///
-    /// Capacity changes alone dirty no clocks — the memory-contention model
-    /// keys on `residents`, which counts only this schedule's own ranks —
-    /// so a pure capacity resync is O(hosts).  The rebase has commit
-    /// semantics: the undo journal is cleared, no move can be undone across
-    /// it.  The resulting caches are bit-identical to a fresh
-    /// [`PlacementCost::new`] with the same arguments, which is what makes
-    /// the warm online-search path exact (pinned by proptest).
+    /// The rebase has commit semantics (no move can be undone across it)
+    /// and leaves the evaluator indistinguishable from a fresh build with
+    /// the same arguments — same clocks, same answer to every later move —
+    /// which is what makes the warm online-search path exact (pinned by
+    /// proptest).
     ///
     /// Returns the re-evaluated makespan.
     ///
@@ -1950,425 +1865,65 @@ impl PlacementCost {
             "one capacity per host"
         );
         self.capacity.copy_from_slice(new_capacity);
-        self.moved.clear();
-        self.moved_old_host.clear();
-        self.compute_affected.clear();
-        let n = self.hosts.len();
-        let moved_count = new_hosts
-            .iter()
-            .zip(&self.hosts)
-            .filter(|(new_h, old_h)| new_h != old_h)
-            .count();
-        if moved_count == 0 {
-            self.assert_within_capacity();
+        let mut moved = false;
+        for (rank, &new) in new_hosts.iter().enumerate() {
+            if self.hosts[rank] != new {
+                self.relocate(rank, new);
+                moved = true;
+            }
+        }
+        self.assert_within_capacity("rebase");
+        if moved {
+            self.pass();
+        } else {
             self.last_delta_ops = 0;
-            return self.makespan;
         }
-        // Any moved rank goes wholesale: a collective segment touches
-        // every rank, so even a one-rank diff dirties essentially the
-        // whole schedule and the journaled delta machinery (per-receive
-        // patches, ring re-runs from the earliest touched step) costs
-        // *more* than re-running every segment once over the warm caches
-        // — measured at every day-mix shape from EP@64 up, and within a
-        // microsecond of break-even below that.  Adopt the assignment and
-        // rebuild in place: the caches end bit-identical to a fresh
-        // [`PlacementCost::new`] either way, and the rebuild skips what
-        // actually dominates a cold arrival — the allocations and the
-        // ring-table build.  The zero-diff early return above is the warm
-        // fast path the steady-state regime lives on.
-        // Ring rows first, while the old assignment is still readable.
-        for (r, &new) in new_hosts.iter().enumerate() {
-            self.retarget_rank(r, self.hosts[r], new, false);
-        }
-        self.hosts.copy_from_slice(new_hosts);
-        self.residents.iter_mut().for_each(|r| *r = 0);
-        self.ranks_on_host.iter_mut().for_each(Vec::clear);
-        for (r, &h) in self.hosts.iter().enumerate() {
-            self.residents[h.0] += 1;
-            self.ranks_on_host[h.0].push(r as u32);
-        }
-        self.assert_within_capacity();
-        self.rebuild();
-        self.journal.clear();
-        self.last_delta_ops = n * self.schedule.segments.len();
         self.makespan
     }
 
-    fn assert_within_capacity(&self) {
+    fn assert_within_capacity(&self, what: &str) {
         for (h, (&used, &cap)) in self.residents.iter().zip(&self.capacity).enumerate() {
             assert!(
                 used <= cap,
-                "rebase puts {used} ranks on {} (capacity {cap})",
+                "{what} puts {used} ranks on {} (capacity {cap})",
                 HostId(h)
             );
         }
     }
 
-    // -- internals ---------------------------------------------------------
-
-    #[inline]
-    fn compute_cost(&self, rank: usize, ops: f64, intensity: MemoryIntensity) -> SimDuration {
-        let h = self.hosts[rank];
-        self.compute
-            .compute_time(h, ops, intensity, self.residents[h.0] as usize)
+    /// Puts `rank` on `to` — host, resident counts, `PerSrc` ring rows — and
+    /// returns the host it left.
+    fn relocate(&mut self, rank: usize, to: HostId) -> HostId {
+        let from = std::mem::replace(&mut self.hosts[rank], to);
+        self.residents[from.0] -= 1;
+        self.residents[to.0] += 1;
+        self.core
+            .retarget_ring_rows(&self.schedule, &self.network, rank, from, to);
+        from
     }
 
-    #[inline]
-    fn set_dirty(&mut self, r: u32, v: SimTime) {
-        if !self.dirty_flag[r as usize] {
-            self.dirty_flag[r as usize] = true;
-            self.dirty_list.push(r);
-        }
-        self.dirty_val[r as usize] = v;
-    }
-
-    /// Entry clocks of segment `seg` for a clean rank.
-    #[inline]
-    fn entry_clock(&self, seg: usize, rank: usize) -> SimTime {
-        if seg == 0 {
-            SimTime::ZERO
-        } else {
-            self.boundary[seg - 1][rank]
-        }
-    }
-
-    /// Full replay filling every cache (construction and wholesale rebase;
-    /// moves maintain the caches incrementally).
-    fn rebuild(&mut self) {
-        let mut clocks = vec![SimTime::ZERO; self.hosts.len()];
-        self.core.full_pass(
+    /// Costs the current assignment with one full pass into the spare clock
+    /// vector and makes it current; the displaced clocks stay in
+    /// `prev_clocks`.
+    fn pass(&mut self) {
+        self.prev_clocks.fill(SimTime::ZERO);
+        self.last_delta_ops = self.core.full_pass(
             &self.schedule,
             &self.hosts,
             &self.residents,
             &self.network,
             &self.compute,
-            &mut clocks,
-            Some(Recording {
-                caches: &mut self.caches,
-                boundary: &mut self.boundary,
-            }),
+            &mut self.prev_clocks,
         );
-        let (max, sum) = max_and_sum(&clocks);
+        std::mem::swap(&mut self.clocks, &mut self.prev_clocks);
+        let (max, sum) = max_and_sum(&self.clocks);
         self.makespan = max.saturating_since(SimTime::ZERO);
-        self.clock_mean = sum / clocks.len().max(1) as f64;
-    }
-
-    /// The delta pass: propagate the in-flight move through every segment,
-    /// journaling each cache mutation.
-    fn delta_eval(&mut self) {
-        let schedule = self.schedule.clone();
-        let moved = std::mem::take(&mut self.moved);
-        let old_hosts = std::mem::take(&mut self.moved_old_host);
-        let affected = std::mem::take(&mut self.compute_affected);
-        debug_assert!(self.dirty_list.is_empty());
-        let mut delta_ops = 0;
-        for (&r, &old) in moved.iter().zip(&old_hosts) {
-            delta_ops += self.retarget_rank(r as usize, old, self.hosts[r as usize], true);
-        }
-        self.core
-            .refresh_ring_view(&self.hosts, &self.residents, self.network.topology());
-
-        for (seg, segment) in schedule.segments.iter().enumerate() {
-            match segment {
-                Segment::Compute { intensity, ops } => {
-                    delta_ops += self.delta_compute(seg, *intensity, ops, &affected);
-                }
-                Segment::Msgs { msgs, by_rank } => {
-                    delta_ops += self.delta_msgs(seg, msgs, by_rank, &moved);
-                }
-                Segment::Ring { shape } => {
-                    delta_ops += self.delta_ring(seg, *shape);
-                }
-                Segment::Advance { d } => {
-                    delta_ops += self.delta_advance(seg, *d);
-                }
-            }
-        }
-
-        // New makespan and mean: the final boundary holds the committed
-        // clocks of clean ranks and the just-written clocks of dirty ones.
-        let finals = self.boundary.last().unwrap_or(&self.entry);
-        let (max, sum) = max_and_sum(finals);
-        self.makespan = max.saturating_since(SimTime::ZERO);
-        self.clock_mean = sum / finals.len().max(1) as f64;
-
-        for &r in &self.dirty_list {
-            self.dirty_flag[r as usize] = false;
-        }
-        self.dirty_list.clear();
-        self.moved = moved;
-        self.moved_old_host = old_hosts;
-        self.compute_affected = affected;
-        self.last_delta_ops = delta_ops;
-    }
-
-    /// Gathers the currently-dirty ranks (deduplicated) into `self.cand`.
-    fn gather_dirty(&mut self) {
-        self.epoch += 1;
-        let ep = self.epoch;
-        let mut cand = std::mem::take(&mut self.cand);
-        cand.clear();
-        for &r in &self.dirty_list {
-            if self.dirty_flag[r as usize] && self.visit_epoch[r as usize] != ep {
-                self.visit_epoch[r as usize] = ep;
-                cand.push(r);
-            }
-        }
-        self.cand = cand;
-    }
-
-    fn delta_compute(
-        &mut self,
-        seg: usize,
-        intensity: MemoryIntensity,
-        ops: &[f64],
-        affected: &[u32],
-    ) -> usize {
-        self.gather_dirty();
-        let ep = self.epoch;
-        let mut cand = std::mem::take(&mut self.cand);
-        for &r in affected {
-            if self.visit_epoch[r as usize] != ep {
-                self.visit_epoch[r as usize] = ep;
-                cand.push(r);
-            }
-        }
-        for &r in &cand {
-            let ri = r as usize;
-            let in_v = if self.dirty_flag[ri] {
-                self.dirty_val[ri]
-            } else {
-                self.entry_clock(seg, ri)
-            };
-            let out = in_v + self.compute_cost(ri, ops[ri], intensity);
-            let cached = self.boundary[seg][ri];
-            if out != cached {
-                self.journal.push(UndoEntry::Boundary {
-                    seg: seg as u32,
-                    rank: r,
-                    old: cached,
-                });
-                self.boundary[seg][ri] = out;
-                self.set_dirty(r, out);
-            } else {
-                self.dirty_flag[ri] = false;
-            }
-        }
-        let n = cand.len();
-        self.cand = cand;
-        n
-    }
-
-    fn delta_advance(&mut self, seg: usize, d: SimDuration) -> usize {
-        self.gather_dirty();
-        let cand = std::mem::take(&mut self.cand);
-        for &r in &cand {
-            let ri = r as usize;
-            let out = self.dirty_val[ri] + d;
-            let cached = self.boundary[seg][ri];
-            if out != cached {
-                self.journal.push(UndoEntry::Boundary {
-                    seg: seg as u32,
-                    rank: r,
-                    old: cached,
-                });
-                self.boundary[seg][ri] = out;
-                self.dirty_val[ri] = out;
-            } else {
-                self.dirty_flag[ri] = false;
-            }
-        }
-        let n = cand.len();
-        self.cand = cand;
-        n
-    }
-
-    /// Updates the segment's boundary from the ranks still dirty at its end
-    /// (their boundary value necessarily changed; see the module docs).
-    fn sweep_boundary(&mut self, seg: usize) {
-        self.gather_dirty();
-        let cand = std::mem::take(&mut self.cand);
-        for &r in &cand {
-            let ri = r as usize;
-            let old = self.boundary[seg][ri];
-            let new = self.dirty_val[ri];
-            if old != new {
-                self.journal.push(UndoEntry::Boundary {
-                    seg: seg as u32,
-                    rank: r,
-                    old,
-                });
-                self.boundary[seg][ri] = new;
-            } else {
-                // The clock re-converged exactly onto the cached boundary.
-                self.dirty_flag[ri] = false;
-            }
-        }
-        self.cand = cand;
-    }
-
-    fn delta_msgs(
-        &mut self,
-        seg: usize,
-        msgs: &[MsgRec],
-        by_rank: &[Box<[u32]>],
-        moved: &[u32],
-    ) -> usize {
-        let mut cache = std::mem::replace(&mut self.caches[seg], SegCache::Plain);
-        let SegCache::Msgs {
-            msgs: mcache,
-            queued_epoch,
-        } = &mut cache
-        else {
-            unreachable!("segment/cache shape mismatch")
-        };
-        self.epoch += 1;
-        let ep = self.epoch;
-        debug_assert!(self.worklist.is_empty());
-        // Seed: the first message of every entry-dirty rank, every message
-        // of a moved rank (their transfer costs changed).
-        for i in 0..self.dirty_list.len() {
-            let r = self.dirty_list[i];
-            if !self.dirty_flag[r as usize] {
-                continue;
-            }
-            if let Some(&k) = by_rank[r as usize].first() {
-                if queued_epoch[k as usize] != ep {
-                    queued_epoch[k as usize] = ep;
-                    self.worklist.push(Reverse(k));
-                }
-            }
-        }
-        for &m in moved {
-            for &k in by_rank[m as usize].iter() {
-                if queued_epoch[k as usize] != ep {
-                    queued_epoch[k as usize] = ep;
-                    self.worklist.push(Reverse(k));
-                }
-            }
-        }
-        let mut processed = 0usize;
-        while let Some(Reverse(k)) = self.worklist.pop() {
-            processed += 1;
-            let m = msgs[k as usize];
-            let (s, d) = (m.src as usize, m.dst as usize);
-            let old = mcache[k as usize];
-            let in_src = if self.dirty_flag[s] {
-                self.dirty_val[s]
-            } else {
-                old.in_src
-            };
-            let in_dst = if self.dirty_flag[d] {
-                self.dirty_val[d]
-            } else {
-                old.in_dst
-            };
-            let out_src = in_src + self.core.overhead;
-            let t = self.core.tree_transfer(
-                &self.network,
-                &self.schedule.msg_sizes,
-                self.hosts[s],
-                self.hosts[d],
-                m.size,
-            );
-            let out_dst = in_dst.max(out_src + t);
-            if in_src != old.in_src || in_dst != old.in_dst || out_dst != old.out_dst {
-                self.journal.push(UndoEntry::Msg {
-                    seg: seg as u32,
-                    idx: k,
-                    old,
-                });
-                mcache[k as usize] = MsgCache {
-                    in_src,
-                    in_dst,
-                    out_dst,
-                };
-            }
-            // The sender's post-message clock changes exactly when its input
-            // did (the overhead is constant).
-            if in_src != old.in_src {
-                self.set_dirty(m.src, out_src);
-                push_next(&mut self.worklist, queued_epoch, ep, &by_rank[s], k);
-            } else {
-                self.dirty_flag[s] = false;
-            }
-            if out_dst != old.out_dst {
-                self.set_dirty(m.dst, out_dst);
-                push_next(&mut self.worklist, queued_epoch, ep, &by_rank[d], k);
-            } else {
-                self.dirty_flag[d] = false;
-            }
-        }
-        self.caches[seg] = cache;
-        self.sweep_boundary(seg);
-        processed
-    }
-
-    /// Re-derives one ring segment with the two-row wavefront.  A move
-    /// perturbs the transfer cost of a moved rank against *every* partner,
-    /// and the ring's max-plus recurrence can carry that to any exit clock,
-    /// so the delta pass re-runs all n−1 steps — but over the pooled
-    /// integer tables, which is what makes it several times cheaper than a
-    /// replay (see the module docs).
-    fn delta_ring(&mut self, seg: usize, shape: u32) -> usize {
-        let n = self.hosts.len();
-        if n <= 1 {
-            return 0;
-        }
-        // Entry row: the committed segment entry with dirty overrides.
-        for r in 0..n {
-            let c = if self.dirty_flag[r] {
-                self.dirty_val[r]
-            } else {
-                self.entry_clock(seg, r)
-            };
-            self.core.wf_prev[r] = c.as_nanos();
-        }
-        self.core
-            .ring_wavefront(&self.schedule, &self.network, shape);
-        // Flip the frontier: exactly the ranks whose exit clock changed are
-        // dirty entering the next segment.
-        let mut list = std::mem::take(&mut self.dirty_list);
-        for &r in &list {
-            self.dirty_flag[r as usize] = false;
-        }
-        list.clear();
-        self.dirty_list = list;
-        for d in 0..n {
-            let new = SimTime::from_nanos(self.core.wf_prev[d]);
-            let old = self.boundary[seg][d];
-            if new != old {
-                self.journal.push(UndoEntry::Boundary {
-                    seg: seg as u32,
-                    rank: d as u32,
-                    old,
-                });
-                self.boundary[seg][d] = new;
-                self.set_dirty(d as u32, new);
-            }
-        }
-        (n - 1) * n
-    }
-
-    /// Rewrites the pooled `PerSrc` ring rows of a rank going from `old` to
-    /// `new` — if its *site* changes: a same-site move keeps the rank's
-    /// site-pair classes, so most moves touch nothing.  The old rows are
-    /// journaled when the move can be undone (a rebase clears the journal
-    /// anyway).  Returns the number of cells rewritten.
-    fn retarget_rank(&mut self, rank: usize, old: HostId, new: HostId, undoable: bool) -> usize {
-        let topology = self.network.topology();
-        if topology.host(old).site == topology.host(new).site {
-            return 0;
-        }
-        let journal = undoable.then_some(&mut self.journal);
-        self.core
-            .retarget_ring_rows(&self.schedule, &self.network, rank, new, journal)
+        self.clock_mean = sum / self.clocks.len().max(1) as f64;
     }
 
     /// Bytes of ring-cache state the evaluator holds: the pooled transfer
-    /// tables plus the wavefront scratch rows — O(ranks · sites), versus
-    /// the O(steps · ranks²) per-(step, rank) clock rows of the previous
-    /// design (reported and bounded by `perf_report`'s `is_search` gate).
+    /// tables plus the wavefront scratch rows — O(ranks · sites) (reported
+    /// and bounded by `perf_report`'s `is_search` gate).
     pub fn ring_cache_bytes(&self) -> usize {
         let core = &self.core;
         let tables: usize = core
@@ -2393,7 +1948,7 @@ impl PlacementCost {
     /// Byte accounting of the `Uniform` specialisation: `(tables,
     /// uniform_bytes, per_src_equivalent_bytes)` — how many pooled transfer
     /// tables compressed to the move-invariant site×site form, the bytes
-    /// they hold, and what the same tables would occupy in the journaled
+    /// they hold, and what the same tables would occupy in the per-rank
     /// `PerSrc` layout (a `tsame` entry plus a site row per rank).
     pub fn uniform_ring_summary(&self) -> (usize, usize, usize) {
         let n = self.hosts.len();
@@ -2424,47 +1979,25 @@ fn max_and_sum(clocks: &[SimTime]) -> (SimTime, f64) {
     (max, sum)
 }
 
-/// Removes one occurrence of `rank` from a host's resident list.
-fn remove_rank(list: &mut Vec<u32>, rank: u32) {
-    let i = list
-        .iter()
-        .position(|&r| r == rank)
-        .expect("rank resident list out of sync");
-    list.swap_remove(i);
-}
-
-/// Pushes the next message of a rank after message `k` onto the worklist.
-#[inline]
-fn push_next(
-    worklist: &mut BinaryHeap<Reverse<u32>>,
-    queued_epoch: &mut [u32],
-    ep: u32,
-    by_rank: &[u32],
-    k: u32,
-) {
-    let pos = by_rank.partition_point(|&i| i <= k);
-    if let Some(&next) = by_rank.get(pos) {
-        if queued_epoch[next as usize] != ep {
-            queued_epoch[next as usize] = ep;
-            worklist.push(Reverse(next));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use p2pmpi_simgrid::topology::{NodeSpec, Topology, TopologyBuilder};
     use std::sync::Arc;
 
-    fn topology() -> Arc<Topology> {
+    /// Two sites of `hosts_per_site` dual-core hosts each.
+    fn grid(hosts_per_site: usize) -> Arc<Topology> {
         let mut b = TopologyBuilder::new();
         let s0 = b.add_site("local");
         let s1 = b.add_site("remote");
-        b.add_cluster(s0, "l", "cpu", 4, NodeSpec::default());
-        b.add_cluster(s1, "r", "cpu", 4, NodeSpec::default());
+        b.add_cluster(s0, "l", "cpu", hosts_per_site, NodeSpec::default());
+        b.add_cluster(s1, "r", "cpu", hosts_per_site, NodeSpec::default());
         b.set_rtt(s0, s1, SimDuration::from_millis(10));
         Arc::new(b.build())
+    }
+
+    fn topology() -> Arc<Topology> {
+        grid(4)
     }
 
     fn model_for(placement: &Placement, t: &Arc<Topology>) -> ModelComm {
@@ -2582,8 +2115,17 @@ mod tests {
     }
 
     fn evaluator_for(hosts: Vec<HostId>, t: &Arc<Topology>) -> PlacementCost {
+        evaluator_of(record_program, hosts, t)
+    }
+
+    /// An evaluator of `program` on `hosts`, every host at its core count.
+    fn evaluator_of(
+        program: impl FnOnce(&mut ScheduleBuilder),
+        hosts: Vec<HostId>,
+        t: &Arc<Topology>,
+    ) -> PlacementCost {
         let mut b = ScheduleBuilder::new(hosts.len() as u32);
-        record_program(&mut b);
+        program(&mut b);
         let schedule = Arc::new(b.finish());
         let capacity = t.hosts().iter().map(|h| h.cores as u32).collect();
         PlacementCost::new(
@@ -2628,10 +2170,9 @@ mod tests {
         assert_eq!(schedule.ring_shapes.len(), 2);
         // Three allreduce runs, the bcast + gather run, six rings.
         assert_eq!(schedule.segment_count(), 10);
-        // Dominated by the tree messages: 3·14 + 7 + 7 records plus their
-        // per-rank index.
+        // Dominated by the tree messages: 3·14 + 7 + 7 records.
         let msgs = 56 * std::mem::size_of::<MsgRec>();
-        assert!(schedule.heap_bytes() > msgs && schedule.heap_bytes() < 8 * msgs);
+        assert!(schedule.heap_bytes() > msgs && schedule.heap_bytes() < 3 * msgs);
     }
 
     #[test]
@@ -2680,7 +2221,7 @@ mod tests {
         let mut cost = evaluator_for(hosts, &t);
         assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
 
-        // A cross-site swap changes the picture; delta == oracle.
+        // A cross-site swap changes the picture; move == oracle.
         let before = cost.cost();
         let after = cost.apply(Move::Swap { a: 0, b: 5 }).unwrap();
         cost.commit();
@@ -2717,6 +2258,24 @@ mod tests {
         assert_eq!(cost.residents_on(dst), 1);
         assert_eq!(cost.hosts(), &hosts[..]);
         assert_eq!(cost.clocks(), &before_clocks[..]);
+
+        // A cross-site migrate rewrites rank 0's row of the `PerSrc` ring
+        // table (`record_program`'s alltoallv); undo re-derives it from the
+        // old host, so the next move is costed over the right table.
+        let remote = hosts[5];
+        assert_ne!(t.host(hosts[0]).site, t.host(remote).site);
+        cost.apply(Move::Migrate {
+            rank: 0,
+            to: remote,
+        })
+        .unwrap();
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+        cost.undo();
+        assert_eq!(cost.residents_on(remote), 1);
+        assert_eq!(cost.hosts(), &hosts[..]);
+        assert_eq!(cost.clocks(), &before_clocks[..]);
+        cost.apply(Move::Swap { a: 2, b: 3 }).unwrap();
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
     }
 
     #[test]
@@ -2745,8 +2304,8 @@ mod tests {
                 capacity: cap0
             }
         );
-        // Nothing moved, nothing journaled: the next apply is legal and the
-        // state is exactly the pre-error one.
+        // Nothing moved: the next apply is legal and the state is exactly
+        // the pre-error one.
         assert_eq!(cost.hosts(), &hosts[..]);
         assert_eq!(cost.cost(), before_cost);
         assert_eq!(cost.clocks(), &before_clocks[..]);
@@ -2846,34 +2405,150 @@ mod tests {
         assert_eq!(ten.clocks(), &ten.oracle_clocks()[..]);
     }
 
-    #[test]
-    fn delta_visits_far_fewer_ops_than_the_full_schedule() {
-        let t = topology();
-        let hosts: Vec<_> = t.hosts().iter().map(|h| h.id).collect();
-        // EP-shaped program: one compute phase and two allreduces.
-        let n = hosts.len() as u32;
+    /// IS's shape: per iteration a synchronizing allreduce, a `Uniform` and
+    /// a `PerSrc` ring and a rank-dependent compute; one allgather after.
+    fn is_shaped<P: CollectiveProgram>(p: &mut P, iterations: u32) {
+        for _ in 0..iterations {
+            p.allreduce(1 << 13);
+            p.alltoall(8);
+            p.alltoallv(|src, _| (src as u64 % 3 + 1) * 256);
+            p.compute(MemoryIntensity::MEMORY_BOUND, |r| 1e6 * (r % 4 + 1) as f64);
+        }
+        p.allgather(|_| 24);
+    }
+
+    /// Two rank halves that never exchange a message and compute at
+    /// different rates: no repetition is ever entered in lockstep.
+    fn never_coupling<P: CollectiveProgram>(p: &mut P, iterations: u32) {
+        let half = p.size() / 2;
+        for _ in 0..iterations {
+            p.compute(MemoryIntensity::CPU_BOUND, |r| {
+                [1e8, 3e8][usize::from(r >= half)]
+            });
+            p.message(0, 1, 64);
+            p.message(half, half + 1, 64);
+        }
+    }
+
+    fn repeat_of(n: u32, program: impl FnOnce(&mut ScheduleBuilder)) -> Option<Repeat> {
         let mut b = ScheduleBuilder::new(n);
-        b.compute(MemoryIntensity::CPU_BOUND, |_| 1e9);
-        b.allreduce(16);
-        b.allreduce(96);
-        let schedule = Arc::new(b.finish());
-        let full_ops = schedule.op_count();
-        let capacity = t.hosts().iter().map(|h| h.cores as u32).collect();
-        let mut cost = PlacementCost::new(
-            schedule,
-            hosts,
-            capacity,
-            NetworkModel::new(t.clone()),
-            ComputeModel::new(t.clone()),
-        );
-        cost.apply(Move::Swap { a: 0, b: 7 }).unwrap();
-        cost.commit();
-        assert_eq!(cost.cost(), cost.oracle_cost());
+        program(&mut b);
+        b.finish().repeat
+    }
+
+    #[test]
+    fn finish_finds_the_longest_run_of_equal_blocks() {
+        let found = |start, period, reps| {
+            Some(Repeat {
+                start,
+                period,
+                reps,
+            })
+        };
+        // IS: ten iterations of four segments; the allgather is outside.
+        assert_eq!(repeat_of(8, |b| is_shaped(b, 10)), found(0, 4, 10));
+        // EP: a compute phase and one merged tree run — nothing repeats.
+        let ep = |b: &mut ScheduleBuilder| {
+            b.compute(MemoryIntensity::CPU_BOUND, |_| 1e9);
+            b.allreduce(16);
+            b.allreduce(96);
+        };
+        assert_eq!(repeat_of(8, ep), None);
+        // FT: compute, transpose ring, checksum allreduce per iteration.
+        let ft = |b: &mut ScheduleBuilder| {
+            for _ in 0..6 {
+                b.compute(MemoryIntensity::MEMORY_BOUND, |_| 1e7);
+                b.alltoallv(|src, dst| if src == dst { 0 } else { 4096 });
+                b.allreduce(16);
+            }
+        };
+        assert_eq!(repeat_of(8, ft), found(0, 3, 6));
+        // Two repetitions are not worth recording.
+        assert_eq!(repeat_of(8, |b| is_shaped(b, 2)), None);
+        // A prologue's tree merges into the first iteration's `Msgs`, which
+        // then equals no later one: the run starts after it and has one
+        // block less.
+        let late = |b: &mut ScheduleBuilder| {
+            b.bcast(0, 64);
+            is_shaped(b, 10);
+        };
+        assert_eq!(repeat_of(8, late), found(1, 4, 9));
+        // An epilogue differing only in its byte count is not a block.
+        let sized = |b: &mut ScheduleBuilder| {
+            for bytes in [64, 64, 64, 64, 128] {
+                b.alltoall(bytes);
+            }
+        };
+        assert_eq!(repeat_of(8, sized), found(0, 1, 4));
+    }
+
+    /// 64 ranks, two per host, over both sites of a 32-host grid.
+    fn stacked_64(t: &Arc<Topology>) -> Vec<HostId> {
+        t.hosts().iter().flat_map(|h| [h.id; 2]).collect()
+    }
+
+    #[test]
+    fn lockstep_repetitions_are_fast_forwarded_and_not_counted() {
+        let t = grid(16);
+        let mut cost = evaluator_of(|b| is_shaped(b, 10), stacked_64(&t), &t);
+        let full = cost.schedule.op_count();
+        // The construction pass already skips from the third iteration on.
+        assert!(cost.last_delta_ops() * 100 <= full * 35);
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+        // So does a move's pass (a cross-site swap: new ring rows).
+        cost.apply(Move::Swap { a: 0, b: 63 }).unwrap();
+        assert!(cost.last_delta_ops() > 0);
         assert!(
-            cost.last_delta_ops() < full_ops,
-            "delta visited {} ops of a {}-op schedule",
-            cost.last_delta_ops(),
-            full_ops
+            cost.last_delta_ops() * 100 <= full * 35,
+            "{} of {full} ops evaluated",
+            cost.last_delta_ops()
         );
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+        cost.undo();
+        // A rebase that moves nothing evaluates nothing; one that does
+        // counts its pass.
+        let hosts = cost.hosts().to_vec();
+        let caps = cost.capacity.clone();
+        cost.rebase(&hosts, &caps);
+        assert_eq!(cost.last_delta_ops(), 0);
+        let mut swapped = hosts;
+        swapped.swap(0, 63);
+        cost.rebase(&swapped, &caps);
+        assert!(cost.last_delta_ops() > 0 && cost.last_delta_ops() * 100 <= full * 35);
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+    }
+
+    #[test]
+    fn a_body_that_never_couples_is_stepped_in_full() {
+        let t = grid(16);
+        let mut cost = evaluator_of(|b| never_coupling(b, 8), stacked_64(&t), &t);
+        assert!(cost.schedule.repeat.is_some());
+        assert_eq!(cost.last_delta_ops(), cost.schedule.op_count());
+        cost.apply(Move::Swap { a: 1, b: 40 }).unwrap();
+        assert_eq!(cost.last_delta_ops(), cost.schedule.op_count());
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+    }
+
+    #[test]
+    fn entry_clocks_near_the_u64_ceiling_are_stepped() {
+        let t = topology();
+        let hosts: Vec<_> = t.hosts().iter().take(6).map(|h| h.id).collect();
+        let calm = evaluator_of(|b| is_shaped(b, 10), hosts.clone(), &t);
+        // Start so late that the clocks saturate about half-way through the
+        // iterations: lockstep is observed at the third one, but the shifted
+        // clocks would not fit a u64.
+        let headroom = calm.cost().as_nanos() / 2;
+        let late = |b: &mut ScheduleBuilder| {
+            b.advance(SimDuration::from_nanos(u64::MAX - headroom));
+            is_shaped(b, 10);
+        };
+        let mut cost = evaluator_of(late, hosts, &t);
+        assert_eq!(cost.schedule.repeat.map(|r| r.reps), Some(10));
+        // (The `advance` alone adds one op per rank.)
+        assert!(cost.last_delta_ops() > calm.last_delta_ops() + 6);
+        assert_eq!(cost.cost(), SimDuration::MAX);
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+        cost.apply(Move::Swap { a: 0, b: 5 }).unwrap();
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
     }
 }

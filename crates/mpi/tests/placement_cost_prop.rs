@@ -1,10 +1,13 @@
-//! Property test of the incremental placement evaluator: after any sequence
-//! of swap/migrate moves (committed or undone) over any placement and any
-//! collective program, `PlacementCost`'s cached per-rank clocks must equal a
+//! Property test of the placement evaluator: after any sequence of
+//! swap/migrate moves (committed or undone) over any placement and any
+//! collective program, `PlacementCost`'s per-rank clocks must equal a
 //! from-scratch `ModelComm` replay of the same program **exactly** — the
-//! delta-evaluation contract of `p2pmpi_mpi::model`.
+//! move and fast-forward contracts of `p2pmpi_mpi::model`.
 
-use p2pmpi_mpi::model::{CollectiveProgram, Move, MoveError, PlacementCost, ScheduleBuilder};
+use p2pmpi_mpi::model::{
+    CollectiveProgram, ModelComm, Move, MoveError, PlacementCost, ScheduleBuilder,
+};
+use p2pmpi_mpi::placement::Placement;
 use p2pmpi_simgrid::compute::ComputeModel;
 use p2pmpi_simgrid::memory::MemoryIntensity;
 use p2pmpi_simgrid::network::NetworkModel;
@@ -122,6 +125,104 @@ fn ring_heavy_program<P: CollectiveProgram>(p: &mut P, program_seed: u64) {
     }
 }
 
+/// How the ranks of a repeated block's body depend on each other.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Coupling {
+    /// Collectives over all ranks: lockstep after a repetition or two.
+    Full,
+    /// Two rank halves that never exchange a message and compute at rates
+    /// no host speed or contention factor can equalize: no repetition is
+    /// ever entered in lockstep, so the fast-forward must never fire.
+    Never,
+    /// A message chain evaluated against its direction, so the slowest
+    /// rank's rate reaches rank `r` only after `r` repetitions: lockstep
+    /// comes late or not at all.
+    Late,
+}
+
+/// One repetition of a random block body (the same for a given seed).
+fn block_body<P: CollectiveProgram>(p: &mut P, body_seed: u64, coupling: Coupling) {
+    let mut rng = seeded(body_seed);
+    let n = p.size();
+    let half = n / 2;
+    match coupling {
+        Coupling::Full => {
+            for _ in 0..rng.gen_range(1usize..5) {
+                match rng.gen_range(0u32..7) {
+                    0 => {
+                        let scale = rng.gen_range(1u64..50) as f64;
+                        p.compute(MemoryIntensity::MEMORY_BOUND, |r| {
+                            1e6 * scale * (r % 3 + 1) as f64
+                        });
+                    }
+                    1 => p.bcast(rng.gen_range(0..n), rng.gen_range(1u64..5000)),
+                    2 => p.allreduce(rng.gen_range(1u64..1000)),
+                    3 => p.alltoall(rng.gen_range(1u64..500)),
+                    4 => {
+                        let scale = rng.gen_range(1u64..64);
+                        p.alltoallv(move |src, _| (src as u64 % 7 + 1) * scale * 8);
+                    }
+                    5 => {
+                        let stride = rng.gen_range(1u64..29);
+                        p.alltoallv(move |src, dst| {
+                            (src as u64 * 13 + dst as u64 * stride) % 97 * 8
+                        });
+                    }
+                    _ => p.advance(p2pmpi_simgrid::time::SimDuration::from_micros(
+                        rng.gen_range(1u64..900),
+                    )),
+                }
+            }
+            // Trees alone would merge across repetitions into one segment.
+            p.compute(MemoryIntensity::CPU_BOUND, |r| 1e5 * (r % 5 + 1) as f64);
+        }
+        Coupling::Never => {
+            p.compute(MemoryIntensity::CPU_BOUND, |r| {
+                [1e7, 2e8][usize::from(r >= half)]
+            });
+            for _ in 0..rng.gen_range(1usize..4) {
+                let bytes = rng.gen_range(1u64..4000);
+                p.message(rng.gen_range(0..half), rng.gen_range(0..half), bytes);
+                p.message(rng.gen_range(half..n), rng.gen_range(half..n), bytes);
+            }
+        }
+        Coupling::Late => {
+            let scale = rng.gen_range(1u64..20) as f64;
+            p.compute(MemoryIntensity::MEMORY_BOUND, move |r| {
+                1e6 * scale * (n - r) as f64
+            });
+            for r in (0..n - 1).rev() {
+                p.message(r, r + 1, 256);
+            }
+        }
+    }
+}
+
+/// Optional prologue, `reps` equal blocks, optional epilogue.
+fn repeated_program<P: CollectiveProgram>(
+    p: &mut P,
+    body_seed: u64,
+    coupling: Coupling,
+    reps: u32,
+    prologue: bool,
+    epilogue: bool,
+) {
+    // Never-coupling bodies keep their halves apart outside the run too.
+    let wrap = |p: &mut P, bytes: u64| match coupling {
+        Coupling::Never => p.message(0, 1, bytes),
+        _ => p.allreduce(bytes),
+    };
+    if prologue {
+        wrap(p, 48);
+    }
+    for _ in 0..reps {
+        block_body(p, body_seed, coupling);
+    }
+    if epilogue {
+        wrap(p, 112);
+    }
+}
+
 /// Assigns `n` ranks to random hosts without exceeding any host's core
 /// capacity (migrates need somewhere to go, so capacity-feasible starts
 /// matter).
@@ -190,11 +291,11 @@ proptest! {
                     prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
                 }
                 Ok(new_cost) => {
-                    // Delta-after-move equals the from-scratch replay,
-                    // per rank, bit for bit.
+                    // The clocks after the move equal the from-scratch
+                    // replay, per rank, bit for bit.
                     let oracle = cost.oracle_clocks();
                     prop_assert_eq!(cost.clocks(), &oracle[..],
-                        "delta clocks diverged from the oracle after {:?}", mv);
+                        "clocks diverged from the oracle after {:?}", mv);
                     let oracle_max = oracle.iter().copied().max().unwrap();
                     prop_assert_eq!(
                         new_cost,
@@ -261,7 +362,7 @@ proptest! {
                 continue;
             }
             prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..],
-                "ring-heavy delta diverged from the oracle after {:?}", mv);
+                "ring-heavy clocks diverged from the oracle after {:?}", mv);
             if rng.gen_range(0u32..3) == 0 {
                 cost.undo();
                 prop_assert_eq!(cost.cost(), before_cost);
@@ -270,6 +371,93 @@ proptest! {
                 cost.commit();
             }
         }
+    }
+
+    /// The fast-forward contract: on programs that repeat one block 3–12
+    /// times — bodies that reach lockstep at once, late or never, with and
+    /// without a prologue and an epilogue around the run — the per-rank
+    /// clocks equal the oracle's at rest, after every move, after `undo`
+    /// and after `rebase`, `cost_of` equals a `ModelComm` replay, and a
+    /// never-coupling body is never fast-forwarded.
+    #[test]
+    fn repeated_blocks_equal_full_replay(
+        n in 4u32..13,
+        reps in 3u32..13,
+        coupling in 0u32..3,
+        wrapping in 0u32..4,
+        placement_seed in 0u64..1_000_000,
+        body_seed in 0u64..1_000_000,
+        move_seed in 0u64..1_000_000,
+    ) {
+        let coupling = [Coupling::Full, Coupling::Never, Coupling::Late][coupling as usize];
+        let (prologue, epilogue) = (wrapping & 1 != 0, wrapping & 2 != 0);
+        let topology = topology();
+        let mut b = ScheduleBuilder::new(n);
+        repeated_program(&mut b, body_seed, coupling, reps, prologue, epilogue);
+        let schedule = Arc::new(b.finish());
+        // (Adjacent trees merge, so a prologue or epilogue can cost the run
+        // its first or last block — and at three repetitions the run itself.)
+        prop_assert!(reps < 5 || schedule.repeated_block().is_some());
+        let full_ops = schedule.op_count();
+        let hosts = random_feasible_hosts(&topology, n, placement_seed);
+        let capacity: Vec<u32> = topology.hosts().iter().map(|h| h.cores as u32).collect();
+        let network = NetworkModel::new(topology.clone());
+        let compute = ComputeModel::new(topology.clone());
+
+        let mut replay = ModelComm::new(
+            &Placement::one_per_host(&hosts),
+            network.clone(),
+            compute.clone(),
+        );
+        schedule.drive(&mut replay);
+        prop_assert_eq!(
+            PlacementCost::cost_of(&schedule, &hosts, &network, &compute),
+            replay.makespan()
+        );
+
+        let mut cost = PlacementCost::new(schedule, hosts, capacity.clone(), network, compute);
+        prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+        if coupling == Coupling::Never {
+            prop_assert_eq!(cost.last_delta_ops(), full_ops);
+        }
+
+        let mut rng = seeded(move_seed);
+        let host_count = topology.host_count();
+        for _ in 0..8 {
+            let mv = if rng.gen_range(0u32..2) == 0 {
+                Move::Swap { a: rng.gen_range(0..n), b: rng.gen_range(0..n) }
+            } else {
+                Move::Migrate {
+                    rank: rng.gen_range(0..n),
+                    to: HostId(rng.gen_range(0..host_count)),
+                }
+            };
+            let before_hosts = cost.hosts().to_vec();
+            let before_clocks = cost.clocks().to_vec();
+            if cost.apply(mv).is_err() {
+                prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+                continue;
+            }
+            prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..],
+                "clocks diverged from the oracle after {:?}", mv);
+            prop_assert!(cost.last_delta_ops() <= full_ops);
+            if coupling == Coupling::Never && cost.hosts() != &before_hosts[..] {
+                prop_assert_eq!(cost.last_delta_ops(), full_ops);
+            }
+            if rng.gen_range(0u32..3) == 0 {
+                cost.undo();
+                prop_assert_eq!(cost.hosts(), &before_hosts[..]);
+                prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+            } else {
+                cost.commit();
+            }
+        }
+
+        // A rebase onto a fresh random placement is one more pass.
+        let rebased = random_feasible_hosts(&topology, n, move_seed ^ 0x5EED);
+        cost.rebase(&rebased, &capacity);
+        prop_assert_eq!(cost.hosts(), &rebased[..]);
+        prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
     }
 
     /// The cross-job warm-reuse contract (`PlacementCost::rebase`): after
@@ -337,7 +525,7 @@ proptest! {
             prop_assert_eq!(warm.hosts(), fresh.hosts());
             prop_assert_eq!(warm.clocks(), fresh.clocks());
 
-            // Not just numerically right at rest: the warm cache must be
+            // Not just numerically right at rest: the warm evaluator must be
             // the same evaluator state, agreeing move for move (accepted,
             // rejected, undone or committed) until the next arrival.
             for _ in 0..4 {
@@ -435,7 +623,7 @@ fn is_shaped_program<P: CollectiveProgram>(p: &mut P, iterations: u32) {
 /// Deterministic 256-rank soak: an IS-shaped schedule on an 80-host grid,
 /// a fixed swap/migrate walk with undo sprinkled in, and a full `ModelComm`
 /// replay after **every** accepted move.  This is the at-scale pin of the
-/// tentpole contract — the pooled-table wavefront must match the oracle bit
+/// move contract — the pooled-table wavefront must match the oracle bit
 /// for bit at the rank counts the search actually runs.
 #[test]
 fn is_shaped_soak_at_256_matches_oracle() {
@@ -481,7 +669,7 @@ fn is_shaped_soak_at_256_matches_oracle() {
         assert_eq!(
             cost.clocks(),
             &cost.oracle_clocks()[..],
-            "soak step {step}: delta diverged from the oracle after {mv:?}"
+            "soak step {step}: clocks diverged from the oracle after {mv:?}"
         );
         if step % 3 == 0 {
             cost.undo();

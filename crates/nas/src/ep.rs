@@ -169,7 +169,7 @@ pub fn ep_kernel(comm: &mut Comm, config: &EpConfig) -> MpiResult<EpResult> {
 /// program: one compute phase, then two fixed-size `MPI_Allreduce`s.  This
 /// is the single source of EP's modeled schedule — [`ep_model`] runs it on a
 /// [`ModelComm`], [`ep_schedule`] records it for the placement search's
-/// incremental evaluator.
+/// evaluator.
 pub fn ep_program<P: CollectiveProgram>(p: &mut P, config: &EpConfig) {
     let size = p.size();
     let total_pairs = config.class.ep_pairs();
@@ -194,8 +194,7 @@ pub fn ep_model(model: &mut ModelComm, config: &EpConfig) -> SimDuration {
 }
 
 /// Compiles [`ep_program`] for `size` ranks — the schedule hook the
-/// placement search (`p2pmpi_mpi::model::PlacementCost`) evaluates
-/// incrementally.
+/// placement search (`p2pmpi_mpi::model::PlacementCost`) evaluates.
 pub fn ep_schedule(config: &EpConfig, size: u32) -> CompiledSchedule {
     let mut b = ScheduleBuilder::new(size);
     ep_program(&mut b, config);
@@ -205,6 +204,14 @@ pub fn ep_schedule(config: &EpConfig, size: u32) -> CompiledSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn schedule_has_nothing_to_fast_forward() {
+        // One compute phase and one merged tree run.
+        let s = ep_schedule(&EpConfig::new(Class::S), 16);
+        assert_eq!(s.segment_count(), 2);
+        assert_eq!(s.repeated_block(), None);
+    }
 
     #[test]
     fn rank_share_partitions_exactly() {

@@ -74,7 +74,7 @@ impl FtConfig {
 /// sends its `share/size` block to every *other* rank) and the checksum
 /// allreduce.  The single source of FT's modeled schedule — [`ft_model`]
 /// runs it on a [`ModelComm`], [`ft_schedule`] records it for the placement
-/// search's incremental evaluator.
+/// search's evaluator.
 pub fn ft_program<P: CollectiveProgram>(p: &mut P, config: &FtConfig) {
     let size = p.size();
     let total = config.total_points();
@@ -106,7 +106,7 @@ pub fn ft_model(model: &mut ModelComm, config: &FtConfig) -> SimDuration {
 /// Compiles [`ft_program`] for `size` ranks — the schedule hook of the
 /// placement search.  The transpose rings compile to `Uniform`/`PerSrc`
 /// byte structures, so all iterations share one pooled transfer table in
-/// the incremental evaluator.
+/// the evaluator, and compile to equal blocks its pass fast-forwards.
 pub fn ft_schedule(config: &FtConfig, size: u32) -> CompiledSchedule {
     let mut b = ScheduleBuilder::new(size);
     ft_program(&mut b, config);
@@ -140,7 +140,8 @@ mod tests {
         assert_eq!(s.size(), 8);
         // Per iteration: compute, the transpose ring, and the checksum
         // allreduce's merged tree run; rings split the tree runs apart.
-        assert!(s.segment_count() >= 3 * 3);
+        assert_eq!(s.segment_count(), 3 * 3);
         assert!(s.op_count() > 0);
+        assert_eq!(s.repeated_block(), Some((0, 3, 3)));
     }
 }

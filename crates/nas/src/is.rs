@@ -220,7 +220,7 @@ pub fn is_kernel(comm: &mut Comm, config: &IsConfig) -> MpiResult<IsResult> {
 /// program (see [`is_model`] for the balanced-alltoallv approximation).
 /// The single source of IS's modeled schedule: [`is_model`] runs it on a
 /// [`ModelComm`], [`is_schedule`] records it for the placement search's
-/// incremental evaluator.
+/// evaluator.
 pub fn is_program<P: CollectiveProgram>(p: &mut P, config: &IsConfig) {
     let size = p.size();
     let total_keys = config.effective_keys();
@@ -261,9 +261,10 @@ pub fn is_model(model: &mut ModelComm, config: &IsConfig) -> SimDuration {
 }
 
 /// Compiles [`is_program`] for `size` ranks — the schedule hook of the
-/// placement search.  The incremental evaluator's ring state is pooled
-/// transfer tables of O(size · sites) bytes shared across all iterations
-/// (see `p2pmpi_mpi::model`'s memory note), so IS stays searchable at
+/// placement search.  The iterations compile to equal blocks the
+/// evaluator's pass fast-forwards once the ranks advance in lockstep, and
+/// its ring state is pooled transfer tables of O(size · sites) bytes shared
+/// across all of them (see `p2pmpi_mpi::model`), so IS stays searchable at
 /// 1024+ ranks.
 pub fn is_schedule(config: &IsConfig, size: u32) -> CompiledSchedule {
     let mut b = ScheduleBuilder::new(size);
@@ -292,6 +293,17 @@ fn assign_buckets(global_counts: &[i64], size: u32, total_keys: u64) -> Vec<u32>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn schedule_repeats_one_block_per_iteration() {
+        // allreduce, alltoall, alltoallv, compute — ten times; the closing
+        // allgather is outside the run.
+        for ranks in [8, 32, 64] {
+            let s = is_schedule(&IsConfig::new(Class::S), ranks);
+            assert_eq!(s.segment_count(), 41);
+            assert_eq!(s.repeated_block(), Some((0, 4, 10)));
+        }
+    }
 
     #[test]
     fn config_constructors() {

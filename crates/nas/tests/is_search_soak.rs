@@ -1,11 +1,11 @@
-//! At-scale pin of the incremental evaluator against the *real* NAS
+//! At-scale pin of the placement evaluator against the *real* NAS
 //! schedules: the compiled `is_schedule` (and `ft_schedule`) driven through
 //! a deterministic swap/migrate/undo walk on a multi-site grid, with a full
 //! `ModelComm` replay after every accepted move.  The `p2pmpi-mpi` property
-//! suite proves the delta contract on random programs; this test proves it
-//! on the exact byte structures the placement search optimises — IS's
-//! balanced alltoallv (compressed to a pooled transfer table) and FT's
-//! zero-diagonal transpose.
+//! suite proves the move and fast-forward contracts on random programs;
+//! this test proves them on the exact byte structures and repeated
+//! iterations the placement search optimises — IS's balanced alltoallv
+//! (compressed to a pooled transfer table) and FT's zero-diagonal transpose.
 
 use p2pmpi_mpi::model::{Move, PlacementCost};
 use p2pmpi_nas::classes::Class;
@@ -100,7 +100,7 @@ fn soak(schedule: p2pmpi_mpi::model::CompiledSchedule, n: u32, moves: u32, seed:
         assert_eq!(
             cost.clocks(),
             &cost.oracle_clocks()[..],
-            "step {step}: delta diverged from the oracle after {mv:?}"
+            "step {step}: the clocks diverged from the oracle after {mv:?}"
         );
         if step % 3 == 0 {
             cost.undo();
