@@ -14,14 +14,17 @@
 //! criteria: the supernode-crash day must complete ≥ 90% of its no-fault
 //! twin's jobs, a site outage's utilisation must recover to within 5% of the
 //! twin's, the standard day must leak zero grants, and so on.  Verdicts go
-//! to stdout as JSON; progress and a pass/fail summary go to stderr; the
-//! exit status is non-zero if any scenario failed its criteria.
+//! to stdout as JSON, in matrix order; progress and a pass/fail summary go
+//! to stderr (scenarios run on every hardware thread, so their progress
+//! lines interleave); the exit status is non-zero if any scenario failed
+//! its criteria.
 //!
 //! `--compress 24` replays each scenario's day (and its fault windows) in
 //! one virtual hour — the CI configuration.  `--rate-scale` defaults to
 //! 0.05 (~1.1k jobs per day-equivalent).
 
 use p2pmpi_bench::cliargs::{flag_f64, flag_present, flag_u64, flag_value};
+use p2pmpi_bench::par_map;
 use p2pmpi_bench::scenario::{run_scenario, Scenario, ScenarioParams, ALL_SCENARIOS};
 use p2pmpi_simgrid::event::QueueKind;
 use std::time::Instant;
@@ -87,9 +90,12 @@ fn main() {
         }
     }
 
-    let mut failures = 0usize;
+    // Scenarios are independent runs: spread them over the hardware
+    // threads (progress lines interleave on stderr) and print the verdicts
+    // in matrix order afterwards.
     let total = scenarios.len();
-    for (i, scenario) in scenarios.into_iter().enumerate() {
+    let numbered: Vec<(usize, Scenario)> = scenarios.into_iter().enumerate().collect();
+    let verdicts = par_map(&numbered, |&(i, scenario)| {
         eprintln!(
             "[{}/{total}] running {} (compress {}, rate scale {}, seed {})...",
             i + 1,
@@ -101,7 +107,6 @@ fn main() {
         let start = Instant::now();
         let verdict = run_scenario(scenario, &params);
         let wall = start.elapsed().as_secs_f64();
-        println!("{}", verdict.to_json());
         let status = if verdict.passed() { "PASS" } else { "FAIL" };
         eprintln!(
             "[{}/{total}] {status} {} in {wall:.1}s wall ({}/{} jobs placed)",
@@ -110,13 +115,20 @@ fn main() {
             verdict.result.succeeded,
             verdict.result.submitted,
         );
-        if !verdict.passed() {
-            failures += 1;
-            for check in verdict.checks.iter().filter(|c| !c.passed) {
-                eprintln!("  failed check {}: {}", check.name, check.detail);
-            }
+        for check in verdict.checks.iter().filter(|c| !c.passed) {
+            eprintln!(
+                "  {} failed check {}: {}",
+                scenario.name(),
+                check.name,
+                check.detail
+            );
         }
+        verdict
+    });
+    for verdict in &verdicts {
+        println!("{}", verdict.to_json());
     }
+    let failures = verdicts.iter().filter(|v| !v.passed()).count();
     if failures > 0 {
         eprintln!("{failures}/{total} scenarios failed their graceful-degradation criteria");
         std::process::exit(1);

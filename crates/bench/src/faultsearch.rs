@@ -9,7 +9,9 @@
 //! scenario ([`outage_in_crowd_config`]) at a grid of phase offsets, then
 //! optionally refines the worst bracket with golden-section iterations,
 //! all against one shared crowd-only twin (the outage never reshapes
-//! arrivals, so every offset replays the identical inflated trace).
+//! arrivals, so every offset replays the identical inflated trace).  The
+//! grid points are independent runs and go through [`par_map`]; the
+//! refinement picks each point from the last and stays serial.
 //!
 //! The objective is the recovery time of [`recovery_to_twin`]: seconds
 //! after the outage clears until grid-total utilisation regains 95% of
@@ -27,6 +29,7 @@
 //! [`FaultSpec::PhaseShift`]: crate::workload::FaultSpec::PhaseShift
 //! [`OUTAGE_IN_CROWD_WORST_OFFSET_SECS`]: crate::scenario::OUTAGE_IN_CROWD_WORST_OFFSET_SECS
 
+use crate::par::par_map;
 use crate::scenario::{outage_in_crowd_config, outage_window, recovery_to_twin, ScenarioParams};
 use crate::workload::{flatten_faults, run_day_sweep, DaySweepResult, FaultSpec};
 
@@ -127,20 +130,24 @@ fn eval_phase(offset_secs: f64, params: &ScenarioParams, twin: &DaySweepResult) 
     }
 }
 
+/// The shared twin: the crowd without the outage.  Every phase offset
+/// replays this exact trace (the outage is a pure timeline fault), so one
+/// run serves all evaluations.
+fn crowd_twin(params: &ScenarioParams) -> DaySweepResult {
+    let mut twin_cfg = outage_in_crowd_config(0.0, params);
+    twin_cfg.faults = flatten_faults(&twin_cfg.faults)
+        .into_iter()
+        .filter(|f| matches!(f, FaultSpec::FlashCrowd { .. }))
+        .collect();
+    run_day_sweep(&twin_cfg)
+}
+
 /// Grid-sweeps the phase offsets (plus the nominal onset) and optionally
 /// golden-section-refines the bracket around the worst grid point,
 /// returning every evaluated point and the worst found.  One crowd-only
 /// twin is run up front and shared by every evaluation.
 pub fn search_worst_phase(p: &PhaseSearchParams) -> PhaseSearchReport {
-    // The shared twin: the crowd without the outage.  Every phase offset
-    // replays this exact trace (the outage is a pure timeline fault), so
-    // one run serves all evaluations.
-    let mut twin_cfg = outage_in_crowd_config(0.0, &p.scenario);
-    twin_cfg.faults = flatten_faults(&twin_cfg.faults)
-        .into_iter()
-        .filter(|f| matches!(f, FaultSpec::FlashCrowd { .. }))
-        .collect();
-    let twin = run_day_sweep(&twin_cfg);
+    let twin = crowd_twin(&p.scenario);
 
     let mut offsets = p.offsets.clone();
     if !offsets.contains(&0.0) {
@@ -149,10 +156,7 @@ pub fn search_worst_phase(p: &PhaseSearchParams) -> PhaseSearchReport {
     offsets.sort_by(|a, b| a.partial_cmp(b).expect("finite offsets"));
     offsets.dedup();
 
-    let mut points: Vec<PhasePoint> = offsets
-        .iter()
-        .map(|&o| eval_phase(o, &p.scenario, &twin))
-        .collect();
+    let mut points = par_map(&offsets, |&o| eval_phase(o, &p.scenario, &twin));
     let nominal = *points
         .iter()
         .find(|pt| pt.offset_secs == 0.0)
@@ -218,5 +222,42 @@ pub fn search_worst_phase(p: &PhaseSearchParams) -> PhaseSearchReport {
         nominal,
         worst,
         refined_evals,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_parallel_grid_sweep_reports_what_a_serial_one_would() {
+        let params = PhaseSearchParams {
+            scenario: ScenarioParams {
+                compress: 24.0,
+                ..ScenarioParams::default()
+            },
+            // Unsorted, and without the nominal onset: the report lists the
+            // grid in ascending order with offset 0 added.
+            offsets: vec![1800.0, -3600.0, 3600.0],
+            refine_iters: 0,
+        };
+        let report = search_worst_phase(&params);
+
+        let twin = crowd_twin(&params.scenario);
+        let serial: Vec<PhasePoint> = [-3600.0, 0.0, 1800.0, 3600.0]
+            .iter()
+            .map(|&o| eval_phase(o, &params.scenario, &twin))
+            .collect();
+        assert_eq!(format!("{:?}", report.points), format!("{serial:?}"));
+        assert_eq!(format!("{:?}", report.nominal), format!("{:?}", serial[1]));
+        let worst = serial.iter().fold(serial[0], |w, p| {
+            if p.recovery_secs > w.recovery_secs {
+                *p
+            } else {
+                w
+            }
+        });
+        assert_eq!(format!("{:?}", report.worst), format!("{worst:?}"));
+        assert_eq!(report.refined_evals, 0);
     }
 }

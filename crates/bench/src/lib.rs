@@ -29,6 +29,7 @@ pub mod cliargs;
 pub mod experiments;
 pub mod faultsearch;
 pub mod output;
+pub mod par;
 pub mod scenario;
 pub mod search;
 pub mod shard;
@@ -37,6 +38,7 @@ pub mod workload;
 pub use experiments::{fig2_fig3_sweep, fig4_kernel_times, Fig4Kernel, Fig4Point, Fig4Settings};
 pub use faultsearch::{search_worst_phase, PhasePoint, PhaseSearchParams, PhaseSearchReport};
 pub use output::{print_fig4_table, print_legend, print_sweep_tables};
+pub use par::par_map;
 pub use scenario::{
     outage_in_crowd_config, outage_in_crowd_faults, recovery_to_twin, run_matrix, run_scenario,
     Scenario, ScenarioParams, ScenarioVerdict, ALL_SCENARIOS, OUTAGE_IN_CROWD_WORST_OFFSET_SECS,

@@ -14,7 +14,8 @@
 //! [`ShardPlan`] partitions the grid into site-aligned shards, each shard
 //! gets its own [`crate::workload::SweepCore`] — overlay, event timeline,
 //! allocator, RNG substreams, sharing **nothing** with its siblings — and
-//! the shard timelines run on scoped threads between barriers.
+//! the shard timelines run on persistent *lanes* between barriers (see
+//! "Lanes" below).
 //!
 //! # The barrier protocol
 //!
@@ -49,20 +50,49 @@
 //!    `T + hold`.  The next parallel phase begins.
 //!
 //! Shard order is fixed everywhere (classification, brokering, scatter,
-//! merge), all coordinator work happens between joined phases, and shards
-//! share no state — so the parallel driver is **bit-identical** to running
-//! the same per-shard operation sequence on one thread
-//! ([`ShardSweepConfig::parallel`] = false), and with one shard it
-//! reproduces [`crate::workload::run_day_sweep`] bit-for-bit
-//! (`tests/shard_sweep.rs` pins both).
+//! merge), all coordinator work happens between completed phases, and
+//! shards share no state — so the result is **bit-identical** at every
+//! lane count, one lane ([`ShardSweepConfig::parallel`] = false) included,
+//! and with one shard it reproduces [`crate::workload::run_day_sweep`]
+//! bit-for-bit (`tests/shard_sweep.rs` and the unit tests below pin both).
 //!
 //! Site-scoped faults route to the owning shard; flash crowds reshape the
 //! shared trace before classification; a supernode outage applies to every
-//! shard's registry.  Wall-clock speedup comes from the parallel phases:
-//! with a low cross-shard fraction the phases are long and the expected
-//! speedup approaches the shard count (on hardware with that many cores).
+//! shard's registry.
+//!
+//! # Lanes
+//!
+//! A week is thousands of phases of well under a millisecond each, so the
+//! threads have to outlive the phases.  A sweep runs on
+//! `min(shards, available_parallelism())` lanes: shard `s` belongs to lane
+//! `s % lanes`, a lane runs its shards in shard order, and lane 0 *is* the
+//! calling thread — it advances its own shards between publishing a phase
+//! and waiting for it, then brokers the barrier.  The other lanes are
+//! threads spawned once per sweep.  One lane (`parallel = false`, a
+//! one-core host, one shard) therefore spawns nothing and is the same code
+//! on one thread.
+//!
+//! *Handoff.*  The coordinator releases phase `k` by storing `k + 1` to a
+//! shared epoch counter (release) and unparking the workers; a worker
+//! answers by storing the epoch to its own `done` counter (release) and
+//! unparking the coordinator; both sides wait with acquire loads, spinning
+//! for a bounded time before they park — lanes never outnumber
+//! hardware threads, so a spinning lane is not in another's way.  One epoch
+//! past the last phase tells every lane to drain and close its shards'
+//! books (`SweepCore::finish`).  Each shard's core sits in a `Mutex` of its
+//! own that the epoch order keeps uncontended: the owning lane locks it
+//! during a phase, the coordinator locks all of them at the barrier.
+//!
+//! *Panics.*  A panic on any lane — the safe-horizon assert, a poisoned
+//! shard lock — reaches the caller of [`run_shard_sweep`] with its original
+//! payload.  A panicking worker's drop guard stores the poison epoch to its
+//! `done` counter and unparks the coordinator, which poisons the shared
+//! epoch to release the other workers, joins them all and resumes the
+//! panic; a panic on the coordinator poisons the epoch as it unwinds.
+//! Nobody waits on an epoch that will never come.
 
 use crate::experiments::{run_kernel_on_placement, Fig4Settings};
+use crate::par::hardware_threads;
 use crate::workload::{
     burst_profile, day_trace, sample_running, DaySweepConfig, DaySweepResult, FaultSpec, JobSpec,
     SweepCore, UtilisationSample,
@@ -78,8 +108,10 @@ use p2pmpi_simgrid::rngutil::{derive_seed, seeded};
 use p2pmpi_simgrid::time::SimTime;
 use p2pmpi_simgrid::topology::Topology;
 use rand::Rng;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// Configuration of one [`run_shard_sweep`] run.
 #[derive(Debug, Clone)]
@@ -94,9 +126,10 @@ pub struct ShardSweepConfig {
     /// Fraction of jobs classified cross-shard (each one a barrier).
     /// Ignored at `shards == 1`, where every job is local.
     pub cross_fraction: f64,
-    /// Run shard timelines on scoped threads between barriers.  `false`
-    /// runs the identical per-shard operation sequence on one thread —
-    /// same result bit-for-bit, the baseline for speedup measurements.
+    /// Run the shard timelines on one lane per hardware thread (at most
+    /// one per shard).  `false` runs every shard on the calling thread —
+    /// same code, same result bit-for-bit, the baseline for speedup
+    /// measurements.
     pub parallel: bool,
 }
 
@@ -168,9 +201,13 @@ struct CrossStats {
     hold_secs: f64,
 }
 
+/// What a lane runs for one shard in one phase: [`run_segment`], or a
+/// test's stand-in for it.
+type SegmentFn = fn(usize, &mut SweepCore, &[JobSpec], Option<SimTime>);
+
 /// Runs one shard's share of a parallel phase: submit the local batch,
 /// then advance to the barrier and assert the safe-horizon contract.
-fn run_segment(core: &mut SweepCore, batch: &[JobSpec], barrier: Option<SimTime>) {
+fn run_segment(shard: usize, core: &mut SweepCore, batch: &[JobSpec], barrier: Option<SimTime>) {
     for job in batch {
         core.submit(job);
     }
@@ -183,7 +220,7 @@ fn run_segment(core: &mut SweepCore, batch: &[JobSpec], barrier: Option<SimTime>
         let (_, horizon) = core.tb.overlay.run_until_horizon(at);
         assert!(
             horizon.is_none_or(|h| h > at),
-            "shard timeline violated the safe-horizon contract at barrier {at:?}"
+            "shard {shard}'s timeline violated the safe-horizon contract at barrier {at:?}"
         );
     }
 }
@@ -193,7 +230,7 @@ fn run_segment(core: &mut SweepCore, batch: &[JobSpec], barrier: Option<SimTime>
 /// merged costing, scatter-back.
 #[allow(clippy::too_many_arguments)]
 fn broker_cross(
-    cores: &mut [SweepCore],
+    cores: &mut [&mut SweepCore],
     job: &JobSpec,
     base: &DaySweepConfig,
     global_topology: &Arc<Topology>,
@@ -224,7 +261,7 @@ fn broker_cross(
         if n == 0 {
             continue;
         }
-        let core = &mut cores[s];
+        let core = &mut *cores[s];
         let request = JobRequest::new(n, base.strategy, job.kernel.program());
         let report = core
             .allocator
@@ -240,7 +277,7 @@ fn broker_cross(
     }
     if refused {
         for (s, key, alloc) in &booked {
-            let core = &mut cores[*s];
+            let core = &mut *cores[*s];
             for h in &alloc.hosts {
                 core.tb.overlay.complete_job(h.peer, *key);
             }
@@ -297,7 +334,7 @@ fn broker_cross(
     // event per involved shard onto its timeline at the common barrier
     // clock plus the hold.
     for (s, key, alloc) in &booked {
-        let core = &mut cores[*s];
+        let core = &mut *cores[*s];
         core.charge_remote(alloc, hold);
         let done_at = core.tb.overlay.now() + hold;
         let peers: Vec<PeerId> = alloc.hosts.iter().map(|h| h.peer).collect();
@@ -309,9 +346,186 @@ fn broker_cross(
     stats.succeeded += 1;
 }
 
-/// Runs the sharded sweep.  See the module docs for the barrier protocol;
-/// the `week_sweep` binary renders the result.
+/// Epoch value no phase reaches: the sweep is over because a lane panicked.
+/// The largest `u64`, so "this epoch or later" waits see it too.
+const POISONED: u64 = u64::MAX;
+
+/// How long a waiter spins before it parks.  Lanes never outnumber
+/// hardware threads, so spinning costs nobody a core, while a park costs the
+/// waker a system call, the sleeper a wake-up latency of the order of a
+/// whole phase and, where the scheduler wakes a thread next to its waker,
+/// the lane its own core; only a wait many phases long (a lopsided tail, a
+/// stalled sibling) is worth sleeping through.
+const SPIN_FOR: Duration = Duration::from_millis(2);
+
+/// Spins between two `yield_now` calls of a waiter.  The yield is for the
+/// case the lane count cannot rule out: the scheduler has put two lanes on
+/// one core (a 2-vCPU VM kept a freshly spawned lane on its parent's core
+/// for ~0.6 s), and the lane this one waits for can only run when it steps
+/// aside.  The sweep then runs at one-thread speed instead of a park per
+/// handoff; on a core of its own the yield returns at once.
+const SPINS_PER_YIELD: u32 = 64;
+
+/// Blocks until `cell` reads `epoch` or later (`POISONED` included) and
+/// returns what it read.  The acquire load pairs with the release store of
+/// whoever advances `cell`, and that thread unparks this one afterwards: a
+/// wake-up between the load and the `park` leaves the park token set, so it
+/// is never lost.
+fn wait_for(cell: &AtomicU64, epoch: u64) -> u64 {
+    let start = Instant::now();
+    let mut spins = 0u32;
+    let mut spinning = true;
+    loop {
+        let seen = cell.load(Ordering::Acquire);
+        if seen >= epoch {
+            return seen;
+        }
+        if !spinning {
+            std::thread::park();
+        } else if spins < SPINS_PER_YIELD {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            spins = 0;
+            std::thread::yield_now();
+            spinning = start.elapsed() < SPIN_FOR;
+        }
+    }
+}
+
+/// The coordinator's end of the shared epoch: releases the worker lanes
+/// phase by phase, and — however the coordinator leaves, a panic of its own
+/// included — poisons the epoch on drop so no worker is left waiting.
+struct Gate<'a> {
+    epoch: &'a AtomicU64,
+    workers: Vec<Thread>,
+}
+
+impl Gate<'_> {
+    fn open(&self, epoch: u64) {
+        // Release: everything the coordinator did to the shards before this
+        // phase (brokering, scatter-back) is visible to a worker that reads
+        // `epoch` in `wait_for`.
+        self.epoch.store(epoch, Ordering::Release);
+        for worker in &self.workers {
+            worker.unpark();
+        }
+    }
+}
+
+impl Drop for Gate<'_> {
+    fn drop(&mut self) {
+        self.open(POISONED);
+    }
+}
+
+/// A worker lane's panic notice: poisons its `done` counter so the
+/// coordinator stops waiting for a phase that will never complete.
+struct PoisonOnPanic<'a> {
+    done: &'a AtomicU64,
+    coordinator: &'a Thread,
+}
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.done.store(POISONED, Ordering::Release);
+            self.coordinator.unpark();
+        }
+    }
+}
+
+/// What the lanes of one sweep share.  See "Lanes" in the module docs.
+struct Lanes<'a> {
+    /// Lane count; shard `s` runs on lane `s % count`.
+    count: usize,
+    /// One slot per shard, emptied by the `finish` of the owning lane.  The
+    /// epoch order keeps every lock uncontended.
+    cores: Vec<Mutex<Option<SweepCore>>>,
+    segments: &'a [Segment],
+    segment_fn: SegmentFn,
+    horizon: SimTime,
+    /// `k + 1` releases `segments[k]`; `segments.len() + 1` releases
+    /// `finish`; `POISONED` sends the workers home.
+    epoch: AtomicU64,
+    /// Per worker lane (lane `w + 1` at index `w`): the last epoch it
+    /// completed, or `POISONED`.
+    done: Vec<AtomicU64>,
+    coordinator: Thread,
+}
+
+impl Lanes<'_> {
+    fn shards_of(&self, lane: usize) -> impl Iterator<Item = usize> {
+        (lane..self.cores.len()).step_by(self.count)
+    }
+
+    /// Runs `lane`'s shards through one phase, in shard order.
+    fn run_phase(&self, lane: usize, segment: &Segment) {
+        let barrier = segment.cross.as_ref().map(|j| j.at);
+        for s in self.shards_of(lane) {
+            let mut slot = self.cores[s]
+                .lock()
+                .expect("a lane panicked while holding this shard");
+            let core = slot.as_mut().expect("a shard is finished once, last");
+            (self.segment_fn)(s, core, &segment.batches[s], barrier);
+        }
+    }
+
+    /// Drains `lane`'s shards to the horizon and closes their books.
+    fn finish(&self, lane: usize) -> Vec<(usize, DaySweepResult)> {
+        self.shards_of(lane)
+            .map(|s| {
+                let core = self.cores[s]
+                    .lock()
+                    .expect("a lane panicked while holding this shard")
+                    .take()
+                    .expect("a shard is finished once, last");
+                (s, core.finish(self.horizon))
+            })
+            .collect()
+    }
+
+    /// A worker lane's whole life: every phase as it is released, then
+    /// `finish`.  Returns early and empty-handed on a poisoned epoch.
+    fn work(&self, lane: usize) -> Vec<(usize, DaySweepResult)> {
+        let done = &self.done[lane - 1];
+        let _notice = PoisonOnPanic {
+            done,
+            coordinator: &self.coordinator,
+        };
+        for (k, segment) in self.segments.iter().enumerate() {
+            let epoch = k as u64 + 1;
+            if wait_for(&self.epoch, epoch) == POISONED {
+                return Vec::new();
+            }
+            self.run_phase(lane, segment);
+            // Release: this lane's work on its shards is visible to the
+            // coordinator once it reads `done` in `wait_for`.
+            done.store(epoch, Ordering::Release);
+            self.coordinator.unpark();
+        }
+        if wait_for(&self.epoch, self.segments.len() as u64 + 1) == POISONED {
+            return Vec::new();
+        }
+        self.finish(lane)
+    }
+}
+
+/// Runs the sharded sweep.  See the module docs for the barrier protocol
+/// and the lanes; the `week_sweep` binary renders the result.
 pub fn run_shard_sweep(cfg: &ShardSweepConfig) -> ShardSweepResult {
+    let lanes = if cfg.parallel { hardware_threads() } else { 1 };
+    run_shard_sweep_on(cfg, lanes, run_segment)
+}
+
+/// [`run_shard_sweep`] on at most `lanes` lanes (never more than shards),
+/// running `segment_fn` for each shard in each phase.  `cfg.parallel` is how
+/// the public function picks `lanes` and is not read here.
+pub(crate) fn run_shard_sweep_on(
+    cfg: &ShardSweepConfig,
+    lanes: usize,
+    segment_fn: SegmentFn,
+) -> ShardSweepResult {
     let start = Instant::now();
     let base = &cfg.base;
     let plan = ShardPlan::partition(TABLE1, cfg.shards);
@@ -362,7 +576,7 @@ pub fn run_shard_sweep(cfg: &ShardSweepConfig) -> ShardSweepResult {
     // primitive routes independently; site-scoped faults go to the owning
     // shard.
     let flat_faults = crate::workload::flatten_faults(&base.faults);
-    let mut cores: Vec<SweepCore> = (0..shards)
+    let cores: Vec<Mutex<Option<SweepCore>>> = (0..shards)
         .map(|s| {
             let mut shard_cfg = base.clone();
             shard_cfg.faults = flat_faults
@@ -387,7 +601,8 @@ pub fn run_shard_sweep(cfg: &ShardSweepConfig) -> ShardSweepResult {
             } else {
                 derive_seed(base.seed, 0x5AD0 + s as u64)
             };
-            SweepCore::new(&shard_cfg, plan.specs_for(s), seed, local_counts[s] / 2)
+            let core = SweepCore::new(&shard_cfg, plan.specs_for(s), seed, local_counts[s] / 2);
+            Mutex::new(Some(core))
         })
         .collect();
 
@@ -399,56 +614,82 @@ pub fn run_shard_sweep(cfg: &ShardSweepConfig) -> ShardSweepResult {
     }
     .modeled();
 
+    let lane_count = lanes.clamp(1, shards);
+    let lanes = Lanes {
+        count: lane_count,
+        cores,
+        segments: &segments,
+        segment_fn,
+        // Every shard drains its tail (remaining samples, completions,
+        // heartbeats) to the profile's horizon before closing its books.
+        horizon: SimTime::ZERO + base.profile.horizon(),
+        epoch: AtomicU64::new(0),
+        done: (1..lane_count).map(|_| AtomicU64::new(0)).collect(),
+        coordinator: std::thread::current(),
+    };
+    let lanes = &lanes;
+
     let mut stats = CrossStats::default();
     let mut scatter_keys: Vec<EventKey> = Vec::new();
-    for segment in &segments {
-        let barrier = segment.cross.as_ref().map(|j| j.at);
-        if cfg.parallel {
-            std::thread::scope(|scope| {
-                for (core, batch) in cores.iter_mut().zip(&segment.batches) {
-                    // An empty batch with no barrier is a no-op; don't pay
-                    // a thread for it.
-                    if !batch.is_empty() || barrier.is_some() {
-                        scope.spawn(move || run_segment(core, batch, barrier));
-                    }
-                }
-            });
-        } else {
-            for (core, batch) in cores.iter_mut().zip(&segment.batches) {
-                run_segment(core, batch, barrier);
+    let per_shard: Vec<DaySweepResult> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..lanes.count)
+            .map(|lane| scope.spawn(move || lanes.work(lane)))
+            .collect();
+        let gate = Gate {
+            epoch: &lanes.epoch,
+            workers: handles.iter().map(|h| h.thread().clone()).collect(),
+        };
+        let mut healthy = true;
+        for (k, segment) in segments.iter().enumerate() {
+            let epoch = k as u64 + 1;
+            gate.open(epoch);
+            lanes.run_phase(0, segment);
+            healthy = lanes
+                .done
+                .iter()
+                .all(|done| wait_for(done, epoch) != POISONED);
+            if !healthy {
+                break;
+            }
+            if let Some(job) = &segment.cross {
+                let mut slots: Vec<_> = lanes
+                    .cores
+                    .iter()
+                    .map(|m| m.lock().expect("a lane panicked while holding this shard"))
+                    .collect();
+                let mut cores: Vec<&mut SweepCore> = slots
+                    .iter_mut()
+                    .map(|slot| slot.as_mut().expect("a shard is finished once, last"))
+                    .collect();
+                broker_cross(
+                    &mut cores,
+                    job,
+                    base,
+                    &global_topology,
+                    &settings,
+                    &mut stats,
+                    &mut scatter_keys,
+                );
             }
         }
-        if let Some(job) = &segment.cross {
-            broker_cross(
-                &mut cores,
-                job,
-                base,
-                &global_topology,
-                &settings,
-                &mut stats,
-                &mut scatter_keys,
-            );
+        let mut finished = Vec::new();
+        if healthy {
+            gate.open(segments.len() as u64 + 1);
+            finished = lanes.finish(0);
+        } else {
+            gate.open(POISONED);
         }
-    }
-
-    // Drain every shard's tail (remaining samples, completions,
-    // heartbeats) and close its books — in parallel too, it is the same
-    // per-shard work.
-    let horizon = SimTime::ZERO + base.profile.horizon();
-    let per_shard: Vec<DaySweepResult> = if cfg.parallel {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = cores
-                .into_iter()
-                .map(|core| scope.spawn(move || core.finish(horizon)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        })
-    } else {
-        cores.into_iter().map(|c| c.finish(horizon)).collect()
-    };
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => finished.extend(part),
+                // The lane's own panic, not "a scoped thread panicked".
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        assert_eq!(finished.len(), shards, "a lane left without finishing");
+        finished.sort_by_key(|&(s, _)| s);
+        finished.into_iter().map(|(_, result)| result).collect()
+    });
 
     let merged = merge_results(&per_shard, &stats, &global_topology);
     ShardSweepResult {
@@ -590,5 +831,137 @@ fn merge_results(
                 a.anneal_nanos += b.anneal_nanos;
                 a
             }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use p2pmpi_simgrid::time::SimDuration;
+    use std::cell::Cell;
+    use std::sync::mpsc;
+
+    /// The CI-smoke shape of `tests/shard_sweep.rs` (the day compressed into
+    /// one virtual hour at ~1.1k jobs) over four shards.
+    fn reduced(strategy: StrategyKind, cross_fraction: f64) -> ShardSweepConfig {
+        let mut base = DaySweepConfig::new(strategy).compress(24.0);
+        base.profile = base.profile.scaled(0.05);
+        base.sample_period = SimDuration::from_secs(60);
+        let mut cfg = ShardSweepConfig::new(base, 4);
+        cfg.cross_fraction = cross_fraction;
+        cfg
+    }
+
+    /// Everything a sweep computed, the wall clock aside.  Floats print
+    /// shortest-round-trip, so equal text means equal bits.
+    fn outcome(r: &ShardSweepResult) -> String {
+        format!(
+            "{:?}",
+            (
+                &r.merged,
+                &r.per_shard,
+                r.cross_submitted,
+                r.cross_succeeded,
+                r.cross_failed,
+                r.barriers
+            )
+        )
+    }
+
+    #[test]
+    fn every_lane_count_reproduces_parallel_false_bit_for_bit() {
+        for strategy in [StrategyKind::Concentrate, StrategyKind::Spread] {
+            for cross_fraction in [0.0, 0.05] {
+                let mut cfg = reduced(strategy, cross_fraction);
+                cfg.parallel = false;
+                let twin = run_shard_sweep(&cfg);
+                assert_eq!(twin.barriers > 0, cross_fraction > 0.0);
+                for lanes in 1..=4 {
+                    let run = run_shard_sweep_on(&cfg, lanes, run_segment);
+                    assert_eq!(
+                        outcome(&run),
+                        outcome(&twin),
+                        "{strategy:?}, cross {cross_fraction}, {lanes} lane(s)"
+                    );
+                }
+            }
+        }
+    }
+
+    thread_local! {
+        /// Set by a test on its own thread; a thread the sweep spawns reads
+        /// the default.
+        static IS_CALLER: Cell<bool> = const { Cell::new(false) };
+    }
+
+    fn segment_on_caller_only(
+        shard: usize,
+        core: &mut SweepCore,
+        batch: &[JobSpec],
+        barrier: Option<SimTime>,
+    ) {
+        assert!(IS_CALLER.get(), "shard {shard} ran off the calling thread");
+        run_segment(shard, core, batch, barrier);
+    }
+
+    fn segment_on_lane_of_two(
+        shard: usize,
+        core: &mut SweepCore,
+        batch: &[JobSpec],
+        barrier: Option<SimTime>,
+    ) {
+        assert_eq!(
+            IS_CALLER.get(),
+            shard.is_multiple_of(2),
+            "shard {shard} on the wrong lane"
+        );
+        run_segment(shard, core, batch, barrier);
+    }
+
+    #[test]
+    fn lane_zero_is_the_caller_and_one_lane_spawns_nothing() {
+        IS_CALLER.set(true);
+        let cfg = reduced(StrategyKind::Concentrate, 0.05);
+        run_shard_sweep_on(&cfg, 1, segment_on_caller_only);
+        run_shard_sweep_on(&cfg, 2, segment_on_lane_of_two);
+    }
+
+    fn segment_failing_on_shard_two(
+        shard: usize,
+        core: &mut SweepCore,
+        batch: &[JobSpec],
+        barrier: Option<SimTime>,
+    ) {
+        if shard == 2 && barrier.is_some() {
+            panic!("injected failure on shard {shard}");
+        }
+        run_segment(shard, core, batch, barrier);
+    }
+
+    #[test]
+    fn a_lane_panic_reaches_the_caller_instead_of_hanging_the_sweep() {
+        // Shard 2 sits on lane 0 at one and two lanes (the coordinator
+        // panics, alone and with a worker waiting on it) and on a worker
+        // lane at three and four (the coordinator waits on the panicker).
+        for lanes in 1..=4 {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let cfg = reduced(StrategyKind::Spread, 0.05);
+                let caught = std::panic::catch_unwind(|| {
+                    run_shard_sweep_on(&cfg, lanes, segment_failing_on_shard_two)
+                });
+                let message = match caught {
+                    Ok(_) => "the sweep finished".to_string(),
+                    Err(payload) => *payload
+                        .downcast::<String>()
+                        .expect("a formatted panic carries a String"),
+                };
+                tx.send(message).expect("the test is still listening");
+            });
+            let message = rx
+                .recv_timeout(Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("the sweep hung on a panicked lane at {lanes} lane(s)"));
+            assert_eq!(message, "injected failure on shard 2", "{lanes} lane(s)");
+        }
     }
 }
