@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p p2pmpi-bench --bin fault_search -- \
 //!     [--offsets s1,s2,...] [--refine N] [--compress F] [--rate-scale F] \
-//!     [--seed N] [--queue ladder|calendar|heap] [--no-gate]
+//!     [--seed N] [--queue ladder|heap] [--no-gate]
 //! ```
 //!
 //! Offsets are seconds on the *uncompressed* day (negative = the outage
@@ -20,10 +20,11 @@
 //! guards the pinned `outage_in_crowd_worst` scenario
 //! (`OUTAGE_IN_CROWD_WORST_OFFSET_SECS`) against drifting stale.
 
-use p2pmpi_bench::cliargs::{flag_f64, flag_present, flag_u64, flag_value, parse_f64_list};
+use p2pmpi_bench::cliargs::{
+    flag_f64, flag_present, flag_u64, flag_value, parse_f64_list, parse_queue_kind,
+};
 use p2pmpi_bench::faultsearch::{search_worst_phase, PhasePoint, PhaseSearchParams};
 use p2pmpi_bench::scenario::OUTAGE_IN_CROWD_WORST_OFFSET_SECS;
-use p2pmpi_simgrid::event::QueueKind;
 use std::time::Instant;
 
 /// The worst phase must be at least this much worse than the nominal
@@ -62,15 +63,10 @@ fn main() {
         params.scenario.seed = s;
     }
     if let Some(q) = flag_value("--queue") {
-        params.scenario.queue = match q.as_str() {
-            "ladder" => QueueKind::Ladder,
-            "calendar" => QueueKind::Calendar,
-            "heap" => QueueKind::BinaryHeap,
-            other => {
-                eprintln!("unknown --queue {other:?} (expected ladder|calendar|heap)");
-                std::process::exit(2);
-            }
-        };
+        params.scenario.queue = parse_queue_kind(&q).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        });
     }
 
     eprintln!(

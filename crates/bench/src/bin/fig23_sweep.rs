@@ -4,9 +4,9 @@
 //! ```text
 //! cargo run --release -p p2pmpi-bench --bin fig23_sweep -- \
 //!     [--strategy concentrate|spread|searched|both|all] [--searched] \
-//!     [--queue ladder|calendar|heap] [--seed N] [--compress F] \
+//!     [--queue ladder|heap] [--seed N] [--compress F] \
 //!     [--rate-scale F] [--duration-scale F] [--sample-secs S] \
-//!     [--ranks a,b,c] [--churn F] [--search-moves N] [--search-cold]
+//!     [--ranks a,b,c] [--churn F] [--search-moves N]
 //! ```
 //!
 //! Where the paper's Figures 2 and 3 submit one job at a time and plot where
@@ -24,9 +24,9 @@
 //! # The driver loop
 //!
 //! The whole run is one discrete-event simulation on the overlay's
-//! ladder-queue timeline (`--queue calendar|heap` opts into the other
-//! structures for comparison; see `perf_report`'s `sweep_engine` and
-//! `timeout_timeline` sections):
+//! ladder-queue timeline (`--queue heap` opts into the binary heap for
+//! comparison; see `perf_report`'s `sweep_engine` and `timeout_timeline`
+//! sections):
 //!
 //! 1. The trace is materialised up front ([`p2pmpi_bench::workload::day_trace`]):
 //!    arrival instants from the piecewise-rate profile, job shapes (rank
@@ -59,7 +59,6 @@ use p2pmpi_bench::workload::{
     run_day_sweep, DaySweepConfig, DaySweepResult, DeadPeerChurn, JobMix,
 };
 use p2pmpi_core::strategy::StrategyKind;
-use p2pmpi_simgrid::event::QueueKind;
 use p2pmpi_simgrid::time::SimDuration;
 use std::time::Instant;
 
@@ -84,15 +83,7 @@ fn config_for(strategy: StrategyKind, flags: &DaySweepFlags) -> DaySweepConfig {
         None => DaySweepConfig::new(strategy),
     };
     cfg.seed = flags.seed;
-    cfg.queue = match flags.queue.as_str() {
-        "calendar" => QueueKind::Calendar,
-        "heap" => QueueKind::BinaryHeap,
-        "ladder" => QueueKind::Ladder,
-        other => {
-            eprintln!("unknown --queue {other:?} (expected calendar|heap|ladder)");
-            std::process::exit(2);
-        }
-    };
+    cfg.queue = flags.queue;
     if let Some(f) = flags.compress {
         // Compresses the churn cycle and refresh cadence along with the
         // profile, preserving the per-job timeout pressure.
@@ -116,7 +107,6 @@ fn config_for(strategy: StrategyKind, flags: &DaySweepFlags) -> DaySweepConfig {
     if let Some(moves) = flags.search_moves {
         cfg.search_moves = moves;
     }
-    cfg.search_cold = flags.search_cold;
     cfg
 }
 
@@ -163,13 +153,10 @@ fn print_result(name: &str, result: &DaySweepResult, wall_ms: f64) {
     if let Some(s) = &result.search {
         eprintln!(
             "# {name} online search: {} arrivals ({} searched, {} infeasible), \
-             {} warm rebases vs {} cold builds, {} moves, \
-             prepare {:.0}ms + anneal {:.0}ms wall",
+             {} moves, prepare {:.0}ms + anneal {:.0}ms wall",
             s.arrivals,
             s.searched,
             s.infeasible,
-            s.warm_rebases,
-            s.cold_builds,
             s.moves_evaluated,
             s.prepare_nanos as f64 / 1e6,
             s.anneal_nanos as f64 / 1e6,

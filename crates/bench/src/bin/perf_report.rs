@@ -2,7 +2,7 @@
 //!
 //! Measures the co-allocation hot path on the warm Grid'5000 testbed and
 //! writes `BENCH_hotpath.json` so successive PRs accumulate a perf
-//! trajectory.  Thirteen measurements:
+//! trajectory.  Twelve measurements:
 //!
 //! 1. **ranking** — walking the booking order of a warm 349-peer cache via
 //!    the incremental index versus the seed's naive sort-per-read.
@@ -14,36 +14,33 @@
 //!    rounds, with the machine's hardware-thread count recorded alongside
 //!    (the same discipline as `sustained_throughput`) so trajectory points
 //!    from different machines are distinguishable.
-//! 4. **event_engine** — steady-state events/s of the discrete-event queue:
-//!    the seed's boxed-closure binary heap (reconstructed inline here as the
-//!    baseline) versus the arena-backed store behind a binary heap, a
-//!    calendar queue and a ladder queue (`p2pmpi_simgrid::event`).
-//! 5. **modeled_collectives** — agreement between the executed thread-per-
+//! 4. **modeled_collectives** — agreement between the executed thread-per-
 //!    rank runtime and the LogGP analytical backend on the same placements
 //!    (EP must match to [`EP_DIVERGENCE_TOLERANCE`], IS — whose alltoallv
 //!    block sizes the model approximates as balanced — to
 //!    [`IS_DIVERGENCE_TOLERANCE`]; the report **exits non-zero** if either
 //!    bound is violated), plus modeled-sweep throughput at 1k–2k ranks.
-//! 6. **sweep_engine** — wall time of the day-scale submission trace
+//! 5. **sweep_engine** — wall time of the day-scale submission trace
 //!    (compressed to ~2h virtual / ~1.8k jobs) on the overlay's event
-//!    timeline, binary heap vs calendar vs ladder queue, best of 3
+//!    timeline, binary heap vs ladder queue, best of [`QUEUE_ROUNDS`]
 //!    interleaved rounds.  The ladder queue is the sweep default, so the
-//!    report **exits non-zero** if it loses to the best alternative by more
-//!    than the documented [`SWEEP_ENGINE_NOISE_MARGIN`] (the trace's wall
-//!    time is dominated by the co-allocations themselves, identical under
-//!    every kind, so the margin only absorbs scheduler noise and the
-//!    structures' small-population constant factors).
-//! 7. **timeout_timeline** — the headline numbers of the event-driven
+//!    report **exits non-zero** if it loses to the heap by more than the
+//!    documented [`SWEEP_ENGINE_NOISE_MARGIN`] (the trace's wall time is
+//!    dominated by the co-allocations themselves, identical under either
+//!    kind, so the margin only absorbs scheduler noise and the structures'
+//!    small-population constant factors).
+//! 6. **timeout_timeline** — the headline numbers of the event-driven
 //!    brokering step: the **full** `paper_day()` trace (~21.7k jobs) with
 //!    one armed-then-cancelled timeout event per reservation request
-//!    (~1.6M timeline events), on all three queue kinds.  The best queue
+//!    (~1.6M timeline events), on both queue kinds, under the same
+//!    default-within-noise-of-the-best gate.  The best queue
 //!    must stay within [`TIMEOUT_TIMELINE_LIMIT`]× of
 //!    [`ANALYTICAL_DAY_WALL_MS`] — the same day measured when timeouts
 //!    were charged analytically off-timeline — or the report exits
 //!    non-zero.  The section also asserts the brokering scratch and event
 //!    store reached an allocation-free steady state
 //!    (`DaySweepResult::steady_state_alloc_free`).
-//! 8. **placement_search** — the model-driven placement search
+//! 7. **placement_search** — the model-driven placement search
 //!    (`p2pmpi_bench::search` over `p2pmpi_mpi::model::PlacementCost`).
 //!    Four gates, all **exit non-zero** when violated: (a) a move (one
 //!    full evaluator pass) must be at least
@@ -58,7 +55,7 @@
 //!    1024-rank, 10k-move, 4-chain EP search must finish within
 //!    [`PLACEMENT_SEARCH_WALL_BUDGET_S`] seconds of wall time (full runs
 //!    only; `--test` runs (a)–(c) at reduced scale).
-//! 9. **is_search** — the ring-dominated IS schedule at 1024 ranks through
+//! 8. **is_search** — the ring-dominated IS schedule at 1024 ranks through
 //!    the same evaluator: a move must be at least
 //!    [`IS_SEARCH_DELTA_SPEEDUP_MIN`]× cheaper than a full replay (the
 //!    pooled integer transfer tables versus per-receive float costing, and
@@ -74,21 +71,22 @@
 //!    [`IS_SEARCH_UNIFORM_SAVINGS_MIN`]× over the per-rank `PerSrc`
 //!    layout it would otherwise occupy.  All **exit non-zero** when
 //!    violated.
-//! 10. **scenario_matrix** — the fault-injection scenario matrix
-//!     (`p2pmpi_bench::scenario`) at the CI scale (compress 24, rate scale
-//!     0.05): every scenario's graceful-degradation verdict must pass —
-//!     zero leaked grants on the standard day, utilisation recovery after a
-//!     correlated site outage, stale-view brokering through a supernode
-//!     crash, eager reclamation under grant-leak stress — or the report
-//!     **exits non-zero**.
-//! 11. **skewed dead-peer trace** (inside `timeout_timeline`) — the
+//! 9. **scenario_matrix** — the fault-injection scenario matrix
+//!    (`p2pmpi_bench::scenario`) at the CI scale (compress 24, rate scale
+//!    0.05): every scenario's graceful-degradation verdict must pass —
+//!    zero leaked grants on the standard day, utilisation recovery after a
+//!    correlated site outage, stale-view brokering through a supernode
+//!    crash, eager reclamation under grant-leak stress — or the report
+//!    **exits non-zero**.
+//! 10. **skewed dead-peer trace** (inside `timeout_timeline`) — the
 //!     churn-heavy [`DaySweepConfig::dead_peer_day`] scenario compressed
 //!     12×: thousands of reservation timeouts whose 2 s windows ride on
 //!     millisecond replies and hour-scale completions, the trimodal skew
-//!     where the calendar queue's uniform bucket width degrades.
-//!     [`QueueKind::Ladder`] must beat [`QueueKind::Calendar`] by more than
-//!     [`LADDER_VS_CALENDAR_MARGIN`] here, or the report exits non-zero.
-//! 12. **sustained_throughput** — the sharded week-scale driver
+//!     [`QueueKind::Ladder`] is the sweep default for.  Same gate as the
+//!     other two queue sections: the ladder must stay within
+//!     [`SWEEP_ENGINE_NOISE_MARGIN`] of the best kind, or the report exits
+//!     non-zero.
+//! 11. **sustained_throughput** — the sharded week-scale driver
 //!     (`p2pmpi_bench::shard`, the `week_sweep` binary): the paper day
 //!     tiled across seven days and replayed over [`SUSTAINED_SHARDS`]
 //!     site-aligned shard timelines, parallel versus the bit-identical
@@ -103,39 +101,29 @@
 //!     Full runs additionally compare sustained events/s against the
 //!     `previous` trajectory block of the existing report and **exit
 //!     non-zero** on a drop of more than [`SUSTAINED_DROP_LIMIT`].
-//! 13. **online_placement** — the day sweep's `searched` booking strategy
+//! 12. **online_placement** — the day sweep's `searched` booking strategy
 //!     (`StrategyKind::Searched` through `SweepCore`): every arrival
-//!     re-runs the annealing search over the grid's current free cores,
-//!     reusing one pooled warm `PlacementCost` + Fenwick free-slot index
-//!     per kernel shape via `rebase` instead of rebuilding
-//!     (`p2pmpi_bench::search::SearchContext`).  Four relative gates, all
-//!     **exit non-zero**: in the steady-state churn benchmark (a few whole
-//!     hosts change hands between consecutive arrivals of the day-mix
-//!     shapes) the warm per-arrival prepare must be at least
-//!     [`ONLINE_WARM_PREPARE_SPEEDUP_MIN`]× cheaper than the cold
-//!     per-arrival build with bit-identical warm/cold plans, the warm and
-//!     cold searched *days* must produce bit-identical outcomes (a
-//!     rebased evaluator equals a fresh build, under the bursty day's
-//!     churn), and the searched compressed day's
-//!     mean job makespan must beat the best fixed strategy by at least
-//!     [`ONLINE_DAY_IMPROVEMENT_MIN`].  The day's own amortized prepare
-//!     numbers are reported as diagnostics (see
-//!     [`ONLINE_WARM_PREPARE_SPEEDUP_MIN`]).  Full runs
-//!     additionally hold the searched day inside
-//!     [`ONLINE_DAY_WALL_BUDGET_S`] of wall time.
+//!     re-runs the annealing search over the grid's current free cores on
+//!     a fresh `PlacementCost` + Fenwick free-slot index, seeded from its
+//!     kernel shape's previous plan
+//!     (`p2pmpi_bench::search::SearchContext`).  One relative gate, **exit
+//!     non-zero**: the searched compressed day's mean job makespan must
+//!     beat the best fixed strategy by at least
+//!     [`ONLINE_DAY_IMPROVEMENT_MIN`].  The day's prepare and anneal walls
+//!     are reported as diagnostics.  Full runs additionally hold the
+//!     searched day inside [`ONLINE_DAY_WALL_BUDGET_S`] of wall time.
 //!
 //! Usage:
 //! `cargo run --release -p p2pmpi-bench --bin perf_report [out.json] [--seed-allocate-ns N] [--test]`
 //!
-//! `--test` runs only the queue-sensitive sections (6–7, 11), the
-//! placement-search, is-search and online-placement sections (8–9, 13) at
-//! reduced scale, the scenario matrix (10) and the sustained
-//! sharded-throughput section (12) at its CI-smoke scale, with the same
-//! *relative* gates (ladder-vs-calendar on the skewed trace, sweep default
-//! within noise of the best, allocation-free steady state, move-vs-replay
-//! speedups, ring cache ceiling and Uniform savings, search quality, the
-//! warm-prepare speedup and warm==cold exactness, the searched-day
-//! improvement, every scenario verdict, the shard lanes not
+//! `--test` runs only the queue-sensitive sections (5–6, 10), the
+//! placement-search, is-search and online-placement sections (7–8, 12) at
+//! reduced scale, the scenario matrix (9) and the sustained
+//! sharded-throughput section (11) at its CI-smoke scale, with the same
+//! *relative* gates (sweep default within noise of the best queue on all
+//! three traces, allocation-free steady state, move-vs-replay speedups,
+//! ring cache ceiling and Uniform savings, search quality, the
+//! searched-day improvement, every scenario verdict, the shard lanes not
 //! losing to one thread) — the CI smoke.
 //! Machine-absolute gates (the analytical-day baseline, the search wall
 //! budgets, the sustained-trajectory drop limit) only apply to the full
@@ -167,8 +155,7 @@ use p2pmpi_bench::experiments::{
 };
 use p2pmpi_bench::scenario::{run_matrix, ScenarioParams, ScenarioVerdict, ALL_SCENARIOS};
 use p2pmpi_bench::search::{
-    kernel_schedule, placement_rank_hosts, search_placement, OnlineSearchParams, OnlineSearchStats,
-    SearchContext, SearchParams, SearchReport,
+    kernel_schedule, placement_rank_hosts, search_placement, SearchParams, SearchReport,
 };
 use p2pmpi_bench::shard::{run_shard_sweep, ShardSweepConfig};
 use p2pmpi_bench::workload::{
@@ -180,14 +167,12 @@ use p2pmpi_grid5000::sites::{scaled_table1, skewed_table1};
 use p2pmpi_grid5000::testbed::{grid5000_testbed, topology_from_specs, Grid5000Testbed};
 use p2pmpi_mpi::model::{Move, PlacementCost};
 use p2pmpi_simgrid::compute::ComputeModel;
-use p2pmpi_simgrid::event::{EventQueue, QueueKind};
+use p2pmpi_simgrid::event::QueueKind;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::rngutil::seeded;
-use p2pmpi_simgrid::time::SimTime;
 use p2pmpi_simgrid::topology::HostId;
 use rand::Rng;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -199,11 +184,6 @@ const SWEEP_JOBS: usize = 1_000;
 /// Median warm-allocate cost of the seed tree (ns/job, tracing disabled) for
 /// the same workload; see the module docs for how to re-measure.
 const SEED_ALLOCATE_NS_PER_JOB: f64 = 65_556.0;
-
-/// Pending-event population held during the event-engine churn.
-const ENGINE_POPULATION: usize = 10_000;
-/// Pop-push cycles measured per event-engine variant.
-const ENGINE_CHURN: usize = 300_000;
 
 /// Maximum relative |modeled − executed| / executed divergence tolerated for
 /// EP.  EP's communication is data-independent, so the model replays the
@@ -329,118 +309,6 @@ fn measure_sweep(tb: &mut Grid5000Testbed, rounds: usize) -> (f64, f64) {
     (best_wall * 1e3, SWEEP_JOBS as f64 / best_wall)
 }
 
-/// One schedulable action for the engine benches, matching
-/// `p2pmpi_simgrid::engine::Action`'s shape (a boxed `FnOnce`).
-type BenchAction = Box<dyn FnOnce() -> u64>;
-
-/// The seed tree's event queue, reconstructed as the baseline: the boxed
-/// closure lives *inside* the heap entry, so every sift moves a fat entry
-/// and the heap buffer is the only storage.
-struct SeedEntry {
-    time: SimTime,
-    seq: u64,
-    payload: BenchAction,
-}
-
-impl PartialEq for SeedEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-impl Eq for SeedEntry {}
-impl PartialOrd for SeedEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SeedEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// Steady-state churn: hold `ENGINE_POPULATION` pending events, then pop the
-/// earliest and push a replacement `ENGINE_CHURN` times (the hold-and-churn
-/// pattern of a periodic-behaviour simulation).  Returns events/s.
-/// Required arena-binary-heap throughput as a fraction of the seed's
-/// boxed-closure heap.  The packed `(time << 64) | seq` ticket key closed
-/// most of the slab-indirection gap (the heap sifts now compare one `u128`
-/// instead of two fields behind a slab lookup), so the binary-heap
-/// configuration must stay within 10% of the baseline; the calendar and
-/// ladder — the configurations the arena store exists for — are gated at
-/// parity and above separately.
-const ARENA_HEAP_VS_BOXED_MIN: f64 = 0.9;
-
-fn measure_engine_events_per_sec(variant: &str) -> f64 {
-    let mut rng = seeded(0xE4E47);
-    let mut gap = move || SimTime::from_nanos(rng.gen_range(1u64..2_000_000));
-    let action = |i: u64| -> BenchAction { Box::new(move || i) };
-
-    let mut sum = 0u64;
-    let start;
-    match variant {
-        "boxed_heap" => {
-            let mut heap: BinaryHeap<SeedEntry> = BinaryHeap::new();
-            let mut seq = 0u64;
-            let push = |heap: &mut BinaryHeap<SeedEntry>, time: SimTime, seq: &mut u64| {
-                heap.push(SeedEntry {
-                    time,
-                    seq: *seq,
-                    payload: action(*seq),
-                });
-                *seq += 1;
-            };
-            for _ in 0..ENGINE_POPULATION {
-                let t = gap();
-                push(&mut heap, t, &mut seq);
-            }
-            start = Instant::now();
-            for _ in 0..ENGINE_CHURN {
-                let e = heap.pop().expect("population never drains");
-                sum += (e.payload)();
-                let t = e.time + gap().saturating_since(SimTime::ZERO);
-                push(&mut heap, t, &mut seq);
-            }
-        }
-        kind => {
-            let kind = match kind {
-                "arena_heap" => QueueKind::BinaryHeap,
-                "arena_calendar" => QueueKind::Calendar,
-                "arena_ladder" => QueueKind::Ladder,
-                other => panic!("unknown event-engine bench variant {other:?}"),
-            };
-            let mut q: EventQueue<BenchAction> =
-                EventQueue::with_capacity_and_kind(ENGINE_POPULATION, kind);
-            for i in 0..ENGINE_POPULATION {
-                q.push(gap(), action(i as u64));
-            }
-            start = Instant::now();
-            for i in 0..ENGINE_CHURN {
-                let e = q.pop().expect("population never drains");
-                sum += (e.payload)();
-                let t = e.time + gap().saturating_since(SimTime::ZERO);
-                q.push(t, action(i as u64));
-            }
-        }
-    }
-    black_box(sum);
-    ENGINE_CHURN as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Best-of-N interleaved rounds per variant: the engine bench runs in a
-/// shared environment where a single shot can be perturbed by scheduling
-/// noise, and interleaving keeps slow phases from biasing one variant.
-fn measure_engine_all(rounds: usize) -> (f64, f64, f64, f64) {
-    let variants = ["boxed_heap", "arena_heap", "arena_calendar", "arena_ladder"];
-    let mut best = [0f64; 4];
-    for _ in 0..rounds {
-        for (i, v) in variants.iter().enumerate() {
-            best[i] = best[i].max(measure_engine_events_per_sec(v));
-        }
-    }
-    (best[0], best[1], best[2], best[3])
-}
-
 /// Executed-vs-modeled makespans of one Figure 4 point on the same
 /// co-allocated placement; returns (executed_s, modeled_s, divergence).
 fn measure_agreement(kernel: Fig4Kernel, n: u32, settings: &Fig4Settings) -> (f64, f64, f64) {
@@ -465,22 +333,25 @@ fn measure_modeled_sweep(kernel: Fig4Kernel, ranks: u32, settings: &Fig4Settings
 }
 
 /// Noise margin for the sweep-default queue gates: the ladder must not lose
-/// to the best alternative by more than this on the standard (non-churn)
-/// traces.  The binary heap genuinely runs ~5–15% ahead there — O(log n)
-/// with tiny constants is hard to beat while the pending population is only
-/// a few hundred events — and shared-runner scheduling noise adds several
-/// percent more, so the margin is deliberately generous: its job is to
-/// catch *structural* regressions of the ladder (which present as 2×+, the
-/// way the calendar degrades on the skewed trace), not to relitigate the
-/// small-population constant factors documented in `simgrid::event`.
+/// to the heap by more than this on any of the three traces.  The binary
+/// heap genuinely runs ~5–15% ahead on the standard (non-churn) ones —
+/// O(log n) with tiny constants is hard to beat while the pending
+/// population is only a few hundred events — and shared-runner scheduling
+/// noise adds several percent more, so the margin is deliberately generous:
+/// its job is to catch *structural* regressions of the ladder (which
+/// present as 2×+), not to relitigate the small-population constant factors
+/// documented in `simgrid::event`.
 const SWEEP_ENGINE_NOISE_MARGIN: f64 = 0.25;
+
+/// Interleaved rounds each queue section takes its best-of walls from.
+const QUEUE_ROUNDS: usize = 3;
 
 /// Wall time of the *analytical-timeout* full `paper_day()` concentrate
 /// sweep — the same trace `timeout_timeline` replays, measured at commit
 /// `b805ba5` (the last tree where `rs_request` charged `rs_timeout`
 /// analytically off-timeline and the timeline carried ~19k events instead
-/// of ~1.6M), best of 3 on this machine with the calendar queue, its best
-/// configuration at the time.  Putting every reservation's timeout on the
+/// of ~1.6M), best of 3 on this machine on its best queue configuration of
+/// the time.  Putting every reservation's timeout on the
 /// timeline must not cost more than [`TIMEOUT_TIMELINE_LIMIT`]× this.
 const ANALYTICAL_DAY_WALL_MS: f64 = 1085.0;
 
@@ -488,37 +359,24 @@ const ANALYTICAL_DAY_WALL_MS: f64 = 1085.0;
 /// baseline, on the best queue.
 const TIMEOUT_TIMELINE_LIMIT: f64 = 1.5;
 
-/// Required ladder win over the calendar on the skewed dead-peer trace:
-/// the report fails unless `ladder_wall < calendar_wall × (1 − margin)`.
-/// The observed gap is ~2× (the calendar's sorted bucket inserts degrade
-/// toward O(cluster) on the timeout cluster); 10% keeps the gate far from
-/// noise while still catching any real regression of the ladder's O(1)
-/// amortised behaviour.
-const LADDER_VS_CALENDAR_MARGIN: f64 = 0.10;
-
-const QUEUE_KINDS: [QueueKind; 3] = [
-    QueueKind::BinaryHeap,
-    QueueKind::Calendar,
-    QueueKind::Ladder,
-];
-
-/// Best-of-N interleaved wall times of `cfg` per queue kind (heap,
-/// calendar, ladder order); returns the walls and the last ladder result
+/// Best-of-[`QUEUE_ROUNDS`] interleaved wall times of `cfg` per queue kind,
+/// `[heap, ladder]`; returns the walls and the last (ladder) result
 /// (outcomes are bit-identical across kinds — pinned by
-/// `crates/bench/tests/day_sweep.rs` — so one result describes all three).
-fn measure_three_way(cfg: &DaySweepConfig, rounds: usize) -> ([f64; 3], DaySweepResult) {
-    let mut best = [f64::INFINITY; 3];
+/// `crates/bench/tests/day_sweep.rs` — so one result describes both).
+fn measure_two_way(cfg: &DaySweepConfig) -> ([f64; 2], DaySweepResult) {
+    let mut best = [f64::INFINITY; 2];
     let mut last = None;
-    for _ in 0..rounds {
-        for (i, kind) in QUEUE_KINDS.iter().enumerate() {
+    for _ in 0..QUEUE_ROUNDS {
+        for (wall, kind) in best
+            .iter_mut()
+            .zip([QueueKind::BinaryHeap, QueueKind::Ladder])
+        {
             let mut cfg = cfg.clone();
-            cfg.queue = *kind;
+            cfg.queue = kind;
             let start = Instant::now();
             let result = run_day_sweep(&cfg);
-            best[i] = best[i].min(start.elapsed().as_secs_f64() * 1e3);
-            if *kind == QueueKind::Ladder {
-                last = Some(result);
-            }
+            *wall = wall.min(start.elapsed().as_secs_f64() * 1e3);
+            last = Some(result);
         }
     }
     (best, last.expect("at least one round ran"))
@@ -561,30 +419,29 @@ fn skewed_trace_config(test_mode: bool) -> DaySweepConfig {
     cfg
 }
 
-/// Everything the queue-sensitive sections (6–8) measure; gathered the same
-/// way in full and `--test` runs so the relative gates are shared.
+/// Everything the queue-sensitive sections (5, 6, 10) measure; gathered the
+/// same way in full and `--test` runs so the relative gates are shared.
+/// Walls are `[heap, ladder]`.
 struct QueueSections {
-    sweep_walls: [f64; 3],
+    sweep_walls: [f64; 2],
     sweep_jobs: usize,
-    timeline_walls: [f64; 3],
+    timeline_walls: [f64; 2],
     timeline: DaySweepResult,
-    skewed_walls: [f64; 3],
+    skewed_walls: [f64; 2],
     skewed: DaySweepResult,
 }
 
-fn measure_queue_sections(test_mode: bool, rounds: usize) -> QueueSections {
-    eprintln!("measuring day-trace sweep engine, heap vs calendar vs ladder (best of {rounds} interleaved rounds)...");
-    let (sweep_walls, sweep_result) = measure_three_way(&sweep_engine_config(), rounds);
+fn measure_queue_sections(test_mode: bool) -> QueueSections {
+    eprintln!("measuring day-trace sweep engine, heap vs ladder (best of {QUEUE_ROUNDS} interleaved rounds)...");
+    let (sweep_walls, sweep_result) = measure_two_way(&sweep_engine_config());
     eprintln!(
         "measuring timeout timeline ({} paper day, ~{:.0} jobs, every reservation's timeout on the timeline)...",
         if test_mode { "reduced" } else { "FULL" },
         timeout_timeline_config(test_mode).profile.expected_jobs(),
     );
-    let (timeline_walls, timeline) = measure_three_way(&timeout_timeline_config(test_mode), rounds);
-    eprintln!(
-        "measuring skewed dead-peer trace (flapping churn, compressed; ladder must beat calendar)..."
-    );
-    let (skewed_walls, skewed) = measure_three_way(&skewed_trace_config(test_mode), rounds);
+    let (timeline_walls, timeline) = measure_two_way(&timeout_timeline_config(test_mode));
+    eprintln!("measuring skewed dead-peer trace (flapping churn, compressed)...");
+    let (skewed_walls, skewed) = measure_two_way(&skewed_trace_config(test_mode));
     QueueSections {
         sweep_walls,
         sweep_jobs: sweep_result.submitted,
@@ -599,36 +456,19 @@ fn measure_queue_sections(test_mode: bool, rounds: usize) -> QueueSections {
 /// anything drifted (the caller exits non-zero).
 fn check_queue_gates(q: &QueueSections) -> bool {
     let mut drifted = false;
-    let [_, skewed_cal, skewed_lad] = q.skewed_walls;
-    if skewed_lad > skewed_cal * (1.0 - LADDER_VS_CALENDAR_MARGIN) {
-        eprintln!(
-            "FAIL: ladder queue ({skewed_lad:.1} ms) must beat the calendar ({skewed_cal:.1} ms) \
-             by more than {LADDER_VS_CALENDAR_MARGIN:.0}% on the skewed dead-peer trace",
-            LADDER_VS_CALENDAR_MARGIN = LADDER_VS_CALENDAR_MARGIN * 100.0
-        );
-        drifted = true;
-    }
-    let sweep_best = q.sweep_walls.iter().cloned().fold(f64::INFINITY, f64::min);
-    let sweep_ladder = q.sweep_walls[2];
-    if sweep_ladder > sweep_best * (1.0 + SWEEP_ENGINE_NOISE_MARGIN) {
-        eprintln!(
-            "FAIL: the sweep default (ladder, {sweep_ladder:.1} ms) lost to the best queue \
-             ({sweep_best:.1} ms) past the {SWEEP_ENGINE_NOISE_MARGIN} noise margin on the day trace"
-        );
-        drifted = true;
-    }
-    let timeline_ladder = q.timeline_walls[2];
-    let timeline_best = q
-        .timeline_walls
-        .iter()
-        .cloned()
-        .fold(f64::INFINITY, f64::min);
-    if timeline_ladder > timeline_best * (1.0 + SWEEP_ENGINE_NOISE_MARGIN) {
-        eprintln!(
-            "FAIL: the sweep default (ladder, {timeline_ladder:.1} ms) lost to the best queue \
-             ({timeline_best:.1} ms) past the {SWEEP_ENGINE_NOISE_MARGIN} noise margin on the timeout timeline"
-        );
-        drifted = true;
+    for (trace, walls) in [
+        ("day trace", q.sweep_walls),
+        ("timeout timeline", q.timeline_walls),
+        ("skewed dead-peer trace", q.skewed_walls),
+    ] {
+        let [heap, ladder] = walls;
+        if ladder > heap * (1.0 + SWEEP_ENGINE_NOISE_MARGIN) {
+            eprintln!(
+                "FAIL: the sweep default (ladder, {ladder:.1} ms) lost to the heap \
+                 ({heap:.1} ms) past the {SWEEP_ENGINE_NOISE_MARGIN} noise margin on the {trace}"
+            );
+            drifted = true;
+        }
     }
     for (name, result) in [
         ("timeout timeline", &q.timeline),
@@ -1357,44 +1197,6 @@ fn check_is_search_gates(s: &IsSearchSection) -> bool {
 // online_placement
 // ---------------------------------------------------------------------------
 
-/// Required speedup of the warm per-arrival prepare phase (a
-/// [`PlacementCost::rebase`] resync of the pooled kernel shape plus the
-/// Fenwick free-slot resync) over the cold one (a full evaluator build;
-/// the compiled schedule comes from the process-wide cache on both arms,
-/// so a cold arrival pays no compile), measured under light
-/// host-granular occupancy churn between consecutive arrivals of the
-/// day-mix shapes.  The annealing walk after prepare is common to both
-/// paths, so the gate isolates exactly what the pool saves per arrival.
-///
-/// Both arms repair the seed and cost it with the same full pass; the warm
-/// one skips the allocations, the ring-table build and the Fenwick build
-/// and measures 1.4–1.8× (6–8 µs against 9–11 µs).  This floor is **not
-/// met**: the section fails and `--test` exits non-zero on it until the
-/// pool is deleted, gate included (ROADMAP item 5).
-///
-/// The compressed paper day's amortized prepare numbers are reported as
-/// diagnostics in the `day` block and held only to the bit-exactness gate,
-/// not to this floor: prepare is under 2% of an arrival there.
-const ONLINE_WARM_PREPARE_SPEEDUP_MIN: f64 = 3.0;
-
-/// Hosts toggled busy<->free between consecutive arrivals of the
-/// steady-state prepare benchmark (each churn step frees this many busy
-/// hosts and occupies as many free ones, whole hosts at a time — the
-/// day's one-application-per-MPD granularity).  One pair per arrival:
-/// consecutive arrivals of the compressed day are seconds apart, so in
-/// steady state roughly one neighbouring job starts or finishes — a
-/// couple of hosts changing hands — between them.
-const ONLINE_BENCH_CHURN_HOSTS: usize = 1;
-
-/// Hosts busy at the start of the steady-state prepare benchmark (~9% of
-/// the 350-host grid — a handful of neighbouring jobs in flight).
-const ONLINE_BENCH_BUSY_HOSTS: usize = 30;
-
-/// Identical-sequence passes of the steady-state prepare benchmark; each
-/// arm reports its fastest pass (additive scheduler noise only slows a
-/// pass down, so the minimum is the noise-robust estimate).
-const ONLINE_BENCH_PASSES: usize = 3;
-
 /// Required improvement of the searched day's mean job makespan over the
 /// best fixed strategy (concentrate or spread) on the compressed day.
 const ONLINE_DAY_IMPROVEMENT_MIN: f64 = 0.05;
@@ -1404,144 +1206,15 @@ const ONLINE_DAY_IMPROVEMENT_MIN: f64 = 0.05;
 /// slower machines).
 const ONLINE_DAY_WALL_BUDGET_S: f64 = 120.0;
 
-/// The steady-state prepare benchmark: warm rebase vs cold build per
-/// arrival under light host-granular churn (see
-/// [`ONLINE_WARM_PREPARE_SPEEDUP_MIN`] for why this regime, not the
-/// bursty day, carries the speedup gate).
-struct OnlinePrepareBench {
-    arrivals: u64,
-    warm_prepare_us: f64,
-    cold_prepare_us: f64,
-    speedup: f64,
-    plans_equal: bool,
-}
-
-fn measure_online_prepare(test_mode: bool) -> OnlinePrepareBench {
-    eprintln!(
-        "measuring steady-state warm-vs-cold prepare (host-granular churn, day-mix shapes, \
-         best of {ONLINE_BENCH_PASSES})..."
-    );
-    let rounds = if test_mode { 15 } else { 40 };
-    let topology = topology_from_specs(&scaled_table1(1));
-    let settings = Fig4Settings::default().modeled();
-    let params = OnlineSearchParams::default();
-    let full = host_capacities(&topology);
-    let hosts = full.len();
-    let shapes = [
-        (Fig4Kernel::Ep, 8u32),
-        (Fig4Kernel::Ep, 32),
-        (Fig4Kernel::Ep, 64),
-        (Fig4Kernel::Ep, 128),
-        (Fig4Kernel::Is, 8),
-        (Fig4Kernel::Is, 32),
-    ];
-    // Every pass replays the identical arrival/churn sequence on fresh
-    // contexts; the reported cost of each arm is its fastest pass —
-    // additive scheduler noise only ever slows a pass down, so the
-    // minimum is the noise-robust estimate (same idiom as the best-of
-    // rounds of the sweep sections).
-    let mut arrivals = 0;
-    let mut warm_prepare_us = f64::INFINITY;
-    let mut cold_prepare_us = f64::INFINITY;
-    let mut plans_equal = true;
-    for _ in 0..ONLINE_BENCH_PASSES {
-        let mut warm = SearchContext::new(topology.clone(), settings, params);
-        let mut cold = SearchContext::new(topology.clone(), settings, params);
-        cold.cold = true;
-        let mut busy = vec![false; hosts];
-        let mut caps = full.clone();
-        let mut rng = seeded(0x5EED_DA11);
-        let flip = |want_busy: bool,
-                    busy: &mut [bool],
-                    caps: &mut [u32],
-                    rng: &mut dyn FnMut(usize) -> usize| loop {
-            let h = rng(hosts);
-            if busy[h] != want_busy {
-                busy[h] = want_busy;
-                caps[h] = if want_busy { 0 } else { full[h] };
-                break;
-            }
-        };
-        let mut draw = move |n: usize| rng.gen_range(0..n);
-        for _ in 0..ONLINE_BENCH_BUSY_HOSTS {
-            flip(true, &mut busy, &mut caps, &mut draw);
-        }
-        // Round 0 is the warm-up lap: every shape's first sighting is a
-        // cold build in both contexts, so its prepare nanos are
-        // snapshotted and subtracted — the comparison is steady-state
-        // arrivals only.
-        let mut warm_base = warm.stats();
-        let mut cold_base = cold.stats();
-        for round in 0..rounds {
-            for (i, &(kernel, n)) in shapes.iter().enumerate() {
-                for _ in 0..ONLINE_BENCH_CHURN_HOSTS {
-                    flip(false, &mut busy, &mut caps, &mut draw);
-                    flip(true, &mut busy, &mut caps, &mut draw);
-                }
-                let arrival = (round * shapes.len() + i) as u64;
-                let w = warm.searched_hosts(kernel, n, &caps, arrival);
-                let c = cold.searched_hosts(kernel, n, &caps, arrival);
-                plans_equal &= w == c;
-            }
-            if round == 0 {
-                warm_base = warm.stats();
-                cold_base = cold.stats();
-            }
-        }
-        let (ws, cs) = (warm.stats(), cold.stats());
-        arrivals = ws.searched - warm_base.searched;
-        warm_prepare_us = warm_prepare_us.min(
-            (ws.prepare_nanos - warm_base.prepare_nanos) as f64 / arrivals.max(1) as f64 / 1e3,
-        );
-        cold_prepare_us = cold_prepare_us.min(
-            (cs.prepare_nanos - cold_base.prepare_nanos) as f64
-                / (cs.searched - cold_base.searched).max(1) as f64
-                / 1e3,
-        );
-    }
-    OnlinePrepareBench {
-        arrivals,
-        warm_prepare_us,
-        cold_prepare_us,
-        speedup: cold_prepare_us / warm_prepare_us.max(1e-9),
-        plans_equal,
-    }
-}
-
 /// Everything the online-placement section measures.
 struct OnlinePlacementSection {
-    bench: OnlinePrepareBench,
-    day_warm_prepare_us: f64,
-    day_cold_prepare_us: f64,
-    day_prepare_speedup: f64,
-    warm_equals_cold: bool,
     concentrate: DaySweepResult,
     spread: DaySweepResult,
     searched: DaySweepResult,
-    cold_stats: OnlineSearchStats,
     searched_wall_s: f64,
     search_moves: u64,
     improvement: f64,
     test_mode: bool,
-}
-
-/// Deterministic-outcome equality of two searched day runs: every job
-/// count, the timeline event count, the bit-exact mean hold and the
-/// search decision counters must match.  The wall-clock nanoseconds in
-/// [`OnlineSearchStats`] are diagnostics, not outcomes, and stay out.
-fn same_searched_day(a: &DaySweepResult, b: &DaySweepResult) -> bool {
-    let sa = a.search.expect("the searched day records its stats");
-    let sb = b.search.expect("the searched day records its stats");
-    a.submitted == b.submitted
-        && a.succeeded == b.succeeded
-        && a.failed == b.failed
-        && a.timeouts == b.timeouts
-        && a.events_processed == b.events_processed
-        && a.mean_hold_secs.to_bits() == b.mean_hold_secs.to_bits()
-        && sa.arrivals == sb.arrivals
-        && sa.searched == sb.searched
-        && sa.infeasible == sb.infeasible
-        && sa.moves_evaluated == sb.moves_evaluated
 }
 
 /// The day every strategy replays for the online comparison: the paper-day
@@ -1554,7 +1227,6 @@ fn online_day_config(strategy: StrategyKind) -> DaySweepConfig {
 }
 
 fn measure_online_placement(test_mode: bool) -> OnlinePlacementSection {
-    let bench = measure_online_prepare(test_mode);
     eprintln!(
         "measuring the searched day vs the fixed strategies (compress 24, rate scale 0.05)..."
     );
@@ -1564,33 +1236,12 @@ fn measure_online_placement(test_mode: bool) -> OnlinePlacementSection {
     let start = Instant::now();
     let searched = run_day_sweep(&searched_cfg);
     let searched_wall_s = start.elapsed().as_secs_f64();
-    eprintln!("replaying the searched day with cold per-arrival builds (cache pool disabled)...");
-    let mut cold_cfg = online_day_config(StrategyKind::Searched);
-    cold_cfg.search_cold = true;
-    let cold_day = run_day_sweep(&cold_cfg);
-    let warm_stats = searched.search.expect("the searched day records its stats");
-    let cold_stats = cold_day.search.expect("the searched day records its stats");
-    // Amortized day prepare cost per arrival that actually searched
-    // (diagnostics — the speedup gate runs on the steady-state bench
-    // above; see ONLINE_WARM_PREPARE_SPEEDUP_MIN).  The cold replay pays
-    // a full evaluator build on every arrival, the warm day only on
-    // first-sighted shapes.
-    let day_warm_prepare_us =
-        warm_stats.prepare_nanos as f64 / warm_stats.searched.max(1) as f64 / 1e3;
-    let day_cold_prepare_us =
-        cold_stats.prepare_nanos as f64 / cold_stats.searched.max(1) as f64 / 1e3;
     let best_fixed = concentrate.mean_hold_secs.min(spread.mean_hold_secs);
     let improvement = 1.0 - searched.mean_hold_secs / best_fixed.max(1e-9);
     OnlinePlacementSection {
-        bench,
-        day_warm_prepare_us,
-        day_cold_prepare_us,
-        day_prepare_speedup: day_cold_prepare_us / day_warm_prepare_us.max(1e-9),
-        warm_equals_cold: same_searched_day(&searched, &cold_day),
         concentrate,
         spread,
         searched,
-        cold_stats,
         searched_wall_s,
         search_moves: searched_cfg.search_moves,
         improvement,
@@ -1601,29 +1252,6 @@ fn measure_online_placement(test_mode: bool) -> OnlinePlacementSection {
 /// The online-placement gates; returns true if anything failed.
 fn check_online_placement_gates(o: &OnlinePlacementSection) -> bool {
     let mut drifted = false;
-    if o.bench.speedup < ONLINE_WARM_PREPARE_SPEEDUP_MIN {
-        eprintln!(
-            "FAIL: the warm per-arrival prepare ({:.1} us over {} steady-state arrivals) is \
-             only {:.1}x cheaper than the cold per-arrival build ({:.1} us) — the cross-job \
-             cache gate requires {ONLINE_WARM_PREPARE_SPEEDUP_MIN}x",
-            o.bench.warm_prepare_us, o.bench.arrivals, o.bench.speedup, o.bench.cold_prepare_us
-        );
-        drifted = true;
-    }
-    if !o.bench.plans_equal {
-        eprintln!(
-            "FAIL: the warm (rebased) and cold (fresh-build) steady-state searches diverged — \
-             PlacementCost::rebase no longer equals a fresh build"
-        );
-        drifted = true;
-    }
-    if !o.warm_equals_cold {
-        eprintln!(
-            "FAIL: the warm (rebased) searched day diverged from the cold fresh-build replay — \
-             PlacementCost::rebase no longer equals a fresh build"
-        );
-        drifted = true;
-    }
     if o.improvement < ONLINE_DAY_IMPROVEMENT_MIN {
         eprintln!(
             "FAIL: the searched day's mean job makespan ({:.2}s) is only {:.1}% better than the \
@@ -1673,29 +1301,24 @@ fn main() {
     if test_mode {
         // CI smoke: the queue-sensitive sections and the placement search,
         // reduced scale, the relative gates, no report file.
-        let q = measure_queue_sections(true, 2);
+        let q = measure_queue_sections(true);
         eprintln!(
-            "sweep_engine (reduced, {} jobs): heap {:.1} ms, calendar {:.1} ms, ladder {:.1} ms",
-            q.sweep_jobs, q.sweep_walls[0], q.sweep_walls[1], q.sweep_walls[2]
+            "sweep_engine (reduced, {} jobs): heap {:.1} ms, ladder {:.1} ms",
+            q.sweep_jobs, q.sweep_walls[0], q.sweep_walls[1]
         );
         eprintln!(
             "timeout_timeline (reduced, {} jobs, {} reservation timeouts, {} events): \
-             heap {:.1} ms, calendar {:.1} ms, ladder {:.1} ms",
+             heap {:.1} ms, ladder {:.1} ms",
             q.timeline.submitted,
             q.timeline.timeouts,
             q.timeline.events_processed,
             q.timeline_walls[0],
-            q.timeline_walls[1],
-            q.timeline_walls[2]
+            q.timeline_walls[1]
         );
         eprintln!(
             "skewed dead-peer trace (reduced, {} jobs, {} reservation timeouts): \
-             heap {:.1} ms, calendar {:.1} ms, ladder {:.1} ms",
-            q.skewed.submitted,
-            q.skewed.timeouts,
-            q.skewed_walls[0],
-            q.skewed_walls[1],
-            q.skewed_walls[2]
+             heap {:.1} ms, ladder {:.1} ms",
+            q.skewed.submitted, q.skewed.timeouts, q.skewed_walls[0], q.skewed_walls[1]
         );
         let ps = measure_placement_search(true);
         eprintln!(
@@ -1737,33 +1360,15 @@ fn main() {
             .search
             .expect("the searched day records its stats");
         eprintln!(
-            "online_placement (reduced): steady-state warm prepare {:.1} us vs cold {:.1} us \
-             ({:.1}x over {} arrivals, plans {}), day-amortized {:.1} us vs {:.1} us ({:.1}x, \
-             days {}), searched day mean hold {:.2}s vs concentrate {:.2}s / spread {:.2}s \
-             ({:+.1}%), {} warm rebases vs {} cold builds",
-            op.bench.warm_prepare_us,
-            op.bench.cold_prepare_us,
-            op.bench.speedup,
-            op.bench.arrivals,
-            if op.bench.plans_equal {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
-            op.day_warm_prepare_us,
-            op.day_cold_prepare_us,
-            op.day_prepare_speedup,
-            if op.warm_equals_cold {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
+            "online_placement (reduced): searched day mean hold {:.2}s vs concentrate {:.2}s / \
+             spread {:.2}s ({:+.1}%), {} arrivals searched, prepare {:.1} ms + anneal {:.1} ms wall",
             op.searched.mean_hold_secs,
             op.concentrate.mean_hold_secs,
             op.spread.mean_hold_secs,
             op.improvement * 100.0,
-            op_stats.warm_rebases,
-            op_stats.cold_builds
+            op_stats.searched,
+            op_stats.prepare_nanos as f64 / 1e6,
+            op_stats.anneal_nanos as f64 / 1e6
         );
         let (verdicts, matrix_wall_s) = measure_scenario_matrix();
         for v in &verdicts {
@@ -1832,11 +1437,6 @@ fn main() {
     eprintln!("measuring Poisson job sweep ({SWEEP_JOBS} jobs, best of 3 rounds)...");
     let (sweep_wall_ms, sweep_jobs_per_sec) = measure_sweep(&mut tb, 3);
 
-    eprintln!(
-        "measuring event-engine throughput ({ENGINE_CHURN} pop/push cycles per variant, best of 3 interleaved rounds)..."
-    );
-    let (boxed_eps, arena_heap_eps, arena_cal_eps, arena_lad_eps) = measure_engine_all(3);
-
     eprintln!("measuring modeled-vs-executed collective agreement (EP@64, IS@32)...");
     let agreement_settings = Fig4Settings {
         is_sample_divisor: 64,
@@ -1854,7 +1454,7 @@ fn main() {
     let (is_sweep_virtual_s, is_sweep_wall_ms) =
         measure_modeled_sweep(Fig4Kernel::Is, 1024, &sweep_settings);
 
-    let q = measure_queue_sections(false, 3);
+    let q = measure_queue_sections(false);
     let ps = measure_placement_search(false);
     let is_search = measure_is_search(false);
     let op = measure_online_placement(false);
@@ -1881,22 +1481,8 @@ fn main() {
         ],
     );
     let poisson_prev = previous_block(prior, "job_sweep_poisson", &["wall_ms", "jobs_per_sec"]);
-    let engine_prev = previous_block(
-        prior,
-        "event_engine",
-        &[
-            "before_boxed_heap_events_per_sec",
-            "after_arena_heap_events_per_sec",
-            "after_arena_calendar_events_per_sec",
-            "after_arena_ladder_events_per_sec",
-            "arena_heap_vs_boxed_speedup",
-        ],
-    );
-    let sweep_engine_prev = previous_block(
-        prior,
-        "sweep_engine",
-        &["heap_wall_ms", "calendar_wall_ms", "ladder_wall_ms"],
-    );
+    let sweep_engine_prev =
+        previous_block(prior, "sweep_engine", &["heap_wall_ms", "ladder_wall_ms"]);
     let timeline_prev = previous_block(
         prior,
         "timeout_timeline",
@@ -1937,12 +1523,7 @@ fn main() {
     let online_prev = previous_block(
         prior,
         "online_placement",
-        &[
-            "warm_prepare_us",
-            "prepare_speedup",
-            "searched_mean_hold_s",
-            "improvement_vs_best_fixed",
-        ],
+        &["searched_mean_hold_s", "improvement_vs_best_fixed"],
     );
     let sustained_prev = previous_block(
         prior,
@@ -1954,17 +1535,12 @@ fn main() {
             "parallel_wall_ms",
         ],
     );
-    let [sweep_heap_ms, sweep_cal_ms, sweep_lad_ms] = q.sweep_walls;
+    let [sweep_heap_ms, sweep_lad_ms] = q.sweep_walls;
     let sweep_engine_jobs = q.sweep_jobs;
-    let [day_heap_ms, day_cal_ms, day_lad_ms] = q.timeline_walls;
-    let day_best_ms = q
-        .timeline_walls
-        .iter()
-        .cloned()
-        .fold(f64::INFINITY, f64::min);
+    let [day_heap_ms, day_lad_ms] = q.timeline_walls;
+    let day_best_ms = day_heap_ms.min(day_lad_ms);
     let day_best_vs_baseline = day_best_ms / ANALYTICAL_DAY_WALL_MS;
-    let [skewed_heap_ms, skewed_cal_ms, skewed_lad_ms] = q.skewed_walls;
-    let skewed_ladder_vs_calendar = skewed_cal_ms / skewed_lad_ms.max(1e-9);
+    let [skewed_heap_ms, skewed_lad_ms] = q.skewed_walls;
     let day_alloc_free = q.timeline.steady_state_alloc_free() && q.skewed.steady_state_alloc_free();
 
     let ranking_speedup = naive_ns / incremental_ns.max(1.0);
@@ -2026,16 +1602,6 @@ fn main() {
         .searched
         .search
         .expect("the searched day records its stats");
-    let op_cold_prepare_ms = op.cold_stats.prepare_nanos as f64 / 1e6;
-    let op_warm_us = op.bench.warm_prepare_us;
-    let op_cold_us = op.bench.cold_prepare_us;
-    let op_speedup = op.bench.speedup;
-    let op_bench_arrivals = op.bench.arrivals;
-    let op_plans_equal = op.bench.plans_equal;
-    let op_day_warm_us = op.day_warm_prepare_us;
-    let op_day_cold_us = op.day_cold_prepare_us;
-    let op_day_speedup = op.day_prepare_speedup;
-    let op_exact = op.warm_equals_cold;
     let op_moves = op.search_moves;
     let op_conc_sub = op.concentrate.submitted;
     let op_conc_suc = op.concentrate.succeeded;
@@ -2050,8 +1616,6 @@ fn main() {
     let op_arrivals = op_stats.arrivals;
     let op_planned = op_stats.searched;
     let op_infeasible = op_stats.infeasible;
-    let op_warm_rebases = op_stats.warm_rebases;
-    let op_cold_builds = op_stats.cold_builds;
     let op_moves_evaluated = op_stats.moves_evaluated;
     let op_prepare_ms = op_stats.prepare_nanos as f64 / 1e6;
     let op_anneal_ms = op_stats.anneal_nanos as f64 / 1e6;
@@ -2117,9 +1681,6 @@ fn main() {
         .collect::<Vec<_>>()
         .join("\n");
     let scenario_all_passed = scenario_verdicts.iter().all(|v| v.passed());
-    let arena_vs_boxed = arena_heap_eps / boxed_eps.max(1.0);
-    let calendar_vs_boxed = arena_cal_eps / boxed_eps.max(1.0);
-    let ladder_vs_boxed = arena_lad_eps / boxed_eps.max(1.0);
     let day_jobs = q.timeline.submitted;
     let day_timeouts = q.timeline.timeouts;
     let day_events = q.timeline.events_processed;
@@ -2177,19 +1738,6 @@ fn main() {
     "jobs_per_sec": {sweep_jobs_per_sec:.0},
     "previous": {poisson_prev}
   }},
-  "event_engine": {{
-    "description": "steady-state pop/push churn over a {ENGINE_POPULATION}-event population, best of 3 interleaved rounds; before = the seed's boxed-closure binary heap (payload inside the heap entry), after = the arena-backed EventStore behind each queue kind",
-    "churn_events": {ENGINE_CHURN},
-    "before_boxed_heap_events_per_sec": {boxed_eps:.0},
-    "after_arena_heap_events_per_sec": {arena_heap_eps:.0},
-    "after_arena_calendar_events_per_sec": {arena_cal_eps:.0},
-    "after_arena_ladder_events_per_sec": {arena_lad_eps:.0},
-    "arena_heap_vs_boxed_speedup": {arena_vs_boxed:.2},
-    "arena_calendar_vs_boxed_speedup": {calendar_vs_boxed:.2},
-    "arena_ladder_vs_boxed_speedup": {ladder_vs_boxed:.2},
-    "required_arena_heap_vs_boxed": {ARENA_HEAP_VS_BOXED_MIN},
-    "previous": {engine_prev}
-  }},
   "modeled_collectives": {{
     "description": "LogGP analytical backend (p2pmpi_mpi::model) vs the executed thread-per-rank runtime on identical co-allocated placements; divergence = |modeled - executed| / executed of the virtual makespan",
     "ep": {{
@@ -2217,10 +1765,9 @@ fn main() {
     }}
   }},
   "sweep_engine": {{
-    "description": "day-trace sweep harness (fig23_sweep driver, paper-day profile compressed to ~2h virtual) on the overlay's event timeline, heap vs calendar vs ladder, best of 3 interleaved rounds; fails non-zero if the ladder (the sweep default) loses to the best alternative past the noise margin",
+    "description": "day-trace sweep harness (fig23_sweep driver, paper-day profile compressed to ~2h virtual) on the overlay's event timeline, heap vs ladder, best of {QUEUE_ROUNDS} interleaved rounds; fails non-zero if the ladder (the sweep default) loses to the heap past the noise margin",
     "jobs": {sweep_engine_jobs},
     "heap_wall_ms": {sweep_heap_ms:.1},
-    "calendar_wall_ms": {sweep_cal_ms:.1},
     "ladder_wall_ms": {sweep_lad_ms:.1},
     "noise_margin": {SWEEP_ENGINE_NOISE_MARGIN},
     "previous": {sweep_engine_prev}
@@ -2233,21 +1780,18 @@ fn main() {
     "baseline_analytical_wall_ms": {ANALYTICAL_DAY_WALL_MS},
     "limit_vs_baseline": {TIMEOUT_TIMELINE_LIMIT},
     "heap_wall_ms": {day_heap_ms:.1},
-    "calendar_wall_ms": {day_cal_ms:.1},
     "ladder_wall_ms": {day_lad_ms:.1},
     "best_wall_ms": {day_best_ms:.1},
     "best_vs_baseline": {day_best_vs_baseline:.3},
     "steady_state_alloc_free": {day_alloc_free},
     "skewed_dead_peer_trace": {{
-      "description": "the churn-heavy dead_peer_day scenario compressed 12x: flapping peers keep getting re-booked, so thousands of 2 s timeout windows ride on millisecond replies and hour-scale completions; on that trimodal skew the calendar's uniform bucket width degrades toward O(cluster) sorted inserts and the ladder's rung refinement must win by more than required_ladder_margin — fails non-zero otherwise",
+      "description": "the churn-heavy dead_peer_day scenario compressed 12x: flapping peers keep getting re-booked, so thousands of 2 s timeout windows ride on millisecond replies and hour-scale completions; the trimodal skew the ladder's rung refinement is the sweep default for; the ladder must stay within noise_margin of the best kind — fails non-zero otherwise",
       "jobs": {skewed_jobs},
       "reservation_timeouts": {skewed_timeouts},
       "timeline_events": {skewed_events},
       "heap_wall_ms": {skewed_heap_ms:.1},
-      "calendar_wall_ms": {skewed_cal_ms:.1},
       "ladder_wall_ms": {skewed_lad_ms:.1},
-      "ladder_vs_calendar_speedup": {skewed_ladder_vs_calendar:.3},
-      "required_ladder_margin": {LADDER_VS_CALENDAR_MARGIN}
+      "noise_margin": {SWEEP_ENGINE_NOISE_MARGIN}
     }},
     "previous": {timeline_prev}
   }},
@@ -2355,17 +1899,7 @@ fn main() {
     "previous": {is_search_prev}
   }},
   "online_placement": {{
-    "description": "the day sweep's searched booking strategy (StrategyKind::Searched through SweepCore): every arrival re-runs the annealing search over the grid's current free cores, reusing one pooled PlacementCost + Fenwick free-slot index per kernel shape, resynced by PlacementCost::rebase (one pass, no allocation, no ring-table build) where a cold arrival builds both (p2pmpi_bench::search::SearchContext); gates (all fail non-zero): the warm per-arrival prepare >= {ONLINE_WARM_PREPARE_SPEEDUP_MIN}x cheaper than the cold one in the steady-state churn benchmark with bit-identical warm/cold plans, the warm and cold searched days bit-identical, the searched day's mean job makespan >= required_improvement better than the best fixed strategy, and (full runs) the searched day inside day_wall_budget_s",
-    "prepare": {{
-      "description": "per-arrival phase 1 in the steady-state regime the pool targets: {ONLINE_BENCH_CHURN_HOSTS} whole hosts change hands between consecutive arrivals of the day-mix shapes ({ONLINE_BENCH_BUSY_HOSTS} busy at start), so the repaired seed displaces only a handful of ranks; warm = PlacementCost::rebase + free-slot resync of the pooled shape, cold = the same arrival sequence with the pool dropped every time, paying a full evaluator build over the process-wide cached schedule; the annealing walk after prepare is common to both paths and the two must produce bit-identical plans",
-      "steady_state_arrivals": {op_bench_arrivals},
-      "churn_hosts_per_arrival": {ONLINE_BENCH_CHURN_HOSTS},
-      "warm_prepare_us": {op_warm_us:.1},
-      "cold_prepare_us": {op_cold_us:.1},
-      "prepare_speedup": {op_speedup:.1},
-      "required_speedup": {ONLINE_WARM_PREPARE_SPEEDUP_MIN},
-      "warm_equals_cold_plans": {op_plans_equal}
-    }},
+    "description": "the day sweep's searched booking strategy (StrategyKind::Searched through SweepCore): every arrival re-runs the annealing search over the grid's current free cores on a fresh PlacementCost + Fenwick free-slot index, seeded from its kernel shape's previous plan (p2pmpi_bench::search::SearchContext); gates (all fail non-zero): the searched day's mean job makespan >= required_improvement better than the best fixed strategy, and (full runs) the searched day inside day_wall_budget_s",
     "day": {{
       "description": "the CI-smoke day (paper-day shape compressed 24x at 5% arrival rates, ~1.1k jobs) under each booking strategy; mean_hold_s is the mean modeled kernel makespan of the placed jobs",
       "compress": 24,
@@ -2381,20 +1915,10 @@ fn main() {
         "arrivals": {op_arrivals},
         "planned": {op_planned},
         "infeasible": {op_infeasible},
-        "warm_rebases": {op_warm_rebases},
-        "cold_builds": {op_cold_builds},
         "moves_evaluated": {op_moves_evaluated},
         "prepare_wall_ms": {op_prepare_ms:.1},
         "anneal_wall_ms": {op_anneal_ms:.1},
         "amortized_search_us_per_arrival": {op_amortized_us:.1}
-      }},
-      "amortized_prepare": {{
-        "description": "day-amortized prepare diagnostics (not gated on the speedup floor — prepare is under 2% of an arrival there; see the prepare block for the gated steady-state regime): warm = the searched day's prepare nanos per searching arrival, cold = the same day replayed with the pool disabled",
-        "warm_prepare_us": {op_day_warm_us:.1},
-        "cold_prepare_us": {op_day_cold_us:.1},
-        "cold_prepare_wall_ms": {op_cold_prepare_ms:.1},
-        "prepare_speedup": {op_day_speedup:.1},
-        "warm_equals_cold_days": {op_exact}
       }},
       "searched_mean_hold_s": {op_sea_hold:.3},
       "improvement_vs_best_fixed": {op_improvement:.4},
@@ -2415,25 +1939,6 @@ fn main() {
     // while it tracks the executed runtime, so a divergence outside the
     // documented tolerances fails the report (and CI) outright.
     let mut drifted = false;
-    // Same for the event engine, gated per configuration: the calendar
-    // queue — the sweep-scale configuration the arena store exists for —
-    // must beat the seed's boxed-closure heap outright, and the binary-heap
-    // configuration must stay within ARENA_HEAP_VS_BOXED_MIN of the
-    // baseline — the packed-ticket sort key reclaimed the old slab-lookup
-    // churn regression, and this gate keeps it reclaimed.
-    if arena_cal_eps < boxed_eps {
-        eprintln!(
-            "FAIL: arena calendar queue ({arena_cal_eps:.0} events/s) is slower than the boxed-closure baseline ({boxed_eps:.0} events/s)"
-        );
-        drifted = true;
-    }
-    if arena_heap_eps < ARENA_HEAP_VS_BOXED_MIN * boxed_eps {
-        eprintln!(
-            "FAIL: arena binary heap ({arena_heap_eps:.0} events/s) fell below \
-             {ARENA_HEAP_VS_BOXED_MIN}x the boxed-closure baseline ({boxed_eps:.0} events/s)"
-        );
-        drifted = true;
-    }
     if ep_div > EP_DIVERGENCE_TOLERANCE {
         eprintln!(
             "FAIL: EP modeled-vs-executed divergence {ep_div:.3e} exceeds tolerance {EP_DIVERGENCE_TOLERANCE:e}"
@@ -2446,8 +1951,8 @@ fn main() {
         );
         drifted = true;
     }
-    // The relative queue gates (ladder-vs-calendar on the skewed trace, the
-    // sweep default within noise of the best, allocation-free brokering) …
+    // The relative queue gates (the sweep default within noise of the best
+    // kind on every trace, allocation-free brokering) …
     drifted |= check_queue_gates(&q);
     // … the placement-search gates (move speedup, search quality, the
     // skewed-grid margin, the wall budget) …
@@ -2456,8 +1961,8 @@ fn main() {
     // ceiling, the Uniform savings floor, search quality and wall budget
     // at 1024 ranks) …
     drifted |= check_is_search_gates(&is_search);
-    // … the online-placement gates (warm-prepare speedup, warm == cold
-    // exactness, the searched day's improvement and wall budget) …
+    // … the online-placement gates (the searched day's improvement and
+    // wall budget) …
     drifted |= check_online_placement_gates(&op);
     // … the graceful-degradation verdicts of the fault-injection matrix,
     // plus the recovery-time trajectory against the previous report …

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p p2pmpi-bench --bin scenario_runner -- \
 //!     (--all | --scenario NAME) [--compress F] [--rate-scale F] \
-//!     [--seed N] [--queue ladder|calendar|heap] \
+//!     [--seed N] [--queue ladder|heap] \
 //!     [--strategy spread|concentrate|searched|balanced:<k>]
 //! ```
 //!
@@ -23,16 +23,15 @@
 //! one virtual hour — the CI configuration.  `--rate-scale` defaults to
 //! 0.05 (~1.1k jobs per day-equivalent).
 
-use p2pmpi_bench::cliargs::{flag_f64, flag_present, flag_u64, flag_value};
+use p2pmpi_bench::cliargs::{flag_f64, flag_present, flag_u64, flag_value, parse_queue_kind};
 use p2pmpi_bench::par_map;
 use p2pmpi_bench::scenario::{run_scenario, Scenario, ScenarioParams, ALL_SCENARIOS};
-use p2pmpi_simgrid::event::QueueKind;
 use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
         "usage: scenario_runner (--all | --scenario NAME) [--compress F] [--rate-scale F] \
-         [--seed N] [--queue ladder|calendar|heap] [--strategy NAME]\n\nscenarios:"
+         [--seed N] [--queue ladder|heap] [--strategy NAME]\n\nscenarios:"
     );
     for s in ALL_SCENARIOS {
         eprintln!("  {:<18} {}", s.name(), s.summary());
@@ -70,15 +69,10 @@ fn main() {
         params.seed = s;
     }
     if let Some(q) = flag_value("--queue") {
-        params.queue = match q.as_str() {
-            "ladder" => QueueKind::Ladder,
-            "calendar" => QueueKind::Calendar,
-            "heap" => QueueKind::BinaryHeap,
-            other => {
-                eprintln!("unknown --queue {other:?} (expected ladder|calendar|heap)");
-                std::process::exit(2);
-            }
-        };
+        params.queue = parse_queue_kind(&q).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        });
     }
     if let Some(s) = flag_value("--strategy") {
         match s.parse() {

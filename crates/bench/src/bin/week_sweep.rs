@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p p2pmpi-bench --bin week_sweep -- \
 //!     [--shards N] [--days N] [--cross-fraction F] \
-//!     [--strategy concentrate|spread] [--queue ladder|calendar|heap] \
+//!     [--strategy concentrate|spread] [--queue ladder|heap] \
 //!     [--seed N] [--compress F] [--rate-scale F] \
 //!     [--sequential] [--baseline]
 //! ```
@@ -24,7 +24,6 @@ use p2pmpi_bench::par::hardware_threads;
 use p2pmpi_bench::shard::{run_shard_sweep, ShardSweepConfig, ShardSweepResult};
 use p2pmpi_bench::workload::{DayProfile, DaySweepConfig, DaySweepResult};
 use p2pmpi_core::strategy::StrategyKind;
-use p2pmpi_simgrid::event::QueueKind;
 
 fn config_for(flags: &WeekSweepFlags) -> ShardSweepConfig {
     let strategy = match flags.strategy.as_str() {
@@ -37,15 +36,7 @@ fn config_for(flags: &WeekSweepFlags) -> ShardSweepConfig {
     };
     let mut base = DaySweepConfig::new(strategy);
     base.seed = flags.seed;
-    base.queue = match flags.queue.as_str() {
-        "calendar" => QueueKind::Calendar,
-        "heap" => QueueKind::BinaryHeap,
-        "ladder" => QueueKind::Ladder,
-        other => {
-            eprintln!("unknown --queue {other:?} (expected calendar|heap|ladder)");
-            std::process::exit(2);
-        }
-    };
+    base.queue = flags.queue;
     if flags.days == 0 {
         eprintln!("--days must be >= 1");
         std::process::exit(2);

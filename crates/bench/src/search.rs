@@ -262,7 +262,7 @@ struct ScheduleKey {
 }
 
 /// [`kernel_schedule`] through a process-wide compile-once cache: a compiled
-/// schedule is placement-independent, so every job, search chain and pooled
+/// schedule is placement-independent, so every job, search chain and online
 /// evaluator of one shape shares one `Arc`.
 ///
 /// **Contract.**  The key is everything the compile reads — kernel, class,
@@ -439,11 +439,9 @@ struct AnnealOutcome {
 }
 
 /// The annealing walk proper, over an evaluator and idle-slot index the
-/// caller prepared (freshly built by [`run_chain`], or rebased warm by a
-/// [`SearchContext`]).  Leaves `cost` at the last *accepted* assignment.
-/// Deterministic per `chain_seed` for a given starting state, which is what
-/// makes warm == cold bit-exactness follow from
-/// [`PlacementCost::rebase`]'s exactness.
+/// caller built ([`run_chain`] per chain, a [`SearchContext`] per arrival).
+/// Leaves `cost` at the last *accepted* assignment.  Deterministic per
+/// `chain_seed` for a given starting state.
 fn anneal(
     cost: &mut PlacementCost,
     idle: &mut IdleSlotIndex,
@@ -681,61 +679,50 @@ pub struct OnlineSearchStats {
     /// Arrivals the free cores could not hold (fell back to the fixed
     /// distribution over whatever brokering grants).
     pub infeasible: u64,
-    /// Warm cache hits: the kernel shape was pooled and `rebase` resynced
-    /// it.
-    pub warm_rebases: u64,
-    /// Cold builds: first sighting of a kernel shape (full evaluator
-    /// construction; the schedule comes from [`cached_kernel_schedule`]).
-    pub cold_builds: u64,
     /// Annealing moves evaluated across all arrivals.
     pub moves_evaluated: u64,
-    /// Wall nanoseconds spent in `prepare` (rebase or build).
+    /// Wall nanoseconds spent in `prepare` (seed repair and evaluator
+    /// build).
     pub prepare_nanos: u64,
     /// Wall nanoseconds spent annealing.
     pub anneal_nanos: u64,
 }
 
-/// One pooled warm evaluator, keyed by kernel shape.
-struct ShapeEntry {
+/// The evaluator and idle-slot index [`SearchContext::prepare`] built for
+/// the arrival being searched.
+struct Prepared {
     kernel: Fig4Kernel,
     ranks: u32,
     cost: PlacementCost,
     idle: IdleSlotIndex,
 }
 
-/// The persistent cross-job search state the day sweep threads through
-/// `SweepCore::submit`: a pool of warm [`PlacementCost`] evaluators keyed
-/// by kernel shape — (kernel, rank count), the same pooling idea as the
-/// evaluator's ring tables — each rebased per arrival instead of rebuilt
-/// ([`PlacementCost::rebase`]: one pass, no allocation, no ring-table
-/// build).  The day mix repeats a handful of shapes (ranks 8–128), so after
-/// the first sighting of each shape every arrival runs warm — and seeds
-/// from the shape's previous annealed plan repaired for the new occupancy
-/// ([`Self::seed_for`]).
+/// The online search state the day sweep threads through
+/// `SweepCore::submit`.  Every arrival gets a fresh [`PlacementCost`] and
+/// [`IdleSlotIndex`] over the process-wide cached schedule
+/// ([`cached_kernel_schedule`]); the only state carried from one arrival to
+/// the next is `last_plan`, the previous annealed plan of each kernel shape,
+/// which seeds the shape's next walk ([`Self::seed_for`]).
 pub struct SearchContext {
     topology: Arc<Topology>,
     settings: Fig4Settings,
     params: OnlineSearchParams,
-    pool: Vec<ShapeEntry>,
+    /// What [`Self::prepare`] built and [`Self::anneal_prepared`] consumes.
+    prepared: Option<Prepared>,
     /// Host order by descending core speed (static topology data, computed
     /// once, drives the capped seed placement).
     speed_order: Vec<HostId>,
-    /// Test/benchmark knob: drop the pool before every `prepare`, forcing
-    /// the cold path — the control arm of the warm == cold exactness pins
-    /// and `perf_report`'s prepare-speedup gate.
-    pub cold: bool,
     /// The last plan annealed per shape: the next arrival of that shape
     /// seeds from it, repaired for the new occupancy (see
-    /// [`Self::seed_for`]).  Deliberately *not* dropped by [`Self::cold`]
-    /// — it is part of the deterministic search trajectory, not a warm
-    /// cache, so a cold context follows the same seed sequence and the
-    /// warm == cold exactness pins keep holding.
+    /// [`Self::seed_for`]).  It is part of the deterministic search
+    /// trajectory, not a cache: dropping it changes the plans.
     last_plan: Vec<(Fig4Kernel, u32, Vec<HostId>)>,
     stats: OnlineSearchStats,
 }
 
 impl SearchContext {
-    /// A context with an empty pool (every shape's first arrival is cold).
+    /// A context that has searched nothing yet (every shape's first arrival
+    /// seeds from [`Self::seed_hosts_capped`]).
     pub fn new(
         topology: Arc<Topology>,
         settings: Fig4Settings,
@@ -746,9 +733,8 @@ impl SearchContext {
             topology,
             settings,
             params,
-            pool: Vec::new(),
+            prepared: None,
             speed_order,
-            cold: false,
             last_plan: Vec::new(),
             stats: OnlineSearchStats::default(),
         }
@@ -827,72 +813,50 @@ impl SearchContext {
         )
     }
 
-    /// Phase 1 of one arrival: sync a pool entry for the kernel shape with
-    /// the grid's current free capacities — a warm [`PlacementCost::rebase`]
-    /// when the shape was pooled before, a cold evaluator build (over the
-    /// process-wide cached schedule) otherwise.  Returns the pool index, or
-    /// `None` when the free cores cannot hold the job.  This phase is what
-    /// `perf_report`'s warm-vs-cold gate times: the annealing walk after it
-    /// is common to both paths.
+    /// Phase 1 of one arrival: build the evaluator and idle-slot index for
+    /// the kernel shape over the grid's current free capacities, seeded by
+    /// [`Self::seed_for`].  Returns the token [`Self::anneal_prepared`]
+    /// takes, or `None` when the free cores cannot hold the job.
     pub fn prepare(&mut self, kernel: Fig4Kernel, n: u32, caps: &[u32]) -> Option<usize> {
         let seed = self.seed_for(kernel, n, caps)?;
-        if self.cold {
-            self.pool.clear();
-        }
-        if let Some(i) = self
-            .pool
+        let schedule = cached_kernel_schedule(kernel, &self.settings, n);
+        let (network, compute) = models_for(&self.topology, &self.settings);
+        let cost = PlacementCost::new(schedule, seed, caps.to_vec(), network, compute);
+        let free: Vec<u32> = caps
             .iter()
-            .position(|e| e.kernel == kernel && e.ranks == n)
-        {
-            let entry = &mut self.pool[i];
-            entry.cost.rebase(&seed, caps);
-            for (h, &cap) in caps.iter().enumerate() {
-                let host = HostId(h);
-                entry
-                    .idle
-                    .set_free(host, cap - entry.cost.residents_on(host));
-            }
-            self.stats.warm_rebases += 1;
-            Some(i)
-        } else {
-            let schedule = cached_kernel_schedule(kernel, &self.settings, n);
-            let (network, compute) = models_for(&self.topology, &self.settings);
-            let cost = PlacementCost::new(schedule, seed, caps.to_vec(), network, compute);
-            let free: Vec<u32> = caps
-                .iter()
-                .enumerate()
-                .map(|(h, &cap)| cap - cost.residents_on(HostId(h)))
-                .collect();
-            let idle = IdleSlotIndex::from_capacities(&free);
-            self.pool.push(ShapeEntry {
-                kernel,
-                ranks: n,
-                cost,
-                idle,
-            });
-            self.stats.cold_builds += 1;
-            Some(self.pool.len() - 1)
-        }
+            .enumerate()
+            .map(|(h, &cap)| cap - cost.residents_on(HostId(h)))
+            .collect();
+        let idle = IdleSlotIndex::from_capacities(&free);
+        self.prepared = Some(Prepared {
+            kernel,
+            ranks: n,
+            cost,
+            idle,
+        });
+        Some(0)
     }
 
-    /// Phase 2: the annealing walk over a prepared entry.  `arrival`
-    /// indexes the job so every arrival gets its own derived RNG stream —
-    /// identical between a warm and a cold context, which (with `rebase`'s
-    /// exactness) is why the two paths produce bit-identical plans.
-    pub fn anneal_prepared(&mut self, idx: usize, arrival: u64) -> Vec<HostId> {
+    /// Phase 2: the annealing walk over what [`Self::prepare`] just built
+    /// (`_token` is its return value).  `arrival` indexes the job so every
+    /// arrival gets its own derived RNG stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a successful `prepare` ran since the last walk.
+    pub fn anneal_prepared(&mut self, _token: usize, arrival: u64) -> Vec<HostId> {
         let chain_seed = derive_seed(self.params.seed, 0x0A11 ^ arrival);
-        let entry = &mut self.pool[idx];
-        let a = anneal(
-            &mut entry.cost,
-            &mut entry.idle,
-            self.params.moves,
-            chain_seed,
-        );
-        // The pooled evaluator and idle index stay wherever the walk
-        // ended: `prepare` rebases both onto the next arrival's seed and
-        // capacities before the next walk, and it is the only path into one.
+        let Prepared {
+            kernel,
+            ranks,
+            mut cost,
+            mut idle,
+        } = self
+            .prepared
+            .take()
+            .expect("prepare builds the evaluator of every walk");
+        let a = anneal(&mut cost, &mut idle, self.params.moves, chain_seed);
         self.stats.moves_evaluated += a.evaluated;
-        let (kernel, ranks) = (entry.kernel, entry.ranks);
         match self
             .last_plan
             .iter_mut()
@@ -1013,45 +977,6 @@ mod tests {
         // A different seed walks differently (costs may tie, hosts differ
         // with overwhelming probability on a 350-host grid).
         assert!(c.best_hosts != a.best_hosts || c.best == a.best);
-    }
-
-    #[test]
-    fn warm_context_matches_cold_context_bit_for_bit() {
-        // One context keeps its pool warm across arrivals (rebase path),
-        // the other rebuilds from scratch every time; under an identical
-        // capacity-churn sequence and identical per-arrival RNG streams
-        // the plans must be bit-identical.
-        let topology = topology_from_specs(&scaled_table1(1));
-        let settings = Fig4Settings::test_sized();
-        let params = OnlineSearchParams {
-            moves: 120,
-            seed: 9,
-        };
-        let mut warm = SearchContext::new(topology.clone(), settings, params);
-        let mut cold = SearchContext::new(topology.clone(), settings, params);
-        cold.cold = true;
-        let caps0 = host_capacities(&topology);
-        let mut caps = caps0.clone();
-        let mut rng = seeded(42);
-        for arrival in 0..6u64 {
-            for _ in 0..5 {
-                let h = rng.gen_range(0..caps.len());
-                caps[h] = if caps[h] == 0 { caps0[h] } else { 0 };
-            }
-            let kernel = if arrival % 2 == 0 {
-                Fig4Kernel::Ep
-            } else {
-                Fig4Kernel::Is
-            };
-            let w = warm.searched_hosts(kernel, 16, &caps, arrival);
-            let c = cold.searched_hosts(kernel, 16, &caps, arrival);
-            assert_eq!(w, c, "arrival {arrival}");
-            assert!(w.is_some(), "the scaled grid holds 16 ranks");
-        }
-        // Two shapes, six arrivals: the warm pool rebases every revisit.
-        assert_eq!(warm.stats().cold_builds, 2);
-        assert_eq!(warm.stats().warm_rebases, 4);
-        assert_eq!(cold.stats().cold_builds, 6);
     }
 
     #[test]

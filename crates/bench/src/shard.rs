@@ -814,7 +814,7 @@ fn merge_results(
             .map(|r| r.dead_ticket_hwm)
             .max()
             .expect("at least one shard"),
-        // Per-shard search pools never merge: fold the counters when any
+        // Per-shard search contexts never merge: fold the counters when any
         // shard searched (the sharded driver defaults to fixed strategies,
         // so this is usually `None`).
         search: per_shard
@@ -824,8 +824,6 @@ fn merge_results(
                 a.arrivals += b.arrivals;
                 a.searched += b.searched;
                 a.infeasible += b.infeasible;
-                a.warm_rebases += b.warm_rebases;
-                a.cold_builds += b.cold_builds;
                 a.moves_evaluated += b.moves_evaluated;
                 a.prepare_nanos += b.prepare_nanos;
                 a.anneal_nanos += b.anneal_nanos;

@@ -729,8 +729,8 @@ pub struct DaySweepConfig {
     /// Priority structure backing the overlay's event timeline.
     /// [`QueueKind::Ladder`] is the sweep default: with per-reservation
     /// timeouts the pending population is trimodal (millisecond replies,
-    /// the 2 s timeout window, minute-to-hour completions) and the
-    /// calendar's uniform bucket width degrades on that skew.
+    /// the 2 s timeout window, minute-to-hour completions), the skew the
+    /// ladder is built for.
     pub queue: QueueKind,
     /// Master seed (testbed noise, arrivals, job mix, churn phases).
     pub seed: u64,
@@ -778,11 +778,6 @@ pub struct DaySweepConfig {
     /// Per-arrival annealing move budget of the online search (only read
     /// when `strategy` is [`StrategyKind::Searched`]).
     pub search_moves: u64,
-    /// Test/benchmark knob: force every online search to rebuild its
-    /// evaluator from scratch instead of rebasing the warm pool — the
-    /// control arm of the warm == cold exactness pins in
-    /// `tests/day_sweep.rs` and the prepare-speedup gate in `perf_report`.
-    pub search_cold: bool,
 }
 
 impl DaySweepConfig {
@@ -804,7 +799,6 @@ impl DaySweepConfig {
             fail_jobs_on_crash: false,
             reap_threshold: 8192,
             search_moves: 300,
-            search_cold: false,
         }
     }
 
@@ -929,8 +923,8 @@ pub struct DaySweepResult {
     /// one inter-job interval's cancellations.
     pub dead_ticket_hwm: usize,
     /// Counters of the online search (`Some` only when the sweep ran with
-    /// [`StrategyKind::Searched`]): warm-rebase vs cold-build split, moves
-    /// evaluated and wall-clock phase timings.
+    /// [`StrategyKind::Searched`]): arrivals searched, moves evaluated and
+    /// wall-clock phase timings.
     pub search: Option<OnlineSearchStats>,
 }
 
@@ -1039,8 +1033,8 @@ pub(crate) struct SweepCore {
     mid_caps: (usize, usize),
     reaped_tickets: u64,
     dead_ticket_hwm: usize,
-    /// The persistent cross-job search state (warm `PlacementCost` pool +
-    /// idle-slot indexes), present only under [`StrategyKind::Searched`].
+    /// The online search state (each shape's last plan), present only
+    /// under [`StrategyKind::Searched`].
     search: Option<SearchContext>,
     /// Reused per-arrival free-capacity scratch for the online search.
     search_caps: Vec<u32>,
@@ -1169,16 +1163,14 @@ impl SweepCore {
         .modeled();
 
         // Under the searched strategy every arrival re-anneals against the
-        // grid's current free cores, reusing one warm evaluator per kernel
-        // shape across jobs (see `crate::search::SearchContext`).
+        // grid's current free cores, seeded from its shape's previous plan
+        // (see `crate::search::SearchContext`).
         let search = (cfg.strategy == StrategyKind::Searched).then(|| {
             let params = OnlineSearchParams {
                 moves: cfg.search_moves,
                 seed: derive_seed(seed, 0x0A11),
             };
-            let mut ctx = SearchContext::new(tb.topology.clone(), settings, params);
-            ctx.cold = cfg.search_cold;
-            ctx
+            SearchContext::new(tb.topology.clone(), settings, params)
         });
 
         let site_names: Vec<String> = tb.topology.sites().iter().map(|s| s.name.clone()).collect();

@@ -105,9 +105,9 @@ fn assert_identical(a: &DaySweepResult, b: &DaySweepResult, what: &str) {
 }
 
 #[test]
-fn heap_calendar_and_ladder_timelines_agree_on_the_sweep_outcome() {
+fn heap_and_ladder_timelines_agree_on_the_sweep_outcome() {
     // The queue kind is a performance choice, never a semantic one: the
-    // same trace must produce bit-identical outcomes on all three
+    // same trace must produce bit-identical outcomes on both
     // structures — including the reservation reply/timeout races the
     // brokering step now runs on the timeline.
     let run = |kind: QueueKind| {
@@ -116,9 +116,7 @@ fn heap_calendar_and_ladder_timelines_agree_on_the_sweep_outcome() {
         run_day_sweep(&cfg)
     };
     let heap = run(QueueKind::BinaryHeap);
-    let cal = run(QueueKind::Calendar);
     let ladder = run(QueueKind::Ladder);
-    assert_identical(&heap, &cal, "heap vs calendar");
     assert_identical(&heap, &ladder, "heap vs ladder");
 }
 
@@ -188,8 +186,8 @@ fn dead_peer_day_parks_timeouts_on_the_timeline_identically_on_every_queue() {
     // The churn-heavy scenario: flapping peers keep getting booked while
     // dead, so reservation timeouts genuinely fire (not just armed and
     // cancelled).  The timeout count must be substantial, the sweep must
-    // still place most jobs, and — races included — the three queue kinds
-    // must agree bit-for-bit.
+    // still place most jobs, and — races included — both queue kinds must
+    // agree bit-for-bit.
     let run = |kind: QueueKind| {
         let mut cfg = DaySweepConfig::dead_peer_day(StrategyKind::Concentrate).compress(24.0);
         cfg.profile = cfg.profile.scaled(0.05);
@@ -229,9 +227,7 @@ fn dead_peer_day_parks_timeouts_on_the_timeline_identically_on_every_queue() {
         ladder.rs_scratch_capacity_end,
     );
     let heap = run(QueueKind::BinaryHeap);
-    let cal = run(QueueKind::Calendar);
     assert_identical(&ladder, &heap, "ladder vs heap under churn");
-    assert_identical(&ladder, &cal, "ladder vs calendar under churn");
 }
 
 #[test]
@@ -279,24 +275,20 @@ fn reap_cadence_bounds_dead_tickets_on_a_cancel_heavy_week() {
 }
 
 #[test]
-fn searched_day_sweep_is_bit_identical_across_queues_and_warm_vs_cold() {
+fn searched_day_sweep_is_bit_identical_across_queues() {
     // The online search rides the sweep deterministically: per-arrival RNG
-    // streams derive from the config seed, never from the queue structure
-    // or from whether the evaluator pool ran warm.  So (a) the three queue
-    // kinds must agree bit-for-bit, exactly like the fixed strategies, and
-    // (b) forcing every arrival down the cold rebuild path (`search_cold`)
-    // must reproduce the warm run's outcomes — the day-scale face of
-    // `PlacementCost::rebase` equalling a fresh build.
-    let run = |kind: QueueKind, cold: bool| {
+    // streams derive from the config seed, never from the queue structure.
+    // So both queue kinds must agree bit-for-bit, exactly like the fixed
+    // strategies.
+    let run = |kind: QueueKind| {
         let mut cfg = DaySweepConfig::new(StrategyKind::Searched).compress(24.0);
         cfg.profile = cfg.profile.scaled(0.01);
         cfg.sample_period = SimDuration::from_secs(60);
         cfg.search_moves = 80;
         cfg.queue = kind;
-        cfg.search_cold = cold;
         run_day_sweep(&cfg)
     };
-    let ladder = run(QueueKind::Ladder, false);
+    let ladder = run(QueueKind::Ladder);
     assert!(
         ladder.submitted > 150,
         "only {} jobs arrived",
@@ -308,23 +300,14 @@ fn searched_day_sweep_is_bit_identical_across_queues_and_warm_vs_cold() {
         ladder.succeeded,
         ladder.submitted
     );
-    // The warm pool genuinely carried the day: one cold build per kernel
-    // shape in the mix, everything else a rebase.
-    let warm_stats = ladder.search.expect("searched sweeps report search stats");
-    assert!(warm_stats.warm_rebases > warm_stats.cold_builds * 10);
-    assert!(warm_stats.cold_builds >= 1);
-
-    let heap = run(QueueKind::BinaryHeap, false);
-    let cal = run(QueueKind::Calendar, false);
+    let heap = run(QueueKind::BinaryHeap);
     assert_identical(&ladder, &heap, "searched: ladder vs heap");
-    assert_identical(&ladder, &cal, "searched: ladder vs calendar");
-
-    let cold = run(QueueKind::Ladder, true);
-    assert_identical(&ladder, &cold, "searched: warm vs cold evaluator pool");
-    let cold_stats = cold.search.expect("searched sweeps report search stats");
-    assert_eq!(cold_stats.warm_rebases, 0, "cold runs must never rebase");
-    assert_eq!(cold_stats.searched, warm_stats.searched);
-    assert_eq!(cold_stats.moves_evaluated, warm_stats.moves_evaluated);
+    let (ladder_stats, heap_stats) = (
+        ladder.search.expect("searched sweeps report search stats"),
+        heap.search.expect("searched sweeps report search stats"),
+    );
+    assert_eq!(ladder_stats.searched, heap_stats.searched);
+    assert_eq!(ladder_stats.moves_evaluated, heap_stats.moves_evaluated);
 }
 
 #[test]
@@ -381,7 +364,5 @@ fn injected_faults_agree_bit_for_bit_on_every_queue() {
         ladder.leaked_grants
     );
     let heap = run(QueueKind::BinaryHeap);
-    let cal = run(QueueKind::Calendar);
     assert_identical(&ladder, &heap, "ladder vs heap under faults");
-    assert_identical(&ladder, &cal, "ladder vs calendar under faults");
 }

@@ -73,8 +73,8 @@ fn composed_and_partial_site_faults_are_queue_invariant() {
     // `Compose`/`PhaseShift` unfold to plain timeline faults and
     // `PartialSite` kills a host subset — none of it may depend on the
     // queue structure.  Both fault shapes must produce bit-identical
-    // outcomes (and therefore bit-identical recovery times) on all three
-    // queue kinds.
+    // outcomes (and therefore bit-identical recovery times) on both queue
+    // kinds.
     let run_composed = |kind: QueueKind| {
         let params = ScenarioParams {
             queue: kind,
@@ -84,7 +84,6 @@ fn composed_and_partial_site_faults_are_queue_invariant() {
     };
     let ladder = run_composed(QueueKind::Ladder);
     let heap = run_composed(QueueKind::BinaryHeap);
-    let cal = run_composed(QueueKind::Calendar);
 
     // The crowd-only twin scores each run; the nominal outage window ends
     // at 12:30 on the uncompressed day = 1875 s compressed.
@@ -97,17 +96,15 @@ fn composed_and_partial_site_faults_are_queue_invariant() {
     let end = 12.5 * 3600.0 / 24.0;
     let recovery = recovery_to_twin(&ladder, &twin, end);
     assert!(ladder.jobs_killed > 0, "the composed outage killed no jobs");
-    for (name, other) in [("heap", &heap), ("calendar", &cal)] {
-        assert_eq!(ladder.submitted, other.submitted, "{name}");
-        assert_eq!(ladder.succeeded, other.succeeded, "{name}");
-        assert_eq!(ladder.failed, other.failed, "{name}");
-        assert_eq!(ladder.timeouts, other.timeouts, "{name}");
-        assert_eq!(ladder.jobs_killed, other.jobs_killed, "{name}");
-        assert_eq!(ladder.events_processed, other.events_processed, "{name}");
-        assert_eq!(ladder.bin_secs, other.bin_secs, "{name}");
-        assert_eq!(ladder.site_core_bins, other.site_core_bins, "{name}");
-        assert_eq!(recovery, recovery_to_twin(other, &twin, end), "{name}");
-    }
+    assert_eq!(ladder.submitted, heap.submitted);
+    assert_eq!(ladder.succeeded, heap.succeeded);
+    assert_eq!(ladder.failed, heap.failed);
+    assert_eq!(ladder.timeouts, heap.timeouts);
+    assert_eq!(ladder.jobs_killed, heap.jobs_killed);
+    assert_eq!(ladder.events_processed, heap.events_processed);
+    assert_eq!(ladder.bin_secs, heap.bin_secs);
+    assert_eq!(ladder.site_core_bins, heap.site_core_bins);
+    assert_eq!(recovery, recovery_to_twin(&heap, &twin, end));
 
     // Same contract for the rack brown-out (`PartialSite`).
     let run_rack = |kind: QueueKind| {
@@ -119,23 +116,17 @@ fn composed_and_partial_site_faults_are_queue_invariant() {
     };
     let rack_ladder = run_rack(QueueKind::Ladder);
     let rack_heap = run_rack(QueueKind::BinaryHeap);
-    let rack_cal = run_rack(QueueKind::Calendar);
     assert!(
         rack_ladder.jobs_killed > 0,
         "the rack brown-out killed no jobs"
     );
-    for (name, other) in [("heap", &rack_heap), ("calendar", &rack_cal)] {
-        assert_eq!(rack_ladder.submitted, other.submitted, "rack: {name}");
-        assert_eq!(rack_ladder.succeeded, other.succeeded, "rack: {name}");
-        assert_eq!(rack_ladder.failed, other.failed, "rack: {name}");
-        assert_eq!(rack_ladder.jobs_killed, other.jobs_killed, "rack: {name}");
-        assert_eq!(
-            rack_ladder.events_processed, other.events_processed,
-            "rack: {name}"
-        );
-        assert_eq!(
-            rack_ladder.site_core_bins, other.site_core_bins,
-            "rack: {name}"
-        );
-    }
+    assert_eq!(rack_ladder.submitted, rack_heap.submitted, "rack");
+    assert_eq!(rack_ladder.succeeded, rack_heap.succeeded, "rack");
+    assert_eq!(rack_ladder.failed, rack_heap.failed, "rack");
+    assert_eq!(rack_ladder.jobs_killed, rack_heap.jobs_killed, "rack");
+    assert_eq!(
+        rack_ladder.events_processed, rack_heap.events_processed,
+        "rack"
+    );
+    assert_eq!(rack_ladder.site_core_bins, rack_heap.site_core_bins, "rack");
 }

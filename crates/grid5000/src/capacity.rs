@@ -104,20 +104,6 @@ impl IdleSlotIndex {
         self.add(host.0, 1);
     }
 
-    /// Sets the free-slot count of `host` outright — the resync primitive
-    /// of warm cross-job reuse: between two arrivals only a few hosts'
-    /// occupancy changed, and each is one `O(log hosts)` Fenwick update
-    /// (a no-op when the count is already right).
-    pub fn set_free(&mut self, host: HostId, free: u32) {
-        let old = self.free[host.0];
-        if old == free {
-            return;
-        }
-        self.free[host.0] = free;
-        self.total_free = self.total_free + u64::from(free) - u64::from(old);
-        self.add(host.0, i64::from(free) - i64::from(old));
-    }
-
     /// The host owning the `k`-th idle slot (0-based, slots ordered by host
     /// id): sample `k` uniformly from `0..free_slots()` for an
     /// uniform-over-slots random destination.
@@ -198,25 +184,6 @@ mod tests {
         idx.release(h0);
         assert_eq!(idx.free_on(h0), 1);
         assert_eq!(idx.nth_free_slot(0), h0);
-    }
-
-    #[test]
-    fn set_free_resyncs_like_fresh_construction() {
-        let t = topology_from_specs(&scaled_table1(1));
-        let mut idx = IdleSlotIndex::new(&t);
-        let h0 = t.hosts()[0].id;
-        let h7 = t.hosts()[7].id;
-        idx.set_free(h0, 0);
-        idx.set_free(h7, 1);
-        idx.set_free(h7, 1); // no-op on an already-correct count
-        let mut caps = host_capacities(&t);
-        caps[h0.0] = 0;
-        caps[h7.0] = 1;
-        let fresh = IdleSlotIndex::from_capacities(&caps);
-        assert_eq!(idx.free_slots(), fresh.free_slots());
-        for k in [0u64, 3, 500, idx.free_slots() - 1] {
-            assert_eq!(idx.nth_free_slot(k), fresh.nth_free_slot(k), "slot {k}");
-        }
     }
 
     #[test]

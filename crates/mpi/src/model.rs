@@ -146,11 +146,7 @@
 //! current assignment; the vector `apply` displaced holds the previous
 //! assignment's, so `undo` swaps the two back and restores hosts, resident
 //! counts and ring rows.  A capacity-violating migrate is rejected without
-//! touching any state.  [`PlacementCost::rebase`] — the online searcher's
-//! resync of a pooled evaluator with a new arrival's seed placement and free
-//! capacities — adopts both and runs the same pass once (or none when the
-//! assignment did not change: capacities feed only `apply`'s feasibility
-//! check, never a clock).
+//! touching any state.
 //!
 //! **Exactness.**  The clocks after any move sequence equal a from-scratch
 //! [`ModelComm`] replay bit for bit, per rank — pinned by
@@ -1326,10 +1322,9 @@ impl EvalCore {
     /// One full evaluation of `schedule` on `hosts`: `clocks` (all zero on
     /// entry) holds the final per-rank clocks on return.  This is the one
     /// code path behind every costing — [`PlacementCost::cost_of`] and every
-    /// [`PlacementCost::new`], [`PlacementCost::apply`] and
-    /// [`PlacementCost::rebase`].  Returns the clock updates evaluated, in
-    /// [`CompiledSchedule::op_count`] units: fast-forwarded repetitions are
-    /// not evaluated and not counted.
+    /// [`PlacementCost::new`] and [`PlacementCost::apply`].  Returns the
+    /// clock updates evaluated, in [`CompiledSchedule::op_count`] units:
+    /// fast-forwarded repetitions are not evaluated and not counted.
     fn full_pass(
         &mut self,
         schedule: &CompiledSchedule,
@@ -1615,7 +1610,13 @@ impl PlacementCost {
             pending: None,
             last_delta_ops: 0,
         };
-        cost.assert_within_capacity("initial placement");
+        for (h, (&used, &cap)) in cost.residents.iter().zip(&cost.capacity).enumerate() {
+            assert!(
+                used <= cap,
+                "initial placement puts {used} ranks on {} (capacity {cap})",
+                HostId(h)
+            );
+        }
         cost.pass();
         cost
     }
@@ -1697,11 +1698,11 @@ impl PlacementCost {
 
     /// Clock updates (messages, ring receives, compute and advance terms —
     /// [`CompiledSchedule::op_count`] units) the last pass evaluated, whether
-    /// it ran for [`Self::new`], [`Self::apply`] or [`Self::rebase`]:
-    /// `op_count()` minus the repetitions the pass fast-forwarded, and 0
-    /// after an `apply` or `rebase` that changed no rank's host.  It counts a
-    /// whole pass, not a difference; the name is the one the benchmark's
-    /// `mpi.*_delta_ops_per_move` probes and `perf_report` call.
+    /// it ran for [`Self::new`] or [`Self::apply`]: `op_count()` minus the
+    /// repetitions the pass fast-forwarded, and 0 after an `apply` that
+    /// changed no rank's host.  It counts a whole pass, not a difference;
+    /// the name is the one the benchmark's `mpi.*_delta_ops_per_move`
+    /// probes and `perf_report` call.
     pub fn last_delta_ops(&self) -> usize {
         self.last_delta_ops
     }
@@ -1824,71 +1825,6 @@ impl PlacementCost {
         }
         self.makespan = p.old_makespan;
         self.clock_mean = p.old_clock_mean;
-    }
-
-    /// Re-synchronizes a pooled evaluator with the grid state of a new
-    /// arrival: adopts `new_hosts` as the rank assignment and
-    /// `new_capacity` as the per-host slot capacities, then costs the
-    /// assignment with one full pass — or none when no rank changed host:
-    /// capacities feed only `apply`'s feasibility check (the compute
-    /// model's contention term keys on `residents`, this schedule's own
-    /// ranks), so a pure capacity resync is O(hosts).  What a rebased
-    /// evaluator saves over a fresh [`PlacementCost::new`] is the
-    /// allocations and the ring-table build.
-    ///
-    /// The rebase has commit semantics (no move can be undone across it)
-    /// and leaves the evaluator indistinguishable from a fresh build with
-    /// the same arguments — same clocks, same answer to every later move —
-    /// which is what makes the warm online-search path exact (pinned by
-    /// proptest).
-    ///
-    /// Returns the re-evaluated makespan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a move is in flight, if the slice lengths do not match the
-    /// schedule/topology, or if the new assignment oversubscribes a host
-    /// under the new capacities.
-    pub fn rebase(&mut self, new_hosts: &[HostId], new_capacity: &[u32]) -> SimDuration {
-        assert!(
-            self.pending.is_none(),
-            "commit or undo the in-flight move before rebasing"
-        );
-        assert_eq!(
-            new_hosts.len(),
-            self.hosts.len(),
-            "rebase changes hosts, not the rank count"
-        );
-        assert_eq!(
-            new_capacity.len(),
-            self.capacity.len(),
-            "one capacity per host"
-        );
-        self.capacity.copy_from_slice(new_capacity);
-        let mut moved = false;
-        for (rank, &new) in new_hosts.iter().enumerate() {
-            if self.hosts[rank] != new {
-                self.relocate(rank, new);
-                moved = true;
-            }
-        }
-        self.assert_within_capacity("rebase");
-        if moved {
-            self.pass();
-        } else {
-            self.last_delta_ops = 0;
-        }
-        self.makespan
-    }
-
-    fn assert_within_capacity(&self, what: &str) {
-        for (h, (&used, &cap)) in self.residents.iter().zip(&self.capacity).enumerate() {
-            assert!(
-                used <= cap,
-                "{what} puts {used} ranks on {} (capacity {cap})",
-                HostId(h)
-            );
-        }
     }
 
     /// Puts `rank` on `to` — host, resident counts, `PerSrc` ring rows — and
@@ -2503,18 +2439,6 @@ mod tests {
             "{} of {full} ops evaluated",
             cost.last_delta_ops()
         );
-        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
-        cost.undo();
-        // A rebase that moves nothing evaluates nothing; one that does
-        // counts its pass.
-        let hosts = cost.hosts().to_vec();
-        let caps = cost.capacity.clone();
-        cost.rebase(&hosts, &caps);
-        assert_eq!(cost.last_delta_ops(), 0);
-        let mut swapped = hosts;
-        swapped.swap(0, 63);
-        cost.rebase(&swapped, &caps);
-        assert!(cost.last_delta_ops() > 0 && cost.last_delta_ops() * 100 <= full * 35);
         assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
     }
 

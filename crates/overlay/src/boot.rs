@@ -78,7 +78,7 @@ impl OverlayBuilder {
 
     /// Selects the priority structure backing the overlay's event timeline
     /// (default: binary heap).  Sweep-scale simulations holding thousands of
-    /// pending completions should pick [`QueueKind::Calendar`].
+    /// pending completions should pick [`QueueKind::Ladder`].
     pub fn queue_kind(mut self, kind: QueueKind) -> Self {
         self.queue_kind = kind;
         self

@@ -27,11 +27,10 @@
 //! events behind.  [`Overlay::advance`] survives as a thin shim over
 //! `run_until` for callers that only want to move the clock.
 //!
-//! Sweep-scale simulations (thousands of pending completions) should build
-//! the overlay with [`crate::boot::OverlayBuilder::queue_kind`] set to
-//! [`QueueKind::Calendar`] — or [`QueueKind::Ladder`] when the timeline is
-//! dominated by timeout churn (see the `p2pmpi_simgrid::event` docs for the
-//! selection guide).
+//! Sweep-scale simulations (thousands of pending completions, timeout
+//! churn) should build the overlay with
+//! [`crate::boot::OverlayBuilder::queue_kind`] set to [`QueueKind::Ladder`]
+//! (see the `p2pmpi_simgrid::event` docs for the selection guide).
 //!
 //! # The timeout-event contract
 //!

@@ -8,56 +8,45 @@
 //!   priority structures below shuffle 24-byte tickets instead of payloads.
 //! * [`EventQueue`] — the time-ordered queue built on top of the store, with
 //!   a choice of priority structure ([`QueueKind`]): the classic binary heap
-//!   (default), a calendar queue (R. Brown, CACM 1988) whose enqueue and
-//!   dequeue are amortised O(1) for the heavy, roughly uniform event streams
-//!   a sweep-scale simulation produces, or a ladder queue (Tang, Goh &
-//!   Thng, ACM TOMACS 2005) that keeps the O(1) amortised cost when the
-//!   pending population is heavily *skewed* in time.
+//!   (default), or a ladder queue (Tang, Goh & Thng, ACM TOMACS 2005) whose
+//!   enqueue and dequeue stay amortised O(1) when the pending population is
+//!   large and heavily *skewed* in time.
 //!
-//! The queue is generic over the payload type so that the closure-based
-//! [`crate::engine::Engine`] and the typed event loop used by the overlay
-//! crate ([`crate::engine::TypedEngine`]) can share the same ordering
-//! semantics.
+//! The queue is generic over the payload type; the overlay crate's typed
+//! event loop ([`crate::engine::TypedEngine`]) is built on it.
 //!
 //! # Choosing a queue kind
 //!
-//! All three structures obey the same ordering contract; the choice is pure
+//! Both structures obey the same ordering contract; the choice is pure
 //! performance, driven by the *size* and *shape* of the pending population:
 //!
 //! * **[`QueueKind::BinaryHeap`]** — small populations (≲ a few hundred) or
 //!   bursty push/drain patterns.  O(log n) is unbeatable while `n` is tiny
-//!   and the heap has no bucket bookkeeping to amortise.  The default.
-//! * **[`QueueKind::Calendar`]** — large populations whose firing times are
-//!   *roughly uniform* over their span (e.g. tens of thousands of job
-//!   completions spread over a day).  Each bucket then holds O(1) events and
-//!   both operations are amortised O(1).  Its weakness is skew: the bucket
-//!   width is estimated from the population's overall span, so a dense
-//!   cluster (thousands of reservation timeouts due within a couple of
-//!   seconds) riding on a sparse tail (completions spread over hours) lands
-//!   in a handful of buckets whose sorted inserts degrade toward O(n).
+//!   and the heap has no bucket bookkeeping to amortise.  The default, and
+//!   the reference the equivalence tests compare the ladder against.
 //! * **[`QueueKind::Ladder`]** — large *skewed* populations.  Buckets accept
 //!   events by unsorted append and are only sorted (bottom tier) when their
 //!   turn to fire comes; a bucket that turns out to be overcrowded is
 //!   re-partitioned into a finer rung instead of being scanned linearly, so
 //!   dense clusters cost O(1) amortised per event no matter how narrow they
 //!   are.  This is the structure for timeout-heavy timelines where most
-//!   events are armed, cancelled and collected within a tight window.
+//!   events are armed, cancelled and collected within a tight window (the
+//!   day and week sweeps default to it).
 //!
 //! Cancellation-heavy workloads also benefit from the transfer-time
-//! tombstone compaction described below, which the calendar and ladder
-//! queues perform and the heap (which never moves tickets between buckets)
-//! cannot.
+//! tombstone compaction described below, which the ladder performs and the
+//! heap (which never moves tickets between buckets) cannot.
 //!
 //! # Ordering contract (FIFO tie-break)
 //!
 //! Events scheduled for the same virtual instant are delivered **in the
 //! order they were scheduled**, whatever the [`QueueKind`].  Every push is
 //! stamped with a monotonically increasing sequence number, and both
-//! priority structures order by `(time, seq)`; the calendar queue keeps each
-//! bucket sorted by that same key, so moving events between buckets on a
-//! resize cannot reorder ties.  Simulations rely on this for determinism —
-//! e.g. an "arrival" and the "probe" it schedules at the same instant must
-//! always fire in that order — and `ties_are_fifo*` pins the contract.
+//! priority structures order by `(time, seq)`; the ladder sorts each chunk
+//! by that same key before firing it, so moving events between rungs cannot
+//! reorder ties.  Simulations rely on this for determinism — e.g. an
+//! "arrival" and the "probe" it schedules at the same instant must always
+//! fire in that order — and `ties_are_fifo*` pins the contract.
 //!
 //! # Cancellation and its interaction with FIFO ordering
 //!
@@ -72,11 +61,11 @@
 //! were originally pushed in; cancelling an event can never reorder its
 //! neighbours (`cancel_preserves_fifo_around_tombstones` pins this).
 //!
-//! One refinement keeps cancel-heavy workloads cheap: whenever the calendar
-//! or ladder queue *transfers* a bucket anyway (a calendar resize, a ladder
-//! rung spawn or bottom-tier transfer), tombstoned tickets are compacted out
-//! on the way instead of being carried to their firing time.  Dropping a
-//! ticket cannot reorder the survivors, so the FIFO contract is unaffected;
+//! One refinement keeps cancel-heavy workloads cheap: whenever the ladder
+//! queue *transfers* a bucket anyway (a rung spawn or bottom-tier
+//! transfer), tombstoned tickets are compacted out on the way instead of
+//! being carried to their firing time.  Dropping a ticket cannot reorder
+//! the survivors, so the FIFO contract is unaffected;
 //! it only means [`EventQueue::queued_len`] (tickets, including tombstones
 //! awaiting collection) converges toward [`EventQueue::live_len`] (pending
 //! payloads) without waiting for the tombstones' nominal firing times.
@@ -415,13 +404,10 @@ pub enum QueueKind {
     /// for small or bursty queues.  The default.
     #[default]
     BinaryHeap,
-    /// Calendar queue: amortised O(1) push/pop for large, roughly uniform
-    /// event populations (sweep-scale simulations).
-    Calendar,
     /// Ladder queue: amortised O(1) push/pop that stays O(1) on heavily
     /// *skewed* populations (dense clusters riding on a sparse tail, e.g.
-    /// timeout-heavy timelines), where the calendar's uniform bucket width
-    /// degrades.  See the module docs for the selection guide.
+    /// timeout-heavy timelines).  See the module docs for the selection
+    /// guide.
     Ladder,
 }
 
@@ -429,8 +415,8 @@ pub enum QueueKind {
 ///
 /// The firing time and sequence number are pre-packed into one `u128`
 /// (`time << 64 | seq`) at push time, so the comparison every hot path
-/// performs — heap sift, calendar sorted insert, ladder bottom sort — is a
-/// single wide-integer compare instead of a two-field lexicographic one,
+/// performs — heap sift, ladder bottom sort and insert — is a single
+/// wide-integer compare instead of a two-field lexicographic one,
 /// and the ticket stays 24 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Ticket {
@@ -488,173 +474,6 @@ impl Ord for HeapTicket {
         // ticket is popped first.  One u128 compare: this is the hottest
         // instruction of the heap-backed engine's churn loop.
         other.0.packed.cmp(&self.0.packed)
-    }
-}
-
-/// Calendar queue of tickets (R. Brown, "Calendar queues: a fast O(1)
-/// priority queue implementation for the simulation event set problem").
-///
-/// Buckets partition time into slots of `width` nanoseconds; bucket `i`
-/// holds every pending event whose slot index is `i (mod nbuckets)`, kept
-/// sorted *descending* by `(time, seq)` so the slot's earliest ticket sits
-/// at the back and pops are `Vec::pop` — O(1), no memmove.  A cursor walks
-/// the buckets in time order; when a whole "year" (nbuckets × width)
-/// contains nothing, the cursor jumps straight to the earliest pending
-/// event.  The bucket count doubles/halves as the population grows/shrinks,
-/// and the width is re-estimated from the population's time span on every
-/// resize.
-struct CalendarQueue {
-    /// Each bucket is sorted descending by `(time, seq)` (earliest last).
-    buckets: Vec<Vec<Ticket>>,
-    /// Slot width in nanoseconds (>= 1).
-    width: u64,
-    /// Total pending tickets.
-    len: usize,
-    /// Cursor: bucket the next event is searched from.
-    current: usize,
-    /// Exclusive upper time bound (ns) of the cursor's slot in this year.
-    /// Invariant: every pending ticket has `time >= year_end - width`.
-    year_end: u128,
-}
-
-const CAL_MIN_BUCKETS: usize = 4;
-const CAL_MAX_BUCKETS: usize = 1 << 20;
-
-impl CalendarQueue {
-    fn new() -> Self {
-        Self::sized(CAL_MIN_BUCKETS, 1)
-    }
-
-    fn sized(nbuckets: usize, width: u64) -> Self {
-        CalendarQueue {
-            buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
-            width: width.max(1),
-            len: 0,
-            current: 0,
-            year_end: width.max(1) as u128,
-        }
-    }
-
-    #[inline]
-    fn bucket_of(&self, t: u64) -> usize {
-        ((t / self.width) as usize) % self.buckets.len()
-    }
-
-    /// Exclusive upper bound of the slot containing `t`.
-    #[inline]
-    fn slot_end(&self, t: u64) -> u128 {
-        (t as u128 / self.width as u128 + 1) * self.width as u128
-    }
-
-    #[inline]
-    fn push(&mut self, ticket: Ticket, reap: &mut dyn FnMut(EventKey) -> bool) {
-        let t = ticket.time_ns();
-        let rewind = self.len == 0 || (t as u128) < self.year_end - self.width as u128;
-        let b = self.bucket_of(t);
-        let bucket = &mut self.buckets[b];
-        let pos = bucket.partition_point(|other| other.sort_key() > ticket.sort_key());
-        bucket.insert(pos, ticket);
-        self.len += 1;
-        if rewind {
-            // The new ticket precedes the cursor (or the queue was empty):
-            // point the cursor at its slot so the year invariant holds.
-            self.current = b;
-            self.year_end = self.slot_end(t);
-        }
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < CAL_MAX_BUCKETS {
-            self.resize(self.buckets.len() * 2, reap);
-        }
-    }
-
-    /// Locates the earliest ticket, advancing the cursor up to one year; on a
-    /// dry year, jumps the cursor to the earliest pending slot directly.
-    /// Returns the bucket index holding the minimum (its *last* element).
-    #[inline]
-    fn seek_min(&mut self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        for _ in 0..n {
-            if let Some(min) = self.buckets[self.current].last() {
-                if (min.time_ns() as u128) < self.year_end {
-                    return Some(self.current);
-                }
-            }
-            self.current = (self.current + 1) % n;
-            self.year_end += self.width as u128;
-        }
-        // A whole year was empty: jump straight to the earliest bucket tail.
-        let (b, t) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, bucket)| bucket.last().map(|f| (i, f.sort_key())))
-            .min_by_key(|&(_, key)| key)
-            .map(|(i, key)| (i, (key >> 64) as u64))
-            .expect("len > 0 means some bucket is non-empty");
-        self.current = b;
-        self.year_end = self.slot_end(t);
-        Some(b)
-    }
-
-    #[inline]
-    fn peek(&mut self) -> Option<Ticket> {
-        self.seek_min()
-            .map(|b| *self.buckets[b].last().expect("seek_min found this bucket"))
-    }
-
-    #[inline]
-    fn pop(&mut self, reap: &mut dyn FnMut(EventKey) -> bool) -> Option<Ticket> {
-        let b = self.seek_min()?;
-        let ticket = self.buckets[b].pop().expect("seek_min found this bucket");
-        self.len -= 1;
-        if self.len < self.buckets.len() / 2 && self.buckets.len() > CAL_MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2, reap);
-        }
-        Some(ticket)
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.len = 0;
-    }
-
-    /// Rebuilds with `nbuckets` buckets, re-estimating the slot width from
-    /// the population's time span so that slots hold O(1) events each.
-    /// Every ticket is transferred anyway, so tombstoned tickets are
-    /// compacted out here instead of being carried to their firing time.
-    fn resize(&mut self, nbuckets: usize, reap: &mut dyn FnMut(EventKey) -> bool) {
-        let mut all: Vec<Ticket> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            all.append(b);
-        }
-        all.retain(|t| !reap(t.key));
-        let (mut min_t, mut max_t) = (u64::MAX, 0u64);
-        for t in &all {
-            let ns = t.time_ns();
-            min_t = min_t.min(ns);
-            max_t = max_t.max(ns);
-        }
-        let span = max_t.saturating_sub(min_t);
-        // Aim for ~one event per slot across the populated span; a width of
-        // 1 (all ties) degenerates to one sorted bucket, which is still
-        // correct, just not O(1).
-        self.width = (span / all.len().max(1) as u64).max(1);
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.len = 0;
-        let cursor_floor = all.iter().map(|t| t.time_ns()).min().unwrap_or(0);
-        self.current = self.bucket_of(cursor_floor);
-        self.year_end = self.slot_end(cursor_floor);
-        for ticket in all {
-            let b = self.bucket_of(ticket.time_ns());
-            let bucket = &mut self.buckets[b];
-            let pos = bucket.partition_point(|other| other.sort_key() > ticket.sort_key());
-            bucket.insert(pos, ticket);
-            self.len += 1;
-        }
     }
 }
 
@@ -716,8 +535,8 @@ impl Rung {
 ///   overcrowded (> [`LADDER_BOTTOM_THRESH`]), it is re-partitioned into a
 ///   finer rung *covering just that bucket's interval* instead of being
 ///   sorted wholesale — this recursive refinement is what keeps dense
-///   clusters O(1) amortised where the calendar queue's single global
-///   bucket width degrades.  Bucket pushes are unsorted appends.
+///   clusters O(1) amortised where a single global bucket width would
+///   degrade.  Bucket pushes are unsorted appends.
 /// * **Bottom** — the currently firing chunk, sorted descending by
 ///   `(time, seq)` so pops are `Vec::pop`.
 ///
@@ -1048,7 +867,6 @@ impl LadderQueue {
 /// The selectable priority structure over tickets.
 enum TicketQueue {
     Heap(BinaryHeap<HeapTicket>),
-    Calendar(CalendarQueue),
     Ladder(LadderQueue),
 }
 
@@ -1056,7 +874,6 @@ impl TicketQueue {
     fn new(kind: QueueKind, cap: usize) -> Self {
         match kind {
             QueueKind::BinaryHeap => TicketQueue::Heap(BinaryHeap::with_capacity(cap)),
-            QueueKind::Calendar => TicketQueue::Calendar(CalendarQueue::new()),
             QueueKind::Ladder => TicketQueue::Ladder(LadderQueue::new()),
         }
     }
@@ -1064,7 +881,6 @@ impl TicketQueue {
     fn kind(&self) -> QueueKind {
         match self {
             TicketQueue::Heap(_) => QueueKind::BinaryHeap,
-            TicketQueue::Calendar(_) => QueueKind::Calendar,
             TicketQueue::Ladder(_) => QueueKind::Ladder,
         }
     }
@@ -1073,16 +889,14 @@ impl TicketQueue {
     fn len(&self) -> usize {
         match self {
             TicketQueue::Heap(h) => h.len(),
-            TicketQueue::Calendar(c) => c.len,
             TicketQueue::Ladder(l) => l.len,
         }
     }
 
     #[inline]
-    fn push(&mut self, ticket: Ticket, reap: &mut dyn FnMut(EventKey) -> bool) {
+    fn push(&mut self, ticket: Ticket) {
         match self {
             TicketQueue::Heap(h) => h.push(HeapTicket(ticket)),
-            TicketQueue::Calendar(c) => c.push(ticket, reap),
             TicketQueue::Ladder(l) => l.push(ticket),
         }
     }
@@ -1091,7 +905,6 @@ impl TicketQueue {
     fn pop(&mut self, reap: &mut dyn FnMut(EventKey) -> bool) -> Option<Ticket> {
         match self {
             TicketQueue::Heap(h) => h.pop().map(|t| t.0),
-            TicketQueue::Calendar(c) => c.pop(reap),
             TicketQueue::Ladder(l) => l.pop(reap),
         }
     }
@@ -1100,7 +913,6 @@ impl TicketQueue {
     fn peek(&mut self, reap: &mut dyn FnMut(EventKey) -> bool) -> Option<Ticket> {
         match self {
             TicketQueue::Heap(h) => h.peek().map(|t| t.0),
-            TicketQueue::Calendar(c) => c.peek(),
             TicketQueue::Ladder(l) => l.peek(reap),
         }
     }
@@ -1108,7 +920,6 @@ impl TicketQueue {
     fn clear(&mut self) {
         match self {
             TicketQueue::Heap(h) => h.clear(),
-            TicketQueue::Calendar(c) => c.clear(),
             TicketQueue::Ladder(l) => l.clear(),
         }
     }
@@ -1116,8 +927,7 @@ impl TicketQueue {
     /// Eagerly compacts tombstoned tickets out of the structure (see
     /// [`EventQueue::reap`]).  The heap is rebuilt from its retained
     /// tickets (heapify is O(n), and pop order is a total order on the
-    /// packed key, so the rebuild cannot perturb delivery); the calendar
-    /// reuses its resize transfer at the current bucket count; the ladder
+    /// packed key, so the rebuild cannot perturb delivery); the ladder
     /// retains each tier in place.
     fn compact(&mut self, reap: &mut dyn FnMut(EventKey) -> bool) {
         match self {
@@ -1125,10 +935,6 @@ impl TicketQueue {
                 let mut tickets = std::mem::take(h).into_vec();
                 tickets.retain(|t| !reap(t.0.key));
                 *h = BinaryHeap::from(tickets);
-            }
-            TicketQueue::Calendar(c) => {
-                let n = c.buckets.len();
-                c.resize(n, reap);
             }
             TicketQueue::Ladder(l) => l.compact(reap),
         }
@@ -1138,8 +944,7 @@ impl TicketQueue {
         if let TicketQueue::Heap(h) = self {
             h.reserve(additional);
         }
-        // The calendar and ladder size themselves from their populations;
-        // nothing to do.
+        // The ladder sizes itself from its population; nothing to do.
     }
 }
 
@@ -1218,7 +1023,7 @@ impl<E> EventQueue<E> {
 
     /// Current allocated payload capacity (the [`EventStore`]'s slot count —
     /// the payload arena is the allocation that matters for both queue
-    /// kinds; the heap's ticket buffer tracks it and the calendar sizes
+    /// kinds; the heap's ticket buffer tracks it and the ladder sizes
     /// itself from its population).
     pub fn capacity(&self) -> usize {
         self.store.capacity()
@@ -1231,9 +1036,7 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = self.store.insert(payload);
-        let store = &mut self.store;
-        self.tickets
-            .push(Ticket::new(time, seq, key), &mut |k| store.reap(k));
+        self.tickets.push(Ticket::new(time, seq, key));
         key
     }
 
@@ -1328,8 +1131,8 @@ impl<E> EventQueue<E> {
 
     /// Number of tickets currently queued, *including* tombstones from
     /// cancelled events that have not been collected yet (at their firing
-    /// time, or earlier when a calendar/ladder bucket transfer compacts
-    /// them).  `queued_len() - live_len()` is the dead weight a
+    /// time, or earlier when a ladder bucket transfer compacts them).
+    /// `queued_len() - live_len()` is the dead weight a
     /// cancel-heavy workload is currently carrying.
     pub fn queued_len(&self) -> usize {
         self.tickets.len()
@@ -1351,8 +1154,7 @@ impl<E> EventQueue<E> {
     /// so a driver may call this on any cadence.  Long cancellation-heavy
     /// traces call it when `queued_len() - live_len()` exceeds a documented
     /// threshold, bounding the dead weight the structure carries.  Cost is
-    /// O(queued): the heap re-heapifies, the calendar resizes in place, the
-    /// ladder retains each tier.
+    /// O(queued): the heap re-heapifies, the ladder retains each tier.
     pub fn reap(&mut self) -> usize {
         let before = self.tickets.len();
         let store = &mut self.store;
@@ -1379,11 +1181,7 @@ mod tests {
     use crate::time::SimDuration;
     use rand::Rng;
 
-    const KINDS: [QueueKind; 3] = [
-        QueueKind::BinaryHeap,
-        QueueKind::Calendar,
-        QueueKind::Ladder,
-    ];
+    const KINDS: [QueueKind; 2] = [QueueKind::BinaryHeap, QueueKind::Ladder];
 
     #[test]
     fn pops_in_time_order() {
@@ -1411,10 +1209,10 @@ mod tests {
     }
 
     #[test]
-    fn ties_are_fifo_across_resizes_and_interleaving() {
+    fn ties_are_fifo_across_transfers_and_interleaving() {
         // Regression test for the FIFO contract (see module docs): pushes at
         // a handful of distinct instants interleaved with pops, in volumes
-        // that force the calendar queue through several grow/shrink resizes,
+        // that force the ladder through several rung spawns and collapses,
         // must still drain each instant's events in push order.
         for kind in KINDS {
             let mut q = EventQueue::with_kind(kind);
@@ -1619,7 +1417,7 @@ mod tests {
     fn cancel_preserves_fifo_around_tombstones() {
         // The FIFO contract (module docs): cancelling an event must not
         // reorder the survivors of its tie group, even across interleaved
-        // pushes, pops, and calendar resizes.
+        // pushes, pops, and ladder bucket transfers.
         for kind in KINDS {
             let mut q = EventQueue::with_kind(kind);
             let t = SimTime::from_secs(1);
@@ -1656,120 +1454,10 @@ mod tests {
     }
 
     #[test]
-    fn calendar_agrees_with_heap_on_random_workloads_with_cancellation() {
-        // Heap/calendar equivalence under a workload that cancels a third of
-        // what it schedules: both kinds must deliver identical survivors.
-        for trial in 0..4u64 {
-            let mut rng = seeded(0xCA2CE1 + trial);
-            let mut heap = EventQueue::with_kind(QueueKind::BinaryHeap);
-            let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-            let mut pending: Vec<(EventKey, EventKey)> = Vec::new();
-            let mut floor = 0u64;
-            for op in 0..3_000u32 {
-                let roll = rng.gen_range(0u32..100);
-                if roll < 55 || heap.is_empty() {
-                    let t = floor + rng.gen_range(0u64..50_000_000);
-                    let hk = heap.push(SimTime::from_nanos(t), op);
-                    let ck = cal.push(SimTime::from_nanos(t), op);
-                    pending.push((hk, ck));
-                } else if roll < 75 && !pending.is_empty() {
-                    let idx = rng.gen_range(0..pending.len());
-                    let (hk, ck) = pending.swap_remove(idx);
-                    // Keys may be stale (already fired); both queues must
-                    // agree on whether the cancel took effect.
-                    assert_eq!(heap.cancel(hk), cal.cancel(ck), "trial {trial}");
-                } else {
-                    let a = heap.pop();
-                    let b = cal.pop();
-                    assert_eq!(
-                        a.as_ref().map(|s| (s.time, s.payload)),
-                        b.as_ref().map(|s| (s.time, s.payload)),
-                        "trial {trial}"
-                    );
-                    if let Some(s) = a {
-                        floor = s.time.as_nanos();
-                    }
-                }
-                assert_eq!(heap.len(), cal.len(), "trial {trial}");
-            }
-            while let Some(a) = heap.pop() {
-                let b = cal.pop().expect("calendar drained early");
-                assert_eq!((a.time, a.payload), (b.time, b.payload), "trial {trial}");
-            }
-            assert!(cal.pop().is_none());
-        }
-    }
-
-    #[test]
-    fn calendar_agrees_with_heap_on_random_workloads() {
-        for trial in 0..8u64 {
-            let mut rng = seeded(0xCA1E0D0 + trial);
-            let mut heap = EventQueue::with_kind(QueueKind::BinaryHeap);
-            let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-            let mut heap_out = Vec::new();
-            let mut cal_out = Vec::new();
-            let mut floor = 0u64; // pops forbid scheduling in the past
-            for op in 0..4_000u32 {
-                if rng.gen_range(0u32..100) < 65 || heap.is_empty() {
-                    // Mix of clustered and spread-out times, always >= floor.
-                    let t = floor
-                        + match rng.gen_range(0u32..3) {
-                            0 => rng.gen_range(0u64..5),
-                            1 => rng.gen_range(0u64..10_000),
-                            _ => rng.gen_range(0u64..100_000_000),
-                        };
-                    heap.push(SimTime::from_nanos(t), op);
-                    cal.push(SimTime::from_nanos(t), op);
-                } else {
-                    let a = heap.pop().unwrap();
-                    let b = cal.pop().unwrap();
-                    assert_eq!(a.time, b.time, "trial {trial}");
-                    assert_eq!(a.payload, b.payload, "trial {trial}");
-                    floor = a.time.as_nanos();
-                    heap_out.push(a.payload);
-                    cal_out.push(b.payload);
-                }
-            }
-            while let (Some(a), Some(b)) = (heap.pop(), cal.pop()) {
-                assert_eq!((a.time, a.payload), (b.time, b.payload), "trial {trial}");
-            }
-            assert!(heap.is_empty() && cal.is_empty());
-        }
-    }
-
-    #[test]
-    fn calendar_handles_sparse_then_dense_populations() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        // Sparse: a few events spread over hours force year-jumping.
-        for h in [3u64, 1, 9, 7] {
-            q.push(SimTime::from_secs(h * 3600), h);
-        }
-        assert_eq!(q.pop().unwrap().payload, 1);
-        // Dense burst far earlier than the sparse tail (still after last pop).
-        for i in 0..1000u64 {
-            q.push(
-                SimTime::from_secs(2 * 3600) + SimDuration::from_millis(i),
-                100 + i,
-            );
-        }
-        assert_eq!(q.len(), 1003);
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some(s) = q.pop() {
-            assert!(s.time >= last);
-            last = s.time;
-            popped += 1;
-        }
-        assert_eq!(popped, 1003);
-    }
-
-    #[test]
     fn default_kind_is_binary_heap() {
         let q: EventQueue<()> = EventQueue::new();
         assert_eq!(q.kind(), QueueKind::BinaryHeap);
-        let c: EventQueue<()> = EventQueue::with_capacity_and_kind(10, QueueKind::Calendar);
-        assert_eq!(c.kind(), QueueKind::Calendar);
-        let l: EventQueue<()> = EventQueue::with_kind(QueueKind::Ladder);
+        let l: EventQueue<()> = EventQueue::with_capacity_and_kind(10, QueueKind::Ladder);
         assert_eq!(l.kind(), QueueKind::Ladder);
     }
 
@@ -1928,8 +1616,8 @@ mod tests {
     #[test]
     fn reap_mid_drain_preserves_order_on_every_kind() {
         // Reap while the structure is mid-consumption (the ladder has live
-        // rungs and a partially fired bottom chunk, the calendar a moved
-        // cursor): compaction must stay outcome-invariant.
+        // rungs and a partially fired bottom chunk): compaction must stay
+        // outcome-invariant.
         for kind in KINDS {
             let mut q = EventQueue::with_kind(kind);
             let keys: Vec<_> = (0..500u64)
@@ -1953,29 +1641,8 @@ mod tests {
 
     #[test]
     fn bucket_transfers_compact_tombstones_before_firing_time() {
-        // Calendar: growing the population forces a resize, which must shed
-        // the tombstones even though their firing times are far away.
-        let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-        let doomed: Vec<_> = (0..64u64)
-            .map(|i| cal.push(SimTime::from_secs(1000 + i), i))
-            .collect();
-        for k in &doomed {
-            cal.cancel(*k);
-        }
-        assert_eq!(cal.queued_len(), 64);
-        // Enough pushes to trigger a grow-resize (len > 2 × buckets).
-        for i in 0..64u64 {
-            cal.push(SimTime::from_secs(2000 + i), 100 + i);
-        }
-        assert_eq!(cal.live_len(), 64);
-        assert!(
-            cal.queued_len() < 128,
-            "calendar resize carried all {} tombstones",
-            cal.queued_len() - cal.live_len()
-        );
-
-        // Ladder: consuming the first cluster transfers its bucket, which
-        // must shed the cancelled majority without waiting for their times.
+        // Consuming the first cluster transfers its bucket, which must shed
+        // the cancelled majority without waiting for their times.
         let mut lad = EventQueue::with_kind(QueueKind::Ladder);
         let doomed: Vec<_> = (0..500u64)
             .map(|i| lad.push(SimTime::from_millis(1000 + i), i))

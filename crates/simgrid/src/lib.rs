@@ -11,8 +11,8 @@
 //! * [`event`] / [`engine`] — a deterministic discrete-event engine used by
 //!   the overlay protocol simulation; payloads live in a slab-backed
 //!   [`event::EventStore`], and the priority structure is selectable
-//!   ([`event::QueueKind`]: binary heap, calendar queue, or ladder queue
-//!   for heavily skewed schedules).
+//!   ([`event::QueueKind`]: binary heap, or ladder queue for heavily skewed
+//!   schedules).
 //! * [`topology`] — sites, clusters and hosts with an inter-site RTT and
 //!   bandwidth matrix (Table 1 of the paper is expressed with these types by
 //!   the `p2pmpi-grid5000` crate).
@@ -40,7 +40,6 @@ pub mod topology;
 pub mod trace;
 
 pub use compute::ComputeModel;
-pub use engine::Engine;
 pub use event::{EventKey, EventQueue, EventStore, QueueKind};
 pub use memory::{MemoryContentionModel, MemoryIntensity};
 pub use network::{NetworkModel, NetworkParams};

@@ -1,7 +1,7 @@
 //! Virtual time primitives.
 //!
 //! The whole reproduction runs on *virtual* time: the discrete-event engine
-//! ([`crate::engine::Engine`]) advances a [`SimTime`] clock, and the MPI
+//! ([`crate::engine::TypedEngine`]) advances a [`SimTime`] clock, and the MPI
 //! runtime keeps one logical [`SimTime`] clock per process.  Both are integer
 //! nanosecond counters, which keeps arithmetic exact and ordering total —
 //! floating point is only used at the edges (cost models, report output).

@@ -1,12 +1,11 @@
-//! Property test: the three [`QueueKind`]s are interchangeable.
+//! Property test: the two [`QueueKind`]s are interchangeable.
 //!
-//! The binary heap is the reference implementation; the calendar and ladder
-//! queues must deliver *exactly* the same `(time, payload)` stream — FIFO
-//! ties included — under arbitrary interleavings of pushes, pops and
-//! cancellations.  Cancellation is the interesting part: tombstoned tickets
-//! travel through calendar resizes and ladder rung transfers (where they may
-//! be compacted early), and none of that may reorder the survivors or
-//! desynchronise the live-event count.
+//! The binary heap is the reference implementation; the ladder queue must
+//! deliver *exactly* the same `(time, payload)` stream — FIFO ties included
+//! — under arbitrary interleavings of pushes, pops and cancellations.
+//! Cancellation is the interesting part: tombstoned tickets travel through
+//! ladder rung transfers (where they may be compacted early), and none of
+//! that may reorder the survivors or desynchronise the live-event count.
 
 use p2pmpi_simgrid::event::{EventKey, EventQueue, QueueKind, Scheduled};
 use p2pmpi_simgrid::rngutil::seeded;
@@ -28,8 +27,7 @@ enum Op {
 
 /// Draws a workload whose pushes mix three time scales: tight clusters
 /// (ties and near-ties), a medium band, and a sparse far tail — the shape
-/// that stresses the calendar's uniform buckets and the ladder's rung
-/// refinement.
+/// that stresses the ladder's rung refinement.
 fn script(seed: u64, ops: usize) -> Vec<Op> {
     let mut rng = seeded(seed);
     (0..ops)
@@ -62,14 +60,13 @@ impl Tracked {
 
 proptest! {
     #[test]
-    fn heap_calendar_and_ladder_deliver_identical_streams(
+    fn heap_and_ladder_deliver_identical_streams(
         seed in 0u64..1_000_000,
         ops in 200usize..1200,
     ) {
         let script = script(seed, ops);
         let mut queues = [
             Tracked::new(QueueKind::BinaryHeap),
-            Tracked::new(QueueKind::Calendar),
             Tracked::new(QueueKind::Ladder),
         ];
         let mut floor = 0u64;
@@ -87,34 +84,30 @@ proptest! {
                         continue;
                     }
                     let idx = pick % queues[0].keys.len();
-                    // Keys may be stale (popped or already cancelled); all
-                    // three queues must agree on whether the cancel landed.
+                    // Keys may be stale (popped or already cancelled); both
+                    // queues must agree on whether the cancel landed.
                     let results: Vec<Option<u32>> = queues
                         .iter_mut()
                         .map(|q| q.queue.cancel(q.keys.swap_remove(idx)))
                         .collect();
-                    prop_assert_eq!(results[0], results[1], "calendar cancel diverged at op {}", i);
-                    prop_assert_eq!(results[0], results[2], "ladder cancel diverged at op {}", i);
+                    prop_assert_eq!(results[0], results[1], "ladder cancel diverged at op {}", i);
                 }
                 Op::Pop => {
                     let popped: Vec<Option<Scheduled<u32>>> =
                         queues.iter_mut().map(|q| q.queue.pop()).collect();
-                    prop_assert_eq!(&popped[0], &popped[1], "calendar pop diverged at op {}", i);
-                    prop_assert_eq!(&popped[0], &popped[2], "ladder pop diverged at op {}", i);
+                    prop_assert_eq!(&popped[0], &popped[1], "ladder pop diverged at op {}", i);
                     if let Some(s) = &popped[0] {
                         floor = s.time.as_nanos();
                     }
                 }
             }
             prop_assert_eq!(queues[0].queue.len(), queues[1].queue.len());
-            prop_assert_eq!(queues[0].queue.len(), queues[2].queue.len());
         }
         // Drain whatever survived; the full tail must agree too.
         loop {
             let tail: Vec<Option<Scheduled<u32>>> =
                 queues.iter_mut().map(|q| q.queue.pop()).collect();
-            prop_assert_eq!(&tail[0], &tail[1], "calendar tail diverged");
-            prop_assert_eq!(&tail[0], &tail[2], "ladder tail diverged");
+            prop_assert_eq!(&tail[0], &tail[1], "ladder tail diverged");
             if tail[0].is_none() {
                 break;
             }
