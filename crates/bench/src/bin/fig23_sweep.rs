@@ -140,10 +140,12 @@ fn print_result(name: &str, result: &DaySweepResult, wall_ms: f64) {
     println!();
 
     eprintln!(
-        "# {name}: {} submitted, {} succeeded, {} failed, {} reservation timeouts, \
-         mean hold {:.1}s, {} timeline events, virtual end {:.0}s, wall {wall_ms:.0}ms",
+        "# {name}: {} submitted, {} succeeded ({} placement shapes costed), {} failed, \
+         {} reservation timeouts, mean hold {:.1}s, {} timeline events, virtual end {:.0}s, \
+         wall {wall_ms:.0}ms",
         result.submitted,
         result.succeeded,
+        result.shapes_costed,
         result.failed,
         result.timeouts,
         result.mean_hold_secs,

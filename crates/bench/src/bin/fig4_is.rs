@@ -32,9 +32,7 @@ use p2pmpi_grid5000::scenario::paper_is_process_counts;
 use p2pmpi_nas::classes::Class;
 
 fn main() {
-    let class: Class = util::flag_value("--class")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(Class::B);
+    let class: Class = util::flag_parsed("--class").unwrap_or(Class::B);
     let divisor = util::flag_u64("--divisor").unwrap_or(8);
     let settings = Fig4Settings {
         class,

@@ -43,9 +43,7 @@ fn main() {
         }
     };
     let ranks = util::flag_u64("--ranks").unwrap_or(256) as u32;
-    let class: Class = util::flag_value("--class")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(Class::B);
+    let class: Class = util::flag_parsed("--class").unwrap_or(Class::B);
     let mut settings = Fig4Settings {
         class,
         ..Fig4Settings::default()

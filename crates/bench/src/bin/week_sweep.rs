@@ -75,6 +75,10 @@ fn print_result(label: &str, r: &ShardSweepResult) {
         m.submitted, m.succeeded, m.failed, m.timeouts
     );
     println!(
+        "shapes_costed\t{}/{} placed (shards + coordinator)",
+        m.shapes_costed, m.succeeded
+    );
+    println!(
         "events\t{}\tvirtual_end\t{:.0}s\treaped\t{}\tdead_hwm\t{}",
         m.events_processed,
         m.virtual_end.as_secs_f64(),
@@ -106,6 +110,7 @@ fn diverged(a: &DaySweepResult, b: &DaySweepResult) -> Vec<&'static str> {
         ("failed", a.failed == b.failed),
         ("timeouts", a.timeouts == b.timeouts),
         ("core_seconds", a.core_seconds == b.core_seconds),
+        ("shapes_costed", a.shapes_costed == b.shapes_costed),
         ("samples", same_samples),
     ]
     .into_iter()

@@ -1,6 +1,7 @@
 //! Tiny command-line flag helpers shared by the experiment binaries.
 
 use p2pmpi_simgrid::event::QueueKind;
+use std::str::FromStr;
 
 /// Returns the value following `flag` on the command line, if present.
 pub fn flag_value(flag: &str) -> Option<String> {
@@ -15,14 +16,40 @@ pub fn flag_value_in(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Parses the value following `flag` as a `u64`.
-pub fn flag_u64(flag: &str) -> Option<u64> {
-    flag_value(flag).and_then(|v| v.parse().ok())
+/// Parses the value following `flag` in an explicit argument list:
+/// `Ok(None)` when the flag is absent, an error naming the flag when its
+/// value does not parse or is missing (the flag came last).
+pub fn parse_flag_in<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).map_or("", String::as_str);
+    match value.parse() {
+        Ok(parsed) => Ok(Some(parsed)),
+        Err(_) => Err(format!("invalid {flag} value {value:?}")),
+    }
 }
 
-/// Parses the value following `flag` as an `f64`.
+/// Parses the value following `flag` on the command line, `None` when the
+/// flag is absent.  A value [`parse_flag_in`] rejects ends the process with
+/// status 2: a run launched with `--seed 2oo8` must not measure the default
+/// seed without a word.
+pub fn flag_parsed<T: FromStr>(flag: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    parse_flag_in(&args, flag).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses the value following `flag` as a `u64` (see [`flag_parsed`]).
+pub fn flag_u64(flag: &str) -> Option<u64> {
+    flag_parsed(flag)
+}
+
+/// Parses the value following `flag` as an `f64` (see [`flag_parsed`]).
 pub fn flag_f64(flag: &str) -> Option<f64> {
-    flag_value(flag).and_then(|v| v.parse().ok())
+    flag_parsed(flag)
 }
 
 /// True if `flag` appears on the command line.
@@ -271,6 +298,26 @@ mod tests {
         assert_eq!(flag_value_in(&args, "--seed"), Some("42".to_string()));
         assert_eq!(flag_value_in(&args, "--sigma"), None);
         assert_eq!(flag_value_in(&args, "--fast"), None);
+    }
+
+    #[test]
+    fn a_flag_value_parses_or_names_its_flag() {
+        let args: Vec<String> = ["prog", "--seed", "2008", "--compress", "12x", "--moves"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(parse_flag_in::<u64>(&args, "--seed"), Ok(Some(2008)));
+        assert_eq!(parse_flag_in::<f64>(&args, "--seed"), Ok(Some(2008.0)));
+        assert_eq!(
+            parse_flag_in::<f64>(&args, "--compress"),
+            Err(r#"invalid --compress value "12x""#.to_string())
+        );
+        // A flag given last has no value to fall back from.
+        assert_eq!(
+            parse_flag_in::<u64>(&args, "--moves"),
+            Err(r#"invalid --moves value """#.to_string())
+        );
+        assert_eq!(parse_flag_in::<u64>(&args, "--chains"), Ok(None));
     }
 
     #[test]

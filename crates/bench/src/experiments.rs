@@ -1,5 +1,35 @@
 //! Experiment drivers shared by the figure-regeneration binaries and the
 //! integration tests.
+//!
+//! # Costing a sweep's jobs: one pass per placement shape
+//!
+//! The paper's two strategies walk one latency-ordered host list over a grid
+//! of homogeneous clusters, so a day of co-allocations produces very few
+//! *kinds* of placement (92 for the 17 668 jobs the paper day places under
+//! concentrate, 75 for spread's 13 229), and the analytical model cannot tell
+//! two placements of one kind apart: it reads a host only through its
+//! cluster (the clock rate, and through the cluster its site, hence every
+//! link) and through which ranks share it.  [`ShapeCosts`] is the memo the
+//! sweeps cost their jobs through:
+//!
+//! * **In the key:** the kernel, the rank count, and per rank its host's
+//!   cluster and that host's position in the allocation's host list (equal
+//!   positions = same host).
+//! * **Fixed per memo, so not in the key:** the topology and the
+//!   [`Fig4Settings`] (class, sampling divisors, contention override) —
+//!   `SweepCore` owns one memo for its testbed, the shard coordinator one
+//!   over the global grid.  Overlay state never enters: the cost models are
+//!   built from the topology alone, so a degraded link or a dead peer moves
+//!   which placements brokering produces, never what one costs.
+//! * **Who verifies it:** builds with `debug_assertions` (tier-1's tests)
+//!   cost every hit again from scratch and compare; the relabelling
+//!   properties in `crates/mpi/tests/placement_cost_prop.rs` and
+//!   `tests/modeled_costing.rs` fail the day a model reads a host through
+//!   anything else.
+//! * **Memory:** one `Box<[u32]>` of `2 + ranks` words per shape: 44 KB of
+//!   keys for the paper day's 92 shapes under concentrate, 28 KB for
+//!   spread's 75.  Churn scatters placements: the dead-peer day compressed
+//!   12× keeps 927 shapes for its 3 885 placed jobs in 466 KB.
 
 use crate::search::{cached_kernel_schedule, models_for};
 use p2pmpi_core::prelude::*;
@@ -15,6 +45,7 @@ use p2pmpi_nas::is::{is_kernel, IsConfig};
 use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::time::SimDuration;
 use p2pmpi_simgrid::topology::{HostId, Topology};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Runs the Figure 2 / Figure 3 co-allocation sweep (100..600 processes by
@@ -163,8 +194,9 @@ pub fn run_kernel_once(
 /// only labels the resulting point (the placement already encodes it).
 ///
 /// Under [`CollectiveBackend::Modeled`] this is the **production** costing
-/// of every placed job — the day sweep, the shard coordinator, the Figure 4
-/// modeled points: the shape's schedule comes from
+/// of every placed job — the Figure 4 modeled points directly, the day sweep
+/// and the shard coordinator once per placement shape through
+/// [`ShapeCosts`]: the shape's schedule comes from
 /// [`cached_kernel_schedule`] (compiled once per process, see its contract)
 /// and [`PlacementCost::cost_of`] evaluates it on the placement, over the
 /// same `search::models_for` cost models the placement search optimises against —
@@ -220,6 +252,97 @@ pub fn run_kernel_on_placement(
         hosts_used: placement.hosts_used(),
         makespan,
         verified,
+    }
+}
+
+/// Modeled makespans of a sweep's placed jobs, costed once per placement
+/// *shape*: two allocations with the same kernel and rank count whose ranks
+/// sit on hosts of the same clusters with the same co-residency cost the
+/// same bit for bit, so the second is answered from the first.  See the
+/// module docs for the contract.
+pub struct ShapeCosts {
+    topology: Arc<Topology>,
+    settings: Fig4Settings,
+    /// The current job's key, reused across calls: kernel, rank count, then
+    /// per rank `cluster << 16 | position of its host in the allocation`.
+    key: Vec<u32>,
+    costs: HashMap<Box<[u32]>, SimDuration>,
+}
+
+impl ShapeCosts {
+    /// An empty memo for jobs placed on `topology` and costed under
+    /// `settings`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `settings` selects [`CollectiveBackend::Modeled`] (an
+    /// executed run is not a function of the shape alone), and on a topology
+    /// of 65 536 hosts or more, which the packed key could not tell apart.
+    pub fn new(topology: &Arc<Topology>, settings: &Fig4Settings) -> Self {
+        assert_eq!(
+            settings.backend,
+            CollectiveBackend::Modeled,
+            "only modeled makespans are a function of the placement shape"
+        );
+        assert!(
+            topology.host_count() < 1 << 16,
+            "the shape key packs cluster and host position into 16 bits each"
+        );
+        ShapeCosts {
+            topology: topology.clone(),
+            settings: *settings,
+            key: Vec::new(),
+            costs: HashMap::new(),
+        }
+    }
+
+    /// The modeled makespan of `kernel` on `allocation`'s placement:
+    /// [`run_kernel_on_placement`]'s, computed by it the first time a shape
+    /// is seen and remembered after.  `allocation` is one the co-allocator
+    /// produced: valid, unreplicated, each host listed once.
+    pub fn makespan(&mut self, kernel: Fig4Kernel, allocation: &Allocation) -> SimDuration {
+        self.key.clear();
+        self.key.push(kernel as u32);
+        self.key.push(allocation.processes);
+        // A rank the allocation left out keeps a word no host packs to, so
+        // a broken allocation misses and is rejected by the model.
+        self.key.resize(2 + allocation.processes as usize, u32::MAX);
+        for (position, h) in allocation.hosts.iter().enumerate() {
+            let cluster = self.topology.host(h.host).cluster.0;
+            let packed = (cluster as u32) << 16 | position as u32;
+            for ra in &h.ranks {
+                self.key[2 + ra.rank as usize] = packed;
+            }
+        }
+        if let Some(&known) = self.costs.get(self.key.as_slice()) {
+            debug_assert_eq!(
+                known,
+                self.cost(kernel, allocation),
+                "a placement cost differently from the first of its shape: \
+                 the model reads a host through more than cluster and co-residency"
+            );
+            return known;
+        }
+        let makespan = self.cost(kernel, allocation);
+        self.costs.insert(self.key.as_slice().into(), makespan);
+        makespan
+    }
+
+    /// How many distinct shapes have been costed.
+    pub fn shapes(&self) -> usize {
+        self.costs.len()
+    }
+
+    fn cost(&self, kernel: Fig4Kernel, allocation: &Allocation) -> SimDuration {
+        let placement = Placement::from_allocation(allocation);
+        run_kernel_on_placement(
+            kernel,
+            allocation.strategy,
+            &placement,
+            &self.topology,
+            &self.settings,
+        )
+        .makespan
     }
 }
 
@@ -346,6 +469,88 @@ pub fn searched_kernel_times(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2pmpi_core::allocation::AllocatedHost;
+    use p2pmpi_overlay::{PeerId, RankAssignment, ReservationKey};
+
+    /// An unreplicated allocation listing `(host, its ranks)` in order.
+    fn allocation(hosts: &[(usize, &[u32])]) -> Allocation {
+        Allocation {
+            key: ReservationKey(0),
+            processes: hosts.iter().map(|(_, ranks)| ranks.len() as u32).sum(),
+            replication: 1,
+            strategy: StrategyKind::Concentrate,
+            hosts: hosts
+                .iter()
+                .map(|&(host, ranks)| AllocatedHost {
+                    peer: PeerId(host),
+                    host: HostId(host),
+                    capacity: 4,
+                    ranks: ranks
+                        .iter()
+                        .map(|&rank| RankAssignment { rank, replica: 0 })
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn same_cluster_hosts_share_a_shape_and_a_hit_returns_the_miss() {
+        // Table 1 lists Nancy's 60 grelon nodes first.
+        let topology = topology_from_specs(&scaled_table1(1));
+        let settings = Fig4Settings::default().modeled();
+        let first = allocation(&[(0, &[0, 1, 2, 3]), (1, &[4, 5, 6, 7])]);
+        let twin = allocation(&[(41, &[0, 1, 2, 3]), (7, &[4, 5, 6, 7])]);
+        let mut costs = ShapeCosts::new(&topology, &settings);
+        assert_eq!(costs.shapes(), 0);
+        let miss = costs.makespan(Fig4Kernel::Is, &first);
+        assert!(miss > SimDuration::ZERO);
+        assert_eq!(costs.shapes(), 1);
+        assert_eq!(costs.makespan(Fig4Kernel::Is, &twin), miss);
+        assert_eq!(costs.makespan(Fig4Kernel::Is, &first), miss);
+        assert_eq!(costs.shapes(), 1);
+        // The shared entry is what the twin costs on its own: an empty memo
+        // can only miss.
+        let mut empty = ShapeCosts::new(&topology, &settings);
+        assert_eq!(empty.makespan(Fig4Kernel::Is, &twin), miss);
+    }
+
+    #[test]
+    fn whatever_the_model_reads_is_a_shape_of_its_own() {
+        let topology = topology_from_specs(&scaled_table1(1));
+        let lyon = topology.site_by_name("lyon").unwrap().id;
+        let lyon = topology.hosts_at_site(lyon).next().unwrap().id.0;
+        let mut costs = ShapeCosts::new(&topology, &Fig4Settings::default().modeled());
+        let base = allocation(&[(0, &[0, 1, 2, 3]), (1, &[4, 5, 6, 7])]);
+        costs.makespan(Fig4Kernel::Ep, &base);
+        let others = [
+            ("kernel", Fig4Kernel::Is, base.clone()),
+            (
+                "rank count",
+                Fig4Kernel::Ep,
+                allocation(&[(0, &[0, 1, 2, 3]), (1, &[4, 5, 6])]),
+            ),
+            (
+                "rank to host order",
+                Fig4Kernel::Ep,
+                allocation(&[(0, &[0, 2, 4, 6]), (1, &[1, 3, 5, 7])]),
+            ),
+            (
+                "co-residency",
+                Fig4Kernel::Ep,
+                allocation(&[(0, &[0, 1, 2, 3]), (1, &[4, 5]), (2, &[6, 7])]),
+            ),
+            (
+                "cluster",
+                Fig4Kernel::Ep,
+                allocation(&[(0, &[0, 1, 2, 3]), (lyon, &[4, 5, 6, 7])]),
+            ),
+        ];
+        for (i, (what, kernel, other)) in others.iter().enumerate() {
+            costs.makespan(*kernel, other);
+            assert_eq!(costs.shapes(), i + 2, "{what} did not open a new shape");
+        }
+    }
 
     #[test]
     fn fig4_kernel_metadata() {

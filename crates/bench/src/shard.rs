@@ -41,9 +41,12 @@
 //!    rolls back the shards already booked (their gatekeeper slots are
 //!    freed immediately, as a completion would).  On success the
 //!    sub-placements are merged onto a global Table-1 topology (ranks
-//!    re-offset per shard) and the job's kernel is costed **once** on the
+//!    re-offset per shard; each shard's hosts are mapped to their global
+//!    ids once per sweep) and the job's kernel is costed **once** on the
 //!    merged placement, so a cross-shard job pays the real cross-site
-//!    communication cost.
+//!    communication cost — through the coordinator's own
+//!    [`crate::experiments::ShapeCosts`] over the global topology, as the
+//!    shards cost their local jobs through theirs.
 //! 3. **Scatter.**  The hold charges each shard's per-site ledger, and one
 //!    completion event per involved shard is spliced back onto that
 //!    shard's timeline (`Overlay::schedule_completion_batch`) at
@@ -91,22 +94,21 @@
 //! panic; a panic on the coordinator poisons the epoch as it unwinds.
 //! Nobody waits on an epoch that will never come.
 
-use crate::experiments::{run_kernel_on_placement, Fig4Settings};
+use crate::experiments::{Fig4Settings, ShapeCosts};
 use crate::par::hardware_threads;
 use crate::workload::{
-    burst_profile, day_trace, sample_running, DaySweepConfig, DaySweepResult, FaultSpec, JobSpec,
-    SweepCore, UtilisationSample,
+    burst_profile, day_trace, DaySweepConfig, DaySweepResult, FaultSpec, JobSpec, SweepCore,
+    UtilisationSample,
 };
 use p2pmpi_core::allocation::{AllocatedHost, Allocation};
 use p2pmpi_core::prelude::*;
 use p2pmpi_grid5000::testbed::topology_from_specs;
 use p2pmpi_grid5000::{ShardPlan, TABLE1};
-use p2pmpi_mpi::placement::Placement;
 use p2pmpi_overlay::{PeerId, RankAssignment, ReservationKey};
 use p2pmpi_simgrid::event::EventKey;
 use p2pmpi_simgrid::rngutil::{derive_seed, seeded};
 use p2pmpi_simgrid::time::SimTime;
-use p2pmpi_simgrid::topology::Topology;
+use p2pmpi_simgrid::topology::{HostId, Topology};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -227,14 +229,15 @@ fn run_segment(shard: usize, core: &mut SweepCore, batch: &[JobSpec], barrier: O
 
 /// Brokers one cross-shard job at a barrier (every shard already advanced
 /// to `job.at`): split, all-or-nothing per-shard allocation with rollback,
-/// merged costing, scatter-back.
+/// merged costing, scatter-back.  `global_hosts[s][h]` is shard `s`'s host
+/// `h` on the global topology `costs` was built over.
 #[allow(clippy::too_many_arguments)]
 fn broker_cross(
     cores: &mut [&mut SweepCore],
     job: &JobSpec,
     base: &DaySweepConfig,
-    global_topology: &Arc<Topology>,
-    settings: &Fig4Settings,
+    global_hosts: &[Vec<HostId>],
+    costs: &mut ShapeCosts,
     stats: &mut CrossStats,
     scatter_keys: &mut Vec<EventKey>,
 ) {
@@ -244,7 +247,10 @@ fn broker_cross(
     let capacities: Vec<u32> = cores
         .iter()
         .map(|core| {
-            let running: u32 = sample_running(&core.tb).iter().sum();
+            let overlay = &core.tb.overlay;
+            let running: u32 = (0..overlay.peer_count())
+                .map(|p| overlay.node(PeerId(p)).rs.running_processes())
+                .sum();
             (core.tb.topology.total_cores() as u32).saturating_sub(running)
         })
         .collect();
@@ -291,15 +297,10 @@ fn broker_cross(
     let mut hosts: Vec<AllocatedHost> = Vec::new();
     let mut offset = 0u32;
     for (s, _, alloc) in &booked {
-        let shard_topology = &cores[*s].tb.topology;
         for h in &alloc.hosts {
-            let name = &shard_topology.host(h.host).name;
-            let global = global_topology
-                .host_by_name(name)
-                .unwrap_or_else(|| panic!("shard host '{name}' missing from the global topology"));
             hosts.push(AllocatedHost {
                 peer: h.peer,
-                host: global.id,
+                host: global_hosts[*s][h.host.0],
                 capacity: h.capacity,
                 ranks: h
                     .ranks
@@ -320,15 +321,9 @@ fn broker_cross(
         strategy: base.strategy,
         hosts,
     };
-    let placement = Placement::from_allocation(&merged);
-    let point = run_kernel_on_placement(
-        job.kernel,
-        base.strategy,
-        &placement,
-        global_topology,
-        settings,
-    );
-    let hold = point.makespan.mul_f64(base.duration_scale);
+    let hold = costs
+        .makespan(job.kernel, &merged)
+        .mul_f64(base.duration_scale);
     stats.hold_secs += hold.as_secs_f64();
     // Scatter-back: charge each shard's ledger and splice one completion
     // event per involved shard onto its timeline at the common barrier
@@ -576,7 +571,7 @@ pub(crate) fn run_shard_sweep_on(
     // primitive routes independently; site-scoped faults go to the owning
     // shard.
     let flat_faults = crate::workload::flatten_faults(&base.faults);
-    let cores: Vec<Mutex<Option<SweepCore>>> = (0..shards)
+    let cores: Vec<SweepCore> = (0..shards)
         .map(|s| {
             let mut shard_cfg = base.clone();
             shard_cfg.faults = flat_faults
@@ -601,23 +596,43 @@ pub(crate) fn run_shard_sweep_on(
             } else {
                 derive_seed(base.seed, 0x5AD0 + s as u64)
             };
-            let core = SweepCore::new(&shard_cfg, plan.specs_for(s), seed, local_counts[s] / 2);
-            Mutex::new(Some(core))
+            SweepCore::new(&shard_cfg, plan.specs_for(s), seed, local_counts[s] / 2)
         })
         .collect();
 
-    // The merged view cross-shard placements are costed on.
+    // The merged view cross-shard placements are costed on, and each
+    // shard's hosts on it.
     let global_topology = topology_from_specs(TABLE1);
+    let global_hosts: Vec<Vec<HostId>> = cores
+        .iter()
+        .map(|core| {
+            core.tb
+                .topology
+                .hosts()
+                .iter()
+                .map(|h| {
+                    let name = &h.name;
+                    global_topology
+                        .host_by_name(name)
+                        .unwrap_or_else(|| {
+                            panic!("shard host '{name}' missing from the global topology")
+                        })
+                        .id
+                })
+                .collect()
+        })
+        .collect();
     let settings = Fig4Settings {
         seed: base.seed,
         ..Fig4Settings::default()
     }
     .modeled();
+    let mut costs = ShapeCosts::new(&global_topology, &settings);
 
     let lane_count = lanes.clamp(1, shards);
     let lanes = Lanes {
         count: lane_count,
-        cores,
+        cores: cores.into_iter().map(|c| Mutex::new(Some(c))).collect(),
         segments: &segments,
         segment_fn,
         // Every shard drains its tail (remaining samples, completions,
@@ -665,8 +680,8 @@ pub(crate) fn run_shard_sweep_on(
                     &mut cores,
                     job,
                     base,
-                    &global_topology,
-                    &settings,
+                    &global_hosts,
+                    &mut costs,
                     &mut stats,
                     &mut scatter_keys,
                 );
@@ -691,7 +706,7 @@ pub(crate) fn run_shard_sweep_on(
         finished.into_iter().map(|(_, result)| result).collect()
     });
 
-    let merged = merge_results(&per_shard, &stats, &global_topology);
+    let merged = merge_results(&per_shard, &stats, costs.shapes(), &global_topology);
     ShardSweepResult {
         merged,
         per_shard,
@@ -703,11 +718,13 @@ pub(crate) fn run_shard_sweep_on(
     }
 }
 
-/// Folds per-shard results and cross-shard stats into one sequential-shaped
-/// [`DaySweepResult`] in global site order.
+/// Folds per-shard results, cross-shard stats and the coordinator's count of
+/// costed placement shapes into one sequential-shaped [`DaySweepResult`] in
+/// global site order.
 fn merge_results(
     per_shard: &[DaySweepResult],
     stats: &CrossStats,
+    coordinator_shapes: usize,
     global_topology: &Arc<Topology>,
 ) -> DaySweepResult {
     let site_names: Vec<String> = global_topology
@@ -829,6 +846,8 @@ fn merge_results(
                 a.anneal_nanos += b.anneal_nanos;
                 a
             }),
+        shapes_costed: per_shard.iter().map(|r| r.shapes_costed).sum::<usize>()
+            + coordinator_shapes,
     }
 }
 

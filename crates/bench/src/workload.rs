@@ -20,13 +20,17 @@
 //!   releases them — all interleaved with heartbeat rounds, cache refreshes
 //!   and reservation-expiry sweeps on one timeline.  Per-site utilisation is
 //!   sampled on a fixed period, reproducing Figures 2–3 at sweep scale.
+//!   The model runs once per distinct placement *shape*, not once per job
+//!   (`crate::experiments::ShapeCosts`, one per sweep core; its contract
+//!   is in that module's docs): [`DaySweepResult::shapes_costed`] of the
+//!   `succeeded` jobs were costed, the others answered from the memo, and
+//!   debug builds re-cost every one of those to check it.
 
-use crate::experiments::{run_kernel_on_placement, Fig4Kernel, Fig4Settings};
+use crate::experiments::{Fig4Kernel, Fig4Settings, ShapeCosts};
 use crate::search::{OnlineSearchParams, OnlineSearchStats, SearchContext};
 use p2pmpi_core::prelude::*;
 use p2pmpi_grid5000::testbed::{testbed_from_specs_with_queue, Grid5000Testbed};
 use p2pmpi_grid5000::{ClusterSpec, TABLE1};
-use p2pmpi_mpi::placement::Placement;
 use p2pmpi_overlay::churn::flapping_churn;
 use p2pmpi_simgrid::event::QueueKind;
 use p2pmpi_simgrid::noise::NoiseModel;
@@ -416,12 +420,14 @@ pub struct JobMix {
     pub is_fraction: f64,
     /// Largest rank count an IS job uses; draws above it run EP instead.
     /// Mirrors the paper's Figure 4, whose IS panel stops at 128 ranks
-    /// while EP continues.  It also bounds what a job costs the sweep: an
-    /// IS job's twenty rings are O(ranks²) cells each, so costing one
+    /// while EP continues.  It no longer bounds what a *job* costs the
+    /// sweep, only what a placement *shape* costs once (`ShapeCosts`): an
+    /// IS shape's twenty rings are O(ranks²) cells each, so costing one
     /// (`run_kernel_on_placement`, cached schedule) takes ~5 µs at 8 ranks
     /// and ~40 µs at 32 — against 0.4–3 µs for EP at 8–128 — and would
-    /// take ~0.35 ms at 128 (4.6 ms as a `ModelComm` replay).  At the
-    /// default mix IS is 15% of the jobs and about 70% of the costing time.
+    /// take ~0.35 ms at 128 (4.6 ms as a `ModelComm` replay), a hundred or
+    /// so times a day.  The value stays because raising it changes which
+    /// jobs run IS, hence every hold and every committed fingerprint.
     pub is_max_ranks: u32,
 }
 
@@ -926,6 +932,11 @@ pub struct DaySweepResult {
     /// [`StrategyKind::Searched`]): arrivals searched, moves evaluated and
     /// wall-clock phase timings.
     pub search: Option<OnlineSearchStats>,
+    /// Distinct placement shapes among the `succeeded` jobs — how many of
+    /// them the analytical model actually costed (`ShapeCosts`); the rest
+    /// were answered from an earlier job of their shape.  A sharded sweep
+    /// sums its shards' counts and the coordinator's.
+    pub shapes_costed: usize,
 }
 
 impl DaySweepResult {
@@ -1014,7 +1025,9 @@ pub(crate) struct SweepCore {
     pub(crate) cfg: DaySweepConfig,
     pub(crate) tb: Grid5000Testbed,
     pub(crate) allocator: CoAllocator,
-    pub(crate) settings: Fig4Settings,
+    /// The modeled makespan of every placed job, costed once per placement
+    /// shape (see [`crate::experiments`]' module docs).
+    shape_costs: ShapeCosts,
     site_names: Vec<String>,
     site_cores: Vec<usize>,
     samples: Vec<UtilisationSample>,
@@ -1196,9 +1209,9 @@ impl SweepCore {
 
         SweepCore {
             cfg: cfg.clone(),
+            shape_costs: ShapeCosts::new(&tb.topology, &settings),
             tb,
             allocator,
-            settings,
             site_names,
             site_cores,
             samples: Vec::new(),
@@ -1405,15 +1418,8 @@ impl SweepCore {
         self.timeouts += report.dead as u64;
         match &report.outcome {
             Ok(alloc) => {
-                let placement = Placement::from_allocation(alloc);
-                let point = run_kernel_on_placement(
-                    job.kernel,
-                    self.cfg.strategy,
-                    &placement,
-                    &self.tb.topology,
-                    &self.settings,
-                );
-                let hold = point.makespan.mul_f64(self.cfg.duration_scale);
+                let makespan = self.shape_costs.makespan(job.kernel, alloc);
+                let hold = makespan.mul_f64(self.cfg.duration_scale);
                 self.record_success(alloc, report.key, hold);
             }
             Err(_) => self.failed += 1,
@@ -1450,6 +1456,7 @@ impl SweepCore {
             reaped_tickets: self.reaped_tickets,
             dead_ticket_hwm: self.dead_ticket_hwm,
             search: self.search.as_ref().map(|c| c.stats()),
+            shapes_costed: self.shape_costs.shapes(),
         }
     }
 }

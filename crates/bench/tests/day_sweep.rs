@@ -55,6 +55,15 @@ fn reduced_day_sweep_shows_the_concentrate_spread_contrast() {
             r.samples.iter().any(|s| s.running.iter().sum::<u32>() > 0),
             "{name}: utilisation samples never saw a running process"
         );
+        // A fixed strategy on a calm grid keeps producing the same few
+        // placement shapes (39 and 49 here), so the model costs a small
+        // share of the placed jobs and the memo answers the rest.
+        assert!(
+            r.shapes_costed >= 1 && r.shapes_costed * 100 < r.succeeded * 15,
+            "{name}: {} shapes costed for {} placed jobs",
+            r.shapes_costed,
+            r.succeeded
+        );
     }
 
     // The Figures 2–3 narrative: the concentrate run keeps (nearly) all the
@@ -92,6 +101,7 @@ fn assert_identical(a: &DaySweepResult, b: &DaySweepResult, what: &str) {
     assert_eq!(a.leaked_grant_hwm, b.leaked_grant_hwm, "{what}");
     assert_eq!(a.events_processed, b.events_processed, "{what}");
     assert_eq!(a.core_seconds, b.core_seconds, "{what}");
+    assert_eq!(a.shapes_costed, b.shapes_costed, "{what}");
     let sa: Vec<_> = a.samples.iter().map(|s| &s.running).collect();
     let sb: Vec<_> = b.samples.iter().map(|s| &s.running).collect();
     assert_eq!(sa, sb, "{what}");
@@ -101,6 +111,17 @@ fn assert_identical(a: &DaySweepResult, b: &DaySweepResult, what: &str) {
     assert_eq!(
         a.site_core_bins, b.site_core_bins,
         "{what}: core-second bins"
+    );
+}
+
+/// The model costed at least one placement shape and at most one per placed
+/// job (the memo answered the rest).
+fn assert_a_shape_per_placed_job_at_most(r: &DaySweepResult) {
+    assert!(
+        (1..=r.succeeded).contains(&r.shapes_costed),
+        "{} shapes costed for {} placed jobs",
+        r.shapes_costed,
+        r.succeeded
     );
 }
 
@@ -226,6 +247,8 @@ fn dead_peer_day_parks_timeouts_on_the_timeline_identically_on_every_queue() {
         ladder.rs_scratch_capacity_mid,
         ladder.rs_scratch_capacity_end,
     );
+    // Churn scatters the placements over more shapes (86 here).
+    assert_a_shape_per_placed_job_at_most(&ladder);
     let heap = run(QueueKind::BinaryHeap);
     assert_identical(&ladder, &heap, "ladder vs heap under churn");
 }
@@ -300,6 +323,8 @@ fn searched_day_sweep_is_bit_identical_across_queues() {
         ladder.succeeded,
         ladder.submitted
     );
+    // Annealed placements repeat far less, but still cost once per shape.
+    assert_a_shape_per_placed_job_at_most(&ladder);
     let heap = run(QueueKind::BinaryHeap);
     assert_identical(&ladder, &heap, "searched: ladder vs heap");
     let (ladder_stats, heap_stats) = (

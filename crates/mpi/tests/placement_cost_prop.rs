@@ -3,6 +3,10 @@
 //! collective program, `PlacementCost`'s per-rank clocks must equal a
 //! from-scratch `ModelComm` replay of the same program **exactly** — the
 //! move and fast-forward contracts of `p2pmpi_mpi::model`.
+//!
+//! And the contract the sweeps' per-shape cost memo
+//! (`p2pmpi_bench::experiments::ShapeCosts`) keys on: the evaluator reads a
+//! host only through its cluster and through which ranks share it.
 
 use p2pmpi_mpi::model::{
     CollectiveProgram, ModelComm, Move, MoveError, PlacementCost, ScheduleBuilder,
@@ -14,12 +18,15 @@ use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::rngutil::seeded;
 use p2pmpi_simgrid::topology::{HostId, NodeSpec, Topology, TopologyBuilder};
 use proptest::{prop_assert, prop_assert_eq, proptest};
+use rand::seq::SliceRandom;
 use rand::Rng;
 use std::sync::Arc;
 
 /// Three sites with distinct RTTs (one on a slow 1 Gbps link, like
-/// Bordeaux) and eight dual-core hosts, so random placements and moves mix
-/// loopback, intra-site and cross-site messaging plus co-location.
+/// Bordeaux) and eleven hosts in four clusters, so random placements and
+/// moves mix loopback, intra-site and cross-site messaging plus
+/// co-location.  `near` holds two clusters that differ only in clock rate
+/// (like Sophia's azur and sol); `n` and `m` differ only in site.
 fn topology() -> Arc<Topology> {
     let mut b = TopologyBuilder::new();
     let near = b.add_site("near");
@@ -35,6 +42,17 @@ fn topology() -> Arc<Topology> {
         NodeSpec {
             cores: 4,
             ops_per_sec: 1.5e9,
+            ..NodeSpec::default()
+        },
+    );
+    // Added last, so the hosts of the three clusters above keep their ids.
+    b.add_cluster(
+        near,
+        "n-slow",
+        "cpu",
+        3,
+        NodeSpec {
+            ops_per_sec: 0.8e9,
             ..NodeSpec::default()
         },
     );
@@ -221,6 +239,45 @@ fn repeated_program<P: CollectiveProgram>(
     if epilogue {
         wrap(p, 112);
     }
+}
+
+/// One of the file's three program generators: mixed collectives, ring
+/// heavy, or a repeated block in any of its couplings.
+fn any_program<P: CollectiveProgram>(p: &mut P, kind: u32, seed: u64) {
+    match kind {
+        0 => random_program(p, seed),
+        1 => ring_heavy_program(p, seed),
+        _ => {
+            let coupling = [Coupling::Full, Coupling::Never, Coupling::Late][(seed % 3) as usize];
+            let reps = 3 + (seed / 3 % 6) as u32;
+            repeated_program(p, seed, coupling, reps, seed & 8 != 0, seed & 16 != 0);
+        }
+    }
+}
+
+/// `n` ranks on hosts drawn from `pool` with no regard for cores:
+/// `cost_of` has no capacity notion, so hosts stack.
+fn stacked_hosts(pool: &[HostId], n: u32, seed: u64) -> Vec<HostId> {
+    let mut rng = seeded(seed);
+    (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+}
+
+/// Maps every host to a host of its own cluster, one to one.
+fn relabelling_within_clusters(topology: &Topology, seed: u64) -> Vec<HostId> {
+    let mut rng = seeded(seed);
+    let mut image: Vec<HostId> = topology.hosts().iter().map(|h| h.id).collect();
+    for cluster in topology.clusters() {
+        let members: Vec<HostId> = topology
+            .hosts_in_cluster(cluster.id)
+            .map(|h| h.id)
+            .collect();
+        let mut shuffled = members.clone();
+        shuffled.shuffle(&mut rng);
+        for (from, to) in members.iter().zip(shuffled) {
+            image[from.0] = to;
+        }
+    }
+    image
 }
 
 /// Assigns `n` ranks to random hosts without exceeding any host's core
@@ -453,6 +510,82 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    /// Any placement, stacked hosts included, costs the same bit for bit
+    /// after any relabelling of its hosts that keeps each host's cluster
+    /// and which ranks share a host.
+    #[test]
+    fn cost_reads_a_host_only_through_cluster_and_co_residency(
+        n in 4u32..21,
+        kind in 0u32..3,
+        program_seed in 0u64..1_000_000,
+        placement_seed in 0u64..1_000_000,
+        relabel_seed in 0u64..1_000_000,
+    ) {
+        let topology = topology();
+        let mut b = ScheduleBuilder::new(n);
+        any_program(&mut b, kind, program_seed);
+        let schedule = b.finish();
+        let all: Vec<HostId> = topology.hosts().iter().map(|h| h.id).collect();
+        let hosts = stacked_hosts(&all, n, placement_seed);
+        let image = relabelling_within_clusters(&topology, relabel_seed);
+        let relabelled: Vec<HostId> = hosts.iter().map(|h| image[h.0]).collect();
+        let network = NetworkModel::new(topology.clone());
+        let compute = ComputeModel::new(topology.clone());
+        prop_assert_eq!(
+            PlacementCost::cost_of(&schedule, &hosts, &network, &compute),
+            PlacementCost::cost_of(&schedule, &relabelled, &network, &compute),
+            "{:?} relabelled to {:?}", hosts, relabelled
+        );
+    }
+}
+
+/// The other half of the key's contract: it is not coarser than the model.
+/// Moving one host of a placement to an empty host of a cluster with
+/// another clock rate, or of another site, keeps the co-residency partition
+/// and must change the cost of some generated case.
+#[test]
+fn moving_a_host_to_another_speed_or_site_changes_some_cost() {
+    let topology = topology();
+    let cluster = |name: &str| -> Vec<HostId> {
+        let id = topology
+            .clusters()
+            .iter()
+            .find(|c| c.name == name)
+            .expect("a cluster of this file's topology")
+            .id;
+        topology.hosts_in_cluster(id).map(|h| h.id).collect()
+    };
+    let (n, n_slow, m, f) = (cluster("n"), cluster("n-slow"), cluster("m"), cluster("f"));
+    // Placements use `n` and `f` only, so `n-slow` and `m` have room.
+    let pool: Vec<HostId> = n.iter().chain(&f).copied().collect();
+    let network = NetworkModel::new(topology.clone());
+    let compute = ComputeModel::new(topology.clone());
+    let (mut by_speed, mut by_site) = (0, 0);
+    for seed in 0..24u64 {
+        let ranks = 4 + (seed % 9) as u32;
+        let mut b = ScheduleBuilder::new(ranks);
+        any_program(&mut b, (seed % 3) as u32, seed);
+        let schedule = b.finish();
+        let mut hosts = stacked_hosts(&pool, ranks, seed ^ 0x5EED);
+        hosts[0] = n[0];
+        let cost = |hosts: &[HostId]| PlacementCost::cost_of(&schedule, hosts, &network, &compute);
+        let with_first_host_at = |to: HostId| -> Vec<HostId> {
+            hosts
+                .iter()
+                .map(|&h| if h == n[0] { to } else { h })
+                .collect()
+        };
+        by_speed += usize::from(cost(&with_first_host_at(n_slow[0])) != cost(&hosts));
+        by_site += usize::from(cost(&with_first_host_at(m[0])) != cost(&hosts));
+    }
+    assert!(
+        by_speed > 0,
+        "a slower cluster on the same site never showed"
+    );
+    assert!(by_site > 0, "an equal cluster on another site never showed");
 }
 
 /// A 4-site, 80-host, 320-core grid — big enough to place 256 ranks, with

@@ -112,6 +112,18 @@ fn costing_equals_the_oracle_on_real_allocations() {
     }
 }
 
+/// One host from each site in turn, three rounds: ranks dealt over these put
+/// traffic on every directed site pair.
+fn across_sites(topology: &Topology) -> Vec<HostId> {
+    let mut across: Vec<HostId> = Vec::new();
+    for i in 0..3 {
+        for site in topology.sites() {
+            across.push(topology.hosts_at_site(site.id).nth(i).unwrap().id);
+        }
+    }
+    across
+}
+
 #[test]
 fn costing_equals_the_oracle_on_hand_built_placements() {
     let topology = grid5000_topology();
@@ -119,14 +131,7 @@ fn costing_equals_the_oracle_on_hand_built_placements() {
         .hosts_at_site(topology.site_by_name("nancy").unwrap().id)
         .map(|h| h.id)
         .collect();
-    // One host from each site in turn: every directed site pair carries
-    // traffic.
-    let mut across: Vec<HostId> = Vec::new();
-    for i in 0..3 {
-        for site in topology.sites() {
-            across.push(topology.hosts_at_site(site.id).nth(i).unwrap().id);
-        }
-    }
+    let across = across_sites(&topology);
     for &(kernel, ranks) in &SHAPES {
         let n = ranks as usize;
         // An over-stacked host: more ranks than the node has cores.  The
@@ -147,6 +152,58 @@ fn costing_equals_the_oracle_on_hand_built_placements() {
         &Placement::co_located(1, nancy[0]),
         &topology,
     );
+}
+
+/// The contract the sweeps' per-shape memo (`ShapeCosts`) keys on, on the
+/// real kernels and the real grid: a placement costs the same bit for bit
+/// after its hosts are swapped for others of their own clusters, one to one
+/// (here each cluster's host list reversed).
+#[test]
+fn costing_reads_a_host_only_through_cluster_and_co_residency() {
+    let topology = grid5000_topology();
+    let mut image: Vec<HostId> = topology.hosts().iter().map(|h| h.id).collect();
+    for cluster in topology.clusters() {
+        let members: Vec<HostId> = topology
+            .hosts_in_cluster(cluster.id)
+            .map(|h| h.id)
+            .collect();
+        for (from, to) in members.iter().zip(members.iter().rev()) {
+            image[from.0] = *to;
+        }
+    }
+    let settings = Fig4Settings::default().modeled();
+    let cost = |kernel, placement: &Placement| {
+        run_kernel_on_placement(
+            kernel,
+            StrategyKind::Concentrate,
+            placement,
+            &topology,
+            &settings,
+        )
+        .makespan
+    };
+    let across = across_sites(&topology);
+    for (i, &(kernel, ranks)) in SHAPES.iter().enumerate() {
+        let mut placements = vec![Placement::round_robin(ranks, &across)];
+        for strategy in [StrategyKind::Concentrate, StrategyKind::Spread] {
+            let mut tb = grid5000_testbed(i as u64, NoiseModel::default());
+            let request = JobRequest::new(ranks, strategy, kernel.program());
+            let report = CoAllocator::new().allocate(&mut tb.overlay, tb.submitter, &request);
+            placements.push(Placement::from_allocation(report.allocation()));
+        }
+        for placement in placements {
+            let mut relabelled = placement.clone();
+            for spec in &mut relabelled.procs {
+                spec.host = image[spec.host.0];
+            }
+            assert_ne!(relabelled.procs, placement.procs);
+            assert_eq!(
+                cost(kernel, &relabelled),
+                cost(kernel, &placement),
+                "{kernel:?} on {ranks} ranks"
+            );
+        }
+    }
 }
 
 #[test]
