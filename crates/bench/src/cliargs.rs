@@ -3,17 +3,34 @@
 use p2pmpi_simgrid::event::QueueKind;
 use std::str::FromStr;
 
-/// Returns the value following `flag` on the command line, if present.
-pub fn flag_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    flag_value_in(&args, flag)
+/// Exits with status 2 on a flag error: a run launched with `--seed 2oo8`
+/// or a trailing `--strategy` must not measure the default without a word.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
-/// Returns the value following `flag` in an explicit argument list.
-pub fn flag_value_in(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Returns the value following `flag` on the command line, `None` when the
+/// flag is absent.  A flag [`flag_value_in`] rejects (it came last) ends
+/// the process with status 2, like [`flag_parsed`].
+pub fn flag_value(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    or_exit(flag_value_in(&args, flag))
+}
+
+/// Returns the value following `flag` in an explicit argument list:
+/// `Ok(None)` when the flag is absent, an error naming the flag when it
+/// came last and has no value.
+pub fn flag_value_in(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) => Ok(Some(value.clone())),
+        None => Err(format!("missing value for {flag}")),
+    }
 }
 
 /// Parses the value following `flag` in an explicit argument list:
@@ -32,14 +49,10 @@ pub fn parse_flag_in<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T
 
 /// Parses the value following `flag` on the command line, `None` when the
 /// flag is absent.  A value [`parse_flag_in`] rejects ends the process with
-/// status 2: a run launched with `--seed 2oo8` must not measure the default
-/// seed without a word.
+/// status 2.
 pub fn flag_parsed<T: FromStr>(flag: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    parse_flag_in(&args, flag).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    })
+    or_exit(parse_flag_in(&args, flag))
 }
 
 /// Parses the value following `flag` as a `u64` (see [`flag_parsed`]).
@@ -69,12 +82,7 @@ pub fn parse_queue_kind(value: &str) -> Result<QueueKind, String> {
 /// The `--queue` flag of the sweep binaries (default ladder); a value
 /// [`parse_queue_kind`] rejects ends the process with status 2.
 fn queue_flag() -> QueueKind {
-    flag_value("--queue").map_or(QueueKind::Ladder, |v| {
-        parse_queue_kind(&v).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        })
-    })
+    flag_value("--queue").map_or(QueueKind::Ladder, |v| or_exit(parse_queue_kind(&v)))
 }
 
 /// Sweep flags shared by the Figure 4 binaries.
@@ -291,13 +299,17 @@ mod tests {
 
     #[test]
     fn flag_value_in_finds_following_token() {
-        let args: Vec<String> = ["prog", "--seed", "42", "--fast"]
+        let args: Vec<String> = ["prog", "--seed", "42", "--strategy"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(flag_value_in(&args, "--seed"), Some("42".to_string()));
-        assert_eq!(flag_value_in(&args, "--sigma"), None);
-        assert_eq!(flag_value_in(&args, "--fast"), None);
+        // Present, absent, and last on the line with nothing to read.
+        assert_eq!(flag_value_in(&args, "--seed"), Ok(Some("42".to_string())));
+        assert_eq!(flag_value_in(&args, "--sigma"), Ok(None));
+        assert_eq!(
+            flag_value_in(&args, "--strategy"),
+            Err("missing value for --strategy".to_string())
+        );
     }
 
     #[test]

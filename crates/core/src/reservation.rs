@@ -15,21 +15,26 @@
 //!    the simulated reply, if there is one, races.
 //! 4. Remote RSs accept (OK + their `P`) or refuse (NOK).
 //! 5. **RS–MPD response** — `Overlay::rs_collect_into` runs the timeline
-//!    until the round's last message is in (one event delivers the decided
-//!    replies at the latest of their arrival instants) and the answers are
-//!    gathered into `rlist`; peers whose armed timeout fired (they never
-//!    answered) are marked dead and dropped from the cache.  The virtual
-//!    clock genuinely waits those timeouts out — dead-peer stalls are
-//!    observable on the timeline.
+//!    until the round's last message is in (the decided replies are
+//!    delivered at the latest of their arrival instants: by moving the
+//!    clock there when nothing else is due first, through one event
+//!    otherwise) and the answers are gathered into `rlist`; peers whose
+//!    armed timeout fired (they never answered) are marked dead and
+//!    dropped from the cache.  The virtual clock genuinely waits those
+//!    timeouts out — dead-peer stalls are observable on the timeline.
 //! 6. **Allocation** — `slist` is the first `min(|rlist|, n × r)` hosts;
 //!    surplus reservations are cancelled; feasibility is checked; the chosen
 //!    strategy distributes processes; ranks are assigned.
 //! 7. Remote MPDs verify the key — when the start request *arrives*, against
-//!    the remote's state at that instant (`Overlay::start_send`).
-//! 8. Remote MPDs launch the processes; the replies that beat the deadline
-//!    reach the submitter through one event at the latest of their arrival
-//!    instants, the others are observed as timeouts
-//!    (`Overlay::start_collect_into`).
+//!    the remote's state at that instant.  The whole round is one call,
+//!    `Overlay::start_round_into`: when no timeline event is due before the
+//!    round's last reply and every remote is alive and in time, state at
+//!    send is state at arrival and the overlay decides every start on the
+//!    spot; otherwise each request gets its own arrival event.
+//! 8. Remote MPDs launch the processes; each reply that beats the deadline
+//!    reaches the submitter with its own elapsed time, the others are
+//!    observed as timeouts, and the clock ends at the round's last message
+//!    either way.
 
 use crate::allocation::{AllocatedHost, Allocation};
 use crate::capacity::host_capacity;
@@ -172,6 +177,7 @@ impl BrokeringStats {
 struct AllocScratch {
     booked: Vec<PeerId>,
     outcomes: Vec<(PeerId, RsOutcome)>,
+    start_requests: Vec<(PeerId, u32)>, // (peer, ranks to start)
     start_outcomes: Vec<(PeerId, StartReply, SimDuration)>,
     rlist: Vec<(PeerId, u32)>, // (peer, owner P)
     capacities: Vec<u32>,
@@ -271,6 +277,7 @@ impl CoAllocator {
         let AllocScratch {
             booked,
             outcomes,
+            start_requests,
             start_outcomes,
             rlist,
             capacities,
@@ -313,10 +320,10 @@ impl CoAllocator {
         // bound to beat the timeout is decided at send, any other arms a
         // timeout event that the simulated reply races.  `rs_collect_into`
         // runs the timeline until the whole round has resolved — the
-        // decided replies through one event at the latest of their arrival
-        // instants — and hands the outcomes back in send order, so the
-        // virtual clock genuinely waits out dead peers' timeouts while the
-        // phase's reported duration stays the slowest exchange.
+        // decided replies at the latest of their arrival instants — and
+        // hands the outcomes back in send order, so the virtual clock
+        // genuinely waits out dead peers' timeouts while the phase's
+        // reported duration stays the slowest exchange.
         rlist.clear();
         for &peer in booked.iter() {
             overlay.rs_send(submitter, peer, key, total);
@@ -394,20 +401,20 @@ impl CoAllocator {
             }
         }
 
-        // Steps 7–8 — start requests, event-driven like the brokering
-        // round: the whole batch goes out at once, each request's start
-        // decision is made when its arrival event fires (so crashes and
-        // recoveries mid-start interleave honestly with the timeline), the
-        // in-time replies come back through one event at the latest of
-        // their arrival instants, and `start_collect_into` runs the
-        // timeline until every reply or deadline has resolved, returning
-        // outcomes in send order.
+        // Steps 7–8 — the start round: the whole batch goes out at once
+        // and each request's start decision belongs to its arrival instant
+        // (so crashes and recoveries mid-start interleave honestly with
+        // the timeline).  `start_round_into` resolves the round without
+        // the event queue when nothing is due inside its window, on the
+        // timeline otherwise, and returns outcomes in send order.
         let mut start_elapsed = SimDuration::ZERO;
-        for host_ranks in &assignment {
-            let (peer, _) = slist[host_ranks.slist_index];
-            overlay.start_send(submitter, peer, key, host_ranks.ranks.len() as u32);
-        }
-        overlay.start_collect_into(start_outcomes);
+        start_requests.clear();
+        start_requests.extend(
+            assignment
+                .iter()
+                .map(|hr| (slist[hr.slist_index].0, hr.ranks.len() as u32)),
+        );
+        overlay.start_round_into(submitter, key, start_requests, start_outcomes);
         let mut hosts = Vec::with_capacity(assignment.len());
         let mut failed: Option<(PeerId, StartReply)> = None;
         for (host_ranks, &(peer, reply, elapsed)) in

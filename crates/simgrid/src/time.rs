@@ -206,8 +206,18 @@ fn secs_f64_to_nanos(s: f64) -> u64 {
     if ns >= u64::MAX as f64 {
         u64::MAX
     } else {
-        ns.round() as u64
+        round_to_u64(ns)
     }
+}
+
+/// `ns.round() as u64` for `0 <= ns < 2^64`, without the call: `f64::round`
+/// is a library routine on baseline x86-64 (no SSE4.1), and this sits under
+/// every modeled transfer and compute time.  Truncation is exact, and so is
+/// the subtraction: below 2^52 the fraction is a multiple of `ns`'s own
+/// ulp, from 2^52 on `ns` is already an integer.
+fn round_to_u64(ns: f64) -> u64 {
+    let t = ns as u64;
+    t + u64::from(ns - t as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -316,6 +326,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_round_trip() {
@@ -332,6 +343,88 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::MAX);
         assert_eq!(SimDuration::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
+    }
+
+    /// The conversion as it was written before `round_to_u64`.
+    fn secs_f64_to_nanos_by_round(s: f64) -> u64 {
+        if s.is_nan() || s <= 0.0 {
+            0
+        } else if s * 1e9 >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            (s * 1e9).round() as u64
+        }
+    }
+
+    #[test]
+    fn integer_rounding_is_f64_round_on_the_named_cases() {
+        let (p52, p53) = ((1u64 << 52) as f64, (1u64 << 53) as f64);
+        let below_max = f64::from_bits((u64::MAX as f64).to_bits() - 1);
+        let nanos = [
+            (0.0, 0),
+            // Ties go away from zero; the largest double below one half
+            // does not (`(x + 0.5).floor()` would round it up).
+            (0.5, 1),
+            (1.5, 2),
+            (2.5, 3),
+            (1e15 + 0.5, 1_000_000_000_000_001),
+            (0.49999999999999994, 0),
+            (0.5000000000000001, 1),
+            // The last half-integers, then integers only.
+            (p52 - 1.5, (1 << 52) - 1),
+            (p52 - 0.5, 1 << 52),
+            (p52, 1 << 52),
+            (p52 + 1.0, (1 << 52) + 1),
+            (p53 - 1.0, (1 << 53) - 1),
+            (p53, 1 << 53),
+            (p53 + 2.0, (1 << 53) + 2),
+            (below_max, u64::MAX - 2047),
+        ];
+        for (ns, expected) in nanos {
+            assert_eq!(round_to_u64(ns), expected, "{ns:e}");
+            assert_eq!(ns.round() as u64, expected, "{ns:e}");
+        }
+        let secs = [
+            (-1.0, 0),
+            (-0.0, 0),
+            (-f64::MIN_POSITIVE, 0),
+            (f64::NAN, 0),
+            (f64::NEG_INFINITY, 0),
+            (f64::INFINITY, u64::MAX),
+            (f64::MAX, u64::MAX),
+            (u64::MAX as f64 / 1e9, u64::MAX),
+            (5e-10, 1),
+            (4.9e-10, 0),
+            (1.5, 1_500_000_000),
+        ];
+        for (s, expected) in secs {
+            assert_eq!(secs_f64_to_nanos(s), expected, "{s:e}");
+            assert_eq!(secs_f64_to_nanos_by_round(s), expected, "{s:e}");
+        }
+    }
+
+    proptest! {
+        /// Bit for bit what `.round()` gave: over every class of double
+        /// (any bit pattern), and over nanosecond counts of every
+        /// magnitude with a fraction on, next to and away from the tie.
+        #[test]
+        fn integer_rounding_is_f64_round(
+            bits in any::<u64>(),
+            whole in any::<u64>(),
+            shift in 0u32..64,
+            fraction in 0.0f64..1.0,
+        ) {
+            let s = f64::from_bits(bits);
+            prop_assert_eq!(secs_f64_to_nanos(s), secs_f64_to_nanos_by_round(s), "{:e}", s);
+            let whole = (whole >> shift) as f64;
+            for ns in [whole + fraction, whole + 0.5, whole - 0.5, whole] {
+                if (0.0..u64::MAX as f64).contains(&ns) {
+                    prop_assert_eq!(round_to_u64(ns), ns.round() as u64, "{:e}", ns);
+                }
+                let s = ns / 1e9;
+                prop_assert_eq!(secs_f64_to_nanos(s), secs_f64_to_nanos_by_round(s), "{:e}", s);
+            }
+        }
     }
 
     #[test]
