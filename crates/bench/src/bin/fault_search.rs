@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p p2pmpi-bench --bin fault_search -- \
 //!     [--offsets s1,s2,...] [--refine N] [--compress F] [--rate-scale F] \
-//!     [--seed N] [--queue ladder|heap] [--no-gate]
+//!     [--seed N] [--no-gate]
 //! ```
 //!
 //! Offsets are seconds on the *uncompressed* day (negative = the outage
@@ -20,9 +20,7 @@
 //! guards the pinned `outage_in_crowd_worst` scenario
 //! (`OUTAGE_IN_CROWD_WORST_OFFSET_SECS`) against drifting stale.
 
-use p2pmpi_bench::cliargs::{
-    flag_f64, flag_present, flag_u64, flag_value, parse_f64_list, parse_queue_kind,
-};
+use p2pmpi_bench::cliargs::{flag_f64, flag_present, flag_u64, flag_value, parse_f64_list};
 use p2pmpi_bench::faultsearch::{search_worst_phase, PhasePoint, PhaseSearchParams};
 use p2pmpi_bench::scenario::OUTAGE_IN_CROWD_WORST_OFFSET_SECS;
 use std::time::Instant;
@@ -61,12 +59,6 @@ fn main() {
     }
     if let Some(s) = flag_u64("--seed") {
         params.scenario.seed = s;
-    }
-    if let Some(q) = flag_value("--queue") {
-        params.scenario.queue = parse_queue_kind(&q).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        });
     }
 
     eprintln!(

@@ -4,9 +4,8 @@
 //! ```text
 //! cargo run --release -p p2pmpi-bench --bin fig23_sweep -- \
 //!     [--strategy concentrate|spread|searched|both|all] [--searched] \
-//!     [--queue ladder|heap] [--seed N] [--compress F] \
-//!     [--rate-scale F] [--duration-scale F] [--sample-secs S] \
-//!     [--ranks a,b,c] [--churn F] [--search-moves N]
+//!     [--seed N] [--compress F] [--rate-scale F] [--duration-scale F] \
+//!     [--sample-secs S] [--ranks a,b,c] [--churn F] [--search-moves N]
 //! ```
 //!
 //! Where the paper's Figures 2 and 3 submit one job at a time and plot where
@@ -23,10 +22,8 @@
 //!
 //! # The driver loop
 //!
-//! The whole run is one discrete-event simulation on the overlay's
-//! ladder-queue timeline (`--queue heap` opts into the binary heap for
-//! comparison; see `perf_report`'s `sweep_engine` and `timeout_timeline`
-//! sections):
+//! The whole run is one discrete-event simulation on the overlay's event
+//! timeline:
 //!
 //! 1. The trace is materialised up front ([`p2pmpi_bench::workload::day_trace`]):
 //!    arrival instants from the piecewise-rate profile, job shapes (rank
@@ -36,9 +33,10 @@
 //!    reservation-expiry sweeps, churn — so the allocator sees exactly the
 //!    overlay state a live system would have at that instant.
 //! 3. The job is submitted through `CoAllocator::allocate`.  The brokering
-//!    step is event-driven: every reservation request arms a timeout event
-//!    that the simulated reply cancels, so the clock genuinely waits out
-//!    dead peers' timeouts.  On success the job's **modeled** kernel
+//!    step runs on the timeline: a reservation request to a dead peer (or
+//!    over a link too slow to answer in time) arms a timeout event, so the
+//!    clock genuinely waits it out, while an alive peer's in-time reply is
+//!    decided at send.  On success the job's **modeled** kernel
 //!    duration (the LogGP analytical backend on the job's real placement)
 //!    is charged as a hold, and an `Overlay::schedule_completion` event
 //!    frees the booked hosts when it elapses.  On refusal (gatekeepers
@@ -51,8 +49,7 @@
 //! one virtual hour at ~1k jobs — the CI smoke configuration.  `--churn F`
 //! adds the dead-peer flapping scenario (fraction `F` of peers on the
 //! default down/up cycle, compressed with the profile): booked-but-dead
-//! peers park full `rs_timeout` stalls on the timeline, the timeout-heavy
-//! population the ladder queue exists for.
+//! peers park full `rs_timeout` stalls on the timeline.
 
 use p2pmpi_bench::cliargs::{day_sweep_flags, DaySweepFlags};
 use p2pmpi_bench::workload::{
@@ -83,7 +80,6 @@ fn config_for(strategy: StrategyKind, flags: &DaySweepFlags) -> DaySweepConfig {
         None => DaySweepConfig::new(strategy),
     };
     cfg.seed = flags.seed;
-    cfg.queue = flags.queue;
     if let Some(f) = flags.compress {
         // Compresses the churn cycle and refresh cadence along with the
         // profile, preserving the per-job timeout pressure.
@@ -198,10 +194,9 @@ fn main() {
     for (name, strategy) in strategies {
         let cfg = config_for(strategy, &flags);
         eprintln!(
-            "# {name} day sweep: ~{:.0} jobs over {:.0}s virtual, queue={:?}, seed={}",
+            "# {name} day sweep: ~{:.0} jobs over {:.0}s virtual, seed={}",
             cfg.profile.expected_jobs(),
             cfg.profile.horizon().as_secs_f64(),
-            cfg.queue,
             cfg.seed,
         );
         let start = Instant::now();

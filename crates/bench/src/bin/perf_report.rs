@@ -2,7 +2,7 @@
 //!
 //! Measures the co-allocation hot path on the warm Grid'5000 testbed and
 //! writes `BENCH_hotpath.json` so successive PRs accumulate a perf
-//! trajectory.  Twelve measurements:
+//! trajectory.  Ten measurements:
 //!
 //! 1. **ranking** — walking the booking order of a warm 349-peer cache via
 //!    the incremental index versus the seed's naive sort-per-read.
@@ -20,27 +20,15 @@
 //!    block sizes the model approximates as balanced — to
 //!    [`IS_DIVERGENCE_TOLERANCE`]; the report **exits non-zero** if either
 //!    bound is violated), plus modeled-sweep throughput at 1k–2k ranks.
-//! 5. **sweep_engine** — wall time of the day-scale submission trace
-//!    (compressed to ~2h virtual / ~1.8k jobs) on the overlay's event
-//!    timeline, binary heap vs ladder queue, best of [`QUEUE_ROUNDS`]
-//!    interleaved rounds.  The ladder queue is the sweep default, so the
-//!    report **exits non-zero** if it loses to the heap by more than the
-//!    documented [`SWEEP_ENGINE_NOISE_MARGIN`] (the trace's wall time is
-//!    dominated by the co-allocations themselves, identical under either
-//!    kind, so the margin only absorbs scheduler noise and the structures'
-//!    small-population constant factors).
-//! 6. **timeout_timeline** — the headline numbers of the event-driven
-//!    brokering step: the **full** `paper_day()` trace (~21.7k jobs) with
-//!    one armed-then-cancelled timeout event per reservation request
-//!    (~1.6M timeline events), on both queue kinds, under the same
-//!    default-within-noise-of-the-best gate.  The best queue
-//!    must stay within [`TIMEOUT_TIMELINE_LIMIT`]× of
-//!    [`ANALYTICAL_DAY_WALL_MS`] — the same day measured when timeouts
-//!    were charged analytically off-timeline — or the report exits
-//!    non-zero.  The section also asserts the brokering scratch and event
-//!    store reached an allocation-free steady state
-//!    (`DaySweepResult::steady_state_alloc_free`).
-//! 7. **placement_search** — the model-driven placement search
+//! 5. **churn_day** — the dead-peer day as the benchmark ships it
+//!    ([`DaySweepConfig::dead_peer_day`] under concentrate, compressed 12×;
+//!    24× at a quarter of the arrival rate under `--test`): flapping peers
+//!    keep getting re-booked while dead, so thousands of reservation
+//!    timeouts fire on the timeline.  The report **exits non-zero** unless
+//!    the brokering scratch and the event store reached an allocation-free
+//!    steady state (`DaySweepResult::steady_state_alloc_free`).  A gate
+//!    only: its numbers go to stderr, not to the JSON report.
+//! 6. **placement_search** — the model-driven placement search
 //!    (`p2pmpi_bench::search` over `p2pmpi_mpi::model::PlacementCost`).
 //!    Four gates, all **exit non-zero** when violated: (a) a move (one
 //!    full evaluator pass) must be at least
@@ -55,7 +43,7 @@
 //!    1024-rank, 10k-move, 4-chain EP search must finish within
 //!    [`PLACEMENT_SEARCH_WALL_BUDGET_S`] seconds of wall time (full runs
 //!    only; `--test` runs (a)–(c) at reduced scale).
-//! 8. **is_search** — the ring-dominated IS schedule at 1024 ranks through
+//! 7. **is_search** — the ring-dominated IS schedule at 1024 ranks through
 //!    the same evaluator: a move must be at least
 //!    [`IS_SEARCH_DELTA_SPEEDUP_MIN`]× cheaper than a full replay (the
 //!    pooled integer transfer tables versus per-receive float costing, and
@@ -71,37 +59,29 @@
 //!    [`IS_SEARCH_UNIFORM_SAVINGS_MIN`]× over the per-rank `PerSrc`
 //!    layout it would otherwise occupy.  All **exit non-zero** when
 //!    violated.
-//! 9. **scenario_matrix** — the fault-injection scenario matrix
+//! 8. **scenario_matrix** — the fault-injection scenario matrix
 //!    (`p2pmpi_bench::scenario`) at the CI scale (compress 24, rate scale
 //!    0.05): every scenario's graceful-degradation verdict must pass —
 //!    zero leaked grants on the standard day, utilisation recovery after a
 //!    correlated site outage, stale-view brokering through a supernode
 //!    crash, eager reclamation under grant-leak stress — or the report
 //!    **exits non-zero**.
-//! 10. **skewed dead-peer trace** (inside `timeout_timeline`) — the
-//!     churn-heavy [`DaySweepConfig::dead_peer_day`] scenario compressed
-//!     12×: thousands of reservation timeouts whose 2 s windows ride on
-//!     millisecond replies and hour-scale completions, the trimodal skew
-//!     [`QueueKind::Ladder`] is the sweep default for.  Same gate as the
-//!     other two queue sections: the ladder must stay within
-//!     [`SWEEP_ENGINE_NOISE_MARGIN`] of the best kind, or the report exits
-//!     non-zero.
-//! 11. **sustained_throughput** — the sharded week-scale driver
-//!     (`p2pmpi_bench::shard`, the `week_sweep` binary): the paper day
-//!     tiled across seven days and replayed over [`SUSTAINED_SHARDS`]
-//!     site-aligned shard timelines, parallel versus the bit-identical
-//!     single-thread driver, in alternating pairs.  Records the median
-//!     walls, sustained events/s, jobs/s, the wall-clock speedup, the
-//!     machine's hardware-thread count and a `verdict`.  The driver runs
-//!     on one lane per hardware thread (at most one per shard), so the one
-//!     gate is relative and holds on any machine: with two or more
-//!     hardware threads the parallel driver must reach
-//!     [`SUSTAINED_MIN_SPEEDUP`] of `parallel = false` (`pass` / `fail`);
-//!     with one the two are the same code on the same thread.
-//!     Full runs additionally compare sustained events/s against the
-//!     `previous` trajectory block of the existing report and **exit
-//!     non-zero** on a drop of more than [`SUSTAINED_DROP_LIMIT`].
-//! 12. **online_placement** — the day sweep's `searched` booking strategy
+//! 9. **sustained_throughput** — the sharded week-scale driver
+//!    (`p2pmpi_bench::shard`, the `week_sweep` binary): the paper day
+//!    tiled across seven days and replayed over [`SUSTAINED_SHARDS`]
+//!    site-aligned shard timelines, parallel versus the bit-identical
+//!    single-thread driver, in alternating pairs.  Records the median
+//!    walls, sustained events/s, jobs/s, the wall-clock speedup, the
+//!    machine's hardware-thread count and a `verdict`.  The driver runs
+//!    on one lane per hardware thread (at most one per shard), so the one
+//!    gate is relative and holds on any machine: with two or more
+//!    hardware threads the parallel driver must reach
+//!    [`SUSTAINED_MIN_SPEEDUP`] of `parallel = false` (`pass` / `fail`);
+//!    with one the two are the same code on the same thread.
+//!    Full runs additionally compare sustained events/s against the
+//!    `previous` trajectory block of the existing report and **exit
+//!    non-zero** on a drop of more than [`SUSTAINED_DROP_LIMIT`].
+//! 10. **online_placement** — the day sweep's `searched` booking strategy
 //!     (`StrategyKind::Searched` through `SweepCore`): every arrival
 //!     re-runs the annealing search over the grid's current free cores on
 //!     a fresh `PlacementCost` + Fenwick free-slot index, seeded from its
@@ -116,31 +96,22 @@
 //! Usage:
 //! `cargo run --release -p p2pmpi-bench --bin perf_report [out.json] [--seed-allocate-ns N] [--test]`
 //!
-//! `--test` runs only the queue-sensitive sections (5–6, 10), the
-//! placement-search, is-search and online-placement sections (7–8, 12) at
-//! reduced scale, the scenario matrix (9) and the sustained
-//! sharded-throughput section (11) at its CI-smoke scale, with the same
-//! *relative* gates (sweep default within noise of the best queue on all
-//! three traces, allocation-free steady state, move-vs-replay speedups,
-//! ring cache ceiling and Uniform savings, search quality, the
-//! searched-day improvement, every scenario verdict, the shard lanes not
-//! losing to one thread) — the CI smoke.
-//! Machine-absolute gates (the analytical-day baseline, the search wall
-//! budgets, the sustained-trajectory drop limit) only apply to the full
-//! run, and `--test` never writes the JSON report.
+//! `--test` runs only the churn day (5), the placement-search, is-search
+//! and online-placement sections (6–7, 10) at reduced scale, the scenario
+//! matrix (8) and the sustained sharded-throughput section (9) at its
+//! CI-smoke scale, with the same *relative* gates (allocation-free steady
+//! state, move-vs-replay speedups, ring cache ceiling and Uniform savings,
+//! search quality, the searched-day improvement, every scenario verdict,
+//! the shard lanes not losing to one thread) — the CI smoke.
+//! Machine-absolute gates (the search wall budgets, the
+//! sustained-trajectory drop limit) only apply to the full run, and
+//! `--test` never writes the JSON report.
 //!
 //! Each JSON section carries a `"previous"` block holding the prior
 //! report's headline numbers for that section (string-scanned from the
 //! existing out file — the workspace deliberately vendors no JSON parser —
 //! or `null` on the first run), so the committed report is a perf
 //! *trajectory*, not just a snapshot.
-//!
-//! `Overlay::rs_send` decides an alive peer's in-time exchange at send:
-//! the warm brokering path arms no timeout and schedules no per-reply
-//! delivery (one event resolves the round); the `timeout_timeline`
-//! sections pin that **off** so they keep measuring the armed machinery
-//! they exist for, and `allocate_warm` reports the µs/job it reclaims on
-//! the warm single-job path.
 //!
 //! The seed baseline defaults to the median of five runs of the seed tree
 //! (commit `fa2eb37`, rebuilt with this workspace's manifests and vendored
@@ -167,7 +138,6 @@ use p2pmpi_grid5000::sites::{scaled_table1, skewed_table1};
 use p2pmpi_grid5000::testbed::{grid5000_testbed, topology_from_specs, Grid5000Testbed};
 use p2pmpi_mpi::model::{Move, PlacementCost};
 use p2pmpi_simgrid::compute::ComputeModel;
-use p2pmpi_simgrid::event::QueueKind;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::rngutil::seeded;
@@ -233,10 +203,8 @@ fn measure_ranking(tb: &Grid5000Testbed) -> (f64, f64) {
     (naive_ns, incremental_ns)
 }
 
-/// Returns (tracing-off ns/job with exchanges decided at send, tracing-on
-/// ns/job, tracing-off ns/job with every reservation parking its own
-/// timeout and reply events).
-fn measure_allocate(tb: &mut Grid5000Testbed) -> (f64, f64, f64) {
+/// Returns (tracing-off ns/job, tracing-on ns/job).
+fn measure_allocate(tb: &mut Grid5000Testbed) -> (f64, f64) {
     let allocator = CoAllocator::new();
     let request = JobRequest::new(100, StrategyKind::Concentrate, "hostname");
 
@@ -252,21 +220,6 @@ fn measure_allocate(tb: &mut Grid5000Testbed) -> (f64, f64, f64) {
     }
     let off_ns = ns_per_iter(start.elapsed().as_nanos(), ALLOC_JOBS);
 
-    // The armed path: what the same warm jobs cost when every reservation
-    // parks (and then cancels) a timeout event and gets its reply as an
-    // event of its own — the µs/job that deciding exchanges at send
-    // reclaims.
-    tb.overlay.set_rs_timeout_fast_path(false);
-    for _ in 0..10 {
-        submit_one(tb, &allocator, &request);
-    }
-    let start = Instant::now();
-    for _ in 0..ALLOC_JOBS {
-        submit_one(tb, &allocator, &request);
-    }
-    let armed_ns = ns_per_iter(start.elapsed().as_nanos(), ALLOC_JOBS);
-    tb.overlay.set_rs_timeout_fast_path(true);
-
     tb.overlay.tracer().set_enabled(true);
     let start = Instant::now();
     for _ in 0..ALLOC_JOBS {
@@ -276,7 +229,7 @@ fn measure_allocate(tb: &mut Grid5000Testbed) -> (f64, f64, f64) {
     tb.overlay.tracer().clear();
     tb.overlay.tracer().set_enabled(false);
 
-    (off_ns, on_ns, armed_ns)
+    (off_ns, on_ns)
 }
 
 /// The machine's hardware-thread count, recorded next to every best-of
@@ -332,159 +285,49 @@ fn measure_modeled_sweep(kernel: Fig4Kernel, ranks: u32, settings: &Fig4Settings
     (points[0].makespan.as_secs_f64(), wall_ms)
 }
 
-/// Noise margin for the sweep-default queue gates: the ladder must not lose
-/// to the heap by more than this on any of the three traces.  The binary
-/// heap genuinely runs ~5–15% ahead on the standard (non-churn) ones —
-/// O(log n) with tiny constants is hard to beat while the pending
-/// population is only a few hundred events — and shared-runner scheduling
-/// noise adds several percent more, so the margin is deliberately generous:
-/// its job is to catch *structural* regressions of the ladder (which
-/// present as 2×+), not to relitigate the small-population constant factors
-/// documented in `simgrid::event`.
-const SWEEP_ENGINE_NOISE_MARGIN: f64 = 0.25;
-
-/// Interleaved rounds each queue section takes its best-of walls from.
-const QUEUE_ROUNDS: usize = 3;
-
-/// Wall time of the *analytical-timeout* full `paper_day()` concentrate
-/// sweep — the same trace `timeout_timeline` replays, measured at commit
-/// `b805ba5` (the last tree where `rs_request` charged `rs_timeout`
-/// analytically off-timeline and the timeline carried ~19k events instead
-/// of ~1.6M), best of 3 on this machine on its best queue configuration of
-/// the time.  Putting every reservation's timeout on the
-/// timeline must not cost more than [`TIMEOUT_TIMELINE_LIMIT`]× this.
-const ANALYTICAL_DAY_WALL_MS: f64 = 1085.0;
-
-/// Allowed slowdown of the event-driven full day vs the analytical
-/// baseline, on the best queue.
-const TIMEOUT_TIMELINE_LIMIT: f64 = 1.5;
-
-/// Best-of-[`QUEUE_ROUNDS`] interleaved wall times of `cfg` per queue kind,
-/// `[heap, ladder]`; returns the walls and the last (ladder) result
-/// (outcomes are bit-identical across kinds — pinned by
-/// `crates/bench/tests/day_sweep.rs` — so one result describes both).
-fn measure_two_way(cfg: &DaySweepConfig) -> ([f64; 2], DaySweepResult) {
-    let mut best = [f64::INFINITY; 2];
-    let mut last = None;
-    for _ in 0..QUEUE_ROUNDS {
-        for (wall, kind) in best
-            .iter_mut()
-            .zip([QueueKind::BinaryHeap, QueueKind::Ladder])
-        {
-            let mut cfg = cfg.clone();
-            cfg.queue = kind;
-            let start = Instant::now();
-            let result = run_day_sweep(&cfg);
-            *wall = wall.min(start.elapsed().as_secs_f64() * 1e3);
-            last = Some(result);
-        }
-    }
-    (best, last.expect("at least one round ran"))
-}
-
-/// The reduced day trace the sweep-engine comparison replays: the paper-day
-/// burst shape compressed to ~2 h virtual at ~1.8k jobs.
-fn sweep_engine_config() -> DaySweepConfig {
-    let mut cfg = DaySweepConfig::new(StrategyKind::Concentrate).compress(12.0);
-    cfg.profile = cfg.profile.scaled(1.8 / 21.7); // ~1.8k of the day's ~21.7k jobs
-    cfg
-}
-
-/// The full-scale timeout-timeline trace (the whole paper day), or its
-/// reduced `--test` shape (~5.4k jobs in one virtual hour).
-fn timeout_timeline_config(test_mode: bool) -> DaySweepConfig {
-    let mut cfg = DaySweepConfig::new(StrategyKind::Concentrate);
-    // This section measures the armed per-reservation timeout machinery, so
-    // the alive-peer fast path (which would skip nearly every arm on the
-    // warm day) is pinned off.
-    cfg.rs_timeout_fast_path = false;
+/// The churn day as the benchmark ships it: [`DaySweepConfig::dead_peer_day`]
+/// under concentrate compressed 12× (the `day_churn` workload), or 24× at a
+/// quarter of the arrival rate for `--test`.
+fn churn_day_config(test_mode: bool) -> DaySweepConfig {
+    let cfg = DaySweepConfig::dead_peer_day(StrategyKind::Concentrate);
     if test_mode {
-        cfg = cfg.compress(24.0);
+        let mut cfg = cfg.compress(24.0);
         cfg.profile = cfg.profile.scaled(0.25);
-    }
-    cfg
-}
-
-/// The skewed dead-peer trace: the full churn-heavy day compressed 12× (so
-/// thousands of 2 s timeout windows overlap millisecond replies and
-/// hour-scale completions), or its reduced `--test` shape.
-fn skewed_trace_config(test_mode: bool) -> DaySweepConfig {
-    let mut cfg = DaySweepConfig::dead_peer_day(StrategyKind::Concentrate);
-    if test_mode {
-        cfg = cfg.compress(24.0);
-        cfg.profile = cfg.profile.scaled(0.25);
+        cfg
     } else {
-        cfg = cfg.compress(12.0);
+        cfg.compress(12.0)
     }
-    cfg
 }
 
-/// Everything the queue-sensitive sections (5, 6, 10) measure; gathered the
-/// same way in full and `--test` runs so the relative gates are shared.
-/// Walls are `[heap, ladder]`.
-struct QueueSections {
-    sweep_walls: [f64; 2],
-    sweep_jobs: usize,
-    timeline_walls: [f64; 2],
-    timeline: DaySweepResult,
-    skewed_walls: [f64; 2],
-    skewed: DaySweepResult,
-}
-
-fn measure_queue_sections(test_mode: bool) -> QueueSections {
-    eprintln!("measuring day-trace sweep engine, heap vs ladder (best of {QUEUE_ROUNDS} interleaved rounds)...");
-    let (sweep_walls, sweep_result) = measure_two_way(&sweep_engine_config());
+/// Runs the churn day once and prints its headline numbers.
+fn measure_churn_day(test_mode: bool) -> DaySweepResult {
+    eprintln!("measuring the churn day (dead-peer flapping, compressed)...");
+    let start = Instant::now();
+    let result = run_day_sweep(&churn_day_config(test_mode));
     eprintln!(
-        "measuring timeout timeline ({} paper day, ~{:.0} jobs, every reservation's timeout on the timeline)...",
-        if test_mode { "reduced" } else { "FULL" },
-        timeout_timeline_config(test_mode).profile.expected_jobs(),
+        "churn_day ({} jobs, {} reservation timeouts, {} events): {:.1} ms",
+        result.submitted,
+        result.timeouts,
+        result.events_processed,
+        start.elapsed().as_secs_f64() * 1e3
     );
-    let (timeline_walls, timeline) = measure_two_way(&timeout_timeline_config(test_mode));
-    eprintln!("measuring skewed dead-peer trace (flapping churn, compressed)...");
-    let (skewed_walls, skewed) = measure_two_way(&skewed_trace_config(test_mode));
-    QueueSections {
-        sweep_walls,
-        sweep_jobs: sweep_result.submitted,
-        timeline_walls,
-        timeline,
-        skewed_walls,
-        skewed,
-    }
+    result
 }
 
-/// The relative gates shared by full and `--test` runs.  Returns true if
-/// anything drifted (the caller exits non-zero).
-fn check_queue_gates(q: &QueueSections) -> bool {
-    let mut drifted = false;
-    for (trace, walls) in [
-        ("day trace", q.sweep_walls),
-        ("timeout timeline", q.timeline_walls),
-        ("skewed dead-peer trace", q.skewed_walls),
-    ] {
-        let [heap, ladder] = walls;
-        if ladder > heap * (1.0 + SWEEP_ENGINE_NOISE_MARGIN) {
-            eprintln!(
-                "FAIL: the sweep default (ladder, {ladder:.1} ms) lost to the heap \
-                 ({heap:.1} ms) past the {SWEEP_ENGINE_NOISE_MARGIN} noise margin on the {trace}"
-            );
-            drifted = true;
-        }
-    }
-    for (name, result) in [
-        ("timeout timeline", &q.timeline),
-        ("skewed trace", &q.skewed),
-    ] {
-        if !result.steady_state_alloc_free() {
-            eprintln!(
-                "FAIL: {name} brokering re-allocated past the mid-trace high-water mark \
-                 (events {} -> {}, scratch {} -> {})",
-                result.events_capacity_mid,
-                result.events_capacity_end,
-                result.rs_scratch_capacity_mid,
-                result.rs_scratch_capacity_end
-            );
-            drifted = true;
-        }
+/// The churn-day gate shared by full and `--test` runs: brokering under
+/// timeout churn must reach an allocation-free steady state.  Returns true
+/// if it did not (the caller exits non-zero).
+fn check_churn_day_gate(result: &DaySweepResult) -> bool {
+    let drifted = !result.steady_state_alloc_free();
+    if drifted {
+        eprintln!(
+            "FAIL: churn-day brokering re-allocated past the mid-trace high-water mark \
+             (events {} -> {}, scratch {} -> {})",
+            result.events_capacity_mid,
+            result.events_capacity_end,
+            result.rs_scratch_capacity_mid,
+            result.rs_scratch_capacity_end
+        );
     }
     drifted
 }
@@ -1299,27 +1142,9 @@ fn main() {
     }
 
     if test_mode {
-        // CI smoke: the queue-sensitive sections and the placement search,
-        // reduced scale, the relative gates, no report file.
-        let q = measure_queue_sections(true);
-        eprintln!(
-            "sweep_engine (reduced, {} jobs): heap {:.1} ms, ladder {:.1} ms",
-            q.sweep_jobs, q.sweep_walls[0], q.sweep_walls[1]
-        );
-        eprintln!(
-            "timeout_timeline (reduced, {} jobs, {} reservation timeouts, {} events): \
-             heap {:.1} ms, ladder {:.1} ms",
-            q.timeline.submitted,
-            q.timeline.timeouts,
-            q.timeline.events_processed,
-            q.timeline_walls[0],
-            q.timeline_walls[1]
-        );
-        eprintln!(
-            "skewed dead-peer trace (reduced, {} jobs, {} reservation timeouts): \
-             heap {:.1} ms, ladder {:.1} ms",
-            q.skewed.submitted, q.skewed.timeouts, q.skewed_walls[0], q.skewed_walls[1]
-        );
+        // CI smoke: the churn day and the placement search, reduced
+        // scale, the relative gates, no report file.
+        let churn = measure_churn_day(true);
         let ps = measure_placement_search(true);
         eprintln!(
             "placement_search (reduced): move {:.0} ns vs replay {:.0} ns ({:.1}x), \
@@ -1406,7 +1231,7 @@ fn main() {
         // smoke run also catches recovery-time regressions vs the tracked
         // trajectory (silently skipped when no prior report exists).
         let prior = std::fs::read_to_string(&out_path).ok();
-        let drifted = check_queue_gates(&q)
+        let drifted = check_churn_day_gate(&churn)
             | check_placement_search_gates(&ps)
             | check_is_search_gates(&is_search)
             | check_online_placement_gates(&op)
@@ -1417,7 +1242,7 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "perf_report --test: all queue, placement-search, is-search, online-placement, \
+            "perf_report --test: all churn-day, placement-search, is-search, online-placement, \
              scenario and sustained-throughput gates passed"
         );
         return;
@@ -1432,7 +1257,7 @@ fn main() {
     let (naive_ns, incremental_ns) = measure_ranking(&tb);
 
     eprintln!("measuring warm allocate ({ALLOC_JOBS} jobs per variant)...");
-    let (off_ns, on_ns, armed_ns) = measure_allocate(&mut tb);
+    let (off_ns, on_ns) = measure_allocate(&mut tb);
 
     eprintln!("measuring Poisson job sweep ({SWEEP_JOBS} jobs, best of 3 rounds)...");
     let (sweep_wall_ms, sweep_jobs_per_sec) = measure_sweep(&mut tb, 3);
@@ -1454,7 +1279,7 @@ fn main() {
     let (is_sweep_virtual_s, is_sweep_wall_ms) =
         measure_modeled_sweep(Fig4Kernel::Is, 1024, &sweep_settings);
 
-    let q = measure_queue_sections(false);
+    let churn = measure_churn_day(false);
     let ps = measure_placement_search(false);
     let is_search = measure_is_search(false);
     let op = measure_online_placement(false);
@@ -1481,13 +1306,6 @@ fn main() {
         ],
     );
     let poisson_prev = previous_block(prior, "job_sweep_poisson", &["wall_ms", "jobs_per_sec"]);
-    let sweep_engine_prev =
-        previous_block(prior, "sweep_engine", &["heap_wall_ms", "ladder_wall_ms"]);
-    let timeline_prev = previous_block(
-        prior,
-        "timeout_timeline",
-        &["best_wall_ms", "ladder_wall_ms", "best_vs_baseline"],
-    );
     let scenario_prev = previous_block(
         prior,
         "scenario_matrix",
@@ -1535,17 +1353,9 @@ fn main() {
             "parallel_wall_ms",
         ],
     );
-    let [sweep_heap_ms, sweep_lad_ms] = q.sweep_walls;
-    let sweep_engine_jobs = q.sweep_jobs;
-    let [day_heap_ms, day_lad_ms] = q.timeline_walls;
-    let day_best_ms = day_heap_ms.min(day_lad_ms);
-    let day_best_vs_baseline = day_best_ms / ANALYTICAL_DAY_WALL_MS;
-    let [skewed_heap_ms, skewed_lad_ms] = q.skewed_walls;
-    let day_alloc_free = q.timeline.steady_state_alloc_free() && q.skewed.steady_state_alloc_free();
 
     let ranking_speedup = naive_ns / incremental_ns.max(1.0);
     let alloc_speedup = seed_allocate_ns / off_ns.max(1.0);
-    let fastpath_reclaimed_us = (armed_ns - off_ns) / 1e3;
     // The standard-grid search cases as a JSON array (the case list differs
     // between full and --test runs, so it is assembled, not templated).
     let search_cases_json = ps
@@ -1681,12 +1491,6 @@ fn main() {
         .collect::<Vec<_>>()
         .join("\n");
     let scenario_all_passed = scenario_verdicts.iter().all(|v| v.passed());
-    let day_jobs = q.timeline.submitted;
-    let day_timeouts = q.timeline.timeouts;
-    let day_events = q.timeline.events_processed;
-    let skewed_jobs = q.skewed.submitted;
-    let skewed_timeouts = q.skewed.timeouts;
-    let skewed_events = q.skewed.events_processed;
     let sus_shards = sus.shards;
     let sus_hw = sus.hw_threads;
     let sus_rate = sus.rate_scale;
@@ -1721,12 +1525,6 @@ fn main() {
     "after_tracing_off_ns_per_job": {off_ns:.0},
     "after_tracing_on_ns_per_job": {on_ns:.0},
     "speedup_tracing_off_vs_seed": {alloc_speedup:.2},
-    "warm_fastpath": {{
-      "description": "exchanges decided at send: for an alive peer whose reply is bound to beat rs_timeout, rs_send arms no timeout and schedules no delivery of its own - one event per round delivers every decided reply at the latest arrival instant (outcome-invariant, events_processed included, pinned by day_sweep tests); armed = the same warm jobs with set_rs_timeout_fast_path(false), every request parking its own timeout and reply events; reclaimed = armed - fastpath, what deciding at send saves per warm 100-process job (the arm/cancel pair and the per-reply push/pop/dispatch)",
-      "armed_ns_per_job": {armed_ns:.0},
-      "fastpath_ns_per_job": {off_ns:.0},
-      "reclaimed_us_per_job": {fastpath_reclaimed_us:.1}
-    }},
     "previous": {alloc_prev}
   }},
   "job_sweep_poisson": {{
@@ -1763,37 +1561,6 @@ fn main() {
       "is_virtual_s": {is_sweep_virtual_s:.3},
       "is_wall_ms": {is_sweep_wall_ms:.1}
     }}
-  }},
-  "sweep_engine": {{
-    "description": "day-trace sweep harness (fig23_sweep driver, paper-day profile compressed to ~2h virtual) on the overlay's event timeline, heap vs ladder, best of {QUEUE_ROUNDS} interleaved rounds; fails non-zero if the ladder (the sweep default) loses to the heap past the noise margin",
-    "jobs": {sweep_engine_jobs},
-    "heap_wall_ms": {sweep_heap_ms:.1},
-    "ladder_wall_ms": {sweep_lad_ms:.1},
-    "noise_margin": {SWEEP_ENGINE_NOISE_MARGIN},
-    "previous": {sweep_engine_prev}
-  }},
-  "timeout_timeline": {{
-    "description": "the FULL paper_day() concentrate trace with per-reservation timeout events: every rs_request arms a timeout on the timeline that the simulated reply cancels, so the engine delivers ~80x more events than the analytical-timeout day did; the best queue must stay within limit_vs_baseline of the analytical day's wall time (measured at commit b805ba5, same machine/methodology) and the brokering bookkeeping must be allocation-free past its mid-trace high-water mark — either violation fails non-zero",
-    "jobs": {day_jobs},
-    "reservation_timeouts": {day_timeouts},
-    "timeline_events": {day_events},
-    "baseline_analytical_wall_ms": {ANALYTICAL_DAY_WALL_MS},
-    "limit_vs_baseline": {TIMEOUT_TIMELINE_LIMIT},
-    "heap_wall_ms": {day_heap_ms:.1},
-    "ladder_wall_ms": {day_lad_ms:.1},
-    "best_wall_ms": {day_best_ms:.1},
-    "best_vs_baseline": {day_best_vs_baseline:.3},
-    "steady_state_alloc_free": {day_alloc_free},
-    "skewed_dead_peer_trace": {{
-      "description": "the churn-heavy dead_peer_day scenario compressed 12x: flapping peers keep getting re-booked, so thousands of 2 s timeout windows ride on millisecond replies and hour-scale completions; the trimodal skew the ladder's rung refinement is the sweep default for; the ladder must stay within noise_margin of the best kind — fails non-zero otherwise",
-      "jobs": {skewed_jobs},
-      "reservation_timeouts": {skewed_timeouts},
-      "timeline_events": {skewed_events},
-      "heap_wall_ms": {skewed_heap_ms:.1},
-      "ladder_wall_ms": {skewed_lad_ms:.1},
-      "noise_margin": {SWEEP_ENGINE_NOISE_MARGIN}
-    }},
-    "previous": {timeline_prev}
   }},
   "scenario_matrix": {{
     "description": "fault-injection scenario matrix (p2pmpi_bench::scenario, the scenario_runner binary) at the CI scale: each scenario replays the compressed day with one named adversity (correlated site or rack outage, 10x flash crowd, link degradation, supernode crash, grant-leak stress, composed outage-in-crowd at the nominal and adversarially-searched phase) and is judged against explicit graceful-degradation criteria plus per-scenario recovery-time SLOs; any failed verdict fails non-zero, and a recovery time more than 20% past the previous block's trips the trend gate",
@@ -1951,9 +1718,8 @@ fn main() {
         );
         drifted = true;
     }
-    // The relative queue gates (the sweep default within noise of the best
-    // kind on every trace, allocation-free brokering) …
-    drifted |= check_queue_gates(&q);
+    // The churn day's allocation-free brokering …
+    drifted |= check_churn_day_gate(&churn);
     // … the placement-search gates (move speedup, search quality, the
     // skewed-grid margin, the wall budget) …
     drifted |= check_placement_search_gates(&ps);
@@ -1982,16 +1748,6 @@ fn main() {
             );
             drifted = true;
         }
-    }
-    // … plus the machine-absolute one only the full run can judge: putting
-    // every reservation's timeout on the timeline must not cost more than
-    // TIMEOUT_TIMELINE_LIMIT× the analytical-timeout day on the best queue.
-    if day_best_ms > ANALYTICAL_DAY_WALL_MS * TIMEOUT_TIMELINE_LIMIT {
-        eprintln!(
-            "FAIL: event-driven full day ({day_best_ms:.1} ms on its best queue) exceeded \
-             {TIMEOUT_TIMELINE_LIMIT}x the analytical-timeout baseline ({ANALYTICAL_DAY_WALL_MS} ms)"
-        );
-        drifted = true;
     }
     if drifted {
         std::process::exit(1);

@@ -4,8 +4,7 @@
 //! ```text
 //! cargo run --release -p p2pmpi-bench --bin scenario_runner -- \
 //!     (--all | --scenario NAME) [--compress F] [--rate-scale F] \
-//!     [--seed N] [--queue ladder|heap] \
-//!     [--strategy spread|concentrate|searched|balanced:<k>]
+//!     [--seed N] [--strategy spread|concentrate|searched|balanced:<k>]
 //! ```
 //!
 //! Each scenario replays a day-scale submission trace with one named
@@ -23,7 +22,7 @@
 //! one virtual hour — the CI configuration.  `--rate-scale` defaults to
 //! 0.05 (~1.1k jobs per day-equivalent).
 
-use p2pmpi_bench::cliargs::{flag_f64, flag_present, flag_u64, flag_value, parse_queue_kind};
+use p2pmpi_bench::cliargs::{flag_f64, flag_present, flag_u64, flag_value};
 use p2pmpi_bench::par_map;
 use p2pmpi_bench::scenario::{run_scenario, Scenario, ScenarioParams, ALL_SCENARIOS};
 use std::time::Instant;
@@ -31,7 +30,7 @@ use std::time::Instant;
 fn usage() -> ! {
     eprintln!(
         "usage: scenario_runner (--all | --scenario NAME) [--compress F] [--rate-scale F] \
-         [--seed N] [--queue ladder|heap] [--strategy NAME]\n\nscenarios:"
+         [--seed N] [--strategy NAME]\n\nscenarios:"
     );
     for s in ALL_SCENARIOS {
         eprintln!("  {:<18} {}", s.name(), s.summary());
@@ -67,12 +66,6 @@ fn main() {
     }
     if let Some(s) = flag_u64("--seed") {
         params.seed = s;
-    }
-    if let Some(q) = flag_value("--queue") {
-        params.queue = parse_queue_kind(&q).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        });
     }
     if let Some(s) = flag_value("--strategy") {
         match s.parse() {

@@ -5,9 +5,8 @@
 //! ```text
 //! cargo run --release -p p2pmpi-bench --bin week_sweep -- \
 //!     [--shards N] [--days N] [--cross-fraction F] \
-//!     [--strategy concentrate|spread] [--queue ladder|heap] \
-//!     [--seed N] [--compress F] [--rate-scale F] \
-//!     [--sequential] [--baseline]
+//!     [--strategy concentrate|spread] [--seed N] [--compress F] \
+//!     [--rate-scale F] [--sequential] [--baseline]
 //! ```
 //!
 //! The full week at 10× traffic (`--rate-scale 10`, ~1.5M jobs) is the
@@ -36,7 +35,6 @@ fn config_for(flags: &WeekSweepFlags) -> ShardSweepConfig {
     };
     let mut base = DaySweepConfig::new(strategy);
     base.seed = flags.seed;
-    base.queue = flags.queue;
     if flags.days == 0 {
         eprintln!("--days must be >= 1");
         std::process::exit(2);
@@ -79,11 +77,9 @@ fn print_result(label: &str, r: &ShardSweepResult) {
         m.shapes_costed, m.succeeded
     );
     println!(
-        "events\t{}\tvirtual_end\t{:.0}s\treaped\t{}\tdead_hwm\t{}",
+        "events\t{}\tvirtual_end\t{:.0}s",
         m.events_processed,
-        m.virtual_end.as_secs_f64(),
-        m.reaped_tickets,
-        m.dead_ticket_hwm
+        m.virtual_end.as_secs_f64()
     );
     print!("# work_share");
     for (site, share) in m.site_names.iter().zip(m.site_work_share()) {

@@ -1,6 +1,5 @@
 //! Tiny command-line flag helpers shared by the experiment binaries.
 
-use p2pmpi_simgrid::event::QueueKind;
 use std::str::FromStr;
 
 /// Exits with status 2 on a flag error: a run launched with `--seed 2oo8`
@@ -68,21 +67,6 @@ pub fn flag_f64(flag: &str) -> Option<f64> {
 /// True if `flag` appears on the command line.
 pub fn flag_present(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
-}
-
-/// Parses a `--queue` value: `heap` or `ladder`.
-pub fn parse_queue_kind(value: &str) -> Result<QueueKind, String> {
-    match value {
-        "heap" => Ok(QueueKind::BinaryHeap),
-        "ladder" => Ok(QueueKind::Ladder),
-        other => Err(format!("unknown --queue {other:?} (expected heap|ladder)")),
-    }
-}
-
-/// The `--queue` flag of the sweep binaries (default ladder); a value
-/// [`parse_queue_kind`] rejects ends the process with status 2.
-fn queue_flag() -> QueueKind {
-    flag_value("--queue").map_or(QueueKind::Ladder, |v| or_exit(parse_queue_kind(&v)))
 }
 
 /// Sweep flags shared by the Figure 4 binaries.
@@ -208,9 +192,6 @@ pub struct DaySweepFlags {
     pub searched: bool,
     /// `--search-moves N`: annealing move budget per arrival (default 300).
     pub search_moves: Option<u64>,
-    /// `--queue heap|ladder`: event-queue kind (default ladder, the sweep
-    /// default for the timeout-heavy timeline).
-    pub queue: QueueKind,
     /// `--seed N`: master seed (default 2008).
     pub seed: u64,
     /// `--compress F`: replay the day's shape in `1/F` of the virtual time
@@ -236,7 +217,6 @@ pub fn day_sweep_flags() -> DaySweepFlags {
         strategy: flag_value("--strategy").unwrap_or_else(|| "both".to_string()),
         searched: flag_present("--searched"),
         search_moves: flag_u64("--search-moves"),
-        queue: queue_flag(),
         seed: flag_u64("--seed").unwrap_or(2008),
         compress: flag_f64("--compress"),
         rate_scale: flag_f64("--rate-scale"),
@@ -259,9 +239,6 @@ pub struct WeekSweepFlags {
     /// `--strategy concentrate|spread`: allocation strategy (default
     /// spread — cross-shard splits exercise more than one site).
     pub strategy: String,
-    /// `--queue heap|ladder`: per-shard timeline structure (default
-    /// ladder).
-    pub queue: QueueKind,
     /// `--seed N`: master seed (default 2008).
     pub seed: u64,
     /// `--compress F`: replay the trace's shape in `1/F` of the virtual
@@ -284,7 +261,6 @@ pub fn week_sweep_flags() -> WeekSweepFlags {
         days: flag_u64("--days").unwrap_or(7) as usize,
         cross_fraction: flag_f64("--cross-fraction").unwrap_or(0.05),
         strategy: flag_value("--strategy").unwrap_or_else(|| "spread".to_string()),
-        queue: queue_flag(),
         seed: flag_u64("--seed").unwrap_or(2008),
         compress: flag_f64("--compress"),
         rate_scale: flag_f64("--rate-scale"),
@@ -330,15 +306,5 @@ mod tests {
             Err(r#"invalid --moves value """#.to_string())
         );
         assert_eq!(parse_flag_in::<u64>(&args, "--chains"), Ok(None));
-    }
-
-    #[test]
-    fn queue_kinds_parse_and_unknown_values_name_both() {
-        assert_eq!(parse_queue_kind("heap"), Ok(QueueKind::BinaryHeap));
-        assert_eq!(parse_queue_kind("ladder"), Ok(QueueKind::Ladder));
-        assert_eq!(
-            parse_queue_kind("splay"),
-            Err(r#"unknown --queue "splay" (expected heap|ladder)"#.to_string())
-        );
     }
 }

@@ -129,7 +129,6 @@ use crate::workload::{
     flatten_faults, run_day_sweep, DaySweepConfig, DaySweepResult, DeadPeerChurn, FaultSpec, JobMix,
 };
 use p2pmpi_core::strategy::StrategyKind;
-use p2pmpi_simgrid::event::QueueKind;
 use p2pmpi_simgrid::time::SimDuration;
 
 /// Knobs shared by every scenario of a matrix run.
@@ -143,10 +142,6 @@ pub struct ScenarioParams {
     pub rate_scale: f64,
     /// Master seed (arrivals, job mix, testbed noise, churn phases).
     pub seed: u64,
-    /// Queue structure backing the timeline.  Outcomes are bit-identical
-    /// across kinds (pinned by `tests/day_sweep.rs`); this only matters for
-    /// wall time.
-    pub queue: QueueKind,
     /// Optional allocation-strategy override applied to every scenario
     /// (and its no-fault twin).  `None` keeps each scenario's authored
     /// strategy.  [`StrategyKind::Searched`] puts the online placement
@@ -161,7 +156,6 @@ impl Default for ScenarioParams {
             compress: 1.0,
             rate_scale: 0.05,
             seed: 2008,
-            queue: QueueKind::Ladder,
             strategy: None,
         }
     }
@@ -464,7 +458,7 @@ impl Scenario {
                 cfg.fail_jobs_on_crash = true;
                 // Stretch holds (~3 s modeled -> ~1 min) so the brown-out
                 // reliably catches jobs mid-run and leaves a measurable
-                // backlog — the same idiom as the injected-fault queue
+                // backlog — the same idiom as the injected-fault day
                 // tests.
                 cfg.duration_scale = 20.0;
                 cfg
@@ -478,12 +472,11 @@ impl Scenario {
     }
 }
 
-/// Applies the matrix-wide knobs (`seed`, `queue`, strategy override,
+/// Applies the matrix-wide knobs (`seed`, strategy override,
 /// compression, rate scale) to an authored scenario config — the shared
 /// tail of [`Scenario::config`] and [`outage_in_crowd_config`].
 fn finalize_config(mut cfg: DaySweepConfig, params: &ScenarioParams) -> DaySweepConfig {
     cfg.seed = params.seed;
-    cfg.queue = params.queue;
     if let Some(strategy) = params.strategy {
         cfg.strategy = strategy;
     }
@@ -715,7 +708,7 @@ fn site_index(r: &DaySweepResult, site: &str) -> usize {
 /// timeline first regains [`RECOVERY_UTILISATION_RATIO`] of the twin's in
 /// the same bin.  Measured on the exact binned charge ledger
 /// ([`DaySweepResult::site_core_bins`]) rather than the sparse running
-/// samples, so the metric is deterministic across queue kinds and robust
+/// samples, so the metric is deterministic and robust
 /// to a sample grid sparser than the job holds.  The scan starts at the
 /// first bin fully past `end_secs`; an empty twin bin (a quiet stretch of
 /// the day) satisfies the ratio trivially — matching the intuition that

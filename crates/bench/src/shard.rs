@@ -119,7 +119,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ShardSweepConfig {
     /// The sweep everything else is expressed against: profile, mix,
-    /// strategy, queue kind, churn, faults, reap cadence.  With
+    /// strategy, churn, faults.  With
     /// `shards == 1` the driver reproduces `run_day_sweep(&base)`
     /// bit-for-bit.
     pub base: DaySweepConfig,
@@ -218,7 +218,7 @@ fn run_segment(shard: usize, core: &mut SweepCore, batch: &[JobSpec], barrier: O
         // The conservative-lookahead contract: with the shard advanced to
         // the barrier, its earliest pending event lies strictly after it,
         // so brokering at the barrier cannot be invalidated by shard-local
-        // work.  See the `p2pmpi_simgrid::event` queue-selection guide.
+        // work.  See the `p2pmpi_simgrid::event` docs' *Parallel shards*.
         let (_, horizon) = core.tb.overlay.run_until_horizon(at);
         assert!(
             horizon.is_none_or(|h| h > at),
@@ -825,12 +825,6 @@ fn merge_results(
         jobs_killed: per_shard.iter().map(|r| r.jobs_killed).sum(),
         leaked_grants: per_shard.iter().map(|r| r.leaked_grants).sum(),
         leaked_grant_hwm: per_shard.iter().map(|r| r.leaked_grant_hwm).sum(),
-        reaped_tickets: per_shard.iter().map(|r| r.reaped_tickets).sum(),
-        dead_ticket_hwm: per_shard
-            .iter()
-            .map(|r| r.dead_ticket_hwm)
-            .max()
-            .expect("at least one shard"),
         // Per-shard search contexts never merge: fold the counters when any
         // shard searched (the sharded driver defaults to fixed strategies,
         // so this is usually `None`).

@@ -29,7 +29,7 @@
 use crate::experiments::{Fig4Kernel, Fig4Settings, ShapeCosts};
 use crate::search::{OnlineSearchParams, OnlineSearchStats, SearchContext};
 use p2pmpi_core::prelude::*;
-use p2pmpi_grid5000::testbed::{testbed_from_specs_with_queue, Grid5000Testbed};
+use p2pmpi_grid5000::testbed::{testbed_from_specs, Grid5000Testbed};
 use p2pmpi_grid5000::{ClusterSpec, TABLE1};
 use p2pmpi_overlay::churn::flapping_churn;
 use p2pmpi_simgrid::event::QueueKind;
@@ -732,11 +732,10 @@ pub fn flatten_faults(faults: &[FaultSpec]) -> Vec<FaultSpec> {
 pub struct DaySweepConfig {
     /// Allocation strategy every job uses.
     pub strategy: StrategyKind,
-    /// Priority structure backing the overlay's event timeline.
-    /// [`QueueKind::Ladder`] is the sweep default: with per-reservation
-    /// timeouts the pending population is trimodal (millisecond replies,
-    /// the 2 s timeout window, minute-to-hour completions), the skew the
-    /// ladder is built for.
+    /// Inert: the timeline has one queue structure, and the driver never
+    /// reads this.  Kept because the benchmark passes it to its testbed
+    /// boot and queue probes (`benchmark/README.md`, "The crate surface the
+    /// benchmark calls").
     pub queue: QueueKind,
     /// Master seed (testbed noise, arrivals, job mix, churn phases).
     pub seed: u64,
@@ -755,12 +754,10 @@ pub struct DaySweepConfig {
     /// Period of the submitter's supernode cache refresh (how quickly
     /// flapped peers re-enter the booking order after step 5 dropped them).
     pub cache_refresh: SimDuration,
-    /// Whether `rs_send` may decide at send an exchange whose reply is bound
-    /// to beat the timeout — no timeout armed, no delivery event of its own,
-    /// one event per round (outcome-invariant, pinned by
-    /// `tests/day_sweep.rs`).  On by default;
-    /// [`DaySweepConfig::dead_peer_day`] turns it off so the timeout-heavy
-    /// benchmark keeps measuring the armed machinery it exists for.
+    /// Inert: an exchange whose reply is bound to beat the timeout is
+    /// always decided at send, and the driver never reads this.  Kept for
+    /// the benchmark's traced driver, which forwards it to the no-op
+    /// `Overlay::set_rs_timeout_fast_path`.
     pub rs_timeout_fast_path: bool,
     /// Named adversities injected into the day (site outages, flash crowds,
     /// link degradations, supernode crashes).  Times are on the uncompressed
@@ -771,15 +768,10 @@ pub struct DaySweepConfig {
     /// participant is freed).  Off by default: the baseline day pays zero
     /// tracking overhead.
     pub fail_jobs_on_crash: bool,
-    /// Tombstone-reap cadence: at each job boundary the driver compares the
-    /// timeline's queued-ticket count against its live count, and when the
-    /// difference (cancelled-but-unpopped tombstones) exceeds this
-    /// threshold it calls the queue's eager compaction
-    /// (`EventQueue::reap`).  This bounds the dead weight a cancel-heavy
-    /// trace (churn revoking completions, timeout losers) can accumulate:
-    /// dead tickets never exceed `reap_threshold` plus one job's worth of
-    /// cancellations.  Reaping is outcome-invariant — it only drops
-    /// tickets `pop` would have skipped.  `usize::MAX` disables it.
+    /// Inert: the driver reaps no tombstones (with exchanges decided at
+    /// send, a cancel-heavy test week peaks at 11 dead tickets) and never
+    /// reads this.  Kept for the benchmark's traced driver, which still
+    /// reaps past it through `Overlay::reap_events`, outcome-invariantly.
     pub reap_threshold: usize,
     /// Per-arrival annealing move budget of the online search (only read
     /// when `strategy` is [`StrategyKind::Searched`]).
@@ -787,12 +779,12 @@ pub struct DaySweepConfig {
 }
 
 impl DaySweepConfig {
-    /// The day-scale defaults: ladder queue, the paper-day profile, the
-    /// default job mix, 5-minute utilisation samples, no churn.
+    /// The day-scale defaults: the paper-day profile, the default job mix,
+    /// 5-minute utilisation samples, no churn.
     pub fn new(strategy: StrategyKind) -> Self {
         DaySweepConfig {
             strategy,
-            queue: QueueKind::Ladder,
+            queue: QueueKind::default(),
             seed: 2008,
             profile: DayProfile::paper_day(),
             mix: JobMix::default(),
@@ -812,17 +804,12 @@ impl DaySweepConfig {
     /// [`DeadPeerChurn::default`] flapping and a fast (2-minute) cache
     /// refresh, so the submitter keeps re-learning — and re-booking — peers
     /// that are currently dead.  Every such booking parks an `rs_timeout`
-    /// on the timeline while replies resolve in milliseconds: the resulting
-    /// event population is the heavily skewed shape the ladder queue
-    /// ([`QueueKind::Ladder`], this config's default) exists for.
+    /// on the timeline, and the submitter waits it out, while the alive
+    /// peers' exchanges are decided at send as on every other day.
     pub fn dead_peer_day(strategy: StrategyKind) -> Self {
         DaySweepConfig {
             churn: Some(DeadPeerChurn::default()),
             cache_refresh: SimDuration::from_secs(120),
-            // This scenario exists to park timeout events on the timeline
-            // (the skewed population the ladder queue is for), so no
-            // exchange is decided at send: every reservation arms.
-            rs_timeout_fast_path: false,
             ..Self::new(strategy)
         }
     }
@@ -833,8 +820,8 @@ impl DaySweepConfig {
     /// the day's per-job pressure (timeouts per job, refusals, burst shape)
     /// is preserved in `1/factor` of the virtual time.  `rs_timeout` is a
     /// protocol constant and does *not* compress: relative to a compressed
-    /// day the 2 s timeout window widens, which makes compressed traces the
-    /// natural stress test for skew-sensitive queue structures.
+    /// day the 2 s timeout window widens, so a dead booking stalls a larger
+    /// share of the day.
     pub fn compress(mut self, factor: f64) -> Self {
         let shrink =
             |d: SimDuration| SimDuration::from_secs_f64((d.as_secs_f64() / factor).max(1.0));
@@ -880,8 +867,8 @@ pub struct DaySweepResult {
     /// work charged to `site` inside virtual-time bin
     /// `[b·bin_secs, (b+1)·bin_secs)`.  Each hold is spread across the
     /// bins it overlaps at charge time, so the series is exact (its sum
-    /// equals `core_seconds`) and deterministic across queue kinds — this
-    /// is what the recovery-time-to-95% gates measure against.
+    /// equals `core_seconds`) and deterministic — this is what the
+    /// recovery-time-to-95% gates measure against.
     pub site_core_bins: Vec<Vec<f64>>,
     /// Jobs submitted.
     pub submitted: usize,
@@ -920,14 +907,6 @@ pub struct DaySweepResult {
     pub leaked_grants: u64,
     /// High-water mark of simultaneously outstanding leaked grants.
     pub leaked_grant_hwm: u64,
-    /// Tombstones eagerly compacted by the reap cadence (see
-    /// [`DaySweepConfig::reap_threshold`]).  Zero when the trace never
-    /// crossed the threshold or reaping is disabled.
-    pub reaped_tickets: u64,
-    /// High-water mark of dead (cancelled-but-unpopped) tickets observed at
-    /// job boundaries.  With reaping on, bounded by `reap_threshold` plus
-    /// one inter-job interval's cancellations.
-    pub dead_ticket_hwm: usize,
     /// Counters of the online search (`Some` only when the sweep ran with
     /// [`StrategyKind::Searched`]): arrivals searched, moves evaluated and
     /// wall-clock phase timings.
@@ -1019,8 +998,7 @@ pub(crate) fn burst_profile(profile: &DayProfile, faults: &[FaultSpec]) -> DayPr
 /// sharded driver (`crate::shard`) can run one `SweepCore` per shard over
 /// its own site subset while the sequential sweep runs a single core over
 /// all of Table 1.  Operation order inside [`SweepCore::submit`] and
-/// [`SweepCore::finish`] is exactly the historical sequential loop; the
-/// one addition, the tombstone-reap cadence, is outcome-invariant.
+/// [`SweepCore::finish`] is exactly the historical sequential loop.
 pub(crate) struct SweepCore {
     pub(crate) cfg: DaySweepConfig,
     pub(crate) tb: Grid5000Testbed,
@@ -1044,8 +1022,6 @@ pub(crate) struct SweepCore {
     pub(crate) timeouts: u64,
     mid_job: usize,
     mid_caps: (usize, usize),
-    reaped_tickets: u64,
-    dead_ticket_hwm: usize,
     /// The online search state (each shape's last plan), present only
     /// under [`StrategyKind::Searched`].
     search: Option<SearchContext>,
@@ -1070,10 +1046,8 @@ impl SweepCore {
         seed: u64,
         mid_job: usize,
     ) -> Self {
-        let mut tb = testbed_from_specs_with_queue(specs, seed, NoiseModel::default(), cfg.queue);
+        let mut tb = testbed_from_specs(specs, seed, NoiseModel::default());
         tb.overlay.tracer().set_enabled(false);
-        tb.overlay
-            .set_rs_timeout_fast_path(cfg.rs_timeout_fast_path);
         tb.overlay.set_fail_jobs_on_crash(cfg.fail_jobs_on_crash);
 
         // Periodic behaviours share the timeline with submissions and
@@ -1200,7 +1174,7 @@ impl SweepCore {
         // re-enter the booking order by measured latency instead of parking
         // unprobed at the back.  Driven from the submission loop (not a
         // scheduled event) so the probe RNG draws happen at job
-        // boundaries, identically for every queue kind.
+        // boundaries.
         let next_probe = if cfg.churn.is_some() || !cfg.faults.is_empty() {
             Some(SimTime::ZERO + cfg.cache_refresh)
         } else {
@@ -1227,8 +1201,6 @@ impl SweepCore {
             timeouts: 0,
             mid_job,
             mid_caps: (0, 0),
-            reaped_tickets: 0,
-            dead_ticket_hwm: 0,
             search,
             search_caps: Vec::new(),
         }
@@ -1313,22 +1285,7 @@ impl SweepCore {
         }
     }
 
-    /// The tombstone-reap cadence (see [`DaySweepConfig::reap_threshold`]):
-    /// tracks the dead-ticket high-water mark and eagerly compacts the
-    /// timeline when cancellations outrun pops.
-    fn maybe_reap(&mut self) {
-        let dead = self
-            .tb
-            .overlay
-            .events_queued()
-            .saturating_sub(self.tb.overlay.events_pending());
-        self.dead_ticket_hwm = self.dead_ticket_hwm.max(dead);
-        if dead > self.cfg.reap_threshold {
-            self.reaped_tickets += self.tb.overlay.reap_events() as u64;
-        }
-    }
-
-    /// Advances the timeline to `at` with samples, probe and reap cadence —
+    /// Advances the timeline to `at` with samples and the probe cadence —
     /// exactly what [`SweepCore::submit`] does before brokering.  The
     /// sharded driver calls this to bring a shard to a synchronization
     /// barrier.
@@ -1336,7 +1293,6 @@ impl SweepCore {
         self.sample_due(at);
         self.tb.overlay.run_until(at);
         self.maybe_probe();
-        self.maybe_reap();
     }
 
     /// Charges `hold` on every booked host of `alloc` and schedules the
@@ -1453,8 +1409,6 @@ impl SweepCore {
             jobs_killed: self.tb.overlay.jobs_killed(),
             leaked_grants: self.tb.overlay.leaked_grants(),
             leaked_grant_hwm: self.tb.overlay.leaked_grant_hwm(),
-            reaped_tickets: self.reaped_tickets,
-            dead_ticket_hwm: self.dead_ticket_hwm,
             search: self.search.as_ref().map(|c| c.stats()),
             shapes_costed: self.shape_costs.shapes(),
         }

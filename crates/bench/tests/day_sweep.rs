@@ -1,13 +1,18 @@
 //! Integration test of the day-scale sweep harness at reduced scale: the
-//! compressed paper-day trace must run fast on the event timeline (with
-//! every reservation's timeout as a scheduled event), reproduce the
-//! Figures 2–3 concentrate/spread contrast, and produce bit-identical
-//! outcomes whichever queue structure backs the timeline.
+//! compressed paper-day trace must run fast on the event timeline,
+//! reproduce the Figures 2–3 concentrate/spread contrast, genuinely fire
+//! its timeout, leak and kill paths under churn and faults, and ignore the
+//! config fields and overlay call that survive only for the benchmark.
 
-use p2pmpi_bench::workload::{run_day_sweep, DaySweepConfig, DaySweepResult, FaultSpec};
-use p2pmpi_core::strategy::StrategyKind;
-use p2pmpi_simgrid::event::QueueKind;
-use p2pmpi_simgrid::time::SimDuration;
+use p2pmpi_bench::workload::{day_trace, run_day_sweep, DaySweepConfig, DaySweepResult, FaultSpec};
+use p2pmpi_core::prelude::{CoAllocator, JobRequest, StrategyKind};
+use p2pmpi_grid5000::testbed::testbed_from_specs;
+use p2pmpi_grid5000::TABLE1;
+use p2pmpi_overlay::churn::flapping_churn;
+use p2pmpi_overlay::overlay::Overlay;
+use p2pmpi_simgrid::noise::NoiseModel;
+use p2pmpi_simgrid::rngutil::{derive_seed, seeded};
+use p2pmpi_simgrid::time::{SimDuration, SimTime};
 use std::time::Instant;
 
 /// The CI-smoke shape: the whole day's burst profile compressed into one
@@ -125,225 +130,174 @@ fn assert_a_shape_per_placed_job_at_most(r: &DaySweepResult) {
     );
 }
 
-#[test]
-fn heap_and_ladder_timelines_agree_on_the_sweep_outcome() {
-    // The queue kind is a performance choice, never a semantic one: the
-    // same trace must produce bit-identical outcomes on both
-    // structures — including the reservation reply/timeout races the
-    // brokering step now runs on the timeline.
-    let run = |kind: QueueKind| {
-        let mut cfg = reduced(StrategyKind::Concentrate);
-        cfg.queue = kind;
-        run_day_sweep(&cfg)
-    };
-    let heap = run(QueueKind::BinaryHeap);
-    let ladder = run(QueueKind::Ladder);
-    assert_identical(&heap, &ladder, "heap vs ladder");
-}
-
-#[test]
-fn alive_peer_fast_path_is_outcome_invariant() {
-    // The warm-brokering fast path (a request decided at send gets no
-    // timeout and no delivery event of its own; its round resolves it) is
-    // a scheduling-cost optimisation, never a semantic one: with it on or
-    // off, the standard day under both strategies, the churn-heavy
-    // dead-peer trace and a day whose Sophia round trips pass `rs_timeout`
-    // (rounds mixing decided and armed requests) must produce bit-identical
-    // outcomes — same submissions, same refusals, same observed timeouts,
-    // same utilisation samples, same delivered-message count.
-    #[derive(Clone, Copy, Debug)]
-    enum Day {
-        Concentrate,
-        Spread,
-        Churny,
-        SlowSophia,
-    }
-    let run = |fast_path: bool, day: Day| {
-        let mut cfg = match day {
-            Day::Concentrate => reduced(StrategyKind::Concentrate),
-            Day::Spread => reduced(StrategyKind::Spread),
-            Day::Churny => {
-                let mut cfg =
-                    DaySweepConfig::dead_peer_day(StrategyKind::Concentrate).compress(24.0);
-                cfg.profile = cfg.profile.scaled(0.05);
-                cfg
-            }
-            Day::SlowSophia => {
-                // 200x on Sophia's 17 ms puts its round trips at ~3.4 s:
-                // those requests arm and lose, the rest of the round is
-                // decided at send.  Large spread jobs reach Sophia.
-                let mut cfg = reduced(StrategyKind::Spread);
-                cfg.mix.ranks = vec![32, 256, 300];
-                cfg.faults = vec![FaultSpec::SlowLinks {
-                    site: "sophia".to_string(),
-                    at: SimDuration::from_secs(150),
-                    duration: SimDuration::from_secs(3300),
-                    latency_factor: 200.0,
-                }];
-                cfg
-            }
-        };
-        cfg.rs_timeout_fast_path = fast_path;
-        run_day_sweep(&cfg)
-    };
-    for day in [Day::Concentrate, Day::Spread, Day::Churny, Day::SlowSophia] {
-        let armed = run(false, day);
-        let fast = run(true, day);
-        assert_identical(&armed, &fast, &format!("fast path vs armed on {day:?}"));
-        match day {
-            // The fast path genuinely observes timeouts under churn: dead
-            // peers still arm (the machinery is kept where it is
-            // load-bearing) ...
-            Day::Churny => assert!(fast.timeouts > 100, "{}", fast.timeouts),
-            // ... and slow replies genuinely lose their races.
-            Day::SlowSophia => assert!(fast.leaked_grants > 0, "no reply lost its race"),
-            Day::Concentrate | Day::Spread => {}
-        }
-    }
+/// The churn-heavy day at the CI-smoke scale.
+fn reduced_churn_day() -> DaySweepConfig {
+    let mut cfg = DaySweepConfig::dead_peer_day(StrategyKind::Concentrate).compress(24.0);
+    cfg.profile = cfg.profile.scaled(0.05);
+    cfg
 }
 
 #[test]
 fn dead_peer_day_parks_timeouts_on_the_timeline_identically_on_every_queue() {
     // The churn-heavy scenario: flapping peers keep getting booked while
     // dead, so reservation timeouts genuinely fire (not just armed and
-    // cancelled).  The timeout count must be substantial, the sweep must
-    // still place most jobs, and — races included — both queue kinds must
-    // agree bit-for-bit.
-    let run = |kind: QueueKind| {
-        let mut cfg = DaySweepConfig::dead_peer_day(StrategyKind::Concentrate).compress(24.0);
-        cfg.profile = cfg.profile.scaled(0.05);
-        cfg.queue = kind;
-        run_day_sweep(&cfg)
-    };
-    let ladder = run(QueueKind::Ladder);
+    // cancelled) while the alive peers' exchanges are decided at send.  The
+    // timeout count must be substantial and the sweep must still place a
+    // meaningful share of the day.
+    let day = run_day_sweep(&reduced_churn_day());
+    assert!(day.submitted > 800, "only {} jobs arrived", day.submitted);
     assert!(
-        ladder.submitted > 800,
-        "only {} jobs arrived",
-        ladder.submitted
-    );
-    assert!(
-        ladder.timeouts > 100,
+        day.timeouts > 100,
         "only {} reservation timeouts observed — the churn scenario is not exercising \
          the timeout path",
-        ladder.timeouts
+        day.timeouts
     );
     // Compression makes the churn brutal (a flapper cycles every ~37 s of
     // virtual time, and brokering genuinely stalls 2 s per dead booking),
     // so refusals and start failures are part of the scenario — but the
     // grid must still place a meaningful share of the day.
     assert!(
-        ladder.succeeded > ladder.submitted / 4,
+        day.succeeded > day.submitted / 4,
         "{}/{} jobs succeeded under churn",
-        ladder.succeeded,
-        ladder.submitted
+        day.succeeded,
+        day.submitted
     );
     // The brokering scratch and event store reach an allocation-free
     // steady state even under timeout churn.
     assert!(
-        ladder.steady_state_alloc_free(),
+        day.steady_state_alloc_free(),
         "brokering re-allocated past the mid-trace high-water mark: events {} -> {}, scratch {} -> {}",
-        ladder.events_capacity_mid,
-        ladder.events_capacity_end,
-        ladder.rs_scratch_capacity_mid,
-        ladder.rs_scratch_capacity_end,
+        day.events_capacity_mid,
+        day.events_capacity_end,
+        day.rs_scratch_capacity_mid,
+        day.rs_scratch_capacity_end,
     );
     // Churn scatters the placements over more shapes (86 here).
-    assert_a_shape_per_placed_job_at_most(&ladder);
-    let heap = run(QueueKind::BinaryHeap);
-    assert_identical(&ladder, &heap, "ladder vs heap under churn");
+    assert_a_shape_per_placed_job_at_most(&day);
+}
+
+/// Replays `cfg`'s arrivals the way the benchmark's traced driver boots
+/// and drives its testbed (every placed job held one minute), calling
+/// `knob` on the overlay first, and logs what each submission saw.
+fn replay(cfg: &DaySweepConfig, knob: impl FnOnce(&mut Overlay)) -> Vec<String> {
+    let mut tb = testbed_from_specs(TABLE1, cfg.seed, NoiseModel::default());
+    tb.overlay.tracer().set_enabled(false);
+    tb.overlay.start_heartbeats();
+    tb.overlay
+        .start_reservation_expiry(SimDuration::from_secs(60), SimDuration::from_secs(120));
+    tb.overlay
+        .start_cache_refresh(tb.submitter, cfg.cache_refresh);
+    knob(&mut tb.overlay);
+    let churn = cfg.churn.as_ref().expect("a churn day");
+    let mut peers = tb.overlay.peer_ids();
+    peers.retain(|&p| p != tb.submitter);
+    let schedule = flapping_churn(
+        &peers,
+        churn.fraction,
+        cfg.profile.horizon(),
+        churn.downtime,
+        churn.uptime,
+        &mut seeded(derive_seed(cfg.seed, 0xF1A9)),
+    );
+    tb.overlay.schedule_churn(schedule.finish());
+    let allocator = CoAllocator::new();
+    let mut log = Vec::new();
+    for job in day_trace(&cfg.profile, &cfg.mix, cfg.seed) {
+        tb.overlay.run_until(job.at);
+        let request = JobRequest::new(job.ranks, cfg.strategy, job.kernel.program());
+        let report = allocator.allocate(&mut tb.overlay, tb.submitter, &request);
+        if let Ok(alloc) = &report.outcome {
+            let peers = alloc.hosts.iter().map(|h| h.peer).collect();
+            let done = tb.overlay.now() + SimDuration::from_secs(60);
+            tb.overlay.schedule_completion(done, report.key, peers);
+        }
+        // The queued-ticket count shows an armed-then-cancelled timeout
+        // (a tombstone until its firing time) even where outcomes agree.
+        log.push(format!(
+            "{} ok={} dead={} elapsed={} queued={}",
+            tb.overlay.now(),
+            report.outcome.is_ok(),
+            report.dead,
+            report.elapsed,
+            tb.overlay.events_queued()
+        ));
+    }
+    tb.overlay.run_until(SimTime::ZERO + cfg.profile.horizon());
+    log.push(format!(
+        "end events={} pending={} queued={} leaked={}",
+        tb.overlay.events_processed(),
+        tb.overlay.events_pending(),
+        tb.overlay.events_queued(),
+        tb.overlay.leaked_grants()
+    ));
+    log
 }
 
 #[test]
-fn reap_cadence_bounds_dead_tickets_on_a_cancel_heavy_week() {
-    // The cancel-heavy week: seven compressed dead-peer days with job-kill
-    // on crash and stretched holds, so churn keeps revoking far-future
-    // completions (cancel_batch) while armed timeouts keep losing races to
-    // millisecond replies — both leave tombstones parked on the timeline.
-    // With reaping disabled the dead weight grows past any fixed bound;
-    // with the cadence on, it must stay bounded by the threshold plus one
-    // inter-job interval — and reaping must not change a single outcome.
-    let run = |reap_threshold: usize| {
-        let mut cfg =
-            p2pmpi_bench::workload::DaySweepConfig::dead_peer_day(StrategyKind::Concentrate)
-                .compress(168.0);
-        cfg.profile = p2pmpi_bench::workload::DayProfile::week()
-            .scaled(0.02)
-            .compressed(168.0);
-        cfg.fail_jobs_on_crash = true;
-        cfg.duration_scale = 20.0;
-        cfg.reap_threshold = reap_threshold;
-        run_day_sweep(&cfg)
-    };
-    let off = run(usize::MAX);
-    let on = run(200);
-    assert_identical(&off, &on, "reap cadence off vs on");
-    // The scenario genuinely cancels: jobs died to crashes, timeouts fired,
-    // and without reaping the standing dead population grows to tens of
-    // thousands of tickets (observed ~24k at threshold ∞).
-    assert!(off.jobs_killed > 0, "churn never killed a running job");
-    assert_eq!(off.reaped_tickets, 0, "disabled cadence must never reap");
-    assert!(
-        off.dead_ticket_hwm > 10_000,
-        "unreaped dead weight only reached {} tickets — the trace is not cancel-heavy",
-        off.dead_ticket_hwm
+fn benchmark_shims_leave_the_churn_day_unchanged() {
+    // `DaySweepConfig::{queue, rs_timeout_fast_path, reap_threshold}` and
+    // `Overlay::set_rs_timeout_fast_path` outlived what they selected (the
+    // benchmark still sets them): none may change a single outcome of the
+    // day that used to turn them.
+    let default = run_day_sweep(&reduced_churn_day());
+    let mut armed = reduced_churn_day();
+    armed.rs_timeout_fast_path = false;
+    assert_identical(
+        &default,
+        &run_day_sweep(&armed),
+        "rs_timeout_fast_path = false",
     );
-    // With the cadence on, dead weight stays bounded by the threshold plus
-    // one inter-job interval's cancellations (observed ~360 at 200).
-    assert!(on.reaped_tickets > 0, "cadence never fired");
+    let mut reaping = reduced_churn_day();
+    reaping.reap_threshold = 0;
+    assert_identical(&default, &run_day_sweep(&reaping), "reap_threshold = 0");
+    // The overlay call, as `benchmark/src/traced.rs` makes it.
+    let cfg = reduced_churn_day();
+    let plain = replay(&cfg, |_| {});
     assert!(
-        on.dead_ticket_hwm <= 1_000,
-        "reaped run still accumulated {} dead tickets",
-        on.dead_ticket_hwm
+        plain
+            .iter()
+            .any(|line| line.contains(" ok=") && !line.contains(" dead=0 ")),
+        "the replay never booked a dead peer"
+    );
+    assert_eq!(
+        plain,
+        replay(&cfg, |o| o.set_rs_timeout_fast_path(false)),
+        "set_rs_timeout_fast_path(false)"
     );
 }
 
 #[test]
 fn searched_day_sweep_is_bit_identical_across_queues() {
-    // The online search rides the sweep deterministically: per-arrival RNG
-    // streams derive from the config seed, never from the queue structure.
-    // So both queue kinds must agree bit-for-bit, exactly like the fixed
-    // strategies.
-    let run = |kind: QueueKind| {
-        let mut cfg = DaySweepConfig::new(StrategyKind::Searched).compress(24.0);
-        cfg.profile = cfg.profile.scaled(0.01);
-        cfg.sample_period = SimDuration::from_secs(60);
-        cfg.search_moves = 80;
-        cfg.queue = kind;
-        run_day_sweep(&cfg)
-    };
-    let ladder = run(QueueKind::Ladder);
+    // The online search rides the sweep: every arrival re-anneals on
+    // per-arrival RNG streams derived from the config seed, and the day
+    // must still place most of its jobs.
+    let mut cfg = DaySweepConfig::new(StrategyKind::Searched).compress(24.0);
+    cfg.profile = cfg.profile.scaled(0.01);
+    cfg.sample_period = SimDuration::from_secs(60);
+    cfg.search_moves = 80;
+    let day = run_day_sweep(&cfg);
+    assert!(day.submitted > 150, "only {} jobs arrived", day.submitted);
     assert!(
-        ladder.submitted > 150,
-        "only {} jobs arrived",
-        ladder.submitted
-    );
-    assert!(
-        ladder.succeeded > ladder.submitted / 2,
+        day.succeeded > day.submitted / 2,
         "{}/{} searched jobs succeeded",
-        ladder.succeeded,
-        ladder.submitted
+        day.succeeded,
+        day.submitted
     );
     // Annealed placements repeat far less, but still cost once per shape.
-    assert_a_shape_per_placed_job_at_most(&ladder);
-    let heap = run(QueueKind::BinaryHeap);
-    assert_identical(&ladder, &heap, "searched: ladder vs heap");
-    let (ladder_stats, heap_stats) = (
-        ladder.search.expect("searched sweeps report search stats"),
-        heap.search.expect("searched sweeps report search stats"),
-    );
-    assert_eq!(ladder_stats.searched, heap_stats.searched);
-    assert_eq!(ladder_stats.moves_evaluated, heap_stats.moves_evaluated);
+    assert_a_shape_per_placed_job_at_most(&day);
+    let stats = day.search.expect("searched sweeps report search stats");
+    assert!(stats.searched > 0 && stats.moves_evaluated > 0, "{stats:?}");
 }
 
 #[test]
 fn injected_faults_agree_bit_for_bit_on_every_queue() {
     // Injected faults ride the same timeline as everything else — churn
     // events, mass revocations (`cancel_batch`), link-degradation toggles,
-    // supernode crash/recovery and eager grant releases included — so a
-    // scenario stacking every fault kind must still produce bit-identical
-    // outcomes whichever queue structure backs the engine.  Times are in
-    // the compressed hour's coordinates (the config is already compressed).
-    let run = |kind: QueueKind| {
+    // supernode crash/recovery and eager grant releases included — and a
+    // scenario stacking every fault kind must genuinely fire each of them.
+    // Times are in the compressed hour's coordinates (the config is
+    // already compressed).
+    let day = {
         let mut cfg = reduced(StrategyKind::Spread);
         cfg.mix.ranks = vec![32, 256, 300];
         cfg.fail_jobs_on_crash = true;
@@ -367,27 +321,20 @@ fn injected_faults_agree_bit_for_bit_on_every_queue() {
                 duration: SimDuration::from_secs(450),
             },
         ];
-        cfg.queue = kind;
         run_day_sweep(&cfg)
     };
-    let ladder = run(QueueKind::Ladder);
     // Every fault path genuinely fired: the outage revoked running jobs,
     // and the 200x Sophia latency made reservation replies lose their 2 s
     // races (leaks that the eager release then reclaimed).
+    assert!(day.jobs_killed > 0, "site outage revoked no running jobs");
     assert!(
-        ladder.jobs_killed > 0,
-        "site outage revoked no running jobs"
-    );
-    assert!(
-        ladder.leaked_grants > 0,
+        day.leaked_grants > 0,
         "degraded links never exercised the reply-loses-race path"
     );
     assert!(
-        ladder.leaked_grant_hwm < ladder.leaked_grants,
+        day.leaked_grant_hwm < day.leaked_grants,
         "eager release never drained: high-water mark {} of {} leaks",
-        ladder.leaked_grant_hwm,
-        ladder.leaked_grants
+        day.leaked_grant_hwm,
+        day.leaked_grants
     );
-    let heap = run(QueueKind::BinaryHeap);
-    assert_identical(&ladder, &heap, "ladder vs heap under faults");
 }

@@ -1,13 +1,12 @@
 //! Integration tests of the recovery-time metric: every verdict carries a
 //! time-to-95%-of-twin-utilisation, composition makes recovery strictly
 //! harder than the lone fault, and the composed/partial-site fault paths
-//! stay bit-identical whichever queue structure backs the timeline.
+//! genuinely kill jobs and yield a recovery time.
 
 use p2pmpi_bench::scenario::{
     outage_in_crowd_config, recovery_to_twin, run_scenario, Scenario, ScenarioParams,
 };
 use p2pmpi_bench::workload::{flatten_faults, run_day_sweep, FaultSpec};
-use p2pmpi_simgrid::event::QueueKind;
 
 /// The CI smoke scale of the scenario matrix: the day in one virtual hour.
 fn ci_params() -> ScenarioParams {
@@ -71,21 +70,12 @@ fn composed_outage_recovers_strictly_later_than_the_lone_outage() {
 #[test]
 fn composed_and_partial_site_faults_are_queue_invariant() {
     // `Compose`/`PhaseShift` unfold to plain timeline faults and
-    // `PartialSite` kills a host subset — none of it may depend on the
-    // queue structure.  Both fault shapes must produce bit-identical
-    // outcomes (and therefore bit-identical recovery times) on both queue
-    // kinds.
-    let run_composed = |kind: QueueKind| {
-        let params = ScenarioParams {
-            queue: kind,
-            ..ci_params()
-        };
-        run_day_sweep(&outage_in_crowd_config(0.0, &params))
-    };
-    let ladder = run_composed(QueueKind::Ladder);
-    let heap = run_composed(QueueKind::BinaryHeap);
+    // `PartialSite` kills a host subset: both fault shapes must kill
+    // running jobs, and the composed one must be scored against its
+    // crowd-only twin.
+    let composed = run_day_sweep(&outage_in_crowd_config(0.0, &ci_params()));
 
-    // The crowd-only twin scores each run; the nominal outage window ends
+    // The crowd-only twin scores the run; the nominal outage window ends
     // at 12:30 on the uncompressed day = 1875 s compressed.
     let mut twin_cfg = outage_in_crowd_config(0.0, &ci_params());
     twin_cfg.faults = flatten_faults(&twin_cfg.faults)
@@ -94,39 +84,16 @@ fn composed_and_partial_site_faults_are_queue_invariant() {
         .collect();
     let twin = run_day_sweep(&twin_cfg);
     let end = 12.5 * 3600.0 / 24.0;
-    let recovery = recovery_to_twin(&ladder, &twin, end);
-    assert!(ladder.jobs_killed > 0, "the composed outage killed no jobs");
-    assert_eq!(ladder.submitted, heap.submitted);
-    assert_eq!(ladder.succeeded, heap.succeeded);
-    assert_eq!(ladder.failed, heap.failed);
-    assert_eq!(ladder.timeouts, heap.timeouts);
-    assert_eq!(ladder.jobs_killed, heap.jobs_killed);
-    assert_eq!(ladder.events_processed, heap.events_processed);
-    assert_eq!(ladder.bin_secs, heap.bin_secs);
-    assert_eq!(ladder.site_core_bins, heap.site_core_bins);
-    assert_eq!(recovery, recovery_to_twin(&heap, &twin, end));
-
-    // Same contract for the rack brown-out (`PartialSite`).
-    let run_rack = |kind: QueueKind| {
-        let params = ScenarioParams {
-            queue: kind,
-            ..ci_params()
-        };
-        run_day_sweep(&Scenario::RackOutage.config(&params))
-    };
-    let rack_ladder = run_rack(QueueKind::Ladder);
-    let rack_heap = run_rack(QueueKind::BinaryHeap);
     assert!(
-        rack_ladder.jobs_killed > 0,
-        "the rack brown-out killed no jobs"
+        composed.jobs_killed > 0,
+        "the composed outage killed no jobs"
     );
-    assert_eq!(rack_ladder.submitted, rack_heap.submitted, "rack");
-    assert_eq!(rack_ladder.succeeded, rack_heap.succeeded, "rack");
-    assert_eq!(rack_ladder.failed, rack_heap.failed, "rack");
-    assert_eq!(rack_ladder.jobs_killed, rack_heap.jobs_killed, "rack");
-    assert_eq!(
-        rack_ladder.events_processed, rack_heap.events_processed,
-        "rack"
+    assert!(
+        recovery_to_twin(&composed, &twin, end).is_some(),
+        "the composed outage never recovered to its twin"
     );
-    assert_eq!(rack_ladder.site_core_bins, rack_heap.site_core_bins, "rack");
+
+    // The rack brown-out (`PartialSite`).
+    let rack = run_day_sweep(&Scenario::RackOutage.config(&ci_params()));
+    assert!(rack.jobs_killed > 0, "the rack brown-out killed no jobs");
 }

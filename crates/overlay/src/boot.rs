@@ -9,7 +9,6 @@ use crate::mpd::MpdNode;
 use crate::overlay::{Overlay, OverlayParams};
 use crate::peer::{PeerDescriptor, PeerId};
 use crate::ping::LatencyProber;
-use p2pmpi_simgrid::event::QueueKind;
 use p2pmpi_simgrid::network::{NetworkModel, NetworkParams};
 use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::rngutil;
@@ -27,7 +26,6 @@ pub struct OverlayBuilder {
     peers: Vec<(HostId, OwnerConfig)>,
     supernode_host: Option<HostId>,
     tracer: Tracer,
-    queue_kind: QueueKind,
 }
 
 impl OverlayBuilder {
@@ -42,7 +40,6 @@ impl OverlayBuilder {
             peers: Vec::new(),
             supernode_host: None,
             tracer: Tracer::new(),
-            queue_kind: QueueKind::default(),
         }
     }
 
@@ -73,14 +70,6 @@ impl OverlayBuilder {
     /// Sets the tracer used by the overlay.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
-        self
-    }
-
-    /// Selects the priority structure backing the overlay's event timeline
-    /// (default: binary heap).  Sweep-scale simulations holding thousands of
-    /// pending completions should pick [`QueueKind::Ladder`].
-    pub fn queue_kind(mut self, kind: QueueKind) -> Self {
-        self.queue_kind = kind;
         self
     }
 
@@ -152,7 +141,6 @@ impl OverlayBuilder {
             rng,
             self.tracer,
             self.overlay_params,
-            self.queue_kind,
         )
     }
 }

@@ -27,11 +27,6 @@
 //! events behind.  [`Overlay::advance`] survives as a thin shim over
 //! `run_until` for callers that only want to move the clock.
 //!
-//! Sweep-scale simulations (thousands of pending completions, timeout
-//! churn) should build the overlay with
-//! [`crate::boot::OverlayBuilder::queue_kind`] set to [`QueueKind::Ladder`]
-//! (see the `p2pmpi_simgrid::event` docs for the selection guide).
-//!
 //! # The timeout-event contract
 //!
 //! Unless the exchange is decided at send (see the decided-exchange
@@ -159,14 +154,14 @@
 //! **What still gets its own events.**  Dead peers (only the timeout is on
 //! the timeline, and it fires), slow replies (`rtt >= rs_timeout`: timeout
 //! armed first, then the reply; the timeout machinery is *kept* where it
-//! is load-bearing), every start request of a round whose window is not
-//! clear, and — with [`Overlay::set_rs_timeout_fast_path`]`(false)` —
-//! every RS request.  Those per-request paths are the reference: the
-//! proptest below plays random rounds both ways and compares outcomes,
-//! clock, delivered count and trace, `crates/bench/tests/day_sweep.rs`
-//! pins bit-identical sweep outcomes — `events_processed` included — with
-//! decided exchanges on vs off, and `tests/modeled_costing.rs` pins the
-//! absolute numbers.
+//! is load-bearing) and every start request of a round whose window is not
+//! clear.  Those per-request paths are the reference: this module's tests
+//! can make every RS request arm its timeout too, and the proptest below
+//! plays random rounds both ways and compares outcomes, clock, delivered
+//! count and trace; `crates/bench/tests/day_sweep.rs` pins the sweeps'
+//! outcomes on days that mix decided and armed requests (dead peers,
+//! degraded links), and `tests/modeled_costing.rs` pins the absolute
+//! numbers.
 //!
 //! The pending-request bookkeeping lives in a reusable scratch vector on the
 //! overlay and every RS keeps its (at most `J`) reservations in a small
@@ -187,7 +182,7 @@ use crate::peer::{PeerId, PeerState};
 use crate::ping::LatencyProber;
 use crate::supernode::Supernode;
 use p2pmpi_simgrid::engine::TypedEngine;
-use p2pmpi_simgrid::event::{EventKey, QueueKind};
+use p2pmpi_simgrid::event::EventKey;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
 use p2pmpi_simgrid::topology::{HostId, SiteId, Topology};
@@ -417,10 +412,11 @@ pub struct Overlay {
     rs_pending: Vec<RsPending>,
     /// How many `rs_pending` slots still await their resolution.
     rs_inflight: usize,
-    /// Treat exchanges whose reply is bound to beat the timeout as decided
-    /// at send (see the module docs; the equivalence tests and benchmarks
-    /// of the armed machinery turn this off).
-    rs_timeout_fast_path: bool,
+    /// Make every RS request arm its timeout and get its own reply event,
+    /// even one whose reply is bound to win: the per-request reference the
+    /// decided-exchange tests compare against.  Only tests set it
+    /// (`set_armed_reference`); production code always decides at send.
+    armed_reference: bool,
     /// The control-message times of a round between two *distinct* hosts,
     /// by `(submitter site, remote site)`: the transfer model sees hosts
     /// only through their sites there.  Filled on first use, forgotten
@@ -484,7 +480,6 @@ impl Overlay {
         rng: StdRng,
         tracer: Tracer,
         params: OverlayParams,
-        queue_kind: QueueKind,
     ) -> Self {
         let mut host_to_peer = vec![None; topology.host_count()];
         for n in &nodes {
@@ -499,7 +494,7 @@ impl Overlay {
             supernode_host,
             nodes,
             host_to_peer,
-            sim: TypedEngine::with_queue_kind(queue_kind),
+            sim: TypedEngine::new(),
             rng,
             tracer,
             params,
@@ -510,7 +505,7 @@ impl Overlay {
             scratch_failures: Vec::new(),
             rs_pending: Vec::new(),
             rs_inflight: 0,
-            rs_timeout_fast_path: true,
+            armed_reference: false,
             site_control_times: vec![None; sites * sites],
             start_pending: Vec::new(),
             start_inflight: 0,
@@ -558,11 +553,6 @@ impl Overlay {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
-    }
-
-    /// The priority structure backing the event timeline.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.sim.queue_kind()
     }
 
     /// Number of timeline messages delivered so far.  This counts
@@ -1423,12 +1413,11 @@ impl Overlay {
             .then(|| self.control_times(from, to).rs_round_trip);
         // A reply strictly inside the timeout window has already won the
         // race (see the module docs).  When the timeout *is* armed (dead
-        // peer, slow link, or decided exchanges disabled), it is armed
+        // peer, slow link, or the tests' per-request reference), it is armed
         // before the reply so the FIFO tie-break delivers the timeout first
         // at the degenerate `rtt == rs_timeout` instant — the submitter
         // gives up at its deadline.
-        let decided =
-            self.rs_timeout_fast_path && rtt.is_some_and(|rtt| rtt < self.params.rs_timeout);
+        let decided = !self.armed_reference && rtt.is_some_and(|rtt| rtt < self.params.rs_timeout);
         if !decided {
             slot.timeout_key = Some(
                 self.sim
@@ -1567,18 +1556,18 @@ impl Overlay {
         self.rs_pending.capacity()
     }
 
-    /// Enables or disables deciding exchanges at send (default on;
-    /// outcome-invariant either way — see the module docs).  Off, every
-    /// reservation request parks its own timeout and reply events on the
-    /// timeline: the reference the equivalence tests compare against, and
-    /// what benchmarks of the armed timeout machinery measure.
-    pub fn set_rs_timeout_fast_path(&mut self, enabled: bool) {
-        self.rs_timeout_fast_path = enabled;
-    }
+    /// No-op.  An exchange whose reply is bound to beat the timeout is
+    /// always decided at send; this survives only because the benchmark's
+    /// traced driver (`benchmark/src/traced.rs`) still forwards a config
+    /// field that selects nothing any more.
+    pub fn set_rs_timeout_fast_path(&mut self, _enabled: bool) {}
 
-    /// Whether exchanges are decided at send.
-    pub fn rs_timeout_fast_path(&self) -> bool {
-        self.rs_timeout_fast_path
+    /// Makes every RS request arm its timeout and schedule its own reply,
+    /// even one whose reply is bound to win (tests only): the per-request
+    /// reference, outcome-identical to deciding at send.
+    #[cfg(test)]
+    fn set_armed_reference(&mut self, armed: bool) {
+        self.armed_reference = armed;
     }
 
     /// RS→RS reservation request from `from` to `to`, resolved inline: one
@@ -2638,7 +2627,7 @@ mod tests {
         let run = |fast_path: bool| {
             let mut o = overlay();
             o.boot_all();
-            o.set_rs_timeout_fast_path(fast_path);
+            o.set_armed_reference(!fast_path);
             let ids = o.peer_ids();
             let key = o.generate_key();
             for &to in &ids[1..] {
@@ -3021,7 +3010,7 @@ mod tests {
         twin.schedule_completion(SimTime::from_secs(100), twin_old, vec![]);
         let twin_key = twin.generate_key();
         assert_eq!(twin_key, key);
-        twin.set_rs_timeout_fast_path(false);
+        twin.set_armed_reference(true);
         grant_all(&mut twin, from, &targets, key);
         assert_eq!(
             start_round_reference(&mut twin, from, key, &requests),
@@ -3305,7 +3294,7 @@ mod tests {
             .peer_per_host(|h| OwnerConfig::new(j, h.cores as u32))
             .build();
         o.boot_all();
-        o.set_rs_timeout_fast_path(fast_path);
+        o.set_armed_reference(!fast_path);
         o
     }
 

@@ -10,17 +10,13 @@
 //! simulated.
 //!
 //! Payloads live in the slab-backed [`crate::event::EventStore`] behind the
-//! queue, and the priority structure is selectable via [`QueueKind`]
-//! ([`TypedEngine::with_queue_kind`]): the default binary heap, or a ladder
-//! queue for large *skewed* event populations (see `crate::event` for the
-//! selection guide).  The scheduling API ([`TypedEngine::schedule_at`] /
-//! [`TypedEngine::schedule_in`]) is identical for both.  Both calls return
-//! the event's [`EventKey`], which [`TypedEngine::cancel`] accepts to revoke
-//! a pending event (cancel-after-fire is a harmless no-op; see
-//! `crate::event` for the tombstone mechanics and the FIFO guarantees around
-//! them).
+//! queue's binary heap.  [`TypedEngine::schedule_at`] /
+//! [`TypedEngine::schedule_in`] return the event's [`EventKey`], which
+//! [`TypedEngine::cancel`] accepts to revoke a pending event
+//! (cancel-after-fire is a harmless no-op; see `crate::event` for the
+//! tombstone mechanics and the FIFO guarantees around them).
 
-use crate::event::{EventKey, EventQueue, QueueKind, Scheduled};
+use crate::event::{EventKey, EventQueue, Scheduled};
 use crate::time::{SimDuration, SimTime};
 
 /// Clock-plus-queue engine over plain data events.
@@ -55,33 +51,13 @@ impl<E> Default for TypedEngine<E> {
 }
 
 impl<E> TypedEngine<E> {
-    /// Creates an engine with the clock at [`SimTime::ZERO`] over the
-    /// default binary heap.
+    /// Creates an engine with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::with_queue_kind(QueueKind::BinaryHeap)
-    }
-
-    /// Creates an engine over the given priority structure.
-    pub fn with_queue_kind(kind: QueueKind) -> Self {
         TypedEngine {
             now: SimTime::ZERO,
-            queue: EventQueue::with_kind(kind),
+            queue: EventQueue::new(),
             processed: 0,
         }
-    }
-
-    /// Creates a pre-sized engine over the given priority structure.
-    pub fn with_capacity_and_kind(capacity: usize, kind: QueueKind) -> Self {
-        TypedEngine {
-            now: SimTime::ZERO,
-            queue: EventQueue::with_capacity_and_kind(capacity, kind),
-            processed: 0,
-        }
-    }
-
-    /// The priority structure the event queue uses.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Reserves queue capacity for at least `additional` more events.
@@ -245,8 +221,8 @@ mod tests {
 
     #[test]
     fn with_capacity_presizes_the_queue() {
-        let mut sim: TypedEngine<u64> =
-            TypedEngine::with_capacity_and_kind(64, QueueKind::BinaryHeap);
+        let mut sim: TypedEngine<u64> = TypedEngine::new();
+        sim.reserve_events(64);
         assert!(sim.events_capacity() >= 64);
         for i in 0..64u64 {
             sim.schedule_at(SimTime::from_secs(i), i);
@@ -262,33 +238,8 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_ladder_engines_run_identically() {
-        // The same schedule must produce the same firing order and final
-        // clock whichever queue kind backs the engine.
-        let run = |kind: QueueKind| {
-            let mut sim: TypedEngine<u64> = TypedEngine::with_capacity_and_kind(16, kind);
-            assert_eq!(sim.queue_kind(), kind);
-            for (id, ms) in [7u64, 3, 3, 9, 1].into_iter().enumerate() {
-                sim.schedule_in(SimDuration::from_millis(ms), id as u64);
-            }
-            let mut hits = Vec::new();
-            while let Some(ev) = sim.pop_due(SimTime::MAX) {
-                hits.push((ev.time, ev.payload));
-            }
-            (hits, sim.now())
-        };
-        let (heap_hits, heap_now) = run(QueueKind::BinaryHeap);
-        let (ladder_hits, ladder_now) = run(QueueKind::Ladder);
-        assert_eq!(heap_hits, ladder_hits);
-        assert_eq!(heap_now, ladder_now);
-        // FIFO among the two 3 ms events: scheduling order is preserved.
-        assert_eq!((heap_hits[1].1, heap_hits[2].1), (1, 2));
-    }
-
-    #[test]
     fn typed_engine_runs_a_bounded_driver_loop() {
-        let mut sim: TypedEngine<u32> = TypedEngine::with_queue_kind(QueueKind::Ladder);
-        assert_eq!(sim.queue_kind(), QueueKind::Ladder);
+        let mut sim: TypedEngine<u32> = TypedEngine::new();
         for i in 1..=6u32 {
             sim.schedule_at(SimTime::from_secs(i as u64), i);
         }

@@ -1,114 +1,203 @@
-//! Property test: the two [`QueueKind`]s are interchangeable.
+//! Property test: [`EventQueue`] behaves like a plain sorted `Vec`.
 //!
-//! The binary heap is the reference implementation; the ladder queue must
-//! deliver *exactly* the same `(time, payload)` stream — FIFO ties included
-//! — under arbitrary interleavings of pushes, pops and cancellations.
-//! Cancellation is the interesting part: tombstoned tickets travel through
-//! ladder rung transfers (where they may be compacted early), and none of
-//! that may reorder the survivors or desynchronise the live-event count.
+//! The reference keeps every ticket in a `Vec` sorted by `(time, seq)` and
+//! cancels by linear search, marking the entry dead the way the queue
+//! leaves a tombstone.  Under arbitrary interleavings of pushes, batch
+//! pushes, pops, peeks, cancellations and reaps the queue must deliver
+//! *exactly* the reference's `(time, payload)` stream — FIFO ties included
+//! — agree on every cancel (stale keys included), and carry the same live
+//! and queued counts: a dead ticket is collected when the front reaches it
+//! or when `reap` sweeps it, never otherwise.
 
-use p2pmpi_simgrid::event::{EventKey, EventQueue, QueueKind, Scheduled};
+use p2pmpi_simgrid::event::{EventKey, EventQueue, Scheduled};
 use p2pmpi_simgrid::rngutil::seeded;
 use p2pmpi_simgrid::time::SimTime;
 use proptest::prelude::*;
 use rand::Rng;
 
 /// One scripted operation of a random workload.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Op {
     /// Push at `floor + offset` (the floor is the last popped time, so the
     /// schedule never goes backwards the way an engine never would).
     Push(u64),
+    /// `push_batch` of several events at `floor + offset` each.
+    PushBatch(Vec<u64>),
     /// Cancel a random still-tracked key (may already be stale).
     Cancel(usize),
     /// Pop the earliest event.
     Pop,
+    /// Read the earliest pending firing time.
+    PeekTime,
+    /// Collect every dead ticket eagerly.
+    Reap,
 }
 
-/// Draws a workload whose pushes mix three time scales: tight clusters
-/// (ties and near-ties), a medium band, and a sparse far tail — the shape
-/// that stresses the ladder's rung refinement.
+/// A time offset on one of three scales: tight clusters (ties and
+/// near-ties), a medium band, and a sparse far tail.
+fn offset(rng: &mut impl Rng) -> u64 {
+    match rng.gen_range(0u32..4) {
+        0 => rng.gen_range(0u64..10),
+        1 => rng.gen_range(0u64..100_000),
+        2 => rng.gen_range(0u64..10_000_000),
+        _ => rng.gen_range(0u64..60_000_000_000),
+    }
+}
+
 fn script(seed: u64, ops: usize) -> Vec<Op> {
     let mut rng = seeded(seed);
     (0..ops)
         .map(|_| match rng.gen_range(0u32..100) {
-            0..=54 => Op::Push(match rng.gen_range(0u32..4) {
-                0 => rng.gen_range(0u64..10),
-                1 => rng.gen_range(0u64..100_000),
-                2 => rng.gen_range(0u64..10_000_000),
-                _ => rng.gen_range(0u64..60_000_000_000),
-            }),
-            55..=74 => Op::Cancel(rng.gen()),
-            _ => Op::Pop,
+            0..=44 => Op::Push(offset(&mut rng)),
+            45..=49 => Op::PushBatch(
+                (0..rng.gen_range(1usize..8))
+                    .map(|_| offset(&mut rng))
+                    .collect(),
+            ),
+            50..=69 => Op::Cancel(rng.gen()),
+            70..=89 => Op::Pop,
+            90..=95 => Op::PeekTime,
+            _ => Op::Reap,
         })
         .collect()
 }
 
-struct Tracked {
-    queue: EventQueue<u32>,
-    keys: Vec<EventKey>,
+/// One reference ticket: firing time, sequence number, payload, and whether
+/// its event was cancelled (a tombstone awaiting collection).
+struct Entry {
+    time: SimTime,
+    seq: u64,
+    payload: u32,
+    dead: bool,
 }
 
-impl Tracked {
-    fn new(kind: QueueKind) -> Self {
-        Tracked {
-            queue: EventQueue::with_kind(kind),
-            keys: Vec::new(),
-        }
+/// The reference queue: a `Vec` kept sorted by `(time, seq)`.
+#[derive(Default)]
+struct Reference {
+    entries: Vec<Entry>,
+    next_seq: u64,
+}
+
+impl Reference {
+    fn push(&mut self, time: SimTime, payload: u32) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // Every earlier push has a smaller seq, so the entry goes after all
+        // entries due at or before `time`.
+        let at = self.entries.partition_point(|e| e.time <= time);
+        self.entries.insert(
+            at,
+            Entry {
+                time,
+                seq,
+                payload,
+                dead: false,
+            },
+        );
+        seq
+    }
+
+    fn cancel(&mut self, seq: u64) -> Option<u32> {
+        let entry = self.entries.iter_mut().find(|e| e.seq == seq && !e.dead)?;
+        entry.dead = true;
+        Some(entry.payload)
+    }
+
+    /// Drops the dead entries at the front, as the queue's pop and peek do.
+    fn collect_front(&mut self) {
+        let dead = self.entries.iter().take_while(|e| e.dead).count();
+        self.entries.drain(..dead);
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<u32>> {
+        self.collect_front();
+        (!self.entries.is_empty()).then(|| {
+            let e = self.entries.remove(0);
+            Scheduled {
+                time: e.time,
+                payload: e.payload,
+            }
+        })
+    }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        self.collect_front();
+        self.entries.first().map(|e| e.time)
+    }
+
+    fn reap(&mut self) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|e| !e.dead);
+        before - self.entries.len()
+    }
+
+    fn live_len(&self) -> usize {
+        self.entries.iter().filter(|e| !e.dead).count()
     }
 }
 
 proptest! {
     #[test]
-    fn heap_and_ladder_deliver_identical_streams(
+    fn event_queue_matches_a_sorted_vec_reference(
         seed in 0u64..1_000_000,
         ops in 200usize..1200,
     ) {
-        let script = script(seed, ops);
-        let mut queues = [
-            Tracked::new(QueueKind::BinaryHeap),
-            Tracked::new(QueueKind::Ladder),
-        ];
+        let mut queue: EventQueue<u32> = EventQueue::new();
+        let mut reference = Reference::default();
+        // Every key handed out, with the reference seq it stands for.
+        let mut keys: Vec<(EventKey, u64)> = Vec::new();
+        let mut batch_keys = Vec::new();
         let mut floor = 0u64;
-        for (i, op) in script.iter().enumerate() {
-            match *op {
+        for (i, op) in script(seed, ops).into_iter().enumerate() {
+            let payload = i as u32;
+            match op {
                 Op::Push(offset) => {
                     let t = SimTime::from_nanos(floor + offset);
-                    for q in &mut queues {
-                        let key = q.queue.push(t, i as u32);
-                        q.keys.push(key);
+                    keys.push((queue.push(t, payload), reference.push(t, payload)));
+                }
+                Op::PushBatch(offsets) => {
+                    let events: Vec<(SimTime, u32)> = offsets
+                        .iter()
+                        .map(|&o| (SimTime::from_nanos(floor + o), payload))
+                        .collect();
+                    batch_keys.clear();
+                    queue.push_batch(events.iter().copied(), &mut batch_keys);
+                    prop_assert_eq!(batch_keys.len(), events.len());
+                    for (&key, &(t, p)) in batch_keys.iter().zip(&events) {
+                        keys.push((key, reference.push(t, p)));
                     }
                 }
                 Op::Cancel(pick) => {
-                    if queues[0].keys.is_empty() {
+                    if keys.is_empty() {
                         continue;
                     }
-                    let idx = pick % queues[0].keys.len();
                     // Keys may be stale (popped or already cancelled); both
-                    // queues must agree on whether the cancel landed.
-                    let results: Vec<Option<u32>> = queues
-                        .iter_mut()
-                        .map(|q| q.queue.cancel(q.keys.swap_remove(idx)))
-                        .collect();
-                    prop_assert_eq!(results[0], results[1], "ladder cancel diverged at op {}", i);
+                    // must agree on whether the cancel landed.
+                    let (key, seq) = keys.swap_remove(pick % keys.len());
+                    prop_assert_eq!(queue.cancel(key), reference.cancel(seq), "cancel at op {}", i);
                 }
                 Op::Pop => {
-                    let popped: Vec<Option<Scheduled<u32>>> =
-                        queues.iter_mut().map(|q| q.queue.pop()).collect();
-                    prop_assert_eq!(&popped[0], &popped[1], "ladder pop diverged at op {}", i);
-                    if let Some(s) = &popped[0] {
+                    let popped = queue.pop();
+                    prop_assert_eq!(&popped, &reference.pop(), "pop at op {}", i);
+                    if let Some(s) = popped {
                         floor = s.time.as_nanos();
                     }
                 }
+                Op::PeekTime => {
+                    prop_assert_eq!(queue.peek_time(), reference.peek_time(), "peek at op {}", i);
+                }
+                Op::Reap => {
+                    prop_assert_eq!(queue.reap(), reference.reap(), "reap at op {}", i);
+                }
             }
-            prop_assert_eq!(queues[0].queue.len(), queues[1].queue.len());
+            prop_assert_eq!(queue.len(), reference.live_len(), "live count at op {}", i);
+            prop_assert_eq!(queue.queued_len(), reference.entries.len(), "queued count at op {}", i);
         }
         // Drain whatever survived; the full tail must agree too.
         loop {
-            let tail: Vec<Option<Scheduled<u32>>> =
-                queues.iter_mut().map(|q| q.queue.pop()).collect();
-            prop_assert_eq!(&tail[0], &tail[1], "ladder tail diverged");
-            if tail[0].is_none() {
+            let tail = queue.pop();
+            prop_assert_eq!(&tail, &reference.pop(), "tail diverged");
+            if tail.is_none() {
                 break;
             }
         }
