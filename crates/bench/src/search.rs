@@ -95,8 +95,9 @@ impl Default for SearchParams {
 }
 
 impl SearchParams {
-    /// Per-kernel default move budget.  An EP move is one O(n) pass over
-    /// three tree segments, so it can afford the full 4 000-move budget; an
+    /// Per-kernel default move budget.  An EP move is one O(n) pass over a
+    /// compute phase and one merged tree run (its two allreduces), so it
+    /// can afford the full 4 000-move budget; an
     /// IS or FT move runs an O(n²) wavefront per ring of its first two
     /// iterations (the rest fast-forward), so their defaults trade moves
     /// for wall-clock — the skewed-grid improvement saturates well before
@@ -272,11 +273,11 @@ struct ScheduleKey {
 /// fresh shape may both compile it, the first insert wins and both return
 /// that entry.  Entries are never evicted: the cache holds one schedule per
 /// distinct (kernel, settings, rank count) the process ever costs, each
-/// O(ranks) bytes per tree collective
+/// O(ranks) bytes per tree collective and per distinct compute phase
 /// ([`CompiledSchedule::heap_bytes`]) — six shapes for a day sweep (EP@8–128,
-/// IS@8/32: 31 KB together); the largest the benchmark and CI build,
-/// IS@1024, is 354 KB (a `--ranks` sweep adds one entry per point: IS@4096
-/// is 1.4 MB).
+/// IS@8/32: 28 KB together); the largest the benchmark and CI build,
+/// IS@1024, is 280 KB (a `--ranks` sweep adds one entry per point: IS@4096
+/// is 1.1 MB).
 pub fn cached_kernel_schedule(
     kernel: Fig4Kernel,
     settings: &Fig4Settings,
@@ -682,7 +683,7 @@ pub struct OnlineSearchStats {
     /// Annealing moves evaluated across all arrivals.
     pub moves_evaluated: u64,
     /// Wall nanoseconds spent in `prepare` (seed repair and evaluator
-    /// build).
+    /// build), infeasible arrivals included.
     pub prepare_nanos: u64,
     /// Wall nanoseconds spent annealing.
     pub anneal_nanos: u64,
@@ -880,13 +881,14 @@ impl SearchContext {
     ) -> Option<Vec<HostId>> {
         self.stats.arrivals += 1;
         let start = std::time::Instant::now();
-        let Some(idx) = self.prepare(kernel, n, caps) else {
+        let token = self.prepare(kernel, n, caps);
+        let prepared = std::time::Instant::now();
+        self.stats.prepare_nanos += (prepared - start).as_nanos() as u64;
+        let Some(idx) = token else {
             self.stats.infeasible += 1;
             return None;
         };
-        let prepared = std::time::Instant::now();
         let hosts = self.anneal_prepared(idx, arrival);
-        self.stats.prepare_nanos += (prepared - start).as_nanos() as u64;
         self.stats.anneal_nanos += prepared.elapsed().as_nanos() as u64;
         self.stats.searched += 1;
         Some(hosts)

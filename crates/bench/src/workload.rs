@@ -424,7 +424,7 @@ pub struct JobMix {
     /// sweep, only what a placement *shape* costs once (`ShapeCosts`): an
     /// IS shape's twenty rings are O(ranks²) cells each, so costing one
     /// (`run_kernel_on_placement`, cached schedule) takes ~5 µs at 8 ranks
-    /// and ~40 µs at 32 — against 0.4–3 µs for EP at 8–128 — and would
+    /// and ~40 µs at 32 — against 0.35–3.5 µs for EP at 8–128 — and would
     /// take ~0.35 ms at 128 (4.6 ms as a `ModelComm` replay), a hundred or
     /// so times a day.  The value stays because raising it changes which
     /// jobs run IS, hence every hold and every committed fingerprint.

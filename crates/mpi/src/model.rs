@@ -93,17 +93,20 @@
 //!
 //! Everything that *charges* a makespan goes through the evaluator's full
 //! pass instead: tree messages through a `(byte size, link class)` memo,
-//! rings through pooled transfer tables and a branchless u64 wavefront
-//! (~2 ns per receive), repeated blocks fast-forwarded (see the fast-forward
-//! contract below).  The same pass costs every move of a searching
-//! `PlacementCost`, so the objective a search optimises and the makespan a
-//! sweep charges are one code path, not two that agree.  `cost_of` keeps
-//! none of the search's state — no capacities, no second clock vector,
-//! nothing sized by the topology's host count beyond one zeroed counter per
-//! host — so small jobs gain too: measured on the day mix's shapes,
-//! EP@8–128 costs 0.4–3 µs where the `ModelComm` replay takes 0.9–30 µs,
-//! IS@8 ~3 µs against 20, IS@32 ~10 µs against ~300 (two of IS's ten
-//! iterations stepped, eight fast-forwarded).
+//! compute phases through a per-rank term cache, rings through pooled
+//! transfer tables and a branchless u64 wavefront (~2 ns per receive),
+//! repeated blocks fast-forwarded (see the fast-forward contract below).
+//! The same pass costs every move of a searching `PlacementCost`, so the
+//! objective a search optimises and the makespan a sweep charges are one
+//! code path, not two that agree.  `cost_of` keeps none of the search's
+//! state — no capacities, no second clock vector, nothing sized by the
+//! topology's host count beyond one zeroed counter per host — so small jobs
+//! gain too: measured on the day mix's shapes over the Grid'5000 topology
+//! (2-vCPU x86 VM, release build), EP@8–128 costs 0.35–3.5 µs where the
+//! `ModelComm` replay takes 0.8–17 µs, IS@8 ~3 µs against ~21, IS@32
+//! 8–11 µs against ~350 (two of IS's ten iterations stepped, eight
+//! fast-forwarded).  A move of a searching evaluator, which hits the term
+//! cache, costs 0.26–2.4 µs at EP@8–128, ~0.9 µs at IS@8, ~6.8 µs at IS@32.
 //!
 //! A compiled schedule is placement-independent, so callers compile each
 //! kernel shape once and share it (`p2pmpi_bench::search::
@@ -119,27 +122,51 @@
 //! **`apply` is one full pass.**  It mutates the assignment — hosts,
 //! per-host resident counts, and the `PerSrc` ring rows of a rank that
 //! changed *site* — and runs [`PlacementCost::cost_of`]'s pass over the whole
-//! schedule into a second clock vector.  Nothing is cached per segment or
-//! per message: a move on the critical path dirties a whole allreduce and a
-//! ring must be re-run in full anyway, so incremental bookkeeping only pays
-//! from ~1 000 tree-only ranks up — above every shape the searched day and
-//! the benchmark run (ROADMAP item 5 has the measured crossover).
+//! schedule into a second clock vector.  No clock of an earlier pass is
+//! kept per segment or per message: a move on the critical path dirties a
+//! whole allreduce and a ring must be re-run in full anyway, so incremental
+//! clock bookkeeping only pays from ~1 000 tree-only ranks up — above every
+//! shape the searched day and the benchmark run (the measured crossover
+//! table is in CHANGES.md, in the entry that replaced the delta evaluator
+//! with the full pass; ROADMAP lists it under "Parked").  What the pass does
+//! skip is re-deriving a *term* the move did not change, below.
 //!
-//! **What survives a move.**  The `(byte count, link class)` transfer memo
-//! of tree messages — link class meaning same-host / directed site pair,
-//! the only thing a transfer cost depends on; the schedule interns its
-//! handful of distinct message sizes at compile time, so the memo is a
-//! dense table and a lookup is one indexed load.  And the rings' *pooled
-//! transfer tables*, one per distinct `Uniform`/`PerSrc` byte structure
-//! among the schedule's rings (pooled at compile time, in the schedule).  A
-//! `Uniform` ring (same byte count on every edge) collapses to one loopback
-//! scalar plus a *site×site* matrix keyed by static topology data only —
-//! O(sites²) bytes and **move-invariant**.  A `PerSrc` ring keeps each
-//! source rank's transfer nanoseconds to a co-resident (`tsame[src]`,
-//! host-independent) and to a host at every destination site
-//! (`tsite[src · sites + site]`) — O(ranks · sites) bytes; a row is a pure
-//! function of the rank's host and byte count, so a site-changing move
-//! re-derives it and `undo` re-derives it back from the old host.
+//! **What survives a move.**
+//!
+//! * The `(byte count, link class)` transfer memo of tree messages — link
+//!   class meaning same-host / directed site pair, the only thing a
+//!   transfer cost depends on; the schedule interns its handful of distinct
+//!   message sizes at compile time, so the memo is a dense table and a
+//!   lookup is one indexed load.
+//! * The *compute-term cache*: one row per distinct compute phase (equal
+//!   phases pool at compile time, as rings do: IS's ten iterations share
+//!   one row), holding each rank's last `ComputeModel::compute_time` result
+//!   and the `host << 32 | residents[host]` tag it was costed under.  The
+//!   ops and the intensity are fixed per rank and phase, so the tag is
+//!   everything a move can change: the pass re-costs a rank only when its
+//!   tag differs — the ranks a move relocated and, after a migrate, their
+//!   co-residents on both hosts — and adds the cached term otherwise.  The
+//!   tag is the key, so `apply`, `undo` and `commit` carry no invalidation
+//!   code.  Under `debug_assertions` every hit is re-costed and compared,
+//!   so every debug-profile test that costs a placement checks the cache.
+//! * The rings' *pooled transfer tables*, one per distinct
+//!   `Uniform`/`PerSrc` byte structure among the schedule's rings (pooled
+//!   at compile time, in the schedule).  A `Uniform` ring (same byte count
+//!   on every edge) collapses to one loopback scalar plus a *site×site*
+//!   matrix keyed by static topology data only — O(sites²) bytes and
+//!   **move-invariant**.  A `PerSrc` ring keeps each source rank's transfer
+//!   nanoseconds to a co-resident (`tsame[src]`, host-independent) and to a
+//!   host at every destination site (`tsite[src · sites + site]`) —
+//!   O(ranks · sites) bytes; a row is a pure function of the rank's host
+//!   and byte count, so a site-changing move re-derives it and `undo`
+//!   re-derives it back from the old host.
+//!
+//! **The per-rank view** is derived once per pass, for every schedule: the
+//! host index and site of each rank.  A tree message takes its link class
+//! from it (same host, else the two ranks' sites), so costing a message
+//! reads no `Host` record; a ring wavefront reads it together with the
+//! list of co-located ring pairs, which is built only when a table ring
+//! will read it.
 //!
 //! **`undo` is a swap and a restore; `commit` is O(1).**
 //! [`PlacementCost::clocks`] always holds the final per-rank clocks of the
@@ -159,7 +186,8 @@
 //! counter and the table entries are the very `NetworkModel::transfer_time`
 //! values the replay computes.
 //!
-//! **Memory.**  Two clock vectors, the memo, and for rings O(ranks · sites)
+//! **Memory.**  Two clock vectors, the memo, the per-rank view, 16 bytes per
+//! rank per distinct compute phase, and for rings O(ranks · sites)
 //! of pooled tables plus O(ranks) scratch rows shared across *all* ring
 //! segments with the same byte structure
 //! ([`PlacementCost::ring_cache_bytes`] reports the total): IS at 1024 ranks
@@ -628,16 +656,24 @@ impl RingBytes {
     }
 }
 
+/// The work of one compute phase: per-rank abstract operation counts under
+/// one memory intensity.  Equality is what pools phases across segments
+/// (IS's ten iterations compute the same shares) and thereby the
+/// evaluator's compute-term rows (see [`EvalCore`]).
+#[derive(Debug, Clone, PartialEq)]
+struct ComputePhase {
+    intensity: MemoryIntensity,
+    ops: Box<[f64]>,
+}
+
 /// One segment of a compiled schedule.  Equality is what detects repeated
 /// blocks (see [`CompiledSchedule::repeat`]): equal segments are the same
 /// function of the clocks on any one assignment.
 #[derive(Debug, Clone, PartialEq)]
 enum Segment {
-    /// A compute phase: per-rank abstract operation counts.
-    Compute {
-        intensity: MemoryIntensity,
-        ops: Box<[f64]>,
-    },
+    /// A compute phase; `phase` indexes
+    /// [`CompiledSchedule::compute_phases`].
+    Compute { phase: u32 },
     /// A run of sequential tree messages (adjacent trees are merged).
     Msgs { msgs: Box<[MsgRec]> },
     /// One full ring exchange (n−1 steps); `shape` indexes
@@ -652,10 +688,9 @@ impl Segment {
     /// the unit of [`CompiledSchedule::op_count`].
     fn op_count(&self, n: usize) -> usize {
         match self {
-            Segment::Compute { ops, .. } => ops.len(),
+            Segment::Compute { .. } | Segment::Advance { .. } => n,
             Segment::Msgs { msgs } => msgs.len(),
             Segment::Ring { .. } => n.saturating_sub(1) * n,
-            Segment::Advance { .. } => n,
         }
     }
 }
@@ -700,6 +735,10 @@ pub struct CompiledSchedule {
     /// equal structure share one entry — and thereby one pooled transfer
     /// table in every evaluator (see [`PlacementCost`]).
     ring_shapes: Vec<RingBytes>,
+    /// The distinct compute phases (EP and IS have one each).  Segments
+    /// with equal work share one entry — and thereby one row of cached
+    /// compute terms in every evaluator.
+    compute_phases: Vec<ComputePhase>,
 }
 
 impl CompiledSchedule {
@@ -725,6 +764,13 @@ impl CompiledSchedule {
         self.repeat.map(|r| (r.start, r.period, r.reps))
     }
 
+    /// Number of distinct compute phases: equal `compute` calls pool into
+    /// one.  Test-only surface, like [`Self::repeated_block`].
+    #[doc(hidden)]
+    pub fn compute_phase_count(&self) -> usize {
+        self.compute_phases.len()
+    }
+
     /// When `seg` is the first segment of a repetition of the repeated
     /// block: the block and the repetitions still to run, this one included.
     fn repeat_top(&self, seg: usize) -> Option<(Repeat, usize)> {
@@ -745,14 +791,18 @@ impl CompiledSchedule {
     /// costs (the tree messages dominate).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let segments: usize = self
+        let msgs: usize = self
             .segments
             .iter()
             .map(|s| match s {
-                Segment::Compute { ops, .. } => ops.len() * size_of::<f64>(),
                 Segment::Msgs { msgs } => msgs.len() * size_of::<MsgRec>(),
-                Segment::Ring { .. } | Segment::Advance { .. } => 0,
+                _ => 0,
             })
+            .sum();
+        let phases: usize = self
+            .compute_phases
+            .iter()
+            .map(|p| p.ops.len() * size_of::<f64>())
             .sum();
         let rings: usize = self
             .ring_shapes
@@ -764,8 +814,10 @@ impl CompiledSchedule {
             .sum();
         self.segments.capacity() * size_of::<Segment>()
             + self.ring_shapes.capacity() * size_of::<RingBytes>()
+            + self.compute_phases.capacity() * size_of::<ComputePhase>()
             + self.msg_sizes.capacity() * size_of::<u64>()
-            + segments
+            + msgs
+            + phases
             + rings
     }
 
@@ -777,8 +829,9 @@ impl CompiledSchedule {
         let n = self.size as usize;
         for seg in &self.segments {
             match seg {
-                Segment::Compute { intensity, ops } => {
-                    p.compute(*intensity, |r| ops[r as usize]);
+                Segment::Compute { phase } => {
+                    let phase = &self.compute_phases[*phase as usize];
+                    p.compute(phase.intensity, |r| phase.ops[r as usize]);
                 }
                 Segment::Msgs { msgs } => {
                     for m in msgs.iter() {
@@ -811,6 +864,17 @@ pub struct ScheduleBuilder {
     /// Index of each byte count in `msg_sizes`.
     size_index: HashMap<u64, u32>,
     ring_shapes: Vec<RingBytes>,
+    compute_phases: Vec<ComputePhase>,
+}
+
+/// Index of `item` in `pool`, appending it if no equal entry exists — how
+/// ring shapes and compute phases pool across segments.
+fn intern<T: PartialEq>(pool: &mut Vec<T>, item: T) -> u32 {
+    let index = pool.iter().position(|p| *p == item).unwrap_or_else(|| {
+        pool.push(item);
+        pool.len() - 1
+    });
+    index as u32
 }
 
 impl ScheduleBuilder {
@@ -824,6 +888,7 @@ impl ScheduleBuilder {
             msg_sizes: Vec::new(),
             size_index: HashMap::new(),
             ring_shapes: Vec::new(),
+            compute_phases: Vec::new(),
         }
     }
 
@@ -844,6 +909,7 @@ impl ScheduleBuilder {
             segments: self.segments,
             msg_sizes: self.msg_sizes,
             ring_shapes: self.ring_shapes,
+            compute_phases: self.compute_phases,
         }
     }
 }
@@ -894,8 +960,9 @@ impl CollectiveProgram for ScheduleBuilder {
 
     fn compute<F: FnMut(Rank) -> f64>(&mut self, intensity: MemoryIntensity, mut ops_of: F) {
         self.close_msgs();
-        let ops: Box<[f64]> = (0..self.size).map(&mut ops_of).collect();
-        self.segments.push(Segment::Compute { intensity, ops });
+        let ops = (0..self.size).map(&mut ops_of).collect();
+        let phase = intern(&mut self.compute_phases, ComputePhase { intensity, ops });
+        self.segments.push(Segment::Compute { phase });
     }
 
     fn advance(&mut self, d: SimDuration) {
@@ -952,16 +1019,8 @@ impl CollectiveProgram for ScheduleBuilder {
         } else {
             RingBytes::PerPair(matrix.into_boxed_slice())
         };
-        let shape = match self.ring_shapes.iter().position(|s| *s == bytes) {
-            Some(i) => i,
-            None => {
-                self.ring_shapes.push(bytes);
-                self.ring_shapes.len() - 1
-            }
-        };
-        self.segments.push(Segment::Ring {
-            shape: shape as u32,
-        });
+        let shape = intern(&mut self.ring_shapes, bytes);
+        self.segments.push(Segment::Ring { shape });
     }
 }
 
@@ -1060,13 +1119,27 @@ struct PendingMove {
 /// Transfer-memo cell that has not been costed yet.
 const UNCOSTED: u64 = u64::MAX;
 
+/// Compute-term cell that has not been costed yet: no `(host, residents)`
+/// tag equals it (a host id and a resident count each fit 32 bits, and no
+/// host holds `u32::MAX` ranks).
+const UNTAGGED: u64 = u64::MAX;
+
+/// The key of a cached compute term: everything `ComputeModel::compute_time`
+/// reads that a move can change — the rank's host and that host's resident
+/// count (the ops and the intensity are fixed per rank and phase).
+#[inline]
+fn compute_tag(host: HostId, residents: u32) -> u64 {
+    (host.0 as u64) << 32 | u64::from(residents)
+}
+
 /// The pass half of the evaluator: everything one full pass over a schedule
-/// reads — the tree-message transfer memo, the pooled ring tables, the
-/// rings' per-rank host/site view and the scratch rows — and nothing a move
-/// needs.  [`PlacementCost`] embeds one and layers the clocks, the capacity
-/// bookkeeping and the in-flight move on top; [`PlacementCost::cost_of`]
-/// builds one, runs [`EvalCore::full_pass`] once and drops it.  Everything
-/// here is sized by ranks and sites, never by the topology's host count.
+/// reads — the tree-message transfer memo, the cached compute terms, the
+/// pooled ring tables, the per-rank host/site view and the scratch rows —
+/// and nothing a move needs.  [`PlacementCost`] embeds one and layers the
+/// clocks, the capacity bookkeeping and the in-flight move on top;
+/// [`PlacementCost::cost_of`] builds one, runs [`EvalCore::full_pass`] once
+/// and drops it.  Everything here is sized by ranks and sites, never by the
+/// topology's host count.
 struct EvalCore {
     overhead: SimDuration,
     site_count: usize,
@@ -1079,6 +1152,13 @@ struct EvalCore {
     /// handful of cells covers any schedule — and a lookup is one indexed
     /// load, no hashing.  Topology-keyed, so it survives every move.
     tree_memo: Vec<u64>,
+    /// Cached compute terms, `compute_rows[phase · ranks + rank]` with
+    /// `phase` a [`CompiledSchedule::compute_phases`] index: the
+    /// [`compute_tag`] the term was costed under and the term.  A pass
+    /// re-costs a rank only when its tag changed — a move touches the two
+    /// ranks it relocates and their co-residents — so nothing ever
+    /// invalidates a cell: the tag is the key.
+    compute_rows: Vec<(u64, SimDuration)>,
     /// Two representative hosts per site, for building transfer-table rows
     /// (the second repeats the first at single-host sites, whose distinct-
     /// host intra-site entries are unreachable).  Empty when the schedule
@@ -1088,8 +1168,8 @@ struct EvalCore {
     /// `ring_shapes` (`None` for a `PerPair` shape, whose wavefront costs
     /// every receive through the network model).
     ring_tables: Vec<Option<RingTable>>,
-    // --- the rings' per-rank view of the host assignment, refreshed once
-    // per pass (empty when the schedule has no ring) ---
+    // --- the per-rank view of the host assignment, refreshed once per pass
+    // (tree messages read the sites, ring wavefronts all three) ---
     host_of: Vec<u32>,
     site_of: Vec<u32>,
     /// Same-host `(step, dst, src)` ring pairs, ascending: the loopback
@@ -1128,10 +1208,11 @@ impl EvalCore {
             site_count,
             classes,
             tree_memo: vec![UNCOSTED; schedule.msg_sizes.len() * classes],
+            compute_rows: vec![(UNTAGGED, SimDuration::ZERO); schedule.compute_phases.len() * n],
             site_rep: Vec::new(),
             ring_tables: Vec::new(),
-            host_of: vec![0; ring_n],
-            site_of: vec![0; ring_n],
+            host_of: vec![0; n],
+            site_of: vec![0; n],
             colo: Vec::new(),
             by_host: Vec::new(),
             wf_prev: vec![0; ring_n],
@@ -1249,20 +1330,16 @@ impl EvalCore {
         self.ring_tables = tables;
     }
 
-    /// Re-derives what the ring wavefronts read of `hosts`: host index and
-    /// site of every rank, plus — when a table ring will read it — the
-    /// list of same-host ring pairs.  `residents` (ranks per host id)
-    /// short-cuts the common all-hosts-distinct case.  A schedule without
-    /// rings has no view to refresh.
-    fn refresh_ring_view(&mut self, hosts: &[HostId], residents: &[u32], topology: &Topology) {
-        if self.ring_tables.is_empty() {
-            return;
-        }
+    /// Re-derives the per-rank view of `hosts`: host index and site of
+    /// every rank, plus — when a table ring will read it — the list of
+    /// same-host ring pairs.  `residents` (ranks per host id) short-cuts
+    /// the common all-hosts-distinct case.
+    fn refresh_view(&mut self, hosts: &[HostId], residents: &[u32], topology: &Topology) {
         let n = hosts.len();
         let mut stacked = false;
-        for (r, &h) in hosts.iter().enumerate() {
-            self.host_of[r] = h.0 as u32;
-            self.site_of[r] = topology.host(h).site.0 as u32;
+        for ((host, site), &h) in self.host_of.iter_mut().zip(&mut self.site_of).zip(hosts) {
+            *host = h.0 as u32;
+            *site = topology.host(h).site.0 as u32;
             stacked |= residents[h.0] > 1;
         }
         self.colo.clear();
@@ -1292,28 +1369,28 @@ impl EvalCore {
     }
 
     /// LogGP transfer time of a tree message of byte-size index `size`
-    /// from host `src` to host `dst`, through the `(size, class)` memo.
+    /// from rank `s` to rank `d` (living on `hosts[s]`, `hosts[d]`), through
+    /// the `(size, class)` memo.  Reads the sites from the per-rank view.
     #[inline]
     fn tree_transfer(
         &mut self,
         network: &NetworkModel,
         sizes: &[u64],
-        src: HostId,
-        dst: HostId,
+        hosts: &[HostId],
+        (s, d): (usize, usize),
         size: u32,
     ) -> SimDuration {
         // Link class of the pair: the transfer cost depends only on
         // same-host-ness and the (directed) site pair.
-        let class = if src == dst {
+        let class = if hosts[s] == hosts[d] {
             0
         } else {
-            let topology = network.topology();
-            1 + topology.host(src).site.0 * self.site_count + topology.host(dst).site.0
+            1 + self.site_of[s] as usize * self.site_count + self.site_of[d] as usize
         };
         let cell = &mut self.tree_memo[size as usize * self.classes + class];
         if *cell == UNCOSTED {
             *cell = network
-                .transfer_time(src, dst, sizes[size as usize])
+                .transfer_time(hosts[s], hosts[d], sizes[size as usize])
                 .as_nanos();
         }
         SimDuration::from_nanos(*cell)
@@ -1334,7 +1411,7 @@ impl EvalCore {
         compute: &ComputeModel,
         clocks: &mut [SimTime],
     ) -> usize {
-        self.refresh_ring_view(hosts, residents, network.topology());
+        self.refresh_view(hosts, residents, network.topology());
         let n = clocks.len();
         let mut evaluated = 0;
         let mut seg = 0;
@@ -1350,22 +1427,33 @@ impl EvalCore {
             }
             let segment = &schedule.segments[seg];
             match segment {
-                Segment::Compute { intensity, ops } => {
-                    for ((c, &h), &ops) in clocks.iter_mut().zip(hosts).zip(ops.iter()) {
-                        *c += compute.compute_time(h, ops, *intensity, residents[h.0] as usize);
+                Segment::Compute { phase } => {
+                    let ComputePhase { intensity, ops } = &schedule.compute_phases[*phase as usize];
+                    let row = &mut self.compute_rows[*phase as usize * n..][..n];
+                    for (((c, &h), &ops), cell) in
+                        clocks.iter_mut().zip(hosts).zip(ops.iter()).zip(row)
+                    {
+                        let on_host = residents[h.0];
+                        let tag = compute_tag(h, on_host);
+                        let term = || compute.compute_time(h, ops, *intensity, on_host as usize);
+                        if cell.0 != tag {
+                            *cell = (tag, term());
+                        } else {
+                            debug_assert_eq!(
+                                cell.1,
+                                term(),
+                                "cached compute term of {h} with {on_host} residents"
+                            );
+                        }
+                        *c += cell.1;
                     }
                 }
                 Segment::Msgs { msgs } => {
                     for &m in msgs.iter() {
                         let (s, d) = (m.src as usize, m.dst as usize);
                         let out_src = clocks[s] + self.overhead;
-                        let t = self.tree_transfer(
-                            network,
-                            &schedule.msg_sizes,
-                            hosts[s],
-                            hosts[d],
-                            m.size,
-                        );
+                        let t =
+                            self.tree_transfer(network, &schedule.msg_sizes, hosts, (s, d), m.size);
                         clocks[s] = out_src;
                         clocks[d] = clocks[d].max(out_src + t);
                     }
@@ -1545,8 +1633,8 @@ pub struct PlacementCost {
     schedule: Arc<CompiledSchedule>,
     network: NetworkModel,
     compute: ComputeModel,
-    /// Transfer memo, ring tables, per-rank view and scratch rows (the part
-    /// shared with [`PlacementCost::cost_of`]).
+    /// Transfer memo, compute-term cache, ring tables, per-rank view and
+    /// scratch rows (the part shared with [`PlacementCost::cost_of`]).
     core: EvalCore,
     /// Host of each rank.
     hosts: Vec<HostId>,
@@ -2211,6 +2299,28 @@ mod tests {
         assert_eq!(cost.hosts(), &hosts[..]);
         assert_eq!(cost.clocks(), &before_clocks[..]);
         cost.apply(Move::Swap { a: 2, b: 3 }).unwrap();
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+    }
+
+    #[test]
+    fn a_migrate_recosts_the_compute_of_a_rank_it_did_not_move() {
+        // Rank 0 never moves, but a migrate onto its host changes its
+        // resident count and thus its memory-bound compute term: the cached
+        // term must not survive that.
+        let t = topology();
+        let (h0, h1) = (t.hosts()[0].id, t.hosts()[1].id);
+        let phase = |b: &mut ScheduleBuilder| b.compute(MemoryIntensity::MEMORY_BOUND, |_| 1e9);
+        let mut cost = evaluator_of(phase, vec![h0, h1], &t);
+        let alone = cost.clocks()[0];
+        let stack = Move::Migrate { rank: 1, to: h0 };
+        cost.apply(stack).unwrap();
+        assert!(cost.clocks()[0] > alone, "rank 0 now shares its host");
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+        cost.undo();
+        assert_eq!(cost.clocks()[0], alone);
+        // The undone move left its terms in the cache; applying it again
+        // hits them and must still match the oracle.
+        cost.apply(stack).unwrap();
         assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
     }
 

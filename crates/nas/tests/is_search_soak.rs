@@ -7,10 +7,11 @@
 //! iterations the placement search optimises — IS's balanced alltoallv
 //! (compressed to a pooled transfer table) and FT's zero-diagonal transpose.
 
-use p2pmpi_mpi::model::{Move, PlacementCost};
+use p2pmpi_mpi::model::{ModelComm, Move, PlacementCost};
+use p2pmpi_mpi::placement::Placement;
 use p2pmpi_nas::classes::Class;
 use p2pmpi_nas::ft::{ft_schedule, FtConfig};
-use p2pmpi_nas::is::{is_schedule, IsConfig};
+use p2pmpi_nas::is::{is_model, is_schedule, IsConfig};
 use p2pmpi_simgrid::compute::ComputeModel;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::rngutil::seeded;
@@ -118,6 +119,33 @@ fn soak(schedule: p2pmpi_mpi::model::CompiledSchedule, n: u32, moves: u32, seed:
 fn is_schedule_soak_matches_oracle_at_128() {
     let config = IsConfig::sampled(Class::S, 4).with_iterations(4);
     soak(is_schedule(&config, 128), 128, 18, 42);
+}
+
+#[test]
+fn is_schedule_pools_its_compute_phases_and_replays_exactly() {
+    // IS computes the same per-rank shares in all ten iterations: they
+    // compile to one compute phase, and the pooled schedule still costs
+    // exactly what the kernel's program charges on a model communicator.
+    let config = IsConfig::sampled(Class::S, 4);
+    let schedule = is_schedule(&config, 32);
+    assert_eq!(schedule.compute_phase_count(), 1);
+    assert_eq!(schedule.repeated_block(), Some((0, 4, 10)));
+    let topology = grid();
+    let network = NetworkModel::new(topology.clone());
+    let compute = ComputeModel::new(topology.clone());
+    let hosts = spread_hosts(&topology, 32);
+    let mut model = ModelComm::new(
+        &Placement::one_per_host(&hosts),
+        network.clone(),
+        compute.clone(),
+    );
+    assert_eq!(
+        PlacementCost::cost_of(&schedule, &hosts, &network, &compute),
+        is_model(&mut model, &config)
+    );
+    let capacity = topology.hosts().iter().map(|h| h.cores as u32).collect();
+    let cost = PlacementCost::new(Arc::new(schedule), hosts, capacity, network, compute);
+    assert_eq!(cost.clocks(), model.clocks());
 }
 
 #[test]
