@@ -446,14 +446,17 @@ const SUSTAINED_DROP_LIMIT: f64 = 0.15;
 
 /// The sharded week-shape trace the sustained section replays: the paper
 /// day tiled across seven days, compressed 168× so the week's shape fits
-/// one virtual hour, at 2% (CI smoke, ~3k jobs) or 10% (full run, ~15k
-/// jobs) of the paper's arrival rates — the same configuration the
-/// `week_sweep` binary documents as its smoke shape.
+/// one virtual hour, at 2.5% (CI smoke, ~3.8k jobs) or 10% (full run,
+/// ~15k jobs) of the paper's arrival rates — the configuration the
+/// `week_sweep` binary documents as its smoke shape, except that the smoke
+/// rate is 2.5%, not 2%: a sweep must keep the ~40 ms length that
+/// [`SUSTAINED_MIN_SPEEDUP`] was calibrated on (a ~28 ms sweep at 2% read
+/// 0.78–0.84× when its lanes shared one core).
 fn sustained_config(test_mode: bool) -> ShardSweepConfig {
     let mut base = DaySweepConfig::new(StrategyKind::Spread);
     base.profile = DayProfile::paper_day().repeated(7);
     base = base.compress(168.0);
-    base.profile = base.profile.scaled(if test_mode { 0.02 } else { 0.1 });
+    base.profile = base.profile.scaled(if test_mode { 0.025 } else { 0.1 });
     ShardSweepConfig::new(base, SUSTAINED_SHARDS)
 }
 
@@ -526,7 +529,7 @@ fn measure_sustained(test_mode: bool) -> SustainedSection {
         speedup: seq_wall / par_wall.max(1e-9),
         shards: par.per_shard.len(),
         hw_threads: hw_threads(),
-        rate_scale: if test_mode { 0.02 } else { 0.1 },
+        rate_scale: if test_mode { 0.025 } else { 0.1 },
     }
 }
 

@@ -894,8 +894,11 @@ pub struct DaySweepResult {
     /// See [`DaySweepResult::events_capacity_mid`].
     pub events_capacity_end: usize,
     /// Brokering scratch capacity at the same two instants: the
-    /// pending-reply bookkeeping of `Overlay::rs_send` must not re-allocate
-    /// per request once warm.
+    /// pending-reply bookkeeping must not re-allocate per request once
+    /// warm.  It holds only the RS rounds that fall back to the
+    /// per-request path (dead peers, slow links, an event due inside the
+    /// window); a round `Overlay::rs_round_into` resolves in place takes
+    /// no slot, so a day where none falls back reads 0 at both instants.
     pub rs_scratch_capacity_mid: usize,
     /// See [`DaySweepResult::rs_scratch_capacity_mid`].
     pub rs_scratch_capacity_end: usize,

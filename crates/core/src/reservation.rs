@@ -9,19 +9,20 @@
 //!    ascending latency and books hosts from the front, overbooking to
 //!    anticipate unavailable hosts.
 //! 3. **RS–RS brokering** — the local RS sends reservation requests carrying
-//!    a unique hash key (`Overlay::rs_send`).  An exchange with an alive
-//!    peer whose reply is bound to beat `rs_timeout` is decided at send;
-//!    any other request arms a timeout event on the overlay timeline that
+//!    a unique hash key to every booked host at once.  The whole round is
+//!    one call, `Overlay::rs_round_into`: when every booked peer is alive,
+//!    every reply is bound to beat `rs_timeout` and no timeline event is
+//!    due before the round's last reply, the overlay resolves the round in
+//!    place; otherwise each request goes on the timeline by itself, and a
+//!    request whose reply is not decided at send arms a timeout event that
 //!    the simulated reply, if there is one, races.
 //! 4. Remote RSs accept (OK + their `P`) or refuse (NOK).
-//! 5. **RS–MPD response** — `Overlay::rs_collect_into` runs the timeline
-//!    until the round's last message is in (the decided replies are
-//!    delivered at the latest of their arrival instants: by moving the
-//!    clock there when nothing else is due first, through one event
-//!    otherwise) and the answers are gathered into `rlist`; peers whose
-//!    armed timeout fired (they never answered) are marked dead and
-//!    dropped from the cache.  The virtual clock genuinely waits those
-//!    timeouts out — dead-peer stalls are observable on the timeline.
+//! 5. **RS–MPD response** — the round ends when its last message is in
+//!    (the clock moves to the latest reply instant) and the answers are
+//!    gathered into `rlist`; peers whose armed timeout fired (they never
+//!    answered) are marked dead and dropped from the cache.  The virtual
+//!    clock genuinely waits those timeouts out — dead-peer stalls are
+//!    observable on the timeline.
 //! 6. **Allocation** — `slist` is the first `min(|rlist|, n × r)` hosts;
 //!    surplus reservations are cancelled; feasibility is checked; the chosen
 //!    strategy distributes processes; ranks are assigned.
@@ -315,20 +316,15 @@ impl CoAllocator {
         }
         stats.booked = booked.len();
 
-        // Steps 3–5 — RS brokering on the overlay timeline.  Requests go
-        // out concurrently (`Overlay::rs_send`): an exchange whose reply is
-        // bound to beat the timeout is decided at send, any other arms a
-        // timeout event that the simulated reply races.  `rs_collect_into`
-        // runs the timeline until the whole round has resolved — the
-        // decided replies at the latest of their arrival instants — and
-        // hands the outcomes back in send order, so the virtual clock
+        // Steps 3–5 — RS brokering.  The requests go out concurrently and
+        // `rs_round_into` resolves the round in place when nothing is due
+        // inside its window and every reply is bound to beat the timeout,
+        // on the timeline otherwise (dead peers' timeouts fire there), and
+        // hands the outcomes back in send order.  The virtual clock
         // genuinely waits out dead peers' timeouts while the phase's
         // reported duration stays the slowest exchange.
         rlist.clear();
-        for &peer in booked.iter() {
-            overlay.rs_send(submitter, peer, key, total);
-        }
-        overlay.rs_collect_into(outcomes);
+        overlay.rs_round_into(submitter, key, booked, total, outcomes);
         let mut phase_elapsed = SimDuration::ZERO;
         for &(peer, outcome) in outcomes.iter() {
             match outcome {

@@ -29,18 +29,21 @@
 //!
 //! # The timeout-event contract
 //!
-//! Unless the exchange is decided at send (see the decided-exchange
-//! contract below), [`Overlay::rs_send`] puts one outbound reservation
-//! request on the timeline as up to *two* scheduled events: an armed
-//! timeout at `now + rs_timeout`, and — when the remote peer is alive — the
-//! reply's delivery at `now + rtt`.  Whichever fires first resolves the
-//! request and cancels its counterpart; [`RsOutcome::Timeout`] is therefore an observed
-//! timeline event, not an analytically charged constant.  The race needs no
-//! guard: event keys are generation-stamped, so the loser's cancel of an
-//! already-fired (or already-cancelled) counterpart is a harmless stale-key
-//! no-op, and the FIFO tie-break resolves the degenerate `rtt == rs_timeout`
-//! instant in favour of the timeout armed first — the submitter gives up at
-//! its deadline.  The remote RS's *decision* is computed at send time (the
+//! An RS round ([`Overlay::rs_round_into`]) sends one reservation request
+//! per booked host, all at the same instant, and is resolved in place when
+//! its window is clear (see the decided-exchange contract below).  Any
+//! other round goes on the timeline request by request
+//! (`Overlay::rs_send`), and a request that is not decided at send is up
+//! to *two* scheduled events: an armed timeout at `now + rs_timeout`, and —
+//! when the remote peer is alive — the reply's delivery at `now + rtt`.
+//! Whichever fires first resolves the request and cancels its counterpart;
+//! [`RsOutcome::Timeout`] is therefore an observed timeline event, not an
+//! analytically charged constant.  The race needs no guard: event keys are
+//! generation-stamped, so the loser's cancel of an already-fired (or
+//! already-cancelled) counterpart is a harmless stale-key no-op, and the
+//! FIFO tie-break resolves the degenerate `rtt == rs_timeout` instant in
+//! favour of the timeout armed first — the submitter gives up at its
+//! deadline.  The remote RS's *decision* is computed at send time (the
 //! grant/refusal mutates remote state immediately); only its delivery and
 //! the timeout race are simulated.  A reservation granted by a peer whose
 //! reply loses the race is *released eagerly*: the timeout handler counts it
@@ -67,7 +70,7 @@
 //! below) nothing can fire between send and the last reply, so every start
 //! is decided on the spot and the clock moves to the last reply instant;
 //! the event queue is not touched.  Otherwise each request goes on the
-//! timeline by itself ([`Overlay::start_send`]): its arrival event makes
+//! timeline by itself (`Overlay::start_send`): its arrival event makes
 //! the decision, and a remote that is dead at arrival leaves only the
 //! deadline timeout to fire.  A reply that beats its deadline is recorded
 //! on the request with the instant it reaches the submitter, and the
@@ -81,9 +84,7 @@
 //! cannot arrive before the deadline, the timeout is armed at send and the
 //! late arrival only settles the remote side (it carries its own copy of
 //! the request; the submitter's bookkeeping is long recycled by then).
-//! [`Overlay::mpd_start`] survives as the inline one-request wrapper (send,
-//! run the timeline until resolution, return the outcome);
-//! [`Overlay::start_collect_into`] drains a round sent request by request,
+//! `Overlay::start_collect_into` drains a round sent request by request,
 //! in send order.
 //!
 //! # Fault injection
@@ -108,41 +109,46 @@
 //! **What is decided at send.**  When the remote peer is alive and its
 //! reply would reach the submitter *strictly before* the timeout window
 //! (`rtt < rs_timeout` — the warm common case), nothing about the exchange
-//! is left open once [`Overlay::rs_send`] returns: the remote RS has
-//! answered (its grant or refusal mutated remote state immediately, as on
-//! the armed path), the arrival instant `now + rtt` is known, and the
-//! timeout can never win the race — armed, it would only be cancelled by
-//! the reply, its tombstone carried by the queue until firing time.  Such a
-//! request is *decided*: it arms no timeout and gets no delivery event of
-//! its own.  When the round is collected ([`Overlay::rs_collect_into`]),
-//! every decided request is handed its precomputed
-//! `RsOutcome::Reply { reply, elapsed: rtt }` at the round's latest decided
-//! arrival instant, each reply traced stamped with its *own* arrival.
+//! is left open once the request is sent: the remote RS has answered (its
+//! grant or refusal mutated remote state immediately, as on the armed
+//! path), the arrival instant `now + rtt` is known, and the timeout can
+//! never win the race — armed, it would only be cancelled by the reply, its
+//! tombstone carried by the queue until firing time.  Such a request is
+//! *decided*: it arms no timeout and gets no delivery event of its own, and
+//! its outcome is `RsOutcome::Reply { reply, elapsed: rtt }`, its reply
+//! traced stamped with its *own* arrival.
 //!
 //! **What a clear window is.**  A round's window runs from its send
 //! instant to the instant its last reply is in.  It is *clear* when the
 //! timeline's next event is due strictly later than that instant (or the
-//! queue is empty) — and, for a start round, when every remote is alive at
-//! send and every request and reply lands strictly before the deadline, so
-//! that the round itself would put nothing else on the timeline.  State
-//! only changes when an event fires or a caller acts, and the caller is
-//! inside the round's call until it returns: with no event due, a remote's
-//! state at send *is* its state at arrival, and nobody could have observed
-//! the difference.  A clear round is resolved on the spot — every start
-//! decided against the remote's current state and traced at its own
-//! arrival instant, every reply given its own elapsed time — the clock
-//! moves to the last reply instant and the messages are added to the
-//! delivered count, [`Overlay::events_processed`], which counts *messages
-//! delivered*, not heap pops.  Zero queue operations.  An event due
-//! *exactly* at the last reply instant was scheduled first and would fire
-//! inside the round, so it keeps the round on the timeline.
+//! queue is empty) — and when the round itself would put nothing else on
+//! the timeline: for an RS round, every remote is alive and every request
+//! decided at send; for a start round, every remote is alive and every
+//! request and reply lands strictly before the deadline.  State only
+//! changes when an event fires or a caller acts, and the caller is inside
+//! the round's call until it returns: with no event due, a remote's state
+//! at send *is* its state at arrival, and nobody could have observed the
+//! difference.  A clear round is resolved in place —
+//! [`Overlay::rs_round_into`] has each remote RS decide in send order and
+//! writes each outcome straight into the caller's buffer, with no
+//! pending-request slot; [`Overlay::start_round_into`] decides every start
+//! against the remote's current state and traces it at its own arrival
+//! instant — every reply is given its own elapsed time, the clock moves to
+//! the last reply instant and the messages are added to the delivered
+//! count, [`Overlay::events_processed`], which counts *messages delivered*,
+//! not heap pops.  Zero queue operations.  An event due *exactly* at the
+//! last reply instant was scheduled first and would fire inside the round,
+//! so it keeps the round on the timeline.  Both halves ask one predicate
+//! (`window_clear_until`).
 //!
-//! **What one event per round delivers otherwise.**  The decided replies
-//! of an RS round ride a single event at their latest arrival instant (or
-//! are resolved on the spot when the caller already ran the clock past
-//! it); a start round's arrivals decide one by one and the replies that
-//! beat their deadline share one delivery event at the latest of theirs.
-//! Delivering a reply touches nothing but the submitter's own
+//! **What one event per round delivers otherwise.**  In a round that is not
+//! clear, the decided replies of an RS round ride a single event at their
+//! latest arrival instant (or are resolved on the spot when nothing is due
+//! before that instant — the round's own armed timeouts come later — or the
+//! caller already ran the clock past it); a start round's arrivals decide
+//! one by one and the replies that beat their deadline share one delivery
+//! event at the latest of theirs.  Delivering a reply touches nothing but
+//! the submitter's own
 //! pending-request slot, which nobody reads before the round is collected;
 //! so every *other* event — completions, churn, heartbeats, link
 //! degradations, the armed requests of the same round — fires at its own
@@ -157,26 +163,25 @@
 //! is load-bearing) and every start request of a round whose window is not
 //! clear.  Those per-request paths are the reference: this module's tests
 //! can make every RS request arm its timeout too, and the proptest below
-//! plays random rounds both ways and compares outcomes, clock, delivered
-//! count and trace; `crates/bench/tests/day_sweep.rs` pins the sweeps'
+//! plays random rounds through the two round calls and through the armed
+//! per-request path and compares outcomes, clock, delivered count, RS
+//! counters and trace; `crates/bench/tests/day_sweep.rs` pins the sweeps'
 //! outcomes on days that mix decided and armed requests (dead peers,
 //! degraded links), and `tests/modeled_costing.rs` pins the absolute
 //! numbers.
 //!
-//! The pending-request bookkeeping lives in a reusable scratch vector on the
-//! overlay and every RS keeps its (at most `J`) reservations in a small
-//! vector of plain data: a steady-state brokering loop (send × booked, then
-//! [`Overlay::rs_collect_into`]) allocates nothing once the high-water marks
-//! are reached.
+//! Every RS keeps its (at most `J`) reservations in a small vector of plain
+//! data, and the pending-request bookkeeping of the rounds that fall back
+//! lives in a reusable scratch vector on the overlay: a steady-state
+//! brokering loop allocates nothing once the high-water marks are reached,
+//! and a round resolved in place touches the scratch not at all.
 //!
 //! The co-allocation procedure itself lives in the `p2pmpi-core` crate and
 //! drives this type.
 
 use crate::cache::CacheEntry;
 use crate::churn::{ChurnEvent, ChurnKind, ChurnSchedule};
-use crate::messages::{
-    RankAssignment, ReservationKey, ReservationReply, ReservationRequest, StartReply,
-};
+use crate::messages::{ReservationKey, ReservationReply, ReservationRequest, StartReply};
 use crate::mpd::MpdNode;
 use crate::peer::{PeerId, PeerState};
 use crate::ping::LatencyProber;
@@ -1376,24 +1381,89 @@ impl Overlay {
     // RS brokering and start requests
     // ------------------------------------------------------------------
 
-    /// Sends an RS→RS reservation request from `from` to `to` (steps 3–4).
-    /// The remote RS decides now.  If it is alive and its reply is bound to
-    /// beat the timeout, the exchange is *decided*: nothing is scheduled,
-    /// and the round's one delivery event resolves it at collection.
-    /// Otherwise an armed timeout event at `now + rs_timeout` races the
-    /// reply's delivery at `now + rtt` (never scheduled when the peer is
-    /// dead).  See the module docs for both contracts.
+    /// One whole RS brokering round (steps 3–5): a reservation request for
+    /// `total_processes` from `from` to each of `peers`, all sent now,
+    /// resolved, and drained into `out` (cleared first) in send order.
+    ///
+    /// When every remote is alive and its reply is bound to beat the
+    /// timeout, and the round's window is clear (see the module docs), the
+    /// round is resolved in place: each remote RS decides on the spot in
+    /// send order, each reply is traced at its own arrival instant, and the
+    /// clock moves to the last of them — no pending slot, no event.
+    /// Otherwise this *is* `Overlay::rs_send` per peer and
+    /// `Overlay::rs_collect_into`, and yields the same either way.
     ///
     /// This is the single hottest call of a job-submission sweep (once per
-    /// booked host per job).  It allocates nothing in steady state: the
-    /// request borrows the requester's address, the remote RS reads its
-    /// owner's config in place and pushes plain data into a reservation
-    /// table that keeps its capacity, the round trip comes from a per-site
-    /// table, and the pending-request slot reuses the scratch vector
-    /// recycled by [`Overlay::rs_collect_into`].  A decided request touches
-    /// the event queue not at all; an undecided one recycles event-store
-    /// slots.
-    pub fn rs_send(&mut self, from: PeerId, to: PeerId, key: ReservationKey, total_processes: u32) {
+    /// job, a request per booked host).  It allocates nothing in steady
+    /// state: the request borrows the requester's address, the remote RS
+    /// reads its owner's config in place and pushes plain data into a
+    /// reservation table that keeps its capacity, and the round trip comes
+    /// from a per-site table.
+    pub fn rs_round_into(
+        &mut self,
+        from: PeerId,
+        key: ReservationKey,
+        peers: &[PeerId],
+        total_processes: u32,
+        out: &mut Vec<(PeerId, RsOutcome)>,
+    ) {
+        out.clear();
+        let sent = self.sim.now();
+        // First pass, nothing mutated: is every remote alive, and is every
+        // reply bound to beat the timeout?  Each slot holds its round trip
+        // until the remote has decided.
+        let mut last = sent;
+        let mut decided = self.rs_pending.is_empty() && !self.armed_reference;
+        for &to in peers {
+            let rtt = self.control_times(from, to).rs_round_trip;
+            decided &= self.nodes[to.0].is_alive() && rtt < self.params.rs_timeout;
+            last = last.max(sent + rtt);
+            out.push((to, RsOutcome::Timeout { elapsed: rtt }));
+        }
+        if !decided || !self.window_clear_until(last) {
+            for &to in peers {
+                self.rs_send(from, to, key, total_processes);
+            }
+            return self.rs_collect_into(out);
+        }
+        // Nothing is due before the last reply is in, so nobody can tell
+        // a decision now from one at send.
+        for slot in out.iter_mut() {
+            let (to, rtt) = (slot.0, slot.1.elapsed());
+            let reply = self.remote_reserve(from, to, key, total_processes, sent);
+            self.tracer
+                .record(sent + rtt, TraceCategory::Reservation, || {
+                    format!("{from} -> {to}: {reply:?}")
+                });
+            slot.1 = RsOutcome::Reply {
+                reply,
+                elapsed: rtt,
+            };
+        }
+        self.sim.count_delivered(peers.len() as u64);
+        self.sim.advance_clock_to(last);
+    }
+
+    /// Sends an RS→RS reservation request from `from` to `to` (steps 3–4)
+    /// on the per-request path of a round that is not clear.  The remote RS
+    /// decides now.  If it is alive and its reply is bound to beat the
+    /// timeout, the exchange is *decided*: nothing is scheduled, and the
+    /// round's one delivery event resolves it at collection.  Otherwise an
+    /// armed timeout event at `now + rs_timeout` races the reply's delivery
+    /// at `now + rtt` (never scheduled when the peer is dead).  See the
+    /// module docs for both contracts.
+    ///
+    /// It allocates nothing in steady state: the pending-request slot
+    /// reuses the scratch vector recycled by [`Overlay::rs_collect_into`].
+    /// A decided request touches the event queue not at all; an undecided
+    /// one recycles event-store slots.
+    pub(crate) fn rs_send(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        key: ReservationKey,
+        total_processes: u32,
+    ) {
         let idx = u32::try_from(self.rs_pending.len()).expect("too many in-flight RS requests");
         let mut slot = RsPending {
             from,
@@ -1426,27 +1496,7 @@ impl Overlay {
         }
         if let Some(rtt) = rtt {
             let now = self.sim.now();
-            let reply = if from.0 == to.0 {
-                // A submitter reserving its own host: every piece (address,
-                // config, RS) is a disjoint field of the same node.
-                let node = &mut self.nodes[to.0];
-                let req = ReservationRequest {
-                    key,
-                    requester: from,
-                    requester_address: &node.descriptor.address,
-                    total_processes,
-                };
-                node.rs.handle_request(&req, &node.config, now)
-            } else {
-                let (from_node, to_node) = nodes_from_to(&mut self.nodes, from.0, to.0);
-                let req = ReservationRequest {
-                    key,
-                    requester: from,
-                    requester_address: &from_node.descriptor.address,
-                    total_processes,
-                };
-                to_node.rs.handle_request(&req, &to_node.config, now)
-            };
+            let reply = self.remote_reserve(from, to, key, total_processes, now);
             slot.reply = Some(reply);
             slot.rtt = rtt;
             if decided {
@@ -1457,6 +1507,46 @@ impl Overlay {
         }
         self.rs_pending.push(slot);
         self.rs_inflight += 1;
+    }
+
+    /// The remote RS's side of a reservation request (step 4): an alive
+    /// `to` grants or refuses against its state at `now`.
+    fn remote_reserve(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        key: ReservationKey,
+        total_processes: u32,
+        now: SimTime,
+    ) -> ReservationReply {
+        if from.0 == to.0 {
+            // A submitter reserving its own host: every piece (address,
+            // config, RS) is a disjoint field of the same node.
+            let node = &mut self.nodes[to.0];
+            let req = ReservationRequest {
+                key,
+                requester: from,
+                requester_address: &node.descriptor.address,
+                total_processes,
+            };
+            node.rs.handle_request(&req, &node.config, now)
+        } else {
+            let (from_node, to_node) = nodes_from_to(&mut self.nodes, from.0, to.0);
+            let req = ReservationRequest {
+                key,
+                requester: from,
+                requester_address: &from_node.descriptor.address,
+                total_processes,
+            };
+            to_node.rs.handle_request(&req, &to_node.config, now)
+        }
+    }
+
+    /// Whether nothing on the timeline is due at or before `last`, the
+    /// instant a round's last reply is in: the clear-window check of the
+    /// decided-exchange contract (module docs), for both halves of a round.
+    fn window_clear_until(&mut self, last: SimTime) -> bool {
+        self.sim.next_time().is_none_or(|next| last < next)
     }
 
     /// The control-message times between a submitter and a remote peer.
@@ -1526,7 +1616,7 @@ impl Overlay {
             return;
         };
         if latest > self.sim.now() {
-            if self.sim.next_time().is_some_and(|next| next <= latest) {
+            if !self.window_clear_until(latest) {
                 self.sim.schedule_at(latest, OverlayEvent::RsRoundReplies);
                 return;
             }
@@ -1541,7 +1631,7 @@ impl Overlay {
     /// drains the outcomes into `out` (cleared first) **in send order** —
     /// the deterministic order the co-allocation procedure walks, whatever
     /// interleaving the race produced.  The scratch slots are recycled.
-    pub fn rs_collect_into(&mut self, out: &mut Vec<(PeerId, RsOutcome)>) {
+    pub(crate) fn rs_collect_into(&mut self, out: &mut Vec<(PeerId, RsOutcome)>) {
         out.clear();
         self.run_until_rs_resolved();
         for slot in self.rs_pending.drain(..) {
@@ -1551,7 +1641,10 @@ impl Overlay {
     }
 
     /// Capacity of the pending-request scratch (diagnostics: must reach a
-    /// high-water mark and stay there in a steady-state sweep).
+    /// high-water mark and stay there in a steady-state sweep).  Only
+    /// rounds that fall back to the per-request path hold slots there; a
+    /// round [`Overlay::rs_round_into`] resolves in place takes none, so a
+    /// day with no such round reads 0.
     pub fn rs_scratch_capacity(&self) -> usize {
         self.rs_pending.capacity()
     }
@@ -1570,17 +1663,17 @@ impl Overlay {
         self.armed_reference = armed;
     }
 
-    /// RS→RS reservation request from `from` to `to`, resolved inline: one
-    /// [`Overlay::rs_send`] followed by running the timeline until the
-    /// reply/timeout race settles.  The clock therefore *advances* by the
-    /// exchange's round trip (or the full `rs_timeout` for a dead peer) —
-    /// the timeout is an observed event here too, not a charged constant.
+    /// RS→RS reservation request from `from` to `to`, resolved inline
+    /// (tests only): one [`Overlay::rs_send`] followed by running the
+    /// timeline until the reply/timeout race settles.  The clock therefore
+    /// *advances* by the exchange's round trip (or the full `rs_timeout` for
+    /// a dead peer).
     ///
     /// # Panics
     ///
-    /// Panics if called while a multi-request brokering round is in flight;
-    /// batch rounds must resolve through [`Overlay::rs_collect_into`].
-    pub fn rs_request(
+    /// Panics if called while a multi-request brokering round is in flight.
+    #[cfg(test)]
+    fn rs_request(
         &mut self,
         from: PeerId,
         to: PeerId,
@@ -1619,7 +1712,7 @@ impl Overlay {
     /// transfer from now, the start decision is made *at arrival*, and the
     /// reply races the submitter's deadline at `now + rs_timeout`.  See the
     /// start-request section of the module docs.
-    pub fn start_send(&mut self, from: PeerId, to: PeerId, key: ReservationKey, ranks: u32) {
+    pub(crate) fn start_send(&mut self, from: PeerId, to: PeerId, key: ReservationKey, ranks: u32) {
         let idx = u32::try_from(self.start_pending.len()).expect("too many in-flight starts");
         let now = self.sim.now();
         let deadline = now + self.params.rs_timeout;
@@ -1682,7 +1775,7 @@ impl Overlay {
     /// request sent since the last drain has its outcome, then drains them
     /// into `out` (cleared first) **in send order**.  The scratch slots are
     /// recycled.
-    pub fn start_collect_into(&mut self, out: &mut Vec<(PeerId, StartReply, SimDuration)>) {
+    pub(crate) fn start_collect_into(&mut self, out: &mut Vec<(PeerId, StartReply, SimDuration)>) {
         out.clear();
         self.run_until_starts_resolved();
         for slot in self.start_pending.drain(..) {
@@ -1697,8 +1790,8 @@ impl Overlay {
     /// When the round's window is clear (see the module docs) every start
     /// is decided on the spot and the clock moves to the last reply
     /// instant without touching the event queue; otherwise this *is*
-    /// [`Overlay::start_send`] per request and
-    /// [`Overlay::start_collect_into`], and yields the same either way.
+    /// `Overlay::start_send` per request and
+    /// `Overlay::start_collect_into`, and yields the same either way.
     pub fn start_round_into(
         &mut self,
         from: PeerId,
@@ -1720,7 +1813,7 @@ impl Overlay {
             last = last.max(sent + elapsed);
             out.push((to, StartReply::Timeout, elapsed));
         }
-        if !in_time || self.sim.next_time().is_some_and(|next| next <= last) {
+        if !in_time || !self.window_clear_until(last) {
             for &(to, ranks) in requests {
                 self.start_send(from, to, key, ranks);
             }
@@ -1738,23 +1831,22 @@ impl Overlay {
         self.sim.advance_clock_to(last);
     }
 
-    /// MPD start request (steps 6–8) resolved inline: one
+    /// MPD start request (steps 6–8) resolved inline (tests only): one
     /// [`Overlay::start_send`] followed by running the timeline until the
     /// request resolves.  The clock therefore *advances* by the exchange's
     /// round trip (or the full `rs_timeout` when the remote never answers in
-    /// time) — like [`Overlay::rs_request`], the timeout is an observed
-    /// event, not a charged constant.
+    /// time).
     ///
     /// # Panics
     ///
-    /// Panics if called while a batch start round is in flight; batch
-    /// rounds must resolve through [`Overlay::start_collect_into`].
-    pub fn mpd_start(
+    /// Panics if called while a batch start round is in flight.
+    #[cfg(test)]
+    fn mpd_start(
         &mut self,
         from: PeerId,
         to: PeerId,
         key: ReservationKey,
-        ranks: &[RankAssignment],
+        ranks: &[crate::messages::RankAssignment],
         program: &str,
     ) -> (StartReply, SimDuration) {
         assert!(
@@ -1922,6 +2014,7 @@ mod tests {
     use super::*;
     use crate::boot::OverlayBuilder;
     use crate::config::OwnerConfig;
+    use crate::messages::RankAssignment;
     use p2pmpi_simgrid::noise::NoiseModel;
     use p2pmpi_simgrid::topology::{NodeSpec, TopologyBuilder};
     use proptest::prelude::*;
@@ -2734,11 +2827,8 @@ mod tests {
 
     /// Grants `key` on every peer of `targets` at nominal latency.
     fn grant_all(o: &mut Overlay, from: PeerId, targets: &[PeerId], key: ReservationKey) {
-        for &to in targets {
-            o.rs_send(from, to, key, 1);
-        }
         let mut outcomes = Vec::new();
-        o.rs_collect_into(&mut outcomes);
+        o.rs_round_into(from, key, targets, 1, &mut outcomes);
         assert!(outcomes
             .iter()
             .all(|(_, o)| matches!(o, RsOutcome::Reply { reply, .. } if reply.is_ok())));
@@ -2914,6 +3004,23 @@ mod tests {
 
     // -- rounds whose window is clear ----------------------------------------
 
+    /// Steps 3–5 the per-request way: the reference `rs_round_into` must
+    /// agree with.
+    fn rs_round_reference(
+        o: &mut Overlay,
+        from: PeerId,
+        key: ReservationKey,
+        peers: &[PeerId],
+        total_processes: u32,
+    ) -> Vec<(PeerId, RsOutcome)> {
+        for &to in peers {
+            o.rs_send(from, to, key, total_processes);
+        }
+        let mut outcomes = Vec::new();
+        o.rs_collect_into(&mut outcomes);
+        outcomes
+    }
+
     /// Steps 7–8 the per-request way: the reference `start_round_into`
     /// must agree with.
     fn start_round_reference(
@@ -2973,6 +3080,7 @@ mod tests {
         assert_eq!(o.now(), t0 + rs_rtt(&o, from, ids[3]));
         assert_eq!(o.events_processed() - events, 5);
         assert_eq!((o.events_queued(), o.events_capacity()), (queued, capacity));
+        assert_eq!(o.rs_scratch_capacity(), 0, "no pending slot was taken");
         // The start half: a request and a reply per host.
         let requests: Vec<(PeerId, u32)> = targets.iter().map(|&to| (to, 2)).collect();
         let t1 = o.now();
@@ -3262,6 +3370,122 @@ mod tests {
         assert_eq!(o.start_inflight(), 0);
     }
 
+    #[test]
+    fn an_rs_round_sent_behind_a_pending_request_collects_both() {
+        let mut o = overlay();
+        o.boot_all();
+        let ids = o.peer_ids();
+        let from = ids[0];
+        let key = o.generate_key();
+        o.rs_send(from, ids[3], key, 1);
+        let mut outcomes = Vec::new();
+        o.rs_round_into(from, key, &[ids[1]], 1, &mut outcomes);
+        let granted = |to: PeerId| RsOutcome::Reply {
+            reply: ReservationReply::Ok {
+                capacity_p: o.node(to).capacity_per_app(),
+            },
+            elapsed: rs_rtt(&o, from, to),
+        };
+        assert_eq!(
+            outcomes,
+            vec![(ids[3], granted(ids[3])), (ids[1], granted(ids[1]))]
+        );
+        assert_eq!(o.rs_inflight(), 0);
+    }
+
+    #[test]
+    fn an_rs_round_that_is_not_clear_goes_per_request() {
+        let ms = SimDuration::from_millis;
+        // Plays one RS round on twins, through the round call and through
+        // the armed per-request reference, after `disturb` has acted at the
+        // send instant (the key is that of a job running on `ids[2]`).
+        type Disturb<'a> = &'a dyn Fn(&mut Overlay, ReservationKey, SimTime);
+        let play = |disturb: Disturb| {
+            let run = |round_call: bool| {
+                let mut o = overlay();
+                o.boot_all();
+                let ids = o.peer_ids();
+                let from = ids[0];
+                let ranks = vec![RankAssignment {
+                    rank: 0,
+                    replica: 0,
+                }];
+                let old = o.generate_key();
+                grant_all(&mut o, from, &[ids[2]], old);
+                assert_eq!(
+                    o.mpd_start(from, ids[2], old, &ranks, "old").0,
+                    StartReply::Started
+                );
+                o.set_armed_reference(!round_call);
+                let t0 = o.now();
+                disturb(&mut o, old, t0);
+                let key = o.generate_key();
+                let targets = [ids[1], ids[4], from, ids[3], ids[2]];
+                let outcomes = if round_call {
+                    let mut outcomes = Vec::new();
+                    o.rs_round_into(from, key, &targets, 1, &mut outcomes);
+                    assert!(o.rs_scratch_capacity() > 0, "the round fell back");
+                    outcomes
+                } else {
+                    rs_round_reference(&mut o, from, key, &targets, 1)
+                };
+                let counters: Vec<_> = ids.iter().map(|&p| o.node(p).rs.counters()).collect();
+                (
+                    outcomes,
+                    (o.now(), o.events_processed(), o.leaked_grants()),
+                    counters,
+                    sorted_trace(&o, TraceCategory::Reservation),
+                )
+            };
+            let (round, reference) = (run(true), run(false));
+            assert_eq!(round, reference);
+            round
+        };
+        let replies = |outcomes: &[(PeerId, RsOutcome)]| -> Vec<Option<bool>> {
+            outcomes
+                .iter()
+                .map(|(_, o)| match o {
+                    RsOutcome::Reply { reply, .. } => Some(reply.is_ok()),
+                    RsOutcome::Timeout { .. } => None,
+                })
+                .collect()
+        };
+        let rs_timeout = OverlayParams::default().rs_timeout;
+
+        // A dead peer: its timeout fires, the round ends at the deadline.
+        let (outcomes, (now, ..), _, _) = play(&|o, _, _| o.kill_peer(o.peer_ids()[4]));
+        assert_eq!(
+            replies(&outcomes),
+            [Some(true), None, Some(true), Some(true), Some(false)]
+        );
+        assert_eq!(outcomes[1].1.elapsed(), rs_timeout);
+        assert!(now > SimTime::ZERO + rs_timeout);
+        // A degraded link: the remote site's replies lose to the timeout
+        // and their grants leak, to be released eagerly.
+        let (outcomes, (_, _, leaked), _, _) = play(&|o, _, _| {
+            let remote = o.topology().site_by_name("remote").unwrap().id;
+            o.set_site_latency_factor(remote, 300.0);
+            let ids = o.peer_ids();
+            assert!(rs_rtt(o, ids[0], ids[3]) >= o.params().rs_timeout);
+        });
+        assert_eq!(
+            replies(&outcomes),
+            [Some(true), None, Some(true), None, Some(false)]
+        );
+        assert_eq!(leaked, 2);
+        // A completion inside the window frees ids[2] before its request
+        // is answered, yet the answer was decided at send: NOK.
+        let (outcomes, _, _, trace) = play(&|o, old, t0| {
+            let on = o.peer_ids()[2];
+            o.schedule_completion(t0 + ms(2), old, vec![on]);
+        });
+        assert_eq!(
+            replies(&outcomes),
+            [Some(true), Some(true), Some(true), Some(true), Some(false)]
+        );
+        assert_eq!(trace.len(), 1 + 5);
+    }
+
     // -- decided on vs off, over random rounds -------------------------------
 
     /// Three sites around a 50 ms `rs_timeout`: `near` answers in ~10 ms
@@ -3344,8 +3568,9 @@ mod tests {
     }
 
     /// Plays the scenario drawn from `scenario` and logs everything a
-    /// submitter or an observer can see.  `round_calls` plays steps 7–8
-    /// through `start_round_into`, otherwise request by request.
+    /// submitter or an observer can see.  `round_calls` plays both halves
+    /// through `rs_round_into` and `start_round_into`, otherwise request by
+    /// request.
     fn play_rounds(o: &mut Overlay, scenario: u64, round_calls: bool) -> Vec<String> {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(scenario);
@@ -3380,10 +3605,11 @@ mod tests {
                 .max()
                 .unwrap_or(SimDuration::ZERO);
             disturb(o, &mut rng, (o.now(), window), &mut running);
-            for &to in &targets {
-                o.rs_send(submitter, to, key, 4);
+            if round_calls {
+                o.rs_round_into(submitter, key, &targets, 4, &mut outcomes);
+            } else {
+                outcomes = rs_round_reference(o, submitter, key, &targets, 4);
             }
-            o.rs_collect_into(&mut outcomes);
             log.push(format!(
                 "round {round} rs {outcomes:?} now={} events={}",
                 o.now(),
