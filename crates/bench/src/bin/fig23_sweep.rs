@@ -63,7 +63,7 @@ fn config_for(strategy: StrategyKind, flags: &DaySweepFlags) -> DaySweepConfig {
     // --churn F opts into the dead-peer scenario wholesale (flapping peers,
     // fast cache refresh) with only the flapping fraction overridden, so
     // the CLI cannot drift from the named scenario the tests and
-    // perf_report gate on.
+    // scenario_runner gate on.
     let mut cfg = match flags.churn {
         Some(fraction) => {
             if !(0.0..=1.0).contains(&fraction) {

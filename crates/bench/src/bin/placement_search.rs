@@ -14,8 +14,8 @@
 //! are provably poor).  The search itself lives in `p2pmpi_bench::search`;
 //! its hot path is the evaluator of `p2pmpi_mpi::model`, which costs a
 //! candidate move with one integer pass over the compiled schedule instead
-//! of a full model replay — `perf_report`'s `placement_search` and
-//! `is_search` sections gate that speedup and the search quality.
+//! of a full model replay — `perf_report` gates that speedup at EP@256 and
+//! IS@128.
 //!
 //! Ring kernels (IS, FT): the evaluator's ring state is pooled transfer
 //! tables of O(ranks · sites) bytes (see the `p2pmpi_mpi::model` memory

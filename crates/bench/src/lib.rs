@@ -2,8 +2,9 @@
 //!
 //! Experiment harness for the `p2pmpi-rs` reproduction: the binaries in
 //! `src/bin/` regenerate every table and figure of the paper's evaluation
-//! (Section 5), and the Criterion benches in `benches/` measure the cost of
-//! the co-allocation machinery itself.
+//! (Section 5).  The cost of the co-allocation machinery itself is measured
+//! by the repo benchmark (`benchmark/`, a package of its own), plus the
+//! in-run ratio gates of the `perf_report` binary.
 //!
 //! | Paper artefact | Binary |
 //! |---|---|

@@ -8,8 +8,8 @@
 //! scenario, and a [`ScenarioVerdict`] that states whether the overlay
 //! degraded gracefully — not merely whether it survived.  The
 //! `scenario_runner` binary prints one JSON verdict per scenario and exits
-//! non-zero on any failure; `perf_report`'s `scenario_matrix` section runs
-//! the same matrix compressed as a CI gate.
+//! non-zero on any failure; CI runs it over the whole matrix compressed
+//! (`scenario_runner --all --compress 24`) as a gate.
 //!
 //! # Scenario taxonomy
 //!
@@ -92,8 +92,9 @@
 //! trivially (`recovery_secs` = 0).  Windowed scenarios additionally gate
 //! the value against a per-scenario SLO authored on the uncompressed day
 //! and divided by the compression factor at judge time, so one bound works
-//! at every scale.  `perf_report` tracks all recovery times as a
-//! trajectory in `BENCH_hotpath.json` and fails on a >20% regression.
+//! at every scale.  That per-scenario SLO is the only bound on a recovery
+//! time: `scenario_runner --all --compress 24` prints every one and exits
+//! non-zero when any scenario misses its SLO.
 //!
 //! # The verdict schema
 //!

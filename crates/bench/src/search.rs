@@ -31,8 +31,9 @@
 //! independent of thread interleaving); the reduction keeps the best-ever
 //! placement across chains *and* both fixed baselines, ties broken by
 //! chain index — so the search result is never worse than
-//! best-of(concentrate, spread) by construction, and `perf_report` gates
-//! on it staying that way (and on beating the baselines by >3% on the
+//! best-of(concentrate, spread) by construction
+//! (`search_never_loses_to_the_fixed_strategies` below pins it, and
+//! `search_beats_both_baselines_on_the_skewed_grid` pins a >3% win on the
 //! heterogeneity-skewed grid).
 //!
 //! Chains start from a *portfolio* of seeds, cycling speed-greedy

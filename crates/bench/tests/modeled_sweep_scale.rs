@@ -53,8 +53,9 @@ fn ep_modeled_sweep_reaches_2048_ranks_in_seconds() {
 #[test]
 fn is_modeled_point_runs_at_512_ranks() {
     // IS models the full ring alltoall(v) schedule (n² messages per
-    // iteration), so keep the integration test at 512 ranks; perf_report
-    // measures 1024 and the fig4_is binary takes --ranks for more.
+    // iteration), so keep the integration test at 512 ranks; the
+    // benchmark's search_is1024 workload runs 1024 and the fig4_is binary
+    // takes --ranks for more.
     let settings = Fig4Settings::default();
     let start = Instant::now();
     let points = modeled_kernel_times(

@@ -214,7 +214,8 @@ pub fn scaled_table1(factor: usize) -> Vec<ClusterSpec> {
 /// fills the slow-but-close Nancy nodes first, spread deals one rank to
 /// every slow host it walks past), so it is where a model-driven placement
 /// *search* must beat best-of(concentrate, spread) by a clear margin —
-/// `perf_report`'s `placement_search` section gates on >3% here.
+/// `p2pmpi_bench::search`'s `search_beats_both_baselines_on_the_skewed_grid`
+/// test asserts >3% here.
 /// Node shapes, RTTs and bandwidths are unchanged.
 pub fn skewed_table1(factor: usize) -> Vec<ClusterSpec> {
     scaled_table1(factor)

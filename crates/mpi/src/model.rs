@@ -240,7 +240,9 @@
 //! for every collective at up to 16 ranks over random placements.  Modeled
 //! *kernels* (e.g. `p2pmpi-nas`'s `is_model`) may still diverge slightly
 //! where message sizes are data-dependent and the model substitutes a
-//! balanced approximation; `perf_report` measures and bounds that divergence.
+//! balanced approximation; `tests/figure4_shape.rs`'s
+//! `modeled_kernels_match_the_executed_kernels` measures and bounds that
+//! divergence on the NAS kernels.
 //!
 //! # Choosing a backend
 //!
@@ -1790,7 +1792,7 @@ impl PlacementCost {
     /// repetitions the pass fast-forwarded, and 0 after an `apply` that
     /// changed no rank's host.  It counts a whole pass, not a difference;
     /// the name is the one the benchmark's `mpi.*_delta_ops_per_move`
-    /// probes and `perf_report` call.
+    /// probes call.
     pub fn last_delta_ops(&self) -> usize {
         self.last_delta_ops
     }
@@ -1815,7 +1817,8 @@ impl PlacementCost {
 
     /// Full model replay of the current assignment on a fresh [`ModelComm`]
     /// — the oracle the evaluator is verified against (and the baseline of
-    /// the per-move speedup gates in `perf_report`).
+    /// `perf_report`'s move-vs-replay gates, `PLACEMENT_DELTA_SPEEDUP_MIN`
+    /// and `IS_SEARCH_DELTA_SPEEDUP_MIN`).
     pub fn oracle_clocks(&self) -> Vec<SimTime> {
         let placement = self.to_placement();
         let mut m = ModelComm::new(&placement, self.network.clone(), self.compute.clone());
@@ -1946,8 +1949,9 @@ impl PlacementCost {
     }
 
     /// Bytes of ring-cache state the evaluator holds: the pooled transfer
-    /// tables plus the wavefront scratch rows — O(ranks · sites) (reported
-    /// and bounded by `perf_report`'s `is_search` gate).
+    /// tables plus the wavefront scratch rows — O(ranks · sites) (bounded at
+    /// IS@128 by `perf_report`'s `IS_SEARCH_RING_CACHE_BYTES_MAX`, and
+    /// reported at IS@1024 by the benchmark's `mpi.ring_cache_bytes`).
     pub fn ring_cache_bytes(&self) -> usize {
         let core = &self.core;
         let tables: usize = core

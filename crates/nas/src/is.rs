@@ -253,8 +253,10 @@ pub fn is_program<P: CollectiveProgram>(p: &mut P, config: &IsConfig) {
 /// model substitutes the *balanced* exchange the bucket assignment aims for
 /// (each rank sends `count/size` keys to every owner, since every rank draws
 /// from the same global key distribution and each owner is assigned ~1/size
-/// of its mass).  `perf_report` measures the resulting modeled-vs-executed
-/// divergence and fails if it leaves its documented tolerance.
+/// of its mass).  `tests/figure4_shape.rs`'s
+/// `modeled_kernels_match_the_executed_kernels` measures the resulting
+/// modeled-vs-executed divergence and fails if it leaves its documented
+/// tolerance.
 pub fn is_model(model: &mut ModelComm, config: &IsConfig) -> SimDuration {
     is_program(model, config);
     model.makespan()

@@ -133,7 +133,7 @@ impl Tracer {
     }
 
     /// Creates a tracer that records nothing (cheap to pass around when
-    /// tracing is not wanted, e.g. inside Criterion benchmarks): `record`
+    /// tracing is not wanted, e.g. inside timed benchmark loops): `record`
     /// costs one branch and never runs the message closure.
     pub fn disabled() -> Self {
         Self::with_state(None, false)

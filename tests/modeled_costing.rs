@@ -398,9 +398,8 @@ fn ci_day_goldens() {
 // Captured at commit f124865 (PR 12), before brokering rounds resolved their
 // decided exchanges with one event; seed 2008.  The searched day plans,
 // books and pins every arrival's annealed placement; the week is the
-// `week_sweep --shards 4` smoke shape (`perf_report`'s CI-scale
-// `sustained_throughput` input), whose cross-shard jobs are brokered at
-// barriers on the coordinator.
+// `week_sweep --shards 4` smoke shape, whose cross-shard jobs are brokered
+// at barriers on the coordinator.
 #[test]
 fn ci_searched_day_and_sharded_week_goldens() {
     assert_eq!(
