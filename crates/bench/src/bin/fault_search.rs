@@ -1,6 +1,7 @@
 //! Hunts the adversarial phase of the Nancy outage against the flash
-//! crowd: sweeps `PhaseShift` offsets of the composed outage-in-crowd
-//! scenario and reports the offset that maximises recovery time.
+//! crowd: sweeps onset offsets of the outage in the composed
+//! outage-in-crowd scenario and reports the offset that maximises recovery
+//! time.
 //!
 //! ```text
 //! cargo run --release -p p2pmpi-bench --bin fault_search -- \

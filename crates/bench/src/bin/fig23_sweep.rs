@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p p2pmpi-bench --bin fig23_sweep -- \
-//!     [--strategy concentrate|spread|searched|both|all] [--searched] \
+//!     [--strategy concentrate|spread|searched|both|all] \
 //!     [--seed N] [--compress F] [--rate-scale F] [--duration-scale F] \
 //!     [--sample-secs S] [--ranks a,b,c] [--churn F] [--search-moves N]
 //! ```
@@ -164,13 +164,7 @@ fn print_result(name: &str, result: &DaySweepResult, wall_ms: f64) {
 
 fn main() {
     let flags = day_sweep_flags();
-    // `--searched` is shorthand for `--strategy searched`.
-    let selected = if flags.searched {
-        "searched"
-    } else {
-        flags.strategy.as_str()
-    };
-    let strategies: Vec<(&str, StrategyKind)> = match selected {
+    let strategies: Vec<(&str, StrategyKind)> = match flags.strategy.as_str() {
         "concentrate" => vec![("concentrate", StrategyKind::Concentrate)],
         "spread" => vec![("spread", StrategyKind::Spread)],
         "searched" => vec![("searched", StrategyKind::Searched)],

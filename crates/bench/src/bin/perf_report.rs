@@ -108,8 +108,8 @@ struct SustainedSection {
 /// The week-shape sharded sweep in [`SUSTAINED_PAIRS`] alternating pairs
 /// (parallel first in one, single-thread first in the next, so a drifting
 /// machine favours neither), each side reported at its median wall; every
-/// pair asserts the two drivers stayed bit-identical (the same contract
-/// `tests/shard_sweep.rs` pins at reduced scale).
+/// pair asserts the two drivers' merged fingerprints are equal (the same
+/// contract `tests/shard_sweep.rs` pins at reduced scale).
 fn measure_sustained() -> SustainedSection {
     let cfg = sustained_config();
     let mut seq_cfg = cfg.clone();
@@ -126,11 +126,10 @@ fn measure_sustained() -> SustainedSection {
             (run_shard_sweep(&cfg), seq)
         };
         assert_eq!(
-            par.merged.events_processed, seq.merged.events_processed,
-            "the parallel and single-thread drivers diverged"
-        );
-        assert_eq!(
-            par.merged.succeeded, seq.merged.succeeded,
+            par.merged
+                .fingerprint()
+                .first_divergence(&seq.merged.fingerprint()),
+            None,
             "the parallel and single-thread drivers diverged"
         );
         par_walls.push(par.wall.as_secs_f64() * 1e3);
@@ -353,7 +352,8 @@ struct OnlinePlacementSection {
 
 /// The day every strategy replays for the online comparison: the paper-day
 /// shape compressed 24× at 5% of the arrival rates (~1.1k jobs) — the same
-/// shape `fig23_sweep --searched --compress 24 --rate-scale 0.05` smokes.
+/// shape `fig23_sweep --strategy searched --compress 24 --rate-scale 0.05`
+/// smokes.
 fn online_day_config(strategy: StrategyKind) -> DaySweepConfig {
     let mut cfg = DaySweepConfig::new(strategy).compress(24.0);
     cfg.profile = cfg.profile.scaled(0.05);

@@ -14,14 +14,14 @@
 //! squeezes the week's shape into one virtual hour at ~3k jobs — the CI
 //! smoke configuration.  See `p2pmpi_bench::shard` for the barrier
 //! protocol and the lanes the shards run on; `--baseline` also runs the
-//! single-thread driver, exits non-zero unless the two agree on every
-//! outcome count, per-site core-second and utilisation sample, and reports
-//! the wall-clock speedup.
+//! single-thread driver, compares the two merged results' fingerprints
+//! (`DaySweepResult::fingerprint`), exits 1 naming the first stage that
+//! diverged when they differ, and otherwise reports the wall-clock speedup.
 
 use p2pmpi_bench::cliargs::{week_sweep_flags, WeekSweepFlags};
 use p2pmpi_bench::par::hardware_threads;
 use p2pmpi_bench::shard::{run_shard_sweep, ShardSweepConfig, ShardSweepResult};
-use p2pmpi_bench::workload::{DayProfile, DaySweepConfig, DaySweepResult};
+use p2pmpi_bench::workload::{DayProfile, DaySweepConfig};
 use p2pmpi_core::strategy::StrategyKind;
 
 fn config_for(flags: &WeekSweepFlags) -> ShardSweepConfig {
@@ -94,26 +94,6 @@ fn print_result(label: &str, r: &ShardSweepResult) {
     );
 }
 
-/// The fields of two merged results that differ, of those the parallel and
-/// single-thread drivers must agree on bit for bit.
-fn diverged(a: &DaySweepResult, b: &DaySweepResult) -> Vec<&'static str> {
-    let same_samples = (a.samples.iter().map(|s| (s.t, &s.running)))
-        .eq(b.samples.iter().map(|s| (s.t, &s.running)));
-    [
-        ("events_processed", a.events_processed == b.events_processed),
-        ("submitted", a.submitted == b.submitted),
-        ("succeeded", a.succeeded == b.succeeded),
-        ("failed", a.failed == b.failed),
-        ("timeouts", a.timeouts == b.timeouts),
-        ("core_seconds", a.core_seconds == b.core_seconds),
-        ("shapes_costed", a.shapes_costed == b.shapes_costed),
-        ("samples", same_samples),
-    ]
-    .into_iter()
-    .filter_map(|(field, same)| (!same).then_some(field))
-    .collect()
-}
-
 fn main() {
     let flags = week_sweep_flags();
     let cfg = config_for(&flags);
@@ -145,11 +125,11 @@ fn main() {
         baseline_cfg.parallel = false;
         let baseline = run_shard_sweep(&baseline_cfg);
         print_result("week_sweep_baseline", &baseline);
-        let diverged = diverged(&baseline.merged, &result.merged);
-        if !diverged.is_empty() {
+        let (want, got) = (baseline.merged.fingerprint(), result.merged.fingerprint());
+        if let Some(stage) = got.first_divergence(&want) {
             eprintln!(
-                "FAIL: the parallel driver and the single-thread baseline disagree on {}",
-                diverged.join(", ")
+                "FAIL: the parallel driver and the single-thread baseline diverge first at \
+                 stage `{stage}`\n  parallel  {got}\n  baseline  {want}"
             );
             std::process::exit(1);
         }

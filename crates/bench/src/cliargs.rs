@@ -187,9 +187,6 @@ pub struct DaySweepFlags {
     /// perform (default both, like Figures 2 and 3 side by side; `all`
     /// adds the search-guided run to the pair).
     pub strategy: String,
-    /// `--searched`: shorthand for `--strategy searched` — one run with
-    /// the online per-arrival placement search.
-    pub searched: bool,
     /// `--search-moves N`: annealing move budget per arrival (default 300).
     pub search_moves: Option<u64>,
     /// `--seed N`: master seed (default 2008).
@@ -215,7 +212,6 @@ pub struct DaySweepFlags {
 pub fn day_sweep_flags() -> DaySweepFlags {
     DaySweepFlags {
         strategy: flag_value("--strategy").unwrap_or_else(|| "both".to_string()),
-        searched: flag_present("--searched"),
         search_moves: flag_u64("--search-moves"),
         seed: flag_u64("--seed").unwrap_or(2008),
         compress: flag_f64("--compress"),

@@ -4,9 +4,10 @@
 //! The scenario matrix pins *one* onset per fault, but the inhomogeneous
 //! Poisson day means the same outage can be benign at 06:00 and brutal at
 //! 10:30 — the damage depends on what the grid was doing when the rack
-//! went down.  This module turns [`FaultSpec::PhaseShift`] into a search
-//! knob: [`search_worst_phase`] evaluates the composed outage-in-crowd
-//! scenario ([`outage_in_crowd_config`]) at a grid of phase offsets, then
+//! went down.  This module turns the outage's onset into a search knob:
+//! [`search_worst_phase`] evaluates the composed outage-in-crowd scenario
+//! ([`outage_in_crowd_config`], whose offset shifts the Nancy outage's
+//! onset and leaves the crowd where it is) at a grid of phase offsets, then
 //! optionally refines the worst bracket with golden-section iterations,
 //! all against one shared crowd-only twin (the outage never reshapes
 //! arrivals, so every offset replays the identical inflated trace).  The
@@ -26,12 +27,11 @@
 //! least 10% worse than the nominal onset — the signal that placement or
 //! profile changes moved the worst case and the pin needs re-validation.
 //!
-//! [`FaultSpec::PhaseShift`]: crate::workload::FaultSpec::PhaseShift
 //! [`OUTAGE_IN_CROWD_WORST_OFFSET_SECS`]: crate::scenario::OUTAGE_IN_CROWD_WORST_OFFSET_SECS
 
 use crate::par::par_map;
 use crate::scenario::{outage_in_crowd_config, outage_window, recovery_to_twin, ScenarioParams};
-use crate::workload::{flatten_faults, run_day_sweep, DaySweepResult, FaultSpec};
+use crate::workload::{run_day_sweep, DaySweepResult, FaultSpec};
 
 /// Inverse golden ratio: the interior-point placement of the
 /// golden-section refinement.
@@ -135,10 +135,9 @@ fn eval_phase(offset_secs: f64, params: &ScenarioParams, twin: &DaySweepResult) 
 /// run serves all evaluations.
 fn crowd_twin(params: &ScenarioParams) -> DaySweepResult {
     let mut twin_cfg = outage_in_crowd_config(0.0, params);
-    twin_cfg.faults = flatten_faults(&twin_cfg.faults)
-        .into_iter()
-        .filter(|f| matches!(f, FaultSpec::FlashCrowd { .. }))
-        .collect();
+    twin_cfg
+        .faults
+        .retain(|f| matches!(f, FaultSpec::FlashCrowd { .. }));
     run_day_sweep(&twin_cfg)
 }
 

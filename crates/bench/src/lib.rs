@@ -47,6 +47,5 @@ pub use scenario::{
 pub use search::{search_placement, SearchParams, SearchReport};
 pub use shard::{run_shard_sweep, ShardSweepConfig, ShardSweepResult};
 pub use workload::{
-    flatten_faults, run_day_sweep, BurstyArrivals, DayProfile, DaySweepConfig, DaySweepResult,
-    FaultSpec, JobMix, PoissonArrivals,
+    run_day_sweep, DayProfile, DaySweepConfig, DaySweepResult, FaultSpec, JobMix, SweepFingerprint,
 };

@@ -26,26 +26,24 @@
 //!   site *dims* instead of going dark — brokering must keep using the
 //!   survivors.
 //! * **Composed faults** — `outage_in_crowd` overlaps a Nancy outage (the
-//!   submitter's busiest site) with the 10x flash crowd via
-//!   [`FaultSpec::Compose`], and `outage_in_crowd_worst` pins the
-//!   adversarial phase the `fault_search` driver found (a
-//!   [`FaultSpec::PhaseShift`] of the outage against the burst that
+//!   submitter's busiest site) with the 10x flash crowd, and
+//!   `outage_in_crowd_worst` pins the adversarial phase the `fault_search`
+//!   driver found (the outage onset, shifted against the burst, that
 //!   maximises recovery time).
 //!
 //! # Composition semantics
 //!
-//! [`FaultSpec::Compose`] concatenates its children's event schedules on
-//! one timeline — children are independent, so composing is exactly
-//! "install all of them".  [`FaultSpec::PhaseShift`] adds a signed offset
-//! to every primitive onset beneath it (offsets nest additively; a shifted
-//! onset clamps at the start of the day) — durations, factors and sites
-//! are untouched.  `FaultSpec::flattened` unfolds any tree back into the
-//! primitive list the sweep installs, and everything downstream (trace
-//! bursts, timeline installation, outage-window extraction, shard routing)
-//! operates on that flattened form, so combinators never add semantics —
-//! only structure.  Under [`DaySweepConfig::compress`] a `PhaseShift`
-//! offset shrinks with the same rule as every other fault time, keeping
-//! the relative phase of fault vs burst invariant across scales.
+//! A scenario's faults are one flat list ([`DaySweepConfig::faults`]), and
+//! listing faults is how they compose: each entry is installed on its own
+//! on one timeline, so an outage *during* a crowd is the two entries side
+//! by side.  Everything downstream (trace bursts, timeline installation,
+//! outage-window extraction, shard routing, the twin's crowd-only filter)
+//! reads that list as it is.  A phase shift is an onset, not a wrapper:
+//! [`outage_in_crowd_faults`]`(offset)` authors the Nancy outage at
+//! `max(10:30 + offset, 0)` on the uncompressed day, durations, factors
+//! and sites untouched.  [`DaySweepConfig::compress`] then scales that
+//! onset with the same rule as every other fault time, keeping the phase
+//! of fault vs burst invariant across scales.
 //!
 //! # The fault-event contract
 //!
@@ -127,7 +125,7 @@
 //! [`DeadPeerChurn`]: crate::workload::DeadPeerChurn
 
 use crate::workload::{
-    flatten_faults, run_day_sweep, DaySweepConfig, DaySweepResult, DeadPeerChurn, FaultSpec, JobMix,
+    run_day_sweep, DaySweepConfig, DaySweepResult, DeadPeerChurn, FaultSpec, JobMix,
 };
 use p2pmpi_core::strategy::StrategyKind;
 use p2pmpi_simgrid::time::SimDuration;
@@ -242,12 +240,12 @@ pub enum Scenario {
     RackOutage,
     /// The composed stress: a Nancy outage — the submitter's home site,
     /// which carries most of a small-rank day's placements — *during* the
-    /// 10x flash crowd ([`FaultSpec::Compose`]).  Judged against a
+    /// 10x flash crowd ([`outage_in_crowd_faults`]).  Judged against a
     /// crowd-only twin (same inflated trace), so the verdict isolates what
     /// the outage costs under burst pressure; recovery is strictly harder
     /// than the lone outage's.
     OutageInCrowd,
-    /// [`Scenario::OutageInCrowd`] with the outage phase-shifted to the
+    /// [`Scenario::OutageInCrowd`] with the outage onset shifted by the
     /// adversarial offset `fault_search` found
     /// ([`OUTAGE_IN_CROWD_WORST_OFFSET_SECS`]): the pinned worst case,
     /// gated with its own (looser) recovery SLO so a regression in the
@@ -499,23 +497,22 @@ fn finalize_config(mut cfg: DaySweepConfig, params: &ScenarioParams) -> DaySweep
 /// arrival-limited refill, not a formality.  Offset 0 is the nominal
 /// onset ([`Scenario::OutageInCrowd`]); `fault_search` sweeps the offset
 /// to find the worst case, and [`OUTAGE_IN_CROWD_WORST_OFFSET_SECS`] pins
-/// what it found ([`Scenario::OutageInCrowdWorst`]).
+/// what it found ([`Scenario::OutageInCrowdWorst`]).  A shifted onset
+/// clamps at the start of the day.
 pub fn outage_in_crowd_faults(offset_secs: f64) -> Vec<FaultSpec> {
-    vec![FaultSpec::Compose(vec![
-        FaultSpec::PhaseShift {
-            offset_secs,
-            inner: Box::new(FaultSpec::SiteOutage {
-                site: "nancy".to_string(),
-                at: hours(10) + SimDuration::from_secs(1800),
-                duration: hours(2),
-            }),
+    let nominal = (hours(10) + SimDuration::from_secs(1800)).as_secs_f64();
+    vec![
+        FaultSpec::SiteOutage {
+            site: "nancy".to_string(),
+            at: SimDuration::from_secs_f64((nominal + offset_secs).max(0.0)),
+            duration: hours(2),
         },
         FaultSpec::FlashCrowd {
             at: hours(10),
             duration: hours(2),
             factor: 10.0,
         },
-    ])]
+    ]
 }
 
 /// The full outage-in-crowd sweep config at `params` scale with the outage
@@ -659,10 +656,9 @@ fn total_running(r: &DaySweepResult, i: usize) -> f64 {
 
 /// The (start, end) seconds of the scenario's outage window in the
 /// *compressed* coordinates of `cfg` (the coordinates the samples and
-/// core-second bins use).  Combinators are flattened first, so a
-/// phase-shifted outage reports its effective window.
+/// core-second bins use).
 pub(crate) fn outage_window(cfg: &DaySweepConfig) -> Option<(f64, f64)> {
-    flatten_faults(&cfg.faults).iter().find_map(|f| match f {
+    cfg.faults.iter().find_map(|f| match f {
         FaultSpec::SiteOutage { at, duration, .. }
         | FaultSpec::SupernodeOutage { at, duration }
         | FaultSpec::PartialSite { at, duration, .. } => {
@@ -760,14 +756,9 @@ pub fn run_scenario(scenario: Scenario, params: &ScenarioParams) -> ScenarioVerd
     let result = run_day_sweep(&cfg);
     let baseline = scenario.needs_baseline().then(|| {
         let mut twin = cfg.clone();
-        twin.faults = if scenario.twin_keeps_crowd() {
-            flatten_faults(&twin.faults)
-                .into_iter()
-                .filter(|f| matches!(f, FaultSpec::FlashCrowd { .. }))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let keeps_crowd = scenario.twin_keeps_crowd();
+        twin.faults
+            .retain(|f| keeps_crowd && matches!(f, FaultSpec::FlashCrowd { .. }));
         run_day_sweep(&twin)
     });
 
@@ -1135,45 +1126,6 @@ mod tests {
         let (s2, e2) = outage_window(&shifted).unwrap();
         assert_eq!(s2, start + 3600.0 / 24.0);
         assert_eq!(e2 - s2, end - start);
-    }
-
-    #[test]
-    fn flattening_applies_nested_offsets_and_clamps_at_day_start() {
-        let tree = FaultSpec::PhaseShift {
-            offset_secs: -7200.0,
-            inner: Box::new(FaultSpec::Compose(vec![
-                FaultSpec::SiteOutage {
-                    site: "rennes".to_string(),
-                    at: hours(1),
-                    duration: hours(2),
-                },
-                FaultSpec::PhaseShift {
-                    offset_secs: 3600.0,
-                    inner: Box::new(FaultSpec::SupernodeOutage {
-                        at: hours(9),
-                        duration: hours(1),
-                    }),
-                },
-            ])),
-        };
-        let flat = tree.flattened();
-        assert_eq!(flat.len(), 2);
-        match &flat[0] {
-            FaultSpec::SiteOutage { at, duration, .. } => {
-                // 1h - 2h clamps at the start of the day.
-                assert_eq!(*at, SimDuration::from_secs(0));
-                assert_eq!(*duration, hours(2));
-            }
-            other => panic!("expected a site outage, got {other:?}"),
-        }
-        match &flat[1] {
-            FaultSpec::SupernodeOutage { at, duration } => {
-                // Offsets nest additively: -2h + 1h = -1h off the 9h onset.
-                assert_eq!(*at, hours(8));
-                assert_eq!(*duration, hours(1));
-            }
-            other => panic!("expected a supernode outage, got {other:?}"),
-        }
     }
 
     #[test]

@@ -567,30 +567,20 @@ pub(crate) fn run_shard_sweep_on(
 
     // One SweepCore per shard: shard 0 keeps the base seed (with one shard
     // it *is* the sequential sweep), the rest derive independent noise and
-    // churn substreams.  Combinator trees are flattened up front so each
-    // primitive routes independently; site-scoped faults go to the owning
-    // shard.
-    let flat_faults = crate::workload::flatten_faults(&base.faults);
+    // churn substreams.  Site-scoped faults go to the owning shard.
     let cores: Vec<SweepCore> = (0..shards)
         .map(|s| {
             let mut shard_cfg = base.clone();
-            shard_cfg.faults = flat_faults
-                .iter()
-                .filter(|f| match f {
-                    FaultSpec::FlashCrowd { .. } | FaultSpec::SupernodeOutage { .. } => true,
-                    FaultSpec::SiteOutage { site, .. }
-                    | FaultSpec::SlowLinks { site, .. }
-                    | FaultSpec::PartialSite { site, .. } => {
-                        plan.shard_of_site(site)
-                            .unwrap_or_else(|| panic!("fault names unknown site '{site}'"))
-                            == s
-                    }
-                    FaultSpec::Compose(_) | FaultSpec::PhaseShift { .. } => {
-                        unreachable!("flatten_faults only yields primitives")
-                    }
-                })
-                .cloned()
-                .collect();
+            shard_cfg.faults.retain(|f| match f {
+                FaultSpec::FlashCrowd { .. } | FaultSpec::SupernodeOutage { .. } => true,
+                FaultSpec::SiteOutage { site, .. }
+                | FaultSpec::SlowLinks { site, .. }
+                | FaultSpec::PartialSite { site, .. } => {
+                    plan.shard_of_site(site)
+                        .unwrap_or_else(|| panic!("fault names unknown site '{site}'"))
+                        == s
+                }
+            });
             let seed = if s == 0 {
                 base.seed
             } else {
@@ -863,37 +853,34 @@ mod tests {
         cfg
     }
 
-    /// Everything a sweep computed, the wall clock aside.  Floats print
-    /// shortest-round-trip, so equal text means equal bits.
-    fn outcome(r: &ShardSweepResult) -> String {
-        format!(
-            "{:?}",
-            (
-                &r.merged,
-                &r.per_shard,
-                r.cross_submitted,
-                r.cross_succeeded,
-                r.cross_failed,
-                r.barriers
-            )
-        )
-    }
-
     #[test]
     fn every_lane_count_reproduces_parallel_false_bit_for_bit() {
+        // Everything a sharded sweep computed: the merged result's and each
+        // shard's fingerprint, the shard count and the cross-shard counters.
+        let fingerprints = |r: &ShardSweepResult| {
+            let shards = r.per_shard.iter().map(DaySweepResult::fingerprint);
+            std::iter::once(r.merged.fingerprint())
+                .chain(shards)
+                .collect::<Vec<_>>()
+        };
+        let counters = |r: &ShardSweepResult| {
+            let cross = [r.cross_submitted, r.cross_succeeded, r.cross_failed];
+            (r.per_shard.len(), cross, r.barriers)
+        };
         for strategy in [StrategyKind::Concentrate, StrategyKind::Spread] {
             for cross_fraction in [0.0, 0.05] {
                 let mut cfg = reduced(strategy, cross_fraction);
                 cfg.parallel = false;
                 let twin = run_shard_sweep(&cfg);
                 assert_eq!(twin.barriers > 0, cross_fraction > 0.0);
+                let want = fingerprints(&twin);
                 for lanes in 1..=4 {
                     let run = run_shard_sweep_on(&cfg, lanes, run_segment);
-                    assert_eq!(
-                        outcome(&run),
-                        outcome(&twin),
-                        "{strategy:?}, cross {cross_fraction}, {lanes} lane(s)"
-                    );
+                    let what = format!("{strategy:?}, cross {cross_fraction}, {lanes} lane(s)");
+                    assert_eq!(counters(&run), counters(&twin), "{what}");
+                    for (got, want) in fingerprints(&run).iter().zip(&want) {
+                        assert_eq!(got.first_divergence(want), None, "{what}");
+                    }
                 }
             }
         }

@@ -2,11 +2,8 @@
 //!
 //! The paper submits jobs one at a time; pushing the reproduction to sweep
 //! scale needs a synthetic arrival process and a driver that replays it
-//! against the overlay's event timeline.  Three layers live here:
+//! against the overlay's event timeline.  Two layers live here:
 //!
-//! * **Arrival generators** — [`PoissonArrivals`] draws exponential
-//!   inter-arrival gaps (a homogeneous Poisson process) and
-//!   [`BurstyArrivals`] alternates between two rates.
 //! * **[`DayProfile`]** — a piecewise-constant-rate arrival profile over a
 //!   day of virtual time (86,400 s), the cheap stand-in for the
 //!   inhomogeneous-Poisson workloads of Hohmann's IPPP package cited in
@@ -25,6 +22,11 @@
 //!   is in that module's docs): [`DaySweepResult::shapes_costed`] of the
 //!   `succeeded` jobs were costed, the others answered from the memo, and
 //!   debug builds re-cost every one of those to check it.
+//!
+//! What a sweep computed is compared through one value,
+//! [`DaySweepResult::fingerprint`]: every golden, every bit-identity test
+//! and `week_sweep --baseline` ask it whether two sweeps had the same
+//! outcome, and it names the first stage where they did not.
 
 use crate::experiments::{Fig4Kernel, Fig4Settings, ShapeCosts};
 use crate::search::{OnlineSearchParams, OnlineSearchStats, SearchContext};
@@ -37,109 +39,9 @@ use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::rngutil::{derive_seed, seeded};
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
 use p2pmpi_simgrid::topology::HostId;
-use rand::rngs::StdRng;
 use rand::Rng;
+use std::fmt;
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------------
-// Arrival generators
-// ---------------------------------------------------------------------------
-
-/// Homogeneous Poisson arrival process: gaps are `Exp(rate)` distributed.
-#[derive(Debug, Clone)]
-pub struct PoissonArrivals {
-    rate_per_sec: f64,
-    rng: StdRng,
-}
-
-impl PoissonArrivals {
-    /// Creates a process with the given arrival rate (events per second of
-    /// virtual time) and RNG seed.
-    pub fn new(rate_per_sec: f64, seed: u64) -> Self {
-        assert!(
-            rate_per_sec > 0.0 && rate_per_sec.is_finite(),
-            "arrival rate must be positive"
-        );
-        PoissonArrivals {
-            rate_per_sec,
-            rng: seeded(seed),
-        }
-    }
-
-    /// The configured rate.
-    pub fn rate(&self) -> f64 {
-        self.rate_per_sec
-    }
-
-    /// Draws the next inter-arrival gap.
-    pub fn next_gap(&mut self) -> SimDuration {
-        // Inverse-CDF sampling; 1 - u keeps the argument of ln() positive.
-        let u: f64 = self.rng.gen();
-        let secs = -(1.0 - u).ln() / self.rate_per_sec;
-        SimDuration::from_secs_f64(secs)
-    }
-
-    /// Draws `n` gaps into a vector (convenience for pre-scheduling a whole
-    /// sweep so the event queue can be `reserve`d once).
-    pub fn gaps(&mut self, n: usize) -> Vec<SimDuration> {
-        (0..n).map(|_| self.next_gap()).collect()
-    }
-}
-
-/// Two-phase inhomogeneous arrivals: `burst_len` arrivals at `burst_rate`,
-/// then `quiet_len` arrivals at `quiet_rate`, repeating.
-#[derive(Debug, Clone)]
-pub struct BurstyArrivals {
-    burst: PoissonArrivals,
-    quiet: PoissonArrivals,
-    burst_len: usize,
-    quiet_len: usize,
-    position: usize,
-}
-
-impl BurstyArrivals {
-    /// Creates the alternating process.  Lengths must be positive.
-    pub fn new(
-        burst_rate: f64,
-        burst_len: usize,
-        quiet_rate: f64,
-        quiet_len: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(
-            burst_len > 0 && quiet_len > 0,
-            "phase lengths must be positive"
-        );
-        BurstyArrivals {
-            burst: PoissonArrivals::new(burst_rate, seed ^ 0x9E37),
-            quiet: PoissonArrivals::new(quiet_rate, seed ^ 0x79B9),
-            burst_len,
-            quiet_len,
-            position: 0,
-        }
-    }
-
-    /// True if the *next* gap will be drawn from the burst phase.
-    pub fn in_burst(&self) -> bool {
-        self.position % (self.burst_len + self.quiet_len) < self.burst_len
-    }
-
-    /// Draws the next inter-arrival gap.
-    pub fn next_gap(&mut self) -> SimDuration {
-        let in_burst = self.in_burst();
-        self.position += 1;
-        if in_burst {
-            self.burst.next_gap()
-        } else {
-            self.quiet.next_gap()
-        }
-    }
-
-    /// Draws `n` gaps into a vector.
-    pub fn gaps(&mut self, n: usize) -> Vec<SimDuration> {
-        (0..n).map(|_| self.next_gap()).collect()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // DayProfile: piecewise-constant-rate arrivals over a day
@@ -509,6 +411,8 @@ impl Default for DeadPeerChurn {
 /// One named adversity injected into a day sweep.  Times are offsets on
 /// the *uncompressed* day; [`DaySweepConfig::compress`] scales them together
 /// with everything else so a compressed run sees the same relative shape.
+/// Faults compose by listing them in [`DaySweepConfig::faults`]: each entry
+/// is installed on its own, on the one timeline.
 #[derive(Debug, Clone)]
 pub enum FaultSpec {
     /// Every peer of `site` crashes at `at` and recovers `duration` later,
@@ -568,163 +472,19 @@ pub enum FaultSpec {
         /// Brown-out length.
         duration: SimDuration,
     },
-    /// Combinator: every child fault runs on the same timeline (an outage
-    /// *during* a flash crowd, a rack loss *while* links crawl).  Children
-    /// are independent — composition is concatenation of their event
-    /// schedules, and [`FaultSpec::flattened`] unfolds the tree back into
-    /// the primitive list the sweep installs.
-    Compose(Vec<FaultSpec>),
-    /// Combinator: slides the inner fault's onset by `offset_secs`
-    /// (positive = later) against the day profile, clamping at the start
-    /// of the day.  This is the knob the adversarial timing search
-    /// (`fault_search`) turns to hunt the worst-case phase of an outage
-    /// relative to a burst.
-    PhaseShift {
-        /// Signed onset shift in seconds (applied to every primitive
-        /// inside `inner`).
-        offset_secs: f64,
-        /// The fault whose onset slides.
-        inner: Box<FaultSpec>,
-    },
 }
 
 impl FaultSpec {
-    /// Scales the fault's times for a compressed day (rates and factors are
-    /// dimensionless and stay put).  Combinators recurse: `Compose` maps
-    /// its children and `PhaseShift` shrinks its offset's magnitude with
-    /// the same rule before recursing into the shifted fault.
-    fn compressed(self, shrink: &impl Fn(SimDuration) -> SimDuration) -> Self {
+    /// The fault's onset and length: every fault has exactly one of each.
+    fn window_mut(&mut self) -> (&mut SimDuration, &mut SimDuration) {
         match self {
-            FaultSpec::SiteOutage { site, at, duration } => FaultSpec::SiteOutage {
-                site,
-                at: shrink(at),
-                duration: shrink(duration),
-            },
-            FaultSpec::FlashCrowd {
-                at,
-                duration,
-                factor,
-            } => FaultSpec::FlashCrowd {
-                at: shrink(at),
-                duration: shrink(duration),
-                factor,
-            },
-            FaultSpec::SlowLinks {
-                site,
-                at,
-                duration,
-                latency_factor,
-            } => FaultSpec::SlowLinks {
-                site,
-                at: shrink(at),
-                duration: shrink(duration),
-                latency_factor,
-            },
-            FaultSpec::SupernodeOutage { at, duration } => FaultSpec::SupernodeOutage {
-                at: shrink(at),
-                duration: shrink(duration),
-            },
-            FaultSpec::PartialSite {
-                site,
-                hosts,
-                at,
-                duration,
-            } => FaultSpec::PartialSite {
-                site,
-                hosts,
-                at: shrink(at),
-                duration: shrink(duration),
-            },
-            FaultSpec::Compose(children) => {
-                FaultSpec::Compose(children.into_iter().map(|f| f.compressed(shrink)).collect())
-            }
-            FaultSpec::PhaseShift { offset_secs, inner } => FaultSpec::PhaseShift {
-                offset_secs: if offset_secs == 0.0 {
-                    0.0
-                } else {
-                    offset_secs.signum()
-                        * shrink(SimDuration::from_secs_f64(offset_secs.abs())).as_secs_f64()
-                },
-                inner: Box::new(inner.compressed(shrink)),
-            },
+            FaultSpec::SiteOutage { at, duration, .. }
+            | FaultSpec::FlashCrowd { at, duration, .. }
+            | FaultSpec::SlowLinks { at, duration, .. }
+            | FaultSpec::SupernodeOutage { at, duration }
+            | FaultSpec::PartialSite { at, duration, .. } => (at, duration),
         }
     }
-
-    /// Unfolds the fault tree into the primitive faults the sweep installs:
-    /// `Compose` concatenates its children's primitives, `PhaseShift` adds
-    /// its offset to every primitive onset underneath it (offsets nest
-    /// additively), and a shifted onset clamps at the start of the day.
-    pub fn flattened(&self) -> Vec<FaultSpec> {
-        let mut out = Vec::new();
-        self.flatten_into(0.0, &mut out);
-        out
-    }
-
-    fn flatten_into(&self, offset_secs: f64, out: &mut Vec<FaultSpec>) {
-        let shift =
-            |at: SimDuration| SimDuration::from_secs_f64((at.as_secs_f64() + offset_secs).max(0.0));
-        match self {
-            FaultSpec::Compose(children) => {
-                for child in children {
-                    child.flatten_into(offset_secs, out);
-                }
-            }
-            FaultSpec::PhaseShift {
-                offset_secs: more,
-                inner,
-            } => inner.flatten_into(offset_secs + more, out),
-            FaultSpec::SiteOutage { site, at, duration } => out.push(FaultSpec::SiteOutage {
-                site: site.clone(),
-                at: shift(*at),
-                duration: *duration,
-            }),
-            FaultSpec::FlashCrowd {
-                at,
-                duration,
-                factor,
-            } => out.push(FaultSpec::FlashCrowd {
-                at: shift(*at),
-                duration: *duration,
-                factor: *factor,
-            }),
-            FaultSpec::SlowLinks {
-                site,
-                at,
-                duration,
-                latency_factor,
-            } => out.push(FaultSpec::SlowLinks {
-                site: site.clone(),
-                at: shift(*at),
-                duration: *duration,
-                latency_factor: *latency_factor,
-            }),
-            FaultSpec::SupernodeOutage { at, duration } => out.push(FaultSpec::SupernodeOutage {
-                at: shift(*at),
-                duration: *duration,
-            }),
-            FaultSpec::PartialSite {
-                site,
-                hosts,
-                at,
-                duration,
-            } => out.push(FaultSpec::PartialSite {
-                site: site.clone(),
-                hosts: *hosts,
-                at: shift(*at),
-                duration: *duration,
-            }),
-        }
-    }
-}
-
-/// Flattens a fault list's combinator trees into the primitive faults the
-/// sweep installs, in declaration order.
-pub fn flatten_faults(faults: &[FaultSpec]) -> Vec<FaultSpec> {
-    let mut out = Vec::new();
-    for fault in faults {
-        fault.flatten_into(0.0, &mut out);
-    }
-    out
 }
 
 /// Configuration of one [`run_day_sweep`] run.
@@ -832,10 +592,12 @@ impl DaySweepConfig {
             churn.downtime = shrink(churn.downtime);
             churn.uptime = shrink(churn.uptime);
         }
-        self.faults = std::mem::take(&mut self.faults)
-            .into_iter()
-            .map(|f| f.compressed(&shrink))
-            .collect();
+        // Fault times shrink too; rates and factors are dimensionless.
+        for fault in &mut self.faults {
+            let (at, duration) = fault.window_mut();
+            *at = shrink(*at);
+            *duration = shrink(*duration);
+        }
         self
     }
 }
@@ -964,6 +726,159 @@ impl DaySweepResult {
             .map(|&c| if total > 0.0 { c / total } else { 0.0 })
             .collect()
     }
+
+    /// What this sweep computed, staged in pipeline order (see
+    /// [`SweepFingerprint`]).  Two results are the same outcome exactly
+    /// when their fingerprints are equal.
+    pub fn fingerprint(&self) -> SweepFingerprint {
+        let mut placements = format!(
+            "succeeded={} failed={} shapes_costed={}",
+            self.succeeded, self.failed, self.shapes_costed
+        );
+        if let Some(s) = &self.search {
+            placements += &format!(
+                " arrivals={} searched={} infeasible={} moves={}",
+                s.arrivals, s.searched, s.infeasible, s.moves_evaluated
+            );
+        }
+
+        // Bulk data as 64-bit words, every variable-length run prefixed
+        // with its length so that no two layouts digest alike.
+        let bits = |v: &[f64]| {
+            let words = v.iter().map(|x| x.to_bits());
+            std::iter::once(v.len() as u64)
+                .chain(words)
+                .collect::<Vec<_>>()
+        };
+        let mut ledgers = vec![self.site_names.len() as u64];
+        for name in &self.site_names {
+            ledgers.push(name.len() as u64);
+            ledgers.extend(name.bytes().map(u64::from));
+        }
+        ledgers.extend(bits(&self.core_seconds));
+        ledgers.push(self.bin_secs.to_bits());
+        for series in &self.site_core_bins {
+            ledgers.extend(bits(series));
+        }
+        let mut samples = Vec::new();
+        for s in &self.samples {
+            samples.extend([s.t.as_nanos(), s.running.len() as u64]);
+            samples.extend(s.running.iter().map(|&r| u64::from(r)));
+        }
+        let digest = |words: &[u64]| fnv1a(words.iter().flat_map(|w| w.to_le_bytes()));
+
+        SweepFingerprint {
+            stages: [
+                format!("submitted={}", self.submitted),
+                placements,
+                format!("mean_hold_bits={:016x}", self.mean_hold_secs.to_bits()),
+                format!(
+                    "core_seconds_bits={:016x} fnv={:016x}",
+                    self.core_seconds.iter().sum::<f64>().to_bits(),
+                    digest(&ledgers)
+                ),
+                format!("n={} fnv={:016x}", self.samples.len(), digest(&samples)),
+                format!(
+                    "events_processed={} virtual_end_ns={} timeouts={} jobs_killed={} \
+                     leaked_grants={} leaked_grant_hwm={}",
+                    self.events_processed,
+                    self.virtual_end.as_nanos(),
+                    self.timeouts,
+                    self.jobs_killed,
+                    self.leaked_grants,
+                    self.leaked_grant_hwm
+                ),
+            ],
+        }
+    }
+}
+
+/// FNV-1a, 64-bit: a fixed published function, so a digest is the same on
+/// every toolchain and platform (std's `DefaultHasher` promises neither).
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The stages of a [`SweepFingerprint`], in pipeline order.
+const STAGES: [&str; 6] = [
+    "trace",
+    "placements",
+    "holds",
+    "ledgers",
+    "samples",
+    "timeline",
+];
+
+/// The one definition of "same outcome" for a sweep: what a
+/// [`DaySweepResult`] computed, in six stages in pipeline order.
+///
+/// | stage | carries |
+/// |---|---|
+/// | `trace` | `submitted` |
+/// | `placements` | `succeeded`, `failed`, `shapes_costed`; under the searched strategy also the search's arrivals, plans, infeasible arrivals and moves |
+/// | `holds` | the bits of `mean_hold_secs` |
+/// | `ledgers` | the bits of the `core_seconds` sum; a digest of the site names, each site's `core_seconds`, `bin_secs` and every `site_core_bins` value, bit for bit |
+/// | `samples` | the sample count; a digest of every `(t, running)` |
+/// | `timeline` | `events_processed`, `virtual_end`, `timeouts`, `jobs_killed`, `leaked_grants`, `leaked_grant_hwm` |
+///
+/// Scalars print in clear, bulk data as an FNV-1a 64 digest.  Excluded on
+/// purpose: the search's wall-clock timings, the `*_capacity_*` allocation
+/// diagnostics (how the simulator stored the outcome, not the outcome) and
+/// `site_cores` (configuration).
+///
+/// It prints as one line, `stage[key=value ...]` per stage, and parses back
+/// from it, so a golden is a fingerprint line.  When two fingerprints
+/// differ, [`SweepFingerprint::first_divergence`] names the earliest stage
+/// that does: where the difference came from, not only that there is one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepFingerprint {
+    /// Each stage's rendered scalars and digests, in `STAGES` order.
+    stages: [String; 6],
+}
+
+impl SweepFingerprint {
+    /// The earliest stage (in pipeline order) where `self` and `other`
+    /// differ, or `None` when they are the same outcome.
+    pub fn first_divergence(&self, other: &SweepFingerprint) -> Option<&'static str> {
+        STAGES
+            .iter()
+            .zip(self.stages.iter().zip(&other.stages))
+            .find(|(_, (a, b))| a != b)
+            .map(|(stage, _)| *stage)
+    }
+}
+
+impl fmt::Display for SweepFingerprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let stages = STAGES.iter().zip(&self.stages);
+        let stages: Vec<String> = stages.map(|(s, body)| format!("{s}[{body}]")).collect();
+        f.write_str(&stages.join(" "))
+    }
+}
+
+impl std::str::FromStr for SweepFingerprint {
+    type Err = String;
+
+    /// Parses the line [`SweepFingerprint`]'s `Display` prints.
+    fn from_str(line: &str) -> Result<Self, String> {
+        let mut stages: [String; 6] = Default::default();
+        let mut rest = line;
+        for (stage, slot) in STAGES.iter().zip(&mut stages) {
+            let (body, tail) = rest
+                .strip_prefix(stage)
+                .and_then(|r| r.strip_prefix('['))
+                .and_then(|r| r.split_once(']'))
+                .ok_or_else(|| format!("expected `{stage}[...]` at {rest:?}"))?;
+            *slot = body.to_string();
+            rest = tail.strip_prefix(' ').unwrap_or(tail);
+        }
+        if !rest.is_empty() {
+            return Err(format!("trailing text {rest:?}"));
+        }
+        Ok(SweepFingerprint { stages })
+    }
 }
 
 /// Running processes per site, in site-id order.
@@ -979,16 +894,14 @@ pub(crate) fn sample_running(tb: &Grid5000Testbed) -> Vec<u32> {
 /// Applies the [`FaultSpec::FlashCrowd`] entries of `faults` to `profile`
 /// (flash crowds reshape the arrival process itself, so they act before the
 /// trace is drawn; every other fault is an event on the overlay timeline).
-/// Combinators are flattened first, so a crowd inside a `Compose` or under
-/// a `PhaseShift` splices at its effective onset.
 pub(crate) fn burst_profile(profile: &DayProfile, faults: &[FaultSpec]) -> DayProfile {
     let mut profile = profile.clone();
-    for fault in flatten_faults(faults) {
+    for fault in faults {
         if let FaultSpec::FlashCrowd {
             at,
             duration,
             factor,
-        } = fault
+        } = *fault
         {
             profile = profile.with_burst(at, duration, factor);
         }
@@ -1085,12 +998,10 @@ impl SweepCore {
 
         // Timeline faults: correlated site outages, rack brown-outs, link
         // degradation windows and supernode crashes ride the same event
-        // queue as everything else.  Combinator trees (`Compose`,
-        // `PhaseShift`) unfold into primitives first, so a composed
-        // scenario installs exactly the schedule its flattened parts would.
+        // queue as everything else.
         let submitter_peer = tb.submitter;
-        for fault in flatten_faults(&cfg.faults) {
-            match &fault {
+        for fault in &cfg.faults {
+            match fault {
                 FaultSpec::FlashCrowd { .. } => {} // applied to the profile pre-trace
                 FaultSpec::SiteOutage { site, at, duration } => {
                     let schedule = p2pmpi_grid5000::site_outage_schedule(
@@ -1138,9 +1049,6 @@ impl SweepCore {
                 FaultSpec::SupernodeOutage { at, duration } => {
                     tb.overlay
                         .schedule_supernode_outage(SimTime::ZERO + *at, *duration);
-                }
-                FaultSpec::Compose(_) | FaultSpec::PhaseShift { .. } => {
-                    unreachable!("flatten_faults only yields primitives")
                 }
             }
         }
@@ -1438,72 +1346,6 @@ pub fn run_day_sweep(cfg: &DaySweepConfig) -> DaySweepResult {
 mod tests {
     use super::*;
 
-    // -- satellite: statistical coverage of the arrival generators --------
-
-    #[test]
-    fn poisson_mean_gap_matches_inverse_rate_over_10k_draws() {
-        // Mean of 10k Exp(rate) draws must sit within 3 standard errors of
-        // 1/rate (sigma of the mean = (1/rate)/sqrt(n) ≈ 0.02 here).
-        let rate = 0.5; // mean gap 2 s
-        let n = 10_000;
-        let mut p = PoissonArrivals::new(rate, 42);
-        let mean: f64 = (0..n).map(|_| p.next_gap().as_secs_f64()).sum::<f64>() / n as f64;
-        let expected = 1.0 / rate;
-        let tolerance = 3.0 * expected / (n as f64).sqrt();
-        assert!(
-            (mean - expected).abs() < tolerance,
-            "mean gap {mean} vs expected {expected} ± {tolerance}"
-        );
-    }
-
-    #[test]
-    fn poisson_gaps_are_deterministic_per_seed_and_vary_across_seeds() {
-        let a: Vec<_> = PoissonArrivals::new(1.0, 7).gaps(50);
-        let b: Vec<_> = PoissonArrivals::new(1.0, 7).gaps(50);
-        let c: Vec<_> = PoissonArrivals::new(1.0, 8).gaps(50);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn bursty_alternates_phases_with_per_phase_rates() {
-        // 100 draws per phase: each phase's mean gap must match its own
-        // rate within 5 standard errors, through two full cycles.
-        let (burst_rate, quiet_rate) = (50.0, 0.5);
-        let phase_len = 100usize;
-        let mut g = BurstyArrivals::new(burst_rate, phase_len, quiet_rate, phase_len, 3);
-        for cycle in 0..2 {
-            for (phase, rate) in [("burst", burst_rate), ("quiet", quiet_rate)] {
-                assert_eq!(g.in_burst(), phase == "burst", "cycle {cycle} {phase}");
-                let mean: f64 = (0..phase_len)
-                    .map(|_| g.next_gap().as_secs_f64())
-                    .sum::<f64>()
-                    / phase_len as f64;
-                let expected = 1.0 / rate;
-                let tolerance = 5.0 * expected / (phase_len as f64).sqrt();
-                assert!(
-                    (mean - expected).abs() < tolerance,
-                    "cycle {cycle} {phase} mean {mean} vs {expected} ± {tolerance}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bursty_gaps_are_deterministic_per_seed() {
-        let a = BurstyArrivals::new(10.0, 5, 0.1, 5, 11).gaps(40);
-        let b = BurstyArrivals::new(10.0, 5, 0.1, 5, 11).gaps(40);
-        let c = BurstyArrivals::new(10.0, 5, 0.1, 5, 12).gaps(40);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_rate_panics() {
-        PoissonArrivals::new(0.0, 1);
-    }
-
     // -- DayProfile -------------------------------------------------------
 
     #[test]
@@ -1658,9 +1500,8 @@ mod tests {
 
     #[test]
     fn burst_window_mean_gap_matches_the_amplified_rate() {
-        // Statistical check mirroring the Poisson generator tests: arrivals
-        // sampled inside a spliced 10x window must have a mean gap within
-        // 3 standard errors of 1/(rate*factor).
+        // Arrivals sampled inside a spliced 10x window must have a mean gap
+        // within 3 standard errors of 1/(rate*factor).
         let rate = 0.5;
         let factor = 10.0;
         let p = DayProfile::constant(rate, SimDuration::from_secs(20_000)).with_burst(
@@ -1739,5 +1580,102 @@ mod tests {
         let is_share =
             a.iter().filter(|j| j.kernel == Fig4Kernel::Is).count() as f64 / a.len().max(1) as f64;
         assert!((0.35..0.65).contains(&is_share), "IS share {is_share}");
+    }
+
+    // -- the staged fingerprint -------------------------------------------
+
+    /// A hand-built result: two sites, two bins, two samples, search
+    /// counters present.
+    fn fixture() -> DaySweepResult {
+        let sample = |secs: u64, running: Vec<u32>| UtilisationSample {
+            t: SimTime::from_secs(secs),
+            running,
+        };
+        DaySweepResult {
+            site_names: vec!["nancy".to_string(), "lyon".to_string()],
+            site_cores: vec![480, 264],
+            samples: vec![sample(0, vec![0, 0]), sample(60, vec![16, 8])],
+            core_seconds: vec![960.5, 120.25],
+            bin_secs: 60.0,
+            site_core_bins: vec![vec![480.5, 480.0], vec![120.25, 0.0]],
+            submitted: 3,
+            succeeded: 2,
+            failed: 1,
+            timeouts: 4,
+            mean_hold_secs: 6.5,
+            events_processed: 1234,
+            virtual_end: SimTime::from_secs(120),
+            events_capacity_mid: 64,
+            events_capacity_end: 64,
+            rs_scratch_capacity_mid: 0,
+            rs_scratch_capacity_end: 0,
+            jobs_killed: 1,
+            leaked_grants: 5,
+            leaked_grant_hwm: 2,
+            search: Some(OnlineSearchStats {
+                arrivals: 3,
+                searched: 2,
+                infeasible: 1,
+                moves_evaluated: 600,
+                prepare_nanos: 1_000,
+                anneal_nanos: 9_000,
+            }),
+            shapes_costed: 2,
+        }
+    }
+
+    #[test]
+    fn a_perturbed_field_moves_exactly_its_own_stage_and_is_named() {
+        fn next_up(x: f64) -> f64 {
+            f64::from_bits(x.to_bits() + 1)
+        }
+        let base = fixture().fingerprint();
+
+        // The hasher and the line format are pinned: the FNV-1a 64 test
+        // vector of "a", then the fixture's whole line.
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            base.to_string(),
+            "trace[submitted=3] placements[succeeded=2 failed=1 shapes_costed=2 arrivals=3 \
+             searched=2 infeasible=1 moves=600] holds[mean_hold_bits=401a000000000000] \
+             ledgers[core_seconds_bits=4090e30000000000 fnv=b0beff61f65afaff] \
+             samples[n=2 fnv=4ebd76419518b08f] timeline[events_processed=1234 \
+             virtual_end_ns=120000000000 timeouts=4 jobs_killed=1 leaked_grants=5 \
+             leaked_grant_hwm=2]"
+        );
+
+        // Equal results print equal lines, and a line parses back.
+        assert_eq!(fixture().fingerprint().to_string(), base.to_string());
+        assert_eq!(base.to_string().parse(), Ok(base.clone()));
+        assert!("trace[submitted=3]".parse::<SweepFingerprint>().is_err());
+
+        type Perturb = fn(&mut DaySweepResult);
+        let perturbations: [(&str, Perturb); 6] = [
+            ("trace", |r| r.submitted += 1),
+            ("placements", |r| r.failed += 1),
+            ("holds", |r| r.mean_hold_secs = next_up(r.mean_hold_secs)),
+            // -0.0 == 0.0, but not bit for bit.
+            ("ledgers", |r| r.site_core_bins[1][1] = -0.0),
+            ("samples", |r| r.samples[1].t += SimDuration::from_nanos(1)),
+            ("timeline", |r| r.virtual_end += SimDuration::from_nanos(1)),
+        ];
+        for (stage, perturb) in perturbations {
+            let mut r = fixture();
+            perturb(&mut r);
+            let moved = r.fingerprint();
+            assert_eq!(moved.first_divergence(&base), Some(stage), "{moved}");
+            let pairs = moved.stages.iter().zip(&base.stages);
+            assert_eq!(pairs.filter(|(a, b)| a != b).count(), 1, "{moved}");
+        }
+
+        // What the fingerprint leaves out on purpose does not move it.
+        let mut r = fixture();
+        r.site_cores[0] += 1;
+        r.events_capacity_end += 1;
+        r.rs_scratch_capacity_mid += 1;
+        let search = r.search.as_mut().expect("fixture searched");
+        search.prepare_nanos += 1;
+        search.anneal_nanos += 1;
+        assert_eq!(r.fingerprint(), base);
     }
 }

@@ -94,31 +94,6 @@ fn reduced_day_sweep_shows_the_concentrate_spread_contrast() {
     );
 }
 
-/// Asserts two sweep results are outcome-identical (submissions, outcomes,
-/// per-site work, every utilisation sample, observed timeouts).
-fn assert_identical(a: &DaySweepResult, b: &DaySweepResult, what: &str) {
-    assert_eq!(a.submitted, b.submitted, "{what}");
-    assert_eq!(a.succeeded, b.succeeded, "{what}");
-    assert_eq!(a.failed, b.failed, "{what}");
-    assert_eq!(a.timeouts, b.timeouts, "{what}");
-    assert_eq!(a.jobs_killed, b.jobs_killed, "{what}");
-    assert_eq!(a.leaked_grants, b.leaked_grants, "{what}");
-    assert_eq!(a.leaked_grant_hwm, b.leaked_grant_hwm, "{what}");
-    assert_eq!(a.events_processed, b.events_processed, "{what}");
-    assert_eq!(a.core_seconds, b.core_seconds, "{what}");
-    assert_eq!(a.shapes_costed, b.shapes_costed, "{what}");
-    let sa: Vec<_> = a.samples.iter().map(|s| &s.running).collect();
-    let sb: Vec<_> = b.samples.iter().map(|s| &s.running).collect();
-    assert_eq!(sa, sb, "{what}");
-    // The binned core-seconds timelines feed the recovery-time metric, so
-    // they are part of the outcome contract too.
-    assert_eq!(a.bin_secs, b.bin_secs, "{what}: bin width");
-    assert_eq!(
-        a.site_core_bins, b.site_core_bins,
-        "{what}: core-second bins"
-    );
-}
-
 /// The model costed at least one placement shape and at most one per placed
 /// job (the memo answered the rest).
 fn assert_a_shape_per_placed_job_at_most(r: &DaySweepResult) {
@@ -239,17 +214,18 @@ fn benchmark_shims_leave_the_churn_day_unchanged() {
     // `Overlay::set_rs_timeout_fast_path` outlived what they selected (the
     // benchmark still sets them): none may change a single outcome of the
     // day that used to turn them.
-    let default = run_day_sweep(&reduced_churn_day());
+    let default = run_day_sweep(&reduced_churn_day()).fingerprint();
     let mut armed = reduced_churn_day();
     armed.rs_timeout_fast_path = false;
-    assert_identical(
-        &default,
-        &run_day_sweep(&armed),
-        "rs_timeout_fast_path = false",
-    );
     let mut reaping = reduced_churn_day();
     reaping.reap_threshold = 0;
-    assert_identical(&default, &run_day_sweep(&reaping), "reap_threshold = 0");
+    for (cfg, what) in [
+        (armed, "rs_timeout_fast_path = false"),
+        (reaping, "reap_threshold = 0"),
+    ] {
+        let got = run_day_sweep(&cfg).fingerprint();
+        assert_eq!(got.first_divergence(&default), None, "{what}");
+    }
     // The overlay call, as `benchmark/src/traced.rs` makes it.
     let cfg = reduced_churn_day();
     let plain = replay(&cfg, |_| {});

@@ -6,7 +6,7 @@
 use p2pmpi_bench::scenario::{
     outage_in_crowd_config, recovery_to_twin, run_scenario, Scenario, ScenarioParams,
 };
-use p2pmpi_bench::workload::{flatten_faults, run_day_sweep, FaultSpec};
+use p2pmpi_bench::workload::{run_day_sweep, FaultSpec};
 
 /// The CI smoke scale of the scenario matrix: the day in one virtual hour.
 fn ci_params() -> ScenarioParams {
@@ -69,19 +69,17 @@ fn composed_outage_recovers_strictly_later_than_the_lone_outage() {
 
 #[test]
 fn composed_and_partial_site_faults_are_queue_invariant() {
-    // `Compose`/`PhaseShift` unfold to plain timeline faults and
-    // `PartialSite` kills a host subset: both fault shapes must kill
-    // running jobs, and the composed one must be scored against its
-    // crowd-only twin.
+    // An outage listed beside a crowd and a `PartialSite` brown-out of a
+    // host subset: both fault shapes must kill running jobs, and the
+    // composed one must be scored against its crowd-only twin.
     let composed = run_day_sweep(&outage_in_crowd_config(0.0, &ci_params()));
 
     // The crowd-only twin scores the run; the nominal outage window ends
     // at 12:30 on the uncompressed day = 1875 s compressed.
     let mut twin_cfg = outage_in_crowd_config(0.0, &ci_params());
-    twin_cfg.faults = flatten_faults(&twin_cfg.faults)
-        .into_iter()
-        .filter(|f| matches!(f, FaultSpec::FlashCrowd { .. }))
-        .collect();
+    twin_cfg
+        .faults
+        .retain(|f| matches!(f, FaultSpec::FlashCrowd { .. }));
     let twin = run_day_sweep(&twin_cfg);
     let end = 12.5 * 3600.0 / 24.0;
     assert!(

@@ -17,22 +17,10 @@ fn reduced(strategy: StrategyKind) -> DaySweepConfig {
     cfg
 }
 
-/// Bit-for-bit outcome equality: submissions, outcomes, timeouts, kills,
-/// leaks, delivered events, per-site work and every utilisation sample.
-fn assert_identical(a: &DaySweepResult, b: &DaySweepResult, what: &str) {
-    assert_eq!(a.submitted, b.submitted, "{what}");
-    assert_eq!(a.succeeded, b.succeeded, "{what}");
-    assert_eq!(a.failed, b.failed, "{what}");
-    assert_eq!(a.timeouts, b.timeouts, "{what}");
-    assert_eq!(a.jobs_killed, b.jobs_killed, "{what}");
-    assert_eq!(a.leaked_grants, b.leaked_grants, "{what}");
-    assert_eq!(a.leaked_grant_hwm, b.leaked_grant_hwm, "{what}");
-    assert_eq!(a.events_processed, b.events_processed, "{what}");
-    assert_eq!(a.site_names, b.site_names, "{what}");
-    assert_eq!(a.core_seconds, b.core_seconds, "{what}");
-    let sa: Vec<_> = a.samples.iter().map(|s| (s.t, &s.running)).collect();
-    let sb: Vec<_> = b.samples.iter().map(|s| (s.t, &s.running)).collect();
-    assert_eq!(sa, sb, "{what}");
+/// The first fingerprint stage where two results differ; `None` when they
+/// are the same outcome bit for bit.
+fn divergence(a: &DaySweepResult, b: &DaySweepResult) -> Option<&'static str> {
+    a.fingerprint().first_divergence(&b.fingerprint())
 }
 
 #[test]
@@ -45,8 +33,8 @@ fn one_shard_reproduces_the_sequential_sweep_bit_for_bit() {
     let sharded = run_shard_sweep(&ShardSweepConfig::new(base, 1));
     assert_eq!(sharded.barriers, 0, "one shard must never synchronize");
     assert_eq!(sharded.cross_submitted, 0);
-    assert_identical(&sharded.merged, &sequential, "1-shard vs sequential");
-    assert_identical(&sharded.per_shard[0], &sequential, "shard 0 vs sequential");
+    assert_eq!(divergence(&sharded.merged, &sequential), None, "merged");
+    assert_eq!(divergence(&sharded.per_shard[0], &sequential), None);
 }
 
 #[test]
@@ -62,10 +50,10 @@ fn parallel_and_single_thread_drivers_agree_bit_for_bit() {
         cfg.parallel = false;
         let single = run_shard_sweep(&cfg);
         let what = format!("parallel vs single-thread at cross {cross_fraction}");
-        assert_identical(&parallel.merged, &single.merged, &what);
+        assert_eq!(divergence(&parallel.merged, &single.merged), None, "{what}");
         assert_eq!(parallel.per_shard.len(), single.per_shard.len(), "{what}");
         for (p, s) in parallel.per_shard.iter().zip(&single.per_shard) {
-            assert_identical(p, s, &what);
+            assert_eq!(divergence(p, s), None, "{what}");
         }
         assert_eq!(parallel.cross_submitted, single.cross_submitted, "{what}");
         assert_eq!(parallel.cross_succeeded, single.cross_succeeded, "{what}");

@@ -7,15 +7,18 @@
 //!
 //! The second half pins the CI-scale day (the paper day at 5% of its arrival
 //! rates, compressed 24×) under both fixed strategies, under dead-peer churn
-//! and under the searched strategy, and the CI-scale 4-shard week, to the
-//! statistics the sweeps produced before the evaluator swap and before the
-//! decided-exchange round events: any change that moves a hold, a placement
-//! or a delivered message shows up here as one failed assert.
+//! and under the searched strategy, and the CI-scale 4-shard week, to
+//! fingerprint lines (`DaySweepResult::fingerprint`) whose scalars the
+//! sweeps produced before the evaluator swap and before the decided-exchange
+//! round events: any change that moves a hold, a placement or a delivered
+//! message fails a golden, naming the first stage that moved.
 
 use p2p_mpi::prelude::*;
 use p2pmpi_bench::experiments::{run_kernel_on_placement, Fig4Kernel, Fig4Settings};
 use p2pmpi_bench::shard::{run_shard_sweep, ShardSweepConfig};
-use p2pmpi_bench::workload::{run_day_sweep, DayProfile, DaySweepConfig, DaySweepResult};
+use p2pmpi_bench::workload::{
+    run_day_sweep, DayProfile, DaySweepConfig, DaySweepResult, SweepFingerprint,
+};
 use p2pmpi_mpi::model::ModelComm;
 use p2pmpi_mpi::placement::Placement;
 use p2pmpi_nas::ft::{ft_model, FtConfig};
@@ -330,87 +333,71 @@ fn executed_ft_keeps_its_message() {
     );
 }
 
-/// The statistics of one sweep that a simulator-only change must not move.
-#[derive(Debug, PartialEq, Eq)]
-struct DayGolden {
-    succeeded: usize,
-    failed: usize,
-    events_processed: u64,
-    mean_hold_bits: u64,
-    core_seconds_bits: u64,
-}
-
-impl DayGolden {
-    fn of(r: &DaySweepResult) -> Self {
-        DayGolden {
-            succeeded: r.succeeded,
-            failed: r.failed,
-            events_processed: r.events_processed,
-            mean_hold_bits: r.mean_hold_secs.to_bits(),
-            core_seconds_bits: r.core_seconds.iter().sum::<f64>().to_bits(),
-        }
+/// Asserts that `r` is the outcome the golden fingerprint line `want`
+/// pins, naming the first stage that moved when it is not.
+fn assert_golden(r: &DaySweepResult, want: &str) {
+    let want: SweepFingerprint = want.parse().expect("a fingerprint line");
+    let got = r.fingerprint();
+    if let Some(stage) = got.first_divergence(&want) {
+        panic!("the golden moved first at stage `{stage}`\n got {got}\nwant {want}");
     }
 }
 
-fn ci_day(mut cfg: DaySweepConfig) -> DayGolden {
+fn ci_day(mut cfg: DaySweepConfig) -> DaySweepResult {
     cfg.profile = cfg.profile.scaled(0.05);
-    let r = run_day_sweep(&cfg.compress(24.0));
-    assert_eq!(r.submitted, 1134);
-    DayGolden::of(&r)
+    run_day_sweep(&cfg.compress(24.0))
 }
 
-// Captured at commit 9275963 (PR 11), where every hold was a `ModelComm`
-// replay; seed 2008, the config default.
+// The `succeeded`, `failed`, `mean_hold_bits`, `core_seconds_bits` and
+// `events_processed` of each line were captured at commit 9275963 (PR 11),
+// where every hold was a `ModelComm` replay; seed 2008, the config default.
 #[test]
 fn ci_day_goldens() {
-    assert_eq!(
-        ci_day(DaySweepConfig::new(StrategyKind::Concentrate)),
-        DayGolden {
-            succeeded: 875,
-            failed: 259,
-            events_processed: 111_261,
-            mean_hold_bits: 0x4020_56c3_dfa5_d1f7,
-            core_seconds_bits: 0x410b_d00a_4df2_ddda,
-        }
+    assert_golden(
+        &ci_day(DaySweepConfig::new(StrategyKind::Concentrate)),
+        "trace[submitted=1134] placements[succeeded=875 failed=259 shapes_costed=39] \
+         holds[mean_hold_bits=402056c3dfa5d1f7] \
+         ledgers[core_seconds_bits=410bd00a4df2ddda fnv=c0deb6a9e1e7305c] \
+         samples[n=289 fnv=5ba7ed0d5933f2b1] \
+         timeline[events_processed=111261 virtual_end_ns=3600000000000 timeouts=0 \
+         jobs_killed=0 leaked_grants=0 leaked_grant_hwm=0]",
     );
-    assert_eq!(
-        ci_day(DaySweepConfig::new(StrategyKind::Spread)),
-        DayGolden {
-            succeeded: 629,
-            failed: 505,
-            events_processed: 155_793,
-            mean_hold_bits: 0x401e_0f98_f48b_abce,
-            core_seconds_bits: 0x4102_c963_7f61_f34c,
-        }
+    assert_golden(
+        &ci_day(DaySweepConfig::new(StrategyKind::Spread)),
+        "trace[submitted=1134] placements[succeeded=629 failed=505 shapes_costed=49] \
+         holds[mean_hold_bits=401e0f98f48babce] \
+         ledgers[core_seconds_bits=4102c9637f61f34c fnv=bf7e1e0145ad5015] \
+         samples[n=289 fnv=c52d64fa1a4ce4a3] \
+         timeline[events_processed=155793 virtual_end_ns=3600000000000 timeouts=0 \
+         jobs_killed=0 leaked_grants=0 leaked_grant_hwm=0]",
     );
-    assert_eq!(
-        ci_day(DaySweepConfig::dead_peer_day(StrategyKind::Concentrate)),
-        DayGolden {
-            succeeded: 690,
-            failed: 444,
-            events_processed: 128_337,
-            mean_hold_bits: 0x4022_1218_5568_8a5f,
-            core_seconds_bits: 0x4105_5048_3aa5_0dbc,
-        }
+    assert_golden(
+        &ci_day(DaySweepConfig::dead_peer_day(StrategyKind::Concentrate)),
+        "trace[submitted=1134] placements[succeeded=690 failed=444 shapes_costed=86] \
+         holds[mean_hold_bits=4022121855688a5f] \
+         ledgers[core_seconds_bits=410550483aa50dbc fnv=2b493d8f02755be2] \
+         samples[n=289 fnv=f8f97946c053fdd5] \
+         timeline[events_processed=128337 virtual_end_ns=3601365892680 timeouts=2593 \
+         jobs_killed=0 leaked_grants=0 leaked_grant_hwm=0]",
     );
 }
 
-// Captured at commit f124865 (PR 12), before brokering rounds resolved their
-// decided exchanges with one event; seed 2008.  The searched day plans,
-// books and pins every arrival's annealed placement; the week is the
-// `week_sweep --shards 4` smoke shape, whose cross-shard jobs are brokered
-// at barriers on the coordinator.
+// Those five values of each line were captured at commit f124865 (PR 12),
+// before brokering rounds resolved their decided exchanges with one event;
+// seed 2008.  The searched day plans, books and pins every arrival's
+// annealed placement; the week is the `week_sweep --shards 4` smoke shape,
+// whose cross-shard jobs are brokered at barriers on the coordinator.
 #[test]
 fn ci_searched_day_and_sharded_week_goldens() {
-    assert_eq!(
-        ci_day(DaySweepConfig::new(StrategyKind::Searched)),
-        DayGolden {
-            succeeded: 1134,
-            failed: 0,
-            events_processed: 137_842,
-            mean_hold_bits: 0x4018_714b_c784_f125,
-            core_seconds_bits: 0x4106_35fb_8066_bd5a,
-        }
+    assert_golden(
+        &ci_day(DaySweepConfig::new(StrategyKind::Searched)),
+        "trace[submitted=1134] placements[succeeded=1134 failed=0 shapes_costed=544 \
+         arrivals=1134 searched=1134 infeasible=0 moves=340200] \
+         holds[mean_hold_bits=4018714bc784f125] \
+         ledgers[core_seconds_bits=410635fb8066bd5a fnv=cdc97fe9f4ed804d] \
+         samples[n=289 fnv=18c8b295094c3993] \
+         timeline[events_processed=137842 virtual_end_ns=3600000000000 timeouts=0 \
+         jobs_killed=0 leaked_grants=0 leaked_grant_hwm=0]",
     );
     let mut base = DaySweepConfig::new(StrategyKind::Spread);
     base.profile = DayProfile::week();
@@ -426,14 +413,13 @@ fn ci_searched_day_and_sharded_week_goldens() {
         ),
         (3052, 160, 12, 160)
     );
-    assert_eq!(
-        DayGolden::of(&week.merged),
-        DayGolden {
-            succeeded: 1761,
-            failed: 1291,
-            events_processed: 334_401,
-            mean_hold_bits: 0x4019_4784_a6af_74b0,
-            core_seconds_bits: 0x4116_342e_1d79_860a,
-        }
+    assert_golden(
+        &week.merged,
+        "trace[submitted=3052] placements[succeeded=1761 failed=1291 shapes_costed=99] \
+         holds[mean_hold_bits=40194784a6af74b0] \
+         ledgers[core_seconds_bits=4116342e1d79860a fnv=81150c0968c255a8] \
+         samples[n=2016 fnv=fa9e91892471f348] \
+         timeline[events_processed=334401 virtual_end_ns=3600000000000 timeouts=0 \
+         jobs_killed=0 leaked_grants=0 leaked_grant_hwm=0]",
     );
 }
