@@ -18,17 +18,19 @@
 //! one fails (no `--strategy` keeps each one's own).  `--worst-phase` sweeps
 //! the Nancy outage's onset against the flash crowd and, unless `--no-gate`,
 //! exits 1 when the worst phase recovers < 10% slower than the nominal one:
-//! `OUTAGE_IN_CROWD_WORST_OFFSET_SECS` must not go stale.
+//! `OUTAGE_IN_CROWD_WORST_OFFSET_SECS` must not go stale.  Every flag value
+//! is checked before the first sweep starts; a bad one exits 2 naming it.
 
 use p2pmpi_bench::cliargs::Args;
-use p2pmpi_bench::faultsearch::{search_worst_phase, PhasePoint, PhaseSearchParams};
 use p2pmpi_bench::par::{hardware_threads, par_map};
 use p2pmpi_bench::scenario::{
-    run_scenario, Scenario, ScenarioParams, ALL_SCENARIOS, OUTAGE_IN_CROWD_WORST_OFFSET_SECS,
+    run_scenario, search_worst_phase, PhasePoint, Scenario, ScenarioParams, ALL_SCENARIOS,
+    OUTAGE_IN_CROWD_WORST_OFFSET_SECS,
 };
 use p2pmpi_bench::shard::{run_shard_sweep, ShardSweepConfig, ShardSweepResult};
 use p2pmpi_bench::workload::{run_day_sweep, DaySweepConfig};
 use p2pmpi_core::strategy::StrategyKind::{self, Concentrate, Searched, Spread};
+use p2pmpi_grid5000::SITE_ORDER;
 use p2pmpi_simgrid::time::SimDuration;
 use std::time::Instant;
 
@@ -58,9 +60,10 @@ fn run() -> Result<(), String> {
     if !(1.0..f64::INFINITY).contains(&compress) {
         return Err(format!("--compress must be >= 1, got {compress}"));
     }
+    let rate_scale = args.get("--rate-scale")?.unwrap_or(1.0);
     let scale = ScenarioParams {
         compress,
-        rate_scale: args.get("--rate-scale")?.unwrap_or(1.0),
+        rate_scale: non_negative("--rate-scale", rate_scale)?,
         seed: args.get("--seed")?.unwrap_or(2008),
         strategy: None,
     };
@@ -83,6 +86,8 @@ fn run() -> Result<(), String> {
         Some("all") => vec![Concentrate, Spread, Searched],
         Some(_) => vec![args.get("--strategy")?.expect("--strategy was given")],
     };
+    // Every strategy reads the same flags, so a bad value fails on the
+    // first one, before any sweep.
     for strategy in strategies {
         let cfg = config_for(strategy, &args, &scale)?;
         if shards {
@@ -92,6 +97,15 @@ fn run() -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// `value` when it is finite and >= 0, else an error naming `flag`.
+fn non_negative(flag: &str, value: f64) -> Result<f64, String> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(value)
+    } else {
+        Err(format!("{flag} must be finite and >= 0, got {value}"))
+    }
 }
 
 /// The one `DaySweepConfig` the flags describe for `strategy`.
@@ -125,10 +139,13 @@ fn config_for(
     }
     cfg.profile = cfg.profile.scaled(scale.rate_scale);
     if let Some(f) = args.get("--duration-scale")? {
-        cfg.duration_scale = f;
+        cfg.duration_scale = non_negative("--duration-scale", f)?;
     }
-    if let Some(s) = args.get("--sample-secs")? {
-        cfg.sample_period = SimDuration::from_secs(s);
+    match args.get("--sample-secs")? {
+        // A zero period would never advance the sample clock.
+        Some(0) => return Err("--sample-secs must be >= 1, got 0".to_string()),
+        Some(s) => cfg.sample_period = SimDuration::from_secs(s),
+        None => {}
     }
     if let Some(ranks) = args.list("--ranks")? {
         cfg.mix.ranks = ranks;
@@ -168,8 +185,19 @@ fn day(cfg: DaySweepConfig) {
 /// single-thread driver it must match.
 fn week(base: DaySweepConfig, args: &Args) -> Result<(), String> {
     let strategy = base.strategy;
-    let mut cfg = ShardSweepConfig::new(base, args.get("--shards")?.expect("--shards was given"));
+    let shards = args.get("--shards")?.expect("--shards was given");
+    // A shard is a set of whole sites: one per Table-1 site at most.
+    let sites = SITE_ORDER.len();
+    if !(1..=sites).contains(&shards) {
+        return Err(format!(
+            "--shards must be 1 to {sites} (Table 1), got {shards}"
+        ));
+    }
+    let mut cfg = ShardSweepConfig::new(base, shards);
     if let Some(f) = args.get("--cross-fraction")? {
+        if !(0.0..=1.0).contains(&f) {
+            return Err(format!("--cross-fraction must be in [0, 1], got {f}"));
+        }
         cfg.cross_fraction = f;
     }
     let result = run_shard_sweep(&cfg);
@@ -257,20 +285,20 @@ fn point_json(p: &PhasePoint) -> String {
 }
 
 /// `--worst-phase`: the adversarial outage onset, one JSON report.
-fn worst_phase(args: &Args, mut scenario: ScenarioParams) -> Result<(), String> {
-    scenario.strategy = args.get("--strategy")?;
-    let mut params = PhaseSearchParams {
-        scenario,
-        ..PhaseSearchParams::default()
+fn worst_phase(args: &Args, mut params: ScenarioParams) -> Result<(), String> {
+    params.strategy = args.get("--strategy")?;
+    // By default ±2h around the nominal 10:30 onset in half-hour steps: the
+    // band where the outage window can straddle the 10:00 crowd.
+    let offsets = match args.list::<f64>("--offsets")? {
+        Some(offsets) => offsets,
+        None => (-4..=4).map(|k| k as f64 * 1800.0).collect(),
     };
-    if let Some(offsets) = args.list("--offsets")? {
-        params.offsets = offsets;
+    if let Some(o) = offsets.iter().find(|o| !o.is_finite()) {
+        return Err(format!("--offsets elements must be finite, got {o}"));
     }
-    if let Some(n) = args.get("--refine")? {
-        params.refine_iters = n;
-    }
+    let refine_iters = args.get("--refine")?.unwrap_or(0);
     let start = Instant::now();
-    let report = search_worst_phase(&params);
+    let report = search_worst_phase(&params, &offsets, refine_iters);
     let wall = start.elapsed().as_secs_f64();
 
     let points: Vec<String> = report.points.iter().map(point_json).collect();
@@ -290,9 +318,9 @@ fn worst_phase(args: &Args, mut scenario: ScenarioParams) -> Result<(), String> 
   "pinned_offset_secs": {pinned:.1},
   "wall_s": {wall:.1}
 }}"#,
-        compress = params.scenario.compress,
-        rate = params.scenario.rate_scale,
-        seed = params.scenario.seed,
+        compress = params.compress,
+        rate = params.rate_scale,
+        seed = params.seed,
         refined = report.refined_evals,
         points = points.join(",\n    "),
         nominal = point_json(&report.nominal),

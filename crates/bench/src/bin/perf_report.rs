@@ -24,7 +24,7 @@
 //!    [`ONLINE_DAY_IMPROVEMENT_MIN`].  The day's prepare and anneal walls
 //!    are printed as diagnostics.
 //! 4. **Shard lanes** — the sharded week-shape driver
-//!    (`p2pmpi_bench::shard`, the `week_sweep` binary) over
+//!    (`p2pmpi_bench::shard`, what `day --shards` runs) over
 //!    [`SUSTAINED_SHARDS`] site-aligned shards, parallel versus the
 //!    bit-identical single-thread driver in [`SUSTAINED_PAIRS`] alternating
 //!    pairs: with two or more hardware threads the parallel driver must
@@ -62,7 +62,7 @@ fn ns_per_iter(total_ns: u128, iters: usize) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// Shard count of the sustained-throughput section — the Table-1 sites
-/// partitioned four ways, the `week_sweep --shards 4` configuration.
+/// partitioned four ways, the `day --shards 4` configuration.
 const SUSTAINED_SHARDS: usize = 4;
 
 /// Alternating parallel / single-thread pairs the section takes its median
@@ -80,8 +80,9 @@ const SUSTAINED_MIN_SPEEDUP: f64 = 0.85;
 /// The sharded week-shape trace the sustained section replays: the paper
 /// day tiled across seven days, compressed 168× so the week's shape fits
 /// one virtual hour, at 2.5% of the paper's arrival rates (~3.8k jobs) —
-/// the configuration the `week_sweep` binary documents as its smoke shape,
-/// except that the rate is 2.5%, not 2%: a sweep must keep the ~40 ms
+/// the shape of CI's `day --shards 4 --days 7 --strategy spread --compress
+/// 168 --rate-scale 0.02 --baseline` smoke, except that the rate is 2.5%,
+/// not 2%: a sweep must keep the ~40 ms
 /// length that [`SUSTAINED_MIN_SPEEDUP`] was calibrated on (a ~28 ms sweep
 /// at 2% read 0.78–0.84× when its lanes shared one core).
 fn sustained_config() -> ShardSweepConfig {
@@ -352,8 +353,7 @@ struct OnlinePlacementSection {
 
 /// The day every strategy replays for the online comparison: the paper-day
 /// shape compressed 24× at 5% of the arrival rates (~1.1k jobs) — the same
-/// shape `fig23_sweep --strategy searched --compress 24 --rate-scale 0.05`
-/// smokes.
+/// shape `day --strategy searched --compress 24 --rate-scale 0.05` smokes.
 fn online_day_config(strategy: StrategyKind) -> DaySweepConfig {
     let mut cfg = DaySweepConfig::new(strategy).compress(24.0);
     cfg.profile = cfg.profile.scaled(0.05);

@@ -20,17 +20,16 @@
 //! Beyond the paper: `paper fig4 --searched` adds the placement the
 //! annealing search finds under the LogGP model (the [`search`] module),
 //! `day --shards N` replays the trace on parallel shard timelines (the
-//! [`shard`] module), `day --scenario` sweeps the fault-injection scenario
-//! matrix (the [`scenario`] module), judging each named adversity replay
-//! against its graceful-degradation criteria, and `day --worst-phase` (the
-//! [`faultsearch`] module) hunts the adversarial fault phase that
-//! maximises recovery time.
+//! [`shard`] module), and `day --scenario` sweeps the fault-injection
+//! scenario matrix (the [`scenario`] module), judging each named adversity
+//! replay against its graceful-degradation criteria; `day --worst-phase`
+//! (the same module) hunts the adversarial fault phase that maximises
+//! recovery time.
 
 #![warn(missing_docs)]
 
 pub mod cliargs;
 pub mod experiments;
-pub mod faultsearch;
 pub mod output;
 pub mod par;
 pub mod scenario;

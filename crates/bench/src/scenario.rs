@@ -1,6 +1,6 @@
 //! The fault-injection scenario matrix: named adversity specs compiled onto
 //! the day-sweep timeline, each judged against explicit graceful-degradation
-//! criteria.
+//! criteria, and the adversarial phase search over its composed scenario.
 //!
 //! Where `workload` provides the *mechanisms* (a [`FaultSpec`] vocabulary and
 //! a driver that schedules them), this module provides the *policy*: a fixed
@@ -13,86 +13,53 @@
 //!
 //! # Scenario taxonomy
 //!
-//! The matrix covers four families:
+//! The matrix is one table, `MATRIX`: one row per scenario holding its
+//! name, its authored config on the uncompressed day, its twin (none,
+//! fault-free, or keeping the flash crowd) and its ordered checks, the
+//! recovery SLO among them.  Each check kind is judged in one place
+//! (`Check::judge`); a row supplies only the threshold, site or note that
+//! differs between rows.  Read off the table, the rows are two controls
+//! (`baseline_day`, `dead_peer_day`), five single faults judged against a
+//! fault-free twin or absolute bounds, one partial degradation
+//! (`rack_outage`: the site must dim, not go dark) and two composed faults
+//! judged against a crowd-only twin (`outage_in_crowd` and its pinned
+//! worst phase, `outage_in_crowd_worst`).
 //!
-//! * **Controls** — `baseline_day` (the absolute reference; gates the
-//!   allocation-free steady state and the zero-leak invariant) and
-//!   `dead_peer_day` (independent flapping; the timeout-heavy population).
-//! * **Single faults** — `site_outage`, `flash_crowd`, `slow_links`,
-//!   `supernode_crash`, `grant_leak_stress`: one primitive [`FaultSpec`]
-//!   each, judged against its no-fault twin or absolute bounds.
-//! * **Partial degradation** — `rack_outage`: a [`FaultSpec::PartialSite`]
-//!   browns out a rack-sized host subset (30 of Rennes' 90 hosts), so the
-//!   site *dims* instead of going dark — brokering must keep using the
-//!   survivors.
-//! * **Composed faults** — `outage_in_crowd` overlaps a Nancy outage (the
-//!   submitter's busiest site) with the 10x flash crowd, and
-//!   `outage_in_crowd_worst` pins the adversarial phase `day --worst-phase`
-//!   found (the outage onset, shifted against the burst, that
-//!   maximises recovery time).
-//!
-//! # Composition semantics
-//!
-//! A scenario's faults are one flat list ([`DaySweepConfig::faults`]), and
-//! listing faults is how they compose: each entry is installed on its own
-//! on one timeline, so an outage *during* a crowd is the two entries side
-//! by side.  Everything downstream (trace bursts, timeline installation,
-//! outage-window extraction, shard routing, the twin's crowd-only filter)
-//! reads that list as it is.  A phase shift is an onset, not a wrapper:
-//! [`outage_in_crowd_faults`]`(offset)` authors the Nancy outage at
-//! `max(10:30 + offset, 0)` on the uncompressed day, durations, factors
-//! and sites untouched.  [`DaySweepConfig::compress`] then scales that
-//! onset with the same rule as every other fault time, keeping the phase
-//! of fault vs burst invariant across scales.
+//! A phase shift is an onset, not a wrapper: [`outage_in_crowd_config`]
+//! authors the Nancy outage at `max(10:30 + offset, 0)` on the uncompressed
+//! day, durations, factors and sites untouched, and
+//! [`DaySweepConfig::compress`] scales that onset like every other fault
+//! time, keeping the phase of fault vs burst invariant across scales.
 //!
 //! # The fault-event contract
 //!
-//! Every fault is an event (or a trace transform) with documented semantics
-//! the verdicts rely on:
+//! Beyond each [`FaultSpec`] variant's own semantics, the verdicts rely on:
 //!
 //! * **Revocation ordering** — a peer crash first mass-revokes the doomed
 //!   completions of its running jobs (one `cancel_batch` over their event
 //!   keys, when `fail_jobs_on_crash` is on), freeing every participant
 //!   *before* any later event observes the dead peer.  A revoked completion
 //!   is never delivered; `jobs_killed` counts the revocations.
-//! * **Site outages** are correlated: all peers of the site crash at the
-//!   same instant and recover together (`site_outage_schedule`), unlike the
-//!   independent flapping of [`DeadPeerChurn`].  The submitter is always
-//!   spared — its host doubles as the supernode's.  A **partial-site**
-//!   outage crashes only the first `hosts` hosts of the site
-//!   (`site_host_subset` + `Overlay::schedule_host_outage`), same
-//!   correlated semantics, site survives.
-//! * **Supernode degraded mode** — a supernode crash wipes the volatile
-//!   registry.  While it is down, cache refreshes return empty (the
-//!   submitter keeps brokering from its stale `CachedList` instead of
-//!   halting) and heartbeats are no-ops; on recovery, the next heartbeat
-//!   round re-registers every alive peer the registry no longer knows (the
-//!   resync path).
+//! * **Correlated outages** — a site's (or, for a partial site, its first
+//!   `hosts` hosts') peers crash at one instant and recover together,
+//!   unlike the independent flapping of [`DeadPeerChurn`].
+//! * **Supernode degraded mode** — while the supernode is down, cache
+//!   refreshes return empty (the submitter brokers from its stale
+//!   `CachedList` instead of halting); on recovery the next heartbeat round
+//!   re-registers every alive peer the registry no longer knows.
 //! * **Link degradation** applies to transfers *scheduled* during the
-//!   window; in-flight events keep the cost they were scheduled with.  A
-//!   degradation severe enough that a reservation reply loses the 2 s race
-//!   to its timeout exercises the grant-leak path: the grant is counted in
-//!   `leaked_grants` and eagerly released one transfer later, so the
-//!   high-water mark of outstanding leaks (`leaked_grant_hwm`) stays far
-//!   below the total.
-//! * **Flash crowds** are pure trace transforms ([`DayProfile::with_burst`])
-//!   applied before the trace is drawn; they never touch the overlay.  In a
-//!   composed scenario the crowd stays in the *twin* too (both runs replay
-//!   the same inflated trace), so the comparison isolates the outage.
+//!   window.  A reply that loses the 2 s race to its timeout leaks its
+//!   grant: counted in `leaked_grants` and eagerly released one transfer
+//!   later, so the high-water mark (`leaked_grant_hwm`) stays far below the
+//!   total.
 //!
 //! # Recovery-time SLOs
 //!
-//! Every verdict carries `recovery_secs`: the delay after the fault window
-//! closes until grid-total utilisation — read off the exact per-site
-//! core-seconds timeline (`DaySweepResult::site_core_bins`), not the sparse
-//! samples — first regains [`RECOVERY_UTILISATION_RATIO`] (95%) of the
-//! twin's in the same bin.  Scenarios without an outage window recover
-//! trivially (`recovery_secs` = 0).  Windowed scenarios additionally gate
-//! the value against a per-scenario SLO authored on the uncompressed day
-//! and divided by the compression factor at judge time, so one bound works
-//! at every scale.  That per-scenario SLO is the only bound on a recovery
-//! time: `day --scenario all --compress 24` prints every one and exits
-//! non-zero when any scenario misses its SLO.
+//! Every verdict carries `recovery_secs` ([`recovery_to_twin`]: time until
+//! grid-total utilisation regains 95% of the twin's; 0 without an outage
+//! window).  Windowed scenarios gate it against a per-scenario SLO authored
+//! on the uncompressed day and divided by the compression factor, so one
+//! bound works at every scale; it is the only bound on a recovery time.
 //!
 //! # The verdict schema
 //!
@@ -121,9 +88,9 @@
 //! window (trivially recovered) and `null` only when utilisation never
 //! regained the twin's level.
 //!
-//! [`DayProfile::with_burst`]: crate::workload::DayProfile::with_burst
 //! [`DeadPeerChurn`]: crate::workload::DeadPeerChurn
 
+use crate::par::par_map;
 use crate::workload::{
     run_day_sweep, DaySweepConfig, DaySweepResult, DeadPeerChurn, FaultSpec, JobMix,
 };
@@ -160,36 +127,9 @@ impl Default for ScenarioParams {
     }
 }
 
-/// Minimum success share of the no-fault baseline day.  Calibrated at the
-/// CI scale (compress 24, rate scale 0.05, seed 2008), where holds do not
-/// compress with the day and burst-hour refusals are real: the observed
-/// share is ~0.77 there and ~0.9+ on the uncompressed day.
-const BASELINE_SUCCESS_MIN: f64 = 0.70;
-/// Minimum success share under brutal dead-peer flapping (mirrors the
-/// `day_sweep` integration test's bound).
-const DEAD_PEER_SUCCESS_MIN: f64 = 0.25;
 /// Post-recovery utilisation must reach this share of the no-fault twin's
 /// (the "within 5%" acceptance bound).
 const RECOVERY_UTILISATION_RATIO: f64 = 0.95;
-/// Success share a site-outage day must retain vs its no-fault twin.
-const SITE_OUTAGE_SUCCESS_VS_BASELINE: f64 = 0.60;
-/// Success share of submitted jobs a 10x flash crowd must still place
-/// (the burst nearly doubles the day's arrivals against fixed capacity, so
-/// refusals are expected — collapse is not; observed ~0.47 at CI scale).
-const FLASH_CROWD_SUCCESS_MIN: f64 = 0.40;
-/// Success share a mild link-degradation day must retain vs its twin.
-const SLOW_LINKS_SUCCESS_VS_BASELINE: f64 = 0.90;
-/// Success share a supernode-crash day must retain vs its twin (the
-/// degraded-mode acceptance bound: stale-view brokering, not a halt).
-const SUPERNODE_SUCCESS_VS_BASELINE: f64 = 0.90;
-/// Success share a rack brown-out (a third of Rennes) must retain vs its
-/// twin — milder than a whole-site loss, so the bound is tighter than
-/// [`SITE_OUTAGE_SUCCESS_VS_BASELINE`].
-const RACK_OUTAGE_SUCCESS_VS_BASELINE: f64 = 0.80;
-/// Success share the composed outage-in-crowd day must retain vs its
-/// crowd-only twin (the twin replays the same inflated trace, so this
-/// isolates what the outage costs *under* the crowd).
-const OUTAGE_IN_CROWD_SUCCESS_VS_BASELINE: f64 = 0.55;
 /// The adversarial phase offset (seconds on the uncompressed day, applied
 /// to the Nancy outage's 10:30 onset) `day --worst-phase` found to
 /// maximise recovery time against the 10:00–12:00 flash crowd: -900 s
@@ -205,51 +145,35 @@ pub const OUTAGE_IN_CROWD_WORST_OFFSET_SECS: f64 = -900.0;
 /// The named scenarios of the matrix, in the order the runner executes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
-    /// The standard no-fault day: the absolute reference.  Gates that the
-    /// steady state is allocation-free and — the grant-leak invariant —
-    /// that `leaked_grants` stays exactly 0.
+    /// The standard no-fault day, the absolute reference: an
+    /// allocation-free steady state and exactly zero leaked grants.
     BaselineDay,
     /// Independent dead-peer flapping ([`DaySweepConfig::dead_peer_day`]):
     /// timeouts must fire *and* most of the day must still place.
     DeadPeerDay,
-    /// A correlated outage takes all of Rennes down for two hours mid-burst
-    /// (running jobs are killed); utilisation must dip and then recover to
-    /// within 5% of the no-fault twin.
+    /// All of Rennes down for two hours mid-burst, killing running jobs:
+    /// utilisation must dip, then recover to within 5% of the twin.
     SiteOutage,
-    /// A 10x arrival burst spliced into the late morning; the overlay must
-    /// absorb it (bounded refusals, no storage growth past the high-water
-    /// mark).
+    /// A 10x late-morning arrival burst the overlay must absorb.
     FlashCrowd,
-    /// A 5x latency degradation on the Rennes links for three hours:
-    /// graceful slowdown — replies still win their timeout races, so no
-    /// grants leak and throughput barely moves.
+    /// Rennes links 5x slower for three hours: replies still win their
+    /// timeout races, so no grant leaks.
     SlowLinks,
-    /// The supernode crashes for three hours while peers flap: the
-    /// submitter must keep brokering from its stale cached view (degraded
-    /// mode) and the registry must resync on recovery.
+    /// The supernode down for three hours while peers flap: brokering goes
+    /// on from the stale cached view and the registry resyncs on recovery.
     SupernodeCrash,
-    /// A 200x latency degradation on the Sophia links while every job
-    /// demands hosts there: reservation replies systematically lose the 2 s
-    /// race, hammering the reply-loses-race path.  Grants must leak — and
-    /// must be eagerly reclaimed (high-water mark far below the total).
+    /// Sophia links 200x slower while every job books there: replies lose
+    /// the 2 s race, so grants leak — and must be eagerly reclaimed.
     GrantLeakStress,
-    /// A rack browns out: 30 of Rennes' 90 hosts crash together for two
-    /// hours ([`FaultSpec::PartialSite`]).  The site must dim, not go dark
-    /// — brokering keeps landing work on the surviving racks — and
-    /// utilisation must recover within the SLO.
+    /// 30 of Rennes' 90 hosts down for two hours
+    /// ([`FaultSpec::PartialSite`]): the site must dim, not go dark.
     RackOutage,
-    /// The composed stress: a Nancy outage — the submitter's home site,
-    /// which carries most of a small-rank day's placements — *during* the
-    /// 10x flash crowd ([`outage_in_crowd_faults`]).  Judged against a
-    /// crowd-only twin (same inflated trace), so the verdict isolates what
-    /// the outage costs under burst pressure; recovery is strictly harder
-    /// than the lone outage's.
+    /// A Nancy outage *during* the 10x flash crowd
+    /// ([`outage_in_crowd_config`]), judged against a crowd-only twin;
+    /// recovery is strictly harder than the lone outage's.
     OutageInCrowd,
-    /// [`Scenario::OutageInCrowd`] with the outage onset shifted by the
-    /// adversarial offset `day --worst-phase` found
-    /// ([`OUTAGE_IN_CROWD_WORST_OFFSET_SECS`]): the pinned worst case,
-    /// gated with its own (looser) recovery SLO so a regression in the
-    /// worst-case phase fails loudly.
+    /// [`Scenario::OutageInCrowd`] at the pinned worst phase
+    /// ([`OUTAGE_IN_CROWD_WORST_OFFSET_SECS`]), with its own looser SLO.
     OutageInCrowdWorst,
 }
 
@@ -271,21 +195,479 @@ const fn hours(h: u64) -> SimDuration {
     SimDuration::from_secs(h * 3600)
 }
 
+/// What a relative verdict compares against: the scenario's own config
+/// and seed with faults removed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Twin {
+    FaultFree,
+    /// Only the flash crowd kept: both runs replay one inflated trace.
+    KeepsCrowd,
+}
+
+impl Twin {
+    fn run(self, cfg: &DaySweepConfig) -> DaySweepResult {
+        let mut twin = cfg.clone();
+        let keeps_crowd = self == Twin::KeepsCrowd;
+        twin.faults
+            .retain(|f| keeps_crowd && matches!(f, FaultSpec::FlashCrowd { .. }));
+        run_day_sweep(&twin)
+    }
+}
+
+/// One pass/fail criterion kind.  A variant carries only what differs
+/// between the rows that use it: a threshold, a site or a detail note.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Check {
+    /// The note says why no grant may leak.
+    NoLeakedGrants(&'static str),
+    GrantLeakPathExercised,
+    LeaksEagerlyReclaimed,
+    NoJobsKilled,
+    OutageKillsRunningJobs,
+    TimeoutsFired,
+    CompletedJobsWhileDegraded,
+    /// Minimum share of the submitted jobs that succeed.
+    SuccessShare(f64),
+    /// Minimum share of the twin's successes.
+    SuccessVsBaseline(f64),
+    SteadyStateAllocFree,
+    BurstArrivalsSpliced,
+    ThroughputNotReduced,
+    SameArrivalTrace,
+    /// The site runs nothing during the outage window.
+    SiteGoesDark(&'static str),
+    /// The site runs less than its twin during the window, but not nothing.
+    SiteDimsNotDark(&'static str),
+    UtilisationRecovers,
+    /// The note names the twin in the detail.
+    RecoveryObserved(&'static str),
+    /// The recovery SLO in seconds on the *uncompressed* day, divided by
+    /// the compression factor at judge time.  Calibrated at the CI scale
+    /// with headroom: holds do not compress with the day, so a compressed
+    /// run's recovery is dominated by the killed jobs' re-run tails.
+    RecoveryWithinSlo(f64),
+}
+
+/// What a check reads: one scenario's faulted run and its evidence.
+struct Judged<'a> {
+    cfg: &'a DaySweepConfig,
+    result: &'a DaySweepResult,
+    twin: Option<&'a DaySweepResult>,
+    recovery_secs: Option<f64>,
+    compress: f64,
+}
+
+impl Check {
+    /// The criterion's stable name (the JSON `name` field).
+    fn name(self) -> &'static str {
+        match self {
+            Check::NoLeakedGrants(_) => "no_leaked_grants",
+            Check::GrantLeakPathExercised => "grant_leak_path_exercised",
+            Check::LeaksEagerlyReclaimed => "leaks_eagerly_reclaimed",
+            Check::NoJobsKilled => "no_jobs_killed",
+            Check::OutageKillsRunningJobs => "outage_kills_running_jobs",
+            Check::TimeoutsFired => "timeouts_fired",
+            Check::CompletedJobsWhileDegraded => "completed_jobs_while_degraded",
+            Check::SuccessShare(_) => "success_share",
+            Check::SuccessVsBaseline(_) => "success_vs_baseline",
+            Check::SteadyStateAllocFree => "steady_state_alloc_free",
+            Check::BurstArrivalsSpliced => "burst_arrivals_spliced",
+            Check::ThroughputNotReduced => "throughput_not_reduced",
+            Check::SameArrivalTrace => "same_arrival_trace",
+            Check::SiteGoesDark(_) => "site_goes_dark_during_outage",
+            Check::SiteDimsNotDark(_) => "site_dims_not_dark",
+            Check::UtilisationRecovers => "utilisation_recovers",
+            Check::RecoveryObserved(_) => "recovery_observed",
+            Check::RecoveryWithinSlo(_) => "recovery_within_slo",
+        }
+    }
+
+    /// Judges the criterion on `j`.  Panics when a row pairs a relative
+    /// check with no twin, or a windowed one with no outage window (a
+    /// matrix-definition bug).
+    fn judge(self, j: &Judged) -> CheckOutcome {
+        use Check::*;
+        let r = j.result;
+        let (submitted, succeeded) = (r.submitted, r.succeeded);
+        let (killed, leaked, hwm) = (r.jobs_killed, r.leaked_grants, r.leaked_grant_hwm);
+        let twin = || j.twin.expect("a relative check runs against a twin");
+        let window = || outage_window(j.cfg).expect("a windowed check needs an outage window");
+        let (passed, detail) = match self {
+            NoLeakedGrants(why) => (leaked == 0, format!("leaked_grants = {leaked} ({why})")),
+            GrantLeakPathExercised => (leaked > 0, format!("leaked_grants = {leaked}")),
+            LeaksEagerlyReclaimed => (
+                leaked == 0 || hwm < leaked,
+                format!(
+                    "high-water mark {hwm} of {leaked} total leaks (eager release must drain \
+                     between jobs)"
+                ),
+            ),
+            NoJobsKilled => (killed == 0, format!("jobs_killed = {killed}")),
+            OutageKillsRunningJobs => (killed > 0, format!("jobs_killed = {killed}")),
+            TimeoutsFired => (
+                r.timeouts > 0,
+                format!("reservation timeouts = {}", r.timeouts),
+            ),
+            CompletedJobsWhileDegraded => (succeeded > 0, format!("succeeded = {succeeded}")),
+            SuccessShare(min) => succeeded_at_least(succeeded, submitted, min),
+            SuccessVsBaseline(min) => succeeded_at_least(succeeded, twin().succeeded, min),
+            SteadyStateAllocFree => {
+                let (e0, e1) = (r.events_capacity_mid, r.events_capacity_end);
+                let (s0, s1) = (r.rs_scratch_capacity_mid, r.rs_scratch_capacity_end);
+                let detail = format!("events capacity {e0} -> {e1}, scratch {s0} -> {s1}");
+                (r.steady_state_alloc_free(), detail)
+            }
+            BurstArrivalsSpliced => {
+                let base = twin().submitted;
+                let detail = format!("submitted {submitted} vs no-burst twin {base}");
+                (submitted > base, detail)
+            }
+            ThroughputNotReduced => {
+                let base = twin().succeeded;
+                let detail = format!(
+                    "succeeded {succeeded} vs no-burst twin {base} (extra load must not reduce \
+                     completed work)"
+                );
+                (succeeded >= base, detail)
+            }
+            SameArrivalTrace => {
+                let base = twin().submitted;
+                let detail = format!(
+                    "submitted {submitted} vs crowd twin {base} (the twin keeps the crowd, so \
+                     both runs replay one inflated trace)"
+                );
+                (submitted == base, detail)
+            }
+            SiteGoesDark(site) => {
+                // Killed jobs and dead peers mean the site runs *nothing*
+                // in the window; total running counts can even rise, as
+                // displaced work runs longer farther away.  The twin
+                // comparison uses exact core-seconds: the sample grid can
+                // be sparser than the holds and catch the twin's site empty.
+                let (start, end) = window();
+                let idx = site_index(r, site);
+                let dark: f64 = (r.samples.iter())
+                    .filter(|s| (start..end).contains(&s.t.as_secs_f64()))
+                    .map(|s| s.running[idx] as f64)
+                    .sum();
+                let (fault_cs, twin_cs) = (r.core_seconds[idx], twin().core_seconds[idx]);
+                let detail = format!(
+                    "{site} outage-window utilisation {dark:.0}, whole-day core-seconds \
+                     {fault_cs:.0} vs twin {twin_cs:.0} (the outage must remove {site} work)"
+                );
+                (dark == 0.0 && twin_cs > 0.0 && fault_cs < twin_cs, detail)
+            }
+            SiteDimsNotDark(site) => {
+                let (start, end) = window();
+                let idx = site_index(r, site);
+                let fault_win = r.site_core_seconds_between(idx, start, end);
+                let twin_win = twin().site_core_seconds_between(idx, start, end);
+                let detail = format!(
+                    "{site} outage-window core-seconds {fault_win:.0} vs twin {twin_win:.0} \
+                     (the rack loss must dim the site, not darken it)"
+                );
+                (fault_win > 0.0 && fault_win < twin_win, detail)
+            }
+            UtilisationRecovers => {
+                let (_, end) = window();
+                let ratio = utilisation_after(r, end) / utilisation_after(twin(), end).max(1.0);
+                let bound = RECOVERY_UTILISATION_RATIO;
+                let detail = format!("post-recovery utilisation ratio {ratio:.3} (bound {bound})");
+                (ratio >= bound, detail)
+            }
+            RecoveryObserved(twin_noun) => (
+                j.recovery_secs.is_some(),
+                match j.recovery_secs {
+                    Some(s) => format!(
+                        "utilisation regained the {twin_noun}'s level {s:.0}s after the outage \
+                         ended"
+                    ),
+                    None => "utilisation never regained the twin's level".to_string(),
+                },
+            ),
+            RecoveryWithinSlo(slo) => {
+                // A recovery that never happened always fails.
+                let bound = slo / j.compress.max(1.0);
+                let detail = match j.recovery_secs {
+                    Some(s) => {
+                        format!("recovery {s:.0}s vs SLO {bound:.0}s (authored {slo:.0}s/day)")
+                    }
+                    None => format!("never recovered (SLO {bound:.0}s)"),
+                };
+                (j.recovery_secs.is_some_and(|s| s <= bound), detail)
+            }
+        };
+        CheckOutcome {
+            name: self.name(),
+            passed,
+            detail,
+        }
+    }
+}
+
+/// `got >= ceil(reference * min_ratio)` successes, with the evidence.
+fn succeeded_at_least(got: usize, reference: usize, min_ratio: f64) -> (bool, String) {
+    let bound = (reference as f64 * min_ratio).ceil() as usize;
+    let pct = min_ratio * 100.0;
+    let detail = format!("succeeded: {got} vs bound {bound} ({pct:.0}% of {reference})");
+    (got >= bound, detail)
+}
+
+/// One row of the matrix: everything that defines a scenario.
+struct Row {
+    /// The stable name (CLI argument, JSON `scenario` field).
+    name: &'static str,
+    /// The authored config on the uncompressed day, before the matrix-wide
+    /// knobs ([`finalize_config`]).
+    config: fn() -> DaySweepConfig,
+    /// `None` for scenarios judged on absolute criteria only.
+    twin: Option<Twin>,
+    /// The criteria, in verdict order.
+    checks: &'static [Check],
+}
+
+/// The matrix, indexed by [`Scenario`] (declaration order).
+static MATRIX: [Row; 10] = [
+    Row {
+        name: "baseline_day",
+        config: || DaySweepConfig::new(StrategyKind::Concentrate),
+        twin: None,
+        // Holds do not compress with the day, so the CI scale's burst-hour
+        // refusals are real: the share is ~0.77 there, ~0.9+ uncompressed.
+        checks: &[
+            Check::NoLeakedGrants("must be 0 on the standard day"),
+            Check::NoJobsKilled,
+            Check::SteadyStateAllocFree,
+            Check::SuccessShare(0.70),
+        ],
+    },
+    Row {
+        name: "dead_peer_day",
+        config: || DaySweepConfig::dead_peer_day(StrategyKind::Concentrate),
+        twin: None,
+        // The `day_sweep` integration test's bound under brutal flapping.
+        checks: &[
+            Check::TimeoutsFired,
+            Check::SuccessShare(0.25),
+            Check::SteadyStateAllocFree,
+        ],
+    },
+    Row {
+        name: "site_outage",
+        config: || DaySweepConfig {
+            faults: vec![FaultSpec::SiteOutage {
+                site: "rennes".to_string(),
+                at: hours(9),
+                duration: hours(2),
+            }],
+            fail_jobs_on_crash: true,
+            ..spread_large_ranks()
+        },
+        twin: Some(Twin::FaultFree),
+        checks: &[
+            Check::SiteGoesDark("rennes"),
+            Check::UtilisationRecovers,
+            Check::RecoveryObserved("twin"),
+            Check::SuccessVsBaseline(0.60),
+            Check::RecoveryWithinSlo(3600.0),
+        ],
+    },
+    Row {
+        name: "flash_crowd",
+        config: || DaySweepConfig {
+            faults: vec![FaultSpec::FlashCrowd {
+                at: hours(10),
+                duration: hours(1),
+                factor: 10.0,
+            }],
+            ..DaySweepConfig::new(StrategyKind::Concentrate)
+        },
+        // This twin drops the crowd: it proves the burst was spliced.
+        twin: Some(Twin::FaultFree),
+        // The burst nearly doubles the arrivals against fixed capacity:
+        // refusals are expected, collapse is not (~0.47 at CI scale).
+        checks: &[
+            Check::BurstArrivalsSpliced,
+            Check::ThroughputNotReduced,
+            Check::SuccessShare(0.40),
+            Check::SteadyStateAllocFree,
+        ],
+    },
+    Row {
+        name: "slow_links",
+        config: || DaySweepConfig {
+            faults: vec![FaultSpec::SlowLinks {
+                site: "rennes".to_string(),
+                at: hours(9),
+                duration: hours(3),
+                latency_factor: 5.0,
+            }],
+            ..spread_large_ranks()
+        },
+        twin: Some(Twin::FaultFree),
+        checks: &[
+            Check::SuccessVsBaseline(0.90),
+            Check::NoLeakedGrants("5x latency must stay inside the 2s timeout"),
+        ],
+    },
+    Row {
+        name: "supernode_crash",
+        // Mild flapping makes the registry load-bearing: without refreshes
+        // the submitter's view goes stale.
+        config: || DaySweepConfig {
+            churn: Some(DeadPeerChurn {
+                fraction: 0.10,
+                ..DeadPeerChurn::default()
+            }),
+            faults: vec![FaultSpec::SupernodeOutage {
+                at: hours(9),
+                duration: hours(3),
+            }],
+            ..DaySweepConfig::dead_peer_day(StrategyKind::Concentrate)
+        },
+        twin: Some(Twin::FaultFree),
+        // 0.90 is the degraded-mode bound: stale-view brokering, not a halt.
+        checks: &[
+            Check::SuccessVsBaseline(0.90),
+            Check::CompletedJobsWhileDegraded,
+            Check::RecoveryWithinSlo(3600.0),
+        ],
+    },
+    Row {
+        name: "grant_leak_stress",
+        // 300 hosts under spread force every job's bookings into Sophia.
+        config: || DaySweepConfig {
+            mix: JobMix {
+                ranks: vec![300],
+                ..JobMix::default()
+            },
+            faults: vec![FaultSpec::SlowLinks {
+                site: "sophia".to_string(),
+                at: hours(1),
+                duration: hours(22),
+                latency_factor: 200.0,
+            }],
+            ..DaySweepConfig::new(StrategyKind::Spread)
+        },
+        twin: None,
+        checks: &[
+            Check::GrantLeakPathExercised,
+            Check::LeaksEagerlyReclaimed,
+            Check::NoJobsKilled,
+        ],
+    },
+    Row {
+        name: "rack_outage",
+        // Holds stretch (~3 s modeled -> ~1 min) so the brown-out reliably
+        // catches jobs mid-run and leaves a measurable backlog.
+        config: || DaySweepConfig {
+            faults: vec![FaultSpec::PartialSite {
+                site: "rennes".to_string(),
+                hosts: 30,
+                at: hours(9),
+                duration: hours(2),
+            }],
+            fail_jobs_on_crash: true,
+            duration_scale: 20.0,
+            ..spread_large_ranks()
+        },
+        twin: Some(Twin::FaultFree),
+        // Milder than a whole-site loss: a tighter bound than site_outage's.
+        checks: &[
+            Check::SiteDimsNotDark("rennes"),
+            Check::OutageKillsRunningJobs,
+            Check::SuccessVsBaseline(0.80),
+            Check::RecoveryWithinSlo(3600.0),
+        ],
+    },
+    Row {
+        name: "outage_in_crowd",
+        config: || outage_in_crowd(0.0),
+        twin: Some(Twin::KeepsCrowd),
+        checks: &[
+            Check::SameArrivalTrace,
+            Check::OutageKillsRunningJobs,
+            Check::SuccessVsBaseline(0.55),
+            Check::RecoveryObserved("crowd twin"),
+            Check::RecoveryWithinSlo(7200.0),
+        ],
+    },
+    Row {
+        name: "outage_in_crowd_worst",
+        config: || outage_in_crowd(OUTAGE_IN_CROWD_WORST_OFFSET_SECS),
+        twin: Some(Twin::KeepsCrowd),
+        checks: &[
+            Check::SameArrivalTrace,
+            Check::OutageKillsRunningJobs,
+            Check::SuccessVsBaseline(0.55),
+            Check::RecoveryObserved("crowd twin"),
+            Check::RecoveryWithinSlo(10800.0),
+        ],
+    },
+];
+
+/// Spread with a large-rank palette, so Rennes (third in the submitter's
+/// latency order) genuinely carries work a fault there can take away.
+fn spread_large_ranks() -> DaySweepConfig {
+    DaySweepConfig {
+        mix: JobMix {
+            ranks: vec![32, 128, 256],
+            ..JobMix::default()
+        },
+        ..DaySweepConfig::new(StrategyKind::Spread)
+    }
+}
+
+/// The authored outage-in-crowd day: a Nancy outage (10:30, 2 h)
+/// phase-shifted by `offset_secs`, overlapped with a 10:00–12:00 10x flash
+/// crowd.  At the nominal onset the outage clears at 12:30, inside the
+/// crowd's hold tail: the twin is still crowd-inflated while arrivals have
+/// collapsed to the lunch dip, so recovery measures a genuine
+/// arrival-limited refill.
+fn outage_in_crowd(offset_secs: f64) -> DaySweepConfig {
+    let nominal = (hours(10) + SimDuration::from_secs(1800)).as_secs_f64();
+    let mut cfg = DaySweepConfig {
+        mix: JobMix {
+            ranks: vec![8, 32, 64],
+            ..JobMix::default()
+        },
+        faults: vec![
+            FaultSpec::SiteOutage {
+                site: "nancy".to_string(),
+                at: SimDuration::from_secs_f64((nominal + offset_secs).max(0.0)),
+                duration: hours(2),
+            },
+            FaultSpec::FlashCrowd {
+                at: hours(10),
+                duration: hours(2),
+                factor: 10.0,
+            },
+        ],
+        fail_jobs_on_crash: true,
+        // Stretch holds (~4 s modeled -> ~3 min) so the outage reliably
+        // kills running jobs and, crucially, so the crowd's long holds
+        // persist in the twin well past the crowd itself: the
+        // recovery-vs-phase basin is exactly as wide as that hold tail.
+        duration_scale: 50.0,
+        ..DaySweepConfig::new(StrategyKind::Spread)
+    };
+    // Thin the traffic (x0.1) so the normal day runs under capacity and the
+    // post-crowd refill is genuinely arrival-limited — at full rate the
+    // compressed day is so saturated that any freed rack refills within
+    // one sample bin and recovery degenerates to zero everywhere.
+    cfg.profile = cfg.profile.scaled(0.1);
+    cfg
+}
+
 impl Scenario {
+    /// The scenario's row of the matrix.
+    fn row(self) -> &'static Row {
+        &MATRIX[self as usize]
+    }
+
     /// The scenario's stable name (CLI argument, JSON `scenario` field).
     pub fn name(self) -> &'static str {
-        match self {
-            Scenario::BaselineDay => "baseline_day",
-            Scenario::DeadPeerDay => "dead_peer_day",
-            Scenario::SiteOutage => "site_outage",
-            Scenario::FlashCrowd => "flash_crowd",
-            Scenario::SlowLinks => "slow_links",
-            Scenario::SupernodeCrash => "supernode_crash",
-            Scenario::GrantLeakStress => "grant_leak_stress",
-            Scenario::RackOutage => "rack_outage",
-            Scenario::OutageInCrowd => "outage_in_crowd",
-            Scenario::OutageInCrowdWorst => "outage_in_crowd_worst",
-        }
+        self.row().name
     }
 
     /// Parses a scenario name as the runner's `--scenario` flag spells it.
@@ -302,162 +684,16 @@ impl Scenario {
             })
     }
 
-    /// Whether the verdict compares against a twin run.
-    fn needs_baseline(self) -> bool {
-        matches!(
-            self,
-            Scenario::SiteOutage
-                | Scenario::FlashCrowd
-                | Scenario::SlowLinks
-                | Scenario::SupernodeCrash
-                | Scenario::RackOutage
-                | Scenario::OutageInCrowd
-                | Scenario::OutageInCrowdWorst
-        )
-    }
-
-    /// Whether the twin keeps the flash-crowd trace transform.  Composed
-    /// scenarios are judged against a crowd-only twin: both runs replay
-    /// the identical inflated arrival trace, so the comparison isolates
-    /// the outage.  (The `flash_crowd` scenario itself drops the crowd —
-    /// its twin exists to prove the burst was spliced at all.)
-    fn twin_keeps_crowd(self) -> bool {
-        matches!(self, Scenario::OutageInCrowd | Scenario::OutageInCrowdWorst)
-    }
-
-    /// The scenario's recovery-time SLO in seconds on the *uncompressed*
-    /// day (divide by the compression factor at judge time).  `None` for
-    /// scenarios without an outage window — they recover trivially.
-    ///
-    /// Values are calibrated at the CI scale (compress 24, rate 0.05,
-    /// seed 2008) with headroom: holds do not compress with the day, so a
-    /// compressed run's recovery is dominated by the killed jobs' re-run
-    /// tails and is noisier than the full day's.
-    pub fn recovery_slo_secs(self) -> Option<f64> {
-        match self {
-            Scenario::SiteOutage => Some(hours(1).as_secs_f64()),
-            Scenario::SupernodeCrash => Some(hours(1).as_secs_f64()),
-            Scenario::RackOutage => Some(hours(1).as_secs_f64()),
-            Scenario::OutageInCrowd => Some(hours(2).as_secs_f64()),
-            Scenario::OutageInCrowdWorst => Some(hours(3).as_secs_f64()),
-            _ => None,
-        }
-    }
-
     /// The scenario's sweep configuration at `params` scale.  Fault times
     /// are authored on the uncompressed day and compressed along with the
     /// profile, churn cycle and sample cadence.
     pub fn config(self, params: &ScenarioParams) -> DaySweepConfig {
-        let cfg = match self {
-            Scenario::BaselineDay => DaySweepConfig::new(StrategyKind::Concentrate),
-            Scenario::DeadPeerDay => DaySweepConfig::dead_peer_day(StrategyKind::Concentrate),
-            Scenario::SiteOutage => {
-                // Spread with a large-rank palette so Rennes (third in the
-                // submitter's latency order) genuinely carries work the
-                // outage can take away.
-                let mut cfg = DaySweepConfig::new(StrategyKind::Spread);
-                cfg.mix = JobMix {
-                    ranks: vec![32, 128, 256],
-                    ..JobMix::default()
-                };
-                cfg.faults = vec![FaultSpec::SiteOutage {
-                    site: "rennes".to_string(),
-                    at: hours(9),
-                    duration: hours(2),
-                }];
-                cfg.fail_jobs_on_crash = true;
-                cfg
-            }
-            Scenario::FlashCrowd => {
-                let mut cfg = DaySweepConfig::new(StrategyKind::Concentrate);
-                cfg.faults = vec![FaultSpec::FlashCrowd {
-                    at: hours(10),
-                    duration: hours(1),
-                    factor: 10.0,
-                }];
-                cfg
-            }
-            Scenario::SlowLinks => {
-                let mut cfg = DaySweepConfig::new(StrategyKind::Spread);
-                cfg.mix = JobMix {
-                    ranks: vec![32, 128, 256],
-                    ..JobMix::default()
-                };
-                cfg.faults = vec![FaultSpec::SlowLinks {
-                    site: "rennes".to_string(),
-                    at: hours(9),
-                    duration: hours(3),
-                    latency_factor: 5.0,
-                }];
-                cfg
-            }
-            Scenario::SupernodeCrash => {
-                // Mild flapping makes the registry load-bearing: without
-                // refreshes the submitter's view goes stale, which is
-                // exactly the degraded mode under test.
-                let mut cfg = DaySweepConfig::dead_peer_day(StrategyKind::Concentrate);
-                cfg.churn = Some(DeadPeerChurn {
-                    fraction: 0.10,
-                    ..DeadPeerChurn::default()
-                });
-                cfg.faults = vec![FaultSpec::SupernodeOutage {
-                    at: hours(9),
-                    duration: hours(3),
-                }];
-                cfg
-            }
-            Scenario::GrantLeakStress => {
-                // Every job demands 300 hosts under spread, which forces
-                // bookings into Sophia — whose replies, at 200x latency,
-                // systematically lose the 2 s race to their timeouts.
-                let mut cfg = DaySweepConfig::new(StrategyKind::Spread);
-                cfg.mix = JobMix {
-                    ranks: vec![300],
-                    ..JobMix::default()
-                };
-                cfg.faults = vec![FaultSpec::SlowLinks {
-                    site: "sophia".to_string(),
-                    at: hours(1),
-                    duration: hours(22),
-                    latency_factor: 200.0,
-                }];
-                cfg
-            }
-            Scenario::RackOutage => {
-                // Same large-rank spread palette as the site outage so
-                // Rennes carries real work — but only a third of its hosts
-                // brown out, so the site dims instead of going dark.
-                let mut cfg = DaySweepConfig::new(StrategyKind::Spread);
-                cfg.mix = JobMix {
-                    ranks: vec![32, 128, 256],
-                    ..JobMix::default()
-                };
-                cfg.faults = vec![FaultSpec::PartialSite {
-                    site: "rennes".to_string(),
-                    hosts: 30,
-                    at: hours(9),
-                    duration: hours(2),
-                }];
-                cfg.fail_jobs_on_crash = true;
-                // Stretch holds (~3 s modeled -> ~1 min) so the brown-out
-                // reliably catches jobs mid-run and leaves a measurable
-                // backlog — the same idiom as the injected-fault day
-                // tests.
-                cfg.duration_scale = 20.0;
-                cfg
-            }
-            Scenario::OutageInCrowd => return outage_in_crowd_config(0.0, params),
-            Scenario::OutageInCrowdWorst => {
-                return outage_in_crowd_config(OUTAGE_IN_CROWD_WORST_OFFSET_SECS, params)
-            }
-        };
-        finalize_config(cfg, params)
+        finalize_config((self.row().config)(), params)
     }
 }
 
 /// Applies the matrix-wide knobs (`seed`, strategy override,
-/// compression, rate scale) to an authored scenario config — the shared
-/// tail of [`Scenario::config`] and [`outage_in_crowd_config`].
+/// compression, rate scale) to an authored scenario config.
 fn finalize_config(mut cfg: DaySweepConfig, params: &ScenarioParams) -> DaySweepConfig {
     cfg.seed = params.seed;
     if let Some(strategy) = params.strategy {
@@ -470,58 +706,12 @@ fn finalize_config(mut cfg: DaySweepConfig, params: &ScenarioParams) -> DaySweep
     cfg
 }
 
-/// The composed outage-in-crowd faults: a Nancy outage (10:30, 2 h)
-/// phase-shifted by `offset_secs`, overlapped with a 10:00–12:00 10x
-/// flash crowd on one timeline.  Nancy is the submitter's home site and
-/// carries most of a small-rank day's placements (Spread fills the
-/// latency-closest hosts first), so losing it actually hurts; at the
-/// nominal onset the outage clears at 12:30, inside the crowd's hold
-/// tail — the twin's utilisation is still crowd-inflated while arrivals
-/// have collapsed to the lunch dip, so recovery time measures a genuine
-/// arrival-limited refill, not a formality.  Offset 0 is the nominal
-/// onset ([`Scenario::OutageInCrowd`]); `day --worst-phase` sweeps the offset
-/// to find the worst case, and [`OUTAGE_IN_CROWD_WORST_OFFSET_SECS`] pins
-/// what it found ([`Scenario::OutageInCrowdWorst`]).  A shifted onset
-/// clamps at the start of the day.
-pub fn outage_in_crowd_faults(offset_secs: f64) -> Vec<FaultSpec> {
-    let nominal = (hours(10) + SimDuration::from_secs(1800)).as_secs_f64();
-    vec![
-        FaultSpec::SiteOutage {
-            site: "nancy".to_string(),
-            at: SimDuration::from_secs_f64((nominal + offset_secs).max(0.0)),
-            duration: hours(2),
-        },
-        FaultSpec::FlashCrowd {
-            at: hours(10),
-            duration: hours(2),
-            factor: 10.0,
-        },
-    ]
-}
-
-/// The full outage-in-crowd sweep config at `params` scale with the outage
-/// phase-shifted by `offset_secs` (uncompressed seconds).  Shared between
-/// [`Scenario::config`] and `day --worst-phase`, so the adversarial
-/// sweep explores exactly the scenario the matrix gates.
+/// The outage-in-crowd sweep config at `params` scale with the Nancy
+/// outage's onset shifted by `offset_secs` (uncompressed seconds): the
+/// config of [`Scenario::OutageInCrowd`] at offset 0, and the one
+/// [`search_worst_phase`] sweeps.
 pub fn outage_in_crowd_config(offset_secs: f64, params: &ScenarioParams) -> DaySweepConfig {
-    let mut cfg = DaySweepConfig::new(StrategyKind::Spread);
-    cfg.mix = JobMix {
-        ranks: vec![8, 32, 64],
-        ..JobMix::default()
-    };
-    cfg.faults = outage_in_crowd_faults(offset_secs);
-    cfg.fail_jobs_on_crash = true;
-    // Stretch holds (~4 s modeled -> ~3 min) so the outage reliably kills
-    // running jobs and, crucially, so the crowd's long holds persist in
-    // the twin well past the crowd itself: the recovery-vs-phase basin is
-    // exactly as wide as that hold tail.  Thin the traffic (x0.1) so the
-    // normal day runs under capacity and the post-crowd refill is
-    // genuinely arrival-limited — at full rate the compressed day is so
-    // saturated that any freed rack refills within one sample bin and
-    // recovery degenerates to zero everywhere.
-    cfg.duration_scale = 50.0;
-    cfg.profile = cfg.profile.scaled(0.1);
-    finalize_config(cfg, params)
+    finalize_config(outage_in_crowd(offset_secs), params)
 }
 
 /// One pass/fail criterion of a verdict.
@@ -535,16 +725,6 @@ pub struct CheckOutcome {
     pub detail: String,
 }
 
-impl CheckOutcome {
-    fn new(name: &'static str, passed: bool, detail: String) -> Self {
-        CheckOutcome {
-            name,
-            passed,
-            detail,
-        }
-    }
-}
-
 /// The judged outcome of one scenario run.
 #[derive(Debug, Clone)]
 pub struct ScenarioVerdict {
@@ -555,11 +735,8 @@ pub struct ScenarioVerdict {
     /// The no-fault twin (same seed and scale), when the scenario's
     /// criteria are relative.
     pub baseline: Option<DaySweepResult>,
-    /// Seconds from the end of the scenario's outage window until total
-    /// utilisation first regained [`RECOVERY_UTILISATION_RATIO`] of the
-    /// twin's, on the sample grid.  `Some(0.0)` when the scenario has no
-    /// outage window (trivially recovered); `None` when utilisation never
-    /// regained the twin's level before the day ended.
+    /// [`recovery_to_twin`] after the outage window; `Some(0.0)` when the
+    /// scenario has no outage window (trivially recovered).
     pub recovery_secs: Option<f64>,
     /// Every criterion with its evidence.
     pub checks: Vec<CheckOutcome>,
@@ -633,15 +810,10 @@ impl ScenarioVerdict {
     }
 }
 
-/// Total running processes of one utilisation sample.
-fn total_running(r: &DaySweepResult, i: usize) -> f64 {
-    r.samples[i].running.iter().map(|&x| x as f64).sum()
-}
-
 /// The (start, end) seconds of the scenario's outage window in the
 /// *compressed* coordinates of `cfg` (the coordinates the samples and
 /// core-second bins use).
-pub(crate) fn outage_window(cfg: &DaySweepConfig) -> Option<(f64, f64)> {
+fn outage_window(cfg: &DaySweepConfig) -> Option<(f64, f64)> {
     cfg.faults.iter().find_map(|f| match f {
         FaultSpec::SiteOutage { at, duration, .. }
         | FaultSpec::SupernodeOutage { at, duration }
@@ -653,30 +825,16 @@ pub(crate) fn outage_window(cfg: &DaySweepConfig) -> Option<(f64, f64)> {
     })
 }
 
-/// Sum of total utilisation over samples whose instant satisfies `keep`.
-fn utilisation_sum(r: &DaySweepResult, keep: impl Fn(f64) -> bool) -> f64 {
-    (0..r.samples.len())
-        .filter(|&i| keep(r.samples[i].t.as_secs_f64()))
-        .map(|i| total_running(r, i))
+/// Sum of grid-total utilisation over the samples at or after `end`.
+fn utilisation_after(r: &DaySweepResult, end: f64) -> f64 {
+    r.samples
+        .iter()
+        .filter(|s| s.t.as_secs_f64() >= end)
+        .map(|s| s.running.iter().map(|&x| x as f64).sum::<f64>())
         .sum()
 }
 
-/// Sum of one site's utilisation over samples whose instant satisfies
-/// `keep`.  Panics on an unknown site (a scenario-definition bug).
-fn site_utilisation_sum(r: &DaySweepResult, site: &str, keep: impl Fn(f64) -> bool) -> f64 {
-    let idx = site_index(r, site);
-    (0..r.samples.len())
-        .filter(|&i| keep(r.samples[i].t.as_secs_f64()))
-        .map(|i| r.samples[i].running[idx] as f64)
-        .sum()
-}
-
-/// One site's exact whole-day core-seconds (charged at job start, not
-/// sampled — robust to a sample grid sparser than the job holds).
-fn site_core_seconds(r: &DaySweepResult, site: &str) -> f64 {
-    r.core_seconds[site_index(r, site)]
-}
-
+/// Panics on an unknown site (a scenario-definition bug).
 fn site_index(r: &DaySweepResult, site: &str) -> usize {
     r.site_names
         .iter()
@@ -686,15 +844,11 @@ fn site_index(r: &DaySweepResult, site: &str) -> usize {
 
 /// Time-to-95%-of-twin-utilisation: the delay from `end_secs` (the close
 /// of the fault window) until the faulted run's grid-total core-seconds
-/// timeline first regains [`RECOVERY_UTILISATION_RATIO`] of the twin's in
-/// the same bin.  Measured on the exact binned charge ledger
-/// ([`DaySweepResult::site_core_bins`]) rather than the sparse running
-/// samples, so the metric is deterministic and robust
-/// to a sample grid sparser than the job holds.  The scan starts at the
-/// first bin fully past `end_secs`; an empty twin bin (a quiet stretch of
-/// the day) satisfies the ratio trivially — matching the intuition that
-/// there is nothing to recover *to*.  `None` means utilisation never got
-/// back within 5% before the series ended.
+/// (the binned ledger, [`DaySweepResult::site_core_bins`]) first regains
+/// [`RECOVERY_UTILISATION_RATIO`] of the twin's in the same bin, scanning
+/// from the first bin fully past `end_secs`.  An empty twin bin satisfies
+/// the ratio trivially: there is nothing to recover *to*.  `None` means
+/// utilisation never got back within 5% before the series ended.
 pub fn recovery_to_twin(
     fault: &DaySweepResult,
     twin: &DaySweepResult,
@@ -714,331 +868,25 @@ pub fn recovery_to_twin(
     })
 }
 
-fn ratio_check(
-    name: &'static str,
-    what: &str,
-    got: usize,
-    reference: usize,
-    min_ratio: f64,
-) -> CheckOutcome {
-    let bound = (reference as f64 * min_ratio).ceil() as usize;
-    CheckOutcome::new(
-        name,
-        got >= bound,
-        format!(
-            "{what}: {got} vs bound {bound} ({min_ratio:.0}% of {reference})",
-            min_ratio = min_ratio * 100.0
-        ),
-    )
-}
-
 /// Runs one scenario (and its twin where the criteria are relative) and
-/// judges it.  Composed scenarios keep the flash crowd in the twin (see
-/// [`Scenario::twin_keeps_crowd`]); every other twin is fault-free.
+/// judges it against its row's checks, in order.
 pub fn run_scenario(scenario: Scenario, params: &ScenarioParams) -> ScenarioVerdict {
+    let row = scenario.row();
     let cfg = scenario.config(params);
     let result = run_day_sweep(&cfg);
-    let baseline = scenario.needs_baseline().then(|| {
-        let mut twin = cfg.clone();
-        let keeps_crowd = scenario.twin_keeps_crowd();
-        twin.faults
-            .retain(|f| keeps_crowd && matches!(f, FaultSpec::FlashCrowd { .. }));
-        run_day_sweep(&twin)
-    });
-
-    // Every verdict carries a recovery time: windowed relative scenarios
-    // measure time-to-95%-of-twin on the binned core-seconds timelines;
-    // scenarios without an outage window recover trivially (0 s).
-    let window = outage_window(&cfg);
-    let recovery_secs = match (&window, &baseline) {
-        (Some((_, end)), Some(twin)) => recovery_to_twin(&result, twin, *end),
+    let baseline = row.twin.map(|twin| twin.run(&cfg));
+    let recovery_secs = match (outage_window(&cfg), &baseline) {
+        (Some((_, end)), Some(twin)) => recovery_to_twin(&result, twin, end),
         _ => Some(0.0),
     };
-
-    let mut checks = Vec::new();
-    match scenario {
-        Scenario::BaselineDay => {
-            checks.push(CheckOutcome::new(
-                "no_leaked_grants",
-                result.leaked_grants == 0,
-                format!(
-                    "leaked_grants = {} (must be 0 on the standard day)",
-                    result.leaked_grants
-                ),
-            ));
-            checks.push(CheckOutcome::new(
-                "no_jobs_killed",
-                result.jobs_killed == 0,
-                format!("jobs_killed = {}", result.jobs_killed),
-            ));
-            checks.push(CheckOutcome::new(
-                "steady_state_alloc_free",
-                result.steady_state_alloc_free(),
-                format!(
-                    "events capacity {} -> {}, scratch {} -> {}",
-                    result.events_capacity_mid,
-                    result.events_capacity_end,
-                    result.rs_scratch_capacity_mid,
-                    result.rs_scratch_capacity_end
-                ),
-            ));
-            checks.push(ratio_check(
-                "success_share",
-                "succeeded",
-                result.succeeded,
-                result.submitted,
-                BASELINE_SUCCESS_MIN,
-            ));
-        }
-        Scenario::DeadPeerDay => {
-            checks.push(CheckOutcome::new(
-                "timeouts_fired",
-                result.timeouts > 0,
-                format!("reservation timeouts = {}", result.timeouts),
-            ));
-            checks.push(ratio_check(
-                "success_share",
-                "succeeded",
-                result.succeeded,
-                result.submitted,
-                DEAD_PEER_SUCCESS_MIN,
-            ));
-            checks.push(CheckOutcome::new(
-                "steady_state_alloc_free",
-                result.steady_state_alloc_free(),
-                format!(
-                    "events capacity {} -> {}, scratch {} -> {}",
-                    result.events_capacity_mid,
-                    result.events_capacity_end,
-                    result.rs_scratch_capacity_mid,
-                    result.rs_scratch_capacity_end
-                ),
-            ));
-        }
-        Scenario::SiteOutage => {
-            let twin = baseline.as_ref().expect("relative scenario");
-            let (start, end) = outage_window(&cfg).expect("site outage declares a window");
-            // The honest dip signal is per-site: killed jobs and dead peers
-            // mean Rennes runs *nothing* during the window.  (Total running
-            // counts can even rise during the outage: surviving placements
-            // are pushed to farther sites, run longer under the model, and
-            // linger in more samples.)  The twin comparison uses exact
-            // core-seconds, not window samples: on the uncompressed day the
-            // 5-minute sample grid is sparser than the job holds and can
-            // legitimately catch the twin's Rennes empty too.
-            let dark = site_utilisation_sum(&result, "rennes", |t| t >= start && t < end);
-            let fault_cs = site_core_seconds(&result, "rennes");
-            let twin_cs = site_core_seconds(twin, "rennes");
-            checks.push(CheckOutcome::new(
-                "site_goes_dark_during_outage",
-                dark == 0.0 && twin_cs > 0.0 && fault_cs < twin_cs,
-                format!(
-                    "rennes outage-window utilisation {dark:.0}, whole-day core-seconds \
-                     {fault_cs:.0} vs twin {twin_cs:.0} (the outage must remove rennes work)"
-                ),
-            ));
-            let post_fault = utilisation_sum(&result, |t| t >= end);
-            let post_base = utilisation_sum(twin, |t| t >= end);
-            let post_ratio = post_fault / post_base.max(1.0);
-            checks.push(CheckOutcome::new(
-                "utilisation_recovers",
-                post_ratio >= RECOVERY_UTILISATION_RATIO,
-                format!(
-                    "post-recovery utilisation ratio {post_ratio:.3} (bound {RECOVERY_UTILISATION_RATIO})"
-                ),
-            ));
-            checks.push(CheckOutcome::new(
-                "recovery_observed",
-                recovery_secs.is_some(),
-                match recovery_secs {
-                    Some(s) => format!(
-                        "utilisation regained the twin's level {s:.0}s after the outage ended"
-                    ),
-                    None => "utilisation never regained the twin's level".to_string(),
-                },
-            ));
-            checks.push(ratio_check(
-                "success_vs_baseline",
-                "succeeded",
-                result.succeeded,
-                twin.succeeded,
-                SITE_OUTAGE_SUCCESS_VS_BASELINE,
-            ));
-        }
-        Scenario::FlashCrowd => {
-            let twin = baseline.as_ref().expect("relative scenario");
-            checks.push(CheckOutcome::new(
-                "burst_arrivals_spliced",
-                result.submitted > twin.submitted,
-                format!(
-                    "submitted {} vs no-burst twin {}",
-                    result.submitted, twin.submitted
-                ),
-            ));
-            checks.push(CheckOutcome::new(
-                "throughput_not_reduced",
-                result.succeeded >= twin.succeeded,
-                format!(
-                    "succeeded {} vs no-burst twin {} (extra load must not reduce completed work)",
-                    result.succeeded, twin.succeeded
-                ),
-            ));
-            checks.push(ratio_check(
-                "success_share",
-                "succeeded",
-                result.succeeded,
-                result.submitted,
-                FLASH_CROWD_SUCCESS_MIN,
-            ));
-            checks.push(CheckOutcome::new(
-                "steady_state_alloc_free",
-                result.steady_state_alloc_free(),
-                format!(
-                    "events capacity {} -> {}, scratch {} -> {}",
-                    result.events_capacity_mid,
-                    result.events_capacity_end,
-                    result.rs_scratch_capacity_mid,
-                    result.rs_scratch_capacity_end
-                ),
-            ));
-        }
-        Scenario::SlowLinks => {
-            let twin = baseline.as_ref().expect("relative scenario");
-            checks.push(ratio_check(
-                "success_vs_baseline",
-                "succeeded",
-                result.succeeded,
-                twin.succeeded,
-                SLOW_LINKS_SUCCESS_VS_BASELINE,
-            ));
-            checks.push(CheckOutcome::new(
-                "no_leaked_grants",
-                result.leaked_grants == 0,
-                format!(
-                    "leaked_grants = {} (5x latency must stay inside the 2s timeout)",
-                    result.leaked_grants
-                ),
-            ));
-        }
-        Scenario::SupernodeCrash => {
-            let twin = baseline.as_ref().expect("relative scenario");
-            checks.push(ratio_check(
-                "success_vs_baseline",
-                "succeeded",
-                result.succeeded,
-                twin.succeeded,
-                SUPERNODE_SUCCESS_VS_BASELINE,
-            ));
-            checks.push(CheckOutcome::new(
-                "completed_jobs_while_degraded",
-                result.succeeded > 0,
-                format!("succeeded = {}", result.succeeded),
-            ));
-        }
-        Scenario::GrantLeakStress => {
-            checks.push(CheckOutcome::new(
-                "grant_leak_path_exercised",
-                result.leaked_grants > 0,
-                format!("leaked_grants = {}", result.leaked_grants),
-            ));
-            checks.push(CheckOutcome::new(
-                "leaks_eagerly_reclaimed",
-                result.leaked_grants == 0 || result.leaked_grant_hwm < result.leaked_grants,
-                format!(
-                    "high-water mark {} of {} total leaks (eager release must drain between jobs)",
-                    result.leaked_grant_hwm, result.leaked_grants
-                ),
-            ));
-            checks.push(CheckOutcome::new(
-                "no_jobs_killed",
-                result.jobs_killed == 0,
-                format!("jobs_killed = {}", result.jobs_killed),
-            ));
-        }
-        Scenario::RackOutage => {
-            let twin = baseline.as_ref().expect("relative scenario");
-            let (start, end) = outage_window(&cfg).expect("rack outage declares a window");
-            // The partial-site signal: Rennes keeps running work during
-            // the window (the surviving racks) but strictly less than its
-            // twin — dimmed, not dark.  Both sums come off the exact
-            // binned charge ledger, so the comparison holds even when the
-            // sample grid is sparser than the holds.
-            let idx = site_index(&result, "rennes");
-            let fault_win = result.site_core_seconds_between(idx, start, end);
-            let twin_win = twin.site_core_seconds_between(idx, start, end);
-            checks.push(CheckOutcome::new(
-                "site_dims_not_dark",
-                fault_win > 0.0 && fault_win < twin_win,
-                format!(
-                    "rennes outage-window core-seconds {fault_win:.0} vs twin {twin_win:.0} \
-                     (the rack loss must dim the site, not darken it)"
-                ),
-            ));
-            checks.push(CheckOutcome::new(
-                "outage_kills_running_jobs",
-                result.jobs_killed > 0,
-                format!("jobs_killed = {}", result.jobs_killed),
-            ));
-            checks.push(ratio_check(
-                "success_vs_baseline",
-                "succeeded",
-                result.succeeded,
-                twin.succeeded,
-                RACK_OUTAGE_SUCCESS_VS_BASELINE,
-            ));
-        }
-        Scenario::OutageInCrowd | Scenario::OutageInCrowdWorst => {
-            let twin = baseline.as_ref().expect("relative scenario");
-            checks.push(CheckOutcome::new(
-                "same_arrival_trace",
-                result.submitted == twin.submitted,
-                format!(
-                    "submitted {} vs crowd twin {} (the twin keeps the crowd, so both runs \
-                     replay one inflated trace)",
-                    result.submitted, twin.submitted
-                ),
-            ));
-            checks.push(CheckOutcome::new(
-                "outage_kills_running_jobs",
-                result.jobs_killed > 0,
-                format!("jobs_killed = {}", result.jobs_killed),
-            ));
-            checks.push(ratio_check(
-                "success_vs_baseline",
-                "succeeded",
-                result.succeeded,
-                twin.succeeded,
-                OUTAGE_IN_CROWD_SUCCESS_VS_BASELINE,
-            ));
-            checks.push(CheckOutcome::new(
-                "recovery_observed",
-                recovery_secs.is_some(),
-                match recovery_secs {
-                    Some(s) => format!(
-                        "utilisation regained the crowd twin's level {s:.0}s after the outage \
-                         ended"
-                    ),
-                    None => "utilisation never regained the twin's level".to_string(),
-                },
-            ));
-        }
-    }
-
-    // The per-scenario recovery SLO: authored on the uncompressed day,
-    // divided by the compression factor so the same bound judges every
-    // scale.  A `None` recovery (never regained 95%) always fails.
-    if let Some(slo) = scenario.recovery_slo_secs() {
-        let bound = slo / params.compress.max(1.0);
-        checks.push(CheckOutcome::new(
-            "recovery_within_slo",
-            recovery_secs.is_some_and(|s| s <= bound),
-            match recovery_secs {
-                Some(s) => format!("recovery {s:.0}s vs SLO {bound:.0}s (authored {slo:.0}s/day)"),
-                None => format!("never recovered (SLO {bound:.0}s)"),
-            },
-        ));
-    }
-
+    let judged = Judged {
+        cfg: &cfg,
+        result: &result,
+        twin: baseline.as_ref(),
+        recovery_secs,
+        compress: params.compress,
+    };
+    let checks = row.checks.iter().map(|c| c.judge(&judged)).collect();
     ScenarioVerdict {
         scenario,
         result,
@@ -1048,13 +896,216 @@ pub fn run_scenario(scenario: Scenario, params: &ScenarioParams) -> ScenarioVerd
     }
 }
 
+/// Inverse golden ratio: the interior-point placement of the
+/// golden-section refinement.
+const INV_PHI: f64 = 0.618_033_988_749_894_8;
+
+/// One evaluated phase offset.
+#[derive(Debug, Clone, Copy)]
+pub struct PhasePoint {
+    /// The offset, in uncompressed seconds (the search coordinate).
+    pub offset_secs: f64,
+    /// Recovery time in the run's (compressed) coordinates.  When
+    /// `recovered` is false this is the remaining virtual day after the
+    /// window — the pessimistic score of a run that never got back.
+    pub recovery_secs: f64,
+    /// Whether utilisation actually regained 95% of the twin's.
+    pub recovered: bool,
+    /// Jobs placed and run at this phase.
+    pub succeeded: usize,
+    /// Jobs submitted (identical across phases — one shared trace).
+    pub submitted: usize,
+    /// Running jobs the outage killed at this phase.
+    pub jobs_killed: u64,
+}
+
+/// Everything one [`search_worst_phase`] hunt produced.
+#[derive(Debug, Clone)]
+pub struct PhaseSearchReport {
+    /// Every evaluated point, in evaluation order (grid first, then
+    /// refinement).
+    pub points: Vec<PhasePoint>,
+    /// The nominal-onset point (offset 0).
+    pub nominal: PhasePoint,
+    /// The worst point found (maximum recovery time; first wins ties).
+    pub worst: PhasePoint,
+    /// How many of the points came from golden-section refinement.
+    pub refined_evals: usize,
+}
+
+impl PhaseSearchReport {
+    /// Worst-vs-nominal recovery ratio (∞ when the nominal onset recovers
+    /// instantly but the worst phase does not).
+    pub fn worst_over_nominal(&self) -> f64 {
+        if self.nominal.recovery_secs > 0.0 {
+            self.worst.recovery_secs / self.nominal.recovery_secs
+        } else if self.worst.recovery_secs > 0.0 {
+            f64::INFINITY
+        } else {
+            1.0
+        }
+    }
+}
+
+/// Runs the composed scenario at one phase offset and scores it against
+/// the shared crowd twin.  A run that never recovers scores the remaining
+/// virtual day, so "never recovered" dominates any finite recovery.
+fn eval_phase(offset_secs: f64, params: &ScenarioParams, twin: &DaySweepResult) -> PhasePoint {
+    let cfg = outage_in_crowd_config(offset_secs, params);
+    let (_, end) = outage_window(&cfg).expect("the composed scenario declares an outage window");
+    let result = run_day_sweep(&cfg);
+    let recovery = recovery_to_twin(&result, twin, end);
+    let horizon = cfg.profile.horizon().as_secs_f64();
+    PhasePoint {
+        offset_secs,
+        recovery_secs: recovery.unwrap_or((horizon - end).max(0.0)),
+        recovered: recovery.is_some(),
+        succeeded: result.succeeded,
+        submitted: result.submitted,
+        jobs_killed: result.jobs_killed,
+    }
+}
+
+/// The adversarial phase search: the same outage can be benign at 06:00
+/// and brutal at 10:30.  Grid-sweeps the outage-in-crowd onset over
+/// `offsets` (uncompressed seconds; offset 0 is always evaluated) on
+/// [`par_map`], then golden-section-refines the bracket around the worst
+/// grid point for `refine_iters` serial sweeps.  Every point is scored by
+/// [`recovery_to_twin`] against the crowd-only twin [`run_scenario`] judges
+/// `outage_in_crowd` against: the outage never reshapes arrivals.
+///
+/// # Panics
+///
+/// Panics if an offset is NaN.
+pub fn search_worst_phase(
+    params: &ScenarioParams,
+    offsets: &[f64],
+    refine_iters: usize,
+) -> PhaseSearchReport {
+    let twin = Twin::KeepsCrowd.run(&outage_in_crowd_config(0.0, params));
+
+    let mut offsets = offsets.to_vec();
+    if !offsets.contains(&0.0) {
+        offsets.push(0.0);
+    }
+    offsets.sort_by(|a, b| a.partial_cmp(b).expect("finite offsets"));
+    offsets.dedup();
+
+    let mut points = par_map(&offsets, |&o| eval_phase(o, params, &twin));
+    let nominal = *points
+        .iter()
+        .find(|pt| pt.offset_secs == 0.0)
+        .expect("offset 0 is always evaluated");
+
+    // The first point of maximum recovery.
+    let worst_idx = |pts: &[PhasePoint]| {
+        (0..pts.len()).fold(0, |w, i| {
+            if pts[i].recovery_secs > pts[w].recovery_secs {
+                i
+            } else {
+                w
+            }
+        })
+    };
+
+    // Golden-section refinement over the bracket spanned by the worst
+    // grid point's neighbours.  Recovery vs phase is not unimodal in
+    // general, but near a burst the worst basin is — and the grid sweep
+    // already bounds how wrong a non-unimodal bracket can be (the grid
+    // worst is kept regardless).
+    let grid = offsets.len();
+    if refine_iters > 0 && grid >= 2 {
+        let wi = worst_idx(&points);
+        let a = offsets[wi.saturating_sub(1)];
+        let (mut lo, mut hi) = (a, offsets[(wi + 1).min(grid - 1)]);
+        if hi > lo {
+            // The interior points f1 < f2; each step keeps the worse-
+            // recovering side and probes one new point inside it.
+            let mut f1 = eval_phase(hi - INV_PHI * (hi - lo), params, &twin);
+            let mut f2 = eval_phase(lo + INV_PHI * (hi - lo), params, &twin);
+            points.extend([f1, f2]);
+            for _ in 0..refine_iters {
+                if f1.recovery_secs >= f2.recovery_secs {
+                    (hi, f2) = (f2.offset_secs, f1);
+                    f1 = eval_phase(hi - INV_PHI * (hi - lo), params, &twin);
+                    points.push(f1);
+                } else {
+                    (lo, f1) = (f1.offset_secs, f2);
+                    f2 = eval_phase(lo + INV_PHI * (hi - lo), params, &twin);
+                    points.push(f2);
+                }
+            }
+        }
+    }
+
+    PhaseSearchReport {
+        worst: points[worst_idx(&points)],
+        refined_evals: points.len() - grid,
+        points,
+        nominal,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::fnv1a;
+
+    /// The matrix definition, one row per scenario: name, twin, recovery
+    /// SLO, ordered check names, the FNV-1a of the CI-scale config's
+    /// `Debug` text and that of the checks' (their thresholds, sites and
+    /// notes).  All but the last hash were captured from the matrix before
+    /// it became a table; the last when it did, with every verdict (whose
+    /// details print those thresholds) byte-equal to the old matrix's.
+    const PINNED: [&str; 10] = [
+        "baseline_day | None | None | no_leaked_grants no_jobs_killed steady_state_alloc_free success_share \
+         | config 0xc1d20c3818bf7c28 | checks 0x39bbef44bf05a23b",
+        "dead_peer_day | None | None | timeouts_fired success_share steady_state_alloc_free \
+         | config 0xb6abd1f0fe82f0a0 | checks 0xc3db31ed96b42e2b",
+        "site_outage | Some(FaultFree) | Some(3600.0) | site_goes_dark_during_outage utilisation_recovers recovery_observed success_vs_baseline recovery_within_slo \
+         | config 0x8c6aa29f7b2005da | checks 0xbcf7b72ec0cefd36",
+        "flash_crowd | Some(FaultFree) | None | burst_arrivals_spliced throughput_not_reduced success_share steady_state_alloc_free \
+         | config 0xfcbf973a70321f36 | checks 0x9f8fb3d1c355415d",
+        "slow_links | Some(FaultFree) | None | success_vs_baseline no_leaked_grants \
+         | config 0x2fe5f72a7d7a83ae | checks 0x40920977c728d249",
+        "supernode_crash | Some(FaultFree) | Some(3600.0) | success_vs_baseline completed_jobs_while_degraded recovery_within_slo \
+         | config 0xba38e10d1bcc3b0d | checks 0xb26a1fe327bbc4ea",
+        "grant_leak_stress | None | None | grant_leak_path_exercised leaks_eagerly_reclaimed no_jobs_killed \
+         | config 0xadb43efd3d88cae4 | checks 0x94036d513896baaa",
+        "rack_outage | Some(FaultFree) | Some(3600.0) | site_dims_not_dark outage_kills_running_jobs success_vs_baseline recovery_within_slo \
+         | config 0x6923b031b1cf2a85 | checks 0xca1731b1b3475143",
+        "outage_in_crowd | Some(KeepsCrowd) | Some(7200.0) | same_arrival_trace outage_kills_running_jobs success_vs_baseline recovery_observed recovery_within_slo \
+         | config 0x3519274684123527 | checks 0x380efffbd8096617",
+        "outage_in_crowd_worst | Some(KeepsCrowd) | Some(10800.0) | same_arrival_trace outage_kills_running_jobs success_vs_baseline recovery_observed recovery_within_slo \
+         | config 0xc855c1e0ef44835a | checks 0xcd45d734cb271e35",
+    ];
 
     #[test]
     fn scenario_names_round_trip() {
-        for s in ALL_SCENARIOS {
+        let ci = ScenarioParams {
+            compress: 24.0,
+            ..ScenarioParams::default()
+        };
+        for (s, want) in ALL_SCENARIOS.into_iter().zip(PINNED) {
+            let row = s.row();
+            let slo = row.checks.iter().find_map(|c| match c {
+                Check::RecoveryWithinSlo(slo) => Some(*slo),
+                _ => None,
+            });
+            let names: Vec<&str> = row.checks.iter().map(|c| c.name()).collect();
+            let fnv = |text: String| fnv1a(text.into_bytes());
+            let got = format!(
+                "{} | {:?} | {slo:?} | {} | config {:#018x} | checks {:#018x}",
+                s.name(),
+                row.twin,
+                names.join(" "),
+                fnv(format!("{:?}", s.config(&ci))),
+                fnv(format!("{:?}", row.checks)),
+            );
+            assert_eq!(
+                got, want,
+                "scenario {s:?}: definition (left) vs pin (right)"
+            );
             assert_eq!(Scenario::from_name(s.name()), Ok(s));
         }
         let err = Scenario::from_name("meteor_strike").unwrap_err();
@@ -1119,5 +1170,33 @@ mod tests {
         assert!(json.contains(r#""leaked_grants": 0"#));
         assert!(json.contains(r#""baseline": null"#));
         assert!(json.contains(r#""checks""#));
+    }
+
+    #[test]
+    fn the_parallel_grid_sweep_reports_what_a_serial_one_would() {
+        let params = ScenarioParams {
+            compress: 24.0,
+            ..ScenarioParams::default()
+        };
+        // Unsorted, and without the nominal onset: the report lists the
+        // grid in ascending order with offset 0 added.
+        let report = search_worst_phase(&params, &[1800.0, -3600.0, 3600.0], 0);
+
+        let twin = Twin::KeepsCrowd.run(&outage_in_crowd_config(0.0, &params));
+        let serial: Vec<PhasePoint> = [-3600.0, 0.0, 1800.0, 3600.0]
+            .iter()
+            .map(|&o| eval_phase(o, &params, &twin))
+            .collect();
+        assert_eq!(format!("{:?}", report.points), format!("{serial:?}"));
+        assert_eq!(format!("{:?}", report.nominal), format!("{:?}", serial[1]));
+        let worst = serial.iter().fold(serial[0], |w, p| {
+            if p.recovery_secs > w.recovery_secs {
+                *p
+            } else {
+                w
+            }
+        });
+        assert_eq!(format!("{:?}", report.worst), format!("{worst:?}"));
+        assert_eq!(report.refined_evals, 0);
     }
 }

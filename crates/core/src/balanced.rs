@@ -30,10 +30,6 @@ impl Balanced {
 }
 
 impl AllocationStrategy for Balanced {
-    fn name(&self) -> &'static str {
-        "balanced"
-    }
-
     fn distribute_into(&self, capacities: &[u32], total: u32, out: &mut Vec<u32>) {
         check_preconditions(capacities, total);
         out.clear();

@@ -15,10 +15,6 @@ use crate::strategy::{check_preconditions, AllocationStrategy};
 pub struct Concentrate;
 
 impl AllocationStrategy for Concentrate {
-    fn name(&self) -> &'static str {
-        "concentrate"
-    }
-
     fn distribute_into(&self, capacities: &[u32], total: u32, out: &mut Vec<u32>) {
         check_preconditions(capacities, total);
         out.clear();

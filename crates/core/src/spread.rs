@@ -18,10 +18,6 @@ use crate::strategy::{check_preconditions, AllocationStrategy};
 pub struct Spread;
 
 impl AllocationStrategy for Spread {
-    fn name(&self) -> &'static str {
-        "spread"
-    }
-
     fn distribute_into(&self, capacities: &[u32], total: u32, out: &mut Vec<u32>) {
         check_preconditions(capacities, total);
         out.clear();

@@ -21,9 +21,6 @@ use std::str::FromStr;
 /// These invariants are checked by the property tests in this module and are
 /// what the rank-assignment step relies on.
 pub trait AllocationStrategy {
-    /// Short machine-readable name (used by `-a` on the command line).
-    fn name(&self) -> &'static str;
-
     /// Distributes `total` process instances over hosts with capacities
     /// `capacities` (ascending latency order), writing the per-host counts
     /// into `out` (cleared first).  This is the hot-path entry point: the
@@ -77,18 +74,6 @@ impl StrategyKind {
             StrategyKind::Concentrate => "concentrate",
             StrategyKind::Balanced { .. } => "balanced",
             StrategyKind::Searched => "searched",
-        }
-    }
-
-    /// Instantiates the strategy implementation.
-    pub fn build(&self) -> Box<dyn AllocationStrategy> {
-        match *self {
-            StrategyKind::Spread => Box::new(crate::spread::Spread),
-            StrategyKind::Concentrate => Box::new(crate::concentrate::Concentrate),
-            StrategyKind::Balanced { max_per_host } => {
-                Box::new(crate::balanced::Balanced::new(max_per_host))
-            }
-            StrategyKind::Searched => Box::new(crate::concentrate::Concentrate),
         }
     }
 
@@ -198,18 +183,6 @@ mod tests {
         assert!("balanced:0".parse::<StrategyKind>().is_err());
         assert!("balanced:x".parse::<StrategyKind>().is_err());
         assert!("random".parse::<StrategyKind>().is_err());
-    }
-
-    #[test]
-    fn build_returns_matching_impl() {
-        assert_eq!(StrategyKind::Spread.build().name(), "spread");
-        assert_eq!(StrategyKind::Concentrate.build().name(), "concentrate");
-        assert_eq!(
-            StrategyKind::Balanced { max_per_host: 2 }.build().name(),
-            "balanced"
-        );
-        // Searched's distribution function is the concentrate fallback.
-        assert_eq!(StrategyKind::Searched.build().name(), "concentrate");
     }
 
     /// The three strategy invariants hold for every built-in strategy on

@@ -31,7 +31,6 @@ pub struct Comm {
     rank: Rank,
     replica: u32,
     size: u32,
-    replication: u32,
     host: HostId,
     residents: usize,
     clock: SimTime,
@@ -54,7 +53,6 @@ pub(crate) struct CommConfig {
     pub rank: Rank,
     pub replica: u32,
     pub size: u32,
-    pub replication: u32,
     pub host: HostId,
     pub residents: usize,
     pub network: NetworkModel,
@@ -72,7 +70,6 @@ impl Comm {
             rank: config.rank,
             replica: config.replica,
             size: config.size,
-            replication: config.replication,
             host: config.host,
             residents: config.residents,
             clock: SimTime::ZERO,
@@ -110,11 +107,6 @@ impl Comm {
         self.replica
     }
 
-    /// The job's replication degree (`r`).
-    pub fn replication(&self) -> u32 {
-        self.replication
-    }
-
     /// True if this instance is currently the lowest-index live copy of its
     /// rank.
     pub fn is_primary(&self) -> bool {
@@ -124,11 +116,6 @@ impl Comm {
     /// The host this instance runs on.
     pub fn host(&self) -> HostId {
         self.host
-    }
-
-    /// Number of process instances sharing this host (including this one).
-    pub fn residents(&self) -> usize {
-        self.residents
     }
 
     /// The instance's logical clock.
@@ -144,11 +131,6 @@ impl Comm {
     /// This instance's communication statistics so far.
     pub fn stats(&self) -> &CommStats {
         &self.stats
-    }
-
-    /// Number of MPI operations executed so far (used by failure plans).
-    pub fn ops_executed(&self) -> u64 {
-        self.ops
     }
 
     // ------------------------------------------------------------------
@@ -293,29 +275,5 @@ impl Comm {
         self.stats.messages_received += 1;
         self.stats.bytes_received += env.wire_bytes;
         Ok(T::from_bytes(&env.payload))
-    }
-
-    /// Combined send to `dst` and receive from `src` (both under `tag`).
-    pub fn sendrecv<T: Datatype>(
-        &mut self,
-        dst: Rank,
-        src: Rank,
-        tag: Tag,
-        data: &[T],
-    ) -> MpiResult<Vec<T>> {
-        self.send(dst, tag, data)?;
-        self.recv(src, tag)
-    }
-
-    /// Number of currently-live replicas of `rank` (fault-tolerance aware
-    /// kernels can use this to observe masked failures).
-    pub fn alive_replicas_of(&self, rank: Rank) -> u32 {
-        self.registry.alive_replicas(rank)
-    }
-
-    /// The network model (used by collectives for cost-aware algorithm
-    /// selection; currently informational).
-    pub fn network(&self) -> &NetworkModel {
-        &self.network
     }
 }

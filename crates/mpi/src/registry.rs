@@ -105,13 +105,6 @@ impl Registry {
         self.primary_replica(rank) == Some(replica)
     }
 
-    /// Number of alive replicas of `rank`.
-    pub fn alive_replicas(&self, rank: Rank) -> u32 {
-        (0..self.replication)
-            .filter(|&rep| !self.is_failed(rank, rep))
-            .count() as u32
-    }
-
     /// True if every rank still has at least one alive replica — the
     /// condition under which P2P-MPI guarantees the application survives.
     pub fn application_alive(&self, processes: u32) -> bool {
@@ -155,12 +148,10 @@ mod tests {
         let reg = Registry::new(3, 2);
         assert!(reg.is_primary(1, 0));
         assert!(!reg.is_primary(1, 1));
-        assert_eq!(reg.alive_replicas(1), 2);
         reg.mark_failed(1, 0);
         assert!(reg.is_failed(1, 0));
         assert_eq!(reg.primary_replica(1), Some(1));
         assert!(reg.is_primary(1, 1));
-        assert_eq!(reg.alive_replicas(1), 1);
         assert!(reg.application_alive(3));
         reg.mark_failed(1, 1);
         assert_eq!(reg.primary_replica(1), None);

@@ -155,16 +155,6 @@ impl MpiRuntime {
         self
     }
 
-    /// The network model in use.
-    pub fn network(&self) -> &NetworkModel {
-        &self.network
-    }
-
-    /// The compute model in use.
-    pub fn compute_model(&self) -> &ComputeModel {
-        &self.compute
-    }
-
     /// Runs `kernel` as an MPI job over `placement` without failures.
     pub fn run<T, F>(&self, placement: &Placement, kernel: F) -> JobResult<T>
     where
@@ -221,7 +211,6 @@ impl MpiRuntime {
                     rank: spec.rank,
                     replica: spec.replica,
                     size: n,
-                    replication: r,
                     host: spec.host,
                     residents: residents[&spec.host],
                     network: self.network.clone(),

@@ -336,11 +336,6 @@ impl<E> EventStore<E> {
         }
     }
 
-    /// Number of cancelled payload slots whose tickets are still queued.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones
-    }
-
     /// True if `key` still refers to a pending (not fired, not cancelled)
     /// payload.
     #[inline]

@@ -149,11 +149,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// This duration expressed in fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// True if the duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

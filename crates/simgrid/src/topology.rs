@@ -248,9 +248,6 @@ pub struct TopologyBuilder {
     rtt_overrides: Vec<(SiteId, SiteId, SimDuration)>,
     bw_overrides: Vec<(SiteId, SiteId, f64)>,
     intra_site_rtt: SimDuration,
-    intra_host_rtt: SimDuration,
-    default_wan_bw_bps: f64,
-    nic_bw_bps: f64,
 }
 
 impl Default for TopologyBuilder {
@@ -295,9 +292,6 @@ impl TopologyBuilder {
             rtt_overrides: Vec::new(),
             bw_overrides: Vec::new(),
             intra_site_rtt: DEFAULT_INTRA_SITE_RTT,
-            intra_host_rtt: DEFAULT_INTRA_HOST_RTT,
-            default_wan_bw_bps: DEFAULT_WAN_BW_BPS,
-            nic_bw_bps: DEFAULT_NIC_BW_BPS,
         }
     }
 
@@ -364,12 +358,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// Sets the RTT used between processes of the same host.
-    pub fn set_intra_host_rtt(&mut self, rtt: SimDuration) -> &mut Self {
-        self.intra_host_rtt = rtt;
-        self
-    }
-
     /// Sets the symmetric bandwidth (bits per second) between two sites.
     pub fn set_bandwidth(&mut self, a: SiteId, b: SiteId, bps: f64) -> &mut Self {
         assert!(bps > 0.0, "bandwidth must be positive");
@@ -377,36 +365,23 @@ impl TopologyBuilder {
         self
     }
 
-    /// Sets the default WAN bandwidth applied to site pairs without an
-    /// explicit override.
-    pub fn set_default_wan_bandwidth(&mut self, bps: f64) -> &mut Self {
-        assert!(bps > 0.0, "bandwidth must be positive");
-        self.default_wan_bw_bps = bps;
-        self
-    }
-
-    /// Sets the per-host NIC bandwidth.
-    pub fn set_nic_bandwidth(&mut self, bps: f64) -> &mut Self {
-        assert!(bps > 0.0, "bandwidth must be positive");
-        self.nic_bw_bps = bps;
-        self
-    }
-
     /// Finalises the topology.
     ///
     /// Site pairs without an explicit RTT default to 20 ms (a conservative
     /// national-WAN figure) so that forgetting an entry cannot silently make
-    /// a remote site look local.
+    /// a remote site look local.  Site pairs without an explicit bandwidth
+    /// get [`DEFAULT_WAN_BW_BPS`]; every host gets [`DEFAULT_NIC_BW_BPS`]
+    /// and [`DEFAULT_INTRA_HOST_RTT`].
     pub fn build(self) -> Topology {
         let n = self.sites.len();
         let default_wan_rtt = SimDuration::from_millis(20);
         let mut rtt = vec![vec![default_wan_rtt; n]; n];
-        let mut bw = vec![vec![self.default_wan_bw_bps; n]; n];
+        let mut bw = vec![vec![DEFAULT_WAN_BW_BPS; n]; n];
         for (i, row) in rtt.iter_mut().enumerate() {
             row[i] = self.intra_site_rtt;
         }
         for (i, row) in bw.iter_mut().enumerate() {
-            row[i] = self.nic_bw_bps.max(self.default_wan_bw_bps);
+            row[i] = DEFAULT_NIC_BW_BPS.max(DEFAULT_WAN_BW_BPS);
         }
         for (a, b, d) in self.rtt_overrides {
             rtt[a.0][b.0] = d;
@@ -422,8 +397,8 @@ impl TopologyBuilder {
             hosts: self.hosts,
             rtt,
             bw_bps: bw,
-            intra_host_rtt: self.intra_host_rtt,
-            nic_bw_bps: self.nic_bw_bps,
+            intra_host_rtt: DEFAULT_INTRA_HOST_RTT,
+            nic_bw_bps: DEFAULT_NIC_BW_BPS,
         }
     }
 }
