@@ -21,7 +21,7 @@
 //! `OUTAGE_IN_CROWD_WORST_OFFSET_SECS` must not go stale.  Every flag value
 //! is checked before the first sweep starts; a bad one exits 2 naming it.
 
-use p2pmpi_bench::cliargs::Args;
+use p2pmpi_bench::cliargs::{non_negative, Args};
 use p2pmpi_bench::par::{hardware_threads, par_map};
 use p2pmpi_bench::scenario::{
     run_scenario, search_worst_phase, PhasePoint, Scenario, ScenarioParams, ALL_SCENARIOS,
@@ -97,15 +97,6 @@ fn run() -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// `value` when it is finite and >= 0, else an error naming `flag`.
-fn non_negative(flag: &str, value: f64) -> Result<f64, String> {
-    if value.is_finite() && value >= 0.0 {
-        Ok(value)
-    } else {
-        Err(format!("{flag} must be finite and >= 0, got {value}"))
-    }
 }
 
 /// The one `DaySweepConfig` the flags describe for `strategy`.

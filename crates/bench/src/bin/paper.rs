@@ -19,7 +19,7 @@
 //! IS's counts, is model-only); `--searched` adds the annealing search's
 //! placement and implies `--modeled`, so all curves compare point by point.
 
-use p2pmpi_bench::cliargs::Args;
+use p2pmpi_bench::cliargs::{non_negative, Args};
 use p2pmpi_bench::experiments::{
     fig2_fig3_sweep, modeled_kernel_times, run_kernel_once, searched_kernel_times, Fig4Kernel,
     Fig4Settings,
@@ -92,7 +92,7 @@ fn artefact(args: &Args) -> Result<(), String> {
         }
         sub @ ("fig2" | "fig3") => {
             args.only(1, "--seed --sigma", sub)?;
-            let sigma = args.get("--sigma")?.unwrap_or(0.06);
+            let sigma = non_negative("--sigma", args.get("--sigma")?.unwrap_or(0.06))?;
             let strategy = if sub == "fig2" { Concentrate } else { Spread };
             eprintln!("# {strategy} sweep, seed={seed}, probe noise sigma={sigma}");
             let rows = fig2_fig3_sweep(strategy, seed, sigma);
@@ -105,7 +105,8 @@ fn artefact(args: &Args) -> Result<(), String> {
             let rows = match mode {
                 "latency-ranking" => {
                     args.only(2, "--sigma --seed", mode)?;
-                    latency_ranking(args.get("--sigma")?, seed)
+                    let sigma = args.get("--sigma")?;
+                    latency_ranking(sigma.map(|s| non_negative("--sigma", s)).transpose()?, seed)
                 }
                 "overbooking" => {
                     args.only(2, "--churn --processes --seed", mode)?;
@@ -161,6 +162,23 @@ fn fig4(args: &Args) -> Result<(String, String), String> {
         Fig4Kernel::Ep => paper_ep_process_counts(),
         Fig4Kernel::Is | Fig4Kernel::Ft => paper_is_process_counts(),
     });
+    if counts.contains(&0) {
+        return Err(format!("--ranks elements must be >= 1, got {counts:?}"));
+    }
+    let search = if searched {
+        let default = SearchParams::default_for(kernel);
+        let params = SearchParams {
+            moves: args.get("--moves")?.unwrap_or(default.moves),
+            chains: args.get("--chains")?.unwrap_or(default.chains),
+            seed: args.get("--seed")?.unwrap_or(default.seed),
+        };
+        if params.chains == 0 {
+            return Err("--chains must be >= 1, got 0".to_string());
+        }
+        Some(params)
+    } else {
+        None
+    };
     let class = settings.class.to_string();
     let backend = if modeled { "modeled" } else { "executed" };
     eprintln!("# {label} class {class}, processes {counts:?}, backend {backend}");
@@ -179,13 +197,7 @@ fn fig4(args: &Args) -> Result<(String, String), String> {
         verified,
         "{label} verification failed on at least one point"
     );
-    if searched {
-        let default = SearchParams::default_for(kernel);
-        let params = SearchParams {
-            moves: args.get("--moves")?.unwrap_or(default.moves),
-            chains: args.get("--chains")?.unwrap_or(default.chains),
-            seed: args.get("--seed")?.unwrap_or(default.seed),
-        };
+    if let Some(params) = search {
         let points = searched_kernel_times(kernel, &counts, &settings, &params);
         series.push(("searched", points));
     }
@@ -232,7 +244,8 @@ fn overbooking(churn: f64, demand: u32, seed: u64) -> String {
         let (from, to) = (SimDuration::from_secs(1), SimDuration::from_secs(3600));
         let schedule = random_churn(&peers, churn, from, to, &mut rng);
         tb.overlay.schedule_churn(schedule.finish());
-        tb.overlay.advance(SimDuration::from_secs(2));
+        tb.overlay
+            .run_until(tb.overlay.now() + SimDuration::from_secs(2));
 
         let allocator = CoAllocator::with_params(CoAllocatorParams {
             overbooking: policy,

@@ -99,6 +99,15 @@ impl Args {
     }
 }
 
+/// `value` when it is finite and >= 0, else an error naming `flag`.
+pub fn non_negative(flag: &str, value: f64) -> Result<f64, String> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(value)
+    } else {
+        Err(format!("{flag} must be finite and >= 0, got {value}"))
+    }
+}
+
 /// True if the whitespace-separated `list` holds `flag`.
 fn listed(list: &str, flag: &str) -> bool {
     list.split_whitespace().any(|f| f == flag)

@@ -508,8 +508,8 @@ pub struct DaySweepConfig {
     pub duration_scale: f64,
     /// Period of the per-site utilisation samples.
     pub sample_period: SimDuration,
-    /// Optional flapping churn: dead peers make booked reservation requests
-    /// park a full `rs_timeout` on the timeline.
+    /// Optional flapping churn: a booked peer that is dead makes its
+    /// reservation request wait out a full `rs_timeout`.
     pub churn: Option<DeadPeerChurn>,
     /// Period of the submitter's supernode cache refresh (how quickly
     /// flapped peers re-enter the booking order after step 5 dropped them).
@@ -528,10 +528,10 @@ pub struct DaySweepConfig {
     /// participant is freed).  Off by default: the baseline day pays zero
     /// tracking overhead.
     pub fail_jobs_on_crash: bool,
-    /// Inert: the driver reaps no tombstones (with exchanges decided at
-    /// send, a cancel-heavy test week peaks at 11 dead tickets) and never
-    /// reads this.  Kept for the benchmark's traced driver, which still
-    /// reaps past it through `Overlay::reap_events`, outcome-invariantly.
+    /// Inert: the driver reaps no tombstones (brokering rounds leave none)
+    /// and never reads this.  Kept for the benchmark's traced driver, which
+    /// still reaps past it through `Overlay::reap_events`,
+    /// outcome-invariantly.
     pub reap_threshold: usize,
     /// Per-arrival annealing move budget of the online search (only read
     /// when `strategy` is [`StrategyKind::Searched`]).
@@ -563,9 +563,9 @@ impl DaySweepConfig {
     /// The churn-heavy dead-peer day: the paper-day trace with
     /// [`DeadPeerChurn::default`] flapping and a fast (2-minute) cache
     /// refresh, so the submitter keeps re-learning — and re-booking — peers
-    /// that are currently dead.  Every such booking parks an `rs_timeout`
-    /// on the timeline, and the submitter waits it out, while the alive
-    /// peers' exchanges are decided at send as on every other day.
+    /// that are currently dead.  Every such booking times out, and the
+    /// submitter waits the `rs_timeout` out, while the alive peers'
+    /// exchanges are decided at send as on every other day.
     pub fn dead_peer_day(strategy: StrategyKind) -> Self {
         DaySweepConfig {
             churn: Some(DeadPeerChurn::default()),
@@ -638,14 +638,14 @@ pub struct DaySweepResult {
     pub succeeded: usize,
     /// Jobs refused (infeasible or start failures under load/churn).
     pub failed: usize,
-    /// Reservation timeouts observed on the timeline (dead booked peers)
-    /// across the whole trace — each one parked a full `rs_timeout` event.
+    /// Reservation timeouts observed by the submitters (dead booked peers)
+    /// across the whole trace — each one waited out a full `rs_timeout`.
     pub timeouts: u64,
     /// Mean hold duration charged per successful job (seconds).
     pub mean_hold_secs: f64,
-    /// Messages delivered on the overlay timeline — messages delivered, not
-    /// heap pops: an event that delivers a whole round's decided replies
-    /// counts once per reply (`Overlay::events_processed`).
+    /// Messages delivered on the overlay timeline, queued or not: every
+    /// popped event plus every message of a brokering round, which the
+    /// round delivers without a queue event (`Overlay::events_processed`).
     pub events_processed: u64,
     /// The virtual clock when the trace ended.
     pub virtual_end: SimTime,
@@ -655,12 +655,10 @@ pub struct DaySweepResult {
     pub events_capacity_mid: usize,
     /// See [`DaySweepResult::events_capacity_mid`].
     pub events_capacity_end: usize,
-    /// Brokering scratch capacity at the same two instants: the
-    /// pending-reply bookkeeping must not re-allocate per request once
-    /// warm.  It holds only the RS rounds that fall back to the
-    /// per-request path (dead peers, slow links, an event due inside the
-    /// window); a round `Overlay::rs_round_into` resolves in place takes
-    /// no slot, so a day where none falls back reads 0 at both instants.
+    /// Capacity of the overlay's round buffer at the same two instants
+    /// (`Overlay::rs_scratch_capacity`): every RS and start round walks
+    /// its messages there, so it must reach its high-water mark, the
+    /// largest round's message count, and not re-allocate once warm.
     pub rs_scratch_capacity_mid: usize,
     /// See [`DaySweepResult::rs_scratch_capacity_mid`].
     pub rs_scratch_capacity_end: usize,

@@ -115,8 +115,8 @@ fn reduced_churn_day() -> DaySweepConfig {
 #[test]
 fn dead_peer_day_parks_timeouts_on_the_timeline_identically_on_every_queue() {
     // The churn-heavy scenario: flapping peers keep getting booked while
-    // dead, so reservation timeouts genuinely fire (not just armed and
-    // cancelled) while the alive peers' exchanges are decided at send.  The
+    // dead, so reservation timeouts genuinely occur while the alive peers'
+    // exchanges are decided at send.  The
     // timeout count must be substantial and the sweep must still place a
     // meaningful share of the day.
     let day = run_day_sweep(&reduced_churn_day());
@@ -186,8 +186,8 @@ fn replay(cfg: &DaySweepConfig, knob: impl FnOnce(&mut Overlay)) -> Vec<String> 
             let done = tb.overlay.now() + SimDuration::from_secs(60);
             tb.overlay.schedule_completion(done, report.key, peers);
         }
-        // The queued-ticket count shows an armed-then-cancelled timeout
-        // (a tombstone until its firing time) even where outcomes agree.
+        // The queued-ticket count shows a cancelled event (a tombstone
+        // until its firing time) even where outcomes agree.
         log.push(format!(
             "{} ok={} dead={} elapsed={} queued={}",
             tb.overlay.now(),

@@ -10,28 +10,25 @@
 //!    anticipate unavailable hosts.
 //! 3. **RS–RS brokering** — the local RS sends reservation requests carrying
 //!    a unique hash key to every booked host at once.  The whole round is
-//!    one call, `Overlay::rs_round_into`: when every booked peer is alive,
-//!    every reply is bound to beat `rs_timeout` and no timeline event is
-//!    due before the round's last reply, the overlay resolves the round in
-//!    place; otherwise each request goes on the timeline by itself, and a
-//!    request whose reply is not decided at send arms a timeout event that
-//!    the simulated reply, if there is one, races.
+//!    one call, `Overlay::rs_round_into`: each request resolves as a reply
+//!    at its own round trip, or as a timeout at `rs_timeout` when the peer
+//!    is dead or its reply cannot beat the timeout, and the round walks
+//!    these messages merged with the timeline's events in `(time,
+//!    schedule-order)` order.
 //! 4. Remote RSs accept (OK + their `P`) or refuse (NOK).
 //! 5. **RS–MPD response** — the round ends when its last message is in
-//!    (the clock moves to the latest reply instant) and the answers are
-//!    gathered into `rlist`; peers whose armed timeout fired (they never
-//!    answered) are marked dead and dropped from the cache.  The virtual
-//!    clock genuinely waits those timeouts out — dead-peer stalls are
-//!    observable on the timeline.
+//!    and the answers are gathered into `rlist`; peers that timed out
+//!    (they never answered) are marked dead and dropped from the cache.
+//!    The virtual clock genuinely waits those timeouts out — dead-peer
+//!    stalls are observable on the timeline.
 //! 6. **Allocation** — `slist` is the first `min(|rlist|, n × r)` hosts;
 //!    surplus reservations are cancelled; feasibility is checked; the chosen
 //!    strategy distributes processes; ranks are assigned.
 //! 7. Remote MPDs verify the key — when the start request *arrives*, against
 //!    the remote's state at that instant.  The whole round is one call,
-//!    `Overlay::start_round_into`: when no timeline event is due before the
-//!    round's last reply and every remote is alive and in time, state at
-//!    send is state at arrival and the overlay decides every start on the
-//!    spot; otherwise each request gets its own arrival event.
+//!    `Overlay::start_round_into`, which walks the arrivals, replies and
+//!    deadlines merged with the timeline's events, so a crash or recovery
+//!    due before an arrival is seen by it.
 //! 8. Remote MPDs launch the processes; each reply that beats the deadline
 //!    reaches the submitter with its own elapsed time, the others are
 //!    observed as timeouts, and the clock ends at the round's last message
@@ -317,11 +314,9 @@ impl CoAllocator {
         stats.booked = booked.len();
 
         // Steps 3–5 — RS brokering.  The requests go out concurrently and
-        // `rs_round_into` resolves the round in place when nothing is due
-        // inside its window and every reply is bound to beat the timeout,
-        // on the timeline otherwise (dead peers' timeouts fire there), and
-        // hands the outcomes back in send order.  The virtual clock
-        // genuinely waits out dead peers' timeouts while the phase's
+        // `rs_round_into` walks their replies and timeouts merged with the
+        // timeline, handing the outcomes back in send order.  The virtual
+        // clock genuinely waits out dead peers' timeouts while the phase's
         // reported duration stays the slowest exchange.
         rlist.clear();
         overlay.rs_round_into(submitter, key, booked, total, outcomes);
@@ -400,9 +395,8 @@ impl CoAllocator {
         // Steps 7–8 — the start round: the whole batch goes out at once
         // and each request's start decision belongs to its arrival instant
         // (so crashes and recoveries mid-start interleave honestly with
-        // the timeline).  `start_round_into` resolves the round without
-        // the event queue when nothing is due inside its window, on the
-        // timeline otherwise, and returns outcomes in send order.
+        // the timeline).  `start_round_into` walks the round merged with
+        // the timeline and returns outcomes in send order.
         let mut start_elapsed = SimDuration::ZERO;
         start_requests.clear();
         start_requests.extend(

@@ -267,13 +267,15 @@ mod tests {
         assert_eq!(events.len(), rennes_peers.len() * 2);
         let alive_before = tb.overlay.alive_count();
         tb.overlay.schedule_churn(events);
-        tb.overlay.advance(SimDuration::from_secs(120));
+        tb.overlay
+            .run_until(tb.overlay.now() + SimDuration::from_secs(120));
         // Every Rennes peer is down, together.
         assert_eq!(tb.overlay.alive_count(), alive_before - rennes_peers.len());
         for &p in &rennes_peers {
             assert!(!tb.overlay.node(p).is_alive());
         }
-        tb.overlay.advance(SimDuration::from_secs(50));
+        tb.overlay
+            .run_until(tb.overlay.now() + SimDuration::from_secs(50));
         assert_eq!(tb.overlay.alive_count(), alive_before);
     }
 

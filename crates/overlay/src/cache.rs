@@ -15,10 +15,8 @@
 //! [`CachedList::record_probe`] and [`CachedList::remove`], and
 //! [`CachedList::ranking_iter`] walks it without sorting or allocating.
 //! Peers without a measurement sort last (they are the least attractive
-//! candidates); ties break by peer id for determinism.
-//! [`CachedList::sorted_by_latency_naive`] keeps the original
-//! sort-every-read implementation as the reference the property tests
-//! compare against.
+//! candidates); ties break by peer id for determinism.  The tests compare
+//! the index against sorting every entry on each read.
 
 use crate::peer::{PeerDescriptor, PeerId};
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
@@ -230,20 +228,6 @@ impl CachedList {
         self.entries_by_latency().collect()
     }
 
-    /// Reference implementation of the booking order: collect every entry and
-    /// sort.  `O(m log m)` per call — kept only so the property tests can
-    /// check the incremental index against first principles.
-    pub fn sorted_by_latency_naive(&self) -> Vec<&CacheEntry> {
-        let mut v: Vec<&CacheEntry> = self.entries.values().collect();
-        v.sort_by(|a, b| match (a.latency, b.latency) {
-            (Some(x), Some(y)) => x.cmp(&y).then(a.descriptor.id.cmp(&b.descriptor.id)),
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (None, None) => a.descriptor.id.cmp(&b.descriptor.id),
-        });
-        v
-    }
-
     /// Convenience: peer ids in ascending-latency order.
     pub fn ranking(&self) -> Vec<PeerId> {
         self.ranking_iter().collect()
@@ -353,11 +337,10 @@ mod tests {
             SimDuration::from_millis(40),
             SimTime::from_secs(1),
         );
-        let naive: Vec<PeerId> = c
-            .sorted_by_latency_naive()
-            .into_iter()
-            .map(|e| e.descriptor.id)
-            .collect();
+        // The booking order from first principles: every entry, sorted.
+        let mut naive: Vec<&CacheEntry> = c.peers().collect();
+        naive.sort_by_key(|e| (e.latency.is_none(), e.latency, e.descriptor.id));
+        let naive: Vec<PeerId> = naive.into_iter().map(|e| e.descriptor.id).collect();
         assert_eq!(c.ranking(), naive);
         let via_entries: Vec<PeerId> = c.entries_by_latency().map(|e| e.descriptor.id).collect();
         assert_eq!(via_entries, naive);

@@ -18,74 +18,78 @@
 //! applied inline: churn events, periodic heartbeat rounds
 //! ([`Overlay::start_heartbeats`]), periodic cache refreshes
 //! ([`Overlay::start_cache_refresh`]), periodic reservation-expiry sweeps
-//! ([`Overlay::start_reservation_expiry`]), job completions
-//! ([`Overlay::schedule_completion`]) and — since the brokering step became
-//! event-driven — every RS reservation request's reply and timeout all
-//! interleave on one timeline, delivered in `(time, schedule-order)` order
-//! by [`Overlay::run_until`].  The `stop_*` counterparts cancel the pending
-//! event by its [`EventKey`], so re-arms and revocations never leave ghost
-//! events behind.  [`Overlay::advance`] survives as a thin shim over
-//! `run_until` for callers that only want to move the clock.
+//! ([`Overlay::start_reservation_expiry`]) and job completions
+//! ([`Overlay::schedule_completion`]) interleave on one timeline, delivered
+//! in `(time, schedule-order)` order by [`Overlay::run_until`].  The
+//! `stop_*` counterparts cancel the pending event by its [`EventKey`], so
+//! re-arms and revocations never leave ghost events behind.
 //!
-//! # The timeout-event contract
+//! # The round walk
 //!
-//! An RS round ([`Overlay::rs_round_into`]) sends one reservation request
-//! per booked host, all at the same instant, and is resolved in place when
-//! its window is clear (see the decided-exchange contract below).  Any
-//! other round goes on the timeline request by request
-//! (`Overlay::rs_send`), and a request that is not decided at send is up
-//! to *two* scheduled events: an armed timeout at `now + rs_timeout`, and —
-//! when the remote peer is alive — the reply's delivery at `now + rtt`.
-//! Whichever fires first resolves the request and cancels its counterpart;
-//! [`RsOutcome::Timeout`] is therefore an observed timeline event, not an
-//! analytically charged constant.  The race needs no guard: event keys are
-//! generation-stamped, so the loser's cancel of an already-fired (or
-//! already-cancelled) counterpart is a harmless stale-key no-op, and the
-//! FIFO tie-break resolves the degenerate `rtt == rs_timeout` instant in
-//! favour of the timeout armed first — the submitter gives up at its
-//! deadline.  The remote RS's *decision* is computed at send time (the
-//! grant/refusal mutates remote state immediately); only its delivery and
-//! the timeout race are simulated.  A reservation granted by a peer whose
-//! reply loses the race is *released eagerly*: the timeout handler counts it
-//! in [`Overlay::leaked_grants`] and schedules an immediate grant-release
-//! message back to the granter, so the slot is reclaimed one one-way
-//! transfer later instead of lingering until the periodic expiry sweep
-//! ([`Overlay::start_reservation_expiry`]).  The sweep stays as the backstop
-//! for submitters that crash mid-procedure — the failure mode it exists for
-//! in the paper.  [`Overlay::leaked_grant_hwm`] tracks how many released
+//! A brokering round sends one request per host, all at the same instant
+//! `sent`: RS reservation requests ([`Overlay::rs_round_into`], steps 3–5)
+//! or MPD start requests ([`Overlay::start_round_into`], steps 7–8).  Each
+//! request resolves through *messages*, each delivered at its own instant:
+//!
+//! * The remote RS decides a reservation at send (its grant or refusal
+//!   mutates remote state at once).  An alive remote whose round trip is
+//!   shorter than `rs_timeout` sends a *reply* that lands at `sent + rtt`.
+//!   A dead remote, or a reply that cannot beat the timeout, leaves a
+//!   *timeout* at `sent + rs_timeout`: the submitter gives up at its
+//!   deadline, even when the reply would land at that very instant.
+//! * A start request *arrives* at the remote MPD one one-way transfer after
+//!   send, and the start decision belongs to that instant: the remote's
+//!   state then.  A reply that lands strictly before the deadline `sent +
+//!   rs_timeout` is an *in-time reply* at its own instant; a dead remote,
+//!   or a reply that cannot beat the deadline, leaves a *deadline* instead.
+//!
+//! **The stamping rule.**  Each message carries the FIFO stamp it would get
+//! as a queue event of its own, scheduled when the submitter or the remote
+//! learns it is coming: RS timeouts and start arrivals at send, in send
+//! order; the RS replies right after the send loop; a start deadline at
+//! the arrival that finds its reply dead or late; and the in-time start
+//! replies at the round's last arrival, the first instant the submitter
+//! can hold all of them.  Stamps come from the queue's own sequence
+//! ([`TypedEngine::stamp`]), so a message and an event compare by `(time,
+//! stamp)` exactly as two events do.  A round's replies touch nothing but
+//! the submitter's own outcomes, so they ride one message at the latest of
+//! them; and no event can sit between two consecutive stamps, so messages
+//! of one kind at one instant with consecutive stamps go as one run.
+//!
+//! **The walk.**  The round delivers its messages in `(time, stamp)` order,
+//! and before each it dispatches every timeline event that precedes it
+//! ([`TypedEngine::pop_before`]).  That is the order a heap would pop the
+//! same messages in, had each been pushed when it was stamped.  So every
+//! event fires at its own instant and sees what it would see then, and
+//! every message acts at its own instant: a start sees a crash or recovery
+//! due before its arrival, a completion due inside an RS round frees its
+//! host after that host already answered.  The round is over when its last
+//! message is in, the clock ends there, and each message counts as one
+//! delivery in [`Overlay::events_processed`].  A round whose window is
+//! clear is the same walk finding nothing ahead of any message.
+//!
+//! Only messages that outlive the round are real events.  One is the eager
+//! release of a grant the submitter gave up on: a reservation granted by a
+//! remote whose reply lost to its timeout, or ranks started past their
+//! deadline.  It is counted in [`Overlay::leaked_grants`] and reclaims the
+//! slot one one-way transfer later, instead of at the periodic expiry sweep
+//! ([`Overlay::start_reservation_expiry`]), which stays the backstop for
+//! submitters that crash mid-procedure and never touches `Running`
+//! reservations.  [`Overlay::leaked_grant_hwm`] tracks how many released
 //! grants were simultaneously outstanding; on a standard no-fault day both
-//! counters stay 0.
+//! counters stay 0.  The other is a start request on links so slow that it
+//! cannot arrive before its deadline: its deadline is stamped at send and
+//! its late arrival only settles the remote side.
 //!
-//! # The start-request timeline (steps 6–8)
-//!
-//! A start round ([`Overlay::start_round_into`]) sends one request per
-//! selected host, all at the same instant.  A request *arrives* at the
-//! remote MPD one one-way transfer after send, and the start decision
-//! belongs to that instant — the remote's state *at arrival* — so a peer
-//! that crashes (or recovers) while the request is in flight interleaves
-//! honestly with it.  An alive remote's reply races the submitter's
-//! deadline at `sent + rs_timeout`.
-//!
-//! When the round's window is clear (see the decided-exchange contract
-//! below) nothing can fire between send and the last reply, so every start
-//! is decided on the spot and the clock moves to the last reply instant;
-//! the event queue is not touched.  Otherwise each request goes on the
-//! timeline by itself (`Overlay::start_send`): its arrival event makes
-//! the decision, and a remote that is dead at arrival leaves only the
-//! deadline timeout to fire.  A reply that beats its deadline is recorded
-//! on the request with the instant it reaches the submitter, and the
-//! round's last arrival schedules *one* event at the latest such instant,
-//! which hands every recorded reply to the submitter with its own elapsed
-//! time.  When the remote actually started the ranks but the reply would
-//! arrive past the deadline (degraded links), the submitter has already
-//! given up: the started reservation is counted as a leaked grant and an
-//! eager release reclaims it, since the expiry sweep never touches
-//! `Running` reservations.  On links so extreme that the request itself
-//! cannot arrive before the deadline, the timeout is armed at send and the
-//! late arrival only settles the remote side (it carries its own copy of
-//! the request; the submitter's bookkeeping is long recycled by then).
-//! `Overlay::start_collect_into` drains a round sent request by request,
-//! in send order.
+//! This module's tests check the walk against a reference that pushes each
+//! message onto the real queue when it is stamped, so the heap orders them:
+//! outcomes, clock, delivered count, RS counters and trace must agree over
+//! random rounds and disturbances
+//! (`decided_rounds_match_the_per_request_reference`).
+//! `crates/bench/tests/day_sweep.rs` and `tests/modeled_costing.rs` pin the
+//! sweeps' outcomes.  The round's message buffer and every RS's reservation
+//! table are reused, so a steady-state brokering loop allocates nothing once
+//! the high-water marks are reached.
 //!
 //! # Fault injection
 //!
@@ -104,84 +108,12 @@
 //! participant's gatekeeper slot is freed, with [`Overlay::jobs_killed`]
 //! counting the casualties.
 //!
-//! # The decided-exchange contract
-//!
-//! **What is decided at send.**  When the remote peer is alive and its
-//! reply would reach the submitter *strictly before* the timeout window
-//! (`rtt < rs_timeout` — the warm common case), nothing about the exchange
-//! is left open once the request is sent: the remote RS has answered (its
-//! grant or refusal mutated remote state immediately, as on the armed
-//! path), the arrival instant `now + rtt` is known, and the timeout can
-//! never win the race — armed, it would only be cancelled by the reply, its
-//! tombstone carried by the queue until firing time.  Such a request is
-//! *decided*: it arms no timeout and gets no delivery event of its own, and
-//! its outcome is `RsOutcome::Reply { reply, elapsed: rtt }`, its reply
-//! traced stamped with its *own* arrival.
-//!
-//! **What a clear window is.**  A round's window runs from its send
-//! instant to the instant its last reply is in.  It is *clear* when the
-//! timeline's next event is due strictly later than that instant (or the
-//! queue is empty) — and when the round itself would put nothing else on
-//! the timeline: for an RS round, every remote is alive and every request
-//! decided at send; for a start round, every remote is alive and every
-//! request and reply lands strictly before the deadline.  State only
-//! changes when an event fires or a caller acts, and the caller is inside
-//! the round's call until it returns: with no event due, a remote's state
-//! at send *is* its state at arrival, and nobody could have observed the
-//! difference.  A clear round is resolved in place —
-//! [`Overlay::rs_round_into`] has each remote RS decide in send order and
-//! writes each outcome straight into the caller's buffer, with no
-//! pending-request slot; [`Overlay::start_round_into`] decides every start
-//! against the remote's current state and traces it at its own arrival
-//! instant — every reply is given its own elapsed time, the clock moves to
-//! the last reply instant and the messages are added to the delivered
-//! count, [`Overlay::events_processed`], which counts *messages delivered*,
-//! not heap pops.  Zero queue operations.  An event due *exactly* at the
-//! last reply instant was scheduled first and would fire inside the round,
-//! so it keeps the round on the timeline.  Both halves ask one predicate
-//! (`window_clear_until`).
-//!
-//! **What one event per round delivers otherwise.**  In a round that is not
-//! clear, the decided replies of an RS round ride a single event at their
-//! latest arrival instant (or are resolved on the spot when nothing is due
-//! before that instant — the round's own armed timeouts come later — or the
-//! caller already ran the clock past it); a start round's arrivals decide
-//! one by one and the replies that beat their deadline share one delivery
-//! event at the latest of theirs.  Delivering a reply touches nothing but
-//! the submitter's own
-//! pending-request slot, which nobody reads before the round is collected;
-//! so every *other* event — completions, churn, heartbeats, link
-//! degradations, the armed requests of the same round — fires at its own
-//! instant in the same `(time, schedule-order)` order as if each reply had
-//! its own event, and sees the same state.  The round is over when its
-//! last message is in, and the round event sits exactly there, so the
-//! clock ends where it ended.
-//!
-//! **What still gets its own events.**  Dead peers (only the timeout is on
-//! the timeline, and it fires), slow replies (`rtt >= rs_timeout`: timeout
-//! armed first, then the reply; the timeout machinery is *kept* where it
-//! is load-bearing) and every start request of a round whose window is not
-//! clear.  Those per-request paths are the reference: this module's tests
-//! can make every RS request arm its timeout too, and the proptest below
-//! plays random rounds through the two round calls and through the armed
-//! per-request path and compares outcomes, clock, delivered count, RS
-//! counters and trace; `crates/bench/tests/day_sweep.rs` pins the sweeps'
-//! outcomes on days that mix decided and armed requests (dead peers,
-//! degraded links), and `tests/modeled_costing.rs` pins the absolute
-//! numbers.
-//!
-//! Every RS keeps its (at most `J`) reservations in a small vector of plain
-//! data, and the pending-request bookkeeping of the rounds that fall back
-//! lives in a reusable scratch vector on the overlay: a steady-state
-//! brokering loop allocates nothing once the high-water marks are reached,
-//! and a round resolved in place touches the scratch not at all.
-//!
 //! The co-allocation procedure itself lives in the `p2pmpi-core` crate and
 //! drives this type.
 
 use crate::cache::CacheEntry;
 use crate::churn::{ChurnEvent, ChurnKind, ChurnSchedule};
-use crate::messages::{ReservationKey, ReservationReply, ReservationRequest, StartReply};
+use crate::messages::{ReservationKey, ReservationReply, StartReply};
 use crate::mpd::MpdNode;
 use crate::peer::{PeerId, PeerState};
 use crate::ping::LatencyProber;
@@ -196,6 +128,11 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+// The brokering rounds: a child module, so the walk can dispatch timeline
+// events and reach every peer's state.
+#[path = "round.rs"]
+mod round;
 
 /// Tunable parameters of the overlay protocol simulation.
 #[derive(Debug, Clone, Copy)]
@@ -276,39 +213,19 @@ enum OverlayEvent {
         key: ReservationKey,
         peers: Vec<PeerId>,
     },
-    /// An in-flight RS reply reaches the submitter; cancels the armed
-    /// timeout of the same request (index into the pending-request scratch).
-    /// Only requests that were *not* decided at send get one.
-    RsReply(u32),
-    /// The latest decided reply of the current brokering round reaches the
-    /// submitter: every decided request of the round is resolved with its
-    /// precomputed outcome (see the decided-exchange contract).
-    RsRoundReplies,
-    /// An armed reservation timeout fires: the peer never answered within
-    /// `rs_timeout`; cancels the pending reply delivery, if any.
-    RsTimeout(u32),
     /// An eager grant-release message reaches a granter whose reply lost
     /// the race: the leaked reservation is cancelled on arrival.
     GrantRelease { to: PeerId, key: ReservationKey },
-    /// An MPD start request reaches the remote MPD (index into the
-    /// pending-start scratch); the start decision is made here, at arrival
-    /// time, so mid-flight crashes interleave honestly.
-    StartArrive(u32),
     /// A start request the submitter gave up on before it could even
-    /// arrive (extreme links: the deadline was armed at send) reaches the
-    /// remote MPD.  It carries the request itself — the pending-start slot
-    /// is recycled by then — and only settles the remote side.
+    /// arrive (extreme links: its deadline was stamped at send) reaches the
+    /// remote MPD, after its round is over, and only settles the remote
+    /// side.
     StartArriveAbandoned {
         from: PeerId,
         to: PeerId,
         key: ReservationKey,
         ranks: u32,
     },
-    /// The latest in-time start reply of the current start round reaches
-    /// the submitter: every recorded reply of the round is delivered.
-    StartRoundReplies,
-    /// The submitter gives up on a start request at its deadline.
-    StartTimeout(u32),
     /// The supernode crashes: its volatile registry is lost and refreshes
     /// go unanswered until recovery.
     SupernodeDown,
@@ -317,73 +234,10 @@ enum OverlayEvent {
     SupernodeUp,
     /// A site's latency multiplier changes (1.0 restores nominal links).
     LinkDegrade { site: SiteId, factor: f64 },
-}
-
-/// One in-flight RS→RS reservation request: either decided at send (no
-/// event of its own; the round's one delivery event resolves it) or the two
-/// scheduled events racing to resolve it, and the outcome once resolved.
-/// Slots live in a reusable scratch vector on [`Overlay`] and are recycled
-/// wholesale by [`Overlay::rs_collect_into`].
-#[derive(Debug)]
-struct RsPending {
-    from: PeerId,
-    to: PeerId,
-    /// Reservation key of the round, kept so a timed-out grant can be
-    /// released eagerly on the granter.
-    key: ReservationKey,
-    /// The remote RS's decision, computed at send time (`None` when the
-    /// peer was dead and no reply will ever be delivered).
-    reply: Option<ReservationReply>,
-    /// Round-trip time of the exchange (meaningful when `reply` is some).
-    rtt: SimDuration,
-    /// The instant the reply reaches the submitter, for a request decided
-    /// at send (`None` for every request that races on the timeline).
-    decided_arrival: Option<SimTime>,
-    /// The armed timeout event (`None` for a decided request: its reply
-    /// arrives strictly before the timeout window).
-    timeout_key: Option<EventKey>,
-    /// The scheduled reply delivery of an alive peer's undecided request.
-    reply_key: Option<EventKey>,
-    /// Filled by the round's delivery event or by whichever of the two
-    /// racing events fires first.
-    outcome: Option<RsOutcome>,
-}
-
-/// One in-flight MPD start request (steps 6–8).  Unlike [`RsPending`], the
-/// remote decision is *not* precomputed: it happens when the request's
-/// arrival event fires, against the remote's state at that instant.  Slots
-/// live in a reusable scratch vector drained in send order by
-/// [`Overlay::start_collect_into`].
-#[derive(Debug)]
-struct StartPending {
-    from: PeerId,
-    to: PeerId,
-    key: ReservationKey,
-    /// Number of ranks the request asks the remote to start.
-    ranks: u32,
-    sent_at: SimTime,
-    /// The submitter gives up at `sent_at + rs_timeout`.
-    deadline: SimTime,
-    /// The remote MPD's reply and the instant it reaches the submitter,
-    /// recorded when the arrival event fired — only for a reply that beats
-    /// the deadline (`None` until then, and forever otherwise).
-    reply: Option<(StartReply, SimTime)>,
-    /// Filled by the round's delivery event or by the deadline.  Unlike
-    /// the RS race there is nothing to cancel: each request is resolved by
-    /// exactly one of the two.
-    outcome: Option<(StartReply, SimDuration)>,
-}
-
-/// What the control messages of a brokering round cost between a submitter
-/// and a remote peer under the current cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ControlTimes {
-    /// RS reservation request out plus its reply back (steps 3–5).
-    rs_round_trip: SimDuration,
-    /// The start request's one-way trip to the remote MPD (step 7).
-    start_outbound: SimDuration,
-    /// The 64-byte start reply's one-way trip back (step 8).
-    start_reply: SimDuration,
+    /// A round message pushed onto the queue by the walk's reference (tests
+    /// only; see `round.rs`).
+    #[cfg(test)]
+    Round(round::Message),
 }
 
 /// The simulated P2P-MPI overlay.
@@ -411,33 +265,13 @@ pub struct Overlay {
     /// nothing (cleared, never shrunk, between rounds).
     scratch_measurements: Vec<(PeerId, SimDuration)>,
     scratch_failures: Vec<PeerId>,
-    /// In-flight (and resolved-but-undrained) RS reservation requests:
-    /// cleared, never shrunk, by [`Overlay::rs_collect_into`], so a
-    /// steady-state brokering loop performs no per-request allocation.
-    rs_pending: Vec<RsPending>,
-    /// How many `rs_pending` slots still await their resolution.
-    rs_inflight: usize,
-    /// Make every RS request arm its timeout and get its own reply event,
-    /// even one whose reply is bound to win: the per-request reference the
-    /// decided-exchange tests compare against.  Only tests set it
-    /// (`set_armed_reference`); production code always decides at send.
-    armed_reference: bool,
     /// The control-message times of a round between two *distinct* hosts,
     /// by `(submitter site, remote site)`: the transfer model sees hosts
     /// only through their sites there.  Filled on first use, forgotten
     /// whenever a site latency factor changes.
-    site_control_times: Vec<Option<ControlTimes>>,
-    /// In-flight (and resolved-but-undrained) MPD start requests; same
-    /// scratch discipline as `rs_pending`.
-    start_pending: Vec<StartPending>,
-    /// How many `start_pending` slots still await their resolution.
-    start_inflight: usize,
-    /// How many start requests of the round are still on their way to the
-    /// remote MPD (abandoned ones excluded): the arrival that brings this
-    /// to zero schedules the round's delivery event.
-    start_arrivals_pending: usize,
-    /// The pending delivery event of the start round, if one is scheduled.
-    start_round_event: Option<EventKey>,
+    site_control_times: Vec<Option<round::ControlTimes>>,
+    /// The message buffer every round walks, reused round after round.
+    round: round::Round,
     /// Whether the supernode is up (fault injection; degraded-mode
     /// brokering while down).
     supernode_up: bool,
@@ -460,18 +294,6 @@ pub struct Overlay {
     running_jobs: HashMap<ReservationKey, (EventKey, Vec<PeerId>)>,
 }
 
-/// Returns `(&from, &mut to)` for two *distinct* peers of the node table.
-fn nodes_from_to(nodes: &mut [MpdNode], from: usize, to: usize) -> (&MpdNode, &mut MpdNode) {
-    debug_assert_ne!(from, to, "caller must special-case self requests");
-    if from < to {
-        let (left, right) = nodes.split_at_mut(to);
-        (&left[from], &mut right[0])
-    } else {
-        let (left, right) = nodes.split_at_mut(from);
-        (&right[0], &mut left[to])
-    }
-}
-
 impl Overlay {
     /// Assembles an overlay; normally called through
     /// [`crate::boot::OverlayBuilder`].
@@ -491,6 +313,7 @@ impl Overlay {
             host_to_peer[n.descriptor.host.0] = Some(n.descriptor.id);
         }
         let sites = topology.site_count();
+        let round = round::Round::for_peers(nodes.len());
         Overlay {
             topology,
             network,
@@ -508,14 +331,8 @@ impl Overlay {
             resv_expiry: None,
             scratch_measurements: Vec::new(),
             scratch_failures: Vec::new(),
-            rs_pending: Vec::new(),
-            rs_inflight: 0,
-            armed_reference: false,
             site_control_times: vec![None; sites * sites],
-            start_pending: Vec::new(),
-            start_inflight: 0,
-            start_arrivals_pending: 0,
-            start_round_event: None,
+            round,
             supernode_up: true,
             leaked_grants: 0,
             leaked_outstanding: 0,
@@ -560,10 +377,9 @@ impl Overlay {
         self.sim.now()
     }
 
-    /// Number of timeline messages delivered so far.  This counts
-    /// *messages delivered, not heap pops*: the one event that resolves a
-    /// round's decided exchanges counts once per reply it delivers, so the
-    /// figure is the same whether or not exchanges are decided at send.
+    /// Number of timeline messages delivered so far: every popped event
+    /// plus every round message (see the module docs), which are delivered
+    /// without a queue event of their own.
     pub fn events_processed(&self) -> u64 {
         self.sim.processed()
     }
@@ -644,13 +460,6 @@ impl Overlay {
         }
         self.sim.advance_clock_to(deadline);
         self.sim.processed() - before
-    }
-
-    /// Advances the virtual clock by `d`, delivering any scheduled events
-    /// that become due.  Compatibility shim over [`Overlay::run_until`].
-    pub fn advance(&mut self, d: SimDuration) {
-        let target = self.sim.now() + d;
-        self.run_until(target);
     }
 
     /// [`Overlay::run_until`] plus the shard-barrier report: returns the
@@ -735,56 +544,6 @@ impl Overlay {
                         format!("job completed, freed {freed} host(s)")
                     });
             }
-            OverlayEvent::RsReply(idx) => {
-                let slot = &mut self.rs_pending[idx as usize];
-                debug_assert!(slot.outcome.is_none(), "RS request resolved twice");
-                let reply = slot.reply.expect("reply delivery for a dead-peer request");
-                slot.outcome = Some(RsOutcome::Reply {
-                    reply,
-                    elapsed: slot.rtt,
-                });
-                let (from, to, timeout_key) = (slot.from, slot.to, slot.timeout_key.take());
-                // The reply won the race: disarm the timeout, if one was
-                // armed at all (its ticket is tombstoned and compacted by
-                // the queue, never delivered).
-                if let Some(timeout_key) = timeout_key {
-                    self.sim.cancel(timeout_key);
-                }
-                self.rs_inflight -= 1;
-                self.tracer
-                    .record(self.sim.now(), TraceCategory::Reservation, || {
-                        format!("{from} -> {to}: {reply:?}")
-                    });
-            }
-            OverlayEvent::RsRoundReplies => {
-                // The pop counted one delivery; the other replies rode it.
-                let delivered = self.deliver_decided_rs_replies();
-                self.sim.count_delivered(delivered - 1);
-            }
-            OverlayEvent::RsTimeout(idx) => {
-                let slot = &mut self.rs_pending[idx as usize];
-                debug_assert!(slot.outcome.is_none(), "RS request resolved twice");
-                slot.outcome = Some(RsOutcome::Timeout {
-                    elapsed: self.params.rs_timeout,
-                });
-                let (from, to, key) = (slot.from, slot.to, slot.key);
-                // A grant whose reply is about to be cancelled leaked on the
-                // granter; the submitter releases it eagerly below.
-                let leaked = matches!(slot.reply, Some(ReservationReply::Ok { .. }));
-                // Cancel the in-flight reply, if one was ever scheduled (a
-                // stale key here is harmless; see the module docs).
-                if let Some(reply_key) = slot.reply_key.take() {
-                    self.sim.cancel(reply_key);
-                }
-                self.rs_inflight -= 1;
-                self.tracer
-                    .record(self.sim.now(), TraceCategory::Reservation, || {
-                        format!("{from} -> {to}: reservation timed out (peer dead)")
-                    });
-                if leaked {
-                    self.release_leaked_grant(from, to, key);
-                }
-            }
             OverlayEvent::GrantRelease { to, key } => {
                 self.leaked_outstanding = self.leaked_outstanding.saturating_sub(1);
                 if self.nodes[to.0].rs.cancel(key) {
@@ -794,7 +553,6 @@ impl Overlay {
                         });
                 }
             }
-            OverlayEvent::StartArrive(idx) => self.start_arrive(idx),
             OverlayEvent::StartArriveAbandoned {
                 from,
                 to,
@@ -808,28 +566,13 @@ impl Overlay {
                     self.release_leaked_grant(from, to, key);
                 }
             }
-            OverlayEvent::StartRoundReplies => {
-                self.start_round_event = None;
-                // The pop counted one delivery; the other replies rode it.
-                let delivered = self.deliver_start_replies();
-                self.sim.count_delivered(delivered - 1);
-            }
-            OverlayEvent::StartTimeout(idx) => {
-                let slot = &mut self.start_pending[idx as usize];
-                debug_assert!(slot.outcome.is_none(), "start request resolved twice");
-                slot.outcome = Some((StartReply::Timeout, self.params.rs_timeout));
-                let (from, to) = (slot.from, slot.to);
-                self.start_inflight -= 1;
-                self.tracer
-                    .record(self.sim.now(), TraceCategory::Runtime, || {
-                        format!("{from} -> {to}: start request timed out")
-                    });
-            }
             OverlayEvent::SupernodeDown => self.crash_supernode(),
             OverlayEvent::SupernodeUp => self.recover_supernode(),
             OverlayEvent::LinkDegrade { site, factor } => {
                 self.set_site_latency_factor(site, factor);
             }
+            #[cfg(test)]
+            OverlayEvent::Round(_) => unreachable!("a round message outside its walk"),
         }
     }
 
@@ -848,141 +591,6 @@ impl Overlay {
         let delay = self.network.transfer_time(src, dst, 64);
         self.sim
             .schedule_in(delay, OverlayEvent::GrantRelease { to, key });
-    }
-
-    /// Resolves every decided request of the current brokering round with
-    /// the outcome computed at send, tracing each reply at its own arrival
-    /// instant.  Returns how many replies were delivered.
-    fn deliver_decided_rs_replies(&mut self) -> u64 {
-        let mut delivered = 0;
-        for slot in &mut self.rs_pending {
-            let Some(arrival) = slot.decided_arrival else {
-                continue;
-            };
-            debug_assert!(slot.outcome.is_none(), "RS request resolved twice");
-            let reply = slot.reply.expect("a decided request has its reply");
-            slot.outcome = Some(RsOutcome::Reply {
-                reply,
-                elapsed: slot.rtt,
-            });
-            delivered += 1;
-            let (from, to) = (slot.from, slot.to);
-            self.tracer.record(arrival, TraceCategory::Reservation, || {
-                format!("{from} -> {to}: {reply:?}")
-            });
-        }
-        self.rs_inflight -= delivered;
-        delivered as u64
-    }
-
-    /// The remote MPD's side of a start request arriving at `at`, against
-    /// its state *now*: verify the key (step 7) and start the ranks
-    /// (step 8).  `None` when the MPD is dead — nobody answers.
-    fn remote_start(
-        &mut self,
-        to: PeerId,
-        key: ReservationKey,
-        ranks: u32,
-        at: SimTime,
-    ) -> Option<StartReply> {
-        let node = &mut self.nodes[to.0];
-        if !node.is_alive() {
-            return None;
-        }
-        // An unknown key fails the start like any other refusal.
-        let decision = match node.rs.start(key, ranks, &node.config) {
-            Ok(()) => StartReply::Started,
-            Err(_) => StartReply::KeyMismatch,
-        };
-        if decision == StartReply::Started {
-            self.tracer.record(at, TraceCategory::Runtime, || {
-                format!("{to} started {ranks} process(es)")
-            });
-        }
-        Some(decision)
-    }
-
-    /// Delivers a start request at the remote MPD: the decision happens
-    /// here, against the remote's state *now*.  A reply that beats the
-    /// deadline is recorded for the round's delivery event; otherwise the
-    /// deadline timeout is armed.  The round's last arrival puts the
-    /// delivery event on the timeline.
-    fn start_arrive(&mut self, idx: u32) {
-        let now = self.sim.now();
-        let slot = &self.start_pending[idx as usize];
-        let (from, to, key, ranks, deadline) =
-            (slot.from, slot.to, slot.key, slot.ranks, slot.deadline);
-        let reply = self.remote_start(to, key, ranks, now).map(|decision| {
-            let src = self.nodes[from.0].descriptor.host;
-            let dst = self.nodes[to.0].descriptor.host;
-            (decision, now + self.network.transfer_time(dst, src, 64))
-        });
-        match reply {
-            Some((_, reply_at)) if reply_at < deadline => {
-                self.start_pending[idx as usize].reply = reply;
-            }
-            // Nobody answers, or the reply cannot beat the deadline: the
-            // submitter will observe a timeout.  A start that actually
-            // happened is abandoned — the expiry sweep never touches
-            // `Running`, so it is reclaimed as a leaked grant.
-            late => {
-                self.sim
-                    .schedule_at(deadline, OverlayEvent::StartTimeout(idx));
-                if matches!(late, Some((StartReply::Started, _))) {
-                    self.release_leaked_grant(from, to, key);
-                }
-            }
-        }
-        self.start_arrivals_pending -= 1;
-        if self.start_arrivals_pending == 0 {
-            self.schedule_start_round_replies();
-        }
-    }
-
-    /// Every start request of the round has reached its remote MPD, so
-    /// every in-time reply is recorded: one event at the latest of their
-    /// arrival instants delivers them all (on the spot when that instant is
-    /// not ahead of the clock — the round's last arrival got no in-time
-    /// reply of its own).
-    fn schedule_start_round_replies(&mut self) {
-        let latest = self
-            .start_pending
-            .iter()
-            .filter(|slot| slot.outcome.is_none())
-            .filter_map(|slot| slot.reply.map(|(_, at)| at))
-            .max();
-        let Some(latest) = latest else {
-            return;
-        };
-        // A round extended after its arrivals had drained once: the new
-        // latest instant covers the replies the stale event waited for.
-        if let Some(stale) = self.start_round_event.take() {
-            self.sim.cancel(stale);
-        }
-        if latest > self.sim.now() {
-            let event = self
-                .sim
-                .schedule_at(latest, OverlayEvent::StartRoundReplies);
-            self.start_round_event = Some(event);
-        } else {
-            let delivered = self.deliver_start_replies();
-            self.sim.count_delivered(delivered);
-        }
-    }
-
-    /// Hands every recorded, undelivered start reply of the round to the
-    /// submitter, each with the elapsed time of its own arrival instant.
-    /// Returns how many replies were delivered.
-    fn deliver_start_replies(&mut self) -> u64 {
-        let mut delivered = 0;
-        for slot in &mut self.start_pending {
-            if let (Some((reply, at)), None) = (slot.reply, slot.outcome) {
-                slot.outcome = Some((reply, at.saturating_since(slot.sent_at)));
-                delivered += 1;
-            }
-        }
-        self.start_inflight -= delivered;
-        delivered as u64
     }
 
     /// Schedules a churn schedule onto the timeline (events must not be in
@@ -1378,496 +986,6 @@ impl Overlay {
     }
 
     // ------------------------------------------------------------------
-    // RS brokering and start requests
-    // ------------------------------------------------------------------
-
-    /// One whole RS brokering round (steps 3–5): a reservation request for
-    /// `total_processes` from `from` to each of `peers`, all sent now,
-    /// resolved, and drained into `out` (cleared first) in send order.
-    ///
-    /// When every remote is alive and its reply is bound to beat the
-    /// timeout, and the round's window is clear (see the module docs), the
-    /// round is resolved in place: each remote RS decides on the spot in
-    /// send order, each reply is traced at its own arrival instant, and the
-    /// clock moves to the last of them — no pending slot, no event.
-    /// Otherwise this *is* `Overlay::rs_send` per peer and
-    /// `Overlay::rs_collect_into`, and yields the same either way.
-    ///
-    /// This is the single hottest call of a job-submission sweep (once per
-    /// job, a request per booked host).  It allocates nothing in steady
-    /// state: the request borrows the requester's address, the remote RS
-    /// reads its owner's config in place and pushes plain data into a
-    /// reservation table that keeps its capacity, and the round trip comes
-    /// from a per-site table.
-    pub fn rs_round_into(
-        &mut self,
-        from: PeerId,
-        key: ReservationKey,
-        peers: &[PeerId],
-        total_processes: u32,
-        out: &mut Vec<(PeerId, RsOutcome)>,
-    ) {
-        out.clear();
-        let sent = self.sim.now();
-        // First pass, nothing mutated: is every remote alive, and is every
-        // reply bound to beat the timeout?  Each slot holds its round trip
-        // until the remote has decided.
-        let mut last = sent;
-        let mut decided = self.rs_pending.is_empty() && !self.armed_reference;
-        for &to in peers {
-            let rtt = self.control_times(from, to).rs_round_trip;
-            decided &= self.nodes[to.0].is_alive() && rtt < self.params.rs_timeout;
-            last = last.max(sent + rtt);
-            out.push((to, RsOutcome::Timeout { elapsed: rtt }));
-        }
-        if !decided || !self.window_clear_until(last) {
-            for &to in peers {
-                self.rs_send(from, to, key, total_processes);
-            }
-            return self.rs_collect_into(out);
-        }
-        // Nothing is due before the last reply is in, so nobody can tell
-        // a decision now from one at send.
-        for slot in out.iter_mut() {
-            let (to, rtt) = (slot.0, slot.1.elapsed());
-            let reply = self.remote_reserve(from, to, key, total_processes, sent);
-            self.tracer
-                .record(sent + rtt, TraceCategory::Reservation, || {
-                    format!("{from} -> {to}: {reply:?}")
-                });
-            slot.1 = RsOutcome::Reply {
-                reply,
-                elapsed: rtt,
-            };
-        }
-        self.sim.count_delivered(peers.len() as u64);
-        self.sim.advance_clock_to(last);
-    }
-
-    /// Sends an RS→RS reservation request from `from` to `to` (steps 3–4)
-    /// on the per-request path of a round that is not clear.  The remote RS
-    /// decides now.  If it is alive and its reply is bound to beat the
-    /// timeout, the exchange is *decided*: nothing is scheduled, and the
-    /// round's one delivery event resolves it at collection.  Otherwise an
-    /// armed timeout event at `now + rs_timeout` races the reply's delivery
-    /// at `now + rtt` (never scheduled when the peer is dead).  See the
-    /// module docs for both contracts.
-    ///
-    /// It allocates nothing in steady state: the pending-request slot
-    /// reuses the scratch vector recycled by [`Overlay::rs_collect_into`].
-    /// A decided request touches the event queue not at all; an undecided
-    /// one recycles event-store slots.
-    pub(crate) fn rs_send(
-        &mut self,
-        from: PeerId,
-        to: PeerId,
-        key: ReservationKey,
-        total_processes: u32,
-    ) {
-        let idx = u32::try_from(self.rs_pending.len()).expect("too many in-flight RS requests");
-        let mut slot = RsPending {
-            from,
-            to,
-            key,
-            reply: None,
-            rtt: self.params.rs_timeout,
-            decided_arrival: None,
-            timeout_key: None,
-            reply_key: None,
-            outcome: None,
-        };
-        // A dead peer never answers: only its timeout goes on the timeline,
-        // and it will fire.
-        let rtt = self.nodes[to.0]
-            .is_alive()
-            .then(|| self.control_times(from, to).rs_round_trip);
-        // A reply strictly inside the timeout window has already won the
-        // race (see the module docs).  When the timeout *is* armed (dead
-        // peer, slow link, or the tests' per-request reference), it is armed
-        // before the reply so the FIFO tie-break delivers the timeout first
-        // at the degenerate `rtt == rs_timeout` instant — the submitter
-        // gives up at its deadline.
-        let decided = !self.armed_reference && rtt.is_some_and(|rtt| rtt < self.params.rs_timeout);
-        if !decided {
-            slot.timeout_key = Some(
-                self.sim
-                    .schedule_in(self.params.rs_timeout, OverlayEvent::RsTimeout(idx)),
-            );
-        }
-        if let Some(rtt) = rtt {
-            let now = self.sim.now();
-            let reply = self.remote_reserve(from, to, key, total_processes, now);
-            slot.reply = Some(reply);
-            slot.rtt = rtt;
-            if decided {
-                slot.decided_arrival = Some(now + rtt);
-            } else {
-                slot.reply_key = Some(self.sim.schedule_in(rtt, OverlayEvent::RsReply(idx)));
-            }
-        }
-        self.rs_pending.push(slot);
-        self.rs_inflight += 1;
-    }
-
-    /// The remote RS's side of a reservation request (step 4): an alive
-    /// `to` grants or refuses against its state at `now`.
-    fn remote_reserve(
-        &mut self,
-        from: PeerId,
-        to: PeerId,
-        key: ReservationKey,
-        total_processes: u32,
-        now: SimTime,
-    ) -> ReservationReply {
-        if from.0 == to.0 {
-            // A submitter reserving its own host: every piece (address,
-            // config, RS) is a disjoint field of the same node.
-            let node = &mut self.nodes[to.0];
-            let req = ReservationRequest {
-                key,
-                requester: from,
-                requester_address: &node.descriptor.address,
-                total_processes,
-            };
-            node.rs.handle_request(&req, &node.config, now)
-        } else {
-            let (from_node, to_node) = nodes_from_to(&mut self.nodes, from.0, to.0);
-            let req = ReservationRequest {
-                key,
-                requester: from,
-                requester_address: &from_node.descriptor.address,
-                total_processes,
-            };
-            to_node.rs.handle_request(&req, &to_node.config, now)
-        }
-    }
-
-    /// Whether nothing on the timeline is due at or before `last`, the
-    /// instant a round's last reply is in: the clear-window check of the
-    /// decided-exchange contract (module docs), for both halves of a round.
-    fn window_clear_until(&mut self, last: SimTime) -> bool {
-        self.sim.next_time().is_none_or(|next| last < next)
-    }
-
-    /// The control-message times between a submitter and a remote peer.
-    /// Between distinct hosts the cost model depends on the hosts only
-    /// through their sites, so the three are computed once per directed
-    /// site pair and reused until a latency factor changes
-    /// ([`Overlay::set_site_latency_factor`] forgets the table).
-    fn control_times(&mut self, from: PeerId, to: PeerId) -> ControlTimes {
-        let src = self.nodes[from.0].descriptor.host;
-        let dst = self.nodes[to.0].descriptor.host;
-        let (rs_bytes, start_bytes) = (
-            self.params.rs_message_bytes,
-            self.params.start_message_bytes,
-        );
-        let compute = |network: &NetworkModel| ControlTimes {
-            rs_round_trip: network.transfer_time(src, dst, rs_bytes)
-                + network.transfer_time(dst, src, rs_bytes),
-            start_outbound: network.transfer_time(src, dst, start_bytes),
-            start_reply: network.transfer_time(dst, src, 64),
-        };
-        if src == dst {
-            return compute(&self.network);
-        }
-        let cell = self.topology.host(src).site.0 * self.topology.site_count()
-            + self.topology.host(dst).site.0;
-        match self.site_control_times[cell] {
-            Some(times) => {
-                debug_assert_eq!(times, compute(&self.network), "stale per-site times");
-                times
-            }
-            None => *self.site_control_times[cell].insert(compute(&self.network)),
-        }
-    }
-
-    /// Number of sent RS requests not resolved yet.  Decided requests stay
-    /// in flight until their round is collected.
-    pub fn rs_inflight(&self) -> usize {
-        self.rs_inflight
-    }
-
-    /// Runs the timeline until every in-flight RS request has resolved.
-    /// Other events that come due on the way (completions, heartbeats,
-    /// churn, ...) are delivered normally — a brokering round does not get
-    /// a private clock.
-    fn run_until_rs_resolved(&mut self) {
-        self.schedule_rs_round_replies();
-        while self.rs_inflight > 0 {
-            let ev = self
-                .sim
-                .pop_due(SimTime::MAX)
-                .expect("in-flight RS requests imply pending events");
-            self.dispatch(ev.payload);
-        }
-    }
-
-    /// Resolves the round's decided exchanges at the latest of their
-    /// arrival instants: on the spot when the caller already ran the clock
-    /// that far or the window up to that instant is clear (the clock moves
-    /// there; see the module docs), through one delivery event otherwise.
-    fn schedule_rs_round_replies(&mut self) {
-        let latest = self
-            .rs_pending
-            .iter()
-            .filter_map(|slot| slot.decided_arrival)
-            .max();
-        let Some(latest) = latest else {
-            return;
-        };
-        if latest > self.sim.now() {
-            if !self.window_clear_until(latest) {
-                self.sim.schedule_at(latest, OverlayEvent::RsRoundReplies);
-                return;
-            }
-            self.sim.advance_clock_to(latest);
-        }
-        let delivered = self.deliver_decided_rs_replies();
-        self.sim.count_delivered(delivered);
-    }
-
-    /// Resolves the current brokering round: runs the timeline until every
-    /// request sent since the last drain has its reply or timeout, then
-    /// drains the outcomes into `out` (cleared first) **in send order** —
-    /// the deterministic order the co-allocation procedure walks, whatever
-    /// interleaving the race produced.  The scratch slots are recycled.
-    pub(crate) fn rs_collect_into(&mut self, out: &mut Vec<(PeerId, RsOutcome)>) {
-        out.clear();
-        self.run_until_rs_resolved();
-        for slot in self.rs_pending.drain(..) {
-            let outcome = slot.outcome.expect("drained an unresolved RS request");
-            out.push((slot.to, outcome));
-        }
-    }
-
-    /// Capacity of the pending-request scratch (diagnostics: must reach a
-    /// high-water mark and stay there in a steady-state sweep).  Only
-    /// rounds that fall back to the per-request path hold slots there; a
-    /// round [`Overlay::rs_round_into`] resolves in place takes none, so a
-    /// day with no such round reads 0.
-    pub fn rs_scratch_capacity(&self) -> usize {
-        self.rs_pending.capacity()
-    }
-
-    /// No-op.  An exchange whose reply is bound to beat the timeout is
-    /// always decided at send; this survives only because the benchmark's
-    /// traced driver (`benchmark/src/traced.rs`) still forwards a config
-    /// field that selects nothing any more.
-    pub fn set_rs_timeout_fast_path(&mut self, _enabled: bool) {}
-
-    /// Makes every RS request arm its timeout and schedule its own reply,
-    /// even one whose reply is bound to win (tests only): the per-request
-    /// reference, outcome-identical to deciding at send.
-    #[cfg(test)]
-    fn set_armed_reference(&mut self, armed: bool) {
-        self.armed_reference = armed;
-    }
-
-    /// RS→RS reservation request from `from` to `to`, resolved inline
-    /// (tests only): one [`Overlay::rs_send`] followed by running the
-    /// timeline until the reply/timeout race settles.  The clock therefore
-    /// *advances* by the exchange's round trip (or the full `rs_timeout` for
-    /// a dead peer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while a multi-request brokering round is in flight.
-    #[cfg(test)]
-    fn rs_request(
-        &mut self,
-        from: PeerId,
-        to: PeerId,
-        key: ReservationKey,
-        total_processes: u32,
-    ) -> RsOutcome {
-        assert!(
-            self.rs_pending.is_empty(),
-            "rs_request cannot interleave with an in-flight brokering round"
-        );
-        self.rs_send(from, to, key, total_processes);
-        self.run_until_rs_resolved();
-        let slot = self.rs_pending.pop().expect("one pending request");
-        slot.outcome.expect("resolved request has an outcome")
-    }
-
-    /// Cancels a reservation previously granted by `to` (unused reservations
-    /// from the overbooked `rlist`, step 6).  Returns `true` if the remote RS
-    /// actually held it.
-    pub fn rs_cancel(&mut self, from: PeerId, to: PeerId, key: ReservationKey) -> bool {
-        if !self.nodes[to.0].is_alive() {
-            return false;
-        }
-        let cancelled = self.nodes[to.0].rs.cancel(key);
-        if cancelled {
-            self.tracer
-                .record(self.sim.now(), TraceCategory::Reservation, || {
-                    format!("{from} cancelled reservation on {to}")
-                });
-        }
-        cancelled
-    }
-
-    /// Sends an MPD start request from `from` to `to` onto the timeline
-    /// (steps 6–8): the request arrives at the remote MPD one one-way
-    /// transfer from now, the start decision is made *at arrival*, and the
-    /// reply races the submitter's deadline at `now + rs_timeout`.  See the
-    /// start-request section of the module docs.
-    pub(crate) fn start_send(&mut self, from: PeerId, to: PeerId, key: ReservationKey, ranks: u32) {
-        let idx = u32::try_from(self.start_pending.len()).expect("too many in-flight starts");
-        let now = self.sim.now();
-        let deadline = now + self.params.rs_timeout;
-        let src = self.nodes[from.0].descriptor.host;
-        let dst = self.nodes[to.0].descriptor.host;
-        let outbound = self
-            .network
-            .transfer_time(src, dst, self.params.start_message_bytes);
-        // On extreme links the request cannot even arrive before the
-        // deadline: the timeout is pre-armed (first, so the FIFO tie-break
-        // favours giving up) and the arrival only settles the remote side.
-        if now + outbound >= deadline {
-            self.sim
-                .schedule_at(deadline, OverlayEvent::StartTimeout(idx));
-            self.sim.schedule_in(
-                outbound,
-                OverlayEvent::StartArriveAbandoned {
-                    from,
-                    to,
-                    key,
-                    ranks,
-                },
-            );
-        } else {
-            self.sim
-                .schedule_in(outbound, OverlayEvent::StartArrive(idx));
-            self.start_arrivals_pending += 1;
-        }
-        self.start_pending.push(StartPending {
-            from,
-            to,
-            key,
-            ranks,
-            sent_at: now,
-            deadline,
-            reply: None,
-            outcome: None,
-        });
-        self.start_inflight += 1;
-    }
-
-    /// Number of sent start requests not resolved yet.
-    pub fn start_inflight(&self) -> usize {
-        self.start_inflight
-    }
-
-    /// Runs the timeline until every in-flight start request has resolved;
-    /// other due events are delivered normally on the way.
-    fn run_until_starts_resolved(&mut self) {
-        while self.start_inflight > 0 {
-            let ev = self
-                .sim
-                .pop_due(SimTime::MAX)
-                .expect("in-flight start requests imply pending events");
-            self.dispatch(ev.payload);
-        }
-    }
-
-    /// Resolves the current start round: runs the timeline until every
-    /// request sent since the last drain has its outcome, then drains them
-    /// into `out` (cleared first) **in send order**.  The scratch slots are
-    /// recycled.
-    pub(crate) fn start_collect_into(&mut self, out: &mut Vec<(PeerId, StartReply, SimDuration)>) {
-        out.clear();
-        self.run_until_starts_resolved();
-        for slot in self.start_pending.drain(..) {
-            let (reply, elapsed) = slot.outcome.expect("drained an unresolved start request");
-            out.push((slot.to, reply, elapsed));
-        }
-    }
-
-    /// One whole start round (steps 7–8): a start request for `ranks`
-    /// processes from `from` to each `(peer, ranks)` of `requests`, all sent
-    /// now, resolved, and drained into `out` (cleared first) in send order.
-    /// When the round's window is clear (see the module docs) every start
-    /// is decided on the spot and the clock moves to the last reply
-    /// instant without touching the event queue; otherwise this *is*
-    /// `Overlay::start_send` per request and
-    /// `Overlay::start_collect_into`, and yields the same either way.
-    pub fn start_round_into(
-        &mut self,
-        from: PeerId,
-        key: ReservationKey,
-        requests: &[(PeerId, u32)],
-        out: &mut Vec<(PeerId, StartReply, SimDuration)>,
-    ) {
-        out.clear();
-        let sent = self.sim.now();
-        let deadline = sent + self.params.rs_timeout;
-        // First pass, nothing mutated: is every remote alive, and does
-        // every reply land strictly inside its deadline?
-        let mut last = sent;
-        let mut in_time = self.start_pending.is_empty();
-        for &(to, _) in requests {
-            let times = self.control_times(from, to);
-            let elapsed = times.start_outbound + times.start_reply;
-            in_time &= self.nodes[to.0].is_alive() && sent + elapsed < deadline;
-            last = last.max(sent + elapsed);
-            out.push((to, StartReply::Timeout, elapsed));
-        }
-        if !in_time || !self.window_clear_until(last) {
-            for &(to, ranks) in requests {
-                self.start_send(from, to, key, ranks);
-            }
-            return self.start_collect_into(out);
-        }
-        // Nothing is due before the last reply is in, so each remote's
-        // state now is its state when its request arrives.
-        for (&(to, ranks), slot) in requests.iter().zip(out.iter_mut()) {
-            let arrival = sent + self.control_times(from, to).start_outbound;
-            slot.1 = self
-                .remote_start(to, key, ranks, arrival)
-                .expect("checked alive above");
-        }
-        self.sim.count_delivered(2 * requests.len() as u64);
-        self.sim.advance_clock_to(last);
-    }
-
-    /// MPD start request (steps 6–8) resolved inline (tests only): one
-    /// [`Overlay::start_send`] followed by running the timeline until the
-    /// request resolves.  The clock therefore *advances* by the exchange's
-    /// round trip (or the full `rs_timeout` when the remote never answers in
-    /// time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while a batch start round is in flight.
-    #[cfg(test)]
-    fn mpd_start(
-        &mut self,
-        from: PeerId,
-        to: PeerId,
-        key: ReservationKey,
-        ranks: &[crate::messages::RankAssignment],
-        program: &str,
-    ) -> (StartReply, SimDuration) {
-        assert!(
-            self.start_pending.is_empty(),
-            "mpd_start cannot interleave with an in-flight start round"
-        );
-        self.start_send(from, to, key, ranks.len() as u32);
-        self.run_until_starts_resolved();
-        let slot = self.start_pending.pop().expect("one pending start");
-        let (reply, elapsed) = slot.outcome.expect("resolved start has an outcome");
-        if reply == StartReply::Started {
-            let n = ranks.len();
-            self.tracer
-                .record(self.sim.now(), TraceCategory::Runtime, || {
-                    format!("{to} acknowledged {n} process(es) of {program}")
-                });
-        }
-        (reply, elapsed)
-    }
-
-    // ------------------------------------------------------------------
     // Fault injection
     // ------------------------------------------------------------------
 
@@ -2014,10 +1132,35 @@ mod tests {
     use super::*;
     use crate::boot::OverlayBuilder;
     use crate::config::OwnerConfig;
-    use crate::messages::RankAssignment;
     use p2pmpi_simgrid::noise::NoiseModel;
     use p2pmpi_simgrid::topology::{NodeSpec, TopologyBuilder};
     use proptest::prelude::*;
+
+    /// One RS request, resolved as a round of one.
+    fn rs_request(
+        o: &mut Overlay,
+        from: PeerId,
+        to: PeerId,
+        key: ReservationKey,
+        total_processes: u32,
+    ) -> RsOutcome {
+        let mut out = Vec::new();
+        o.rs_round_into(from, key, &[to], total_processes, &mut out);
+        out[0].1
+    }
+
+    /// One MPD start request, resolved as a round of one.
+    fn mpd_start(
+        o: &mut Overlay,
+        from: PeerId,
+        to: PeerId,
+        key: ReservationKey,
+        ranks: u32,
+    ) -> (StartReply, SimDuration) {
+        let mut out = Vec::new();
+        o.start_round_into(from, key, &[(to, ranks)], &mut out);
+        (out[0].1, out[0].2)
+    }
 
     fn small_topology() -> Arc<Topology> {
         let mut b = TopologyBuilder::new();
@@ -2090,7 +1233,7 @@ mod tests {
         let k1 = o.generate_key();
         let k2 = o.generate_key();
         assert_ne!(k1, k2);
-        match o.rs_request(from, to, k1, 4) {
+        match rs_request(&mut o, from, to, k1, 4) {
             RsOutcome::Reply { reply, elapsed } => {
                 assert!(reply.is_ok());
                 assert!(elapsed > SimDuration::ZERO);
@@ -2098,14 +1241,14 @@ mod tests {
             RsOutcome::Timeout { .. } => panic!("unexpected timeout"),
         }
         // Default J=1: a second application is refused.
-        match o.rs_request(from, to, k2, 4) {
+        match rs_request(&mut o, from, to, k2, 4) {
             RsOutcome::Reply { reply, .. } => assert!(!reply.is_ok()),
             RsOutcome::Timeout { .. } => panic!("unexpected timeout"),
         }
         // Cancelling frees the slot.
         assert!(o.rs_cancel(from, to, k1));
         assert!(matches!(
-            o.rs_request(from, to, k2, 4),
+            rs_request(&mut o, from, to, k2, 4),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
     }
@@ -2120,7 +1263,7 @@ mod tests {
         o.kill_peer(to);
         assert_eq!(o.alive_count(), 5);
         let k = o.generate_key();
-        match o.rs_request(from, to, k, 1) {
+        match rs_request(&mut o, from, to, k, 1) {
             RsOutcome::Timeout { elapsed } => assert_eq!(elapsed, o.params().rs_timeout),
             RsOutcome::Reply { .. } => panic!("dead peer answered"),
         }
@@ -2129,7 +1272,7 @@ mod tests {
         o.revive_peer(to);
         assert_eq!(o.alive_count(), 6);
         assert!(matches!(
-            o.rs_request(from, to, k, 1),
+            rs_request(&mut o, from, to, k, 1),
             RsOutcome::Reply { .. }
         ));
     }
@@ -2144,13 +1287,8 @@ mod tests {
         let key = o.generate_key();
         let t0 = o.now();
         // One round: two live peers and a dead one in the middle.
-        for &to in &[ids[1], ids[3], ids[2]] {
-            o.rs_send(submitter, to, key, 1);
-        }
-        assert_eq!(o.rs_inflight(), 3);
         let mut outcomes = Vec::new();
-        o.rs_collect_into(&mut outcomes);
-        assert_eq!(o.rs_inflight(), 0);
+        o.rs_round_into(submitter, key, &[ids[1], ids[3], ids[2]], 1, &mut outcomes);
         // Outcomes come back in send order, not firing order (the replies
         // fire ms before the dead peer's 2 s timeout).
         let peers: Vec<PeerId> = outcomes.iter().map(|&(p, _)| p).collect();
@@ -2161,18 +1299,16 @@ mod tests {
             RsOutcome::Timeout { elapsed } => assert_eq!(elapsed, o.params().rs_timeout),
             RsOutcome::Reply { .. } => panic!("dead peer answered"),
         }
-        // The timeout was an observed event: the clock actually waited the
-        // full rs_timeout for the dead peer.
+        // The clock actually waited the full rs_timeout for the dead peer,
+        // and nothing of the round is left on the timeline.
         assert_eq!(o.now(), t0 + o.params().rs_timeout);
-        // The live requests took the fast path (no armed timeout), so no
-        // tombstones linger beyond pending events.
-        assert!(o.events_queued() >= o.events_pending());
+        assert_eq!(o.events_queued(), 0);
     }
 
     #[test]
     fn reply_slower_than_the_timeout_loses_the_race() {
-        // An *alive* peer whose round trip exceeds rs_timeout: the armed
-        // timeout fires first and cancels the in-flight reply.  The remote
+        // An *alive* peer whose round trip exceeds rs_timeout: the
+        // submitter times out before the reply lands.  The remote
         // granted at send time; the grant is counted as leaked and released
         // *eagerly* — one one-way control message later, no expiry sweep
         // involved.
@@ -2196,7 +1332,7 @@ mod tests {
             .unwrap();
         let key = o.generate_key();
         assert_eq!(o.leaked_grants(), 0);
-        match o.rs_request(submitter, remote, key, 1) {
+        match rs_request(&mut o, submitter, remote, key, 1) {
             RsOutcome::Timeout { elapsed } => assert_eq!(elapsed, SimDuration::from_millis(1)),
             RsOutcome::Reply { .. } => panic!("slow reply should have lost the race"),
         }
@@ -2205,7 +1341,7 @@ mod tests {
         assert_eq!(o.leaked_grants(), 1);
         assert_eq!(o.leaked_grant_hwm(), 1);
         assert_eq!(o.node(remote).rs.active_applications(), 1);
-        o.advance(SimDuration::from_millis(10));
+        o.run_until(o.now() + SimDuration::from_millis(10));
         assert_eq!(
             o.node(remote).rs.active_applications(),
             0,
@@ -2223,7 +1359,7 @@ mod tests {
         assert_eq!(cached, 5);
         o.start_heartbeats();
         o.schedule_supernode_outage(SimTime::from_secs(10), SimDuration::from_secs(50));
-        o.advance(SimDuration::from_secs(20));
+        o.run_until(o.now() + SimDuration::from_secs(20));
         // Down: registry lost, refreshes unanswered, stale cache survives.
         assert!(!o.supernode_is_up());
         assert_eq!(o.supernode().len(), 0);
@@ -2235,11 +1371,11 @@ mod tests {
         let key = o.generate_key();
         let to = o.latency_ranking(p)[0];
         assert!(matches!(
-            o.rs_request(p, to, key, 1),
+            rs_request(&mut o, p, to, key, 1),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         // Recovery + one heartbeat period: every alive peer re-registered.
-        o.advance(SimDuration::from_secs(200));
+        o.run_until(o.now() + SimDuration::from_secs(200));
         assert!(o.supernode_is_up());
         assert_eq!(o.supernode().len(), o.alive_count());
     }
@@ -2259,12 +1395,12 @@ mod tests {
             SimDuration::from_secs(10),
             8.0,
         );
-        o.advance(SimDuration::from_secs(6));
+        o.run_until(o.now() + SimDuration::from_secs(6));
         let degraded = o.network().transfer_time(l0, r0, 1024);
         assert!(degraded > nominal * 7);
         // The prober's own model copy is degraded too.
         assert_eq!(o.prober().network().site_latency_factor(remote_site), 8.0);
-        o.advance(SimDuration::from_secs(10));
+        o.run_until(o.now() + SimDuration::from_secs(10));
         assert_eq!(o.network().transfer_time(l0, r0, 1024), nominal);
         assert_eq!(o.prober().network().site_latency_factor(remote_site), 1.0);
     }
@@ -2279,20 +1415,16 @@ mod tests {
         let key = o.generate_key();
         for &to in &[a, b] {
             assert!(matches!(
-                o.rs_request(from, to, key, 2),
+                rs_request(&mut o, from, to, key, 2),
                 RsOutcome::Reply { reply, .. } if reply.is_ok()
             ));
         }
-        let ranks = vec![RankAssignment {
-            rank: 0,
-            replica: 0,
-        }];
         for &to in &[a, b] {
-            let (reply, _) = o.mpd_start(from, to, key, &ranks, "prog");
+            let (reply, _) = mpd_start(&mut o, from, to, key, 1);
             assert_eq!(reply, StartReply::Started);
         }
         o.schedule_completion(o.now() + SimDuration::from_secs(100), key, vec![a, b]);
-        o.advance(SimDuration::from_secs(10));
+        o.run_until(o.now() + SimDuration::from_secs(10));
         // One participant crashes: the whole job dies, both slots free.
         o.kill_peer(a);
         assert_eq!(o.jobs_killed(), 1);
@@ -2300,7 +1432,7 @@ mod tests {
         assert_eq!(o.node(b).rs.running_processes(), 0);
         // The revoked completion never fires.
         let processed = o.events_processed();
-        o.advance(SimDuration::from_secs(200));
+        o.run_until(o.now() + SimDuration::from_secs(200));
         assert_eq!(o.events_processed(), processed);
     }
 
@@ -2312,19 +1444,18 @@ mod tests {
         let (from, to) = (ids[0], ids[3]);
         let key = o.generate_key();
         assert!(matches!(
-            o.rs_request(from, to, key, 1),
+            rs_request(&mut o, from, to, key, 1),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         // Crash the remote *after* the start request is sent but before it
         // arrives (cross-site one-way is ~5 ms): the arrival finds a dead
         // MPD and the submitter times out — the ranks never start.
         let t0 = o.now();
-        o.start_send(from, to, key, 1);
         let mut schedule = crate::churn::ChurnSchedule::new();
         schedule.crash(to, t0 + SimDuration::from_millis(1));
         o.schedule_churn(schedule.finish());
         let mut outcomes = Vec::new();
-        o.start_collect_into(&mut outcomes);
+        o.start_round_into(from, key, &[(to, 1)], &mut outcomes);
         assert_eq!(outcomes.len(), 1);
         let (peer, reply, elapsed) = outcomes[0];
         assert_eq!(peer, to);
@@ -2337,16 +1468,15 @@ mod tests {
         let key2 = o.generate_key();
         let late = ids[4];
         assert!(matches!(
-            o.rs_request(from, late, key2, 1),
+            rs_request(&mut o, from, late, key2, 1),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         o.kill_peer(late);
         let t1 = o.now();
-        o.start_send(from, late, key2, 1);
         let mut schedule = crate::churn::ChurnSchedule::new();
         schedule.recover(late, t1 + SimDuration::from_millis(1));
         o.schedule_churn(schedule.finish());
-        o.start_collect_into(&mut outcomes);
+        o.start_round_into(from, key2, &[(late, 1)], &mut outcomes);
         assert_eq!(outcomes[0].1, StartReply::Started);
     }
 
@@ -2356,21 +1486,18 @@ mod tests {
         o.boot_all();
         let ids = o.peer_ids();
         let submitter = ids[0];
+        // A dead peer in every round: a timeout among the replies.
+        o.kill_peer(ids[3]);
         let mut outcomes = Vec::new();
         let round = |o: &mut Overlay, outcomes: &mut Vec<(PeerId, RsOutcome)>| {
             let key = o.generate_key();
-            for &to in &ids[1..] {
-                o.rs_send(submitter, to, key, 1);
-            }
-            o.rs_collect_into(outcomes);
+            o.rs_round_into(submitter, key, &ids[1..], 1, outcomes);
             for &(to, _) in outcomes.iter() {
                 o.rs_cancel(submitter, to, key);
             }
-            // Let the round's cancelled-timeout tombstones reach their
-            // nominal firing time and be collected, as a real sweep's
-            // inter-arrival gaps do; the event store can then recycle the
-            // slots instead of growing past its high-water mark.
-            o.advance(o.params().rs_timeout);
+            // Idle time between rounds, as a real sweep's inter-arrival
+            // gaps give.
+            o.run_until(o.now() + o.params().rs_timeout);
         };
         // Warm-up rounds grow every buffer to its high-water mark ...
         for _ in 0..3 {
@@ -2397,16 +1524,12 @@ mod tests {
         let key = o.generate_key();
         let wrong = o.generate_key();
         assert!(matches!(
-            o.rs_request(from, to, key, 2),
+            rs_request(&mut o, from, to, key, 2),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
-        let ranks = vec![RankAssignment {
-            rank: 0,
-            replica: 0,
-        }];
-        let (reply, _) = o.mpd_start(from, to, wrong, &ranks, "prog");
+        let (reply, _) = mpd_start(&mut o, from, to, wrong, 1);
         assert_eq!(reply, StartReply::KeyMismatch);
-        let (reply, _) = o.mpd_start(from, to, key, &ranks, "prog");
+        let (reply, _) = mpd_start(&mut o, from, to, key, 1);
         assert_eq!(reply, StartReply::Started);
         assert!(o.complete_job(to, key));
         assert!(!o.complete_job(to, key));
@@ -2421,11 +1544,11 @@ mod tests {
         schedule.crash(victim, SimTime::from_secs(10));
         schedule.recover(victim, SimTime::from_secs(30));
         o.schedule_churn(schedule.finish());
-        o.advance(SimDuration::from_secs(5));
+        o.run_until(o.now() + SimDuration::from_secs(5));
         assert!(o.node(victim).is_alive());
-        o.advance(SimDuration::from_secs(10));
+        o.run_until(o.now() + SimDuration::from_secs(10));
         assert!(!o.node(victim).is_alive());
-        o.advance(SimDuration::from_secs(20));
+        o.run_until(o.now() + SimDuration::from_secs(20));
         assert!(o.node(victim).is_alive());
         assert_eq!(o.now(), SimTime::from_secs(35));
         assert!(o.tracer().count(TraceCategory::Fault) >= 2);
@@ -2441,7 +1564,7 @@ mod tests {
         // Three 120 s heartbeat periods pass the 360 s expiry: the periodic
         // rounds fire on the timeline without any manual heartbeat_round
         // call, and the silent peer is expired by the supernode.
-        o.advance(SimDuration::from_secs(500));
+        o.run_until(o.now() + SimDuration::from_secs(500));
         assert!(!o.supernode().knows(victim));
         assert_eq!(o.supernode().len(), 5);
         assert!(o.events_processed() >= 4);
@@ -2459,14 +1582,14 @@ mod tests {
         let p = o.peer_ids()[0];
         assert_eq!(o.node(p).cache.len(), 0);
         o.start_cache_refresh(p, SimDuration::from_secs(60));
-        o.advance(SimDuration::from_secs(59));
+        o.run_until(o.now() + SimDuration::from_secs(59));
         assert_eq!(o.node(p).cache.len(), 0, "not due yet");
-        o.advance(SimDuration::from_secs(2));
+        o.run_until(o.now() + SimDuration::from_secs(2));
         assert_eq!(o.node(p).cache.len(), 5, "first refresh fired");
         assert!(o.stop_cache_refresh(p));
         assert!(!o.stop_cache_refresh(p));
         let processed = o.events_processed();
-        o.advance(SimDuration::from_secs(600));
+        o.run_until(o.now() + SimDuration::from_secs(600));
         assert_eq!(o.events_processed(), processed, "refresh was cancelled");
     }
 
@@ -2478,14 +1601,14 @@ mod tests {
         let (from, to) = (ids[0], ids[1]);
         let k = o.generate_key();
         assert!(matches!(
-            o.rs_request(from, to, k, 2),
+            rs_request(&mut o, from, to, k, 2),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         assert_eq!(o.node(to).rs.active_applications(), 1);
         o.start_reservation_expiry(SimDuration::from_secs(60), SimDuration::from_secs(30));
         // The submitter never starts nor cancels: the sweep reclaims the
         // promised gatekeeper slot once the TTL passes.
-        o.advance(SimDuration::from_secs(100));
+        o.run_until(o.now() + SimDuration::from_secs(100));
         assert_eq!(o.node(to).rs.active_applications(), 0);
         assert!(o.stop_reservation_expiry());
     }
@@ -2498,20 +1621,16 @@ mod tests {
         let (from, to) = (ids[0], ids[2]);
         let key = o.generate_key();
         assert!(matches!(
-            o.rs_request(from, to, key, 1),
+            rs_request(&mut o, from, to, key, 1),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
-        let ranks = vec![RankAssignment {
-            rank: 0,
-            replica: 0,
-        }];
-        let (reply, _) = o.mpd_start(from, to, key, &ranks, "prog");
+        let (reply, _) = mpd_start(&mut o, from, to, key, 1);
         assert_eq!(reply, StartReply::Started);
         let done_at = o.now() + SimDuration::from_secs(30);
         let ev = o.schedule_completion(done_at, key, vec![to]);
-        o.advance(SimDuration::from_secs(29));
+        o.run_until(o.now() + SimDuration::from_secs(29));
         assert_eq!(o.node(to).rs.running_processes(), 1, "still running");
-        o.advance(SimDuration::from_secs(2));
+        o.run_until(o.now() + SimDuration::from_secs(2));
         assert_eq!(o.node(to).rs.running_processes(), 0, "completion fired");
         // Cancelling after the fact is a stale-key no-op.
         assert!(o.cancel_completion(ev).is_none());
@@ -2531,7 +1650,7 @@ mod tests {
         let peers = o.cancel_completion(ev).expect("still pending");
         assert_eq!(peers, vec![ids[1], ids[2]]);
         let processed = o.events_processed();
-        o.advance(SimDuration::from_secs(60));
+        o.run_until(o.now() + SimDuration::from_secs(60));
         assert_eq!(o.events_processed(), processed);
     }
 
@@ -2542,7 +1661,7 @@ mod tests {
         let victim = o.peer_ids()[0];
         o.kill_peer(victim);
         // Advance past the supernode expiry and heartbeat.
-        o.advance(SimDuration::from_secs(400));
+        o.run_until(o.now() + SimDuration::from_secs(400));
         let dropped = o.heartbeat_round();
         assert_eq!(dropped, 1);
         assert!(!o.supernode().knows(victim));
@@ -2563,7 +1682,7 @@ mod tests {
         let from_addr = o.node(from).descriptor.address.clone();
         o.node_mut(to).config.deny(from_addr);
         let k = o.generate_key();
-        match o.rs_request(from, to, k, 1) {
+        match rs_request(&mut o, from, to, k, 1) {
             RsOutcome::Reply { reply, .. } => assert_eq!(
                 reply,
                 ReservationReply::Nok(crate::messages::RefusalReason::RequesterDenied)
@@ -2590,7 +1709,7 @@ mod tests {
         assert_eq!(o.node(local).capacity_per_app(), 2);
     }
 
-    // -- decided exchanges: one event per round ----------------------------
+    // -- rounds and their messages -------------------------------------------
 
     /// Round trip of an RS request and its reply under the current cost
     /// model, computed the long way.
@@ -2600,12 +1719,18 @@ mod tests {
         o.network().transfer_time(src, dst, bytes) + o.network().transfer_time(dst, src, bytes)
     }
 
+    /// A start request's trip to the remote MPD.
+    fn start_outbound(o: &Overlay, from: PeerId, to: PeerId) -> SimDuration {
+        let bytes = o.params().start_message_bytes;
+        o.network()
+            .transfer_time(o.host_of(from), o.host_of(to), bytes)
+    }
+
     /// A start request's trip to the remote MPD plus its reply's way back.
     fn start_trip(o: &Overlay, from: PeerId, to: PeerId) -> SimDuration {
-        let (src, dst) = (o.host_of(from), o.host_of(to));
-        o.network()
-            .transfer_time(src, dst, o.params().start_message_bytes)
-            + o.network().transfer_time(dst, src, 64)
+        start_outbound(o, from, to)
+            + o.network()
+                .transfer_time(o.host_of(to), o.host_of(from), 64)
     }
 
     /// The records of one category in `(time, message)` order: a round
@@ -2628,18 +1753,14 @@ mod tests {
         o.boot_all();
         let ids = o.peer_ids();
         let submitter = ids[0];
-        let ranks = vec![RankAssignment {
-            rank: 0,
-            replica: 0,
-        }];
         // A job already running on ids[1] ...
         let old = o.generate_key();
         assert!(matches!(
-            o.rs_request(submitter, ids[1], old, 1),
+            rs_request(&mut o, submitter, ids[1], old, 1),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         assert_eq!(
-            o.mpd_start(submitter, ids[1], old, &ranks, "old").0,
+            mpd_start(&mut o, submitter, ids[1], old, 1).0,
             StartReply::Started
         );
         // ... completes 2 ms into the next round; ids[4] crashes at 3 ms
@@ -2661,13 +1782,8 @@ mod tests {
             .collect();
         assert!(expected[0] < ms(1) && expected[1] > ms(10), "{expected:?}");
         let key = o.generate_key();
-        for &to in &targets {
-            o.rs_send(submitter, to, key, 1);
-        }
-        // Decided at send: nothing of the round is on the timeline yet.
-        assert_eq!(o.rs_inflight(), 4);
         let mut outcomes = Vec::new();
-        o.rs_collect_into(&mut outcomes);
+        o.rs_round_into(submitter, key, &targets, 1, &mut outcomes);
 
         // The outcomes are the ones computed at send: the crashed peer's
         // reply was already in flight, and replies sent before the
@@ -2709,45 +1825,10 @@ mod tests {
         // ... and the degradation governs the exchanges sent after it.
         assert!(rs_rtt(&o, submitter, ids[3]) > expected[1] * 9);
         let next = o.generate_key();
-        match o.rs_request(submitter, ids[5], next, 1) {
+        match rs_request(&mut o, submitter, ids[5], next, 1) {
             RsOutcome::Reply { elapsed, .. } => assert_eq!(elapsed, rs_rtt(&o, submitter, ids[5])),
             RsOutcome::Timeout { .. } => panic!("100 ms is well inside the 2 s window"),
         }
-    }
-
-    #[test]
-    fn a_round_collected_after_its_replies_arrived_resolves_on_the_spot() {
-        let run = |fast_path: bool| {
-            let mut o = overlay();
-            o.boot_all();
-            o.set_armed_reference(!fast_path);
-            let ids = o.peer_ids();
-            let key = o.generate_key();
-            for &to in &ids[1..] {
-                o.rs_send(ids[0], to, key, 1);
-            }
-            // The caller runs the clock past every reply before collecting.
-            let delivered = o.run_until(SimTime::from_secs(1));
-            assert_eq!(o.rs_inflight(), if fast_path { 5 } else { 0 });
-            assert_eq!(delivered, if fast_path { 0 } else { 5 });
-            let mut outcomes = Vec::new();
-            o.rs_collect_into(&mut outcomes);
-            assert_eq!(o.rs_inflight(), 0);
-            (
-                outcomes,
-                o.now(),
-                o.events_processed(),
-                sorted_trace(&o, TraceCategory::Reservation),
-            )
-        };
-        let (decided, reference) = (run(true), run(false));
-        assert_eq!(decided, reference);
-        assert_eq!(decided.0.len(), 5);
-        assert_eq!(
-            decided.1,
-            SimTime::from_secs(1),
-            "collecting moved no clock"
-        );
     }
 
     #[test]
@@ -2758,18 +1839,15 @@ mod tests {
         // ids[3] answers NOK: it is busy with another application.
         let other = o.generate_key();
         assert!(matches!(
-            o.rs_request(ids[1], ids[3], other, 1),
+            rs_request(&mut o, ids[1], ids[3], other, 1),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         o.tracer().clear();
         let t0 = o.now();
         let key = o.generate_key();
         // The submitter's own host, two local peers, three remote ones.
-        for &to in &ids {
-            o.rs_send(ids[0], to, key, 1);
-        }
         let mut outcomes = Vec::new();
-        o.rs_collect_into(&mut outcomes);
+        o.rs_round_into(ids[0], key, &ids, 1, &mut outcomes);
         let mut expected: Vec<(SimTime, String)> = outcomes
             .iter()
             .map(|&(to, outcome)| match outcome {
@@ -2782,7 +1860,7 @@ mod tests {
             .collect();
         expected.sort();
         assert_eq!(sorted_trace(&o, TraceCategory::Reservation), expected);
-        // Three distinct arrival instants (loopback, LAN, WAN), one event.
+        // Three distinct arrival instants: loopback, LAN, WAN.
         let mut instants: Vec<SimTime> = expected.iter().map(|&(t, _)| t).collect();
         instants.dedup();
         assert_eq!(instants.len(), 3);
@@ -2802,7 +1880,7 @@ mod tests {
         let exchange = |o: &mut Overlay, to: PeerId| {
             let key = o.generate_key();
             let expected = rs_rtt(o, ids[0], to);
-            match o.rs_request(ids[0], to, key, 1) {
+            match rs_request(o, ids[0], to, key, 1) {
                 RsOutcome::Reply { elapsed, .. } => assert_eq!(elapsed, expected),
                 RsOutcome::Timeout { .. } => panic!("unexpected timeout"),
             }
@@ -2850,13 +1928,9 @@ mod tests {
         churn.crash(ids[4], t0 + SimDuration::from_millis(1));
         o.schedule_churn(churn.finish());
         let events_before = o.events_processed();
-        for &to in &targets {
-            o.start_send(from, to, key, 2);
-        }
-        assert_eq!(o.start_inflight(), 4);
+        let requests: Vec<(PeerId, u32)> = targets.iter().map(|&to| (to, 2)).collect();
         let mut outcomes = Vec::new();
-        o.start_collect_into(&mut outcomes);
-        assert_eq!(o.start_inflight(), 0);
+        o.start_round_into(from, key, &requests, &mut outcomes);
         let elapsed_of = |to: PeerId| start_trip(&o, from, to);
         assert_eq!(
             outcomes,
@@ -2872,7 +1946,7 @@ mod tests {
         assert_eq!(o.node(ids[4]).rs.running_processes(), 0, "never started");
         assert_eq!(o.node(ids[5]).rs.running_processes(), 2);
         // Messages delivered: the crash, four arrivals, three replies and
-        // one deadline — the replies rode one event.
+        // one deadline.
         assert_eq!(o.events_processed() - events_before, 1 + 4 + 3 + 1);
         assert_eq!(o.events_pending(), 0);
     }
@@ -2885,14 +1959,10 @@ mod tests {
         let (from, to) = (ids[0], ids[4]);
         let key = o.generate_key();
         grant_all(&mut o, from, &[to], key);
-        let ranks = vec![RankAssignment {
-            rank: 0,
-            replica: 0,
-        }];
         let t0 = o.now();
         let expected = start_trip(&o, from, to);
         assert_eq!(
-            o.mpd_start(from, to, key, &ranks, "prog"),
+            mpd_start(&mut o, from, to, key, 1),
             (StartReply::Started, expected)
         );
         assert_eq!(o.now(), t0 + expected);
@@ -2912,10 +1982,8 @@ mod tests {
         let remote_site = topo.site_by_name("remote").unwrap().id;
         o.set_site_latency_factor(remote_site, 300.0);
         let t0 = o.now();
-        o.start_send(from, near, key, 1);
-        o.start_send(from, slow, key, 1);
         let mut outcomes = Vec::new();
-        o.start_collect_into(&mut outcomes);
+        o.start_round_into(from, key, &[(near, 1), (slow, 1)], &mut outcomes);
         assert_eq!(outcomes[0].1, StartReply::Started);
         assert!(outcomes[0].2 < SimDuration::from_millis(1));
         assert_eq!(
@@ -2926,7 +1994,7 @@ mod tests {
         // The remote did start the ranks; the submitter gave up on them.
         assert_eq!(o.node(slow).rs.running_processes(), 1);
         assert_eq!((o.leaked_grants(), o.leaked_grant_hwm()), (1, 1));
-        o.advance(SimDuration::from_secs(2));
+        o.run_until(o.now() + SimDuration::from_secs(2));
         assert_eq!(o.node(slow).rs.active_applications(), 0, "released eagerly");
         assert_eq!(o.node(near).rs.running_processes(), 1);
     }
@@ -2941,14 +2009,12 @@ mod tests {
         let key = o.generate_key();
         grant_all(&mut o, from, &[far, near], key);
         // 1000x: the one-way trip alone takes ~5 s, past the 2 s deadline,
-        // which is therefore armed at send.
+        // which is therefore stamped at send.
         let remote_site = topo.site_by_name("remote").unwrap().id;
         o.set_site_latency_factor(remote_site, 1000.0);
         let t0 = o.now();
-        o.start_send(from, far, key, 1);
-        o.start_send(from, near, key, 1);
         let mut outcomes = Vec::new();
-        o.start_collect_into(&mut outcomes);
+        o.start_round_into(from, key, &[(far, 1), (near, 1)], &mut outcomes);
         assert_eq!(
             (outcomes[0].1, outcomes[0].2),
             (StartReply::Timeout, o.params().rs_timeout)
@@ -2958,82 +2024,35 @@ mod tests {
         assert_eq!(o.now(), t0 + o.params().rs_timeout);
         assert_eq!(o.node(far).rs.running_processes(), 0);
         assert_eq!(o.events_pending(), 1, "the request is still on its way");
-        // Another round recycles the submitter's bookkeeping meanwhile.
+        // Another round reuses the round buffer meanwhile.
         let key2 = o.generate_key();
         grant_all(&mut o, from, &[ids[2]], key2);
-        o.start_send(from, ids[2], key2, 1);
-        o.start_collect_into(&mut outcomes);
+        o.start_round_into(from, key2, &[(ids[2], 1)], &mut outcomes);
         assert_eq!(outcomes[0].1, StartReply::Started);
         // The late arrival settles the remote side only: the ranks start,
         // nobody waits for them, the grant is released one trip later.
-        o.advance(SimDuration::from_secs(4));
+        o.run_until(o.now() + SimDuration::from_secs(4));
         assert_eq!(o.node(far).rs.running_processes(), 1);
         assert_eq!(o.leaked_grants(), 1);
-        o.advance(SimDuration::from_secs(6));
+        o.run_until(o.now() + SimDuration::from_secs(6));
         assert_eq!(o.node(far).rs.active_applications(), 0);
         assert_eq!(o.node(ids[2]).rs.running_processes(), 1, "untouched");
     }
 
-    #[test]
-    fn a_start_round_extended_after_its_arrivals_drained_still_resolves() {
-        let mut o = overlay();
-        o.boot_all();
-        let ids = o.peer_ids();
-        let from = ids[0];
-        let key = o.generate_key();
-        grant_all(&mut o, from, &[ids[3], ids[4]], key);
-        let t0 = o.now();
-        o.start_send(from, ids[3], key, 1);
-        // Past the arrival (~5 ms), short of the reply (~10 ms): the
-        // delivery event of the round so far is pending.
-        o.advance(SimDuration::from_millis(7));
-        o.start_send(from, ids[4], key, 1);
-        let mut outcomes = Vec::new();
-        o.start_collect_into(&mut outcomes);
-        let trip = outcomes[0].2;
-        assert_eq!(
-            outcomes,
-            vec![
-                (ids[3], StartReply::Started, trip),
-                (ids[4], StartReply::Started, trip)
-            ]
-        );
-        assert_eq!(o.now(), t0 + SimDuration::from_millis(7) + trip);
-        assert_eq!(o.events_pending(), 0);
-    }
-
     // -- rounds whose window is clear ----------------------------------------
 
-    /// Steps 3–5 the per-request way: the reference `rs_round_into` must
-    /// agree with.
-    fn rs_round_reference(
-        o: &mut Overlay,
-        from: PeerId,
-        key: ReservationKey,
-        peers: &[PeerId],
-        total_processes: u32,
-    ) -> Vec<(PeerId, RsOutcome)> {
-        for &to in peers {
-            o.rs_send(from, to, key, total_processes);
-        }
-        let mut outcomes = Vec::new();
-        o.rs_collect_into(&mut outcomes);
-        outcomes
-    }
-
-    /// Steps 7–8 the per-request way: the reference `start_round_into`
-    /// must agree with.
+    /// Steps 7–8 through the reference: each message goes onto the real
+    /// queue when it is stamped and comes back in heap order.
     fn start_round_reference(
         o: &mut Overlay,
         from: PeerId,
         key: ReservationKey,
         requests: &[(PeerId, u32)],
     ) -> Vec<(PeerId, StartReply, SimDuration)> {
-        for &(to, ranks) in requests {
-            o.start_send(from, to, key, ranks);
-        }
+        let walk = std::mem::replace(&mut o.round.reference, true);
         let mut outcomes = Vec::new();
-        o.start_collect_into(&mut outcomes);
+        o.start_round_into(from, key, requests, &mut outcomes);
+        o.round.reference = walk;
         outcomes
     }
 
@@ -3071,7 +2090,7 @@ mod tests {
         o.schedule_completion(SimTime::from_secs(100), old, vec![]);
         let (queued, capacity) = (o.events_queued(), o.events_capacity());
         assert_eq!(queued, 1);
-        // The RS half: five decided exchanges, delivered at the latest.
+        // The RS half: five replies; the round ends with the latest.
         let key = o.generate_key();
         let targets = [ids[3], ids[1], ids[4], ids[5], ids[2]];
         let t0 = o.now();
@@ -3080,7 +2099,6 @@ mod tests {
         assert_eq!(o.now(), t0 + rs_rtt(&o, from, ids[3]));
         assert_eq!(o.events_processed() - events, 5);
         assert_eq!((o.events_queued(), o.events_capacity()), (queued, capacity));
-        assert_eq!(o.rs_scratch_capacity(), 0, "no pending slot was taken");
         // The start half: a request and a reply per host.
         let requests: Vec<(PeerId, u32)> = targets.iter().map(|&to| (to, 2)).collect();
         let t1 = o.now();
@@ -3096,29 +2114,23 @@ mod tests {
         assert_eq!(o.now(), t1 + start_trip(&o, from, ids[3]));
         assert_eq!(o.events_processed() - events, 2 * 5);
         assert_eq!((o.events_queued(), o.events_capacity()), (queued, capacity));
-        assert_eq!((o.start_inflight(), o.rs_inflight()), (0, 0));
         // Each start is traced at its own arrival instant.
         let started = sorted_trace(&o, TraceCategory::Runtime);
-        let arrival = |to: PeerId| {
-            let bytes = o.params().start_message_bytes;
-            t1 + o
-                .network()
-                .transfer_time(o.host_of(from), o.host_of(to), bytes)
-        };
+        let arrival = |to: PeerId| t1 + start_outbound(&o, from, to);
         assert_eq!(started.len(), 5);
         assert_eq!(
             started[0],
             (arrival(ids[1]), format!("{} started 2 process(es)", ids[1]))
         );
         assert_eq!(started[4].0, arrival(ids[5]));
-        // And the round agrees with the per-request reference on a twin.
+        // And the round agrees with the reference on a twin.
         let mut twin = overlay();
         twin.boot_all();
         let twin_old = twin.generate_key();
         twin.schedule_completion(SimTime::from_secs(100), twin_old, vec![]);
         let twin_key = twin.generate_key();
         assert_eq!(twin_key, key);
-        twin.set_armed_reference(true);
+        twin.round.reference = true;
         grant_all(&mut twin, from, &targets, key);
         assert_eq!(
             start_round_reference(&mut twin, from, key, &requests),
@@ -3132,10 +2144,11 @@ mod tests {
     fn an_event_due_inside_the_window_sends_the_round_to_the_timeline() {
         let ms = SimDuration::from_millis;
         let us = SimDuration::from_micros;
-        // Plays one start round on twins, through the round call and
-        // through the per-request reference, with `disturb` scheduling
-        // something relative to the send instant and the last reply's trip
-        // (the key is that of a job running on `ids[2]`).
+        // Plays one start round on twins, through the walk and through the
+        // reference, with `disturb` scheduling something relative to the
+        // send instant and the last reply's trip (the key is that of a job
+        // running on `ids[2]`).  Also reports whether the round put
+        // anything on the queue.
         type Disturb<'a> = &'a dyn Fn(&mut Overlay, ReservationKey, SimTime, SimDuration);
         let play = |disturb: Disturb| {
             let run = |round_call: bool| {
@@ -3143,15 +2156,11 @@ mod tests {
                 o.boot_all();
                 let ids = o.peer_ids();
                 let from = ids[0];
-                let ranks = vec![RankAssignment {
-                    rank: 0,
-                    replica: 0,
-                }];
                 // A job already running on ids[2], for completions.
                 let old = o.generate_key();
                 grant_all(&mut o, from, &[ids[2]], old);
                 assert_eq!(
-                    o.mpd_start(from, ids[2], old, &ranks, "old").0,
+                    mpd_start(&mut o, from, ids[2], old, 1).0,
                     StartReply::Started
                 );
                 let key = o.generate_key();
@@ -3167,9 +2176,9 @@ mod tests {
                 } else {
                     outcomes = start_round_reference(&mut o, from, key, &requests);
                 }
-                // Five arrivals pending at once outgrow the payload store.
-                let on_timeline = o.events_capacity() > capacity;
-                (outcomes, format!("{:?}", observed(&o)), on_timeline)
+                // The reference's five arrivals outgrow the payload store.
+                let pushed = o.events_capacity() > capacity;
+                (outcomes, format!("{:?}", observed(&o)), pushed)
             };
             let (round, reference) = (run(true), run(false));
             assert!(reference.2);
@@ -3184,30 +2193,30 @@ mod tests {
             o.schedule_completion(at, old, vec![on]);
         };
 
-        // Undisturbed, the round resolves off the timeline ...
-        let (outcomes, _, on_timeline) = play(&|_, _, _, _| {});
-        assert!(all_started(&outcomes) && !on_timeline);
-        // ... and so it does when the next event is due right after it.
-        let (outcomes, _, on_timeline) =
+        // Undisturbed, the walk pushes nothing ...
+        let (outcomes, _, pushed) = play(&|_, _, _, _| {});
+        assert!(all_started(&outcomes) && !pushed);
+        // ... and an event due right after the round stays pending.
+        let (outcomes, seen, pushed) =
             play(&|o, old, t0, trip| complete(o, old, t0 + trip + SimDuration::from_nanos(1)));
-        assert!(all_started(&outcomes) && !on_timeline);
+        assert!(all_started(&outcomes) && !pushed);
+        assert!(!seen.contains("job completed"), "{seen}");
 
-        // A completion inside the window: same outcomes, on the timeline.
-        let (outcomes, seen, on_timeline) = play(&|o, old, t0, _| complete(o, old, t0 + ms(2)));
-        assert!(all_started(&outcomes) && on_timeline);
+        // A completion inside the window fires inside the round.
+        let (outcomes, seen, _) = play(&|o, old, t0, _| complete(o, old, t0 + ms(2)));
+        assert!(all_started(&outcomes));
         assert!(seen.contains("job completed, freed 1 host"), "{seen}");
-        // A completion due *exactly* when the last reply lands fires inside
-        // the round (it was scheduled first), so that round too.
-        let (outcomes, seen, on_timeline) = play(&|o, old, t0, trip| complete(o, old, t0 + trip));
-        assert!(all_started(&outcomes) && on_timeline);
+        // So does a completion due *exactly* when the last reply lands: it
+        // was scheduled first.
+        let (outcomes, seen, _) = play(&|o, old, t0, trip| complete(o, old, t0 + trip));
+        assert!(all_started(&outcomes));
         assert!(seen.contains("job completed, freed 1 host"), "{seen}");
         // A remote that crashes before its request arrives times out.
-        let (outcomes, _, on_timeline) = play(&|o, _, t0, _| {
+        let (outcomes, ..) = play(&|o, _, t0, _| {
             let mut churn = ChurnSchedule::new();
             churn.crash(o.peer_ids()[4], t0 + ms(1));
             o.schedule_churn(churn.finish());
         });
-        assert!(on_timeline);
         assert_eq!(
             outcomes.iter().map(|o| o.1).collect::<Vec<_>>(),
             [
@@ -3220,11 +2229,10 @@ mod tests {
         );
         // Links that slow down while the requests are on their way: the
         // remote site's replies leave at 500x and miss the 2 s deadline.
-        let (outcomes, seen, on_timeline) = play(&|o, _, t0, _| {
+        let (outcomes, seen, _) = play(&|o, _, t0, _| {
             let remote = o.topology().site_by_name("remote").unwrap().id;
             o.schedule_link_degradation(remote, t0 + us(500), SimDuration::from_secs(5), 500.0);
         });
-        assert!(on_timeline);
         assert_eq!(
             outcomes.iter().map(|o| o.1).collect::<Vec<_>>(),
             [
@@ -3238,13 +2246,14 @@ mod tests {
         assert!(seen.contains("latency factor"), "{seen}");
         // Links already too slow when the round leaves, with nothing on
         // the queue at all: at 300x the replies miss the deadline, at
-        // 1000x the requests themselves do.
+        // 1000x the requests themselves do.  What outlives the round (the
+        // releases of the started ranks, the late arrivals) is queued.
         for factor in [300.0, 1000.0] {
-            let (outcomes, _, on_timeline) = play(&|o, _, _, _| {
+            let (outcomes, _, pushed) = play(&|o, _, _, _| {
                 let remote = o.topology().site_by_name("remote").unwrap().id;
                 o.set_site_latency_factor(remote, factor);
             });
-            assert!(on_timeline);
+            assert!(pushed);
             assert_eq!(
                 outcomes.iter().map(|o| o.1).collect::<Vec<_>>(),
                 [
@@ -3297,7 +2306,7 @@ mod tests {
         assert_eq!(o.node(ids[1]).rs.running_processes(), 0);
         // A refusal is an answer, not a timeout: nothing leaked.
         assert_eq!(o.leaked_grants(), 0);
-        // The per-request reference gives the same answers.
+        // The reference gives the same answers.
         let mut twin = overlay();
         twin.boot_all();
         assert_eq!(twin.generate_key(), key);
@@ -3347,58 +2356,11 @@ mod tests {
     }
 
     #[test]
-    fn a_round_sent_behind_a_pending_start_request_collects_both() {
-        let mut o = overlay();
-        o.boot_all();
-        let ids = o.peer_ids();
-        let from = ids[0];
-        let key = o.generate_key();
-        grant_all(&mut o, from, &[ids[3], ids[1]], key);
-        // The pending request's arrival (~5 ms) is past the local round's
-        // last reply: nothing is due inside the window, yet the round must
-        // not resolve without the request it was sent behind.
-        o.start_send(from, ids[3], key, 1);
-        let mut outcomes = Vec::new();
-        o.start_round_into(from, key, &[(ids[1], 1)], &mut outcomes);
-        assert_eq!(
-            outcomes,
-            vec![
-                (ids[3], StartReply::Started, start_trip(&o, from, ids[3])),
-                (ids[1], StartReply::Started, start_trip(&o, from, ids[1])),
-            ]
-        );
-        assert_eq!(o.start_inflight(), 0);
-    }
-
-    #[test]
-    fn an_rs_round_sent_behind_a_pending_request_collects_both() {
-        let mut o = overlay();
-        o.boot_all();
-        let ids = o.peer_ids();
-        let from = ids[0];
-        let key = o.generate_key();
-        o.rs_send(from, ids[3], key, 1);
-        let mut outcomes = Vec::new();
-        o.rs_round_into(from, key, &[ids[1]], 1, &mut outcomes);
-        let granted = |to: PeerId| RsOutcome::Reply {
-            reply: ReservationReply::Ok {
-                capacity_p: o.node(to).capacity_per_app(),
-            },
-            elapsed: rs_rtt(&o, from, to),
-        };
-        assert_eq!(
-            outcomes,
-            vec![(ids[3], granted(ids[3])), (ids[1], granted(ids[1]))]
-        );
-        assert_eq!(o.rs_inflight(), 0);
-    }
-
-    #[test]
     fn an_rs_round_that_is_not_clear_goes_per_request() {
         let ms = SimDuration::from_millis;
-        // Plays one RS round on twins, through the round call and through
-        // the armed per-request reference, after `disturb` has acted at the
-        // send instant (the key is that of a job running on `ids[2]`).
+        // Plays one RS round on twins, through the walk and through the
+        // reference, after `disturb` has acted at the send instant (the key
+        // is that of a job running on `ids[2]`).
         type Disturb<'a> = &'a dyn Fn(&mut Overlay, ReservationKey, SimTime);
         let play = |disturb: Disturb| {
             let run = |round_call: bool| {
@@ -3406,29 +2368,19 @@ mod tests {
                 o.boot_all();
                 let ids = o.peer_ids();
                 let from = ids[0];
-                let ranks = vec![RankAssignment {
-                    rank: 0,
-                    replica: 0,
-                }];
                 let old = o.generate_key();
                 grant_all(&mut o, from, &[ids[2]], old);
                 assert_eq!(
-                    o.mpd_start(from, ids[2], old, &ranks, "old").0,
+                    mpd_start(&mut o, from, ids[2], old, 1).0,
                     StartReply::Started
                 );
-                o.set_armed_reference(!round_call);
+                o.round.reference = !round_call;
                 let t0 = o.now();
                 disturb(&mut o, old, t0);
                 let key = o.generate_key();
                 let targets = [ids[1], ids[4], from, ids[3], ids[2]];
-                let outcomes = if round_call {
-                    let mut outcomes = Vec::new();
-                    o.rs_round_into(from, key, &targets, 1, &mut outcomes);
-                    assert!(o.rs_scratch_capacity() > 0, "the round fell back");
-                    outcomes
-                } else {
-                    rs_round_reference(&mut o, from, key, &targets, 1)
-                };
+                let mut outcomes = Vec::new();
+                o.rs_round_into(from, key, &targets, 1, &mut outcomes);
                 let counters: Vec<_> = ids.iter().map(|&p| o.node(p).rs.counters()).collect();
                 (
                     outcomes,
@@ -3486,11 +2438,12 @@ mod tests {
         assert_eq!(trace.len(), 1 + 5);
     }
 
-    // -- decided on vs off, over random rounds -------------------------------
+    // -- the walk vs the reference, over random rounds ----------------------
 
-    /// Three sites around a 50 ms `rs_timeout`: `near` answers in ~10 ms
-    /// (decided), `far` in ~60 ms (armed, and the reply loses).
-    fn three_site_overlay(j: u32, fast_path: bool) -> Overlay {
+    /// Three sites around a 50 ms `rs_timeout`: `near` answers in ~10 ms,
+    /// `far` in ~60 ms (a timeout: its reply loses).  `reference` pushes
+    /// every round message onto the queue.
+    fn three_site_overlay(j: u32, reference: bool) -> Overlay {
         let mut b = TopologyBuilder::new();
         let sites = [b.add_site("local"), b.add_site("near"), b.add_site("far")];
         for (&site, prefix) in sites.iter().zip(["l", "n", "f"]) {
@@ -3518,20 +2471,21 @@ mod tests {
             .peer_per_host(|h| OwnerConfig::new(j, h.cores as u32))
             .build();
         o.boot_all();
-        o.set_armed_reference(!fast_path);
+        o.round.reference = reference;
         o
     }
 
-    /// Up to three disturbances around a round sent at `t0` whose last
-    /// in-time reply lands `window` later: each a crash, a recovery, a link
-    /// degradation or the completion of a job from `running`, due inside
-    /// the window, exactly at its end, right after it, or any time in the
-    /// next 70 ms (inside or after, as the draw falls) — or a latency
-    /// factor set on the spot, before the round leaves.
+    /// Up to three disturbances around a round sent at `t0`: each a crash,
+    /// a recovery, a link degradation or the completion of a job from
+    /// `running`, due inside the round's window (its last in-time message
+    /// lands `window` after `t0`), exactly at its end, 1 ns after it,
+    /// exactly at one request's own message instant (`own`: an RS reply or
+    /// a start arrival), exactly at the timeout, or any time in the next
+    /// 70 ms — or a latency factor set on the spot, before the round leaves.
     fn disturb(
         o: &mut Overlay,
         rng: &mut StdRng,
-        (t0, window): (SimTime, SimDuration),
+        (t0, window, own): (SimTime, SimDuration, &[SimDuration]),
         running: &mut Vec<(ReservationKey, Vec<PeerId>)>,
     ) {
         let ns = SimDuration::from_nanos;
@@ -3539,10 +2493,12 @@ mod tests {
         let near = o.topology().site_by_name("near").unwrap().id;
         for _ in 0..rng.gen_range(0..4) {
             let at = t0
-                + match rng.gen_range(0..5) {
+                + match rng.gen_range(0..7) {
                     0 if window > ns(1) => ns(rng.gen_range(1..window.as_nanos())),
                     1 => window,
                     2 => window + ns(1),
+                    3 if !own.is_empty() => own[rng.gen_range(0..own.len())],
+                    4 => o.params().rs_timeout,
                     _ => ns(rng.gen_range(1..70_000_000)),
                 };
             let peer = ids[rng.gen_range(1..ids.len())];
@@ -3568,10 +2524,8 @@ mod tests {
     }
 
     /// Plays the scenario drawn from `scenario` and logs everything a
-    /// submitter or an observer can see.  `round_calls` plays both halves
-    /// through `rs_round_into` and `start_round_into`, otherwise request by
-    /// request.
-    fn play_rounds(o: &mut Overlay, scenario: u64, round_calls: bool) -> Vec<String> {
+    /// submitter or an observer can see.
+    fn play_rounds(o: &mut Overlay, scenario: u64) -> Vec<String> {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(scenario);
         let ids = o.peer_ids();
@@ -3598,18 +2552,14 @@ mod tests {
             let targets: Vec<PeerId> = (0..rng.gen_range(1..ids.len() + 3))
                 .map(|_| ids[rng.gen_range(0..ids.len())])
                 .collect();
-            let window = targets
+            let replies: Vec<SimDuration> = targets
                 .iter()
                 .map(|&to| rs_rtt(o, submitter, to))
                 .filter(|&rtt| rtt < rs_timeout)
-                .max()
-                .unwrap_or(SimDuration::ZERO);
-            disturb(o, &mut rng, (o.now(), window), &mut running);
-            if round_calls {
-                o.rs_round_into(submitter, key, &targets, 4, &mut outcomes);
-            } else {
-                outcomes = rs_round_reference(o, submitter, key, &targets, 4);
-            }
+                .collect();
+            let window = replies.iter().max().copied().unwrap_or_default();
+            disturb(o, &mut rng, (o.now(), window, &replies), &mut running);
+            o.rs_round_into(submitter, key, &targets, 4, &mut outcomes);
             log.push(format!(
                 "round {round} rs {outcomes:?} now={} events={}",
                 o.now(),
@@ -3636,13 +2586,14 @@ mod tests {
                 .map(|&(to, _)| start_trip(o, submitter, to))
                 .filter(|&trip| trip < rs_timeout)
                 .max()
-                .unwrap_or(SimDuration::ZERO);
-            disturb(o, &mut rng, (o.now(), window), &mut running);
-            if round_calls {
-                o.start_round_into(submitter, key, &requests, &mut starts);
-            } else {
-                starts = start_round_reference(o, submitter, key, &requests);
-            }
+                .unwrap_or_default();
+            let arrivals: Vec<SimDuration> = requests
+                .iter()
+                .map(|&(to, _)| start_outbound(o, submitter, to))
+                .filter(|&trip| trip < rs_timeout)
+                .collect();
+            disturb(o, &mut rng, (o.now(), window, &arrivals), &mut running);
+            o.start_round_into(submitter, key, &requests, &mut starts);
             log.push(format!(
                 "round {round} start {starts:?} now={} events={}",
                 o.now(),
@@ -3658,7 +2609,7 @@ mod tests {
                 running.push((key, started));
             }
         }
-        o.advance(SimDuration::from_secs(1));
+        o.run_until(o.now() + SimDuration::from_secs(1));
         log.push(format!(
             "end now={} events={} pending={} leaked={} hwm={}",
             o.now(),
@@ -3687,19 +2638,19 @@ mod tests {
     }
 
     proptest! {
-        /// Deciding exchanges at send, and resolving the rounds whose
-        /// window is clear off the timeline, changes no outcome, no
-        /// elapsed time, no clock, no delivered-message count, no RS
-        /// counter, no leaked grant and no trace record: the reference
-        /// parks every request's own events on the timeline.
+        /// Merging each round's messages with the timeline by `(time,
+        /// stamp)` changes no outcome, no elapsed time, no clock, no
+        /// delivered-message count, no RS counter, no leaked grant and no
+        /// trace record against the reference, which pushes every message
+        /// onto the queue when it is stamped and lets the heap order them.
         #[test]
         fn decided_rounds_match_the_per_request_reference(
             j in 1u32..4,
             scenario in any::<u64>(),
         ) {
-            let decided = play_rounds(&mut three_site_overlay(j, true), scenario, true);
-            let reference = play_rounds(&mut three_site_overlay(j, false), scenario, false);
-            prop_assert_eq!(decided, reference, "J={} scenario={}", j, scenario);
+            let walked = play_rounds(&mut three_site_overlay(j, false), scenario);
+            let reference = play_rounds(&mut three_site_overlay(j, true), scenario);
+            prop_assert_eq!(walked, reference, "J={} scenario={}", j, scenario);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Property test: the incrementally maintained latency index of
 //! [`p2pmpi_overlay::cache::CachedList`] must agree with the naive
-//! sort-every-read reference implementation under arbitrary operation
+//! sort-every-read reference under arbitrary operation
 //! sequences — including the unprobed-sort-last and tie-by-peer-id rules.
 
 use p2pmpi_overlay::cache::CachedList;
@@ -22,13 +22,12 @@ fn incremental_order(cache: &CachedList) -> Vec<PeerId> {
     cache.ranking_iter().collect()
 }
 
-/// The booking order recomputed from first principles.
+/// The booking order recomputed from first principles: every entry,
+/// sorted by measured latency (unprobed last), ties by peer id.
 fn naive_order(cache: &CachedList) -> Vec<PeerId> {
-    cache
-        .sorted_by_latency_naive()
-        .into_iter()
-        .map(|e| e.descriptor.id)
-        .collect()
+    let mut entries: Vec<_> = cache.peers().collect();
+    entries.sort_by_key(|e| (e.latency.is_none(), e.latency, e.descriptor.id));
+    entries.into_iter().map(|e| e.descriptor.id).collect()
 }
 
 fn run_sequence(seed: u64) {

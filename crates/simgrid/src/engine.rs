@@ -78,10 +78,10 @@ impl<E> TypedEngine<E> {
     }
 
     /// Adds `n` deliveries that took no pop of their own to
-    /// [`TypedEngine::processed`]: an owner that lets one scheduled event
-    /// stand for several simulated messages (a round's replies riding the
-    /// event of the latest one) reports the rest here, so the figure keeps
-    /// counting messages delivered, whatever the batching.
+    /// [`TypedEngine::processed`]: an owner that delivers messages it never
+    /// pushed (ordered against the queue by [`TypedEngine::stamp`] and
+    /// [`TypedEngine::pop_before`]) counts them here, so the figure counts
+    /// messages delivered, queued or not.
     pub fn count_delivered(&mut self, n: u64) {
         self.processed += n;
     }
@@ -101,11 +101,6 @@ impl<E> TypedEngine<E> {
     /// simultaneously pending events).
     pub fn events_capacity(&self) -> usize {
         self.queue.capacity()
-    }
-
-    /// Firing time of the earliest pending event.
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
     }
 
     /// The timeline's *safe horizon*: once everything due at or before the
@@ -205,6 +200,20 @@ impl<E> TypedEngine<E> {
         }
     }
 
+    /// Takes the next FIFO stamp (see [`EventQueue::stamp`]).
+    pub fn stamp(&mut self) -> u64 {
+        self.queue.stamp()
+    }
+
+    /// [`TypedEngine::pop_due`] for the earliest event only if it precedes
+    /// `(at, stamp)` (see [`EventQueue::pop_before`]).
+    pub fn pop_before(&mut self, at: SimTime, stamp: u64) -> Option<Scheduled<E>> {
+        let ev = self.queue.pop_before(at, stamp)?;
+        self.now = ev.time;
+        self.processed += 1;
+        Some(ev)
+    }
+
     /// Raises the clock to `deadline` if it is ahead of `now` (no-op
     /// otherwise).  Call after draining [`TypedEngine::pop_due`] so repeated
     /// bounded runs behave like a wall clock.
@@ -254,8 +263,8 @@ mod tests {
         assert_eq!(sim.now(), deadline);
         assert_eq!(sim.pending(), 2);
         assert_eq!(sim.processed(), 4);
-        // Deliveries that rode a popped event count without moving the
-        // clock or the queue.
+        // Deliveries that took no pop count without moving the clock or
+        // the queue.
         sim.count_delivered(3);
         assert_eq!(sim.processed(), 7);
         assert_eq!((sim.now(), sim.pending()), (deadline, 2));

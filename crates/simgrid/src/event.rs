@@ -388,7 +388,7 @@ impl Ticket {
     #[inline]
     fn new(time: SimTime, seq: u64, key: EventKey) -> Self {
         Ticket {
-            packed: ((time.as_nanos() as u128) << 64) | seq as u128,
+            packed: pack(time, seq),
             key,
         }
     }
@@ -398,6 +398,12 @@ impl Ticket {
     fn time(&self) -> SimTime {
         SimTime::from_nanos((self.packed >> 64) as u64)
     }
+}
+
+/// `(time_ns << 64) | seq`: the queue's total order as one integer.
+#[inline]
+fn pack(time: SimTime, seq: u64) -> u128 {
+    ((time.as_nanos() as u128) << 64) | seq as u128
 }
 
 /// Wrapper giving `BinaryHeap` min-queue semantics over the packed
@@ -547,7 +553,24 @@ impl<E> EventQueue<E> {
     /// way.
     #[inline]
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        while let Some(HeapTicket(t)) = self.tickets.pop() {
+        self.pop_before(SimTime::MAX, u64::MAX)
+    }
+
+    /// Takes the sequence number the next push would get, for an owner
+    /// ordering a message of its own against the queue without pushing it.
+    pub fn stamp(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Pops the earliest pending event only if it precedes `(time, stamp)`
+    /// in the queue's `(time, seq)` order; tombstones before that bound are
+    /// collected on the way, none after it.
+    #[inline]
+    pub fn pop_before(&mut self, time: SimTime, stamp: u64) -> Option<Scheduled<E>> {
+        let bound = pack(time, stamp);
+        while self.tickets.peek()?.0.packed < bound {
+            let HeapTicket(t) = self.tickets.pop()?;
             if let Some(payload) = self.store.resolve(t.key) {
                 return Some(Scheduled {
                     time: t.time(),

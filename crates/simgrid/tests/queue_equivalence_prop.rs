@@ -3,11 +3,12 @@
 //! The reference keeps every ticket in a `Vec` sorted by `(time, seq)` and
 //! cancels by linear search, marking the entry dead the way the queue
 //! leaves a tombstone.  Under arbitrary interleavings of pushes, batch
-//! pushes, pops, peeks, cancellations and reaps the queue must deliver
-//! *exactly* the reference's `(time, payload)` stream — FIFO ties included
-//! — agree on every cancel (stale keys included), and carry the same live
-//! and queued counts: a dead ticket is collected when the front reaches it
-//! or when `reap` sweeps it, never otherwise.
+//! pushes, pops, bounded pops, peeks, cancellations, reaps and stamps taken
+//! without a push, the queue must deliver *exactly* the reference's `(time,
+//! payload)` stream — FIFO ties included — agree on every cancel (stale
+//! keys included) and every stamp, and carry the same live and queued
+//! counts: a dead ticket is collected when the front reaches it or when
+//! `reap` sweeps it, never otherwise.
 
 use p2pmpi_simgrid::event::{EventKey, EventQueue, Scheduled};
 use p2pmpi_simgrid::rngutil::seeded;
@@ -31,6 +32,11 @@ enum Op {
     PeekTime,
     /// Collect every dead ticket eagerly.
     Reap,
+    /// Take a stamp without pushing.
+    Stamp,
+    /// Pop the earliest event only if it precedes `(floor + offset, stamp)`,
+    /// the stamp picked among those handed out so far (`pick` modulo).
+    PopBefore(u64, u64),
 }
 
 /// A time offset on one of three scales: tight clusters (ties and
@@ -54,9 +60,11 @@ fn script(seed: u64, ops: usize) -> Vec<Op> {
                     .map(|_| offset(&mut rng))
                     .collect(),
             ),
-            50..=69 => Op::Cancel(rng.gen()),
-            70..=89 => Op::Pop,
-            90..=95 => Op::PeekTime,
+            50..=64 => Op::Cancel(rng.gen()),
+            65..=79 => Op::Pop,
+            80..=84 => Op::PopBefore(offset(&mut rng), rng.gen()),
+            85..=87 => Op::Stamp,
+            88..=94 => Op::PeekTime,
             _ => Op::Reap,
         })
         .collect()
@@ -118,6 +126,29 @@ impl Reference {
                 payload: e.payload,
             }
         })
+    }
+
+    fn stamp(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Pops entries while the front precedes `(time, stamp)`, dead ones
+    /// collected, until a live one comes off.
+    fn pop_before(&mut self, time: SimTime, stamp: u64) -> Option<Scheduled<u32>> {
+        while let Some(first) = self.entries.first() {
+            if (first.time, first.seq) >= (time, stamp) {
+                break;
+            }
+            let e = self.entries.remove(0);
+            if !e.dead {
+                return Some(Scheduled {
+                    time: e.time,
+                    payload: e.payload,
+                });
+            }
+        }
+        None
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
@@ -182,6 +213,19 @@ proptest! {
                     if let Some(s) = popped {
                         floor = s.time.as_nanos();
                     }
+                }
+                Op::PopBefore(offset, pick) => {
+                    let t = SimTime::from_nanos(floor + offset);
+                    let stamp = pick % (reference.next_seq + 1);
+                    let popped = queue.pop_before(t, stamp);
+                    let expected = reference.pop_before(t, stamp);
+                    prop_assert_eq!(&popped, &expected, "pop_before at op {}", i);
+                    if let Some(s) = popped {
+                        floor = s.time.as_nanos();
+                    }
+                }
+                Op::Stamp => {
+                    prop_assert_eq!(queue.stamp(), reference.stamp(), "stamp at op {}", i);
                 }
                 Op::PeekTime => {
                     prop_assert_eq!(queue.peek_time(), reference.peek_time(), "peek at op {}", i);

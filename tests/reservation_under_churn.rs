@@ -27,7 +27,8 @@ fn overbooking_absorbs_crashed_peers() {
         &mut rng,
     );
     tb.overlay.schedule_churn(schedule.finish());
-    tb.overlay.advance(SimDuration::from_secs(2));
+    tb.overlay
+        .run_until(tb.overlay.now() + SimDuration::from_secs(2));
     assert!(tb.overlay.alive_count() <= 350 - 30);
 
     let allocator = CoAllocator::with_params(CoAllocatorParams {
@@ -83,7 +84,8 @@ fn a_recovered_peer_can_be_used_by_a_later_submission() {
     schedule.recover(closest, SimTime::from_secs(100));
     tb.overlay.schedule_churn(schedule.finish());
 
-    tb.overlay.advance(SimDuration::from_secs(5));
+    tb.overlay
+        .run_until(tb.overlay.now() + SimDuration::from_secs(5));
     let first = allocate(
         &mut tb.overlay,
         tb.submitter,
@@ -99,7 +101,8 @@ fn a_recovered_peer_can_be_used_by_a_later_submission() {
     }
 
     // After recovery the peer re-registers; a cache refresh makes it usable.
-    tb.overlay.advance(SimDuration::from_secs(200));
+    tb.overlay
+        .run_until(tb.overlay.now() + SimDuration::from_secs(200));
     tb.overlay.refresh_cache(tb.submitter);
     tb.overlay.probe_round(tb.submitter);
     let second = allocate(
