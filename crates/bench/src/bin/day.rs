@@ -139,6 +139,9 @@ fn config_for(
         None => {}
     }
     if let Some(ranks) = args.list("--ranks")? {
+        if ranks.contains(&0) {
+            return Err(format!("--ranks elements must be >= 1, got {ranks:?}"));
+        }
         cfg.mix.ranks = ranks;
     }
     if let Some(moves) = args.get("--search-moves")? {

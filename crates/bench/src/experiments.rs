@@ -368,37 +368,51 @@ pub fn synthetic_placement(topology: &Topology, strategy: StrategyKind, n: u32) 
         topology.total_cores()
     );
     let hosts = hosts_by_rtt(topology);
-    let mut slots: Vec<HostId> = Vec::with_capacity(n as usize);
-    match strategy {
-        StrategyKind::Concentrate => {
-            'outer: for &h in &hosts {
-                for _ in 0..topology.host(h).cores {
-                    slots.push(h);
-                    if slots.len() == n as usize {
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        StrategyKind::Spread => {
-            let mut filled = vec![0usize; hosts.len()];
-            'rounds: loop {
-                for (i, &h) in hosts.iter().enumerate() {
-                    if filled[i] < topology.host(h).cores {
-                        filled[i] += 1;
-                        slots.push(h);
-                        if slots.len() == n as usize {
-                            break 'rounds;
-                        }
-                    }
-                }
-            }
-        }
+    let cores = |h: HostId| topology.host(h).cores;
+    let slots = match strategy {
+        StrategyKind::Concentrate => fill_hosts(&hosts, cores, n as usize),
+        StrategyKind::Spread => deal_hosts(&hosts, cores, n as usize),
         StrategyKind::Balanced { .. } | StrategyKind::Searched => {
             panic!("synthetic placements support concentrate and spread only")
         }
-    }
+    };
     Placement::one_per_host(&slots)
+}
+
+/// The concentrate fill: up to `n` rank slots, taking each host of
+/// `order` up to `cap(host)` before the next.  Fewer than `n` when the caps
+/// run out.
+pub(crate) fn fill_hosts(order: &[HostId], cap: impl Fn(HostId) -> usize, n: usize) -> Vec<HostId> {
+    let mut slots = Vec::with_capacity(n);
+    for &h in order {
+        if slots.len() == n {
+            break;
+        }
+        let take = cap(h).min(n - slots.len());
+        slots.extend(std::iter::repeat_n(h, take));
+    }
+    slots
+}
+
+/// The spread deal: up to `n` rank slots, one per host of `order` per
+/// round, skipping hosts that hold `cap(host)`.  Fewer than `n` when the
+/// caps run out.
+pub(crate) fn deal_hosts(order: &[HostId], cap: impl Fn(HostId) -> usize, n: usize) -> Vec<HostId> {
+    let mut filled = vec![0usize; order.len()];
+    let mut slots = Vec::with_capacity(n);
+    while slots.len() < n {
+        let before = slots.len();
+        for (i, &h) in order.iter().enumerate() {
+            if slots.len() < n && filled[i] < cap(h) {
+                filled[i] += 1;
+                slots.push(h);
+            }
+        }
+        if slots.len() == before {
+            break;
+        }
+    }
+    slots
 }
 
 /// Measures modeled kernel times for each process count under one strategy,

@@ -33,7 +33,13 @@
 //!
 //! # The fault-event contract
 //!
-//! Beyond each [`FaultSpec`] variant's own semantics, the verdicts rely on:
+//! Every timeline fault takes one path: `FaultSpec::churn` compiles an
+//! entry of [`DaySweepConfig::faults`] into a churn schedule, and the
+//! driver puts one schedule per entry on the timeline through
+//! `Overlay::schedule_churn`, in list order, so two faults due at one
+//! instant act in the order they are listed.  A flash crowd compiles to
+//! nothing: it reshapes the arrivals before the trace is drawn.  Beyond
+//! each [`FaultSpec`] variant's own semantics, the verdicts rely on:
 //!
 //! * **Revocation ordering** — a peer crash first mass-revokes the doomed
 //!   completions of its running jobs (one `cancel_batch` over their event
@@ -42,7 +48,9 @@
 //!   is never delivered; `jobs_killed` counts the revocations.
 //! * **Correlated outages** — a site's (or, for a partial site, its first
 //!   `hosts` hosts') peers crash at one instant and recover together,
-//!   unlike the independent flapping of [`DeadPeerChurn`].
+//!   unlike the independent flapping of [`DeadPeerChurn`].  Both kinds walk
+//!   the site's hosts in topology order, a whole site without a limit, and
+//!   both spare the submitter.
 //! * **Supernode degraded mode** — while the supernode is down, cache
 //!   refreshes return empty (the submitter brokers from its stale
 //!   `CachedList` instead of halting); on recovery the next heartbeat round
@@ -1050,6 +1058,9 @@ pub fn search_worst_phase(
 mod tests {
     use super::*;
     use crate::workload::fnv1a;
+    use p2pmpi_grid5000::testbed::grid5000_testbed;
+    use p2pmpi_overlay::{ChurnKind, PeerId};
+    use p2pmpi_simgrid::noise::NoiseModel;
 
     /// The matrix definition, one row per scenario: name, twin, recovery
     /// SLO, ordered check names, the FNV-1a of the CI-scale config's
@@ -1114,6 +1125,66 @@ mod tests {
         for s in ALL_SCENARIOS {
             assert!(err.contains(s.name()), "error {err:?} misses {}", s.name());
         }
+    }
+
+    #[test]
+    fn site_outage_takes_a_whole_site_down_and_back() {
+        let mut tb = grid5000_testbed(11, NoiseModel::disabled());
+        let topo = tb.topology.clone();
+        let rennes = topo.site_by_name("rennes").unwrap().id;
+        let rennes_peers: Vec<PeerId> = topo
+            .hosts_at_site(rennes)
+            .filter_map(|h| tb.overlay.peer_on_host(h.id))
+            .collect();
+        assert!(!rennes_peers.is_empty());
+        // A rack brown-out is the same site-host walk, stopped early.
+        let rack = FaultSpec::PartialSite {
+            site: "rennes".to_string(),
+            hosts: 5,
+            at: SimDuration::from_secs(100),
+            duration: SimDuration::from_secs(50),
+        };
+        let crashed: Vec<ChurnKind> = rack.churn(&tb.overlay, tb.submitter).finish()[..5]
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        let first: Vec<ChurnKind> = rennes_peers[..5]
+            .iter()
+            .map(|&p| ChurnKind::Crash(p))
+            .collect();
+        assert_eq!(crashed, first);
+
+        let outage = FaultSpec::SiteOutage {
+            site: "rennes".to_string(),
+            at: SimDuration::from_secs(100),
+            duration: SimDuration::from_secs(50),
+        };
+        let events = outage.churn(&tb.overlay, tb.submitter).finish();
+        assert_eq!(events.len(), rennes_peers.len() * 2);
+        let alive_before = tb.overlay.alive_count();
+        tb.overlay.schedule_churn(events);
+        tb.overlay
+            .run_until(tb.overlay.now() + SimDuration::from_secs(120));
+        // Every Rennes peer is down, together.
+        assert_eq!(tb.overlay.alive_count(), alive_before - rennes_peers.len());
+        for &p in &rennes_peers {
+            assert!(!tb.overlay.node(p).is_alive());
+        }
+        tb.overlay
+            .run_until(tb.overlay.now() + SimDuration::from_secs(50));
+        assert_eq!(tb.overlay.alive_count(), alive_before);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown site")]
+    fn site_outage_rejects_unknown_sites() {
+        let tb = grid5000_testbed(1, NoiseModel::disabled());
+        FaultSpec::SiteOutage {
+            site: "atlantis".to_string(),
+            at: SimDuration::ZERO,
+            duration: SimDuration::from_secs(1),
+        }
+        .churn(&tb.overlay, tb.submitter);
     }
 
     #[test]

@@ -54,7 +54,9 @@
 //! lets rank assignments drift across the plateau a makespan objective
 //! (a max over ranks) is full of.
 
-use crate::experiments::{synthetic_placement, Fig4Kernel, Fig4Point, Fig4Settings};
+use crate::experiments::{
+    deal_hosts, fill_hosts, synthetic_placement, Fig4Kernel, Fig4Point, Fig4Settings,
+};
 use p2pmpi_core::strategy::StrategyKind;
 use p2pmpi_grid5000::capacity::{host_capacities, IdleSlotIndex};
 use p2pmpi_mpi::model::{rank_hosts, CompiledSchedule, Move, PlacementCost};
@@ -209,7 +211,7 @@ impl SearchReport {
 
     /// The best placement as a [`Placement`].
     pub fn best_placement(&self) -> Placement {
-        hosts_to_placement(&self.best_hosts)
+        Placement::one_per_host(&self.best_hosts)
     }
 
     /// The search result as a Figure 4 point (the makespan is the modeled
@@ -324,22 +326,6 @@ pub fn placement_rank_hosts(placement: &Placement) -> Vec<HostId> {
     rank_hosts(placement)
 }
 
-fn hosts_to_placement(hosts: &[HostId]) -> Placement {
-    Placement {
-        processes: hosts.len() as u32,
-        replication: 1,
-        procs: hosts
-            .iter()
-            .enumerate()
-            .map(|(rank, &host)| p2pmpi_mpi::placement::ProcSpec {
-                rank: rank as u32,
-                replica: 0,
-                host,
-            })
-            .collect(),
-    }
-}
-
 /// Proposes one move: 50/50 swap vs migrate-to-a-uniform-idle-slot.
 fn propose(rng: &mut StdRng, n: u32, idle: &IdleSlotIndex) -> Move {
     if idle.free_slots() > 0 && rng.gen_range(0u32..2) == 1 {
@@ -382,6 +368,7 @@ fn hosts_by_speed(topology: &Topology) -> Vec<HostId> {
 
 /// Builds one seed placement of the portfolio.
 fn seed_hosts(topology: &Topology, seed: SeedKind, n: u32) -> Vec<HostId> {
+    let cores = |h: HostId| topology.host(h).cores;
     match seed {
         SeedKind::Concentrate => {
             placement_rank_hosts(&synthetic_placement(topology, StrategyKind::Concentrate, n))
@@ -389,36 +376,8 @@ fn seed_hosts(topology: &Topology, seed: SeedKind, n: u32) -> Vec<HostId> {
         SeedKind::Spread => {
             placement_rank_hosts(&synthetic_placement(topology, StrategyKind::Spread, n))
         }
-        SeedKind::FastConcentrate => {
-            let order = hosts_by_speed(topology);
-            let mut slots = Vec::with_capacity(n as usize);
-            'outer: for &h in &order {
-                for _ in 0..topology.host(h).cores {
-                    slots.push(h);
-                    if slots.len() == n as usize {
-                        break 'outer;
-                    }
-                }
-            }
-            slots
-        }
-        SeedKind::FastSpread => {
-            let order = hosts_by_speed(topology);
-            let mut filled = vec![0usize; order.len()];
-            let mut slots = Vec::with_capacity(n as usize);
-            'rounds: loop {
-                for (i, &h) in order.iter().enumerate() {
-                    if filled[i] < topology.host(h).cores {
-                        filled[i] += 1;
-                        slots.push(h);
-                        if slots.len() == n as usize {
-                            break 'rounds;
-                        }
-                    }
-                }
-            }
-            slots
-        }
+        SeedKind::FastConcentrate => fill_hosts(&hosts_by_speed(topology), cores, n as usize),
+        SeedKind::FastSpread => deal_hosts(&hosts_by_speed(topology), cores, n as usize),
     }
 }
 
@@ -743,16 +702,9 @@ impl SearchContext {
     /// concentrate onto the fastest free cores.  `None` when the free
     /// cores cannot hold `n` ranks.
     pub fn seed_hosts_capped(&self, caps: &[u32], n: u32) -> Option<Vec<HostId>> {
-        let mut slots = Vec::with_capacity(n as usize);
-        for &h in &self.speed_order {
-            for _ in 0..caps[h.0] {
-                slots.push(h);
-                if slots.len() == n as usize {
-                    return Some(slots);
-                }
-            }
-        }
-        None
+        let slots = fill_hosts(&self.speed_order, |h| caps[h.0] as usize, n as usize);
+        // A 0-rank job has no placement to search.
+        (n > 0 && slots.len() == n as usize).then_some(slots)
     }
 
     /// The seed placement of one arrival: the shape's previous annealed
@@ -785,19 +737,9 @@ impl SearchContext {
             })
             .collect();
         let displaced = kept.iter().filter(|k| k.is_none()).count();
-        let mut spill = Vec::with_capacity(displaced);
-        if displaced > 0 {
-            'fill: for &h in &self.speed_order {
-                for _ in 0..free[h.0] {
-                    spill.push(h);
-                    if spill.len() == displaced {
-                        break 'fill;
-                    }
-                }
-            }
-            if spill.len() < displaced {
-                return None;
-            }
+        let spill = fill_hosts(&self.speed_order, |h| free[h.0] as usize, displaced);
+        if spill.len() < displaced {
+            return None;
         }
         let mut spill = spill.into_iter();
         Some(

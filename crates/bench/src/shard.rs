@@ -281,7 +281,9 @@ fn broker_cross(
             }
         }
     }
-    if refused {
+    // A split that books no shard (a zero-rank job) is refused too, as
+    // `run_day_sweep` refuses it (`InvalidRequest`).
+    if refused || booked.is_empty() {
         for (s, key, alloc) in &booked {
             let core = &mut *cores[*s];
             for h in &alloc.hosts {
@@ -890,6 +892,20 @@ mod tests {
         /// Set by a test on its own thread; a thread the sweep spawns reads
         /// the default.
         static IS_CALLER: Cell<bool> = const { Cell::new(false) };
+    }
+
+    #[test]
+    fn a_zero_rank_cross_job_is_refused_without_a_panic() {
+        // Every job is cross-shard, and a 0-rank split books no shard: each
+        // is counted refused, as `run_day_sweep` refuses a zero-rank job.
+        let mut cfg = reduced(StrategyKind::Concentrate, 1.0);
+        cfg.base.mix.ranks = vec![0];
+        cfg.base.profile = cfg.base.profile.scaled(0.2);
+        cfg.parallel = false;
+        let r = run_shard_sweep(&cfg);
+        assert!(r.cross_submitted > 0);
+        assert_eq!(r.cross_failed, r.cross_submitted);
+        assert_eq!(r.merged.failed, r.merged.submitted);
     }
 
     fn segment_on_caller_only(

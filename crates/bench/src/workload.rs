@@ -33,7 +33,8 @@ use crate::search::{OnlineSearchParams, OnlineSearchStats, SearchContext};
 use p2pmpi_core::prelude::*;
 use p2pmpi_grid5000::testbed::{testbed_from_specs, Grid5000Testbed};
 use p2pmpi_grid5000::{ClusterSpec, TABLE1};
-use p2pmpi_overlay::churn::flapping_churn;
+use p2pmpi_overlay::churn::{flapping_churn, ChurnSchedule};
+use p2pmpi_overlay::{Overlay, PeerId};
 use p2pmpi_simgrid::event::QueueKind;
 use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::rngutil::{derive_seed, seeded};
@@ -484,6 +485,77 @@ impl FaultSpec {
             | FaultSpec::SupernodeOutage { at, duration }
             | FaultSpec::PartialSite { at, duration, .. } => (at, duration),
         }
+    }
+
+    /// Compiles the fault into the churn events it puts on `overlay`'s
+    /// timeline, in the order [`Overlay::schedule_churn`] queues them.
+    /// Both outage kinds take one site-host walk: every peer of the site
+    /// (a whole site: no limit) or its first `hosts` (a rack brown-out)
+    /// crashes at the onset and recovers at the end, `spare` excepted (the
+    /// submitter, whose host doubles as the supernode's).  A slow-link
+    /// window sets the site's latency factor and then 1.0; a supernode
+    /// outage crashes and restarts it.  A flash crowd yields nothing: it
+    /// reshapes the arrivals instead ([`burst_profile`]).
+    ///
+    /// Panics on an authoring error: an unknown site, a zero duration, a
+    /// latency factor below 1 or an onset in the past.
+    pub(crate) fn churn(&self, overlay: &Overlay, spare: PeerId) -> ChurnSchedule {
+        let mut schedule = ChurnSchedule::new();
+        let topology = overlay.topology();
+        let site_id = |name: &str| {
+            topology
+                .site_by_name(name)
+                .unwrap_or_else(|| panic!("unknown site '{name}'"))
+                .id
+        };
+        let (at, duration) = match *self {
+            FaultSpec::SiteOutage { at, duration, .. }
+            | FaultSpec::FlashCrowd { at, duration, .. }
+            | FaultSpec::SlowLinks { at, duration, .. }
+            | FaultSpec::SupernodeOutage { at, duration }
+            | FaultSpec::PartialSite { at, duration, .. } => (at, duration),
+        };
+        let (at, end) = (SimTime::ZERO + at, SimTime::ZERO + at + duration);
+        let outage = match self {
+            FaultSpec::FlashCrowd { .. } => return schedule,
+            FaultSpec::SiteOutage { site, .. } => Some((site_id(site), usize::MAX)),
+            FaultSpec::PartialSite { site, hosts, .. } => Some((site_id(site), *hosts)),
+            FaultSpec::SlowLinks {
+                site,
+                latency_factor,
+                ..
+            } => {
+                assert!(
+                    *latency_factor >= 1.0,
+                    "a factor below 1 would speed links up"
+                );
+                let site = site_id(site);
+                schedule
+                    .site_latency(site, *latency_factor, at)
+                    .site_latency(site, 1.0, end);
+                None
+            }
+            FaultSpec::SupernodeOutage { .. } => {
+                schedule.supernode_down(at).supernode_up(end);
+                None
+            }
+        };
+        if let Some((site, limit)) = outage {
+            let peers = topology
+                .hosts_at_site(site)
+                .filter_map(|host| overlay.peer_on_host(host.id))
+                .filter(|&peer| peer != spare)
+                .take(limit);
+            for peer in peers {
+                schedule.crash(peer, at).recover(peer, end);
+            }
+        }
+        assert!(!duration.is_zero(), "a fault needs a non-zero duration");
+        assert!(
+            at >= overlay.now(),
+            "a fault's onset must not be in the past"
+        );
+        schedule
     }
 }
 
@@ -996,59 +1068,11 @@ impl SweepCore {
 
         // Timeline faults: correlated site outages, rack brown-outs, link
         // degradation windows and supernode crashes ride the same event
-        // queue as everything else.
-        let submitter_peer = tb.submitter;
+        // queue as everything else, one churn schedule per fault, in list
+        // order.
         for fault in &cfg.faults {
-            match fault {
-                FaultSpec::FlashCrowd { .. } => {} // applied to the profile pre-trace
-                FaultSpec::SiteOutage { site, at, duration } => {
-                    let schedule = p2pmpi_grid5000::site_outage_schedule(
-                        &tb.overlay,
-                        site,
-                        SimTime::ZERO + *at,
-                        *duration,
-                        &[submitter_peer],
-                    );
-                    tb.overlay.schedule_churn(schedule.finish());
-                }
-                FaultSpec::PartialSite {
-                    site,
-                    hosts,
-                    at,
-                    duration,
-                } => {
-                    let subset = p2pmpi_grid5000::site_host_subset(
-                        &tb.overlay,
-                        site,
-                        *hosts,
-                        &[submitter_peer],
-                    );
-                    tb.overlay
-                        .schedule_host_outage(&subset, SimTime::ZERO + *at, *duration);
-                }
-                FaultSpec::SlowLinks {
-                    site,
-                    at,
-                    duration,
-                    latency_factor,
-                } => {
-                    let site_id = tb
-                        .topology
-                        .site_by_name(site)
-                        .unwrap_or_else(|| panic!("unknown site '{site}'"))
-                        .id;
-                    tb.overlay.schedule_link_degradation(
-                        site_id,
-                        SimTime::ZERO + *at,
-                        *duration,
-                        *latency_factor,
-                    );
-                }
-                FaultSpec::SupernodeOutage { at, duration } => {
-                    tb.overlay
-                        .schedule_supernode_outage(SimTime::ZERO + *at, *duration);
-                }
-            }
+            let schedule = fault.churn(&tb.overlay, submitter);
+            tb.overlay.schedule_churn(schedule.finish());
         }
 
         let allocator = CoAllocator::new();

@@ -15,6 +15,8 @@ fn out_of_range_flag_values_exit_2_naming_the_flag() {
         ("--worst-phase --offsets nan", "--offsets"),
         ("--duration-scale nan", "--duration-scale"),
         ("--shards 2 --cross-fraction 2", "--cross-fraction"),
+        ("--ranks 0", "--ranks"),
+        ("--shards 2 --ranks 8,0", "--ranks"),
     ];
     for (line, flag) in invalid {
         let mut child = Command::new(env!("CARGO_BIN_EXE_day"))

@@ -4,7 +4,9 @@
 //! its timeout, leak and kill paths under churn and faults, and ignore the
 //! config fields and overlay call that survive only for the benchmark.
 
-use p2pmpi_bench::workload::{day_trace, run_day_sweep, DaySweepConfig, DaySweepResult, FaultSpec};
+use p2pmpi_bench::workload::{
+    day_trace, run_day_sweep, DaySweepConfig, DaySweepResult, FaultSpec, SweepFingerprint,
+};
 use p2pmpi_core::prelude::{CoAllocator, JobRequest, StrategyKind};
 use p2pmpi_grid5000::testbed::testbed_from_specs;
 use p2pmpi_grid5000::TABLE1;
@@ -265,8 +267,17 @@ fn searched_day_sweep_is_bit_identical_across_queues() {
     assert!(stats.searched > 0 && stats.moves_evaluated > 0, "{stats:?}");
 }
 
+/// The stacked-fault day's fingerprint, captured at commit d2b7cd4 (before
+/// every timeline fault became one churn event).
+const STACKED_FAULTS_GOLDEN: &str = "trace[submitted=1134] \
+    placements[succeeded=166 failed=968 shapes_costed=139] holds[mean_hold_bits=404bca78ff835d8e] \
+    ledgers[core_seconds_bits=412cfcba54d55733 fnv=05b878e2cc9b34d7] \
+    samples[n=61 fnv=962c618a49d3aa46] timeline[events_processed=317748 \
+    virtual_end_ns=3600000000000 timeouts=35350 jobs_killed=2 leaked_grants=16990 \
+    leaked_grant_hwm=70]";
+
 #[test]
-fn injected_faults_agree_bit_for_bit_on_every_queue() {
+fn stacked_faults_fire_every_path_and_hold_their_golden() {
     // Injected faults ride the same timeline as everything else — churn
     // events, mass revocations (`cancel_batch`), link-degradation toggles,
     // supernode crash/recovery and eager grant releases included — and a
@@ -286,6 +297,12 @@ fn injected_faults_agree_bit_for_bit_on_every_queue() {
                 at: SimDuration::from_secs(1350),
                 duration: SimDuration::from_secs(300),
             },
+            FaultSpec::PartialSite {
+                site: "lyon".to_string(),
+                hosts: 20,
+                at: SimDuration::from_secs(900),
+                duration: SimDuration::from_secs(600),
+            },
             FaultSpec::SlowLinks {
                 site: "sophia".to_string(),
                 at: SimDuration::from_secs(150),
@@ -299,10 +316,10 @@ fn injected_faults_agree_bit_for_bit_on_every_queue() {
         ];
         run_day_sweep(&cfg)
     };
-    // Every fault path genuinely fired: the outage revoked running jobs,
+    // Every fault path genuinely fired: the outages revoked running jobs,
     // and the 200x Sophia latency made reservation replies lose their 2 s
     // races (leaks that the eager release then reclaimed).
-    assert!(day.jobs_killed > 0, "site outage revoked no running jobs");
+    assert!(day.jobs_killed > 0, "the outages revoked no running jobs");
     assert!(
         day.leaked_grants > 0,
         "degraded links never exercised the reply-loses-race path"
@@ -313,4 +330,9 @@ fn injected_faults_agree_bit_for_bit_on_every_queue() {
         day.leaked_grant_hwm,
         day.leaked_grants
     );
+    let want: SweepFingerprint = STACKED_FAULTS_GOLDEN.parse().expect("a fingerprint line");
+    let got = day.fingerprint();
+    if let Some(stage) = got.first_divergence(&want) {
+        panic!("the golden moved first at stage `{stage}`\n got {got}\nwant {want}");
+    }
 }

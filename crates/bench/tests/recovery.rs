@@ -68,7 +68,7 @@ fn composed_outage_recovers_strictly_later_than_the_lone_outage() {
 }
 
 #[test]
-fn composed_and_partial_site_faults_are_queue_invariant() {
+fn composed_and_partial_site_faults_kill_jobs_and_recover() {
     // An outage listed beside a crowd and a `PartialSite` brown-out of a
     // host subset: both fault shapes must kill running jobs, and the
     // composed one must be scored against its crowd-only twin.

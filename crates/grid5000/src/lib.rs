@@ -10,6 +10,10 @@
 //! sufficient for everything the evaluation measures (where processes are
 //! placed, and how placement affects EP/IS run time).
 //!
+//! Faults are not scheduled here: a fault scenario is authored as a
+//! `p2pmpi_bench::workload::FaultSpec`, compiled to a churn schedule there
+//! and put on the overlay's timeline with `Overlay::schedule_churn`.
+//!
 //! ```
 //! use p2pmpi_grid5000::testbed::grid5000_topology;
 //!
@@ -29,8 +33,7 @@ pub mod testbed;
 pub use capacity::{host_capacities, IdleSlotIndex};
 pub use scenario::{
     allocate_on, coallocation_sweep, paper_demand_steps, paper_ep_process_counts,
-    paper_is_process_counts, probe_vs_icmp_ranking, site_host_subset, site_outage_schedule,
-    SweepRow,
+    paper_is_process_counts, probe_vs_icmp_ranking, SweepRow,
 };
 pub use shard::ShardPlan;
 pub use sites::{ClusterSpec, RTT_TO_NANCY_MS, SITE_ORDER, TABLE1};

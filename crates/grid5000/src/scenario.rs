@@ -8,10 +8,8 @@
 use crate::testbed::{grid5000_testbed, Grid5000Testbed};
 use p2pmpi_core::prelude::*;
 use p2pmpi_core::reservation::CoAllocationReport;
-use p2pmpi_overlay::{ChurnSchedule, Overlay, PeerId};
 use p2pmpi_simgrid::noise::NoiseModel;
-use p2pmpi_simgrid::time::{SimDuration, SimTime};
-use p2pmpi_simgrid::topology::HostId;
+use p2pmpi_simgrid::time::SimDuration;
 
 /// One point of a Figure 2/3 style sweep.
 #[derive(Debug, Clone)]
@@ -99,72 +97,6 @@ fn sweep_row(tb: &Grid5000Testbed, demanded: u32, report: &CoAllocationReport) -
     }
 }
 
-/// Builds the churn schedule of a correlated site-wide outage: every peer
-/// hosted at `site_name` crashes at `at` and recovers at `at + duration`,
-/// together — the failure mode a switch or power loss produces, as opposed
-/// to the independent flapping of `flapping_churn`.  Peers in `exclude`
-/// (typically the submitter, whose host doubles as the supernode's) are
-/// spared.  Panics if the site is unknown.
-pub fn site_outage_schedule(
-    overlay: &Overlay,
-    site_name: &str,
-    at: SimTime,
-    duration: SimDuration,
-    exclude: &[PeerId],
-) -> ChurnSchedule {
-    let topology = overlay.topology().clone();
-    let site = topology
-        .site_by_name(site_name)
-        .unwrap_or_else(|| panic!("unknown site '{site_name}'"))
-        .id;
-    let mut schedule = ChurnSchedule::new();
-    for host in topology.hosts_at_site(site) {
-        let Some(peer) = overlay.peer_on_host(host.id) else {
-            continue;
-        };
-        if exclude.contains(&peer) {
-            continue;
-        }
-        schedule.crash(peer, at);
-        schedule.recover(peer, at + duration);
-    }
-    schedule
-}
-
-/// The first `count` hosts of `site_name` (topology order — clusters lay
-/// racks out contiguously, so a prefix of the host list is a rack-shaped
-/// subset) that have a registered peer not in `exclude`.  Returns fewer
-/// than `count` hosts when the site is smaller.  This is the host-subset
-/// half of a partial-site fault: pass the result to
-/// `Overlay::schedule_host_outage` to brown the rack out.  Panics if the
-/// site is unknown.
-pub fn site_host_subset(
-    overlay: &Overlay,
-    site_name: &str,
-    count: usize,
-    exclude: &[PeerId],
-) -> Vec<HostId> {
-    let topology = overlay.topology().clone();
-    let site = topology
-        .site_by_name(site_name)
-        .unwrap_or_else(|| panic!("unknown site '{site_name}'"))
-        .id;
-    let mut subset = Vec::with_capacity(count);
-    for host in topology.hosts_at_site(site) {
-        if subset.len() == count {
-            break;
-        }
-        let Some(peer) = overlay.peer_on_host(host.id) else {
-            continue;
-        };
-        if exclude.contains(&peer) {
-            continue;
-        }
-        subset.push(host.id);
-    }
-    subset
-}
-
 /// Compares the application-level latency ranking measured by the submitter
 /// against the ICMP (noise-free) ranking, per site: returns
 /// `(site, mean_measured_rtt_ms, icmp_rtt_ms)` rows sorted by measured RTT.
@@ -244,52 +176,6 @@ mod tests {
         assert_eq!(procs, 300);
         // 350 hosts available: with one process per host, 300 hosts are used.
         assert_eq!(hosts, 300);
-    }
-
-    #[test]
-    fn site_outage_takes_a_whole_site_down_and_back() {
-        let mut tb = grid5000_testbed(11, NoiseModel::disabled());
-        let topo = tb.topology.clone();
-        let rennes = topo.site_by_name("rennes").unwrap().id;
-        let rennes_peers: Vec<PeerId> = topo
-            .hosts_at_site(rennes)
-            .filter_map(|h| tb.overlay.peer_on_host(h.id))
-            .collect();
-        assert!(!rennes_peers.is_empty());
-        let schedule = site_outage_schedule(
-            &tb.overlay,
-            "rennes",
-            SimTime::from_secs(100),
-            SimDuration::from_secs(50),
-            &[tb.submitter],
-        );
-        let events = schedule.finish();
-        assert_eq!(events.len(), rennes_peers.len() * 2);
-        let alive_before = tb.overlay.alive_count();
-        tb.overlay.schedule_churn(events);
-        tb.overlay
-            .run_until(tb.overlay.now() + SimDuration::from_secs(120));
-        // Every Rennes peer is down, together.
-        assert_eq!(tb.overlay.alive_count(), alive_before - rennes_peers.len());
-        for &p in &rennes_peers {
-            assert!(!tb.overlay.node(p).is_alive());
-        }
-        tb.overlay
-            .run_until(tb.overlay.now() + SimDuration::from_secs(50));
-        assert_eq!(tb.overlay.alive_count(), alive_before);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown site")]
-    fn site_outage_rejects_unknown_sites() {
-        let tb = grid5000_testbed(1, NoiseModel::disabled());
-        site_outage_schedule(
-            &tb.overlay,
-            "atlantis",
-            SimTime::ZERO,
-            SimDuration::from_secs(1),
-            &[],
-        );
     }
 
     #[test]

@@ -246,17 +246,18 @@
 //!
 //! # Choosing a backend
 //!
-//! [`CollectiveBackend`] selects between the two execution styles;
-//! [`crate::runtime::MpiRuntime::with_backend`] records the choice on the
-//! runtime and [`crate::runtime::MpiRuntime::model_comm`] builds a
-//! [`ModelComm`] sharing the runtime's network and compute models, so a
-//! modeled replay and an executed run of one job are costed from identical
-//! parameters.  The experiment layer (`p2pmpi_bench::experiments::
-//! run_kernel_on_placement`) costs `Modeled` jobs with
-//! [`PlacementCost::cost_of`] over cost models built the same way.
+//! [`CollectiveBackend`] names the two execution styles.  The runtime does
+//! not hold a choice: the caller picks one per job.  The experiment layer
+//! selects it with `p2pmpi_bench::experiments::Fig4Settings::backend`, and
+//! `run_kernel_on_placement` calls [`crate::runtime::MpiRuntime::run`] for
+//! `Executed` jobs and costs `Modeled` ones with
+//! [`PlacementCost::cost_of`].  [`crate::runtime::MpiRuntime::model_comm`]
+//! builds a [`ModelComm`] sharing the runtime's network and compute models,
+//! so a modeled replay and an executed run of one job are costed from
+//! identical parameters.
 
 use crate::error::Rank;
-use crate::placement::{Placement, ProcSpec};
+use crate::placement::Placement;
 use crate::stats::CommStats;
 use p2pmpi_simgrid::compute::ComputeModel;
 use p2pmpi_simgrid::memory::MemoryIntensity;
@@ -1797,30 +1798,12 @@ impl PlacementCost {
         self.last_delta_ops
     }
 
-    /// The current assignment as a [`Placement`].
-    pub fn to_placement(&self) -> Placement {
-        Placement {
-            processes: self.hosts.len() as u32,
-            replication: 1,
-            procs: self
-                .hosts
-                .iter()
-                .enumerate()
-                .map(|(rank, &host)| ProcSpec {
-                    rank: rank as Rank,
-                    replica: 0,
-                    host,
-                })
-                .collect(),
-        }
-    }
-
     /// Full model replay of the current assignment on a fresh [`ModelComm`]
     /// — the oracle the evaluator is verified against (and the baseline of
     /// `perf_report`'s move-vs-replay gates, `PLACEMENT_DELTA_SPEEDUP_MIN`
     /// and `IS_SEARCH_DELTA_SPEEDUP_MIN`).
     pub fn oracle_clocks(&self) -> Vec<SimTime> {
-        let placement = self.to_placement();
+        let placement = Placement::one_per_host(&self.hosts);
         let mut m = ModelComm::new(&placement, self.network.clone(), self.compute.clone());
         self.schedule.drive(&mut m);
         m.clocks().to_vec()
@@ -1828,10 +1811,9 @@ impl PlacementCost {
 
     /// The oracle's makespan (see [`PlacementCost::oracle_clocks`]).
     pub fn oracle_cost(&self) -> SimDuration {
-        let placement = self.to_placement();
-        let mut m = ModelComm::new(&placement, self.network.clone(), self.compute.clone());
-        self.schedule.drive(&mut m);
-        m.makespan()
+        let last = self.oracle_clocks().into_iter().max();
+        last.unwrap_or(SimTime::ZERO)
+            .saturating_since(SimTime::ZERO)
     }
 
     /// Applies `mv` and returns the new modeled makespan, costed by one full

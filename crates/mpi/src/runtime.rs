@@ -4,7 +4,7 @@
 use crate::comm::{Comm, CommConfig, DEFAULT_RECV_TIMEOUT};
 use crate::envelope::Router;
 use crate::error::{MpiError, MpiResult, Rank};
-use crate::model::{CollectiveBackend, ModelComm};
+use crate::model::ModelComm;
 use crate::placement::Placement;
 use crate::registry::{FailurePlan, Registry};
 use crate::stats::CommStats;
@@ -91,7 +91,6 @@ pub struct MpiRuntime {
     compute: ComputeModel,
     recv_timeout: Duration,
     stack_size: usize,
-    backend: CollectiveBackend,
 }
 
 impl MpiRuntime {
@@ -102,7 +101,6 @@ impl MpiRuntime {
             compute: ComputeModel::new(topology),
             recv_timeout: DEFAULT_RECV_TIMEOUT,
             stack_size: 1 << 20,
-            backend: CollectiveBackend::Executed,
         }
     }
 
@@ -113,25 +111,7 @@ impl MpiRuntime {
             compute,
             recv_timeout: DEFAULT_RECV_TIMEOUT,
             stack_size: 1 << 20,
-            backend: CollectiveBackend::Executed,
         }
-    }
-
-    /// Selects how jobs submitted to this runtime should cost their
-    /// collectives: executed thread-per-rank (the default) or the analytical
-    /// model.  The experiment layer consults [`MpiRuntime::backend`] and,
-    /// for [`CollectiveBackend::Modeled`], drives a
-    /// [`MpiRuntime::model_comm`] instead of calling [`MpiRuntime::run`] —
-    /// closure kernels cannot be modeled, so `run` panics on a runtime whose
-    /// backend is `Modeled` rather than silently spawning threads.
-    pub fn with_backend(mut self, backend: CollectiveBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The collective backend selected for this runtime.
-    pub fn backend(&self) -> CollectiveBackend {
-        self.backend
     }
 
     /// Builds an analytical model communicator for `placement` sharing this
@@ -182,12 +162,6 @@ impl MpiRuntime {
         T: Send,
         F: Fn(&mut Comm) -> MpiResult<T> + Send + Sync,
     {
-        assert_eq!(
-            self.backend,
-            CollectiveBackend::Executed,
-            "this runtime selected the analytical backend; closure kernels cannot be modeled — \
-             drive a `model_comm(placement)` instead of calling `run`"
-        );
         placement
             .validate()
             .expect("cannot run an MPI job on an invalid placement");
@@ -544,7 +518,6 @@ mod tests {
         // every rank's final clock exactly (see mpi::model docs).
         let t = topology(4, 4);
         let rt = MpiRuntime::new(t.clone());
-        assert_eq!(rt.backend(), CollectiveBackend::Executed);
         let mut hosts = local_hosts(&t, 3);
         hosts.push(
             t.hosts_at_site(t.site_by_name("remote").unwrap().id)
@@ -570,9 +543,7 @@ mod tests {
         });
         assert!(executed.all_ranks_completed());
 
-        let modeled_rt = rt.clone().with_backend(CollectiveBackend::Modeled);
-        assert_eq!(modeled_rt.backend(), CollectiveBackend::Modeled);
-        let mut model = modeled_rt.model_comm(&placement);
+        let mut model = rt.model_comm(&placement);
         model.compute(MemoryIntensity::CPU_BOUND, |rank| 1e7 * (rank as f64 + 1.0));
         model.bcast(2, 1000);
         model.allreduce(8 * 8);
@@ -598,15 +569,6 @@ mod tests {
         assert_eq!(model.makespan(), executed.makespan);
         assert_eq!(model.stats().messages_sent, executed.stats.messages_sent);
         assert_eq!(model.stats().bytes_sent, executed.stats.bytes_sent);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be modeled")]
-    fn running_a_closure_kernel_on_a_modeled_runtime_panics() {
-        let t = topology(2, 2);
-        let rt = MpiRuntime::new(t.clone()).with_backend(CollectiveBackend::Modeled);
-        let placement = Placement::one_per_host(&local_hosts(&t, 2));
-        let _ = rt.run(&placement, |_comm| Ok(()));
     }
 
     #[test]

@@ -1,32 +1,49 @@
-//! Fault injection: peer churn.
+//! Fault injection: every scheduled change of the overlay's state.
 //!
 //! The paper motivates P2P middleware by the dynamicity of grids ("failures
 //! are far more frequent than on supercomputers").  This module provides a
-//! schedule of join/crash/recover events applied to the overlay as virtual
-//! time advances, used by the reservation tests and the replication
-//! experiments.
+//! schedule of timed faults: a peer's crash or recovery, the supernode's
+//! crash or restart, and a site's link-latency factor (a slow-link window
+//! is two such events, the factor and then 1.0).
+//! [`crate::overlay::Overlay::schedule_churn`] is the one way any of them
+//! reaches the overlay's timeline, as one event kind, so flapping peers,
+//! site and rack outages, slow links and supernode crashes interleave with
+//! everything else in `(time, schedule-order)` order.
 
 use crate::peer::PeerId;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
+use p2pmpi_simgrid::topology::SiteId;
 use rand::Rng;
 
-/// What happens to a peer at a scheduled instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What changes at a scheduled instant.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChurnKind {
     /// The peer's MPD stops answering (crash / network partition).
-    Crash,
+    Crash(PeerId),
     /// The peer comes back and re-registers with the supernode.
-    Recover,
+    Recover(PeerId),
+    /// The supernode crashes: its volatile registry is lost and cache
+    /// refreshes go unanswered until it restarts.
+    SupernodeDown,
+    /// The supernode restarts with an empty registry; alive peers
+    /// re-register through the heartbeat resync path.
+    SupernodeUp,
+    /// Every transfer touching `site` has its latency multiplied by
+    /// `factor` from now on (1.0 restores nominal links).
+    SiteLatency {
+        /// The affected site.
+        site: SiteId,
+        /// The latency multiplier.
+        factor: f64,
+    },
 }
 
-/// One scheduled churn event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One scheduled fault event.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnEvent {
     /// When the event takes effect.
     pub time: SimTime,
-    /// The affected peer.
-    pub peer: PeerId,
-    /// Crash or recovery.
+    /// What changes.
     pub kind: ChurnKind,
 }
 
@@ -58,20 +75,31 @@ impl ChurnSchedule {
 
     /// Convenience: schedule a crash.
     pub fn crash(&mut self, peer: PeerId, at: SimTime) -> &mut Self {
-        self.push(ChurnEvent {
-            time: at,
-            peer,
-            kind: ChurnKind::Crash,
-        })
+        self.at(at, ChurnKind::Crash(peer))
     }
 
     /// Convenience: schedule a recovery.
     pub fn recover(&mut self, peer: PeerId, at: SimTime) -> &mut Self {
-        self.push(ChurnEvent {
-            time: at,
-            peer,
-            kind: ChurnKind::Recover,
-        })
+        self.at(at, ChurnKind::Recover(peer))
+    }
+
+    /// Convenience: schedule a supernode crash.
+    pub fn supernode_down(&mut self, at: SimTime) -> &mut Self {
+        self.at(at, ChurnKind::SupernodeDown)
+    }
+
+    /// Convenience: schedule a supernode restart.
+    pub fn supernode_up(&mut self, at: SimTime) -> &mut Self {
+        self.at(at, ChurnKind::SupernodeUp)
+    }
+
+    /// Convenience: set `site`'s latency factor at `at`.
+    pub fn site_latency(&mut self, site: SiteId, factor: f64, at: SimTime) -> &mut Self {
+        self.at(at, ChurnKind::SiteLatency { site, factor })
+    }
+
+    fn at(&mut self, time: SimTime, kind: ChurnKind) -> &mut Self {
+        self.push(ChurnEvent { time, kind })
     }
 
     /// Sorts the schedule by time (stable, so same-instant events keep their
@@ -180,9 +208,9 @@ mod tests {
         s.crash(PeerId(2), SimTime::from_secs(5));
         assert_eq!(s.len(), 3);
         let events = s.finish();
-        assert_eq!(events[0].peer, PeerId(2));
-        assert_eq!(events[1].kind, ChurnKind::Crash);
-        assert_eq!(events[2].kind, ChurnKind::Recover);
+        assert_eq!(events[0].kind, ChurnKind::Crash(PeerId(2)));
+        assert_eq!(events[1].kind, ChurnKind::Crash(PeerId(1)));
+        assert_eq!(events[2].kind, ChurnKind::Recover(PeerId(1)));
     }
 
     #[test]
@@ -198,13 +226,19 @@ mod tests {
         );
         let events = s.finish();
         assert_eq!(events.len(), 10); // 5 peers x (crash + recover)
-        let crashes = events.iter().filter(|e| e.kind == ChurnKind::Crash).count();
-        assert_eq!(crashes, 5);
+        let crashes: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                ChurnKind::Crash(peer) => Some((peer, e.time)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crashes.len(), 5);
         // Every crash has a matching later recovery for the same peer.
-        for c in events.iter().filter(|e| e.kind == ChurnKind::Crash) {
+        for (peer, at) in crashes {
             assert!(events
                 .iter()
-                .any(|r| r.kind == ChurnKind::Recover && r.peer == c.peer && r.time > c.time));
+                .any(|r| r.kind == ChurnKind::Recover(peer) && r.time > at));
         }
     }
 
@@ -227,18 +261,24 @@ mod tests {
         assert!(events.iter().all(|e| e.time < end));
         // Per peer: strictly alternating, starting with a crash, in order.
         use std::collections::HashMap;
-        let mut per_peer: HashMap<PeerId, Vec<&ChurnEvent>> = HashMap::new();
+        // (time, crashed) per peer.
+        let mut per_peer: HashMap<PeerId, Vec<(SimTime, bool)>> = HashMap::new();
         for e in &events {
-            per_peer.entry(e.peer).or_default().push(e);
+            let (peer, crashed) = match e.kind {
+                ChurnKind::Crash(peer) => (peer, true),
+                ChurnKind::Recover(peer) => (peer, false),
+                other => panic!("flapping scheduled {other:?}"),
+            };
+            per_peer.entry(peer).or_default().push((e.time, crashed));
         }
         assert_eq!(per_peer.len(), 20, "half of 40 peers flap");
         for (peer, evs) in per_peer {
-            assert_eq!(evs[0].kind, ChurnKind::Crash, "{peer} starts down");
+            assert!(evs[0].1, "{peer} starts down");
             // ~10 cycles/hour at a 360 s period: every flapper cycles a lot.
             assert!(evs.len() >= 10, "{peer} only flapped {} times", evs.len());
             for pair in evs.windows(2) {
-                assert!(pair[0].time < pair[1].time, "{peer} events unsorted");
-                assert_ne!(pair[0].kind, pair[1].kind, "{peer} did not alternate");
+                assert!(pair[0].0 < pair[1].0, "{peer} events unsorted");
+                assert_ne!(pair[0].1, pair[1].1, "{peer} did not alternate");
             }
         }
     }

@@ -52,8 +52,7 @@ pub use cache::{CacheEntry, CachedList};
 pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 pub use config::OwnerConfig;
 pub use messages::{
-    RankAssignment, RefusalReason, ReservationKey, ReservationReply, ReservationRequest,
-    StartReply, StartRequest,
+    RankAssignment, RefusalReason, ReservationKey, ReservationReply, ReservationRequest, StartReply,
 };
 pub use mpd::MpdNode;
 pub use overlay::{Overlay, OverlayParams, RsOutcome};

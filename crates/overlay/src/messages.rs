@@ -1,9 +1,10 @@
 //! Protocol messages exchanged between overlay services.
 //!
 //! These mirror the messages of the paper's job submission procedure
-//! (Figure 1): supernode registration and peer-list retrieval, RS↔RS
-//! reservation brokering keyed by a unique hash key, and the keyed
-//! application start request sent to remote MPDs.
+//! (Figure 1): RS↔RS reservation brokering keyed by a unique hash key, and
+//! the replies to the keyed application start request sent to remote MPDs.
+//! Supernode traffic and the start request itself are method calls on
+//! [`crate::overlay::Overlay`].
 
 use crate::peer::PeerId;
 use std::fmt;
@@ -17,19 +18,6 @@ impl fmt::Display for ReservationKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "key:{:016x}", self.0)
     }
-}
-
-/// Messages addressed to the supernode.
-#[derive(Debug, Clone)]
-pub enum SupernodeRequest {
-    /// A booting MPD registers its peer.
-    Register(PeerId),
-    /// Periodic alive signal.
-    Alive(PeerId),
-    /// An MPD asks for the current host list to refresh its cache.
-    PeerList(PeerId),
-    /// A departing MPD unregisters cleanly.
-    Unregister(PeerId),
 }
 
 /// Reservation request sent from the submitter's RS to a remote RS
@@ -93,18 +81,6 @@ impl ReservationReply {
     pub fn is_ok(&self) -> bool {
         matches!(self, ReservationReply::Ok { .. })
     }
-}
-
-/// Request sent by the submitter's MPD to a remote MPD to start processes
-/// (steps 6–8).
-#[derive(Debug, Clone)]
-pub struct StartRequest {
-    /// Reservation key; the remote MPD verifies it against what its RS holds.
-    pub key: ReservationKey,
-    /// MPI ranks (with replica index) to start on that host.
-    pub ranks: Vec<RankAssignment>,
-    /// Name of the program to launch.
-    pub program: String,
 }
 
 /// One MPI rank instance mapped to a host.

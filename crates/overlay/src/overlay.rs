@@ -10,12 +10,13 @@
 //! * cache refresh from the supernode and latency probing,
 //! * RS↔RS reservation brokering (with timeouts when a peer is dead),
 //! * MPD start requests with key verification,
-//! * fault injection (crash/recover, scheduled churn).
+//! * fault injection (peer, supernode and link faults, scheduled churn).
 //!
 //! # The event timeline
 //!
 //! All time-driven behaviour is *scheduled* on the engine rather than
-//! applied inline: churn events, periodic heartbeat rounds
+//! applied inline: scheduled faults ([`Overlay::schedule_churn`], one
+//! event kind for every fault), periodic heartbeat rounds
 //! ([`Overlay::start_heartbeats`]), periodic cache refreshes
 //! ([`Overlay::start_cache_refresh`]), periodic reservation-expiry sweeps
 //! ([`Overlay::start_reservation_expiry`]) and job completions
@@ -93,17 +94,26 @@
 //!
 //! # Fault injection
 //!
-//! Beyond per-peer churn, the overlay can replay correlated adversity on
-//! the same timeline: [`Overlay::schedule_supernode_outage`] crashes the
-//! supernode (its volatile registry is lost; cache refreshes go unanswered
-//! and peers keep brokering from their stale [`crate::cache::CachedList`] —
-//! degraded mode, not a halt) and recovers it later (the heartbeat round
-//! re-registers every alive peer the supernode no longer knows — the resync
-//! path); [`Overlay::schedule_link_degradation`] multiplies a site's
-//! latency in both the messaging and probing network models for a window
-//! (in-flight events keep the cost computed when they were scheduled);
+//! Every scheduled fault reaches the timeline one way:
+//! [`Overlay::schedule_churn`] takes a [`crate::churn::ChurnSchedule`]'s
+//! events and queues each as one event kind, which [`ChurnKind`] names:
+//!
+//! * a peer crash or recovery ([`Overlay::kill_peer`],
+//!   [`Overlay::revive_peer`]): flapping peers, and a site or rack outage
+//!   as one crash and one recovery per peer;
+//! * a supernode crash or restart ([`Overlay::crash_supernode`],
+//!   [`Overlay::recover_supernode`]): the volatile registry is lost, cache
+//!   refreshes go unanswered and peers keep brokering from their stale
+//!   [`crate::cache::CachedList`] (degraded mode, not a halt); after the
+//!   restart the heartbeat round re-registers every alive peer the
+//!   supernode no longer knows (the resync path);
+//! * a site latency factor ([`Overlay::set_site_latency_factor`]), in both
+//!   the messaging and probing network models; a slow-link window is the
+//!   factor and then 1.0 (in-flight events keep the cost computed when
+//!   they were scheduled).
+//!
 //! [`Overlay::set_fail_jobs_on_crash`] makes a peer crash kill the running
-//! jobs it participates in — their completions are mass-revoked via
+//! jobs it participates in: their completions are mass-revoked via
 //! [`p2pmpi_simgrid::engine::TypedEngine::cancel_batch`] and every
 //! participant's gatekeeper slot is freed, with [`Overlay::jobs_killed`]
 //! counting the casualties.
@@ -112,7 +122,7 @@
 //! drives this type.
 
 use crate::cache::CacheEntry;
-use crate::churn::{ChurnEvent, ChurnKind, ChurnSchedule};
+use crate::churn::{ChurnEvent, ChurnKind};
 use crate::messages::{ReservationKey, ReservationReply, StartReply};
 use crate::mpd::MpdNode;
 use crate::peer::{PeerId, PeerState};
@@ -196,8 +206,9 @@ impl RsOutcome {
 /// which also maintain the re-arm bookkeeping.
 #[derive(Debug)]
 enum OverlayEvent {
-    /// A scheduled crash or recovery.
-    Churn(ChurnEvent),
+    /// A scheduled fault ([`Overlay::schedule_churn`]): a peer crash or
+    /// recovery, a supernode crash or restart, a site latency factor.
+    Churn(ChurnKind),
     /// One round of alive signals plus the supernode expiry sweep;
     /// re-arms itself every `heartbeat_period` while enabled.
     HeartbeatRound,
@@ -226,14 +237,6 @@ enum OverlayEvent {
         key: ReservationKey,
         ranks: u32,
     },
-    /// The supernode crashes: its volatile registry is lost and refreshes
-    /// go unanswered until recovery.
-    SupernodeDown,
-    /// The supernode recovers (empty registry; peers re-register via the
-    /// heartbeat resync path).
-    SupernodeUp,
-    /// A site's latency multiplier changes (1.0 restores nominal links).
-    LinkDegrade { site: SiteId, factor: f64 },
     /// A round message pushed onto the queue by the walk's reference (tests
     /// only; see `round.rs`).
     #[cfg(test)]
@@ -486,9 +489,14 @@ impl Overlay {
     /// Delivers one due timeline event.
     fn dispatch(&mut self, event: OverlayEvent) {
         match event {
-            OverlayEvent::Churn(ev) => match ev.kind {
-                ChurnKind::Crash => self.kill_peer(ev.peer),
-                ChurnKind::Recover => self.revive_peer(ev.peer),
+            OverlayEvent::Churn(kind) => match kind {
+                ChurnKind::Crash(peer) => self.kill_peer(peer),
+                ChurnKind::Recover(peer) => self.revive_peer(peer),
+                ChurnKind::SupernodeDown => self.crash_supernode(),
+                ChurnKind::SupernodeUp => self.recover_supernode(),
+                ChurnKind::SiteLatency { site, factor } => {
+                    self.set_site_latency_factor(site, factor);
+                }
             },
             OverlayEvent::HeartbeatRound => {
                 self.heartbeat_round();
@@ -566,11 +574,6 @@ impl Overlay {
                     self.release_leaked_grant(from, to, key);
                 }
             }
-            OverlayEvent::SupernodeDown => self.crash_supernode(),
-            OverlayEvent::SupernodeUp => self.recover_supernode(),
-            OverlayEvent::LinkDegrade { site, factor } => {
-                self.set_site_latency_factor(site, factor);
-            }
             #[cfg(test)]
             OverlayEvent::Round(_) => unreachable!("a round message outside its walk"),
         }
@@ -593,16 +596,18 @@ impl Overlay {
             .schedule_in(delay, OverlayEvent::GrantRelease { to, key });
     }
 
-    /// Schedules a churn schedule onto the timeline (events must not be in
-    /// the past).  Repeated calls accumulate: each call adds its events to
-    /// the timeline alongside whatever was already scheduled.
+    /// Puts scheduled faults on the timeline, in the given order (events
+    /// must not be in the past): the one way a crash, a recovery, a
+    /// supernode outage or a site latency factor gets there.  Repeated
+    /// calls accumulate: each call adds its events to the timeline
+    /// alongside whatever was already scheduled.
     pub fn schedule_churn(&mut self, events: Vec<ChurnEvent>) {
         for ev in events {
             assert!(
                 ev.time >= self.sim.now(),
                 "churn events must be in the future"
             );
-            self.sim.schedule_at(ev.time, OverlayEvent::Churn(ev));
+            self.sim.schedule_at(ev.time, OverlayEvent::Churn(ev.kind));
         }
     }
 
@@ -1016,44 +1021,6 @@ impl Overlay {
             });
     }
 
-    /// Schedules a correlated outage of the peers running on `hosts`: each
-    /// crashes at `at` and recovers `duration` later, riding the churn
-    /// machinery (so `fail_jobs_on_crash` revocation, heartbeat expiry and
-    /// supernode re-registration all apply).  This is the rack-level
-    /// fault path — callers pass a host subset (a rack) rather than a
-    /// whole site.  Hosts without a registered peer are skipped; returns
-    /// how many peers were scheduled.
-    pub fn schedule_host_outage(
-        &mut self,
-        hosts: &[HostId],
-        at: SimTime,
-        duration: SimDuration,
-    ) -> usize {
-        assert!(at >= self.sim.now(), "outage must be in the future");
-        assert!(!duration.is_zero(), "outage needs a non-zero duration");
-        let mut schedule = ChurnSchedule::with_capacity(hosts.len() * 2);
-        let mut peers = 0usize;
-        for &host in hosts {
-            if let Some(peer) = self.peer_on_host(host) {
-                schedule.crash(peer, at);
-                schedule.recover(peer, at + duration);
-                peers += 1;
-            }
-        }
-        self.schedule_churn(schedule.finish());
-        peers
-    }
-
-    /// Schedules a supernode outage window `[at, at + duration)` on the
-    /// timeline.
-    pub fn schedule_supernode_outage(&mut self, at: SimTime, duration: SimDuration) {
-        assert!(at >= self.sim.now(), "outage must be in the future");
-        assert!(!duration.is_zero(), "outage needs a non-zero duration");
-        self.sim.schedule_at(at, OverlayEvent::SupernodeDown);
-        self.sim
-            .schedule_at(at + duration, OverlayEvent::SupernodeUp);
-    }
-
     /// Sets the latency multiplier of every transfer touching `site`, in
     /// both the messaging model and the prober's own copy.  Events already
     /// on the timeline keep the cost computed when they were scheduled.
@@ -1067,26 +1034,6 @@ impl Overlay {
             .record(self.sim.now(), TraceCategory::Fault, || {
                 format!("site {} latency factor set to {factor}", site.0)
             });
-    }
-
-    /// Schedules a slow-link window: transfers touching `site` have their
-    /// latency multiplied by `factor` during `[at, at + duration)`.
-    pub fn schedule_link_degradation(
-        &mut self,
-        site: SiteId,
-        at: SimTime,
-        duration: SimDuration,
-        factor: f64,
-    ) {
-        assert!(at >= self.sim.now(), "degradation must be in the future");
-        assert!(!duration.is_zero(), "degradation needs a non-zero duration");
-        assert!(factor >= 1.0, "a factor below 1 would speed links up");
-        self.sim
-            .schedule_at(at, OverlayEvent::LinkDegrade { site, factor });
-        self.sim.schedule_at(
-            at + duration,
-            OverlayEvent::LinkDegrade { site, factor: 1.0 },
-        );
     }
 
     /// When on, a peer crash kills the running jobs it participates in
@@ -1131,6 +1078,7 @@ impl Overlay {
 mod tests {
     use super::*;
     use crate::boot::OverlayBuilder;
+    use crate::churn::ChurnSchedule;
     use crate::config::OwnerConfig;
     use p2pmpi_simgrid::noise::NoiseModel;
     use p2pmpi_simgrid::topology::{NodeSpec, TopologyBuilder};
@@ -1358,7 +1306,11 @@ mod tests {
         let cached = o.node(p).cache.len();
         assert_eq!(cached, 5);
         o.start_heartbeats();
-        o.schedule_supernode_outage(SimTime::from_secs(10), SimDuration::from_secs(50));
+        let mut outage = ChurnSchedule::new();
+        outage
+            .supernode_down(SimTime::from_secs(10))
+            .supernode_up(SimTime::from_secs(60));
+        o.schedule_churn(outage.finish());
         o.run_until(o.now() + SimDuration::from_secs(20));
         // Down: registry lost, refreshes unanswered, stale cache survives.
         assert!(!o.supernode_is_up());
@@ -1389,12 +1341,10 @@ mod tests {
         let r0 = topo.host_by_name("r-0").unwrap().id;
         let nominal = o.network().transfer_time(l0, r0, 1024);
         let remote_site = topo.site_by_name("remote").unwrap().id;
-        o.schedule_link_degradation(
-            remote_site,
-            SimTime::from_secs(5),
-            SimDuration::from_secs(10),
-            8.0,
-        );
+        let mut slow = ChurnSchedule::new();
+        slow.site_latency(remote_site, 8.0, SimTime::from_secs(5))
+            .site_latency(remote_site, 1.0, SimTime::from_secs(15));
+        o.schedule_churn(slow.finish());
         o.run_until(o.now() + SimDuration::from_secs(6));
         let degraded = o.network().transfer_time(l0, r0, 1024);
         assert!(degraded > nominal * 7);
@@ -1451,7 +1401,7 @@ mod tests {
         // arrives (cross-site one-way is ~5 ms): the arrival finds a dead
         // MPD and the submitter times out — the ranks never start.
         let t0 = o.now();
-        let mut schedule = crate::churn::ChurnSchedule::new();
+        let mut schedule = ChurnSchedule::new();
         schedule.crash(to, t0 + SimDuration::from_millis(1));
         o.schedule_churn(schedule.finish());
         let mut outcomes = Vec::new();
@@ -1473,7 +1423,7 @@ mod tests {
         ));
         o.kill_peer(late);
         let t1 = o.now();
-        let mut schedule = crate::churn::ChurnSchedule::new();
+        let mut schedule = ChurnSchedule::new();
         schedule.recover(late, t1 + SimDuration::from_millis(1));
         o.schedule_churn(schedule.finish());
         o.start_round_into(from, key2, &[(late, 1)], &mut outcomes);
@@ -1540,7 +1490,7 @@ mod tests {
         let mut o = overlay();
         o.boot_all();
         let victim = o.peer_ids()[1];
-        let mut schedule = crate::churn::ChurnSchedule::new();
+        let mut schedule = ChurnSchedule::new();
         schedule.crash(victim, SimTime::from_secs(10));
         schedule.recover(victim, SimTime::from_secs(30));
         o.schedule_churn(schedule.finish());
@@ -1769,11 +1719,13 @@ mod tests {
         let t0 = o.now();
         let ms = SimDuration::from_millis;
         o.schedule_completion(t0 + ms(2), old, vec![ids[1]]);
-        let mut churn = ChurnSchedule::new();
-        churn.crash(ids[4], t0 + ms(3));
-        o.schedule_churn(churn.finish());
         let remote_site = topo.site_by_name("remote").unwrap().id;
-        o.schedule_link_degradation(remote_site, t0 + ms(4), SimDuration::from_secs(1), 10.0);
+        let mut churn = ChurnSchedule::new();
+        churn
+            .crash(ids[4], t0 + ms(3))
+            .site_latency(remote_site, 10.0, t0 + ms(4))
+            .site_latency(remote_site, 1.0, t0 + ms(4) + SimDuration::from_secs(1));
+        o.schedule_churn(churn.finish());
 
         let targets = [ids[2], ids[3], ids[4], ids[5]];
         let expected: Vec<SimDuration> = targets
@@ -2231,7 +2183,13 @@ mod tests {
         // remote site's replies leave at 500x and miss the 2 s deadline.
         let (outcomes, seen, _) = play(&|o, _, t0, _| {
             let remote = o.topology().site_by_name("remote").unwrap().id;
-            o.schedule_link_degradation(remote, t0 + us(500), SimDuration::from_secs(5), 500.0);
+            let mut slow = ChurnSchedule::new();
+            slow.site_latency(remote, 500.0, t0 + us(500)).site_latency(
+                remote,
+                1.0,
+                t0 + us(500) + SimDuration::from_secs(5),
+            );
+            o.schedule_churn(slow.finish());
         });
         assert_eq!(
             outcomes.iter().map(|o| o.1).collect::<Vec<_>>(),
@@ -2511,7 +2469,13 @@ mod tests {
                 1 => {
                     churn.recover(peer, at);
                 }
-                2 => o.schedule_link_degradation(near, at, ns(30_000_000), factor),
+                2 => {
+                    churn.site_latency(near, factor, at).site_latency(
+                        near,
+                        1.0,
+                        at + ns(30_000_000),
+                    );
+                }
                 3 => o.set_site_latency_factor(near, factor),
                 _ if !running.is_empty() => {
                     let (key, peers) = running.swap_remove(rng.gen_range(0..running.len()));
