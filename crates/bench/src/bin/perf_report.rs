@@ -188,11 +188,13 @@ const PLACEMENT_DELTA_SPEEDUP_MIN: f64 = 3.0;
 
 /// Required per-move speedup of the evaluator over a full `ModelComm`
 /// replay on the *ring-dominated* IS schedule.  A move runs the O(ranks²)
-/// wavefront of every ring of the first two iterations and fast-forwards
-/// the other eight, over pooled integer transfer tables where the replay
-/// pays a per-receive float `transfer_time` + stats accounting (observed
-/// ≈ 70× at IS@128, far above the 5× floor; the ratio is a constant-factor
-/// property of the wavefront, so it holds at any rank count).
+/// wavefront of the two rings of the first iteration, then the second
+/// iteration's allreduce finds the ranks in lockstep and the pass
+/// fast-forwards the rest, over pooled integer transfer tables where the
+/// replay pays a per-receive float `transfer_time` + stats accounting
+/// (observed 97–151× at IS@128, far above the 5× floor; the ratio is a
+/// constant-factor property of the wavefront, so it holds at any rank
+/// count).
 const IS_SEARCH_DELTA_SPEEDUP_MIN: f64 = 5.0;
 
 /// Ceiling on [`PlacementCost::ring_cache_bytes`]: the pooled tables are

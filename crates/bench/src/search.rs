@@ -89,14 +89,14 @@ pub struct SearchParams {
 
 impl SearchParams {
     /// The one default table: 4 chains, seed 2008 and a per-kernel move
-    /// budget.  An EP move is one O(n) pass over a
-    /// compute phase and one merged tree run (its two allreduces), so it
-    /// can afford the full 4 000-move budget; an
-    /// IS or FT move runs an O(n²) wavefront per ring of its first two
-    /// iterations (the rest fast-forward), so their defaults trade moves
-    /// for wall-clock — the skewed-grid improvement saturates well before
-    /// 1 500 moves on the communication-bound kernels, whose landscape is
-    /// dominated by the site-count term rather than per-host speed.
+    /// budget.  An EP move is one O(n) pass over a compute phase and one
+    /// merged tree run (its two allreduces), so it can afford the full
+    /// 4 000-move budget; an IS or FT move runs an O(n²) wavefront per ring
+    /// of its first iteration (IS) or two (FT) — the rest fast-forward —
+    /// so their defaults trade moves for wall-clock — the skewed-grid
+    /// improvement saturates well before 1 500 moves on the
+    /// communication-bound kernels, whose landscape is dominated by the
+    /// site-count term rather than per-host speed.
     pub fn default_for(kernel: Fig4Kernel) -> Self {
         let moves = match kernel {
             Fig4Kernel::Ep => 4_000,

@@ -104,9 +104,10 @@
 //! gain too: measured on the day mix's shapes over the Grid'5000 topology
 //! (2-vCPU x86 VM, release build), EP@8–128 costs 0.35–3.5 µs where the
 //! `ModelComm` replay takes 0.8–17 µs, IS@8 ~3 µs against ~21, IS@32
-//! 8–11 µs against ~350 (two of IS's ten iterations stepped, eight
-//! fast-forwarded).  A move of a searching evaluator, which hits the term
-//! cache, costs 0.26–2.4 µs at EP@8–128, ~0.9 µs at IS@8, ~6.8 µs at IS@32.
+//! ~7 µs against ~350 (one of IS's ten iterations and the second one's
+//! allreduce stepped, the rest fast-forwarded).  A move of a searching
+//! evaluator, which hits the term cache, costs 0.26–2.4 µs at EP@8–128,
+//! ~0.6 µs at IS@8, ~4.4 µs at IS@32.
 //!
 //! A compiled schedule is placement-independent, so callers compile each
 //! kernel shape once and share it (`p2pmpi_bench::search::
@@ -187,7 +188,9 @@
 //! values the replay computes.
 //!
 //! **Memory.**  Two clock vectors, the memo, the per-rank view, 16 bytes per
-//! rank per distinct compute phase, and for rings O(ranks · sites)
+//! rank per distinct compute phase, the fast-forward's snapshots (one u64
+//! per rank per position of the repeated block: `period × ranks`, 32 KB for
+//! IS at 1024 ranks), and for rings O(ranks · sites)
 //! of pooled tables plus O(ranks) scratch rows shared across *all* ring
 //! segments with the same byte structure
 //! ([`PlacementCost::ring_cache_bytes`] reports the total): IS at 1024 ranks
@@ -200,34 +203,47 @@
 //! [`ScheduleBuilder::finish`] finds the longest run of three or more
 //! back-to-back *equal* blocks structurally (equal segments intern to equal
 //! ids; nothing is trusted from the caller) and records it on the schedule.
-//! The pass remembers the clocks entering each repetition; when every rank
-//! enters repetition `k` exactly one constant `c` later than it entered
-//! repetition `k − 1`, the remaining repetitions are an addition: every
-//! clock gains `(reps − k) · c` and the pass jumps past the run.
+//! The pass remembers the clocks of the previous repetition at every
+//! position of the block; when, at some segment boundary inside repetition
+//! `k`, every rank's clock is exactly one constant `c` later than it was at
+//! the same position of repetition `k − 1`, the remaining repetitions are
+//! an addition: every clock becomes repetition `k`'s entry plus
+//! `(reps − k) · c` and the pass jumps past the run.
 //!
 //! *Why that is exact.*  On a fixed assignment every primitive commutes
 //! with a uniform shift of all clocks, as long as no u64 nanosecond
 //! addition saturates: a compute phase and `advance` add a
 //! clock-independent term per rank; a message maps `(in_src, in_dst)` to
 //! `(in_src + o, max(in_dst, in_src + o + t))`; a ring step is
-//! `max(C'[d], C'[src] + t) + o`.  So a block maps entry clocks `x + c` to
-//! exit clocks `F(x) + c`, and equal blocks entered at `x, x + c` are
-//! entered at `x + 2c, x + 3c, …` by induction.  *The overflow guard:*
-//! clocks only grow and every intermediate (an arrival time) is bounded by
-//! a final clock, so the skip is taken only if `max(clocks) + (reps − k)·c`
-//! fits a u64 — otherwise, and whenever the ranks did not advance in
-//! lockstep, the pass keeps stepping and tries again at the next
-//! repetition.  The decision is made per pass from the clocks alone: no
-//! flag, no per-kernel annotation, and a body whose rank groups never
-//! couple (or couple late) simply never (or late) fires.
+//! `max(C'[d], C'[src] + t) + o`.  So the segments from position `j` to the
+//! end of the block map clocks `x + c` to `F(x) + c`: repetition `k`'s
+//! clocks at `j` are repetition `k − 1`'s plus `c`, so repetition `k + 1` is
+//! entered exactly `c` after repetition `k`.  From there the whole block
+//! maps entry clocks `x + c` to exit clocks `G(x) + c`, and equal blocks
+//! entered at `x, x + c` are entered at `x + 2c, x + 3c, …` by induction.
+//! *The overflow guard:* clocks only grow and every intermediate (an
+//! arrival time) is bounded by a final clock, so the skip is taken only if
+//! `max(entry of k) + (reps − k)·c` fits a u64 — otherwise, and whenever
+//! the ranks are not in lockstep, the pass keeps stepping and tries again
+//! at the next boundary.  The decision is made per pass from the clocks
+//! alone: no flag, no per-kernel annotation, and a body whose rank groups
+//! never couple (or couple late) simply never (or late) fires.  Because
+//! every boundary is tested, where the run fires does not depend on which
+//! rotation of the block [`ScheduleBuilder::finish`] reports.
 //!
-//! *Where it fires.*  A block that starts or ends with a synchronizing
-//! collective reaches lockstep after one warm-up repetition: IS at 8, 32
-//! and 1024 ranks and FT at 256 skip from the third repetition on every
-//! pass measured, so IS costs two of its ten iterations
-//! ([`PlacementCost::last_delta_ops`] reads 0.20–0.21 × `op_count()`) and
-//! class-B FT two of its twenty.  EP has no repetition and is stepped in
-//! full.
+//! *Where it fires.*  A synchronizing collective leaves rank `i` at its
+//! result instant `R` plus a placement-dependent but `R`-independent
+//! offset, so the ranks are in lockstep right after the second
+//! repetition's synchronizing collective.  IS's block opens with its
+//! allreduce: every pass measured (the Figure 4 shapes at 8, 32, 128 and
+//! 1024 ranks, spread starts and random moves) steps the first iteration
+//! and the second one's allreduce, so [`PlacementCost::last_delta_ops`]
+//! reads 0.10 × `op_count()` (0.12 at 8 ranks, where the closing
+//! allgather weighs more).  FT's checksum allreduce closes its block, so FT
+//! steps its first two iterations — or one segment less on placements
+//! where the second transpose ring already leaves the ranks in lockstep
+//! (about half of the moves measured at 96 and 256 ranks).  EP has no
+//! repetition and is stepped in full.
 //!
 //! # Fidelity
 //!
@@ -716,7 +732,8 @@ impl Repeat {
 }
 
 /// Fewest back-to-back equal blocks worth recording: the fast-forward needs
-/// one repetition to reach lockstep and one to observe it.
+/// one repetition to snapshot every block position and a second to observe
+/// lockstep in, and with only two it could skip at most the second's tail.
 const MIN_REPEATS: usize = 3;
 
 /// A placement-independent, flat representation of a whole kernel's
@@ -772,14 +789,6 @@ impl CompiledSchedule {
     #[doc(hidden)]
     pub fn compute_phase_count(&self) -> usize {
         self.compute_phases.len()
-    }
-
-    /// When `seg` is the first segment of a repetition of the repeated
-    /// block: the block and the repetitions still to run, this one included.
-    fn repeat_top(&self, seg: usize) -> Option<(Repeat, usize)> {
-        let rep = self.repeat?;
-        let into = seg.checked_sub(rep.start)?;
-        (seg < rep.end() && into % rep.period == 0).then(|| (rep, rep.reps - into / rep.period))
     }
 
     /// The length of a full replay — per-rank compute terms, tree
@@ -1188,10 +1197,11 @@ struct EvalCore {
     /// `site_of` at the start of each wavefront over one, so the hot loop
     /// keeps the sequential `PerSrc` row shape.
     uniform_rows: Vec<u64>,
-    /// Per-rank clocks (nanoseconds) on entry to the repetition of the
-    /// schedule's repeated block the pass is in — what the next
-    /// repetition's entry is compared with (empty without a repeat).
-    rep_entry: Vec<u64>,
+    /// Per-rank clocks (nanoseconds) at each position of the schedule's
+    /// repeated block, `rep_clocks[pos · ranks + rank]`, as the pass last
+    /// passed it — what the next repetition's clocks at that position are
+    /// compared with (empty without a repeat).
+    rep_clocks: Vec<u64>,
 }
 
 impl EvalCore {
@@ -1221,7 +1231,7 @@ impl EvalCore {
             wf_prev: vec![0; ring_n],
             wf_cur: vec![0; ring_n],
             uniform_rows: Vec::new(),
-            rep_entry: vec![0; if schedule.repeat.is_some() { n } else { 0 }],
+            rep_clocks: vec![0; schedule.repeat.map_or(0, |r| r.period * n)],
         };
         core.build_ring_tables(schedule, hosts, network);
         core
@@ -1419,12 +1429,18 @@ impl EvalCore {
         let mut evaluated = 0;
         let mut seg = 0;
         while seg < schedule.segments.len() {
-            if let Some((rep, left)) = schedule.repeat_top(seg) {
-                if left < rep.reps && self.fast_forward(clocks, left) {
+            let in_run = schedule
+                .repeat
+                .filter(|r| (r.start..r.end()).contains(&seg));
+            if let Some(rep) = in_run {
+                let into = seg - rep.start;
+                let (k, pos) = (into / rep.period, into % rep.period);
+                if k > 0 && self.fast_forward(clocks, pos, rep.reps - k) {
                     seg = rep.end();
                     continue;
                 }
-                for (slot, c) in self.rep_entry.iter_mut().zip(clocks.iter()) {
+                let snapshot = &mut self.rep_clocks[pos * n..][..n];
+                for (slot, c) in snapshot.iter_mut().zip(clocks.iter()) {
                     *slot = c.as_nanos();
                 }
             }
@@ -1484,33 +1500,41 @@ impl EvalCore {
         evaluated
     }
 
-    /// The fast-forward test at the top of a repetition of the schedule's
-    /// repeated block with `left` repetitions (this one included) to go: if
-    /// every rank's clock is exactly one constant `c` past its
-    /// [`Self::rep_entry`] value — the previous repetition's entry — and the
-    /// shifted clocks fit a u64, adds `left · c` to every clock and returns
-    /// true; the caller then jumps past the run.  Exact by the shift
-    /// invariance of every primitive (see the fast-forward contract in the
-    /// module docs); on false nothing is touched and the caller steps on.
-    fn fast_forward(&self, clocks: &mut [SimTime], left: usize) -> bool {
+    /// The fast-forward test at block position `pos` of a repetition `k`
+    /// of the schedule's repeated block, with `left` repetitions (`k`
+    /// included) to go: if every rank's clock is exactly one constant `c`
+    /// past its [`Self::rep_clocks`] value at `pos` — repetition `k − 1`'s —
+    /// and the shifted clocks fit a u64, sets every clock to repetition
+    /// `k`'s entry plus `left · c` and returns true; the caller then jumps
+    /// past the run.  Exact by the shift invariance of every primitive (see
+    /// the fast-forward contract in the module docs); on false nothing is
+    /// touched and the caller steps on.
+    fn fast_forward(&self, clocks: &mut [SimTime], pos: usize, left: usize) -> bool {
+        let n = clocks.len();
+        let prev = &self.rep_clocks[pos * n..][..n];
         // A schedule has at least one rank, and clocks never decrease: the
         // differences are non-negative.
-        let c = clocks[0].as_nanos() - self.rep_entry[0];
-        let mut max = 0;
-        for (clock, &entry) in clocks.iter().zip(&self.rep_entry) {
-            if clock.as_nanos() - entry != c {
-                return false;
-            }
-            max = max.max(clock.as_nanos());
+        let c = clocks[0].as_nanos() - prev[0];
+        if clocks
+            .iter()
+            .zip(prev)
+            .any(|(clock, &p)| clock.as_nanos() - p != c)
+        {
+            return false;
         }
-        let Some(shift) = c.checked_mul(left as u64) else {
+        // Repetition `k`'s entry is the snapshot it took at position 0 —
+        // except at position 0 itself, where the snapshot is still
+        // repetition `k − 1`'s: that entry is `c` earlier, one more step.
+        let steps = left + usize::from(pos == 0);
+        let entry = &self.rep_clocks[..n];
+        let Some(shift) = c.checked_mul(steps as u64) else {
             return false;
         };
-        if max.checked_add(shift).is_none() {
+        if entry.iter().any(|e| e.checked_add(shift).is_none()) {
             return false;
         }
-        for clock in clocks.iter_mut() {
-            *clock = SimTime::from_nanos(clock.as_nanos() + shift);
+        for (clock, &e) in clocks.iter_mut().zip(entry) {
+            *clock = SimTime::from_nanos(e + shift);
         }
         true
     }
@@ -1790,7 +1814,8 @@ impl PlacementCost {
     /// Clock updates (messages, ring receives, compute and advance terms —
     /// [`CompiledSchedule::op_count`] units) the last pass evaluated, whether
     /// it ran for [`Self::new`] or [`Self::apply`]: `op_count()` minus the
-    /// repetitions the pass fast-forwarded, and 0 after an `apply` that
+    /// segments the pass fast-forwarded (every one of the repeated run after
+    /// the boundary where it found lockstep), and 0 after an `apply` that
     /// changed no rank's host.  It counts a whole pass, not a difference;
     /// the name is the one the benchmark's `mpi.*_delta_ops_per_move`
     /// probes call.
@@ -2523,18 +2548,25 @@ mod tests {
     fn lockstep_repetitions_are_fast_forwarded_and_not_counted() {
         let t = grid(16);
         let mut cost = evaluator_of(|b| is_shaped(b, 10), stacked_64(&t), &t);
-        let full = cost.schedule.op_count();
-        // The construction pass already skips from the third iteration on.
-        assert!(cost.last_delta_ops() * 100 <= full * 35);
+        // The allreduce puts every rank in lockstep: the pass steps the first
+        // iteration and the second one's allreduce, then skips to the
+        // allgather.
+        let (segments, rep) = (&cost.schedule.segments, cost.schedule.repeat.unwrap());
+        let ops = |segs: &[Segment]| segs.iter().map(|s| s.op_count(64)).sum::<usize>();
+        let stepped = ops(&segments[..rep.period + 1]) + ops(&segments[rep.end()..]);
+        assert_eq!(
+            rep,
+            Repeat {
+                start: 0,
+                period: 4,
+                reps: 10
+            }
+        );
+        assert_eq!(cost.last_delta_ops(), stepped);
         assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
         // So does a move's pass (a cross-site swap: new ring rows).
         cost.apply(Move::Swap { a: 0, b: 63 }).unwrap();
-        assert!(cost.last_delta_ops() > 0);
-        assert!(
-            cost.last_delta_ops() * 100 <= full * 35,
-            "{} of {full} ops evaluated",
-            cost.last_delta_ops()
-        );
+        assert_eq!(cost.last_delta_ops(), stepped);
         assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
     }
 
@@ -2555,8 +2587,10 @@ mod tests {
         let hosts: Vec<_> = t.hosts().iter().take(6).map(|h| h.id).collect();
         let calm = evaluator_of(|b| is_shaped(b, 10), hosts.clone(), &t);
         // Start so late that the clocks saturate about half-way through the
-        // iterations: lockstep is observed at the third one, but the shifted
-        // clocks would not fit a u64.
+        // iterations: lockstep is observed right after the second one's
+        // allreduce, but the shifted clocks would not fit a u64, so the
+        // guard refuses the skip there and at every later boundary until the
+        // clocks saturate.
         let headroom = calm.cost().as_nanos() / 2;
         let late = |b: &mut ScheduleBuilder| {
             b.advance(SimDuration::from_nanos(u64::MAX - headroom));

@@ -156,6 +156,12 @@ enum Coupling {
     /// rank's rate reaches rank `r` only after `r` repetitions: lockstep
     /// comes late or not at all.
     Late,
+    /// Rank halves computing at rates no host can equalize, an allreduce,
+    /// then uncoupled compute and per-half messages: the allreduce is the
+    /// body's only synchronizer and sits mid-block, so lockstep shows right
+    /// after the second repetition's allreduce — a repetition before any
+    /// top-of-block test could see it.
+    Mid,
 }
 
 /// One repetition of a random block body (the same for a given seed).
@@ -213,7 +219,29 @@ fn block_body<P: CollectiveProgram>(p: &mut P, body_seed: u64, coupling: Couplin
                 p.message(r, r + 1, 256);
             }
         }
+        Coupling::Mid => {
+            p.compute(MemoryIntensity::CPU_BOUND, |r| {
+                [1e7, 2e8][usize::from(r >= half)]
+            });
+            p.allreduce(rng.gen_range(1u64..1000));
+            let scale = rng.gen_range(1u64..20) as f64;
+            p.compute(MemoryIntensity::MEMORY_BOUND, move |r| {
+                1e5 * scale * (r % 3 + 1) as f64
+            });
+            for _ in 0..rng.gen_range(1usize..4) {
+                let bytes = rng.gen_range(1u64..4000);
+                p.message(rng.gen_range(0..half), rng.gen_range(0..half), bytes);
+                p.message(rng.gen_range(half..n), rng.gen_range(half..n), bytes);
+            }
+        }
     }
+}
+
+/// Clock updates one repetition of a block body holds.
+fn body_ops(n: u32, body_seed: u64, coupling: Coupling) -> usize {
+    let mut b = ScheduleBuilder::new(n);
+    block_body(&mut b, body_seed, coupling);
+    b.finish().op_count()
 }
 
 /// Optional prologue, `reps` equal blocks, optional epilogue.
@@ -248,8 +276,14 @@ fn any_program<P: CollectiveProgram>(p: &mut P, kind: u32, seed: u64) {
         0 => random_program(p, seed),
         1 => ring_heavy_program(p, seed),
         _ => {
-            let coupling = [Coupling::Full, Coupling::Never, Coupling::Late][(seed % 3) as usize];
-            let reps = 3 + (seed / 3 % 6) as u32;
+            let couplings = [
+                Coupling::Full,
+                Coupling::Never,
+                Coupling::Late,
+                Coupling::Mid,
+            ];
+            let coupling = couplings[(seed % 4) as usize];
+            let reps = 3 + (seed / 4 % 6) as u32;
             repeated_program(p, seed, coupling, reps, seed & 8 != 0, seed & 16 != 0);
         }
     }
@@ -434,19 +468,21 @@ proptest! {
     /// times — bodies that reach lockstep at once, late or never, with and
     /// without a prologue and an epilogue around the run — the per-rank
     /// clocks equal the oracle's at rest, after every move and after `undo`,
-    /// `cost_of` equals a `ModelComm` replay, and a never-coupling body is
-    /// never fast-forwarded.
+    /// `cost_of` equals a `ModelComm` replay, a never-coupling body is never
+    /// fast-forwarded, and a body synchronized only mid-block is skipped
+    /// before its third repetition.
     #[test]
     fn repeated_blocks_equal_full_replay(
         n in 4u32..13,
         reps in 3u32..13,
-        coupling in 0u32..3,
+        coupling in 0u32..4,
         wrapping in 0u32..4,
         placement_seed in 0u64..1_000_000,
         body_seed in 0u64..1_000_000,
         move_seed in 0u64..1_000_000,
     ) {
-        let coupling = [Coupling::Full, Coupling::Never, Coupling::Late][coupling as usize];
+        let coupling =
+            [Coupling::Full, Coupling::Never, Coupling::Late, Coupling::Mid][coupling as usize];
         let (prologue, epilogue) = (wrapping & 1 != 0, wrapping & 2 != 0);
         let topology = topology();
         let mut b = ScheduleBuilder::new(n);
@@ -456,6 +492,12 @@ proptest! {
         // its first or last block — and at three repetitions the run itself.)
         prop_assert!(reps < 5 || schedule.repeated_block().is_some());
         let full_ops = schedule.op_count();
+        // A top-of-block test steps the prologue, two blocks and the
+        // epilogue; a mid-block synchronizer is seen one repetition sooner.
+        let mid_bound = schedule
+            .repeated_block()
+            .filter(|_| coupling == Coupling::Mid)
+            .map(|(_, _, run)| full_ops - (run - 2) * body_ops(n, body_seed, coupling));
         let hosts = random_feasible_hosts(&topology, n, placement_seed);
         let capacity: Vec<u32> = topology.hosts().iter().map(|h| h.cores as u32).collect();
         let network = NetworkModel::new(topology.clone());
@@ -476,6 +518,9 @@ proptest! {
         prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
         if coupling == Coupling::Never {
             prop_assert_eq!(cost.last_delta_ops(), full_ops);
+        }
+        if let Some(bound) = mid_bound {
+            prop_assert!(cost.last_delta_ops() < bound, "{} of {}", cost.last_delta_ops(), bound);
         }
 
         let mut rng = seeded(move_seed);
@@ -501,10 +546,87 @@ proptest! {
             if coupling == Coupling::Never && cost.hosts() != &before_hosts[..] {
                 prop_assert_eq!(cost.last_delta_ops(), full_ops);
             }
+            if let Some(bound) = mid_bound {
+                prop_assert!(cost.last_delta_ops() < bound);
+            }
             if rng.gen_range(0u32..3) == 0 {
                 cost.undo();
                 prop_assert_eq!(cost.hosts(), &before_hosts[..]);
                 prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+            } else {
+                cost.commit();
+            }
+        }
+    }
+}
+
+proptest! {
+    /// A body synchronized only mid-block, started so close to the u64
+    /// ceiling that the clocks saturate during the run's last repetition:
+    /// every lockstep the pass observes would shift the clocks past the
+    /// ceiling, so the guard refuses each and the pass is stepped in full —
+    /// and the clocks still equal the oracle's after every move and undo.
+    #[test]
+    fn a_mid_block_lockstep_near_the_u64_ceiling_is_stepped_in_full(
+        n in 4u32..13,
+        reps in 3u32..9,
+        placement_seed in 0u64..1_000_000,
+        body_seed in 0u64..1_000_000,
+        move_seed in 0u64..1_000_000,
+    ) {
+        let topology = topology();
+        let hosts = random_feasible_hosts(&topology, n, placement_seed);
+        let capacity: Vec<u32> = topology.hosts().iter().map(|h| h.cores as u32).collect();
+        let network = NetworkModel::new(topology.clone());
+        let compute = ComputeModel::new(topology.clone());
+        // The makespans after `reps − 1` and `reps` repetitions from zero
+        // bracket the headroom: nothing saturates before the last one.
+        let mut calm = ModelComm::new(
+            &Placement::one_per_host(&hosts),
+            network.clone(),
+            compute.clone(),
+        );
+        for _ in 1..reps {
+            block_body(&mut calm, body_seed, Coupling::Mid);
+        }
+        let before_last = calm.makespan().as_nanos();
+        block_body(&mut calm, body_seed, Coupling::Mid);
+        let headroom = before_last + (calm.makespan().as_nanos() - before_last) / 2;
+        let mut b = ScheduleBuilder::new(n);
+        b.advance(p2pmpi_simgrid::time::SimDuration::from_nanos(u64::MAX - headroom));
+        for _ in 0..reps {
+            block_body(&mut b, body_seed, Coupling::Mid);
+        }
+        let schedule = Arc::new(b.finish());
+        prop_assert_eq!(schedule.repeated_block(), Some((1, 4, reps as usize)));
+        let full_ops = schedule.op_count();
+        let mut cost = PlacementCost::new(schedule, hosts, capacity, network, compute);
+        prop_assert_eq!(cost.last_delta_ops(), full_ops);
+        prop_assert_eq!(cost.cost(), p2pmpi_simgrid::time::SimDuration::MAX);
+        prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+
+        let mut rng = seeded(move_seed);
+        let host_count = topology.host_count();
+        for _ in 0..6 {
+            let mv = if rng.gen_range(0u32..2) == 0 {
+                Move::Swap { a: rng.gen_range(0..n), b: rng.gen_range(0..n) }
+            } else {
+                Move::Migrate {
+                    rank: rng.gen_range(0..n),
+                    to: HostId(rng.gen_range(0..host_count)),
+                }
+            };
+            let before_clocks = cost.clocks().to_vec();
+            if cost.apply(mv).is_err() {
+                prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+                continue;
+            }
+            prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..],
+                "clocks diverged from the oracle after {:?}", mv);
+            if rng.gen_range(0u32..3) == 0 {
+                cost.undo();
+                prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+                prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
             } else {
                 cost.commit();
             }

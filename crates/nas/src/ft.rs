@@ -106,7 +106,10 @@ pub fn ft_model(model: &mut ModelComm, config: &FtConfig) -> SimDuration {
 /// Compiles [`ft_program`] for `size` ranks — the schedule hook of the
 /// placement search.  The transpose rings compile to `Uniform`/`PerSrc`
 /// byte structures, so all iterations share one pooled transfer table in
-/// the evaluator, and compile to equal blocks its pass fast-forwards.
+/// the evaluator, and compile to equal blocks its pass fast-forwards: the
+/// checksum allreduce closes each block, so a pass steps the first two
+/// iterations (one segment less where the second transpose already leaves
+/// the ranks in lockstep).
 pub fn ft_schedule(config: &FtConfig, size: u32) -> CompiledSchedule {
     let mut b = ScheduleBuilder::new(size);
     ft_program(&mut b, config);

@@ -264,10 +264,11 @@ pub fn is_model(model: &mut ModelComm, config: &IsConfig) -> SimDuration {
 
 /// Compiles [`is_program`] for `size` ranks — the schedule hook of the
 /// placement search.  The iterations compile to equal blocks the
-/// evaluator's pass fast-forwards once the ranks advance in lockstep, and
-/// its ring state is pooled transfer tables of O(size · sites) bytes shared
-/// across all of them (see `p2pmpi_mpi::model`), so IS stays searchable at
-/// 1024+ ranks.
+/// evaluator's pass fast-forwards once the ranks advance in lockstep —
+/// right after the second iteration's allreduce, so a pass steps one
+/// iteration, one allreduce and the closing allgather — and its ring state
+/// is pooled transfer tables of O(size · sites) bytes shared across all of
+/// them (see `p2pmpi_mpi::model`), so IS stays searchable at 1024+ ranks.
 pub fn is_schedule(config: &IsConfig, size: u32) -> CompiledSchedule {
     let mut b = ScheduleBuilder::new(size);
     is_program(&mut b, config);

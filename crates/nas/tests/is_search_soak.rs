@@ -5,13 +5,19 @@
 //! suite proves the move and fast-forward contracts on random programs;
 //! this test proves them on the exact byte structures and repeated
 //! iterations the placement search optimises — IS's balanced alltoallv
-//! (compressed to a pooled transfer table) and FT's zero-diagonal transpose.
+//! (compressed to a pooled transfer table) and FT's zero-diagonal transpose
+//! — and pins where the pass fast-forwards each kernel's iterations.
 
-use p2pmpi_mpi::model::{ModelComm, Move, PlacementCost};
+use p2pmpi_mpi::model::{
+    CollectiveProgram, CompiledSchedule, ModelComm, Move, PlacementCost, ScheduleBuilder,
+};
 use p2pmpi_mpi::placement::Placement;
 use p2pmpi_nas::classes::Class;
-use p2pmpi_nas::ft::{ft_schedule, FtConfig};
-use p2pmpi_nas::is::{is_model, is_schedule, IsConfig};
+use p2pmpi_nas::ep::rank_share;
+use p2pmpi_nas::ft::{ft_program, ft_schedule, FtConfig};
+use p2pmpi_nas::is::{
+    is_model, is_program, is_schedule, IsConfig, IS_MEMORY_INTENSITY, OPS_PER_KEY_PER_ITER,
+};
 use p2pmpi_simgrid::compute::ComputeModel;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::rngutil::seeded;
@@ -64,20 +70,26 @@ fn spread_hosts(topology: &Topology, n: u32) -> Vec<HostId> {
     out
 }
 
-fn soak(schedule: p2pmpi_mpi::model::CompiledSchedule, n: u32, moves: u32, seed: u64) {
+/// An evaluator of `schedule` on the spread start over [`grid`].
+fn evaluator(schedule: CompiledSchedule) -> PlacementCost {
     let topology = grid();
     let capacity: Vec<u32> = topology.hosts().iter().map(|h| h.cores as u32).collect();
-    let mut cost = PlacementCost::new(
+    let hosts = spread_hosts(&topology, schedule.size());
+    PlacementCost::new(
         Arc::new(schedule),
-        spread_hosts(&topology, n),
+        hosts,
         capacity,
         NetworkModel::new(topology.clone()),
-        ComputeModel::new(topology.clone()),
-    );
+        ComputeModel::new(topology),
+    )
+}
+
+fn soak(schedule: CompiledSchedule, n: u32, moves: u32, seed: u64) {
+    let mut cost = evaluator(schedule);
     assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
 
     let mut rng = seeded(seed);
-    let host_count = topology.host_count();
+    let host_count = grid().host_count();
     let mut accepted = 0u32;
     for step in 0..moves {
         let mv = if rng.gen_range(0u32..2) == 0 {
@@ -152,4 +164,111 @@ fn is_schedule_pools_its_compute_phases_and_replays_exactly() {
 fn ft_schedule_soak_matches_oracle_at_96() {
     let config = FtConfig::new(Class::S).with_iterations(3);
     soak(ft_schedule(&config, 96), 96, 18, 7);
+}
+
+/// Clock updates a schedule of `program` alone holds — the sum of its
+/// segments' op counts, in `PlacementCost::last_delta_ops` units.
+fn ops_of(n: u32, program: impl FnOnce(&mut ScheduleBuilder)) -> usize {
+    let mut b = ScheduleBuilder::new(n);
+    program(&mut b);
+    b.finish().op_count()
+}
+
+/// IS's per-iteration compute phase, issued on its own: it interns to the
+/// same phase as the iterations' own.
+fn is_compute<P: CollectiveProgram>(p: &mut P, config: &IsConfig) {
+    let (keys, size) = (config.class.is_keys(), p.size());
+    p.compute(IS_MEMORY_INTENSITY, |rank| {
+        rank_share(keys, rank, size).1 as f64 * OPS_PER_KEY_PER_ITER
+    });
+}
+
+/// Whether swapping ranks `a` and `b` of the [`grid`] spread start moves
+/// each to another site.
+fn crosses_sites(n: u32, a: u32, b: u32) -> bool {
+    let topology = grid();
+    let hosts = spread_hosts(&topology, n);
+    let site = |r: u32| topology.host(hosts[r as usize]).site;
+    site(a) != site(b)
+}
+
+#[test]
+fn is_steps_one_iteration_and_one_allreduce() {
+    // IS's allreduce leaves every rank at the reduction's instant plus an
+    // instant-independent offset: the second iteration's allreduce is the
+    // first boundary in lockstep, and the pass skips to the allgather.
+    let n = 128;
+    let config = IsConfig::sampled(Class::S, 4);
+    assert_eq!(config.iterations, 10);
+    let one_iteration = ops_of(n, |b| is_program(b, &config.with_iterations(1)));
+    let allreduce = ops_of(n, |b| b.allreduce(8));
+    let stepped = one_iteration + allreduce;
+    let schedule = is_schedule(&config, n);
+    assert_eq!(schedule.repeated_block(), Some((0, 4, 10)));
+    let full = schedule.op_count();
+    let mut cost = evaluator(schedule);
+    assert_eq!(cost.last_delta_ops(), stepped);
+    assert!(stepped * 100 < full * 11, "{stepped} of {full} ops");
+    assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+    // A cross-site swap rewrites ring rows and moves the critical path; the
+    // pass still fires at the same boundary.
+    assert!(crosses_sites(n, 0, 47));
+    cost.apply(Move::Swap { a: 0, b: 47 }).unwrap();
+    assert_eq!(cost.last_delta_ops(), stepped);
+    assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+}
+
+#[test]
+fn ft_steps_two_iterations() {
+    // FT's checksum allreduce closes its block: on the spread start lockstep
+    // first shows at the top of the third iteration.
+    let n = 96;
+    let config = FtConfig::new(Class::S);
+    assert_eq!(config.iterations, 6);
+    let block = ops_of(n, |b| ft_program(b, &config.with_iterations(1)));
+    let allreduce = ops_of(n, |b| b.allreduce(8));
+    let mut cost = evaluator(ft_schedule(&config, n));
+    assert_eq!(cost.last_delta_ops(), 2 * block);
+    assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+    // After this swap the second iteration's transpose ring already leaves
+    // every rank one constant later than the first one's did, so the pass
+    // stops one segment earlier: before the second checksum allreduce.
+    assert!(crosses_sites(n, 1, 40));
+    cost.apply(Move::Swap { a: 1, b: 40 }).unwrap();
+    assert_eq!(cost.last_delta_ops(), 2 * block - allreduce);
+    assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+}
+
+#[test]
+fn a_rotated_is_block_fires_at_the_same_instant() {
+    // One extra compute phase before the loop: the run is reported as
+    // `[compute, allreduce, alltoall, alltoallv]` from segment 0, and the
+    // last iteration's compute falls outside it.  The pass still stops
+    // right after the second allreduce and steps only what follows the run.
+    let n = 128;
+    let config = IsConfig::sampled(Class::S, 4);
+    let rotated = |b: &mut ScheduleBuilder| {
+        is_compute(b, &config);
+        is_program(b, &config);
+    };
+    let mut b = ScheduleBuilder::new(n);
+    rotated(&mut b);
+    let schedule = b.finish();
+    assert_eq!(schedule.repeated_block(), Some((0, 4, 10)));
+    assert_eq!(schedule.compute_phase_count(), 1);
+    let compute = ops_of(n, |b| is_compute(b, &config));
+    let allgather = ops_of(n, |b| b.allgather(|_| 3 * 8));
+    let allreduce = ops_of(n, |b| b.allreduce(8));
+    let through_second_allreduce = ops_of(n, |b| {
+        is_compute(b, &config);
+        is_program(b, &config.with_iterations(1));
+    }) - allgather
+        + allreduce;
+    let after_run = compute + allgather;
+    let mut cost = evaluator(schedule);
+    assert_eq!(cost.last_delta_ops(), through_second_allreduce + after_run);
+    assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+    cost.apply(Move::Swap { a: 0, b: 47 }).unwrap();
+    assert_eq!(cost.last_delta_ops(), through_second_allreduce + after_run);
+    assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
 }
