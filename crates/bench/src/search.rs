@@ -89,8 +89,10 @@ pub struct SearchParams {
 
 impl SearchParams {
     /// The one default table: 4 chains, seed 2008 and a per-kernel move
-    /// budget.  An EP move is one O(n) pass over a compute phase and one
-    /// merged tree run (its two allreduces), so it can afford the full
+    /// budget.  An EP move re-derives the transfer times of the few tree
+    /// messages its ranks send or receive, then makes one O(n) pass over a
+    /// compute phase and one merged tree run (its two allreduces) that
+    /// reads a cached time per message, so it can afford the full
     /// 4 000-move budget; an IS or FT move runs an O(n²) wavefront per ring
     /// of its first iteration (IS) or two (FT) — the rest fast-forward —
     /// so their defaults trade moves for wall-clock — the skewed-grid
@@ -268,11 +270,12 @@ struct ScheduleKey {
 /// fresh shape may both compile it, the first insert wins and both return
 /// that entry.  Entries are never evicted: the cache holds one schedule per
 /// distinct (kernel, settings, rank count) the process ever costs, each
-/// O(ranks) bytes per tree collective and per distinct compute phase
-/// ([`CompiledSchedule::heap_bytes`]) — six shapes for a day sweep (EP@8–128,
-/// IS@8/32: 28 KB together); the largest the benchmark and CI build,
-/// IS@1024, is 280 KB (a `--ranks` sweep adds one entry per point: IS@4096
-/// is 1.1 MB).
+/// O(ranks) bytes per distinct tree run (equal runs pool: IS's ten
+/// allreduces are one) and per distinct compute phase, plus the runs'
+/// per-rank incidence ([`CompiledSchedule::heap_bytes`]) — six shapes for
+/// a day sweep (EP@8–128, IS@8/32: 28 KB together); the largest the
+/// benchmark and CI build, IS@1024, is 95 KB (a `--ranks` sweep adds one
+/// entry per point: IS@4096 is 378 KB).
 pub fn cached_kernel_schedule(
     kernel: Fig4Kernel,
     settings: &Fig4Settings,

@@ -92,7 +92,7 @@
 //! benchmark's replay check.
 //!
 //! Everything that *charges* a makespan goes through the evaluator's full
-//! pass instead: tree messages through a `(byte size, link class)` memo,
+//! pass instead: tree messages through one cached transfer time each,
 //! compute phases through a per-rank term cache, rings through pooled
 //! transfer tables and a branchless u64 wavefront (~2 ns per receive),
 //! repeated blocks fast-forwarded (see the fast-forward contract below).
@@ -102,12 +102,13 @@
 //! state — no capacities, no second clock vector, nothing sized by the
 //! topology's host count beyond one zeroed counter per host — so small jobs
 //! gain too: measured on the day mix's shapes over the Grid'5000 topology
-//! (2-vCPU x86 VM, release build), EP@8–128 costs 0.35–3.5 µs where the
-//! `ModelComm` replay takes 0.8–17 µs, IS@8 ~3 µs against ~21, IS@32
-//! ~7 µs against ~350 (one of IS's ten iterations and the second one's
-//! allreduce stepped, the rest fast-forwarded).  A move of a searching
-//! evaluator, which hits the term cache, costs 0.26–2.4 µs at EP@8–128,
-//! ~0.6 µs at IS@8, ~4.4 µs at IS@32.
+//! (2-vCPU x86 VM, release build, best of five batches), EP@8–128 costs
+//! 0.5–4.7 µs where the `ModelComm` replay takes 0.8–17 µs, IS@8 ~3.2 µs
+//! against ~21, IS@32 ~9 µs against ~350 (one of IS's ten iterations and
+//! the second one's allreduce stepped, the rest fast-forwarded).  A move
+//! of a searching evaluator, which hits the term cache and re-derives only
+//! its ranks' tree times, costs 0.26–1.5 µs at EP@8–128, ~0.6 µs at IS@8,
+//! ~4.3 µs at IS@32.
 //!
 //! A compiled schedule is placement-independent, so callers compile each
 //! kernel shape once and share it (`p2pmpi_bench::search::
@@ -120,25 +121,27 @@
 //! proposes a move (swap two ranks' hosts, or migrate one rank to an idle
 //! slot), asks for the new modeled makespan, and keeps or reverts it.
 //!
-//! **`apply` is one full pass.**  It mutates the assignment — hosts,
-//! per-host resident counts, and the `PerSrc` ring rows of a rank that
-//! changed *site* — and runs [`PlacementCost::cost_of`]'s pass over the whole
-//! schedule into a second clock vector.  No clock of an earlier pass is
-//! kept per segment or per message: a move on the critical path dirties a
-//! whole allreduce and a ring must be re-run in full anyway, so incremental
-//! clock bookkeeping only pays from ~1 000 tree-only ranks up — above every
-//! shape the searched day and the benchmark run (the measured crossover
-//! table is in CHANGES.md, in the entry that replaced the delta evaluator
-//! with the full pass; ROADMAP lists it under "Parked").  What the pass does
-//! skip is re-deriving a *term* the move did not change, below.
+//! **`apply` is one full pass.**  It relocates the moved ranks — hosts,
+//! per-host resident counts, the per-rank view and the cached terms below that
+//! depend on them — and runs [`PlacementCost::cost_of`]'s pass over the whole
+//! schedule into a second clock vector.  No clock of an earlier pass is kept
+//! per segment or per message: a move on the critical path dirties a whole
+//! allreduce and a ring must be re-run in full anyway, so incremental clock
+//! bookkeeping only pays from ~1 000 tree-only ranks up — above every shape the
+//! searched day and the benchmark run (the measured crossover table is in
+//! CHANGES.md, in the entry that replaced the delta evaluator with the full
+//! pass; ROADMAP lists it under "Parked").  What the pass does skip is
+//! re-deriving a *term* the move did not change, below.
 //!
 //! **What survives a move.**
 //!
-//! * The `(byte count, link class)` transfer memo of tree messages — link
-//!   class meaning same-host / directed site pair, the only thing a
-//!   transfer cost depends on; the schedule interns its handful of distinct
-//!   message sizes at compile time, so the memo is a dense table and a
-//!   lookup is one indexed load.
+//! * The *tree times*: one transfer time per message of each distinct tree
+//!   run (equal runs pool at compile time: IS's ten allreduces are one),
+//!   read from a dense `(byte count, link class)` memo — same host, else
+//!   the directed site pair.  A relocation re-derives only its rank's
+//!   messages, from the schedule's per-rank incidence list (at EP@128 ~8
+//!   of 508, 28 for rank 0, the root of every tree), so `undo` re-derives
+//!   them back; in debug builds the pass re-derives every time and compares.
 //! * The *compute-term cache*: one row per distinct compute phase (equal
 //!   phases pool at compile time, as rings do: IS's ten iterations share
 //!   one row), holding each rank's last `ComputeModel::compute_time` result
@@ -162,19 +165,17 @@
 //!   and byte count, so a site-changing move re-derives it and `undo`
 //!   re-derives it back from the old host.
 //!
-//! **The per-rank view** is derived once per pass, for every schedule: the
-//! host index and site of each rank.  A tree message takes its link class
-//! from it (same host, else the two ranks' sites), so costing a message
-//! reads no `Host` record; a ring wavefront reads it together with the
-//! list of co-located ring pairs, which is built only when a table ring
-//! will read it.
+//! **The per-rank view** — each rank's host index and site — is set when
+//! the evaluator is built and kept by every relocation; tree times derive
+//! from it and ring wavefronts read it.  A pass rebuilds only the list of
+//! co-located ring pairs, and only when a table ring will read it.
 //!
 //! **`undo` is a swap and a restore; `commit` is O(1).**
 //! [`PlacementCost::clocks`] always holds the final per-rank clocks of the
 //! current assignment; the vector `apply` displaced holds the previous
-//! assignment's, so `undo` swaps the two back and restores hosts, resident
-//! counts and ring rows.  A capacity-violating migrate is rejected without
-//! touching any state.
+//! assignment's, so `undo` swaps the two back and relocates the moved ranks
+//! back.  A capacity-violating migrate is rejected without touching any
+//! state.
 //!
 //! **Exactness.**  The clocks after any move sequence equal a from-scratch
 //! [`ModelComm`] replay bit for bit, per rank — pinned by
@@ -182,19 +183,19 @@
 //! placements and move sequences, with [`PlacementCost::oracle_clocks`] as
 //! the oracle.  A ring is a two-row integer *wavefront* over the tables —
 //! `C[d] = max(C'[d], C'[src] + t) + o` per step, pure u64 nanosecond
-//! arithmetic over a per-rank host/site view and co-location list derived
-//! once per pass — exact because `SimTime` is a plain u64 nanosecond
-//! counter and the table entries are the very `NetworkModel::transfer_time`
-//! values the replay computes.
+//! arithmetic over the per-rank host/site view and the co-location list —
+//! exact because `SimTime` is a plain u64 nanosecond counter and the table
+//! entries are the very `NetworkModel::transfer_time` values the replay
+//! computes.
 //!
-//! **Memory.**  Two clock vectors, the memo, the per-rank view, 16 bytes per
-//! rank per distinct compute phase, the fast-forward's snapshots (one u64
-//! per rank per position of the repeated block: `period × ranks`, 32 KB for
-//! IS at 1024 ranks), and for rings O(ranks · sites)
-//! of pooled tables plus O(ranks) scratch rows shared across *all* ring
-//! segments with the same byte structure
-//! ([`PlacementCost::ring_cache_bytes`] reports the total): IS at 1024 ranks
-//! holds a few tables of ~64 KB.
+//! **Memory.**  Two clock vectors, the memo, one u64 per pooled tree
+//! message (4 KB at EP@128), the per-rank view, 16 bytes per rank per
+//! distinct compute phase, the fast-forward's snapshots (one u64 per rank
+//! per position of the repeated block: `period × ranks`, 32 KB for IS at
+//! 1024 ranks), and for rings O(ranks · sites) of pooled tables plus
+//! O(ranks) scratch rows shared across *all* ring segments with the same
+//! byte structure ([`PlacementCost::ring_cache_bytes`] reports the rings'
+//! total): IS at 1024 ranks holds a few tables of ~64 KB.
 //!
 //! # The fast-forward contract
 //!
@@ -279,9 +280,10 @@ use p2pmpi_simgrid::compute::ComputeModel;
 use p2pmpi_simgrid::memory::MemoryIntensity;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
-use p2pmpi_simgrid::topology::{HostId, Topology};
+use p2pmpi_simgrid::topology::HostId;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How a job's collectives are costed.
@@ -693,25 +695,14 @@ enum Segment {
     /// A compute phase; `phase` indexes
     /// [`CompiledSchedule::compute_phases`].
     Compute { phase: u32 },
-    /// A run of sequential tree messages (adjacent trees are merged).
-    Msgs { msgs: Box<[MsgRec]> },
+    /// A run of sequential tree messages (adjacent trees are merged);
+    /// `tree` indexes [`CompiledSchedule::trees`].
+    Msgs { tree: u32 },
     /// One full ring exchange (n−1 steps); `shape` indexes
     /// [`CompiledSchedule::ring_shapes`].
     Ring { shape: u32 },
     /// A uniform clock advance.
     Advance { d: SimDuration },
-}
-
-impl Segment {
-    /// Clock updates one evaluation of the segment performs on `n` ranks —
-    /// the unit of [`CompiledSchedule::op_count`].
-    fn op_count(&self, n: usize) -> usize {
-        match self {
-            Segment::Compute { .. } | Segment::Advance { .. } => n,
-            Segment::Msgs { msgs } => msgs.len(),
-            Segment::Ring { .. } => n.saturating_sub(1) * n,
-        }
-    }
 }
 
 /// A run of back-to-back equal blocks of a schedule: segments
@@ -751,6 +742,15 @@ pub struct CompiledSchedule {
     /// The distinct byte counts of the schedule's tree messages (a handful
     /// per kernel: EP has two, IS three).
     msg_sizes: Vec<u64>,
+    /// The messages of every distinct tree run, back to back: one cached
+    /// transfer time each in every evaluator (see [`EvalCore`]).
+    msgs: Vec<MsgRec>,
+    /// The distinct tree runs, as ranges of `msgs`.
+    trees: Vec<Range<usize>>,
+    /// The `msgs` indices rank `r` sends or receives (the times a move of
+    /// `r` can change): `incident[incident_start[r]..incident_start[r + 1]]`.
+    incident_start: Vec<u32>,
+    incident: Vec<u32>,
     /// The distinct byte structures of the schedule's rings.  Segments with
     /// equal structure share one entry — and thereby one pooled transfer
     /// table in every evaluator (see [`PlacementCost`]).
@@ -795,22 +795,27 @@ impl CompiledSchedule {
     /// messages, per-step ring receives and advance terms (the same units
     /// [`PlacementCost::last_delta_ops`] counts), for reporting.
     pub fn op_count(&self) -> usize {
+        self.segments.iter().map(|s| self.segment_ops(s)).sum()
+    }
+
+    /// Clock updates one evaluation of `seg` performs — the unit of
+    /// [`Self::op_count`].
+    fn segment_ops(&self, seg: &Segment) -> usize {
         let n = self.size as usize;
-        self.segments.iter().map(|s| s.op_count(n)).sum()
+        match seg {
+            Segment::Compute { .. } | Segment::Advance { .. } => n,
+            Segment::Msgs { tree } => self.trees[*tree as usize].len(),
+            Segment::Ring { .. } => n.saturating_sub(1) * n,
+        }
     }
 
     /// Heap bytes the schedule holds — what one entry of a schedule cache
-    /// costs (the tree messages dominate).
+    /// costs (the pooled tree messages and their incidence dominate).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let msgs: usize = self
-            .segments
-            .iter()
-            .map(|s| match s {
-                Segment::Msgs { msgs } => msgs.len() * size_of::<MsgRec>(),
-                _ => 0,
-            })
-            .sum();
+        let msgs = self.msgs.capacity() * size_of::<MsgRec>()
+            + self.trees.capacity() * size_of::<Range<usize>>()
+            + (self.incident_start.capacity() + self.incident.capacity()) * size_of::<u32>();
         let phases: usize = self
             .compute_phases
             .iter()
@@ -845,8 +850,8 @@ impl CompiledSchedule {
                     let phase = &self.compute_phases[*phase as usize];
                     p.compute(phase.intensity, |r| phase.ops[r as usize]);
                 }
-                Segment::Msgs { msgs } => {
-                    for m in msgs.iter() {
+                Segment::Msgs { tree } => {
+                    for m in &self.msgs[self.trees[*tree as usize].clone()] {
                         p.message(m.src, m.dst, self.msg_sizes[m.size as usize]);
                     }
                 }
@@ -872,6 +877,8 @@ pub struct ScheduleBuilder {
     /// Pending tree messages of the segment being built (adjacent trees
     /// merge into one segment).
     open_msgs: Vec<MsgRec>,
+    /// The distinct closed tree runs.
+    trees: Vec<Box<[MsgRec]>>,
     msg_sizes: Vec<u64>,
     /// Index of each byte count in `msg_sizes`.
     size_index: HashMap<u64, u32>,
@@ -880,7 +887,7 @@ pub struct ScheduleBuilder {
 }
 
 /// Index of `item` in `pool`, appending it if no equal entry exists — how
-/// ring shapes and compute phases pool across segments.
+/// tree runs, ring shapes and compute phases pool across segments.
 fn intern<T: PartialEq>(pool: &mut Vec<T>, item: T) -> u32 {
     let index = pool.iter().position(|p| *p == item).unwrap_or_else(|| {
         pool.push(item);
@@ -897,6 +904,7 @@ impl ScheduleBuilder {
             size,
             segments: Vec::new(),
             open_msgs: Vec::new(),
+            trees: Vec::new(),
             msg_sizes: Vec::new(),
             size_index: HashMap::new(),
             ring_shapes: Vec::new(),
@@ -909,17 +917,36 @@ impl ScheduleBuilder {
             return;
         }
         let msgs = std::mem::take(&mut self.open_msgs).into_boxed_slice();
-        self.segments.push(Segment::Msgs { msgs });
+        let tree = intern(&mut self.trees, msgs);
+        self.segments.push(Segment::Msgs { tree });
     }
 
-    /// Finalises the recording, detecting its repeated blocks.
+    /// Finalises the recording: lays out and indexes the pooled tree runs
+    /// and detects the repeated blocks.
     pub fn finish(mut self) -> CompiledSchedule {
         self.close_msgs();
+        let msgs: Vec<MsgRec> = self.trees.concat();
+        let mut trees = Vec::with_capacity(self.trees.len());
+        for tree in &self.trees {
+            let start = trees.last().map_or(0, |r: &Range<usize>| r.end);
+            trees.push(start..start + tree.len());
+        }
+        // A message counts once for its source and once for its destination.
+        let ends = |(m, i): (&MsgRec, u32)| [(m.src, i), (m.dst, i)];
+        let mut by_rank: Vec<(u32, u32)> = msgs.iter().zip(0..).flat_map(ends).collect();
+        by_rank.sort_unstable();
+        let incident_start = (0..=self.size)
+            .map(|r| by_rank.partition_point(|&(rank, _)| rank < r) as u32)
+            .collect();
         CompiledSchedule {
             size: self.size,
             repeat: find_repeat(&self.segments),
             segments: self.segments,
             msg_sizes: self.msg_sizes,
+            msgs,
+            trees,
+            incident_start,
+            incident: by_rank.iter().map(|&(_, i)| i).collect(),
             ring_shapes: self.ring_shapes,
             compute_phases: self.compute_phases,
         }
@@ -1095,7 +1122,7 @@ enum RingTable {
     /// A `Uniform` ring sends the same byte count on every edge, so the
     /// whole table collapses to one scalar plus a site×site matrix — both
     /// keyed by static topology data only.  **No move ever invalidates a
-    /// `Uniform` table**: `retarget_ring_rows` skips it.
+    /// `Uniform` table**: `EvalCore::relocate` skips it.
     Uniform {
         /// Same-host transfer (host-independent loopback cost).
         tsame: u64,
@@ -1145,13 +1172,13 @@ fn compute_tag(host: HostId, residents: u32) -> u64 {
 }
 
 /// The pass half of the evaluator: everything one full pass over a schedule
-/// reads — the tree-message transfer memo, the cached compute terms, the
+/// reads — the tree-message transfer times, the cached compute terms, the
 /// pooled ring tables, the per-rank host/site view and the scratch rows —
-/// and nothing a move needs.  [`PlacementCost`] embeds one and layers the
-/// clocks, the capacity bookkeeping and the in-flight move on top;
-/// [`PlacementCost::cost_of`] builds one, runs [`EvalCore::full_pass`] once
-/// and drops it.  Everything here is sized by ranks and sites, never by the
-/// topology's host count.
+/// and, of what a move needs, only [`EvalCore::relocate`].
+/// [`PlacementCost`] embeds one and layers the clocks, the capacity
+/// bookkeeping and the in-flight move on top; [`PlacementCost::cost_of`]
+/// builds one, runs [`EvalCore::full_pass`] once and drops it.  Everything
+/// here is sized by ranks and sites, never by the topology's host count.
 struct EvalCore {
     overhead: SimDuration,
     site_count: usize,
@@ -1161,9 +1188,11 @@ struct EvalCore {
     /// `tree_memo[size · classes + class]` with `size` a
     /// [`CompiledSchedule::msg_sizes`] index: the transfer cost depends
     /// only on same-host-ness / the site pair and the byte count, so a
-    /// handful of cells covers any schedule — and a lookup is one indexed
-    /// load, no hashing.  Topology-keyed, so it survives every move.
+    /// handful of cells covers any schedule and survives every move.
     tree_memo: Vec<u64>,
+    /// Transfer nanoseconds of [`CompiledSchedule::msgs`] under the view:
+    /// filled when the core is built, kept by [`Self::relocate`].
+    tree_times: Vec<u64>,
     /// Cached compute terms, `compute_rows[phase · ranks + rank]` with
     /// `phase` a [`CompiledSchedule::compute_phases`] index: the
     /// [`compute_tag`] the term was costed under and the term.  A pass
@@ -1180,8 +1209,8 @@ struct EvalCore {
     /// `ring_shapes` (`None` for a `PerPair` shape, whose wavefront costs
     /// every receive through the network model).
     ring_tables: Vec<Option<RingTable>>,
-    // --- the per-rank view of the host assignment, refreshed once per pass
-    // (tree messages read the sites, ring wavefronts all three) ---
+    // --- the per-rank view of the host assignment, kept by `relocate`
+    // (tree times derive from it, ring wavefronts read it) ---
     host_of: Vec<u32>,
     site_of: Vec<u32>,
     /// Same-host `(step, dst, src)` ring pairs, ascending: the loopback
@@ -1221,11 +1250,15 @@ impl EvalCore {
             site_count,
             classes,
             tree_memo: vec![UNCOSTED; schedule.msg_sizes.len() * classes],
+            tree_times: vec![0; schedule.msgs.len()],
             compute_rows: vec![(UNTAGGED, SimDuration::ZERO); schedule.compute_phases.len() * n],
             site_rep: Vec::new(),
             ring_tables: Vec::new(),
-            host_of: vec![0; n],
-            site_of: vec![0; n],
+            host_of: hosts.iter().map(|h| h.0 as u32).collect(),
+            site_of: hosts
+                .iter()
+                .map(|&h| network.topology().host(h).site.0 as u32)
+                .collect(),
             colo: Vec::new(),
             by_host: Vec::new(),
             wf_prev: vec![0; ring_n],
@@ -1234,6 +1267,9 @@ impl EvalCore {
             rep_clocks: vec![0; schedule.repeat.map_or(0, |r| r.period * n)],
         };
         core.build_ring_tables(schedule, hosts, network);
+        for i in 0..schedule.msgs.len() {
+            core.retime(schedule, network, i);
+        }
         core
     }
 
@@ -1313,21 +1349,26 @@ impl EvalCore {
         }
     }
 
-    /// Re-derives `rank`'s `tsite` row in every pooled `PerSrc` table for
-    /// the host it now lives on, if that changed its *site*: a row is a pure
-    /// function of the host's site and the rank's byte count, `Uniform`
-    /// tables are move-invariant and `tsame` is host-independent (loopback),
-    /// so a same-site move touches nothing.
-    fn retarget_ring_rows(
+    /// Puts `rank` on `to` in the view and re-derives the times of the tree
+    /// messages it sends or receives (one between two relocated ranks is
+    /// re-derived again by the second) and, if its *site* changed, its
+    /// `tsite` row in every `PerSrc` table — `Uniform` tables and `tsame`
+    /// (loopback) are host-independent.
+    fn relocate(
         &mut self,
         schedule: &CompiledSchedule,
         network: &NetworkModel,
         rank: usize,
-        old_host: HostId,
-        new_host: HostId,
+        to: HostId,
     ) {
-        let topology = network.topology();
-        if topology.host(old_host).site == topology.host(new_host).site {
+        let site = network.topology().host(to).site.0 as u32;
+        self.host_of[rank] = to.0 as u32;
+        let old_site = std::mem::replace(&mut self.site_of[rank], site);
+        let ends = &schedule.incident_start[rank..=rank + 1];
+        for &i in &schedule.incident[ends[0] as usize..ends[1] as usize] {
+            self.retime(schedule, network, i as usize);
+        }
+        if old_site == site {
             return;
         }
         let s_count = self.site_count;
@@ -1337,28 +1378,47 @@ impl EvalCore {
                 (table, shape)
             {
                 let row = &mut tsite[rank * s_count..][..s_count];
-                self.site_row(network, new_host, bytes[rank], row);
+                self.site_row(network, to, bytes[rank], row);
             }
         }
         self.ring_tables = tables;
     }
 
-    /// Re-derives the per-rank view of `hosts`: host index and site of
-    /// every rank, plus — when a table ring will read it — the list of
-    /// same-host ring pairs.  `residents` (ranks per host id) short-cuts
-    /// the common all-hosts-distinct case.
-    fn refresh_view(&mut self, hosts: &[HostId], residents: &[u32], topology: &Topology) {
-        let n = hosts.len();
-        let mut stacked = false;
-        for ((host, site), &h) in self.host_of.iter_mut().zip(&mut self.site_of).zip(hosts) {
-            *host = h.0 as u32;
-            *site = topology.host(h).site.0 as u32;
-            stacked |= residents[h.0] > 1;
+    /// Derives [`Self::tree_times`]`[i]` from the view through the memo:
+    /// the class is same-host, else the ranks' directed site pair.
+    fn retime(&mut self, schedule: &CompiledSchedule, network: &NetworkModel, i: usize) {
+        let m = schedule.msgs[i];
+        let (s, d) = (m.src as usize, m.dst as usize);
+        let class = if self.host_of[s] == self.host_of[d] {
+            0
+        } else {
+            1 + self.site_of[s] as usize * self.site_count + self.site_of[d] as usize
+        };
+        let cell = m.size as usize * self.classes + class;
+        if self.tree_memo[cell] == UNCOSTED {
+            self.tree_memo[cell] = self.transfer_ns(network, schedule, m);
         }
+        self.tree_times[i] = self.tree_memo[cell];
+    }
+
+    /// `network`'s transfer time of `m` between its ranks' current hosts.
+    fn transfer_ns(&self, network: &NetworkModel, schedule: &CompiledSchedule, m: MsgRec) -> u64 {
+        let host = |r: u32| HostId(self.host_of[r as usize] as usize);
+        let bytes = schedule.msg_sizes[m.size as usize];
+        let t = network.transfer_time(host(m.src), host(m.dst), bytes);
+        t.as_nanos()
+    }
+
+    /// Rebuilds the same-host ring pairs if a table ring will read them;
+    /// `residents` (per host id) short-cuts the all-hosts-distinct case.
+    fn refresh_colo(&mut self, residents: &[u32]) {
         self.colo.clear();
-        if !stacked || self.ring_tables.iter().all(Option::is_none) {
+        if self.ring_tables.iter().all(Option::is_none)
+            || self.host_of.iter().all(|&h| residents[h as usize] <= 1)
+        {
             return;
         }
+        let n = self.host_of.len();
         // Same-host (src, dst) pairs are rare — at most cores per host — so
         // the wavefront's hot loop costs every receive through the site row
         // unconditionally and patches the loopback pairs afterwards, keyed
@@ -1381,34 +1441,6 @@ impl EvalCore {
         self.colo.sort_unstable();
     }
 
-    /// LogGP transfer time of a tree message of byte-size index `size`
-    /// from rank `s` to rank `d` (living on `hosts[s]`, `hosts[d]`), through
-    /// the `(size, class)` memo.  Reads the sites from the per-rank view.
-    #[inline]
-    fn tree_transfer(
-        &mut self,
-        network: &NetworkModel,
-        sizes: &[u64],
-        hosts: &[HostId],
-        (s, d): (usize, usize),
-        size: u32,
-    ) -> SimDuration {
-        // Link class of the pair: the transfer cost depends only on
-        // same-host-ness and the (directed) site pair.
-        let class = if hosts[s] == hosts[d] {
-            0
-        } else {
-            1 + self.site_of[s] as usize * self.site_count + self.site_of[d] as usize
-        };
-        let cell = &mut self.tree_memo[size as usize * self.classes + class];
-        if *cell == UNCOSTED {
-            *cell = network
-                .transfer_time(hosts[s], hosts[d], sizes[size as usize])
-                .as_nanos();
-        }
-        SimDuration::from_nanos(*cell)
-    }
-
     /// One full evaluation of `schedule` on `hosts`: `clocks` (all zero on
     /// entry) holds the final per-rank clocks on return.  This is the one
     /// code path behind every costing — [`PlacementCost::cost_of`] and every
@@ -1424,7 +1456,14 @@ impl EvalCore {
         compute: &ComputeModel,
         clocks: &mut [SimTime],
     ) -> usize {
-        self.refresh_view(hosts, residents, network.topology());
+        debug_assert!(
+            hosts
+                .iter()
+                .zip(&self.host_of)
+                .all(|(h, &v)| h.0 as u32 == v),
+            "the per-rank view drifted from the assignment"
+        );
+        self.refresh_colo(residents);
         let n = clocks.len();
         let mut evaluated = 0;
         let mut seg = 0;
@@ -1467,14 +1506,21 @@ impl EvalCore {
                         *c += cell.1;
                     }
                 }
-                Segment::Msgs { msgs } => {
-                    for &m in msgs.iter() {
+                Segment::Msgs { tree } => {
+                    let range = schedule.trees[*tree as usize].clone();
+                    for (&m, &t) in schedule.msgs[range.clone()]
+                        .iter()
+                        .zip(&self.tree_times[range])
+                    {
+                        debug_assert_eq!(
+                            t,
+                            self.transfer_ns(network, schedule, m),
+                            "cached transfer time of {m:?}"
+                        );
                         let (s, d) = (m.src as usize, m.dst as usize);
                         let out_src = clocks[s] + self.overhead;
-                        let t =
-                            self.tree_transfer(network, &schedule.msg_sizes, hosts, (s, d), m.size);
                         clocks[s] = out_src;
-                        clocks[d] = clocks[d].max(out_src + t);
+                        clocks[d] = clocks[d].max(out_src + SimDuration::from_nanos(t));
                     }
                 }
                 Segment::Ring { shape } => {
@@ -1494,7 +1540,7 @@ impl EvalCore {
                     }
                 }
             }
-            evaluated += segment.op_count(n);
+            evaluated += schedule.segment_ops(segment);
             seg += 1;
         }
         evaluated
@@ -1660,7 +1706,7 @@ pub struct PlacementCost {
     schedule: Arc<CompiledSchedule>,
     network: NetworkModel,
     compute: ComputeModel,
-    /// Transfer memo, compute-term cache, ring tables, per-rank view and
+    /// Tree times, compute-term cache, ring tables, per-rank view and
     /// scratch rows (the part shared with [`PlacementCost::cost_of`]).
     core: EvalCore,
     /// Host of each rank.
@@ -1806,11 +1852,6 @@ impl PlacementCost {
         self.residents[host.0]
     }
 
-    /// Idle slots left on `host`.
-    pub fn free_on(&self, host: HostId) -> u32 {
-        self.capacity[host.0] - self.residents[host.0]
-    }
-
     /// Clock updates (messages, ring receives, compute and advance terms —
     /// [`CompiledSchedule::op_count`] units) the last pass evaluated, whether
     /// it ran for [`Self::new`] or [`Self::apply`]: `op_count()` minus the
@@ -1907,8 +1948,8 @@ impl PlacementCost {
     }
 
     /// Reverts the in-flight move: the clocks, the host assignment, the
-    /// resident counts and the ring rows return to their pre-`apply` state
-    /// exactly.
+    /// resident counts, the view, the tree times and the ring rows return
+    /// to their pre-`apply` state exactly.
     ///
     /// # Panics
     ///
@@ -1925,14 +1966,13 @@ impl PlacementCost {
         self.clock_mean = p.old_clock_mean;
     }
 
-    /// Puts `rank` on `to` — host, resident counts, `PerSrc` ring rows — and
-    /// returns the host it left.
+    /// Puts `rank` on `to` — host, resident counts and the core's view,
+    /// tree times and `PerSrc` ring rows — and returns the host it left.
     fn relocate(&mut self, rank: usize, to: HostId) -> HostId {
         let from = std::mem::replace(&mut self.hosts[rank], to);
         self.residents[from.0] -= 1;
         self.residents[to.0] += 1;
-        self.core
-            .retarget_ring_rows(&self.schedule, &self.network, rank, from, to);
+        self.core.relocate(&self.schedule, &self.network, rank, to);
         from
     }
 
@@ -2205,8 +2245,19 @@ mod tests {
         assert_eq!(schedule.ring_shapes.len(), 2);
         // Three allreduce runs, the bcast + gather run, six rings.
         assert_eq!(schedule.segment_count(), 10);
-        // Dominated by the tree messages: 3·14 + 7 + 7 records.
-        let msgs = 56 * std::mem::size_of::<MsgRec>();
+        // The three equal allreduce runs pool into one tree: 14 + 7 + 7
+        // records, each listed under both of its ranks.
+        assert_eq!(schedule.trees, [0..14, 14..28]);
+        let at = |r: usize| schedule.incident_start[r] as usize;
+        assert_eq!(at(8), 2 * 28);
+        for r in 0..8 {
+            for &i in &schedule.incident[at(r)..at(r + 1)] {
+                let m = schedule.msgs[i as usize];
+                assert!(m.src as usize == r || m.dst as usize == r);
+            }
+        }
+        // Dominated by the pooled tree messages and their incidence.
+        let msgs = 28 * (std::mem::size_of::<MsgRec>() + 2 * std::mem::size_of::<u32>());
         assert!(schedule.heap_bytes() > msgs && schedule.heap_bytes() < 3 * msgs);
     }
 
@@ -2311,6 +2362,85 @@ mod tests {
         assert_eq!(cost.clocks(), &before_clocks[..]);
         cost.apply(Move::Swap { a: 2, b: 3 }).unwrap();
         assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+    }
+
+    /// EP's shape: one rank-dependent compute phase, then two allreduces
+    /// that merge into one tree run.
+    fn ep_shaped<P: CollectiveProgram>(p: &mut P) {
+        p.compute(MemoryIntensity::CPU_BOUND, |r| 1e7 * (r % 3 + 1) as f64);
+        p.allreduce(2 * 8);
+        p.allreduce(12 * 8);
+    }
+
+    #[test]
+    fn moves_re_derive_exactly_the_tree_times_they_touch() {
+        // Rank 0 roots every tree, so it is an endpoint of every gather
+        // message and of log n edges per tree; rank 15 is a leaf.  After
+        // every step the clocks equal a fresh evaluator's over the same
+        // hosts: a tree time a move left stale would show, on either rank
+        // of a swap, whether the move is committed or undone.
+        let t = grid(10);
+        let (site0, site1) = (|i: usize| t.hosts()[i].id, |i: usize| t.hosts()[10 + i].id);
+        // Ranks 0-7 one per host at site 0, ranks 8-15 at site 1; hosts 8
+        // and 9 of each site stay idle.
+        let hosts: Vec<_> = (0..8).map(site0).chain((0..8).map(site1)).collect();
+        let steps = [
+            // Cross-site swap of the root and a leaf.
+            (Move::Swap { a: 0, b: 15 }, true),
+            (Move::Swap { a: 0, b: 15 }, false),
+            // The root onto an idle host of the other site, then back.
+            (
+                Move::Migrate {
+                    rank: 0,
+                    to: site1(8),
+                },
+                true,
+            ),
+            (
+                Move::Migrate {
+                    rank: 0,
+                    to: site0(0),
+                },
+                false,
+            ),
+            // The leaf onto the root's host: their edges become loopback.
+            (
+                Move::Migrate {
+                    rank: 15,
+                    to: site0(0),
+                },
+                true,
+            ),
+            (Move::Swap { a: 0, b: 3 }, false),
+            (Move::Swap { a: 15, b: 4 }, true),
+            (
+                Move::Migrate {
+                    rank: 0,
+                    to: site0(9),
+                },
+                true,
+            ),
+            (Move::Swap { a: 0, b: 15 }, true),
+        ];
+        for program in [ep_shaped as fn(&mut ScheduleBuilder), |b| is_shaped(b, 10)] {
+            let mut cost = evaluator_of(program, hosts.clone(), &t);
+            let fresh = |cost: &PlacementCost| {
+                let capacity = t.hosts().iter().map(|h| h.cores as u32).collect();
+                let network = NetworkModel::new(t.clone());
+                let compute = ComputeModel::new(t.clone());
+                let hosts = cost.hosts().to_vec();
+                PlacementCost::new(cost.schedule.clone(), hosts, capacity, network, compute)
+            };
+            for (mv, keep) in steps {
+                cost.apply(mv).unwrap();
+                assert_eq!(cost.clocks(), fresh(&cost).clocks(), "after {mv:?}");
+                match keep {
+                    true => cost.commit(),
+                    false => cost.undo(),
+                }
+                assert_eq!(cost.clocks(), fresh(&cost).clocks(), "kept {keep}: {mv:?}");
+            }
+        }
     }
 
     #[test]
@@ -2552,7 +2682,10 @@ mod tests {
         // iteration and the second one's allreduce, then skips to the
         // allgather.
         let (segments, rep) = (&cost.schedule.segments, cost.schedule.repeat.unwrap());
-        let ops = |segs: &[Segment]| segs.iter().map(|s| s.op_count(64)).sum::<usize>();
+        let ops = |segs: &[Segment]| {
+            let schedule = &cost.schedule;
+            segs.iter().map(|s| schedule.segment_ops(s)).sum::<usize>()
+        };
         let stepped = ops(&segments[..rep.period + 1]) + ops(&segments[rep.end()..]);
         assert_eq!(
             rep,
