@@ -8,7 +8,6 @@ use crate::config::OwnerConfig;
 use crate::mpd::MpdNode;
 use crate::overlay::{Overlay, OverlayParams};
 use crate::peer::{PeerDescriptor, PeerId};
-use crate::ping::LatencyProber;
 use p2pmpi_simgrid::network::{NetworkModel, NetworkParams};
 use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::rngutil;
@@ -130,12 +129,11 @@ impl OverlayBuilder {
             .collect();
         let supernode_host = self.supernode_host.unwrap_or(nodes[0].descriptor.host);
         let network = NetworkModel::with_params(self.topology.clone(), self.network_params);
-        let prober = LatencyProber::new(network.clone(), self.noise);
         let rng = rngutil::substream(self.seed, 0xB007);
         Overlay::assemble(
             self.topology,
             network,
-            prober,
+            self.noise,
             supernode_host,
             nodes,
             rng,

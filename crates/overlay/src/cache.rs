@@ -6,22 +6,24 @@
 //! reservation procedure walks this cache in ascending-latency order and
 //! books hosts from the front.
 //!
-//! ## Incremental latency index
+//! ## The sorted latency index
 //!
-//! The booking order is consulted once per job submission while the cache
-//! mutates only on probes and membership changes, so the ascending-latency
-//! order is maintained *incrementally*: a [`BTreeSet`] of `(latency, peer)`
-//! keys is updated in `O(log m)` on every [`CachedList::merge`],
-//! [`CachedList::record_probe`] and [`CachedList::remove`], and
-//! [`CachedList::ranking_iter`] walks it without sorting or allocating.
-//! Peers without a measurement sort last (they are the least attractive
-//! candidates); ties break by peer id for determinism.  The tests compare
-//! the index against sorting every entry on each read.
+//! Entries live in a `Vec` indexed by [`PeerId`] (peer ids are dense
+//! node-table indices), and the booking order is a sorted `Vec` of
+//! `(latency, peer)` keys that [`CachedList::ranking_iter`] reads as a
+//! slice.  The order changes in bulk: a probe round re-measures every cached
+//! peer ([`CachedList::record_probes`]), rewrites each key in place while
+//! it walks them and then sorts once, so a round costs one pass plus one
+//! sort of nearly sorted keys instead of a tree removal and insertion per
+//! peer.  A merge that adds peers appends their keys and sorts once; the
+//! rarer single changes ([`CachedList::record_probe`],
+//! [`CachedList::remove`]) binary-search their key.  Peers without a
+//! measurement sort last (they are the least attractive candidates); ties
+//! break by peer id for determinism.  The tests compare the index against
+//! sorting every entry on each read.
 
 use crate::peer::{PeerDescriptor, PeerId};
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
-use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
 
 /// One cached peer with its latest latency estimate.
 #[derive(Debug, Clone)]
@@ -37,140 +39,143 @@ pub struct CacheEntry {
     pub failed_probes: u32,
 }
 
+impl CacheEntry {
+    /// Folds one successful probe measurement into the estimate.
+    fn observe(&mut self, sample: SimDuration, now: SimTime) {
+        self.latency = Some(match self.latency {
+            Some(old) => SimDuration::from_secs_f64(
+                old.as_secs_f64() * (1.0 - EWMA_ALPHA) + sample.as_secs_f64() * EWMA_ALPHA,
+            ),
+            None => sample,
+        });
+        self.last_probe = Some(now);
+        self.failed_probes = 0;
+    }
+}
+
 /// Exponential smoothing factor applied to successive probe measurements:
 /// `new = (1-EWMA_ALPHA)*old + EWMA_ALPHA*sample`.
 pub const EWMA_ALPHA: f64 = 0.5;
 
-/// Key of the latency-ordered index: ascending measured latency, peers
-/// without a measurement last, ties broken by peer id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Key of the latency-ordered index, compared field by field: peers
+/// without a measurement last, then ascending measured latency, ties broken
+/// by peer id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct RankKey {
-    latency: Option<SimDuration>,
+    unprobed: bool,
+    /// The measured latency; zero while unprobed.
+    latency: SimDuration,
     id: PeerId,
 }
 
-impl Ord for RankKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        match (self.latency, other.latency) {
-            (Some(a), Some(b)) => a.cmp(&b).then(self.id.cmp(&other.id)),
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (None, None) => self.id.cmp(&other.id),
+impl RankKey {
+    fn new(latency: Option<SimDuration>, id: PeerId) -> Self {
+        RankKey {
+            unprobed: latency.is_none(),
+            latency: latency.unwrap_or_default(),
+            id,
         }
-    }
-}
-
-impl PartialOrd for RankKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 
 /// The MPD's cached list.
 #[derive(Debug, Default)]
 pub struct CachedList {
-    entries: HashMap<PeerId, CacheEntry>,
-    /// Latency-ordered view of `entries`, maintained on every mutation.
-    index: BTreeSet<RankKey>,
+    /// The cached entries, indexed by peer id.
+    entries: Vec<Option<CacheEntry>>,
+    /// One key per cached entry, sorted: the booking order.
+    order: Vec<RankKey>,
 }
 
 impl CachedList {
     /// Creates an empty cache.
     pub fn new() -> Self {
-        CachedList {
-            entries: HashMap::new(),
-            index: BTreeSet::new(),
-        }
+        CachedList::default()
     }
 
-    /// Creates an empty cache pre-sized for `capacity` peers (e.g. the
-    /// supernode's host-list length), so warm-up merges do not rehash.
-    pub fn with_capacity(capacity: usize) -> Self {
-        CachedList {
-            entries: HashMap::with_capacity(capacity),
-            index: BTreeSet::new(),
-        }
+    fn entry_mut(&mut self, peer: PeerId) -> Option<&mut CacheEntry> {
+        self.entries.get_mut(peer.0).and_then(Option::as_mut)
     }
 
-    /// Inserts an unprobed entry for `descriptor` unless its peer is already
-    /// cached.  Returns `true` if the peer was new.  Both merge paths go
-    /// through here so the entry/index invariant lives in one place.
-    fn insert_if_vacant(&mut self, descriptor: PeerDescriptor) -> bool {
-        let id = descriptor.id;
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.entries.entry(id) {
-            slot.insert(CacheEntry {
-                descriptor,
-                latency: None,
-                last_probe: None,
-                failed_probes: 0,
-            });
-            self.index.insert(RankKey { latency: None, id });
-            true
-        } else {
-            false
-        }
+    /// Position of `key` in the booking order; the key must be there.
+    fn position(&self, key: RankKey) -> usize {
+        self.order
+            .binary_search(&key)
+            .expect("every cached peer has its key in the order")
     }
 
     /// Merges descriptors retrieved from the supernode into the cache,
-    /// keeping existing latency estimates.  Returns the number of peers that
-    /// were new to this cache.
-    pub fn merge(&mut self, peers: impl IntoIterator<Item = PeerDescriptor>) -> usize {
-        let mut added = 0;
+    /// keeping existing latency estimates.  Descriptors are cloned only for
+    /// peers new to the cache, so refreshing against an already-known host
+    /// list allocates nothing.  Returns the number of peers that were new.
+    pub fn merge<'a>(&mut self, peers: impl IntoIterator<Item = &'a PeerDescriptor>) -> usize {
+        let before = self.order.len();
         for d in peers {
-            if self.insert_if_vacant(d) {
-                added += 1;
+            let id = d.id;
+            if id.0 >= self.entries.len() {
+                self.entries.resize_with(id.0 + 1, || None);
             }
+            if self.entries[id.0].is_none() {
+                self.entries[id.0] = Some(CacheEntry {
+                    descriptor: d.clone(),
+                    latency: None,
+                    last_probe: None,
+                    failed_probes: 0,
+                });
+                self.order.push(RankKey::new(None, id));
+            }
+        }
+        let added = self.order.len() - before;
+        if added > 0 {
+            self.order.sort_unstable();
         }
         added
     }
 
-    /// Like [`CachedList::merge`], but borrowing: descriptors are cloned only
-    /// for peers actually new to the cache, so refreshing against an
-    /// already-known host list allocates nothing.
-    pub fn merge_refs<'a>(&mut self, peers: impl IntoIterator<Item = &'a PeerDescriptor>) -> usize {
-        let mut added = 0;
-        for d in peers {
-            if !self.entries.contains_key(&d.id) && self.insert_if_vacant(d.clone()) {
-                added += 1;
+    /// One probe round: walks every cached peer in the booking order, asks
+    /// `probe` for its measurement (`None`: the probe failed) and folds it
+    /// into the entry, then re-sorts the order once.  The walk sees the
+    /// order as it was before the round.
+    pub fn record_probes(
+        &mut self,
+        now: SimTime,
+        mut probe: impl FnMut(PeerId) -> Option<SimDuration>,
+    ) {
+        for key in &mut self.order {
+            let entry = self.entries[key.id.0]
+                .as_mut()
+                .expect("every key in the order is cached");
+            match probe(key.id) {
+                Some(sample) => {
+                    entry.observe(sample, now);
+                    *key = RankKey::new(entry.latency, key.id);
+                }
+                None => entry.failed_probes += 1,
             }
         }
-        added
+        self.order.sort_unstable();
     }
 
     /// Records a successful probe measurement for `peer`, smoothing with the
-    /// previous estimate.  `O(log m)`: the peer's index key is re-slotted.
+    /// previous estimate.
     pub fn record_probe(&mut self, peer: PeerId, sample: SimDuration, now: SimTime) {
-        if let Some(e) = self.entries.get_mut(&peer) {
-            let old = e.latency;
-            let new = match old {
-                Some(old) => {
-                    let blended =
-                        old.as_secs_f64() * (1.0 - EWMA_ALPHA) + sample.as_secs_f64() * EWMA_ALPHA;
-                    SimDuration::from_secs_f64(blended)
-                }
-                None => sample,
-            };
-            e.latency = Some(new);
-            e.last_probe = Some(now);
-            e.failed_probes = 0;
-            if old != Some(new) {
-                self.index.remove(&RankKey {
-                    latency: old,
-                    id: peer,
-                });
-                self.index.insert(RankKey {
-                    latency: Some(new),
-                    id: peer,
-                });
-            }
-        }
+        let Some(entry) = self.entry_mut(peer) else {
+            return;
+        };
+        let old = RankKey::new(entry.latency, peer);
+        entry.observe(sample, now);
+        let key = RankKey::new(entry.latency, peer);
+        let at = self.position(old);
+        self.order.remove(at);
+        let at = self.order.partition_point(|k| *k < key);
+        self.order.insert(at, key);
     }
 
     /// Records a failed probe (timeout) for `peer`.  Returns the new failure
     /// count, or `None` if the peer is not cached.  Does not move the peer in
     /// the latency order.
     pub fn record_probe_failure(&mut self, peer: PeerId) -> Option<u32> {
-        self.entries.get_mut(&peer).map(|e| {
+        self.entry_mut(peer).map(|e| {
             e.failed_probes += 1;
             e.failed_probes
         })
@@ -178,12 +183,10 @@ impl CachedList {
 
     /// Removes a peer (e.g. marked dead during a reservation round).
     pub fn remove(&mut self, peer: PeerId) -> bool {
-        match self.entries.remove(&peer) {
+        match self.entries.get_mut(peer.0).and_then(Option::take) {
             Some(e) => {
-                self.index.remove(&RankKey {
-                    latency: e.latency,
-                    id: peer,
-                });
+                let at = self.position(RankKey::new(e.latency, peer));
+                self.order.remove(at);
                 true
             }
             None => false,
@@ -192,33 +195,33 @@ impl CachedList {
 
     /// Looks up a cached entry.
     pub fn get(&self, peer: PeerId) -> Option<&CacheEntry> {
-        self.entries.get(&peer)
+        self.entries.get(peer.0).and_then(Option::as_ref)
     }
 
     /// Number of cached peers.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.order.len()
     }
 
     /// True if the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
     }
 
-    /// All cached peers in unspecified order.
+    /// All cached peers in peer-id order.
     pub fn peers(&self) -> impl Iterator<Item = &CacheEntry> {
-        self.entries.values()
+        self.entries.iter().flatten()
     }
 
     /// Peer ids in ascending-latency order (unprobed last, ties by id),
-    /// straight off the incremental index: no sort, no allocation.
+    /// straight off the sorted index: no sort, no allocation.
     pub fn ranking_iter(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.index.iter().map(|k| k.id)
+        self.order.iter().map(|k| k.id)
     }
 
     /// Cache entries in ascending-latency order, borrowed from the index.
     pub fn entries_by_latency(&self) -> impl Iterator<Item = &CacheEntry> {
-        self.index.iter().map(|k| &self.entries[&k.id])
+        self.ranking_iter().map(|id| self.get(id).expect("cached"))
     }
 
     /// The cache sorted by ascending latency, which is exactly the order the
@@ -246,8 +249,8 @@ mod tests {
     #[test]
     fn merge_adds_only_new_peers() {
         let mut c = CachedList::new();
-        assert_eq!(c.merge(vec![desc(0), desc(1)]), 2);
-        assert_eq!(c.merge(vec![desc(1), desc(2)]), 1);
+        assert_eq!(c.merge(&[desc(0), desc(1)]), 2);
+        assert_eq!(c.merge(&[desc(1), desc(2)]), 1);
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
     }
@@ -255,7 +258,7 @@ mod tests {
     #[test]
     fn probes_smooth_with_ewma() {
         let mut c = CachedList::new();
-        c.merge(vec![desc(0)]);
+        c.merge(&[desc(0)]);
         c.record_probe(PeerId(0), SimDuration::from_millis(10), SimTime::ZERO);
         assert_eq!(
             c.get(PeerId(0)).unwrap().latency,
@@ -277,7 +280,7 @@ mod tests {
     #[test]
     fn failures_count_and_reset() {
         let mut c = CachedList::new();
-        c.merge(vec![desc(0)]);
+        c.merge(&[desc(0)]);
         assert_eq!(c.record_probe_failure(PeerId(0)), Some(1));
         assert_eq!(c.record_probe_failure(PeerId(0)), Some(2));
         assert_eq!(c.record_probe_failure(PeerId(9)), None);
@@ -288,7 +291,7 @@ mod tests {
     #[test]
     fn sorting_puts_lowest_latency_first_and_unprobed_last() {
         let mut c = CachedList::new();
-        c.merge(vec![desc(0), desc(1), desc(2), desc(3)]);
+        c.merge(&[desc(0), desc(1), desc(2), desc(3)]);
         c.record_probe(PeerId(2), SimDuration::from_millis(1), SimTime::ZERO);
         c.record_probe(PeerId(0), SimDuration::from_millis(12), SimTime::ZERO);
         c.record_probe(PeerId(1), SimDuration::from_millis(5), SimTime::ZERO);
@@ -301,7 +304,7 @@ mod tests {
     #[test]
     fn ties_break_by_peer_id() {
         let mut c = CachedList::new();
-        c.merge(vec![desc(5), desc(3)]);
+        c.merge(&[desc(5), desc(3)]);
         c.record_probe(PeerId(5), SimDuration::from_millis(7), SimTime::ZERO);
         c.record_probe(PeerId(3), SimDuration::from_millis(7), SimTime::ZERO);
         assert_eq!(c.ranking(), vec![PeerId(3), PeerId(5)]);
@@ -310,7 +313,7 @@ mod tests {
     #[test]
     fn remove_deletes_entry() {
         let mut c = CachedList::new();
-        c.merge(vec![desc(0)]);
+        c.merge(&[desc(0)]);
         assert!(c.remove(PeerId(0)));
         assert!(!c.remove(PeerId(0)));
         assert!(c.is_empty());
@@ -326,8 +329,8 @@ mod tests {
 
     #[test]
     fn incremental_index_matches_naive_sort() {
-        let mut c = CachedList::with_capacity(8);
-        c.merge((0..8).map(desc));
+        let mut c = CachedList::new();
+        c.merge(&(0..8).map(desc).collect::<Vec<_>>());
         for (i, ms) in [(0, 9), (3, 2), (5, 9), (1, 4)] {
             c.record_probe(PeerId(i), SimDuration::from_millis(ms), SimTime::ZERO);
         }
@@ -349,7 +352,7 @@ mod tests {
     #[test]
     fn ranking_iter_is_lazily_borrowing() {
         let mut c = CachedList::new();
-        c.merge(vec![desc(0), desc(1), desc(2)]);
+        c.merge(&[desc(0), desc(1), desc(2)]);
         c.record_probe(PeerId(1), SimDuration::from_millis(1), SimTime::ZERO);
         // Taking only the front of the iterator never walks the rest.
         let first = c.ranking_iter().next();

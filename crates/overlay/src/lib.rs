@@ -43,7 +43,6 @@ pub mod messages;
 pub mod mpd;
 pub mod overlay;
 pub mod peer;
-pub mod ping;
 pub mod rs;
 pub mod supernode;
 
@@ -57,6 +56,5 @@ pub use messages::{
 pub use mpd::MpdNode;
 pub use overlay::{Overlay, OverlayParams, RsOutcome};
 pub use peer::{PeerDescriptor, PeerId, PeerState};
-pub use ping::LatencyProber;
 pub use rs::{Reservation, ReservationService, ReservationStatus, StartError};
 pub use supernode::{HostListEntry, Supernode};

@@ -107,10 +107,10 @@
 //!   [`crate::cache::CachedList`] (degraded mode, not a halt); after the
 //!   restart the heartbeat round re-registers every alive peer the
 //!   supernode no longer knows (the resync path);
-//! * a site latency factor ([`Overlay::set_site_latency_factor`]), in both
-//!   the messaging and probing network models; a slow-link window is the
-//!   factor and then 1.0 (in-flight events keep the cost computed when
-//!   they were scheduled).
+//! * a site latency factor ([`Overlay::set_site_latency_factor`]) in the
+//!   one network model that costs messages and probes alike; a slow-link
+//!   window is the factor and then 1.0 (in-flight events keep the cost
+//!   computed when they were scheduled).
 //!
 //! [`Overlay::set_fail_jobs_on_crash`] makes a peer crash kill the running
 //! jobs it participates in: their completions are mass-revoked via
@@ -126,11 +126,11 @@ use crate::churn::{ChurnEvent, ChurnKind};
 use crate::messages::{ReservationKey, ReservationReply, StartReply};
 use crate::mpd::MpdNode;
 use crate::peer::{PeerId, PeerState};
-use crate::ping::LatencyProber;
 use crate::supernode::Supernode;
 use p2pmpi_simgrid::engine::TypedEngine;
 use p2pmpi_simgrid::event::EventKey;
 use p2pmpi_simgrid::network::NetworkModel;
+use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
 use p2pmpi_simgrid::topology::{HostId, SiteId, Topology};
 use p2pmpi_simgrid::trace::{TraceCategory, Tracer};
@@ -247,7 +247,8 @@ enum OverlayEvent {
 pub struct Overlay {
     topology: Arc<Topology>,
     network: NetworkModel,
-    prober: LatencyProber,
+    /// The load noise that perturbs every latency probe.
+    noise: NoiseModel,
     supernode: Supernode,
     supernode_host: HostId,
     nodes: Vec<MpdNode>,
@@ -264,11 +265,7 @@ pub struct Overlay {
     /// Periodic reservation-expiry sweep: (ttl, period) and the pending
     /// event.
     resv_expiry: Option<(SimDuration, SimDuration, EventKey)>,
-    /// Reusable probe-round buffers, so steady-state probing allocates
-    /// nothing (cleared, never shrunk, between rounds).
-    scratch_measurements: Vec<(PeerId, SimDuration)>,
-    scratch_failures: Vec<PeerId>,
-    /// The control-message times of a round between two *distinct* hosts,
+    /// The control-message and probe times between two *distinct* hosts,
     /// by `(submitter site, remote site)`: the transfer model sees hosts
     /// only through their sites there.  Filled on first use, forgotten
     /// whenever a site latency factor changes.
@@ -304,7 +301,7 @@ impl Overlay {
     pub(crate) fn assemble(
         topology: Arc<Topology>,
         network: NetworkModel,
-        prober: LatencyProber,
+        noise: NoiseModel,
         supernode_host: HostId,
         nodes: Vec<MpdNode>,
         rng: StdRng,
@@ -320,7 +317,7 @@ impl Overlay {
         Overlay {
             topology,
             network,
-            prober,
+            noise,
             supernode: Supernode::default(),
             supernode_host,
             nodes,
@@ -332,8 +329,6 @@ impl Overlay {
             heartbeat: None,
             cache_refresh: HashMap::new(),
             resv_expiry: None,
-            scratch_measurements: Vec::new(),
-            scratch_failures: Vec::new(),
             site_control_times: vec![None; sites * sites],
             round,
             supernode_up: true,
@@ -358,11 +353,6 @@ impl Overlay {
     /// The network cost model.
     pub fn network(&self) -> &NetworkModel {
         &self.network
-    }
-
-    /// The latency prober (network + noise).
-    pub fn prober(&self) -> &LatencyProber {
-        &self.prober
     }
 
     /// The trace recorder.
@@ -900,7 +890,7 @@ impl Overlay {
             );
         // Merge straight off the supernode's table: no intermediate Vec, and
         // descriptors are cloned only for peers new to this cache.
-        let added = self.nodes[peer.0].cache.merge_refs(
+        let added = self.nodes[peer.0].cache.merge(
             self.supernode
                 .host_list_iter()
                 .map(|e| &e.descriptor)
@@ -914,45 +904,42 @@ impl Overlay {
     }
 
     /// One probe round: `peer` pings every cached peer once and updates its
-    /// latency estimates.  Dead peers record a probe failure.  Returns the
-    /// virtual time the round took (probes are sent concurrently, so this is
-    /// the slowest individual probe).
+    /// latency estimates.  "Each neighbor in the cache is periodically
+    /// ping'ed to assess network latency to it.  Notice that this 'ping'
+    /// test is a standard P2P-MPI communication and does not rely on an
+    /// ICMP echo measurement" (Section 4.1): a probe costs two empty
+    /// messages under the messaging model (the per-site-pair table of
+    /// `control_times`, software overhead and latency factors included),
+    /// perturbed by the load noise.  Dead peers record a probe failure.
+    /// Returns the virtual time the round took (probes are sent
+    /// concurrently, so this is the slowest individual probe).
+    ///
+    /// The probes go out in the cache's booking order: noise comes from the
+    /// shared rng, so the draw-to-peer pairing must be deterministic for a
+    /// seeded run to be reproducible.  The cache takes the whole round in
+    /// one [`crate::cache::CachedList::record_probes`] pass.
     pub fn probe_round(&mut self, peer: PeerId) -> SimDuration {
-        let src = self.nodes[peer.0].descriptor.host;
+        let now = self.sim.now();
         let mut slowest = SimDuration::ZERO;
-        // One pass over the cache, pushing into the reusable scratch buffers:
-        // `nodes` is only read here, so probing borrows it alongside the
-        // mutable rng/scratch fields without an intermediate target list.
-        // The walk follows the latency index (ids only — the target host
-        // comes from the node table, no per-entry map lookup), not the hash
-        // map: probe noise comes from the shared rng, so the draw-to-peer
-        // pairing must be deterministic for a seeded run to be reproducible.
-        self.scratch_measurements.clear();
-        self.scratch_failures.clear();
-        for id in self.nodes[peer.0].cache.ranking_iter() {
+        // The cache is taken out for the round (moving it allocates
+        // nothing), so the walk can read the node table and draw noise.
+        let mut cache = std::mem::take(&mut self.nodes[peer.0].cache);
+        cache.record_probes(now, |id| {
             if self.nodes[id.0].is_alive() {
-                let dst = self.nodes[id.0].descriptor.host;
-                let rtt = self.prober.probe(src, dst, &mut self.rng);
+                let rtt = self.control_times(peer, id).probe_rtt;
+                let rtt = self.noise.perturb(rtt, &mut self.rng);
                 slowest = slowest.max(rtt);
-                self.scratch_measurements.push((id, rtt));
+                Some(rtt)
             } else {
                 slowest = slowest.max(self.params.rs_timeout);
-                self.scratch_failures.push(id);
+                None
             }
-        }
-        let now = self.sim.now();
-        let node = &mut self.nodes[peer.0];
-        for &(id, rtt) in &self.scratch_measurements {
-            node.cache.record_probe(id, rtt, now);
-        }
-        for &id in &self.scratch_failures {
-            node.cache.record_probe_failure(id);
-        }
-        let cache_len = node.cache.len();
-        self.tracer
-            .record(self.sim.now(), TraceCategory::Probe, || {
-                format!("{peer} probed its cache ({cache_len} entries)")
-            });
+        });
+        let cache_len = cache.len();
+        self.nodes[peer.0].cache = cache;
+        self.tracer.record(now, TraceCategory::Probe, || {
+            format!("{peer} probed its cache ({cache_len} entries)")
+        });
         slowest
     }
 
@@ -974,7 +961,7 @@ impl Overlay {
     }
 
     /// Borrowing form of [`Overlay::latency_ranking`]: walks the cache's
-    /// incremental latency index without sorting or allocating.  This is
+    /// sorted latency index without sorting or allocating.  This is
     /// what the co-allocation booking step uses.
     pub fn ranking_iter(&self, peer: PeerId) -> impl Iterator<Item = PeerId> + '_ {
         self.nodes[peer.0].cache.ranking_iter()
@@ -1021,15 +1008,12 @@ impl Overlay {
             });
     }
 
-    /// Sets the latency multiplier of every transfer touching `site`, in
-    /// both the messaging model and the prober's own copy.  Events already
-    /// on the timeline keep the cost computed when they were scheduled.
+    /// Sets the latency multiplier of every transfer and probe touching
+    /// `site`.  Events already on the timeline keep the cost computed when
+    /// they were scheduled.
     pub fn set_site_latency_factor(&mut self, site: SiteId, factor: f64) {
         self.network.set_site_latency_factor(site, factor);
         self.site_control_times.fill(None);
-        self.prober
-            .network_mut()
-            .set_site_latency_factor(site, factor);
         self.tracer
             .record(self.sim.now(), TraceCategory::Fault, || {
                 format!("site {} latency factor set to {factor}", site.0)
@@ -1080,7 +1064,6 @@ mod tests {
     use crate::boot::OverlayBuilder;
     use crate::churn::ChurnSchedule;
     use crate::config::OwnerConfig;
-    use p2pmpi_simgrid::noise::NoiseModel;
     use p2pmpi_simgrid::topology::{NodeSpec, TopologyBuilder};
     use proptest::prelude::*;
 
@@ -1348,11 +1331,92 @@ mod tests {
         o.run_until(o.now() + SimDuration::from_secs(6));
         let degraded = o.network().transfer_time(l0, r0, 1024);
         assert!(degraded > nominal * 7);
-        // The prober's own model copy is degraded too.
-        assert_eq!(o.prober().network().site_latency_factor(remote_site), 8.0);
         o.run_until(o.now() + SimDuration::from_secs(10));
         assert_eq!(o.network().transfer_time(l0, r0, 1024), nominal);
-        assert_eq!(o.prober().network().site_latency_factor(remote_site), 1.0);
+    }
+
+    /// The EWMA blend of an estimate and a new sample.
+    fn blend(old: SimDuration, sample: SimDuration) -> SimDuration {
+        let alpha = crate::cache::EWMA_ALPHA;
+        SimDuration::from_secs_f64(old.as_secs_f64() * (1.0 - alpha) + sample.as_secs_f64() * alpha)
+    }
+
+    #[test]
+    fn a_probe_round_measures_through_the_current_latency_factor() {
+        let topo = small_topology();
+        let mut o = overlay();
+        o.boot_all();
+        let l0 = topo.host_by_name("l-0").unwrap().id;
+        let r0 = topo.host_by_name("r-0").unwrap().id;
+        let (submitter, remote) = (o.peer_on_host(l0).unwrap(), o.peer_on_host(r0).unwrap());
+        let remote_site = topo.site_by_name("remote").unwrap().id;
+        let nominal = o.network().probe_rtt(l0, r0);
+        o.refresh_cache(submitter);
+        // The first round fills the per-site table at the nominal factor;
+        // the remote peers are the slowest probes of every round.
+        assert_eq!(o.probe_round(submitter), nominal);
+        let latency = |o: &Overlay| o.node(submitter).cache.get(remote).unwrap().latency;
+        assert_eq!(latency(&o), Some(nominal));
+        o.set_site_latency_factor(remote_site, 8.0);
+        let degraded = o.network().probe_rtt(l0, r0);
+        assert!(degraded > nominal * 7);
+        assert_eq!(o.probe_round(submitter), degraded);
+        assert_eq!(latency(&o), Some(blend(nominal, degraded)));
+        o.set_site_latency_factor(remote_site, 1.0);
+        assert_eq!(o.probe_round(submitter), nominal);
+        assert_eq!(latency(&o), Some(blend(blend(nominal, degraded), nominal)));
+    }
+
+    /// An overlay of one peer at the origin and one each at a near and a
+    /// far site (10 and 17 ms away), with the origin's cache refreshed.
+    fn origin_near_far(noise: NoiseModel) -> (Overlay, PeerId, PeerId, PeerId) {
+        let mut b = TopologyBuilder::new();
+        let s0 = b.add_site("origin");
+        let s1 = b.add_site("near");
+        let s2 = b.add_site("far");
+        b.add_cluster(s0, "o", "cpu", 1, NodeSpec::default());
+        b.add_cluster(s1, "n", "cpu", 1, NodeSpec::default());
+        b.add_cluster(s2, "f", "cpu", 1, NodeSpec::default());
+        b.set_rtt(s0, s1, SimDuration::from_millis(10));
+        b.set_rtt(s0, s2, SimDuration::from_millis(17));
+        b.set_rtt(s1, s2, SimDuration::from_millis(15));
+        let topo = Arc::new(b.build());
+        let mut o = OverlayBuilder::new(topo.clone())
+            .seed(7)
+            .noise(noise)
+            .peer_per_host_with_core_capacity()
+            .build();
+        o.boot_all();
+        let peer = |name: &str| o.peer_on_host(topo.host_by_name(name).unwrap().id).unwrap();
+        let (origin, near, far) = (peer("o-0"), peer("n-0"), peer("f-0"));
+        o.refresh_cache(origin);
+        (o, origin, near, far)
+    }
+
+    #[test]
+    fn noiseless_probe_is_deterministic_and_ordered() {
+        let (mut o, origin, near, far) = origin_near_far(NoiseModel::disabled());
+        let (src, dst) = (o.host_of(origin), o.host_of(near));
+        let first = o.probe_round(origin);
+        // A first measurement is stored as is: the two-message round trip,
+        // which exceeds the ICMP RTT (software overhead).
+        let measured = o.node(origin).cache.get(near).unwrap().latency;
+        assert_eq!(measured, Some(o.network().probe_rtt(src, dst)));
+        assert!(measured.unwrap() > o.network().icmp_rtt(src, dst));
+        assert_eq!(o.probe_round(origin), first);
+        assert_eq!(o.latency_ranking(origin), vec![near, far]);
+    }
+
+    #[test]
+    fn noisy_probe_varies_but_preserves_coarse_ranking() {
+        let (mut o, origin, near, far) = origin_near_far(NoiseModel::with_sigma(0.06));
+        // Each round reports its slowest probe, the far peer's sample.
+        assert_ne!(o.probe_round(origin), o.probe_round(origin));
+        // With a 7 ms RTT gap, 6 % noise never flips near/far.
+        for _ in 0..2_000 {
+            o.probe_round(origin);
+            assert_eq!(o.latency_ranking(origin), vec![near, far]);
+        }
     }
 
     #[test]

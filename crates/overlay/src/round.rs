@@ -137,8 +137,8 @@ impl Round {
     }
 }
 
-/// What the control messages of a brokering round cost between a submitter
-/// and a remote peer under the current cost model.
+/// What the control messages of a brokering round, and a latency probe,
+/// cost between a submitter and a remote peer under the current cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct ControlTimes {
     /// RS reservation request out plus its reply back (steps 3–5).
@@ -147,6 +147,8 @@ pub(super) struct ControlTimes {
     start_outbound: SimDuration,
     /// The 64-byte start reply's one-way trip back (step 8).
     start_reply: SimDuration,
+    /// A latency probe's noise-free round trip (Section 4.1).
+    pub(super) probe_rtt: SimDuration,
 }
 
 /// Returns `(&from, &mut to)` for two *distinct* peers of the node table.
@@ -427,12 +429,12 @@ impl Overlay {
         Some(decision)
     }
 
-    /// The control-message times between a submitter and a remote peer.
-    /// Between distinct hosts the cost model depends on the hosts only
-    /// through their sites, so the three are computed once per directed
+    /// The control-message and probe times between a submitter and a remote
+    /// peer.  Between distinct hosts the cost model depends on the hosts only
+    /// through their sites, so the four are computed once per directed
     /// site pair and reused until a latency factor changes
     /// ([`Overlay::set_site_latency_factor`] forgets the table).
-    fn control_times(&mut self, from: PeerId, to: PeerId) -> ControlTimes {
+    pub(super) fn control_times(&mut self, from: PeerId, to: PeerId) -> ControlTimes {
         let src = self.nodes[from.0].descriptor.host;
         let dst = self.nodes[to.0].descriptor.host;
         let (rs_bytes, start_bytes) = (
@@ -444,6 +446,7 @@ impl Overlay {
                 + network.transfer_time(dst, src, rs_bytes),
             start_outbound: network.transfer_time(src, dst, start_bytes),
             start_reply: network.transfer_time(dst, src, 64),
+            probe_rtt: network.probe_rtt(src, dst),
         };
         if src == dst {
             return compute(&self.network);

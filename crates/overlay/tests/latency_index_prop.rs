@@ -1,7 +1,8 @@
-//! Property test: the incrementally maintained latency index of
+//! Property test: the sorted latency index of
 //! [`p2pmpi_overlay::cache::CachedList`] must agree with the naive
-//! sort-every-read reference under arbitrary operation
-//! sequences — including the unprobed-sort-last and tie-by-peer-id rules.
+//! sort-every-read reference under arbitrary operation sequences, whole
+//! probe rounds included — and so must the unprobed-sort-last and
+//! tie-by-peer-id rules.
 
 use p2pmpi_overlay::cache::CachedList;
 use p2pmpi_overlay::peer::{PeerDescriptor, PeerId};
@@ -17,7 +18,7 @@ fn descriptor(i: usize) -> PeerDescriptor {
     PeerDescriptor::new(PeerId(i), HostId(i))
 }
 
-/// The booking order read through the incremental index.
+/// The booking order read through the sorted index.
 fn incremental_order(cache: &CachedList) -> Vec<PeerId> {
     cache.ranking_iter().collect()
 }
@@ -28,6 +29,12 @@ fn naive_order(cache: &CachedList) -> Vec<PeerId> {
     let mut entries: Vec<_> = cache.peers().collect();
     entries.sort_by_key(|e| (e.latency.is_none(), e.latency, e.descriptor.id));
     entries.into_iter().map(|e| e.descriptor.id).collect()
+}
+
+/// A latency from a tiny discrete set, so that exact ties across distinct
+/// peers are common.
+fn tied_latency(rng: &mut impl Rng) -> SimDuration {
+    SimDuration::from_millis([5u64, 5, 10, 17, 42][rng.gen_range(0usize..5)])
 }
 
 fn run_sequence(seed: u64) {
@@ -44,14 +51,32 @@ fn run_sequence(seed: u64) {
                 let batch: Vec<PeerDescriptor> = (0..count)
                     .map(|_| descriptor(rng.gen_range(0..PEER_UNIVERSE)))
                     .collect();
-                cache.merge(batch);
+                cache.merge(&batch);
             }
-            // Probe with latencies drawn from a tiny discrete set so that
-            // exact ties across distinct peers are common, exercising the
-            // tie-by-peer-id rule.
-            20..=69 => {
-                let ms = [5u64, 5, 10, 17, 42][rng.gen_range(0usize..5)];
-                cache.record_probe(peer, SimDuration::from_millis(ms), time);
+            // One probe, often tied with another peer's latency.
+            20..=64 => {
+                cache.record_probe(peer, tied_latency(&mut rng), time);
+            }
+            // A whole probe round: every cached peer in booking order, a
+            // few of them dead (a failed probe).
+            65..=69 => {
+                let before: Vec<(PeerId, u32)> = cache
+                    .entries_by_latency()
+                    .map(|e| (e.descriptor.id, e.failed_probes))
+                    .collect();
+                let mut walked = Vec::new();
+                cache.record_probes(time, |id| {
+                    let sample = (rng.gen_range(0u32..8) != 0).then(|| tied_latency(&mut rng));
+                    walked.push((id, sample.is_some()));
+                    sample
+                });
+                assert_eq!(walked.len(), before.len(), "a round probes every peer");
+                for (&(id, failed), &(walked_id, alive)) in before.iter().zip(&walked) {
+                    assert_eq!(id, walked_id, "a round walks the pre-round order");
+                    let entry = cache.get(id).unwrap();
+                    let expected = if alive { 0 } else { failed + 1 };
+                    assert_eq!(entry.failed_probes, expected, "failure count of {id:?}");
+                }
             }
             70..=84 => {
                 cache.record_probe_failure(peer);
@@ -101,7 +126,7 @@ fn incremental_index_matches_naive_sort_under_random_ops() {
 #[test]
 fn unprobed_peers_always_sort_last() {
     let mut cache = CachedList::new();
-    cache.merge((0..10).map(descriptor));
+    cache.merge(&(0..10).map(descriptor).collect::<Vec<_>>());
     let mut rng = seeded(99);
     for i in 0..5usize {
         let ms = rng.gen_range(1u64..50);
