@@ -296,7 +296,7 @@ impl ShapeCosts {
         for (position, h) in allocation.hosts.iter().enumerate() {
             let cluster = self.topology.host(h.host).cluster.0;
             let packed = (cluster as u32) << 16 | position as u32;
-            for ra in &h.ranks {
+            for ra in allocation.ranks_of(h) {
                 self.key[2 + ra.rank as usize] = packed;
             }
         }
@@ -470,23 +470,31 @@ mod tests {
 
     /// An unreplicated allocation listing `(host, its ranks)` in order.
     fn allocation(hosts: &[(usize, &[u32])]) -> Allocation {
-        Allocation {
-            key: ReservationKey(0),
-            processes: hosts.iter().map(|(_, ranks)| ranks.len() as u32).sum(),
-            replication: 1,
-            strategy: StrategyKind::Concentrate,
-            hosts: hosts
-                .iter()
-                .map(|&(host, ranks)| AllocatedHost {
+        let mut ranks = Vec::new();
+        let hosts = hosts
+            .iter()
+            .map(|&(host, on_host)| {
+                let start = ranks.len() as u32;
+                ranks.extend(
+                    on_host
+                        .iter()
+                        .map(|&rank| RankAssignment { rank, replica: 0 }),
+                );
+                AllocatedHost {
                     peer: PeerId(host),
                     host: HostId(host),
                     capacity: 4,
-                    ranks: ranks
-                        .iter()
-                        .map(|&rank| RankAssignment { rank, replica: 0 })
-                        .collect(),
-                })
-                .collect(),
+                    span: start..ranks.len() as u32,
+                }
+            })
+            .collect();
+        Allocation {
+            key: ReservationKey(0),
+            processes: ranks.len() as u32,
+            replication: 1,
+            strategy: StrategyKind::Concentrate,
+            hosts,
+            ranks,
         }
     }
 

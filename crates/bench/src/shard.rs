@@ -293,27 +293,23 @@ fn broker_cross(
         stats.failed += 1;
         return;
     }
-    // Merge the sub-placements onto the global topology (ranks re-offset
-    // per shard) and cost the kernel once on the merged placement, so the
-    // job pays its real cross-site communication.
+    // Merge the sub-placements onto the global topology (ranks and spans
+    // re-offset per shard) and cost the kernel once on the merged
+    // placement, so the job pays its real cross-site communication.
     let mut hosts: Vec<AllocatedHost> = Vec::new();
+    let mut ranks: Vec<RankAssignment> = Vec::with_capacity(job.ranks as usize);
     let mut offset = 0u32;
     for (s, _, alloc) in &booked {
-        for h in &alloc.hosts {
-            hosts.push(AllocatedHost {
-                peer: h.peer,
-                host: global_hosts[*s][h.host.0],
-                capacity: h.capacity,
-                ranks: h
-                    .ranks
-                    .iter()
-                    .map(|ra| RankAssignment {
-                        rank: ra.rank + offset,
-                        replica: ra.replica,
-                    })
-                    .collect(),
-            });
-        }
+        let shift = ranks.len() as u32;
+        hosts.extend(alloc.hosts.iter().map(|h| AllocatedHost {
+            host: global_hosts[*s][h.host.0],
+            span: h.span.start + shift..h.span.end + shift,
+            ..h.clone()
+        }));
+        ranks.extend(alloc.ranks.iter().map(|ra| RankAssignment {
+            rank: ra.rank + offset,
+            replica: ra.replica,
+        }));
         offset += alloc.processes;
     }
     let merged = Allocation {
@@ -322,7 +318,9 @@ fn broker_cross(
         replication: 1,
         strategy: base.strategy,
         hosts,
+        ranks,
     };
+    debug_assert!(merged.validate().is_ok());
     let hold = costs
         .makespan(job.kernel, &merged)
         .mul_f64(base.duration_scale);

@@ -4,8 +4,9 @@ use crate::strategy::StrategyKind;
 use p2pmpi_overlay::messages::{RankAssignment, ReservationKey};
 use p2pmpi_overlay::peer::PeerId;
 use p2pmpi_simgrid::topology::HostId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// One host's share of an allocation.
 #[derive(Debug, Clone)]
@@ -16,14 +17,16 @@ pub struct AllocatedHost {
     pub host: HostId,
     /// The capacity `c_i = min(P_i, n)` this host advertised.
     pub capacity: u32,
-    /// The rank instances started on this host.
-    pub ranks: Vec<RankAssignment>,
+    /// Where the rank instances started on this host sit in
+    /// [`Allocation::ranks`]; read them with [`Allocation::ranks_of`].  The
+    /// hosts' spans tile that vector in host order.
+    pub span: Range<u32>,
 }
 
 impl AllocatedHost {
     /// Number of process instances on this host (`u_i`).
     pub fn instances(&self) -> u32 {
-        self.ranks.len() as u32
+        self.span.end - self.span.start
     }
 }
 
@@ -40,6 +43,8 @@ pub struct Allocation {
     pub strategy: StrategyKind,
     /// Hosts actually used, in ascending-latency (`slist`) order.
     pub hosts: Vec<AllocatedHost>,
+    /// Every rank instance, host by host.
+    pub ranks: Vec<RankAssignment>,
 }
 
 /// Violations of the allocation invariants.
@@ -104,9 +109,14 @@ impl fmt::Display for AllocationInvariantError {
 impl std::error::Error for AllocationInvariantError {}
 
 impl Allocation {
+    /// The rank instances started on `host`, one of [`Allocation::hosts`].
+    pub fn ranks_of(&self, host: &AllocatedHost) -> &[RankAssignment] {
+        &self.ranks[host.span.start as usize..host.span.end as usize]
+    }
+
     /// Total number of process instances placed.
     pub fn total_instances(&self) -> u64 {
-        self.hosts.iter().map(|h| h.ranks.len() as u64).sum()
+        self.hosts.iter().map(|h| u64::from(h.instances())).sum()
     }
 
     /// Number of distinct hosts used.
@@ -117,7 +127,7 @@ impl Allocation {
     /// The host running a given `(rank, replica)` instance, if any.
     pub fn host_of(&self, rank: u32, replica: u32) -> Option<HostId> {
         self.hosts.iter().find_map(|h| {
-            h.ranks
+            self.ranks_of(h)
                 .iter()
                 .any(|ra| ra.rank == rank && ra.replica == replica)
                 .then_some(h.host)
@@ -129,7 +139,7 @@ impl Allocation {
         let mut table =
             vec![vec![HostId(usize::MAX); self.replication as usize]; self.processes as usize];
         for h in &self.hosts {
-            for ra in &h.ranks {
+            for ra in self.ranks_of(h) {
                 table[ra.rank as usize][ra.replica as usize] = h.host;
             }
         }
@@ -149,8 +159,11 @@ impl Allocation {
         if found != expected {
             return Err(AllocationInvariantError::WrongInstanceCount { found, expected });
         }
-        let mut replica_counts = vec![0u32; self.processes as usize];
-        for h in &self.hosts {
+        // Per rank: copies seen so far, and one past the index of the last
+        // host holding one.  Hosts are read one after the other, so a
+        // second copy on the same host finds its own host there.
+        let mut per_rank = vec![(0u32, 0usize); self.processes as usize];
+        for (i, h) in self.hosts.iter().enumerate() {
             if h.instances() > h.capacity {
                 return Err(AllocationInvariantError::OverCapacity {
                     host: h.host,
@@ -158,18 +171,19 @@ impl Allocation {
                     capacity: h.capacity,
                 });
             }
-            let mut seen = HashSet::new();
-            for ra in &h.ranks {
-                if !seen.insert(ra.rank) {
+            for ra in self.ranks_of(h) {
+                let (copies, last_host) = &mut per_rank[ra.rank as usize];
+                if *last_host == i + 1 {
                     return Err(AllocationInvariantError::ReplicasShareHost {
                         host: h.host,
                         rank: ra.rank,
                     });
                 }
-                replica_counts[ra.rank as usize] += 1;
+                *copies += 1;
+                *last_host = i + 1;
             }
         }
-        for (rank, &count) in replica_counts.iter().enumerate() {
+        for (rank, &(count, _)) in per_rank.iter().enumerate() {
             if count != self.replication {
                 return Err(AllocationInvariantError::WrongReplicaCount {
                     rank: rank as u32,
@@ -185,29 +199,55 @@ impl Allocation {
 mod tests {
     use super::*;
 
-    fn host(peer: usize, host: usize, capacity: u32, ranks: &[(u32, u32)]) -> AllocatedHost {
-        AllocatedHost {
-            peer: PeerId(peer),
-            host: HostId(host),
-            capacity,
-            ranks: ranks
-                .iter()
-                .map(|&(rank, replica)| RankAssignment { rank, replica })
-                .collect(),
+    /// One host: its peer and host index, its capacity and its
+    /// `(rank, replica)` instances.
+    type HostSpec<'a> = (usize, u32, &'a [(u32, u32)]);
+
+    /// An allocation over `hosts`, laid out host by host.
+    fn allocation(
+        processes: u32,
+        replication: u32,
+        strategy: StrategyKind,
+        hosts: &[HostSpec],
+    ) -> Allocation {
+        let mut ranks = Vec::new();
+        let hosts = hosts
+            .iter()
+            .map(|&(i, capacity, instances)| {
+                let start = ranks.len() as u32;
+                ranks.extend(
+                    instances
+                        .iter()
+                        .map(|&(rank, replica)| RankAssignment { rank, replica }),
+                );
+                AllocatedHost {
+                    peer: PeerId(i),
+                    host: HostId(i),
+                    capacity,
+                    span: start..ranks.len() as u32,
+                }
+            })
+            .collect();
+        Allocation {
+            key: ReservationKey(1),
+            processes,
+            replication,
+            strategy,
+            hosts,
+            ranks,
         }
     }
 
     fn valid_allocation() -> Allocation {
-        Allocation {
-            key: ReservationKey(1),
-            processes: 3,
-            replication: 2,
-            strategy: StrategyKind::Spread,
-            hosts: vec![
-                host(0, 0, 3, &[(0, 0), (1, 0), (2, 0)]),
-                host(1, 1, 3, &[(0, 1), (1, 1), (2, 1)]),
+        allocation(
+            3,
+            2,
+            StrategyKind::Spread,
+            &[
+                (0, 3, &[(0, 0), (1, 0), (2, 0)]),
+                (1, 3, &[(0, 1), (1, 1), (2, 1)]),
             ],
-        }
+        )
     }
 
     #[test]
@@ -226,7 +266,8 @@ mod tests {
     #[test]
     fn missing_instances_are_detected() {
         let mut a = valid_allocation();
-        a.hosts[1].ranks.pop();
+        a.hosts[1].span.end -= 1;
+        a.ranks.pop();
         assert_eq!(
             a.validate(),
             Err(AllocationInvariantError::WrongInstanceCount {
@@ -238,16 +279,12 @@ mod tests {
 
     #[test]
     fn co_located_replicas_are_detected() {
-        let a = Allocation {
-            key: ReservationKey(2),
-            processes: 2,
-            replication: 2,
-            strategy: StrategyKind::Concentrate,
-            hosts: vec![
-                host(0, 0, 4, &[(0, 0), (1, 0), (0, 1)]),
-                host(1, 1, 4, &[(1, 1)]),
-            ],
-        };
+        let a = allocation(
+            2,
+            2,
+            StrategyKind::Concentrate,
+            &[(0, 4, &[(0, 0), (1, 0), (0, 1)]), (1, 4, &[(1, 1)])],
+        );
         assert_eq!(
             a.validate(),
             Err(AllocationInvariantError::ReplicasShareHost {
@@ -259,17 +296,16 @@ mod tests {
 
     #[test]
     fn wrong_replica_count_is_detected() {
-        let a = Allocation {
-            key: ReservationKey(3),
-            processes: 2,
-            replication: 2,
-            strategy: StrategyKind::Spread,
-            hosts: vec![
-                host(0, 0, 2, &[(0, 0), (1, 0)]),
-                host(1, 1, 2, &[(0, 1)]),
-                host(2, 2, 2, &[(0, 2)]),
+        let a = allocation(
+            2,
+            2,
+            StrategyKind::Spread,
+            &[
+                (0, 2, &[(0, 0), (1, 0)]),
+                (1, 2, &[(0, 1)]),
+                (2, 2, &[(0, 2)]),
             ],
-        };
+        );
         // Rank 0 has three copies spread over distinct hosts, rank 1 only
         // one; the per-rank count check fires.
         assert!(matches!(
@@ -280,13 +316,12 @@ mod tests {
 
     #[test]
     fn over_capacity_is_detected() {
-        let a = Allocation {
-            key: ReservationKey(4),
-            processes: 3,
-            replication: 1,
-            strategy: StrategyKind::Concentrate,
-            hosts: vec![host(0, 0, 2, &[(0, 0), (1, 0), (2, 0)])],
-        };
+        let a = allocation(
+            3,
+            1,
+            StrategyKind::Concentrate,
+            &[(0, 2, &[(0, 0), (1, 0), (2, 0)])],
+        );
         assert_eq!(
             a.validate(),
             Err(AllocationInvariantError::OverCapacity {

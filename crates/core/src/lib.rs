@@ -73,7 +73,7 @@ pub use balanced::Balanced;
 pub use concentrate::Concentrate;
 pub use feasibility::{check_feasibility, Infeasibility};
 pub use overbooking::OverbookingPolicy;
-pub use rank::{assign_ranks, HostRanks};
+pub use rank::assign_ranks;
 pub use request::{JobRequest, RequestError};
 pub use reservation::{
     allocate, AllocationError, CoAllocationReport, CoAllocator, CoAllocatorParams,

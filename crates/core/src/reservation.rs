@@ -38,7 +38,7 @@ use crate::allocation::{AllocatedHost, Allocation};
 use crate::capacity::host_capacity;
 use crate::feasibility::{check_feasibility, Infeasibility};
 use crate::overbooking::OverbookingPolicy;
-use crate::rank::{assign_ranks, HostRanks};
+use crate::rank::assign_ranks;
 use crate::request::{JobRequest, PlannedHost, RequestError};
 use p2pmpi_overlay::messages::{RankAssignment, ReservationKey, ReservationReply, StartReply};
 use p2pmpi_overlay::overlay::{Overlay, RsOutcome};
@@ -168,9 +168,9 @@ impl BrokeringStats {
 /// Reusable buffers for the per-job hot path.  Booking lists, brokering
 /// outcomes, `rlist`, capacities and per-host counts live here and are
 /// cleared — never freed — between jobs.  What a warm allocator still
-/// allocates per job is the result itself: the rank lists `assign_ranks`
-/// builds, which move into the returned [`Allocation`], and its host
-/// vector.
+/// allocates per placed job is the result itself: two vectors, its hosts
+/// and its flat rank instances, which move into the returned
+/// [`Allocation`], whatever the job's host count.
 #[derive(Debug, Default)]
 struct AllocScratch {
     booked: Vec<PeerId>,
@@ -368,28 +368,36 @@ impl CoAllocator {
 
         // Strategy distribution and rank assignment.  A search plan that
         // survived brokering intact overrides both, pinning the exact
-        // annealed rank→host map (the contiguous blocks of `assign_ranks`
-        // would re-permute ranks and change the modeled collective costs);
-        // any shortfall falls back to the strategy's distribution function.
-        let assignment = match request
-            .plan
-            .as_deref()
-            .filter(|_| r == 1)
-            .and_then(|plan| plan_assignment(plan, slist, capacities, counts, total))
-        {
-            Some(a) => a,
-            None => {
-                request.strategy.distribute_into(capacities, total, counts);
-                assign_ranks(counts, n)
-            }
-        };
+        // annealed rank→host map (the counter of `assign_ranks` would
+        // re-permute ranks and change the modeled collective costs); any
+        // shortfall falls back to the strategy's distribution function.
+        let mut ranks = Vec::with_capacity(total as usize);
+        let planned = request.plan.as_deref().is_some_and(|plan| {
+            r == 1 && plan_assignment(plan, slist, capacities, counts, total, &mut ranks)
+        });
+        if !planned {
+            request.strategy.distribute_into(capacities, total, counts);
+            assign_ranks(counts, n, &mut ranks);
+        }
 
-        // Hosts that ended up with zero processes lose their reservation.
+        // Hosts that ended up with zero processes lose their reservation;
+        // the others take the next `u_i` instances of `ranks`.
+        let mut hosts = Vec::with_capacity(counts.iter().filter(|&&u| u > 0).count());
+        let mut start = 0u32;
         for (i, &(peer, _)) in slist.iter().enumerate() {
-            if counts[i] == 0 {
+            let u = counts[i];
+            if u == 0 {
                 overlay.rs_cancel(submitter, peer, key);
                 stats.cancelled_unused += 1;
+                continue;
             }
+            hosts.push(AllocatedHost {
+                peer,
+                host: overlay.host_of(peer),
+                capacity: capacities[i],
+                span: start..start + u,
+            });
+            start += u;
         }
 
         // Steps 7–8 — the start round: the whole batch goes out at once
@@ -397,41 +405,25 @@ impl CoAllocator {
         // (so crashes and recoveries mid-start interleave honestly with
         // the timeline).  `start_round_into` walks the round merged with
         // the timeline and returns outcomes in send order.
-        let mut start_elapsed = SimDuration::ZERO;
         start_requests.clear();
-        start_requests.extend(
-            assignment
-                .iter()
-                .map(|hr| (slist[hr.slist_index].0, hr.ranks.len() as u32)),
-        );
+        start_requests.extend(hosts.iter().map(|h| (h.peer, h.instances())));
         overlay.start_round_into(submitter, key, start_requests, start_outcomes);
-        let mut hosts = Vec::with_capacity(assignment.len());
+        let mut start_elapsed = SimDuration::ZERO;
         let mut failed: Option<(PeerId, StartReply)> = None;
-        for (host_ranks, &(peer, reply, elapsed)) in
-            assignment.into_iter().zip(start_outcomes.iter())
-        {
-            let (_, owner_p) = slist[host_ranks.slist_index];
+        for &(peer, reply, elapsed) in start_outcomes.iter() {
             start_elapsed = start_elapsed.max(elapsed);
-            if reply != StartReply::Started {
-                if failed.is_none() {
-                    failed = Some((peer, reply));
-                }
-                continue;
+            if reply != StartReply::Started && failed.is_none() {
+                failed = Some((peer, reply));
             }
-            hosts.push(AllocatedHost {
-                peer,
-                host: overlay.host_of(peer),
-                capacity: host_capacity(owner_p, n),
-                ranks: host_ranks.ranks,
-            });
         }
         stats.elapsed += start_elapsed;
         if let Some((peer, reply)) = failed {
             // Roll back every host that did start and give up (first
             // failure in send order is the one reported).
-            for started in &hosts {
-                let h: &AllocatedHost = started;
-                overlay.complete_job(h.peer, key);
+            for &(started, reply, _) in start_outcomes.iter() {
+                if reply == StartReply::Started {
+                    overlay.complete_job(started, key);
+                }
             }
             return Err(AllocationError::StartFailed { peer, reply });
         }
@@ -442,6 +434,7 @@ impl CoAllocator {
             replication: r,
             strategy: request.strategy,
             hosts,
+            ranks,
         };
         debug_assert!(allocation.validate().is_ok());
         overlay
@@ -459,44 +452,38 @@ impl CoAllocator {
     }
 }
 
-/// Attempts to honor a search plan over the granted `slist`: writes the
-/// per-host counts and returns the explicit rank pinning iff every planned
-/// peer was granted with enough capacity and the plan covers the job
-/// exactly.  `None` sends the caller to the strategy's distribution
-/// function (a planned peer refused, timed out, or lost capacity since the
-/// search ran).
+/// Attempts to honor a search plan over the granted `slist`: iff every
+/// planned peer was granted with enough capacity and the plan covers the
+/// job exactly, writes the per-host counts and the plan's ranks, host by
+/// host, and returns true.  A plan books its peers first, in plan order, so
+/// when all of them are granted they head the slist in that order.  False
+/// sends the caller to the strategy's distribution function (a planned peer
+/// refused, timed out, or lost capacity since the search ran).
 fn plan_assignment(
     plan: &[PlannedHost],
     slist: &[(PeerId, u32)],
     capacities: &[u32],
     counts: &mut Vec<u32>,
     total: u32,
-) -> Option<Vec<HostRanks>> {
+    ranks: &mut Vec<RankAssignment>,
+) -> bool {
     counts.clear();
     counts.resize(slist.len(), 0);
-    let mut assignment = Vec::with_capacity(plan.len());
     let mut placed = 0u32;
-    for ph in plan {
-        let i = slist.iter().position(|&(p, _)| p == ph.peer)?;
+    for (i, ph) in plan.iter().enumerate() {
         let u = ph.ranks.len() as u32;
-        if u == 0 || u > capacities[i] || counts[i] != 0 {
-            return None;
+        if slist.get(i).map(|&(p, _)| p) != Some(ph.peer) || u == 0 || u > capacities[i] {
+            return false;
         }
         counts[i] = u;
         placed += u;
-        assignment.push(HostRanks {
-            slist_index: i,
-            ranks: ph
-                .ranks
-                .iter()
-                .map(|&rank| RankAssignment { rank, replica: 0 })
-                .collect(),
-        });
     }
     if placed != total {
-        return None;
+        return false;
     }
-    Some(assignment)
+    let planned = plan.iter().flat_map(|ph| ph.ranks.iter());
+    ranks.extend(planned.map(|&rank| RankAssignment { rank, replica: 0 }));
+    true
 }
 
 /// Convenience wrapper: allocate with default parameters.
@@ -605,6 +592,50 @@ mod tests {
             let h1 = alloc.host_of(rank, 1).unwrap();
             assert_ne!(h0, h1, "replicas of rank {rank} share a host");
         }
+    }
+
+    #[test]
+    fn a_granted_plan_pins_its_ranks_and_an_unfit_one_falls_back() {
+        let (mut o, submitter) = booted_overlay();
+        let topo = o.topology().clone();
+        let peer =
+            |o: &Overlay, name: &str| o.peer_on_host(topo.host_by_name(name).unwrap().id).unwrap();
+        let planned = |hosts: &[(PeerId, &[u32])]| {
+            let plan: Vec<PlannedHost> = hosts
+                .iter()
+                .map(|&(peer, ranks)| PlannedHost {
+                    peer,
+                    ranks: ranks.to_vec(),
+                })
+                .collect();
+            JobRequest::new(4, StrategyKind::Spread, "prog").with_plan(Arc::from(plan))
+        };
+        let instances = |ranks: &[u32]| -> Vec<RankAssignment> {
+            ranks
+                .iter()
+                .map(|&rank| RankAssignment { rank, replica: 0 })
+                .collect()
+        };
+
+        // Granted in full: the plan's hosts, in plan order, with its ranks.
+        let (remote, local) = (peer(&o, "r-1"), peer(&o, "l-2"));
+        let request = planned(&[(remote, &[3, 0]), (local, &[1, 2])]);
+        let report = allocate(&mut o, submitter, &request);
+        let alloc = report.allocation();
+        let hosts: Vec<PeerId> = alloc.hosts.iter().map(|h| h.peer).collect();
+        assert_eq!(hosts, vec![remote, local]);
+        assert_eq!(alloc.ranks_of(&alloc.hosts[0]), instances(&[3, 0]));
+        assert_eq!(alloc.ranks_of(&alloc.hosts[1]), instances(&[1, 2]));
+        for h in &alloc.hosts {
+            o.complete_job(h.peer, report.key);
+        }
+
+        // Three ranks on a dual-core host: spread's counter instead.
+        let request = planned(&[(peer(&o, "r-0"), &[0, 1, 2]), (peer(&o, "l-1"), &[3])]);
+        let report = allocate(&mut o, submitter, &request);
+        let alloc = report.allocation();
+        assert_eq!(alloc.hosts_used(), 4);
+        assert_eq!(alloc.ranks, instances(&[0, 1, 2, 3]));
     }
 
     #[test]

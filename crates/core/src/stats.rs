@@ -94,18 +94,13 @@ mod tests {
     }
 
     fn alloc(topology: &Topology) -> Allocation {
-        let h = |name: &str, count: u32| {
+        let h = |name: &str, span: std::ops::Range<u32>| {
             let host = topology.host_by_name(name).unwrap();
             AllocatedHost {
                 peer: PeerId(host.id.0),
                 host: host.id,
                 capacity: host.cores as u32,
-                ranks: (0..count)
-                    .map(|i| RankAssignment {
-                        rank: i,
-                        replica: 0,
-                    })
-                    .collect(),
+                span,
             }
         };
         Allocation {
@@ -113,7 +108,14 @@ mod tests {
             processes: 7,
             replication: 1,
             strategy: StrategyKind::Concentrate,
-            hosts: vec![h("grelon-0", 4), h("grelon-1", 2), h("capricorn-0", 1)],
+            hosts: vec![
+                h("grelon-0", 0..4),
+                h("grelon-1", 4..6),
+                h("capricorn-0", 6..7),
+            ],
+            ranks: (0..7)
+                .map(|rank| RankAssignment { rank, replica: 0 })
+                .collect(),
         }
     }
 
@@ -147,7 +149,7 @@ mod tests {
     fn hosts_with_no_ranks_do_not_count() {
         let t = topo();
         let mut a = alloc(&t);
-        a.hosts[2].ranks.clear();
+        a.hosts[2].span.start = a.hosts[2].span.end;
         let usage = usage_by_site(&a, &t);
         assert_eq!(usage[1].hosts, 0);
     }

@@ -67,7 +67,7 @@ impl Placement {
     pub fn from_allocation(allocation: &Allocation) -> Placement {
         let mut procs = Vec::with_capacity(allocation.total_instances() as usize);
         for h in &allocation.hosts {
-            for ra in &h.ranks {
+            for ra in allocation.ranks_of(h) {
                 procs.push(ProcSpec {
                     rank: ra.rank,
                     replica: ra.replica,

@@ -61,7 +61,11 @@ fn main() {
         );
         for host in &allocation.hosts {
             let name = &topology.host(host.host).name;
-            let ranks: Vec<String> = host.ranks.iter().map(|r| r.to_string()).collect();
+            let ranks: Vec<String> = allocation
+                .ranks_of(host)
+                .iter()
+                .map(|r| r.to_string())
+                .collect();
             println!("  {name:<8} -> {}", ranks.join(" "));
         }
 
