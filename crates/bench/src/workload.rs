@@ -325,12 +325,15 @@ pub struct JobMix {
     /// Mirrors the paper's Figure 4, whose IS panel stops at 128 ranks
     /// while EP continues.  It no longer bounds what a *job* costs the
     /// sweep, only what a placement *shape* costs once (`ShapeCosts`): an
-    /// IS shape's twenty rings are O(ranks²) cells each, so costing one
-    /// (`run_kernel_on_placement`, cached schedule) takes ~5 µs at 8 ranks
-    /// and ~40 µs at 32 — against 0.35–3.5 µs for EP at 8–128 — and would
-    /// take ~0.35 ms at 128 (4.6 ms as a `ModelComm` replay), a hundred or
-    /// so times a day.  The value stays because raising it changes which
-    /// jobs run IS, hence every hold and every committed fingerprint.
+    /// IS shape's twenty rings are O(ranks²) cells each (a pass steps two
+    /// of them and fast-forwards the rest), so costing one
+    /// (`run_kernel_on_placement`, cached schedule, concentrate or spread on
+    /// the Grid'5000 topology, 2-vCPU x86 VM, release, best of five
+    /// batches) takes ~3 µs at 8 ranks and 6–7.5 µs at 32 — against
+    /// 0.6–5.6 µs for EP at 8–128 — and would take 36–45 µs at 128 (5.7 ms
+    /// as a `ModelComm` replay), a hundred or so times a day.  The value
+    /// stays because raising it changes which jobs run IS, hence every hold
+    /// and every committed fingerprint.
     pub is_max_ranks: u32,
 }
 

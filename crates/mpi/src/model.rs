@@ -94,21 +94,21 @@
 //! Everything that *charges* a makespan goes through the evaluator's full
 //! pass instead: tree messages through one cached transfer time each,
 //! compute phases through a per-rank term cache, rings through pooled
-//! transfer tables and a branchless u64 wavefront (~2 ns per receive),
+//! transfer tables and an exact f64 wavefront (~1 ns per receive),
 //! repeated blocks fast-forwarded (see the fast-forward contract below).
 //! The same pass costs every move of a searching `PlacementCost`, so the
 //! objective a search optimises and the makespan a sweep charges are one
 //! code path, not two that agree.  `cost_of` keeps none of the search's
 //! state — no capacities, no second clock vector, nothing sized by the
 //! topology's host count beyond one zeroed counter per host — so small jobs
-//! gain too: measured on the day mix's shapes over the Grid'5000 topology
-//! (2-vCPU x86 VM, release build, best of five batches), EP@8–128 costs
-//! 0.5–4.7 µs where the `ModelComm` replay takes 0.8–17 µs, IS@8 ~3.2 µs
-//! against ~21, IS@32 ~9 µs against ~350 (one of IS's ten iterations and
-//! the second one's allreduce stepped, the rest fast-forwarded).  A move
-//! of a searching evaluator, which hits the term cache and re-derives only
-//! its ranks' tree times, costs 0.26–1.5 µs at EP@8–128, ~0.6 µs at IS@8,
-//! ~4.3 µs at IS@32.
+//! gain too: measured on the day mix's shapes, concentrated on the
+//! Grid'5000 topology (2-vCPU x86 VM, release, best of five batches),
+//! EP@8–128 costs 0.5–4.5 µs where the `ModelComm` replay takes 0.8–13 µs,
+//! IS@8 ~3.2 µs against ~21, IS@32 ~7.5 µs against ~350 (one of IS's ten
+//! iterations and the second one's allreduce stepped, the rest
+//! fast-forwarded).  A move of a searching evaluator, which hits the term
+//! cache and re-derives only its ranks' tree times, costs 0.22–1.3 µs at
+//! EP@8–128, ~0.8 µs at IS@8, ~4.2 µs at IS@32 (~2.8 µs spread).
 //!
 //! A compiled schedule is placement-independent, so callers compile each
 //! kernel shape once and share it (`p2pmpi_bench::search::
@@ -181,21 +181,21 @@
 //! [`ModelComm`] replay bit for bit, per rank — pinned by
 //! `crates/mpi/tests/placement_cost_prop.rs` over random schedules,
 //! placements and move sequences, with [`PlacementCost::oracle_clocks`] as
-//! the oracle.  A ring is a two-row integer *wavefront* over the tables —
-//! `C[d] = max(C'[d], C'[src] + t) + o` per step, pure u64 nanosecond
-//! arithmetic over the per-rank host/site view and the co-location list —
-//! exact because `SimTime` is a plain u64 nanosecond counter and the table
-//! entries are the very `NetworkModel::transfer_time` values the replay
-//! computes.
+//! the oracle.  A ring is a two-row *wavefront* over the tables,
+//! `C[d] = max(C'[d], C'[src] + t) + o` per step, whose entries are the very
+//! `NetworkModel::transfer_time` nanoseconds the replay computes.  It runs
+//! in f64, which holds every integer below 2^53 exactly; a ring whose
+//! clocks could reach 2^53 ns (~104 days) costs each receive in saturating
+//! u64 instead, as a `PerPair` ring does.
 //!
 //! **Memory.**  Two clock vectors, the memo, one u64 per pooled tree
 //! message (4 KB at EP@128), the per-rank view, 16 bytes per rank per
 //! distinct compute phase, the fast-forward's snapshots (one u64 per rank
 //! per position of the repeated block: `period × ranks`, 32 KB for IS at
-//! 1024 ranks), and for rings O(ranks · sites) of pooled tables plus
-//! O(ranks) scratch rows shared across *all* ring segments with the same
-//! byte structure ([`PlacementCost::ring_cache_bytes`] reports the rings'
-//! total): IS at 1024 ranks holds a few tables of ~64 KB.
+//! 1024 ranks), and for rings O(ranks · sites) of f64 tables and scratch
+//! rows shared across *all* ring segments with the same byte structure
+//! ([`PlacementCost::ring_cache_bytes`] reports the rings' total: ~100 KB
+//! at IS@1024, half of it the per-wavefront `Uniform` row expansion).
 //!
 //! # The fast-forward contract
 //!
@@ -1099,6 +1099,20 @@ pub enum MoveError {
         /// Its capacity (slots).
         capacity: u32,
     },
+    /// The move names a rank the schedule does not have.
+    RankOutOfRange {
+        /// The rank named.
+        rank: Rank,
+        /// The schedule's rank count.
+        ranks: u32,
+    },
+    /// The migrate names a host outside the topology.
+    HostOutOfRange {
+        /// The host named.
+        host: HostId,
+        /// The topology's host count.
+        hosts: usize,
+    },
 }
 
 impl fmt::Display for MoveError {
@@ -1107,6 +1121,8 @@ impl fmt::Display for MoveError {
             MoveError::CapacityExceeded { host, capacity } => {
                 write!(f, "{host} is full ({capacity} slots)")
             }
+            MoveError::RankOutOfRange { rank, ranks } => write!(f, "rank {rank} not in 0..{ranks}"),
+            MoveError::HostOutOfRange { host, hosts } => write!(f, "{host} not in 0..{hosts}"),
         }
     }
 }
@@ -1115,9 +1131,10 @@ impl std::error::Error for MoveError {}
 
 /// Pooled transfer table of the ring wavefront: one per distinct
 /// `Uniform`/`PerSrc` entry of [`CompiledSchedule::ring_shapes`].
-/// Entries are `NetworkModel::transfer_time` values in nanoseconds — the
-/// transfer cost depends only on same-host-ness / the directed site pair
-/// and the byte count.
+/// Entries are `NetworkModel::transfer_time` values in nanoseconds, held as
+/// f64 (exact below 2^53; see [`EvalCore::ring_wavefront`]) — the transfer
+/// cost depends only on same-host-ness / the directed site pair and the
+/// byte count.  `tmax` bounds every entry from above.
 enum RingTable {
     /// A `Uniform` ring sends the same byte count on every edge, so the
     /// whole table collapses to one scalar plus a site×site matrix — both
@@ -1125,11 +1142,12 @@ enum RingTable {
     /// `Uniform` table**: `EvalCore::relocate` skips it.
     Uniform {
         /// Same-host transfer (host-independent loopback cost).
-        tsame: u64,
+        tsame: f64,
         /// Directed site-pair transfer (`site[src_site * site_count +
         /// dst_site]`).  The diagonal holds the distinct-host intra-site
         /// cost; same-host pairs are patched with `tsame` by the colo list.
-        site: Box<[u64]>,
+        site: Box<[f64]>,
+        tmax: f64,
     },
     /// A `PerSrc` ring sends a source-rank-dependent byte count, so the
     /// table keeps per-rank rows that must be re-derived when a rank
@@ -1137,13 +1155,18 @@ enum RingTable {
     PerSrc {
         /// Same-host transfer per source rank (`tsame[src]`).  Loopback
         /// cost is host-independent, so a move never invalidates this half.
-        tsame: Box<[u64]>,
+        tsame: Box<[f64]>,
         /// Transfer from each source rank's current host to a host at each
         /// destination site (`tsite[src * site_count + site]`).  A moved
         /// rank's row changes only when its *site* changes.
-        tsite: Box<[u64]>,
+        tsite: Box<[f64]>,
+        /// Raised by every re-derived row, never lowered.
+        tmax: f64,
     },
 }
+
+/// Integers below this are exact f64s.
+const F64_EXACT: u64 = 1 << 53;
 
 /// The in-flight move awaiting `commit`/`undo`.
 struct PendingMove {
@@ -1213,19 +1236,24 @@ struct EvalCore {
     // (tree times derive from it, ring wavefronts read it) ---
     host_of: Vec<u32>,
     site_of: Vec<u32>,
-    /// Same-host `(step, dst, src)` ring pairs, ascending: the loopback
-    /// receives the table wavefront patches after each step.
-    colo: Vec<(u32, u32, u32)>,
-    /// Scratch of the colo construction: `(host, rank)` sorted by host.
-    by_host: Vec<(u32, u32)>,
+    /// Same-host `(dst, src)` ring pairs, step `k`'s at `colo[colo_start[k]..
+    /// colo_start[k + 1]]`: the loopback receives the table wavefront
+    /// patches after step `k`.
+    colo: Vec<(u32, u32)>,
+    colo_start: Vec<u32>,
+    /// Scratch of the colo construction: the ranks sorted by host.
+    by_host: Vec<u32>,
     // --- wavefront scratch ---
-    /// Ring wavefront rows (per-rank clocks in nanoseconds).
-    wf_prev: Vec<u64>,
-    wf_cur: Vec<u64>,
+    /// Table wavefront rows (shifted clocks in ns); empty without table rings.
+    wf_prev: Vec<f64>,
+    wf_cur: Vec<f64>,
     /// Per-rank row expansion of a `Uniform` site×site table, rebuilt from
     /// `site_of` at the start of each wavefront over one, so the hot loop
     /// keeps the sequential `PerSrc` row shape.
-    uniform_rows: Vec<u64>,
+    site_rows: Vec<f64>,
+    /// Ring wavefronts of the last pass run as f64 and per receive (see
+    /// [`PlacementCost::last_ring_paths`]).
+    ring_paths: (usize, usize),
     /// Per-rank clocks (nanoseconds) at each position of the schedule's
     /// repeated block, `rep_clocks[pos · ranks + rank]`, as the pass last
     /// passed it — what the next repetition's clocks at that position are
@@ -1240,11 +1268,6 @@ impl EvalCore {
         let n = hosts.len();
         let site_count = network.topology().site_count();
         let classes = 1 + site_count * site_count;
-        let ring_n = if schedule.ring_shapes.is_empty() {
-            0
-        } else {
-            n
-        };
         let mut core = EvalCore {
             overhead: network.params().per_message_overhead,
             site_count,
@@ -1260,10 +1283,12 @@ impl EvalCore {
                 .map(|&h| network.topology().host(h).site.0 as u32)
                 .collect(),
             colo: Vec::new(),
+            colo_start: Vec::new(),
             by_host: Vec::new(),
-            wf_prev: vec![0; ring_n],
-            wf_cur: vec![0; ring_n],
-            uniform_rows: Vec::new(),
+            wf_prev: Vec::new(),
+            wf_cur: Vec::new(),
+            site_rows: Vec::new(),
+            ring_paths: (0, 0),
             rep_clocks: vec![0; schedule.repeat.map_or(0, |r| r.period * n)],
         };
         core.build_ring_tables(schedule, hosts, network);
@@ -1273,7 +1298,8 @@ impl EvalCore {
         core
     }
 
-    /// Builds one pooled transfer table per `Uniform`/`PerSrc` ring shape.
+    /// Builds one pooled transfer table per `Uniform`/`PerSrc` ring shape
+    /// and, if there is one, sizes the table wavefront's rows.
     fn build_ring_tables(
         &mut self,
         schedule: &CompiledSchedule,
@@ -1299,6 +1325,7 @@ impl EvalCore {
                     _ => {}
                 }
             }
+            (self.wf_prev, self.wf_cur) = (vec![0.0; hosts.len()], vec![0.0; hosts.len()]);
         }
         let s_count = self.site_count;
         let tables = shapes
@@ -1313,27 +1340,29 @@ impl EvalCore {
                 // single-host site's loopback entry is unreachable (but
                 // harmless).
                 RingBytes::Uniform(b) => {
-                    let mut site = vec![0u64; s_count * s_count].into_boxed_slice();
+                    let mut site = vec![0.0; s_count * s_count].into_boxed_slice();
                     for (sa, row) in site.chunks_exact_mut(s_count).enumerate() {
                         self.site_row(network, self.site_rep[sa][0], *b, row);
                     }
                     let rep = self.site_rep[0][0];
-                    let tsame = network.transfer_time(rep, rep, *b).as_nanos();
-                    Some(RingTable::Uniform { tsame, site })
+                    let tsame = network.transfer_time(rep, rep, *b).as_nanos() as f64;
+                    let tmax = site.iter().copied().fold(tsame, f64::max);
+                    Some(RingTable::Uniform { tsame, site, tmax })
                 }
                 RingBytes::PerSrc(bytes) => {
-                    let tsame = hosts
+                    let tsame: Box<[f64]> = hosts
                         .iter()
                         .zip(bytes.iter())
-                        .map(|(&h, &b)| network.transfer_time(h, h, b).as_nanos())
+                        .map(|(&h, &b)| network.transfer_time(h, h, b).as_nanos() as f64)
                         .collect();
-                    let mut tsite = vec![0u64; hosts.len() * s_count].into_boxed_slice();
+                    let mut tsite = vec![0.0; hosts.len() * s_count].into_boxed_slice();
                     for ((row, &h), &b) in
                         tsite.chunks_exact_mut(s_count).zip(hosts).zip(bytes.iter())
                     {
                         self.site_row(network, h, b, row);
                     }
-                    Some(RingTable::PerSrc { tsame, tsite })
+                    let tmax = tsame.iter().chain(&tsite[..]).copied().fold(0.0, f64::max);
+                    Some(RingTable::PerSrc { tsame, tsite, tmax })
                 }
             })
             .collect();
@@ -1342,10 +1371,10 @@ impl EvalCore {
 
     /// Fills `row[s]` with the transfer time of `bytes` from `src` to a
     /// *distinct* host at site `s`.
-    fn site_row(&self, network: &NetworkModel, src: HostId, bytes: u64, row: &mut [u64]) {
+    fn site_row(&self, network: &NetworkModel, src: HostId, bytes: u64, row: &mut [f64]) {
         for (slot, rep) in row.iter_mut().zip(&self.site_rep) {
             let dst = if rep[0] != src { rep[0] } else { rep[1] };
-            *slot = network.transfer_time(src, dst, bytes).as_nanos();
+            *slot = network.transfer_time(src, dst, bytes).as_nanos() as f64;
         }
     }
 
@@ -1374,11 +1403,12 @@ impl EvalCore {
         let s_count = self.site_count;
         let mut tables = std::mem::take(&mut self.ring_tables);
         for (table, shape) in tables.iter_mut().zip(&schedule.ring_shapes) {
-            if let (Some(RingTable::PerSrc { tsite, .. }), RingBytes::PerSrc(bytes)) =
+            if let (Some(RingTable::PerSrc { tsite, tmax, .. }), RingBytes::PerSrc(bytes)) =
                 (table, shape)
             {
                 let row = &mut tsite[rank * s_count..][..s_count];
                 self.site_row(network, to, bytes[rank], row);
+                *tmax = row.iter().copied().fold(*tmax, f64::max);
             }
         }
         self.ring_tables = tables;
@@ -1411,34 +1441,41 @@ impl EvalCore {
 
     /// Rebuilds the same-host ring pairs if a table ring will read them;
     /// `residents` (per host id) short-cuts the all-hosts-distinct case.
+    /// Sorting the ranks by host finds the co-located runs; their pairs are
+    /// counted, then placed, by ring step.
     fn refresh_colo(&mut self, residents: &[u32]) {
+        let n = self.host_of.len();
         self.colo.clear();
-        if self.ring_tables.iter().all(Option::is_none)
-            || self.host_of.iter().all(|&h| residents[h as usize] <= 1)
-        {
+        self.colo_start.clear();
+        if self.wf_prev.is_empty() || self.host_of.iter().all(|&h| residents[h as usize] <= 1) {
             return;
         }
-        let n = self.host_of.len();
-        // Same-host (src, dst) pairs are rare — at most cores per host — so
-        // the wavefront's hot loop costs every receive through the site row
-        // unconditionally and patches the loopback pairs afterwards, keyed
-        // by their ring-step distance.  Sorting by host finds the
-        // co-located runs.
-        self.by_host.clear();
-        self.by_host
-            .extend((0..n as u32).map(|r| (self.host_of[r as usize], r)));
-        self.by_host.sort_unstable();
-        for run in self.by_host.chunk_by(|a, b| a.0 == b.0) {
-            for &(_, a) in run {
-                for &(_, b) in run {
-                    if a != b {
-                        let step = (b as usize + n - a as usize) % n;
-                        self.colo.push((step as u32, b, a));
-                    }
-                }
-            }
+        let (host_of, by_host, start) = (&self.host_of, &mut self.by_host, &mut self.colo_start);
+        by_host.clear();
+        by_host.extend(0..n as u32);
+        by_host.sort_unstable_by_key(|&r| host_of[r as usize]);
+        let runs = by_host.chunk_by(|&a, &b| host_of[a as usize] == host_of[b as usize]);
+        let pairs = || {
+            runs.clone().flat_map(|run| {
+                let others =
+                    move |d: u32| run.iter().filter(move |&&s| s != d).map(move |&s| (d, s));
+                run.iter().flat_map(move |&d| others(d))
+            })
+        };
+        let step = |(d, s): (u32, u32)| (d as usize + n - s as usize) % n;
+        start.resize(n + 1, 0);
+        for p in pairs() {
+            start[step(p)] += 1;
         }
-        self.colo.sort_unstable();
+        for k in 1..=n {
+            start[k] += start[k - 1];
+        }
+        self.colo.resize(start[n] as usize, (0, 0));
+        for p in pairs() {
+            let k = step(p);
+            start[k] -= 1;
+            self.colo[start[k] as usize] = p;
+        }
     }
 
     /// One full evaluation of `schedule` on `hosts`: `clocks` (all zero on
@@ -1464,6 +1501,7 @@ impl EvalCore {
             "the per-rank view drifted from the assignment"
         );
         self.refresh_colo(residents);
+        self.ring_paths = (0, 0);
         let n = clocks.len();
         let mut evaluated = 0;
         let mut seg = 0;
@@ -1523,17 +1561,7 @@ impl EvalCore {
                         clocks[d] = clocks[d].max(out_src + SimDuration::from_nanos(t));
                     }
                 }
-                Segment::Ring { shape } => {
-                    if n > 1 {
-                        for (slot, c) in self.wf_prev.iter_mut().zip(clocks.iter()) {
-                            *slot = c.as_nanos();
-                        }
-                        self.ring_wavefront(schedule, network, *shape);
-                        for (c, &ns) in clocks.iter_mut().zip(&self.wf_prev) {
-                            *c = SimTime::from_nanos(ns);
-                        }
-                    }
-                }
+                Segment::Ring { shape } => self.ring_wavefront(schedule, network, *shape, clocks),
                 Segment::Advance { d } => {
                     for c in clocks.iter_mut() {
                         *c += *d;
@@ -1585,107 +1613,105 @@ impl EvalCore {
         true
     }
 
-    /// Runs one ring segment's full wavefront under the current view.
-    /// `wf_prev` holds the per-rank entry clocks in nanoseconds on entry and
-    /// the exit clocks on return.  The per-step recurrence —
-    /// `C[d] = max(P[d], P[src] + t) + o` with `src = d − step (mod n)` — is
-    /// exactly [`ModelComm`]'s ring rule (stamp all sends against pre-step
-    /// clocks, then take each receive's max) rewritten over u64
-    /// nanoseconds, which is exact because `SimTime` *is* a saturating u64
-    /// nanosecond counter.
-    fn ring_wavefront(&mut self, schedule: &CompiledSchedule, network: &NetworkModel, shape: u32) {
-        let n = self.host_of.len();
-        debug_assert_eq!(n, schedule.size() as usize);
+    /// Runs one ring segment's wavefront over `clocks`: per step,
+    /// `C[d] = max(C'[d], C'[src] + t) + o` with `src = d − step (mod n)`,
+    /// exactly [`ModelComm`]'s ring rule.  A table ring runs it shifted,
+    /// `D = C − step · o`, as `D[d] = max(D'[d], D'[src] + t)` in f64 and adds
+    /// `(n − 1) · o` at exit: every clock, entry and sum is an integer at most
+    /// `B = max(C) + (n − 1) · (tmax + o)`, so for `B < 2^53` every f64 `+`
+    /// and `max` is exact.  Any other ring (`B ≥ 2^53`, or `PerPair`) costs
+    /// each receive through the network model in saturating u64.
+    fn ring_wavefront(
+        &mut self,
+        schedule: &CompiledSchedule,
+        network: &NetworkModel,
+        shape: u32,
+        clocks: &mut [SimTime],
+    ) {
+        let n = clocks.len();
+        let o = self.overhead.as_nanos();
+        let entry = clocks.iter().max().map_or(0, |c| c.as_nanos());
+        let table = self.ring_tables[shape as usize].as_ref().filter(|t| {
+            let (RingTable::Uniform { tmax, .. } | RingTable::PerSrc { tmax, .. }) = t;
+            let span = (n as u64 - 1).saturating_mul((*tmax as u64).saturating_add(o));
+            entry.saturating_add(span) < F64_EXACT
+        });
+        let Some(table) = table else {
+            self.ring_paths.1 += 1;
+            let bytes = &schedule.ring_shapes[shape as usize];
+            let host = |r: usize| HostId(self.host_of[r] as usize);
+            let mut spare = vec![SimTime::ZERO; n];
+            let (mut prev, mut cur) = (&mut *clocks, &mut spare[..]);
+            for step in 1..n {
+                for d in 0..n {
+                    let src = if d >= step { d - step } else { d + n - step };
+                    let t = network.transfer_time(host(src), host(d), bytes.get(n, src, d));
+                    cur[d] = prev[d].max(prev[src] + t) + self.overhead;
+                }
+                std::mem::swap(&mut prev, &mut cur);
+            }
+            // `n − 1` steps: an odd count leaves the exit clocks in `spare`.
+            if n.is_multiple_of(2) {
+                clocks.copy_from_slice(&spare);
+            }
+            return;
+        };
+        self.ring_paths.0 += 1;
         let mut prev = std::mem::take(&mut self.wf_prev);
         let mut cur = std::mem::take(&mut self.wf_cur);
-        let o = self.overhead.as_nanos();
-        match &self.ring_tables[shape as usize] {
-            Some(t) => {
-                let mut urows = std::mem::take(&mut self.uniform_rows);
-                let (colo, site_of) = (&self.colo, &self.site_of);
-                let s_count = self.site_count;
-                let mut pi = 0usize;
-                // Per-src site rows for the hot loop: a `PerSrc` table
-                // holds them directly; a `Uniform` table is expanded from
-                // `site_of` into scratch once per wavefront (O(ranks·sites),
-                // dwarfed by the O(ranks²) recurrence) so the inner loops
-                // keep the sequential row iteration — a per-receive
-                // `site[ss·s + sd]` gather here measured ~2× slower on the
-                // ring-dominated IS schedule.
-                let rows: &[u64] = match t {
-                    RingTable::Uniform { site, .. } => {
-                        urows.clear();
-                        urows.reserve(n * s_count);
-                        for &s in &site_of[..n] {
-                            urows.extend_from_slice(&site[s as usize * s_count..][..s_count]);
-                        }
-                        &urows
-                    }
-                    RingTable::PerSrc { tsite, .. } => tsite,
+        // Clocks below 2^53 convert through i64: one instruction each way.
+        for (p, c) in prev.iter_mut().zip(clocks.iter()) {
+            *p = c.as_nanos() as i64 as f64;
+        }
+        let (colo, site_of, s_count) = (&self.colo, &self.site_of, self.site_count);
+        let colo_start = &self.colo_start;
+        // Per-src site rows for the hot loop: a `PerSrc` table holds them; a
+        // `Uniform` table is expanded from `site_of` once per wavefront
+        // (O(ranks·sites)) — a per-receive `site[ss·s + sd]` gather measured
+        // ~2× slower on the ring-dominated IS schedule.
+        let rows: &[f64] = match table {
+            RingTable::Uniform { site, .. } => {
+                self.site_rows.clear();
+                for &s in site_of {
+                    self.site_rows
+                        .extend_from_slice(&site[s as usize * s_count..][..s_count]);
+                }
+                &self.site_rows
+            }
+            RingTable::PerSrc { tsite, .. } => tsite,
+        };
+        // One `maxsd`, without the NaN handling of `f64::max`.
+        let later = |a: f64, b: f64| if a > b { a } else { b };
+        // The wrap in `src = d − step (mod n)` splits each step into two
+        // linear runs, so the whole row is zipped slices: no index
+        // arithmetic, no bounds checks, no per-cell branch.
+        for step in 1..n {
+            // d in step..n pairs with src = d − step; d in 0..step wraps to
+            // src = d + n − step.
+            for (dst, src) in [(step..n, 0..n - step), (0..step, n - step..n)] {
+                for ((((c, &pd), &ps), &sd), row) in cur[dst.clone()]
+                    .iter_mut()
+                    .zip(&prev[dst.clone()])
+                    .zip(&prev[src.clone()])
+                    .zip(&site_of[dst])
+                    .zip(rows[src.start * s_count..].chunks_exact(s_count))
+                {
+                    *c = later(pd, ps + row[sd as usize]);
+                }
+            }
+            let at = |k: usize| colo_start.get(k).map_or(0, |&i| i as usize);
+            for &(d, src) in &colo[at(step)..at(step + 1)] {
+                let ts = match table {
+                    RingTable::Uniform { tsame, .. } => *tsame,
+                    RingTable::PerSrc { tsame, .. } => tsame[src as usize],
                 };
-                // The wrap in `src = d − step (mod n)` splits each step into
-                // two linear runs, so the whole row is zipped slices: no
-                // index arithmetic, no bounds checks, no per-cell branch.
-                for step in 1..n {
-                    // d in step..n pairs with src = d − step.
-                    for ((((c, &pd), &ps), &sd), row) in cur[step..]
-                        .iter_mut()
-                        .zip(&prev[step..])
-                        .zip(&prev[..n - step])
-                        .zip(&site_of[step..])
-                        .zip(rows.chunks_exact(s_count))
-                    {
-                        *c = pd
-                            .max(ps.saturating_add(row[sd as usize]))
-                            .saturating_add(o);
-                    }
-                    // d in 0..step wraps to src = d + n − step.
-                    for ((((c, &pd), &ps), &sd), row) in cur[..step]
-                        .iter_mut()
-                        .zip(&prev[..step])
-                        .zip(&prev[n - step..])
-                        .zip(&site_of[..step])
-                        .zip(rows[(n - step) * s_count..].chunks_exact(s_count))
-                    {
-                        *c = pd
-                            .max(ps.saturating_add(row[sd as usize]))
-                            .saturating_add(o);
-                    }
-                    while pi < colo.len() && colo[pi].0 as usize == step {
-                        let (_, d, src) = colo[pi];
-                        let ts = match t {
-                            RingTable::Uniform { tsame, .. } => *tsame,
-                            RingTable::PerSrc { tsame, .. } => tsame[src as usize],
-                        };
-                        cur[d as usize] = prev[d as usize]
-                            .max(prev[src as usize].saturating_add(ts))
-                            .saturating_add(o);
-                        pi += 1;
-                    }
-                    std::mem::swap(&mut prev, &mut cur);
-                }
-                self.uniform_rows = urows;
+                cur[d as usize] = later(prev[d as usize], prev[src as usize] + ts);
             }
-            None => {
-                // PerPair fallback: per-receive byte counts, costed straight
-                // through the network model.
-                let bytes = &schedule.ring_shapes[shape as usize];
-                let host_of = &self.host_of;
-                for step in 1..n {
-                    for d in 0..n {
-                        let src = if d >= step { d - step } else { d + n - step };
-                        let tt = network
-                            .transfer_time(
-                                HostId(host_of[src] as usize),
-                                HostId(host_of[d] as usize),
-                                bytes.get(n, src, d),
-                            )
-                            .as_nanos();
-                        cur[d] = prev[d].max(prev[src].saturating_add(tt)).saturating_add(o);
-                    }
-                    std::mem::swap(&mut prev, &mut cur);
-                }
-            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        let shift = (n as u64 - 1) * o;
+        for (c, &d) in clocks.iter_mut().zip(&prev) {
+            *c = SimTime::from_nanos(d as i64 as u64 + shift);
         }
         self.wf_prev = prev;
         self.wf_cur = cur;
@@ -1884,24 +1910,28 @@ impl PlacementCost {
 
     /// Applies `mv` and returns the new modeled makespan, costed by one full
     /// pass.  The move stays in flight until [`PlacementCost::commit`] or
-    /// [`PlacementCost::undo`].  A capacity-violating migrate returns an
-    /// error and leaves every piece of state untouched.
+    /// [`PlacementCost::undo`].  A capacity-violating migrate, or a move
+    /// naming a rank or host out of range, returns an error and leaves every
+    /// piece of state untouched.
     ///
     /// # Panics
     ///
-    /// Panics if a previous move is still in flight or a rank/host index is
-    /// out of range.
+    /// Panics if a previous move is still in flight.
     pub fn apply(&mut self, mv: Move) -> Result<SimDuration, MoveError> {
         assert!(
             self.pending.is_none(),
             "commit or undo the previous move before applying another"
         );
         let n = self.hosts.len() as u32;
+        let rank_in_range = |rank: Rank| {
+            (rank < n)
+                .then_some(rank as usize)
+                .ok_or(MoveError::RankOutOfRange { rank, ranks: n })
+        };
         // `(rank, destination)` of every rank that changes host.
         let targets = match mv {
             Move::Swap { a, b } => {
-                assert!(a < n && b < n, "swap ranks out of range");
-                let (ha, hb) = (self.hosts[a as usize], self.hosts[b as usize]);
+                let (ha, hb) = (self.hosts[rank_in_range(a)?], self.hosts[rank_in_range(b)?]);
                 if ha == hb {
                     [None, None]
                 } else {
@@ -1909,9 +1939,11 @@ impl PlacementCost {
                 }
             }
             Move::Migrate { rank, to } => {
-                assert!(rank < n, "migrate rank out of range");
-                assert!(to.0 < self.capacity.len(), "migrate host out of range");
-                if self.hosts[rank as usize] == to {
+                let hosts = self.capacity.len();
+                if to.0 >= hosts {
+                    return Err(MoveError::HostOutOfRange { host: to, hosts });
+                }
+                if self.hosts[rank_in_range(rank)?] == to {
                     [None, None]
                 } else if self.residents[to.0] >= self.capacity[to.0] {
                     return Err(MoveError::CapacityExceeded {
@@ -1995,39 +2027,38 @@ impl PlacementCost {
         self.clock_mean = sum / self.clocks.len().max(1) as f64;
     }
 
-    /// Bytes of ring-cache state the evaluator holds: the pooled transfer
-    /// tables plus the wavefront scratch rows — O(ranks · sites) (bounded at
-    /// IS@128 by `perf_report`'s `IS_SEARCH_RING_CACHE_BYTES_MAX`, and
-    /// reported at IS@1024 by the benchmark's `mpi.ring_cache_bytes`).
+    /// Bytes of ring-cache state the evaluator holds: the pooled tables' f64
+    /// entries (not their `tmax`) plus the wavefront scratch rows — O(ranks ·
+    /// sites) (bounded at IS@128 by `perf_report`'s
+    /// `IS_SEARCH_RING_CACHE_BYTES_MAX`, and reported at IS@1024 by the
+    /// benchmark's `mpi.ring_cache_bytes`).
     pub fn ring_cache_bytes(&self) -> usize {
+        use std::mem::size_of;
         let core = &self.core;
         let tables: usize = core
             .ring_tables
             .iter()
             .flatten()
             .map(|t| match t {
-                RingTable::Uniform { site, .. } => (site.len() + 1) * std::mem::size_of::<u64>(),
-                RingTable::PerSrc { tsame, tsite } => {
-                    (tsame.len() + tsite.len()) * std::mem::size_of::<u64>()
-                }
+                RingTable::Uniform { site, .. } => site.len() + 1,
+                RingTable::PerSrc { tsame, tsite, .. } => tsame.len() + tsite.len(),
             })
             .sum();
-        tables
-            + (core.wf_prev.len() + core.wf_cur.len() + core.uniform_rows.len())
-                * std::mem::size_of::<u64>()
-            + (core.host_of.len() + core.site_of.len()) * std::mem::size_of::<u32>()
-            + core.by_host.len() * std::mem::size_of::<(u32, u32)>()
-            + core.colo.len() * std::mem::size_of::<(u32, u32, u32)>()
+        (tables + core.wf_prev.len() + core.wf_cur.len() + core.site_rows.len()) * size_of::<f64>()
+            + (core.host_of.len() + core.site_of.len()) * size_of::<u32>()
+            + (core.colo_start.len() + core.by_host.len()) * size_of::<u32>()
+            + core.colo.len() * size_of::<(u32, u32)>()
     }
 
     /// Byte accounting of the `Uniform` specialisation: `(tables,
     /// uniform_bytes, per_src_equivalent_bytes)` — how many pooled transfer
     /// tables compressed to the move-invariant site×site form, the bytes
-    /// they hold, and what the same tables would occupy in the per-rank
-    /// `PerSrc` layout (a `tsame` entry plus a site row per rank).
+    /// of f64 entries they hold, and what the same tables would occupy in
+    /// the per-rank `PerSrc` layout (a `tsame` entry plus a site row per
+    /// rank).
     pub fn uniform_ring_summary(&self) -> (usize, usize, usize) {
         let n = self.hosts.len();
-        let word = std::mem::size_of::<u64>();
+        let word = std::mem::size_of::<f64>();
         let mut tables = 0usize;
         let mut bytes = 0usize;
         let mut per_src = 0usize;
@@ -2039,6 +2070,15 @@ impl PlacementCost {
             }
         }
         (tables, bytes, per_src)
+    }
+
+    /// Ring wavefronts the last pass ran `(as exact f64, per receive)`:
+    /// only a `PerPair` ring, or a table ring whose clocks reach 2^53 ns,
+    /// runs per receive.  Test-only surface, like
+    /// [`CompiledSchedule::repeated_block`].
+    #[doc(hidden)]
+    pub fn last_ring_paths(&self) -> (usize, usize) {
+        self.core.ring_paths
     }
 }
 
@@ -2737,5 +2777,128 @@ mod tests {
         assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
         cost.apply(Move::Swap { a: 0, b: 5 }).unwrap();
         assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+    }
+
+    #[test]
+    fn ring_accounting_at_is128_is_no_larger_than_with_u64_tables() {
+        // IS@128 over both sites, one rank per host and two per host (which
+        // lists same-host pairs): the bytes the evaluator held when its
+        // tables, rows and scratch were u64, measured on these evaluators.
+        let t = grid(64);
+        let spread: Vec<_> = t.hosts().iter().map(|h| h.id).collect();
+        let stacked: Vec<_> = t
+            .hosts()
+            .iter()
+            .step_by(2)
+            .flat_map(|h| [h.id; 2])
+            .collect();
+        for (hosts, u64_bytes) in [(spread, 8232), (stacked, 10792)] {
+            let cost = evaluator_of(|b| is_shaped(b, 10), hosts, &t);
+            assert!(
+                cost.ring_cache_bytes() <= u64_bytes,
+                "{}",
+                cost.ring_cache_bytes()
+            );
+            assert_eq!(cost.uniform_ring_summary(), (1, 40, 3072));
+        }
+    }
+
+    /// The bound `B` of `cost`'s first table ring entered at `entry`.
+    fn first_ring_bound(cost: &PlacementCost, entry: u64) -> u64 {
+        let tmax = match cost.core.ring_tables.iter().flatten().next().unwrap() {
+            RingTable::Uniform { tmax, .. } | RingTable::PerSrc { tmax, .. } => *tmax as u64,
+        };
+        let n = cost.hosts().len() as u64;
+        entry + (n - 1) * (tmax + cost.network.params().per_message_overhead.as_nanos())
+    }
+
+    #[test]
+    fn a_table_ring_runs_as_f64_below_2_pow_53_and_per_receive_from_it() {
+        let t = topology();
+        // Two ranks share a host, so the colo patch runs on both paths.
+        let hosts: Vec<_> = [0, 0, 1, 5, 6, 2].map(|i| t.hosts()[i].id).to_vec();
+        let uniform = |b: &mut ScheduleBuilder| b.alltoall(700);
+        let per_src = |b: &mut ScheduleBuilder| b.alltoallv(|src, _| (src as u64 + 1) * 96);
+        for ring in [uniform as fn(&mut ScheduleBuilder), per_src] {
+            let calm = evaluator_of(ring, hosts.clone(), &t);
+            assert_eq!(calm.last_ring_paths(), (1, 0));
+            // Enter the ring at `B = 2^53 − 1`, then at `B = 2^53`.
+            let below = F64_EXACT - 1 - first_ring_bound(&calm, 0);
+            for (entry, paths) in [(below, (1, 0)), (below + 1, (0, 1))] {
+                let late = |b: &mut ScheduleBuilder| {
+                    b.advance(SimDuration::from_nanos(entry));
+                    ring(b);
+                };
+                let mut cost = evaluator_of(late, hosts.clone(), &t);
+                assert_eq!(
+                    first_ring_bound(&cost, entry),
+                    F64_EXACT - 1 + paths.1 as u64
+                );
+                assert_eq!(cost.last_ring_paths(), paths);
+                assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+                // Both paths agree with the un-shifted ring, shifted.
+                let shifted: Vec<_> = calm
+                    .clocks()
+                    .iter()
+                    .map(|&c| c + SimDuration::from_nanos(entry))
+                    .collect();
+                assert_eq!(cost.clocks(), &shifted[..]);
+                cost.apply(Move::Swap { a: 1, b: 4 }).unwrap();
+                assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+                cost.undo();
+                assert_eq!(cost.clocks(), &shifted[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_out_of_range_is_an_error_and_moves_nothing() {
+        let t = topology();
+        let hosts: Vec<_> = t.hosts().iter().take(4).map(|h| h.id).collect();
+        let mut cost = evaluator_for(hosts.clone(), &t);
+        let before = cost.clocks().to_vec();
+        let out = MoveError::RankOutOfRange { rank: 4, ranks: 4 };
+        for mv in [
+            Move::Swap { a: 4, b: 0 },
+            Move::Swap { a: 0, b: 4 },
+            Move::Migrate {
+                rank: 4,
+                to: hosts[0],
+            },
+        ] {
+            assert_eq!(cost.apply(mv), Err(out));
+            assert_eq!(cost.hosts(), &hosts[..]);
+            assert_eq!(cost.clocks(), &before[..]);
+        }
+        assert_eq!(out.to_string(), "rank 4 not in 0..4");
+        // No move is left in flight.
+        cost.apply(Move::Swap { a: 0, b: 3 }).unwrap();
+        cost.commit();
+    }
+
+    #[test]
+    fn a_host_out_of_range_is_an_error_and_moves_nothing() {
+        let t = topology();
+        let hosts: Vec<_> = t.hosts().iter().take(4).map(|h| h.id).collect();
+        let mut cost = evaluator_for(hosts.clone(), &t);
+        let before = cost.clocks().to_vec();
+        let to = HostId(t.host_count());
+        let err = cost.apply(Move::Migrate { rank: 0, to }).unwrap_err();
+        assert_eq!(
+            err,
+            MoveError::HostOutOfRange {
+                host: to,
+                hosts: t.host_count()
+            }
+        );
+        assert_eq!(err.to_string(), format!("{to} not in 0..8"));
+        assert_eq!(cost.hosts(), &hosts[..]);
+        assert_eq!(cost.clocks(), &before[..]);
+        cost.apply(Move::Migrate {
+            rank: 0,
+            to: t.hosts()[7].id,
+        })
+        .unwrap();
+        cost.commit();
     }
 }

@@ -381,6 +381,8 @@ proptest! {
                     prop_assert_eq!(cost.hosts(), &before_hosts[..]);
                     prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
                 }
+                // Every drawn rank and host is in range.
+                Err(e) => prop_assert!(false, "{:?} rejected: {}", mv, e),
                 Ok(new_cost) => {
                     // The clocks after the move equal the from-scratch
                     // replay, per rank, bit for bit.
@@ -608,6 +610,97 @@ proptest! {
         let mut rng = seeded(move_seed);
         let host_count = topology.host_count();
         for _ in 0..6 {
+            let mv = if rng.gen_range(0u32..2) == 0 {
+                Move::Swap { a: rng.gen_range(0..n), b: rng.gen_range(0..n) }
+            } else {
+                Move::Migrate {
+                    rank: rng.gen_range(0..n),
+                    to: HostId(rng.gen_range(0..host_count)),
+                }
+            };
+            let before_clocks = cost.clocks().to_vec();
+            if cost.apply(mv).is_err() {
+                prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+                continue;
+            }
+            prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..],
+                "clocks diverged from the oracle after {:?}", mv);
+            if rng.gen_range(0u32..3) == 0 {
+                cost.undo();
+                prop_assert_eq!(cost.clocks(), &before_clocks[..]);
+                prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+            } else {
+                cost.commit();
+            }
+        }
+    }
+}
+
+/// The largest transfer time a table ring's entries can take when its
+/// evaluator is built: from every host (`Uniform`) or from each rank's
+/// host with its own byte count (`PerSrc`) to every host, loopback
+/// included — a transfer time depends only on same-host-ness and the site
+/// pair, so this is the table's `t_max`.
+fn table_t_max(network: &NetworkModel, sources: &[(HostId, u64)]) -> u64 {
+    let all: Vec<HostId> = network.topology().hosts().iter().map(|h| h.id).collect();
+    sources
+        .iter()
+        .flat_map(|&(src, bytes)| all.iter().map(move |&dst| (src, dst, bytes)))
+        .map(|(src, dst, bytes)| network.transfer_time(src, dst, bytes).as_nanos())
+        .max()
+        .unwrap()
+}
+
+proptest! {
+    /// A ring-heavy program entered so late that its first table ring's
+    /// bound `B = max(entry) + (n − 1)·(t_max + o)` falls just below 2^53,
+    /// exactly at it or just above: below, that ring runs as an f64
+    /// wavefront; from 2^53 on, per receive in saturating u64.  Either way
+    /// the clocks equal the oracle's at rest, after every move and after
+    /// every undo.
+    #[test]
+    fn a_table_ring_either_side_of_2_pow_53_equals_the_oracle(
+        n in 8u32..21,
+        per_src in 0u32..2,
+        side in 0u32..3,
+        gap in 1u64..5000,
+        placement_seed in 0u64..1_000_000,
+        program_seed in 0u64..1_000_000,
+        move_seed in 0u64..1_000_000,
+    ) {
+        let topology = topology();
+        let hosts = random_feasible_hosts(&topology, n, placement_seed);
+        let capacity: Vec<u32> = topology.hosts().iter().map(|h| h.cores as u32).collect();
+        let network = NetworkModel::new(topology.clone());
+        let bytes = |rank: u32| match per_src {
+            0 => 700,
+            _ => (rank as u64 % 7 + 1) * 96,
+        };
+        let sources: Vec<(HostId, u64)> = match per_src {
+            0 => topology.hosts().iter().map(|h| (h.id, bytes(0))).collect(),
+            _ => hosts.iter().zip(0..).map(|(&h, r)| (h, bytes(r))).collect(),
+        };
+        let o = network.params().per_message_overhead.as_nanos();
+        let ring_span = (n as u64 - 1) * (table_t_max(&network, &sources) + o);
+        let bound = [(1u64 << 53) - gap, 1 << 53, (1 << 53) + gap][side as usize];
+        let mut b = ScheduleBuilder::new(n);
+        b.advance(p2pmpi_simgrid::time::SimDuration::from_nanos(bound - ring_span));
+        b.alltoallv(|src, dst| if src == dst { 0 } else { bytes(src) });
+        ring_heavy_program(&mut b, program_seed);
+        let schedule = Arc::new(b.finish());
+        let compute = ComputeModel::new(topology.clone());
+        let mut cost = PlacementCost::new(schedule, hosts, capacity, network, compute);
+        let (exact, per_receive) = cost.last_ring_paths();
+        if side == 0 {
+            prop_assert!(exact >= 1, "no ring ran as f64 below 2^53");
+        } else {
+            prop_assert!(per_receive >= 1, "no ring ran per receive from 2^53 on");
+        }
+        prop_assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+
+        let mut rng = seeded(move_seed);
+        let host_count = topology.host_count();
+        for _ in 0..8 {
             let mv = if rng.gen_range(0u32..2) == 0 {
                 Move::Swap { a: rng.gen_range(0..n), b: rng.gen_range(0..n) }
             } else {

@@ -5,8 +5,10 @@
 //! suite proves the move and fast-forward contracts on random programs;
 //! this test proves them on the exact byte structures and repeated
 //! iterations the placement search optimises — IS's balanced alltoallv
-//! (compressed to a pooled transfer table) and FT's zero-diagonal transpose
-//! — and pins where the pass fast-forwards each kernel's iterations.
+//! (compressed to a pooled transfer table) and FT's zero-diagonal
+//! transpose.  It also pins where the pass fast-forwards each kernel's
+//! iterations, and that every ring of every pass runs as an exact f64
+//! wavefront.
 
 use p2pmpi_mpi::model::{
     CollectiveProgram, CompiledSchedule, ModelComm, Move, PlacementCost, ScheduleBuilder,
@@ -84,9 +86,21 @@ fn evaluator(schedule: CompiledSchedule) -> PlacementCost {
     )
 }
 
+/// Every ring of the last pass ran as an exact f64 wavefront: the real
+/// schedules' clocks stay far below 2^53 ns, and neither kernel has a
+/// `PerPair` ring.
+fn assert_rings_ran_as_f64(cost: &PlacementCost, context: &str) {
+    let (exact, per_receive) = cost.last_ring_paths();
+    assert!(
+        exact > 0 && per_receive == 0,
+        "{context}: {exact} f64 and {per_receive} per-receive rings"
+    );
+}
+
 fn soak(schedule: CompiledSchedule, n: u32, moves: u32, seed: u64) {
     let mut cost = evaluator(schedule);
     assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+    assert_rings_ran_as_f64(&cost, "at rest");
 
     let mut rng = seeded(seed);
     let host_count = grid().host_count();
@@ -115,6 +129,7 @@ fn soak(schedule: CompiledSchedule, n: u32, moves: u32, seed: u64) {
             &cost.oracle_clocks()[..],
             "step {step}: the clocks diverged from the oracle after {mv:?}"
         );
+        assert_rings_ran_as_f64(&cost, &format!("step {step}"));
         if step % 3 == 0 {
             cost.undo();
             assert_eq!(cost.cost(), before_cost);
