@@ -247,10 +247,7 @@ fn overbooking(churn: f64, demand: u32, seed: u64) -> String {
         tb.overlay
             .run_until(tb.overlay.now() + SimDuration::from_secs(2));
 
-        let allocator = CoAllocator::with_params(CoAllocatorParams {
-            overbooking: policy,
-            ..CoAllocatorParams::default()
-        });
+        let allocator = CoAllocator::with_overbooking(policy);
         let request = JobRequest::new(demand, Spread, "hostname");
         let r = allocator.allocate(&mut tb.overlay, tb.submitter, &request);
         let (ok, hosts) = (r.is_success(), r.outcome.map_or(0, |a| a.hosts_used()));

@@ -47,10 +47,11 @@
 //!    communication cost — through the coordinator's own
 //!    [`crate::experiments::ShapeCosts`] over the global topology, as the
 //!    shards cost their local jobs through theirs.
-//! 3. **Scatter.**  The hold charges each shard's per-site ledger, and one
-//!    completion event per involved shard is spliced back onto that
-//!    shard's timeline (`Overlay::schedule_completion_batch`) at
-//!    `T + hold`.  The next parallel phase begins.
+//! 3. **Scatter.**  Each booked shard, in shard order, holds its part of
+//!    the job through the path a local job takes, `SweepCore::hold`: the
+//!    hold is charged to the shard's per-site ledger and one completion
+//!    event goes onto the shard's timeline at `T + hold`
+//!    (`Overlay::schedule_completion`).  The next parallel phase begins.
 //!
 //! Shard order is fixed everywhere (classification, brokering, scatter,
 //! merge), all coordinator work happens between completed phases, and
@@ -104,8 +105,9 @@ use p2pmpi_core::allocation::{AllocatedHost, Allocation};
 use p2pmpi_core::prelude::*;
 use p2pmpi_grid5000::testbed::topology_from_specs;
 use p2pmpi_grid5000::{ShardPlan, TABLE1};
-use p2pmpi_overlay::{PeerId, RankAssignment, ReservationKey};
-use p2pmpi_simgrid::event::EventKey;
+#[cfg(debug_assertions)]
+use p2pmpi_overlay::{PeerId, ReservationStatus::Running};
+use p2pmpi_overlay::{RankAssignment, ReservationKey};
 use p2pmpi_simgrid::rngutil::{derive_seed, seeded};
 use p2pmpi_simgrid::time::SimTime;
 use p2pmpi_simgrid::topology::{HostId, Topology};
@@ -229,9 +231,9 @@ fn run_segment(shard: usize, core: &mut SweepCore, batch: &[JobSpec], barrier: O
 
 /// Brokers one cross-shard job at a barrier (every shard already advanced
 /// to `job.at`): split, all-or-nothing per-shard allocation with rollback,
-/// merged costing, scatter-back.  `global_hosts[s][h]` is shard `s`'s host
-/// `h` on the global topology `costs` was built over.
-#[allow(clippy::too_many_arguments)]
+/// merged costing, and each booked shard's hold through the local job's
+/// path, [`SweepCore::hold`].  `global_hosts[s][h]` is shard `s`'s host `h`
+/// on the global topology `costs` was built over.
 fn broker_cross(
     cores: &mut [&mut SweepCore],
     job: &JobSpec,
@@ -239,106 +241,105 @@ fn broker_cross(
     global_hosts: &[Vec<HostId>],
     costs: &mut ShapeCosts,
     stats: &mut CrossStats,
-    scatter_keys: &mut Vec<EventKey>,
 ) {
     stats.submitted += 1;
-    // The merged view: free cores per shard (capacity minus running work,
-    // sampled from each quiesced shard at the barrier).
-    let capacities: Vec<u32> = cores
-        .iter()
-        .map(|core| {
-            let overlay = &core.tb.overlay;
-            let running: u32 = (0..overlay.peer_count())
-                .map(|p| overlay.node(PeerId(p)).rs.running_processes())
-                .sum();
-            (core.tb.topology.total_cores() as u32).saturating_sub(running)
-        })
-        .collect();
+    // The merged view: each quiesced shard's free cores at the barrier.
+    let capacities: Vec<u32> = cores.iter().map(|core| core.free_cores()).collect();
     let split = base.strategy.distribute(&capacities, job.ranks);
-    if split.iter().sum::<u32>() != job.ranks {
-        stats.failed += 1;
-        return;
-    }
     // All-or-nothing: each shard of the split books through its own
-    // allocator; any refusal rolls back the shards already booked.
-    let mut booked: Vec<(usize, ReservationKey, Allocation)> = Vec::new();
-    let mut refused = false;
-    for (s, &n) in split.iter().enumerate() {
-        if n == 0 {
-            continue;
+    // allocator, and a refusal rolls back the shards already booked.  A
+    // short split is refused, and so is one that books no shard (a
+    // zero-rank job, which `run_day_sweep` refuses as `InvalidRequest`).
+    let mut booked = Vec::new();
+    let mut refused = split.iter().sum::<u32>() != job.ranks;
+    for (s, &n) in split.iter().enumerate().filter(|&(_, &n)| n > 0) {
+        if refused {
+            break;
         }
-        let core = &mut *cores[s];
+        let SweepCore { allocator, tb, .. } = &mut *cores[s];
         let request = JobRequest::new(n, base.strategy, job.kernel.program());
-        let report = core
-            .allocator
-            .allocate(&mut core.tb.overlay, core.tb.submitter, &request);
+        let report = allocator.allocate(&mut tb.overlay, tb.submitter, &request);
         stats.timeouts += report.dead as u64;
         match report.outcome {
             Ok(alloc) => booked.push((s, report.key, alloc)),
-            Err(_) => {
-                refused = true;
-                break;
-            }
+            Err(_) => refused = true,
         }
     }
-    // A split that books no shard (a zero-rank job) is refused too, as
-    // `run_day_sweep` refuses it (`InvalidRequest`).
     if refused || booked.is_empty() {
         for (s, key, alloc) in &booked {
-            let core = &mut *cores[*s];
             for h in &alloc.hosts {
-                core.tb.overlay.complete_job(h.peer, *key);
+                cores[*s].tb.overlay.complete_job(h.peer, *key);
             }
+        }
+        // Conservation: no booked shard still runs the job under its key,
+        // and no shard has fewer free cores than the merged view counted.
+        #[cfg(debug_assertions)]
+        for (s, core) in cores.iter().enumerate() {
+            let key = booked.iter().find(|b| b.0 == s).map(|b| b.1);
+            let o = &core.tb.overlay;
+            let status = |p| o.node(PeerId(p)).rs.reservation(key?).map(|r| r.status);
+            let running = (0..o.peer_count()).find(|&p| status(p) == Some(Running));
+            assert!(
+                running.is_none(),
+                "shard {s}: peer {running:?} runs {key:?} after rollback"
+            );
+            let (free, seen) = (core.free_cores(), capacities[s]);
+            assert!(
+                free >= seen,
+                "shard {s}: {free} free cores after rolling back {key:?}, {seen} at the barrier"
+            );
         }
         stats.failed += 1;
         return;
     }
-    // Merge the sub-placements onto the global topology (ranks and spans
-    // re-offset per shard) and cost the kernel once on the merged
-    // placement, so the job pays its real cross-site communication.
-    let mut hosts: Vec<AllocatedHost> = Vec::new();
-    let mut ranks: Vec<RankAssignment> = Vec::with_capacity(job.ranks as usize);
-    let mut offset = 0u32;
-    for (s, _, alloc) in &booked {
+    // Cost the kernel once on the merged placement, so the job pays its
+    // real cross-site communication.
+    let merged = merge_parts(&booked, global_hosts, job.ranks, base.strategy);
+    let makespan = costs.makespan(job.kernel, &merged);
+    let hold = makespan.mul_f64(base.duration_scale);
+    stats.hold_secs += hold.as_secs_f64();
+    // Scatter, in shard order, from the common barrier clock.
+    for (s, key, alloc) in &booked {
+        cores[*s].hold(alloc, *key, hold);
+    }
+    stats.succeeded += 1;
+}
+
+/// The parts of one cross-shard job, booked in shard order, as one
+/// placement on the global topology (`global_hosts[s][h]` is shard `s`'s
+/// host `h` there): hosts mapped to their global ids, ranks and spans
+/// re-offset per part.  The parts are unreplicated, so a rank and its
+/// instance shift alike.
+fn merge_parts(
+    parts: &[(usize, ReservationKey, Allocation)],
+    global_hosts: &[Vec<HostId>],
+    processes: u32,
+    strategy: StrategyKind,
+) -> Allocation {
+    let mut hosts = Vec::new();
+    let mut ranks = Vec::with_capacity(processes as usize);
+    for (s, _, alloc) in parts {
         let shift = ranks.len() as u32;
         hosts.extend(alloc.hosts.iter().map(|h| AllocatedHost {
             host: global_hosts[*s][h.host.0],
             span: h.span.start + shift..h.span.end + shift,
             ..h.clone()
         }));
-        ranks.extend(alloc.ranks.iter().map(|ra| RankAssignment {
-            rank: ra.rank + offset,
-            replica: ra.replica,
+        ranks.extend(alloc.ranks.iter().map(|&ra| RankAssignment {
+            rank: ra.rank + shift,
+            ..ra
         }));
-        offset += alloc.processes;
     }
     let merged = Allocation {
-        key: booked[0].1,
-        processes: job.ranks,
+        key: parts[0].1,
+        processes,
         replication: 1,
-        strategy: base.strategy,
+        strategy,
         hosts,
         ranks,
     };
     debug_assert!(merged.validate().is_ok());
-    let hold = costs
-        .makespan(job.kernel, &merged)
-        .mul_f64(base.duration_scale);
-    stats.hold_secs += hold.as_secs_f64();
-    // Scatter-back: charge each shard's ledger and splice one completion
-    // event per involved shard onto its timeline at the common barrier
-    // clock plus the hold.
-    for (s, key, alloc) in &booked {
-        let core = &mut *cores[*s];
-        core.charge_remote(alloc, hold);
-        let done_at = core.tb.overlay.now() + hold;
-        let peers: Vec<PeerId> = alloc.hosts.iter().map(|h| h.peer).collect();
-        scatter_keys.clear();
-        core.tb
-            .overlay
-            .schedule_completion_batch([(done_at, *key, peers)], scatter_keys);
-    }
-    stats.succeeded += 1;
+    merged
 }
 
 /// Epoch value no phase reaches: the sweep is over because a lane panicked.
@@ -635,7 +636,6 @@ pub(crate) fn run_shard_sweep_on(
     let lanes = &lanes;
 
     let mut stats = CrossStats::default();
-    let mut scatter_keys: Vec<EventKey> = Vec::new();
     let per_shard: Vec<DaySweepResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = (1..lanes.count)
             .map(|lane| scope.spawn(move || lanes.work(lane)))
@@ -666,15 +666,7 @@ pub(crate) fn run_shard_sweep_on(
                     .iter_mut()
                     .map(|slot| slot.as_mut().expect("a shard is finished once, last"))
                     .collect();
-                broker_cross(
-                    &mut cores,
-                    job,
-                    base,
-                    &global_hosts,
-                    &mut costs,
-                    &mut stats,
-                    &mut scatter_keys,
-                );
+                broker_cross(&mut cores, job, base, &global_hosts, &mut costs, &mut stats);
             }
         }
         let mut finished = Vec::new();

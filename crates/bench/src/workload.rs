@@ -1221,6 +1221,14 @@ impl SweepCore {
         }
     }
 
+    /// Cores not running work: the topology's cores minus every peer's
+    /// running processes.  The sharded driver's merged view holds this
+    /// count for each shard.
+    pub(crate) fn free_cores(&self) -> u32 {
+        let running: u32 = sample_running(&self.tb).iter().sum();
+        (self.tb.topology.total_cores() as u32).saturating_sub(running)
+    }
+
     /// Advances the timeline to `at` with samples and the probe cadence —
     /// exactly what [`SweepCore::submit`] does before brokering.  The
     /// sharded driver calls this to bring a shard to a synchronization
@@ -1231,32 +1239,16 @@ impl SweepCore {
         self.maybe_probe();
     }
 
-    /// Charges `hold` on every booked host of `alloc` and schedules the
-    /// job's completion (releasing the hosts) `hold` after now.  The
-    /// counterpart, for cross-shard jobs whose hold was computed on the
-    /// merged view, is [`SweepCore::charge_remote`] plus the driver's
-    /// batched scatter-back.
-    pub(crate) fn record_success(
+    /// Holds a placed job for `hold` from now: charges its core-seconds to
+    /// this core's per-site ledger, then schedules its completion, which
+    /// frees its hosts, with `Overlay::schedule_completion`.  A local job
+    /// is held here by [`SweepCore::submit`]; a cross-shard job is held here
+    /// on each shard it booked, with the hold costed on the merged
+    /// placement, by the sharded driver's scatter (`crate::shard`).
+    pub(crate) fn hold(
         &mut self,
         alloc: &p2pmpi_core::allocation::Allocation,
         key: p2pmpi_overlay::ReservationKey,
-        hold: SimDuration,
-    ) {
-        self.succeeded += 1;
-        self.hold_secs_total += hold.as_secs_f64();
-        let done_at = self.tb.overlay.now() + hold;
-        self.charge_remote(alloc, hold);
-        let peers: Vec<_> = alloc.hosts.iter().map(|h| h.peer).collect();
-        self.tb.overlay.schedule_completion(done_at, key, peers);
-    }
-
-    /// Adds `hold`'s core-seconds for `alloc`'s hosts to this core's
-    /// per-site ledger without scheduling anything — the charging half of
-    /// [`SweepCore::record_success`], used on its own when the completion
-    /// is scattered back in a barrier batch.
-    pub(crate) fn charge_remote(
-        &mut self,
-        alloc: &p2pmpi_core::allocation::Allocation,
         hold: SimDuration,
     ) {
         // Per-site cores this job holds, summed before the bin spread so
@@ -1289,6 +1281,9 @@ impl SweepCore {
                 }
             }
         }
+        let done_at = self.tb.overlay.now() + hold;
+        let peers: Vec<_> = alloc.hosts.iter().map(|h| h.peer).collect();
+        self.tb.overlay.schedule_completion(done_at, key, peers);
     }
 
     /// Submits one job: advance the timeline to its arrival, broker it,
@@ -1312,7 +1307,9 @@ impl SweepCore {
             Ok(alloc) => {
                 let makespan = self.shape_costs.makespan(job.kernel, alloc);
                 let hold = makespan.mul_f64(self.cfg.duration_scale);
-                self.record_success(alloc, report.key, hold);
+                self.succeeded += 1;
+                self.hold_secs_total += hold.as_secs_f64();
+                self.hold(alloc, report.key, hold);
             }
             Err(_) => self.failed += 1,
         }

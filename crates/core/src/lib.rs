@@ -75,9 +75,7 @@ pub use feasibility::{check_feasibility, Infeasibility};
 pub use overbooking::OverbookingPolicy;
 pub use rank::assign_ranks;
 pub use request::{JobRequest, RequestError};
-pub use reservation::{
-    allocate, AllocationError, CoAllocationReport, CoAllocator, CoAllocatorParams,
-};
+pub use reservation::{allocate, AllocationError, CoAllocationReport, CoAllocator};
 pub use spread::Spread;
 pub use stats::{total_hosts, total_processes, usage_by_site, SiteUsage};
 pub use strategy::{AllocationStrategy, StrategyKind};
@@ -87,7 +85,7 @@ pub mod prelude {
     pub use crate::allocation::Allocation;
     pub use crate::overbooking::OverbookingPolicy;
     pub use crate::request::{JobRequest, PlannedHost};
-    pub use crate::reservation::{allocate, CoAllocator, CoAllocatorParams};
+    pub use crate::reservation::{allocate, CoAllocator};
     pub use crate::stats::{usage_by_site, SiteUsage};
     pub use crate::strategy::{AllocationStrategy, StrategyKind};
 }

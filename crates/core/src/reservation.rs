@@ -33,6 +33,14 @@
 //!    reaches the submitter with its own elapsed time, the others are
 //!    observed as timeouts, and the clock ends at the round's last message
 //!    either way.
+//!
+//! A [`CoAllocator`] keeps a job's pass through these steps in one plain
+//! value of its own, a `Booking`: the booking list, the RS outcomes,
+//! `rlist`, the capacities and per-host counts, the start round's requests
+//! and replies, and the report's counters.  The allocator reuses it from
+//! job to job, cleared but never freed, so a warm allocator allocates only
+//! a placed job's result: the [`Allocation`]'s host vector and its flat
+//! rank vector, whatever the job's host count.
 
 use crate::allocation::{AllocatedHost, Allocation};
 use crate::capacity::host_capacity;
@@ -45,7 +53,7 @@ use p2pmpi_overlay::overlay::{Overlay, RsOutcome};
 use p2pmpi_overlay::peer::PeerId;
 use p2pmpi_simgrid::time::SimDuration;
 use p2pmpi_simgrid::trace::TraceCategory;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::fmt;
 
 /// Why a co-allocation attempt failed.
@@ -115,36 +123,20 @@ impl CoAllocationReport {
     }
 }
 
-/// Parameters of the co-allocation driver.
-#[derive(Debug, Clone, Copy)]
-pub struct CoAllocatorParams {
-    /// Overbooking policy applied at the booking step.
-    pub overbooking: OverbookingPolicy,
-    /// Whether to pull a fresh host list from the supernode (and probe the
-    /// newcomers) when the cache holds fewer peers than `n × r`.
-    pub refresh_cache_if_short: bool,
-    /// Whether the submitter's own host is a candidate resource (it is in
-    /// the paper's experiments: the Nancy submitter is part of the Nancy
-    /// pool).
-    pub include_submitter: bool,
-}
-
-impl Default for CoAllocatorParams {
-    fn default() -> Self {
-        CoAllocatorParams {
-            overbooking: OverbookingPolicy::default(),
-            refresh_cache_if_short: true,
-            include_submitter: true,
-        }
-    }
-}
-
-/// Counters accumulated while the procedure runs; assembled into the
-/// [`CoAllocationReport`] once the outcome is known, so the report never
-/// carries a placeholder error.
-#[derive(Debug, Clone, Copy)]
-struct BrokeringStats {
-    booked: usize,
+/// One job's pass through the eight steps: the buffers the steps fill and
+/// the counters its [`CoAllocationReport`] carries.  A [`CoAllocator`]
+/// keeps one and reuses it across jobs: each job starts by clearing the
+/// buffers, which keeps their capacity, and zeroing the counters.  The
+/// report's `booked` is the length of `booked`, which step 2 fills.
+#[derive(Default)]
+struct Booking {
+    booked: Vec<PeerId>,
+    outcomes: Vec<(PeerId, RsOutcome)>,
+    rlist: Vec<(PeerId, u32)>, // (peer, owner P)
+    capacities: Vec<u32>,
+    counts: Vec<u32>,
+    start_requests: Vec<(PeerId, u32)>, // (peer, ranks to start)
+    start_outcomes: Vec<(PeerId, StartReply, SimDuration)>,
     granted: usize,
     refused: usize,
     dead: usize,
@@ -152,73 +144,36 @@ struct BrokeringStats {
     elapsed: SimDuration,
 }
 
-impl BrokeringStats {
-    fn new() -> Self {
-        BrokeringStats {
-            booked: 0,
-            granted: 0,
-            refused: 0,
-            dead: 0,
-            cancelled_unused: 0,
-            elapsed: SimDuration::ZERO,
-        }
-    }
-}
-
-/// Reusable buffers for the per-job hot path.  Booking lists, brokering
-/// outcomes, `rlist`, capacities and per-host counts live here and are
-/// cleared — never freed — between jobs.  What a warm allocator still
-/// allocates per placed job is the result itself: two vectors, its hosts
-/// and its flat rank instances, which move into the returned
-/// [`Allocation`], whatever the job's host count.
-#[derive(Debug, Default)]
-struct AllocScratch {
-    booked: Vec<PeerId>,
-    outcomes: Vec<(PeerId, RsOutcome)>,
-    start_requests: Vec<(PeerId, u32)>, // (peer, ranks to start)
-    start_outcomes: Vec<(PeerId, StartReply, SimDuration)>,
-    rlist: Vec<(PeerId, u32)>, // (peer, owner P)
-    capacities: Vec<u32>,
-    counts: Vec<u32>,
-}
-
 /// Drives the reservation procedure over an overlay.
 ///
-/// The driver owns reusable scratch buffers, so keep one allocator alive
+/// The driver owns one reusable `Booking`, so keep one allocator alive
 /// across a job sweep instead of constructing one per submission.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct CoAllocator {
-    params: CoAllocatorParams,
-    scratch: RefCell<AllocScratch>,
+    overbooking: OverbookingPolicy,
+    booking: Cell<Booking>,
 }
 
-impl Clone for CoAllocator {
-    fn clone(&self) -> Self {
-        // Scratch space is per-instance; clones start cold.
-        CoAllocator {
-            params: self.params,
-            scratch: RefCell::new(AllocScratch::default()),
-        }
+impl fmt::Debug for CoAllocator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CoAllocator")
+            .field("overbooking", &self.overbooking)
+            .finish_non_exhaustive()
     }
 }
 
 impl CoAllocator {
-    /// A driver with default parameters.
+    /// A driver with the default overbooking policy.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A driver with explicit parameters.
-    pub fn with_params(params: CoAllocatorParams) -> Self {
+    /// A driver that books with `overbooking` at step 2.
+    pub fn with_overbooking(overbooking: OverbookingPolicy) -> Self {
         CoAllocator {
-            params,
-            scratch: RefCell::new(AllocScratch::default()),
+            overbooking,
+            booking: Cell::default(),
         }
-    }
-
-    /// The driver parameters.
-    pub fn params(&self) -> CoAllocatorParams {
-        self.params
     }
 
     /// Runs the full procedure for `request`, submitted from `submitter`.
@@ -229,29 +184,47 @@ impl CoAllocator {
         request: &JobRequest,
     ) -> CoAllocationReport {
         let key = overlay.generate_key();
-        let mut stats = BrokeringStats::new();
-        let outcome = self.run_procedure(overlay, submitter, request, key, &mut stats);
-        CoAllocationReport {
+        let mut b = self.booking.take();
+        b.clear();
+        let outcome = b.run(self.overbooking, overlay, submitter, request, key);
+        let report = CoAllocationReport {
             key,
             outcome,
-            booked: stats.booked,
-            granted: stats.granted,
-            refused: stats.refused,
-            dead: stats.dead,
-            cancelled_unused: stats.cancelled_unused,
-            elapsed: stats.elapsed,
-        }
+            booked: b.booked.len(),
+            granted: b.granted,
+            refused: b.refused,
+            dead: b.dead,
+            cancelled_unused: b.cancelled_unused,
+            elapsed: b.elapsed,
+        };
+        self.booking.set(b);
+        report
+    }
+}
+
+impl Booking {
+    /// Clears the buffers, keeping their capacity, and zeroes the counters.
+    fn clear(&mut self) {
+        self.booked.clear();
+        self.outcomes.clear();
+        self.rlist.clear();
+        self.capacities.clear();
+        self.counts.clear();
+        self.start_requests.clear();
+        self.start_outcomes.clear();
+        (self.granted, self.refused, self.dead, self.cancelled_unused) = (0, 0, 0, 0);
+        self.elapsed = SimDuration::ZERO;
     }
 
-    /// The eight steps proper.  Early exits use `?`/`return Err(..)`;
-    /// `stats` carries whatever counters were accumulated up to that point.
-    fn run_procedure(
-        &self,
+    /// The eight steps proper.  Early exits use `?`/`return Err(..)`; the
+    /// counters hold whatever was accumulated up to that point.
+    fn run(
+        &mut self,
+        overbooking: OverbookingPolicy,
         overlay: &mut Overlay,
         submitter: PeerId,
         request: &JobRequest,
         key: ReservationKey,
-        stats: &mut BrokeringStats,
     ) -> Result<Allocation, AllocationError> {
         request
             .validate()
@@ -259,36 +232,33 @@ impl CoAllocator {
         let n = request.processes;
         let r = request.replication;
         let total = request.total_instances();
-
-        // Step 2 — booking: make sure enough peers are known, then walk the
-        // cache in ascending-latency order.
-        if self.params.refresh_cache_if_short
-            && overlay.node(submitter).cache.len() < total as usize
-        {
-            let (added, d) = overlay.refresh_cache(submitter);
-            stats.elapsed += d;
-            if added > 0 {
-                stats.elapsed += overlay.probe_round(submitter);
-            }
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        let AllocScratch {
+        let Booking {
             booked,
             outcomes,
-            start_requests,
-            start_outcomes,
             rlist,
             capacities,
             counts,
-        } = &mut *scratch;
+            start_requests,
+            start_outcomes,
+            granted,
+            refused,
+            dead,
+            cancelled_unused,
+            elapsed: spent,
+        } = self;
 
-        let candidate_count =
-            usize::from(self.params.include_submitter) + overlay.node(submitter).cache.len();
-        let booking_target = self
-            .params
-            .overbooking
-            .booking_target(total as usize, candidate_count);
-        booked.clear();
+        // Step 2 — booking: make sure enough peers are known, then walk the
+        // cache in ascending-latency order.  The submitter's own host is a
+        // candidate (the Nancy submitter is part of the Nancy pool).
+        if overlay.node(submitter).cache.len() < total as usize {
+            let (added, d) = overlay.refresh_cache(submitter);
+            *spent += d;
+            if added > 0 {
+                *spent += overlay.probe_round(submitter);
+            }
+        }
+        let candidate_count = 1 + overlay.node(submitter).cache.len();
+        let booking_target = overbooking.booking_target(total as usize, candidate_count);
         if let Some(plan) = request.plan.as_deref() {
             // A search plan books its peers first, in plan order, so a full
             // round of grants puts them at the head of the slist.
@@ -299,7 +269,7 @@ impl CoAllocator {
             }
         }
         let plan_prefix = booked.len();
-        if self.params.include_submitter && booking_target > 0 && !booked.contains(&submitter) {
+        if booking_target > 0 && !booked.contains(&submitter) {
             booked.push(submitter);
         }
         for peer in overlay.ranking_iter(submitter) {
@@ -311,14 +281,12 @@ impl CoAllocator {
             }
             booked.push(peer);
         }
-        stats.booked = booked.len();
 
         // Steps 3–5 — RS brokering.  The requests go out concurrently and
         // `rs_round_into` walks their replies and timeouts merged with the
         // timeline, handing the outcomes back in send order.  The virtual
         // clock genuinely waits out dead peers' timeouts while the phase's
         // reported duration stays the slowest exchange.
-        rlist.clear();
         overlay.rs_round_into(submitter, key, booked, total, outcomes);
         let mut phase_elapsed = SimDuration::ZERO;
         for &(peer, outcome) in outcomes.iter() {
@@ -327,32 +295,31 @@ impl CoAllocator {
                     phase_elapsed = phase_elapsed.max(elapsed);
                     match reply {
                         ReservationReply::Ok { capacity_p } => {
-                            stats.granted += 1;
+                            *granted += 1;
                             rlist.push((peer, capacity_p));
                         }
-                        ReservationReply::Nok(_) => stats.refused += 1,
+                        ReservationReply::Nok(_) => *refused += 1,
                     }
                 }
                 RsOutcome::Timeout { elapsed } => {
                     phase_elapsed = phase_elapsed.max(elapsed);
-                    stats.dead += 1;
+                    *dead += 1;
                     // Step 5: dead peers are removed from the cached list.
                     overlay.node_mut(submitter).cache.remove(peer);
                 }
             }
         }
-        stats.elapsed += phase_elapsed;
+        *spent += phase_elapsed;
 
         // Step 6 — slist extraction and cancellation of surplus reservations.
         let slist_len = rlist.len().min(total as usize);
         let (slist, surplus) = rlist.split_at(slist_len);
         for &(peer, _) in surplus {
             overlay.rs_cancel(submitter, peer, key);
-            stats.cancelled_unused += 1;
+            *cancelled_unused += 1;
         }
 
         // Feasibility.
-        capacities.clear();
         capacities.extend(slist.iter().map(|&(_, p)| host_capacity(p, n)));
         if let Err(inf) = check_feasibility(capacities, n, r) {
             for &(peer, _) in slist {
@@ -388,7 +355,7 @@ impl CoAllocator {
             let u = counts[i];
             if u == 0 {
                 overlay.rs_cancel(submitter, peer, key);
-                stats.cancelled_unused += 1;
+                *cancelled_unused += 1;
                 continue;
             }
             hosts.push(AllocatedHost {
@@ -405,7 +372,6 @@ impl CoAllocator {
         // (so crashes and recoveries mid-start interleave honestly with
         // the timeline).  `start_round_into` walks the round merged with
         // the timeline and returns outcomes in send order.
-        start_requests.clear();
         start_requests.extend(hosts.iter().map(|h| (h.peer, h.instances())));
         overlay.start_round_into(submitter, key, start_requests, start_outcomes);
         let mut start_elapsed = SimDuration::ZERO;
@@ -416,7 +382,7 @@ impl CoAllocator {
                 failed = Some((peer, reply));
             }
         }
-        stats.elapsed += start_elapsed;
+        *spent += start_elapsed;
         if let Some((peer, reply)) = failed {
             // Roll back every host that did start and give up (first
             // failure in send order is the one reported).
@@ -486,7 +452,7 @@ fn plan_assignment(
     true
 }
 
-/// Convenience wrapper: allocate with default parameters.
+/// Convenience wrapper: allocate with a fresh [`CoAllocator::new`].
 pub fn allocate(
     overlay: &mut Overlay,
     submitter: PeerId,
@@ -500,7 +466,6 @@ mod tests {
     use super::*;
     use crate::strategy::StrategyKind;
     use p2pmpi_overlay::boot::OverlayBuilder;
-    use p2pmpi_overlay::config::OwnerConfig;
     use p2pmpi_simgrid::noise::NoiseModel;
     use p2pmpi_simgrid::topology::{NodeSpec, Topology, TopologyBuilder};
     use std::sync::Arc;
@@ -700,11 +665,8 @@ mod tests {
     fn unused_overbooked_reservations_are_cancelled() {
         let (mut o, submitter) = booted_overlay();
         let req = JobRequest::new(2, StrategyKind::Concentrate, "prog");
-        let params = CoAllocatorParams {
-            overbooking: OverbookingPolicy::Additive(4),
-            ..CoAllocatorParams::default()
-        };
-        let report = CoAllocator::with_params(params).allocate(&mut o, submitter, &req);
+        let allocator = CoAllocator::with_overbooking(OverbookingPolicy::Additive(4));
+        let report = allocator.allocate(&mut o, submitter, &req);
         assert!(report.is_success());
         assert_eq!(report.booked, 6);
         assert!(report.cancelled_unused >= 4);
@@ -774,25 +736,45 @@ mod tests {
     }
 
     #[test]
-    fn excluding_submitter_keeps_its_host_free() {
-        let topo = topology();
-        let mut o = OverlayBuilder::new(topo.clone())
-            .seed(3)
-            .noise(NoiseModel::disabled())
-            .peer_per_host(|h| OwnerConfig::with_procs(h.cores as u32))
-            .build();
-        o.boot_all();
-        let submitter = o
-            .peer_on_host(topo.host_by_name("l-0").unwrap().id)
-            .unwrap();
-        o.bootstrap_peer(submitter);
-        let params = CoAllocatorParams {
-            include_submitter: false,
-            ..CoAllocatorParams::default()
+    fn a_reused_booking_reports_like_a_fresh_one() {
+        // Jobs x that leave every counter non-zero at least once: a full
+        // grid, a refusal on it, then a killed peer and an overbooked
+        // surplus.
+        let policy = OverbookingPolicy::Additive(4);
+        let run_xs = |o: &mut Overlay, submitter: PeerId, allocator: &CoAllocator| {
+            let topo = o.topology().clone();
+            let small = JobRequest::new(2, StrategyKind::Concentrate, "x");
+            let full = allocator.allocate(
+                o,
+                submitter,
+                &JobRequest::new(20, StrategyKind::Concentrate, "full"),
+            );
+            let refused = allocator.allocate(o, submitter, &small);
+            for h in &full.allocation().hosts {
+                o.complete_job(h.peer, full.key);
+            }
+            o.kill_peer(
+                o.peer_on_host(topo.host_by_name("l-1").unwrap().id)
+                    .unwrap(),
+            );
+            let killed = allocator.allocate(o, submitter, &small);
+            [full, refused, killed]
         };
-        let req = JobRequest::new(4, StrategyKind::Concentrate, "prog");
-        let report = CoAllocator::with_params(params).allocate(&mut o, submitter, &req);
-        let alloc = report.allocation();
-        assert!(alloc.hosts.iter().all(|h| h.peer != submitter));
+        let y = JobRequest::new(4, StrategyKind::Spread, "y");
+
+        let (mut a, submitter) = booted_overlay();
+        let reused = CoAllocator::with_overbooking(policy);
+        let xs = run_xs(&mut a, submitter, &reused);
+        assert!(xs.iter().any(|x| x.granted > 0 && x.is_success()));
+        assert!(xs.iter().any(|x| x.refused > 0));
+        assert!(xs.iter().any(|x| x.dead > 0));
+        assert!(xs.iter().any(|x| x.cancelled_unused > 0));
+        let y_reused = reused.allocate(&mut a, submitter, &y);
+
+        let (mut b, submitter) = booted_overlay();
+        run_xs(&mut b, submitter, &CoAllocator::with_overbooking(policy));
+        let y_fresh = CoAllocator::with_overbooking(policy).allocate(&mut b, submitter, &y);
+        // Every field of the report: key, outcome and the counters.
+        assert_eq!(format!("{y_reused:?}"), format!("{y_fresh:?}"));
     }
 }

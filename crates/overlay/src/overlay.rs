@@ -700,37 +700,6 @@ impl Overlay {
         ev
     }
 
-    /// Schedules a batch of job completions in iteration order through the
-    /// event queue's bulk splice, appending each completion's event key to
-    /// `keys`.  Semantically identical to calling
-    /// [`Overlay::schedule_completion`] per job — the batch occupies
-    /// consecutive sequence numbers, so same-instant completions fire in
-    /// batch order — but the payload store reserves once.  This is the
-    /// scatter-back path of the sharded sweep driver: a barrier that
-    /// brokered a cross-shard job splices the completion events of all its
-    /// sub-allocations into each owning shard's timeline in one call.
-    pub fn schedule_completion_batch(
-        &mut self,
-        jobs: impl IntoIterator<Item = (SimTime, ReservationKey, Vec<PeerId>)>,
-        keys: &mut Vec<EventKey>,
-    ) {
-        let track = self.fail_jobs_on_crash;
-        let mut tracked: Vec<(ReservationKey, Vec<PeerId>)> = Vec::new();
-        let start = keys.len();
-        self.sim.schedule_batch(
-            jobs.into_iter().map(|(at, key, peers)| {
-                if track {
-                    tracked.push((key, peers.clone()));
-                }
-                (at, OverlayEvent::JobComplete { key, peers })
-            }),
-            keys,
-        );
-        for ((key, peers), ev) in tracked.into_iter().zip(&keys[start..]) {
-            self.running_jobs.insert(key, (*ev, peers));
-        }
-    }
-
     /// Cancels a scheduled job completion (the hosts stay booked; the caller
     /// is expected to free them itself).  Returns the job's peers if the
     /// completion was still pending.

@@ -122,27 +122,6 @@ impl<E> TypedEngine<E> {
         self.queue.reap()
     }
 
-    /// Schedules a batch of events in iteration order (consecutive sequence
-    /// numbers, so same-instant events fire in batch order), appending each
-    /// event's key to `keys`.  Scheduling in the past panics, as in
-    /// [`TypedEngine::schedule_at`].
-    pub fn schedule_batch(
-        &mut self,
-        events: impl IntoIterator<Item = (SimTime, E)>,
-        keys: &mut Vec<EventKey>,
-    ) {
-        let now = self.now;
-        self.queue.push_batch(
-            events.into_iter().inspect(|(at, _)| {
-                assert!(
-                    *at >= now,
-                    "cannot schedule an event in the past ({at} < {now})"
-                );
-            }),
-            keys,
-        );
-    }
-
     /// Schedules `event` at absolute time `at`, returning its key for
     /// [`TypedEngine::cancel`].  Scheduling in the past panics.
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventKey {

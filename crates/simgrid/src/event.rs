@@ -72,10 +72,9 @@
 //!   shard's `(time, seq)` order is exactly the order *that shard*
 //!   scheduled its events, independent of thread interleaving; a parallel
 //!   run is bit-identical to a sequential execution of the same per-shard
-//!   schedules.  Cross-shard completions are scattered back through
-//!   [`EventQueue::push_batch`] at the barrier, in deterministic
-//!   (shard-index, job) order, so they too occupy reproducible sequence
-//!   numbers.
+//!   schedules.  Cross-shard completions are scattered back at the
+//!   barrier with ordinary pushes, in deterministic (shard-index, job)
+//!   order, so they too occupy reproducible sequence numbers.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -508,29 +507,6 @@ impl<E> EventQueue<E> {
         key
     }
 
-    /// Schedules a batch of events in iteration order, appending each
-    /// event's key to `keys`.  Equivalent to calling [`EventQueue::push`]
-    /// per item — the batch occupies consecutive sequence numbers, so FIFO
-    /// ties respect iteration order — but payload-store capacity is
-    /// reserved up front from the iterator's size hint.  This is the
-    /// scatter-back splice of a sharded simulation: a barrier that brokered
-    /// a cross-shard job pushes the job's completion events into each
-    /// owning shard's timeline in one call (see the module docs' *Parallel
-    /// shards* section).
-    pub fn push_batch(
-        &mut self,
-        events: impl IntoIterator<Item = (SimTime, E)>,
-        keys: &mut Vec<EventKey>,
-    ) {
-        let events = events.into_iter();
-        let (lower, _) = events.size_hint();
-        self.store.reserve(lower);
-        keys.reserve(lower);
-        for (time, payload) in events {
-            keys.push(self.push(time, payload));
-        }
-    }
-
     /// Revokes a pending event, returning its payload.  Returns `None` if
     /// the key is stale — the event already fired, was already cancelled, or
     /// the queue was cleared — making cancel-after-fire races harmless.
@@ -926,21 +902,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().payload, 40);
         assert_eq!(q.live_len(), 59);
         assert_eq!(q.queued_len(), 59);
-    }
-
-    #[test]
-    fn push_batch_preserves_fifo_and_returns_cancelable_keys() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        let mut keys = Vec::new();
-        q.push_batch((0..50u64).map(|i| (t, i)), &mut keys);
-        assert_eq!(keys.len(), 50);
-        assert_eq!(q.cancel(keys[10]), Some(10));
-        // The batch occupies consecutive sequence numbers: survivors of the
-        // tie group drain in batch order.
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|s| s.payload)).collect();
-        let expected: Vec<u64> = (0..50).filter(|&i| i != 10).collect();
-        assert_eq!(order, expected);
     }
 
     #[test]

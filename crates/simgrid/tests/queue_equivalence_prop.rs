@@ -22,8 +22,6 @@ enum Op {
     /// Push at `floor + offset` (the floor is the last popped time, so the
     /// schedule never goes backwards the way an engine never would).
     Push(u64),
-    /// `push_batch` of several events at `floor + offset` each.
-    PushBatch(Vec<u64>),
     /// Cancel a random still-tracked key (may already be stale).
     Cancel(usize),
     /// Pop the earliest event.
@@ -54,12 +52,7 @@ fn script(seed: u64, ops: usize) -> Vec<Op> {
     let mut rng = seeded(seed);
     (0..ops)
         .map(|_| match rng.gen_range(0u32..100) {
-            0..=44 => Op::Push(offset(&mut rng)),
-            45..=49 => Op::PushBatch(
-                (0..rng.gen_range(1usize..8))
-                    .map(|_| offset(&mut rng))
-                    .collect(),
-            ),
+            0..=49 => Op::Push(offset(&mut rng)),
             50..=64 => Op::Cancel(rng.gen()),
             65..=79 => Op::Pop,
             80..=84 => Op::PopBefore(offset(&mut rng), rng.gen()),
@@ -177,7 +170,6 @@ proptest! {
         let mut reference = Reference::default();
         // Every key handed out, with the reference seq it stands for.
         let mut keys: Vec<(EventKey, u64)> = Vec::new();
-        let mut batch_keys = Vec::new();
         let mut floor = 0u64;
         for (i, op) in script(seed, ops).into_iter().enumerate() {
             let payload = i as u32;
@@ -185,18 +177,6 @@ proptest! {
                 Op::Push(offset) => {
                     let t = SimTime::from_nanos(floor + offset);
                     keys.push((queue.push(t, payload), reference.push(t, payload)));
-                }
-                Op::PushBatch(offsets) => {
-                    let events: Vec<(SimTime, u32)> = offsets
-                        .iter()
-                        .map(|&o| (SimTime::from_nanos(floor + o), payload))
-                        .collect();
-                    batch_keys.clear();
-                    queue.push_batch(events.iter().copied(), &mut batch_keys);
-                    prop_assert_eq!(batch_keys.len(), events.len());
-                    for (&key, &(t, p)) in batch_keys.iter().zip(&events) {
-                        keys.push((key, reference.push(t, p)));
-                    }
                 }
                 Op::Cancel(pick) => {
                     if keys.is_empty() {

@@ -3,7 +3,7 @@
 //! consistent across repeated submissions.
 
 use p2p_mpi::prelude::*;
-use p2pmpi_core::reservation::{CoAllocator, CoAllocatorParams};
+use p2pmpi_core::reservation::CoAllocator;
 use p2pmpi_overlay::churn::{random_churn, ChurnSchedule};
 use p2pmpi_simgrid::rngutil;
 use p2pmpi_simgrid::time::SimTime;
@@ -31,10 +31,7 @@ fn overbooking_absorbs_crashed_peers() {
         .run_until(tb.overlay.now() + SimDuration::from_secs(2));
     assert!(tb.overlay.alive_count() <= 350 - 30);
 
-    let allocator = CoAllocator::with_params(CoAllocatorParams {
-        overbooking: OverbookingPolicy::Factor(1.5),
-        ..CoAllocatorParams::default()
-    });
+    let allocator = CoAllocator::with_overbooking(OverbookingPolicy::Factor(1.5));
     let report = allocator.allocate(
         &mut tb.overlay,
         tb.submitter,
