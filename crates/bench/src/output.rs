@@ -23,7 +23,7 @@ pub fn format_table1(specs: &[ClusterSpec]) -> String {
 /// Renders the figure legend the paper prints in the top-left corner of
 /// Figures 2 and 3: per site, the RTT to Nancy and the available hosts and
 /// cores.
-pub fn print_legend() -> String {
+fn print_legend() -> String {
     let mut out = String::from("# site\trtt_to_nancy_ms\thosts\tcores\n");
     for (site, rtt, hosts, cores) in legend() {
         out.push_str(&format!("# {site}\t{rtt:.3}\t{hosts}\t{cores}\n"));

@@ -853,7 +853,7 @@ fn site_index(r: &DaySweepResult, site: &str) -> usize {
 /// Time-to-95%-of-twin-utilisation: the delay from `end_secs` (the close
 /// of the fault window) until the faulted run's grid-total core-seconds
 /// (the binned ledger, [`DaySweepResult::site_core_bins`]) first regains
-/// [`RECOVERY_UTILISATION_RATIO`] of the twin's in the same bin, scanning
+/// `RECOVERY_UTILISATION_RATIO` of the twin's in the same bin, scanning
 /// from the first bin fully past `end_secs`.  An empty twin bin satisfies
 /// the ratio trivially: there is nothing to recover *to*.  `None` means
 /// utilisation never got back within 5% before the series ended.

@@ -138,7 +138,7 @@ impl SeedKind {
     }
 
     /// The closest paper strategy (labels Figure 4 points).
-    pub fn strategy_label(self) -> StrategyKind {
+    fn strategy_label(self) -> StrategyKind {
         match self {
             SeedKind::Concentrate | SeedKind::FastConcentrate => StrategyKind::Concentrate,
             SeedKind::Spread | SeedKind::FastSpread => StrategyKind::Spread,
@@ -658,7 +658,7 @@ struct Prepared {
 /// [`IdleSlotIndex`] over the process-wide cached schedule
 /// ([`cached_kernel_schedule`]); the only state carried from one arrival to
 /// the next is `last_plan`, the previous annealed plan of each kernel shape,
-/// which seeds the shape's next walk ([`Self::seed_for`]).
+/// which seeds the shape's next walk (`Self::seed_for`).
 pub struct SearchContext {
     topology: Arc<Topology>,
     settings: Fig4Settings,
@@ -678,7 +678,7 @@ pub struct SearchContext {
 
 impl SearchContext {
     /// A context that has searched nothing yet (every shape's first arrival
-    /// seeds from [`Self::seed_hosts_capped`]).
+    /// seeds from `Self::seed_hosts_capped`).
     pub fn new(
         topology: Arc<Topology>,
         settings: Fig4Settings,
@@ -704,7 +704,7 @@ impl SearchContext {
     /// The search's seed placement under per-host free capacities:
     /// concentrate onto the fastest free cores.  `None` when the free
     /// cores cannot hold `n` ranks.
-    pub fn seed_hosts_capped(&self, caps: &[u32], n: u32) -> Option<Vec<HostId>> {
+    fn seed_hosts_capped(&self, caps: &[u32], n: u32) -> Option<Vec<HostId>> {
         let slots = fill_hosts(&self.speed_order, |h| caps[h.0] as usize, n as usize);
         // A 0-rank job has no placement to search.
         (n > 0 && slots.len() == n as usize).then_some(slots)
@@ -754,7 +754,7 @@ impl SearchContext {
 
     /// Phase 1 of one arrival: build the evaluator and idle-slot index for
     /// the kernel shape over the grid's current free capacities, seeded by
-    /// [`Self::seed_for`].  Returns the token [`Self::anneal_prepared`]
+    /// `Self::seed_for`.  Returns the token [`Self::anneal_prepared`]
     /// takes, or `None` when the free cores cannot hold the job.
     pub fn prepare(&mut self, kernel: Fig4Kernel, n: u32, caps: &[u32]) -> Option<usize> {
         let seed = self.seed_for(kernel, n, caps)?;

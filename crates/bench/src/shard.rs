@@ -12,7 +12,7 @@
 //! overlay's periodic machinery (heartbeats, expiry sweeps, cache
 //! refreshes, churn) never crosses sites at all.  The driver exploits that:
 //! [`ShardPlan`] partitions the grid into site-aligned shards, each shard
-//! gets its own [`crate::workload::SweepCore`] — overlay, event timeline,
+//! gets its own `crate::workload::SweepCore` — overlay, event timeline,
 //! allocator, RNG substreams, sharing **nothing** with its siblings — and
 //! the shard timelines run on persistent *lanes* between barriers (see
 //! "Lanes" below).
@@ -245,13 +245,20 @@ fn broker_cross(
     stats.submitted += 1;
     // The merged view: each quiesced shard's free cores at the barrier.
     let capacities: Vec<u32> = cores.iter().map(|core| core.free_cores()).collect();
-    let split = base.strategy.distribute(&capacities, job.ranks);
+    // A job larger than the merged view is refused before it is split
+    // (`distribute` requires the capacities to cover the ranks).
+    let free: u64 = capacities.iter().map(|&c| u64::from(c)).sum();
+    let mut refused = free < u64::from(job.ranks);
+    let split = if refused {
+        Vec::new()
+    } else {
+        base.strategy.distribute(&capacities, job.ranks)
+    };
     // All-or-nothing: each shard of the split books through its own
     // allocator, and a refusal rolls back the shards already booked.  A
-    // short split is refused, and so is one that books no shard (a
-    // zero-rank job, which `run_day_sweep` refuses as `InvalidRequest`).
+    // split that books no shard (a zero-rank job, which `run_day_sweep`
+    // refuses as `InvalidRequest`) is refused too.
     let mut booked = Vec::new();
-    let mut refused = split.iter().sum::<u32>() != job.ranks;
     for (s, &n) in split.iter().enumerate().filter(|&(_, &n)| n > 0) {
         if refused {
             break;
@@ -890,6 +897,22 @@ mod tests {
         // is counted refused, as `run_day_sweep` refuses a zero-rank job.
         let mut cfg = reduced(StrategyKind::Concentrate, 1.0);
         cfg.base.mix.ranks = vec![0];
+        cfg.base.profile = cfg.base.profile.scaled(0.2);
+        cfg.parallel = false;
+        let r = run_shard_sweep(&cfg);
+        assert!(r.cross_submitted > 0);
+        assert_eq!(r.cross_failed, r.cross_submitted);
+        assert_eq!(r.merged.failed, r.merged.submitted);
+    }
+
+    #[test]
+    fn a_cross_job_larger_than_the_merged_view_is_refused_without_a_panic() {
+        // Every job is cross-shard and asks for more ranks than the reduced
+        // grid has cores: each is refused before it is split, counted like
+        // any other refusal.
+        let mut cfg = reduced(StrategyKind::Spread, 1.0);
+        let cores: usize = TABLE1.iter().map(|spec| spec.cores).sum();
+        cfg.base.mix.ranks = vec![cores as u32 + 1];
         cfg.base.profile = cfg.base.profile.scaled(0.2);
         cfg.parallel = false;
         let r = run_shard_sweep(&cfg);

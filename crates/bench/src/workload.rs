@@ -65,7 +65,7 @@ pub struct RateSegment {
 /// into an (inhomogeneous, piecewise-constant) Poisson process over the
 /// whole horizon.  Sampling is exact per segment, so the expected total
 /// arrival count is the integral of the rate function
-/// ([`DayProfile::expected_jobs`]).
+/// (`DayProfile::expected_jobs`).
 #[derive(Debug, Clone)]
 pub struct DayProfile {
     segments: Vec<RateSegment>,
@@ -79,7 +79,7 @@ impl DayProfile {
     /// Builds a profile from `(start, rate)` segments over `horizon`.
     /// Segments must start at zero, be strictly ascending, and stay inside
     /// the horizon; rates must be non-negative and finite.
-    pub fn piecewise(segments: Vec<RateSegment>, horizon: SimDuration) -> Self {
+    fn piecewise(segments: Vec<RateSegment>, horizon: SimDuration) -> Self {
         assert!(!segments.is_empty(), "a profile needs at least one segment");
         assert!(
             segments[0].start.is_zero(),
@@ -147,7 +147,7 @@ impl DayProfile {
     }
 
     /// The arrival rate at offset `t`.
-    pub fn rate_at(&self, t: SimDuration) -> f64 {
+    fn rate_at(&self, t: SimDuration) -> f64 {
         self.segments
             .iter()
             .rev()
@@ -158,7 +158,7 @@ impl DayProfile {
 
     /// Expected number of arrivals over the horizon (the integral of the
     /// rate function).
-    pub fn expected_jobs(&self) -> f64 {
+    fn expected_jobs(&self) -> f64 {
         let mut total = 0.0;
         for (i, s) in self.segments.iter().enumerate() {
             let end = self
@@ -237,7 +237,7 @@ impl DayProfile {
     /// the result is a plain [`DayProfile`] that composes with
     /// [`DayProfile::scaled`] and [`DayProfile::compressed`] and samples
     /// through the exact same per-segment machinery as the base day.
-    pub fn with_burst(self, at: SimDuration, duration: SimDuration, factor: f64) -> Self {
+    fn with_burst(self, at: SimDuration, duration: SimDuration, factor: f64) -> Self {
         assert!(
             factor >= 0.0 && factor.is_finite(),
             "burst factor must be finite and non-negative"
@@ -431,7 +431,7 @@ pub enum FaultSpec {
         duration: SimDuration,
     },
     /// Arrival rates multiply by `factor` between `at` and `at + duration`
-    /// (spliced into the profile via [`DayProfile::with_burst`]).
+    /// (spliced into the profile via `DayProfile::with_burst`).
     FlashCrowd {
         /// Burst onset.
         at: SimDuration,
@@ -1351,7 +1351,7 @@ impl SweepCore {
 /// Replays a [`DayProfile`] submission trace against a fresh Grid'5000
 /// testbed on the overlay's event timeline.  See the module docs for the
 /// driver-loop shape; the `day` binary renders the result.  This
-/// is the sequential driver: one [`SweepCore`] over all of Table 1, every
+/// is the sequential driver: one `SweepCore` over all of Table 1, every
 /// job shard-local.  `crate::shard::run_shard_sweep` runs the same loop
 /// split over per-site shards.
 pub fn run_day_sweep(cfg: &DaySweepConfig) -> DaySweepResult {

@@ -4,7 +4,6 @@ use crate::strategy::StrategyKind;
 use p2pmpi_overlay::messages::{RankAssignment, ReservationKey};
 use p2pmpi_overlay::peer::PeerId;
 use p2pmpi_simgrid::topology::HostId;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -146,11 +145,6 @@ impl Allocation {
         table
     }
 
-    /// Number of process instances per host, keyed by host.
-    pub fn instances_per_host(&self) -> HashMap<HostId, u32> {
-        self.hosts.iter().map(|h| (h.host, h.instances())).collect()
-    }
-
     /// Checks every structural invariant the paper requires of a valid
     /// allocation.
     pub fn validate(&self) -> Result<(), AllocationInvariantError> {
@@ -260,7 +254,7 @@ mod tests {
         assert_eq!(a.host_of(1, 0), Some(HostId(0)));
         assert_eq!(a.host_of(7, 0), None);
         assert_eq!(a.placement()[2], vec![HostId(0), HostId(1)]);
-        assert_eq!(a.instances_per_host()[&HostId(0)], 3);
+        assert_eq!(a.hosts[0].instances(), 3);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl IdleSlotIndex {
         self.total_free
     }
 
-    /// Idle slots on one host.
-    pub fn free_on(&self, host: HostId) -> u32 {
-        self.free[host.0]
-    }
-
     /// Takes one slot on `host`; returns `false` (without mutating) if the
     /// host is full.
     pub fn occupy(&mut self, host: HostId) -> bool {
@@ -158,7 +153,7 @@ mod tests {
             assert!(idx.occupy(h1));
         }
         assert!(!idx.occupy(h0), "full host refuses");
-        assert_eq!(idx.free_on(h0), 0);
+        assert_eq!(idx.free[h0.0], 0);
         assert_eq!(idx.free_slots(), 1032);
 
         // Slot 0 now lives on the first non-full host.
@@ -171,7 +166,7 @@ mod tests {
             let mut remaining = k;
             let mut naive = None;
             for h in t.hosts() {
-                let f = u64::from(idx.free_on(h.id));
+                let f = u64::from(idx.free[h.id.0]);
                 if remaining < f {
                     naive = Some(h.id);
                     break;
@@ -182,7 +177,7 @@ mod tests {
         }
 
         idx.release(h0);
-        assert_eq!(idx.free_on(h0), 1);
+        assert_eq!(idx.free[h0.0], 1);
         assert_eq!(idx.nth_free_slot(0), h0);
     }
 
@@ -192,7 +187,7 @@ mod tests {
         let h0 = t.hosts()[0].id;
         let hosts = vec![h0, h0, t.hosts()[5].id];
         let idx = IdleSlotIndex::for_placement(&t, &hosts);
-        assert_eq!(idx.free_on(h0), 2);
+        assert_eq!(idx.free[h0.0], 2);
         assert_eq!(idx.free_slots(), 1037);
     }
 

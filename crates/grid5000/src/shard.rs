@@ -107,11 +107,6 @@ impl ShardPlan {
             .map(|specs| specs.iter().map(|s| s.cores).sum())
             .collect()
     }
-
-    /// `(site, shard)` pairs in first-appearance order.
-    pub fn site_assignments(&self) -> &[(String, usize)] {
-        &self.site_shard
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +159,7 @@ mod tests {
     fn partition_is_deterministic() {
         let a = ShardPlan::partition(TABLE1, 3);
         let b = ShardPlan::partition(TABLE1, 3);
-        assert_eq!(a.site_assignments(), b.site_assignments());
+        assert_eq!(a.site_shard, b.site_shard);
         for s in 0..3 {
             assert_eq!(a.specs_for(s), b.specs_for(s));
         }

@@ -154,7 +154,7 @@ pub fn wan_bandwidth_bps(site_a: &str, site_b: &str) -> f64 {
 }
 
 /// RTT to Nancy for a given site, in milliseconds.
-pub fn rtt_to_nancy_ms(site: &str) -> Option<f64> {
+fn rtt_to_nancy_ms(site: &str) -> Option<f64> {
     RTT_TO_NANCY_MS
         .iter()
         .find(|(s, _)| *s == site)

@@ -2,7 +2,8 @@
 //!
 //! P2P-MPI's fault tolerance replicates each logical process `r` times; the
 //! communication library keeps the copies consistent and the application
-//! survives as long as one copy of each rank remains (Section 3.2 and [11]).
+//! survives as long as one copy of each rank remains (Section 3.2 and the
+//! paper's reference \[11\]).
 //! The registry is the shared, thread-safe record of which instances have
 //! been failed, and the [`FailurePlan`] injects those failures
 //! deterministically (after a given number of MPI operations on a given
@@ -91,7 +92,7 @@ impl Registry {
     }
 
     /// True if the instance has been failed.
-    pub fn is_failed(&self, rank: Rank, replica: u32) -> bool {
+    fn is_failed(&self, rank: Rank, replica: u32) -> bool {
         self.failed[self.index(rank, replica)].load(Ordering::SeqCst)
     }
 
@@ -103,25 +104,6 @@ impl Registry {
     /// True if `(rank, replica)` is currently the lowest-index alive copy.
     pub fn is_primary(&self, rank: Rank, replica: u32) -> bool {
         self.primary_replica(rank) == Some(replica)
-    }
-
-    /// True if every rank still has at least one alive replica — the
-    /// condition under which P2P-MPI guarantees the application survives.
-    pub fn application_alive(&self, processes: u32) -> bool {
-        (0..processes).all(|rank| self.primary_replica(rank).is_some())
-    }
-
-    /// All failed `(rank, replica)` pairs.
-    pub fn failed_instances(&self, processes: u32) -> Vec<(Rank, u32)> {
-        let mut out = Vec::new();
-        for rank in 0..processes {
-            for rep in 0..self.replication {
-                if self.is_failed(rank, rep) {
-                    out.push((rank, rep));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -152,19 +134,19 @@ mod tests {
         assert!(reg.is_failed(1, 0));
         assert_eq!(reg.primary_replica(1), Some(1));
         assert!(reg.is_primary(1, 1));
-        assert!(reg.application_alive(3));
         reg.mark_failed(1, 1);
+        assert!(reg.is_failed(1, 1));
         assert_eq!(reg.primary_replica(1), None);
-        assert!(!reg.application_alive(3));
-        assert_eq!(reg.failed_instances(3), vec![(1, 0), (1, 1)]);
+        assert_eq!(reg.primary_replica(0), Some(0));
     }
 
     #[test]
     fn unreplicated_registry() {
         let reg = Registry::new(2, 1);
-        assert!(reg.application_alive(2));
+        assert_eq!(reg.primary_replica(0), Some(0));
         reg.mark_failed(0, 0);
-        assert!(!reg.application_alive(2));
-        assert_eq!(reg.failed_instances(2), vec![(0, 0)]);
+        assert!(reg.is_failed(0, 0));
+        assert_eq!(reg.primary_replica(0), None);
+        assert_eq!(reg.primary_replica(1), Some(0));
     }
 }

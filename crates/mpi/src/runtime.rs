@@ -77,11 +77,6 @@ impl<T> JobResult<T> {
             })
             .collect()
     }
-
-    /// Number of instances that completed successfully.
-    pub fn completed_instances(&self) -> usize {
-        self.instances.iter().filter(|i| i.result.is_ok()).count()
-    }
 }
 
 /// Runs MPI jobs over a topology's cost models.
@@ -491,7 +486,10 @@ mod tests {
         });
         assert_eq!(*result.result_of(0).unwrap(), -1);
         assert!(!result.all_ranks_completed());
-        assert_eq!(result.completed_instances(), 1);
+        assert_eq!(
+            result.instances.iter().filter(|i| i.result.is_ok()).count(),
+            1
+        );
     }
 
     #[test]

@@ -29,16 +29,6 @@ impl CommStats {
         self.compute_ops += other.compute_ops;
         self.compute_time += other.compute_time;
     }
-
-    /// Total messages (sent + received).
-    pub fn total_messages(&self) -> u64 {
-        self.messages_sent + self.messages_received
-    }
-
-    /// Total bytes (sent + received).
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_sent + self.bytes_received
-    }
 }
 
 #[cfg(test)]
@@ -66,8 +56,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.messages_sent, 4);
         assert_eq!(a.messages_received, 6);
-        assert_eq!(a.total_messages(), 10);
-        assert_eq!(a.total_bytes(), 100);
+        assert_eq!(a.bytes_sent, 40);
+        assert_eq!(a.bytes_received, 60);
         assert_eq!(a.compute_ops, 7.5);
         assert_eq!(a.compute_time, SimDuration::from_millis(10));
     }
@@ -75,8 +65,8 @@ mod tests {
     #[test]
     fn default_is_zero() {
         let s = CommStats::default();
-        assert_eq!(s.total_messages(), 0);
-        assert_eq!(s.total_bytes(), 0);
+        assert_eq!(s.messages_sent + s.messages_received, 0);
+        assert_eq!(s.bytes_sent + s.bytes_received, 0);
         assert_eq!(s.compute_time, SimDuration::ZERO);
     }
 }

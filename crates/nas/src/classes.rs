@@ -24,7 +24,7 @@ pub enum Class {
 impl Class {
     /// `log2` of the number of random pairs EP generates (`M`; EP generates
     /// `2^M` pairs).
-    pub fn ep_log2_pairs(self) -> u32 {
+    fn ep_log2_pairs(self) -> u32 {
         match self {
             Class::S => 24,
             Class::W => 25,

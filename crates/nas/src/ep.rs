@@ -170,7 +170,7 @@ pub fn ep_kernel(comm: &mut Comm, config: &EpConfig) -> MpiResult<EpResult> {
 /// is the single source of EP's modeled schedule — [`ep_model`] runs it on a
 /// [`ModelComm`], [`ep_schedule`] records it for the placement search's
 /// evaluator.
-pub fn ep_program<P: CollectiveProgram>(p: &mut P, config: &EpConfig) {
+fn ep_program<P: CollectiveProgram>(p: &mut P, config: &EpConfig) {
     let size = p.size();
     let total_pairs = config.class.ep_pairs();
     p.compute(EP_MEMORY_INTENSITY, |rank| {
@@ -193,7 +193,7 @@ pub fn ep_model(model: &mut ModelComm, config: &EpConfig) -> SimDuration {
     model.makespan()
 }
 
-/// Compiles [`ep_program`] for `size` ranks — the schedule hook the
+/// Compiles `ep_program` for `size` ranks — the schedule hook the
 /// placement search (`p2pmpi_mpi::model::PlacementCost`) evaluates.
 pub fn ep_schedule(config: &EpConfig, size: u32) -> CompiledSchedule {
     let mut b = ScheduleBuilder::new(size);

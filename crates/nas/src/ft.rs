@@ -63,7 +63,7 @@ impl FtConfig {
     }
 
     /// Total grid points of the class.
-    pub fn total_points(&self) -> u64 {
+    fn total_points(&self) -> u64 {
         let (nx, ny, nz) = self.class.ft_grid();
         nx * ny * nz
     }

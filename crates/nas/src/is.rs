@@ -73,7 +73,7 @@ impl IsConfig {
     }
 
     /// Number of keys this configuration actually sorts.
-    pub fn effective_keys(&self) -> u64 {
+    fn effective_keys(&self) -> u64 {
         (self.class.is_keys() / self.sample_divisor).max(1)
     }
 }

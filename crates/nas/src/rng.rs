@@ -85,12 +85,6 @@ impl NasRng {
         randlc(&mut self.seed, self.a)
     }
 
-    /// Next key in `[0, max)` (the IS key generator uses sums of four
-    /// uniforms to approximate a Gaussian; see `is.rs`).
-    pub fn next_key(&mut self, max: u64) -> u64 {
-        (self.next_f64() * max as f64) as u64 % max
-    }
-
     /// The current raw seed.
     pub fn seed(&self) -> f64 {
         self.seed
@@ -145,14 +139,6 @@ mod tests {
             .chain((0..100).map(|_| second.next_f64()))
             .collect();
         assert_eq!(full, halves);
-    }
-
-    #[test]
-    fn keys_are_bounded() {
-        let mut rng = NasRng::new(DEFAULT_SEED);
-        for _ in 0..10_000 {
-            assert!(rng.next_key(1 << 11) < (1 << 11));
-        }
     }
 
     #[test]

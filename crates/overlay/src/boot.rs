@@ -8,7 +8,7 @@ use crate::config::OwnerConfig;
 use crate::mpd::MpdNode;
 use crate::overlay::{Overlay, OverlayParams};
 use crate::peer::{PeerDescriptor, PeerId};
-use p2pmpi_simgrid::network::{NetworkModel, NetworkParams};
+use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::noise::NoiseModel;
 use p2pmpi_simgrid::rngutil;
 use p2pmpi_simgrid::topology::{Host, HostId, Topology};
@@ -20,7 +20,6 @@ pub struct OverlayBuilder {
     topology: Arc<Topology>,
     seed: u64,
     noise: NoiseModel,
-    network_params: NetworkParams,
     overlay_params: OverlayParams,
     peers: Vec<(HostId, OwnerConfig)>,
     supernode_host: Option<HostId>,
@@ -34,7 +33,6 @@ impl OverlayBuilder {
             topology,
             seed: 0,
             noise: NoiseModel::default(),
-            network_params: NetworkParams::default(),
             overlay_params: OverlayParams::default(),
             peers: Vec::new(),
             supernode_host: None,
@@ -54,12 +52,6 @@ impl OverlayBuilder {
         self
     }
 
-    /// Sets the network cost-model parameters.
-    pub fn network_params(mut self, params: NetworkParams) -> Self {
-        self.network_params = params;
-        self
-    }
-
     /// Sets the overlay protocol parameters.
     pub fn overlay_params(mut self, params: OverlayParams) -> Self {
         self.overlay_params = params;
@@ -75,12 +67,6 @@ impl OverlayBuilder {
     /// Places the supernode on a specific host (defaults to the first host).
     pub fn supernode_on(mut self, host: HostId) -> Self {
         self.supernode_host = Some(host);
-        self
-    }
-
-    /// Adds a single peer on `host` with the given owner configuration.
-    pub fn add_peer(mut self, host: HostId, config: OwnerConfig) -> Self {
-        self.peers.push((host, config));
         self
     }
 
@@ -128,7 +114,7 @@ impl OverlayBuilder {
             .map(|(i, (host, config))| MpdNode::new(PeerDescriptor::new(PeerId(i), host), config))
             .collect();
         let supernode_host = self.supernode_host.unwrap_or(nodes[0].descriptor.host);
-        let network = NetworkModel::with_params(self.topology.clone(), self.network_params);
+        let network = NetworkModel::new(self.topology.clone());
         let rng = rngutil::substream(self.seed, 0xB007);
         Overlay::assemble(
             self.topology,
@@ -164,6 +150,12 @@ mod tests {
         Arc::new(b.build())
     }
 
+    /// Adds one peer on `host`, as no public builder call does.
+    fn with_peer(mut b: OverlayBuilder, host: HostId, config: OwnerConfig) -> OverlayBuilder {
+        b.peers.push((host, config));
+        b
+    }
+
     #[test]
     fn peer_per_host_places_one_peer_everywhere() {
         let o = OverlayBuilder::new(topo())
@@ -181,9 +173,8 @@ mod tests {
         let t = topo();
         let h0 = t.hosts()[0].id;
         let h2 = t.hosts()[2].id;
-        let o = OverlayBuilder::new(t)
-            .add_peer(h0, OwnerConfig::new(2, 8))
-            .add_peer(h2, OwnerConfig::default())
+        let b = with_peer(OverlayBuilder::new(t), h0, OwnerConfig::new(2, 8));
+        let o = with_peer(b, h2, OwnerConfig::default())
             .supernode_on(h2)
             .seed(7)
             .build();
@@ -214,11 +205,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "more than one peer")]
     fn duplicate_host_panics() {
-        let t = topo();
-        let h = t.hosts()[0].id;
-        OverlayBuilder::new(t)
-            .add_peer(h, OwnerConfig::default())
-            .add_peer(h, OwnerConfig::default())
+        OverlayBuilder::new(topo())
+            .peer_per_host_with_core_capacity()
+            .peer_per_host_with_core_capacity()
             .build();
     }
 }

@@ -99,10 +99,10 @@
 //! events and queues each as one event kind, which [`ChurnKind`] names:
 //!
 //! * a peer crash or recovery ([`Overlay::kill_peer`],
-//!   [`Overlay::revive_peer`]): flapping peers, and a site or rack outage
+//!   `Overlay::revive_peer`): flapping peers, and a site or rack outage
 //!   as one crash and one recovery per peer;
-//! * a supernode crash or restart ([`Overlay::crash_supernode`],
-//!   [`Overlay::recover_supernode`]): the volatile registry is lost, cache
+//! * a supernode crash or restart (`Overlay::crash_supernode`,
+//!   `Overlay::recover_supernode`): the volatile registry is lost, cache
 //!   refreshes go unanswered and peers keep brokering from their stale
 //!   [`crate::cache::CachedList`] (degraded mode, not a halt); after the
 //!   restart the heartbeat round re-registers every alive peer the
@@ -258,8 +258,9 @@ pub struct Overlay {
     rng: StdRng,
     tracer: Tracer,
     params: OverlayParams,
-    /// Pending heartbeat event while periodic heartbeats are enabled.
-    heartbeat: Option<EventKey>,
+    /// Whether periodic heartbeat rounds run; once started they re-arm
+    /// forever.
+    heartbeats_on: bool,
     /// Per-peer periodic cache refresh: period and the pending event.
     cache_refresh: HashMap<PeerId, (SimDuration, EventKey)>,
     /// Periodic reservation-expiry sweep: (ttl, period) and the pending
@@ -326,7 +327,7 @@ impl Overlay {
             rng,
             tracer,
             params,
-            heartbeat: None,
+            heartbeats_on: false,
             cache_refresh: HashMap::new(),
             resv_expiry: None,
             site_control_times: vec![None; sites * sites],
@@ -490,13 +491,8 @@ impl Overlay {
             },
             OverlayEvent::HeartbeatRound => {
                 self.heartbeat_round();
-                if self.heartbeat.is_some() {
-                    // Still enabled: re-arm the next round.
-                    let key = self
-                        .sim
-                        .schedule_in(self.params.heartbeat_period, OverlayEvent::HeartbeatRound);
-                    self.heartbeat = Some(key);
-                }
+                self.sim
+                    .schedule_in(self.params.heartbeat_period, OverlayEvent::HeartbeatRound);
             }
             OverlayEvent::CacheRefresh(peer) => {
                 if let Some(&(period, _)) = self.cache_refresh.get(&peer) {
@@ -601,27 +597,14 @@ impl Overlay {
         }
     }
 
-    /// Starts periodic heartbeat rounds ([`Overlay::heartbeat_round`]) every
+    /// Starts periodic heartbeat rounds (`Overlay::heartbeat_round`) every
     /// [`OverlayParams::heartbeat_period`], first round one period from now.
     /// No-op if already running.
     pub fn start_heartbeats(&mut self) {
-        if self.heartbeat.is_none() {
-            let key = self
-                .sim
+        if !self.heartbeats_on {
+            self.heartbeats_on = true;
+            self.sim
                 .schedule_in(self.params.heartbeat_period, OverlayEvent::HeartbeatRound);
-            self.heartbeat = Some(key);
-        }
-    }
-
-    /// Stops periodic heartbeats, cancelling the pending round.  Returns
-    /// `true` if heartbeats were running.
-    pub fn stop_heartbeats(&mut self) -> bool {
-        match self.heartbeat.take() {
-            Some(key) => {
-                self.sim.cancel(key);
-                true
-            }
-            None => false,
         }
     }
 
@@ -638,18 +621,6 @@ impl Overlay {
         }
     }
 
-    /// Stops the periodic cache refresh for `peer`, cancelling the pending
-    /// event.  Returns `true` if one was scheduled.
-    pub fn stop_cache_refresh(&mut self, peer: PeerId) -> bool {
-        match self.cache_refresh.remove(&peer) {
-            Some((_, key)) => {
-                self.sim.cancel(key);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Starts a periodic reservation-expiry sweep: every `period`, each RS
     /// drops pending (never running) reservations older than `ttl`.  This is
     /// what reclaims gatekeeper slots promised to submitters that crashed
@@ -662,22 +633,9 @@ impl Overlay {
         }
     }
 
-    /// Stops the periodic reservation-expiry sweep.  Returns `true` if one
-    /// was running.
-    pub fn stop_reservation_expiry(&mut self) -> bool {
-        match self.resv_expiry.take() {
-            Some((_, _, key)) => {
-                self.sim.cancel(key);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Schedules the completion of a running job at absolute time `at`: the
     /// gatekeeper slot held under `key` on each of `peers` is freed when the
-    /// event fires.  Returns the event's key so a caller that tears the job
-    /// down early (e.g. on failure) can [`Overlay::cancel_completion`].
+    /// event fires.  Returns the event's key.
     pub fn schedule_completion(
         &mut self,
         at: SimTime,
@@ -698,31 +656,6 @@ impl Overlay {
             self.running_jobs.insert(key, (ev, tracked));
         }
         ev
-    }
-
-    /// Cancels a scheduled job completion (the hosts stay booked; the caller
-    /// is expected to free them itself).  Returns the job's peers if the
-    /// completion was still pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `event` refers to a pending event that is *not* a job
-    /// completion: the caller mixed up keys, and silently revoking a
-    /// periodic behaviour (heartbeat, refresh, sweep) would corrupt the
-    /// simulation — surfacing the bug beats limping on.
-    pub fn cancel_completion(&mut self, event: EventKey) -> Option<Vec<PeerId>> {
-        match self.sim.cancel(event) {
-            Some(OverlayEvent::JobComplete { key, peers }) => {
-                if self.fail_jobs_on_crash {
-                    self.running_jobs.remove(&key);
-                }
-                Some(peers)
-            }
-            Some(other) => {
-                panic!("cancel_completion called with a non-completion event: {other:?}")
-            }
-            None => None,
-        }
     }
 
     /// Marks a peer dead immediately.  With
@@ -765,7 +698,7 @@ impl Overlay {
     /// Brings a peer back and re-registers it with the supernode (unless
     /// the supernode is down, in which case the heartbeat resync re-adds
     /// the peer once it recovers).
-    pub fn revive_peer(&mut self, peer: PeerId) {
+    fn revive_peer(&mut self, peer: PeerId) {
         self.nodes[peer.0].state = PeerState::Alive;
         if self.supernode_up {
             let d = self.nodes[peer.0].descriptor.clone();
@@ -810,7 +743,7 @@ impl Overlay {
     /// a supernode crash) re-registers on the spot, so the host list
     /// repopulates within one heartbeat period of a recovery.  While the
     /// supernode is down the round is a no-op — the signals go unanswered.
-    pub fn heartbeat_round(&mut self) -> usize {
+    fn heartbeat_round(&mut self) -> usize {
         if !self.supernode_up {
             return 0;
         }
@@ -950,15 +883,10 @@ impl Overlay {
     // Fault injection
     // ------------------------------------------------------------------
 
-    /// Whether the supernode is currently up.
-    pub fn supernode_is_up(&self) -> bool {
-        self.supernode_up
-    }
-
     /// Crashes the supernode immediately: the volatile registry is lost and
     /// cache refreshes go unanswered until [`Overlay::recover_supernode`].
     /// Brokering continues from each submitter's stale cache.
-    pub fn crash_supernode(&mut self) {
+    fn crash_supernode(&mut self) {
         self.supernode_up = false;
         self.supernode.clear();
         self.tracer
@@ -969,7 +897,7 @@ impl Overlay {
 
     /// Brings the supernode back with an empty registry.  Alive peers
     /// re-register through the next heartbeat round's resync path.
-    pub fn recover_supernode(&mut self) {
+    fn recover_supernode(&mut self) {
         self.supernode_up = true;
         self.tracer
             .record(self.sim.now(), TraceCategory::Fault, || {
@@ -1265,7 +1193,7 @@ mod tests {
         o.schedule_churn(outage.finish());
         o.run_until(o.now() + SimDuration::from_secs(20));
         // Down: registry lost, refreshes unanswered, stale cache survives.
-        assert!(!o.supernode_is_up());
+        assert!(!o.supernode_up);
         assert_eq!(o.supernode().len(), 0);
         let (added, elapsed) = o.refresh_cache(p);
         assert_eq!(added, 0);
@@ -1280,7 +1208,7 @@ mod tests {
         ));
         // Recovery + one heartbeat period: every alive peer re-registered.
         o.run_until(o.now() + SimDuration::from_secs(200));
-        assert!(o.supernode_is_up());
+        assert!(o.supernode_up);
         assert_eq!(o.supernode().len(), o.alive_count());
     }
 
@@ -1553,9 +1481,6 @@ mod tests {
         assert!(o.events_processed() >= 4);
         // The next round is always armed while heartbeats run.
         assert!(o.events_pending() >= 1);
-        assert!(o.stop_heartbeats());
-        assert!(!o.stop_heartbeats());
-        assert_eq!(o.events_pending(), 0);
     }
 
     #[test]
@@ -1569,11 +1494,6 @@ mod tests {
         assert_eq!(o.node(p).cache.len(), 0, "not due yet");
         o.run_until(o.now() + SimDuration::from_secs(2));
         assert_eq!(o.node(p).cache.len(), 5, "first refresh fired");
-        assert!(o.stop_cache_refresh(p));
-        assert!(!o.stop_cache_refresh(p));
-        let processed = o.events_processed();
-        o.run_until(o.now() + SimDuration::from_secs(600));
-        assert_eq!(o.events_processed(), processed, "refresh was cancelled");
     }
 
     #[test]
@@ -1593,7 +1513,6 @@ mod tests {
         // promised gatekeeper slot once the TTL passes.
         o.run_until(o.now() + SimDuration::from_secs(100));
         assert_eq!(o.node(to).rs.active_applications(), 0);
-        assert!(o.stop_reservation_expiry());
     }
 
     #[test]
@@ -1610,31 +1529,11 @@ mod tests {
         let (reply, _) = mpd_start(&mut o, from, to, key, 1);
         assert_eq!(reply, StartReply::Started);
         let done_at = o.now() + SimDuration::from_secs(30);
-        let ev = o.schedule_completion(done_at, key, vec![to]);
+        o.schedule_completion(done_at, key, vec![to]);
         o.run_until(o.now() + SimDuration::from_secs(29));
         assert_eq!(o.node(to).rs.running_processes(), 1, "still running");
         o.run_until(o.now() + SimDuration::from_secs(2));
         assert_eq!(o.node(to).rs.running_processes(), 0, "completion fired");
-        // Cancelling after the fact is a stale-key no-op.
-        assert!(o.cancel_completion(ev).is_none());
-    }
-
-    #[test]
-    fn cancelled_completion_returns_the_held_peers() {
-        let mut o = overlay();
-        o.boot_all();
-        let ids = o.peer_ids();
-        let key = o.generate_key();
-        let ev = o.schedule_completion(
-            o.now() + SimDuration::from_secs(10),
-            key,
-            vec![ids[1], ids[2]],
-        );
-        let peers = o.cancel_completion(ev).expect("still pending");
-        assert_eq!(peers, vec![ids[1], ids[2]]);
-        let processed = o.events_processed();
-        o.run_until(o.now() + SimDuration::from_secs(60));
-        assert_eq!(o.events_processed(), processed);
     }
 
     #[test]

@@ -110,13 +110,6 @@ impl ReservationService {
         }
     }
 
-    /// Checks whether a start request's key matches a held reservation
-    /// (step 7: "the remote MPD verifies that the unique key matches the one
-    /// its RS holds").
-    pub fn verify_key(&self, key: ReservationKey) -> bool {
-        self.position(key).is_some()
-    }
-
     /// Marks a pending reservation as running `processes` processes.
     pub fn start(
         &mut self,
@@ -266,8 +259,8 @@ mod tests {
         let mut rs = ReservationService::new();
         let config = OwnerConfig::new(1, 4);
         rs.handle_request(&request(9, "a"), &config, SimTime::ZERO);
-        assert!(rs.verify_key(ReservationKey(9)));
-        assert!(!rs.verify_key(ReservationKey(10)));
+        assert!(rs.reservation(ReservationKey(9)).is_some());
+        assert!(rs.reservation(ReservationKey(10)).is_none());
         assert_eq!(
             rs.start(ReservationKey(10), 1, &config),
             Err(StartError::UnknownKey)
@@ -342,8 +335,8 @@ mod tests {
         assert_eq!(rs.reservation(b).unwrap().requester, PeerId(0));
         // Cancelling the middle key leaves its neighbours findable.
         assert!(rs.cancel(b));
-        assert!(!rs.verify_key(b));
-        assert!(rs.verify_key(a) && rs.verify_key(c));
+        assert!(rs.reservation(b).is_none());
+        assert!(rs.reservation(a).is_some() && rs.reservation(c).is_some());
         assert_eq!(rs.active_applications(), 2);
         // The freed slot is granted again; running processes sum over the
         // table.

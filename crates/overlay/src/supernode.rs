@@ -33,7 +33,6 @@ pub struct Supernode {
     /// [`Supernode::expire_stale`].
     expiry: SimDuration,
     registrations: u64,
-    expirations: u64,
 }
 
 /// Default staleness bound before a silent peer is dropped (three missed
@@ -54,7 +53,6 @@ impl Supernode {
             entries: BTreeMap::new(),
             expiry,
             registrations: 0,
-            expirations: 0,
         }
     }
 
@@ -81,11 +79,6 @@ impl Supernode {
         }
     }
 
-    /// Removes a peer that unregisters cleanly.
-    pub fn unregister(&mut self, peer: PeerId) -> bool {
-        self.entries.remove(&peer).is_some()
-    }
-
     /// Wipes the host list, as a supernode crash would: the registry state is
     /// volatile and lost on restart, while the lifetime counters (a property
     /// of the simulation, not the process) are kept.  Peers re-populate the
@@ -101,9 +94,7 @@ impl Supernode {
         let before = self.entries.len();
         self.entries
             .retain(|_, e| now.saturating_since(e.last_seen) <= expiry);
-        let dropped = before - self.entries.len();
-        self.expirations += dropped as u64;
-        dropped
+        before - self.entries.len()
     }
 
     /// Borrowing view of the host list in stable ([`PeerId`]) order.  The
@@ -132,11 +123,6 @@ impl Supernode {
     /// Total registrations processed (including re-registrations).
     pub fn registrations(&self) -> u64 {
         self.registrations
-    }
-
-    /// Total peers dropped by expiry.
-    pub fn expirations(&self) -> u64 {
-        self.expirations
     }
 
     /// The staleness bound.
@@ -192,16 +178,6 @@ mod tests {
         assert_eq!(dropped, 1);
         assert!(!s.knows(PeerId(0)));
         assert!(s.knows(PeerId(1)));
-        assert_eq!(s.expirations(), 1);
-    }
-
-    #[test]
-    fn unregister_removes_peer() {
-        let mut s = Supernode::default();
-        s.register(desc(0), SimTime::ZERO);
-        assert!(s.unregister(PeerId(0)));
-        assert!(!s.unregister(PeerId(0)));
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Compute sections of an MPI process are described by an abstract operation
 //! count; the model converts that into virtual time using the host's per-core
 //! rate and the memory-contention slowdown of
-//! [`MemoryContentionModel`](crate::memory::MemoryContentionModel).
+//! [`MemoryContentionModel`].
 
 use crate::memory::{MemoryContentionModel, MemoryIntensity};
 use crate::time::SimDuration;
@@ -62,11 +62,6 @@ impl ComputeModel {
         let slowdown = self.contention.slowdown(residents, intensity);
         SimDuration::from_secs_f64(ops / h.ops_per_sec * slowdown)
     }
-
-    /// Peak rate of `host` in operations per second (single resident).
-    pub fn peak_ops_per_sec(&self, host: HostId) -> f64 {
-        self.topology.host(host).ops_per_sec
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +111,6 @@ mod tests {
         assert_eq!(ts, SimDuration::from_secs(2));
         let tf_half = m.compute_time(fast, 1e9, MemoryIntensity::NONE, 1);
         assert_eq!(tf_half, SimDuration::from_millis(500));
-        assert_eq!(m.peak_ops_per_sec(fast), 2e9);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl<E> TypedEngine<E> {
         }
     }
 
-    /// Reserves queue capacity for at least `additional` more events.
-    pub fn reserve_events(&mut self, additional: usize) {
-        self.queue.reserve(additional);
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -206,24 +201,6 @@ impl<E> TypedEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn with_capacity_presizes_the_queue() {
-        let mut sim: TypedEngine<u64> = TypedEngine::new();
-        sim.reserve_events(64);
-        assert!(sim.events_capacity() >= 64);
-        for i in 0..64u64 {
-            sim.schedule_at(SimTime::from_secs(i), i);
-        }
-        assert_eq!(sim.pending(), 64);
-        sim.reserve_events(100);
-        assert!(sim.events_capacity() >= 164);
-        let mut fired = 0;
-        while sim.pop_due(SimTime::MAX).is_some() {
-            fired += 1;
-        }
-        assert_eq!(fired, 64);
-    }
 
     #[test]
     fn typed_engine_runs_a_bounded_driver_loop() {

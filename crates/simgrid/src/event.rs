@@ -338,7 +338,7 @@ impl<E> EventStore<E> {
     /// True if `key` still refers to a pending (not fired, not cancelled)
     /// payload.
     #[inline]
-    pub fn is_live(&self, key: EventKey) -> bool {
+    fn is_live(&self, key: EventKey) -> bool {
         self.slots
             .get(key.index as usize)
             .map(|s| s.generation == key.generation && matches!(s.state, SlotState::Occupied(_)))
@@ -620,11 +620,6 @@ impl<E> EventQueue<E> {
         self.tickets.clear();
         self.store.clear();
     }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 #[cfg(test)]
@@ -702,7 +697,7 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_count(), 2);
+        assert_eq!(q.next_seq, 2);
     }
 
     #[test]
@@ -799,7 +794,7 @@ mod tests {
         }
         // Ten rounds of 64 events never grow the store past its capacity.
         assert_eq!(q.capacity(), 64);
-        assert_eq!(q.scheduled_count(), 640);
+        assert_eq!(q.next_seq, 640);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl NoiseModel {
     }
 
     /// True if this model never perturbs measurements.
-    pub fn is_disabled(&self) -> bool {
+    fn is_disabled(&self) -> bool {
         self.sigma == 0.0 && self.additive_jitter.is_zero()
     }
 
@@ -83,7 +83,7 @@ impl NoiseModel {
 
 /// Draws from the standard normal distribution using the Box–Muller
 /// transform (keeps us within the plain `rand` dependency).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling in (0, 1].
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 /// Mixes a 64-bit value (SplitMix64 finalizer); good enough to decorrelate
 /// derived seeds.
-pub fn splitmix64(mut x: u64) -> u64 {
+fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

@@ -215,16 +215,6 @@ impl Topology {
         let sb = self.hosts[b.0].site;
         self.bw_bps[sa.0][sb.0].min(self.nic_bw_bps)
     }
-
-    /// Loopback RTT used between co-located processes.
-    pub fn intra_host_rtt(&self) -> SimDuration {
-        self.intra_host_rtt
-    }
-
-    /// Per-host NIC bandwidth in bits per second.
-    pub fn nic_bw_bps(&self) -> f64 {
-        self.nic_bw_bps
-    }
 }
 
 /// Default intra-site RTT if the builder does not override it: a LAN-grade

@@ -14,9 +14,8 @@
 //! * When the tracer is **disabled**, `record` costs exactly one relaxed
 //!   atomic load and one branch.  The closure is *never* invoked — no
 //!   `format!`, no allocation, no mutex.
-//! * When the tracer is enabled but the capacity cap is reached, the event
-//!   is counted as dropped and the closure is, again, never invoked.
-//! * Otherwise the closure is invoked exactly once, under the buffer lock.
+//! * When it is enabled, the closure is invoked exactly once, under the
+//!   buffer lock, and every event is kept.
 //!
 //! Consequently message closures must be cheap to *construct* (capture a few
 //! references) and side-effect free: whether they run at all depends on the
@@ -92,13 +91,7 @@ struct TracerShared {
     /// Read on every `record` without taking the lock; the disabled fast
     /// path is a single relaxed load.
     enabled: AtomicBool,
-    inner: Mutex<TracerInner>,
-}
-
-struct TracerInner {
-    events: Vec<TraceEvent>,
-    capacity: Option<usize>,
-    dropped: u64,
+    events: Mutex<Vec<TraceEvent>>,
 }
 
 impl Default for Tracer {
@@ -108,35 +101,25 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    fn with_state(capacity: Option<usize>, enabled: bool) -> Self {
+    fn with_state(enabled: bool) -> Self {
         Tracer {
             shared: Arc::new(TracerShared {
                 enabled: AtomicBool::new(enabled),
-                inner: Mutex::new(TracerInner {
-                    events: Vec::with_capacity(capacity.unwrap_or(0).min(4096)),
-                    capacity,
-                    dropped: 0,
-                }),
+                events: Mutex::new(Vec::new()),
             }),
         }
     }
 
-    /// Creates an unbounded tracer.
+    /// Creates a tracer that keeps every event.
     pub fn new() -> Self {
-        Self::with_state(None, true)
-    }
-
-    /// Creates a tracer that keeps at most `capacity` events (older events
-    /// beyond the cap are dropped and counted).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_state(Some(capacity), true)
+        Self::with_state(true)
     }
 
     /// Creates a tracer that records nothing (cheap to pass around when
     /// tracing is not wanted, e.g. inside timed benchmark loops): `record`
     /// costs one branch and never runs the message closure.
     pub fn disabled() -> Self {
-        Self::with_state(None, false)
+        Self::with_state(false)
     }
 
     /// True if this tracer currently records events.
@@ -149,8 +132,8 @@ impl Tracer {
         self.shared.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Records an event.  The message closure runs only if the event is
-    /// actually stored — see the module docs for the full contract.
+    /// Records an event.  The message closure runs only if the tracer is
+    /// enabled — see the module docs for the full contract.
     pub fn record<F: FnOnce() -> String>(
         &self,
         time: SimTime,
@@ -160,15 +143,9 @@ impl Tracer {
         if !self.shared.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let mut inner = self.shared.inner.lock();
-        if let Some(cap) = inner.capacity {
-            if inner.events.len() >= cap {
-                inner.dropped += 1;
-                return;
-            }
-        }
+        let mut events = self.shared.events.lock();
         let message = message();
-        inner.events.push(TraceEvent {
+        events.push(TraceEvent {
             time,
             category,
             message,
@@ -177,7 +154,7 @@ impl Tracer {
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.shared.inner.lock().events.len()
+        self.shared.events.lock().len()
     }
 
     /// True if nothing has been recorded.
@@ -185,22 +162,16 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Number of events dropped because of the capacity cap.
-    pub fn dropped(&self) -> u64 {
-        self.shared.inner.lock().dropped
-    }
-
     /// Snapshot of all recorded events.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.shared.inner.lock().events.clone()
+        self.shared.events.lock().clone()
     }
 
     /// Snapshot of the events of one category.
     pub fn events_in(&self, category: TraceCategory) -> Vec<TraceEvent> {
         self.shared
-            .inner
-            .lock()
             .events
+            .lock()
             .iter()
             .filter(|e| e.category == category)
             .cloned()
@@ -210,19 +181,16 @@ impl Tracer {
     /// Number of events in one category.
     pub fn count(&self, category: TraceCategory) -> usize {
         self.shared
-            .inner
-            .lock()
             .events
+            .lock()
             .iter()
             .filter(|e| e.category == category)
             .count()
     }
 
-    /// Clears the buffer (keeps the capacity and enabled flag).
+    /// Clears the buffer (keeps the enabled flag).
     pub fn clear(&self) {
-        let mut inner = self.shared.inner.lock();
-        inner.events.clear();
-        inner.dropped = 0;
+        self.shared.events.lock().clear();
     }
 }
 
@@ -248,19 +216,8 @@ mod tests {
         assert!(!t.is_empty());
         let shown = format!("{}", t.events()[0]);
         assert!(shown.contains("probe") && shown.contains("ping lyon"));
-    }
-
-    #[test]
-    fn capacity_drops_extra_events() {
-        let t = Tracer::with_capacity(2);
-        for i in 0..5 {
-            t.record(SimTime::from_secs(i), TraceCategory::Other, || "x".into());
-        }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 3);
         t.clear();
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.dropped(), 0);
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -280,19 +237,6 @@ mod tests {
             String::new()
         });
         assert!(!ran, "message closure ran on a disabled tracer");
-    }
-
-    #[test]
-    fn closure_skipped_once_capacity_is_reached() {
-        let t = Tracer::with_capacity(1);
-        t.record(SimTime::ZERO, TraceCategory::Other, || "kept".into());
-        let mut ran = false;
-        t.record(SimTime::ZERO, TraceCategory::Other, || {
-            ran = true;
-            String::new()
-        });
-        assert!(!ran, "message closure ran for a dropped event");
-        assert_eq!(t.dropped(), 1);
     }
 
     #[test]
