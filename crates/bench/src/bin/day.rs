@@ -2,7 +2,7 @@
 //! through the co-allocator on the overlay's event timeline.
 //!
 //! ```text
-//! day [--strategy concentrate|spread|searched|balanced:<k>|both|all] [--seed N]
+//! day [--strategy concentrate|spread|searched|both|all] [--seed N]
 //!     [--compress F] [--rate-scale F] [--duration-scale F] [--sample-secs S]
 //!     [--ranks a,b,c] [--churn F] [--search-moves N] [--days N]
 //! day --shards N [--cross-fraction F] [--baseline] [the flags above]

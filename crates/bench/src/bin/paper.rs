@@ -32,7 +32,7 @@ use p2pmpi_core::strategy::StrategyKind::{Concentrate, Spread};
 use p2pmpi_grid5000::scenario::{
     paper_ep_process_counts, paper_is_process_counts, probe_vs_icmp_ranking,
 };
-use p2pmpi_grid5000::sites::TABLE1;
+use p2pmpi_grid5000::sites::{totals, TABLE1};
 use p2pmpi_grid5000::testbed::grid5000_testbed;
 use p2pmpi_nas::classes::Class;
 use p2pmpi_overlay::churn::random_churn;
@@ -115,7 +115,9 @@ fn artefact(args: &Args) -> Result<(), String> {
                 }
                 _ => {
                     args.only(2, "--processes", mode)?;
-                    contention(processes.unwrap_or(128))
+                    let n = processes.unwrap_or(128);
+                    executed_on_table1("--processes", &[n])?;
+                    contention(n)
                 }
             };
             (format!("ablation-{mode}"), rows)
@@ -165,6 +167,9 @@ fn fig4(args: &Args) -> Result<(String, String), String> {
     if counts.contains(&0) {
         return Err(format!("--ranks elements must be >= 1, got {counts:?}"));
     }
+    if !modeled {
+        executed_on_table1("--ranks", &counts)?;
+    }
     let search = if searched {
         let default = SearchParams::default_for(kernel);
         let params = SearchParams {
@@ -206,6 +211,18 @@ fn fig4(args: &Args) -> Result<(String, String), String> {
     Ok((format!("fig4-{}", label.to_lowercase()), rows))
 }
 
+/// An executed run co-allocates every process on Table 1's grid, so each
+/// count must lie in 1..=its total cores (1 040).
+fn executed_on_table1(flag: &str, counts: &[u32]) -> Result<(), String> {
+    let cores = totals().1;
+    match counts.iter().find(|&&n| n == 0 || n as usize > cores) {
+        Some(n) => Err(format!(
+            "{flag} must be in 1..={cores} for an executed run, got {n}"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Probe-vs-ICMP ranking per site (Section 5.1's measurement accuracy);
 /// `sigma` replaces the built-in noise ladder with a single level.
 fn latency_ranking(sigma: Option<f64>, seed: u64) -> String {
@@ -229,10 +246,10 @@ fn latency_ranking(sigma: Option<f64>, seed: u64) -> String {
 /// `churn` fraction of the peers crashed before the submission.
 fn overbooking(churn: f64, demand: u32, seed: u64) -> String {
     let policies: [(&str, OverbookingPolicy); 4] = [
-        ("none", OverbookingPolicy::None),
-        ("factor_1.25", OverbookingPolicy::Factor(1.25)),
-        ("factor_1.5", OverbookingPolicy::Factor(1.5)),
-        ("factor_2.0", OverbookingPolicy::Factor(2.0)),
+        ("none", OverbookingPolicy(1.0)),
+        ("factor_1.25", OverbookingPolicy(1.25)),
+        ("factor_1.5", OverbookingPolicy(1.5)),
+        ("factor_2.0", OverbookingPolicy(2.0)),
     ];
     let mut out =
         "# policy\tsuccess\thosts_used\tbooked\tgranted\tdead\tcancelled\telapsed_ms\n".to_string();

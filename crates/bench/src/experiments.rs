@@ -359,8 +359,8 @@ pub fn hosts_by_rtt(topology: &Topology) -> Vec<HostId> {
 ///
 /// # Panics
 ///
-/// Panics if `n` exceeds the topology's total cores, or for the `Balanced`
-/// strategy (not used by any Figure 4 experiment).
+/// Panics if `n` exceeds the topology's total cores, or for the `Searched`
+/// strategy (its placements come from the search, not from a fill rule).
 pub fn synthetic_placement(topology: &Topology, strategy: StrategyKind, n: u32) -> Placement {
     assert!(
         n as usize <= topology.total_cores(),
@@ -372,7 +372,7 @@ pub fn synthetic_placement(topology: &Topology, strategy: StrategyKind, n: u32) 
     let slots = match strategy {
         StrategyKind::Concentrate => fill_hosts(&hosts, cores, n as usize),
         StrategyKind::Spread => deal_hosts(&hosts, cores, n as usize),
-        StrategyKind::Balanced { .. } | StrategyKind::Searched => {
+        StrategyKind::Searched => {
             panic!("synthetic placements support concentrate and spread only")
         }
     };

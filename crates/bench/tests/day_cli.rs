@@ -17,6 +17,7 @@ fn out_of_range_flag_values_exit_2_naming_the_flag() {
         ("--shards 2 --cross-fraction 2", "--cross-fraction"),
         ("--ranks 0", "--ranks"),
         ("--shards 2 --ranks 8,0", "--ranks"),
+        ("--strategy balanced:2", "--strategy"),
     ];
     for (line, flag) in invalid {
         let mut child = Command::new(env!("CARGO_BIN_EXE_day"))

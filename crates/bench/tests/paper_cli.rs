@@ -16,6 +16,10 @@ fn out_of_range_flag_values_exit_2_naming_the_flag() {
         ("fig2 --sigma nan", "--sigma"),
         ("fig3 --sigma inf", "--sigma"),
         ("ablation latency-ranking --sigma -0.5", "--sigma"),
+        // Executed runs place every process on Table 1's 1 040 cores.
+        ("fig4 --kernel ep --ranks 1041", "--ranks"),
+        ("ablation contention --processes 1041", "--processes"),
+        ("ablation contention --processes 0", "--processes"),
     ];
     for (line, flag) in invalid {
         let mut child = Command::new(env!("CARGO_BIN_EXE_paper"))

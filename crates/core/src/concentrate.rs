@@ -8,67 +8,62 @@
 //! ascending latency order and give each host `min(c_i, remaining)` processes
 //! until all `n × r` are placed.
 
-use crate::strategy::{check_preconditions, AllocationStrategy};
+use crate::strategy::check_preconditions;
 
 /// Fill each host to capacity, closest hosts first.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Concentrate;
-
-impl AllocationStrategy for Concentrate {
-    fn distribute_into(&self, capacities: &[u32], total: u32, out: &mut Vec<u32>) {
-        check_preconditions(capacities, total);
-        out.clear();
-        out.resize(capacities.len(), 0);
-        let mut d = 0u32;
-        let mut cont = total > 0;
-        while cont {
-            let mut i = 0;
-            while i < capacities.len() && cont {
-                out[i] = capacities[i].min(total - d);
-                d += out[i];
-                if d == total {
-                    cont = false;
-                }
-                i += 1;
+pub(crate) fn distribute_into(capacities: &[u32], total: u32, out: &mut Vec<u32>) {
+    check_preconditions(capacities, total);
+    out.clear();
+    out.resize(capacities.len(), 0);
+    let mut d = 0u32;
+    let mut cont = total > 0;
+    while cont {
+        let mut i = 0;
+        while i < capacities.len() && cont {
+            out[i] = capacities[i].min(total - d);
+            d += out[i];
+            if d == total {
+                cont = false;
             }
+            i += 1;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::strategy::StrategyKind;
     use proptest::prelude::*;
 
     #[test]
     fn fills_closest_hosts_first() {
         // Figure 2: up to the local site's core capacity, only the closest
         // hosts are used.
-        let u = Concentrate.distribute(&[4, 4, 4, 4], 10);
+        let u = StrategyKind::Concentrate.distribute(&[4, 4, 4, 4], 10);
         assert_eq!(u, vec![4, 4, 2, 0]);
     }
 
     #[test]
     fn exact_capacity_fits_exactly() {
-        let u = Concentrate.distribute(&[4, 4], 8);
+        let u = StrategyKind::Concentrate.distribute(&[4, 4], 8);
         assert_eq!(u, vec![4, 4]);
     }
 
     #[test]
     fn single_host_can_take_everything() {
-        let u = Concentrate.distribute(&[16, 4, 4], 10);
+        let u = StrategyKind::Concentrate.distribute(&[16, 4, 4], 10);
         assert_eq!(u, vec![10, 0, 0]);
     }
 
     #[test]
     fn zero_capacity_hosts_are_skipped() {
-        let u = Concentrate.distribute(&[0, 3, 0, 3], 4);
+        let u = StrategyKind::Concentrate.distribute(&[0, 3, 0, 3], 4);
         assert_eq!(u, vec![0, 3, 0, 1]);
     }
 
     #[test]
     fn zero_total_is_all_zeros() {
-        assert_eq!(Concentrate.distribute(&[2, 2], 0), vec![0, 0]);
+        assert_eq!(StrategyKind::Concentrate.distribute(&[2, 2], 0), vec![0, 0]);
     }
 
     proptest! {
@@ -82,7 +77,7 @@ mod tests {
         ) {
             let cap_sum: u64 = caps.iter().map(|&c| c as u64).sum();
             let total = (cap_sum as f64 * frac).floor() as u32;
-            let u = Concentrate.distribute(&caps, total);
+            let u = StrategyKind::Concentrate.distribute(&caps, total);
             let mut partial_seen = false;
             for (i, (&ui, &ci)) in u.iter().zip(&caps).enumerate() {
                 if partial_seen {
@@ -103,8 +98,8 @@ mod tests {
         ) {
             let cap_sum: u64 = caps.iter().map(|&c| c as u64).sum();
             let total = (cap_sum as f64 * frac).floor() as u32;
-            let uc = Concentrate.distribute(&caps, total);
-            let us = crate::spread::Spread.distribute(&caps, total);
+            let uc = StrategyKind::Concentrate.distribute(&caps, total);
+            let us = StrategyKind::Spread.distribute(&caps, total);
             let hosts = |u: &[u32]| u.iter().filter(|&&x| x > 0).count();
             prop_assert!(hosts(&uc) <= hosts(&us));
         }

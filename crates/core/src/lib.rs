@@ -9,11 +9,11 @@
 //!
 //! ## Pieces
 //!
-//! * [`strategy`] / [`spread`] / [`concentrate`] / [`balanced`] — the
-//!   process-distribution policies (`-a` flag of `p2pmpirun`).
+//! * [`strategy`] / [`spread`] / [`concentrate`] — the process-distribution
+//!   policies (`-a` flag of `p2pmpirun`).
 //! * [`capacity`] — `c_i = min(P_i, n)`.
 //! * [`feasibility`] — the two feasibility conditions of step 6.
-//! * [`overbooking`] — booking-step overbooking policies.
+//! * [`overbooking`] — the booking step's overbooking factor.
 //! * [`rank`] — rank/replica assignment guaranteeing that no two copies of a
 //!   process share a host.
 //! * [`reservation`] — the eight-step procedure driven against a
@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod allocation;
-pub mod balanced;
 pub mod capacity;
 pub mod concentrate;
 pub mod feasibility;
@@ -69,16 +68,13 @@ pub mod stats;
 pub mod strategy;
 
 pub use allocation::{AllocatedHost, Allocation, AllocationInvariantError};
-pub use balanced::Balanced;
-pub use concentrate::Concentrate;
 pub use feasibility::{check_feasibility, Infeasibility};
 pub use overbooking::OverbookingPolicy;
 pub use rank::assign_ranks;
 pub use request::{JobRequest, RequestError};
 pub use reservation::{allocate, AllocationError, CoAllocationReport, CoAllocator};
-pub use spread::Spread;
 pub use stats::{total_hosts, total_processes, usage_by_site, SiteUsage};
-pub use strategy::{AllocationStrategy, StrategyKind};
+pub use strategy::StrategyKind;
 
 /// Commonly used items, for glob imports in examples and experiments.
 pub mod prelude {
@@ -87,5 +83,5 @@ pub mod prelude {
     pub use crate::request::{JobRequest, PlannedHost};
     pub use crate::reservation::{allocate, CoAllocator};
     pub use crate::stats::{usage_by_site, SiteUsage};
-    pub use crate::strategy::{AllocationStrategy, StrategyKind};
+    pub use crate::strategy::StrategyKind;
 }

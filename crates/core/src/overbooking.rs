@@ -1,42 +1,33 @@
-//! Overbooking policies.
+//! The overbooking policy.
 //!
 //! Step 2 of the reservation procedure: "when possible, the request is an
 //! overbooking to anticipate unavailable hosts."  The booking step asks more
 //! hosts than strictly necessary, so that refusals (J exceeded, deny list)
 //! and dead peers do not force a second brokering round.  Reservations that
 //! end up unused are cancelled in step 6.
+//!
+//! The policy is one factor: a job that needs `n` hosts books `⌈n × factor⌉`
+//! of them.  A factor of 1.0 books exactly what is needed.
 
-/// How many hosts to book for a job that needs `needed` of them.
+/// The booking factor (≥ 1) of step 2.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OverbookingPolicy {
-    /// Book exactly the number of hosts needed.
-    None,
-    /// Book `ceil(needed × factor)` hosts (factor ≥ 1).
-    Factor(f64),
-    /// Book `needed + extra` hosts.
-    Additive(u32),
-}
+pub struct OverbookingPolicy(pub f64);
 
 impl Default for OverbookingPolicy {
     fn default() -> Self {
         // A modest 25 % of slack absorbs typical refusal rates without
         // flooding the overlay with reservations to cancel.
-        OverbookingPolicy::Factor(1.25)
+        OverbookingPolicy(1.25)
     }
 }
 
 impl OverbookingPolicy {
-    /// Number of hosts to book, capped by the number of known candidates.
+    /// Number of hosts to book, `⌈needed × factor⌉` capped by the number of
+    /// known candidates.
     pub fn booking_target(&self, needed: usize, known_candidates: usize) -> usize {
-        let raw = match *self {
-            OverbookingPolicy::None => needed,
-            OverbookingPolicy::Factor(f) => {
-                assert!(f >= 1.0 && f.is_finite(), "overbooking factor must be >= 1");
-                (needed as f64 * f).ceil() as usize
-            }
-            OverbookingPolicy::Additive(extra) => needed + extra as usize,
-        };
-        raw.min(known_candidates)
+        let f = self.0;
+        assert!(f >= 1.0 && f.is_finite(), "overbooking factor must be >= 1");
+        ((needed as f64 * f).ceil() as usize).min(known_candidates)
     }
 }
 
@@ -47,26 +38,20 @@ mod tests {
 
     #[test]
     fn none_books_exactly_what_is_needed() {
-        assert_eq!(OverbookingPolicy::None.booking_target(10, 100), 10);
+        assert_eq!(OverbookingPolicy(1.0).booking_target(10, 100), 10);
     }
 
     #[test]
     fn factor_rounds_up() {
-        assert_eq!(OverbookingPolicy::Factor(1.25).booking_target(10, 100), 13);
-        assert_eq!(OverbookingPolicy::Factor(1.0).booking_target(7, 100), 7);
-        assert_eq!(OverbookingPolicy::Factor(2.0).booking_target(3, 100), 6);
-    }
-
-    #[test]
-    fn additive_adds_a_constant() {
-        assert_eq!(OverbookingPolicy::Additive(5).booking_target(10, 100), 15);
-        assert_eq!(OverbookingPolicy::Additive(0).booking_target(10, 100), 10);
+        assert_eq!(OverbookingPolicy(1.25).booking_target(10, 100), 13);
+        assert_eq!(OverbookingPolicy(1.0).booking_target(7, 100), 7);
+        assert_eq!(OverbookingPolicy(2.0).booking_target(3, 100), 6);
     }
 
     #[test]
     fn target_is_capped_by_known_candidates() {
-        assert_eq!(OverbookingPolicy::Factor(2.0).booking_target(300, 350), 350);
-        assert_eq!(OverbookingPolicy::None.booking_target(400, 350), 350);
+        assert_eq!(OverbookingPolicy(2.0).booking_target(300, 350), 350);
+        assert_eq!(OverbookingPolicy(1.0).booking_target(400, 350), 350);
     }
 
     #[test]
@@ -77,7 +62,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "factor must be >= 1")]
     fn shrinking_factor_panics() {
-        OverbookingPolicy::Factor(0.5).booking_target(10, 100);
+        OverbookingPolicy(0.5).booking_target(10, 100);
     }
 
     proptest! {
@@ -88,13 +73,8 @@ mod tests {
             needed in 0usize..500,
             known in 0usize..700,
             factor in 1.0f64..3.0,
-            extra in 0u32..50,
         ) {
-            for policy in [
-                OverbookingPolicy::None,
-                OverbookingPolicy::Factor(factor),
-                OverbookingPolicy::Additive(extra),
-            ] {
+            for policy in [OverbookingPolicy(1.0), OverbookingPolicy(factor)] {
                 let t = policy.booking_target(needed, known);
                 prop_assert!(t <= known);
                 prop_assert!(t >= needed.min(known));

@@ -665,7 +665,7 @@ mod tests {
     fn unused_overbooked_reservations_are_cancelled() {
         let (mut o, submitter) = booted_overlay();
         let req = JobRequest::new(2, StrategyKind::Concentrate, "prog");
-        let allocator = CoAllocator::with_overbooking(OverbookingPolicy::Additive(4));
+        let allocator = CoAllocator::with_overbooking(OverbookingPolicy(3.0));
         let report = allocator.allocate(&mut o, submitter, &req);
         assert!(report.is_success());
         assert_eq!(report.booked, 6);
@@ -740,7 +740,7 @@ mod tests {
         // Jobs x that leave every counter non-zero at least once: a full
         // grid, a refusal on it, then a killed peer and an overbooked
         // surplus.
-        let policy = OverbookingPolicy::Additive(4);
+        let policy = OverbookingPolicy(3.0);
         let run_xs = |o: &mut Overlay, submitter: PeerId, allocator: &CoAllocator| {
             let topo = o.topology().clone();
             let small = JobRequest::new(2, StrategyKind::Concentrate, "x");

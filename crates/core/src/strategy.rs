@@ -3,43 +3,10 @@
 //! A strategy decides how many process instances `u_i` each selected host
 //! receives, given the host capacities `c_i` (in ascending-latency order) and
 //! the total `n × r` to place.  The paper proposes two strategies, *spread*
-//! and *concentrate* (Section 4.3); this crate adds a *balanced* strategy as
-//! an instance of the "mixed strategies" the conclusion lists as future work.
+//! and *concentrate* (Section 4.3).
 
 use std::fmt;
 use std::str::FromStr;
-
-/// A process-distribution policy.
-///
-/// Implementations must satisfy, for `distribute(c, total)` whenever
-/// `Σ c_i ≥ total`:
-///
-/// * the result has the same length as `c`,
-/// * `u_i ≤ c_i` for every `i`,
-/// * `Σ u_i = total`.
-///
-/// These invariants are checked by the property tests in this module and are
-/// what the rank-assignment step relies on.
-pub trait AllocationStrategy {
-    /// Distributes `total` process instances over hosts with capacities
-    /// `capacities` (ascending latency order), writing the per-host counts
-    /// into `out` (cleared first).  This is the hot-path entry point: the
-    /// co-allocation driver reuses one buffer across jobs.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `Σ capacities < total`; callers are expected
-    /// to have verified feasibility first (step 6 of the procedure).
-    fn distribute_into(&self, capacities: &[u32], total: u32, out: &mut Vec<u32>);
-
-    /// Allocating convenience wrapper over
-    /// [`AllocationStrategy::distribute_into`].
-    fn distribute(&self, capacities: &[u32], total: u32) -> Vec<u32> {
-        let mut out = Vec::with_capacity(capacities.len());
-        self.distribute_into(capacities, total, &mut out);
-        out
-    }
-}
 
 /// The built-in strategies, as selected by `p2pmpirun -a <name>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,17 +17,10 @@ pub enum StrategyKind {
     /// Fill each host to its capacity starting with the closest
     /// (maximises locality).
     Concentrate,
-    /// Future-work extension: fill hosts like *concentrate* but never beyond
-    /// `max_per_host` processes, then round-robin the remainder like
-    /// *spread*.
-    Balanced {
-        /// Per-host cap applied before falling back to round-robin.
-        max_per_host: u32,
-    },
     /// Model-driven placement: an upstream searcher (the day sweep's
     /// `SearchContext`) attaches an explicit host plan to the request,
     /// which the co-allocator honors verbatim.  As a *distribution
-    /// function* this delegates to [`Concentrate`](crate::concentrate) —
+    /// function* this delegates to [*concentrate*](crate::concentrate) —
     /// the fallback whenever a plan is absent or invalidated by brokering
     /// (a planned peer refused, died, or lost capacity).
     Searched,
@@ -72,24 +32,28 @@ impl StrategyKind {
         match self {
             StrategyKind::Spread => "spread",
             StrategyKind::Concentrate => "concentrate",
-            StrategyKind::Balanced { .. } => "balanced",
             StrategyKind::Searched => "searched",
         }
     }
 
-    /// Distributes using this strategy into a caller-provided buffer,
-    /// dispatching statically — no boxed strategy object, no result `Vec`.
+    /// Distributes `total` process instances over hosts with capacities
+    /// `capacities` (ascending latency order), writing the per-host counts
+    /// into `out` (cleared first).  This is the hot-path entry point: the
+    /// co-allocation driver reuses one buffer across jobs.
+    ///
+    /// The result has the same length as `capacities`, `u_i ≤ c_i` for
+    /// every `i` and `Σ u_i = total`: the rank-assignment step relies on
+    /// these invariants, and the property tests in this module check them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `Σ capacities < total`; callers are expected to have
+    /// verified feasibility first (step 6 of the procedure).
     pub fn distribute_into(&self, capacities: &[u32], total: u32, out: &mut Vec<u32>) {
         match *self {
-            StrategyKind::Spread => crate::spread::Spread.distribute_into(capacities, total, out),
-            StrategyKind::Concentrate => {
-                crate::concentrate::Concentrate.distribute_into(capacities, total, out)
-            }
-            StrategyKind::Balanced { max_per_host } => {
-                crate::balanced::Balanced::new(max_per_host).distribute_into(capacities, total, out)
-            }
-            StrategyKind::Searched => {
-                crate::concentrate::Concentrate.distribute_into(capacities, total, out)
+            StrategyKind::Spread => crate::spread::distribute_into(capacities, total, out),
+            StrategyKind::Concentrate | StrategyKind::Searched => {
+                crate::concentrate::distribute_into(capacities, total, out)
             }
         }
     }
@@ -105,10 +69,7 @@ impl StrategyKind {
 
 impl fmt::Display for StrategyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StrategyKind::Balanced { max_per_host } => write!(f, "balanced({max_per_host})"),
-            other => f.write_str(other.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -120,22 +81,9 @@ impl FromStr for StrategyKind {
             "spread" => Ok(StrategyKind::Spread),
             "concentrate" => Ok(StrategyKind::Concentrate),
             "searched" => Ok(StrategyKind::Searched),
-            other => {
-                if let Some(rest) = other.strip_prefix("balanced:") {
-                    let k: u32 = rest
-                        .parse()
-                        .map_err(|_| format!("bad balanced cap: {rest}"))?;
-                    if k == 0 {
-                        return Err("balanced cap must be >= 1".to_string());
-                    }
-                    Ok(StrategyKind::Balanced { max_per_host: k })
-                } else {
-                    Err(format!(
-                        "unknown strategy '{other}' (expected spread, concentrate, \
-                         searched or balanced:<k>)"
-                    ))
-                }
-            }
+            other => Err(format!(
+                "unknown strategy '{other}' (expected spread, concentrate or searched)"
+            )),
         }
     }
 }
@@ -160,10 +108,6 @@ mod tests {
         assert_eq!(StrategyKind::Spread.name(), "spread");
         assert_eq!(StrategyKind::Concentrate.to_string(), "concentrate");
         assert_eq!(
-            StrategyKind::Balanced { max_per_host: 2 }.to_string(),
-            "balanced(2)"
-        );
-        assert_eq!(
             "spread".parse::<StrategyKind>().unwrap(),
             StrategyKind::Spread
         );
@@ -172,16 +116,11 @@ mod tests {
             StrategyKind::Concentrate
         );
         assert_eq!(
-            "balanced:3".parse::<StrategyKind>().unwrap(),
-            StrategyKind::Balanced { max_per_host: 3 }
-        );
-        assert_eq!(
             "searched".parse::<StrategyKind>().unwrap(),
             StrategyKind::Searched
         );
         assert_eq!(StrategyKind::Searched.to_string(), "searched");
-        assert!("balanced:0".parse::<StrategyKind>().is_err());
-        assert!("balanced:x".parse::<StrategyKind>().is_err());
+        assert!("balanced:2".parse::<StrategyKind>().is_err());
         assert!("random".parse::<StrategyKind>().is_err());
     }
 
@@ -201,18 +140,12 @@ mod tests {
         fn all_strategies_respect_invariants(
             caps in prop::collection::vec(0u32..8, 1..40),
             frac in 0.0f64..1.0,
-            balanced_cap in 1u32..6,
         ) {
             let cap_sum: u64 = caps.iter().map(|&c| c as u64).sum();
             let total = (cap_sum as f64 * frac).floor() as u32;
             strategy_invariants(StrategyKind::Spread, caps.clone(), total);
             strategy_invariants(StrategyKind::Concentrate, caps.clone(), total);
-            strategy_invariants(StrategyKind::Searched, caps.clone(), total);
-            strategy_invariants(
-                StrategyKind::Balanced { max_per_host: balanced_cap },
-                caps,
-                total,
-            );
+            strategy_invariants(StrategyKind::Searched, caps, total);
         }
     }
 

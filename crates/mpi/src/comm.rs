@@ -15,7 +15,7 @@ use crate::stats::CommStats;
 use crossbeam_channel::{Receiver, RecvTimeoutError};
 use p2pmpi_simgrid::compute::ComputeModel;
 use p2pmpi_simgrid::memory::MemoryIntensity;
-use p2pmpi_simgrid::network::NetworkModel;
+use p2pmpi_simgrid::network::{NetworkModel, PER_MESSAGE_OVERHEAD};
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
 use p2pmpi_simgrid::topology::HostId;
 use std::collections::{HashMap, VecDeque};
@@ -199,7 +199,7 @@ impl Comm {
         // The sender pays the per-message software overhead (serialization,
         // syscalls); propagation and bandwidth are charged on the receiving
         // side from the sender's timestamp.
-        self.clock += self.network.params().per_message_overhead;
+        self.clock += PER_MESSAGE_OVERHEAD;
         let envelope = Envelope {
             src: self.rank,
             src_replica: self.replica,

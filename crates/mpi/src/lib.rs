@@ -65,7 +65,7 @@ pub mod stats;
 pub use comm::Comm;
 pub use datatype::{Datatype, ReduceOp, Reducible};
 pub use error::{MpiError, MpiResult, Rank, Tag};
-pub use model::{CollectiveBackend, LogGpParams, ModelComm};
+pub use model::{CollectiveBackend, ModelComm};
 pub use placement::{Placement, PlacementError, ProcSpec};
 pub use registry::{FailurePlan, KillSpec, Registry};
 pub use runtime::{InstanceOutcome, JobResult, MpiRuntime};

@@ -34,8 +34,7 @@
 //! which is exactly a LogGP cost with `L = rtt/2`, `o` the per-message
 //! software overhead on either side, `g = o` (the sender can inject the next
 //! message as soon as it has paid the overhead of the previous one) and
-//! `G = framing · 8 / bandwidth` seconds per byte.  [`LogGpParams::between`]
-//! exposes this mapping for a host pair.
+//! `G = framing · 8 / bandwidth` seconds per byte.
 //!
 //! ## How Grid'5000 link specs map to L/o/g/G
 //!
@@ -48,11 +47,12 @@
 //!   intra-site RTT of 0.087 ms (`L ≈ 43 µs`), and co-located processes the
 //!   loopback RTT.
 //! * **o** and **g** are the 35 µs per-message software overhead of the
-//!   2008-era Java/TCP stack (`NetworkParams::per_message_overhead`), the
-//!   same on every link.
+//!   2008-era Java/TCP stack (`p2pmpi_simgrid::network::PER_MESSAGE_OVERHEAD`),
+//!   the same on every link.
 //! * **G** comes from `wan_bandwidth_bps` and the NIC rate: 10 Gbps between
 //!   most sites but 1 Gbps on any link touching Bordeaux and 1 Gbps at every
-//!   NIC, times the 1.05 protocol-framing factor — so
+//!   NIC, times the 1.05 protocol-framing factor
+//!   (`p2pmpi_simgrid::network::FRAMING_FACTOR`) — so
 //!   `G = 1.05 · 8 / min(link, NIC) ≈ 8.4 ns/byte` on a 1 Gbps bottleneck.
 //!
 //! # One schedule, three interpreters
@@ -278,7 +278,7 @@ use crate::placement::Placement;
 use crate::stats::CommStats;
 use p2pmpi_simgrid::compute::ComputeModel;
 use p2pmpi_simgrid::memory::MemoryIntensity;
-use p2pmpi_simgrid::network::NetworkModel;
+use p2pmpi_simgrid::network::{NetworkModel, PER_MESSAGE_OVERHEAD};
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
 use p2pmpi_simgrid::topology::HostId;
 use std::collections::HashMap;
@@ -296,37 +296,6 @@ pub enum CollectiveBackend {
     /// Analytical LogGP-style prediction on per-rank scalar clocks; no
     /// threads, scales to thousands of ranks.
     Modeled,
-}
-
-/// The LogGP parameters of one (src, dst) host pair, derived from the
-/// network model (see the module docs for the mapping).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogGpParams {
-    /// `L`: one-way wire latency.
-    pub latency: SimDuration,
-    /// `o`: per-message software overhead (sender side; the receive path
-    /// pays the same once more inside the transfer time).
-    pub overhead: SimDuration,
-    /// `g`: minimum gap between consecutive message injections (equals `o`
-    /// under this runtime's cost rule).
-    pub gap: SimDuration,
-    /// `G`: seconds per payload byte (framing included).
-    pub secs_per_byte: f64,
-}
-
-impl LogGpParams {
-    /// Derives the parameters for messages from `src` to `dst`.
-    pub fn between(network: &NetworkModel, src: HostId, dst: HostId) -> LogGpParams {
-        let params = network.params();
-        let topology = network.topology();
-        let overhead = params.per_message_overhead;
-        LogGpParams {
-            latency: topology.latency(src, dst),
-            overhead,
-            gap: overhead,
-            secs_per_byte: params.framing_factor * 8.0 / topology.bandwidth_bps(src, dst),
-        }
-    }
 }
 
 /// A program of collective operations, expressed placement-independently.
@@ -595,8 +564,7 @@ impl CollectiveProgram for ModelComm {
     #[inline]
     fn message(&mut self, src: Rank, dst: Rank, bytes: u64) {
         let (src, dst) = (src as usize, dst as usize);
-        let overhead = self.network.params().per_message_overhead;
-        self.clocks[src] += overhead;
+        self.clocks[src] += PER_MESSAGE_OVERHEAD;
         let transfer = self
             .network
             .transfer_time(self.hosts[src], self.hosts[dst], bytes);
@@ -613,13 +581,12 @@ impl CollectiveProgram for ModelComm {
         if size <= 1 {
             return;
         }
-        let overhead = self.network.params().per_message_overhead;
         // Ring schedule: at step s every rank sends to rank+s and then blocks
         // receiving from rank-s.  Two phases per step: all sends are stamped
         // against the pre-step clocks, then every receive takes the max.
         for step in 1..size {
             for (rank, sent) in self.sent_at.iter_mut().enumerate() {
-                self.clocks[rank] += overhead;
+                self.clocks[rank] += PER_MESSAGE_OVERHEAD;
                 *sent = self.clocks[rank];
             }
             for rank in 0..size {
@@ -1203,7 +1170,6 @@ fn compute_tag(host: HostId, residents: u32) -> u64 {
 /// builds one, runs [`EvalCore::full_pass`] once and drops it.  Everything
 /// here is sized by ranks and sites, never by the topology's host count.
 struct EvalCore {
-    overhead: SimDuration,
     site_count: usize,
     /// Link classes per memo row: same-host, then every directed site pair.
     classes: usize,
@@ -1269,7 +1235,6 @@ impl EvalCore {
         let site_count = network.topology().site_count();
         let classes = 1 + site_count * site_count;
         let mut core = EvalCore {
-            overhead: network.params().per_message_overhead,
             site_count,
             classes,
             tree_memo: vec![UNCOSTED; schedule.msg_sizes.len() * classes],
@@ -1556,7 +1521,7 @@ impl EvalCore {
                             "cached transfer time of {m:?}"
                         );
                         let (s, d) = (m.src as usize, m.dst as usize);
-                        let out_src = clocks[s] + self.overhead;
+                        let out_src = clocks[s] + PER_MESSAGE_OVERHEAD;
                         clocks[s] = out_src;
                         clocks[d] = clocks[d].max(out_src + SimDuration::from_nanos(t));
                     }
@@ -1629,7 +1594,7 @@ impl EvalCore {
         clocks: &mut [SimTime],
     ) {
         let n = clocks.len();
-        let o = self.overhead.as_nanos();
+        let o = PER_MESSAGE_OVERHEAD.as_nanos();
         let entry = clocks.iter().max().map_or(0, |c| c.as_nanos());
         let table = self.ring_tables[shape as usize].as_ref().filter(|t| {
             let (RingTable::Uniform { tmax, .. } | RingTable::PerSrc { tmax, .. }) = t;
@@ -1646,7 +1611,7 @@ impl EvalCore {
                 for d in 0..n {
                     let src = if d >= step { d - step } else { d + n - step };
                     let t = network.transfer_time(host(src), host(d), bytes.get(n, src, d));
-                    cur[d] = prev[d].max(prev[src] + t) + self.overhead;
+                    cur[d] = prev[d].max(prev[src] + t) + PER_MESSAGE_OVERHEAD;
                 }
                 std::mem::swap(&mut prev, &mut cur);
             }
@@ -2121,24 +2086,6 @@ mod tests {
             NetworkModel::new(t.clone()),
             ComputeModel::new(t.clone()),
         )
-    }
-
-    #[test]
-    fn loggp_params_reflect_the_link() {
-        let t = topology();
-        let m = NetworkModel::new(t.clone());
-        let l0 = t.host_by_name("l-0").unwrap().id;
-        let r0 = t.host_by_name("r-0").unwrap().id;
-        let local = LogGpParams::between(&m, l0, l0);
-        let wan = LogGpParams::between(&m, l0, r0);
-        assert_eq!(wan.latency, SimDuration::from_millis(5));
-        assert!(local.latency < wan.latency);
-        assert_eq!(wan.overhead, m.params().per_message_overhead);
-        assert_eq!(wan.gap, wan.overhead);
-        // 1 Gbps NIC bottleneck with 1.05 framing: ~8.4 ns per byte.
-        assert!((wan.secs_per_byte - 8.4e-9).abs() < 0.1e-9);
-        // Loopback is modelled faster than the NIC.
-        assert!(local.secs_per_byte < wan.secs_per_byte);
     }
 
     #[test]
@@ -2809,7 +2756,7 @@ mod tests {
             RingTable::Uniform { tmax, .. } | RingTable::PerSrc { tmax, .. } => *tmax as u64,
         };
         let n = cost.hosts().len() as u64;
-        entry + (n - 1) * (tmax + cost.network.params().per_message_overhead.as_nanos())
+        entry + (n - 1) * (tmax + PER_MESSAGE_OVERHEAD.as_nanos())
     }
 
     #[test]

@@ -14,7 +14,7 @@ use p2pmpi_mpi::model::{
 use p2pmpi_mpi::placement::Placement;
 use p2pmpi_simgrid::compute::ComputeModel;
 use p2pmpi_simgrid::memory::MemoryIntensity;
-use p2pmpi_simgrid::network::NetworkModel;
+use p2pmpi_simgrid::network::{NetworkModel, PER_MESSAGE_OVERHEAD};
 use p2pmpi_simgrid::rngutil::seeded;
 use p2pmpi_simgrid::topology::{HostId, NodeSpec, Topology, TopologyBuilder};
 use proptest::{prop_assert, prop_assert_eq, proptest};
@@ -680,7 +680,7 @@ proptest! {
             0 => topology.hosts().iter().map(|h| (h.id, bytes(0))).collect(),
             _ => hosts.iter().zip(0..).map(|(&h, r)| (h, bytes(r))).collect(),
         };
-        let o = network.params().per_message_overhead.as_nanos();
+        let o = PER_MESSAGE_OVERHEAD.as_nanos();
         let ring_span = (n as u64 - 1) * (table_t_max(&network, &sources) + o);
         let bound = [(1u64 << 53) - gap, 1 << 53, (1 << 53) + gap][side as usize];
         let mut b = ScheduleBuilder::new(n);

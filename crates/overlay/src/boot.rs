@@ -6,7 +6,7 @@
 
 use crate::config::OwnerConfig;
 use crate::mpd::MpdNode;
-use crate::overlay::{Overlay, OverlayParams};
+use crate::overlay::Overlay;
 use crate::peer::{PeerDescriptor, PeerId};
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::noise::NoiseModel;
@@ -20,7 +20,6 @@ pub struct OverlayBuilder {
     topology: Arc<Topology>,
     seed: u64,
     noise: NoiseModel,
-    overlay_params: OverlayParams,
     peers: Vec<(HostId, OwnerConfig)>,
     supernode_host: Option<HostId>,
     tracer: Tracer,
@@ -33,7 +32,6 @@ impl OverlayBuilder {
             topology,
             seed: 0,
             noise: NoiseModel::default(),
-            overlay_params: OverlayParams::default(),
             peers: Vec::new(),
             supernode_host: None,
             tracer: Tracer::new(),
@@ -49,12 +47,6 @@ impl OverlayBuilder {
     /// Sets the probe noise model.
     pub fn noise(mut self, noise: NoiseModel) -> Self {
         self.noise = noise;
-        self
-    }
-
-    /// Sets the overlay protocol parameters.
-    pub fn overlay_params(mut self, params: OverlayParams) -> Self {
-        self.overlay_params = params;
         self
     }
 
@@ -124,7 +116,6 @@ impl OverlayBuilder {
             nodes,
             rng,
             self.tracer,
-            self.overlay_params,
         )
     }
 }

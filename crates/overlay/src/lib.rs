@@ -54,7 +54,7 @@ pub use messages::{
     RankAssignment, RefusalReason, ReservationKey, ReservationReply, ReservationRequest, StartReply,
 };
 pub use mpd::MpdNode;
-pub use overlay::{Overlay, OverlayParams, RsOutcome};
+pub use overlay::{Overlay, RsOutcome};
 pub use peer::{PeerDescriptor, PeerId, PeerState};
 pub use rs::{Reservation, ReservationService, ReservationStatus, StartError};
 pub use supernode::{HostListEntry, Supernode};

@@ -144,33 +144,17 @@ use std::sync::Arc;
 #[path = "round.rs"]
 mod round;
 
-/// Tunable parameters of the overlay protocol simulation.
-#[derive(Debug, Clone, Copy)]
-pub struct OverlayParams {
-    /// How long the submitter waits for an RS answer before marking the peer
-    /// dead (step 5 of the procedure).
-    pub rs_timeout: SimDuration,
-    /// Number of probe rounds performed when bootstrapping a fresh cache.
-    pub bootstrap_probe_rounds: usize,
-    /// Period of the MPD alive signal to the supernode.
-    pub heartbeat_period: SimDuration,
-    /// Size in bytes of an RS reservation-request message.
-    pub rs_message_bytes: u64,
-    /// Size in bytes of an MPD start-request message (program name + ranks).
-    pub start_message_bytes: u64,
-}
-
-impl Default for OverlayParams {
-    fn default() -> Self {
-        OverlayParams {
-            rs_timeout: SimDuration::from_secs(2),
-            bootstrap_probe_rounds: 3,
-            heartbeat_period: SimDuration::from_secs(120),
-            rs_message_bytes: 256,
-            start_message_bytes: 2048,
-        }
-    }
-}
+/// How long the submitter waits for an RS answer before marking the peer
+/// dead (step 5 of the procedure).
+const RS_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Number of probe rounds performed when bootstrapping a fresh cache.
+const BOOTSTRAP_PROBE_ROUNDS: usize = 3;
+/// Period of the MPD alive signal to the supernode.
+const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_secs(120);
+/// Size in bytes of an RS reservation-request message.
+const RS_MESSAGE_BYTES: u64 = 256;
+/// Size in bytes of an MPD start-request message (program name + ranks).
+const START_MESSAGE_BYTES: u64 = 2048;
 
 /// Outcome of an RS→RS reservation request as seen by the submitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,7 +241,8 @@ pub struct Overlay {
     sim: TypedEngine<OverlayEvent>,
     rng: StdRng,
     tracer: Tracer,
-    params: OverlayParams,
+    /// [`RS_TIMEOUT`]; only the unit tests shorten it.
+    rs_timeout: SimDuration,
     /// Whether periodic heartbeat rounds run; once started they re-arm
     /// forever.
     heartbeats_on: bool,
@@ -307,7 +292,6 @@ impl Overlay {
         nodes: Vec<MpdNode>,
         rng: StdRng,
         tracer: Tracer,
-        params: OverlayParams,
     ) -> Self {
         let mut host_to_peer = vec![None; topology.host_count()];
         for n in &nodes {
@@ -326,7 +310,7 @@ impl Overlay {
             sim: TypedEngine::new(),
             rng,
             tracer,
-            params,
+            rs_timeout: RS_TIMEOUT,
             heartbeats_on: false,
             cache_refresh: HashMap::new(),
             resv_expiry: None,
@@ -359,11 +343,6 @@ impl Overlay {
     /// The trace recorder.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Protocol parameters.
-    pub fn params(&self) -> OverlayParams {
-        self.params
     }
 
     /// Current virtual time.
@@ -492,7 +471,7 @@ impl Overlay {
             OverlayEvent::HeartbeatRound => {
                 self.heartbeat_round();
                 self.sim
-                    .schedule_in(self.params.heartbeat_period, OverlayEvent::HeartbeatRound);
+                    .schedule_in(HEARTBEAT_PERIOD, OverlayEvent::HeartbeatRound);
             }
             OverlayEvent::CacheRefresh(peer) => {
                 if let Some(&(period, _)) = self.cache_refresh.get(&peer) {
@@ -598,13 +577,13 @@ impl Overlay {
     }
 
     /// Starts periodic heartbeat rounds (`Overlay::heartbeat_round`) every
-    /// [`OverlayParams::heartbeat_period`], first round one period from now.
+    /// `HEARTBEAT_PERIOD` (120 s), first round one period from now.
     /// No-op if already running.
     pub fn start_heartbeats(&mut self) {
         if !self.heartbeats_on {
             self.heartbeats_on = true;
             self.sim
-                .schedule_in(self.params.heartbeat_period, OverlayEvent::HeartbeatRound);
+                .schedule_in(HEARTBEAT_PERIOD, OverlayEvent::HeartbeatRound);
         }
     }
 
@@ -781,7 +760,7 @@ impl Overlay {
                 .record(self.sim.now(), TraceCategory::Membership, || {
                     format!("{peer} cache refresh unanswered (supernode down)")
                 });
-            return (0, self.params.rs_timeout);
+            return (0, self.rs_timeout);
         }
         let src = self.nodes[peer.0].descriptor.host;
         let elapsed = self.network.transfer_time(src, self.supernode_host, 128)
@@ -833,7 +812,7 @@ impl Overlay {
                 slowest = slowest.max(rtt);
                 Some(rtt)
             } else {
-                slowest = slowest.max(self.params.rs_timeout);
+                slowest = slowest.max(self.rs_timeout);
                 None
             }
         });
@@ -850,7 +829,7 @@ impl Overlay {
     /// elapsed virtual time.
     pub fn bootstrap_peer(&mut self, peer: PeerId) -> SimDuration {
         let (_, mut elapsed) = self.refresh_cache(peer);
-        for _ in 0..self.params.bootstrap_probe_rounds {
+        for _ in 0..BOOTSTRAP_PROBE_ROUNDS {
             elapsed += self.probe_round(peer);
         }
         elapsed
@@ -1092,7 +1071,7 @@ mod tests {
         assert_eq!(o.alive_count(), 5);
         let k = o.generate_key();
         match rs_request(&mut o, from, to, k, 1) {
-            RsOutcome::Timeout { elapsed } => assert_eq!(elapsed, o.params().rs_timeout),
+            RsOutcome::Timeout { elapsed } => assert_eq!(elapsed, o.rs_timeout),
             RsOutcome::Reply { .. } => panic!("dead peer answered"),
         }
         o.probe_round(from);
@@ -1124,12 +1103,12 @@ mod tests {
         assert!(matches!(outcomes[0].1, RsOutcome::Reply { .. }));
         assert!(matches!(outcomes[2].1, RsOutcome::Reply { .. }));
         match outcomes[1].1 {
-            RsOutcome::Timeout { elapsed } => assert_eq!(elapsed, o.params().rs_timeout),
+            RsOutcome::Timeout { elapsed } => assert_eq!(elapsed, o.rs_timeout),
             RsOutcome::Reply { .. } => panic!("dead peer answered"),
         }
         // The clock actually waited the full rs_timeout for the dead peer,
         // and nothing of the round is left on the timeline.
-        assert_eq!(o.now(), t0 + o.params().rs_timeout);
+        assert_eq!(o.now(), t0 + o.rs_timeout);
         assert_eq!(o.events_queued(), 0);
     }
 
@@ -1144,13 +1123,10 @@ mod tests {
         let mut o = OverlayBuilder::new(topo.clone())
             .seed(5)
             .noise(NoiseModel::disabled())
-            .overlay_params(OverlayParams {
-                // Inter-site RTT is 10 ms; a 1 ms timeout always loses.
-                rs_timeout: SimDuration::from_millis(1),
-                ..OverlayParams::default()
-            })
             .peer_per_host_with_core_capacity()
             .build();
+        // Inter-site RTT is 10 ms; a 1 ms timeout always loses.
+        o.rs_timeout = SimDuration::from_millis(1);
         o.boot_all();
         let submitter = o
             .peer_on_host(topo.host_by_name("l-0").unwrap().id)
@@ -1197,7 +1173,7 @@ mod tests {
         assert_eq!(o.supernode().len(), 0);
         let (added, elapsed) = o.refresh_cache(p);
         assert_eq!(added, 0);
-        assert_eq!(elapsed, o.params().rs_timeout);
+        assert_eq!(elapsed, o.rs_timeout);
         assert_eq!(o.node(p).cache.len(), cached, "stale view keeps brokering");
         // Brokering still works peer-to-peer while the supernode is down.
         let key = o.generate_key();
@@ -1371,8 +1347,8 @@ mod tests {
         let (peer, reply, elapsed) = outcomes[0];
         assert_eq!(peer, to);
         assert_eq!(reply, StartReply::Timeout);
-        assert_eq!(elapsed, o.params().rs_timeout);
-        assert_eq!(o.now(), t0 + o.params().rs_timeout);
+        assert_eq!(elapsed, o.rs_timeout);
+        assert_eq!(o.now(), t0 + o.rs_timeout);
         assert_eq!(o.node(to).rs.running_processes(), 0, "never started");
         // The inverse interleaving: a peer dead at send time that recovers
         // before the request arrives *does* start the ranks.
@@ -1408,7 +1384,7 @@ mod tests {
             }
             // Idle time between rounds, as a real sweep's inter-arrival
             // gaps give.
-            o.run_until(o.now() + o.params().rs_timeout);
+            o.run_until(o.now() + o.rs_timeout);
         };
         // Warm-up rounds grow every buffer to its high-water mark ...
         for _ in 0..3 {
@@ -1597,13 +1573,13 @@ mod tests {
     /// model, computed the long way.
     fn rs_rtt(o: &Overlay, from: PeerId, to: PeerId) -> SimDuration {
         let (src, dst) = (o.host_of(from), o.host_of(to));
-        let bytes = o.params().rs_message_bytes;
+        let bytes = RS_MESSAGE_BYTES;
         o.network().transfer_time(src, dst, bytes) + o.network().transfer_time(dst, src, bytes)
     }
 
     /// A start request's trip to the remote MPD.
     fn start_outbound(o: &Overlay, from: PeerId, to: PeerId) -> SimDuration {
-        let bytes = o.params().start_message_bytes;
+        let bytes = START_MESSAGE_BYTES;
         o.network()
             .transfer_time(o.host_of(from), o.host_of(to), bytes)
     }
@@ -1821,12 +1797,12 @@ mod tests {
             vec![
                 (ids[3], StartReply::Started, elapsed_of(ids[3])),
                 (ids[1], StartReply::Started, elapsed_of(ids[1])),
-                (ids[4], StartReply::Timeout, o.params().rs_timeout),
+                (ids[4], StartReply::Timeout, o.rs_timeout),
                 (ids[5], StartReply::Started, elapsed_of(ids[5])),
             ]
         );
         assert!(elapsed_of(ids[1]) < elapsed_of(ids[3]));
-        assert_eq!(o.now(), t0 + o.params().rs_timeout);
+        assert_eq!(o.now(), t0 + o.rs_timeout);
         assert_eq!(o.node(ids[4]).rs.running_processes(), 0, "never started");
         assert_eq!(o.node(ids[5]).rs.running_processes(), 2);
         // Messages delivered: the crash, four arrivals, three replies and
@@ -1872,9 +1848,9 @@ mod tests {
         assert!(outcomes[0].2 < SimDuration::from_millis(1));
         assert_eq!(
             (outcomes[1].1, outcomes[1].2),
-            (StartReply::Timeout, o.params().rs_timeout)
+            (StartReply::Timeout, o.rs_timeout)
         );
-        assert_eq!(o.now(), t0 + o.params().rs_timeout);
+        assert_eq!(o.now(), t0 + o.rs_timeout);
         // The remote did start the ranks; the submitter gave up on them.
         assert_eq!(o.node(slow).rs.running_processes(), 1);
         assert_eq!((o.leaked_grants(), o.leaked_grant_hwm()), (1, 1));
@@ -1901,11 +1877,11 @@ mod tests {
         o.start_round_into(from, key, &[(far, 1), (near, 1)], &mut outcomes);
         assert_eq!(
             (outcomes[0].1, outcomes[0].2),
-            (StartReply::Timeout, o.params().rs_timeout)
+            (StartReply::Timeout, o.rs_timeout)
         );
         assert_eq!(outcomes[1].1, StartReply::Started);
         // The round ends at the deadline, not at the late arrival.
-        assert_eq!(o.now(), t0 + o.params().rs_timeout);
+        assert_eq!(o.now(), t0 + o.rs_timeout);
         assert_eq!(o.node(far).rs.running_processes(), 0);
         assert_eq!(o.events_pending(), 1, "the request is still on its way");
         // Another round reuses the round buffer meanwhile.
@@ -2221,12 +2197,9 @@ mod tests {
             let mut o = OverlayBuilder::new(small_topology())
                 .seed(1)
                 .noise(NoiseModel::disabled())
-                .overlay_params(OverlayParams {
-                    rs_timeout: trip,
-                    ..OverlayParams::default()
-                })
                 .peer_per_host_with_core_capacity()
                 .build();
+            o.rs_timeout = trip;
             o.boot_all();
             let ids = o.peer_ids();
             let key = o.generate_key();
@@ -2292,7 +2265,7 @@ mod tests {
                 })
                 .collect()
         };
-        let rs_timeout = OverlayParams::default().rs_timeout;
+        let rs_timeout = RS_TIMEOUT;
 
         // A dead peer: its timeout fires, the round ends at the deadline.
         let (outcomes, (now, ..), _, _) = play(&|o, _, _| o.kill_peer(o.peer_ids()[4]));
@@ -2308,7 +2281,7 @@ mod tests {
             let remote = o.topology().site_by_name("remote").unwrap().id;
             o.set_site_latency_factor(remote, 300.0);
             let ids = o.peer_ids();
-            assert!(rs_rtt(o, ids[0], ids[3]) >= o.params().rs_timeout);
+            assert!(rs_rtt(o, ids[0], ids[3]) >= o.rs_timeout);
         });
         assert_eq!(
             replies(&outcomes),
@@ -2354,12 +2327,9 @@ mod tests {
         let mut o = OverlayBuilder::new(Arc::new(b.build()))
             .seed(11)
             .noise(NoiseModel::disabled())
-            .overlay_params(OverlayParams {
-                rs_timeout: SimDuration::from_millis(50),
-                ..OverlayParams::default()
-            })
             .peer_per_host(|h| OwnerConfig::new(j, h.cores as u32))
             .build();
+        o.rs_timeout = SimDuration::from_millis(50);
         o.boot_all();
         o.round.reference = reference;
         o
@@ -2388,7 +2358,7 @@ mod tests {
                     1 => window,
                     2 => window + ns(1),
                     3 if !own.is_empty() => own[rng.gen_range(0..own.len())],
-                    4 => o.params().rs_timeout,
+                    4 => o.rs_timeout,
                     _ => ns(rng.gen_range(1..70_000_000)),
                 };
             let peer = ids[rng.gen_range(1..ids.len())];
@@ -2426,7 +2396,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(scenario);
         let ids = o.peer_ids();
         let submitter = ids[0];
-        let rs_timeout = o.params().rs_timeout;
+        let rs_timeout = o.rs_timeout;
         // Standing adversity: dead peers and owners that deny the submitter.
         let address = o.node(submitter).descriptor.address.clone();
         for &p in &ids[1..] {

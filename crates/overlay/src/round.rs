@@ -185,7 +185,7 @@ impl Overlay {
         out.clear();
         let mut round = self.take_round();
         let sent = self.sim.now();
-        let timeout = self.params.rs_timeout;
+        let timeout = self.rs_timeout;
         let (mut latest, mut replies) = (sent, 0);
         for &to in peers {
             let outcome = if self.nodes[to.0].is_alive() {
@@ -264,7 +264,7 @@ impl Overlay {
         out.clear();
         let mut round = self.take_round();
         let sent = self.sim.now();
-        let timeout = self.params.rs_timeout;
+        let timeout = self.rs_timeout;
         let deadline = sent + timeout;
         let (mut arrivals, mut latest, mut replies) = (0, sent, 0);
         for (i, &(to, ranks)) in requests.iter().enumerate() {
@@ -437,10 +437,7 @@ impl Overlay {
     pub(super) fn control_times(&mut self, from: PeerId, to: PeerId) -> ControlTimes {
         let src = self.nodes[from.0].descriptor.host;
         let dst = self.nodes[to.0].descriptor.host;
-        let (rs_bytes, start_bytes) = (
-            self.params.rs_message_bytes,
-            self.params.start_message_bytes,
-        );
+        let (rs_bytes, start_bytes) = (super::RS_MESSAGE_BYTES, super::START_MESSAGE_BYTES);
         let compute = |network: &NetworkModel| ControlTimes {
             rs_round_trip: network.transfer_time(src, dst, rs_bytes)
                 + network.transfer_time(dst, src, rs_bytes),

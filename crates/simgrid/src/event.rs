@@ -177,16 +177,6 @@ impl<E> EventStore<E> {
         }
     }
 
-    /// Reserves room for at least `additional` more simultaneous payloads.
-    /// Inserts fill vacant slots before growing, so only the shortfall past
-    /// the vacant count needs backing capacity (`Vec::reserve` already
-    /// accounts for capacity beyond the current length).  Tombstoned slots
-    /// count as unavailable: they only free up when their ticket is popped.
-    pub fn reserve(&mut self, additional: usize) {
-        let vacant = self.slots.len() - self.live - self.tombstones;
-        self.slots.reserve(additional.saturating_sub(vacant));
-    }
-
     /// Number of slots allocated (the high-water mark of pending events).
     pub fn capacity(&self) -> usize {
         self.slots.capacity()
@@ -481,14 +471,6 @@ impl<E> EventQueue<E> {
         Self::with_capacity(cap)
     }
 
-    /// Reserves capacity for at least `additional` more events, so bursts of
-    /// scheduling (e.g. a job sweep enqueueing its whole arrival process)
-    /// do not regrow the structures incrementally.
-    pub fn reserve(&mut self, additional: usize) {
-        self.store.reserve(additional);
-        self.tickets.reserve(additional);
-    }
-
     /// Current allocated payload capacity (the [`EventStore`]'s slot count —
     /// the payload arena is the allocation that matters; the heap's ticket
     /// buffer tracks it).
@@ -716,18 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn reserve_grows_capacity_without_losing_events() {
-        let mut q = EventQueue::with_capacity(2);
-        q.push(SimTime::from_secs(2), "b");
-        q.push(SimTime::from_secs(1), "a");
-        assert!(q.capacity() >= 2);
-        q.reserve(50);
-        assert!(q.capacity() >= 52);
-        assert_eq!(q.pop().unwrap().payload, "a");
-        assert_eq!(q.pop().unwrap().payload, "b");
-    }
-
-    #[test]
     fn scheduled_struct_reports_time() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(42), "x");
@@ -758,29 +728,6 @@ mod tests {
         let k = store.insert(7);
         store.take(k);
         store.take(k);
-    }
-
-    #[test]
-    fn reserve_guarantees_capacity_for_a_full_burst() {
-        // Regression: reserve must not double-count the Vec's length-beyond-
-        // live slack — a burst of `additional` inserts after reserve may not
-        // reallocate, even when no slots are vacant.
-        let mut store = EventStore::with_capacity(4);
-        let keys: Vec<_> = (0..4).map(|i| store.insert(i)).collect();
-        store.take(keys[0]);
-        store.take(keys[1]);
-        let _ = store.insert(100); // refill one vacant slot: 3 live, 1 vacant
-        store.reserve(300);
-        let cap = store.capacity();
-        for i in 0..300 {
-            store.insert(i);
-        }
-        assert_eq!(
-            store.capacity(),
-            cap,
-            "burst inserts reallocated after reserve"
-        );
-        assert_eq!(store.len(), 303);
     }
 
     #[test]

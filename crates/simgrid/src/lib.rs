@@ -41,7 +41,7 @@ pub mod trace;
 pub use compute::ComputeModel;
 pub use event::{EventKey, EventQueue, EventStore};
 pub use memory::{MemoryContentionModel, MemoryIntensity};
-pub use network::{NetworkModel, NetworkParams};
+pub use network::NetworkModel;
 pub use noise::NoiseModel;
 pub use time::{SimDuration, SimTime};
 pub use topology::{

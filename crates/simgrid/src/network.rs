@@ -17,28 +17,15 @@ use crate::time::SimDuration;
 use crate::topology::{HostId, SiteId, Topology};
 use std::sync::Arc;
 
-/// Tunable parameters of the transfer model.
-#[derive(Debug, Clone, Copy)]
-pub struct NetworkParams {
-    /// Fixed per-message software overhead (serialization, syscalls).
-    pub per_message_overhead: SimDuration,
-    /// Multiplier applied to the payload size to account for protocol framing.
-    pub framing_factor: f64,
-    /// Size in bytes of the empty "ping" message used by MPD latency probes.
-    pub probe_bytes: u64,
-}
+/// Fixed per-message software overhead (serialization, syscalls): ~35 us is
+/// representative of a 2008-era Java TCP stack.
+pub const PER_MESSAGE_OVERHEAD: SimDuration = SimDuration::from_micros(35);
 
-impl Default for NetworkParams {
-    fn default() -> Self {
-        NetworkParams {
-            // ~35 us of per-message software overhead is representative of a
-            // 2008-era Java TCP stack.
-            per_message_overhead: SimDuration::from_micros(35),
-            framing_factor: 1.05,
-            probe_bytes: 64,
-        }
-    }
-}
+/// Multiplier applied to the payload size to account for protocol framing.
+pub const FRAMING_FACTOR: f64 = 1.05;
+
+/// Size in bytes of the empty "ping" message used by MPD latency probes.
+const PROBE_BYTES: u64 = 64;
 
 /// Transfer-time oracle bound to a topology.
 ///
@@ -49,7 +36,6 @@ impl Default for NetworkParams {
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     topology: Arc<Topology>,
-    params: NetworkParams,
     /// Per-site latency multipliers (empty while no link is degraded; the
     /// common case pays one `is_empty` check).  A transfer is slowed by the
     /// worse of its two endpoints' factors.
@@ -57,11 +43,10 @@ pub struct NetworkModel {
 }
 
 impl NetworkModel {
-    /// Creates a model over `topology` with default parameters.
+    /// Creates a model over `topology`.
     pub fn new(topology: Arc<Topology>) -> Self {
         NetworkModel {
             topology,
-            params: NetworkParams::default(),
             site_latency_factor: Vec::new(),
         }
     }
@@ -102,11 +87,6 @@ impl NetworkModel {
         &self.topology
     }
 
-    /// The model parameters.
-    pub fn params(&self) -> NetworkParams {
-        self.params
-    }
-
     /// One-way transfer time of `bytes` from `src` to `dst`.
     pub fn transfer_time(&self, src: HostId, dst: HostId, bytes: u64) -> SimDuration {
         let mut latency = self.topology.latency(src, dst);
@@ -115,16 +95,15 @@ impl NetworkModel {
             latency = latency.mul_f64(factor);
         }
         let bw = self.topology.bandwidth_bps(src, dst);
-        let wire_bytes = bytes as f64 * self.params.framing_factor;
+        let wire_bytes = bytes as f64 * FRAMING_FACTOR;
         let serialization = SimDuration::from_secs_f64(wire_bytes * 8.0 / bw);
-        latency + self.params.per_message_overhead + serialization
+        latency + PER_MESSAGE_OVERHEAD + serialization
     }
 
     /// Round-trip time of an application-level probe (the MPD "ping"): two
     /// empty-message transfers, as the paper's Section 4.1 describes.
     pub fn probe_rtt(&self, src: HostId, dst: HostId) -> SimDuration {
-        self.transfer_time(src, dst, self.params.probe_bytes)
-            + self.transfer_time(dst, src, self.params.probe_bytes)
+        self.transfer_time(src, dst, PROBE_BYTES) + self.transfer_time(dst, src, PROBE_BYTES)
     }
 
     /// Base RTT between hosts without any per-message overhead, i.e. the
@@ -188,7 +167,7 @@ mod tests {
         let m = NetworkModel::new(t.clone());
         let l0 = t.host_by_name("l-0").unwrap().id;
         let r0 = t.host_by_name("r-0").unwrap().id;
-        let one_way = m.transfer_time(l0, r0, m.params().probe_bytes);
+        let one_way = m.transfer_time(l0, r0, PROBE_BYTES);
         assert_eq!(m.probe_rtt(l0, r0), one_way * 2);
         // The application-level probe is strictly slower than ICMP, but the
         // ordering against other sites is what matters to P2P-MPI.

@@ -43,8 +43,6 @@ pub enum TraceCategory {
     Runtime,
     /// Fault injection (churn, crashes).
     Fault,
-    /// Anything else.
-    Other,
 }
 
 impl fmt::Display for TraceCategory {
@@ -56,7 +54,6 @@ impl fmt::Display for TraceCategory {
             TraceCategory::Allocation => "allocation",
             TraceCategory::Runtime => "runtime",
             TraceCategory::Fault => "fault",
-            TraceCategory::Other => "other",
         };
         f.write_str(s)
     }
@@ -232,7 +229,7 @@ mod tests {
     fn disabled_tracer_never_runs_the_closure() {
         let t = Tracer::disabled();
         let mut ran = false;
-        t.record(SimTime::ZERO, TraceCategory::Other, || {
+        t.record(SimTime::ZERO, TraceCategory::Runtime, || {
             ran = true;
             String::new()
         });

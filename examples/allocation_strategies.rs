@@ -1,7 +1,7 @@
 //! Where do processes land?  Reproduces the heart of the paper's Section 5.1
 //! experiment interactively: allocate `hostname` jobs of growing size on the
-//! Grid'5000 model with *concentrate*, *spread* and the *balanced* extension,
-//! and print the per-site breakdown.
+//! Grid'5000 model with *concentrate* and *spread*, and print the per-site
+//! breakdown.
 //!
 //! ```text
 //! cargo run --release --example allocation_strategies
@@ -13,11 +13,7 @@ use p2pmpi_grid5000::sites::SITE_ORDER;
 
 fn main() {
     let demands = [100u32, 250, 400, 600];
-    let strategies = [
-        StrategyKind::Concentrate,
-        StrategyKind::Spread,
-        StrategyKind::Balanced { max_per_host: 2 },
-    ];
+    let strategies = [StrategyKind::Concentrate, StrategyKind::Spread];
 
     println!("demanded\tstrategy\tsite\thosts\tprocesses");
     for &n in &demands {

@@ -3,7 +3,7 @@
 //! each strategy, as the demanded process count grows?
 
 use p2p_mpi::prelude::*;
-use p2pmpi_core::stats::{total_hosts, total_processes, usage_by_site};
+use p2pmpi_core::stats::{total_hosts, total_processes};
 use p2pmpi_grid5000::scenario::allocate_on;
 
 fn nancy_usage(usage: &[p2pmpi_core::stats::SiteUsage]) -> (usize, u64) {
@@ -129,25 +129,6 @@ fn demands_beyond_the_grid_capacity_fail_feasibility() {
     for peer in tb.overlay.peer_ids() {
         assert_eq!(tb.overlay.node(peer).rs.active_applications(), 0);
     }
-}
-
-#[test]
-fn balanced_strategy_sits_between_the_two_extremes() {
-    let n = 300u32;
-    let hosts_of = |strategy: StrategyKind, seed: u64| {
-        let mut tb = grid5000_testbed(seed, NoiseModel::disabled());
-        let (report, row) = allocate_on(&mut tb, n, strategy);
-        assert!(report.is_success());
-        (
-            total_hosts(&row.usage),
-            usage_by_site(report.allocation(), &tb.topology),
-        )
-    };
-    let (concentrate_hosts, _) = hosts_of(StrategyKind::Concentrate, 21);
-    let (spread_hosts, _) = hosts_of(StrategyKind::Spread, 22);
-    let (balanced_hosts, _) = hosts_of(StrategyKind::Balanced { max_per_host: 2 }, 23);
-    assert!(concentrate_hosts < balanced_hosts);
-    assert!(balanced_hosts <= spread_hosts);
 }
 
 #[test]

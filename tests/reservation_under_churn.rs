@@ -31,7 +31,7 @@ fn overbooking_absorbs_crashed_peers() {
         .run_until(tb.overlay.now() + SimDuration::from_secs(2));
     assert!(tb.overlay.alive_count() <= 350 - 30);
 
-    let allocator = CoAllocator::with_overbooking(OverbookingPolicy::Factor(1.5));
+    let allocator = CoAllocator::with_overbooking(OverbookingPolicy(1.5));
     let report = allocator.allocate(
         &mut tb.overlay,
         tb.submitter,
