@@ -111,7 +111,14 @@ fn artefact(args: &Args) -> Result<(), String> {
                 "overbooking" => {
                     args.only(2, "--churn --processes --seed", mode)?;
                     let churn = args.get("--churn")?.unwrap_or(0.15);
-                    overbooking(churn, processes.unwrap_or(300), seed)
+                    if !(0.0..=1.0).contains(&churn) {
+                        return Err(format!("--churn must be in [0, 1], got {churn}"));
+                    }
+                    let demand = processes.unwrap_or(300);
+                    if demand == 0 {
+                        return Err("--processes must be >= 1, got 0".to_string());
+                    }
+                    overbooking(churn, demand, seed)
                 }
                 _ => {
                     args.only(2, "--processes", mode)?;

@@ -3,6 +3,7 @@
 //! knows.  Every error names its flag; the binaries print it and exit 2, so
 //! a typo in a launch line fails instead of measuring a default.
 
+use std::fmt::Display;
 use std::str::FromStr;
 
 /// A parsed command line: its leading words and the flags given.
@@ -80,19 +81,28 @@ impl Args {
     }
 
     /// The value of `flag` parsed as `T`: `Ok(None)` when absent, an error
-    /// naming the flag when it does not parse.
-    pub fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
-        let parse = |v: &str| v.parse().map_err(|_| format!("invalid {flag} value {v:?}"));
+    /// naming the flag and quoting the parse error when it does not parse.
+    pub fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|e| format!("invalid {flag} value {v:?}: {e}"))
+        };
         self.value(flag).map(parse).transpose()
     }
 
     /// The value of `flag` as a comma-separated list of `T`, erroring on
     /// the first element that does not parse.
-    pub fn list<T: FromStr>(&self, flag: &str) -> Result<Option<Vec<T>>, String> {
-        let bad = |n: &str| format!("invalid {flag} element {n:?}");
+    pub fn list<T: FromStr>(&self, flag: &str) -> Result<Option<Vec<T>>, String>
+    where
+        T::Err: Display,
+    {
+        let bad = |n: &str, e: T::Err| format!("invalid {flag} element {n:?}: {e}");
         let parse = |v: &str| {
             v.split(',')
-                .map(|n| n.parse().map_err(|_| bad(n)))
+                .map(|n| n.parse().map_err(|e| bad(n, e)))
                 .collect()
         };
         self.value(flag).map(parse).transpose()
@@ -158,10 +168,16 @@ mod tests {
     fn a_flag_value_parses_or_names_its_flag() {
         let args = parse("--seed 2oo8 --ranks 8,x --refine 2").unwrap();
         let seed = args.get::<u64>("--seed").unwrap_err();
-        assert_eq!(seed, r#"invalid --seed value "2oo8""#);
+        assert_eq!(
+            seed,
+            r#"invalid --seed value "2oo8": invalid digit found in string"#
+        );
         assert_eq!(args.get::<f64>("--refine"), Ok(Some(2.0)));
         let ranks = args.list::<u32>("--ranks").unwrap_err();
-        assert_eq!(ranks, r#"invalid --ranks element "x""#);
+        assert_eq!(
+            ranks,
+            r#"invalid --ranks element "x": invalid digit found in string"#
+        );
         let args = parse("--ranks 8,32,128 --refine -3600,1800.5").unwrap();
         assert_eq!(args.list::<u32>("--ranks"), Ok(Some(vec![8, 32, 128])));
         assert_eq!(args.list("--refine"), Ok(Some(vec![-3600.0, 1800.5])));

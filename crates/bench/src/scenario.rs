@@ -41,11 +41,12 @@
 //! nothing: it reshapes the arrivals before the trace is drawn.  Beyond
 //! each [`FaultSpec`] variant's own semantics, the verdicts rely on:
 //!
-//! * **Revocation ordering** — a peer crash first mass-revokes the doomed
-//!   completions of its running jobs (one `cancel_batch` over their event
-//!   keys, when `fail_jobs_on_crash` is on), freeing every participant
-//!   *before* any later event observes the dead peer.  A revoked completion
-//!   is never delivered; `jobs_killed` counts the revocations.
+//! * **Revocation ordering** — a peer crash first revokes the doomed
+//!   completions of its running jobs (one cancel per event key, in
+//!   reservation-key order, when `fail_jobs_on_crash` is on), freeing every
+//!   participant *before* any later event observes the dead peer.  A
+//!   revoked completion is never delivered; `jobs_killed` counts the
+//!   revocations.
 //! * **Correlated outages** — a site's (or, for a partial site, its first
 //!   `hosts` hosts') peers crash at one instant and recover together,
 //!   unlike the independent flapping of [`DeadPeerChurn`].  Both kinds walk

@@ -599,7 +599,7 @@ pub struct DaySweepConfig {
     /// day; [`DaySweepConfig::compress`] scales them.
     pub faults: Vec<FaultSpec>,
     /// When on, a crashing peer kills the jobs running on it (their
-    /// completions are mass-revoked via `cancel_batch` and every
+    /// completions are revoked in reservation-key order and every
     /// participant is freed).  Off by default: the baseline day pays zero
     /// tracking overhead.
     pub fail_jobs_on_crash: bool,

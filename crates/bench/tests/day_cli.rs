@@ -18,6 +18,11 @@ fn out_of_range_flag_values_exit_2_naming_the_flag() {
         ("--ranks 0", "--ranks"),
         ("--shards 2 --ranks 8,0", "--ranks"),
         ("--strategy balanced:2", "--strategy"),
+        // The parse error itself is kept, not only the flag's name.
+        (
+            "--strategy balanced:2",
+            "expected spread, concentrate or searched",
+        ),
     ];
     for (line, flag) in invalid {
         let mut child = Command::new(env!("CARGO_BIN_EXE_day"))

@@ -279,7 +279,7 @@ const STACKED_FAULTS_GOLDEN: &str = "trace[submitted=1134] \
 #[test]
 fn stacked_faults_fire_every_path_and_hold_their_golden() {
     // Injected faults ride the same timeline as everything else — churn
-    // events, mass revocations (`cancel_batch`), link-degradation toggles,
+    // events, crash kills revoking completions, link-degradation toggles,
     // supernode crash/recovery and eager grant releases included — and a
     // scenario stacking every fault kind must genuinely fire each of them.
     // Times are in the compressed hour's coordinates (the config is

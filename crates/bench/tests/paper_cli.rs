@@ -20,6 +20,8 @@ fn out_of_range_flag_values_exit_2_naming_the_flag() {
         ("fig4 --kernel ep --ranks 1041", "--ranks"),
         ("ablation contention --processes 1041", "--processes"),
         ("ablation contention --processes 0", "--processes"),
+        ("ablation overbooking --processes 0", "--processes"),
+        ("ablation overbooking --churn 2", "--churn"),
     ];
     for (line, flag) in invalid {
         let mut child = Command::new(env!("CARGO_BIN_EXE_paper"))

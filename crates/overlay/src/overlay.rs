@@ -21,9 +21,10 @@
 //! ([`Overlay::start_cache_refresh`]), periodic reservation-expiry sweeps
 //! ([`Overlay::start_reservation_expiry`]) and job completions
 //! ([`Overlay::schedule_completion`]) interleave on one timeline, delivered
-//! in `(time, schedule-order)` order by [`Overlay::run_until`].  The
-//! `stop_*` counterparts cancel the pending event by its [`EventKey`], so
-//! re-arms and revocations never leave ghost events behind.
+//! in `(time, schedule-order)` order by [`Overlay::run_until`].  Calling
+//! `start_cache_refresh` or `start_reservation_expiry` again re-arms it:
+//! the new period replaces the old, whose pending event is cancelled by
+//! its [`EventKey`], so a re-arm never leaves a ghost event behind.
 //!
 //! # The round walk
 //!
@@ -113,8 +114,8 @@
 //!   computed when they were scheduled).
 //!
 //! [`Overlay::set_fail_jobs_on_crash`] makes a peer crash kill the running
-//! jobs it participates in: their completions are mass-revoked via
-//! [`p2pmpi_simgrid::engine::TypedEngine::cancel_batch`] and every
+//! jobs it participates in: their completions are revoked one
+//! [`TypedEngine::cancel`] per job, in reservation-key order, and every
 //! participant's gatekeeper slot is freed, with [`Overlay::jobs_killed`]
 //! counting the casualties.
 //!
@@ -639,8 +640,9 @@ impl Overlay {
 
     /// Marks a peer dead immediately.  With
     /// [`Overlay::set_fail_jobs_on_crash`] on, every running job the peer
-    /// participates in is killed: its completion event is mass-revoked and
-    /// the gatekeeper slot is freed on every participant.
+    /// participates in is killed, in [`ReservationKey`] order: its
+    /// completion event is revoked and the gatekeeper slot is freed on
+    /// every participant.
     pub fn kill_peer(&mut self, peer: PeerId) {
         self.nodes[peer.0].state = PeerState::Dead;
         self.tracer
@@ -648,16 +650,17 @@ impl Overlay {
                 format!("{peer} crashed")
             });
         if self.fail_jobs_on_crash && !self.running_jobs.is_empty() {
-            let doomed: Vec<EventKey> = self
+            let mut doomed: Vec<(ReservationKey, EventKey)> = self
                 .running_jobs
-                .values()
-                .filter(|(_, peers)| peers.contains(&peer))
-                .map(|&(ev, _)| ev)
+                .iter()
+                .filter(|(_, (_, peers))| peers.contains(&peer))
+                .map(|(&key, &(ev, _))| (key, ev))
                 .collect();
-            if doomed.is_empty() {
-                return;
-            }
-            for event in self.sim.cancel_batch(doomed) {
+            doomed.sort_unstable_by_key(|&(key, _)| key);
+            for (_, ev) in doomed {
+                let Some(event) = self.sim.cancel(ev) else {
+                    continue;
+                };
                 let OverlayEvent::JobComplete { key, peers } = event else {
                     unreachable!("running-job registry tracked a non-completion event");
                 };
@@ -1321,6 +1324,43 @@ mod tests {
         let processed = o.events_processed();
         o.run_until(o.now() + SimDuration::from_secs(200));
         assert_eq!(o.events_processed(), processed);
+    }
+
+    #[test]
+    fn a_crash_kills_its_jobs_in_reservation_key_order() {
+        // J = 6 lets six one-rank jobs run on one peer; their keys are
+        // random, so only an ordered revocation traces them sorted.
+        let mut o = OverlayBuilder::new(small_topology())
+            .seed(1)
+            .noise(NoiseModel::disabled())
+            .peer_per_host(|h| OwnerConfig::new(6, h.cores as u32))
+            .build();
+        o.boot_all();
+        o.set_fail_jobs_on_crash(true);
+        let ids = o.peer_ids();
+        let (from, victim) = (ids[0], ids[4]);
+        let mut keys = Vec::new();
+        for _ in 0..6 {
+            let key = o.generate_key();
+            grant_all(&mut o, from, &[victim], key);
+            assert_eq!(
+                mpd_start(&mut o, from, victim, key, 1).0,
+                StartReply::Started
+            );
+            o.schedule_completion(o.now() + SimDuration::from_secs(100), key, vec![victim]);
+            keys.push(key);
+        }
+        o.tracer().clear();
+        o.kill_peer(victim);
+        assert_eq!(o.jobs_killed(), 6);
+        let faults = o.tracer().events_in(TraceCategory::Fault);
+        let killed: Vec<&str> = faults[1..].iter().map(|e| e.message.as_str()).collect();
+        keys.sort_unstable();
+        let expected: Vec<String> = keys
+            .iter()
+            .map(|k| format!("{k} killed by crash of {victim}"))
+            .collect();
+        assert_eq!(killed, expected);
     }
 
     #[test]

@@ -9,12 +9,10 @@
 //! signals, cache refreshes, latency probes, reservation timeouts) are
 //! simulated.
 //!
-//! Payloads live in the slab-backed [`crate::event::EventStore`] behind the
-//! queue's binary heap.  [`TypedEngine::schedule_at`] /
-//! [`TypedEngine::schedule_in`] return the event's [`EventKey`], which
-//! [`TypedEngine::cancel`] accepts to revoke a pending event
-//! (cancel-after-fire is a harmless no-op; see `crate::event` for the
-//! tombstone mechanics and the FIFO guarantees around them).
+//! [`TypedEngine::schedule_at`] / [`TypedEngine::schedule_in`] return the
+//! event's [`EventKey`], which [`TypedEngine::cancel`] accepts to revoke a
+//! pending event (cancel-after-fire is a harmless no-op; see `crate::event`
+//! for the tombstone mechanics and the FIFO guarantees around them).
 
 use crate::event::{EventKey, EventQueue, Scheduled};
 use crate::time::{SimDuration, SimTime};
@@ -141,21 +139,6 @@ impl<E> TypedEngine<E> {
         self.queue.cancel(key)
     }
 
-    /// Revokes a batch of pending events, returning the payloads that were
-    /// still live.  Stale keys (already fired or cancelled) are skipped
-    /// silently, so fault injectors can mass-revoke everything a crashed
-    /// host still had scheduled without tracking which keys already fired.
-    pub fn cancel_batch(&mut self, keys: impl IntoIterator<Item = EventKey>) -> Vec<E> {
-        keys.into_iter()
-            .filter_map(|key| self.queue.cancel(key))
-            .collect()
-    }
-
-    /// True if `key` still refers to a pending event.
-    pub fn is_pending(&self, key: EventKey) -> bool {
-        self.queue.is_pending(key)
-    }
-
     /// Delivers the earliest event due at or before `deadline`, advancing
     /// the clock to its firing time; `None` once nothing (more) is due.
     /// The owner's driver loop is `while let Some(ev) = sim.pop_due(t)`,
@@ -246,25 +229,9 @@ mod tests {
         let rearmed = sim.schedule_in(SimDuration::from_secs(10), "timeout");
         let ev = sim.pop_due(SimTime::MAX).unwrap();
         assert_eq!((ev.time, ev.payload), (SimTime::from_secs(14), "timeout"));
-        assert!(!sim.is_pending(rearmed));
+        // Both keys are stale now: the cancelled one and the fired one.
+        assert_eq!((sim.cancel(timeout), sim.cancel(rearmed)), (None, None));
         assert!(sim.pop_due(SimTime::MAX).is_none());
-    }
-
-    #[test]
-    fn typed_engine_cancel_batch_skips_stale_keys() {
-        // Mass revocation on a crash: some keys already fired, some were
-        // cancelled individually — only the live payloads come back.
-        let mut sim: TypedEngine<u32> = TypedEngine::new();
-        let keys: Vec<_> = (1..=5u32)
-            .map(|i| sim.schedule_at(SimTime::from_secs(i as u64), i))
-            .collect();
-        assert_eq!(sim.pop_due(SimTime::MAX).unwrap().payload, 1);
-        assert_eq!(sim.cancel(keys[2]), Some(3));
-        let mut revoked = sim.cancel_batch(keys);
-        revoked.sort_unstable();
-        assert_eq!(revoked, vec![2, 4, 5]);
-        assert!(sim.pop_due(SimTime::MAX).is_none());
-        assert_eq!(sim.pending(), 0);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!
 //! * [`time`] — integer-nanosecond virtual time ([`SimTime`], [`SimDuration`]).
 //! * [`event`] / [`engine`] — a deterministic discrete-event engine used by
-//!   the overlay protocol simulation; payloads live in a slab-backed
-//!   [`event::EventStore`] and a binary heap of compact tickets orders
-//!   them, FIFO among equal instants.
+//!   the overlay protocol simulation: a binary heap of compact tickets
+//!   orders the pending events, FIFO among equal instants.
 //! * [`topology`] — sites, clusters and hosts with an inter-site RTT and
 //!   bandwidth matrix (Table 1 of the paper is expressed with these types by
 //!   the `p2pmpi-grid5000` crate).
@@ -39,7 +38,7 @@ pub mod topology;
 pub mod trace;
 
 pub use compute::ComputeModel;
-pub use event::{EventKey, EventQueue, EventStore};
+pub use event::{EventKey, EventQueue};
 pub use memory::{MemoryContentionModel, MemoryIntensity};
 pub use network::NetworkModel;
 pub use noise::NoiseModel;
