@@ -250,6 +250,17 @@ fn print_shards(label: &str, r: &ShardSweepResult) {
         r.events_per_sec(),
         r.jobs_per_sec()
     );
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    print!("lane_work_ms");
+    for &w in &r.lane_work {
+        print!("\t{:.1}", ms(w));
+    }
+    println!(
+        "\ncoordinator_wait_ms\t{:.1}\tbroker_ms\t{:.1}\tphases\t{}",
+        ms(r.coordinator_wait),
+        ms(r.broker),
+        r.phases
+    );
 }
 
 /// `--scenario NAME|all`: the matrix, one JSON verdict per scenario.

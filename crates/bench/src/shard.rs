@@ -171,7 +171,18 @@ pub struct ShardSweepResult {
     /// Synchronization barriers executed (= cross-shard jobs in the trace).
     pub barriers: usize,
     /// Wall-clock time of the whole run (trace generation through merge).
-    pub wall: std::time::Duration,
+    pub wall: Duration,
+    /// Wall time spent running each shard, in shard order: its share of
+    /// every phase and its final drain, summed by the lane that ran it.
+    pub lane_work: Vec<Duration>,
+    /// Wall time the coordinator (lane 0) spent waiting, after its own
+    /// shards' share of a phase, for the other lanes to finish theirs.
+    pub coordinator_wait: Duration,
+    /// Wall time the coordinator spent brokering cross-shard jobs at the
+    /// barriers.
+    pub broker: Duration,
+    /// Phases run: one per barrier plus the tail.
+    pub phases: usize,
 }
 
 impl ShardSweepResult {
@@ -462,46 +473,53 @@ impl Lanes<'_> {
         (lane..self.cores.len()).step_by(self.count)
     }
 
-    /// Runs `lane`'s shards through one phase, in shard order.
-    fn run_phase(&self, lane: usize, segment: &Segment) {
+    /// Runs `lane`'s shards through one phase, in shard order, adding each
+    /// shard's wall time to `spent[s]`.
+    fn run_phase(&self, lane: usize, segment: &Segment, spent: &mut [Duration]) {
         let barrier = segment.cross.as_ref().map(|j| j.at);
         for s in self.shards_of(lane) {
+            let start = Instant::now();
             let mut slot = self.cores[s]
                 .lock()
                 .expect("a lane panicked while holding this shard");
             let core = slot.as_mut().expect("a shard is finished once, last");
             (self.segment_fn)(s, core, &segment.batches[s], barrier);
+            spent[s] += start.elapsed();
         }
     }
 
-    /// Drains `lane`'s shards to the horizon and closes their books.
-    fn finish(&self, lane: usize) -> Vec<(usize, DaySweepResult)> {
+    /// Drains `lane`'s shards to the horizon and closes their books; each
+    /// result comes with its shard's lane work, `spent[s]` plus the drain.
+    fn finish(&self, lane: usize, spent: &[Duration]) -> Vec<Finished> {
         self.shards_of(lane)
             .map(|s| {
+                let start = Instant::now();
                 let core = self.cores[s]
                     .lock()
                     .expect("a lane panicked while holding this shard")
                     .take()
                     .expect("a shard is finished once, last");
-                (s, core.finish(self.horizon))
+                let result = core.finish(self.horizon);
+                (s, result, spent[s] + start.elapsed())
             })
             .collect()
     }
 
     /// A worker lane's whole life: every phase as it is released, then
     /// `finish`.  Returns early and empty-handed on a poisoned epoch.
-    fn work(&self, lane: usize) -> Vec<(usize, DaySweepResult)> {
+    fn work(&self, lane: usize) -> Vec<Finished> {
         let done = &self.done[lane - 1];
         let _notice = PoisonOnPanic {
             done,
             coordinator: &self.coordinator,
         };
+        let mut spent = vec![Duration::ZERO; self.cores.len()];
         for (k, segment) in self.segments.iter().enumerate() {
             let epoch = k as u64 + 1;
             if wait_for(&self.epoch, epoch) == POISONED {
                 return Vec::new();
             }
-            self.run_phase(lane, segment);
+            self.run_phase(lane, segment, &mut spent);
             // Release: this lane's work on its shards is visible to the
             // coordinator once it reads `done` in `wait_for`.
             done.store(epoch, Ordering::Release);
@@ -510,9 +528,12 @@ impl Lanes<'_> {
         if wait_for(&self.epoch, self.segments.len() as u64 + 1) == POISONED {
             return Vec::new();
         }
-        self.finish(lane)
+        self.finish(lane, &spent)
     }
 }
+
+/// A finished shard: its index, its result and its lane work.
+type Finished = (usize, DaySweepResult, Duration);
 
 /// Runs the sharded sweep.  See the module docs for the barrier protocol
 /// and the lanes; `day --shards` renders the result.
@@ -643,7 +664,10 @@ pub(crate) fn run_shard_sweep_on(
     let lanes = &lanes;
 
     let mut stats = CrossStats::default();
-    let per_shard: Vec<DaySweepResult> = std::thread::scope(|scope| {
+    // The coordinator's own clocks; each lane sums its shards' work itself,
+    // and the coordinator reads those sums after the join.
+    let (mut coordinator_wait, mut broker) = (Duration::ZERO, Duration::ZERO);
+    let mut finished: Vec<Finished> = std::thread::scope(|scope| {
         let handles: Vec<_> = (1..lanes.count)
             .map(|lane| scope.spawn(move || lanes.work(lane)))
             .collect();
@@ -652,18 +676,22 @@ pub(crate) fn run_shard_sweep_on(
             workers: handles.iter().map(|h| h.thread().clone()).collect(),
         };
         let mut healthy = true;
+        let mut spent = vec![Duration::ZERO; shards];
         for (k, segment) in segments.iter().enumerate() {
             let epoch = k as u64 + 1;
             gate.open(epoch);
-            lanes.run_phase(0, segment);
+            lanes.run_phase(0, segment, &mut spent);
+            let waiting = Instant::now();
             healthy = lanes
                 .done
                 .iter()
                 .all(|done| wait_for(done, epoch) != POISONED);
+            coordinator_wait += waiting.elapsed();
             if !healthy {
                 break;
             }
             if let Some(job) = &segment.cross {
+                let brokering = Instant::now();
                 let mut slots: Vec<_> = lanes
                     .cores
                     .iter()
@@ -674,12 +702,13 @@ pub(crate) fn run_shard_sweep_on(
                     .map(|slot| slot.as_mut().expect("a shard is finished once, last"))
                     .collect();
                 broker_cross(&mut cores, job, base, &global_hosts, &mut costs, &mut stats);
+                broker += brokering.elapsed();
             }
         }
         let mut finished = Vec::new();
         if healthy {
             gate.open(segments.len() as u64 + 1);
-            finished = lanes.finish(0);
+            finished = lanes.finish(0, &spent);
         } else {
             gate.open(POISONED);
         }
@@ -691,9 +720,13 @@ pub(crate) fn run_shard_sweep_on(
             }
         }
         assert_eq!(finished.len(), shards, "a lane left without finishing");
-        finished.sort_by_key(|&(s, _)| s);
-        finished.into_iter().map(|(_, result)| result).collect()
+        finished
     });
+    finished.sort_by_key(|&(s, ..)| s);
+    let (per_shard, lane_work): (Vec<_>, Vec<_>) = finished
+        .into_iter()
+        .map(|(_, result, work)| (result, work))
+        .unzip();
 
     let merged = merge_results(&per_shard, &stats, costs.shapes(), &global_topology);
     ShardSweepResult {
@@ -704,6 +737,10 @@ pub(crate) fn run_shard_sweep_on(
         cross_failed: stats.failed,
         barriers,
         wall: start.elapsed(),
+        lane_work,
+        coordinator_wait,
+        broker,
+        phases: segments.len(),
     }
 }
 

@@ -59,6 +59,13 @@ fn parallel_and_single_thread_drivers_agree_bit_for_bit() {
         assert_eq!(parallel.cross_succeeded, single.cross_succeeded, "{what}");
         assert_eq!(parallel.cross_failed, single.cross_failed, "{what}");
         assert_eq!(parallel.barriers, single.barriers, "{what}");
+        // The attribution: one phase per barrier plus the tail, and every
+        // shard's lane work counted by the lane that ran it.
+        for r in [&parallel, &single] {
+            assert_eq!(r.phases, r.barriers + 1, "{what}");
+            assert_eq!(r.lane_work.len(), 4, "{what}");
+            assert!(r.lane_work.iter().all(|w| !w.is_zero()), "{what}");
+        }
         if cross_fraction == 0.0 {
             assert_eq!(
                 parallel.barriers, 0,

@@ -94,8 +94,9 @@
 //! Everything that *charges* a makespan goes through the evaluator's full
 //! pass instead: tree messages through one cached transfer time each,
 //! compute phases through a per-rank term cache, rings through pooled
-//! transfer tables and an exact f64 wavefront (~1 ns per receive),
-//! repeated blocks fast-forwarded (see the fast-forward contract below).
+//! transfer tables and an exact f64 wavefront (~0.4 ns per receive in its
+//! site-run form, ~1–1.3 ns gathered; see *Exactness* below), repeated
+//! blocks fast-forwarded (see the fast-forward contract below).
 //! The same pass costs every move of a searching `PlacementCost`, so the
 //! objective a search optimises and the makespan a sweep charges are one
 //! code path, not two that agree.  `cost_of` keeps none of the search's
@@ -108,7 +109,10 @@
 //! iterations and the second one's allreduce stepped, the rest
 //! fast-forwarded).  A move of a searching evaluator, which hits the term
 //! cache and re-derives only its ranks' tree times, costs 0.22–1.3 µs at
-//! EP@8–128, ~0.8 µs at IS@8, ~4.2 µs at IS@32 (~2.8 µs spread).
+//! EP@8–128, ~0.8 µs at IS@8, ~4.2 µs at IS@32 (~2.8 µs spread).  At
+//! IS@1024 a `cost_of` pass takes ~0.84 ms concentrated and ~0.90 ms
+//! spread (site-run rings; 2.2 and 2.3 ms when every ring ran gathered),
+//! and ~2.7 ms with the ranks dealt over the sites in turn (gathered).
 //!
 //! A compiled schedule is placement-independent, so callers compile each
 //! kernel shape once and share it (`p2pmpi_bench::search::
@@ -188,14 +192,44 @@
 //! clocks could reach 2^53 ns (~104 days) costs each receive in saturating
 //! u64 instead, as a `PerPair` ring does.
 //!
+//! **The two f64 ring forms.**  Each pass picks one for all its table
+//! rings, from the per-rank view alone:
+//!
+//! * *site-run*, for rings of 64 ranks and more whose rank order keeps
+//!   sites in long runs: the order is cut into maximal same-site stretches,
+//!   a stretch shorter than 8 ranks joins the run before it, and its ranks
+//!   at another site are *strays*; with at most one stray per eight ranks,
+//!   each wavefront expands its table into one column per destination
+//!   site, a step's receives are at most two zipped loops per run over the
+//!   run's column (no gather: LLVM vectorises them at the x86-64 baseline,
+//!   `addpd` / `maxpd`) and each stray is received again from its own
+//!   site's column.  The search's seed placements keep sites in runs on
+//!   the scaled Grid'5000 grid, and so do the walks from them: every ring
+//!   of a 100-move IS@1024 search ran site-run, from each of the four
+//!   seeds, and at IS@128 8 of 802 (four chains, seed 7) ran gathered;
+//! * *gathered* otherwise — smaller rings, ranks scattered over the sites —
+//!   with two zipped loops per step, each receive reading its entry from
+//!   its source's site row at its own site.
+//!
+//! Either way a step's same-host pairs are received again last, at loopback
+//! cost.  Every receive is the same f64 `+` and `max` of the same entries in
+//! both forms, so the forms agree bit for bit: `model::tests::
+//! both_f64_ring_forms_equal_the_oracle_at_96_ranks` pins each against the
+//! oracle through moves and undos, and `is_search_soak` runs the real IS
+//! and FT rings in the site-run form.  The measurements behind the three
+//! bounds are on their private constants (`SITE_RUN_MIN_RANKS`,
+//! `SITE_RUN_MIN_LEN`, `SITE_RUN_STRAY_DIV`).
+//!
 //! **Memory.**  Two clock vectors, the memo, one u64 per pooled tree
 //! message (4 KB at EP@128), the per-rank view, 16 bytes per rank per
 //! distinct compute phase, the fast-forward's snapshots (one u64 per rank
 //! per position of the repeated block: `period × ranks`, 32 KB for IS at
 //! 1024 ranks), and for rings O(ranks · sites) of f64 tables and scratch
 //! rows shared across *all* ring segments with the same byte structure
-//! ([`PlacementCost::ring_cache_bytes`] reports the rings' total: ~100 KB
-//! at IS@1024, half of it the per-wavefront `Uniform` row expansion).
+//! ([`PlacementCost::ring_cache_bytes`] reports the rings' total: ~101 KB
+//! at IS@1024, half of it the per-wavefront table expansion — site columns
+//! in the site-run form, `Uniform` rows in the gathered one — and 12 bytes
+//! per site run plus 4 per stray).
 //!
 //! # The fast-forward contract
 //!
@@ -1135,6 +1169,36 @@ enum RingTable {
 /// Integers below this are exact f64s.
 const F64_EXACT: u64 = 1 << 53;
 
+/// Ranks below which a table ring always runs the gathered form.  Below
+/// it the two forms cost the same within noise (an IS@32 `cost_of` pass,
+/// best of ten batches, measured ~6–8 µs either way on site-contiguous
+/// placements), so the day's searched IS rings (8–32 ranks) keep the loop
+/// they have always run; `day_searched` read the same with and without
+/// this and the stray bound (five pairs, 0.40 vs 0.42 s).
+const SITE_RUN_MIN_RANKS: usize = 64;
+
+/// Same-site stretches of the rank order shorter than this are not runs of
+/// their own: they join the run before them, as strays.  A run costs up to
+/// two loop set-ups per step, which a stretch of a few ranks would pay for
+/// a few receives.
+const SITE_RUN_MIN_LEN: usize = 8;
+
+/// The site-run form runs only while at most `ranks / SITE_RUN_STRAY_DIV`
+/// ranks are strays: each stray is received twice per step, once in its
+/// run's loop and once gathered.  Without this bound, IS with its ranks
+/// dealt over the six Grid'5000 sites in turn (every rank a stray but the
+/// first run's) measured 1.8× slower than gathered at 128 ranks and 1.9×
+/// at 1024 (`cost_of`, 89 vs 51 µs and 5.0 vs 2.7 ms).
+const SITE_RUN_STRAY_DIV: usize = 8;
+
+/// Ranks `start..end` of a ring's rank order, all at `site` except the
+/// strays among them (see [`EvalCore::refresh_runs`]).
+struct SiteRun {
+    start: u32,
+    end: u32,
+    site: u32,
+}
+
 /// The in-flight move awaiting `commit`/`undo`.
 struct PendingMove {
     /// `(rank, host it left)` of every rank the move relocated: two for a
@@ -1213,13 +1277,21 @@ struct EvalCore {
     /// Table wavefront rows (shifted clocks in ns); empty without table rings.
     wf_prev: Vec<f64>,
     wf_cur: Vec<f64>,
-    /// Per-rank row expansion of a `Uniform` site×site table, rebuilt from
-    /// `site_of` at the start of each wavefront over one, so the hot loop
-    /// keeps the sequential `PerSrc` row shape.
-    site_rows: Vec<f64>,
-    /// Ring wavefronts of the last pass run as f64 and per receive (see
-    /// [`PlacementCost::last_ring_paths`]).
-    ring_paths: (usize, usize),
+    /// The table a wavefront reads, laid out for its loop and rebuilt at
+    /// its start: per-destination-site columns `[site · ranks + src]` in
+    /// the site-run form, per-source site rows `[src · sites + site]` of a
+    /// `Uniform` table in the gathered form (a `PerSrc` table holds those).
+    table_scratch: Vec<f64>,
+    /// The site runs of the rank order, rebuilt per pass (see
+    /// [`Self::refresh_runs`]); empty when table rings run gathered.
+    runs: Vec<SiteRun>,
+    /// The ranks whose site differs from their run's.
+    strays: Vec<u32>,
+    /// The second clock row of a per-receive ring.
+    spare_clocks: Vec<SimTime>,
+    /// Ring wavefronts of the last pass run `(site-run, gathered, per
+    /// receive)` (see [`PlacementCost::last_ring_paths`]).
+    ring_paths: (usize, usize, usize),
     /// Per-rank clocks (nanoseconds) at each position of the schedule's
     /// repeated block, `rep_clocks[pos · ranks + rank]`, as the pass last
     /// passed it — what the next repetition's clocks at that position are
@@ -1252,8 +1324,11 @@ impl EvalCore {
             by_host: Vec::new(),
             wf_prev: Vec::new(),
             wf_cur: Vec::new(),
-            site_rows: Vec::new(),
-            ring_paths: (0, 0),
+            table_scratch: Vec::new(),
+            runs: Vec::new(),
+            strays: Vec::new(),
+            spare_clocks: Vec::new(),
+            ring_paths: (0, 0, 0),
             rep_clocks: vec![0; schedule.repeat.map_or(0, |r| r.period * n)],
         };
         core.build_ring_tables(schedule, hosts, network);
@@ -1443,6 +1518,43 @@ impl EvalCore {
         }
     }
 
+    /// Rebuilds the site runs if the table rings will run in the site-run
+    /// form: the rank order split into maximal same-site stretches, each
+    /// shorter than [`SITE_RUN_MIN_LEN`] or at the site of the run before
+    /// it joining that run, whose ranks at another site are the strays.
+    /// Leaves both lists empty — the gathered form — for a ring under
+    /// [`SITE_RUN_MIN_RANKS`] or too many strays.
+    fn refresh_runs(&mut self) {
+        let n = self.site_of.len();
+        self.runs.clear();
+        self.strays.clear();
+        if self.wf_prev.is_empty() || n < SITE_RUN_MIN_RANKS {
+            return;
+        }
+        let mut start = 0;
+        for stretch in self.site_of.chunk_by(|a, b| a == b) {
+            let (end, site) = ((start + stretch.len()) as u32, stretch[0]);
+            match self.runs.last_mut() {
+                Some(run) if run.site == site || stretch.len() < SITE_RUN_MIN_LEN => {
+                    if run.site != site {
+                        self.strays.extend(run.end..end);
+                    }
+                    run.end = end;
+                }
+                _ => self.runs.push(SiteRun {
+                    start: start as u32,
+                    end,
+                    site,
+                }),
+            }
+            start += stretch.len();
+        }
+        if self.strays.len() > n / SITE_RUN_STRAY_DIV {
+            self.runs.clear();
+            self.strays.clear();
+        }
+    }
+
     /// One full evaluation of `schedule` on `hosts`: `clocks` (all zero on
     /// entry) holds the final per-rank clocks on return.  This is the one
     /// code path behind every costing — [`PlacementCost::cost_of`] and every
@@ -1466,7 +1578,8 @@ impl EvalCore {
             "the per-rank view drifted from the assignment"
         );
         self.refresh_colo(residents);
-        self.ring_paths = (0, 0);
+        self.refresh_runs();
+        self.ring_paths = (0, 0, 0);
         let n = clocks.len();
         let mut evaluated = 0;
         let mut seg = 0;
@@ -1586,6 +1699,26 @@ impl EvalCore {
     /// `B = max(C) + (n − 1) · (tmax + o)`, so for `B < 2^53` every f64 `+`
     /// and `max` is exact.  Any other ring (`B ≥ 2^53`, or `PerPair`) costs
     /// each receive through the network model in saturating u64.
+    ///
+    /// A table ring's step takes one of two forms, chosen per pass by
+    /// [`Self::refresh_runs`]:
+    ///
+    /// * *site-run*: the table is expanded into one column per destination
+    ///   site, and each run's receives are at most two zipped loops over
+    ///   `D'`, `D'` shifted by the step and the run's column — no gather,
+    ///   so they vectorise; each stray is then received again from its own
+    ///   site's column;
+    /// * *gathered*: two zipped loops over the whole row (one per side of
+    ///   the wrap), each receive reading `t` from its source's site row at
+    ///   its own site.
+    ///
+    /// Either way the step's same-host pairs are received again last, at
+    /// loopback cost.  Every receive ends as the same `+` and `max` of the
+    /// same f64s in both forms, so they agree bit for bit.
+    ///
+    /// Kept out of line: inlined into [`Self::full_pass`], whose other arms
+    /// carry every tree-only move, it made EP@128 moves measure ~8% slower.
+    #[inline(never)]
     fn ring_wavefront(
         &mut self,
         schedule: &CompiledSchedule,
@@ -1602,11 +1735,11 @@ impl EvalCore {
             entry.saturating_add(span) < F64_EXACT
         });
         let Some(table) = table else {
-            self.ring_paths.1 += 1;
+            self.ring_paths.2 += 1;
             let bytes = &schedule.ring_shapes[shape as usize];
             let host = |r: usize| HostId(self.host_of[r] as usize);
-            let mut spare = vec![SimTime::ZERO; n];
-            let (mut prev, mut cur) = (&mut *clocks, &mut spare[..]);
+            self.spare_clocks.resize(n, SimTime::ZERO);
+            let (mut prev, mut cur) = (&mut *clocks, &mut self.spare_clocks[..]);
             for step in 1..n {
                 for d in 0..n {
                     let src = if d >= step { d - step } else { d + n - step };
@@ -1615,13 +1748,12 @@ impl EvalCore {
                 }
                 std::mem::swap(&mut prev, &mut cur);
             }
-            // `n − 1` steps: an odd count leaves the exit clocks in `spare`.
+            // `n − 1` steps: an odd count leaves the exit clocks in the spare.
             if n.is_multiple_of(2) {
-                clocks.copy_from_slice(&spare);
+                clocks.copy_from_slice(&self.spare_clocks);
             }
             return;
         };
-        self.ring_paths.0 += 1;
         let mut prev = std::mem::take(&mut self.wf_prev);
         let mut cur = std::mem::take(&mut self.wf_cur);
         // Clocks below 2^53 convert through i64: one instruction each way.
@@ -1629,41 +1761,46 @@ impl EvalCore {
             *p = c.as_nanos() as i64 as f64;
         }
         let (colo, site_of, s_count) = (&self.colo, &self.site_of, self.site_count);
-        let colo_start = &self.colo_start;
-        // Per-src site rows for the hot loop: a `PerSrc` table holds them; a
-        // `Uniform` table is expanded from `site_of` once per wavefront
-        // (O(ranks·sites)) — a per-receive `site[ss·s + sd]` gather measured
-        // ~2× slower on the ring-dominated IS schedule.
-        let rows: &[f64] = match table {
-            RingTable::Uniform { site, .. } => {
-                self.site_rows.clear();
-                for &s in site_of {
-                    self.site_rows
-                        .extend_from_slice(&site[s as usize * s_count..][..s_count]);
+        let (colo_start, runs, strays) = (&self.colo_start, &self.runs, &self.strays);
+        let site_run = !runs.is_empty();
+        // The table as the loop reads it, expanded once per wavefront
+        // (O(ranks·sites)): per-site columns for the site-run form; for the
+        // gathered form per-src site rows, which a `PerSrc` table holds and
+        // a `Uniform` one is expanded into from `site_of` (a per-receive
+        // `site[ss·s + sd]` gather measured ~2× slower on the ring-dominated
+        // IS schedule).
+        let scratch = &mut self.table_scratch;
+        let expanded: &[f64] = if site_run {
+            self.ring_paths.0 += 1;
+            scratch.clear();
+            for sd in 0..s_count {
+                match table {
+                    RingTable::Uniform { site, .. } => {
+                        scratch.extend(site_of.iter().map(|&ss| site[ss as usize * s_count + sd]))
+                    }
+                    RingTable::PerSrc { tsite, .. } => {
+                        scratch.extend(tsite[sd..].iter().step_by(s_count))
+                    }
                 }
-                &self.site_rows
             }
-            RingTable::PerSrc { tsite, .. } => tsite,
+            scratch
+        } else {
+            self.ring_paths.1 += 1;
+            match table {
+                RingTable::Uniform { site, .. } => {
+                    scratch.clear();
+                    for &s in site_of {
+                        scratch.extend_from_slice(&site[s as usize * s_count..][..s_count]);
+                    }
+                    scratch
+                }
+                RingTable::PerSrc { tsite, .. } => tsite,
+            }
         };
         // One `maxsd`, without the NaN handling of `f64::max`.
         let later = |a: f64, b: f64| if a > b { a } else { b };
-        // The wrap in `src = d − step (mod n)` splits each step into two
-        // linear runs, so the whole row is zipped slices: no index
-        // arithmetic, no bounds checks, no per-cell branch.
-        for step in 1..n {
-            // d in step..n pairs with src = d − step; d in 0..step wraps to
-            // src = d + n − step.
-            for (dst, src) in [(step..n, 0..n - step), (0..step, n - step..n)] {
-                for ((((c, &pd), &ps), &sd), row) in cur[dst.clone()]
-                    .iter_mut()
-                    .zip(&prev[dst.clone()])
-                    .zip(&prev[src.clone()])
-                    .zip(&site_of[dst])
-                    .zip(rows[src.start * s_count..].chunks_exact(s_count))
-                {
-                    *c = later(pd, ps + row[sd as usize]);
-                }
-            }
+        // A step's same-host pairs, received again last.
+        let patch_colo = |step: usize, prev: &[f64], cur: &mut [f64]| {
             let at = |k: usize| colo_start.get(k).map_or(0, |&i| i as usize);
             for &(d, src) in &colo[at(step)..at(step + 1)] {
                 let ts = match table {
@@ -1672,7 +1809,60 @@ impl EvalCore {
                 };
                 cur[d as usize] = later(prev[d as usize], prev[src as usize] + ts);
             }
-            std::mem::swap(&mut prev, &mut cur);
+        };
+        // The wrap in `src = d − step (mod n)` splits each step into linear
+        // runs, so every loop is zipped slices: no index arithmetic, no
+        // bounds checks, no per-cell branch.
+        if site_run {
+            for step in 1..n {
+                for run in runs {
+                    let col = &expanded[run.site as usize * n..][..n];
+                    let (a, b) = (run.start as usize, run.end as usize);
+                    let split = step.clamp(a, b);
+                    // d in a..split wraps to src = d + n − step; d in split..b
+                    // pairs with src = d − step.
+                    for (dst, wrap) in [(a..split, n), (split..b, 0)] {
+                        if dst.is_empty() {
+                            continue;
+                        }
+                        let src = dst.start + wrap - step..dst.end + wrap - step;
+                        for (((c, &pd), &ps), &t) in cur[dst.clone()]
+                            .iter_mut()
+                            .zip(&prev[dst])
+                            .zip(&prev[src.clone()])
+                            .zip(&col[src])
+                        {
+                            *c = later(pd, ps + t);
+                        }
+                    }
+                }
+                for &d in strays {
+                    let d = d as usize;
+                    let src = if d >= step { d - step } else { d + n - step };
+                    let t = expanded[site_of[d] as usize * n + src];
+                    cur[d] = later(prev[d], prev[src] + t);
+                }
+                patch_colo(step, &prev, &mut cur);
+                std::mem::swap(&mut prev, &mut cur);
+            }
+        } else {
+            for step in 1..n {
+                // d in step..n pairs with src = d − step; d in 0..step wraps
+                // to src = d + n − step.
+                for (dst, src) in [(step..n, 0..n - step), (0..step, n - step..n)] {
+                    for ((((c, &pd), &ps), &sd), row) in cur[dst.clone()]
+                        .iter_mut()
+                        .zip(&prev[dst.clone()])
+                        .zip(&prev[src.clone()])
+                        .zip(&site_of[dst])
+                        .zip(expanded[src.start * s_count..].chunks_exact(s_count))
+                    {
+                        *c = later(pd, ps + row[sd as usize]);
+                    }
+                }
+                patch_colo(step, &prev, &mut cur);
+                std::mem::swap(&mut prev, &mut cur);
+            }
         }
         let shift = (n as u64 - 1) * o;
         for (c, &d) in clocks.iter_mut().zip(&prev) {
@@ -1993,8 +2183,9 @@ impl PlacementCost {
     }
 
     /// Bytes of ring-cache state the evaluator holds: the pooled tables' f64
-    /// entries (not their `tmax`) plus the wavefront scratch rows — O(ranks ·
-    /// sites) (bounded at IS@128 by `perf_report`'s
+    /// entries (not their `tmax`), the wavefront scratch rows and expanded
+    /// table, the per-rank view, the same-host pairs and the site runs and
+    /// strays — O(ranks · sites) (bounded at IS@128 by `perf_report`'s
     /// `IS_SEARCH_RING_CACHE_BYTES_MAX`, and reported at IS@1024 by the
     /// benchmark's `mpi.ring_cache_bytes`).
     pub fn ring_cache_bytes(&self) -> usize {
@@ -2009,10 +2200,14 @@ impl PlacementCost {
                 RingTable::PerSrc { tsame, tsite, .. } => tsame.len() + tsite.len(),
             })
             .sum();
-        (tables + core.wf_prev.len() + core.wf_cur.len() + core.site_rows.len()) * size_of::<f64>()
+        let rows = core.wf_prev.len() + core.wf_cur.len() + core.table_scratch.len();
+        (tables + rows) * size_of::<f64>()
             + (core.host_of.len() + core.site_of.len()) * size_of::<u32>()
             + (core.colo_start.len() + core.by_host.len()) * size_of::<u32>()
             + core.colo.len() * size_of::<(u32, u32)>()
+            + core.runs.len() * size_of::<SiteRun>()
+            + core.strays.len() * size_of::<u32>()
+            + core.spare_clocks.len() * size_of::<SimTime>()
     }
 
     /// Byte accounting of the `Uniform` specialisation: `(tables,
@@ -2037,12 +2232,14 @@ impl PlacementCost {
         (tables, bytes, per_src)
     }
 
-    /// Ring wavefronts the last pass ran `(as exact f64, per receive)`:
-    /// only a `PerPair` ring, or a table ring whose clocks reach 2^53 ns,
-    /// runs per receive.  Test-only surface, like
-    /// [`CompiledSchedule::repeated_block`].
+    /// Ring wavefronts the last pass ran `(site-run, gathered, per
+    /// receive)`: the first two are the exact f64 forms of a table ring —
+    /// site-run at 64 ranks and more whose order keeps sites in long runs,
+    /// gathered otherwise — and only a `PerPair` ring, or a table ring
+    /// whose clocks reach 2^53 ns, runs per receive.  Test-only surface,
+    /// like [`CompiledSchedule::repeated_block`].
     #[doc(hidden)]
-    pub fn last_ring_paths(&self) -> (usize, usize) {
+    pub fn last_ring_paths(&self) -> (usize, usize, usize) {
         self.core.ring_paths
     }
 }
@@ -2730,7 +2927,8 @@ mod tests {
     fn ring_accounting_at_is128_is_no_larger_than_with_u64_tables() {
         // IS@128 over both sites, one rank per host and two per host (which
         // lists same-host pairs): the bytes the evaluator held when its
-        // tables, rows and scratch were u64, measured on these evaluators.
+        // tables, rows and scratch were u64, measured on these evaluators,
+        // plus the site runs that came later (two here, and no strays).
         let t = grid(64);
         let spread: Vec<_> = t.hosts().iter().map(|h| h.id).collect();
         let stacked: Vec<_> = t
@@ -2741,8 +2939,11 @@ mod tests {
             .collect();
         for (hosts, u64_bytes) in [(spread, 8232), (stacked, 10792)] {
             let cost = evaluator_of(|b| is_shaped(b, 10), hosts, &t);
+            assert_eq!(cost.last_ring_paths(), (2, 0, 0));
+            assert_eq!((cost.core.runs.len(), cost.core.strays.len()), (2, 0));
+            let runs = 2 * std::mem::size_of::<SiteRun>();
             assert!(
-                cost.ring_cache_bytes() <= u64_bytes,
+                cost.ring_cache_bytes() <= u64_bytes + runs,
                 "{}",
                 cost.ring_cache_bytes()
             );
@@ -2768,10 +2969,10 @@ mod tests {
         let per_src = |b: &mut ScheduleBuilder| b.alltoallv(|src, _| (src as u64 + 1) * 96);
         for ring in [uniform as fn(&mut ScheduleBuilder), per_src] {
             let calm = evaluator_of(ring, hosts.clone(), &t);
-            assert_eq!(calm.last_ring_paths(), (1, 0));
+            assert_eq!(calm.last_ring_paths(), (0, 1, 0));
             // Enter the ring at `B = 2^53 − 1`, then at `B = 2^53`.
             let below = F64_EXACT - 1 - first_ring_bound(&calm, 0);
-            for (entry, paths) in [(below, (1, 0)), (below + 1, (0, 1))] {
+            for (entry, paths) in [(below, (0, 1, 0)), (below + 1, (0, 0, 1))] {
                 let late = |b: &mut ScheduleBuilder| {
                     b.advance(SimDuration::from_nanos(entry));
                     ring(b);
@@ -2779,7 +2980,7 @@ mod tests {
                 let mut cost = evaluator_of(late, hosts.clone(), &t);
                 assert_eq!(
                     first_ring_bound(&cost, entry),
-                    F64_EXACT - 1 + paths.1 as u64
+                    F64_EXACT - 1 + paths.2 as u64
                 );
                 assert_eq!(cost.last_ring_paths(), paths);
                 assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
@@ -2794,6 +2995,85 @@ mod tests {
                 assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
                 cost.undo();
                 assert_eq!(cost.clocks(), &shifted[..]);
+            }
+        }
+    }
+
+    /// Three sites of 40 dual-core hosts, each site pair at its own RTT and
+    /// one pair at a lower bandwidth, so every site column differs.
+    fn three_sites() -> Arc<Topology> {
+        let mut b = TopologyBuilder::new();
+        let s: Vec<_> = ["a", "b", "c"].map(|name| b.add_site(name)).to_vec();
+        for (i, &site) in s.iter().enumerate() {
+            b.add_cluster(site, format!("c{i}"), "cpu", 40, NodeSpec::default());
+        }
+        b.set_rtt(s[0], s[1], SimDuration::from_millis(9));
+        b.set_rtt(s[0], s[2], SimDuration::from_millis(15));
+        b.set_rtt(s[1], s[2], SimDuration::from_millis(21));
+        b.set_bandwidth(s[1], s[2], 1e9);
+        Arc::new(b.build())
+    }
+
+    #[test]
+    fn both_f64_ring_forms_equal_the_oracle_at_96_ranks() {
+        let t = three_sites();
+        let host = |i: usize| t.hosts()[i].id;
+        // Site-contiguous, one rank per host: runs 0..40, 40..80, 80..96.
+        let contiguous: Vec<_> = (0..96).map(host).collect();
+        // Ranks 10 and 11 share an idle host of site c and rank 50 joins rank
+        // 39's host: three strays, each also receiving from a same-host
+        // partner at some step (11 from 10 at step 1).  Ranks 20 and 21
+        // share a host inside their run.
+        let mut strayed = contiguous.clone();
+        strayed[10] = host(100);
+        strayed[11] = host(100);
+        strayed[50] = host(39);
+        strayed[21] = host(20);
+        // Round-robin over the sites: every stretch is one rank long.
+        let scattered: Vec<_> = (0..96).map(|r| host(r % 3 * 40 + r / 3)).collect();
+        let moves = [
+            // Within a site; across sites (two more strays); onto a host
+            // that already holds a rank (a new same-host pair); across
+            // sites again.
+            Move::Swap { a: 2, b: 30 },
+            Move::Swap { a: 5, b: 75 },
+            Move::Migrate {
+                rank: 70,
+                to: host(60),
+            },
+            Move::Swap { a: 30, b: 95 },
+        ];
+        // Rank 10 enters the rings last, so the receives on its paths, and
+        // the same-host one at step 1 first, decide the clocks.
+        let program = |b: &mut ScheduleBuilder| {
+            b.compute(
+                MemoryIntensity::CPU_BOUND,
+                |r| if r == 10 { 1e8 } else { 1e6 },
+            );
+            b.alltoall(700);
+            b.alltoallv(|src, _| (src as u64 % 3 + 1) * 256);
+        };
+        for (hosts, strays, form) in [
+            (contiguous, 0, (2, 0, 0)),
+            (strayed, 3, (2, 0, 0)),
+            (scattered, 0, (0, 2, 0)),
+        ] {
+            let mut cost = evaluator_of(program, hosts, &t);
+            assert_eq!(cost.last_ring_paths(), form);
+            assert_eq!(cost.core.strays.len(), strays);
+            assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
+            for (i, mv) in moves.into_iter().enumerate() {
+                let before = cost.clocks().to_vec();
+                cost.apply(mv).unwrap();
+                assert_eq!(cost.last_ring_paths(), form, "{mv:?}");
+                assert_eq!(cost.clocks(), &cost.oracle_clocks()[..], "{mv:?}");
+                if i % 2 == 0 {
+                    cost.undo();
+                    assert_eq!(cost.clocks(), &before[..], "undo {mv:?}");
+                } else {
+                    cost.commit();
+                }
+                assert_eq!(cost.clocks(), &cost.oracle_clocks()[..], "{mv:?}");
             }
         }
     }

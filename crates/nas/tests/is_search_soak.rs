@@ -8,7 +8,7 @@
 //! (compressed to a pooled transfer table) and FT's zero-diagonal
 //! transpose.  It also pins where the pass fast-forwards each kernel's
 //! iterations, and that every ring of every pass runs as an exact f64
-//! wavefront.
+//! wavefront — the site-run form on the spread start.
 
 use p2pmpi_mpi::model::{
     CollectiveProgram, CompiledSchedule, ModelComm, Move, PlacementCost, ScheduleBuilder,
@@ -86,21 +86,28 @@ fn evaluator(schedule: CompiledSchedule) -> PlacementCost {
     )
 }
 
-/// Every ring of the last pass ran as an exact f64 wavefront: the real
-/// schedules' clocks stay far below 2^53 ns, and neither kernel has a
-/// `PerPair` ring.
-fn assert_rings_ran_as_f64(cost: &PlacementCost, context: &str) {
-    let (exact, per_receive) = cost.last_ring_paths();
+/// Every ring of the last pass ran as an exact f64 wavefront, in either
+/// form: the real schedules' clocks stay far below 2^53 ns, and neither
+/// kernel has a `PerPair` ring.  Returns the `(site-run, gathered)` counts.
+fn assert_rings_ran_as_f64(cost: &PlacementCost, context: &str) -> (usize, usize) {
+    let (site_run, gathered, per_receive) = cost.last_ring_paths();
     assert!(
-        exact > 0 && per_receive == 0,
-        "{context}: {exact} f64 and {per_receive} per-receive rings"
+        site_run + gathered > 0 && per_receive == 0,
+        "{context}: {site_run} site-run, {gathered} gathered and {per_receive} per-receive rings"
     );
+    (site_run, gathered)
 }
 
 fn soak(schedule: CompiledSchedule, n: u32, moves: u32, seed: u64) {
     let mut cost = evaluator(schedule);
     assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
-    assert_rings_ran_as_f64(&cost, "at rest");
+    // The spread start holds its ranks in same-site runs of 16: every ring
+    // at rest runs in the site-run form.
+    let (site_run, gathered) = assert_rings_ran_as_f64(&cost, "at rest");
+    assert!(
+        site_run > 0 && gathered == 0,
+        "at rest: {gathered} gathered rings"
+    );
 
     let mut rng = seeded(seed);
     let host_count = grid().host_count();
