@@ -275,7 +275,8 @@ struct ScheduleKey {
 /// per-rank incidence ([`CompiledSchedule::heap_bytes`]) — six shapes for
 /// a day sweep (EP@8–128, IS@8/32: 28 KB together); the largest the
 /// benchmark and CI build, IS@1024, is 95 KB (a `--ranks` sweep adds one
-/// entry per point: IS@4096 is 378 KB).
+/// entry per point: IS@4096 is 378 KB).  A miss compiles IS or FT in
+/// ~0.5 ms at 1024 ranks and 2-3 ms at 4096 (x86-64 VM, release).
 pub fn cached_kernel_schedule(
     kernel: Fig4Kernel,
     settings: &Fig4Settings,

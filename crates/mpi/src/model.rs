@@ -67,7 +67,9 @@
 //! * [`ModelComm`] executes the primitives immediately on per-rank scalar
 //!   clocks — the **oracle**;
 //! * [`ScheduleBuilder`] records them into a [`CompiledSchedule`], a flat,
-//!   placement-independent representation of the whole kernel;
+//!   placement-independent representation of the whole kernel (a ring in
+//!   O(ranks) memory unless its bytes vary per pair; a row may be evaluated
+//!   twice);
 //! * [`PlacementCost`] evaluates a compiled schedule on a host assignment —
 //!   the **production** evaluator, in two forms over one full-pass routine:
 //!   [`PlacementCost::cost_of`] costs one fixed assignment (every placed
@@ -196,9 +198,9 @@
 //! rings, from the per-rank view alone:
 //!
 //! * *site-run*, for rings of 64 ranks and more whose rank order keeps
-//!   sites in long runs: the order is cut into maximal same-site stretches,
-//!   a stretch shorter than 8 ranks joins the run before it, and its ranks
-//!   at another site are *strays*; with at most one stray per eight ranks,
+//!   sites in long runs: same-site stretches of 8+ ranks anchor the runs,
+//!   ranks between anchors split where the fewest stray (land in a run at
+//!   another site); with at most one stray per eight ranks,
 //!   each wavefront expands its table into one column per destination
 //!   site, a step's receives are at most two zipped loops per run over the
 //!   run's column (no gather: LLVM vectorises them at the x86-64 baseline,
@@ -870,6 +872,7 @@ impl CompiledSchedule {
 ///
 /// Run the kernel's program against a builder (`p2pmpi-nas` exposes
 /// `ep_schedule`/`is_schedule` doing exactly that), then [`finish`] it.
+/// A ring costs O(ranks) memory unless its bytes vary per pair.
 ///
 /// [`finish`]: ScheduleBuilder::finish
 pub struct ScheduleBuilder {
@@ -1023,41 +1026,32 @@ impl CollectiveProgram for ScheduleBuilder {
         self.open_msgs.push(MsgRec { src, dst, size });
     }
 
+    /// Keeps one byte count per source rank (one in all if they agree)
+    /// when every row is constant off the diagonal, checking one row at a
+    /// time: O(ranks) memory.  Ring steps run 1..n, so the never-costed
+    /// diagonal is ignored (a transpose sends 0 bytes to self and must
+    /// still compress).  Only a per-pair ring keeps its n × n matrix, from
+    /// a second evaluation of its rows.
     fn ring_exchange<F: FnMut(Rank, Rank) -> u64>(&mut self, mut bytes: F) {
         let n = self.size as usize;
         if n <= 1 {
             return;
         }
         self.close_msgs();
-        let mut matrix = vec![0u64; n * n];
-        for src in 0..n {
-            for dst in 0..n {
-                matrix[src * n + dst] = bytes(src as Rank, dst as Rank);
+        let rows: Option<Box<[u64]>> = (0..self.size)
+            .map(|src| {
+                let first = bytes(src, u32::from(src == 0));
+                let same = (0..self.size).all(|dst| dst == src || bytes(src, dst) == first);
+                same.then_some(first)
+            })
+            .collect();
+        let bytes = match rows {
+            Some(rows) if rows.iter().all(|&b| b == rows[0]) => RingBytes::Uniform(rows[0]),
+            Some(rows) => RingBytes::PerSrc(rows),
+            None => {
+                let pair = |i: usize| bytes((i / n) as Rank, (i % n) as Rank);
+                RingBytes::PerPair((0..n * n).map(pair).collect())
             }
-        }
-        // The ring's steps run 1..n — a rank never exchanges with itself —
-        // so the diagonal is ignored when deciding the compressed form
-        // (transpose-style alltoallvs send 0 bytes to self but a constant
-        // block everywhere else, and must still compress).  A compressed
-        // form answers the (never-costed) diagonal query with the
-        // off-diagonal value.
-        let mut rows: Vec<u64> = Vec::with_capacity(n);
-        let per_src_constant = (0..n).all(|src| {
-            let row = &matrix[src * n..(src + 1) * n];
-            let first = row[if src == 0 { 1 } else { 0 }];
-            rows.push(first);
-            row.iter()
-                .enumerate()
-                .all(|(dst, &b)| dst == src || b == first)
-        });
-        let bytes = if per_src_constant {
-            if rows.iter().all(|&b| b == rows[0]) {
-                RingBytes::Uniform(rows[0])
-            } else {
-                RingBytes::PerSrc(rows.into_boxed_slice())
-            }
-        } else {
-            RingBytes::PerPair(matrix.into_boxed_slice())
         };
         let shape = intern(&mut self.ring_shapes, bytes);
         self.segments.push(Segment::Ring { shape });
@@ -1177,10 +1171,9 @@ const F64_EXACT: u64 = 1 << 53;
 /// this and the stray bound (five pairs, 0.40 vs 0.42 s).
 const SITE_RUN_MIN_RANKS: usize = 64;
 
-/// Same-site stretches of the rank order shorter than this are not runs of
-/// their own: they join the run before them, as strays.  A run costs up to
-/// two loop set-ups per step, which a stretch of a few ranks would pay for
-/// a few receives.
+/// The shortest same-site stretch that anchors a site run (see
+/// [`EvalCore::refresh_runs`]).  A run costs up to two loop set-ups per
+/// step, which a stretch of a few ranks would pay for a few receives.
 const SITE_RUN_MIN_LEN: usize = 8;
 
 /// The site-run form runs only while at most `ranks / SITE_RUN_STRAY_DIV`
@@ -1519,11 +1512,11 @@ impl EvalCore {
     }
 
     /// Rebuilds the site runs if the table rings will run in the site-run
-    /// form: the rank order split into maximal same-site stretches, each
-    /// shorter than [`SITE_RUN_MIN_LEN`] or at the site of the run before
-    /// it joining that run, whose ranks at another site are the strays.
-    /// Leaves both lists empty — the gathered form — for a ring under
-    /// [`SITE_RUN_MIN_RANKS`] or too many strays.
+    /// form: same-site stretches of at least [`SITE_RUN_MIN_LEN`] ranks
+    /// anchor them, the ranks between two anchors split where the fewest
+    /// land in a run at another site (the strays).  Leaves both lists empty
+    /// — the gathered form — for a ring under [`SITE_RUN_MIN_RANKS`],
+    /// without an anchor or with too many strays.
     fn refresh_runs(&mut self) {
         let n = self.site_of.len();
         self.runs.clear();
@@ -1531,24 +1524,35 @@ impl EvalCore {
         if self.wf_prev.is_empty() || n < SITE_RUN_MIN_RANKS {
             return;
         }
-        let mut start = 0;
-        for stretch in self.site_of.chunk_by(|a, b| a == b) {
-            let (end, site) = ((start + stretch.len()) as u32, stretch[0]);
-            match self.runs.last_mut() {
-                Some(run) if run.site == site || stretch.len() < SITE_RUN_MIN_LEN => {
-                    if run.site != site {
-                        self.strays.extend(run.end..end);
-                    }
-                    run.end = end;
-                }
-                _ => self.runs.push(SiteRun {
-                    start: start as u32,
-                    end,
-                    site,
-                }),
+        let site_of = &self.site_of;
+        let (mut next, mut anchored, end) = (0, 0, n as u32);
+        for stretch in site_of.chunk_by(|a, b| a == b) {
+            let (first, site) = (next, stretch[0]);
+            next += stretch.len();
+            if stretch.len() < SITE_RUN_MIN_LEN {
+                continue;
             }
-            start += stretch.len();
+            let gap = std::mem::replace(&mut anchored, next)..first;
+            let start = match self.runs.last_mut() {
+                Some(run) if run.site == site => continue,
+                // A cut after rank `r` strays `gain` fewer of the gap's ranks
+                // than a cut at its start.
+                Some(run) => {
+                    let (mut gain, mut best) = (0, (0, gap.start));
+                    for r in gap {
+                        gain += i32::from(site_of[r] == run.site) - i32::from(site_of[r] == site);
+                        best = best.max((gain, r + 1));
+                    }
+                    run.end = best.1 as u32;
+                    run.end
+                }
+                None => 0,
+            };
+            self.runs.push(SiteRun { start, end, site });
         }
+        self.strays.extend(self.runs.iter().flat_map(|run| {
+            (run.start..run.end).filter(move |&r| site_of[r as usize] != run.site)
+        }));
         if self.strays.len() > n / SITE_RUN_STRAY_DIV {
             self.runs.clear();
             self.strays.clear();
@@ -2743,6 +2747,31 @@ mod tests {
     }
 
     #[test]
+    fn a_ring_with_one_varying_row_keeps_every_pair() {
+        // Rows are checked one at a time; only the last varies, so the
+        // compiler must still fall back to the full matrix, and that
+        // matrix must be the closure's, diagonal included.
+        let n = 7;
+        let bytes = |src: Rank, dst: Rank| {
+            if src == n - 1 {
+                100 + dst as u64
+            } else {
+                10 * src as u64 + u64::from(src == dst)
+            }
+        };
+        let mut b = ScheduleBuilder::new(n);
+        b.alltoallv(bytes);
+        let schedule = b.finish();
+        let expected: Vec<u64> = (0..n)
+            .flat_map(|src| (0..n).map(move |dst| bytes(src, dst)))
+            .collect();
+        assert_eq!(
+            schedule.ring_shapes,
+            [RingBytes::PerPair(expected.into_boxed_slice())]
+        );
+    }
+
+    #[test]
     fn ring_tables_pool_across_identical_segments() {
         // Ten iterations of the same uniform ring share one pooled table:
         // the evaluator's ring state must cost the same as a single ring's.
@@ -3076,6 +3105,21 @@ mod tests {
                 assert_eq!(cost.clocks(), &cost.oracle_clocks()[..], "{mv:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_cross_site_swap_near_a_run_boundary_strays_only_the_swapped_ranks() {
+        // Site-contiguous: runs 0..40, 40..80, 80..96 at sites a, b, c.
+        // After the swap, ranks 80..85 are a stretch of five at c, too
+        // short to anchor a run: they belong with the c run after them,
+        // not as strays of the b run before them.
+        let t = three_sites();
+        let hosts = (0..96).map(|i| t.hosts()[i].id).collect();
+        let mut cost = evaluator_of(|b| b.alltoall(700), hosts, &t);
+        cost.apply(Move::Swap { a: 5, b: 85 }).unwrap();
+        assert_eq!(cost.core.strays, [5, 85]);
+        assert_eq!(cost.last_ring_paths(), (1, 0, 0));
+        assert_eq!(cost.clocks(), &cost.oracle_clocks()[..]);
     }
 
     #[test]

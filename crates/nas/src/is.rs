@@ -269,6 +269,7 @@ pub fn is_model(model: &mut ModelComm, config: &IsConfig) -> SimDuration {
 /// iteration, one allreduce and the closing allgather — and its ring state
 /// is pooled transfer tables of O(size · sites) bytes shared across all of
 /// them (see `p2pmpi_mpi::model`), so IS stays searchable at 1024+ ranks.
+/// It compiles in ~0.5 ms at 1024 ranks and ~2-3 ms at 4096.
 pub fn is_schedule(config: &IsConfig, size: u32) -> CompiledSchedule {
     let mut b = ScheduleBuilder::new(size);
     is_program(&mut b, config);
