@@ -267,7 +267,7 @@ fn overbooking(churn: f64, demand: u32, seed: u64) -> String {
         let mut rng = rngutil::substream(77, 1);
         let (from, to) = (SimDuration::from_secs(1), SimDuration::from_secs(3600));
         let schedule = random_churn(&peers, churn, from, to, &mut rng);
-        tb.overlay.schedule_churn(schedule.finish());
+        tb.overlay.schedule_churn(schedule);
         tb.overlay
             .run_until(tb.overlay.now() + SimDuration::from_secs(2));
 

@@ -1060,8 +1060,9 @@ mod tests {
     use super::*;
     use crate::workload::fnv1a;
     use p2pmpi_grid5000::testbed::grid5000_testbed;
-    use p2pmpi_overlay::{ChurnKind, PeerId};
+    use p2pmpi_overlay::PeerId;
     use p2pmpi_simgrid::noise::NoiseModel;
+    use p2pmpi_simgrid::time::SimTime;
 
     /// The matrix definition, one row per scenario: name, twin, recovery
     /// SLO, ordered check names, the FNV-1a of the CI-scale config's
@@ -1138,32 +1139,14 @@ mod tests {
             .filter_map(|h| tb.overlay.peer_on_host(h.id))
             .collect();
         assert!(!rennes_peers.is_empty());
-        // A rack brown-out is the same site-host walk, stopped early.
-        let rack = FaultSpec::PartialSite {
-            site: "rennes".to_string(),
-            hosts: 5,
-            at: SimDuration::from_secs(100),
-            duration: SimDuration::from_secs(50),
-        };
-        let crashed: Vec<ChurnKind> = rack.churn(&tb.overlay, tb.submitter).finish()[..5]
-            .iter()
-            .map(|e| e.kind)
-            .collect();
-        let first: Vec<ChurnKind> = rennes_peers[..5]
-            .iter()
-            .map(|&p| ChurnKind::Crash(p))
-            .collect();
-        assert_eq!(crashed, first);
-
         let outage = FaultSpec::SiteOutage {
             site: "rennes".to_string(),
             at: SimDuration::from_secs(100),
             duration: SimDuration::from_secs(50),
         };
-        let events = outage.churn(&tb.overlay, tb.submitter).finish();
-        assert_eq!(events.len(), rennes_peers.len() * 2);
         let alive_before = tb.overlay.alive_count();
-        tb.overlay.schedule_churn(events);
+        let schedule = outage.churn(&tb.overlay, tb.submitter);
+        tb.overlay.schedule_churn(schedule);
         tb.overlay
             .run_until(tb.overlay.now() + SimDuration::from_secs(120));
         // Every Rennes peer is down, together.
@@ -1173,6 +1156,26 @@ mod tests {
         }
         tb.overlay
             .run_until(tb.overlay.now() + SimDuration::from_secs(50));
+        assert_eq!(tb.overlay.alive_count(), alive_before);
+
+        // A rack brown-out is the same site-host walk, stopped early.
+        let rack = FaultSpec::PartialSite {
+            site: "rennes".to_string(),
+            hosts: 5,
+            at: SimDuration::from_secs(200),
+            duration: SimDuration::from_secs(50),
+        };
+        let schedule = rack.churn(&tb.overlay, tb.submitter);
+        tb.overlay.schedule_churn(schedule);
+        tb.overlay.run_until(SimTime::from_secs(220));
+        let down: Vec<PeerId> = rennes_peers
+            .iter()
+            .copied()
+            .filter(|&p| !tb.overlay.node(p).is_alive())
+            .collect();
+        assert_eq!(down, rennes_peers[..5]);
+        assert_eq!(tb.overlay.alive_count(), alive_before - 5);
+        tb.overlay.run_until(SimTime::from_secs(260));
         assert_eq!(tb.overlay.alive_count(), alive_before);
     }
 

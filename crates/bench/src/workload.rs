@@ -957,7 +957,7 @@ impl std::str::FromStr for SweepFingerprint {
 /// Running processes per site, in site-id order.
 pub(crate) fn sample_running(tb: &Grid5000Testbed) -> Vec<u32> {
     let mut running = vec![0u32; tb.topology.site_count()];
-    for peer in tb.overlay.peer_ids() {
+    for peer in (0..tb.overlay.peer_count()).map(PeerId) {
         let site = tb.topology.host(tb.overlay.host_of(peer)).site;
         running[site.0] += tb.overlay.node(peer).rs.running_processes();
     }
@@ -1066,7 +1066,7 @@ impl SweepCore {
                 churn.uptime,
                 &mut churn_rng,
             );
-            tb.overlay.schedule_churn(schedule.finish());
+            tb.overlay.schedule_churn(schedule);
         }
 
         // Timeline faults: correlated site outages, rack brown-outs, link
@@ -1075,7 +1075,7 @@ impl SweepCore {
         // order.
         for fault in &cfg.faults {
             let schedule = fault.churn(&tb.overlay, submitter);
-            tb.overlay.schedule_churn(schedule.finish());
+            tb.overlay.schedule_churn(schedule);
         }
 
         let allocator = CoAllocator::new();
@@ -1225,7 +1225,10 @@ impl SweepCore {
     /// running processes.  The sharded driver's merged view holds this
     /// count for each shard.
     pub(crate) fn free_cores(&self) -> u32 {
-        let running: u32 = sample_running(&self.tb).iter().sum();
+        let overlay = &self.tb.overlay;
+        let running: u32 = (0..overlay.peer_count())
+            .map(|p| overlay.node(PeerId(p)).rs.running_processes())
+            .sum();
         (self.tb.topology.total_cores() as u32).saturating_sub(running)
     }
 

@@ -153,6 +153,23 @@ fn dead_peer_day_parks_timeouts_on_the_timeline_identically_on_every_queue() {
     assert_a_shape_per_placed_job_at_most(&day);
 }
 
+#[test]
+fn a_churn_schedule_keeps_the_event_queue_near_its_calm_size() {
+    // A flapping schedule queues one event at a time, not its thousands:
+    // the dead-peer day's timeline stays within a small factor of the same
+    // day without churn (same seed, scale and cache refresh).
+    let churned = run_day_sweep(&reduced_churn_day());
+    let mut calm = reduced_churn_day();
+    calm.churn = None;
+    let calm = run_day_sweep(&calm);
+    assert!(
+        churned.events_capacity_end <= 4 * calm.events_capacity_end,
+        "event queue capacity {} under churn vs {} calm",
+        churned.events_capacity_end,
+        calm.events_capacity_end
+    );
+}
+
 /// Replays `cfg`'s arrivals the way the benchmark's traced driver boots
 /// and drives its testbed (every placed job held one minute), calling
 /// `knob` on the overlay first, and logs what each submission saw.
@@ -176,7 +193,7 @@ fn replay(cfg: &DaySweepConfig, knob: impl FnOnce(&mut Overlay)) -> Vec<String> 
         churn.uptime,
         &mut seeded(derive_seed(cfg.seed, 0xF1A9)),
     );
-    tb.overlay.schedule_churn(schedule.finish());
+    tb.overlay.schedule_churn(schedule);
     let allocator = CoAllocator::new();
     let mut log = Vec::new();
     for job in day_trace(&cfg.profile, &cfg.mix, cfg.seed) {

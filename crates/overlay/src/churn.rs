@@ -8,7 +8,9 @@
 //! [`crate::overlay::Overlay::schedule_churn`] is the one way any of them
 //! reaches the overlay's timeline, as one event kind, so flapping peers,
 //! site and rack outages, slow links and supernode crashes interleave with
-//! everything else in `(time, schedule-order)` order.
+//! everything else in `(time, schedule-order)` order.  A schedule is drawn
+//! whole, but one event of it is queued at a time, under the FIFO stamp it
+//! reserved at set-up; each queues the next.
 
 use crate::peer::PeerId;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
@@ -47,30 +49,16 @@ pub struct ChurnEvent {
     pub kind: ChurnKind,
 }
 
-/// A time-ordered churn schedule.
+/// A churn schedule in build order (`schedule_churn` sorts it by time).
 #[derive(Debug, Default, Clone)]
 pub struct ChurnSchedule {
-    events: Vec<ChurnEvent>,
+    pub(crate) events: Vec<ChurnEvent>,
 }
 
 impl ChurnSchedule {
     /// Creates an empty schedule.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty schedule pre-sized for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ChurnSchedule {
-            events: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Adds one event (the schedule is re-sorted lazily on
-    /// [`ChurnSchedule::finish`]).
-    pub fn push(&mut self, event: ChurnEvent) -> &mut Self {
-        self.events.push(event);
-        self
     }
 
     /// Convenience: schedule a crash.
@@ -99,24 +87,13 @@ impl ChurnSchedule {
     }
 
     fn at(&mut self, time: SimTime, kind: ChurnKind) -> &mut Self {
-        self.push(ChurnEvent { time, kind })
+        self.events.push(ChurnEvent { time, kind });
+        self
     }
 
-    /// Sorts the schedule by time (stable, so same-instant events keep their
-    /// insertion order) and returns it.
-    pub fn finish(mut self) -> Vec<ChurnEvent> {
-        self.events.sort_by_key(|e| e.time);
-        self.events
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+    /// Returns the schedule unchanged (the benchmark still calls it).
+    pub fn finish(self) -> Self {
+        self
     }
 }
 
@@ -132,7 +109,8 @@ pub fn random_churn<R: Rng + ?Sized>(
 ) -> ChurnSchedule {
     assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
     let count = ((peers.len() as f64) * fraction).floor() as usize;
-    let mut schedule = ChurnSchedule::with_capacity(count * 2);
+    let mut schedule = ChurnSchedule::new();
+    schedule.events.reserve(count * 2);
     // Partial Fisher–Yates: only the `count` selected positions are
     // shuffled, so picking a small fraction of a large overlay costs
     // O(count) swaps instead of a full-slice shuffle.
@@ -174,7 +152,8 @@ pub fn flapping_churn<R: Rng + ?Sized>(
     let count = ((peers.len() as f64) * fraction).floor() as usize;
     let period = downtime + uptime;
     let cycles = (horizon.as_nanos() / period.as_nanos() + 1) as usize;
-    let mut schedule = ChurnSchedule::with_capacity(count * cycles * 2);
+    let mut schedule = ChurnSchedule::new();
+    schedule.events.reserve(count * cycles * 2);
     let mut pool = peers.to_vec();
     let end = SimTime::ZERO + horizon;
     for i in 0..count {
@@ -201,19 +180,6 @@ mod tests {
     use p2pmpi_simgrid::rngutil::seeded;
 
     #[test]
-    fn schedule_sorts_by_time() {
-        let mut s = ChurnSchedule::new();
-        s.crash(PeerId(1), SimTime::from_secs(10));
-        s.recover(PeerId(1), SimTime::from_secs(20));
-        s.crash(PeerId(2), SimTime::from_secs(5));
-        assert_eq!(s.len(), 3);
-        let events = s.finish();
-        assert_eq!(events[0].kind, ChurnKind::Crash(PeerId(2)));
-        assert_eq!(events[1].kind, ChurnKind::Crash(PeerId(1)));
-        assert_eq!(events[2].kind, ChurnKind::Recover(PeerId(1)));
-    }
-
-    #[test]
     fn random_churn_respects_fraction_and_pairs_events() {
         let peers: Vec<PeerId> = (0..20).map(PeerId).collect();
         let mut rng = seeded(5);
@@ -224,7 +190,7 @@ mod tests {
             SimDuration::from_secs(30),
             &mut rng,
         );
-        let events = s.finish();
+        let events = s.events;
         assert_eq!(events.len(), 10); // 5 peers x (crash + recover)
         let crashes: Vec<_> = events
             .iter()
@@ -255,7 +221,7 @@ mod tests {
             SimDuration::from_secs(240),
             &mut rng,
         );
-        let events = s.finish();
+        let events = s.events;
         assert!(!events.is_empty());
         let end = SimTime::ZERO + horizon;
         assert!(events.iter().all(|e| e.time < end));
@@ -294,7 +260,7 @@ mod tests {
             SimDuration::from_secs(1),
             &mut rng,
         );
-        assert!(s.is_empty());
+        assert!(s.events.is_empty());
     }
 
     #[test]

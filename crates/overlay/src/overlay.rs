@@ -96,8 +96,9 @@
 //! # Fault injection
 //!
 //! Every scheduled fault reaches the timeline one way:
-//! [`Overlay::schedule_churn`] takes a [`crate::churn::ChurnSchedule`]'s
-//! events and queues each as one event kind, which [`ChurnKind`] names:
+//! [`Overlay::schedule_churn`] takes a [`crate::churn::ChurnSchedule`] and
+//! queues one of its events at a time, under the stamp each reserved at
+//! set-up, as one event kind, which [`ChurnKind`] names:
 //!
 //! * a peer crash or recovery ([`Overlay::kill_peer`],
 //!   `Overlay::revive_peer`): flapping peers, and a site or rack outage
@@ -123,7 +124,7 @@
 //! drives this type.
 
 use crate::cache::CacheEntry;
-use crate::churn::{ChurnEvent, ChurnKind};
+use crate::churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 use crate::messages::{ReservationKey, ReservationReply, StartReply};
 use crate::mpd::MpdNode;
 use crate::peer::{PeerId, PeerState};
@@ -137,7 +138,7 @@ use p2pmpi_simgrid::topology::{HostId, SiteId, Topology};
 use p2pmpi_simgrid::trace::{TraceCategory, Tracer};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 // The brokering rounds: a child module, so the walk can dispatch timeline
@@ -191,9 +192,9 @@ impl RsOutcome {
 /// which also maintain the re-arm bookkeeping.
 #[derive(Debug)]
 enum OverlayEvent {
-    /// A scheduled fault ([`Overlay::schedule_churn`]): a peer crash or
-    /// recovery, a supernode crash or restart, a site latency factor.
-    Churn(ChurnKind),
+    /// A scheduled fault ([`Overlay::schedule_churn`]) and the index of its
+    /// schedule in `Overlay::churn`.
+    Churn(ChurnKind, usize),
     /// One round of alive signals plus the supernode expiry sweep;
     /// re-arms itself every `heartbeat_period` while enabled.
     HeartbeatRound,
@@ -269,6 +270,8 @@ pub struct Overlay {
     leaked_outstanding: u64,
     /// High-water mark of `leaked_outstanding` (the verdict metric).
     leaked_hwm: u64,
+    /// Per churn schedule: the stamp after its last, its unqueued events.
+    churn: Vec<(u64, VecDeque<ChurnEvent>)>,
     /// Running jobs killed because a participant crashed (only counted
     /// while `fail_jobs_on_crash` is on).  Cumulative.
     jobs_killed: u64,
@@ -322,6 +325,7 @@ impl Overlay {
             leaked_outstanding: 0,
             leaked_hwm: 0,
             jobs_killed: 0,
+            churn: Vec::new(),
             fail_jobs_on_crash: false,
             running_jobs: HashMap::new(),
         }
@@ -460,15 +464,18 @@ impl Overlay {
     /// Delivers one due timeline event.
     fn dispatch(&mut self, event: OverlayEvent) {
         match event {
-            OverlayEvent::Churn(kind) => match kind {
-                ChurnKind::Crash(peer) => self.kill_peer(peer),
-                ChurnKind::Recover(peer) => self.revive_peer(peer),
-                ChurnKind::SupernodeDown => self.crash_supernode(),
-                ChurnKind::SupernodeUp => self.recover_supernode(),
-                ChurnKind::SiteLatency { site, factor } => {
-                    self.set_site_latency_factor(site, factor);
+            OverlayEvent::Churn(kind, schedule) => {
+                self.queue_next_churn(schedule);
+                match kind {
+                    ChurnKind::Crash(peer) => self.kill_peer(peer),
+                    ChurnKind::Recover(peer) => self.revive_peer(peer),
+                    ChurnKind::SupernodeDown => self.crash_supernode(),
+                    ChurnKind::SupernodeUp => self.recover_supernode(),
+                    ChurnKind::SiteLatency { site, factor } => {
+                        self.set_site_latency_factor(site, factor);
+                    }
                 }
-            },
+            }
             OverlayEvent::HeartbeatRound => {
                 self.heartbeat_round();
                 self.sim
@@ -562,18 +569,28 @@ impl Overlay {
             .schedule_in(delay, OverlayEvent::GrantRelease { to, key });
     }
 
-    /// Puts scheduled faults on the timeline, in the given order (events
-    /// must not be in the past): the one way a crash, a recovery, a
-    /// supernode outage or a site latency factor gets there.  Repeated
-    /// calls accumulate: each call adds its events to the timeline
-    /// alongside whatever was already scheduled.
-    pub fn schedule_churn(&mut self, events: Vec<ChurnEvent>) {
-        for ev in events {
-            assert!(
-                ev.time >= self.sim.now(),
-                "churn events must be in the future"
-            );
-            self.sim.schedule_at(ev.time, OverlayEvent::Churn(ev.kind));
+    /// Puts scheduled faults on the timeline (events must not be in the
+    /// past): the one way a crash, a recovery, a supernode outage or a site
+    /// latency factor gets there.  The events take their FIFO stamps now, in
+    /// stable time order; only the earliest is queued (module docs, *Fault
+    /// injection*).  Repeated calls accumulate.
+    pub fn schedule_churn(&mut self, schedule: ChurnSchedule) {
+        let mut events = schedule.events;
+        events.sort_by_key(|ev| ev.time);
+        let Some(last) = (0..events.len()).map(|_| self.sim.stamp()).last() else {
+            return;
+        };
+        self.churn.push((last + 1, events.into()));
+        self.queue_next_churn(self.churn.len() - 1);
+    }
+
+    /// Queues churn schedule `schedule`'s next event under its stamp.
+    fn queue_next_churn(&mut self, schedule: usize) {
+        let (end, events) = &mut self.churn[schedule];
+        let stamp = *end - events.len() as u64;
+        if let Some(ev) = events.pop_front() {
+            let event = OverlayEvent::Churn(ev.kind, schedule);
+            self.sim.schedule_stamped(ev.time, stamp, event);
         }
     }
 
@@ -1169,7 +1186,7 @@ mod tests {
         outage
             .supernode_down(SimTime::from_secs(10))
             .supernode_up(SimTime::from_secs(60));
-        o.schedule_churn(outage.finish());
+        o.schedule_churn(outage);
         o.run_until(o.now() + SimDuration::from_secs(20));
         // Down: registry lost, refreshes unanswered, stale cache survives.
         assert!(!o.supernode_up);
@@ -1203,7 +1220,7 @@ mod tests {
         let mut slow = ChurnSchedule::new();
         slow.site_latency(remote_site, 8.0, SimTime::from_secs(5))
             .site_latency(remote_site, 1.0, SimTime::from_secs(15));
-        o.schedule_churn(slow.finish());
+        o.schedule_churn(slow);
         o.run_until(o.now() + SimDuration::from_secs(6));
         let degraded = o.network().transfer_time(l0, r0, 1024);
         assert!(degraded > nominal * 7);
@@ -1380,7 +1397,7 @@ mod tests {
         let t0 = o.now();
         let mut schedule = ChurnSchedule::new();
         schedule.crash(to, t0 + SimDuration::from_millis(1));
-        o.schedule_churn(schedule.finish());
+        o.schedule_churn(schedule);
         let mut outcomes = Vec::new();
         o.start_round_into(from, key, &[(to, 1)], &mut outcomes);
         assert_eq!(outcomes.len(), 1);
@@ -1402,7 +1419,7 @@ mod tests {
         let t1 = o.now();
         let mut schedule = ChurnSchedule::new();
         schedule.recover(late, t1 + SimDuration::from_millis(1));
-        o.schedule_churn(schedule.finish());
+        o.schedule_churn(schedule);
         o.start_round_into(from, key2, &[(late, 1)], &mut outcomes);
         assert_eq!(outcomes[0].1, StartReply::Started);
     }
@@ -1470,7 +1487,7 @@ mod tests {
         let mut schedule = ChurnSchedule::new();
         schedule.crash(victim, SimTime::from_secs(10));
         schedule.recover(victim, SimTime::from_secs(30));
-        o.schedule_churn(schedule.finish());
+        o.schedule_churn(schedule);
         o.run_until(o.now() + SimDuration::from_secs(5));
         assert!(o.node(victim).is_alive());
         o.run_until(o.now() + SimDuration::from_secs(10));
@@ -1479,6 +1496,120 @@ mod tests {
         assert!(o.node(victim).is_alive());
         assert_eq!(o.now(), SimTime::from_secs(35));
         assert!(o.tracer().count(TraceCategory::Fault) >= 2);
+    }
+
+    #[test]
+    fn churn_schedules_queue_one_event_each_in_up_front_order() {
+        let t = SimTime::from_secs;
+        // The 240 s heartbeat round is re-armed at 120 s, before the
+        // schedule's 130 s crash fires, yet it must run after the
+        // schedule's 240 s events, whose stamps were reserved at set-up.
+        // The supernode is down at the recovery, so only that round can
+        // re-register p: it sees the restarted supernode and p alive.
+        let mut o = overlay();
+        o.boot_all();
+        let p = o.peer_ids()[1];
+        o.start_heartbeats();
+        let mut churn = ChurnSchedule::new();
+        churn
+            .crash(p, t(130))
+            .supernode_down(t(200))
+            .recover(p, t(240))
+            .supernode_up(t(240));
+        o.schedule_churn(churn);
+        assert_eq!(o.events_pending(), 2, "the heartbeat round and one fault");
+        o.run_until(t(239));
+        assert!(!o.node(p).is_alive());
+        assert_eq!(o.supernode().len(), 0);
+        o.run_until(t(240));
+        assert!(o.node(p).is_alive());
+        assert!(o.supernode().knows(p), "the 240 s round re-registers p");
+        assert_eq!(o.supernode().len(), 6);
+
+        // An unsorted schedule fires in time order.
+        let mut o = overlay();
+        o.boot_all();
+        let mut churn = ChurnSchedule::new();
+        churn.recover(p, t(240)).crash(p, t(130));
+        o.schedule_churn(churn);
+        o.run_until(t(130));
+        assert!(!o.node(p).is_alive(), "the crash is due first");
+        o.run_until(t(240));
+        assert!(o.node(p).is_alive());
+
+        // Two schedules sharing an instant: the one queued first reserved
+        // the earlier stamps, so its recovery at 130 s goes before the
+        // other's crash at 130 s, although it is queued only at 100 s.
+        let mut o = overlay();
+        o.boot_all();
+        let (mut first, mut second) = (ChurnSchedule::new(), ChurnSchedule::new());
+        first.crash(p, t(100)).recover(p, t(130));
+        second.crash(p, t(130));
+        o.schedule_churn(first);
+        o.schedule_churn(second);
+        assert_eq!(o.events_pending(), 2, "one event per schedule");
+        o.run_until(t(130));
+        assert!(!o.node(p).is_alive(), "the second schedule's crash is last");
+        assert_eq!(o.events_pending(), 0);
+    }
+
+    #[test]
+    fn lazily_queued_churn_delivers_as_the_whole_schedule_queued_up_front() {
+        use p2pmpi_simgrid::rngutil::seeded;
+        // The up-front reference: every event of every schedule its own
+        // one-event schedule, queued at set-up in the order the schedules'
+        // stable time sorts give, so each holds the stamp it always had.
+        for seed in 0..8 {
+            let mut rng = seeded(seed);
+            let schedules: Vec<ChurnSchedule> = (0..3)
+                .map(|_| {
+                    let mut s = ChurnSchedule::new();
+                    for _ in 0..rng.gen_range(0..40) {
+                        let at = SimTime::from_secs(10 * rng.gen_range(0..150u64));
+                        let peer = PeerId(rng.gen_range(0..6));
+                        match rng.gen_range(0..6) {
+                            0 => s.supernode_down(at),
+                            1 => s.supernode_up(at),
+                            2 | 3 => s.crash(peer, at),
+                            _ => s.recover(peer, at),
+                        };
+                    }
+                    s
+                })
+                .collect();
+            let run = |schedules: Vec<ChurnSchedule>| {
+                let mut o = overlay();
+                o.boot_all();
+                o.start_heartbeats();
+                o.start_cache_refresh(PeerId(0), SimDuration::from_secs(60));
+                for s in schedules {
+                    o.schedule_churn(s);
+                }
+                let mut log = Vec::new();
+                for step in 1..=26 {
+                    o.run_until(SimTime::from_secs(60 * step));
+                    log.push(format!(
+                        "{} alive={} known={} registrations={} events={}",
+                        o.now(),
+                        o.alive_count(),
+                        o.supernode().len(),
+                        o.supernode().registrations(),
+                        o.events_processed()
+                    ));
+                }
+                log.extend(o.tracer().events().iter().map(|e| e.to_string()));
+                log
+            };
+            let mut up_front = Vec::new();
+            for s in &schedules {
+                let mut events = s.events.clone();
+                events.sort_by_key(|e| e.time);
+                for e in events {
+                    up_front.push(ChurnSchedule { events: vec![e] });
+                }
+            }
+            assert_eq!(run(schedules), run(up_front), "seed {seed}");
+        }
     }
 
     #[test]
@@ -1673,7 +1804,7 @@ mod tests {
             .crash(ids[4], t0 + ms(3))
             .site_latency(remote_site, 10.0, t0 + ms(4))
             .site_latency(remote_site, 1.0, t0 + ms(4) + SimDuration::from_secs(1));
-        o.schedule_churn(churn.finish());
+        o.schedule_churn(churn);
 
         let targets = [ids[2], ids[3], ids[4], ids[5]];
         let expected: Vec<SimDuration> = targets
@@ -1826,7 +1957,7 @@ mod tests {
         let t0 = o.now();
         let mut churn = ChurnSchedule::new();
         churn.crash(ids[4], t0 + SimDuration::from_millis(1));
-        o.schedule_churn(churn.finish());
+        o.schedule_churn(churn);
         let events_before = o.events_processed();
         let requests: Vec<(PeerId, u32)> = targets.iter().map(|&to| (to, 2)).collect();
         let mut outcomes = Vec::new();
@@ -2115,7 +2246,7 @@ mod tests {
         let (outcomes, ..) = play(&|o, _, t0, _| {
             let mut churn = ChurnSchedule::new();
             churn.crash(o.peer_ids()[4], t0 + ms(1));
-            o.schedule_churn(churn.finish());
+            o.schedule_churn(churn);
         });
         assert_eq!(
             outcomes.iter().map(|o| o.1).collect::<Vec<_>>(),
@@ -2137,7 +2268,7 @@ mod tests {
                 1.0,
                 t0 + us(500) + SimDuration::from_secs(5),
             );
-            o.schedule_churn(slow.finish());
+            o.schedule_churn(slow);
         });
         assert_eq!(
             outcomes.iter().map(|o| o.1).collect::<Vec<_>>(),
@@ -2425,7 +2556,7 @@ mod tests {
                 }
                 _ => {}
             }
-            o.schedule_churn(churn.finish());
+            o.schedule_churn(churn);
         }
     }
 

@@ -118,19 +118,23 @@ impl<E> TypedEngine<E> {
     /// Schedules `event` at absolute time `at`, returning its key for
     /// [`TypedEngine::cancel`].  Scheduling in the past panics.
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventKey {
+        let stamp = self.stamp();
+        self.schedule_stamped(at, stamp, event)
+    }
+
+    /// [`TypedEngine::schedule_at`] under an earlier [`TypedEngine::stamp`].
+    pub fn schedule_stamped(&mut self, at: SimTime, stamp: u64, event: E) -> EventKey {
         assert!(
             at >= self.now,
-            "cannot schedule an event in the past ({} < {})",
-            at,
+            "cannot schedule an event in the past ({at} < {})",
             self.now
         );
-        self.queue.push(at, event)
+        self.queue.push_stamped(at, stamp, event)
     }
 
     /// Schedules `event` after the given delay, returning its key.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventKey {
-        let at = self.now + delay;
-        self.queue.push(at, event)
+        self.schedule_at(self.now + delay, event)
     }
 
     /// Revokes a pending event, returning its payload; `None` if the key is

@@ -19,7 +19,8 @@
 //! "probe" it schedules at the same instant must always fire in that order
 //! — and `ties_are_fifo*` pins the contract; `tests/queue_equivalence_prop.rs`
 //! checks it against a sorted-`Vec` reference under random pushes, pops,
-//! cancellations and reaps.
+//! cancellations and reaps.  A push under an earlier stamp
+//! ([`EventQueue::push_stamped`]) sorts as a push at that moment would.
 //!
 //! # Cancellation
 //!
@@ -184,6 +185,12 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn push(&mut self, time: SimTime, payload: E) -> EventKey {
         let seq = self.stamp();
+        self.push_stamped(time, seq, payload)
+    }
+
+    /// [`EventQueue::push`] under an earlier, unused [`EventQueue::stamp`].
+    #[inline]
+    pub fn push_stamped(&mut self, time: SimTime, seq: u64, payload: E) -> EventKey {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Some((seq, payload));

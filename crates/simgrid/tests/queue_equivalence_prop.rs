@@ -2,13 +2,13 @@
 //!
 //! The reference keeps every ticket in a `Vec` sorted by `(time, seq)` and
 //! cancels by linear search, marking the entry dead the way the queue
-//! leaves a tombstone.  Under arbitrary interleavings of pushes, batch
-//! pushes, pops, bounded pops, peeks, cancellations, reaps and stamps taken
-//! without a push, the queue must deliver *exactly* the reference's `(time,
-//! payload)` stream — FIFO ties included — agree on every cancel (stale
-//! keys included) and every stamp, and carry the same live and queued
-//! counts: a dead ticket is collected when the front reaches it or when
-//! `reap` sweeps it, never otherwise.
+//! leaves a tombstone.  Under arbitrary interleavings of pushes, pops,
+//! bounded pops, peeks, cancellations, reaps, stamps taken without a push
+//! and later pushes under such a stamp (`push_stamped`), the queue must
+//! deliver *exactly* the reference's `(time, payload)` stream — FIFO ties
+//! included — agree on every cancel (stale keys included) and every stamp,
+//! and carry the same live and queued counts: a dead ticket is collected
+//! when the front reaches it or when `reap` sweeps it, never otherwise.
 
 use p2pmpi_simgrid::event::{EventKey, EventQueue, Scheduled};
 use p2pmpi_simgrid::rngutil::seeded;
@@ -30,8 +30,11 @@ enum Op {
     PeekTime,
     /// Collect every dead ticket eagerly.
     Reap,
-    /// Take a stamp without pushing.
+    /// Take a stamp without pushing, kept for a later `PushStamped`.
     Stamp,
+    /// Push at `floor + offset` under a stamp taken earlier and not pushed
+    /// yet (`pick` modulo the kept stamps).
+    PushStamped(u64, usize),
     /// Pop the earliest event only if it precedes `(floor + offset, stamp)`,
     /// the stamp picked among those handed out so far (`pick` modulo).
     PopBefore(u64, u64),
@@ -57,7 +60,8 @@ fn script(seed: u64, ops: usize) -> Vec<Op> {
             65..=79 => Op::Pop,
             80..=84 => Op::PopBefore(offset(&mut rng), rng.gen()),
             85..=87 => Op::Stamp,
-            88..=94 => Op::PeekTime,
+            88..=90 => Op::PushStamped(offset(&mut rng), rng.gen()),
+            91..=94 => Op::PeekTime,
             _ => Op::Reap,
         })
         .collect()
@@ -81,11 +85,16 @@ struct Reference {
 
 impl Reference {
     fn push(&mut self, time: SimTime, payload: u32) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        // Every earlier push has a smaller seq, so the entry goes after all
-        // entries due at or before `time`.
-        let at = self.entries.partition_point(|e| e.time <= time);
+        let seq = self.stamp();
+        self.push_stamped(time, seq, payload)
+    }
+
+    /// Inserts under an earlier stamp: a seq below entries already queued
+    /// at `time` sorts ahead of them.
+    fn push_stamped(&mut self, time: SimTime, seq: u64, payload: u32) -> u64 {
+        let at = self
+            .entries
+            .partition_point(|e| (e.time, e.seq) < (time, seq));
         self.entries.insert(
             at,
             Entry {
@@ -170,6 +179,8 @@ proptest! {
         let mut reference = Reference::default();
         // Every key handed out, with the reference seq it stands for.
         let mut keys: Vec<(EventKey, u64)> = Vec::new();
+        // Stamps taken and not pushed yet.
+        let mut stamps: Vec<u64> = Vec::new();
         let mut floor = 0u64;
         for (i, op) in script(seed, ops).into_iter().enumerate() {
             let payload = i as u32;
@@ -205,7 +216,18 @@ proptest! {
                     }
                 }
                 Op::Stamp => {
-                    prop_assert_eq!(queue.stamp(), reference.stamp(), "stamp at op {}", i);
+                    let stamp = queue.stamp();
+                    prop_assert_eq!(stamp, reference.stamp(), "stamp at op {}", i);
+                    stamps.push(stamp);
+                }
+                Op::PushStamped(offset, pick) => {
+                    if stamps.is_empty() {
+                        continue;
+                    }
+                    let stamp = stamps.swap_remove(pick % stamps.len());
+                    let t = SimTime::from_nanos(floor + offset);
+                    let key = queue.push_stamped(t, stamp, payload);
+                    keys.push((key, reference.push_stamped(t, stamp, payload)));
                 }
                 Op::PeekTime => {
                     prop_assert_eq!(queue.peek_time(), reference.peek_time(), "peek at op {}", i);

@@ -26,7 +26,7 @@ fn overbooking_absorbs_crashed_peers() {
         SimDuration::from_secs(10_000),
         &mut rng,
     );
-    tb.overlay.schedule_churn(schedule.finish());
+    tb.overlay.schedule_churn(schedule);
     tb.overlay
         .run_until(tb.overlay.now() + SimDuration::from_secs(2));
     assert!(tb.overlay.alive_count() <= 350 - 30);
@@ -79,7 +79,7 @@ fn a_recovered_peer_can_be_used_by_a_later_submission() {
     let mut schedule = ChurnSchedule::new();
     schedule.crash(closest, SimTime::from_secs(1));
     schedule.recover(closest, SimTime::from_secs(100));
-    tb.overlay.schedule_churn(schedule.finish());
+    tb.overlay.schedule_churn(schedule);
 
     tb.overlay
         .run_until(tb.overlay.now() + SimDuration::from_secs(5));
