@@ -81,7 +81,8 @@
 //!   "metrics": { "submitted": 1085, "succeeded": 934, "failed": 151,
 //!                "timeouts": 412, "jobs_killed": 17, "leaked_grants": 0,
 //!                "leaked_grant_hwm": 0, "events_processed": 123456,
-//!                "steady_state_alloc_free": true },
+//!                "steady_state_alloc_free": true, "events_capacity": [8, 8],
+//!                "rs_scratch_capacity": [701, 701] },
 //!   "baseline": { "submitted": 1085, "succeeded": 1012, "failed": 73,
 //!                 "timeouts": 0 },
 //!   "recovery_secs": 120.0,
@@ -95,7 +96,8 @@
 //! replay the same trace) and is `null` for scenarios judged on absolute
 //! criteria; `recovery_secs` is `0.0` when the scenario has no outage
 //! window (trivially recovered) and `null` only when utilisation never
-//! regained the twin's level.
+//! regained the twin's level.  The two capacities are `[mid-trace, end]`
+//! samples; `steady_state_alloc_free` is whether each pair is equal.
 //!
 //! [`DeadPeerChurn`]: crate::workload::DeadPeerChurn
 
@@ -796,7 +798,9 @@ impl ScenarioVerdict {
     "leaked_grants": {leaked_grants},
     "leaked_grant_hwm": {leaked_hwm},
     "events_processed": {events},
-    "steady_state_alloc_free": {alloc_free}
+    "steady_state_alloc_free": {alloc_free},
+    "events_capacity": [{events_mid}, {events_end}],
+    "rs_scratch_capacity": [{scratch_mid}, {scratch_end}]
   }},
   "baseline": {baseline},
   "recovery_secs": {recovery},
@@ -815,6 +819,10 @@ impl ScenarioVerdict {
             leaked_hwm = r.leaked_grant_hwm,
             events = r.events_processed,
             alloc_free = r.steady_state_alloc_free(),
+            events_mid = r.events_capacity_mid,
+            events_end = r.events_capacity_end,
+            scratch_mid = r.rs_scratch_capacity_mid,
+            scratch_end = r.rs_scratch_capacity_end,
         )
     }
 }

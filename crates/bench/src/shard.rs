@@ -22,8 +22,12 @@
 //! Every job of the trace is classified up front (a deterministic pre-pass
 //! on its own RNG substream) as **shard-local** — submitted to its home
 //! shard's core exactly as the sequential sweep would — or **cross-shard**
-//! — needing capacity from more than one shard's sites.  Cross-shard jobs
-//! are the only synchronization points:
+//! — needing capacity from more than one shard's sites.  The driver holds
+//! the trace once, beside one home byte per job (`u8::MAX` for a cross
+//! job) and the indices of the cross jobs: phase `k` is the run of the
+//! trace up to the `k`-th cross job, and each shard submits the jobs of
+//! the run homed on it, in trace order.  Cross-shard jobs are the only
+//! synchronization points:
 //!
 //! 1. **Advance.**  Every shard runs its own timeline — local
 //!    submissions, completions, heartbeats, churn — up to the cross-shard
@@ -198,12 +202,42 @@ impl ShardSweepResult {
     }
 }
 
-/// One parallel phase's work for one shard, plus its barrier advance.
-struct Segment {
-    /// Shard-local jobs per shard, in arrival order.
-    batches: Vec<Vec<JobSpec>>,
-    /// The cross-shard job ending this segment (`None` for the tail).
-    cross: Option<JobSpec>,
+/// Home byte of a cross-shard job.
+const CROSS: u8 = u8::MAX;
+
+/// The shared trace cut into phases at its cross-shard jobs.  It is held
+/// once: a phase is a run of it, out of which each shard picks the jobs
+/// homed on it.
+struct Phases {
+    trace: Vec<JobSpec>,
+    /// Each job's home shard, or [`CROSS`].
+    homes: Vec<u8>,
+    /// Where each phase ends: the index of the cross job brokered at its
+    /// barrier, or `trace.len()` for the tail; one more than the barriers.
+    ends: Vec<usize>,
+}
+
+impl Phases {
+    fn new(trace: Vec<JobSpec>, homes: Vec<u8>) -> Self {
+        let cross = homes.iter().enumerate().filter(|&(_, &h)| h == CROSS);
+        let ends = cross.map(|(i, _)| i).chain([trace.len()]).collect();
+        Phases { trace, homes, ends }
+    }
+
+    /// Phase `k`'s jobs homed on `shard`, in trace order.
+    fn local(&self, k: usize, shard: usize) -> impl Iterator<Item = &JobSpec> {
+        let start = k.checked_sub(1).map_or(0, |j| self.ends[j] + 1);
+        let homes = self.homes[start..self.ends[k]]
+            .iter()
+            .map(|&h| usize::from(h));
+        let jobs = self.trace[start..].iter().zip(homes);
+        jobs.filter(move |&(_, h)| h == shard).map(|(job, _)| job)
+    }
+
+    /// The cross-shard job ending phase `k`; `None` for the tail.
+    fn cross(&self, k: usize) -> Option<&JobSpec> {
+        self.trace.get(self.ends[k])
+    }
 }
 
 /// Cross-shard bookkeeping accumulated at barriers.
@@ -218,15 +252,15 @@ struct CrossStats {
 
 /// What a lane runs for one shard in one phase: [`run_segment`], or a
 /// test's stand-in for it.
-type SegmentFn = fn(usize, &mut SweepCore, &[JobSpec], Option<SimTime>);
+type SegmentFn = fn(usize, &mut SweepCore, &Phases, usize);
 
-/// Runs one shard's share of a parallel phase: submit the local batch,
-/// then advance to the barrier and assert the safe-horizon contract.
-fn run_segment(shard: usize, core: &mut SweepCore, batch: &[JobSpec], barrier: Option<SimTime>) {
-    for job in batch {
+/// Runs one shard's share of phase `k`: submit its local jobs, then
+/// advance to the barrier and assert the safe-horizon contract.
+fn run_segment(shard: usize, core: &mut SweepCore, phases: &Phases, k: usize) {
+    for job in phases.local(k, shard) {
         core.submit(job);
     }
-    if let Some(at) = barrier {
+    if let Some(at) = phases.cross(k).map(|job| job.at) {
         core.advance_to(at);
         // The conservative-lookahead contract: with the shard advanced to
         // the barrier, its earliest pending event lies strictly after it,
@@ -456,10 +490,10 @@ struct Lanes<'a> {
     /// One slot per shard, emptied by the `finish` of the owning lane.  The
     /// epoch order keeps every lock uncontended.
     cores: Vec<Mutex<Option<SweepCore>>>,
-    segments: &'a [Segment],
+    phases: &'a Phases,
     segment_fn: SegmentFn,
     horizon: SimTime,
-    /// `k + 1` releases `segments[k]`; `segments.len() + 1` releases
+    /// `k + 1` releases phase `k`; one past the last phase releases
     /// `finish`; `POISONED` sends the workers home.
     epoch: AtomicU64,
     /// Per worker lane (lane `w + 1` at index `w`): the last epoch it
@@ -475,15 +509,14 @@ impl Lanes<'_> {
 
     /// Runs `lane`'s shards through one phase, in shard order, adding each
     /// shard's wall time to `spent[s]`.
-    fn run_phase(&self, lane: usize, segment: &Segment, spent: &mut [Duration]) {
-        let barrier = segment.cross.as_ref().map(|j| j.at);
+    fn run_phase(&self, lane: usize, k: usize, spent: &mut [Duration]) {
         for s in self.shards_of(lane) {
             let start = Instant::now();
             let mut slot = self.cores[s]
                 .lock()
                 .expect("a lane panicked while holding this shard");
             let core = slot.as_mut().expect("a shard is finished once, last");
-            (self.segment_fn)(s, core, &segment.batches[s], barrier);
+            (self.segment_fn)(s, core, self.phases, k);
             spent[s] += start.elapsed();
         }
     }
@@ -514,18 +547,19 @@ impl Lanes<'_> {
             coordinator: &self.coordinator,
         };
         let mut spent = vec![Duration::ZERO; self.cores.len()];
-        for (k, segment) in self.segments.iter().enumerate() {
+        let phases = self.phases.ends.len();
+        for k in 0..phases {
             let epoch = k as u64 + 1;
             if wait_for(&self.epoch, epoch) == POISONED {
                 return Vec::new();
             }
-            self.run_phase(lane, segment, &mut spent);
+            self.run_phase(lane, k, &mut spent);
             // Release: this lane's work on its shards is visible to the
             // coordinator once it reads `done` in `wait_for`.
             done.store(epoch, Ordering::Release);
             self.coordinator.unpark();
         }
-        if wait_for(&self.epoch, self.segments.len() as u64 + 1) == POISONED {
+        if wait_for(&self.epoch, phases as u64 + 1) == POISONED {
             return Vec::new();
         }
         self.finish(lane, &spent)
@@ -545,7 +579,7 @@ pub fn run_shard_sweep(cfg: &ShardSweepConfig) -> ShardSweepResult {
 /// [`run_shard_sweep`] on at most `lanes` lanes (never more than shards),
 /// running `segment_fn` for each shard in each phase.  `cfg.parallel` is how
 /// the public function picks `lanes` and is not read here.
-pub(crate) fn run_shard_sweep_on(
+fn run_shard_sweep_on(
     cfg: &ShardSweepConfig,
     lanes: usize,
     segment_fn: SegmentFn,
@@ -561,38 +595,26 @@ pub(crate) fn run_shard_sweep_on(
     let profile = burst_profile(&base.profile, &base.faults);
     let trace = day_trace(&profile, &base.mix, base.seed);
     let shard_cores = plan.cores_per_shard();
-    let total_cores: usize = shard_cores.iter().sum();
+    let cumulative: Vec<usize> = (1..=shards)
+        .map(|s| shard_cores[..s].iter().sum())
+        .collect();
+    assert!(shards < usize::from(CROSS), "a home shard must fit a byte");
     let mut class_rng = seeded(derive_seed(base.seed, 0x5C1A));
-    let mut segments = vec![Segment {
-        batches: vec![Vec::new(); shards],
-        cross: None,
-    }];
-    let mut local_counts = vec![0usize; shards];
-    for job in &trace {
-        let draw = class_rng.gen_range(0..total_cores);
-        let mut cum = 0usize;
-        let mut home = 0usize;
-        for (i, &c) in shard_cores.iter().enumerate() {
-            cum += c;
-            if draw < cum {
-                home = i;
-                break;
+    let homes = trace
+        .iter()
+        .map(|_| {
+            let draw = class_rng.gen_range(0..cumulative[shards - 1]);
+            let home = cumulative.partition_point(|&c| c <= draw) as u8;
+            let cross = shards > 1 && class_rng.gen::<f64>() < cfg.cross_fraction;
+            if cross {
+                CROSS
+            } else {
+                home
             }
-        }
-        let cross = shards > 1 && class_rng.gen::<f64>() < cfg.cross_fraction;
-        let segment = segments.last_mut().expect("one open segment");
-        if cross {
-            segment.cross = Some(*job);
-            segments.push(Segment {
-                batches: vec![Vec::new(); shards],
-                cross: None,
-            });
-        } else {
-            local_counts[home] += 1;
-            segment.batches[home].push(*job);
-        }
-    }
-    let barriers = segments.len() - 1;
+        })
+        .collect();
+    let phases = Phases::new(trace, homes);
+    let barriers = phases.ends.len() - 1;
 
     // One SweepCore per shard: shard 0 keeps the base seed (with one shard
     // it *is* the sequential sweep), the rest derive independent noise and
@@ -615,7 +637,8 @@ pub(crate) fn run_shard_sweep_on(
             } else {
                 derive_seed(base.seed, 0x5AD0 + s as u64)
             };
-            SweepCore::new(&shard_cfg, plan.specs_for(s), seed, local_counts[s] / 2)
+            let local = phases.homes.iter().filter(|&&h| usize::from(h) == s);
+            SweepCore::new(&shard_cfg, plan.specs_for(s), seed, local.count() / 2)
         })
         .collect();
 
@@ -625,20 +648,11 @@ pub(crate) fn run_shard_sweep_on(
     let global_hosts: Vec<Vec<HostId>> = cores
         .iter()
         .map(|core| {
-            core.tb
-                .topology
-                .hosts()
-                .iter()
-                .map(|h| {
-                    let name = &h.name;
-                    global_topology
-                        .host_by_name(name)
-                        .unwrap_or_else(|| {
-                            panic!("shard host '{name}' missing from the global topology")
-                        })
-                        .id
-                })
-                .collect()
+            let host = |name: &str| global_topology.host_by_name(name).map(|h| h.id);
+            let hosts = core.tb.topology.hosts().iter().map(|h| host(&h.name));
+            hosts
+                .collect::<Option<_>>()
+                .expect("every shard host is on the grid")
         })
         .collect();
     let settings = Fig4Settings {
@@ -652,7 +666,7 @@ pub(crate) fn run_shard_sweep_on(
     let lanes = Lanes {
         count: lane_count,
         cores: cores.into_iter().map(|c| Mutex::new(Some(c))).collect(),
-        segments: &segments,
+        phases: &phases,
         segment_fn,
         // Every shard drains its tail (remaining samples, completions,
         // heartbeats) to the profile's horizon before closing its books.
@@ -677,10 +691,10 @@ pub(crate) fn run_shard_sweep_on(
         };
         let mut healthy = true;
         let mut spent = vec![Duration::ZERO; shards];
-        for (k, segment) in segments.iter().enumerate() {
+        for k in 0..phases.ends.len() {
             let epoch = k as u64 + 1;
             gate.open(epoch);
-            lanes.run_phase(0, segment, &mut spent);
+            lanes.run_phase(0, k, &mut spent);
             let waiting = Instant::now();
             healthy = lanes
                 .done
@@ -690,7 +704,7 @@ pub(crate) fn run_shard_sweep_on(
             if !healthy {
                 break;
             }
-            if let Some(job) = &segment.cross {
+            if let Some(job) = phases.cross(k) {
                 let brokering = Instant::now();
                 let mut slots: Vec<_> = lanes
                     .cores
@@ -707,7 +721,7 @@ pub(crate) fn run_shard_sweep_on(
         }
         let mut finished = Vec::new();
         if healthy {
-            gate.open(segments.len() as u64 + 1);
+            gate.open(phases.ends.len() as u64 + 1);
             finished = lanes.finish(0, &spent);
         } else {
             gate.open(POISONED);
@@ -740,7 +754,7 @@ pub(crate) fn run_shard_sweep_on(
         lane_work,
         coordinator_wait,
         broker,
-        phases: segments.len(),
+        phases: phases.ends.len(),
     }
 }
 
@@ -753,31 +767,19 @@ fn merge_results(
     coordinator_shapes: usize,
     global_topology: &Arc<Topology>,
 ) -> DaySweepResult {
-    let site_names: Vec<String> = global_topology
-        .sites()
-        .iter()
-        .map(|s| s.name.clone())
-        .collect();
-    let site_cores: Vec<usize> = global_topology
-        .sites()
+    let sites = global_topology.sites();
+    let site_names: Vec<String> = sites.iter().map(|s| s.name.clone()).collect();
+    let site_cores: Vec<usize> = sites
         .iter()
         .map(|s| global_topology.cores_at_site(s.id))
         .collect();
     // Shard-local site index -> global site index, by name.
+    let global = |n: &String| site_names.iter().position(|g| g == n);
     let maps: Vec<Vec<usize>> = per_shard
         .iter()
-        .map(|r| {
-            r.site_names
-                .iter()
-                .map(|n| {
-                    site_names
-                        .iter()
-                        .position(|g| g == n)
-                        .unwrap_or_else(|| panic!("shard site '{n}' missing globally"))
-                })
-                .collect()
-        })
-        .collect();
+        .map(|r| r.site_names.iter().map(global).collect::<Option<_>>())
+        .collect::<Option<_>>()
+        .expect("every shard site is on the grid");
 
     // Shards sample on the same cadence to the same horizon, so their
     // sample trains line up instant for instant.
@@ -874,6 +876,7 @@ fn merge_results(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Fig4Kernel;
     use p2pmpi_simgrid::time::SimDuration;
     use std::cell::Cell;
     use std::sync::mpsc;
@@ -887,6 +890,48 @@ mod tests {
         let mut cfg = ShardSweepConfig::new(base, 4);
         cfg.cross_fraction = cross_fraction;
         cfg
+    }
+
+    #[test]
+    fn phases_cut_the_trace_at_its_cross_jobs() {
+        const X: u8 = CROSS;
+        // A cross job first, two adjacent cross jobs (an empty phase between
+        // them) and a cross job last (an empty tail), over two shards.
+        for homes in [
+            vec![X, 0, 1, 0, 1],
+            vec![0, 1, X, X, 1, 0],
+            vec![1, 0, 0, X],
+            vec![X, X, 1, X, 0, X],
+        ] {
+            let trace: Vec<JobSpec> = (0..homes.len() as u32)
+                .map(|i| JobSpec {
+                    at: SimTime::from_secs(u64::from(i)),
+                    ranks: i,
+                    kernel: Fig4Kernel::Ep,
+                })
+                .collect();
+            let phases = Phases::new(trace, homes.clone());
+            let count = phases.ends.len();
+            let ids = |jobs: &mut dyn Iterator<Item = &JobSpec>| -> Vec<u32> {
+                jobs.map(|job| job.ranks).collect()
+            };
+            let homed = |h: u8| -> Vec<u32> {
+                let jobs = (0..).zip(&homes).filter(|&(_, &home)| home == h);
+                jobs.map(|(i, _)| i).collect()
+            };
+            // Each shard's filtered phases, in order, are its local jobs
+            // in arrival order.
+            for s in 0..2 {
+                let mut filtered = (0..count).flat_map(|k| phases.local(k, s));
+                assert_eq!(ids(&mut filtered), homed(s as u8));
+            }
+            // Each cross job ends exactly one phase, in arrival order; the
+            // tail ends with none.
+            let mut crosses = (0..count).filter_map(|k| phases.cross(k));
+            assert_eq!(ids(&mut crosses), homed(X));
+            assert!(phases.cross(count - 1).is_none());
+            assert_eq!(count - 1, homed(X).len(), "barriers == ends.len() - 1");
+        }
     }
 
     #[test]
@@ -958,28 +1003,18 @@ mod tests {
         assert_eq!(r.merged.failed, r.merged.submitted);
     }
 
-    fn segment_on_caller_only(
-        shard: usize,
-        core: &mut SweepCore,
-        batch: &[JobSpec],
-        barrier: Option<SimTime>,
-    ) {
+    fn segment_on_caller_only(shard: usize, core: &mut SweepCore, phases: &Phases, k: usize) {
         assert!(IS_CALLER.get(), "shard {shard} ran off the calling thread");
-        run_segment(shard, core, batch, barrier);
+        run_segment(shard, core, phases, k);
     }
 
-    fn segment_on_lane_of_two(
-        shard: usize,
-        core: &mut SweepCore,
-        batch: &[JobSpec],
-        barrier: Option<SimTime>,
-    ) {
+    fn segment_on_lane_of_two(shard: usize, core: &mut SweepCore, phases: &Phases, k: usize) {
         assert_eq!(
             IS_CALLER.get(),
             shard.is_multiple_of(2),
             "shard {shard} on the wrong lane"
         );
-        run_segment(shard, core, batch, barrier);
+        run_segment(shard, core, phases, k);
     }
 
     #[test]
@@ -990,16 +1025,11 @@ mod tests {
         run_shard_sweep_on(&cfg, 2, segment_on_lane_of_two);
     }
 
-    fn segment_failing_on_shard_two(
-        shard: usize,
-        core: &mut SweepCore,
-        batch: &[JobSpec],
-        barrier: Option<SimTime>,
-    ) {
-        if shard == 2 && barrier.is_some() {
+    fn segment_failing_on_shard_two(shard: usize, core: &mut SweepCore, phases: &Phases, k: usize) {
+        if shard == 2 && phases.cross(k).is_some() {
             panic!("injected failure on shard {shard}");
         }
-        run_segment(shard, core, batch, barrier);
+        run_segment(shard, core, phases, k);
     }
 
     #[test]

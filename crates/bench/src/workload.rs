@@ -156,19 +156,25 @@ impl DayProfile {
             .unwrap_or(0.0)
     }
 
+    /// Each segment with the offset where it ends.
+    fn spans(&self) -> impl Iterator<Item = (&RateSegment, SimDuration)> {
+        let ends = self.segments[1..].iter().map(|n| n.start);
+        self.segments.iter().zip(ends.chain([self.horizon]))
+    }
+
     /// Expected number of arrivals over the horizon (the integral of the
     /// rate function).
     fn expected_jobs(&self) -> f64 {
-        let mut total = 0.0;
-        for (i, s) in self.segments.iter().enumerate() {
-            let end = self
-                .segments
-                .get(i + 1)
-                .map(|n| n.start)
-                .unwrap_or(self.horizon);
-            total += s.rate_per_sec * (end.saturating_sub(s.start)).as_secs_f64();
-        }
-        total
+        self.spans()
+            .map(|(s, end)| s.rate_per_sec * end.saturating_sub(s.start).as_secs_f64())
+            .sum()
+    }
+
+    /// What [`day_trace`] reserves: the expected count plus six standard
+    /// deviations of the Poisson count, plus 16.
+    fn trace_capacity(&self) -> usize {
+        let expected = self.expected_jobs();
+        (expected + 6.0 * expected.sqrt()) as usize + 16
     }
 
     /// Multiplies every segment rate by `factor` (expected jobs scale the
@@ -223,7 +229,8 @@ impl DayProfile {
 
     /// A week of paper days: [`DayProfile::paper_day`] tiled seven times
     /// (≈ 152k expected jobs at 1× traffic; the ROADMAP's production-scale
-    /// target runs it at 10×).
+    /// target runs it at 10×).  Its trace holds 16 bytes per job, 2.4 MB at
+    /// 1×, plus one byte per job when sharded.
     pub fn week() -> Self {
         Self::paper_day().repeated(7)
     }
@@ -276,34 +283,6 @@ impl DayProfile {
         // Re-validate through the constructor: the splice must preserve the
         // strictly-ascending invariant or it is a bug worth a panic.
         Self::piecewise(segments, self.horizon)
-    }
-
-    /// Samples one realisation of the arrival process.  Times are sorted,
-    /// lie inside the horizon, and are fully determined by `seed`.
-    pub fn arrivals(&self, seed: u64) -> Vec<SimTime> {
-        let mut rng = seeded(seed);
-        let mut out: Vec<SimTime> = Vec::with_capacity(self.expected_jobs() as usize + 16);
-        for (i, s) in self.segments.iter().enumerate() {
-            if s.rate_per_sec <= 0.0 {
-                continue;
-            }
-            let end = self
-                .segments
-                .get(i + 1)
-                .map(|n| n.start)
-                .unwrap_or(self.horizon)
-                .as_secs_f64();
-            let mut t = s.start.as_secs_f64();
-            loop {
-                let u: f64 = rng.gen();
-                t += -(1.0 - u).ln() / s.rate_per_sec;
-                if t >= end {
-                    break;
-                }
-                out.push(SimTime::from_secs_f64(t));
-            }
-        }
-        out
     }
 }
 
@@ -360,26 +339,37 @@ pub struct JobSpec {
 
 /// Materialises a full submission trace: arrival times from `profile`, job
 /// shapes from `mix`, both deterministic in `seed` (independent substreams,
-/// so changing the mix does not perturb the arrival instants).
+/// so changing the mix does not perturb the arrival instants).  Arrivals
+/// are sorted, in the horizon and exact per segment.  One pass draws each
+/// job's shape with its arrival into one `Vec` reserved six standard
+/// deviations above the Poisson mean: 16 bytes per job.
 pub fn day_trace(profile: &DayProfile, mix: &JobMix, seed: u64) -> Vec<JobSpec> {
     assert!(
         !mix.ranks.is_empty(),
         "the job mix needs at least one rank count"
     );
-    let arrivals = profile.arrivals(derive_seed(seed, 0xA221));
+    let mut arrival_rng = seeded(derive_seed(seed, 0xA221));
     let mut rng = seeded(derive_seed(seed, 0x31B5));
-    arrivals
-        .into_iter()
-        .map(|at| {
+    let mut trace = Vec::with_capacity(profile.trace_capacity());
+    for (s, end) in profile.spans().filter(|(s, _)| s.rate_per_sec > 0.0) {
+        let (mut t, end) = (s.start.as_secs_f64(), end.as_secs_f64());
+        loop {
+            let u: f64 = arrival_rng.gen();
+            t += -(1.0 - u).ln() / s.rate_per_sec;
+            if t >= end {
+                break;
+            }
             let ranks = mix.ranks[rng.gen_range(0..mix.ranks.len())];
             let kernel = if ranks <= mix.is_max_ranks && rng.gen::<f64>() < mix.is_fraction {
                 Fig4Kernel::Is
             } else {
                 Fig4Kernel::Ep
             };
-            JobSpec { at, ranks, kernel }
-        })
-        .collect()
+            let at = SimTime::from_secs_f64(t);
+            trace.push(JobSpec { at, ranks, kernel });
+        }
+    }
+    trace
 }
 
 // ---------------------------------------------------------------------------
@@ -1373,6 +1363,12 @@ mod tests {
 
     // -- DayProfile -------------------------------------------------------
 
+    /// The arrival instants of `day_trace(p, default mix, seed)`.
+    fn arrivals(p: &DayProfile, seed: u64) -> Vec<SimTime> {
+        let trace = day_trace(p, &JobMix::default(), seed);
+        trace.iter().map(|job| job.at).collect()
+    }
+
     #[test]
     fn paper_day_integrates_past_twenty_thousand_jobs() {
         let p = DayProfile::paper_day();
@@ -1383,20 +1379,20 @@ mod tests {
             "expected {expected}"
         );
         // Poisson count over the day: within 5 sigma of the mean.
-        let n = p.arrivals(1).len() as f64;
+        let n = arrivals(&p, 1).len() as f64;
         assert!((n - expected).abs() < 5.0 * expected.sqrt(), "sampled {n}");
     }
 
     #[test]
     fn arrivals_are_sorted_in_horizon_and_deterministic() {
         let p = DayProfile::paper_day();
-        let a = p.arrivals(9);
-        let b = p.arrivals(9);
+        let a = arrivals(&p, 9);
+        let b = arrivals(&p, 9);
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0] <= w[1]), "arrivals sorted");
         let end = SimTime::ZERO + p.horizon();
         assert!(a.iter().all(|&t| t < end));
-        assert_ne!(a.len(), p.arrivals(10).len());
+        assert_ne!(a.len(), arrivals(&p, 10).len());
     }
 
     #[test]
@@ -1404,7 +1400,7 @@ mod tests {
         // The 9–12h burst must be ~11x denser than the 0–6h night (rates
         // 0.55 vs 0.05); allow generous sampling noise.
         let p = DayProfile::paper_day();
-        let arrivals = p.arrivals(5);
+        let arrivals = arrivals(&p, 5);
         let in_window = |a: u64, b: u64| {
             arrivals
                 .iter()
@@ -1415,6 +1411,18 @@ mod tests {
         let burst_per_hour = in_window(9, 12) / 3.0;
         let ratio = burst_per_hour / night_per_hour;
         assert!((6.0..18.0).contains(&ratio), "burst/night ratio {ratio}");
+    }
+
+    #[test]
+    fn a_trace_never_outgrows_its_reservation() {
+        // The Poisson count exceeds its mean half the time, so a
+        // reservation of the mean alone would double the trace's buffer
+        // at about half of these seeds.
+        let p = DayProfile::paper_day();
+        for seed in 0..64 {
+            let trace = day_trace(&p, &JobMix::default(), seed);
+            assert_eq!(trace.capacity(), p.trace_capacity(), "seed {seed}");
+        }
     }
 
     #[test]
@@ -1535,8 +1543,7 @@ mod tests {
             factor,
         );
         let window = SimTime::from_secs(5_000)..SimTime::from_secs(10_000);
-        let inside: Vec<SimTime> = p
-            .arrivals(77)
+        let inside: Vec<SimTime> = arrivals(&p, 77)
             .into_iter()
             .filter(|t| window.contains(t))
             .collect();
