@@ -11,7 +11,7 @@ use std::str::FromStr;
 pub struct Args {
     /// The words before the first flag (`paper ablation contention` gives
     /// `["ablation", "contention"]`).
-    pub words: Vec<String>,
+    pub(crate) words: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 

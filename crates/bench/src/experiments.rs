@@ -183,7 +183,7 @@ pub fn run_kernel_once(
 /// of every placed job — the Figure 4 modeled points directly, the day sweep
 /// and the shard coordinator once per placement shape through
 /// [`ShapeCosts`]: the shape's schedule comes from
-/// [`cached_kernel_schedule`] (compiled once per process, see its contract)
+/// `cached_kernel_schedule` (compiled once per process, see its contract)
 /// and [`PlacementCost::cost_of`] evaluates it on the placement, over the
 /// same `search::models_for` cost models the placement search optimises against —
 /// so a searched objective and a charged makespan are one code path.  The
@@ -264,7 +264,7 @@ impl ShapeCosts {
     /// Panics unless `settings` selects [`CollectiveBackend::Modeled`] (an
     /// executed run is not a function of the shape alone), and on a topology
     /// of 65 536 hosts or more, which the packed key could not tell apart.
-    pub fn new(topology: &Arc<Topology>, settings: &Fig4Settings) -> Self {
+    pub(crate) fn new(topology: &Arc<Topology>, settings: &Fig4Settings) -> Self {
         assert_eq!(
             settings.backend,
             CollectiveBackend::Modeled,
@@ -286,7 +286,7 @@ impl ShapeCosts {
     /// [`run_kernel_on_placement`]'s, computed by it the first time a shape
     /// is seen and remembered after.  `allocation` is one the co-allocator
     /// produced: valid, unreplicated, each host listed once.
-    pub fn makespan(&mut self, kernel: Fig4Kernel, allocation: &Allocation) -> SimDuration {
+    pub(crate) fn makespan(&mut self, kernel: Fig4Kernel, allocation: &Allocation) -> SimDuration {
         self.key.clear();
         self.key.push(kernel as u32);
         self.key.push(allocation.processes);
@@ -315,7 +315,7 @@ impl ShapeCosts {
     }
 
     /// How many distinct shapes have been costed.
-    pub fn shapes(&self) -> usize {
+    pub(crate) fn shapes(&self) -> usize {
         self.costs.len()
     }
 
@@ -335,7 +335,7 @@ impl ShapeCosts {
 /// Host booking order the co-allocator uses on an *idle* grid: ascending
 /// application-level RTT from the Nancy submitter (the first Nancy host),
 /// ties broken by host id.
-pub fn hosts_by_rtt(topology: &Topology) -> Vec<HostId> {
+pub(crate) fn hosts_by_rtt(topology: &Topology) -> Vec<HostId> {
     let submitter = topology
         .site_by_name("nancy")
         .map(|s| s.id)

@@ -27,6 +27,8 @@
 //! recovery time.
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(dead_code)]
 
 pub mod cliargs;
 pub mod experiments;

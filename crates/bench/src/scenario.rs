@@ -97,7 +97,11 @@
 //! criteria; `recovery_secs` is `0.0` when the scenario has no outage
 //! window (trivially recovered) and `null` only when utilisation never
 //! regained the twin's level.  The two capacities are `[mid-trace, end]`
-//! samples; `steady_state_alloc_free` is whether each pair is equal.
+//! samples; `steady_state_alloc_free` is whether each pair is equal, i.e.
+//! whether neither capacity grew after the mid-trace sample.  It compares
+//! that window only: `outage_in_crowd` and `outage_in_crowd_worst` read
+//! `false` with `events_capacity` `[8, 16]` at CI scale, because their flash
+//! crowd arrives after the mid-trace sample and doubles the event queue.
 //!
 //! [`DeadPeerChurn`]: crate::workload::DeadPeerChurn
 
@@ -742,10 +746,10 @@ pub struct ScenarioVerdict {
     /// Which scenario ran.
     pub scenario: Scenario,
     /// The faulted run's full result.
-    pub result: DaySweepResult,
+    pub(crate) result: DaySweepResult,
     /// The no-fault twin (same seed and scale), when the scenario's
     /// criteria are relative.
-    pub baseline: Option<DaySweepResult>,
+    pub(crate) baseline: Option<DaySweepResult>,
     /// [`recovery_to_twin`] after the outage window; `Some(0.0)` when the
     /// scenario has no outage window (trivially recovered).
     pub recovery_secs: Option<f64>,
@@ -861,7 +865,7 @@ fn site_index(r: &DaySweepResult, site: &str) -> usize {
 
 /// Time-to-95%-of-twin-utilisation: the delay from `end_secs` (the close
 /// of the fault window) until the faulted run's grid-total core-seconds
-/// (the binned ledger, [`DaySweepResult::site_core_bins`]) first regains
+/// (the binned ledger, `DaySweepResult::site_core_bins`) first regains
 /// `RECOVERY_UTILISATION_RATIO` of the twin's in the same bin, scanning
 /// from the first bin fully past `end_secs`.  An empty twin bin satisfies
 /// the ratio trivially: there is nothing to recover *to*.  `None` means

@@ -150,15 +150,13 @@ impl SeedKind {
 #[derive(Debug, Clone)]
 pub struct ChainOutcome {
     /// The seed placement the chain started from.
-    pub seed: SeedKind,
+    pub(crate) seed: SeedKind,
     /// Modeled makespan of the starting placement.
-    pub initial: SimDuration,
+    pub(crate) initial: SimDuration,
     /// Best makespan the chain ever held.
-    pub best: SimDuration,
+    pub(crate) best: SimDuration,
     /// Moves evaluated (capacity-rejected proposals excluded).
-    pub evaluated: u64,
-    /// Moves accepted.
-    pub accepted: u64,
+    pub(crate) evaluated: u64,
     /// Best-ever host assignment.
     best_hosts: Vec<HostId>,
 }
@@ -167,20 +165,20 @@ pub struct ChainOutcome {
 #[derive(Debug, Clone)]
 pub struct SearchReport {
     /// Rank count searched.
-    pub ranks: u32,
+    pub(crate) ranks: u32,
     /// Modeled makespan of the synthetic concentrate placement.
-    pub concentrate: SimDuration,
+    pub(crate) concentrate: SimDuration,
     /// Modeled makespan of the synthetic spread placement.
-    pub spread: SimDuration,
+    pub(crate) spread: SimDuration,
     /// Best modeled makespan across all chains (≤ the baselines by
     /// construction).
     pub best: SimDuration,
     /// Host of every rank in the best placement.
-    pub best_hosts: Vec<HostId>,
+    pub(crate) best_hosts: Vec<HostId>,
     /// The seed of the winning chain (or the winning baseline).
-    pub best_seed: SeedKind,
+    pub(crate) best_seed: SeedKind,
     /// Per-chain outcomes.
-    pub chains: Vec<ChainOutcome>,
+    pub(crate) chains: Vec<ChainOutcome>,
 }
 
 impl SearchReport {
@@ -190,7 +188,8 @@ impl SearchReport {
     }
 
     /// Relative improvement over [`SearchReport::baseline`] (0.03 = 3%).
-    pub fn improvement(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn improvement(&self) -> f64 {
         let base = self.baseline().as_secs_f64();
         if base <= 0.0 {
             return 0.0;
@@ -199,7 +198,7 @@ impl SearchReport {
     }
 
     /// Distinct hosts of the best placement.
-    pub fn hosts_used(&self) -> usize {
+    pub(crate) fn hosts_used(&self) -> usize {
         let mut hosts = self.best_hosts.clone();
         hosts.sort_unstable();
         hosts.dedup();
@@ -219,7 +218,7 @@ impl SearchReport {
     /// The search result as a Figure 4 point (the makespan is the modeled
     /// cost the search optimised, so no re-run is needed; `strategy` labels
     /// the winning chain's seed).
-    pub fn to_fig4_point(&self) -> Fig4Point {
+    pub(crate) fn to_fig4_point(&self) -> Fig4Point {
         Fig4Point {
             processes: self.ranks,
             strategy: self.best_seed.strategy_label(),
@@ -233,7 +232,7 @@ impl SearchReport {
 /// Compiles the kernel's collective program for `n` ranks (the `p2pmpi-nas`
 /// schedule hooks), honouring the settings' class and sample divisors.
 /// Always compiles; everything in this crate that costs or searches a
-/// placement goes through [`cached_kernel_schedule`] instead.
+/// placement goes through `cached_kernel_schedule` instead.
 pub fn kernel_schedule(kernel: Fig4Kernel, settings: &Fig4Settings, n: u32) -> CompiledSchedule {
     match kernel {
         Fig4Kernel::Ep => ep_schedule(
@@ -277,7 +276,7 @@ struct ScheduleKey {
 /// benchmark and CI build, IS@1024, is 95 KB (a `--ranks` sweep adds one
 /// entry per point: IS@4096 is 378 KB).  A miss compiles IS or FT in
 /// ~0.5 ms at 1024 ranks and 2-3 ms at 4096 (x86-64 VM, release).
-pub fn cached_kernel_schedule(
+pub(crate) fn cached_kernel_schedule(
     kernel: Fig4Kernel,
     settings: &Fig4Settings,
     n: u32,
@@ -392,7 +391,6 @@ struct AnnealOutcome {
     best: SimDuration,
     best_hosts: Vec<HostId>,
     evaluated: u64,
-    accepted: u64,
 }
 
 /// The annealing walk proper, over an evaluator and idle-slot index the
@@ -426,7 +424,6 @@ fn anneal(
     let cooling = (t_end / t0).powf(1.0 / moves.max(1) as f64);
     let mut temp = t0;
     let mut evaluated = 0u64;
-    let mut accepted = 0u64;
 
     for _ in 0..moves {
         let mv = propose(&mut rng, n, idle);
@@ -450,7 +447,6 @@ fn anneal(
             continue;
         }
         cost.commit();
-        accepted += 1;
         if let (Move::Migrate { to, .. }, Some(from)) = (mv, migrate_from) {
             if to != from {
                 idle.release(from);
@@ -471,7 +467,6 @@ fn anneal(
         best,
         best_hosts,
         evaluated,
-        accepted,
     }
 }
 
@@ -500,7 +495,6 @@ fn run_chain(
         initial: a.initial,
         best: a.best,
         evaluated: a.evaluated,
-        accepted: a.accepted,
         best_hosts: a.best_hosts,
     }
 }
@@ -630,12 +624,12 @@ impl Default for OnlineSearchParams {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineSearchStats {
     /// Searched-strategy arrivals seen.
-    pub arrivals: u64,
+    pub(crate) arrivals: u64,
     /// Arrivals that produced a plan.
     pub searched: u64,
     /// Arrivals the free cores could not hold (fell back to the fixed
     /// distribution over whatever brokering grants).
-    pub infeasible: u64,
+    pub(crate) infeasible: u64,
     /// Annealing moves evaluated across all arrivals.
     pub moves_evaluated: u64,
     /// Wall nanoseconds spent in `prepare` (seed repair and evaluator
@@ -657,7 +651,7 @@ struct Prepared {
 /// The online search state the day sweep threads through
 /// `SweepCore::submit`.  Every arrival gets a fresh [`PlacementCost`] and
 /// [`IdleSlotIndex`] over the process-wide cached schedule
-/// ([`cached_kernel_schedule`]); the only state carried from one arrival to
+/// (`cached_kernel_schedule`); the only state carried from one arrival to
 /// the next is `last_plan`, the previous annealed plan of each kernel shape,
 /// which seeds the shape's next walk (`Self::seed_for`).
 pub struct SearchContext {
@@ -698,7 +692,7 @@ impl SearchContext {
     }
 
     /// The counters accumulated so far.
-    pub fn stats(&self) -> OnlineSearchStats {
+    pub(crate) fn stats(&self) -> OnlineSearchStats {
         self.stats
     }
 
@@ -811,7 +805,7 @@ impl SearchContext {
     /// One arrival's full search: prepare, anneal, count.  Returns the
     /// per-rank host assignment of the best placement found, or `None`
     /// when the grid cannot hold the job.
-    pub fn searched_hosts(
+    pub(crate) fn searched_hosts(
         &mut self,
         kernel: Fig4Kernel,
         n: u32,

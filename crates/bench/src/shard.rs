@@ -769,10 +769,6 @@ fn merge_results(
 ) -> DaySweepResult {
     let sites = global_topology.sites();
     let site_names: Vec<String> = sites.iter().map(|s| s.name.clone()).collect();
-    let site_cores: Vec<usize> = sites
-        .iter()
-        .map(|s| global_topology.cores_at_site(s.id))
-        .collect();
     // Shard-local site index -> global site index, by name.
     let global = |n: &String| site_names.iter().position(|g| g == n);
     let maps: Vec<Vec<usize>> = per_shard
@@ -830,7 +826,6 @@ fn merge_results(
         + stats.hold_secs;
     DaySweepResult {
         site_names,
-        site_cores,
         samples,
         bin_secs,
         site_core_bins,

@@ -134,7 +134,8 @@ impl Allocation {
     }
 
     /// Placement table indexed `[rank][replica] → host`.
-    pub fn placement(&self) -> Vec<Vec<HostId>> {
+    #[cfg(test)]
+    pub(crate) fn placement(&self) -> Vec<Vec<HostId>> {
         let mut table =
             vec![vec![HostId(usize::MAX); self.replication as usize]; self.processes as usize];
         for h in &self.hosts {

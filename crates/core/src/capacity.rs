@@ -8,18 +8,13 @@
 
 /// Capacity of one host for a job of `n` logical processes, given the
 /// owner's `P` setting.
-pub fn host_capacity(owner_p: u32, n: u32) -> u32 {
+pub(crate) fn host_capacity(owner_p: u32, n: u32) -> u32 {
     owner_p.min(n)
-}
-
-/// Capacities for a whole candidate list.
-pub fn capacities(owner_ps: &[u32], n: u32) -> Vec<u32> {
-    owner_ps.iter().map(|&p| host_capacity(p, n)).collect()
 }
 
 /// Sum of capacities, used by the feasibility check
 /// `Σ c_i ≥ n × r`.
-pub fn total_capacity(capacities: &[u32]) -> u64 {
+pub(crate) fn total_capacity(capacities: &[u32]) -> u64 {
     capacities.iter().map(|&c| c as u64).sum()
 }
 
@@ -36,7 +31,6 @@ mod tests {
 
     #[test]
     fn vectorised_capacities() {
-        assert_eq!(capacities(&[1, 2, 16], 4), vec![1, 2, 4]);
         assert_eq!(total_capacity(&[1, 2, 4]), 7);
         assert_eq!(total_capacity(&[]), 0);
     }

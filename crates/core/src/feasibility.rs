@@ -48,7 +48,7 @@ impl std::error::Error for Infeasibility {}
 
 /// Checks the two feasibility conditions for a selected host list with the
 /// given capacities (`c_i = min(P_i, n)` already applied).
-pub fn check_feasibility(capacities: &[u32], n: u32, r: u32) -> Result<(), Infeasibility> {
+pub(crate) fn check_feasibility(capacities: &[u32], n: u32, r: u32) -> Result<(), Infeasibility> {
     if capacities.len() < r as usize {
         return Err(Infeasibility::NotEnoughHostsForReplication {
             hosts: capacities.len(),

@@ -9,12 +9,13 @@
 //!
 //! ## Pieces
 //!
-//! * [`strategy`] / [`spread`] / [`concentrate`] — the process-distribution
-//!   policies (`-a` flag of `p2pmpirun`).
-//! * [`capacity`] — `c_i = min(P_i, n)`.
-//! * [`feasibility`] — the two feasibility conditions of step 6.
-//! * [`overbooking`] — the booking step's overbooking factor.
-//! * [`rank`] — rank/replica assignment guaranteeing that no two copies of a
+//! * [`strategy`] / `spread` / `concentrate` — the process-distribution
+//!   policies (`-a` flag of `p2pmpirun`), chosen by [`StrategyKind`].
+//! * `capacity` — `c_i = min(P_i, n)`.
+//! * `feasibility` — the two feasibility conditions of step 6, refused as
+//!   [`Infeasibility`].
+//! * [`OverbookingPolicy`] — the booking step's overbooking factor.
+//! * `rank` — rank/replica assignment guaranteeing that no two copies of a
 //!   process share a host.
 //! * [`reservation`] — the eight-step procedure driven against a
 //!   [`p2pmpi_overlay::Overlay`].
@@ -54,23 +55,24 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(dead_code)]
 
 pub mod allocation;
-pub mod capacity;
-pub mod concentrate;
-pub mod feasibility;
-pub mod overbooking;
-pub mod rank;
-pub mod request;
+mod capacity;
+mod concentrate;
+mod feasibility;
+mod overbooking;
+mod rank;
+mod request;
 pub mod reservation;
-pub mod spread;
+mod spread;
 pub mod stats;
 pub mod strategy;
 
 pub use allocation::{AllocatedHost, Allocation, AllocationInvariantError};
-pub use feasibility::{check_feasibility, Infeasibility};
+pub use feasibility::Infeasibility;
 pub use overbooking::OverbookingPolicy;
-pub use rank::assign_ranks;
 pub use request::{JobRequest, RequestError};
 pub use reservation::{allocate, AllocationError, CoAllocationReport, CoAllocator};
 pub use stats::{total_hosts, total_processes, usage_by_site, SiteUsage};

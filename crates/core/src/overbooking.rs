@@ -24,7 +24,7 @@ impl Default for OverbookingPolicy {
 impl OverbookingPolicy {
     /// Number of hosts to book, `⌈needed × factor⌉` capped by the number of
     /// known candidates.
-    pub fn booking_target(&self, needed: usize, known_candidates: usize) -> usize {
+    pub(crate) fn booking_target(&self, needed: usize, known_candidates: usize) -> usize {
         let f = self.0;
         assert!(f >= 1.0 && f.is_finite(), "overbooking factor must be >= 1");
         ((needed as f64 * f).ceil() as usize).min(known_candidates)

@@ -35,7 +35,7 @@ use p2pmpi_overlay::messages::RankAssignment;
 ///
 /// Panics if `n == 0` while `counts` is non-zero, or if any `counts[i] > n`
 /// (which would force two copies of a rank onto one host).
-pub fn assign_ranks(counts: &[u32], n: u32, ranks: &mut Vec<RankAssignment>) {
+pub(crate) fn assign_ranks(counts: &[u32], n: u32, ranks: &mut Vec<RankAssignment>) {
     let total: u32 = counts.iter().sum();
     if total == 0 {
         return;

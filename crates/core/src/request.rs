@@ -26,20 +26,20 @@ pub struct PlannedHost {
 #[derive(Debug, Clone)]
 pub struct JobRequest {
     /// Number of logical MPI processes (`-n`).
-    pub processes: u32,
+    pub(crate) processes: u32,
     /// Replication degree (`-r`); 1 means no replication.
-    pub replication: u32,
+    pub(crate) replication: u32,
     /// Allocation strategy (`-a`).
-    pub strategy: StrategyKind,
+    pub(crate) strategy: StrategyKind,
     /// Program name (informational; the MPI runtime decides what to run).
-    pub program: String,
+    pub(crate) program: String,
     /// Search-produced placement plan ([`StrategyKind::Searched`] only).
     /// The co-allocator books the planned peers first and pins the planned
     /// ranks when every planned peer grants with enough capacity; any
     /// shortfall (refusal, death, lost capacity, replication > 1) falls
     /// back to the strategy's distribution function over whatever was
     /// granted.  Shared, not cloned, per brokering attempt.
-    pub plan: Option<Arc<[PlannedHost]>>,
+    pub(crate) plan: Option<Arc<[PlannedHost]>>,
 }
 
 /// Errors detected before any network interaction.
@@ -90,19 +90,19 @@ impl JobRequest {
         }
     }
 
-    /// Attaches a search-produced placement plan (see [`JobRequest::plan`]).
+    /// Attaches a search-produced placement plan (see `JobRequest::plan`).
     pub fn with_plan(mut self, plan: Arc<[PlannedHost]>) -> Self {
         self.plan = Some(plan);
         self
     }
 
     /// Total number of process instances to place: `n × r`.
-    pub fn total_instances(&self) -> u32 {
+    pub(crate) fn total_instances(&self) -> u32 {
         self.processes * self.replication
     }
 
     /// Validates the request parameters.
-    pub fn validate(&self) -> Result<(), RequestError> {
+    pub(crate) fn validate(&self) -> Result<(), RequestError> {
         if self.processes == 0 {
             return Err(RequestError::ZeroProcesses);
         }

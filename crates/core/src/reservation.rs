@@ -287,7 +287,7 @@ impl Booking {
         // timeline, handing the outcomes back in send order.  The virtual
         // clock genuinely waits out dead peers' timeouts while the phase's
         // reported duration stays the slowest exchange.
-        overlay.rs_round_into(submitter, key, booked, total, outcomes);
+        overlay.rs_round_into(submitter, key, booked, outcomes);
         let mut phase_elapsed = SimDuration::ZERO;
         for &(peer, outcome) in outcomes.iter() {
             match outcome {

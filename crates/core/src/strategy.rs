@@ -20,7 +20,7 @@ pub enum StrategyKind {
     /// Model-driven placement: an upstream searcher (the day sweep's
     /// `SearchContext`) attaches an explicit host plan to the request,
     /// which the co-allocator honors verbatim.  As a *distribution
-    /// function* this delegates to [*concentrate*](crate::concentrate) —
+    /// function* this delegates to [*concentrate*](StrategyKind::Concentrate) —
     /// the fallback whenever a plan is absent or invalidated by brokering
     /// (a planned peer refused, died, or lost capacity).
     Searched,
@@ -28,7 +28,7 @@ pub enum StrategyKind {
 
 impl StrategyKind {
     /// The strategy's command-line name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             StrategyKind::Spread => "spread",
             StrategyKind::Concentrate => "concentrate",
@@ -49,7 +49,7 @@ impl StrategyKind {
     ///
     /// Panics if `Σ capacities < total`; callers are expected to have
     /// verified feasibility first (step 6 of the procedure).
-    pub fn distribute_into(&self, capacities: &[u32], total: u32, out: &mut Vec<u32>) {
+    pub(crate) fn distribute_into(&self, capacities: &[u32], total: u32, out: &mut Vec<u32>) {
         match *self {
             StrategyKind::Spread => crate::spread::distribute_into(capacities, total, out),
             StrategyKind::Concentrate | StrategyKind::Searched => {
@@ -59,7 +59,7 @@ impl StrategyKind {
     }
 
     /// Distributes using this strategy (allocating convenience wrapper over
-    /// [`StrategyKind::distribute_into`]).
+    /// `StrategyKind::distribute_into`).
     pub fn distribute(&self, capacities: &[u32], total: u32) -> Vec<u32> {
         let mut out = Vec::with_capacity(capacities.len());
         self.distribute_into(capacities, total, &mut out);

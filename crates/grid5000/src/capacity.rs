@@ -32,7 +32,8 @@ pub struct IdleSlotIndex {
 
 impl IdleSlotIndex {
     /// An index with every host fully idle.
-    pub fn new(topology: &Topology) -> IdleSlotIndex {
+    #[cfg(test)]
+    pub(crate) fn new(topology: &Topology) -> IdleSlotIndex {
         Self::from_capacities(&host_capacities(topology))
     }
 

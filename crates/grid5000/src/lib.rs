@@ -23,10 +23,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(dead_code)]
 
 pub mod capacity;
 pub mod scenario;
-pub mod shard;
+mod shard;
 pub mod sites;
 pub mod testbed;
 

@@ -24,24 +24,20 @@ pub struct ClusterSpec {
     /// Estimated per-core rate in operations per second (not in the paper;
     /// derived from the CPU model's clock so that relative speeds are
     /// plausible — absolute times are not expected to match 2008 hardware).
-    pub ops_per_core: f64,
-    /// Memory per node in bytes (2 GiB was typical of these clusters).
-    pub mem_per_node: u64,
+    pub(crate) ops_per_core: f64,
 }
 
 impl ClusterSpec {
     /// Cores per node.
-    pub const fn cores_per_node(&self) -> usize {
+    pub(crate) const fn cores_per_node(&self) -> usize {
         self.cores / self.nodes
     }
 
     /// CPU sockets per node.
-    pub const fn cpus_per_node(&self) -> usize {
+    pub(crate) const fn cpus_per_node(&self) -> usize {
         self.cpus / self.nodes
     }
 }
-
-const GIB: u64 = 1024 * 1024 * 1024;
 
 /// Table 1 of the paper, verbatim.
 pub const TABLE1: &[ClusterSpec] = &[
@@ -53,7 +49,6 @@ pub const TABLE1: &[ClusterSpec] = &[
         cpus: 120,
         cores: 240,
         ops_per_core: 1.6e9,
-        mem_per_node: 2 * GIB,
     },
     ClusterSpec {
         site: "lyon",
@@ -63,7 +58,6 @@ pub const TABLE1: &[ClusterSpec] = &[
         cpus: 100,
         cores: 100,
         ops_per_core: 2.0e9,
-        mem_per_node: 2 * GIB,
     },
     ClusterSpec {
         site: "rennes",
@@ -73,7 +67,6 @@ pub const TABLE1: &[ClusterSpec] = &[
         cpus: 180,
         cores: 180,
         ops_per_core: 2.0e9,
-        mem_per_node: 2 * GIB,
     },
     ClusterSpec {
         site: "bordeaux",
@@ -83,7 +76,6 @@ pub const TABLE1: &[ClusterSpec] = &[
         cpus: 120,
         cores: 240,
         ops_per_core: 2.6e9,
-        mem_per_node: 2 * GIB,
     },
     ClusterSpec {
         site: "grenoble",
@@ -93,7 +85,6 @@ pub const TABLE1: &[ClusterSpec] = &[
         cpus: 16,
         cores: 16,
         ops_per_core: 1.5e9,
-        mem_per_node: 2 * GIB,
     },
     ClusterSpec {
         site: "grenoble",
@@ -103,7 +94,6 @@ pub const TABLE1: &[ClusterSpec] = &[
         cpus: 24,
         cores: 48,
         ops_per_core: 1.5e9,
-        mem_per_node: 2 * GIB,
     },
     ClusterSpec {
         site: "sophia",
@@ -113,7 +103,6 @@ pub const TABLE1: &[ClusterSpec] = &[
         cpus: 64,
         cores: 64,
         ops_per_core: 2.0e9,
-        mem_per_node: 2 * GIB,
     },
     ClusterSpec {
         site: "sophia",
@@ -123,7 +112,6 @@ pub const TABLE1: &[ClusterSpec] = &[
         cpus: 76,
         cores: 152,
         ops_per_core: 2.6e9,
-        mem_per_node: 2 * GIB,
     },
 ];
 
@@ -145,7 +133,7 @@ pub const RTT_TO_NANCY_MS: &[(&str, f64)] = &[
 
 /// WAN bandwidth in bits per second between two sites: 10 Gbps everywhere,
 /// 1 Gbps on any link involving Bordeaux.
-pub fn wan_bandwidth_bps(site_a: &str, site_b: &str) -> f64 {
+pub(crate) fn wan_bandwidth_bps(site_a: &str, site_b: &str) -> f64 {
     if site_a == "bordeaux" || site_b == "bordeaux" {
         1e9
     } else {
@@ -167,7 +155,7 @@ fn rtt_to_nancy_ms(site: &str) -> Option<f64> {
 /// the period was close to a star, so the estimate used here is the larger of
 /// the two legs to Nancy — good enough to keep "remote" clearly separated
 /// from "local", which is all the experiments depend on.
-pub fn rtt_between_ms(site_a: &str, site_b: &str) -> Option<f64> {
+pub(crate) fn rtt_between_ms(site_a: &str, site_b: &str) -> Option<f64> {
     if site_a == site_b {
         return Some(0.087);
     }
@@ -247,7 +235,7 @@ pub fn totals() -> (usize, usize) {
 }
 
 /// Per-site totals: (hosts, cores), in [`SITE_ORDER`] order.
-pub fn totals_by_site() -> Vec<(&'static str, usize, usize)> {
+pub(crate) fn totals_by_site() -> Vec<(&'static str, usize, usize)> {
     SITE_ORDER
         .iter()
         .map(|&site| {

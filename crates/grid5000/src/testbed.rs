@@ -47,7 +47,6 @@ pub fn topology_from_specs(specs: &[ClusterSpec]) -> Arc<Topology> {
                 cores: spec.cores_per_node(),
                 cpus: spec.cpus_per_node(),
                 ops_per_sec: spec.ops_per_core,
-                mem_bytes: spec.mem_per_node,
             },
         );
     }

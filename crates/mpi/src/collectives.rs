@@ -19,22 +19,20 @@ use crate::error::{MpiError, MpiResult, Rank, Tag};
 
 /// Tags reserved for the collective implementations (user code should use
 /// tags below `0xFF00`).
-pub mod tags {
+pub(crate) mod tags {
     use super::Tag;
     /// Broadcast tree messages.
-    pub const BCAST: Tag = 0xFF01;
+    pub(crate) const BCAST: Tag = 0xFF01;
     /// Reduce tree messages.
-    pub const REDUCE: Tag = 0xFF02;
+    pub(crate) const REDUCE: Tag = 0xFF02;
     /// Gather messages.
-    pub const GATHER: Tag = 0xFF03;
+    pub(crate) const GATHER: Tag = 0xFF03;
     /// Scatter messages.
-    pub const SCATTER: Tag = 0xFF04;
+    pub(crate) const SCATTER: Tag = 0xFF04;
     /// All-to-all exchange messages.
-    pub const ALLTOALL: Tag = 0xFF05;
+    pub(crate) const ALLTOALL: Tag = 0xFF05;
     /// All-to-all-v exchange messages.
-    pub const ALLTOALLV: Tag = 0xFF06;
-    /// All-to-all-v count exchange messages.
-    pub const ALLTOALLV_COUNTS: Tag = 0xFF07;
+    pub(crate) const ALLTOALLV: Tag = 0xFF06;
 }
 
 impl Comm {
@@ -76,7 +74,7 @@ impl Comm {
 
     /// Element-wise reduction of `data` onto `root`; returns `Some(result)`
     /// at the root and `None` elsewhere.
-    pub fn reduce<T: Reducible>(
+    pub(crate) fn reduce<T: Reducible>(
         &mut self,
         root: Rank,
         op: ReduceOp,

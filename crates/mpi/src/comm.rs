@@ -16,7 +16,7 @@ use crossbeam_channel::{Receiver, RecvTimeoutError};
 use p2pmpi_simgrid::compute::ComputeModel;
 use p2pmpi_simgrid::memory::MemoryIntensity;
 use p2pmpi_simgrid::network::{NetworkModel, PER_MESSAGE_OVERHEAD};
-use p2pmpi_simgrid::time::{SimDuration, SimTime};
+use p2pmpi_simgrid::time::SimTime;
 use p2pmpi_simgrid::topology::HostId;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -24,7 +24,7 @@ use std::time::Duration;
 
 /// How long (in *real* time) a receive waits before concluding that no live
 /// replica of the sender remains.
-pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
+pub(crate) const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The communicator handed to user code running inside one process instance.
 pub struct Comm {
@@ -50,18 +50,18 @@ pub struct Comm {
 
 /// Everything needed to build a `Comm`; assembled by the runtime.
 pub(crate) struct CommConfig {
-    pub rank: Rank,
-    pub replica: u32,
-    pub size: u32,
-    pub host: HostId,
-    pub residents: usize,
-    pub network: NetworkModel,
-    pub compute: ComputeModel,
-    pub router: Arc<Router>,
-    pub registry: Arc<Registry>,
-    pub rx: Receiver<Envelope>,
-    pub fail_after: Option<u64>,
-    pub recv_timeout: Duration,
+    pub(crate) rank: Rank,
+    pub(crate) replica: u32,
+    pub(crate) size: u32,
+    pub(crate) host: HostId,
+    pub(crate) residents: usize,
+    pub(crate) network: NetworkModel,
+    pub(crate) compute: ComputeModel,
+    pub(crate) router: Arc<Router>,
+    pub(crate) registry: Arc<Registry>,
+    pub(crate) rx: Receiver<Envelope>,
+    pub(crate) fail_after: Option<u64>,
+    pub(crate) recv_timeout: Duration,
 }
 
 impl Comm {
@@ -103,14 +103,8 @@ impl Comm {
     }
 
     /// This instance's replica index (0 for the primary copy).
-    pub fn replica(&self) -> u32 {
+    pub(crate) fn replica(&self) -> u32 {
         self.replica
-    }
-
-    /// True if this instance is currently the lowest-index live copy of its
-    /// rank.
-    pub fn is_primary(&self) -> bool {
-        self.registry.is_primary(self.rank, self.replica)
     }
 
     /// The host this instance runs on.
@@ -119,17 +113,12 @@ impl Comm {
     }
 
     /// The instance's logical clock.
-    pub fn clock(&self) -> SimTime {
+    pub(crate) fn clock(&self) -> SimTime {
         self.clock
     }
 
-    /// Virtual time elapsed since the job started.
-    pub fn elapsed(&self) -> SimDuration {
-        self.clock.saturating_since(SimTime::ZERO)
-    }
-
     /// This instance's communication statistics so far.
-    pub fn stats(&self) -> &CommStats {
+    pub(crate) fn stats(&self) -> &CommStats {
         &self.stats
     }
 
@@ -163,11 +152,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Advances the clock by an explicit amount (I/O, set-up phases, tests).
-    pub fn advance(&mut self, d: SimDuration) {
-        self.clock += d;
-    }
-
     fn check_rank(&self, rank: Rank) -> MpiResult<()> {
         if rank >= self.size {
             return Err(MpiError::InvalidRank {
@@ -185,7 +169,7 @@ impl Comm {
     /// Sends `data` to every replica of `dst` under `tag` (the replication
     /// layer deduplicates on the receiving side).  Buffered/non-blocking: the
     /// call returns once the message is handed to the transport.
-    pub fn send<T: Datatype>(&mut self, dst: Rank, tag: Tag, data: &[T]) -> MpiResult<()> {
+    pub(crate) fn send<T: Datatype>(&mut self, dst: Rank, tag: Tag, data: &[T]) -> MpiResult<()> {
         self.check_rank(dst)?;
         self.bump_op()?;
         let payload = T::to_bytes(data);
@@ -202,9 +186,7 @@ impl Comm {
         self.clock += PER_MESSAGE_OVERHEAD;
         let envelope = Envelope {
             src: self.rank,
-            src_replica: self.replica,
             src_host: self.host,
-            dst,
             tag,
             seq,
             sent_at: self.clock,
@@ -224,7 +206,7 @@ impl Comm {
     }
 
     /// Receives the next in-order message from `src` under `tag`.
-    pub fn recv<T: Datatype>(&mut self, src: Rank, tag: Tag) -> MpiResult<Vec<T>> {
+    pub(crate) fn recv<T: Datatype>(&mut self, src: Rank, tag: Tag) -> MpiResult<Vec<T>> {
         self.check_rank(src)?;
         self.bump_op()?;
         let expected = *self.recv_seq.get(&(src, tag)).unwrap_or(&0);

@@ -121,7 +121,7 @@ impl Reducible for f64 {
 }
 
 /// Wire size in bytes of a slice of `T`.
-pub fn wire_size<T: Datatype>(data: &[T]) -> u64 {
+pub(crate) fn wire_size<T: Datatype>(data: &[T]) -> u64 {
     (data.len() * T::SIZE) as u64
 }
 

@@ -13,30 +13,26 @@ use p2pmpi_simgrid::topology::HostId;
 
 /// One message in flight.
 #[derive(Debug, Clone)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Sender's logical rank.
-    pub src: Rank,
-    /// Sender's replica index.
-    pub src_replica: u32,
+    pub(crate) src: Rank,
     /// Sender's host (used for the transfer-time model).
-    pub src_host: HostId,
-    /// Destination logical rank.
-    pub dst: Rank,
+    pub(crate) src_host: HostId,
     /// Message tag.
-    pub tag: Tag,
+    pub(crate) tag: Tag,
     /// Per-(src, dst, tag) sequence number; receivers use it to discard the
     /// duplicate copies produced by sender replication.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Sender's virtual clock when the message left.
-    pub sent_at: SimTime,
+    pub(crate) sent_at: SimTime,
     /// Bytes on the wire.
-    pub wire_bytes: u64,
+    pub(crate) wire_bytes: u64,
     /// Serialized payload.
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
 }
 
 /// Routes envelopes to process-instance channels.
-pub struct Router {
+pub(crate) struct Router {
     replication: u32,
     senders: Vec<Sender<Envelope>>,
 }
@@ -45,7 +41,7 @@ impl Router {
     /// Builds the channel mesh for a placement; returns the router (shared by
     /// all instances) and one receiver per instance, indexed by
     /// [`Placement::instance_index`].
-    pub fn new(placement: &Placement) -> (Router, Vec<Receiver<Envelope>>) {
+    pub(crate) fn new(placement: &Placement) -> (Router, Vec<Receiver<Envelope>>) {
         let count = placement.processes as usize * placement.replication as usize;
         let mut senders = Vec::with_capacity(count);
         let mut receivers = Vec::with_capacity(count);
@@ -63,16 +59,11 @@ impl Router {
         )
     }
 
-    /// Number of replicas per rank.
-    pub fn replication(&self) -> u32 {
-        self.replication
-    }
-
     /// Sends an envelope to one specific `(rank, replica)` instance.
     /// Returns `false` if that instance's receiver is gone (its thread has
     /// already finished) — callers treat this as a best-effort delivery, the
     /// replication layer tolerates it.
-    pub fn deliver(&self, rank: Rank, replica: u32, envelope: Envelope) -> bool {
+    pub(crate) fn deliver(&self, rank: Rank, replica: u32, envelope: Envelope) -> bool {
         let idx = (rank * self.replication + replica) as usize;
         match self.senders.get(idx) {
             Some(tx) => tx.send(envelope).is_ok(),
@@ -82,7 +73,7 @@ impl Router {
 
     /// Sends copies of an envelope to every replica of `rank`.  Returns the
     /// number of copies actually delivered.
-    pub fn deliver_to_all_replicas(&self, rank: Rank, envelope: &Envelope) -> usize {
+    pub(crate) fn deliver_to_all_replicas(&self, rank: Rank, envelope: &Envelope) -> usize {
         (0..self.replication)
             .filter(|&rep| self.deliver(rank, rep, envelope.clone()))
             .count()
@@ -93,12 +84,10 @@ impl Router {
 mod tests {
     use super::*;
 
-    fn envelope(src: Rank, dst: Rank, seq: u64) -> Envelope {
+    fn envelope(src: Rank, seq: u64) -> Envelope {
         Envelope {
             src,
-            src_replica: 0,
             src_host: HostId(0),
-            dst,
             tag: 1,
             seq,
             sent_at: SimTime::ZERO,
@@ -111,7 +100,7 @@ mod tests {
     fn router_routes_to_the_right_instance() {
         let p = Placement::co_located(3, HostId(0));
         let (router, receivers) = Router::new(&p);
-        assert!(router.deliver(2, 0, envelope(0, 2, 0)));
+        assert!(router.deliver(2, 0, envelope(0, 0)));
         assert!(receivers[2].try_recv().is_ok());
         assert!(receivers[0].try_recv().is_err());
         assert!(receivers[1].try_recv().is_err());
@@ -121,8 +110,8 @@ mod tests {
     fn replicated_delivery_fans_out() {
         let p = Placement::replicated_round_robin(2, 2, &[HostId(0), HostId(1)]);
         let (router, receivers) = Router::new(&p);
-        assert_eq!(router.replication(), 2);
-        let delivered = router.deliver_to_all_replicas(1, &envelope(0, 1, 0));
+        assert_eq!(router.replication, 2);
+        let delivered = router.deliver_to_all_replicas(1, &envelope(0, 0));
         assert_eq!(delivered, 2);
         // Instance indices of rank 1: 2 (replica 0) and 3 (replica 1).
         assert!(receivers[2].try_recv().is_ok());
@@ -134,14 +123,14 @@ mod tests {
         let p = Placement::co_located(2, HostId(0));
         let (router, receivers) = Router::new(&p);
         drop(receivers);
-        assert!(!router.deliver(0, 0, envelope(1, 0, 0)));
-        assert_eq!(router.deliver_to_all_replicas(1, &envelope(0, 1, 0)), 0);
+        assert!(!router.deliver(0, 0, envelope(1, 0)));
+        assert_eq!(router.deliver_to_all_replicas(1, &envelope(0, 0)), 0);
     }
 
     #[test]
     fn out_of_range_instance_is_false() {
         let p = Placement::co_located(2, HostId(0));
         let (router, _rx) = Router::new(&p);
-        assert!(!router.deliver(5, 0, envelope(0, 5, 0)));
+        assert!(!router.deliver(5, 0, envelope(0, 0)));
     }
 }

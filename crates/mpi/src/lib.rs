@@ -12,12 +12,13 @@
 //! * [`datatype`] — typed buffers and reduction operators.
 //! * [`placement`] — which host runs which `(rank, replica)` instance;
 //!   convertible from a `p2pmpi-core` [`p2pmpi_core::Allocation`].
-//! * [`comm`] — the per-process communicator: `send`/`recv`, `compute`,
-//!   logical clock.
-//! * [`collectives`] — barrier, bcast, reduce, allreduce, gather, allgather,
-//!   scatter, alltoall, alltoallv.
-//! * [`registry`] — replica liveness and deterministic failure injection
-//!   (the paper's replication-based fault tolerance).
+//! * [`Comm`] — the per-process communicator: `compute` and the logical
+//!   clock.  Its point-to-point `send`/`recv` stay inside this crate, as
+//!   the building blocks of the collectives.
+//! * `collectives` — barrier, bcast, allreduce, gather, allgather,
+//!   scatter, alltoall, alltoallv, as methods of [`Comm`].
+//! * `registry` — replica liveness and deterministic failure injection
+//!   ([`FailurePlan`]; the paper's replication-based fault tolerance).
 //! * [`runtime`] — thread-per-process job execution and makespan
 //!   measurement.
 //! * [`model`] — LogGP-style analytical prediction of the collectives'
@@ -50,24 +51,26 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(dead_code)]
 
-pub mod collectives;
-pub mod comm;
+mod collectives;
+mod comm;
 pub mod datatype;
-pub mod envelope;
+mod envelope;
 pub mod error;
 pub mod model;
 pub mod placement;
-pub mod registry;
+mod registry;
 pub mod runtime;
-pub mod stats;
+mod stats;
 
 pub use comm::Comm;
 pub use datatype::{Datatype, ReduceOp, Reducible};
 pub use error::{MpiError, MpiResult, Rank, Tag};
 pub use model::{CollectiveBackend, ModelComm};
 pub use placement::{Placement, PlacementError, ProcSpec};
-pub use registry::{FailurePlan, KillSpec, Registry};
+pub use registry::FailurePlan;
 pub use runtime::{InstanceOutcome, JobResult, MpiRuntime};
 pub use stats::CommStats;
 

@@ -395,7 +395,7 @@ pub trait CollectiveProgram {
     }
 
     /// Binomial-tree reduction of `bytes` onto `root` (mirrors
-    /// [`crate::Comm::reduce`]; the element-wise combine is free, as in the
+    /// `Comm::reduce`; the element-wise combine is free, as in the
     /// executed path).
     fn reduce(&mut self, root: Rank, bytes: u64) {
         let size = self.size() as usize;
@@ -540,11 +540,6 @@ impl ModelComm {
             stats: CommStats::default(),
             sent_at: vec![SimTime::ZERO; n],
         }
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> u32 {
-        self.clocks.len() as u32
     }
 
     /// The modeled clock of one rank.
@@ -814,7 +809,8 @@ impl CompiledSchedule {
 
     /// Heap bytes the schedule holds — what one entry of a schedule cache
     /// costs (the pooled tree messages and their incidence dominate).
-    pub fn heap_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let msgs = self.msgs.capacity() * size_of::<MsgRec>()
             + self.trees.capacity() * size_of::<Range<usize>>()

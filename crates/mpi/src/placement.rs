@@ -163,7 +163,7 @@ impl Placement {
     }
 
     /// Dense index of an instance (used by the router's channel table).
-    pub fn instance_index(&self, rank: Rank, replica: u32) -> usize {
+    pub(crate) fn instance_index(&self, rank: Rank, replica: u32) -> usize {
         (rank * self.replication + replica) as usize
     }
 

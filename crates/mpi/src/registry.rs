@@ -14,14 +14,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// When to kill one process instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillSpec {
+pub(crate) struct KillSpec {
     /// The rank to kill.
-    pub rank: Rank,
+    pub(crate) rank: Rank,
     /// The replica index to kill.
-    pub replica: u32,
+    pub(crate) replica: u32,
     /// The instance fails when it is about to execute its
     /// `after_ops`-th MPI operation (0 = before doing anything).
-    pub after_ops: u64,
+    pub(crate) after_ops: u64,
 }
 
 /// A deterministic failure-injection plan.
@@ -47,34 +47,24 @@ impl FailurePlan {
     }
 
     /// The op threshold at which `(rank, replica)` must fail, if any.
-    pub fn threshold(&self, rank: Rank, replica: u32) -> Option<u64> {
+    pub(crate) fn threshold(&self, rank: Rank, replica: u32) -> Option<u64> {
         self.kills
             .iter()
             .filter(|k| k.rank == rank && k.replica == replica)
             .map(|k| k.after_ops)
             .min()
     }
-
-    /// Number of scheduled kills.
-    pub fn len(&self) -> usize {
-        self.kills.len()
-    }
-
-    /// True if the plan kills nothing.
-    pub fn is_empty(&self) -> bool {
-        self.kills.is_empty()
-    }
 }
 
 /// Thread-shared liveness table.
-pub struct Registry {
+pub(crate) struct Registry {
     replication: u32,
     failed: Vec<AtomicBool>,
 }
 
 impl Registry {
     /// Creates a registry for `n` ranks with `r` replicas, everyone alive.
-    pub fn new(processes: u32, replication: u32) -> Self {
+    pub(crate) fn new(processes: u32, replication: u32) -> Self {
         let count = (processes * replication) as usize;
         Registry {
             replication,
@@ -87,7 +77,7 @@ impl Registry {
     }
 
     /// Marks an instance as failed.
-    pub fn mark_failed(&self, rank: Rank, replica: u32) {
+    pub(crate) fn mark_failed(&self, rank: Rank, replica: u32) {
         self.failed[self.index(rank, replica)].store(true, Ordering::SeqCst);
     }
 
@@ -97,13 +87,8 @@ impl Registry {
     }
 
     /// The lowest-index replica of `rank` that is still alive, if any.
-    pub fn primary_replica(&self, rank: Rank) -> Option<u32> {
+    pub(crate) fn primary_replica(&self, rank: Rank) -> Option<u32> {
         (0..self.replication).find(|&rep| !self.is_failed(rank, rep))
-    }
-
-    /// True if `(rank, replica)` is currently the lowest-index alive copy.
-    pub fn is_primary(&self, rank: Rank, replica: u32) -> bool {
-        self.primary_replica(rank) == Some(replica)
     }
 }
 
@@ -120,20 +105,17 @@ mod tests {
         assert_eq!(plan.threshold(1, 0), Some(5));
         assert_eq!(plan.threshold(2, 1), Some(0));
         assert_eq!(plan.threshold(0, 0), None);
-        assert_eq!(plan.len(), 3);
-        assert!(!plan.is_empty());
-        assert!(FailurePlan::none().is_empty());
+        assert_eq!(plan.kills.len(), 3);
+        assert!(FailurePlan::none().kills.is_empty());
     }
 
     #[test]
     fn registry_tracks_primaries() {
         let reg = Registry::new(3, 2);
-        assert!(reg.is_primary(1, 0));
-        assert!(!reg.is_primary(1, 1));
+        assert_eq!(reg.primary_replica(1), Some(0));
         reg.mark_failed(1, 0);
         assert!(reg.is_failed(1, 0));
         assert_eq!(reg.primary_replica(1), Some(1));
-        assert!(reg.is_primary(1, 1));
         reg.mark_failed(1, 1);
         assert!(reg.is_failed(1, 1));
         assert_eq!(reg.primary_replica(1), None);

@@ -9,7 +9,6 @@ use crate::placement::Placement;
 use crate::registry::{FailurePlan, Registry};
 use crate::stats::CommStats;
 use p2pmpi_simgrid::compute::ComputeModel;
-use p2pmpi_simgrid::memory::MemoryContentionModel;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
 use p2pmpi_simgrid::topology::Topology;
@@ -23,22 +22,20 @@ pub struct InstanceOutcome<T> {
     /// Logical rank.
     pub rank: Rank,
     /// Replica index.
-    pub replica: u32,
+    pub(crate) replica: u32,
     /// What the kernel returned.
-    pub result: MpiResult<T>,
+    pub(crate) result: MpiResult<T>,
     /// The instance's final logical clock.
     pub clock: SimTime,
     /// The instance's communication statistics.
-    pub stats: CommStats,
+    pub(crate) stats: CommStats,
 }
 
 /// Result of running one MPI job.
 #[derive(Debug)]
 pub struct JobResult<T> {
     /// Number of logical ranks.
-    pub processes: u32,
-    /// Replication degree.
-    pub replication: u32,
+    pub(crate) processes: u32,
     /// The job's virtual makespan: the largest final clock among instances
     /// that completed successfully.
     pub makespan: SimDuration,
@@ -114,13 +111,6 @@ impl MpiRuntime {
     /// the same job are costed from identical parameters.
     pub fn model_comm(&self, placement: &Placement) -> ModelComm {
         ModelComm::new(placement, self.network.clone(), self.compute.clone())
-    }
-
-    /// Replaces the memory-contention model (ablation experiments).
-    pub fn with_contention(mut self, contention: MemoryContentionModel) -> Self {
-        let topology = self.compute.topology().clone();
-        self.compute = ComputeModel::with_contention(topology, contention);
-        self
     }
 
     /// Overrides the real-time receive timeout used to detect that every
@@ -229,7 +219,6 @@ impl MpiRuntime {
         }
         JobResult {
             processes: n,
-            replication: r,
             makespan,
             instances,
             stats,

@@ -8,20 +8,20 @@ pub struct CommStats {
     /// Logical messages sent (replica fan-out copies count once).
     pub messages_sent: u64,
     /// Messages received and accepted.
-    pub messages_received: u64,
+    pub(crate) messages_received: u64,
     /// Payload bytes sent.
     pub bytes_sent: u64,
     /// Payload bytes received.
-    pub bytes_received: u64,
+    pub(crate) bytes_received: u64,
     /// Abstract operations charged to the compute model.
-    pub compute_ops: f64,
+    pub(crate) compute_ops: f64,
     /// Virtual time spent in compute sections.
-    pub compute_time: SimDuration,
+    pub(crate) compute_time: SimDuration,
 }
 
 impl CommStats {
     /// Adds another instance's counters into this one.
-    pub fn merge(&mut self, other: &CommStats) {
+    pub(crate) fn merge(&mut self, other: &CommStats) {
         self.messages_sent += other.messages_sent;
         self.messages_received += other.messages_received;
         self.bytes_sent += other.bytes_sent;

@@ -35,7 +35,7 @@ impl Class {
     }
 
     /// Number of random pairs EP generates.
-    pub fn ep_pairs(self) -> u64 {
+    pub(crate) fn ep_pairs(self) -> u64 {
         1u64 << self.ep_log2_pairs()
     }
 
@@ -51,7 +51,7 @@ impl Class {
     }
 
     /// Maximum key value (exclusive) for IS.
-    pub fn is_max_key(self) -> u64 {
+    pub(crate) fn is_max_key(self) -> u64 {
         match self {
             Class::S => 1 << 11,
             Class::W => 1 << 16,
@@ -62,12 +62,12 @@ impl Class {
     }
 
     /// Number of ranking iterations IS performs.
-    pub fn is_iterations(self) -> u32 {
+    pub(crate) fn is_iterations(self) -> u32 {
         10
     }
 
     /// FT grid dimensions `(nx, ny, nz)` (the NPB 3-D FFT problem sizes).
-    pub fn ft_grid(self) -> (u64, u64, u64) {
+    pub(crate) fn ft_grid(self) -> (u64, u64, u64) {
         match self {
             Class::S => (64, 64, 64),
             Class::W => (128, 128, 32),
@@ -78,7 +78,7 @@ impl Class {
     }
 
     /// Number of FT evolve/FFT/checksum iterations.
-    pub fn ft_iterations(self) -> u32 {
+    pub(crate) fn ft_iterations(self) -> u32 {
         match self {
             Class::S | Class::W | Class::A => 6,
             Class::B | Class::C => 20,
@@ -86,7 +86,8 @@ impl Class {
     }
 
     /// All classes, smallest first.
-    pub fn all() -> [Class; 5] {
+    #[cfg(test)]
+    pub(crate) fn all() -> [Class; 5] {
         [Class::S, Class::W, Class::A, Class::B, Class::C]
     }
 }

@@ -26,23 +26,23 @@ use p2pmpi_simgrid::time::SimDuration;
 /// runtime*: it is calibrated so that EP class B at 32 processes lands in the
 /// 7–9 virtual-second range the paper's Figure 4 reports on the 2006-era
 /// Grid'5000 CPUs modelled in `p2pmpi-grid5000`.
-pub const OPS_PER_PAIR: f64 = 400.0;
+pub(crate) const OPS_PER_PAIR: f64 = 400.0;
 
 /// EP's memory intensity: mostly register arithmetic, but the Java runtime
 /// the paper used keeps the deviates in arrays, so co-located processes do
 /// contend a little — which is how the paper explains spread's small edge.
-pub const EP_MEMORY_INTENSITY: MemoryIntensity = MemoryIntensity::CPU_BOUND;
+pub(crate) const EP_MEMORY_INTENSITY: MemoryIntensity = MemoryIntensity::CPU_BOUND;
 
 /// EP configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EpConfig {
     /// Problem class (the paper uses class B).
-    pub class: Class,
+    pub(crate) class: Class,
     /// Only one pair in `sample_divisor` is actually generated; the *charged*
     /// compute time always corresponds to the full class, so virtual
     /// makespans stay class-accurate while wall-clock time stays laptop
     /// friendly.  Use 1 (no sampling) when the numerical result matters.
-    pub sample_divisor: u64,
+    pub(crate) sample_divisor: u64,
 }
 
 impl EpConfig {

@@ -25,23 +25,23 @@ use p2pmpi_simgrid::memory::MemoryIntensity;
 use p2pmpi_simgrid::time::SimDuration;
 
 /// Bytes of one grid point: a complex double.
-pub const BYTES_PER_POINT: u64 = 16;
+pub(crate) const BYTES_PER_POINT: u64 = 16;
 
 /// Abstract operations charged per grid point per 1-D FFT butterfly level
 /// (`5·log2(n)` real flops per point is the classic radix-2 count; the
 /// constant folds in the evolve multiply and the index arithmetic of the
 /// Java runtime the paper's other kernels are calibrated against).
-pub const OPS_PER_POINT_PER_LEVEL: f64 = 8.0;
+pub(crate) const OPS_PER_POINT_PER_LEVEL: f64 = 8.0;
 
 /// FT streams whole slabs through the FFT passes every iteration — memory
 /// pressure comparable to IS's bucket counting.
-pub const FT_MEMORY_INTENSITY: MemoryIntensity = MemoryIntensity::MEMORY_BOUND;
+pub(crate) const FT_MEMORY_INTENSITY: MemoryIntensity = MemoryIntensity::MEMORY_BOUND;
 
 /// FT configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct FtConfig {
     /// Problem class (grid dimensions and iteration count).
-    pub class: Class,
+    pub(crate) class: Class,
     /// Number of evolve/FFT/checksum iterations.
     pub iterations: u32,
 }

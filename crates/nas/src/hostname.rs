@@ -14,7 +14,7 @@ use p2pmpi_simgrid::topology::HostId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostnameReport {
     /// This rank's host.
-    pub my_host: HostId,
+    pub(crate) my_host: HostId,
     /// At rank 0: every rank's host, in rank order.  Empty elsewhere.
     pub all_hosts: Vec<HostId>,
 }

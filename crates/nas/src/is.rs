@@ -17,7 +17,7 @@ use p2pmpi_simgrid::memory::MemoryIntensity;
 use p2pmpi_simgrid::time::SimDuration;
 
 /// Number of histogram buckets used for the key redistribution.
-pub const NUM_BUCKETS: usize = 1 << 10;
+pub(crate) const NUM_BUCKETS: usize = 1 << 10;
 
 /// Abstract operations charged per key per iteration (bucket counting, the
 /// redistribution copy and the local ranking pass).
@@ -40,7 +40,7 @@ pub struct IsConfig {
     /// Divide the number of keys actually sorted by this factor; the charged
     /// compute time still corresponds to the full class.  Keep at 1 for
     /// result verification (class B at full size is laptop friendly).
-    pub sample_divisor: u64,
+    pub(crate) sample_divisor: u64,
     /// Number of ranking iterations; defaults to the class's 10.
     pub iterations: u32,
 }
@@ -84,9 +84,9 @@ pub struct IsResult {
     /// Keys this rank ended up owning after the final redistribution.
     pub my_keys: u64,
     /// Smallest key owned by this rank (0 if none).
-    pub my_min: u64,
+    pub(crate) my_min: u64,
     /// Largest key owned by this rank (0 if none).
-    pub my_max: u64,
+    pub(crate) my_max: u64,
     /// Total keys across all ranks after the sort (must equal the input).
     pub total_keys: u64,
     /// True if the global verification passed: counts preserved, keys sorted

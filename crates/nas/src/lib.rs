@@ -14,7 +14,7 @@
 //!
 //! plus the trivial [`hostname`] program used for the co-allocation
 //! experiment of Section 5.1, the [`classes`] table (S/W/A/B/C) and the NPB
-//! [`rng`] (`randlc` with seed jumping).
+//! generator `rng` (`randlc` with seed jumping).
 //!
 //! ```
 //! use p2pmpi_nas::{ep::{ep_kernel, EpConfig}, classes::Class};
@@ -38,17 +38,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(dead_code)]
 
 pub mod classes;
 pub mod ep;
 pub mod ft;
 pub mod hostname;
 pub mod is;
-pub mod rng;
+mod rng;
 
 pub use classes::Class;
 pub use ep::{ep_kernel, ep_model, EpConfig, EpResult};
 pub use ft::{ft_model, ft_schedule, FtConfig};
 pub use hostname::{hostname_kernel, HostnameReport};
 pub use is::{is_kernel, is_model, IsConfig, IsResult};
-pub use rng::{jump, randlc, NasRng};

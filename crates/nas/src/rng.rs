@@ -8,10 +8,10 @@
 //! of processes.
 
 /// The multiplier `a = 5^13` of the NPB generator.
-pub const A: f64 = 1_220_703_125.0;
+pub(crate) const A: f64 = 1_220_703_125.0;
 
 /// The default seed used by EP and IS.
-pub const DEFAULT_SEED: f64 = 271_828_183.0;
+pub(crate) const DEFAULT_SEED: f64 = 271_828_183.0;
 
 const R23: f64 = 1.0 / 8_388_608.0; // 2^-23
 const R46: f64 = R23 * R23;
@@ -20,7 +20,7 @@ const T46: f64 = T23 * T23;
 
 /// Advances `x` by one LCG step (`x ← a·x mod 2^46`) and returns the
 /// uniform deviate `x · 2^-46 ∈ (0, 1)`.
-pub fn randlc(x: &mut f64, a: f64) -> f64 {
+pub(crate) fn randlc(x: &mut f64, a: f64) -> f64 {
     // Split a and x into 23-bit halves to compute a*x mod 2^46 exactly in
     // f64 arithmetic (the reference NPB algorithm).
     let t1 = R23 * a;
@@ -43,7 +43,7 @@ pub fn randlc(x: &mut f64, a: f64) -> f64 {
 /// Returns the seed obtained from `seed` after `steps` applications of the
 /// generator, in `O(log steps)` multiplications (the NPB seed-jumping trick
 /// that makes per-process subsequences independent of the process count).
-pub fn jump(seed: f64, a: f64, steps: u64) -> f64 {
+pub(crate) fn jump(seed: f64, a: f64, steps: u64) -> f64 {
     let mut b = seed;
     let mut t = a;
     let mut k = steps;
@@ -60,20 +60,15 @@ pub fn jump(seed: f64, a: f64, steps: u64) -> f64 {
 
 /// A convenience stateful wrapper around [`randlc`].
 #[derive(Debug, Clone, Copy)]
-pub struct NasRng {
+pub(crate) struct NasRng {
     seed: f64,
     a: f64,
 }
 
 impl NasRng {
-    /// Creates a generator with the default NPB multiplier.
-    pub fn new(seed: f64) -> Self {
-        NasRng { seed, a: A }
-    }
-
     /// Creates a generator positioned `offset` steps into the sequence that
     /// starts at `seed`.
-    pub fn with_offset(seed: f64, offset: u64) -> Self {
+    pub(crate) fn with_offset(seed: f64, offset: u64) -> Self {
         NasRng {
             seed: jump(seed, A, offset),
             a: A,
@@ -81,13 +76,8 @@ impl NasRng {
     }
 
     /// Next uniform deviate in `(0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         randlc(&mut self.seed, self.a)
-    }
-
-    /// The current raw seed.
-    pub fn seed(&self) -> f64 {
-        self.seed
     }
 }
 
@@ -97,8 +87,8 @@ mod tests {
 
     #[test]
     fn deviates_are_in_unit_interval_and_deterministic() {
-        let mut a = NasRng::new(DEFAULT_SEED);
-        let mut b = NasRng::new(DEFAULT_SEED);
+        let mut a = NasRng::with_offset(DEFAULT_SEED, 0);
+        let mut b = NasRng::with_offset(DEFAULT_SEED, 0);
         for _ in 0..10_000 {
             let x = a.next_f64();
             assert!(x > 0.0 && x < 1.0);
@@ -108,7 +98,7 @@ mod tests {
 
     #[test]
     fn sequence_is_uniform_ish() {
-        let mut rng = NasRng::new(DEFAULT_SEED);
+        let mut rng = NasRng::with_offset(DEFAULT_SEED, 0);
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
@@ -130,7 +120,7 @@ mod tests {
     fn disjoint_offsets_give_contiguous_subsequences() {
         // Generating 100 numbers from offset 0 then 100 from offset 100 must
         // equal 200 numbers generated straight through.
-        let mut straight = NasRng::new(DEFAULT_SEED);
+        let mut straight = NasRng::with_offset(DEFAULT_SEED, 0);
         let full: Vec<f64> = (0..200).map(|_| straight.next_f64()).collect();
         let mut first = NasRng::with_offset(DEFAULT_SEED, 0);
         let mut second = NasRng::with_offset(DEFAULT_SEED, 100);

@@ -154,7 +154,7 @@ mod tests {
             .build();
         assert_eq!(o.peer_count(), 4);
         for id in o.peer_ids() {
-            assert_eq!(o.node(id).capacity_per_app(), 2);
+            assert_eq!(o.node(id).config.max_procs_per_app, 2);
             assert_eq!(o.peer_on_host(o.host_of(id)), Some(id));
         }
     }

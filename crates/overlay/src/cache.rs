@@ -34,7 +34,7 @@ pub struct CacheEntry {
     /// the first probe completes.
     pub latency: Option<SimDuration>,
     /// Time of the last successful probe.
-    pub last_probe: Option<SimTime>,
+    pub(crate) last_probe: Option<SimTime>,
     /// Consecutive failed probes / timeouts.
     pub failed_probes: u32,
 }
@@ -55,7 +55,7 @@ impl CacheEntry {
 
 /// Exponential smoothing factor applied to successive probe measurements:
 /// `new = (1-EWMA_ALPHA)*old + EWMA_ALPHA*sample`.
-pub const EWMA_ALPHA: f64 = 0.5;
+pub(crate) const EWMA_ALPHA: f64 = 0.5;
 
 /// Key of the latency-ordered index, compared field by field: peers
 /// without a measurement last, then ascending measured latency, ties broken
@@ -232,7 +232,7 @@ impl CachedList {
     }
 
     /// Convenience: peer ids in ascending-latency order.
-    pub fn ranking(&self) -> Vec<PeerId> {
+    pub(crate) fn ranking(&self) -> Vec<PeerId> {
         self.ranking_iter().collect()
     }
 }

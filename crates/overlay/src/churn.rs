@@ -19,7 +19,7 @@ use rand::Rng;
 
 /// What changes at a scheduled instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ChurnKind {
+pub(crate) enum ChurnKind {
     /// The peer's MPD stops answering (crash / network partition).
     Crash(PeerId),
     /// The peer comes back and re-registers with the supernode.
@@ -42,11 +42,11 @@ pub enum ChurnKind {
 
 /// One scheduled fault event.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnEvent {
+pub(crate) struct ChurnEvent {
     /// When the event takes effect.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// What changes.
-    pub kind: ChurnKind,
+    pub(crate) kind: ChurnKind,
 }
 
 /// A churn schedule in build order (`schedule_churn` sorts it by time).

@@ -16,11 +16,11 @@ use std::collections::HashSet;
 #[derive(Debug, Clone)]
 pub struct OwnerConfig {
     /// `J`: maximum number of distinct applications accepted at once.
-    pub max_apps: u32,
+    pub(crate) max_apps: u32,
     /// `P`: maximum number of processes of a single application accepted.
-    pub max_procs_per_app: u32,
+    pub(crate) max_procs_per_app: u32,
     /// Requester addresses that are always refused.
-    pub denied_addresses: HashSet<String>,
+    pub(crate) denied_addresses: HashSet<String>,
 }
 
 impl Default for OwnerConfig {
@@ -49,7 +49,8 @@ impl OwnerConfig {
     }
 
     /// A configuration with explicit `J` and `P` values.
-    pub fn new(max_apps: u32, max_procs_per_app: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(max_apps: u32, max_procs_per_app: u32) -> Self {
         OwnerConfig {
             max_apps,
             max_procs_per_app,
@@ -58,13 +59,14 @@ impl OwnerConfig {
     }
 
     /// Adds an address to the deny list.
-    pub fn deny(&mut self, address: impl Into<String>) -> &mut Self {
+    #[cfg(test)]
+    pub(crate) fn deny(&mut self, address: impl Into<String>) -> &mut Self {
         self.denied_addresses.insert(address.into());
         self
     }
 
     /// True if `address` is denied by this owner.
-    pub fn is_denied(&self, address: &str) -> bool {
+    pub(crate) fn is_denied(&self, address: &str) -> bool {
         self.denied_addresses.contains(address)
     }
 }

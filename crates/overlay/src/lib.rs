@@ -34,27 +34,27 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(dead_code)]
 
 pub mod boot;
 pub mod cache;
 pub mod churn;
 pub mod config;
 pub mod messages;
-pub mod mpd;
+mod mpd;
 pub mod overlay;
 pub mod peer;
-pub mod rs;
-pub mod supernode;
+mod rs;
+mod supernode;
 
 pub use boot::OverlayBuilder;
 pub use cache::{CacheEntry, CachedList};
-pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
+pub use churn::ChurnSchedule;
 pub use config::OwnerConfig;
-pub use messages::{
-    RankAssignment, RefusalReason, ReservationKey, ReservationReply, ReservationRequest, StartReply,
-};
+pub use messages::{RankAssignment, RefusalReason, ReservationKey, ReservationReply, StartReply};
 pub use mpd::MpdNode;
 pub use overlay::{Overlay, RsOutcome};
 pub use peer::{PeerDescriptor, PeerId, PeerState};
 pub use rs::{Reservation, ReservationService, ReservationStatus, StartError};
-pub use supernode::{HostListEntry, Supernode};
+pub use supernode::Supernode;

@@ -6,7 +6,6 @@
 //! Supernode traffic and the start request itself are method calls on
 //! [`crate::overlay::Overlay`].
 
-use crate::peer::PeerId;
 use std::fmt;
 
 /// Unique key identifying one reservation/launch round, generated by the
@@ -25,20 +24,14 @@ impl fmt::Display for ReservationKey {
 ///
 /// The requester address is borrowed from the sender's descriptor: the
 /// brokering loop issues one of these per booked host per job, so the
-/// message itself must not clone the address.  The receiving RS copies the
-/// address only when it actually grants (and therefore stores) the
-/// reservation.
+/// message itself must not clone the address.  The receiving RS only reads
+/// it, against its owner's deny list.
 #[derive(Debug, Clone, Copy)]
-pub struct ReservationRequest<'a> {
+pub(crate) struct ReservationRequest<'a> {
     /// Unique key of this co-allocation round.
-    pub key: ReservationKey,
-    /// Requesting peer.
-    pub requester: PeerId,
+    pub(crate) key: ReservationKey,
     /// Address of the requester, checked against the owner's deny list.
-    pub requester_address: &'a str,
-    /// Number of processes requested by the whole job (`n × r`), passed along
-    /// for bookkeeping/diagnostics.
-    pub total_processes: u32,
+    pub(crate) requester_address: &'a str,
 }
 
 /// Why a reservation request was refused.
@@ -63,7 +56,7 @@ impl fmt::Display for RefusalReason {
     }
 }
 
-/// Reply of a remote RS to a [`ReservationRequest`] (step 4).
+/// Reply of a remote RS to a `ReservationRequest` (step 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReservationReply {
     /// The node accepts and advertises its per-application capacity `P`.
@@ -78,7 +71,8 @@ pub enum ReservationReply {
 
 impl ReservationReply {
     /// True for an `Ok` reply.
-    pub fn is_ok(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_ok(&self) -> bool {
         matches!(self, ReservationReply::Ok { .. })
     }
 }

@@ -17,20 +17,20 @@ use crate::rs::ReservationService;
 #[derive(Debug)]
 pub struct MpdNode {
     /// Who and where this peer is.
-    pub descriptor: PeerDescriptor,
+    pub(crate) descriptor: PeerDescriptor,
     /// Owner preferences enforced by the gatekeeper.
-    pub config: OwnerConfig,
+    pub(crate) config: OwnerConfig,
     /// Cached host list with latency estimates.
     pub cache: CachedList,
     /// The peer's Reservation Service.
     pub rs: ReservationService,
     /// Liveness (driven by fault injection).
-    pub state: PeerState,
+    pub(crate) state: PeerState,
 }
 
 impl MpdNode {
     /// Creates a freshly booted MPD with an empty cache.
-    pub fn new(descriptor: PeerDescriptor, config: OwnerConfig) -> Self {
+    pub(crate) fn new(descriptor: PeerDescriptor, config: OwnerConfig) -> Self {
         MpdNode {
             descriptor,
             config,
@@ -43,14 +43,6 @@ impl MpdNode {
     /// True if the daemon currently answers requests.
     pub fn is_alive(&self) -> bool {
         self.state == PeerState::Alive
-    }
-
-    /// Remaining process capacity this node could promise to a *new*
-    /// application, given what is already running: the owner's `P` bound.
-    /// (The `J` bound is enforced by the RS when the reservation request
-    /// arrives.)
-    pub fn capacity_per_app(&self) -> u32 {
-        self.config.max_procs_per_app
     }
 }
 
@@ -68,7 +60,7 @@ mod tests {
         );
         assert!(n.is_alive());
         assert!(n.cache.is_empty());
-        assert_eq!(n.capacity_per_app(), 4);
+        assert_eq!(n.config.max_procs_per_app, 4);
         assert_eq!(n.rs.active_applications(), 0);
     }
 

@@ -98,7 +98,7 @@
 //! Every scheduled fault reaches the timeline one way:
 //! [`Overlay::schedule_churn`] takes a [`crate::churn::ChurnSchedule`] and
 //! queues one of its events at a time, under the stamp each reserved at
-//! set-up, as one event kind, which [`ChurnKind`] names:
+//! set-up, as one event kind, which `ChurnKind` names:
 //!
 //! * a peer crash or recovery ([`Overlay::kill_peer`],
 //!   `Overlay::revive_peer`): flapping peers, and a site or rack outage
@@ -109,7 +109,7 @@
 //!   [`crate::cache::CachedList`] (degraded mode, not a halt); after the
 //!   restart the heartbeat round re-registers every alive peer the
 //!   supernode no longer knows (the resync path);
-//! * a site latency factor ([`Overlay::set_site_latency_factor`]) in the
+//! * a site latency factor (`Overlay::set_site_latency_factor`) in the
 //!   one network model that costs messages and probes alike; a slow-link
 //!   window is the factor and then 1.0 (in-flight events keep the cost
 //!   computed when they were scheduled).
@@ -177,7 +177,7 @@ pub enum RsOutcome {
 
 impl RsOutcome {
     /// Time spent on this interaction.
-    pub fn elapsed(&self) -> SimDuration {
+    pub(crate) fn elapsed(&self) -> SimDuration {
         match self {
             RsOutcome::Reply { elapsed, .. } | RsOutcome::Timeout { elapsed } => *elapsed,
         }
@@ -340,11 +340,6 @@ impl Overlay {
         &self.topology
     }
 
-    /// The network cost model.
-    pub fn network(&self) -> &NetworkModel {
-        &self.network
-    }
-
     /// The trace recorder.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -409,11 +404,6 @@ impl Overlay {
     /// The host a peer runs on.
     pub fn host_of(&self, peer: PeerId) -> HostId {
         self.nodes[peer.0].descriptor.host
-    }
-
-    /// The supernode registry (read-only).
-    pub fn supernode(&self) -> &Supernode {
-        &self.supernode
     }
 
     /// Generates a fresh unique reservation key (step 3 of the procedure).
@@ -907,7 +897,7 @@ impl Overlay {
     /// Sets the latency multiplier of every transfer and probe touching
     /// `site`.  Events already on the timeline keep the cost computed when
     /// they were scheduled.
-    pub fn set_site_latency_factor(&mut self, site: SiteId, factor: f64) {
+    pub(crate) fn set_site_latency_factor(&mut self, site: SiteId, factor: f64) {
         self.network.set_site_latency_factor(site, factor);
         self.site_control_times.fill(None);
         self.tracer
@@ -921,11 +911,6 @@ impl Overlay {
     /// completions scheduled while the mode is on are tracked.
     pub fn set_fail_jobs_on_crash(&mut self, enabled: bool) {
         self.fail_jobs_on_crash = enabled;
-    }
-
-    /// Whether peer crashes kill running jobs.
-    pub fn fail_jobs_on_crash(&self) -> bool {
-        self.fail_jobs_on_crash
     }
 
     /// Cumulative count of grants whose reply lost the race to its timeout
@@ -942,7 +927,7 @@ impl Overlay {
     }
 
     /// Cumulative count of running jobs killed by participant crashes
-    /// (only accrues while [`Overlay::fail_jobs_on_crash`] is on).
+    /// (only accrues while [`Overlay::set_fail_jobs_on_crash`] is on).
     pub fn jobs_killed(&self) -> u64 {
         self.jobs_killed
     }
@@ -964,15 +949,9 @@ mod tests {
     use proptest::prelude::*;
 
     /// One RS request, resolved as a round of one.
-    fn rs_request(
-        o: &mut Overlay,
-        from: PeerId,
-        to: PeerId,
-        key: ReservationKey,
-        total_processes: u32,
-    ) -> RsOutcome {
+    fn rs_request(o: &mut Overlay, from: PeerId, to: PeerId, key: ReservationKey) -> RsOutcome {
         let mut out = Vec::new();
-        o.rs_round_into(from, key, &[to], total_processes, &mut out);
+        o.rs_round_into(from, key, &[to], &mut out);
         out[0].1
     }
 
@@ -1030,7 +1009,7 @@ mod tests {
     fn boot_and_bootstrap_builds_latency_ranking() {
         let mut o = overlay();
         o.boot_all();
-        assert_eq!(o.supernode().len(), 6);
+        assert_eq!(o.supernode.len(), 6);
         let submitter = o
             .peer_on_host(o.topology().host_by_name("l-0").unwrap().id)
             .unwrap();
@@ -1060,7 +1039,7 @@ mod tests {
         let k1 = o.generate_key();
         let k2 = o.generate_key();
         assert_ne!(k1, k2);
-        match rs_request(&mut o, from, to, k1, 4) {
+        match rs_request(&mut o, from, to, k1) {
             RsOutcome::Reply { reply, elapsed } => {
                 assert!(reply.is_ok());
                 assert!(elapsed > SimDuration::ZERO);
@@ -1068,14 +1047,14 @@ mod tests {
             RsOutcome::Timeout { .. } => panic!("unexpected timeout"),
         }
         // Default J=1: a second application is refused.
-        match rs_request(&mut o, from, to, k2, 4) {
+        match rs_request(&mut o, from, to, k2) {
             RsOutcome::Reply { reply, .. } => assert!(!reply.is_ok()),
             RsOutcome::Timeout { .. } => panic!("unexpected timeout"),
         }
         // Cancelling frees the slot.
         assert!(o.rs_cancel(from, to, k1));
         assert!(matches!(
-            rs_request(&mut o, from, to, k2, 4),
+            rs_request(&mut o, from, to, k2),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
     }
@@ -1090,7 +1069,7 @@ mod tests {
         o.kill_peer(to);
         assert_eq!(o.alive_count(), 5);
         let k = o.generate_key();
-        match rs_request(&mut o, from, to, k, 1) {
+        match rs_request(&mut o, from, to, k) {
             RsOutcome::Timeout { elapsed } => assert_eq!(elapsed, o.rs_timeout),
             RsOutcome::Reply { .. } => panic!("dead peer answered"),
         }
@@ -1099,7 +1078,7 @@ mod tests {
         o.revive_peer(to);
         assert_eq!(o.alive_count(), 6);
         assert!(matches!(
-            rs_request(&mut o, from, to, k, 1),
+            rs_request(&mut o, from, to, k),
             RsOutcome::Reply { .. }
         ));
     }
@@ -1115,7 +1094,7 @@ mod tests {
         let t0 = o.now();
         // One round: two live peers and a dead one in the middle.
         let mut outcomes = Vec::new();
-        o.rs_round_into(submitter, key, &[ids[1], ids[3], ids[2]], 1, &mut outcomes);
+        o.rs_round_into(submitter, key, &[ids[1], ids[3], ids[2]], &mut outcomes);
         // Outcomes come back in send order, not firing order (the replies
         // fire ms before the dead peer's 2 s timeout).
         let peers: Vec<PeerId> = outcomes.iter().map(|&(p, _)| p).collect();
@@ -1156,7 +1135,7 @@ mod tests {
             .unwrap();
         let key = o.generate_key();
         assert_eq!(o.leaked_grants(), 0);
-        match rs_request(&mut o, submitter, remote, key, 1) {
+        match rs_request(&mut o, submitter, remote, key) {
             RsOutcome::Timeout { elapsed } => assert_eq!(elapsed, SimDuration::from_millis(1)),
             RsOutcome::Reply { .. } => panic!("slow reply should have lost the race"),
         }
@@ -1190,7 +1169,7 @@ mod tests {
         o.run_until(o.now() + SimDuration::from_secs(20));
         // Down: registry lost, refreshes unanswered, stale cache survives.
         assert!(!o.supernode_up);
-        assert_eq!(o.supernode().len(), 0);
+        assert_eq!(o.supernode.len(), 0);
         let (added, elapsed) = o.refresh_cache(p);
         assert_eq!(added, 0);
         assert_eq!(elapsed, o.rs_timeout);
@@ -1199,13 +1178,13 @@ mod tests {
         let key = o.generate_key();
         let to = o.latency_ranking(p)[0];
         assert!(matches!(
-            rs_request(&mut o, p, to, key, 1),
+            rs_request(&mut o, p, to, key),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         // Recovery + one heartbeat period: every alive peer re-registered.
         o.run_until(o.now() + SimDuration::from_secs(200));
         assert!(o.supernode_up);
-        assert_eq!(o.supernode().len(), o.alive_count());
+        assert_eq!(o.supernode.len(), o.alive_count());
     }
 
     #[test]
@@ -1215,17 +1194,17 @@ mod tests {
         o.boot_all();
         let l0 = topo.host_by_name("l-0").unwrap().id;
         let r0 = topo.host_by_name("r-0").unwrap().id;
-        let nominal = o.network().transfer_time(l0, r0, 1024);
+        let nominal = o.network.transfer_time(l0, r0, 1024);
         let remote_site = topo.site_by_name("remote").unwrap().id;
         let mut slow = ChurnSchedule::new();
         slow.site_latency(remote_site, 8.0, SimTime::from_secs(5))
             .site_latency(remote_site, 1.0, SimTime::from_secs(15));
         o.schedule_churn(slow);
         o.run_until(o.now() + SimDuration::from_secs(6));
-        let degraded = o.network().transfer_time(l0, r0, 1024);
+        let degraded = o.network.transfer_time(l0, r0, 1024);
         assert!(degraded > nominal * 7);
         o.run_until(o.now() + SimDuration::from_secs(10));
-        assert_eq!(o.network().transfer_time(l0, r0, 1024), nominal);
+        assert_eq!(o.network.transfer_time(l0, r0, 1024), nominal);
     }
 
     /// The EWMA blend of an estimate and a new sample.
@@ -1243,7 +1222,7 @@ mod tests {
         let r0 = topo.host_by_name("r-0").unwrap().id;
         let (submitter, remote) = (o.peer_on_host(l0).unwrap(), o.peer_on_host(r0).unwrap());
         let remote_site = topo.site_by_name("remote").unwrap().id;
-        let nominal = o.network().probe_rtt(l0, r0);
+        let nominal = o.network.probe_rtt(l0, r0);
         o.refresh_cache(submitter);
         // The first round fills the per-site table at the nominal factor;
         // the remote peers are the slowest probes of every round.
@@ -1251,7 +1230,7 @@ mod tests {
         let latency = |o: &Overlay| o.node(submitter).cache.get(remote).unwrap().latency;
         assert_eq!(latency(&o), Some(nominal));
         o.set_site_latency_factor(remote_site, 8.0);
-        let degraded = o.network().probe_rtt(l0, r0);
+        let degraded = o.network.probe_rtt(l0, r0);
         assert!(degraded > nominal * 7);
         assert_eq!(o.probe_round(submitter), degraded);
         assert_eq!(latency(&o), Some(blend(nominal, degraded)));
@@ -1294,8 +1273,8 @@ mod tests {
         // A first measurement is stored as is: the two-message round trip,
         // which exceeds the ICMP RTT (software overhead).
         let measured = o.node(origin).cache.get(near).unwrap().latency;
-        assert_eq!(measured, Some(o.network().probe_rtt(src, dst)));
-        assert!(measured.unwrap() > o.network().icmp_rtt(src, dst));
+        assert_eq!(measured, Some(o.network.probe_rtt(src, dst)));
+        assert!(measured.unwrap() > o.network.icmp_rtt(src, dst));
         assert_eq!(o.probe_round(origin), first);
         assert_eq!(o.latency_ranking(origin), vec![near, far]);
     }
@@ -1322,7 +1301,7 @@ mod tests {
         let key = o.generate_key();
         for &to in &[a, b] {
             assert!(matches!(
-                rs_request(&mut o, from, to, key, 2),
+                rs_request(&mut o, from, to, key),
                 RsOutcome::Reply { reply, .. } if reply.is_ok()
             ));
         }
@@ -1388,7 +1367,7 @@ mod tests {
         let (from, to) = (ids[0], ids[3]);
         let key = o.generate_key();
         assert!(matches!(
-            rs_request(&mut o, from, to, key, 1),
+            rs_request(&mut o, from, to, key),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         // Crash the remote *after* the start request is sent but before it
@@ -1412,7 +1391,7 @@ mod tests {
         let key2 = o.generate_key();
         let late = ids[4];
         assert!(matches!(
-            rs_request(&mut o, from, late, key2, 1),
+            rs_request(&mut o, from, late, key2),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         o.kill_peer(late);
@@ -1435,7 +1414,7 @@ mod tests {
         let mut outcomes = Vec::new();
         let round = |o: &mut Overlay, outcomes: &mut Vec<(PeerId, RsOutcome)>| {
             let key = o.generate_key();
-            o.rs_round_into(submitter, key, &ids[1..], 1, outcomes);
+            o.rs_round_into(submitter, key, &ids[1..], outcomes);
             for &(to, _) in outcomes.iter() {
                 o.rs_cancel(submitter, to, key);
             }
@@ -1468,7 +1447,7 @@ mod tests {
         let key = o.generate_key();
         let wrong = o.generate_key();
         assert!(matches!(
-            rs_request(&mut o, from, to, key, 2),
+            rs_request(&mut o, from, to, key),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         let (reply, _) = mpd_start(&mut o, from, to, wrong, 1);
@@ -1520,11 +1499,11 @@ mod tests {
         assert_eq!(o.events_pending(), 2, "the heartbeat round and one fault");
         o.run_until(t(239));
         assert!(!o.node(p).is_alive());
-        assert_eq!(o.supernode().len(), 0);
+        assert_eq!(o.supernode.len(), 0);
         o.run_until(t(240));
         assert!(o.node(p).is_alive());
-        assert!(o.supernode().knows(p), "the 240 s round re-registers p");
-        assert_eq!(o.supernode().len(), 6);
+        assert!(o.supernode.knows(p), "the 240 s round re-registers p");
+        assert_eq!(o.supernode.len(), 6);
 
         // An unsorted schedule fires in time order.
         let mut o = overlay();
@@ -1592,8 +1571,8 @@ mod tests {
                         "{} alive={} known={} registrations={} events={}",
                         o.now(),
                         o.alive_count(),
-                        o.supernode().len(),
-                        o.supernode().registrations(),
+                        o.supernode.len(),
+                        o.supernode.registrations(),
                         o.events_processed()
                     ));
                 }
@@ -1623,8 +1602,8 @@ mod tests {
         // rounds fire on the timeline without any manual heartbeat_round
         // call, and the silent peer is expired by the supernode.
         o.run_until(o.now() + SimDuration::from_secs(500));
-        assert!(!o.supernode().knows(victim));
-        assert_eq!(o.supernode().len(), 5);
+        assert!(!o.supernode.knows(victim));
+        assert_eq!(o.supernode.len(), 5);
         assert!(o.events_processed() >= 4);
         // The next round is always armed while heartbeats run.
         assert!(o.events_pending() >= 1);
@@ -1651,7 +1630,7 @@ mod tests {
         let (from, to) = (ids[0], ids[1]);
         let k = o.generate_key();
         assert!(matches!(
-            rs_request(&mut o, from, to, k, 2),
+            rs_request(&mut o, from, to, k),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         assert_eq!(o.node(to).rs.active_applications(), 1);
@@ -1670,7 +1649,7 @@ mod tests {
         let (from, to) = (ids[0], ids[2]);
         let key = o.generate_key();
         assert!(matches!(
-            rs_request(&mut o, from, to, key, 1),
+            rs_request(&mut o, from, to, key),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         let (reply, _) = mpd_start(&mut o, from, to, key, 1);
@@ -1693,8 +1672,8 @@ mod tests {
         o.run_until(o.now() + SimDuration::from_secs(400));
         let dropped = o.heartbeat_round();
         assert_eq!(dropped, 1);
-        assert!(!o.supernode().knows(victim));
-        assert_eq!(o.supernode().len(), 5);
+        assert!(!o.supernode.knows(victim));
+        assert_eq!(o.supernode.len(), 5);
     }
 
     #[test]
@@ -1711,7 +1690,7 @@ mod tests {
         let from_addr = o.node(from).descriptor.address.clone();
         o.node_mut(to).config.deny(from_addr);
         let k = o.generate_key();
-        match rs_request(&mut o, from, to, k, 1) {
+        match rs_request(&mut o, from, to, k) {
             RsOutcome::Reply { reply, .. } => assert_eq!(
                 reply,
                 ReservationReply::Nok(crate::messages::RefusalReason::RequesterDenied)
@@ -1731,11 +1710,11 @@ mod tests {
         let remote = o
             .peer_on_host(topo.host_by_name("r-0").unwrap().id)
             .unwrap();
-        assert_eq!(o.node(remote).capacity_per_app(), 4);
+        assert_eq!(o.node(remote).config.max_procs_per_app, 4);
         let local = o
             .peer_on_host(topo.host_by_name("l-0").unwrap().id)
             .unwrap();
-        assert_eq!(o.node(local).capacity_per_app(), 2);
+        assert_eq!(o.node(local).config.max_procs_per_app, 2);
     }
 
     // -- rounds and their messages -------------------------------------------
@@ -1745,21 +1724,19 @@ mod tests {
     fn rs_rtt(o: &Overlay, from: PeerId, to: PeerId) -> SimDuration {
         let (src, dst) = (o.host_of(from), o.host_of(to));
         let bytes = RS_MESSAGE_BYTES;
-        o.network().transfer_time(src, dst, bytes) + o.network().transfer_time(dst, src, bytes)
+        o.network.transfer_time(src, dst, bytes) + o.network.transfer_time(dst, src, bytes)
     }
 
     /// A start request's trip to the remote MPD.
     fn start_outbound(o: &Overlay, from: PeerId, to: PeerId) -> SimDuration {
         let bytes = START_MESSAGE_BYTES;
-        o.network()
+        o.network
             .transfer_time(o.host_of(from), o.host_of(to), bytes)
     }
 
     /// A start request's trip to the remote MPD plus its reply's way back.
     fn start_trip(o: &Overlay, from: PeerId, to: PeerId) -> SimDuration {
-        start_outbound(o, from, to)
-            + o.network()
-                .transfer_time(o.host_of(to), o.host_of(from), 64)
+        start_outbound(o, from, to) + o.network.transfer_time(o.host_of(to), o.host_of(from), 64)
     }
 
     /// The records of one category in `(time, message)` order: a round
@@ -1785,7 +1762,7 @@ mod tests {
         // A job already running on ids[1] ...
         let old = o.generate_key();
         assert!(matches!(
-            rs_request(&mut o, submitter, ids[1], old, 1),
+            rs_request(&mut o, submitter, ids[1], old),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         assert_eq!(
@@ -1814,7 +1791,7 @@ mod tests {
         assert!(expected[0] < ms(1) && expected[1] > ms(10), "{expected:?}");
         let key = o.generate_key();
         let mut outcomes = Vec::new();
-        o.rs_round_into(submitter, key, &targets, 1, &mut outcomes);
+        o.rs_round_into(submitter, key, &targets, &mut outcomes);
 
         // The outcomes are the ones computed at send: the crashed peer's
         // reply was already in flight, and replies sent before the
@@ -1825,7 +1802,7 @@ mod tests {
                 outcome,
                 RsOutcome::Reply {
                     reply: ReservationReply::Ok {
-                        capacity_p: o.node(to).capacity_per_app()
+                        capacity_p: o.node(to).config.max_procs_per_app
                     },
                     elapsed: rtt
                 }
@@ -1856,7 +1833,7 @@ mod tests {
         // ... and the degradation governs the exchanges sent after it.
         assert!(rs_rtt(&o, submitter, ids[3]) > expected[1] * 9);
         let next = o.generate_key();
-        match rs_request(&mut o, submitter, ids[5], next, 1) {
+        match rs_request(&mut o, submitter, ids[5], next) {
             RsOutcome::Reply { elapsed, .. } => assert_eq!(elapsed, rs_rtt(&o, submitter, ids[5])),
             RsOutcome::Timeout { .. } => panic!("100 ms is well inside the 2 s window"),
         }
@@ -1870,7 +1847,7 @@ mod tests {
         // ids[3] answers NOK: it is busy with another application.
         let other = o.generate_key();
         assert!(matches!(
-            rs_request(&mut o, ids[1], ids[3], other, 1),
+            rs_request(&mut o, ids[1], ids[3], other),
             RsOutcome::Reply { reply, .. } if reply.is_ok()
         ));
         o.tracer().clear();
@@ -1878,7 +1855,7 @@ mod tests {
         let key = o.generate_key();
         // The submitter's own host, two local peers, three remote ones.
         let mut outcomes = Vec::new();
-        o.rs_round_into(ids[0], key, &ids, 1, &mut outcomes);
+        o.rs_round_into(ids[0], key, &ids, &mut outcomes);
         let mut expected: Vec<(SimTime, String)> = outcomes
             .iter()
             .map(|&(to, outcome)| match outcome {
@@ -1911,7 +1888,7 @@ mod tests {
         let exchange = |o: &mut Overlay, to: PeerId| {
             let key = o.generate_key();
             let expected = rs_rtt(o, ids[0], to);
-            match rs_request(o, ids[0], to, key, 1) {
+            match rs_request(o, ids[0], to, key) {
                 RsOutcome::Reply { elapsed, .. } => assert_eq!(elapsed, expected),
                 RsOutcome::Timeout { .. } => panic!("unexpected timeout"),
             }
@@ -1937,7 +1914,7 @@ mod tests {
     /// Grants `key` on every peer of `targets` at nominal latency.
     fn grant_all(o: &mut Overlay, from: PeerId, targets: &[PeerId], key: ReservationKey) {
         let mut outcomes = Vec::new();
-        o.rs_round_into(from, key, targets, 1, &mut outcomes);
+        o.rs_round_into(from, key, targets, &mut outcomes);
         assert!(outcomes
             .iter()
             .all(|(_, o)| matches!(o, RsOutcome::Reply { reply, .. } if reply.is_ok())));
@@ -2414,7 +2391,7 @@ mod tests {
                 let key = o.generate_key();
                 let targets = [ids[1], ids[4], from, ids[3], ids[2]];
                 let mut outcomes = Vec::new();
-                o.rs_round_into(from, key, &targets, 1, &mut outcomes);
+                o.rs_round_into(from, key, &targets, &mut outcomes);
                 let counters: Vec<_> = ids.iter().map(|&p| o.node(p).rs.counters()).collect();
                 (
                     outcomes,
@@ -2596,7 +2573,7 @@ mod tests {
                 .collect();
             let window = replies.iter().max().copied().unwrap_or_default();
             disturb(o, &mut rng, (o.now(), window, &replies), &mut running);
-            o.rs_round_into(submitter, key, &targets, 4, &mut outcomes);
+            o.rs_round_into(submitter, key, &targets, &mut outcomes);
             log.push(format!(
                 "round {round} rs {outcomes:?} now={} events={}",
                 o.now(),

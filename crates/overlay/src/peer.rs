@@ -36,7 +36,7 @@ pub struct PeerDescriptor {
     /// Physical host this peer's MPD runs on.
     pub host: HostId,
     /// Simulated network address ("IP:port"), used by deny lists.
-    pub address: String,
+    pub(crate) address: String,
 }
 
 impl PeerDescriptor {
@@ -55,7 +55,8 @@ impl PeerDescriptor {
     }
 
     /// Creates a descriptor with an explicit address.
-    pub fn with_address(id: PeerId, host: HostId, address: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_address(id: PeerId, host: HostId, address: impl Into<String>) -> Self {
         PeerDescriptor {
             id,
             host,

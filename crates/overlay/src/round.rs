@@ -164,11 +164,11 @@ fn nodes_from_to(nodes: &mut [MpdNode], from: usize, to: usize) -> (&MpdNode, &m
 }
 
 impl Overlay {
-    /// One whole RS brokering round (steps 3–5): a reservation request for
-    /// `total_processes` from `from` to each of `peers`, all sent now, each
-    /// remote RS deciding at once in send order.  The round walks its
-    /// replies and timeouts (module docs) and leaves the outcomes in `out`
-    /// (cleared first) in send order; the clock ends at its last message.
+    /// One whole RS brokering round (steps 3–5): a reservation request from
+    /// `from` to each of `peers`, all sent now, each remote RS deciding at
+    /// once in send order.  The round walks its replies and timeouts (module
+    /// docs) and leaves the outcomes in `out` (cleared first) in send order;
+    /// the clock ends at its last message.
     ///
     /// The hottest call of a sweep (a request per booked host per job), it
     /// allocates nothing: the request borrows the requester's address, the
@@ -179,7 +179,6 @@ impl Overlay {
         from: PeerId,
         key: ReservationKey,
         peers: &[PeerId],
-        total_processes: u32,
         out: &mut Vec<(PeerId, RsOutcome)>,
     ) {
         out.clear();
@@ -190,7 +189,7 @@ impl Overlay {
         for &to in peers {
             let outcome = if self.nodes[to.0].is_alive() {
                 let rtt = self.control_times(from, to).rs_round_trip;
-                let reply = self.remote_reserve(from, to, key, total_processes, sent);
+                let reply = self.remote_reserve(from, to, key, sent);
                 RsOutcome::Reply {
                     reply,
                     elapsed: rtt,
@@ -376,7 +375,6 @@ impl Overlay {
         from: PeerId,
         to: PeerId,
         key: ReservationKey,
-        total_processes: u32,
         now: SimTime,
     ) -> ReservationReply {
         if from.0 == to.0 {
@@ -385,18 +383,14 @@ impl Overlay {
             let node = &mut self.nodes[to.0];
             let req = ReservationRequest {
                 key,
-                requester: from,
                 requester_address: &node.descriptor.address,
-                total_processes,
             };
             node.rs.handle_request(&req, &node.config, now)
         } else {
             let (from_node, to_node) = nodes_from_to(&mut self.nodes, from.0, to.0);
             let req = ReservationRequest {
                 key,
-                requester: from,
                 requester_address: &from_node.descriptor.address,
-                total_processes,
             };
             to_node.rs.handle_request(&req, &to_node.config, now)
         }

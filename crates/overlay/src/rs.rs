@@ -11,7 +11,6 @@
 
 use crate::config::OwnerConfig;
 use crate::messages::{RefusalReason, ReservationKey, ReservationReply, ReservationRequest};
-use crate::peer::PeerId;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
 
 /// Lifecycle of a reservation held by an RS.
@@ -28,17 +27,14 @@ pub enum ReservationStatus {
 #[derive(Debug, Clone, Copy)]
 pub struct Reservation {
     /// The submitter's unique key for this co-allocation round.
-    pub key: ReservationKey,
-    /// The requesting peer (for diagnostics; its address is one lookup
-    /// away in the overlay's node table).
-    pub requester: PeerId,
+    pub(crate) key: ReservationKey,
     /// When the reservation was granted.
-    pub granted_at: SimTime,
+    pub(crate) granted_at: SimTime,
     /// Current status.
     pub status: ReservationStatus,
     /// Number of processes actually started under this reservation
     /// (0 while pending).
-    pub processes: u32,
+    pub(crate) processes: u32,
 }
 
 /// Errors returned when trying to start an application under a reservation.
@@ -68,7 +64,7 @@ pub struct ReservationService {
 
 impl ReservationService {
     /// Creates an empty service.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -78,8 +74,8 @@ impl ReservationService {
 
     /// Handles an incoming reservation request (step 4 of the procedure).
     /// The requester's address is only read, against the owner's deny
-    /// list; the held [`Reservation`] records the requesting peer's id.
-    pub fn handle_request(
+    /// list; the held [`Reservation`] keeps the round's key.
+    pub(crate) fn handle_request(
         &mut self,
         req: &ReservationRequest<'_>,
         config: &OwnerConfig,
@@ -99,7 +95,6 @@ impl ReservationService {
         }
         self.reservations.push(Reservation {
             key: req.key,
-            requester: req.requester,
             granted_at: now,
             status: ReservationStatus::Pending,
             processes: 0,
@@ -111,7 +106,7 @@ impl ReservationService {
     }
 
     /// Marks a pending reservation as running `processes` processes.
-    pub fn start(
+    pub(crate) fn start(
         &mut self,
         key: ReservationKey,
         processes: u32,
@@ -147,7 +142,7 @@ impl ReservationService {
     }
 
     /// Marks a running application as finished, freeing the slot.
-    pub fn complete(&mut self, key: ReservationKey) -> bool {
+    pub(crate) fn complete(&mut self, key: ReservationKey) -> bool {
         match self.position(key) {
             Some(i) if self.reservations[i].status == ReservationStatus::Running => {
                 self.reservations.swap_remove(i);
@@ -159,7 +154,7 @@ impl ReservationService {
 
     /// Drops pending reservations older than `ttl`; returns how many were
     /// dropped.  Running applications are never expired.
-    pub fn expire_pending(&mut self, now: SimTime, ttl: SimDuration) -> usize {
+    pub(crate) fn expire_pending(&mut self, now: SimTime, ttl: SimDuration) -> usize {
         let before = self.reservations.len();
         self.reservations.retain(|r| {
             r.status == ReservationStatus::Running || now.saturating_since(r.granted_at) <= ttl
@@ -203,9 +198,7 @@ mod tests {
     fn request(key: u64, addr: &str) -> ReservationRequest<'_> {
         ReservationRequest {
             key: ReservationKey(key),
-            requester: PeerId(0),
             requester_address: addr,
-            total_processes: 8,
         }
     }
 
@@ -332,7 +325,6 @@ mod tests {
             rs.handle_request(&request(4, "x"), &config, SimTime::from_secs(30)),
             ReservationReply::Nok(RefusalReason::TooManyApplications)
         );
-        assert_eq!(rs.reservation(b).unwrap().requester, PeerId(0));
         // Cancelling the middle key leaves its neighbours findable.
         assert!(rs.cancel(b));
         assert!(rs.reservation(b).is_none());

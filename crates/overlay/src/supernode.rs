@@ -12,11 +12,11 @@ use std::collections::BTreeMap;
 
 /// One entry of the supernode's host list.
 #[derive(Debug, Clone)]
-pub struct HostListEntry {
+pub(crate) struct HostListEntry {
     /// The registered peer.
-    pub descriptor: PeerDescriptor,
+    pub(crate) descriptor: PeerDescriptor,
     /// Last time a registration or alive signal was received.
-    pub last_seen: SimTime,
+    pub(crate) last_seen: SimTime,
 }
 
 /// Membership registry.
@@ -24,7 +24,7 @@ pub struct HostListEntry {
 /// Entries live in a `BTreeMap` keyed by [`PeerId`], so the host list is
 /// maintained in stable sorted order *incrementally* — `O(log n)` per
 /// registration — instead of the clone-and-sort a snapshot API would pay on
-/// every read.  Consumers walk [`Supernode::host_list_iter`] borrowed and
+/// every read.  Consumers walk `Supernode::host_list_iter` borrowed and
 /// in order.
 #[derive(Debug)]
 pub struct Supernode {
@@ -37,7 +37,7 @@ pub struct Supernode {
 
 /// Default staleness bound before a silent peer is dropped (three missed
 /// 2-minute alive periods).
-pub const DEFAULT_EXPIRY: SimDuration = SimDuration::from_secs(360);
+pub(crate) const DEFAULT_EXPIRY: SimDuration = SimDuration::from_secs(360);
 
 impl Default for Supernode {
     fn default() -> Self {
@@ -47,7 +47,7 @@ impl Default for Supernode {
 
 impl Supernode {
     /// Creates a supernode with the given staleness bound.
-    pub fn new(expiry: SimDuration) -> Self {
+    pub(crate) fn new(expiry: SimDuration) -> Self {
         assert!(!expiry.is_zero(), "expiry must be non-zero");
         Supernode {
             entries: BTreeMap::new(),
@@ -57,7 +57,7 @@ impl Supernode {
     }
 
     /// Registers a peer (or refreshes it if already known).
-    pub fn register(&mut self, descriptor: PeerDescriptor, now: SimTime) {
+    pub(crate) fn register(&mut self, descriptor: PeerDescriptor, now: SimTime) {
         self.registrations += 1;
         self.entries.insert(
             descriptor.id,
@@ -70,7 +70,7 @@ impl Supernode {
 
     /// Records an alive signal from `peer`.  Unknown peers are ignored (the
     /// MPD is expected to re-register after an expiry).
-    pub fn alive(&mut self, peer: PeerId, now: SimTime) -> bool {
+    pub(crate) fn alive(&mut self, peer: PeerId, now: SimTime) -> bool {
         if let Some(e) = self.entries.get_mut(&peer) {
             e.last_seen = now;
             true
@@ -83,13 +83,13 @@ impl Supernode {
     /// volatile and lost on restart, while the lifetime counters (a property
     /// of the simulation, not the process) are kept.  Peers re-populate the
     /// list by re-registering, exactly as after an expiry.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
     /// Drops peers not heard from within the expiry window; returns how many
     /// were dropped.
-    pub fn expire_stale(&mut self, now: SimTime) -> usize {
+    pub(crate) fn expire_stale(&mut self, now: SimTime) -> usize {
         let expiry = self.expiry;
         let before = self.entries.len();
         self.entries
@@ -101,33 +101,30 @@ impl Supernode {
     /// order is maintained incrementally by the backing `BTreeMap`, so this
     /// neither clones nor sorts — every consumer (the MPD cache refresh, the
     /// experiment harnesses) walks it in place.
-    pub fn host_list_iter(&self) -> impl Iterator<Item = &HostListEntry> {
+    pub(crate) fn host_list_iter(&self) -> impl Iterator<Item = &HostListEntry> {
         self.entries.values()
     }
 
     /// True if `peer` is currently registered.
-    pub fn knows(&self, peer: PeerId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn knows(&self, peer: PeerId) -> bool {
         self.entries.contains_key(&peer)
     }
 
     /// Number of registered peers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True if no peer is registered.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Total registrations processed (including re-registrations).
     pub fn registrations(&self) -> u64 {
         self.registrations
-    }
-
-    /// The staleness bound.
-    pub fn expiry(&self) -> SimDuration {
-        self.expiry
     }
 }
 

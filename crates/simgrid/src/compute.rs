@@ -39,11 +39,6 @@ impl ComputeModel {
         &self.topology
     }
 
-    /// The contention model in use.
-    pub fn contention(&self) -> MemoryContentionModel {
-        self.contention
-    }
-
     /// Time for one process on `host` to execute `ops` abstract operations of
     /// the given memory intensity while `residents` processes (including this
     /// one) share the host.
@@ -81,7 +76,6 @@ mod tests {
                 cores: 4,
                 cpus: 2,
                 ops_per_sec: 2e9,
-                mem_bytes: 1 << 32,
             },
         );
         b.add_cluster(
@@ -93,7 +87,6 @@ mod tests {
                 cores: 2,
                 cpus: 1,
                 ops_per_sec: 1e9,
-                mem_bytes: 1 << 31,
             },
         );
         Arc::new(b.build())

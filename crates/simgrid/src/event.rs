@@ -157,7 +157,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         EventQueue {
             slots: Vec::with_capacity(cap),
             free: Vec::with_capacity(cap),
@@ -167,7 +167,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// [`EventQueue::with_capacity`]; the kind is ignored (there is one).
+    /// `EventQueue::with_capacity`; the kind is ignored (there is one).
     /// Kept for the benchmark's queue probes, which pass the sweep config's
     /// [`QueueKind`] through.
     pub fn with_capacity_and_kind(cap: usize, _kind: QueueKind) -> Self {
@@ -176,7 +176,7 @@ impl<E> EventQueue<E> {
 
     /// Allocated payload slots (the heap's ticket buffer and the free stack
     /// track it).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.capacity()
     }
 

@@ -25,6 +25,8 @@
 //! * [`rngutil`] — deterministic seeded RNG substreams.
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
+#![deny(dead_code)]
 
 pub mod compute;
 pub mod engine;

@@ -19,7 +19,8 @@ pub struct MemoryIntensity(f64);
 
 impl MemoryIntensity {
     /// Builds a memory intensity, panicking outside `[0, 1]`.
-    pub fn new(v: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(v: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&v),
             "memory intensity must be in [0,1]"
@@ -28,7 +29,7 @@ impl MemoryIntensity {
     }
 
     /// Raw value.
-    pub fn value(self) -> f64 {
+    pub(crate) fn value(self) -> f64 {
         self.0
     }
 
@@ -47,9 +48,9 @@ pub struct MemoryContentionModel {
     /// kernel.  The default of 0.28 makes 4 fully memory-bound processes on a
     /// dual-core-era node run ~1.8x slower each, consistent with the modest
     /// EP gap the paper reports.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Cap on the total slowdown factor (saturation of the memory bus).
-    pub max_slowdown: f64,
+    pub(crate) max_slowdown: f64,
 }
 
 impl Default for MemoryContentionModel {
@@ -72,7 +73,8 @@ impl MemoryContentionModel {
     }
 
     /// A model in which co-location never slows anything down.
-    pub fn disabled() -> Self {
+    #[cfg(test)]
+    pub(crate) fn disabled() -> Self {
         MemoryContentionModel {
             alpha: 0.0,
             max_slowdown: 1.0,
@@ -81,7 +83,7 @@ impl MemoryContentionModel {
 
     /// Slowdown factor (≥ 1) for one process when `residents` processes run
     /// on the same host and the kernel has the given memory intensity.
-    pub fn slowdown(&self, residents: usize, intensity: MemoryIntensity) -> f64 {
+    pub(crate) fn slowdown(&self, residents: usize, intensity: MemoryIntensity) -> f64 {
         if residents <= 1 {
             return 1.0;
         }

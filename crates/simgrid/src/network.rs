@@ -22,7 +22,7 @@ use std::sync::Arc;
 pub const PER_MESSAGE_OVERHEAD: SimDuration = SimDuration::from_micros(35);
 
 /// Multiplier applied to the payload size to account for protocol framing.
-pub const FRAMING_FACTOR: f64 = 1.05;
+pub(crate) const FRAMING_FACTOR: f64 = 1.05;
 
 /// Size in bytes of the empty "ping" message used by MPD latency probes.
 const PROBE_BYTES: u64 = 64;

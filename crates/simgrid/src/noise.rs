@@ -14,14 +14,14 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy)]
 pub struct NoiseModel {
     /// Relative standard deviation of the perturbation (e.g. `0.06` = 6 %).
-    pub sigma: f64,
+    pub(crate) sigma: f64,
     /// Perturbations are clamped to `±clamp_sigmas × sigma` to keep extreme
     /// draws from re-ordering sites whose RTTs differ by tens of
     /// milliseconds.
-    pub clamp_sigmas: f64,
+    pub(crate) clamp_sigmas: f64,
     /// Constant additive jitter floor (queueing on a loaded peer), applied on
     /// top of the multiplicative term.
-    pub additive_jitter: SimDuration,
+    pub(crate) additive_jitter: SimDuration,
 }
 
 impl Default for NoiseModel {

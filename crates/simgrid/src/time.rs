@@ -29,12 +29,14 @@ impl SimTime {
     }
 
     /// Builds an instant from whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_micros(us: u64) -> Self {
         SimTime(us * 1_000)
     }
 
     /// Builds an instant from whole milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
     }
 
@@ -58,38 +60,10 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// This instant expressed in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Duration elapsed since `earlier`, saturating at zero if `earlier` is
     /// in the future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
-    /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -162,29 +136,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked addition.
-    pub fn checked_add(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(other.0).map(SimDuration)
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self <= other {
-            self
-        } else {
-            other
-        }
     }
 }
 

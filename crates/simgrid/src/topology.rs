@@ -66,13 +66,6 @@ pub struct Cluster {
     pub cores: usize,
 }
 
-impl Cluster {
-    /// Cores per node, as used for the owner's `P` setting in the experiment.
-    pub fn cores_per_node(&self) -> usize {
-        self.cores.checked_div(self.nodes).unwrap_or(0)
-    }
-}
-
 /// One physical machine able to host MPI processes.
 #[derive(Debug, Clone)]
 pub struct Host {
@@ -88,8 +81,6 @@ pub struct Host {
     pub cores: usize,
     /// Per-core compute rate in floating-point/integer operations per second.
     pub ops_per_sec: f64,
-    /// Installed memory in bytes.
-    pub mem_bytes: u64,
 }
 
 /// Fully-built topology: immutable once constructed.
@@ -133,16 +124,6 @@ impl Topology {
     /// Number of sites.
     pub fn site_count(&self) -> usize {
         self.sites.len()
-    }
-
-    /// Looks up a site.
-    pub fn site(&self, id: SiteId) -> &Site {
-        &self.sites[id.0]
-    }
-
-    /// Looks up a cluster.
-    pub fn cluster(&self, id: ClusterId) -> &Cluster {
-        &self.clusters[id.0]
     }
 
     /// Looks up a host.
@@ -199,7 +180,7 @@ impl Topology {
     }
 
     /// One-way latency between two hosts (half the RTT).
-    pub fn latency(&self, a: HostId, b: HostId) -> SimDuration {
+    pub(crate) fn latency(&self, a: HostId, b: HostId) -> SimDuration {
         self.rtt(a, b) / 2
     }
 
@@ -219,16 +200,16 @@ impl Topology {
 
 /// Default intra-site RTT if the builder does not override it: a LAN-grade
 /// 0.087 ms, the Nancy-to-Nancy figure quoted in the paper's Figure 2 legend.
-pub const DEFAULT_INTRA_SITE_RTT: SimDuration = SimDuration::from_micros(87);
+pub(crate) const DEFAULT_INTRA_SITE_RTT: SimDuration = SimDuration::from_micros(87);
 
 /// Default loopback RTT between processes sharing a host.
-pub const DEFAULT_INTRA_HOST_RTT: SimDuration = SimDuration::from_micros(10);
+pub(crate) const DEFAULT_INTRA_HOST_RTT: SimDuration = SimDuration::from_micros(10);
 
 /// Default WAN bandwidth (10 Gbps, the Grid'5000 backbone).
-pub const DEFAULT_WAN_BW_BPS: f64 = 10e9;
+pub(crate) const DEFAULT_WAN_BW_BPS: f64 = 10e9;
 
 /// Default NIC bandwidth (1 Gbps Ethernet, standard on the 2008 clusters).
-pub const DEFAULT_NIC_BW_BPS: f64 = 1e9;
+pub(crate) const DEFAULT_NIC_BW_BPS: f64 = 1e9;
 
 /// Incremental builder for [`Topology`].
 pub struct TopologyBuilder {
@@ -255,8 +236,6 @@ pub struct NodeSpec {
     pub cpus: usize,
     /// Per-core compute rate (operations per second).
     pub ops_per_sec: f64,
-    /// Memory per node in bytes.
-    pub mem_bytes: u64,
 }
 
 impl Default for NodeSpec {
@@ -267,7 +246,6 @@ impl Default for NodeSpec {
             // ~2 Gop/s per core is representative of the 2006-2008 Opteron /
             // Xeon cores listed in Table 1.
             ops_per_sec: 2.0e9,
-            mem_bytes: 2 * 1024 * 1024 * 1024,
         }
     }
 }
@@ -329,7 +307,6 @@ impl TopologyBuilder {
                 cluster: id,
                 cores: spec.cores,
                 ops_per_sec: spec.ops_per_sec,
-                mem_bytes: spec.mem_bytes,
             });
         }
         id
@@ -360,8 +337,8 @@ impl TopologyBuilder {
     /// Site pairs without an explicit RTT default to 20 ms (a conservative
     /// national-WAN figure) so that forgetting an entry cannot silently make
     /// a remote site look local.  Site pairs without an explicit bandwidth
-    /// get [`DEFAULT_WAN_BW_BPS`]; every host gets [`DEFAULT_NIC_BW_BPS`]
-    /// and [`DEFAULT_INTRA_HOST_RTT`].
+    /// get `DEFAULT_WAN_BW_BPS`; every host gets `DEFAULT_NIC_BW_BPS`
+    /// and `DEFAULT_INTRA_HOST_RTT`.
     pub fn build(self) -> Topology {
         let n = self.sites.len();
         let default_wan_rtt = SimDuration::from_millis(20);
@@ -410,7 +387,6 @@ mod tests {
                 cores: 4,
                 cpus: 2,
                 ops_per_sec: 1e9,
-                mem_bytes: 1 << 30,
             },
         );
         b.add_cluster(
@@ -422,7 +398,6 @@ mod tests {
                 cores: 2,
                 cpus: 1,
                 ops_per_sec: 1e9,
-                mem_bytes: 1 << 30,
             },
         );
         b.set_rtt(s0, s1, SimDuration::from_millis(12));
@@ -442,8 +417,8 @@ mod tests {
         assert_eq!(t.cores_at_site(SiteId(1)), 4);
         assert_eq!(t.total_cores(), 16);
         assert_eq!(t.host_by_name("a-2").unwrap().cluster, ClusterId(0));
-        assert_eq!(t.cluster(ClusterId(0)).cores_per_node(), 4);
-        assert_eq!(t.cluster(ClusterId(0)).cpus, 6);
+        let c = &t.clusters()[0];
+        assert_eq!((c.cores / c.nodes, c.cpus), (4, 6));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub struct TraceEvent {
     /// Virtual time at which the event occurred.
     pub time: SimTime,
     /// Category for filtering.
-    pub category: TraceCategory,
+    pub(crate) category: TraceCategory,
     /// Human-readable description.
     pub message: String,
 }
@@ -150,12 +150,14 @@ impl Tracer {
     }
 
     /// Number of recorded events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.shared.events.lock().len()
     }
 
     /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
