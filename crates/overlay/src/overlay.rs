@@ -253,11 +253,14 @@ pub struct Overlay {
     /// Periodic reservation-expiry sweep: (ttl, period) and the pending
     /// event.
     resv_expiry: Option<(SimDuration, SimDuration, EventKey)>,
-    /// The control-message and probe times between two *distinct* hosts,
-    /// by `(submitter site, remote site)`: the transfer model sees hosts
-    /// only through their sites there.  Filled on first use, forgotten
-    /// whenever a site latency factor changes.
-    site_control_times: Vec<Option<round::ControlTimes>>,
+    /// Each peer's site, by peer id.
+    peer_site: Vec<usize>,
+    /// The control-message and probe times between two *distinct* hosts by
+    /// `(submitter site, remote site)`, and between a host and itself by
+    /// site: the transfer model sees hosts only through their sites.  Both
+    /// filled at assembly and again whenever a latency factor changes.
+    site_control_times: Vec<round::ControlTimes>,
+    same_host_control_times: Vec<round::ControlTimes>,
     /// The message buffer every round walks, reused round after round.
     round: round::Round,
     /// Whether the supernode is up (fault injection; degraded-mode
@@ -298,12 +301,13 @@ impl Overlay {
         tracer: Tracer,
     ) -> Self {
         let mut host_to_peer = vec![None; topology.host_count()];
+        let mut peer_site = Vec::with_capacity(nodes.len());
         for n in &nodes {
             host_to_peer[n.descriptor.host.0] = Some(n.descriptor.id);
+            peer_site.push(topology.host(n.descriptor.host).site.0);
         }
-        let sites = topology.site_count();
         let round = round::Round::for_peers(nodes.len());
-        Overlay {
+        let mut overlay = Overlay {
             topology,
             network,
             noise,
@@ -318,7 +322,9 @@ impl Overlay {
             heartbeats_on: false,
             cache_refresh: HashMap::new(),
             resv_expiry: None,
-            site_control_times: vec![None; sites * sites],
+            peer_site,
+            site_control_times: Vec::new(),
+            same_host_control_times: Vec::new(),
             round,
             supernode_up: true,
             leaked_grants: 0,
@@ -328,7 +334,9 @@ impl Overlay {
             churn: Vec::new(),
             fail_jobs_on_crash: false,
             running_jobs: HashMap::new(),
-        }
+        };
+        overlay.rebuild_control_times();
+        overlay
     }
 
     // ------------------------------------------------------------------
@@ -799,7 +807,7 @@ impl Overlay {
     /// ping'ed to assess network latency to it.  Notice that this 'ping'
     /// test is a standard P2P-MPI communication and does not rely on an
     /// ICMP echo measurement" (Section 4.1): a probe costs two empty
-    /// messages under the messaging model (the per-site-pair table of
+    /// messages under the messaging model (the per-site tables of
     /// `control_times`, software overhead and latency factors included),
     /// perturbed by the load noise.  Dead peers record a probe failure.
     /// Returns the virtual time the round took (probes are sent
@@ -899,7 +907,7 @@ impl Overlay {
     /// they were scheduled.
     pub(crate) fn set_site_latency_factor(&mut self, site: SiteId, factor: f64) {
         self.network.set_site_latency_factor(site, factor);
-        self.site_control_times.fill(None);
+        self.rebuild_control_times();
         self.tracer
             .record(self.sim.now(), TraceCategory::Fault, || {
                 format!("site {} latency factor set to {factor}", site.0)

@@ -4,13 +4,14 @@
 //! plain data with a single owner, in a buffer the overlay sizes once for
 //! its largest possible round and lends to each round in turn.
 
-use super::{Overlay, OverlayEvent, RsOutcome};
+use super::{Overlay, OverlayEvent, RsOutcome, RS_MESSAGE_BYTES, START_MESSAGE_BYTES};
 use crate::messages::{ReservationKey, ReservationReply, ReservationRequest, StartReply};
 use crate::mpd::MpdNode;
 use crate::peer::PeerId;
 use p2pmpi_simgrid::engine::TypedEngine;
 use p2pmpi_simgrid::network::NetworkModel;
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
+use p2pmpi_simgrid::topology::HostId;
 use p2pmpi_simgrid::trace::TraceCategory;
 
 /// What a message does when it is delivered.
@@ -139,7 +140,7 @@ impl Round {
 
 /// What the control messages of a brokering round, and a latency probe,
 /// cost between a submitter and a remote peer under the current cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(super) struct ControlTimes {
     /// RS reservation request out plus its reply back (steps 3–5).
     rs_round_trip: SimDuration,
@@ -149,6 +150,17 @@ pub(super) struct ControlTimes {
     start_reply: SimDuration,
     /// A latency probe's noise-free round trip (Section 4.1).
     pub(super) probe_rtt: SimDuration,
+}
+
+/// The control times from host `src` to host `dst` under `network`.
+fn control_times_between(network: &NetworkModel, src: HostId, dst: HostId) -> ControlTimes {
+    ControlTimes {
+        rs_round_trip: network.transfer_time(src, dst, RS_MESSAGE_BYTES)
+            + network.transfer_time(dst, src, RS_MESSAGE_BYTES),
+        start_outbound: network.transfer_time(src, dst, START_MESSAGE_BYTES),
+        start_reply: network.transfer_time(dst, src, 64),
+        probe_rtt: network.probe_rtt(src, dst),
+    }
 }
 
 /// Returns `(&from, &mut to)` for two *distinct* peers of the node table.
@@ -173,7 +185,7 @@ impl Overlay {
     /// The hottest call of a sweep (a request per booked host per job), it
     /// allocates nothing: the request borrows the requester's address, the
     /// remote RS pushes plain data into a table that keeps its capacity,
-    /// and the round trip comes from a per-site table.
+    /// and the round trip comes from per-site tables filled at assembly.
     pub fn rs_round_into(
         &mut self,
         from: PeerId,
@@ -424,33 +436,42 @@ impl Overlay {
     }
 
     /// The control-message and probe times between a submitter and a remote
-    /// peer.  Between distinct hosts the cost model depends on the hosts only
-    /// through their sites, so the four are computed once per directed
-    /// site pair and reused until a latency factor changes
-    /// ([`Overlay::set_site_latency_factor`] forgets the table).
-    pub(super) fn control_times(&mut self, from: PeerId, to: PeerId) -> ControlTimes {
-        let src = self.nodes[from.0].descriptor.host;
-        let dst = self.nodes[to.0].descriptor.host;
-        let (rs_bytes, start_bytes) = (super::RS_MESSAGE_BYTES, super::START_MESSAGE_BYTES);
-        let compute = |network: &NetworkModel| ControlTimes {
-            rs_round_trip: network.transfer_time(src, dst, rs_bytes)
-                + network.transfer_time(dst, src, rs_bytes),
-            start_outbound: network.transfer_time(src, dst, start_bytes),
-            start_reply: network.transfer_time(dst, src, 64),
-            probe_rtt: network.probe_rtt(src, dst),
+    /// peer: each peer's site, then one cell of a per-site table, the
+    /// same-host table when a peer messages itself (one peer per host, so
+    /// `from == to` is the same-host case).
+    pub(super) fn control_times(&self, from: PeerId, to: PeerId) -> ControlTimes {
+        let (a, b) = (self.peer_site[from.0], self.peer_site[to.0]);
+        let times = if from == to {
+            self.same_host_control_times[a]
+        } else {
+            self.site_control_times[a * self.same_host_control_times.len() + b]
         };
-        if src == dst {
-            return compute(&self.network);
+        debug_assert_eq!(
+            times,
+            control_times_between(&self.network, self.host_of(from), self.host_of(to)),
+            "stale control-time table"
+        );
+        times
+    }
+
+    /// Fills both control-time tables from the current cost model, which
+    /// sees hosts only through their sites: each cell is costed on one host
+    /// pair, one site's first host and the other's last.  A cell no two
+    /// peers can reach holds zeros (a host-less site) or its site's
+    /// same-host times (a one-host site's diagonal).
+    pub(super) fn rebuild_control_times(&mut self) {
+        let mut hosts = vec![Vec::new(); self.topology.site_count()];
+        for h in self.topology.hosts() {
+            hosts[h.site.0].push(h.id);
         }
-        let cell = self.topology.host(src).site.0 * self.topology.site_count()
-            + self.topology.host(dst).site.0;
-        match self.site_control_times[cell] {
-            Some(times) => {
-                debug_assert_eq!(times, compute(&self.network), "stale per-site times");
-                times
-            }
-            None => *self.site_control_times[cell].insert(compute(&self.network)),
-        }
+        let cost = |src: Option<&HostId>, dst: Option<&HostId>| match src.zip(dst) {
+            Some((&src, &dst)) => control_times_between(&self.network, src, dst),
+            None => ControlTimes::default(),
+        };
+        self.same_host_control_times = hosts.iter().map(|h| cost(h.first(), h.first())).collect();
+        self.site_control_times = (hosts.iter())
+            .flat_map(|from| hosts.iter().map(move |to| cost(from.first(), to.last())))
+            .collect();
     }
 
     /// Capacity of the round buffer every round walks (diagnostics: sized
@@ -481,5 +502,66 @@ impl Overlay {
                 });
         }
         cancelled
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::boot::OverlayBuilder;
+    use p2pmpi_simgrid::noise::NoiseModel;
+    use p2pmpi_simgrid::topology::{NodeSpec, SiteId, TopologyBuilder};
+    use std::sync::Arc;
+
+    /// Every ordered peer pair, a peer with itself included, read from the
+    /// tables equals a fresh cost model that took the same factor calls.
+    fn assert_tables_match_a_fresh_model(o: &Overlay, factor_calls: &[(SiteId, f64)]) {
+        let mut network = NetworkModel::new(o.topology().clone());
+        for &(site, factor) in factor_calls {
+            network.set_site_latency_factor(site, factor);
+        }
+        for from in o.peer_ids() {
+            for to in o.peer_ids() {
+                let fresh = control_times_between(&network, o.host_of(from), o.host_of(to));
+                assert_eq!(
+                    o.control_times(from, to),
+                    fresh,
+                    "{from} -> {to} after {factor_calls:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn control_time_tables_equal_the_network_model_through_latency_changes() {
+        // Three sites with peers (three hosts, two, one) and one without a
+        // host, so every kind of table cell is built.
+        let mut b = TopologyBuilder::new();
+        let spec = NodeSpec::default();
+        let local = b.add_site("local");
+        let remote = b.add_site("remote");
+        let lone = b.add_site("lone");
+        b.add_site("empty");
+        b.add_cluster(local, "l", "cpu", 3, spec);
+        b.add_cluster(remote, "r", "cpu", 2, spec);
+        b.add_cluster(lone, "s", "cpu", 1, spec);
+        b.set_rtt(local, remote, SimDuration::from_millis(10));
+        b.set_rtt(remote, lone, SimDuration::from_millis(25));
+        b.set_bandwidth(local, lone, 2e8);
+        let mut o = OverlayBuilder::new(Arc::new(b.build()))
+            .seed(1)
+            .noise(NoiseModel::disabled())
+            .peer_per_host_with_core_capacity()
+            .build();
+        assert_eq!(o.peer_ids().len(), 6);
+        let mut calls = Vec::new();
+        assert_tables_match_a_fresh_model(&o, &calls);
+        // The calls a slow-link fault makes: slow two sites, then restore
+        // one.
+        for (site, factor) in [(remote, 7.0), (lone, 3.0), (remote, 1.0)] {
+            o.set_site_latency_factor(site, factor);
+            calls.push((site, factor));
+            assert_tables_match_a_fresh_model(&o, &calls);
+        }
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::peer::{PeerDescriptor, PeerId};
 use p2pmpi_simgrid::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// One entry of the supernode's host list.
 #[derive(Debug, Clone)]
@@ -21,14 +20,16 @@ pub(crate) struct HostListEntry {
 
 /// Membership registry.
 ///
-/// Entries live in a `BTreeMap` keyed by [`PeerId`], so the host list is
-/// maintained in stable sorted order *incrementally* — `O(log n)` per
-/// registration — instead of the clone-and-sort a snapshot API would pay on
-/// every read.  Consumers walk `Supernode::host_list_iter` borrowed and
-/// in order.
+/// Entries live in a table indexed by [`PeerId`] (peer ids are dense), so
+/// a registration or an alive signal is one indexed store and the host list
+/// is in ascending id order without a sort.  Consumers walk
+/// `Supernode::host_list_iter` borrowed and in order.
 #[derive(Debug)]
 pub struct Supernode {
-    entries: BTreeMap<PeerId, HostListEntry>,
+    /// The host list by peer id; `None` where no peer is registered.
+    entries: Vec<Option<HostListEntry>>,
+    /// Number of registered peers (the `Some` entries).
+    len: usize,
     /// Peers not heard from for longer than this are dropped by
     /// [`Supernode::expire_stale`].
     expiry: SimDuration,
@@ -50,7 +51,8 @@ impl Supernode {
     pub(crate) fn new(expiry: SimDuration) -> Self {
         assert!(!expiry.is_zero(), "expiry must be non-zero");
         Supernode {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
+            len: 0,
             expiry,
             registrations: 0,
         }
@@ -59,24 +61,22 @@ impl Supernode {
     /// Registers a peer (or refreshes it if already known).
     pub(crate) fn register(&mut self, descriptor: PeerDescriptor, now: SimTime) {
         self.registrations += 1;
-        self.entries.insert(
-            descriptor.id,
-            HostListEntry {
-                descriptor,
-                last_seen: now,
-            },
-        );
+        let id = descriptor.id.0;
+        if id >= self.entries.len() {
+            self.entries.resize_with(id + 1, || None);
+        }
+        let entry = HostListEntry {
+            descriptor,
+            last_seen: now,
+        };
+        self.len += usize::from(self.entries[id].replace(entry).is_none());
     }
 
     /// Records an alive signal from `peer`.  Unknown peers are ignored (the
     /// MPD is expected to re-register after an expiry).
     pub(crate) fn alive(&mut self, peer: PeerId, now: SimTime) -> bool {
-        if let Some(e) = self.entries.get_mut(&peer) {
-            e.last_seen = now;
-            true
-        } else {
-            false
-        }
+        let entry = self.entries.get_mut(peer.0).and_then(Option::as_mut);
+        entry.map(|e| e.last_seen = now).is_some()
     }
 
     /// Wipes the host list, as a supernode crash would: the registry state is
@@ -85,41 +85,42 @@ impl Supernode {
     /// list by re-registering, exactly as after an expiry.
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
+        self.len = 0;
     }
 
     /// Drops peers not heard from within the expiry window; returns how many
     /// were dropped.
     pub(crate) fn expire_stale(&mut self, now: SimTime) -> usize {
         let expiry = self.expiry;
-        let before = self.entries.len();
-        self.entries
-            .retain(|_, e| now.saturating_since(e.last_seen) <= expiry);
-        before - self.entries.len()
+        let dropped = (self.entries.iter_mut())
+            .filter_map(|slot| slot.take_if(|e| now.saturating_since(e.last_seen) > expiry))
+            .count();
+        self.len -= dropped;
+        dropped
     }
 
-    /// Borrowing view of the host list in stable ([`PeerId`]) order.  The
-    /// order is maintained incrementally by the backing `BTreeMap`, so this
-    /// neither clones nor sorts — every consumer (the MPD cache refresh, the
-    /// experiment harnesses) walks it in place.
+    /// Borrowing view of the host list in ascending [`PeerId`] order, the
+    /// order of the id-indexed table, so this neither clones nor sorts —
+    /// the MPD cache refresh merges it in place.
     pub(crate) fn host_list_iter(&self) -> impl Iterator<Item = &HostListEntry> {
-        self.entries.values()
+        self.entries.iter().flatten()
     }
 
     /// True if `peer` is currently registered.
     #[cfg(test)]
     pub(crate) fn knows(&self, peer: PeerId) -> bool {
-        self.entries.contains_key(&peer)
+        matches!(self.entries.get(peer.0), Some(Some(_)))
     }
 
     /// Number of registered peers.
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if no peer is registered.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Total registrations processed (including re-registrations).
@@ -201,6 +202,39 @@ mod tests {
         s.register(desc(0), SimTime::from_secs(1));
         assert!(s.knows(PeerId(0)));
         assert_eq!(s.registrations(), 3);
+    }
+
+    #[test]
+    fn the_registry_keeps_ascending_order_and_its_count() {
+        let ids = |s: &Supernode| -> Vec<usize> {
+            s.host_list_iter().map(|e| e.descriptor.id.0).collect()
+        };
+        let mut s = Supernode::new(SimDuration::from_secs(100));
+        for i in [7, 2, 9, 0, 4] {
+            s.register(desc(i), SimTime::ZERO);
+        }
+        assert_eq!(ids(&s), [0, 2, 4, 7, 9]);
+        assert_eq!(s.len(), 5);
+        // A re-registration refreshes its entry without counting it twice.
+        s.register(desc(4), SimTime::from_secs(60));
+        assert_eq!(s.len(), 5);
+        let t = SimTime::from_secs(60);
+        assert!(!s.alive(PeerId(3), t), "an id between registered ones");
+        assert!(!s.alive(PeerId(42), t), "an id past every registered one");
+        assert!(s.alive(PeerId(9), t));
+        // 0, 2 and 7 were last seen at 0 s; 4 and 9 at 60 s.
+        assert_eq!(s.expire_stale(SimTime::from_secs(150)), 3);
+        assert_eq!(s.len(), 2);
+        assert_eq!(ids(&s), [4, 9]);
+        assert!(!s.alive(PeerId(7), SimTime::from_secs(150)), "expired");
+        s.register(desc(7), SimTime::from_secs(150));
+        assert_eq!((s.len(), ids(&s)), (3, vec![4, 7, 9]));
+        s.clear();
+        assert_eq!(s.len(), 0);
+        assert!(ids(&s).is_empty());
+        assert!(!s.alive(PeerId(4), SimTime::from_secs(150)), "cleared");
+        s.register(desc(2), SimTime::from_secs(160));
+        assert_eq!((s.len(), ids(&s)), (1, vec![2]));
     }
 
     #[test]
